@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation ci
+.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -75,4 +75,16 @@ test-federation:
 		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug' \
 		./internal/plan/ ./internal/streaming/ ./internal/experiments/
 
-ci: build vet seed-audit doc-audit test race bench-compare
+# Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a
+# target (and its committed corpus under testdata/fuzz) cannot rot between
+# the longer runs someone starts by hand. `go test -fuzz` takes one target
+# in one package per invocation, hence the loop.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@grep -rHo --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]*' . | sort | \
+	while IFS=: read -r file decl; do \
+		echo "fuzz-smoke: $$(dirname $$file) $${decl#func }"; \
+		$(GO) test -run '^$$' -fuzz "^$${decl#func }$$" -fuzztime=$(FUZZTIME) "$$(dirname $$file)" || exit 1; \
+	done
+
+ci: build vet seed-audit doc-audit test fuzz-smoke race bench-compare

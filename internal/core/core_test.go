@@ -416,3 +416,79 @@ func TestGracefulShutdownEndsPilotDone(t *testing.T) {
 		t.Fatalf("state=%v err=%v, want Done", state, err)
 	}
 }
+
+// rogueScheduler answers with whatever pick returns, offered or not.
+type rogueScheduler struct {
+	pick func(candidates []*Pilot) *Pilot
+}
+
+func (rogueScheduler) Name() string { return "rogue" }
+
+func (s rogueScheduler) SelectPilot(_ *ComputeUnit, candidates []*Pilot, _ DataService) *Pilot {
+	return s.pick(candidates)
+}
+
+// A scheduler that returns a pilot it was not offered — one that is full,
+// or one this manager has never seen — must cost the unit a tick, not the
+// pilot its slot accounting or the manager the unit: it stays queued and
+// binds as soon as the scheduler answers from the candidate set.
+func TestSchedulerChoiceOutsideCandidatesDefersUnit(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	reg := saga.NewRegistry()
+	reg.Register(saga.NewLocalService("box", 8, clock))
+	var answer *Pilot // nil: conform (first candidate)
+	mgr := NewManager(Config{Registry: reg, Clock: clock, Stream: dist.NewStream(3),
+		Scheduler: rogueScheduler{pick: func(c []*Pilot) *Pilot {
+			if answer != nil {
+				return answer
+			}
+			return c[0]
+		}}})
+	defer mgr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	pA, err := mgr.SubmitPilot(PilotDescription{Resource: "local://box", Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pB, err := mgr.SubmitPilot(PilotDescription{Resource: "local://box", Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Pilot{pA, pB} {
+		if err := p.WaitRunning(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := mgr.SubmitUnit(quickUnit("hold", time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	clock.Sleep(ctx, time.Second)
+	if pA.FreeCores() != 0 {
+		t.Fatalf("hold unit did not fill pA: %d cores free", pA.FreeCores())
+	}
+
+	u, err := mgr.SubmitUnit(quickUnit("late", time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rogue := range []*Pilot{pA, {id: "pilot-404"}} {
+		answer = rogue
+		mgr.Kick()
+		clock.Sleep(ctx, time.Second)
+		if s := u.State(); s != UnitPending || mgr.QueueDepth() != 1 {
+			t.Fatalf("scheduler answered %s (not offered): unit %v, queue depth %d; want Pending and 1", rogue.id, s, mgr.QueueDepth())
+		}
+		if pA.FreeCores() != 0 || pB.FreeCores() != 2 {
+			t.Fatalf("scheduler answered %s (not offered): free cores pA %d pB %d, want 0 and 2", rogue.id, pA.FreeCores(), pB.FreeCores())
+		}
+	}
+	answer = nil
+	mgr.Kick()
+	if s, err := u.Wait(ctx); s != UnitDone || u.Pilot() != pB {
+		t.Fatalf("unit ended %v on %v (%v), want Done on pB", s, u.Pilot(), err)
+	}
+}

@@ -17,7 +17,9 @@ import (
 )
 
 // Scheduler decides which pilot a pending unit binds to. Candidates are
-// running pilots with enough free cores; returning nil defers the unit.
+// running pilots with enough free cores; returning nil — or a pilot that
+// is not one of the candidates — defers the unit. The candidates slice is
+// the manager's scratch, valid only for the duration of the call.
 // Implementations live in package scheduler; the manager defaults to
 // first-fit FIFO. The manager wires the policy into the control plane's
 // TickPlanner (package plan), which owns the queue and retry state around
@@ -90,9 +92,11 @@ type Manager struct {
 
 	mu          sync.Mutex
 	planner     *plan.Planner
+	exec        plannerExec // the planner's executor, reused across ticks
 	recon       *plan.Reconciler
 	pilots      []*Pilot
 	units       []*ComputeUnit
+	live        []*ComputeUnit // non-terminal units, compacted by ReconcileOnce
 	pilotByID   map[string]*Pilot
 	unitByID    map[string]*ComputeUnit
 	nextPilotID int
@@ -142,26 +146,19 @@ func NewManager(cfg Config) *Manager {
 		reconKick: vclock.NewNotifier(cfg.Clock),
 		wg:        vclock.NewGroup(cfg.Clock),
 	}
+	m.exec.m = m
 	m.planner = plan.New(plan.Config{
 		Stream:  cfg.Stream,
 		Backoff: cfg.Backoff,
-		// The policy adapter resolves planner IDs back to live objects for
-		// the pluggable Scheduler. It runs inside Plan, under m.mu.
-		Policy: func(u plan.UnitSpec, cands []plan.Candidate) string {
+		// The policy adapter hands the pluggable Scheduler the live objects
+		// behind the candidates plannerExec just offered. It runs inside
+		// Plan, under m.mu, straight after that Candidates call.
+		Policy: func(u plan.UnitSpec, _ []plan.Candidate) string {
 			cu := m.unitByID[u.ID]
 			if cu == nil {
 				return ""
 			}
-			pilots := make([]*Pilot, 0, len(cands))
-			for _, c := range cands {
-				if p := m.pilotByID[c.ID]; p != nil {
-					pilots = append(pilots, p)
-				}
-			}
-			if len(pilots) == 0 {
-				return ""
-			}
-			p := m.cfg.Scheduler.SelectPilot(cu, pilots, m.cfg.Data)
+			p := m.cfg.Scheduler.SelectPilot(cu, m.exec.pilots, m.cfg.Data)
 			if p == nil {
 				return ""
 			}
@@ -297,6 +294,7 @@ func (m *Manager) SubmitUnit(d UnitDescription) (*ComputeUnit, error) {
 		done:      vclock.NewEvent(m.cfg.Clock),
 	}
 	m.units = append(m.units, u)
+	m.live = append(m.live, u)
 	m.unitByID[u.id] = u
 	m.planner.Admit(plan.UnitSpec{
 		ID:         u.id,
@@ -363,7 +361,7 @@ func (m *Manager) Units() []*ComputeUnit {
 }
 
 // QueueDepth returns the number of units awaiting binding (including
-// units parked in retry backoff).
+// units parked in retry backoff). It reads a counter, whatever the depth.
 func (m *Manager) QueueDepth() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -467,7 +465,8 @@ func (m *Manager) dispatchLoop() {
 func (m *Manager) dispatchOnce() {
 	now := m.cfg.Clock.Now()
 	m.mu.Lock()
-	next := m.planner.Plan(now, &plannerExec{m: m, now: now})
+	m.exec.now = now
+	next := m.planner.Plan(now, &m.exec)
 	if !next.IsZero() {
 		m.wakeAtLocked(next)
 	}
@@ -481,20 +480,30 @@ func (m *Manager) dispatchOnce() {
 type plannerExec struct {
 	m   *Manager
 	now time.Time
+	// The last Candidates answer and the pilots behind it, index for
+	// index; both are scratch reused by the next call.
+	cands  []plan.Candidate
+	pilots []*Pilot
 }
 
-// Candidates implements plan.Executor.
+// Candidates implements plan.Executor: the running pilots with at least
+// u.Cores free, in submission order. A pilot whose backend is inside an
+// injected outage window is unreachable and therefore not a candidate.
+// Nothing else about the unit filters (plan.Executor's monotonicity
+// contract).
 func (e *plannerExec) Candidates(u plan.UnitSpec) []plan.Candidate {
-	cu := e.m.unitByID[u.ID]
-	if cu == nil {
-		return nil
+	e.cands, e.pilots = e.cands[:0], e.pilots[:0]
+	for _, p := range e.m.pilots {
+		p.mu.Lock()
+		free := p.freeCores
+		ok := p.state == PilotRunning && free >= u.Cores
+		p.mu.Unlock()
+		if ok && !p.faults.Down() {
+			e.cands = append(e.cands, plan.Candidate{ID: p.id, Backend: p.desc.Resource, FreeCores: free})
+			e.pilots = append(e.pilots, p)
+		}
 	}
-	pilots := e.m.candidatesLocked(cu)
-	out := make([]plan.Candidate, 0, len(pilots))
-	for _, p := range pilots {
-		out = append(out, plan.Candidate{ID: p.id, Backend: p.desc.Resource, FreeCores: p.FreeCores()})
-	}
-	return out
+	return e.cands
 }
 
 // Bind implements plan.Executor: reserve cores, mark the unit Scheduled
@@ -548,22 +557,6 @@ func (m *Manager) wakeAtLocked(t time.Time) {
 		m.mu.Unlock()
 		m.wake()
 	})
-}
-
-// candidatesLocked returns running pilots able to host cu right now. A
-// pilot whose backend is inside an injected outage window is unreachable
-// and therefore not a candidate.
-func (m *Manager) candidatesLocked(cu *ComputeUnit) []*Pilot {
-	var out []*Pilot
-	for _, p := range m.pilots {
-		p.mu.Lock()
-		ok := p.state == PilotRunning && p.freeCores >= cu.desc.Cores
-		p.mu.Unlock()
-		if ok && !p.faults.Down() {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // pilotStarted registers the agent's allocation (called from agentRun).
@@ -805,10 +798,19 @@ func (m *Manager) reconcileLoop() {
 // It returns the corrections applied, in deterministic order.
 func (m *Manager) ReconcileOnce() []plan.Drift {
 	m.mu.Lock()
-	units := make([]plan.UnitStatus, 0, len(m.units))
-	for _, u := range m.units {
+	// Only live units are snapshotted: plan.DetectDrift treats a unit that
+	// is absent exactly as a terminal one, so units that finished since the
+	// last scan are dropped from the live list here instead of being locked
+	// and copied on every scan for the rest of the manager's life.
+	units := make([]plan.UnitStatus, 0, len(m.live))
+	live := m.live[:0]
+	for _, u := range m.live {
 		u.mu.Lock()
-		st := plan.UnitStatus{ID: u.id, Terminal: u.state.Terminal()}
+		if u.state.Terminal() {
+			u.mu.Unlock()
+			continue
+		}
+		st := plan.UnitStatus{ID: u.id}
 		if u.pilot != nil && (u.state == UnitScheduled || u.state == UnitStaging || u.state == UnitRunning) {
 			st.Bound = true
 			st.Started = u.state != UnitScheduled
@@ -816,7 +818,9 @@ func (m *Manager) ReconcileOnce() []plan.Drift {
 		}
 		u.mu.Unlock()
 		units = append(units, st)
+		live = append(live, u)
 	}
+	m.live = live
 	pilots := make([]plan.PilotStatus, 0, len(m.pilots))
 	for _, p := range m.pilots {
 		p.mu.Lock()

@@ -15,9 +15,20 @@
 // entry point takes the current virtual instant as an argument and is
 // called under the manager's lock. That purity is what keeps same-seed
 // runs bit-identical (and is enforced by seed-audit rule 6).
+//
+// A planning tick is indexed, not a rescan: the pending queue is an
+// intrusive list of unit records in arrival (re-)order, and Plan keeps a
+// per-tick capacity floor — the smallest core count the executor refused
+// this tick — so a unit needing at least that much is kept without asking
+// again, and the walk stops once every unit behind it is such a unit and
+// none is parked in backoff. That rests on the monotonicity contract
+// stated on Executor.Candidates; under it the index changes what a tick
+// costs (units bound + distinct core sizes queued, not queue depth ×
+// pilots), never what it decides.
 package plan
 
 import (
+	"math"
 	"time"
 
 	"gopilot/internal/dist"
@@ -26,7 +37,7 @@ import (
 // UnitSpec is the planner's view of a compute unit: just what placement
 // and retry accounting need, so the package stays independent of core.
 type UnitSpec struct {
-	// ID is the manager-assigned unit id.
+	// ID is the manager-assigned unit id, unique over the planner's life.
 	ID string
 	// Ordinal is the unit's submission ordinal; it labels the unit's slot
 	// in the planner's "retry" stream subtree ("retry"/<ordinal>).
@@ -51,7 +62,9 @@ type Candidate struct {
 }
 
 // PolicyFunc picks a pilot for a unit from a non-empty candidate list,
-// returning its ID, or "" to defer the unit to a later tick.
+// returning its ID, or "" to defer the unit to a later tick. An ID that is
+// not in the list is a deferral too: the planner never binds a unit to a
+// pilot the executor did not offer.
 type PolicyFunc func(u UnitSpec, candidates []Candidate) string
 
 // Executor is the planner's hand back into the world. Plan calls it
@@ -61,7 +74,21 @@ type PolicyFunc func(u UnitSpec, candidates []Candidate) string
 // the pre-planner dispatch loop did.
 type Executor interface {
 	// Candidates returns the pilots able to host u at this instant, in
-	// stable (pilot submission) order, with current free capacity.
+	// stable (pilot submission) order, with current free capacity. The
+	// answer is valid until the next Candidates call (implementations may
+	// reuse its backing array).
+	//
+	// Monotonicity contract: a pilot is a candidate iff it is running,
+	// reachable and has FreeCores >= u.Cores — no other property of the
+	// unit may filter. An empty answer for c cores therefore implies an
+	// empty answer for every c' >= c until capacity next rises, and within
+	// one tick capacity only shrinks (the manager holds its lock, and Bind
+	// only debits). Plan relies on this to skip such units without asking.
+	// Under ClockReal/ClockScaled a slot can be returned mid-tick by a
+	// goroutine that does not take the manager's lock; the skip is still
+	// live there because every capacity rise (returnSlots, pilotStarted,
+	// an outage clearing via Kick) is followed by a wake, so a skipped
+	// unit is reconsidered on the very next tick.
 	Candidates(u UnitSpec) []Candidate
 	// Bind reserves u onto the chosen pilot and hands it to the agent.
 	Bind(u UnitSpec, pilotID string)
@@ -132,13 +159,22 @@ type Config struct {
 
 // unitRec is the planner's per-unit bookkeeping.
 type unitRec struct {
-	spec    UnitSpec
-	retry   *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry
-	queued  bool         // present in the pending queue
-	bound   bool         // dispatched and not yet returned
-	backend string       // watermark key while bound
-	charges int          // failures charged against MaxRetries
-	retryAt time.Time    // eligibility gate while queued after a failure
+	spec       UnitSpec
+	retry      *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry
+	class      *sizeClass   // queue census entry for spec.Cores
+	prev, next *unitRec     // pending-queue links while queued
+	queued     bool         // linked into the pending queue
+	bound      bool         // dispatched and not yet returned
+	backend    string       // watermark key while bound
+	charges    int          // failures charged against MaxRetries
+	retryAt    time.Time    // eligibility gate while queued after a failure
+}
+
+// sizeClass is the pending queue's census of one core size.
+type sizeClass struct {
+	cores  int
+	queued int // units of this size in the pending queue
+	left   int // of those, not yet visited by the running tick
 }
 
 // Planner is the TickPlanner. It is not self-synchronizing: the owning
@@ -150,7 +186,10 @@ type Planner struct {
 	backoff    Backoff
 	retryRoot  *dist.Stream
 	units      map[string]*unitRec
-	queue      []string // pending unit IDs in arrival (re-)order
+	head, tail *unitRec     // pending queue in arrival (re-)order
+	pending    int          // queued units
+	parked     int          // queued units carrying a retryAt
+	sizes      []*sizeClass // one per core size ever queued
 	watermarks map[string]*Watermark
 	backends   []string // watermark keys in first-dispatch order
 }
@@ -177,20 +216,74 @@ func (p *Planner) Admit(spec UnitSpec) {
 	if _, ok := p.units[spec.ID]; ok {
 		return
 	}
-	p.units[spec.ID] = &unitRec{
-		spec:   spec,
-		retry:  p.retryRoot.SplitLabel(spec.Ordinal),
-		queued: true,
+	r := &unitRec{
+		spec:  spec,
+		retry: p.retryRoot.SplitLabel(spec.Ordinal),
+		class: p.classOf(spec.Cores),
 	}
-	p.queue = append(p.queue, spec.ID)
+	p.units[spec.ID] = r
+	p.enqueue(r)
 }
 
-// Forget removes a unit from the planner (terminal or canceled). Its
-// queue entry, if any, is dropped lazily on the next tick.
+// classOf returns the census entry for a core size, creating it on first
+// use. Entries are never dropped: a workload has a handful of sizes.
+func (p *Planner) classOf(cores int) *sizeClass {
+	for _, c := range p.sizes {
+		if c.cores == cores {
+			return c
+		}
+	}
+	c := &sizeClass{cores: cores}
+	p.sizes = append(p.sizes, c)
+	return c
+}
+
+// enqueue links r at the tail of the pending queue.
+func (p *Planner) enqueue(r *unitRec) {
+	r.queued = true
+	r.prev, r.next = p.tail, nil
+	if p.tail != nil {
+		p.tail.next = r
+	} else {
+		p.head = r
+	}
+	p.tail = r
+	p.pending++
+	r.class.queued++
+	if !r.retryAt.IsZero() {
+		p.parked++
+	}
+}
+
+// dequeue unlinks r from the pending queue.
+func (p *Planner) dequeue(r *unitRec) {
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		p.head = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		p.tail = r.prev
+	}
+	r.prev, r.next = nil, nil
+	r.queued = false
+	p.pending--
+	r.class.queued--
+	if !r.retryAt.IsZero() {
+		p.parked--
+	}
+}
+
+// Forget removes a unit from the planner (terminal or canceled).
 func (p *Planner) Forget(id string) {
 	r, ok := p.units[id]
 	if !ok {
 		return
+	}
+	if r.queued {
+		p.dequeue(r)
 	}
 	if r.bound {
 		p.watermarks[r.backend].InFlight--
@@ -199,51 +292,75 @@ func (p *Planner) Forget(id string) {
 }
 
 // Plan runs one planning tick at the given virtual instant: pending
-// units, in queue order, are gated on their retry eligibility, guarded
-// against double dispatch, offered to the policy, and bound through the
-// executor. Units that fit nowhere stay queued, so smaller later units
-// may bind first (backfill inside the pilot pool). The returned instant
-// is the earliest pending retry eligibility, or zero if nothing is
-// waiting on time — the manager schedules its next self-wake from it.
+// units, in queue order, are gated on their retry eligibility, offered to
+// the policy, and bound through the executor. Units that fit nowhere stay
+// queued, so smaller later units may bind first (backfill inside the
+// pilot pool). The returned instant is the earliest pending retry
+// eligibility, or zero if nothing is waiting on time — the manager
+// schedules its next self-wake from it. now must not decrease from one
+// tick to the next.
+//
+// The walk asks the executor only about units below the tick's capacity
+// floor and ends as soon as no unvisited unit is below it or carries a
+// retryAt: everything behind that point would be kept unasked and cannot
+// move nextWake.
 func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
-	keep := p.queue[:0]
-	for _, id := range p.queue {
-		r, ok := p.units[id]
-		if !ok || !r.queued || r.bound {
-			continue // forgotten, or guard: already dispatched
+	floor := math.MaxInt // smallest core count refused this tick
+	small, parked := p.pending, p.parked
+	for _, c := range p.sizes {
+		c.left = c.queued
+	}
+	for r, next := p.head, (*unitRec)(nil); r != nil && (small > 0 || parked > 0); r = next {
+		next = r.next
+		r.class.left--
+		if r.spec.Cores < floor {
+			small--
 		}
-		if !r.retryAt.IsZero() && r.retryAt.After(now) {
-			keep = append(keep, id)
-			if nextWake.IsZero() || r.retryAt.Before(nextWake) {
-				nextWake = r.retryAt
+		if !r.retryAt.IsZero() {
+			parked--
+			if r.retryAt.After(now) {
+				if nextWake.IsZero() || r.retryAt.Before(nextWake) {
+					nextWake = r.retryAt
+				}
+				continue
 			}
+			// Eligible from here on (now never decreases): stop counting
+			// it as a reason for later ticks to walk this far.
+			r.retryAt = time.Time{}
+			p.parked--
+		}
+		if r.spec.Cores >= floor {
 			continue
 		}
 		cands := ex.Candidates(r.spec)
 		if len(cands) == 0 {
-			keep = append(keep, id)
+			// Lower the floor; the unvisited units it now covers stop
+			// counting as reasons to walk on.
+			for _, c := range p.sizes {
+				if c.cores >= r.spec.Cores && c.cores < floor {
+					small -= c.left
+				}
+			}
+			floor = r.spec.Cores
 			continue
 		}
 		pilot := p.policy(r.spec, cands)
-		if pilot == "" {
-			keep = append(keep, id)
-			continue
-		}
-		backend := ""
+		backend, offered := "", false
 		for _, c := range cands {
 			if c.ID == pilot {
-				backend = c.Backend
+				backend, offered = c.Backend, true
 				break
 			}
 		}
-		r.queued = false
+		if pilot == "" || !offered {
+			continue // deferred by the policy
+		}
+		p.dequeue(r)
 		r.bound = true
 		r.backend = backend
-		r.retryAt = time.Time{}
 		p.noteDispatch(backend, now)
 		ex.Bind(r.spec, pilot)
 	}
-	p.queue = keep
 	return nextWake
 }
 
@@ -264,14 +381,16 @@ func (p *Planner) NoteFailure(id string, class FailureClass, now time.Time) Verd
 	}
 	r.charges++
 	if r.charges > r.spec.MaxRetries {
-		delete(p.units, id)
+		p.Forget(id)
 		return Verdict{Retry: false, Charges: r.charges}
 	}
 	d := p.backoff.Delay(r.charges-1, r.retry)
+	if r.queued && r.retryAt.IsZero() {
+		p.parked++ // failed while still queued: it keeps its place in line
+	}
 	r.retryAt = now.Add(d)
 	if !r.queued {
-		r.queued = true
-		p.queue = append(p.queue, id)
+		p.enqueue(r)
 	}
 	return Verdict{Retry: true, Charges: r.charges, Delay: d, RetryAt: r.retryAt}
 }
@@ -286,30 +405,16 @@ func (p *Planner) Charges(id string) int {
 
 // PendingLen returns the number of units awaiting dispatch (including
 // units parked in backoff).
-func (p *Planner) PendingLen() int {
-	n := 0
-	for _, id := range p.queue {
-		if r, ok := p.units[id]; ok && r.queued && !r.bound {
-			n++
-		}
-	}
-	return n
-}
+func (p *Planner) PendingLen() int { return p.pending }
 
 // DrainPending removes and returns every queued unit ID in queue order —
 // the manager's shutdown path, which finalizes them as canceled.
 func (p *Planner) DrainPending() []string {
 	var out []string
-	for _, id := range p.queue {
-		r, ok := p.units[id]
-		if !ok || !r.queued || r.bound {
-			continue
-		}
-		r.queued = false
-		delete(p.units, id)
-		out = append(out, id)
+	for p.head != nil {
+		out = append(out, p.head.spec.ID)
+		p.Forget(p.head.spec.ID)
 	}
-	p.queue = nil
 	return out
 }
 

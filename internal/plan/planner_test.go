@@ -13,8 +13,9 @@ var t0 = time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
 // debited by Bind, so planner ticks see their own earlier decisions the
 // way the manager's live callbacks do.
 type fakeExec struct {
-	pilots []Candidate // mutated in place: FreeCores tracks binds
-	binds  [][2]string // (unit, pilot) in bind order
+	pilots []Candidate       // mutated in place: FreeCores tracks binds
+	binds  [][2]string       // (unit, pilot) in bind order
+	held   map[string]string // unit -> pilot currently holding its cores
 }
 
 func (e *fakeExec) Candidates(u UnitSpec) []Candidate {
@@ -34,6 +35,21 @@ func (e *fakeExec) Bind(u UnitSpec, pilotID string) {
 		}
 	}
 	e.binds = append(e.binds, [2]string{u.ID, pilotID})
+	if e.held == nil {
+		e.held = make(map[string]string)
+	}
+	e.held[u.ID] = pilotID
+}
+
+// release returns a bound unit's cores to its pilot (the unit finished or
+// failed); a no-op for a unit that holds none.
+func (e *fakeExec) release(unit string, cores int) {
+	for i := range e.pilots {
+		if e.pilots[i].ID == e.held[unit] {
+			e.pilots[i].FreeCores += cores
+		}
+	}
+	delete(e.held, unit)
 }
 
 func newPlanner(b Backoff) *Planner {
@@ -210,5 +226,32 @@ func TestDrainPendingReturnsQueueOrder(t *testing.T) {
 	}
 	if p.PendingLen() != 0 {
 		t.Fatalf("queue not empty after drain")
+	}
+}
+
+func TestPolicyChoiceOutsideCandidatesIsDeferral(t *testing.T) {
+	// pB is full, so only pA is offered. A policy that names pB anyway, or
+	// a pilot nobody offered, must not get a bind: the unit stays queued,
+	// nothing is debited, and a conforming answer on a later tick binds it.
+	for _, rogue := range []string{"pB", "pZ"} {
+		answer := rogue
+		p := New(Config{Stream: dist.NewStream(42), Policy: func(UnitSpec, []Candidate) string { return answer }})
+		p.Admit(UnitSpec{ID: "u1", Ordinal: 1, Cores: 2})
+		ex := &fakeExec{pilots: []Candidate{
+			{ID: "pA", Backend: "local://a", FreeCores: 4},
+			{ID: "pB", Backend: "htc://b", FreeCores: 0},
+		}}
+		p.Plan(t0, ex)
+		if len(ex.binds) != 0 || ex.pilots[1].FreeCores != 0 {
+			t.Fatalf("policy answer %q outside the candidate set was bound: binds %v, pilots %+v", rogue, ex.binds, ex.pilots)
+		}
+		if n, w := p.PendingLen(), p.Watermarks(); n != 1 || len(w) != 0 {
+			t.Fatalf("policy answer %q: PendingLen %d, watermarks %v; want the unit still queued and nothing dispatched", rogue, n, w)
+		}
+		answer = "pA"
+		p.Plan(t0.Add(time.Second), ex)
+		if len(ex.binds) != 1 || ex.binds[0] != [2]string{"u1", "pA"} || p.PendingLen() != 0 {
+			t.Fatalf("deferred unit not bound by a conforming answer: binds %v", ex.binds)
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package plan
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"gopilot/internal/dist"
 )
 
 func TestDetectDriftClassifiesAllThreeClasses(t *testing.T) {
@@ -87,5 +90,44 @@ func TestReconcilerForgetsHealedTransients(t *testing.T) {
 	// the two-scan confirmation over.
 	if got := r.Observe(drifted, pilots); len(got) != 0 {
 		t.Fatalf("stale sighting survived a clean scan: %v", got)
+	}
+}
+
+// TestDetectDriftIgnoresTerminalUnits is the property that lets the manager
+// snapshot live units only: a terminal unit and an absent unit are the same
+// to DetectDrift (no unit-keyed drift; an agent still holding it is an
+// orphan either way), so dropping every terminal unit from the snapshot
+// yields the identical drift slice, in the identical order.
+func TestDetectDriftIgnoresTerminalUnits(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		s := dist.NewStream(seed)
+		pilots := make([]PilotStatus, 1+s.Intn(5))
+		for i := range pilots {
+			pilots[i] = PilotStatus{ID: fmt.Sprintf("p%d", i), Running: s.Intn(3) > 0}
+			pilots[i].Terminal = !pilots[i].Running && s.Intn(2) == 0
+		}
+		units := make([]UnitStatus, s.Intn(40))
+		var live []UnitStatus
+		for i := range units {
+			u := UnitStatus{ID: fmt.Sprintf("u%d", i), Terminal: s.Intn(3) == 0}
+			// A terminal unit may still carry a stale binding in the
+			// snapshot, and any unit may sit on any agent, bound there or not.
+			if s.Intn(3) > 0 {
+				u.Bound, u.Started = true, s.Intn(2) == 0
+				u.Pilot = fmt.Sprintf("p%d", s.Intn(len(pilots)+1)) // sometimes unknown
+			}
+			for n := s.Intn(3); n > 0; n-- {
+				p := &pilots[s.Intn(len(pilots))]
+				p.Units = append(p.Units, u.ID)
+			}
+			units[i] = u
+			if !u.Terminal {
+				live = append(live, u)
+			}
+		}
+		all, onlyLive := DetectDrift(units, pilots), DetectDrift(live, pilots)
+		if !reflect.DeepEqual(all, onlyLive) {
+			t.Fatalf("seed %d: drift over all units %v, over live units only %v", seed, all, onlyLive)
+		}
 	}
 }

@@ -88,8 +88,11 @@ func TestOffsetStoreConcurrentSavesStayMonotonic(t *testing.T) {
 	s.OnSave(func(group, topic string, partition int) {
 		// Load inside the callback observes the store after the applied
 		// save; values must never run backwards from a subscriber's view.
-		v, ok := s.Load(group, topic, partition)
+		// The load and the comparison share one critical section: a
+		// callback preempted between them would otherwise report a value
+		// already overtaken by a later callback's as a rewind.
 		mu.Lock()
+		v, ok := s.Load(group, topic, partition)
 		if !ok || v < lastSeen {
 			rewinds++
 		} else {

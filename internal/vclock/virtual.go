@@ -99,7 +99,7 @@ type grant chan struct{}
 // scheduler's deadline wake, or by the cancellation sweep.
 type parker struct {
 	g        grant
-	ctx      context.Context // nil: not cancelable
+	done     <-chan struct{} // the waiter's ctx.Done(), read once at registration; nil: not cancelable
 	deadline time.Time       // zero: not sleeping
 	seq      uint64
 	claimed  bool
@@ -237,13 +237,14 @@ func (c *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}
+	done := ctx.Done()
 	c.mu.Lock()
 	if !c.hasCurrent {
 		c.mu.Unlock()
 		panic("vclock: Sleep on Virtual clock from an unregistered goroutine (use Go or Adopt)")
 	}
 	c.seq++
-	r := &parker{g: make(grant, 1), ctx: ctx, deadline: c.now.Add(d), seq: c.seq, heapIdx: -1}
+	r := &parker{g: make(grant, 1), done: done, deadline: c.now.Add(d), seq: c.seq, heapIdx: -1}
 	c.sleepers.push(r)
 	c.hasCurrent = false
 	c.scheduleLocked()
@@ -256,12 +257,12 @@ func (c *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 // way; participant-issued ones are claimed by the scheduler's own sweep).
 // It reports whether the wake-up was a signal (true) or a cancellation.
 func (c *Virtual) await(r *parker) bool {
-	if r.ctx == nil {
+	if r.done == nil {
 		<-r.g
 	} else {
 		select {
 		case <-r.g:
-		case <-r.ctx.Done():
+		case <-r.done:
 			c.nudge()
 			<-r.g
 		}
@@ -377,11 +378,30 @@ func (c *Virtual) exit() {
 // newParker allocates a wait registration for the current goroutine; the
 // caller stores it in a primitive's waiter list, then calls park.
 func (c *Virtual) newParker(ctx context.Context) *parker {
+	r := &parker{g: make(grant, 1), heapIdx: -1}
+	if ctx != nil {
+		r.done = ctx.Done()
+	}
 	c.mu.Lock()
 	c.seq++
-	r := &parker{g: make(grant, 1), ctx: ctx, seq: c.seq, heapIdx: -1}
+	r.seq = c.seq
 	c.mu.Unlock()
 	return r
+}
+
+// ctxDone reports whether the waiter's context has been canceled. The sweep
+// polls the cached Done channel — a lock-free read while it is open — where
+// ctx.Err() would take the context's mutex once per waiter per time advance.
+func (r *parker) ctxDone() bool {
+	if r.done == nil {
+		return false
+	}
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // parkedPush appends r to the tail of the intrusive parked list. Caller
@@ -556,8 +576,8 @@ func (c *Virtual) scheduleLocked() {
 
 // sweepCanceledLocked claims every sleeper and parked waiter whose context
 // is already canceled, making them runnable (in seq order) at the current
-// modeled time. The common no-cancellation case only reads: one ctx check
-// per waiter, no restructuring. Caller holds c.mu.
+// modeled time. The common no-cancellation case only reads: one channel
+// poll per cancelable waiter, no restructuring. Caller holds c.mu.
 func (c *Virtual) sweepCanceledLocked() {
 	var due []*parker
 	// Scan the heap's backing array directly — collection order is
@@ -570,7 +590,7 @@ func (c *Virtual) sweepCanceledLocked() {
 			// Already woken through another path; never grant twice.
 			c.sleepers.removeIdx(i)
 			// The entry swapped into i is unexamined: do not advance.
-		case r.ctx != nil && r.ctx.Err() != nil:
+		case r.ctxDone():
 			due = append(due, r)
 			c.sleepers.removeIdx(i)
 		default:
@@ -582,7 +602,7 @@ func (c *Virtual) sweepCanceledLocked() {
 		switch {
 		case r.claimed:
 			c.parkedRemove(r)
-		case r.ctx != nil && r.ctx.Err() != nil:
+		case r.ctxDone():
 			due = append(due, r)
 			c.parkedRemove(r)
 		}
