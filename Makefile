@@ -59,20 +59,28 @@ doc-audit:
 # seed and a ready-to-paste `chaosreplay -seed N -bisect` command are
 # printed and the target fails. Fully deterministic: a seed that fails
 # here fails identically everywhere.
+# CHAOS_REGRESS seeds are replayed first: the default-mix seeds a sweep
+# once tripped over (skewed commit landing on a dead leader), so the short
+# per-push leg covers what only the long nightly leg used to reach.
 CHAOS_SEEDS ?= 20
 CHAOS_SEED0 ?= 0
+CHAOS_REGRESS ?= 72 97 105 112 143 185
 chaos:
+	@for s in $(CHAOS_REGRESS); do \
+		echo "chaos: regression seed $$s"; \
+		$(GO) run ./cmd/chaosreplay -seed $$s || exit 1; \
+	done
 	$(GO) run ./cmd/chaosreplay -fuzz $(CHAOS_SEEDS) -seed0 $(CHAOS_SEED0) -v
 
 # Federation suite under the race detector: shard placement planning,
 # epoch-chain divergence math, cluster handoff/link-fence/retention
 # behavior, replication catch-up and divergence repair (plus the
 # 10-seed replication-fault property test), offset-persistence
-# restarts, the retention property test, the rehomed E13 exhibit, and
-# the stale-handoff chaos acceptance test.
+# restarts, the retention property test, the rehomed E13 exhibit, the
+# stale-handoff chaos acceptance test, and the six skewed-commit seeds.
 test-federation:
 	$(GO) test -race -count=1 \
-		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug' \
+		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug|TestChaosSkewedCommitOnDeadLeader' \
 		./internal/plan/ ./internal/streaming/ ./internal/experiments/
 
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a

@@ -68,6 +68,25 @@ func TestChaosDefaultFaultsInvariantsHold(t *testing.T) {
 	}
 }
 
+// TestChaosSkewedCommitOnDeadLeader replays the six default-mix seeds of
+// 0–199 that used to end in a deterministic cursor-rewind ("commit starts
+// at 192, last mark was 208"): a commit held in flight by the commit-skew
+// fault landed on a leader FailShard had closed during the skew, so the
+// deposed log applied it and fired OnCommit below the coordinator's
+// mark. Broker.Commit now re-checks closed after the skew sleep.
+func TestChaosSkewedCommitOnDeadLeader(t *testing.T) {
+	requireVirtual(t)
+	for _, seed := range []int64{72, 97, 105, 112, 143, 185} {
+		r, err := Chaos(ChaosOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Ok() {
+			t.Errorf("seed %d: %v", seed, r.Violations)
+		}
+	}
+}
+
 // Same chaos seed, same everything: fault schedule, injection log,
 // terminal state and decision trace are bit-identical across 5 runs at
 // GOMAXPROCS=4 (run under -race in CI).

@@ -111,10 +111,14 @@ type topic struct {
 // remains valid and immutable while the writer keeps appending behind it.
 // cum[i] is the partition-cumulative payload byte total through msgs[i]
 // (inclusive), which makes the bytes of any committed offset range a
-// two-lookup subtraction instead of a per-message walk.
+// two-lookup subtraction instead of a per-message walk. viewed records
+// that a slice of msgs has left the partition lock (set only by view): a
+// viewed segment dies by GC, an unviewed one may be refilled (DESIGN.md
+// "Segment lifecycle").
 type segment struct {
-	msgs []Message
-	cum  []int64
+	msgs   []Message
+	cum    []int64
+	viewed bool
 }
 
 // newSegment allocates a segment with both arrays at full capacity in
@@ -127,9 +131,25 @@ func newSegment(segSize int) *segment {
 	}
 }
 
+// nextSegment is where every segment of the log is born: it appends an
+// empty tail segment — the spare Trim handed back if there is one, a
+// fresh allocation otherwise — and returns it. Caller holds p.mu.
+func (p *partition) nextSegment(segSize int) *segment {
+	seg := p.spare
+	if seg == nil {
+		seg = newSegment(segSize)
+	} else {
+		p.spare = nil
+		seg.msgs, seg.cum = seg.msgs[:0], seg.cum[:0]
+	}
+	p.segs = append(p.segs, seg)
+	return seg
+}
+
 type partition struct {
 	mu       sync.Mutex
 	segs     []*segment
+	spare    *segment  // at most one trimmed, never-viewed segment awaiting refill
 	end      int64     // next offset to be written
 	nextFree time.Time // modeled time the partition finishes current appends
 
@@ -487,8 +507,7 @@ func (p *partition) appendInPlace(topic string, pi int, key, value []byte, publi
 		seg = p.segs[len(p.segs)-1]
 	}
 	if seg == nil || len(seg.msgs) == segSize {
-		seg = newSegment(segSize)
-		p.segs = append(p.segs, seg)
+		seg = p.nextSegment(segSize)
 	}
 	seg.msgs = seg.msgs[:len(seg.msgs)+1]
 	m := &seg.msgs[len(seg.msgs)-1]
@@ -527,13 +546,16 @@ func (p *partition) bytesThrough(o, segSize int64) int64 {
 // Offsets below the retention floor are the caller's problem (FetchOrWait
 // turns them into OffsetOutOfRangeError before getting here). Caller
 // holds p.mu; the returned view stays valid after release because
-// segments never reallocate and sealed entries never change.
+// segments never reallocate and sealed entries never change — and, being
+// the only way a slice of a segment leaves the lock, it marks the segment
+// viewed so Trim never hands it back for refill.
 func (p *partition) view(offset int64, max, segSize int) []Message {
 	if offset >= p.end || offset < p.first {
 		return nil
 	}
 	rel := offset - p.first
 	seg := p.segs[rel/int64(segSize)]
+	seg.viewed = true
 	lo := int(rel % int64(segSize))
 	hi := len(seg.msgs)
 	if hi-lo > max {
@@ -728,6 +750,11 @@ func (b *Broker) Commit(topicName string, partitionIdx int, through int64) error
 		// `delay` of modeled time before it lands. Uncancellable — a skewed
 		// commit still arrives, just late.
 		b.cfg.Clock.Sleep(context.Background(), delay)
+		// The broker may have died during the skew (FailShard closes the
+		// deposed leader): a commit must not land on a log nobody serves.
+		if b.isClosed() {
+			return ErrBrokerClosed
+		}
 	}
 	part := t.partitions[partitionIdx]
 	part.mu.Lock()
@@ -870,8 +897,12 @@ func (b *Broker) Trim(topicName string, partitionIdx int, below int64) (int64, e
 	part.trimmedCum = part.segs[k-1].cum[segSize-1]
 	// Nil out the dropped heads before resliceing: the backing array
 	// survives in segs, and a live pointer there would pin every trimmed
-	// segment — exactly the memory the trim exists to release.
+	// segment — exactly the memory the trim exists to release. One dropped
+	// segment no view ever reached is kept as the spare for nextSegment.
 	for i := 0; i < k; i++ {
+		if part.spare == nil && !part.segs[i].viewed {
+			part.spare = part.segs[i]
+		}
 		part.segs[i] = nil
 	}
 	part.segs = part.segs[k:]

@@ -921,7 +921,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 			continue
 		}
 
-		msgs, _, lEnd2, lCommitted := lb.replBatch(topicName, q, fEnd, replBatchMax)
+		msgs, _, lEnd2, lCommitted, bytes := lb.replBatch(topicName, q, fEnd, replBatchMax)
 		if len(msgs) == 0 {
 			if lEnd2 > fEnd {
 				continue // raced a trim; re-resolve coordinates
@@ -950,10 +950,6 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 		}
 
 		// Pace the batch over the link in virtual time.
-		var bytes int64
-		for i := range msgs {
-			bytes += int64(len(msgs[i].Key) + len(msgs[i].Value))
-		}
 		d := time.Duration(float64(bytes) / float64(c.cfg.CatchupBytesPerSec) * float64(time.Second) * lag)
 		if d > 0 && !c.clock.Sleep(c.runCtx, d) {
 			return

@@ -68,19 +68,23 @@ func (b *Broker) epochSpansInto(topicName string, pi int, buf []plan.EpochSpan) 
 // partition's (first, end, committed) coordinates at the same instant.
 // An empty batch with end > from means `from` fell below the retention
 // floor (the follower must be reset); an empty batch with end == from
-// means the follower is caught up.
-func (b *Broker) replBatch(topicName string, pi int, from int64, maxMsgs int) (msgs []Message, first, end, committed int64) {
+// means the follower is caught up. bytes is the batch's payload total,
+// read off the leader's cum (what the runner paces the link by).
+func (b *Broker) replBatch(topicName string, pi int, from int64, maxMsgs int) (msgs []Message, first, end, committed, bytes int64) {
 	part, err := b.partRef(topicName, pi)
 	if err != nil {
-		return nil, 0, 0, 0
+		return nil, 0, 0, 0, 0
 	}
 	part.mu.Lock()
 	defer part.mu.Unlock()
 	first, end, committed = part.first, part.end, part.committed
 	if from < part.first || from >= part.end {
-		return nil, first, end, committed
+		return nil, first, end, committed, 0
 	}
-	return part.view(from, maxMsgs, b.cfg.SegmentSize), first, end, committed
+	msgs = part.view(from, maxMsgs, b.cfg.SegmentSize)
+	segSize := int64(b.cfg.SegmentSize)
+	bytes = part.bytesThrough(from+int64(len(msgs)), segSize) - part.bytesThrough(from, segSize)
+	return msgs, first, end, committed, bytes
 }
 
 // appendReplicated appends a leader-streamed batch verbatim to a
@@ -108,21 +112,26 @@ func (b *Broker) appendReplicated(topicName string, pi int, msgs []Message, span
 			topicName, pi, msgs[0].Offset, part.end)
 	}
 	s := part.end
-	for i := range msgs {
+	// One bulk copy (one write barrier) per one-segment run, then cum in
+	// a tight loop over the run.
+	for rest := msgs; len(rest) > 0; {
 		var seg *segment
 		if len(part.segs) > 0 {
 			seg = part.segs[len(part.segs)-1]
 		}
 		if seg == nil || len(seg.msgs) == segSize {
-			seg = newSegment(segSize)
-			part.segs = append(part.segs, seg)
+			seg = part.nextSegment(segSize)
 		}
-		seg.msgs = seg.msgs[:len(seg.msgs)+1]
-		seg.msgs[len(seg.msgs)-1] = msgs[i]
-		part.end++
-		part.totalBytes += int64(len(msgs[i].Key) + len(msgs[i].Value))
-		seg.cum = append(seg.cum, part.totalBytes)
+		lo := len(seg.msgs)
+		n := copy(seg.msgs[lo:segSize], rest)
+		seg.msgs, seg.cum = seg.msgs[:lo+n], seg.cum[:lo+n]
+		for i, cum := 0, seg.cum[lo:]; i < n; i++ {
+			part.totalBytes += int64(len(rest[i].Key) + len(rest[i].Value))
+			cum[i] = part.totalBytes
+		}
+		rest = rest[n:]
 	}
+	part.end += int64(len(msgs))
 	e := part.end
 	// Merge the leader's epoch chain restricted to the appended range.
 	for i, sp := range spans {

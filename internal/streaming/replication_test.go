@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -225,8 +226,8 @@ func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int
 		}
 		for o := lo; o < lEnd; {
 			// replBatch serves one-segment views: walk both logs in steps.
-			lMsgs, _, _, _ := lb.replBatch(topic, part, o, 1024)
-			fMsgs, _, _, _ := fb.replBatch(topic, part, o, 1024)
+			lMsgs, _, _, _, _ := lb.replBatch(topic, part, o, 1024)
+			fMsgs, _, _, _, _ := fb.replBatch(topic, part, o, 1024)
 			n := len(lMsgs)
 			if len(fMsgs) < n {
 				n = len(fMsgs)
@@ -255,6 +256,79 @@ func mustOldest(t *testing.T, b *Broker, topic string, part int) int64 {
 	return o
 }
 
+// xorshift returns a per-seed deterministic draw in [0, n): seed-driven
+// fault interleavings without math/rand (seed-audit rule 1).
+func xorshift(seed int64) func(n int) int {
+	rng := uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
+	return func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+}
+
+// replicationFaultStep applies one seed-driven action of the fault storm
+// on topic "t": stretch or heal a random link, tear one replication
+// stream, or resume every stream of a partition (a third of the draws do
+// nothing).
+func replicationFaultStep(t *testing.T, c *Cluster, next func(int) int, shards, parts, rf int) {
+	t.Helper()
+	switch next(6) {
+	case 0: // stretch a random link
+		a := next(shards)
+		b := (a + 1 + next(shards-1)) % shards
+		if err := c.SetLinkLag(a, b, float64(1+next(6))); err != nil {
+			t.Fatal(err)
+		}
+	case 1: // heal a random link
+		a := next(shards)
+		b := (a + 1 + next(shards-1)) % shards
+		if err := c.SetLinkLag(a, b, 1); err != nil {
+			t.Fatal(err)
+		}
+	case 2: // tear one replication stream
+		if err := c.FreezeReplica("t", next(parts), next(rf-1), true); err != nil {
+			t.Fatal(err)
+		}
+	case 3: // resume every stream of a random partition
+		p := next(parts)
+		for s := 0; s < rf-1; s++ {
+			if err := c.FreezeReplica("t", p, s, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// healAndDrainReplication resumes every stream of topic "t", heals every
+// link, and waits (at most 5 modeled minutes) until no partition is
+// under-replicated.
+func healAndDrainReplication(t *testing.T, c *Cluster, clock *vclock.Virtual, shards, parts, rf int) {
+	t.Helper()
+	for p := 0; p < parts; p++ {
+		for s := 0; s < rf-1; s++ {
+			if err := c.FreezeReplica("t", p, s, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for a := 0; a < shards; a++ {
+		for b := a + 1; b < shards; b++ {
+			if err := c.SetLinkLag(a, b, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := clock.Now().Add(5 * time.Minute)
+	for c.UnderReplicated() != 0 {
+		if clock.Now().After(deadline) {
+			t.Fatalf("replication lag never drained: %d partitions under-replicated", c.UnderReplicated())
+		}
+		clock.Sleep(context.Background(), 20*time.Millisecond)
+	}
+}
+
 // TestReplicationFaultProperty is the randomized replication-fault
 // property test: over 10 seeds, a producer streams through an RF-3
 // cluster while link-lag windows, torn replication streams, and one
@@ -277,15 +351,7 @@ func TestReplicationFaultProperty(t *testing.T) {
 			clock := vclock.NewVirtual(vclock.Epoch)
 			clock.Adopt()
 			defer clock.Leave()
-			// Per-seed xorshift: deterministic fault interleavings without
-			// math/rand (seed-audit rule 1).
-			rng := uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-			next := func(n int) int {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				return int(rng % uint64(n))
-			}
+			next := xorshift(seed)
 
 			var mu sync.Mutex
 			lastAcked := make([]int64, parts)
@@ -340,31 +406,7 @@ func TestReplicationFaultProperty(t *testing.T) {
 			// virtual time; one leader loss lands at a fixed op index.
 			failed := false
 			for op := 0; !pubDone.Fired(); op++ {
-				switch next(6) {
-				case 0: // stretch a random link
-					a := next(shards)
-					b := (a + 1 + next(shards-1)) % shards
-					if err := c.SetLinkLag(a, b, float64(1+next(6))); err != nil {
-						t.Fatal(err)
-					}
-				case 1: // heal a random link
-					a := next(shards)
-					b := (a + 1 + next(shards-1)) % shards
-					if err := c.SetLinkLag(a, b, 1); err != nil {
-						t.Fatal(err)
-					}
-				case 2: // tear one replication stream
-					if err := c.FreezeReplica("t", next(parts), next(rf-1), true); err != nil {
-						t.Fatal(err)
-					}
-				case 3: // resume every stream of a random partition
-					p := next(parts)
-					for s := 0; s < rf-1; s++ {
-						if err := c.FreezeReplica("t", p, s, false); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
+				replicationFaultStep(t, c, next, shards, parts, rf)
 				if op == 40 && !failed {
 					failed = true
 					if lead, err := c.LeaderOf("t", 0); err == nil {
@@ -382,27 +424,7 @@ func TestReplicationFaultProperty(t *testing.T) {
 			}
 
 			// Recover every fault, then the lag bound must drain to zero.
-			for p := 0; p < parts; p++ {
-				for s := 0; s < rf-1; s++ {
-					if err := c.FreezeReplica("t", p, s, false); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for a := 0; a < shards; a++ {
-				for b := a + 1; b < shards; b++ {
-					if err := c.SetLinkLag(a, b, 1); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			deadline := clock.Now().Add(5 * time.Minute)
-			for c.UnderReplicated() != 0 {
-				if clock.Now().After(deadline) {
-					t.Fatalf("replication lag never drained: %d partitions under-replicated", c.UnderReplicated())
-				}
-				clock.Sleep(ctx, 20*time.Millisecond)
-			}
+			healAndDrainReplication(t, c, clock, shards, parts, rf)
 			mu.Lock()
 			av := ackViolations
 			mu.Unlock()
@@ -416,6 +438,207 @@ func TestReplicationFaultProperty(t *testing.T) {
 				assertReplicaLogsIdentical(t, c, "t", p)
 			}
 		})
+	}
+}
+
+// TestReplicationSegmentReuseUnderFaults covers the segment lifecycle
+// (DESIGN.md "Segment lifecycle") where the chaos scenario cannot: there
+// no partition ever seals a segment (≤ 375 messages per partition at the
+// default 4096-message SegmentSize), so this test, not chaos-fuzz, is
+// what exercises nextSegment/Trim under faults. At SegmentSize 64 a
+// consumer commits and persists to cluster.Offsets() — every persist
+// trims every replica — so followers trim, refill their spares, are
+// promoted while holding refilled segments and are then read by the
+// consumer, all under the same lag/tear/leader-loss storm as
+// TestReplicationFaultProperty. Every payload is unique to its message:
+// the consumer must see each partition's offsets exactly once, in order,
+// each with the payload the producer was told lives at that offset, every
+// fetched view must still read the same at the end, and the replica logs
+// must be identical after the drain.
+func TestReplicationSegmentReuseUnderFaults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const (
+		shards = 3
+		rf     = 3
+		parts  = 2
+		total  = 3000
+	)
+	type delivery struct {
+		offset int64
+		seq    uint64
+	}
+	refills := 0
+	for seed := int64(0); seed < 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			clock := vclock.NewVirtual(vclock.Epoch)
+			clock.Adopt()
+			defer clock.Leave()
+			next := xorshift(seed)
+			c := NewCluster(ClusterConfig{
+				Shards: shards, Replication: rf, SegmentSize: 64,
+				HandoffDelay: 20 * time.Millisecond,
+				AppendCost:   10 * time.Microsecond,
+				Clock:        clock,
+			})
+			defer c.Close()
+			if err := c.CreateTopic("t", parts); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			ps := make([]int, parts)
+			for p := range ps {
+				ps[p] = p
+				c.Offsets().Save("g", "t", p, 0) // register: floors the low-watermark
+			}
+
+			// Producer: sequence-numbered payloads; PublishBatch reports
+			// where each landed (after any handoff re-append).
+			var mu sync.Mutex
+			placed := make([]map[int64]uint64, parts) // offset -> seq, per partition
+			for p := range placed {
+				placed[p] = make(map[int64]uint64)
+			}
+			var pubErr error
+			pubDone := vclock.NewEvent(clock)
+			vclock.Go(clock, func() {
+				defer pubDone.Fire()
+				for sent := 0; sent < total; {
+					k := 1 + next(48)
+					if k > total-sent {
+						k = total - sent
+					}
+					kvs := make([][2][]byte, k)
+					for i := range kvs {
+						kvs[i][1] = binary.BigEndian.AppendUint64(nil, uint64(sent+i))
+					}
+					msgs, err := c.PublishBatch(ctx, "t", kvs)
+					if err != nil {
+						pubErr = err
+						return
+					}
+					mu.Lock()
+					for _, m := range msgs {
+						placed[m.Partition][m.Offset] = binary.BigEndian.Uint64(m.Value)
+					}
+					mu.Unlock()
+					sent += k
+					if !clock.Sleep(ctx, time.Millisecond) {
+						return
+					}
+				}
+			})
+
+			// Consumer: fetch, record, commit, persist (the trim instant).
+			got := make([][]delivery, parts)
+			var views [][]Message
+			var conErr error
+			conDone := vclock.NewEvent(clock)
+			vclock.Go(clock, func() {
+				defer conDone.Fire()
+				cursor := make([]int64, parts)
+				for n := 0; n < total; {
+					j, msgs, err := c.FetchOrWait(ctx, "t", ps, cursor, n, 1+next(96))
+					if err != nil {
+						conErr = err
+						return
+					}
+					views = append(views, msgs)
+					for _, m := range msgs {
+						got[j] = append(got[j], delivery{m.Offset, binary.BigEndian.Uint64(m.Value)})
+					}
+					cursor[j] += int64(len(msgs))
+					n += len(msgs)
+					if err := c.Commit("t", j, cursor[j]); err != nil {
+						conErr = err
+						return
+					}
+					c.Offsets().Save("g", "t", j, cursor[j])
+				}
+			})
+
+			// A segment pointer seen holding two different first offsets was
+			// retired by Trim and born again in nextSegment.
+			firstOf := make(map[*segment]int64)
+			sample := func() {
+				for _, b := range c.shards {
+					for p := 0; p < parts; p++ {
+						part, err := b.partRef("t", p)
+						if err != nil {
+							continue // failed shard
+						}
+						part.mu.Lock()
+						for _, seg := range part.segs {
+							if len(seg.msgs) == 0 {
+								continue
+							}
+							if o, ok := firstOf[seg]; ok && o != seg.msgs[0].Offset {
+								refills++
+							}
+							firstOf[seg] = seg.msgs[0].Offset
+						}
+						part.mu.Unlock()
+					}
+				}
+			}
+
+			failed := false
+			for op := 0; !pubDone.Fired() || !conDone.Fired(); op++ {
+				replicationFaultStep(t, c, next, shards, parts, rf)
+				if op == 60 && !failed {
+					failed = true
+					if lead, err := c.LeaderOf("t", 0); err == nil {
+						if err := c.FailShard(lead); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				sample()
+				if !clock.Sleep(ctx, 5*time.Millisecond) {
+					t.Fatal("sleep interrupted")
+				}
+			}
+			if pubErr != nil || conErr != nil {
+				t.Fatalf("producer: %v, consumer: %v", pubErr, conErr)
+			}
+
+			for p := range got {
+				if len(got[p]) != len(placed[p]) {
+					t.Fatalf("partition %d: %d deliveries, %d placed", p, len(got[p]), len(placed[p]))
+				}
+				for i, d := range got[p] {
+					if d.offset != int64(i) {
+						t.Fatalf("partition %d: delivery %d carries offset %d (not exactly-once in order)", p, i, d.offset)
+					}
+					if want := placed[p][d.offset]; d.seq != want {
+						t.Fatalf("partition %d offset %d delivered payload %d, producer placed %d", p, d.offset, d.seq, want)
+					}
+				}
+			}
+			// Every fetched view still reads what it read at delivery.
+			seen := make([]int, parts)
+			for _, v := range views {
+				for _, m := range v {
+					d := got[m.Partition][seen[m.Partition]]
+					seen[m.Partition]++
+					if m.Offset != d.offset || binary.BigEndian.Uint64(m.Value) != d.seq {
+						t.Fatalf("retained view of %d[%d] now reads offset %d payload %d, delivered payload %d",
+							m.Partition, d.offset, m.Offset, binary.BigEndian.Uint64(m.Value), d.seq)
+					}
+				}
+			}
+
+			// Recover every fault, drain, and compare the replica logs.
+			healAndDrainReplication(t, c, clock, shards, parts, rf)
+			if d := c.CheckReplicaConsistency("t"); len(d) != 0 {
+				t.Fatalf("diverged replicas after drain: %v", d)
+			}
+			for p := 0; p < parts; p++ {
+				assertReplicaLogsIdentical(t, c, "t", p)
+			}
+		})
+	}
+	if !t.Failed() && refills == 0 {
+		t.Fatal("no follower ever refilled a trimmed segment: the seam is not exercised")
 	}
 }
 

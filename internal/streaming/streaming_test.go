@@ -732,3 +732,40 @@ func TestPureHandlerDeterministicOnVirtualClock(t *testing.T) {
 		}
 	}
 }
+
+// TestSkewedCommitLostWithClosedBroker: a commit held in flight by
+// injected commit skew must not land on a broker that closed during the
+// skew — the deposed log would apply it and fire OnCommit below the mark
+// the cluster's coordinator carried to the new leader (the chaos
+// cursor-rewind of TestChaosSkewedCommitOnDeadLeader, at its source).
+func TestSkewedCommitLostWithClosedBroker(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	applied := 0
+	b := NewBroker(BrokerConfig{Clock: clock, OnCommit: func(string, int, int64, int64) { applied++ }})
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := b.PublishValues(ctx, "t", [][]byte{{1}, {2}, {3}}); err != nil {
+		t.Fatal(err)
+	}
+	b.SetCommitDelay(time.Second)
+	var err error
+	done := vclock.NewEvent(clock)
+	vclock.Go(clock, func() {
+		defer done.Fire()
+		err = b.Commit("t", 0, 3)
+	})
+	if !clock.Sleep(ctx, 500*time.Millisecond) {
+		t.Fatal("sleep interrupted")
+	}
+	b.Close()
+	if !done.Wait(ctx) {
+		t.Fatal("skewed commit never returned")
+	}
+	if !errors.Is(err, ErrBrokerClosed) || applied != 0 {
+		t.Fatalf("skewed commit on a closed broker returned %v and applied %d commits, want ErrBrokerClosed and none", err, applied)
+	}
+}
