@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation fuzz-smoke ci
+.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation fuzz-smoke loc exhibit-digest exhibit-stable ci
 
 build:
 	$(GO) build ./...
@@ -77,10 +77,11 @@ chaos:
 # behavior, replication catch-up and divergence repair (plus the
 # 10-seed replication-fault property test), offset-persistence
 # restarts, the retention property test, the rehomed E13 exhibit, the
-# stale-handoff chaos acceptance test, and the six skewed-commit seeds.
+# stale-handoff chaos acceptance test, the six skewed-commit seeds, the
+# planted-beside-clean chaos runs, and the Bus conformance script.
 test-federation:
 	$(GO) test -race -count=1 \
-		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug|TestChaosSkewedCommitOnDeadLeader' \
+		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug|TestChaosSkewedCommitOnDeadLeader|TestChaosPlantedAndClean|TestBusConformance' \
 		./internal/plan/ ./internal/streaming/ ./internal/experiments/
 
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a
@@ -95,4 +96,24 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${decl#func }$$" -fuzztime=$(FUZZTIME) "$$(dirname $$file)" || exit 1; \
 	done
 
-ci: build vet seed-audit doc-audit test fuzz-smoke race bench-compare
+# The ROADMAP aim-2 yardsticks as commands. `loc` prints the non-test Go
+# line count per package and in total (`.bench_build` holds a build cache,
+# not source). `exhibit-digest` prints the sha256 of everything
+# cmd/experiments prints that is modeled: the `[N ms wall]` lines and the
+# E11 ablation rows (host wall-clock milliseconds) are filtered out — two
+# runs on one host differ in exactly those lines and nowhere else. A
+# refactor quotes the digest before and after; `exhibit-stable` (in ci)
+# fails when two runs of the same tree disagree.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; all += $$1 } \
+		END { for (d in loc) print loc[d], d; print all, "total" }' | sort -k2
+
+exhibit-digest:
+	@$(GO) run ./cmd/experiments | grep -v -E '^ *\[[0-9]+ms wall\]$$|^(naive O|early-break)' | sha256sum | cut -d' ' -f1
+
+exhibit-stable:
+	@a=$$($(MAKE) -s exhibit-digest) && b=$$($(MAKE) -s exhibit-digest) && echo "exhibit-digest $$a" && \
+		{ [ "$$a" = "$$b" ] || { echo "exhibit-digest: second run printed $$b — modeled output is not deterministic"; exit 1; }; }
+
+ci: build vet seed-audit doc-audit test fuzz-smoke race exhibit-stable bench-compare

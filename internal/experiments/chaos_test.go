@@ -3,6 +3,7 @@ package experiments
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -221,6 +222,67 @@ func TestChaosCatchesStaleHandoffBug(t *testing.T) {
 		}
 	} else if pass.Schedule.Hash == fail.Schedule.Hash {
 		t.Fatal("passing and failing prefixes recorded identical schedules")
+	}
+}
+
+// TestChaosPlantedAndCleanRunsShareAProcess: the planted defects are
+// fields of the cluster and group they are planted in, not package state,
+// so a planted run and a clean run of the same seeds can overlap in one
+// process (run under -race: make test-federation). The planted side must
+// report its defect's signature; the clean side, running concurrently on
+// the same seeds, must not report anything.
+func TestChaosPlantedAndCleanRunsShareAProcess(t *testing.T) {
+	requireVirtual(t)
+	scenarios := []struct {
+		name string
+		opts ChaosOptions
+		sigs []string
+	}{
+		{"stale-handoff", ChaosOptions{HandoffBug: true, Messages: 2400, Units: 4, CostPerMessage: 25 * time.Millisecond,
+			Faults: chaos.Config{Horizon: 3 * time.Minute, Counts: map[chaos.Kind]int{
+				chaos.ShardLoss: 1, chaos.WorkerChurn: 4, chaos.ReplicaLag: 2}}},
+			[]string{"cursor-rewind", "diverged-replica-after-repair"}},
+		{"barrier-carry", ChaosOptions{BarrierBug: true, Messages: 3200, Units: 4, CostPerMessage: 100 * time.Millisecond,
+			Faults: chaos.Config{Horizon: 3 * time.Minute, Counts: map[chaos.Kind]int{chaos.WorkerChurn: 6}}},
+			[]string{"exactly-once", "stranded-barrier"}},
+	}
+	const seeds = 6
+	for _, sc := range scenarios {
+		t.Run(sc.name+"/planted", func(t *testing.T) {
+			t.Parallel()
+			caught := 0
+			for s := int64(0); s < seeds; s++ {
+				opts := sc.opts
+				opts.Seed = s
+				r, err := Chaos(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range r.Violations {
+					if slices.Contains(sc.sigs, v.Invariant) {
+						caught++
+						break
+					}
+				}
+			}
+			if caught == 0 {
+				t.Fatalf("planted %s defect reported no %v violation on seeds 0-%d", sc.name, sc.sigs, seeds-1)
+			}
+		})
+		t.Run(sc.name+"/clean", func(t *testing.T) {
+			t.Parallel()
+			for s := int64(0); s < seeds; s++ {
+				opts := sc.opts
+				opts.Seed, opts.HandoffBug, opts.BarrierBug = s, false, false
+				r, err := Chaos(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.Ok() {
+					t.Fatalf("clean run of seed %d beside a planted one: %v", s, r.Violations)
+				}
+			}
+		})
 	}
 }
 

@@ -34,11 +34,11 @@ type ChaosOptions struct {
 	// but compiles an empty plan — the insensitivity baseline.
 	ZeroFaults bool
 	// BarrierBug enables the deliberate barrier-carry defect
-	// (streaming.EnableBarrierCarryBug) so tests can prove the invariant
+	// (streaming.GroupConfig.PlantBarrierCarry) so tests can prove the invariant
 	// suite catches it. Never set outside tests/cmd/chaosreplay.
 	BarrierBug bool
 	// HandoffBug enables the deliberate stale-handoff defect
-	// (streaming.EnableStaleHandoffBug): a shard-loss promotion restores
+	// (streaming.ClusterConfig.PlantStaleHandoff): a shard-loss promotion restores
 	// the commit mark from the promoted shard's stale lazily-replicated
 	// local mark (cursor-rewind) and skips divergence repair on deposed
 	// replicas (diverged-replica-after-repair). Never set outside
@@ -126,14 +126,6 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 	if opts.ZeroFaults {
 		opts.Faults.Counts = map[chaos.Kind]int{}
 	}
-	if opts.BarrierBug {
-		streaming.EnableBarrierCarryBug(true)
-		defer streaming.EnableBarrierCarryBug(false)
-	}
-	if opts.HandoffBug {
-		streaming.EnableStaleHandoffBug(true)
-		defer streaming.EnableStaleHandoffBug(false)
-	}
 
 	tb := NewTestbed(TestbedConfig{Mode: ClockVirtual, QueueWaitMean: 5, Seed: opts.Seed})
 	defer tb.Close()
@@ -156,6 +148,7 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 		Name: "chaos", Shards: 3, Replication: 3, HandoffDelay: 2 * time.Second,
 		AppendCost: time.Millisecond, FetchLatency: time.Millisecond,
 		OnCommit: checker.OnCommit, Clock: tb.Clock,
+		PlantStaleHandoff: opts.HandoffBug,
 	})
 	defer cluster.Close()
 	if err := cluster.CreateTopic(topic, parts); err != nil {
@@ -172,6 +165,8 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 		CostPerMessage: opts.CostPerMessage,
 		Offsets:        cluster.Offsets(),
 		Stream:         tb.Root.Named("streaming/group/chaos-group"),
+
+		PlantBarrierCarry: opts.BarrierBug,
 		Handler: func(_ context.Context, _ core.TaskContext, m streaming.Message) error {
 			checker.Handled(m.Partition, m.Offset)
 			return nil

@@ -8,10 +8,10 @@ package perfmodel
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"gopilot/internal/dist"
-	"gopilot/internal/sim"
 )
 
 // PilotMakespan predicts the modeled makespan of a bag of n identical
@@ -121,11 +121,14 @@ func (m RexModel) Efficiency(cycles int) float64 {
 	return useful / (float64(m.PilotCores) * total.Seconds())
 }
 
-// DirectSubmissionSim predicts, via discrete-event simulation, the
-// makespan of running n tasks as *individual batch jobs*: every job pays
-// its own sampled queue wait, and at most `slots` jobs run concurrently
-// (the user's fair-share allocation). This is the no-pilot baseline of the
-// late-binding experiment E9. The qwait distribution must be seeded for
+// DirectSubmissionSim predicts the makespan of running n tasks as
+// *individual batch jobs*: every job pays its own sampled queue wait, and
+// at most `slots` jobs run concurrently (the user's fair-share
+// allocation), started first-eligible-first-served. This is the no-pilot
+// baseline of the late-binding experiment E9. With one service time t the
+// schedule has a closed form — the i-th job by eligibility starts when it
+// is eligible and the job `slots` places ahead of it has finished — so no
+// event engine is needed. The qwait distribution must be seeded for
 // reproducibility.
 func DirectSubmissionSim(n, slots int, t time.Duration, qwait dist.Dist) time.Duration {
 	if n <= 0 {
@@ -134,36 +137,15 @@ func DirectSubmissionSim(n, slots int, t time.Duration, qwait dist.Dist) time.Du
 	if slots <= 0 {
 		slots = n
 	}
-	eng := sim.NewEngine()
-	free := slots
-	var queue []time.Duration // eligibility times of waiting jobs
-	var makespan time.Duration
-
-	var tryStart func(e *sim.Engine)
-	finish := func(e *sim.Engine) {
-		free++
-		if e.Now() > makespan {
-			makespan = e.Now()
-		}
-		tryStart(e)
+	start := make([]time.Duration, n) // eligibility draws, then start times
+	for i := range start {
+		start[i] = time.Duration(qwait.Sample() * float64(time.Second))
 	}
-	tryStart = func(e *sim.Engine) {
-		for free > 0 && len(queue) > 0 && queue[0] <= e.Now() {
-			queue = queue[1:]
-			free--
-			e.After(t, finish)
-		}
+	slices.Sort(start)
+	for i := slots; i < n; i++ {
+		start[i] = max(start[i], start[i-slots]+t)
 	}
-	for i := 0; i < n; i++ {
-		eligible := time.Duration(qwait.Sample() * float64(time.Second))
-		eng.At(eligible, func(e *sim.Engine) {
-			// Keep the queue sorted by eligibility (arrival order here).
-			queue = append(queue, e.Now())
-			tryStart(e)
-		})
-	}
-	eng.Run()
-	return makespan
+	return start[n-1] + t
 }
 
 // PilotSubmissionSim predicts the pilot-based makespan for the same

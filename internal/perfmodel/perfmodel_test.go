@@ -139,6 +139,82 @@ func TestDirectSubmissionSimEdges(t *testing.T) {
 	}
 }
 
+// directSubmissionEvents is the naive reference for DirectSubmissionSim:
+// the event program spelled out — one arrival event per job at its
+// eligibility draw, one finish event per started job, the earliest event
+// first and ties in scheduling order — over a plain unsorted event list.
+func directSubmissionEvents(n, slots int, t time.Duration, qwait dist.Dist) time.Duration {
+	if n <= 0 {
+		return 0
+	}
+	if slots <= 0 {
+		slots = n
+	}
+	type event struct {
+		at     time.Duration
+		finish bool
+	}
+	var events []event // scheduling order; ties resolve to the lowest index
+	for i := 0; i < n; i++ {
+		events = append(events, event{at: time.Duration(qwait.Sample() * float64(time.Second))})
+	}
+	free, waiting := slots, 0
+	var makespan time.Duration
+	for len(events) > 0 {
+		next := 0
+		for i, e := range events {
+			if e.at < events[next].at {
+				next = i
+			}
+		}
+		e := events[next]
+		events = append(events[:next], events[next+1:]...)
+		if e.finish {
+			free++
+			makespan = max(makespan, e.at)
+		} else {
+			waiting++
+		}
+		for free > 0 && waiting > 0 {
+			free--
+			waiting--
+			events = append(events, event{at: e.at + t, finish: true})
+		}
+	}
+	return makespan
+}
+
+// TestDirectSubmissionSimMatchesEventList is the property behind the
+// closed form: over seeded (n, slots, t) cases — zero service time,
+// unbounded slots and tied eligibility draws included — the loop and the
+// event program agree to the nanosecond.
+func TestDirectSubmissionSimMatchesEventList(t *testing.T) {
+	draw := dist.NewStream(20200518)
+	services := []time.Duration{0, time.Second, 7 * time.Second, time.Minute, 11 * time.Minute}
+	for i := 0; i < 600; i++ {
+		n := draw.Intn(48)
+		slots := draw.Intn(n + 3)
+		service := services[draw.Intn(len(services))]
+		seed := draw.Int63()
+		mk := func() dist.Dist {
+			if i%5 == 0 { // whole-second waits: many exact ties
+				return quantized{dist.NewLogNormal(20, 1.0, seed)}
+			}
+			return dist.NewLogNormal(600, 1.0, seed)
+		}
+		got, want := DirectSubmissionSim(n, slots, service, mk()), directSubmissionEvents(n, slots, service, mk())
+		if got != want {
+			t.Fatalf("case %d (n=%d slots=%d t=%v seed=%d): closed form %v, event list %v",
+				i, n, slots, service, seed, got, want)
+		}
+	}
+}
+
+// quantized rounds a distribution's draws down to whole numbers.
+type quantized struct{ dist.Dist }
+
+func (q quantized) Sample() float64 { return math.Floor(q.Dist.Sample()) }
+
 func TestMaxOfNQuantileGrowsWithN(t *testing.T) {
 	d1 := dist.NewLogNormal(100, 1.0, 7)
 	d2 := dist.NewLogNormal(100, 1.0, 7)

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"gopilot/internal/plan"
 	"gopilot/internal/vclock"
 )
 
@@ -105,90 +104,38 @@ type topic struct {
 	rr int
 }
 
-// segment is a fixed-size run of the partition log. msgs is allocated at
-// full capacity once: appends never reallocate the backing array and
-// sealed entries are never rewritten, so a sub-slice handed to a consumer
-// remains valid and immutable while the writer keeps appending behind it.
-// cum[i] is the partition-cumulative payload byte total through msgs[i]
-// (inclusive), which makes the bytes of any committed offset range a
-// two-lookup subtraction instead of a per-message walk. viewed records
-// that a slice of msgs has left the partition lock (set only by view): a
-// viewed segment dies by GC, an unviewed one may be refilled (DESIGN.md
-// "Segment lifecycle").
-type segment struct {
-	msgs   []Message
-	cum    []int64
-	viewed bool
-}
-
-// newSegment allocates a segment with both arrays at full capacity in
-// one struct-sized allocation each; capacities are exact so neither ever
-// reallocates (the stable-backing-array invariant).
-func newSegment(segSize int) *segment {
-	return &segment{
-		msgs: make([]Message, 0, segSize),
-		cum:  make([]int64, 0, segSize),
-	}
-}
-
-// nextSegment is where every segment of the log is born: it appends an
-// empty tail segment — the spare Trim handed back if there is one, a
-// fresh allocation otherwise — and returns it. Caller holds p.mu.
-func (p *partition) nextSegment(segSize int) *segment {
-	seg := p.spare
-	if seg == nil {
-		seg = newSegment(segSize)
-	} else {
-		p.spare = nil
-		seg.msgs, seg.cum = seg.msgs[:0], seg.cum[:0]
-	}
-	p.segs = append(p.segs, seg)
-	return seg
-}
-
+// partition is one Log plus what a broker needs around it: the lock that
+// guards both, the modeled append capacity, the injected blackout and the
+// two lists of parked callers.
 type partition struct {
-	mu       sync.Mutex
-	segs     []*segment
-	spare    *segment  // at most one trimmed, never-viewed segment awaiting refill
-	end      int64     // next offset to be written
+	mu sync.Mutex
+	Log
 	nextFree time.Time // modeled time the partition finishes current appends
-
-	// curEpoch is the leadership epoch stamped onto new appends; the
-	// federated Cluster bumps it on every leader handoff (standalone
-	// brokers stay at epoch 0). epochs is the compact epoch-span chain of
-	// the retained log: epochs[i] says offsets from epochs[i].Start up to
-	// the next span's Start were appended under that epoch. One entry per
-	// leadership change, so the chain stays tiny and is retained across
-	// trims (divergence detection needs history below the current end).
-	curEpoch int
-	epochs   []plan.EpochSpan
-
-	committed  int64 // offsets below this are consumer-acknowledged
-	inflight   int64 // bytes in [committed, end): published, not yet committed
-	totalBytes int64 // cumulative payload bytes ever appended (feeds segment.cum)
-
-	// first is the oldest retained offset. Trim discards whole sealed
-	// segments, so first is always segment-aligned: segs[0] begins at
-	// first, and the segment holding offset o is segs[(o-first)/segSize].
-	first int64
-	// trimmedCum is the cumulative payload byte total through offset
-	// first — the prefix the trimmed segments carried — so bytesThrough
-	// stays a two-lookup subtraction across trims and resident bytes are
-	// totalBytes - trimmedCum.
-	trimmedCum int64
 
 	// down marks an injected unavailability window (chaos): while set,
 	// consumers see no data past their offsets and park as if the log were
 	// empty. Producers are unaffected — the blackout is on the fetch side.
 	down bool
-	// fencePub parks producers (in the backpressure loop) regardless of
-	// in-flight bytes: the write fence a federated cluster drops during a
-	// leader handoff or while a severed replication link would leave a
-	// publish unacknowledgeable. Clearing it wakes parked producers.
-	fencePub bool
 
 	waiters []*vclock.Event // consumers parked until data arrives
-	space   []*vclock.Event // producers parked until inflight drops
+	space   []*vclock.Event // producers parked until in-flight bytes drop
+}
+
+// wakeFetchers fires the parked data waiters: the blackout lifted, or —
+// on a cluster leader, whose consumers are gated by the acknowledged
+// watermark rather than the log end — the watermark advanced.
+func (p *partition) wakeFetchers() {
+	p.mu.Lock()
+	ws := p.waiters
+	p.waiters = nil
+	p.mu.Unlock()
+	fireAll(ws)
+}
+
+func fireAll(ws []*vclock.Event) {
+	for _, w := range ws {
+		w.Fire()
+	}
 }
 
 // ErrUnknownTopic is returned for operations on absent topics.
@@ -265,7 +212,7 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	}
 	t := &topic{name: name, partitions: make([]*partition, partitions)}
 	for i := range t.partitions {
-		t.partitions[i] = &partition{}
+		t.partitions[i] = &partition{Log: Log{segSize: b.cfg.SegmentSize}}
 	}
 	b.topics[name] = t
 	b.order = append(b.order, t)
@@ -296,14 +243,27 @@ func (b *Broker) topicByName(name string) (*topic, error) {
 	return t, nil
 }
 
+// partRef resolves one partition of a topic, with the closed check and
+// the bounds check every per-partition operation needs.
+func (b *Broker) partRef(topicName string, pi int) (*partition, error) {
+	t, err := b.topicByName(topicName)
+	if err != nil {
+		return nil, err
+	}
+	if pi < 0 || pi >= len(t.partitions) {
+		return nil, fmt.Errorf("streaming: partition %d out of range for %q", pi, topicName)
+	}
+	return t.partitions[pi], nil
+}
+
 // Publish appends one message, selecting the partition by key hash (or
 // round-robin for empty keys). It blocks, in modeled time, while the
 // partition works through its backlog — per-partition capacity is the
 // broker's bottleneck resource — and, under backpressure, while the
 // partition's in-flight bytes exceed MaxInflightBytes.
 func (b *Broker) Publish(ctx context.Context, topicName string, key, value []byte) (Message, error) {
-	out := make([]Message, 0, 1)
-	err := b.publish(ctx, topicName, 1, func(int) ([]byte, []byte) { return key, value }, &out)
+	out := make([]Message, 1)
+	_, err := b.publish(ctx, topicName, 1, func(int) ([]byte, []byte) { return key, value }, out)
 	if err != nil {
 		return Message{}, err
 	}
@@ -314,13 +274,13 @@ func (b *Broker) Publish(ctx context.Context, topicName string, key, value []byt
 // cost is charged once per message, but each target partition takes one
 // lock, one waiter wake, and the producer one modeled sleep for the whole
 // batch — the amortization real producers use, and on vclock.Virtual ~N×
-// fewer scheduler interactions than per-message publishes. On context
-// cancellation mid-batch the messages already appended are returned along
-// with the error.
+// fewer scheduler interactions than per-message publishes. On an error
+// mid-batch (context cancellation, Close) exactly the messages already
+// appended are returned along with it, grouped by partition.
 func (b *Broker) PublishBatch(ctx context.Context, topicName string, kvs [][2][]byte) ([]Message, error) {
-	out := make([]Message, 0, len(kvs))
-	err := b.publish(ctx, topicName, len(kvs), func(i int) ([]byte, []byte) { return kvs[i][0], kvs[i][1] }, &out)
-	return out, err
+	out := make([]Message, len(kvs))
+	n, err := b.publish(ctx, topicName, len(kvs), func(i int) ([]byte, []byte) { return kvs[i][0], kvs[i][1] }, out)
+	return out[:n], err
 }
 
 // PublishValues appends a batch of key-less values without materializing
@@ -328,251 +288,201 @@ func (b *Broker) PublishBatch(ctx context.Context, topicName string, kvs [][2][]
 // message beyond the log segments themselves). Accounting is identical to
 // PublishBatch.
 func (b *Broker) PublishValues(ctx context.Context, topicName string, values [][]byte) error {
-	return b.publish(ctx, topicName, len(values), func(i int) ([]byte, []byte) { return nil, values[i] }, nil)
+	_, err := b.publish(ctx, topicName, len(values), func(i int) ([]byte, []byte) { return nil, values[i] }, nil)
+	return err
 }
 
 // pubScratch is the reusable workspace of one publish call: per-message
-// partition assignment, per-partition counts and byte totals, and the
-// counting-sorted index order. Pooled so a steady-state publish allocates
-// nothing beyond the log segments themselves.
+// partition assignment, per-partition byte totals, and the counting-sorted
+// index order. Pooled so a steady-state publish allocates nothing beyond
+// the log segments themselves.
 type pubScratch struct {
 	assign []int32 // partition per message
 	order  []int32 // message indices grouped by partition, publish order kept
-	counts []int32 // messages per partition
-	fill   []int32 // counting-sort cursor, then per-partition group ends
+	fill   []int32 // per-partition counts, then cursors, then group ends
 	bytes  []int64 // payload bytes per partition
 }
 
 var pubScratchPool = sync.Pool{New: func() any { return new(pubScratch) }}
 
-// publish is the shared producer path: assign partitions (round-robin
-// cursor under the broker lock), then per target partition wait for
-// backpressure space, append the sub-batch to the segmented log and wake
-// consumers, and finally sleep once until the slowest partition has
-// worked through its backlog.
-//
-// The batch is traversed once under the broker lock — assignment, counts
-// and byte totals in the same pass — and a counting sort over pooled
-// scratch yields each partition's indices in publish order without
-// growing per-partition slices, so the grouping stage costs one kv() call
-// per message and zero steady-state allocations.
-func (b *Broker) publish(ctx context.Context, topicName string, n int, kv func(int) ([]byte, []byte), out *[]Message) error {
-	if n == 0 {
-		return nil
-	}
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return err
-	}
-	nparts := len(t.partitions)
-
+// groupBatch assigns the n messages of one publish to nparts partitions
+// — by key hash, or off the topic's round-robin cursor rr for empty keys,
+// under mu, the lock that guards the cursor — and groups them: the batch
+// is traversed once under the lock (assignment, counts and byte totals in
+// the same pass), then a counting sort over pooled scratch yields each
+// partition's indices in publish order without growing per-partition
+// slices, so grouping costs one kv() call per message and zero
+// steady-state allocations. The caller returns the scratch to the pool.
+func groupBatch(mu *sync.Mutex, rr *int, nparts, n int, kv func(int) ([]byte, []byte)) *pubScratch {
 	sc := pubScratchPool.Get().(*pubScratch)
-	defer pubScratchPool.Put(sc)
 	if cap(sc.assign) < n {
 		sc.assign = make([]int32, n)
 		sc.order = make([]int32, n)
 	}
-	if cap(sc.counts) < nparts {
-		sc.counts = make([]int32, nparts)
+	if cap(sc.fill) < nparts {
 		sc.fill = make([]int32, nparts)
 		sc.bytes = make([]int64, nparts)
 	}
-	assign, order := sc.assign[:n], sc.order[:n]
-	counts, fill, bytes := sc.counts[:nparts], sc.fill[:nparts], sc.bytes[:nparts]
-	for p := range counts {
-		counts[p], bytes[p] = 0, 0
-	}
-
-	// Group the batch per target partition, in index order: consumer
-	// wake-up order below must not depend on randomized iteration.
-	b.mu.Lock()
+	sc.assign, sc.order = sc.assign[:n], sc.order[:n]
+	sc.fill, sc.bytes = sc.fill[:nparts], sc.bytes[:nparts]
+	clear(sc.fill)
+	clear(sc.bytes)
+	// In index order: consumer wake-up order downstream must not depend
+	// on randomized iteration.
+	mu.Lock()
 	for i := 0; i < n; i++ {
 		k, v := kv(i)
 		var p int
 		if len(k) > 0 {
 			p = partitionOf(k, nparts)
 		} else {
-			p = t.rr % nparts
-			t.rr++
+			p = *rr % nparts
+			*rr++
 		}
-		assign[i] = int32(p)
-		counts[p]++
-		bytes[p] += int64(len(k) + len(v))
+		sc.assign[i] = int32(p)
+		sc.fill[p]++
+		sc.bytes[p] += int64(len(k) + len(v))
 	}
-	b.mu.Unlock()
-
+	mu.Unlock()
 	// Counting sort: scatter message indices into order, grouped by
 	// partition with publish order preserved inside each group. After the
 	// scatter, fill[p] is the end of partition p's group.
 	var sum int32
-	for p := range counts {
-		fill[p] = sum
-		sum += counts[p]
+	for p, c := range sc.fill {
+		sc.fill[p] = sum
+		sum += c
 	}
-	for i := 0; i < n; i++ {
-		p := assign[i]
-		order[fill[p]] = int32(i)
-		fill[p]++
+	for i, p := range sc.assign {
+		sc.order[sc.fill[p]] = int32(i)
+		sc.fill[p]++
 	}
+	return sc
+}
 
-	clock := b.cfg.Clock
-	segSize := b.cfg.SegmentSize
+// group returns partition p's share of the batch: where it begins in the
+// grouped order (the count of messages destined for lower partitions),
+// its batch indices, and its result slots when the publish materializes
+// results.
+func (sc *pubScratch) group(p int, out []Message) (lo int32, idxs []int32, slot []Message) {
+	if p > 0 {
+		lo = sc.fill[p-1]
+	}
+	if out != nil {
+		slot = out[lo:sc.fill[p]]
+	}
+	return lo, sc.order[lo:sc.fill[p]], slot
+}
+
+// publish is the shared producer path: group the batch per partition,
+// append each sub-batch (appendBatch), and finally sleep once until the
+// slowest partition has worked through its backlog. Returns how many
+// result slots are filled — on an error, the sub-batches appended before
+// it.
+func (b *Broker) publish(ctx context.Context, topicName string, n int, kv func(int) ([]byte, []byte), out []Message) (int, error) {
+	if n == 0 {
+		return 0, nil
+	}
+	t, err := b.topicByName(topicName)
+	if err != nil {
+		return 0, err
+	}
+	sc := groupBatch(&b.mu, &t.rr, len(t.partitions), n, kv)
+	defer pubScratchPool.Put(sc)
 	var latest time.Time
-	var lo int32
-	for p := 0; p < nparts; p++ {
-		idxs := order[lo:fill[p]]
-		lo = fill[p]
+	for p, part := range t.partitions {
+		lo, idxs, slot := sc.group(p, out)
 		if len(idxs) == 0 {
 			continue
 		}
-		part := t.partitions[p]
-		add := bytes[p]
-		// Backpressure: park (in modeled time) until the partition has
-		// room. An idle partition always admits at least one batch, so a
-		// batch larger than the whole bound cannot deadlock.
-		part.mu.Lock()
-		for part.fencePub || (b.cfg.MaxInflightBytes > 0 && part.inflight > 0 && part.inflight+add > b.cfg.MaxInflightBytes) {
-			w := vclock.NewEvent(clock)
-			registerEvent(&part.space, w)
-			part.mu.Unlock()
-			// Re-check closed *after* registering: Close sets the flag
-			// before sweeping the waiter lists, so a registration the sweep
-			// missed is guaranteed to see the flag here instead of parking
-			// on an event nobody will ever fire. Fire on every abandoning
-			// exit so registerEvent recognizes the entry as dead — without
-			// that, repeatedly canceled publishes against a full partition
-			// would grow part.space without bound until the next Commit.
-			if b.isClosed() {
-				w.Fire()
-				return ErrBrokerClosed
-			}
-			if !w.Wait(ctx) {
-				w.Fire()
-				return ctx.Err()
-			}
-			if b.isClosed() {
-				return ErrBrokerClosed
-			}
-			part.mu.Lock()
+		_, _, finish, err := b.appendBatch(ctx, part, t.name, p, idxs, kv, sc.bytes[p], slot)
+		if err != nil {
+			return int(lo), err
 		}
-		// Read the clock after any backpressure wait: Published stamps the
-		// instant the broker accepted the message.
-		now := clock.Now()
-		start := part.nextFree
-		if start.Before(now) {
-			start = now
-		}
-		finish := start.Add(time.Duration(len(idxs)) * b.cfg.AppendCost)
-		part.nextFree = finish
 		if finish.After(latest) {
 			latest = finish
-		}
-		for _, i := range idxs {
-			k, v := kv(int(i))
-			m := part.appendInPlace(t.name, p, k, v, now, segSize)
-			if out != nil {
-				*out = append(*out, *m)
-			}
-		}
-		part.inflight += add
-		waiters := part.waiters
-		part.waiters = nil
-		part.mu.Unlock()
-		for _, w := range waiters {
-			w.Fire()
 		}
 	}
 	// Partitions absorb their sub-batches in parallel; the producer blocks
 	// until the slowest partition has caught up (one sleep for the whole
 	// batch, not one per message or per partition).
-	if wait := latest.Sub(clock.Now()); wait > 0 {
-		if !clock.Sleep(ctx, wait) {
-			return ctx.Err()
+	if wait := latest.Sub(b.cfg.Clock.Now()); wait > 0 && !b.cfg.Clock.Sleep(ctx, wait) {
+		return n, ctx.Err()
+	}
+	return n, nil
+}
+
+// appendBatch is the per-partition body of every publish, a standalone
+// broker's and a cluster leader's alike: backpressure park, modeled
+// append cost, the appends, consumer wake. idxs are the batch indices
+// destined for this partition; kv resolves index→(key, value); add is
+// their payload byte total; when out is non-nil it has len(idxs) slots
+// and receives the appended messages. Returns the appended offset range
+// [start, end) and the modeled finish time (the caller sleeps once, to
+// the slowest partition, after all sub-batches land).
+func (b *Broker) appendBatch(ctx context.Context, part *partition, topicName string, pi int, idxs []int32, kv func(int) ([]byte, []byte), add int64, out []Message) (start, end int64, finish time.Time, err error) {
+	clock := b.cfg.Clock
+	// Backpressure: park (in modeled time) until the partition has room.
+	// An idle partition always admits at least one batch, so a batch
+	// larger than the whole bound cannot deadlock.
+	part.mu.Lock()
+	for limit := b.cfg.MaxInflightBytes; limit > 0 && part.Inflight() > 0 && part.Inflight()+add > limit; {
+		w := vclock.NewEvent(clock)
+		registerEvent(&part.space, w)
+		part.mu.Unlock()
+		// Re-check closed *after* registering: Close sets the flag before
+		// sweeping the waiter lists, so a registration the sweep missed is
+		// guaranteed to see the flag here instead of parking on an event
+		// nobody will ever fire. Fire on every abandoning exit so
+		// registerEvent recognizes the entry as dead — without that,
+		// repeatedly canceled publishes against a full partition would grow
+		// part.space without bound until the next Commit.
+		if b.isClosed() {
+			w.Fire()
+			return 0, 0, time.Time{}, ErrBrokerClosed
+		}
+		if !w.Wait(ctx) {
+			w.Fire()
+			return 0, 0, time.Time{}, ctx.Err()
+		}
+		if b.isClosed() {
+			return 0, 0, time.Time{}, ErrBrokerClosed
+		}
+		part.mu.Lock()
+	}
+	// Read the clock after any backpressure wait: Published stamps the
+	// instant the broker accepted the message.
+	now := clock.Now()
+	st := part.nextFree
+	if st.Before(now) {
+		st = now
+	}
+	finish = st.Add(time.Duration(len(idxs)) * b.cfg.AppendCost)
+	part.nextFree = finish
+	start = part.end
+	for k, i := range idxs {
+		key, value := kv(int(i))
+		m := part.Append(topicName, pi, key, value, now)
+		if out != nil {
+			out[k] = *m
 		}
 	}
-	return nil
+	end = part.end
+	waiters := part.waiters
+	part.waiters = nil
+	part.mu.Unlock()
+	fireAll(waiters)
+	return start, end, finish, nil
 }
 
-// appendInPlace claims the next tail-segment slot and builds the message
-// directly in it — no intermediate Message values, so the hot publish
-// loop copies each field exactly once. Segments are allocated at full
-// SegmentSize capacity, so the backing array of a segment never moves and
-// entries below the published length are immutable — the invariants
-// behind zero-copy fetch views. The partition-cumulative byte total is
-// recorded alongside the slot for O(1) commit accounting. Caller holds
-// p.mu; the returned pointer is only valid until the lock is released.
-func (p *partition) appendInPlace(topic string, pi int, key, value []byte, published time.Time, segSize int) *Message {
-	var seg *segment
-	if len(p.segs) > 0 {
-		seg = p.segs[len(p.segs)-1]
-	}
-	if seg == nil || len(seg.msgs) == segSize {
-		seg = p.nextSegment(segSize)
-	}
-	seg.msgs = seg.msgs[:len(seg.msgs)+1]
-	m := &seg.msgs[len(seg.msgs)-1]
-	m.Topic = topic
-	m.Partition = pi
-	m.Offset = p.end
-	m.Key = key
-	m.Value = value
-	m.Published = published
-	if n := len(p.epochs); n == 0 || p.epochs[n-1].Epoch != p.curEpoch {
-		p.epochs = append(p.epochs, plan.EpochSpan{Start: p.end, Epoch: p.curEpoch})
-	}
-	p.end++
-	p.totalBytes += int64(len(key) + len(value))
-	seg.cum = append(seg.cum, p.totalBytes)
-	return m
-}
-
-// bytesThrough returns the cumulative payload bytes of offsets [0, o):
-// two segment lookups, independent of how many messages the range spans.
-// For o at or below the retention floor the trimmed prefix's total is
-// the answer (commit marks never sit below the floor — Trim clamps to
-// committed — so no caller asks inside the trimmed range). Caller holds
-// p.mu.
-func (p *partition) bytesThrough(o, segSize int64) int64 {
-	if o <= p.first {
-		return p.trimmedCum
-	}
-	i := o - 1 - p.first
-	return p.segs[i/segSize].cum[i%segSize]
-}
-
-// view returns up to max messages starting at offset as a read-only
-// sub-slice of one segment (callers may see fewer than max at a segment
-// boundary and loop). Returns nil when offset is at the end of the log.
-// Offsets below the retention floor are the caller's problem (FetchOrWait
-// turns them into OffsetOutOfRangeError before getting here). Caller
-// holds p.mu; the returned view stays valid after release because
-// segments never reallocate and sealed entries never change — and, being
-// the only way a slice of a segment leaves the lock, it marks the segment
-// viewed so Trim never hands it back for refill.
-func (p *partition) view(offset int64, max, segSize int) []Message {
-	if offset >= p.end || offset < p.first {
-		return nil
-	}
-	rel := offset - p.first
-	seg := p.segs[rel/int64(segSize)]
-	seg.viewed = true
-	lo := int(rel % int64(segSize))
-	hi := len(seg.msgs)
-	if hi-lo > max {
-		hi = lo + max
-	}
-	return seg.msgs[lo:hi:hi]
-}
-
-// registerEvent parks w on one of a partition's waiter lists (data
-// waiters or backpressure space waiters), pruning entries already fired.
-// Every exit path of a parked call fires its event — including the
-// abandoning ones (context canceled, broker closed, poll satisfied by
-// another partition) — so stale registrations are recognizably dead and
-// swept on the next registration. Without that, skewed traffic or
-// repeatedly canceled publishes would grow a list by one event per
-// wake-up until a publish, Commit or Close cleared it. Caller holds
-// part.mu.
+// registerEvent parks w on a waiter list (a partition's data waiters or
+// backpressure space waiters, the cluster's control list), pruning entries
+// already fired. Every exit path of a parked call fires its event —
+// including the abandoning ones (context canceled, broker closed, poll
+// satisfied by another partition) — so stale registrations are
+// recognizably dead and swept on the next registration. Without that,
+// skewed traffic or repeatedly canceled publishes would grow a list by one
+// event per wake-up until a publish, Commit or Close cleared it. Caller
+// holds the lock guarding the list.
 func registerEvent(list *[]*vclock.Event, w *vclock.Event) {
 	live := (*list)[:0]
 	for _, old := range *list {
@@ -581,6 +491,30 @@ func registerEvent(list *[]*vclock.Event, w *vclock.Event) {
 		}
 	}
 	*list = append(live, w)
+}
+
+// checkPoll validates one FetchOrWait call against a topic of nparts
+// partitions — the same contract on every Bus — and applies the defaults:
+// max 512 when unset, start 0 when negative.
+func checkPoll(topicName string, nparts int, parts []int, offsets []int64, start, max int) (int, int, error) {
+	if len(parts) == 0 {
+		return 0, 0, errors.New("streaming: FetchOrWait needs at least one partition")
+	}
+	if len(offsets) != len(parts) {
+		return 0, 0, fmt.Errorf("streaming: FetchOrWait got %d offsets for %d partitions", len(offsets), len(parts))
+	}
+	for _, pi := range parts {
+		if pi < 0 || pi >= nparts {
+			return 0, 0, fmt.Errorf("streaming: partition %d out of range for %q", pi, topicName)
+		}
+	}
+	if max <= 0 {
+		max = 512
+	}
+	if start < 0 {
+		start = 0
+	}
+	return start, max, nil
 }
 
 // Fetch returns up to max messages from a partition starting at offset,
@@ -611,22 +545,8 @@ func (b *Broker) FetchOrWait(ctx context.Context, topicName string, parts []int,
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(parts) == 0 {
-		return 0, nil, errors.New("streaming: FetchOrWait needs at least one partition")
-	}
-	if len(offsets) != len(parts) {
-		return 0, nil, fmt.Errorf("streaming: FetchOrWait got %d offsets for %d partitions", len(offsets), len(parts))
-	}
-	for _, pi := range parts {
-		if pi < 0 || pi >= len(t.partitions) {
-			return 0, nil, fmt.Errorf("streaming: partition %d out of range for %q", pi, topicName)
-		}
-	}
-	if max <= 0 {
-		max = 512
-	}
-	if start < 0 {
-		start = 0
+	if start, max, err = checkPoll(topicName, len(t.partitions), parts, offsets, start, max); err != nil {
+		return 0, nil, err
 	}
 	if !b.cfg.Clock.Sleep(ctx, b.cfg.FetchLatency) {
 		return 0, nil, ctx.Err()
@@ -650,7 +570,7 @@ func (b *Broker) FetchOrWait(ctx context.Context, topicName string, parts []int,
 					}
 					return j, nil, oor
 				}
-				if batch := part.view(offsets[j], max, b.cfg.SegmentSize); len(batch) > 0 {
+				if batch := part.View(offsets[j], max); len(batch) > 0 {
 					part.mu.Unlock()
 					if w != nil {
 						w.Fire() // mark registrations on earlier partitions dead
@@ -664,8 +584,8 @@ func (b *Broker) FetchOrWait(ctx context.Context, topicName string, parts []int,
 			registerEvent(&part.waiters, w)
 			part.mu.Unlock()
 		}
-		// Checked after registration (see publish): a Close whose sweep ran
-		// before we registered is visible here, before we park.
+		// Checked after registration (see appendBatch): a Close whose sweep
+		// ran before we registered is visible here, before we park.
 		if b.isClosed() {
 			w.Fire()
 			return 0, nil, ErrBrokerClosed
@@ -680,53 +600,6 @@ func (b *Broker) FetchOrWait(ctx context.Context, topicName string, parts []int,
 	}
 }
 
-// WaitAny parks until at least one of the given partitions has data past
-// its offset (offsets[i] pairs with parts[i]), the broker closes, or ctx
-// ends. It returns true when data may be available. Unlike FetchOrWait it
-// charges nothing: it is the bare scheduling hook (consumer-group
-// rebalancing interrupts parked polls through the same waiter machinery).
-func (b *Broker) WaitAny(ctx context.Context, topicName string, parts []int, offsets []int64) (bool, error) {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return false, err
-	}
-	if len(parts) == 0 {
-		return false, errors.New("streaming: WaitAny needs at least one partition")
-	}
-	if len(offsets) != len(parts) {
-		return false, fmt.Errorf("streaming: WaitAny got %d offsets for %d partitions", len(offsets), len(parts))
-	}
-	for _, pi := range parts {
-		if pi < 0 || pi >= len(t.partitions) {
-			return false, fmt.Errorf("streaming: partition %d out of range for %q", pi, topicName)
-		}
-	}
-	w := vclock.NewEvent(b.cfg.Clock)
-	for i, pi := range parts {
-		part := t.partitions[pi]
-		part.mu.Lock()
-		if !part.down && part.end > offsets[i] {
-			part.mu.Unlock()
-			w.Fire()
-			return true, nil
-		}
-		registerEvent(&part.waiters, w)
-		part.mu.Unlock()
-	}
-	if b.isClosed() {
-		w.Fire()
-		return false, ErrBrokerClosed
-	}
-	if !w.Wait(ctx) {
-		w.Fire()
-		return false, ctx.Err()
-	}
-	if b.isClosed() {
-		return false, ErrBrokerClosed
-	}
-	return true, nil
-}
-
 // Commit acknowledges consumption of a partition through offset `through`
 // (exclusive: offsets below it are consumed). It releases the committed
 // bytes from the partition's in-flight account and wakes producers parked
@@ -735,12 +608,9 @@ func (b *Broker) WaitAny(ctx context.Context, topicName string, parts []int, off
 // throttle producers to consumer speed — consumers that never commit
 // (plain Processors) must run against a broker without backpressure.
 func (b *Broker) Commit(topicName string, partitionIdx int, through int64) error {
-	t, err := b.topicByName(topicName)
+	part, err := b.partRef(topicName, partitionIdx)
 	if err != nil {
 		return err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
 	}
 	b.mu.Lock()
 	delay := b.commitDelay
@@ -756,20 +626,12 @@ func (b *Broker) Commit(topicName string, partitionIdx int, through int64) error
 			return ErrBrokerClosed
 		}
 	}
-	part := t.partitions[partitionIdx]
 	part.mu.Lock()
-	if through > part.end {
-		through = part.end
-	}
-	if through <= part.committed {
+	from, through, ok := part.Log.Commit(through)
+	if !ok {
 		part.mu.Unlock()
 		return nil
 	}
-	segSize := int64(b.cfg.SegmentSize)
-	freed := part.bytesThrough(through, segSize) - part.bytesThrough(part.committed, segSize)
-	from := part.committed
-	part.committed = through
-	part.inflight -= freed
 	if b.cfg.OnCommit != nil {
 		b.cfg.OnCommit(topicName, partitionIdx, from, through)
 	}
@@ -780,14 +642,12 @@ func (b *Broker) Commit(topicName string, partitionIdx int, through int64) error
 	// waiter per commit. Leave them parked until a commit makes progress
 	// possible; they re-evaluate their own batch size on wake.
 	var ws []*vclock.Event
-	if part.inflight == 0 || part.inflight < b.cfg.MaxInflightBytes {
+	if in := part.Inflight(); in == 0 || in < b.cfg.MaxInflightBytes {
 		ws = part.space
 		part.space = nil
 	}
 	part.mu.Unlock()
-	for _, w := range ws {
-		w.Fire()
-	}
+	fireAll(ws)
 	return nil
 }
 
@@ -808,186 +668,68 @@ func (b *Broker) SetCommitDelay(d time.Duration) {
 // Clearing the window wakes parked fetchers so delivery resumes at the
 // clearing instant. The chaos engine is the intended caller.
 func (b *Broker) SetPartitionDown(topicName string, partitionIdx int, down bool) error {
-	t, err := b.topicByName(topicName)
+	part, err := b.partRef(topicName, partitionIdx)
 	if err != nil {
 		return err
 	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
 	part.mu.Lock()
 	part.down = down
-	var ws []*vclock.Event
+	part.mu.Unlock()
 	if !down {
-		ws = part.waiters
-		part.waiters = nil
-	}
-	part.mu.Unlock()
-	for _, w := range ws {
-		w.Fire()
-	}
-	return nil
-}
-
-// SetPublishFence raises (fenced=true) or drops a write fence on one
-// partition: while fenced, publishes park in modeled time exactly as
-// under backpressure, whatever the in-flight account says. Dropping the
-// fence wakes parked producers. The federated Cluster fences writes
-// during leader handoffs and while a severed replication link would
-// leave appends unacknowledgeable; fetch-side fencing reuses
-// SetPartitionDown.
-func (b *Broker) SetPublishFence(topicName string, partitionIdx int, fenced bool) error {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
-	part.mu.Lock()
-	part.fencePub = fenced
-	var ws []*vclock.Event
-	if !fenced {
-		ws = part.space
-		part.space = nil
-	}
-	part.mu.Unlock()
-	for _, w := range ws {
-		w.Fire()
+		part.wakeFetchers()
 	}
 	return nil
 }
 
 // Trim discards log segments of one partition wholly below `below`,
-// bounding resident memory under infinite streams. Only sealed (full)
-// segments strictly under the mark are dropped, so the floor stays
-// segment-aligned and the unsealed tail is never touched; `below` is
-// clamped to the commit mark, so uncommitted data is never trimmed.
-// Fetches under the new floor return OffsetOutOfRangeError. Returns the
-// oldest retained offset after the trim. Callers own the policy — the
-// Cluster trims below the low-watermark of persisted group offsets.
+// bounding resident memory under infinite streams (see Log.Trim: sealed
+// segments only, never above the commit mark). Fetches under the new
+// floor return OffsetOutOfRangeError. Returns the oldest retained offset
+// after the trim. Callers own the policy — the Cluster trims below the
+// low-watermark of persisted group offsets.
 func (b *Broker) Trim(topicName string, partitionIdx int, below int64) (int64, error) {
-	t, err := b.topicByName(topicName)
+	return b.withLog(topicName, partitionIdx, func(l *Log) int64 { return l.Trim(below) })
+}
+
+// withLog runs f on one partition's log under the partition lock.
+func (b *Broker) withLog(topicName string, partitionIdx int, f func(*Log) int64) (int64, error) {
+	part, err := b.partRef(topicName, partitionIdx)
 	if err != nil {
 		return 0, err
 	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return 0, fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
-	segSize := int64(b.cfg.SegmentSize)
 	part.mu.Lock()
 	defer part.mu.Unlock()
-	if below > part.committed {
-		below = part.committed
-	}
-	k := 0
-	for k < len(part.segs) {
-		segEnd := part.first + int64(k+1)*segSize
-		if segEnd > below || int64(len(part.segs[k].msgs)) < segSize {
-			break
-		}
-		k++
-	}
-	if k == 0 {
-		return part.first, nil
-	}
-	part.trimmedCum = part.segs[k-1].cum[segSize-1]
-	// Nil out the dropped heads before resliceing: the backing array
-	// survives in segs, and a live pointer there would pin every trimmed
-	// segment — exactly the memory the trim exists to release. One dropped
-	// segment no view ever reached is kept as the spare for nextSegment.
-	for i := 0; i < k; i++ {
-		if part.spare == nil && !part.segs[i].viewed {
-			part.spare = part.segs[i]
-		}
-		part.segs[i] = nil
-	}
-	part.segs = part.segs[k:]
-	part.first += int64(k) * segSize
-	return part.first, nil
+	return f(&part.Log), nil
 }
 
 // OldestOffset returns a partition's retention floor: the oldest offset
 // a fetch can still serve (zero until the first trim).
 func (b *Broker) OldestOffset(topicName string, partitionIdx int) (int64, error) {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return 0, fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	return part.first, nil
+	return b.withLog(topicName, partitionIdx, func(l *Log) int64 { return l.first })
 }
 
 // ResidentBytes returns the payload bytes a partition currently holds in
 // memory — everything appended minus everything trimmed. This is the
 // quantity the retention contract bounds.
 func (b *Broker) ResidentBytes(topicName string, partitionIdx int) (int64, error) {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return 0, fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	return part.totalBytes - part.trimmedCum, nil
+	return b.withLog(topicName, partitionIdx, (*Log).Resident)
 }
 
 // EndOffset returns the next offset to be written on a partition.
 func (b *Broker) EndOffset(topicName string, partitionIdx int) (int64, error) {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return 0, fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	return part.end, nil
+	return b.withLog(topicName, partitionIdx, func(l *Log) int64 { return l.end })
 }
 
 // Committed returns a partition's commit mark (the next uncommitted
 // offset).
 func (b *Broker) Committed(topicName string, partitionIdx int) (int64, error) {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return 0, fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	return part.committed, nil
+	return b.withLog(topicName, partitionIdx, func(l *Log) int64 { return l.committed })
 }
 
 // InflightBytes returns a partition's published-but-uncommitted bytes —
 // the quantity MaxInflightBytes bounds.
 func (b *Broker) InflightBytes(topicName string, partitionIdx int) (int64, error) {
-	t, err := b.topicByName(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.partitions) {
-		return 0, fmt.Errorf("streaming: partition %d out of range for %q", partitionIdx, topicName)
-	}
-	part := t.partitions[partitionIdx]
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	return part.inflight, nil
+	return b.withLog(topicName, partitionIdx, (*Log).Inflight)
 }
 
 // Close rejects further operations and wakes blocked fetchers and
@@ -1008,12 +750,8 @@ func (b *Broker) Close() {
 			sp := p.space
 			p.space = nil
 			p.mu.Unlock()
-			for _, w := range ws {
-				w.Fire()
-			}
-			for _, w := range sp {
-				w.Fire()
-			}
+			fireAll(ws)
+			fireAll(sp)
 		}
 	}
 }

@@ -2,10 +2,10 @@ package streaming
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gopilot/internal/plan"
@@ -47,7 +47,6 @@ type Cluster struct {
 	clock   vclock.Clock
 
 	fetchLatency time.Duration
-	segSize      int
 
 	runCtx context.Context
 	stopFn context.CancelFunc
@@ -143,6 +142,15 @@ type ClusterConfig struct {
 	// the cluster lock — callbacks must not call back into the cluster.
 	// The E13 inline invariants prove watermark monotonicity here.
 	OnAcked func(topic string, partition int, from, to int64)
+	// PlantStaleHandoff plants the deliberate stale-handoff defect, for
+	// tests and cmd/chaosreplay only: a promoted leader restores the
+	// coordinator commit mark from its own lazily-replicated local mark
+	// (stale by up to one replication round), and the catch-up runners skip
+	// divergence repair, streaming blindly past a follower's stale suffix.
+	// Together those surface as the cursor-rewind and
+	// diverged-replica-after-repair invariant violations the chaos suite
+	// exists to catch.
+	PlantStaleHandoff bool
 
 	AppendCost       time.Duration
 	FetchLatency     time.Duration
@@ -151,20 +159,6 @@ type ClusterConfig struct {
 	OnCommit         func(topic string, partition int, from, through int64)
 	Clock            vclock.Clock
 }
-
-// staleHandoffBug, when set, plants the deliberate stale-handoff defect:
-// a promoted leader restores the coordinator commit mark from its own
-// lazily-replicated local mark (stale by up to one replication round),
-// and the catch-up runners skip divergence repair, streaming blindly
-// past a follower's stale suffix. Together those surface as the
-// cursor-rewind and diverged-replica-after-repair invariant violations
-// the chaos suite exists to catch. Nothing outside tests and
-// cmd/chaosreplay may set it.
-var staleHandoffBug atomic.Bool
-
-// EnableStaleHandoffBug toggles the deliberate stale-handoff defect used
-// to validate the chaos invariant suite. See staleHandoffBug.
-func EnableStaleHandoffBug(on bool) { staleHandoffBug.Store(on) }
 
 // replBatchMax bounds one replication batch (messages per runner round).
 const replBatchMax = 4096
@@ -200,17 +194,12 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if fetchLatency <= 0 {
 		fetchLatency = time.Millisecond
 	}
-	segSize := cfg.SegmentSize
-	if segSize <= 0 {
-		segSize = 4096
-	}
 	runCtx, stop := context.WithCancel(context.Background())
 	c := &Cluster{
 		cfg:          cfg,
 		offsets:      cfg.Offsets,
 		clock:        cfg.Clock,
 		fetchLatency: fetchLatency,
-		segSize:      segSize,
 		runCtx:       runCtx,
 		stopFn:       stop,
 		up:           make([]bool, cfg.Shards),
@@ -299,9 +288,7 @@ func (c *Cluster) Repairs() int {
 func (c *Cluster) fireCtrlLocked() {
 	ws := c.ctrl
 	c.ctrl = nil
-	for _, w := range ws {
-		w.Fire()
-	}
+	fireAll(ws)
 }
 
 // fireAckWaitLocked wakes the producers parked on one partition's
@@ -309,9 +296,7 @@ func (c *Cluster) fireCtrlLocked() {
 func (c *Cluster) fireAckWaitLocked(p *fedPart) {
 	ws := p.ackWait
 	p.ackWait = nil
-	for _, w := range ws {
-		w.Fire()
-	}
+	fireAll(ws)
 }
 
 // recomputeAckedLocked advances a partition's acknowledged watermark to
@@ -344,16 +329,19 @@ func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 		c.fireAckWaitLocked(p)
 		// Wake parked fetchers *after* the watermark is in place: a waiter
 		// that re-checks immediately sees the new fetchable range.
-		c.shards[p.replicas[0]].wakeFetchers(t.name, p.idx)
+		if lp, err := c.shards[p.replicas[0]].partRef(t.name, p.idx); err == nil {
+			lp.wakeFetchers()
+		}
 	}
 }
 
-// CreateTopic creates a topic on every shard, places each partition's
+// CreateTopic creates a topic on every live shard (a dead shard's broker
+// is closed, and placement never recruits it), places each partition's
 // replica set on the live shard ring via plan.ShardReplicas, and starts
 // the partition's catch-up runners (one per follower slot).
 func (c *Cluster) CreateTopic(name string, partitions int) error {
-	for _, b := range c.shards {
-		if err := b.CreateTopic(name, partitions); err != nil {
+	for _, s := range c.LiveShards() {
+		if err := c.shards[s].CreateTopic(name, partitions); err != nil && !errors.Is(err, ErrBrokerClosed) {
 			return err
 		}
 	}
@@ -575,23 +563,16 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	var out []string
 	for _, p := range t.parts {
 		leader := p.replicas[0]
-		lSpans := c.shards[leader].epochSpans(t.name, p.idx)
-		lEnd, err := c.shards[leader].EndOffset(t.name, p.idx)
-		if err != nil {
+		lFirst, lEnd, lSpans, ok := c.logSnapshot(leader, t.name, p.idx)
+		if !ok {
 			continue
 		}
-		lFirst, _ := c.shards[leader].OldestOffset(t.name, p.idx)
 		for _, f := range p.replicas[1:] {
-			fEnd, err := c.shards[f].EndOffset(t.name, p.idx)
-			if err != nil {
+			fFirst, fEnd, fSpans, ok := c.logSnapshot(f, t.name, p.idx)
+			if !ok {
 				continue
 			}
-			fFirst, _ := c.shards[f].OldestOffset(t.name, p.idx)
-			from := lFirst
-			if fFirst > from {
-				from = fFirst
-			}
-			r := plan.ClassifyReplica(lSpans, c.shards[f].epochSpans(t.name, p.idx), from, lEnd, fEnd)
+			r := plan.ClassifyReplica(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd)
 			if r.State == plan.ReplicaDiverged {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d diverged from leader %d at offset %d (leader end %d, replica end %d)",
 					t.name, p.idx, f, leader, r.DivergedAt, lEnd, fEnd))
@@ -599,6 +580,19 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 		}
 	}
 	return out
+}
+
+// logSnapshot reads one shard's copy of a partition log at one instant;
+// ok is false when the shard is gone.
+func (c *Cluster) logSnapshot(shard int, topic string, partition int) (first, end int64, spans []plan.EpochSpan, ok bool) {
+	part, err := c.shards[shard].partRef(topic, partition)
+	if err != nil {
+		return 0, 0, nil, false
+	}
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	first, end, _, spans = part.Snapshot(nil)
+	return first, end, spans, true
 }
 
 // FailShard permanently fails one shard: every partition it led fences
@@ -668,22 +662,25 @@ func (c *Cluster) FailShard(id int) error {
 				}
 				p.replicas = removeShard(p.replicas, nl)
 				p.replicas = append([]int{nl}, p.replicas...)
-				nb := c.shards[nl]
-				// Recovery: the promoted log's un-acked suffix was never on
-				// quorum — truncate to the watermark; re-streaming under the
-				// new epoch replaces it with the authoritative history.
-				nb.truncateTo(t.name, p.idx, p.acked)
-				nb.setEpoch(t.name, p.idx, p.epoch)
-				if staleHandoffBug.Load() {
-					// Planted defect: restore the coordinator commit mark from
-					// the promoted follower's lazily-replicated local mark —
-					// stale by up to one replication round, so the next applied
-					// commit rewinds the cursor.
-					if lc, err := nb.Committed(t.name, p.idx); err == nil {
-						p.commit = lc
+				if np, err := c.shards[nl].partRef(t.name, p.idx); err == nil {
+					// Recovery: the promoted log's un-acked suffix was never on
+					// quorum — truncate to the watermark; re-streaming under the
+					// new epoch replaces it with the authoritative history. The
+					// coordinator's commit mark is re-applied (no OnCommit: it
+					// was observed on the deposed leader) because the promoted
+					// follower's lazily-replicated local mark may trail it.
+					np.mu.Lock()
+					np.TruncateTo(p.acked)
+					np.Epoch = p.epoch
+					if c.cfg.PlantStaleHandoff {
+						// Planted defect: restore the coordinator mark from the
+						// stale local one, so the next applied commit rewinds the
+						// cursor.
+						p.commit = np.committed
+					} else {
+						np.SetCommitted(p.commit)
 					}
-				} else {
-					nb.setCommitted(t.name, p.idx, p.commit)
+					np.mu.Unlock()
 				}
 				avail := now.Add(c.cfg.HandoffDelay)
 				p.availableAt = avail
@@ -882,30 +879,44 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 			}
 			continue
 		}
-		lb, fb := c.shards[leader], c.shards[follower]
-		fEnd, ferr := fb.EndOffset(topicName, q)
-		lEnd, lerr := lb.EndOffset(topicName, q)
-		if ferr != nil || lerr != nil {
+		lb := c.shards[leader]
+		lp, lerr := lb.partRef(topicName, q)
+		fp, ferr := c.shards[follower].partRef(topicName, q)
+		if lerr != nil || ferr != nil {
 			// A shard died between snapshot and use; membership is changing.
 			if !c.parkCtrl() {
 				return
 			}
 			continue
 		}
-		lFirst, _ := lb.OldestOffset(topicName, q)
-		fFirst, _ := fb.OldestOffset(topicName, q)
-
-		// Divergence repair: compare epoch chains over the shared range.
-		// The planted defect skips this, streaming blindly past a stale
-		// suffix — the diverged-replica-after-repair invariant catches it.
-		from := lFirst
-		if fFirst > from {
-			from = fFirst
+		// One follower snapshot, then one leader snapshot that also decides
+		// the round: compare epoch chains over the shared range (the planted
+		// defect skips the compare, streaming blindly past a stale suffix —
+		// the diverged-replica-after-repair invariant catches it) and, when
+		// there is something to stream, take the batch — a zero-copy
+		// one-segment view from the follower's end, plus its payload total
+		// read off the leader's cum (what the link is paced by).
+		var fFirst, fEnd, lFirst, lEnd, lCommitted, bytes int64
+		fp.mu.Lock()
+		fFirst, fEnd, _, fSpans = fp.Snapshot(fSpans)
+		fp.mu.Unlock()
+		lp.mu.Lock()
+		lFirst, lEnd, lCommitted, lSpans = lp.Snapshot(lSpans)
+		at, diverged := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd)
+		diverged = diverged && !c.cfg.PlantStaleHandoff
+		var msgs []Message
+		if !diverged {
+			if msgs = lp.View(fEnd, replBatchMax); len(msgs) > 0 {
+				bytes = lp.BytesThrough(fEnd+int64(len(msgs))) - lp.BytesThrough(fEnd)
+			}
 		}
-		lSpans = lb.epochSpansInto(topicName, q, lSpans)
-		fSpans = fb.epochSpansInto(topicName, q, fSpans)
-		if at, ok := plan.DivergencePoint(lSpans, fSpans, from, lEnd, fEnd); ok && !staleHandoffBug.Load() {
-			fb.truncateTo(topicName, q, at)
+		lp.mu.Unlock()
+
+		if diverged {
+			// Repair: truncate to the divergence point, re-stream from there.
+			fp.mu.Lock()
+			fp.TruncateTo(at)
+			fp.mu.Unlock()
 			vclock.Mark(c.clock, fmt.Sprintf("replica repair %s[%d] shard %d truncated to %d (%d dropped)",
 				topicName, q, follower, at, fEnd-at), uint64(at))
 			c.mu.Lock()
@@ -913,19 +924,15 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 			c.mu.Unlock()
 			continue
 		}
-
 		if fEnd < lFirst {
 			// Recruit starting behind the leader's retention floor: no
 			// history to stream — bootstrap an empty log at the floor.
-			fb.resetTo(topicName, q, lFirst)
+			fp.mu.Lock()
+			fp.ResetTo(lFirst)
+			fp.mu.Unlock()
 			continue
 		}
-
-		msgs, _, lEnd2, lCommitted, bytes := lb.replBatch(topicName, q, fEnd, replBatchMax)
 		if len(msgs) == 0 {
-			if lEnd2 > fEnd {
-				continue // raced a trim; re-resolve coordinates
-			}
 			// Caught up. Promote a recruit to full member, then park until
 			// the leader appends or the control plane changes.
 			c.mu.Lock()
@@ -943,7 +950,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 				}
 			}
 			c.mu.Unlock()
-			if !c.parkData(lb, topicName, q, fEnd) {
+			if !c.parkData(lb, lp, fEnd) {
 				return
 			}
 			continue
@@ -971,9 +978,15 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 		if !intact {
 			continue
 		}
-		// Fresh chain snapshot: the pre-pacing one may predate appends.
-		lSpans = lb.epochSpansInto(topicName, q, lSpans)
-		if err := fb.appendReplicated(topicName, q, msgs, lSpans, lCommitted); err != nil {
+		// The pre-pacing chain still describes the batch: an intact stream
+		// means the leader appended under one epoch throughout, and spans
+		// only ever grow at or above the batch's end. No OnCommit for the
+		// lazily advanced mark: the commit was observed, exactly once, on
+		// the leader.
+		fp.mu.Lock()
+		err = fp.AppendReplicated(msgs, lSpans, lCommitted)
+		fp.mu.Unlock()
+		if err != nil {
 			continue // follower log moved (repair/reset raced); re-resolve
 		}
 		c.mu.Lock()
@@ -1008,9 +1021,12 @@ func (c *Cluster) parkCtrl() bool {
 // parkData parks the calling runner until the leader's log grows past
 // end, the control plane changes, or the cluster closes. Returns false
 // when the runner should exit.
-func (c *Cluster) parkData(lb *Broker, topicName string, q int, end int64) bool {
+func (c *Cluster) parkData(lb *Broker, lp *partition, end int64) bool {
 	w := vclock.NewEvent(c.clock)
-	lb.registerFetchWaiter(topicName, q, w)
+	lp.mu.Lock()
+	registerEvent(&lp.waiters, w)
+	grown := lp.end > end
+	lp.mu.Unlock()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -1019,9 +1035,10 @@ func (c *Cluster) parkData(lb *Broker, topicName string, q int, end int64) bool 
 	}
 	registerEvent(&c.ctrl, w)
 	c.mu.Unlock()
-	// Registered on both lists: re-check the condition to close the
-	// register-vs-append race on real clocks.
-	if e, err := lb.EndOffset(topicName, q); err != nil || e > end {
+	// The end was read under the lock that registered w, so no append
+	// slips between the two; a leader closed since it was resolved fires
+	// nothing ever again, so re-resolve instead of parking on it.
+	if grown || lb.isClosed() {
 		w.Fire()
 		return true
 	}
@@ -1140,12 +1157,8 @@ func (c *Cluster) Close() {
 	}
 	c.mu.Unlock()
 	c.stopFn()
-	for _, w := range ctrl {
-		w.Fire()
-	}
-	for _, w := range acks {
-		w.Fire()
-	}
+	fireAll(ctrl)
+	fireAll(acks)
 	for _, b := range c.shards {
 		b.Close()
 	}

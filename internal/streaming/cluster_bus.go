@@ -32,23 +32,32 @@ type pubRec struct {
 
 // Partitions returns a topic's partition count.
 func (c *Cluster) Partitions(name string) (int, error) {
+	t, err := c.topic(name)
+	if err != nil {
+		return 0, err
+	}
+	return len(t.parts), nil
+}
+
+// topic resolves a topic's control-plane entry.
+func (c *Cluster) topic(name string) (*fedTopic, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return 0, ErrBrokerClosed
+		return nil, ErrBrokerClosed
 	}
 	t, ok := c.topics[name]
 	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownTopic, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTopic, name)
 	}
-	return len(t.parts), nil
+	return t, nil
 }
 
 // Publish appends one message through the replicated log, returning once
 // it is acknowledged on quorum.
 func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) (Message, error) {
-	out := make([]Message, 0, 1)
-	err := c.publish(ctx, topic, 1, func(int) ([]byte, []byte) { return key, value }, &out)
+	out := make([]Message, 1)
+	_, err := c.publish(ctx, topic, 1, func(int) ([]byte, []byte) { return key, value }, out)
 	if err != nil {
 		return Message{}, err
 	}
@@ -56,107 +65,51 @@ func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) 
 }
 
 // PublishBatch appends a batch of (key, value) pairs, returning once
-// every sub-batch is acknowledged on quorum.
+// every sub-batch is acknowledged on quorum. On an error mid-batch exactly
+// the messages already appended are returned along with it (see
+// Broker.PublishBatch).
 func (c *Cluster) PublishBatch(ctx context.Context, topic string, kvs [][2][]byte) ([]Message, error) {
-	out := make([]Message, 0, len(kvs))
-	err := c.publish(ctx, topic, len(kvs), func(i int) ([]byte, []byte) { return kvs[i][0], kvs[i][1] }, &out)
-	return out, err
+	out := make([]Message, len(kvs))
+	n, err := c.publish(ctx, topic, len(kvs), func(i int) ([]byte, []byte) { return kvs[i][0], kvs[i][1] }, out)
+	return out[:n], err
 }
 
 // PublishValues appends a key-less batch (the bulk-ingest fast path).
 func (c *Cluster) PublishValues(ctx context.Context, topic string, values [][]byte) error {
-	return c.publish(ctx, topic, len(values), func(i int) ([]byte, []byte) { return nil, values[i] }, nil)
+	_, err := c.publish(ctx, topic, len(values), func(i int) ([]byte, []byte) { return nil, values[i] }, nil)
+	return err
 }
 
-// publish is the shared producer path: assign partitions under the
-// cluster lock (same counting-sort grouping as Broker.publish), append
-// each sub-batch on its partition's current leader, then park until
-// every sub-batch is acknowledged on quorum. A handoff while parked
-// re-appends the un-acknowledged suffix — the prefix below the handoff's
-// truncation point survived on the promoted log — so a publish that
-// returns nil has every message durable on every full member.
-func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(int) ([]byte, []byte), out *[]Message) error {
+// publish is the shared producer path: group the batch per partition
+// (groupBatch, the cursor under the cluster lock), append each sub-batch
+// on its partition's current leader, then park until every sub-batch is
+// acknowledged on quorum. A handoff while parked re-appends the
+// un-acknowledged suffix — the prefix below the handoff's truncation
+// point survived on the promoted log — so a publish that returns nil has
+// every message durable on every full member. Returns how many result
+// slots are filled.
+func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(int) ([]byte, []byte), out []Message) (int, error) {
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrBrokerClosed
+	t, err := c.topic(topicName)
+	if err != nil {
+		return 0, err
 	}
-	t, ok := c.topics[topicName]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownTopic, topicName)
-	}
-	nparts := len(t.parts)
-
-	sc := pubScratchPool.Get().(*pubScratch)
+	sc := groupBatch(&c.mu, &t.rr, len(t.parts), n, kv)
 	defer pubScratchPool.Put(sc)
-	if cap(sc.assign) < n {
-		sc.assign = make([]int32, n)
-		sc.order = make([]int32, n)
-	}
-	if cap(sc.counts) < nparts {
-		sc.counts = make([]int32, nparts)
-		sc.fill = make([]int32, nparts)
-		sc.bytes = make([]int64, nparts)
-	}
-	assign, order := sc.assign[:n], sc.order[:n]
-	counts, fill, bytes := sc.counts[:nparts], sc.fill[:nparts], sc.bytes[:nparts]
-	for p := range counts {
-		counts[p], bytes[p] = 0, 0
-	}
-	for i := 0; i < n; i++ {
-		k, v := kv(i)
-		var p int
-		if len(k) > 0 {
-			p = partitionOf(k, nparts)
-		} else {
-			p = t.rr % nparts
-			t.rr++
-		}
-		assign[i] = int32(p)
-		counts[p]++
-		bytes[p] += int64(len(k) + len(v))
-	}
-	c.mu.Unlock()
-
-	var sum int32
-	for p := range counts {
-		fill[p] = sum
-		sum += counts[p]
-	}
-	for i := 0; i < n; i++ {
-		p := assign[i]
-		order[fill[p]] = int32(i)
-		fill[p]++
-	}
-
-	var res []Message
-	if out != nil {
-		base := len(*out)
-		*out = append(*out, make([]Message, n)...)
-		res = (*out)[base:]
-	}
 
 	// Phase 1: append every sub-batch on its partition's current leader.
 	recs := make([]pubRec, 0, 4)
 	var latest time.Time
-	var lo int32
-	for p := 0; p < nparts; p++ {
-		idxs := order[lo:fill[p]]
-		slot := res
-		if res != nil {
-			slot = res[lo:fill[p]]
-		}
-		lo = fill[p]
+	for p := range t.parts {
+		lo, idxs, slot := sc.group(p, out)
 		if len(idxs) == 0 {
 			continue
 		}
-		r := pubRec{p: p, idxs: idxs, res: slot, add: bytes[p]}
+		r := pubRec{p: p, idxs: idxs, res: slot, add: sc.bytes[p]}
 		if err := c.appendToLeader(ctx, t, &r, kv, &latest); err != nil {
-			return err
+			return int(lo), err
 		}
 		recs = append(recs, r)
 	}
@@ -165,18 +118,16 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	// handoffs.
 	for ri := range recs {
 		if err := c.awaitAcked(ctx, t, &recs[ri], kv, &latest); err != nil {
-			return err
+			return n, err
 		}
 	}
 
 	// Phase 3: one modeled sleep to the slowest partition's append finish
 	// (acknowledgement waits above advance virtual time on their own).
-	if wait := latest.Sub(c.clock.Now()); wait > 0 {
-		if !c.clock.Sleep(ctx, wait) {
-			return ctx.Err()
-		}
+	if wait := latest.Sub(c.clock.Now()); wait > 0 && !c.clock.Sleep(ctx, wait) {
+		return n, ctx.Err()
 	}
-	return nil
+	return n, nil
 }
 
 // appendToLeader appends one sub-batch on its partition's current
@@ -201,29 +152,40 @@ func (c *Cluster) appendToLeader(ctx context.Context, t *fedTopic, r *pubRec, kv
 			}
 			continue
 		}
-		leader := p.replicas[0]
-		r.epoch = p.epoch
+		leader, epoch := p.replicas[0], p.epoch
 		c.mu.Unlock()
-		s, e, finish, err := c.shards[leader].clusterAppend(ctx, t.name, r.p, r.idxs, kv, r.add, r.res)
-		if err != nil {
-			if errors.Is(err, ErrBrokerClosed) && !c.isClosed() {
-				continue // the leader died under us; retry on its successor
-			}
+		if retry, err := c.appendOn(ctx, leader, epoch, t, r, kv, latest); !retry {
 			return err
 		}
-		r.s, r.e = s, e
-		if finish.After(*latest) {
-			*latest = finish
-		}
-		// Under RF=1 the append itself is the quorum: advance the
-		// watermark now (with followers, the catch-up runners advance it).
-		c.mu.Lock()
-		if !c.closed {
-			c.recomputeAckedLocked(t, t.parts[r.p])
-		}
-		c.mu.Unlock()
-		return nil
 	}
+}
+
+// appendOn appends r's sub-batch on shard `leader`, resolved under epoch
+// `epoch`, and records where it landed. retry reports that the shard died
+// under the call: the caller re-resolves and tries its successor.
+func (c *Cluster) appendOn(ctx context.Context, leader, epoch int, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) (retry bool, err error) {
+	b := c.shards[leader]
+	var s, e int64
+	var finish time.Time
+	part, err := b.partRef(t.name, r.p)
+	if err == nil {
+		s, e, finish, err = b.appendBatch(ctx, part, t.name, r.p, r.idxs, kv, r.add, r.res)
+	}
+	if err != nil {
+		return errors.Is(err, ErrBrokerClosed) && !c.isClosed(), err
+	}
+	r.s, r.e, r.epoch = s, e, epoch
+	if finish.After(*latest) {
+		*latest = finish
+	}
+	// Under RF=1 the append itself is the quorum: advance the watermark
+	// now (with followers, the catch-up runners advance it).
+	c.mu.Lock()
+	if !c.closed {
+		c.recomputeAckedLocked(t, t.parts[r.p])
+	}
+	c.mu.Unlock()
+	return false, nil
 }
 
 // awaitAcked parks until a sub-batch's offset range is below the
@@ -283,22 +245,9 @@ func (c *Cluster) awaitAcked(ctx context.Context, t *fedTopic, r *pubRec, kv fun
 				k, v := kv(int(i))
 				r.add += int64(len(k) + len(v))
 			}
-			s, e, finish, err := c.shards[leader].clusterAppend(ctx, t.name, r.p, r.idxs, kv, r.add, r.res)
-			if err != nil {
-				if errors.Is(err, ErrBrokerClosed) && !c.isClosed() {
-					continue
-				}
+			if retry, err := c.appendOn(ctx, leader, newEpoch, t, r, kv, latest); err != nil && !retry {
 				return err
 			}
-			r.s, r.e, r.epoch = s, e, newEpoch
-			if finish.After(*latest) {
-				*latest = finish
-			}
-			c.mu.Lock()
-			if !c.closed {
-				c.recomputeAckedLocked(t, t.parts[r.p])
-			}
-			c.mu.Unlock()
 			continue
 		}
 		// Park until the watermark advances or the epoch moves; both fire
@@ -333,22 +282,8 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(parts) == 0 {
-		return 0, nil, errors.New("streaming: FetchOrWait needs at least one partition")
-	}
-	if len(offsets) != len(parts) {
-		return 0, nil, fmt.Errorf("streaming: FetchOrWait got %d offsets for %d partitions", len(offsets), len(parts))
-	}
-	for _, pi := range parts {
-		if pi < 0 || pi >= nparts {
-			return 0, nil, fmt.Errorf("streaming: partition %d out of range for %q", pi, topicName)
-		}
-	}
-	if max <= 0 {
-		max = 512
-	}
-	if start < 0 {
-		start = 0
+	if start, max, err = checkPoll(topicName, nparts, parts, offsets, start, max); err != nil {
+		return 0, nil, err
 	}
 	if !c.clock.Sleep(ctx, c.fetchLatency) {
 		return 0, nil, ctx.Err()
@@ -409,7 +344,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				if int64(m) > limit {
 					m = int(limit)
 				}
-				if batch := lp.view(offsets[j], m, c.segSize); len(batch) > 0 {
+				if batch := lp.View(offsets[j], m); len(batch) > 0 {
 					lp.mu.Unlock()
 					if w != nil {
 						w.Fire() // mark registrations on earlier partitions dead

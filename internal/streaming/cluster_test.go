@@ -70,6 +70,63 @@ func TestClusterRefusesLastLiveShard(t *testing.T) {
 	}
 }
 
+// TestClusterCreateTopicAfterShardLoss: a dead shard's broker is closed,
+// and CreateTopic used to create the topic on it too — so after any
+// FailShard every CreateTopic failed with ErrBrokerClosed, forever. Topics
+// are created on live shards only; the new topic places, accepts
+// publishes, serves fetches and replicates fully.
+func TestClusterCreateTopicAfterShardLoss(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	c := NewCluster(ClusterConfig{Shards: 3, Replication: 2, Clock: clock})
+	defer c.Close()
+	if err := c.CreateTopic("a", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateTopic("b", 2); err != nil {
+		t.Fatalf("CreateTopic after a shard loss: %v", err)
+	}
+	ctx := context.Background()
+	for q := 0; q < 2; q++ {
+		reps, err := c.ReplicasOf("b", q)
+		if err != nil || len(reps) != 2 || reps[0] == 0 || reps[1] == 0 {
+			t.Fatalf("b[%d] placed on %v (%v), want two live shards", q, reps, err)
+		}
+	}
+	if err := c.PublishValues(ctx, "b", [][]byte{[]byte("x"), []byte("y"), []byte("z")}); err != nil {
+		t.Fatal(err)
+	}
+	fetched := 0
+	for q := 0; q < 2; q++ {
+		end, err := c.EndOffset("b", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o := int64(0); o < end; {
+			msgs, err := c.Fetch(ctx, "b", q, o, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o += int64(len(msgs))
+			fetched += len(msgs)
+		}
+	}
+	if fetched != 3 {
+		t.Fatalf("fetched %d of 3 messages published to the new topic", fetched)
+	}
+	deadline := clock.Now().Add(time.Minute)
+	for c.UnderReplicated() != 0 {
+		if clock.Now().After(deadline) {
+			t.Fatalf("%d partitions still under-replicated", c.UnderReplicated())
+		}
+		clock.Sleep(ctx, 10*time.Millisecond)
+	}
+}
+
 // TestClusterShardLossHandoff drives the full failover path in virtual
 // time: failing a partition's leader fences the partition for exactly
 // HandoffDelay (a parked fetch completes no earlier than the handoff

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gopilot/internal/core"
@@ -22,12 +21,12 @@ import (
 // Protocol (DESIGN.md "Streaming data plane"): membership changes create
 // a new *generation*. Workers of the obsolete generation are interrupted
 // mid-long-poll (their generation context is canceled, which wakes the
-// clock-aware park inside FetchOrWait — the WaitAny waiter machinery),
-// finish and commit any batch already in flight, then acknowledge the new
-// generation. Only when every worker touched by the change has
-// acknowledged does the new assignment activate (the generation barrier),
-// so no partition is ever consumed by two workers at once and the commit
-// cursor handoff is exact: processing is exactly-once across rebalances.
+// clock-aware park inside FetchOrWait), finish and commit any batch
+// already in flight, then acknowledge the new generation. Only when every
+// worker touched by the change has acknowledged does the new assignment
+// activate (the generation barrier), so no partition is ever consumed by
+// two workers at once and the commit cursor handoff is exact: processing
+// is exactly-once across rebalances.
 //
 // Assignment is a pure function of the sorted member ordinals: the i-th
 // member (by spawn ordinal) owns partitions {q : q mod M == i}. Ordinals
@@ -79,6 +78,14 @@ type GroupConfig struct {
 	// trims data a known group has not durably consumed). Nil keeps the
 	// group ephemeral.
 	Offsets *OffsetStore
+	// PlantBarrierCarry plants the deliberate barrier-carry defect, for
+	// tests and cmd/chaosreplay only: newGenerationLocked drops the
+	// old.waitFor carry-forward — reintroducing a fixed bug (a worker
+	// removed during generation N could still own a partition when N+1
+	// activated, breaking the exactly-once handoff under back-to-back
+	// rebalances) so the chaos harness can prove its invariant checkers
+	// catch the bug class.
+	PlantBarrierCarry bool
 }
 
 // generation is one epoch of the membership. It activates (ready fires)
@@ -184,19 +191,6 @@ func StartGroup(ctx context.Context, mgr *core.Manager, broker Bus, cfg GroupCon
 	return g, nil
 }
 
-// barrierCarryBug, when set, makes newGenerationLocked drop the
-// old.waitFor carry-forward — reintroducing a fixed defect (a worker
-// removed during generation N could still own a partition when N+1
-// activated, breaking the exactly-once handoff under back-to-back
-// rebalances). It exists solely so the chaos harness can prove its
-// invariant checkers catch the bug class; nothing outside tests and
-// cmd/chaosreplay may set it.
-var barrierCarryBug atomic.Bool
-
-// EnableBarrierCarryBug toggles the deliberate barrier-carry defect used
-// to validate the chaos invariant suite. See barrierCarryBug.
-func EnableBarrierCarryBug(on bool) { barrierCarryBug.Store(on) }
-
 // newGenerationLocked installs the next generation for the given member
 // set. Callers hold g.mu.
 func (g *Group) newGenerationLocked(members []int) *generation {
@@ -220,7 +214,7 @@ func (g *Group) newGenerationLocked(members []int) *generation {
 	// activate N+1 while that worker still owns a partition, breaking the
 	// exactly-once handoff (its late commit would also rewind g.offsets).
 	ng.waitFor = unionInts(unionInts(old.waitFor, old.members), members)
-	if barrierCarryBug.Load() {
+	if g.cfg.PlantBarrierCarry {
 		ng.waitFor = unionInts(old.members, members) // the pre-fix defect
 	}
 	if len(ng.waitFor) == 0 {

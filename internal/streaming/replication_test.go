@@ -133,14 +133,12 @@ func TestDivergenceRepairAfterHandoff(t *testing.T) {
 // deposed suffix in place — no repair runs and CheckReplicaConsistency
 // reports the divergence.
 func TestStaleHandoffBugLeavesDivergedReplica(t *testing.T) {
-	EnableStaleHandoffBug(true)
-	defer EnableStaleHandoffBug(false)
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
 	c := NewCluster(ClusterConfig{
 		Shards: 3, Replication: 3, HandoffDelay: 50 * time.Millisecond,
-		AppendCost: 10 * time.Microsecond, Clock: clock,
+		AppendCost: 10 * time.Microsecond, Clock: clock, PlantStaleHandoff: true,
 	})
 	defer c.Close()
 	if err := c.CreateTopic("t", 1); err != nil {
@@ -201,33 +199,30 @@ func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := c.shards[reps[0]]
-	lSpans := lb.epochSpans(topic, part)
-	lEnd, err := lb.EndOffset(topic, part)
+	lp, err := c.shards[reps[0]].partRef(topic, part)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	lFirst, lEnd, _, lSpans := lp.Snapshot(nil)
 	for _, f := range reps[1:] {
-		fb := c.shards[f]
-		fEnd, err := fb.EndOffset(topic, part)
+		fp, err := c.shards[f].partRef(topic, part)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fp.mu.Lock()
+		defer fp.mu.Unlock()
+		fFirst, fEnd, _, fSpans := fp.Snapshot(nil)
 		if fEnd != lEnd {
 			t.Fatalf("shard %d log end %d != leader end %d", f, fEnd, lEnd)
 		}
-		fSpans := fb.epochSpans(topic, part)
 		if fmt.Sprint(fSpans) != fmt.Sprint(lSpans) {
 			t.Fatalf("shard %d epoch chain %v != leader chain %v", f, fSpans, lSpans)
 		}
-		lo := mustOldest(t, lb, topic, part)
-		if ff := mustOldest(t, fb, topic, part); ff > lo {
-			lo = ff
-		}
-		for o := lo; o < lEnd; {
-			// replBatch serves one-segment views: walk both logs in steps.
-			lMsgs, _, _, _, _ := lb.replBatch(topic, part, o, 1024)
-			fMsgs, _, _, _, _ := fb.replBatch(topic, part, o, 1024)
+		for o := max(lFirst, fFirst); o < lEnd; {
+			// View serves one-segment views: walk both logs in steps.
+			lMsgs, fMsgs := lp.View(o, 1024), fp.View(o, 1024)
 			n := len(lMsgs)
 			if len(fMsgs) < n {
 				n = len(fMsgs)
@@ -245,15 +240,6 @@ func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int
 			o += int64(n)
 		}
 	}
-}
-
-func mustOldest(t *testing.T, b *Broker, topic string, part int) int64 {
-	t.Helper()
-	o, err := b.OldestOffset(topic, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
 }
 
 // xorshift returns a per-seed deterministic draw in [0, n): seed-driven

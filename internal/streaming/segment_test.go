@@ -49,31 +49,28 @@ func payloadBytes(msgs []Message) int64 {
 }
 
 // driveLogAgainstModel interprets script as (op, arg) byte pairs over one
-// partition with 4-message segments — leader appends (appendInPlace),
-// follower appends (appendReplicated), views, commits, trims, suffix
-// truncations and resets, in any order: a log plays both roles over its
-// life — and checks the log against the model after every step. Every
-// message carries a payload unique to its offset and write, and every
-// view ever returned is kept and re-read at the end. Truncations stay at
-// or above the highest offset ever viewed, which is the cluster's
-// protocol (views only below the acknowledged watermark, truncation only
-// at or above it). Returns how many segments were refilled.
+// bare Log with 4-message segments — no broker, no topic map, no clock —
+// leader appends (Append), follower appends (AppendReplicated), views,
+// commits, commit-mark placements, trims, suffix truncations and resets,
+// in any order: a log plays both roles over its life — and checks the log
+// against the model after every step. Every message carries a payload
+// unique to its offset and write, and every view ever returned is kept and
+// re-read at the end. Truncations stay at or above the highest offset ever
+// viewed, which is the cluster's protocol (views only below the
+// acknowledged watermark, truncation only at or above it). Returns how
+// many segments were refilled.
 func driveLogAgainstModel(script []byte) (refills int, err error) {
 	const segSize = 4
-	b := NewBroker(BrokerConfig{SegmentSize: segSize})
-	if err := b.CreateTopic("t", 1); err != nil {
-		return 0, err
-	}
-	part := b.topics["t"].partitions[0]
+	l := &Log{segSize: segSize}
 	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 	var (
 		m       logModel
 		held    []heldView
 		viewHi  int64 // highest offset any view has reached (exclusive)
 		writes  int
-		live    = map[*segment]bool{} // in part.segs after the previous step
-		retired = map[*segment]bool{} // left part.segs, not (yet) refilled
-		viewed  = map[*segment]bool{} // a view of it has left the lock
+		live    = map[*segment]bool{} // in l.segs after the previous step
+		retired = map[*segment]bool{} // left l.segs, not (yet) refilled
+		viewed  = map[*segment]bool{} // a view of it has left the log
 	)
 	mint := func(offset int64) Message {
 		writes++
@@ -82,19 +79,24 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 			Published: vclock.Epoch.Add(time.Duration(writes) * time.Millisecond)}
 	}
 	check := func(step int, op string) error {
-		part.mu.Lock()
-		defer part.mu.Unlock()
 		fail := func(format string, a ...any) error {
 			return fmt.Errorf("step %d (%s): %s", step, op, fmt.Sprintf(format, a...))
 		}
-		if part.first != m.first || part.end != m.end() || part.committed != m.committed {
-			return fail("first/end/committed %d/%d/%d, model %d/%d/%d",
-				part.first, part.end, part.committed, m.first, m.end(), m.committed)
+		first, end, committed, epochs := l.Snapshot(nil)
+		if first != m.first || end != m.end() || committed != m.committed {
+			return fail("Snapshot first/end/committed %d/%d/%d, model %d/%d/%d",
+				first, end, committed, m.first, m.end(), m.committed)
+		}
+		// Every write here is under epoch 0: the chain is one span from the
+		// oldest offset this incarnation of the log ever held, or empty.
+		if len(epochs) > 1 || (len(epochs) == 1 && (epochs[0].Epoch != 0 || epochs[0].Start > first)) ||
+			(len(epochs) == 0 && end > first) {
+			return fail("Snapshot epochs %v over [%d, %d)", epochs, first, end)
 		}
 		var flat []Message
 		now := map[*segment]bool{}
-		for i, seg := range part.segs {
-			if len(seg.cum) != len(seg.msgs) || (i < len(part.segs)-1 && len(seg.msgs) != segSize) {
+		for i, seg := range l.segs {
+			if len(seg.cum) != len(seg.msgs) || (i < len(l.segs)-1 && len(seg.msgs) != segSize) {
 				return fail("segment %d holds %d msgs, %d cum", i, len(seg.msgs), len(seg.cum))
 			}
 			flat = append(flat, seg.msgs...)
@@ -125,19 +127,19 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 				!bytes.Equal(g.Value, w.Value) || !g.Published.Equal(w.Published) {
 				return fail("offset %d reads %+v, model %+v", w.Offset, g, w)
 			}
-			if got := part.bytesThrough(w.Offset, segSize); got != cum {
-				return fail("bytesThrough(%d) = %d, model %d", w.Offset, got, cum)
+			if got := l.BytesThrough(w.Offset); got != cum {
+				return fail("BytesThrough(%d) = %d, model %d", w.Offset, got, cum)
 			}
 			cum += int64(len(w.Value))
 		}
-		if got := part.bytesThrough(part.end, segSize); got != cum {
-			return fail("bytesThrough(end) = %d, model %d", got, cum)
+		if got := l.BytesThrough(end); got != cum {
+			return fail("BytesThrough(end) = %d, model %d", got, cum)
 		}
-		if got, want := part.totalBytes-part.trimmedCum, payloadBytes(m.msgs); got != want {
+		if got, want := l.Resident(), payloadBytes(m.msgs); got != want {
 			return fail("resident bytes %d, model %d", got, want)
 		}
-		if got, want := part.inflight, payloadBytes(m.msgs[m.committed-m.first:]); got != want {
-			return fail("inflight bytes %d, model %d", got, want)
+		if got, want := l.Inflight(), payloadBytes(m.msgs[m.committed-m.first:]); got != want {
+			return fail("in-flight bytes %d, model %d", got, want)
 		}
 		return nil
 	}
@@ -147,74 +149,60 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 		name := ""
 		switch op {
 		case 0, 1:
-			name = "appendInPlace"
-			part.mu.Lock()
+			name = "Append"
 			for n := 1 + arg%6; n > 0; n-- {
-				msg := mint(part.end)
-				part.appendInPlace("t", 0, nil, msg.Value, msg.Published, segSize)
-				part.inflight += int64(len(msg.Value))
+				msg := mint(m.end())
+				l.Append("t", 0, nil, msg.Value, msg.Published)
 				m.msgs = append(m.msgs, msg)
 			}
-			part.mu.Unlock()
 		case 2, 3:
-			name = "appendReplicated"
+			name = "AppendReplicated"
 			batch := make([]Message, 1+arg%9) // up to three segments in one call
 			for i := range batch {
 				batch[i] = mint(m.end() + int64(i))
 			}
 			lc := m.committed + arg/9%8
-			if err := b.appendReplicated("t", 0, batch, spans, lc); err != nil {
+			if err := l.AppendReplicated(batch, spans, lc); err != nil {
 				return refills, err
 			}
 			m.msgs = append(m.msgs, batch...)
-			if lc > m.end() {
-				lc = m.end()
-			}
-			if lc > m.committed {
-				m.committed = lc
-			}
+			m.committed = max(m.committed, min(lc, m.end()))
 		case 4:
-			name = "view"
+			name = "View"
 			if len(m.msgs) == 0 {
 				continue
 			}
 			off := m.first + arg%int64(len(m.msgs))
-			part.mu.Lock()
-			seg := part.segs[(off-part.first)/segSize]
-			v := part.view(off, int(1+arg/32), segSize)
-			part.mu.Unlock()
+			seg := l.segs[(off-l.first)/segSize]
+			v := l.View(off, int(1+arg/32))
 			if len(v) == 0 || !seg.viewed {
-				return refills, fmt.Errorf("step %d: view(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
+				return refills, fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
 			}
 			viewed[seg] = true
 			h := heldView{got: v}
 			for i := range v {
 				if w := m.msgs[off-m.first+int64(i)]; v[i].Offset != w.Offset || !bytes.Equal(v[i].Value, w.Value) {
-					return refills, fmt.Errorf("step %d: view(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
+					return refills, fmt.Errorf("step %d: View(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
 				}
 				h.want = append(h.want, wantMsg{v[i].Offset, string(v[i].Value), v[i].Published})
 			}
 			held = append(held, h)
-			if hi := off + int64(len(v)); hi > viewHi {
-				viewHi = hi
-			}
+			viewHi = max(viewHi, off+int64(len(v)))
 		case 5:
-			name = "commit"
-			through := m.committed + arg%(m.end()-m.committed+1)
-			if err := b.Commit("t", 0, through); err != nil {
-				return refills, err
+			name = "Commit"
+			through := m.committed + arg%(m.end()-m.committed+2) // one past the end: clamped
+			from, to, ok := l.Commit(through)
+			through = min(through, m.end())
+			if from != m.committed || to != through || ok != (through > m.committed) {
+				return refills, fmt.Errorf("step %d: Commit(%d) = %d, %d, %v with mark %d, end %d",
+					step, through, from, to, ok, m.committed, m.end())
 			}
 			m.committed = through
 		case 6:
-			name = "trim"
+			name = "Trim"
 			below := m.first + arg%(int64(len(m.msgs))+2*segSize)
-			got, err := b.Trim("t", 0, below)
-			if err != nil {
-				return refills, err
-			}
-			if below > m.committed {
-				below = m.committed
-			}
+			got := l.Trim(below)
+			below = min(below, m.committed)
 			for m.first+segSize <= below && len(m.msgs) >= segSize {
 				m.base += payloadBytes(m.msgs[:segSize])
 				m.msgs = m.msgs[segSize:]
@@ -224,26 +212,29 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 				return refills, fmt.Errorf("step %d: Trim returned floor %d, model %d", step, got, m.first)
 			}
 		case 7:
-			if arg%4 == 0 {
-				name = "resetTo"
+			switch arg % 4 {
+			case 0:
+				name = "ResetTo"
 				m = logModel{first: m.end() + arg/4%7}
 				m.committed = m.first
-				b.resetTo("t", 0, m.first)
-				break
-			}
-			name = "truncateTo"
-			lo := viewHi
-			if lo < m.first {
-				lo = m.first
-			}
-			if lo >= m.end() {
-				continue
-			}
-			to := lo + arg%(m.end()-lo)
-			b.truncateTo("t", 0, to)
-			m.msgs = m.msgs[:to-m.first]
-			if m.committed > to {
-				m.committed = to
+				l.ResetTo(m.first)
+			case 1:
+				// Either direction, and past both ends: the mark clamps to the
+				// retained range.
+				name = "SetCommitted"
+				mark := m.first - 2 + arg/4%(int64(len(m.msgs))+5)
+				l.SetCommitted(mark)
+				m.committed = min(max(mark, m.first), m.end())
+			default:
+				name = "TruncateTo"
+				lo := max(viewHi, m.first)
+				if lo >= m.end() {
+					continue
+				}
+				to := lo + arg%(m.end()-lo)
+				l.TruncateTo(to)
+				m.msgs = m.msgs[:to-m.first]
+				m.committed = min(m.committed, to)
 			}
 		}
 		if err := check(step, name); err != nil {
@@ -402,10 +393,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			name = "cold"
 		}
 		b.Run(name, func(b *testing.B) {
-			br := NewBroker(BrokerConfig{SegmentSize: segSize})
-			if err := br.CreateTopic("t", 1); err != nil {
-				b.Fatal(err)
-			}
+			l := &Log{segSize: segSize}
 			payload := make([]byte, 64)
 			batch := make([]Message, segSize)
 			for i := range batch {
@@ -420,15 +408,13 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				end := int64(i+1) * segSize
 				batch[0].Offset = end - segSize
-				if err := br.appendReplicated("t", 0, batch, spans, end); err != nil {
+				if err := l.AppendReplicated(batch, spans, end); err != nil {
 					b.Fatal(err)
 				}
 				if cold {
-					br.replBatch("t", 0, end-segSize, 1)
+					l.View(end-segSize, 1)
 				}
-				if _, err := br.Trim("t", 0, end); err != nil {
-					b.Fatal(err)
-				}
+				l.Trim(end)
 			}
 			b.StopTimer()
 			msgs := float64(b.N) * segSize

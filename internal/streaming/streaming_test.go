@@ -460,7 +460,7 @@ func TestFetchViewStableWhileAppending(t *testing.T) {
 // TestFetchOrWaitChargesLatencyOnce is the empty-poll regression test:
 // one FetchOrWait charges the long-poll RTT exactly once, whether data
 // was ready or the poll had to park. Before the combined call, a parked
-// consumer paid FetchLatency again after waking (WaitAny then Fetch),
+// consumer paid FetchLatency again after waking (a bare wait, then Fetch),
 // inflating modeled end-to-end latency by one RTT on every empty poll.
 func TestFetchOrWaitChargesLatencyOnce(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
@@ -558,42 +558,6 @@ func TestKeylessPlacementDeterministicAcrossProducers(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same-seed key-less placement diverged:\n%s\n%s", a, b)
-	}
-}
-
-// TestWaitAnyWakesAcrossPartitions keeps the bare scheduling hook
-// honest: a WaitAny over several partitions wakes on a publish to any of
-// them and charges nothing.
-func TestWaitAnyWakesAcrossPartitions(t *testing.T) {
-	clock := vclock.NewVirtual(vclock.Epoch)
-	clock.Adopt()
-	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
-	defer b.Close()
-	b.CreateTopic("t", 3)
-	woke := vclock.NewEvent(clock)
-	var wokeAt time.Time
-	vclock.Go(clock, func() {
-		defer woke.Fire()
-		ok, err := b.WaitAny(context.Background(), "t", []int{0, 1, 2}, []int64{0, 0, 0})
-		if !ok || err != nil {
-			t.Errorf("WaitAny = %v, %v", ok, err)
-			return
-		}
-		wokeAt = clock.Now()
-	})
-	if !clock.Sleep(context.Background(), 5*time.Millisecond) {
-		t.Fatal("driver sleep canceled")
-	}
-	m, err := b.Publish(context.Background(), "t", []byte("key-to-some-partition"), []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !woke.Wait(context.Background()) {
-		t.Fatal("WaitAny never woke")
-	}
-	if !wokeAt.Equal(m.Published) {
-		t.Errorf("WaitAny woke at %v, want the publish instant %v (no charge)", wokeAt, m.Published)
 	}
 }
 
