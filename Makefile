@@ -26,9 +26,11 @@ bench:
 bench-compare:
 	bash -o pipefail -c "$(GO) test -bench=. -benchtime=3x -benchmem -run '^$$' . | $(GO) run ./cmd/benchcompare"
 
-# Profile harness for the two long-pole exhibits: cpu+mem profile pairs
-# under profiles/ (gitignored), one pair per benchmark. Inspect with e.g.
+# Profile harness for the two long-pole exhibits and the chaos scenario
+# (the small-batch, fault-path end): cpu+mem profile pairs under profiles/
+# (gitignored), one pair per benchmark. Inspect with e.g.
 #   go tool pprof -top profiles/streaming_million.cpu.pprof
+#   go tool pprof -sample_index=alloc_space -top profiles/chaos_seeds.mem.pprof
 # The test binary lands next to the profiles so pprof can resolve symbols
 # without rebuilding.
 PROFILE_DIR ?= profiles
@@ -41,6 +43,10 @@ profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkTable2_MapReduce$$' -benchtime 3x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/mapreduce.cpu.pprof \
 		-memprofile $(PROFILE_DIR)/mapreduce.mem.pprof \
+		-o $(PROFILE_DIR)/gopilot.test .
+	$(GO) test -run '^$$' -bench '^BenchmarkChaos_Seeds$$' -benchtime 10x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/chaos_seeds.cpu.pprof \
+		-memprofile $(PROFILE_DIR)/chaos_seeds.mem.pprof \
 		-o $(PROFILE_DIR)/gopilot.test .
 
 # Seeding-spine lint: no math/rand and no raw integer seeds outside

@@ -161,6 +161,26 @@ func BenchmarkStreaming_TenMillion(b *testing.B) {
 	}
 }
 
+// BenchmarkChaos_Seeds is the small-batch, fault-path entry of the gate:
+// 20 consecutive chaos scenarios (seeds 0–19, default fault mix: 1 500
+// messages in small publishes, outages, shard loss, torn replication,
+// worker churn, recorder on), every report clean. What a bulk-path change
+// costs the cold and faulted paths shows here (run with -benchmem).
+func BenchmarkChaos_Seeds(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for seed := int64(0); seed < 20; seed++ {
+			rep, err := experiments.Chaos(experiments.ChaosOptions{Seed: seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.Ok() {
+				b.Fatalf("seed %d: %v", seed, rep.Violations)
+			}
+		}
+	}
+}
+
 // BenchmarkLateBinding regenerates the direct-vs-pilot comparison (E9).
 func BenchmarkLateBinding(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -38,9 +38,16 @@ type Checker struct {
 	clock vclock.Clock
 
 	mu         sync.Mutex
-	handled    map[uint64]int   // partition<<48|offset -> times processed
-	commits    map[string]int64 // "topic/part" -> last commit mark seen
+	handled    map[uint64]int    // partition<<48|offset -> times processed
+	commits    map[partKey]int64 // last commit mark seen
 	violations []Violation
+}
+
+// partKey names one partition. A struct, not a formatted string: OnCommit
+// builds one on every applied commit, under the partition lock.
+type partKey struct {
+	topic     string
+	partition int
 }
 
 // NewChecker builds a checker; clock timestamps violations (virtual
@@ -49,7 +56,7 @@ func NewChecker(clock vclock.Clock) *Checker {
 	return &Checker{
 		clock:   clock,
 		handled: make(map[uint64]int),
-		commits: make(map[string]int64),
+		commits: make(map[partKey]int64),
 	}
 }
 
@@ -89,8 +96,8 @@ func (c *Checker) Ok() bool {
 func (c *Checker) Handled(partition int, offset int64) {
 	key := uint64(partition)<<48 | uint64(offset)
 	c.mu.Lock()
-	c.handled[key]++
-	n := c.handled[key]
+	n := c.handled[key] + 1
+	c.handled[key] = n
 	c.mu.Unlock()
 	if n > 1 {
 		c.Violate("exactly-once", "partition %d offset %d processed %d times", partition, offset, n)
@@ -110,7 +117,7 @@ func (c *Checker) HandledCount() int {
 // only, so each must strictly advance the last mark this checker saw and
 // start where the previous one ended.
 func (c *Checker) OnCommit(topic string, partition int, from, through int64) {
-	key := fmt.Sprintf("%s/%d", topic, partition)
+	key := partKey{topic, partition}
 	c.mu.Lock()
 	prev, seen := c.commits[key]
 	if !seen || through > prev {
@@ -118,11 +125,11 @@ func (c *Checker) OnCommit(topic string, partition int, from, through int64) {
 	}
 	c.mu.Unlock()
 	if through <= from {
-		c.Violate("cursor-rewind", "%s: commit through %d does not advance from %d", key, through, from)
+		c.Violate("cursor-rewind", "%s/%d: commit through %d does not advance from %d", topic, partition, through, from)
 		return
 	}
 	if seen && from != prev {
-		c.Violate("cursor-rewind", "%s: commit starts at %d, last mark was %d", key, from, prev)
+		c.Violate("cursor-rewind", "%s/%d: commit starts at %d, last mark was %d", topic, partition, from, prev)
 	}
 }
 

@@ -57,8 +57,11 @@ type BrokerConfig struct {
 	// poll returns and however long it parks). Default 1ms.
 	FetchLatency time.Duration
 	// SegmentSize is the number of messages per log segment (default
-	// 4096). A segment's backing array is allocated once at full capacity
-	// and never reallocated, which is what makes fetched views stable.
+	// 4096): the unit of offset→segment arithmetic, of a fetched view's
+	// upper bound and of retention trimming. It is not a memory commitment
+	// — a partition that has never filled a segment holds an array sized
+	// to its contents (see Log). Fetched views are stable because a
+	// published slot is never rewritten while a view can reach it.
 	SegmentSize int
 	// MaxInflightBytes bounds, per partition, the bytes published but not
 	// yet committed (see Commit). When the bound is hit, publishes to that

@@ -109,7 +109,8 @@ type fedPart struct {
 // ClusterConfig configures a Cluster. The broker-shaped fields
 // (AppendCost, FetchLatency, SegmentSize, MaxInflightBytes, OnCommit,
 // Clock) carry the same semantics as BrokerConfig and apply to every
-// shard's broker.
+// shard's broker — SegmentSize included: it sets every replica log's
+// segment arithmetic, not what an untouched or lightly used copy costs.
 type ClusterConfig struct {
 	// Name labels the cluster (default "cluster").
 	Name string

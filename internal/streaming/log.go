@@ -13,13 +13,19 @@ import (
 // lock — the caller holds the lock that guards it (partition.mu) across
 // every call — so a leader's append path, a follower's replicated append
 // and the handoff's truncate are the same few methods on the same type,
-// and the proof obligations behind zero-copy fetch (DESIGN.md "The Log")
-// sit beside one type: backing arrays never move, a viewed segment is
-// never refilled, truncation stays at or above every view handed out.
+// and the proof obligation behind zero-copy fetch (DESIGN.md "The Log")
+// sits beside one type: a slot that has left the lock in a View is never
+// rewritten. Three mutators could break it and each discharges it here:
+// growth (tail) writes only to a new array, refill (Trim, nextSegment)
+// takes only never-viewed segments, and truncation (TruncateTo) stays at
+// or above every view handed out.
 type Log struct {
 	segSize int
 	segs    []*segment
 	spare   *segment // at most one trimmed, never-viewed segment awaiting refill
+	// hot: the log has sealed a segment, so every later one is born at full
+	// segSize; until then the tail segment is born small and grows (see tail).
+	hot bool
 
 	// first is the oldest retained offset, end the next one to be written.
 	// Trim discards whole sealed segments, so segs[0] begins at first and
@@ -46,11 +52,12 @@ type Log struct {
 	epochs []plan.EpochSpan
 }
 
-// segment is a fixed-size run of the log. msgs is allocated at full
-// capacity once: appends never reallocate the backing array and sealed
-// entries are never rewritten, so a sub-slice handed to a consumer
-// remains valid and immutable while the writer keeps appending behind it.
-// cum[i] is the log-cumulative payload byte total through msgs[i]
+// segment is a run of at most segSize messages of the log. Appends write
+// only past len(msgs), and a full backing array is replaced by a larger
+// copy, never extended in place (tail), so published entries are never
+// rewritten: a sub-slice handed to a consumer remains valid and immutable
+// while the writer keeps appending behind it, in the same array or the
+// next. cum[i] is the log-cumulative payload byte total through msgs[i]
 // (inclusive), which makes the bytes of any committed offset range a
 // two-lookup subtraction instead of a per-message walk. viewed records
 // that a slice of msgs has left the lock (set only by View): a viewed
@@ -62,19 +69,28 @@ type segment struct {
 	viewed bool
 }
 
-// newSegment allocates both arrays at exact full capacity, so neither
-// ever reallocates (the stable-backing-array invariant).
-func newSegment(segSize int) *segment {
-	return &segment{msgs: make([]Message, 0, segSize), cum: make([]int64, 0, segSize)}
+// minSegCap is the smallest capacity a segment is born with.
+const minSegCap = 16
+
+// newSegment allocates both arrays at the same capacity; cum is only ever
+// resliced in step with msgs.
+func newSegment(size int) *segment {
+	return &segment{msgs: make([]Message, 0, size), cum: make([]int64, 0, size)}
 }
 
 // nextSegment is where every segment of the log is born: it appends an
 // empty tail segment — the spare Trim handed back if there is one, a
-// fresh allocation otherwise — and returns it.
-func (l *Log) nextSegment() *segment {
+// fresh allocation otherwise — and returns it. A hot log's segments are
+// born at full segSize; a log that has never sealed one pays for what the
+// append creating the segment holds (want messages, floor minSegCap).
+func (l *Log) nextSegment(want int) *segment {
 	seg := l.spare
 	if seg == nil {
-		seg = newSegment(l.segSize)
+		size := l.segSize
+		if !l.hot {
+			size = min(size, max(minSegCap, want))
+		}
+		seg = newSegment(size)
 	} else {
 		l.spare = nil
 		seg.msgs, seg.cum = seg.msgs[:0], seg.cum[:0]
@@ -83,18 +99,38 @@ func (l *Log) nextSegment() *segment {
 	return seg
 }
 
+// tail returns the tail segment with at least one free slot, for an append
+// of want messages — the one step Append and AppendReplicated both take
+// before writing. A tail that is missing or sealed (segSize messages: the
+// log is hot from here on) means the next segment is born. A tail born
+// small whose array is full grows ×2 (at least to fit want) by
+// allocate-and-copy of the published prefix: nothing is ever written to
+// the old array again, so views of it stay valid and immutable until the
+// collector takes it.
+func (l *Log) tail(want int) *segment {
+	if n := len(l.segs); n > 0 {
+		seg := l.segs[n-1]
+		used := len(seg.msgs)
+		if used < cap(seg.msgs) {
+			return seg
+		}
+		if used < l.segSize {
+			size := min(l.segSize, max(2*used, used+want))
+			seg.msgs = append(make([]Message, 0, size), seg.msgs...)
+			seg.cum = append(make([]int64, 0, size), seg.cum...)
+			return seg
+		}
+		l.hot = true
+	}
+	return l.nextSegment(want)
+}
+
 // Append claims the next tail slot and builds the message directly in it
 // — no intermediate Message values, so the hot publish loop copies each
 // field exactly once — under the log's current Epoch. The returned pointer
 // is only valid until the caller releases the lock.
 func (l *Log) Append(topic string, pi int, key, value []byte, published time.Time) *Message {
-	var seg *segment
-	if n := len(l.segs); n > 0 {
-		seg = l.segs[n-1]
-	}
-	if seg == nil || len(seg.msgs) == l.segSize {
-		seg = l.nextSegment()
-	}
+	seg := l.tail(1)
 	seg.msgs = seg.msgs[:len(seg.msgs)+1]
 	m := &seg.msgs[len(seg.msgs)-1]
 	m.Topic = topic
@@ -131,15 +167,9 @@ func (l *Log) AppendReplicated(msgs []Message, spans []plan.EpochSpan, leaderCom
 	// One bulk copy (one write barrier) per one-segment run, then cum in
 	// a tight loop over the run.
 	for rest := msgs; len(rest) > 0; {
-		var seg *segment
-		if n := len(l.segs); n > 0 {
-			seg = l.segs[n-1]
-		}
-		if seg == nil || len(seg.msgs) == l.segSize {
-			seg = l.nextSegment()
-		}
+		seg := l.tail(len(rest))
 		lo := len(seg.msgs)
-		n := copy(seg.msgs[lo:l.segSize], rest)
+		n := copy(seg.msgs[lo:cap(seg.msgs)], rest)
 		seg.msgs, seg.cum = seg.msgs[:lo+n], seg.cum[:lo+n]
 		for i, cum := 0, seg.cum[lo:]; i < n; i++ {
 			l.totalBytes += int64(len(rest[i].Key) + len(rest[i].Value))
@@ -174,10 +204,11 @@ func (l *Log) AppendReplicated(msgs []Message, spans []plan.EpochSpan, leaderCom
 // View returns up to max messages starting at offset as a read-only
 // sub-slice of one segment (callers may see fewer than max at a segment
 // boundary and loop); nil when offset is outside the retained range. The
-// view stays valid after the caller releases the lock because segments
-// never reallocate and sealed entries never change — and, being the only
-// way a slice of a segment leaves the lock, it marks the segment viewed
-// so Trim never hands it back for refill.
+// view stays valid after the caller releases the lock because published
+// slots are never rewritten while a view can reach them (growth copies to
+// a new array and leaves this one alone) — and, being the only way a slice
+// of a segment leaves the lock, it marks the segment viewed so Trim never
+// hands it back for refill.
 func (l *Log) View(offset int64, max int) []Message {
 	if offset >= l.end || offset < l.first {
 		return nil
@@ -252,6 +283,7 @@ func (l *Log) Trim(below int64) int64 {
 	if k == 0 {
 		return l.first
 	}
+	l.hot = true // a sealed segment can leave here before tail ever sees it full
 	l.trimmedCum = l.segs[k-1].cum[segSize-1]
 	// Nil out the dropped heads before reslicing: the backing array
 	// survives in segs, and a live pointer there would pin every trimmed
@@ -308,7 +340,7 @@ func (l *Log) TruncateTo(to int64) {
 // ResetTo empties the log and repositions it at first — the bootstrap
 // for a recruit whose log starts behind the leader's retention floor.
 func (l *Log) ResetTo(first int64) {
-	*l = Log{segSize: l.segSize, spare: l.spare, Epoch: l.Epoch, first: first, end: first, committed: first}
+	*l = Log{segSize: l.segSize, spare: l.spare, hot: l.hot, Epoch: l.Epoch, first: first, end: first, committed: first}
 }
 
 // Snapshot reads the log's coordinates at one instant: the retained

@@ -30,6 +30,14 @@ type wantMsg struct {
 	published time.Time
 }
 
+// birth is what the driver tracks about one life of a segment, for the
+// capacity rule.
+type birth struct {
+	small bool // born before the log sealed a segment
+	peak  int  // most messages it has held
+	cap   int  // cap(msgs) after the previous step
+}
+
 // logModel is the naive reference: the retained log as one plain slice.
 type logModel struct {
 	first     int64 // oldest retained offset
@@ -49,28 +57,34 @@ func payloadBytes(msgs []Message) int64 {
 }
 
 // driveLogAgainstModel interprets script as (op, arg) byte pairs over one
-// bare Log with 4-message segments — no broker, no topic map, no clock —
-// leader appends (Append), follower appends (AppendReplicated), views,
-// commits, commit-mark placements, trims, suffix truncations and resets,
-// in any order: a log plays both roles over its life — and checks the log
-// against the model after every step. Every message carries a payload
-// unique to its offset and write, and every view ever returned is kept and
-// re-read at the end. Truncations stay at or above the highest offset ever
-// viewed, which is the cluster's protocol (views only below the
-// acknowledged watermark, truncation only at or above it). Returns how
-// many segments were refilled.
-func driveLogAgainstModel(script []byte) (refills int, err error) {
-	const segSize = 4
-	l := &Log{segSize: segSize}
+// bare Log with segSize-message segments — no broker, no topic map, no
+// clock — leader appends (Append), follower appends (AppendReplicated),
+// views, commits, commit-mark placements, trims, suffix truncations and
+// resets, in any order: a log plays both roles over its life — and checks
+// the log against the model after every step. Every message carries a
+// payload unique to its offset and write, and every view ever returned is
+// kept to the end of the run and re-read after every later step, which is
+// what proves views survive growth, refill and truncation. Truncations
+// stay at or above the highest offset ever viewed, which is the cluster's
+// protocol (views only below the acknowledged watermark, truncation only
+// at or above it). At 4-message segments scripts seal, trim and refill
+// constantly and never grow (the floor is above segSize); at 64 the first
+// segment of every log grows 16 → 32 → 64. Returns how many segments were
+// refilled and how many growth steps were taken.
+func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, err error) {
+	full := int(segSize) // a sealed segment's length, and a hot one's capacity
+	l := &Log{segSize: full}
 	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 	var (
 		m       logModel
 		held    []heldView
 		viewHi  int64 // highest offset any view has reached (exclusive)
 		writes  int
-		live    = map[*segment]bool{} // in l.segs after the previous step
-		retired = map[*segment]bool{} // left l.segs, not (yet) refilled
-		viewed  = map[*segment]bool{} // a view of it has left the log
+		sealed  bool                    // the log has appended past a full segment or trimmed one
+		live    = map[*segment]bool{}   // in l.segs after the previous step
+		retired = map[*segment]bool{}   // left l.segs, not (yet) refilled
+		viewed  = map[*segment]bool{}   // a view of it has left the log
+		births  = map[*segment]*birth{} // this life of each segment in l.segs
 	)
 	mint := func(offset int64) Message {
 		writes++
@@ -96,7 +110,7 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 		var flat []Message
 		now := map[*segment]bool{}
 		for i, seg := range l.segs {
-			if len(seg.cum) != len(seg.msgs) || (i < len(l.segs)-1 && len(seg.msgs) != segSize) {
+			if len(seg.cum) != len(seg.msgs) || (i < len(l.segs)-1 && len(seg.msgs) != full) {
 				return fail("segment %d holds %d msgs, %d cum", i, len(seg.msgs), len(seg.cum))
 			}
 			flat = append(flat, seg.msgs...)
@@ -109,8 +123,23 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 					refills++
 					delete(retired, seg)
 				}
+				// Everything behind the tail is full, so only segs[0] can
+				// have been born before the log's first seal.
+				births[seg] = &birth{small: !sealed && i == 0}
+			} else if cap(seg.msgs) != births[seg].cap {
+				growths++
+			}
+			// The capacity rule: a log pays for what it holds until it seals
+			// a segment, and for whole segments after.
+			b := births[seg]
+			b.peak, b.cap = max(b.peak, len(seg.msgs)), cap(seg.msgs)
+			if cap(seg.cum) != b.cap || b.cap > full ||
+				(b.small && b.cap > max(minSegCap, 2*b.peak)) || (!b.small && b.cap != full) {
+				return fail("segment %d (born small: %v) has cap %d/%d, has held %d, segSize %d",
+					i, b.small, b.cap, cap(seg.cum), b.peak, segSize)
 			}
 		}
+		sealed = sealed || len(l.segs) > 1
 		for seg := range live {
 			if !now[seg] {
 				retired[seg] = true
@@ -141,6 +170,17 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 		if got, want := l.Inflight(), payloadBytes(m.msgs[m.committed-m.first:]); got != want {
 			return fail("in-flight bytes %d, model %d", got, want)
 		}
+		for _, h := range held {
+			if len(h.got) != len(h.want) {
+				return fail("held view at %d changed length %d -> %d", h.want[0].offset, len(h.want), len(h.got))
+			}
+			for i, w := range h.want {
+				if g := h.got[i]; g.Offset != w.offset || string(g.Value) != w.value || !g.Published.Equal(w.published) {
+					return fail("held view of offset %d now reads (%d, %q, %v), was (%d, %q, %v)",
+						w.offset, g.Offset, g.Value, g.Published, w.offset, w.value, w.published)
+				}
+			}
+		}
 		return nil
 	}
 
@@ -163,7 +203,7 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 			}
 			lc := m.committed + arg/9%8
 			if err := l.AppendReplicated(batch, spans, lc); err != nil {
-				return refills, err
+				return refills, growths, err
 			}
 			m.msgs = append(m.msgs, batch...)
 			m.committed = max(m.committed, min(lc, m.end()))
@@ -176,13 +216,13 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 			seg := l.segs[(off-l.first)/segSize]
 			v := l.View(off, int(1+arg/32))
 			if len(v) == 0 || !seg.viewed {
-				return refills, fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
+				return refills, growths, fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
 			}
 			viewed[seg] = true
 			h := heldView{got: v}
 			for i := range v {
 				if w := m.msgs[off-m.first+int64(i)]; v[i].Offset != w.Offset || !bytes.Equal(v[i].Value, w.Value) {
-					return refills, fmt.Errorf("step %d: View(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
+					return refills, growths, fmt.Errorf("step %d: View(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
 				}
 				h.want = append(h.want, wantMsg{v[i].Offset, string(v[i].Value), v[i].Published})
 			}
@@ -194,7 +234,7 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 			from, to, ok := l.Commit(through)
 			through = min(through, m.end())
 			if from != m.committed || to != through || ok != (through > m.committed) {
-				return refills, fmt.Errorf("step %d: Commit(%d) = %d, %d, %v with mark %d, end %d",
+				return refills, growths, fmt.Errorf("step %d: Commit(%d) = %d, %d, %v with mark %d, end %d",
 					step, through, from, to, ok, m.committed, m.end())
 			}
 			m.committed = through
@@ -203,13 +243,14 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 			below := m.first + arg%(int64(len(m.msgs))+2*segSize)
 			got := l.Trim(below)
 			below = min(below, m.committed)
-			for m.first+segSize <= below && len(m.msgs) >= segSize {
+			for m.first+segSize <= below && int64(len(m.msgs)) >= segSize {
 				m.base += payloadBytes(m.msgs[:segSize])
 				m.msgs = m.msgs[segSize:]
 				m.first += segSize
+				sealed = true
 			}
 			if got != m.first {
-				return refills, fmt.Errorf("step %d: Trim returned floor %d, model %d", step, got, m.first)
+				return refills, growths, fmt.Errorf("step %d: Trim returned floor %d, model %d", step, got, m.first)
 			}
 		case 7:
 			switch arg % 4 {
@@ -238,21 +279,10 @@ func driveLogAgainstModel(script []byte) (refills int, err error) {
 			}
 		}
 		if err := check(step, name); err != nil {
-			return refills, err
+			return refills, growths, err
 		}
 	}
-	for _, h := range held {
-		if len(h.got) != len(h.want) {
-			return refills, fmt.Errorf("held view at %d changed length %d -> %d", h.want[0].offset, len(h.want), len(h.got))
-		}
-		for i, w := range h.want {
-			if g := h.got[i]; g.Offset != w.offset || string(g.Value) != w.value || !g.Published.Equal(w.published) {
-				return refills, fmt.Errorf("held view of offset %d now reads (%d, %q, %v), was (%d, %q, %v)",
-					w.offset, g.Offset, g.Value, g.Published, w.offset, w.value, w.published)
-			}
-		}
-	}
-	return refills, nil
+	return refills, growths, nil
 }
 
 // logScript draws a script of n steps from a seed.
@@ -265,37 +295,80 @@ func logScript(seed int64, n int) []byte {
 	return out
 }
 
+// growthScript walks one log through the born-small lifecycle at
+// 64-message segments: growth with views held across it, TruncateTo into
+// the grown tail, re-append over the truncated slots, ResetTo, growth
+// again. The committed corpus seed "growth-truncate-reset" is this script.
+var growthScript = []byte{
+	0, 5, 0, 5, // 12 messages in a 16-slot array
+	4, 96, // view [0, 4)
+	0, 5, // 18: grows 16 → 32
+	4, 45, // view [9, 11)
+	2, 8, 0, 5, // 27, then 33: grows 32 → 64
+	7, 6, // TruncateTo(17), inside the grown tail
+	0, 5, // re-append 17..22 over the truncated slots
+	4, 20, // view [20, 21)
+	7, 12, // ResetTo(26)
+	0, 5, 0, 5, 0, 5, // 18 messages: born small again, grows 16 → 32
+	4, 0, // view [26, 27)
+	2, 8, 2, 8, // 36: grows 32 → 64
+}
+
+// sealTrimScript fills a 64-message segment exactly, has it viewed,
+// committed and trimmed away whole — the log is empty and tail never saw
+// the segment full — and appends: the log sealed a segment, so the next is
+// born at full size. Batch-aligned producers with a prompt consumer do this
+// at every boundary.
+var sealTrimScript = []byte{2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 0, 0, 4, 0, 5, 64, 6, 64, 0, 0}
+
 // TestPartitionLogMatchesModel is the segment-lifecycle property: over
 // randomized operation sequences the log agrees with the slice model after
 // every step, no segment that was ever viewed is born again (pointer
-// identity), and every view ever handed out still reads what it read.
+// identity), every segment obeys the capacity rule, and every view ever
+// handed out reads what it read after every later step.
 func TestPartitionLogMatchesModel(t *testing.T) {
-	refills := 0
-	for seed := int64(1); seed <= 300; seed++ {
-		n, err := driveLogAgainstModel(logScript(seed, 400))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	for _, segSize := range []int64{4, 64} {
+		refills, growths := 0, 0
+		for seed := int64(1); seed <= 300; seed++ {
+			r, g, err := driveLogAgainstModel(logScript(seed, 400), segSize)
+			if err != nil {
+				t.Fatalf("segSize %d seed %d: %v", segSize, seed, err)
+			}
+			refills += r
+			growths += g
 		}
-		refills += n
+		t.Logf("segSize %d: %d refills, %d growth steps", segSize, refills, growths)
+		if refills == 0 {
+			t.Fatalf("segSize %d: no script ever refilled a spare segment: the property is not exercised", segSize)
+		}
+		if (growths > 0) != (segSize > minSegCap) {
+			t.Fatalf("segSize %d: %d growth steps", segSize, growths)
+		}
 	}
-	if refills == 0 {
-		t.Fatal("no script ever refilled a spare segment: the property is not exercised")
+	if _, g, err := driveLogAgainstModel(growthScript, 64); err != nil || g != 4 {
+		t.Fatalf("growth script: %d growth steps (want 4), err %v", g, err)
+	}
+	if _, g, err := driveLogAgainstModel(sealTrimScript, 64); err != nil || g != 2 {
+		t.Fatalf("seal-trim script: %d growth steps (want 2: 16 → 32 → 64 before the seal), err %v", g, err)
 	}
 }
 
 // FuzzPartitionLogMatchesModel exposes the same driver to the native
-// fuzzer; the committed corpus under testdata/fuzz holds scripts from the
-// seeds above.
+// fuzzer, each script at both segment sizes; the committed corpus under
+// testdata/fuzz holds scripts from the seeds above and growthScript.
 func FuzzPartitionLogMatchesModel(f *testing.F) {
 	f.Add(logScript(7, 64))
 	// Fill two segments as a follower, commit, trim, refill, view.
 	f.Add(bytes.Repeat([]byte{2, 7, 5, 255, 6, 255, 2, 8, 4, 0, 7, 1}, 10))
+	f.Add(sealTrimScript)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
 		}
-		if _, err := driveLogAgainstModel(script); err != nil {
-			t.Fatal(err)
+		for _, segSize := range []int64{4, 64} {
+			if _, _, err := driveLogAgainstModel(script, segSize); err != nil {
+				t.Fatalf("segSize %d: %v", segSize, err)
+			}
 		}
 	})
 }
@@ -422,5 +495,152 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
 			b.ReportMetric(float64(ms.TotalAlloc-before)/msgs, "B/msg")
 		})
+	}
+}
+
+// BenchmarkLogAppendCold prices the small end: a fresh default-size log
+// takes the 375 messages one chaos-scenario replica holds. B/op is the
+// number — what a touched partition costs per copy before it ever seals.
+func BenchmarkLogAppendCold(b *testing.B) {
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l := &Log{segSize: 4096}
+		for j := 0; j < 375; j++ {
+			l.Append("t", 0, nil, payload, vclock.Epoch)
+		}
+	}
+}
+
+// BenchmarkLogAppendHot prices the leader append per message in steady
+// state across segment boundaries: each sealed segment is viewed (a
+// consumer fetched it), committed and trimmed, so every boundary births a
+// full-size segment — the bypass for the born-small path.
+func BenchmarkLogAppendHot(b *testing.B) {
+	const segSize = 4096
+	l := &Log{segSize: segSize}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Append("t", 0, nil, payload, vclock.Epoch)
+		if end := int64(i + 1); end%segSize == 0 {
+			l.View(end-segSize, 1)
+			l.Commit(end)
+			l.Trim(end)
+		}
+	}
+}
+
+// TestColdPartitionFootprint holds the small end of the range to the same
+// standard as the hot one: a touched partition costs what it holds. 256
+// partitions on a replication-3 cluster take one 16-message publish each
+// and are drained; everything allocated from the publish to the last
+// commit, divided by the 768 replica logs, must stay within 8 KB per log.
+// When every log's first append allocated a full default segment it read
+// ≈ 458 KB.
+func TestColdPartitionFootprint(t *testing.T) {
+	const (
+		parts   = 256
+		perPart = 16
+		rf      = 3
+	)
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	c := NewCluster(ClusterConfig{
+		Shards: 3, Replication: rf,
+		AppendCost: time.Microsecond, FetchLatency: 10 * time.Microsecond, Clock: clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", parts); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	payload := make([]byte, 64)
+	values := make([][]byte, parts*perPart) // key-less: round-robin, 16 per partition
+	for i := range values {
+		values[i] = payload
+	}
+	ps, cursor := make([]int, parts), make([]int64, parts)
+	for p := range ps {
+		ps[p] = p
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if err := c.PublishValues(ctx, "t", values); err != nil {
+		t.Fatal(err)
+	}
+	for consumed := 0; consumed < len(values); {
+		j, msgs, err := c.FetchOrWait(ctx, "t", ps, cursor, 0, perPart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursor[j] += int64(len(msgs))
+		consumed += len(msgs)
+		if err := c.Commit("t", ps[j], cursor[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	perLog := float64(ms.TotalAlloc-before) / (parts * rf)
+	t.Logf("%.0f B allocated per replica log holding %d messages", perLog, perPart)
+	if perLog > 8<<10 {
+		t.Fatalf("a cold replica log costs %.0f B, over the 8 KB budget", perLog)
+	}
+}
+
+// TestViewsSurviveGrowthConcurrently is the born-small proof under the race
+// detector, on a real-clock Broker: a consumer keeps every view it is
+// handed and re-reads all of them after every fetch while a producer
+// appends one message at a time through the partition's growth steps
+// (16 → 32 → 64 → 128 → 256 slots).
+func TestViewsSurviveGrowthConcurrently(t *testing.T) {
+	const total = 200
+	b := NewBroker(BrokerConfig{AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: fastClock()})
+	defer b.Close()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var held [][]Message
+		for next := int64(0); next < total; {
+			v, err := b.Fetch(ctx, "t", 0, next, 8)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			held = append(held, v)
+			next += int64(len(v))
+			at := int64(0)
+			for _, h := range held {
+				for i := range h {
+					if h[i].Offset != at || string(h[i].Value) != fmt.Sprint("v", at) {
+						t.Errorf("held view of offset %d reads (%d, %q)", at, h[i].Offset, h[i].Value)
+						return
+					}
+					at++
+				}
+			}
+		}
+	}()
+	for i := 0; i < total; i++ {
+		if _, err := b.Publish(ctx, "t", nil, []byte(fmt.Sprint("v", i))); err != nil {
+			t.Error(err)
+			cancel() // releases the consumer's long poll
+			break
+		}
+	}
+	<-done
+	part := b.topics["t"].partitions[0]
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	if c := cap(part.segs[0].msgs); c != 256 {
+		t.Fatalf("tail holds %d messages in %d slots, want 256: the log did not grow", total, c)
 	}
 }
