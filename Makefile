@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation fuzz-smoke loc exhibit-digest exhibit-stable ci
+.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation fuzz-smoke loc exhibit-digest exhibit-stable examples-stable ci
 
 build:
 	$(GO) build ./...
@@ -52,7 +52,8 @@ profile:
 # Seeding-spine lint: no math/rand and no raw integer seeds outside
 # internal/dist; stream roots only where experiments are born; no clock
 # reads, stream draws or data-service calls inside Compute closures; no
-# sleeps, timers or clocks inside the internal/plan control plane.
+# sleeps, timers or clocks inside the internal/plan control plane; no wall
+# time anywhere under internal/ or examples/ (E11's host-ms column aside).
 seed-audit:
 	bash tools/seed-audit.sh
 
@@ -108,8 +109,9 @@ fuzz-smoke:
 # cmd/experiments prints that is modeled: the `[N ms wall]` lines and the
 # E11 ablation rows (host wall-clock milliseconds) are filtered out — two
 # runs on one host differ in exactly those lines and nowhere else. A
-# refactor quotes the digest before and after; `exhibit-stable` (in ci)
-# fails when two runs of the same tree disagree.
+# refactor quotes the digest before and after; `exhibit-stable` (in ci
+# and .github/workflows/ci.yml) fails when two runs of the same tree
+# disagree.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; all += $$1 } \
@@ -122,4 +124,19 @@ exhibit-stable:
 	@a=$$($(MAKE) -s exhibit-digest) && b=$$($(MAKE) -s exhibit-digest) && echo "exhibit-digest $$a" && \
 		{ [ "$$a" = "$$b" ] || { echo "exhibit-digest: second run printed $$b — modeled output is not deterministic"; exit 1; }; }
 
-ci: build vet seed-audit doc-audit test fuzz-smoke race exhibit-stable bench-compare
+# The examples run on the same virtual clock as everything else, so their
+# stdout is part of the determinism contract: each of the six runs twice
+# and must print the same bytes, and dynamic_scaling must actually burst
+# (its policy once polled wall time and never fired on the virtual clock).
+examples-stable:
+	@for e in examples/*/; do \
+		a=$$($(GO) run ./$$e) && b=$$($(GO) run ./$$e) || { echo "examples-stable: $$e exited non-zero"; exit 1; }; \
+		[ "$$a" = "$$b" ] || { echo "examples-stable: $$e printed different bytes on its second run"; exit 1; }; \
+		echo "examples-stable: $$e $$(echo "$$a" | sha256sum | cut -d' ' -f1)"; \
+		case $$e in *dynamic_scaling/) \
+			echo "$$a" | grep -q '^\[autonomic\] .*bursting to cloud' || \
+				{ echo "examples-stable: dynamic_scaling never printed its [autonomic] burst line"; exit 1; };; \
+		esac; \
+	done
+
+ci: build vet seed-audit doc-audit test fuzz-smoke race exhibit-stable examples-stable bench-compare

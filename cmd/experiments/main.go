@@ -4,14 +4,11 @@
 //
 // Usage:
 //
-//	experiments [-run name] [-clock virtual|scaled|real] [-scale factor] [-list]
+//	experiments [-run name] [-csv dir] [-list]
 //
-// With no -run flag every experiment executes in order. -clock selects the
-// time substrate (default "virtual": the conservative virtual-time
-// executor — zero wall time per modeled sleep, bit-reproducible from the
-// seed). -clock=scaled replays modeled time in compressed wall time for
-// live demos, with -scale setting the compression (default 1000: one
-// modeled second per wall millisecond); -clock=real runs uncompressed.
+// With no -run flag every experiment executes in order. Everything runs on
+// the virtual-time executor: zero wall time per modeled sleep,
+// bit-reproducible from the seed.
 package main
 
 import (
@@ -30,58 +27,49 @@ import (
 type experiment struct {
 	name string
 	desc string
-	run  func(scale float64) (*metrics.Table, []string, error)
+	run  func() (*metrics.Table, []string, error)
 }
 
-func table(f func(float64) (*metrics.Table, error)) func(float64) (*metrics.Table, []string, error) {
-	return func(s float64) (*metrics.Table, []string, error) {
-		t, err := f(s)
+func table(f func() (*metrics.Table, error)) func() (*metrics.Table, []string, error) {
+	return func() (*metrics.Table, []string, error) {
+		t, err := f()
 		return t, nil, err
 	}
 }
 
 func main() {
 	runName := flag.String("run", "", "run only the named experiment (see -list)")
-	clockMode := flag.String("clock", "virtual", "clock mode: virtual (zero-wall-time, deterministic), scaled or real")
-	scale := flag.Float64("scale", experiments.DefaultScale, "virtual time compression factor (scaled clock only)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	flag.Parse()
 
-	mode, err := experiments.ParseClockMode(*clockMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	experiments.DefaultClockMode = mode
-
 	all := []experiment{
 		{"table1", "Table I — five application scenarios on one abstraction (E1)", table(experiments.Table1)},
-		{"overhead", "Table II — pilot startup & task overhead per backend (E2)", table(func(s float64) (*metrics.Table, error) {
-			return experiments.PilotOverhead(s, 128)
+		{"overhead", "Table II — pilot startup & task overhead per backend (E2)", table(func() (*metrics.Table, error) {
+			return experiments.PilotOverhead(128)
 		})},
 		{"rex", "Table II — replica-exchange strong scaling + analytical model (E3)", table(experiments.RexScaling)},
 		{"pilotdata", "Table II — Pilot-Data data-aware vs data-oblivious (E4)", table(experiments.PilotData)},
 		{"mapreduce", "Table II — Pilot-Hadoop wordcount strong scaling (E5)", table(experiments.MapReduceScaling)},
 		{"memory", "Table II — Pilot-Memory vs Pilot-Data for iterative K-Means (E6)", table(experiments.PilotMemory)},
-		{"streaming", "Table II — Pilot-Streaming throughput & latency (E7)", table(func(s float64) (*metrics.Table, error) {
-			return experiments.Streaming(s, 1500)
+		{"streaming", "Table II — Pilot-Streaming throughput & latency (E7)", table(func() (*metrics.Table, error) {
+			return experiments.Streaming(1500)
 		})},
-		{"serverless", "Table II — cluster vs serverless stream processing (E7b)", table(func(s float64) (*metrics.Table, error) {
-			return experiments.ServerlessStreaming(s, 1000)
+		{"serverless", "Table II — cluster vs serverless stream processing (E7b)", table(func() (*metrics.Table, error) {
+			return experiments.ServerlessStreaming(1000)
 		})},
-		{"model", "Table II — statistical throughput model, fit + holdout (E8)", func(s float64) (*metrics.Table, []string, error) {
-			return experiments.ThroughputModel(s, 800)
+		{"model", "Table II — statistical throughput model, fit + holdout (E8)", func() (*metrics.Table, []string, error) {
+			return experiments.ThroughputModel(800)
 		}},
 		{"latebinding", "E9 — direct submission vs pilot under queue waits", table(experiments.LateBinding)},
 		{"dynamic", "E9b — runtime cloud bursting (R3 dynamism)", table(experiments.DynamicScaling)},
-		{"fig5", "Fig. 5 — automated build-assess-refine loop", func(s float64) (*metrics.Table, []string, error) {
-			return experiments.Fig5Loop(s, 600)
+		{"fig5", "Fig. 5 — automated build-assess-refine loop", func() (*metrics.Table, []string, error) {
+			return experiments.Fig5Loop(600)
 		}},
 		{"ablation", "E11 — algorithm optimization vs scale-out (Hausdorff)", table(experiments.AblationAlgorithm)},
 		{"enkf", "E12 — adaptive EnKF ensemble (runtime task creation)", table(experiments.EnKFAdaptive)},
-		{"million", "E13 — million-message streaming data plane (consumer group, backpressure)", table(func(s float64) (*metrics.Table, error) {
-			return experiments.MillionMessages(s, 1_000_000)
+		{"million", "E13 — million-message streaming data plane (consumer group, backpressure)", table(func() (*metrics.Table, error) {
+			return experiments.MillionMessages(1_000_000)
 		})},
 	}
 
@@ -113,7 +101,7 @@ func main() {
 		}
 		fmt.Printf("### %s: %s\n", e.name, e.desc)
 		start := time.Now()
-		tbl, notes, err := e.run(*scale)
+		tbl, notes, err := e.run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.name, err)
 			failures++

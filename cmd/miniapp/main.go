@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	miniapp [-kind stream|tasks] [-reps N] [-scale F] [-csv out.csv]
+//	miniapp [-kind stream|tasks] [-reps N] [-csv out.csv]
 //
 // kind=stream sweeps broker partitions × handler cost and records
 // throughput/latency; kind=tasks sweeps pilot cores × task count and
@@ -28,17 +28,8 @@ import (
 func main() {
 	kind := flag.String("kind", "stream", "sweep kind: stream or tasks")
 	reps := flag.Int("reps", 1, "repetitions per configuration")
-	clockMode := flag.String("clock", "virtual", "clock mode: virtual (zero-wall-time, deterministic), scaled or real")
-	scale := flag.Float64("scale", experiments.DefaultScale, "virtual time compression factor (scaled clock only)")
 	csvPath := flag.String("csv", "", "write CSV to this file (default stdout table only)")
 	flag.Parse()
-
-	mode, err := experiments.ParseClockMode(*clockMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	experiments.DefaultClockMode = mode
 
 	var runner miniapp.Runner
 	switch *kind {
@@ -51,7 +42,7 @@ func main() {
 				{Name: "handler_ms", Levels: []float64{5, 10, 20}},
 			}},
 			Run: func(ctx context.Context, cfg map[string]float64, _ int) (map[string]float64, error) {
-				tb := experiments.NewTestbed(experiments.TestbedConfig{Scale: *scale, QueueWaitMean: 5, Seed: 31})
+				tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: 5, Seed: 31})
 				defer tb.Close()
 				parts := int(cfg["partitions"])
 				tput, lat, err := experiments.StreamTrial(tb, parts, parts, 600,
@@ -75,7 +66,7 @@ func main() {
 				{Name: "tasks", Levels: []float64{32, 128}},
 			}},
 			Run: func(ctx context.Context, cfg map[string]float64, rep int) (map[string]float64, error) {
-				tb := experiments.NewTestbed(experiments.TestbedConfig{Scale: *scale, QueueWaitMean: 10, Seed: 32})
+				tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: 10, Seed: 32})
 				defer tb.Close()
 				mgr := tb.NewManager(nil)
 				if _, err := mgr.SubmitPilot(core.PilotDescription{

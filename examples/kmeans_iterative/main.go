@@ -30,7 +30,7 @@ func main() {
 		"mode", "iterations", "iter1", "later_mean", "total", "inertia")
 
 	for _, mode := range []kmeans.Mode{kmeans.ModeData, kmeans.ModeMemory} {
-		tb := experiments.NewTestbed(experiments.TestbedConfig{Mode: experiments.ClockScaled, Scale: 1000, QueueWaitMean: 10, Seed: 8})
+		tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: 10, Seed: 8})
 		mgr := tb.NewManager(nil)
 		if _, err := mgr.SubmitPilot(core.PilotDescription{
 			Name: "kmeans", Resource: "local://localhost", Cores: 8, Walltime: 6 * time.Hour,

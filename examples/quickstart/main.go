@@ -23,8 +23,11 @@ import (
 )
 
 func main() {
-	// One modeled second costs one wall millisecond.
-	clock := vclock.NewScaled(1000)
+	// The virtual clock: modeled sleeps cost no wall time. main drives the
+	// simulation, so it joins the executor as a participant.
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
 
 	// One root seed; every component below gets a named sub-stream.
 	root := dist.NewStream(1)

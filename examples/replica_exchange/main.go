@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	tb := experiments.NewTestbed(experiments.TestbedConfig{Mode: experiments.ClockScaled, Scale: 1000, QueueWaitMean: 60, Seed: 7})
+	tb := experiments.NewTestbed(experiments.TestbedConfig{QueueWaitMean: 60, Seed: 7})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 

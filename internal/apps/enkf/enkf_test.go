@@ -8,12 +8,12 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/dist"
 	"gopilot/internal/saga"
-	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 func newMgr(t *testing.T, cores int) *core.Manager {
 	t.Helper()
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", cores, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})

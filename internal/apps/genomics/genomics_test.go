@@ -11,7 +11,7 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/data"
 	"gopilot/internal/saga"
-	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 func TestGenerateReference(t *testing.T) {
@@ -108,7 +108,7 @@ func TestChunk(t *testing.T) {
 }
 
 func TestDistributedAlignment(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 8, clock))
 	ds := data.NewService(data.Config{Clock: clock})
@@ -143,7 +143,7 @@ func TestDistributedAlignment(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 2, clock))
 	mgrNoData := core.NewManager(core.Config{Registry: reg, Clock: clock})

@@ -165,7 +165,7 @@ func TestFirstDivergence(t *testing.T) {
 }
 
 func TestCheckerStreamingInvariants(t *testing.T) {
-	clk := vclock.NewManual(vclock.Epoch)
+	clk := vclock.NewVirtual(vclock.Epoch)
 	c := NewChecker(clk)
 	c.Handled(0, 0)
 	c.Handled(0, 1)

@@ -134,7 +134,7 @@ func (e *Engine) record(f Fault, now time.Duration, hit bool, format string, arg
 	e.mu.Unlock()
 	// Marks land in the schedule recorder, so a recorded trace shows the
 	// exact decision at which each fault entered the timeline.
-	vclock.Mark(e.t.Clock, "chaos "+f.Kind.String()+" "+a.Note, uint64(f.Ordinal))
+	e.t.Clock.Mark("chaos "+f.Kind.String()+" "+a.Note, uint64(f.Ordinal))
 }
 
 // timeline expands the plan into sorted events. Recovery closures are

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,13 +12,12 @@ import (
 	"gopilot/internal/infra/hpc"
 	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
-
-func fastClock() *vclock.Scaled { return vclock.NewScaled(2000) }
 
 // testEnv builds a manager over a local service and an HPC simulator.
 type testEnv struct {
-	clock   *vclock.Scaled
+	clock   *vclock.Virtual
 	reg     *saga.Registry
 	cluster *hpc.Cluster
 	mgr     *Manager
@@ -27,7 +25,7 @@ type testEnv struct {
 
 func newEnv(t *testing.T, cfg Config, hpcCfg hpc.Config) *testEnv {
 	t.Helper()
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 64, clock))
 	hpcCfg.Clock = clock
@@ -128,32 +126,33 @@ func TestWaitAllHonorsContext(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{})
 	// No pilot: the unit can never run.
 	env.mgr.SubmitUnit(quickUnit("stuck", time.Second))
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := env.mgr.WaitAll(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	env.clock.Go(func() {
+		env.clock.Sleep(context.Background(), time.Minute)
+		cancel()
+	})
+	if err := env.mgr.WaitAll(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if waited := env.clock.Since(vclock.Epoch); waited != time.Minute {
+		t.Fatalf("WaitAll returned after %v, want at the cancel instant (1m)", waited)
 	}
 }
 
 func TestSlotAccountingNeverOversubscribes(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{})
 	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 4})
-	var mu sync.Mutex
-	running, peak := 0, 0
+	running, peak := 0, 0 // touched on the executor's token only
 	for i := 0; i < 32; i++ {
 		env.mgr.SubmitUnit(UnitDescription{
 			Cores: 2,
 			Run: func(ctx context.Context, tc TaskContext) error {
-				mu.Lock()
 				running += tc.Cores
 				if running > peak {
 					peak = running
 				}
-				mu.Unlock()
 				tc.Sleep(ctx, 200*time.Millisecond)
-				mu.Lock()
 				running -= tc.Cores
-				mu.Unlock()
 				return nil
 			},
 		})
@@ -163,8 +162,8 @@ func TestSlotAccountingNeverOversubscribes(t *testing.T) {
 	if err := env.mgr.WaitAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if peak > 4 {
-		t.Fatalf("peak cores in use = %d, exceeds pilot capacity 4", peak)
+	if peak != 4 {
+		t.Fatalf("peak cores in use = %d, want exactly the pilot capacity 4", peak)
 	}
 }
 
@@ -172,7 +171,7 @@ func TestUnitTooLargeForAnyPilotStaysPending(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{})
 	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 2})
 	u, _ := env.mgr.SubmitUnit(UnitDescription{Cores: 8, Run: func(ctx context.Context, tc TaskContext) error { return nil }})
-	time.Sleep(50 * time.Millisecond)
+	env.clock.Sleep(context.Background(), time.Hour)
 	if s := u.State(); s != UnitPending {
 		t.Fatalf("state = %v, want Pending (no pilot large enough)", s)
 	}
@@ -205,13 +204,13 @@ func TestCancelPendingUnit(t *testing.T) {
 func TestCancelRunningUnit(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{})
 	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 2})
-	started := make(chan struct{})
+	started := vclock.NewEvent(env.clock)
 	u, _ := env.mgr.SubmitUnit(UnitDescription{Run: func(ctx context.Context, tc TaskContext) error {
-		close(started)
-		<-ctx.Done()
+		started.Fire()
+		tc.Sleep(ctx, time.Hour)
 		return ctx.Err()
 	}})
-	<-started
+	started.Wait(context.Background())
 	env.mgr.CancelUnit(u)
 	state, _ := u.Wait(context.Background())
 	if state != UnitCanceled {
@@ -224,14 +223,14 @@ func TestPilotWalltimeRequeuesUnits(t *testing.T) {
 	// Short-walltime pilot dies mid-unit; a second healthy pilot picks the
 	// unit up again (MaxRetries=2).
 	env.mgr.SubmitPilot(PilotDescription{Resource: "hpc://hpcA", Cores: 4, Walltime: 5 * time.Second})
-	started := make(chan struct{})
-	var attempts atomic.Int32
+	started := vclock.NewEvent(env.clock)
+	attempts := 0
 	u, _ := env.mgr.SubmitUnit(UnitDescription{
 		MaxRetries: 2,
 		Run: func(ctx context.Context, tc TaskContext) error {
-			n := attempts.Add(1)
-			if n == 1 {
-				close(started)
+			attempts++
+			if attempts == 1 {
+				started.Fire()
 				// First attempt outlives the pilot walltime.
 				tc.Sleep(ctx, time.Hour)
 				return ctx.Err()
@@ -242,12 +241,8 @@ func TestPilotWalltimeRequeuesUnits(t *testing.T) {
 	// The healthy pilot must not exist until the first attempt is running
 	// on the doomed one — otherwise the scheduler can start the unit
 	// directly on it, no walltime kill happens, and the unit completes in
-	// one attempt (seen under -race load).
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Skip("first attempt never started inside the short walltime (overloaded host)")
-	}
+	// one attempt.
+	started.Wait(context.Background())
 	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -255,8 +250,8 @@ func TestPilotWalltimeRequeuesUnits(t *testing.T) {
 	if state != UnitDone {
 		t.Fatalf("state=%v err=%v, want Done after retry", state, err)
 	}
-	if got := attempts.Load(); got < 2 {
-		t.Fatalf("attempts = %d, want >= 2", got)
+	if attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", attempts)
 	}
 }
 
@@ -300,8 +295,8 @@ func TestPilotStartupTimeMeasured(t *testing.T) {
 	p, _ := env.mgr.SubmitPilot(PilotDescription{Resource: "hpc://hpcA", Cores: 4, Walltime: time.Hour})
 	u, _ := env.mgr.SubmitUnit(quickUnit("x", 0))
 	u.Wait(context.Background())
-	if st := p.StartupTime(); st < 8*time.Second {
-		t.Errorf("startup = %v, want ≈10s (queue wait)", st)
+	if st := p.StartupTime(); st != 10*time.Second {
+		t.Errorf("startup = %v, want the 10s queue wait", st)
 	}
 }
 
@@ -397,8 +392,8 @@ func TestUnitMetricsSummaries(t *testing.T) {
 	if w.N != 8 || r.N != 8 || tt.N != 8 {
 		t.Fatalf("sample sizes = %d/%d/%d, want 8", w.N, r.N, tt.N)
 	}
-	if r.Mean < 0.5 {
-		t.Errorf("mean runtime = %gs, want ≈1s", r.Mean)
+	if r.Mean != 1 {
+		t.Errorf("mean runtime = %gs, want 1s", r.Mean)
 	}
 	if tt.Mean < r.Mean {
 		t.Errorf("turnaround %g < runtime %g", tt.Mean, r.Mean)

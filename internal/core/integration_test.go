@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 	"gopilot/internal/dist"
 	"gopilot/internal/infra/htc"
 	"gopilot/internal/saga"
-	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 // These tests inject infrastructure failures under the pilot layer and
@@ -19,7 +18,7 @@ import (
 // robustness the paper's §VI lessons demand.
 
 func TestPilotOnEvictingHTCPoolFailsButUnitsRetryElsewhere(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	// An HTC pool that always evicts mid-run and has no retry budget: any
 	// pilot placed there will be lost while units are executing.
@@ -42,12 +41,12 @@ func TestPilotOnEvictingHTCPoolFailsButUnitsRetryElsewhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var attempts atomic.Int32
+	attempts := 0
 	u, err := mgr.SubmitUnit(core.UnitDescription{
 		Name:       "survivor",
 		MaxRetries: 3,
 		Run: func(ctx context.Context, tc core.TaskContext) error {
-			attempts.Add(1)
+			attempts++
 			if tc.Site == "flaky" {
 				// On the doomed pilot: run until the eviction kills us.
 				tc.Sleep(ctx, time.Hour)
@@ -69,7 +68,7 @@ func TestPilotOnEvictingHTCPoolFailsButUnitsRetryElsewhere(t *testing.T) {
 	defer cancel()
 	state, err := u.Wait(ctx)
 	if state != core.UnitDone {
-		t.Fatalf("unit state=%v err=%v attempts=%d", state, err, attempts.Load())
+		t.Fatalf("unit state=%v err=%v attempts=%d", state, err, attempts)
 	}
 	if u.Pilot().Site() != "safe" {
 		t.Fatalf("unit finished at %q, want the safe site", u.Pilot().Site())
@@ -81,7 +80,7 @@ func TestPilotOnEvictingHTCPoolFailsButUnitsRetryElsewhere(t *testing.T) {
 }
 
 func TestTwoManagersShareOneBackend(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("shared", 64, clock))
 
@@ -114,7 +113,7 @@ func TestTwoManagersShareOneBackend(t *testing.T) {
 }
 
 func TestUnitWithInputDataButNoDataServiceRuns(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 4, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock}) // no Data
@@ -135,7 +134,7 @@ func TestUnitWithInputDataButNoDataServiceRuns(t *testing.T) {
 }
 
 func TestStageInFailureFailsUnit(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 4, clock))
 	ds := data.NewService(data.Config{Clock: clock})
@@ -155,7 +154,7 @@ func TestStageInFailureFailsUnit(t *testing.T) {
 }
 
 func TestCancelDuringStaging(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteX", 4, clock))
 	// Glacial WAN so staging takes long enough to cancel into.
@@ -166,21 +165,13 @@ func TestCancelDuringStaging(t *testing.T) {
 	defer mgr.Close()
 	mgr.SubmitPilot(core.PilotDescription{Resource: "local://siteX", Cores: 2})
 
-	staging := make(chan struct{}, 1)
 	u, _ := mgr.SubmitUnit(core.UnitDescription{
 		InputData: []string{"big"},
 		Run:       func(context.Context, core.TaskContext) error { return nil },
 	})
-	go func() {
-		for u.State() != core.UnitStaging {
-			time.Sleep(time.Millisecond)
-		}
-		staging <- struct{}{}
-	}()
-	select {
-	case <-staging:
-	case <-time.After(5 * time.Second):
-		t.Fatal("unit never entered Staging")
+	clock.Sleep(context.Background(), time.Minute) // 1 GB at 1 kB/s: staging lasts ~11 days
+	if s := u.State(); s != core.UnitStaging {
+		t.Fatalf("state = %v a minute in, want Staging", s)
 	}
 	mgr.CancelUnit(u)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -192,19 +183,19 @@ func TestCancelDuringStaging(t *testing.T) {
 }
 
 func TestManyUnitsManyRetriesDrainDeterministically(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 16, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})
 	defer mgr.Close()
 	mgr.SubmitPilot(core.PilotDescription{Resource: "local://lh", Cores: 8})
-	var flaky atomic.Int32
+	calls := 0
 	for i := 0; i < 40; i++ {
 		mgr.SubmitUnit(core.UnitDescription{
 			MaxRetries: 2,
 			Run: func(ctx context.Context, tc core.TaskContext) error {
 				// Deterministic single transient failure for every 4th call.
-				if flaky.Add(1)%4 == 0 {
+				if calls++; calls%4 == 0 {
 					return context.DeadlineExceeded
 				}
 				return nil
@@ -227,10 +218,7 @@ func TestManyUnitsManyRetriesDrainDeterministically(t *testing.T) {
 	}
 	// Task-body errors are not retried (only pilot loss is): exactly the
 	// failures injected above fail, everything else completes.
-	if done+failed != 40 {
-		t.Fatalf("done=%d failed=%d, want 40 total", done, failed)
-	}
-	if failed == 0 || done == 0 {
-		t.Fatalf("degenerate outcome: done=%d failed=%d", done, failed)
+	if done != 30 || failed != 10 {
+		t.Fatalf("done=%d failed=%d, want 30 and 10", done, failed)
 	}
 }

@@ -45,7 +45,7 @@ func (firstFit) SelectPilot(cu *ComputeUnit, candidates []*Pilot, _ DataService)
 type Config struct {
 	// Registry resolves pilot resource URLs to saga services.
 	Registry *saga.Registry
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
 	// Scheduler is the late-binding policy; defaults to first-fit FIFO.
 	Scheduler Scheduler
@@ -123,7 +123,7 @@ func NewManager(cfg Config) *Manager {
 		cfg.Registry = saga.NewRegistry()
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
+		cfg.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = firstFit{}
@@ -168,10 +168,10 @@ func NewManager(cfg Config) *Manager {
 	m.idle.Fire() // no active units yet: idle
 	m.ctx, m.stop = context.WithCancel(context.Background())
 	m.wg.Add(1)
-	vclock.Go(cfg.Clock, m.dispatchLoop)
+	cfg.Clock.Go(m.dispatchLoop)
 	if cfg.ReconcileEvery > 0 {
 		m.wg.Add(1)
-		vclock.Go(cfg.Clock, m.reconcileLoop)
+		cfg.Clock.Go(m.reconcileLoop)
 	}
 	return m
 }
@@ -263,7 +263,7 @@ func (m *Manager) SubmitPilot(d PilotDescription) (*Pilot, error) {
 	p.mu.Unlock()
 	m.reconKick.Set()
 	m.wg.Add(1)
-	vclock.Go(m.cfg.Clock, func() {
+	m.cfg.Clock.Go(func() {
 		defer m.wg.Done()
 		job.Wait(context.Background())
 		m.pilotEnded(p, job)
@@ -524,7 +524,7 @@ func (e *plannerExec) Bind(u plan.UnitSpec, pilotID string) {
 	cu.pilot = p
 	cu.scheduled = e.now
 	cu.mu.Unlock()
-	vclock.Mark(m.cfg.Clock, "bind "+u.ID+" -> "+pilotID, u.Ordinal)
+	m.cfg.Clock.Mark("bind "+u.ID+" -> "+pilotID, u.Ordinal)
 	m.notify(cu, UnitScheduled)
 	p.pushWork(cu)
 }
@@ -545,7 +545,7 @@ func (m *Manager) wakeAtLocked(t time.Time) {
 		d = 0
 	}
 	m.wg.Add(1)
-	vclock.Go(m.cfg.Clock, func() {
+	m.cfg.Clock.Go(func() {
 		defer m.wg.Done()
 		if !m.cfg.Clock.Sleep(m.ctx, d) {
 			return
@@ -665,7 +665,7 @@ func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
 		Data:  m.cfg.Data,
 		Sleep: m.cfg.Clock.Sleep,
 		Compute: func(ctx context.Context, fn func()) bool {
-			return vclock.Compute(m.cfg.Clock, ctx, fn)
+			return m.cfg.Clock.Compute(ctx, fn)
 		},
 		Stream: cu.stream,
 	}

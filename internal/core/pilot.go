@@ -166,10 +166,6 @@ func (p *Pilot) UnitsCompleted() int {
 	return p.unitsDone
 }
 
-// Done returns a channel closed when the pilot reaches a terminal state.
-// Participants of a Virtual clock must use Wait instead.
-func (p *Pilot) Done() <-chan struct{} { return p.done.Done() }
-
 // Wait blocks until the pilot terminates or ctx is canceled.
 func (p *Pilot) Wait(ctx context.Context) (PilotState, error) {
 	if p.done.Wait(ctx) {
@@ -301,7 +297,7 @@ func (p *Pilot) agentRun(ctx context.Context, alloc infra.Allocation) error {
 			if cu := p.popWork(); cu != nil {
 				cu := cu
 				wg.Add(1)
-				vclock.Go(clock, func() {
+				clock.Go(func() {
 					defer wg.Done()
 					p.manager.executeUnit(ctx, p, cu)
 				})

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"gopilot/internal/infra"
 	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 // These tests pin the control plane's retry contract: MaxRetries bounds
@@ -60,7 +60,7 @@ func (s *deadService) Submit(d saga.Description) (saga.Job, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	vclock.Go(s.clock, func() {
+	s.clock.Go(func() {
 		_ = d.Payload(ctx, infra.Allocation{
 			ID: j.id, Site: s.Site(), Cores: d.TotalCores, Nodes: []string{"dead"}, Granted: now,
 		})
@@ -122,8 +122,6 @@ func (j *deadJob) Err() error {
 	return j.err
 }
 
-func (j *deadJob) Done() <-chan struct{} { return j.done.Done() }
-
 func (j *deadJob) Wait(ctx context.Context) (saga.JobState, error) {
 	if j.done.Wait(ctx) {
 		return j.State(), j.Err()
@@ -142,16 +140,15 @@ func (j *deadJob) EndTime() time.Time {
 	return j.ended
 }
 
-// waitUnitState polls (in real time, against a scaled clock) until the
-// unit reaches the wanted state.
-func waitUnitState(t *testing.T, u *core.ComputeUnit, want core.UnitState, timeout time.Duration) {
+// waitUnitState polls in modeled time until the unit reaches the wanted
+// state.
+func waitUnitState(t *testing.T, clock vclock.Clock, u *core.ComputeUnit, want core.UnitState, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	for deadline := clock.Now().Add(timeout); clock.Now().Before(deadline); {
 		if u.State() == want {
 			return
 		}
-		time.Sleep(time.Millisecond)
+		clock.Sleep(context.Background(), time.Millisecond)
 	}
 	t.Fatalf("unit %s stuck in %v, want %v", u.ID(), u.State(), want)
 }
@@ -162,7 +159,7 @@ func waitUnitState(t *testing.T, u *core.ComputeUnit, want core.UnitState, timeo
 // stranding instead of being requeued forever. (Before the planner,
 // pre-start requeues were free: this test never terminated.)
 func TestPreStartStrandsChargeRetryBudget(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	svc := &deadService{clock: clock}
 	reg.Register(svc)
@@ -172,11 +169,11 @@ func TestPreStartStrandsChargeRetryBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	var runs atomic.Int32
+	runs := 0
 	u, err := mgr.SubmitUnit(core.UnitDescription{
 		Name: "victim", MaxRetries: 1,
 		Run: func(context.Context, core.TaskContext) error {
-			runs.Add(1)
+			runs++
 			return nil
 		},
 	})
@@ -195,7 +192,7 @@ func TestPreStartStrandsChargeRetryBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The unit binds to the (already dead) pilot…
-		waitUnitState(t, u, core.UnitScheduled, 10*time.Second)
+		waitUnitState(t, clock, u, core.UnitScheduled, 10*time.Second)
 		// …and is stranded when the placeholder job fails.
 		svc.failPilot(round)
 		if s, _ := p.Wait(ctx); s != core.PilotFailed {
@@ -210,8 +207,8 @@ func TestPreStartStrandsChargeRetryBudget(t *testing.T) {
 	if got := u.Attempts(); got != 0 {
 		t.Errorf("unit reports %d execution attempts, want 0 (never picked up)", got)
 	}
-	if got := runs.Load(); got != 0 {
-		t.Errorf("unit body ran %d times on dead pilots, want 0", got)
+	if runs != 0 {
+		t.Errorf("unit body ran %d times on dead pilots, want 0", runs)
 	}
 }
 
@@ -229,7 +226,7 @@ func TestMaxRetriesBoundsTotalAttempts(t *testing.T) {
 		{"two-retries-three-attempts", 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := vclock.NewScaled(4000)
+			clock := vclocktest.Adopted(t)
 			reg := saga.NewRegistry()
 			reg.Register(saga.NewLocalService("box", 8, clock))
 			mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Stream: dist.NewStream(11)})
@@ -237,11 +234,11 @@ func TestMaxRetriesBoundsTotalAttempts(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 
-			var runs atomic.Int32
+			runs := 0
 			u, err := mgr.SubmitUnit(core.UnitDescription{
 				Name: "hog", Cores: 4, MaxRetries: tc.maxRetries,
 				Run: func(ctx context.Context, tcx core.TaskContext) error {
-					runs.Add(1)
+					runs++
 					tcx.Sleep(ctx, time.Hour)
 					return ctx.Err()
 				},
@@ -271,8 +268,8 @@ func TestMaxRetriesBoundsTotalAttempts(t *testing.T) {
 			if got := u.Attempts(); got != tc.wantAttempts {
 				t.Errorf("Attempts() = %d, want exactly %d", got, tc.wantAttempts)
 			}
-			if got := int(runs.Load()); got != tc.wantAttempts {
-				t.Errorf("unit body ran %d times, want exactly %d", got, tc.wantAttempts)
+			if runs != tc.wantAttempts {
+				t.Errorf("unit body ran %d times, want exactly %d", runs, tc.wantAttempts)
 			}
 		})
 	}

@@ -80,11 +80,11 @@ type TaskContext struct {
 	// use it to model compute phases without binding to wall time.
 	Sleep func(ctx context.Context, d time.Duration) bool
 	// Compute runs a side-effect-free CPU closure as a parallel compute
-	// phase: on the virtual clock the task releases the executor's
-	// single-runner token, fn executes with real parallelism alongside
-	// other tasks' compute phases, and the task re-enters the schedule at
-	// the same virtual instant — so results stay bit-reproducible while
-	// multi-core hardware is actually used. fn must not read the clock,
+	// phase: the task releases the executor's single-runner token, fn
+	// executes with real parallelism alongside other tasks' compute
+	// phases, and the task re-enters the schedule at the same virtual
+	// instant — so results stay bit-reproducible while multi-core
+	// hardware is actually used. fn must not read the clock,
 	// sleep, draw from streams, touch the data service, or mutate shared
 	// state (see DESIGN.md "Parallel compute phase"). Returns false,
 	// without running fn, if ctx is already canceled.
@@ -188,10 +188,6 @@ func (u *ComputeUnit) Attempts() int {
 	defer u.mu.Unlock()
 	return u.attempts
 }
-
-// Done returns a channel closed when the unit reaches a terminal state.
-// Participants of a Virtual clock must use Wait instead.
-func (u *ComputeUnit) Done() <-chan struct{} { return u.done.Done() }
 
 // Wait blocks until the unit terminates or ctx is canceled.
 func (u *ComputeUnit) Wait(ctx context.Context) (UnitState, error) {

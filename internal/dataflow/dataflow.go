@@ -189,7 +189,7 @@ func (g *Graph) Run(ctx context.Context, mgr *core.Manager) (map[string]StageRes
 	for _, name := range order {
 		s := stages[name]
 		wg.Add(1)
-		vclock.Go(clock, func() {
+		clock.Go(func() {
 			defer wg.Done()
 			// Wait for dependencies.
 			for _, d := range s.Deps {

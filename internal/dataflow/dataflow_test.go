@@ -11,11 +11,14 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
-func newMgr(t *testing.T) *core.Manager {
+// newMgr builds a manager with one running 16-core pilot on a virtual
+// clock, the calling test goroutine adopted as the driver participant.
+func newMgr(t *testing.T) (*core.Manager, *vclock.Virtual) {
 	t.Helper()
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 32, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})
@@ -24,14 +27,10 @@ func newMgr(t *testing.T) *core.Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.State() != core.PilotRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("pilot never started")
-		}
-		time.Sleep(time.Millisecond)
+	if err := p.WaitRunning(context.Background()); err != nil {
+		t.Fatalf("pilot never started: %v", err)
 	}
-	return mgr
+	return mgr, clock
 }
 
 func noopStage(name string, deps []string, par int, record func(string)) Stage {
@@ -47,7 +46,7 @@ func noopStage(name string, deps []string, par int, record func(string)) Stage {
 }
 
 func TestLinearPipelineOrder(t *testing.T) {
-	mgr := newMgr(t)
+	mgr, _ := newMgr(t)
 	g := New()
 	var mu sync.Mutex
 	var order []string
@@ -71,7 +70,7 @@ func TestLinearPipelineOrder(t *testing.T) {
 }
 
 func TestDiamondDependenciesRespected(t *testing.T) {
-	mgr := newMgr(t)
+	mgr, _ := newMgr(t)
 	g := New()
 	var mu sync.Mutex
 	pos := map[string]int{}
@@ -100,7 +99,7 @@ func TestDiamondDependenciesRespected(t *testing.T) {
 }
 
 func TestIndependentStagesOverlap(t *testing.T) {
-	mgr := newMgr(t)
+	mgr, _ := newMgr(t)
 	g := New()
 	var mu sync.Mutex
 	active, peak := 0, 0
@@ -130,7 +129,7 @@ func TestIndependentStagesOverlap(t *testing.T) {
 }
 
 func TestParallelismFanOut(t *testing.T) {
-	mgr := newMgr(t)
+	mgr, _ := newMgr(t)
 	g := New()
 	var count sync.Map
 	g.MustAdd(Stage{Name: "fan", Parallelism: 8, Run: func(_ context.Context, _ core.TaskContext, idx int) error {
@@ -187,7 +186,7 @@ func TestStageValidation(t *testing.T) {
 }
 
 func TestFailingStageAbortsDownstream(t *testing.T) {
-	mgr := newMgr(t)
+	mgr, _ := newMgr(t)
 	g := New()
 	boom := errors.New("boom")
 	downstreamRan := false
@@ -206,7 +205,7 @@ func TestFailingStageAbortsDownstream(t *testing.T) {
 }
 
 func TestStageResultTiming(t *testing.T) {
-	mgr := newMgr(t)
+	mgr, _ := newMgr(t)
 	g := New()
 	g.MustAdd(Stage{Name: "s", Parallelism: 2, Run: func(ctx context.Context, tc core.TaskContext, _ int) error {
 		tc.Sleep(ctx, time.Second)
@@ -216,30 +215,9 @@ func TestStageResultTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res["s"].Elapsed() < 500*time.Millisecond {
-		t.Fatalf("elapsed = %v, want ≈1s modeled", res["s"].Elapsed())
+	if res["s"].Elapsed() != time.Second {
+		t.Fatalf("elapsed = %v, want 1s modeled", res["s"].Elapsed())
 	}
-}
-
-// newVirtualMgr builds a manager on a Virtual clock with the calling test
-// goroutine adopted as the driver participant.
-func newVirtualMgr(t *testing.T) (*core.Manager, *vclock.Virtual) {
-	t.Helper()
-	clock := vclock.NewVirtual(vclock.Epoch)
-	clock.Adopt()
-	t.Cleanup(clock.Leave)
-	reg := saga.NewRegistry()
-	reg.Register(saga.NewLocalService("lh", 32, clock))
-	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})
-	t.Cleanup(mgr.Close)
-	p, err := mgr.SubmitPilot(core.PilotDescription{Resource: "local://lh", Cores: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WaitRunning(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	return mgr, clock
 }
 
 // TestPureStageRunsOffToken pins the Stage.Pure contract on the virtual
@@ -248,7 +226,7 @@ func newVirtualMgr(t *testing.T) (*core.Manager, *vclock.Virtual) {
 // timing are deterministic, and modeled time does not advance across a
 // stage that only computes.
 func TestPureStageRunsOffToken(t *testing.T) {
-	mgr, clock := newVirtualMgr(t)
+	mgr, clock := newMgr(t)
 	start := clock.Now()
 	g := New()
 	results := make([]uint64, 8)
@@ -281,7 +259,7 @@ func TestPureStageRunsOffToken(t *testing.T) {
 // TestPureStageErrorPropagates checks that a failing pure kernel still
 // aborts the graph with its own error.
 func TestPureStageErrorPropagates(t *testing.T) {
-	mgr, _ := newVirtualMgr(t)
+	mgr, _ := newMgr(t)
 	g := New()
 	boom := errors.New("kernel exploded")
 	g.MustAdd(Stage{Name: "bad", Pure: true,

@@ -10,19 +10,9 @@ import (
 	"gopilot/internal/chaos"
 )
 
-// requireVirtual skips chaos tests on non-virtual clocks: fault instants
-// and schedule recording are only meaningful there.
-func requireVirtual(t *testing.T) {
-	t.Helper()
-	if DefaultClockMode != ClockVirtual {
-		t.Skip("chaos scenario requires the virtual clock")
-	}
-}
-
 // A zero-fault run must hold every invariant — the suite's false-positive
 // floor.
 func TestChaosZeroFaultsClean(t *testing.T) {
-	requireVirtual(t)
 	r, err := Chaos(ChaosOptions{Seed: 42, ZeroFaults: true, Messages: 400, Units: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +37,6 @@ func TestChaosZeroFaultsClean(t *testing.T) {
 // The default fault mix must be survivable: faults fire, the invariants
 // hold anyway.
 func TestChaosDefaultFaultsInvariantsHold(t *testing.T) {
-	requireVirtual(t)
 	r, err := Chaos(ChaosOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +65,6 @@ func TestChaosDefaultFaultsInvariantsHold(t *testing.T) {
 // deposed log applied it and fired OnCommit below the coordinator's
 // mark. Broker.Commit now re-checks closed after the skew sleep.
 func TestChaosSkewedCommitOnDeadLeader(t *testing.T) {
-	requireVirtual(t)
 	for _, seed := range []int64{72, 97, 105, 112, 143, 185} {
 		r, err := Chaos(ChaosOptions{Seed: seed})
 		if err != nil {
@@ -92,7 +80,6 @@ func TestChaosSkewedCommitOnDeadLeader(t *testing.T) {
 // terminal state and decision trace are bit-identical across 5 runs at
 // GOMAXPROCS=4 (run under -race in CI).
 func TestChaosSameSeedBitIdentical(t *testing.T) {
-	requireVirtual(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var base *ChaosReport
 	for run := 0; run < 5; run++ {
@@ -134,7 +121,6 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 // shard-loss fault — the handoff decision — with the passing and
 // failing schedules diverging at an identifiable point.
 func TestChaosCatchesStaleHandoffBug(t *testing.T) {
-	requireVirtual(t)
 	shardy := chaos.Config{
 		Horizon: 3 * time.Minute,
 		Counts: map[chaos.Kind]int{
@@ -232,7 +218,6 @@ func TestChaosCatchesStaleHandoffBug(t *testing.T) {
 // report its defect's signature; the clean side, running concurrently on
 // the same seeds, must not report anything.
 func TestChaosPlantedAndCleanRunsShareAProcess(t *testing.T) {
-	requireVirtual(t)
 	scenarios := []struct {
 		name string
 		opts ChaosOptions
@@ -292,7 +277,6 @@ func TestChaosPlantedAndCleanRunsShareAProcess(t *testing.T) {
 // (c) bisect to a minimal failing fault prefix whose recorded schedule
 // pinpoints the first divergent decision against the passing prefix.
 func TestChaosCatchesBarrierCarryBug(t *testing.T) {
-	requireVirtual(t)
 	churny := chaos.Config{
 		Horizon: 3 * time.Minute,
 		Counts:  map[chaos.Kind]int{chaos.WorkerChurn: 6},

@@ -18,7 +18,7 @@ import (
 // wordcount runtime and strong scaling on pilot-managed YARN containers.
 // Shape: near-linear speedup while map tasks outnumber cores, flattening
 // at the task-count ceiling.
-func MapReduceScaling(scale float64) (*metrics.Table, error) {
+func MapReduceScaling() (*metrics.Table, error) {
 	const splits = 16
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -29,7 +29,7 @@ func MapReduceScaling(scale float64) (*metrics.Table, error) {
 
 	var base time.Duration
 	for _, cores := range []int{2, 4, 8, 16} {
-		tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 5})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 5})
 		mgr := tb.NewManager(nil)
 		if _, err := mgr.SubmitPilot(core.PilotDescription{
 			Name: "mr", Resource: "yarn://yarn", Cores: cores, Walltime: 2 * time.Hour,
@@ -76,7 +76,7 @@ func MapReduceScaling(scale float64) (*metrics.Table, error) {
 // versus cached in Pilot-Memory. Shape: iteration 1 is comparable (cold
 // cache pays the same read); later iterations collapse to compute time in
 // memory mode, and the advantage grows with data size.
-func PilotMemory(scale float64) (*metrics.Table, error) {
+func PilotMemory() (*metrics.Table, error) {
 	const (
 		points     = 4000
 		partitions = 8
@@ -92,7 +92,7 @@ func PilotMemory(scale float64) (*metrics.Table, error) {
 	for _, bytesPerPoint := range []int64{1 << 16, 1 << 18} {
 		var diskLater float64
 		for _, mode := range []kmeans.Mode{kmeans.ModeData, kmeans.ModeMemory} {
-			tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 7})
+			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 7})
 			mgr := tb.NewManager(nil)
 			if _, err := mgr.SubmitPilot(core.PilotDescription{
 				Name: "km", Resource: "local://localhost", Cores: partitions, Walltime: 2 * time.Hour,

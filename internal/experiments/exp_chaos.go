@@ -48,7 +48,7 @@ type ChaosOptions struct {
 	// (the bisection probe): 0 keeps the full plan, negative keeps none.
 	MaxFaults int
 	// Recorder configures schedule recording (defaults apply; recording
-	// is always on — the scenario forces the virtual clock).
+	// is always on).
 	Recorder vclock.RecorderConfig
 	// Messages is the number of produced stream messages (default 1500).
 	Messages int
@@ -107,9 +107,8 @@ type ChaosReport struct {
 // Ok reports whether every invariant held.
 func (r *ChaosReport) Ok() bool { return len(r.Violations) == 0 }
 
-// Chaos runs the chaos scenario. It forces the virtual clock: fault
-// injection at exact instants and schedule recording are only meaningful
-// there.
+// Chaos runs the chaos scenario: faults injected at exact modeled
+// instants, with the schedule recorded.
 func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 	if opts.Messages <= 0 {
 		opts.Messages = 1500
@@ -127,9 +126,9 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 		opts.Faults.Counts = map[chaos.Kind]int{}
 	}
 
-	tb := NewTestbed(TestbedConfig{Mode: ClockVirtual, QueueWaitMean: 5, Seed: opts.Seed})
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: opts.Seed})
 	defer tb.Close()
-	tb.Virtual.StartRecorder(opts.Recorder)
+	tb.Clock.StartRecorder(opts.Recorder)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -337,7 +336,7 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 	report.StateHash = chaosStateHash(report, mgrB, cluster, topic, parts)
 	// Snapshot the schedule at this fixed pre-teardown point so two runs
 	// compare traces of identical extent.
-	report.Schedule = tb.Virtual.RecorderState()
+	report.Schedule = tb.Clock.RecorderState()
 	return report, nil
 }
 

@@ -20,7 +20,7 @@ import (
 // measurements. Shape: direct submission's makespan is governed by the
 // *maximum* of N queue waits, the pilot's by one wait plus packed
 // execution; the pilot wins increasingly with N.
-func LateBinding(scale float64) (*metrics.Table, error) {
+func LateBinding() (*metrics.Table, error) {
 	const (
 		taskSeconds = 60
 		pilotCores  = 32
@@ -37,7 +37,7 @@ func LateBinding(scale float64) (*metrics.Table, error) {
 
 	for _, n := range []int{16, 64, 256} {
 		// ---- direct: one batch job per task on the HPC simulator ----------
-		tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: queueMean, QueueWaitCV: queueCV, Seed: int64(100 + n)})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: queueMean, QueueWaitCV: queueCV, Seed: int64(100 + n)})
 		hpcSvc, err := tb.Registry.Lookup("hpc://stampede")
 		if err != nil {
 			tb.Close()
@@ -73,7 +73,7 @@ func LateBinding(scale float64) (*metrics.Table, error) {
 		tb.Close()
 
 		// ---- pilot: one placeholder, late-bound tasks ----------------------
-		tb2 := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: queueMean, QueueWaitCV: queueCV, Seed: int64(200 + n)})
+		tb2 := NewTestbed(TestbedConfig{QueueWaitMean: queueMean, QueueWaitCV: queueCV, Seed: int64(200 + n)})
 		mgr := tb2.NewManager(nil)
 		start2 := tb2.Clock.Now()
 		if _, err := mgr.SubmitPilot(core.PilotDescription{
@@ -130,7 +130,7 @@ func LateBinding(scale float64) (*metrics.Table, error) {
 // pilot, and the manager bursts to cloud resources at runtime — the BigJob
 // cloud extension case study [63]. The table contrasts time-to-completion
 // with and without the burst.
-func DynamicScaling(scale float64) (*metrics.Table, error) {
+func DynamicScaling() (*metrics.Table, error) {
 	const n = 64
 	task := 120 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Minute)
@@ -141,7 +141,7 @@ func DynamicScaling(scale float64) (*metrics.Table, error) {
 		"strategy", "makespan", "hpc_tasks", "cloud_tasks", "cloud_cost")
 
 	run := func(burst bool) error {
-		tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 30, Seed: 13})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 30, Seed: 13})
 		defer tb.Close()
 		mgr := tb.NewManager(nil)
 		start := tb.Clock.Now()

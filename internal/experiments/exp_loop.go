@@ -21,7 +21,7 @@ import (
 // cheapest configuration meeting a throughput target, then verify the
 // choice with a fresh run. The loop's output is the refined configuration
 // — exactly the knowledge-generation cycle the paper describes.
-func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
+func Fig5Loop(frames int) (*metrics.Table, []string, error) {
 	if frames <= 0 {
 		frames = 600
 	}
@@ -34,7 +34,7 @@ func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
 		Name:   "fig5-sweep",
 		Design: design,
 		Run: func(ctx context.Context, cfg map[string]float64, _ int) (map[string]float64, error) {
-			tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 14})
+			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 14})
 			defer tb.Close()
 			parts := int(cfg["partitions"])
 			tput, _, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)
@@ -83,7 +83,7 @@ func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
 	}
 
 	// Verify the refined configuration.
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 15})
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 15})
 	verified, _, err := StreamTrial(tb, chosen, chosen, frames, 10*time.Millisecond)
 	tb.Close()
 	if err != nil {
@@ -115,7 +115,7 @@ func Fig5Loop(scale float64, frames int) (*metrics.Table, []string, error) {
 // Algorithms" [53] (E11): the early-break Hausdorff algorithm versus
 // scaling out the naive one. Both real computations run as pilot tasks;
 // the table shows that the algorithmic improvement beats adding cores.
-func AblationAlgorithm(scale float64) (*metrics.Table, error) {
+func AblationAlgorithm() (*metrics.Table, error) {
 	const (
 		atoms = 600
 		pairs = 12
@@ -138,7 +138,7 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 		"variant", "cores", "makespan_wall_ms", "distance_ops")
 
 	run := func(name string, cores int, early bool) error {
-		tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 16})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 16})
 		defer tb.Close()
 		mgr := tb.NewManager(nil)
 		if _, err := mgr.SubmitPilot(core.PilotDescription{
@@ -159,7 +159,8 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 					// frames: run them as a parallel compute phase so the
 					// scaled-out variants use real cores. Only the ops
 					// accumulation — shared mutation — happens back on the
-					// token, under a mutex for the non-virtual clock modes.
+					// token, under a mutex so its safety does not rest on
+					// the token alone.
 					var ops int
 					if !tc.Compute(ctx, func() {
 						if early {
@@ -208,8 +209,8 @@ func AblationAlgorithm(scale float64) (*metrics.Table, error) {
 // EnKFAdaptive reproduces the autonomic ensemble case study [50] (E12):
 // per-cycle ensemble sizes under adaptive control, showing runtime task
 // creation (R3) with a bounded filter error.
-func EnKFAdaptive(scale float64) (*metrics.Table, error) {
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 10, Seed: 17})
+func EnKFAdaptive() (*metrics.Table, error) {
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 10, Seed: 17})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 	if _, err := mgr.SubmitPilot(core.PilotDescription{

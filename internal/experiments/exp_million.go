@@ -36,11 +36,11 @@ import (
 // logs are checked for divergence after the drain. Each is
 // bit-identical per seed (BenchmarkStreaming_Million pins the wall-time
 // and allocation budget).
-func MillionMessages(scale float64, n int) (*metrics.Table, error) {
+func MillionMessages(n int) (*metrics.Table, error) {
 	if n <= 0 {
 		n = 1_000_000
 	}
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 5, Seed: 23})
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 23})
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()

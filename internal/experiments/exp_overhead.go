@@ -14,11 +14,11 @@ import (
 // (submission → agent running) and the manager's per-task overhead
 // measured with zero-length tasks — on HPC, HTC, cloud and the local
 // reference backend.
-func PilotOverhead(scale float64, tasks int) (*metrics.Table, error) {
+func PilotOverhead(tasks int) (*metrics.Table, error) {
 	if tasks <= 0 {
 		tasks = 128
 	}
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 60, Seed: 2})
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 60, Seed: 2})
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()

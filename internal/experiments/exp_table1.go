@@ -25,8 +25,8 @@ import (
 // iterative, streaming). Each scenario runs a real workload end-to-end;
 // the table reports tasks executed and modeled makespan — the
 // "generality/applicability" evidence of Eval 2.
-func Table1(scale float64) (*metrics.Table, error) {
-	tb := NewTestbed(TestbedConfig{Scale: scale, QueueWaitMean: 10, Seed: 1})
+func Table1() (*metrics.Table, error) {
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 10, Seed: 1})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 	if _, err := mgr.SubmitPilot(core.PilotDescription{

@@ -53,7 +53,7 @@ type spineObservation struct {
 // components drew.
 func runSpineWorkload(t *testing.T, v spineVariant) spineObservation {
 	t.Helper()
-	tb := NewTestbed(TestbedConfig{Scale: testScale, Seed: 42})
+	tb := NewTestbed(TestbedConfig{Seed: 42})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -77,9 +77,7 @@ func runSpineWorkload(t *testing.T, v spineVariant) spineObservation {
 	var doomed *core.Pilot
 	switch v {
 	case extraChaosWiring:
-		if tb.Virtual != nil {
-			tb.Virtual.StartRecorder(vclock.RecorderConfig{})
-		}
+		tb.Clock.StartRecorder(vclock.RecorderConfig{})
 		// Compiling consumes the plan's draws; injecting none (Truncate(0))
 		// keeps the run fault-free while the engine still participates.
 		plan := chaos.Compile(tb.Root, DefaultChaosFaults())
@@ -256,7 +254,7 @@ func TestComponentInsensitivity(t *testing.T) {
 // common.
 func TestUnitStreamPlacementIndependent(t *testing.T) {
 	draw := func(resource string) uint64 {
-		tb := NewTestbed(TestbedConfig{Scale: testScale, Seed: 7})
+		tb := NewTestbed(TestbedConfig{Seed: 7})
 		defer tb.Close()
 		mgr := tb.NewManager(nil)
 		if _, err := mgr.SubmitPilot(core.PilotDescription{

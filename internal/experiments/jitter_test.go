@@ -16,7 +16,7 @@ import (
 // given per-batch cost CV and returns the end-to-end latency summary.
 func runJitterTrial(t *testing.T, costCV float64) metrics.Summary {
 	t.Helper()
-	tb := NewTestbed(TestbedConfig{Scale: testScale, Seed: 11})
+	tb := NewTestbed(TestbedConfig{Seed: 11})
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -77,7 +77,7 @@ func TestProcessorCostJitterDeterministicAndEffective(t *testing.T) {
 // processor's per-partition jitter branch the same way.
 func TestServerlessCostJitterDeterministic(t *testing.T) {
 	run := func() metrics.Summary {
-		tb := NewTestbed(TestbedConfig{Scale: testScale, Seed: 13})
+		tb := NewTestbed(TestbedConfig{Seed: 13})
 		defer tb.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()

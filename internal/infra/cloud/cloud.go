@@ -87,7 +87,7 @@ type Config struct {
 	// CapacityVMs bounds the total simultaneously running instances
 	// (a quota); zero means unlimited.
 	CapacityVMs int
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
 	// Stream is the region's slot on the experiment's seeding spine. When
 	// BootDelay is nil and Stream is set, the canonical stochastic boot
@@ -117,7 +117,7 @@ func (c *Config) withDefaults() Config {
 		}
 	}
 	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
+		out.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return out
 }
@@ -241,7 +241,7 @@ func (p *Provider) Provision(ctx context.Context, n int, typeName string) ([]*VM
 		vm := vm
 		boot := time.Duration(p.cfg.BootDelay.Sample() * float64(time.Second))
 		wg.Add(1)
-		vclock.Go(p.cfg.Clock, func() {
+		p.cfg.Clock.Go(func() {
 			defer wg.Done()
 			p.cfg.Clock.Sleep(ctx, boot)
 			vm.mu.Lock()

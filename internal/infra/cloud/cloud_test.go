@@ -8,9 +8,8 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
-
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
 
 func testConfig(clock vclock.Clock) Config {
 	return Config{
@@ -25,7 +24,7 @@ func testConfig(clock vclock.Clock) Config {
 }
 
 func TestProvisionBootsVMs(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(testConfig(clock))
 	defer p.Shutdown()
 	start := clock.Now()
@@ -44,8 +43,8 @@ func TestProvisionBootsVMs(t *testing.T) {
 			t.Errorf("vm type = %q, want small", vm.Type().Name)
 		}
 	}
-	if boot := clock.Since(start); boot < 4*time.Second {
-		t.Errorf("boot took %v modeled, want ≈5s", boot)
+	if boot := clock.Since(start); boot != 5*time.Second {
+		t.Errorf("boot took %v modeled, want 5s (VMs boot in parallel)", boot)
 	}
 	if p.ActiveVMs() != 3 {
 		t.Errorf("ActiveVMs = %d, want 3", p.ActiveVMs())
@@ -53,7 +52,7 @@ func TestProvisionBootsVMs(t *testing.T) {
 }
 
 func TestAllocationAggregatesCores(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(testConfig(clock))
 	defer p.Shutdown()
 	vms, _ := p.Provision(context.Background(), 2, "large")
@@ -70,7 +69,7 @@ func TestAllocationAggregatesCores(t *testing.T) {
 }
 
 func TestTerminateAccumulatesCost(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(testConfig(clock))
 	defer p.Shutdown()
 	vms, _ := p.Provision(context.Background(), 1, "large")
@@ -79,13 +78,9 @@ func TestTerminateAccumulatesCost(t *testing.T) {
 	if p.ActiveVMs() != 0 {
 		t.Errorf("ActiveVMs = %d, want 0", p.ActiveVMs())
 	}
-	cost := p.Cost()
-	if cost <= 0 {
-		t.Fatalf("cost = %g, want > 0", cost)
-	}
-	// ~30 modeled seconds at 0.4/h ≈ 0.0033; allow broad band for timer slack.
-	if cost > 0.05 {
-		t.Errorf("cost = %g, implausibly high", cost)
+	// 30 modeled seconds of a ready VM at 0.4/h; booting is not billed.
+	if cost, want := p.Cost(), (30*time.Second).Hours()*0.4; cost != want {
+		t.Errorf("cost = %g, want %g", cost, want)
 	}
 	if vms[0].State() != Terminated {
 		t.Errorf("state = %v, want Terminated", vms[0].State())
@@ -93,7 +88,7 @@ func TestTerminateAccumulatesCost(t *testing.T) {
 }
 
 func TestQuotaEnforced(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	cfg := testConfig(clock)
 	cfg.CapacityVMs = 2
 	p := New(cfg)
@@ -115,7 +110,7 @@ func TestQuotaEnforced(t *testing.T) {
 }
 
 func TestUnknownType(t *testing.T) {
-	p := New(testConfig(fastClock()))
+	p := New(testConfig(vclocktest.Adopted(t)))
 	defer p.Shutdown()
 	if _, err := p.Provision(context.Background(), 1, "gpu.mega"); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("err = %v, want ErrUnknownType", err)
@@ -123,15 +118,22 @@ func TestUnknownType(t *testing.T) {
 }
 
 func TestProvisionCanceled(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	cfg := testConfig(clock)
 	cfg.BootDelay = dist.Constant(3600)
 	p := New(cfg)
 	defer p.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	start := clock.Now()
+	clock.Go(func() {
+		clock.Sleep(context.Background(), time.Minute)
+		cancel()
+	})
 	if _, err := p.Provision(ctx, 1, ""); err == nil {
 		t.Fatal("expected cancellation error")
+	}
+	if waited := clock.Since(start); waited != time.Minute {
+		t.Errorf("Provision returned after %v, want at the cancel instant (1m)", waited)
 	}
 	if p.ActiveVMs() != 0 {
 		t.Errorf("ActiveVMs = %d after canceled provision, want 0", p.ActiveVMs())
@@ -139,7 +141,7 @@ func TestProvisionCanceled(t *testing.T) {
 }
 
 func TestShutdownRejects(t *testing.T) {
-	p := New(testConfig(fastClock()))
+	p := New(testConfig(vclocktest.Adopted(t)))
 	p.Shutdown()
 	if _, err := p.Provision(context.Background(), 1, ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -147,7 +149,7 @@ func TestShutdownRejects(t *testing.T) {
 }
 
 func TestDefaultTypeUsed(t *testing.T) {
-	p := New(testConfig(fastClock()))
+	p := New(testConfig(vclocktest.Adopted(t)))
 	defer p.Shutdown()
 	vms, err := p.Provision(context.Background(), 1, "")
 	if err != nil {

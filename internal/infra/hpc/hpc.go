@@ -77,7 +77,7 @@ type Config struct {
 	DispatchOverhead time.Duration
 	// Backfill enables EASY backfill; without it the queue is strict FCFS.
 	Backfill bool
-	// Clock supplies virtual time. Defaults to vclock.Real.
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
 	// Stream is the cluster's slot on the experiment's seeding spine.
 	// When QueueWait is nil and Stream is set, the canonical stochastic
@@ -110,7 +110,7 @@ func (c *Config) withDefaults() Config {
 		}
 	}
 	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
+		out.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return out
 }
@@ -162,10 +162,6 @@ func (j *Job) Err() error {
 	defer j.mu.Unlock()
 	return j.err
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-// Participants of a Virtual clock must use Wait instead.
-func (j *Job) Done() <-chan struct{} { return j.done.Done() }
 
 // Wait blocks until the job terminates or ctx is canceled, returning the
 // terminal state.
@@ -243,7 +239,7 @@ func New(cfg Config) *Cluster {
 	c.opened = c.cfg.Clock.Now()
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	c.wg.Add(1)
-	vclock.Go(c.cfg.Clock, c.schedulerLoop)
+	c.cfg.Clock.Go(c.schedulerLoop)
 	return c
 }
 
@@ -414,7 +410,7 @@ func (c *Cluster) kick() { c.wake.Set() }
 // wakeAfter schedules a future kick in virtual time.
 func (c *Cluster) wakeAfter(d time.Duration) {
 	c.wg.Add(1)
-	vclock.Go(c.cfg.Clock, func() {
+	c.cfg.Clock.Go(func() {
 		defer c.wg.Done()
 		if c.cfg.Clock.Sleep(c.ctx, d) {
 			c.kick()
@@ -541,7 +537,7 @@ func (c *Cluster) startLocked(j *Job, now time.Time) {
 	}
 
 	c.wg.Add(1)
-	vclock.Go(c.cfg.Clock, func() {
+	c.cfg.Clock.Go(func() {
 		defer c.wg.Done()
 		c.runJob(ctx, cancel, j, alloc)
 	})
@@ -552,7 +548,7 @@ func (c *Cluster) runJob(ctx context.Context, cancel context.CancelFunc, j *Job,
 	// Walltime watchdog.
 	if j.spec.Walltime > 0 {
 		c.wg.Add(1)
-		vclock.Go(c.cfg.Clock, func() {
+		c.cfg.Clock.Go(func() {
 			defer c.wg.Done()
 			if c.cfg.Clock.Sleep(ctx, j.spec.Walltime) {
 				j.mu.Lock()

@@ -3,20 +3,14 @@ package hpc
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
-
-// fastClock compresses modeled seconds to 0.5ms of wall time. The factor is
-// kept moderate so OS timer resolution (~0.1ms) stays small relative to the
-// shortest modeled duration used in these tests.
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
 
 func okPayload(d time.Duration, clock vclock.Clock) infra.Payload {
 	return func(ctx context.Context, _ infra.Allocation) error {
@@ -28,7 +22,7 @@ func okPayload(d time.Duration, clock vclock.Clock) infra.Payload {
 }
 
 func TestJobCompletes(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "test", Nodes: 4, CoresPerNode: 8, Clock: clock})
 	defer c.Shutdown()
 	j, err := c.Submit(JobSpec{Name: "j1", Nodes: 2, Walltime: time.Hour, Payload: okPayload(10*time.Second, clock)})
@@ -39,13 +33,13 @@ func TestJobCompletes(t *testing.T) {
 	if state != Completed || err != nil {
 		t.Fatalf("state=%v err=%v", state, err)
 	}
-	if j.Runtime() < 5*time.Second {
-		t.Errorf("Runtime = %v, want ≥ 5s modeled", j.Runtime())
+	if j.Runtime() != 10*time.Second {
+		t.Errorf("Runtime = %v, want 10s modeled", j.Runtime())
 	}
 }
 
 func TestAllocationShape(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "alpha", Nodes: 4, CoresPerNode: 16, Clock: clock})
 	defer c.Shutdown()
 	var got infra.Allocation
@@ -66,31 +60,31 @@ func TestAllocationShape(t *testing.T) {
 }
 
 func TestCapacityWaitEmerges(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "cap", Nodes: 1, CoresPerNode: 8, Clock: clock})
 	defer c.Shutdown()
 	j1, _ := c.Submit(JobSpec{Nodes: 1, Walltime: time.Hour, Payload: okPayload(20*time.Second, clock)})
 	j2, _ := c.Submit(JobSpec{Nodes: 1, Walltime: time.Hour, Payload: okPayload(time.Second, clock)})
 	j1.Wait(context.Background())
 	j2.Wait(context.Background())
-	if w := j2.QueueWait(); w < 10*time.Second {
-		t.Errorf("j2 queue wait = %v, want ≥ 10s (capacity wait)", w)
+	if w := j2.QueueWait(); w != 20*time.Second {
+		t.Errorf("j2 queue wait = %v, want 20s (capacity wait behind j1)", w)
 	}
 }
 
 func TestExogenousQueueWaitApplied(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "qw", Nodes: 8, CoresPerNode: 8, QueueWait: dist.Constant(30), Clock: clock})
 	defer c.Shutdown()
 	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
 	j.Wait(context.Background())
-	if w := j.QueueWait(); w < 25*time.Second {
-		t.Errorf("queue wait = %v, want ≈30s", w)
+	if w := j.QueueWait(); w != 30*time.Second {
+		t.Errorf("queue wait = %v, want 30s", w)
 	}
 }
 
 func TestWalltimeEnforced(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "wt", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer c.Shutdown()
 	j, _ := c.Submit(JobSpec{Nodes: 1, Walltime: 5 * time.Second, Payload: okPayload(time.Hour, clock)})
@@ -101,10 +95,13 @@ func TestWalltimeEnforced(t *testing.T) {
 	if !errors.Is(j.Err(), context.DeadlineExceeded) {
 		t.Errorf("Err = %v, want DeadlineExceeded", j.Err())
 	}
+	if j.Runtime() != 5*time.Second {
+		t.Errorf("Runtime = %v, want the 5s walltime", j.Runtime())
+	}
 }
 
 func TestFailedPayload(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "fail", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer c.Shutdown()
 	boom := errors.New("boom")
@@ -116,7 +113,7 @@ func TestFailedPayload(t *testing.T) {
 }
 
 func TestCancelPending(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	// Long exogenous delay keeps the job pending.
 	c := New(Config{Name: "cp", Nodes: 1, CoresPerNode: 1, QueueWait: dist.Constant(3600), Clock: clock})
 	defer c.Shutdown()
@@ -129,16 +126,16 @@ func TestCancelPending(t *testing.T) {
 }
 
 func TestCancelRunning(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "cr", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer c.Shutdown()
-	started := make(chan struct{})
+	started := vclock.NewEvent(clock)
 	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: func(ctx context.Context, _ infra.Allocation) error {
-		close(started)
-		<-ctx.Done()
+		started.Fire()
+		clock.Sleep(ctx, time.Hour)
 		return ctx.Err()
 	}})
-	<-started
+	started.Wait(context.Background())
 	c.Cancel(j)
 	state, _ := j.Wait(context.Background())
 	if state != Canceled {
@@ -147,25 +144,27 @@ func TestCancelRunning(t *testing.T) {
 }
 
 func TestTooLargeRejected(t *testing.T) {
-	c := New(Config{Name: "big", Nodes: 2, CoresPerNode: 8, Clock: fastClock()})
+	clock := vclocktest.Adopted(t)
+	c := New(Config{Name: "big", Nodes: 2, CoresPerNode: 8, Clock: clock})
 	defer c.Shutdown()
-	_, err := c.Submit(JobSpec{Nodes: 3, Payload: okPayload(0, fastClock())})
+	_, err := c.Submit(JobSpec{Nodes: 3, Payload: okPayload(0, clock)})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestSubmitAfterShutdown(t *testing.T) {
-	c := New(Config{Name: "closed", Nodes: 1, CoresPerNode: 1, Clock: fastClock()})
+	clock := vclocktest.Adopted(t)
+	c := New(Config{Name: "closed", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	c.Shutdown()
-	_, err := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, fastClock())})
+	_, err := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
 	if !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("err = %v, want ErrClusterClosed", err)
 	}
 }
 
 func TestBackfillLetsSmallJobJumpQueue(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "bf", Nodes: 4, CoresPerNode: 1, Backfill: true, Clock: clock})
 	defer c.Shutdown()
 
@@ -181,57 +180,53 @@ func TestBackfillLetsSmallJobJumpQueue(t *testing.T) {
 	if state != Completed {
 		t.Fatalf("small job state=%v err=%v", state, err)
 	}
-	if small.QueueWait() > 50*time.Second {
-		t.Errorf("small job waited %v; backfill should start it early", small.QueueWait())
+	if small.QueueWait() != 0 {
+		t.Errorf("small job waited %v; backfill should start it at once", small.QueueWait())
 	}
 	blocker.Wait(context.Background())
 	head.Wait(context.Background())
-	if head.QueueWait() < 50*time.Second {
-		t.Errorf("head job waited only %v, expected to wait for blocker", head.QueueWait())
+	if head.QueueWait() != 100*time.Second {
+		t.Errorf("head job waited %v, want the blocker's 100s", head.QueueWait())
 	}
 }
 
 func TestNoBackfillStrictFCFS(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "fcfs", Nodes: 4, CoresPerNode: 1, Backfill: false, Clock: clock})
 	defer c.Shutdown()
 	blocker, _ := c.Submit(JobSpec{Nodes: 3, Walltime: 100 * time.Second, Payload: okPayload(50*time.Second, clock)})
 	head, _ := c.Submit(JobSpec{Nodes: 4, Walltime: 100 * time.Second, Payload: okPayload(time.Second, clock)})
 	small, _ := c.Submit(JobSpec{Nodes: 1, Walltime: 10 * time.Second, Payload: okPayload(time.Second, clock)})
 	small.Wait(context.Background())
-	// Under strict FCFS the small job cannot start before the head job.
-	if small.QueueWait() < 30*time.Second {
-		t.Errorf("small job waited %v; FCFS should block it behind head", small.QueueWait())
+	// Under strict FCFS the small job cannot start before the head job:
+	// blocker 50s, then head 1s.
+	if small.QueueWait() != 51*time.Second {
+		t.Errorf("small job waited %v; FCFS should hold it 51s behind blocker and head", small.QueueWait())
 	}
 	blocker.Wait(context.Background())
 	head.Wait(context.Background())
 }
 
 func TestManyJobsDrainAndUtilization(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "many", Nodes: 4, CoresPerNode: 2, Clock: clock})
 	defer c.Shutdown()
-	var wg sync.WaitGroup
-	var completed atomic.Int64
+	var jobs []*Job
 	for i := 0; i < 32; i++ {
 		j, err := c.Submit(JobSpec{Nodes: 1, Walltime: time.Minute, Payload: okPayload(2*time.Second, clock)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if s, _ := j.Wait(context.Background()); s == Completed {
-				completed.Add(1)
-			}
-		}()
+		jobs = append(jobs, j)
 	}
-	wg.Wait()
-	if completed.Load() != 32 {
-		t.Fatalf("completed = %d, want 32", completed.Load())
+	for _, j := range jobs {
+		if s, err := j.Wait(context.Background()); s != Completed {
+			t.Fatalf("job %s: state=%v err=%v, want Completed", j.ID(), s, err)
+		}
 	}
-	if u := c.Utilization(); u <= 0 || u > 1.01 {
-		t.Errorf("utilization = %g, want (0,1]", u)
+	// 32 one-node 2s jobs on 4 nodes: eight full waves, no idle node-time.
+	if u := c.Utilization(); u != 1 {
+		t.Errorf("utilization = %g, want 1", u)
 	}
 	if c.QueueDepth() != 0 || c.RunningJobs() != 0 {
 		t.Errorf("cluster not drained: depth=%d running=%d", c.QueueDepth(), c.RunningJobs())
@@ -245,7 +240,7 @@ func TestManyJobsDrainAndUtilization(t *testing.T) {
 }
 
 func TestNilPayloadRejected(t *testing.T) {
-	c := New(Config{Name: "nil", Clock: fastClock()})
+	c := New(Config{Name: "nil", Clock: vclocktest.Adopted(t)})
 	defer c.Shutdown()
 	if _, err := c.Submit(JobSpec{Nodes: 1}); err == nil {
 		t.Fatal("nil payload accepted")

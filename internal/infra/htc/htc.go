@@ -68,7 +68,7 @@ type Config struct {
 	EvictionRate float64
 	// MaxRetries bounds automatic re-matching after eviction.
 	MaxRetries int
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
 	// Stream is the pool's slot on the experiment's seeding spine. Every
 	// submitted job draws its eviction sequence from the "evict"/<job
@@ -104,7 +104,7 @@ func (c *Config) withDefaults() Config {
 		}
 	}
 	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
+		out.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	if out.MaxRetries < 0 {
 		out.MaxRetries = 0
@@ -171,10 +171,6 @@ func (j *Job) Err() error {
 	defer j.mu.Unlock()
 	return j.err
 }
-
-// Done returns a channel closed at terminal state. Participants of a
-// Virtual clock must use Wait instead.
-func (j *Job) Done() <-chan struct{} { return j.done.Done() }
 
 // Wait blocks for terminal state or ctx cancellation.
 func (j *Job) Wait(ctx context.Context) (State, error) {
@@ -301,7 +297,7 @@ func (p *Pool) Submit(spec JobSpec) (*Job, error) {
 	}
 	p.mu.Unlock()
 	p.wg.Add(1)
-	vclock.Go(p.cfg.Clock, func() {
+	p.cfg.Clock.Go(func() {
 		defer p.wg.Done()
 		p.run(j)
 	})
@@ -405,7 +401,7 @@ func (p *Pool) attempt(j *Job) (State, error) {
 	if willEvict && j.spec.Runtime > 0 {
 		evictAfter := time.Duration(float64(j.spec.Runtime) * evictFrac)
 		p.wg.Add(1)
-		vclock.Go(p.cfg.Clock, func() {
+		p.cfg.Clock.Go(func() {
 			defer p.wg.Done()
 			if p.cfg.Clock.Sleep(ctx, evictAfter) {
 				evicted.Store(true)

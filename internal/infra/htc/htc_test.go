@@ -10,9 +10,8 @@ import (
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
-
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
 
 func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 	return func(ctx context.Context, _ infra.Allocation) error {
@@ -24,7 +23,7 @@ func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 }
 
 func TestJobCompletes(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "osg", Slots: 4, Clock: clock})
 	defer p.Shutdown()
 	j, err := p.Submit(JobSpec{Name: "t", Runtime: time.Second, Payload: sleeper(time.Second, clock)})
@@ -41,13 +40,13 @@ func TestJobCompletes(t *testing.T) {
 }
 
 func TestMatchDelayApplied(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "slow", Slots: 4, MatchDelay: dist.Constant(10), Clock: clock})
 	defer p.Shutdown()
 	j, _ := p.Submit(JobSpec{Payload: sleeper(0, clock)})
 	j.Wait(context.Background())
-	if tt := j.TurnaroundTime(); tt < 8*time.Second {
-		t.Errorf("turnaround = %v, want ≥ ~10s match delay", tt)
+	if tt := j.TurnaroundTime(); tt != 10*time.Second {
+		t.Errorf("turnaround = %v, want the 10s match delay", tt)
 	}
 	if s := p.MatchDelayStats(); s.N < 1 {
 		t.Error("no match delay samples recorded")
@@ -55,7 +54,7 @@ func TestMatchDelayApplied(t *testing.T) {
 }
 
 func TestSlotsLimitConcurrency(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "lim", Slots: 2, Clock: clock})
 	defer p.Shutdown()
 	var mu sync.Mutex
@@ -80,13 +79,13 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 	for _, j := range jobs {
 		j.Wait(context.Background())
 	}
-	if peak > 2 {
-		t.Fatalf("peak concurrency = %d, want ≤ 2", peak)
+	if peak != 2 {
+		t.Fatalf("peak concurrency = %d, want 2 (both slots busy, never more)", peak)
 	}
 }
 
 func TestEvictionWithRetrySucceeds(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "ev", Slots: 2, EvictionRate: 1.0, MaxRetries: 50, Clock: clock, MatchDelay: dist.Constant(0)})
 	defer p.Shutdown()
 	// Payload that succeeds only if not interrupted; with retries it should
@@ -100,12 +99,11 @@ func TestEvictionWithRetrySucceeds(t *testing.T) {
 }
 
 func TestEvictionExhaustsRetries(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "ev2", Slots: 1, EvictionRate: 1.0, MaxRetries: 2, Clock: clock, MatchDelay: dist.Constant(0)})
 	defer p.Shutdown()
 	// The payload runs far past the runtime estimate the eviction point is
-	// sampled from, so the eviction always lands first even under heavy
-	// wall-clock timer jitter.
+	// sampled from, so the eviction always lands first.
 	j, _ := p.Submit(JobSpec{Runtime: 5 * time.Second, Payload: sleeper(120*time.Second, clock)})
 	state, err := j.Wait(context.Background())
 	if state != Evicted {
@@ -120,7 +118,7 @@ func TestEvictionExhaustsRetries(t *testing.T) {
 }
 
 func TestNoEvictionAtRateZero(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "ev0", Slots: 4, EvictionRate: 0, Clock: clock})
 	defer p.Shutdown()
 	jobs := make([]*Job, 16)
@@ -138,7 +136,7 @@ func TestNoEvictionAtRateZero(t *testing.T) {
 }
 
 func TestFailedPayload(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "f", Slots: 1, Clock: clock})
 	defer p.Shutdown()
 	boom := errors.New("boom")
@@ -150,15 +148,16 @@ func TestFailedPayload(t *testing.T) {
 }
 
 func TestSubmitAfterShutdown(t *testing.T) {
-	p := New(Config{Name: "c", Slots: 1, Clock: fastClock()})
+	clock := vclocktest.Adopted(t)
+	p := New(Config{Name: "c", Slots: 1, Clock: clock})
 	p.Shutdown()
-	if _, err := p.Submit(JobSpec{Payload: sleeper(0, fastClock())}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.Submit(JobSpec{Payload: sleeper(0, clock)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }
 
 func TestNilPayloadRejected(t *testing.T) {
-	p := New(Config{Name: "n", Clock: fastClock()})
+	p := New(Config{Name: "n", Clock: vclocktest.Adopted(t)})
 	defer p.Shutdown()
 	if _, err := p.Submit(JobSpec{}); err == nil {
 		t.Fatal("nil payload accepted")

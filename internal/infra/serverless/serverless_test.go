@@ -3,21 +3,19 @@ package serverless
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
-
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
 
 func noop(context.Context, infra.Allocation) error { return nil }
 
 func TestColdThenWarm(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{
 		Name:      "lambda",
 		ColdStart: dist.Constant(2),
@@ -34,10 +32,13 @@ func TestColdThenWarm(t *testing.T) {
 	if p.ColdStarts() != 1 || p.WarmStarts() != 1 {
 		t.Fatalf("cold=%d warm=%d, want 1/1", p.ColdStarts(), p.WarmStarts())
 	}
+	if e := clock.Since(vclock.Epoch); e != 2*time.Second+10*time.Millisecond {
+		t.Fatalf("two invocations took %v, want 2s cold + 10ms warm", e)
+	}
 }
 
 func TestWarmPoolPerFunction(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(1), WarmStart: dist.Constant(0.01), WarmTTL: time.Hour, Clock: clock})
 	p.Invoke(context.Background(), "f", noop)
 	p.Invoke(context.Background(), "g", noop) // different function: cold again
@@ -47,7 +48,7 @@ func TestWarmPoolPerFunction(t *testing.T) {
 }
 
 func TestWarmTTLExpiry(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(0.5), WarmStart: dist.Constant(0.01), WarmTTL: 5 * time.Second, Clock: clock})
 	p.Invoke(context.Background(), "f", noop)
 	clock.Sleep(context.Background(), 30*time.Second) // let the container expire
@@ -58,39 +59,34 @@ func TestWarmTTLExpiry(t *testing.T) {
 }
 
 func TestConcurrencyLimit(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), WarmStart: dist.Constant(0.01), ConcurrencyLimit: 2, Clock: clock})
-	var mu sync.Mutex
-	running, peak := 0, 0
+	running, peak := 0, 0 // touched on the executor's token only
 	payload := func(ctx context.Context, _ infra.Allocation) error {
-		mu.Lock()
 		running++
 		if running > peak {
 			peak = running
 		}
-		mu.Unlock()
 		clock.Sleep(ctx, time.Second)
-		mu.Lock()
 		running--
-		mu.Unlock()
 		return nil
 	}
-	var wg sync.WaitGroup
+	wg := vclock.NewGroup(clock)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
 			p.Invoke(context.Background(), "f", payload)
-		}()
+		})
 	}
 	wg.Wait()
-	if peak > 2 {
-		t.Fatalf("peak concurrency = %d, want ≤ 2", peak)
+	if peak != 2 {
+		t.Fatalf("peak concurrency = %d, want 2 (the limit, reached)", peak)
 	}
 }
 
 func TestPayloadErrorPropagates(t *testing.T) {
-	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), Clock: fastClock()})
+	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), Clock: vclocktest.Adopted(t)})
 	boom := errors.New("boom")
 	err := p.Invoke(context.Background(), "f", func(context.Context, infra.Allocation) error { return boom })
 	if !errors.Is(err, boom) {
@@ -99,7 +95,7 @@ func TestPayloadErrorPropagates(t *testing.T) {
 }
 
 func TestInvokeAfterShutdown(t *testing.T) {
-	p := New(Config{Name: "l", Clock: fastClock()})
+	p := New(Config{Name: "l", Clock: vclocktest.Adopted(t)})
 	p.Shutdown()
 	if err := p.Invoke(context.Background(), "f", noop); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -107,17 +103,23 @@ func TestInvokeAfterShutdown(t *testing.T) {
 }
 
 func TestCancellationDuringColdStart(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(3600), Clock: clock})
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	clock.Go(func() {
+		clock.Sleep(context.Background(), time.Minute)
+		cancel()
+	})
 	if err := p.Invoke(ctx, "f", noop); err == nil {
 		t.Fatal("expected cancellation error")
+	}
+	if e := clock.Since(vclock.Epoch); e != time.Minute {
+		t.Fatalf("Invoke returned after %v, want at the cancel instant (1m)", e)
 	}
 }
 
 func TestAllocationIsSingleCore(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "l", ColdStart: dist.Constant(0.01), Clock: clock})
 	var got infra.Allocation
 	p.Invoke(context.Background(), "f", func(_ context.Context, a infra.Allocation) error {
@@ -133,7 +135,7 @@ func TestAllocationIsSingleCore(t *testing.T) {
 }
 
 func TestLatencyStatsRecorded(t *testing.T) {
-	p := New(Config{Name: "l", ColdStart: dist.Constant(0.1), Clock: fastClock()})
+	p := New(Config{Name: "l", ColdStart: dist.Constant(0.1), Clock: vclocktest.Adopted(t)})
 	for i := 0; i < 5; i++ {
 		p.Invoke(context.Background(), "f", noop)
 	}

@@ -26,7 +26,7 @@ type Config struct {
 	TotalCores int
 	// AllocDelay samples container negotiation latency in seconds.
 	AllocDelay dist.Dist
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
 	// Stream is the cluster's slot on the experiment's seeding spine.
 	// When AllocDelay is nil and Stream is set, the canonical stochastic
@@ -56,7 +56,7 @@ func (c *Config) withDefaults() Config {
 		}
 	}
 	if out.Clock == nil {
-		out.Clock = vclock.NewReal()
+		out.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return out
 }

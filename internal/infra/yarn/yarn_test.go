@@ -3,20 +3,20 @@ package yarn
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	"gopilot/internal/dist"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
+var bg = context.Background()
 
 func TestRequestAndRelease(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 32, AllocDelay: dist.Constant(0.01), Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 32, AllocDelay: dist.Constant(0.01), Clock: vclocktest.Adopted(t)})
 	defer c.Shutdown()
-	cs, err := c.RequestContainers(context.Background(), 4, 4)
+	cs, err := c.RequestContainers(bg, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +33,9 @@ func TestRequestAndRelease(t *testing.T) {
 }
 
 func TestDoubleReleaseIsIdempotent(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 8, AllocDelay: dist.Constant(0.001), Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 8, AllocDelay: dist.Constant(0.001), Clock: vclocktest.Adopted(t)})
 	defer c.Shutdown()
-	cs, _ := c.RequestContainers(context.Background(), 1, 4)
+	cs, _ := c.RequestContainers(bg, 1, 4)
 	c.Release(cs)
 	c.Release(cs)
 	if c.FreeCores() != 8 {
@@ -44,103 +44,100 @@ func TestDoubleReleaseIsIdempotent(t *testing.T) {
 }
 
 func TestBlocksUntilCapacity(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "y", TotalCores: 8, AllocDelay: dist.Constant(0.001), Clock: clock})
 	defer c.Shutdown()
-	first, _ := c.RequestContainers(context.Background(), 2, 4)
+	first, _ := c.RequestContainers(bg, 2, 4)
 
-	done := make(chan []*Container)
-	go func() {
-		cs, err := c.RequestContainers(context.Background(), 1, 8)
+	var grantedAt time.Time
+	done := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer done.Fire()
+		cs, err := c.RequestContainers(bg, 1, 8)
 		if err != nil {
 			t.Error(err)
 		}
-		done <- cs
-	}()
-	select {
-	case <-done:
-		t.Fatal("second request should block while capacity is held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	c.Release(first)
-	select {
-	case cs := <-done:
+		grantedAt = clock.Now()
 		c.Release(cs)
-	case <-time.After(2 * time.Second):
-		t.Fatal("second request never unblocked")
+	})
+	clock.Sleep(bg, time.Minute) // far past the request's 1ms negotiation
+	if done.Fired() {
+		t.Fatal("second request should block while capacity is held")
+	}
+	releasedAt := clock.Now()
+	c.Release(first)
+	done.Wait(bg)
+	if !grantedAt.Equal(releasedAt) {
+		t.Fatalf("second request granted at %v, want the release instant %v", grantedAt, releasedAt)
 	}
 }
 
 func TestTooLargeRejected(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 8, Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 8, Clock: vclocktest.Adopted(t)})
 	defer c.Shutdown()
-	if _, err := c.RequestContainers(context.Background(), 3, 4); !errors.Is(err, ErrTooLarge) {
+	if _, err := c.RequestContainers(bg, 3, 4); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestBadRequestRejected(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 8, Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 8, Clock: vclocktest.Adopted(t)})
 	defer c.Shutdown()
-	if _, err := c.RequestContainers(context.Background(), 0, 4); err == nil {
+	if _, err := c.RequestContainers(bg, 0, 4); err == nil {
 		t.Fatal("zero containers accepted")
 	}
-	if _, err := c.RequestContainers(context.Background(), 1, 0); err == nil {
+	if _, err := c.RequestContainers(bg, 1, 0); err == nil {
 		t.Fatal("zero cores accepted")
 	}
 }
 
 func TestContextCancelWhileWaiting(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "y", TotalCores: 4, AllocDelay: dist.Constant(0.001), Clock: clock})
 	defer c.Shutdown()
-	held, _ := c.RequestContainers(context.Background(), 1, 4)
+	held, _ := c.RequestContainers(bg, 1, 4)
 	defer c.Release(held)
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error)
-	go func() {
-		_, err := c.RequestContainers(ctx, 1, 4)
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
+	ctx, cancel := context.WithCancel(bg)
+	clock.Go(func() {
+		clock.Sleep(bg, time.Minute)
+		cancel()
+	})
+	start := clock.Now()
+	if _, err := c.RequestContainers(ctx, 1, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if waited := clock.Since(start); waited != time.Minute {
+		t.Fatalf("request returned after %v, want at the cancel instant (1m)", waited)
 	}
 }
 
 func TestConcurrentRequestsNeverOversubscribe(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "y", TotalCores: 16, AllocDelay: dist.Constant(0.001), Clock: clock})
 	defer c.Shutdown()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	inUse, peak := 0, 0
+	wg := vclock.NewGroup(clock)
+	inUse, peak := 0, 0 // touched on the executor's token only
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer wg.Done()
-			cs, err := c.RequestContainers(context.Background(), 1, 4)
+			cs, err := c.RequestContainers(bg, 1, 4)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			mu.Lock()
 			inUse += 4
 			if inUse > peak {
 				peak = inUse
 			}
-			mu.Unlock()
-			clock.Sleep(context.Background(), time.Second)
-			mu.Lock()
+			clock.Sleep(bg, time.Second)
 			inUse -= 4
-			mu.Unlock()
 			c.Release(cs)
-		}()
+		})
 	}
 	wg.Wait()
-	if peak > 16 {
-		t.Fatalf("peak cores in use = %d, exceeds capacity 16", peak)
+	if peak != 16 {
+		t.Fatalf("peak cores in use = %d, want exactly the capacity 16", peak)
 	}
 	if c.FreeCores() != 16 {
 		t.Fatalf("FreeCores = %d, want 16", c.FreeCores())
@@ -148,9 +145,9 @@ func TestConcurrentRequestsNeverOversubscribe(t *testing.T) {
 }
 
 func TestAllocationAggregates(t *testing.T) {
-	c := New(Config{Name: "y", TotalCores: 16, AllocDelay: dist.Constant(0.001), Clock: fastClock()})
+	c := New(Config{Name: "y", TotalCores: 16, AllocDelay: dist.Constant(0.001), Clock: vclocktest.Adopted(t)})
 	defer c.Shutdown()
-	cs, _ := c.RequestContainers(context.Background(), 2, 4)
+	cs, _ := c.RequestContainers(bg, 2, 4)
 	defer c.Release(cs)
 	a := c.Allocation("app1", cs)
 	if a.Cores != 8 || len(a.Nodes) != 2 {
@@ -159,18 +156,20 @@ func TestAllocationAggregates(t *testing.T) {
 }
 
 func TestShutdownUnblocksWaiters(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "y", TotalCores: 4, AllocDelay: dist.Constant(0.001), Clock: clock})
-	held, _ := c.RequestContainers(context.Background(), 1, 4)
+	held, _ := c.RequestContainers(bg, 1, 4)
 	_ = held
-	errCh := make(chan error)
-	go func() {
-		_, err := c.RequestContainers(context.Background(), 1, 4)
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	var err error
+	done := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer done.Fire()
+		_, err = c.RequestContainers(bg, 1, 4)
+	})
+	clock.Sleep(bg, time.Minute) // the request is parked on capacity by now
 	c.Shutdown()
-	if err := <-errCh; !errors.Is(err, ErrClosed) {
+	done.Wait(bg)
+	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }

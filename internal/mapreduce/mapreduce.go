@@ -467,7 +467,7 @@ func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, e
 	for i, id := range res.OutputIDs {
 		i, id := i, id
 		wg.Add(1)
-		vclock.Go(mgr.Clock(), func() {
+		mgr.Clock().Go(func() {
 			defer wg.Done()
 			sites, ok := mgr.Data().Locate(id)
 			if !ok || len(sites) == 0 {
@@ -482,7 +482,7 @@ func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, e
 			// Decoding is pure CPU over fetched bytes: run it off-token so
 			// concurrent output fetches decode in parallel.
 			var kvs []KeyValue
-			if !vclock.Compute(mgr.Clock(), ctx, func() { kvs, err = Decode(content) }) {
+			if !mgr.Clock().Compute(ctx, func() { kvs, err = Decode(content) }) {
 				errs[i] = ctx.Err()
 				return
 			}

@@ -15,13 +15,12 @@ import (
 	"gopilot/internal/infra"
 	"gopilot/internal/saga"
 	"gopilot/internal/scheduler"
-	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 type env struct {
-	clock *vclock.Scaled
-	mgr   *core.Manager
-	data  *data.Service
+	mgr  *core.Manager
+	data *data.Service
 }
 
 func newEnv(t *testing.T, sites ...string) *env {
@@ -29,7 +28,7 @@ func newEnv(t *testing.T, sites ...string) *env {
 	if len(sites) == 0 {
 		sites = []string{"siteA"}
 	}
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	ds := data.NewService(data.Config{Clock: clock, DefaultLink: data.Link{Bandwidth: 100e6, Latency: 10 * time.Millisecond}})
 	for _, s := range sites {
@@ -38,18 +37,14 @@ func newEnv(t *testing.T, sites ...string) *env {
 	}
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds, Scheduler: scheduler.DataAware{}})
 	t.Cleanup(mgr.Close)
-	e := &env{clock: clock, mgr: mgr, data: ds}
+	e := &env{mgr: mgr, data: ds}
 	for _, s := range sites {
 		p, err := mgr.SubmitPilot(core.PilotDescription{Resource: "local://" + s, Cores: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(2 * time.Second)
-		for p.State() != core.PilotRunning {
-			if time.Now().After(deadline) {
-				t.Fatal("pilot never started")
-			}
-			time.Sleep(time.Millisecond)
+		if err := p.WaitRunning(context.Background()); err != nil {
+			t.Fatalf("pilot never started: %v", err)
 		}
 	}
 	return e

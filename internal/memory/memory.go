@@ -30,7 +30,7 @@ type Config struct {
 	// Bandwidth is the modeled memory bandwidth in bytes per second;
 	// zero means 10 GB/s.
 	Bandwidth float64
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
 }
 
@@ -73,7 +73,7 @@ func NewCache(cfg Config) *Cache {
 		cfg.Bandwidth = 10e9
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
+		cfg.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return &Cache{
 		cfg:   cfg,

@@ -4,20 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
-
-func newCache(capacity int64) *Cache {
-	return NewCache(Config{Name: "c", CapacityBytes: capacity, Bandwidth: 10e9, Clock: fastClock()})
+func newCache(t *testing.T, capacity int64) *Cache {
+	return NewCache(Config{Name: "c", CapacityBytes: capacity, Bandwidth: 10e9, Clock: vclocktest.Adopted(t)})
 }
 
 func TestPutGet(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	if err := c.Put(context.Background(), "k", 42, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +30,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestMissCounts(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	_, ok, _ := c.Get(context.Background(), "absent")
 	if ok {
 		t.Fatal("phantom hit")
@@ -46,7 +44,7 @@ func TestMissCounts(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newCache(300)
+	c := newCache(t, 300)
 	ctx := context.Background()
 	c.Put(ctx, "a", "A", 100)
 	c.Put(ctx, "b", "B", 100)
@@ -69,7 +67,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestUpdateExistingKeyAdjustsResident(t *testing.T) {
-	c := newCache(1000)
+	c := newCache(t, 1000)
 	ctx := context.Background()
 	c.Put(ctx, "k", "v1", 100)
 	c.Put(ctx, "k", "v2", 300)
@@ -86,21 +84,21 @@ func TestUpdateExistingKeyAdjustsResident(t *testing.T) {
 }
 
 func TestTooLargeRejected(t *testing.T) {
-	c := newCache(100)
+	c := newCache(t, 100)
 	if err := c.Put(context.Background(), "k", "v", 200); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestNegativeSizeRejected(t *testing.T) {
-	c := newCache(100)
+	c := newCache(t, 100)
 	if err := c.Put(context.Background(), "k", "v", -1); err == nil {
 		t.Fatal("negative size accepted")
 	}
 }
 
 func TestGetOrLoad(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	loads := 0
 	load := func(context.Context) (any, error) {
 		loads++
@@ -120,7 +118,7 @@ func TestGetOrLoad(t *testing.T) {
 }
 
 func TestGetOrLoadPropagatesLoadError(t *testing.T) {
-	c := newCache(1 << 20)
+	c := newCache(t, 1<<20)
 	boom := errors.New("boom")
 	if _, err := c.GetOrLoad(context.Background(), "k", 100, func(context.Context) (any, error) {
 		return nil, boom
@@ -130,7 +128,7 @@ func TestGetOrLoadPropagatesLoadError(t *testing.T) {
 }
 
 func TestGetOrLoadValueTooLargeStillServed(t *testing.T) {
-	c := newCache(100)
+	c := newCache(t, 100)
 	v, err := c.GetOrLoad(context.Background(), "k", 1000, func(context.Context) (any, error) {
 		return "big", nil
 	})
@@ -143,7 +141,7 @@ func TestGetOrLoadValueTooLargeStillServed(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	c := newCache(1000)
+	c := newCache(t, 1000)
 	c.Put(context.Background(), "k", "v", 100)
 	c.Delete("k")
 	if c.Len() != 0 || c.Resident() != 0 {
@@ -153,7 +151,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestHitRate(t *testing.T) {
-	c := newCache(1000)
+	c := newCache(t, 1000)
 	ctx := context.Background()
 	c.Put(ctx, "k", "v", 10)
 	c.Get(ctx, "k")
@@ -164,21 +162,36 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess keeps real-thread overlap for -race: eight
+// participants fill and read the cache on the executor's token while the
+// others' deletes and accounting reads run in Compute bodies — off-token,
+// on their own goroutines — ordered against them by the cache's lock alone.
 func TestConcurrentAccess(t *testing.T) {
-	c := newCache(1 << 20)
-	var wg sync.WaitGroup
+	c := newCache(t, 1<<20)
+	clock := c.cfg.Clock
+	ctx := context.Background()
+	wg := vclock.NewGroup(clock)
 	for g := 0; g < 8; g++ {
+		g := g
 		wg.Add(1)
-		go func(g int) {
+		clock.Go(func() {
 			defer wg.Done()
-			ctx := context.Background()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("k%d-%d", g, i%10)
 				c.Put(ctx, key, i, 64)
 				c.Get(ctx, key)
 				c.GetOrLoad(ctx, key, 64, func(context.Context) (any, error) { return i, nil })
+				clock.Compute(ctx, func() {
+					for k := 0; k < 20; k++ {
+						c.Len()
+						c.Resident()
+						c.Stats()
+						c.HitRate()
+					}
+					c.Delete(key)
+				})
 			}
-		}(g)
+		})
 	}
 	wg.Wait()
 	if c.Resident() > c.Capacity() {

@@ -10,7 +10,7 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/dist"
 	"gopilot/internal/saga"
-	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 func TestTaskWorkloadUnits(t *testing.T) {
@@ -36,7 +36,7 @@ func TestTaskWorkloadUnits(t *testing.T) {
 }
 
 func TestSubmitAndWaitMeasuresMakespan(t *testing.T) {
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 8, clock))
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})
@@ -50,9 +50,9 @@ func TestSubmitAndWaitMeasuresMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 8 tasks × 1s on 4 cores ≈ 2s modeled; accept broad band.
-	if makespan < time.Second || makespan > 20*time.Second {
-		t.Fatalf("makespan = %v, want ≈2s", makespan)
+	// 8 tasks × 1s on 4 cores: two waves.
+	if makespan != 2*time.Second {
+		t.Fatalf("makespan = %v, want 2s", makespan)
 	}
 }
 

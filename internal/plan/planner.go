@@ -84,11 +84,11 @@ type Executor interface {
 	// empty answer for every c' >= c until capacity next rises, and within
 	// one tick capacity only shrinks (the manager holds its lock, and Bind
 	// only debits). Plan relies on this to skip such units without asking.
-	// Under ClockReal/ClockScaled a slot can be returned mid-tick by a
-	// goroutine that does not take the manager's lock; the skip is still
-	// live there because every capacity rise (returnSlots, pilotStarted,
-	// an outage clearing via Kick) is followed by a wake, so a skipped
-	// unit is reconsidered on the very next tick.
+	// A tick runs without parking, so the executor's token keeps every
+	// other participant — and with it every slot return — out of it; and
+	// every capacity rise (returnSlots, pilotStarted, an outage clearing
+	// via Kick) is followed by a wake, so a skipped unit is reconsidered
+	// on the very next tick.
 	Candidates(u UnitSpec) []Candidate
 	// Bind reserves u onto the chosen pilot and hands it to the agent.
 	Bind(u UnitSpec, pilotID string)

@@ -37,7 +37,7 @@ type LocalService struct {
 // (capacity is advisory; local jobs are never queued).
 func NewLocalService(name string, cores int, clock vclock.Clock) *LocalService {
 	if clock == nil {
-		clock = vclock.NewReal()
+		clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	if name == "" {
 		name = "localhost"
@@ -95,7 +95,7 @@ func (s *LocalService) Submit(d Description) (Job, error) {
 		Granted: now,
 	}
 	s.wg.Add(1)
-	vclock.Go(s.clock, func() {
+	s.clock.Go(func() {
 		defer s.wg.Done()
 		defer cancel()
 		j.markRunning(s.clock.Now())
@@ -131,7 +131,7 @@ type HPCService struct {
 // NewHPCService wraps an hpc.Cluster.
 func NewHPCService(c *hpc.Cluster, clock vclock.Clock) *HPCService {
 	if clock == nil {
-		clock = vclock.NewReal()
+		clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return &HPCService{cluster: c, clock: clock}
 }
@@ -180,7 +180,7 @@ func (s *HPCService) Submit(d Description) (Job, error) {
 	}
 	j.id = bj.ID()
 	j.setCancel(func() { s.cluster.Cancel(bj) })
-	vclock.Go(s.clock, func() {
+	s.clock.Go(func() {
 		bj.Wait(context.Background())
 		end := s.clock.Now()
 		switch bj.State() {
@@ -219,7 +219,7 @@ type HTCService struct {
 // NewHTCService wraps an htc.Pool.
 func NewHTCService(p *htc.Pool, clock vclock.Clock) *HTCService {
 	if clock == nil {
-		clock = vclock.NewReal()
+		clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return &HTCService{pool: p, clock: clock}
 }
@@ -304,7 +304,7 @@ func (s *HTCService) Submit(d Description) (Job, error) {
 		glideins = append(glideins, gj)
 	}
 
-	vclock.Go(s.clock, func() {
+	s.clock.Go(func() {
 		defer cancel()
 		for {
 			st.mu.Lock()
@@ -393,7 +393,7 @@ type CloudService struct {
 // NewCloudService wraps a cloud.Provider.
 func NewCloudService(p *cloud.Provider, clock vclock.Clock) *CloudService {
 	if clock == nil {
-		clock = vclock.NewReal()
+		clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return &CloudService{provider: p, clock: clock}
 }
@@ -442,7 +442,7 @@ func (s *CloudService) Submit(d Description) (Job, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.setCancel(cancel)
 
-	vclock.Go(s.clock, func() {
+	s.clock.Go(func() {
 		defer cancel()
 		vms, err := s.provider.Provision(ctx, n, vt.Name)
 		if err != nil {
@@ -483,7 +483,7 @@ type YarnService struct {
 // granularity (default 4).
 func NewYarnService(c *yarn.Cluster, coresPerContainer int, clock vclock.Clock) *YarnService {
 	if clock == nil {
-		clock = vclock.NewReal()
+		clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	if coresPerContainer <= 0 {
 		coresPerContainer = 4
@@ -531,7 +531,7 @@ func (s *YarnService) Submit(d Description) (Job, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.setCancel(cancel)
 
-	vclock.Go(s.clock, func() {
+	s.clock.Go(func() {
 		defer cancel()
 		containers, err := s.cluster.RequestContainers(ctx, n, per)
 		if err != nil {

@@ -77,8 +77,6 @@ type Job interface {
 	State() JobState
 	// Err returns the terminal error, if any.
 	Err() error
-	// Done returns a channel closed when the job reaches a terminal state.
-	Done() <-chan struct{}
 	// Wait blocks until terminal state or ctx cancellation.
 	Wait(ctx context.Context) (JobState, error)
 	// Cancel requests cancellation.
@@ -138,8 +136,6 @@ func (j *baseJob) Err() error {
 	defer j.mu.Unlock()
 	return j.err
 }
-
-func (j *baseJob) Done() <-chan struct{} { return j.done.Done() }
 
 func (j *baseJob) Wait(ctx context.Context) (JobState, error) {
 	if j.done.Wait(ctx) {
@@ -230,7 +226,7 @@ func armWalltime(clock vclock.Clock, parent context.Context, walltime time.Durat
 	if wg != nil {
 		wg.Add(1)
 	}
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		if wg != nil {
 			defer wg.Done()
 		}

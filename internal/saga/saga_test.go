@@ -13,9 +13,8 @@ import (
 	"gopilot/internal/infra/htc"
 	"gopilot/internal/infra/yarn"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
-
-func fastClock() vclock.Clock { return vclock.NewScaled(2000) }
 
 func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 	return func(ctx context.Context, _ infra.Allocation) error {
@@ -42,7 +41,7 @@ func TestJobStateString(t *testing.T) {
 }
 
 func TestLocalServiceRunsJob(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	s := NewLocalService("lh", 8, clock)
 	defer s.Close()
 	var gotCores int
@@ -70,7 +69,7 @@ func TestLocalServiceRunsJob(t *testing.T) {
 }
 
 func TestLocalServiceFailure(t *testing.T) {
-	s := NewLocalService("lh", 8, fastClock())
+	s := NewLocalService("lh", 8, vclocktest.Adopted(t))
 	defer s.Close()
 	boom := errors.New("boom")
 	j, _ := s.Submit(Description{Payload: func(context.Context, infra.Allocation) error { return boom }})
@@ -81,16 +80,16 @@ func TestLocalServiceFailure(t *testing.T) {
 }
 
 func TestLocalServiceCancel(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	s := NewLocalService("lh", 8, clock)
 	defer s.Close()
-	started := make(chan struct{})
+	started := vclock.NewEvent(clock)
 	j, _ := s.Submit(Description{Payload: func(ctx context.Context, _ infra.Allocation) error {
-		close(started)
-		<-ctx.Done()
+		started.Fire()
+		clock.Sleep(ctx, time.Hour)
 		return ctx.Err()
 	}})
-	<-started
+	started.Wait(context.Background())
 	j.Cancel()
 	state, _ := j.Wait(context.Background())
 	if state != Canceled {
@@ -99,7 +98,7 @@ func TestLocalServiceCancel(t *testing.T) {
 }
 
 func TestLocalServiceWalltime(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	s := NewLocalService("lh", 8, clock)
 	defer s.Close()
 	j, _ := s.Submit(Description{Walltime: 2 * time.Second, Payload: sleeper(time.Hour, clock)})
@@ -107,10 +106,13 @@ func TestLocalServiceWalltime(t *testing.T) {
 	if state != Canceled {
 		t.Fatalf("state = %v, want Canceled on walltime", state)
 	}
+	if ran := j.EndTime().Sub(j.StartTime()); ran != 2*time.Second {
+		t.Fatalf("job ran %v, want exactly its 2s walltime", ran)
+	}
 }
 
 func TestHPCServiceRoundsUpNodes(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	cluster := hpc.New(hpc.Config{Name: "hp", Nodes: 8, CoresPerNode: 16, Clock: clock})
 	defer cluster.Shutdown()
 	s := NewHPCService(cluster, clock)
@@ -136,7 +138,7 @@ func TestHPCServiceRoundsUpNodes(t *testing.T) {
 }
 
 func TestHPCServiceWalltimeBecomesFailed(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	cluster := hpc.New(hpc.Config{Name: "hp", Nodes: 1, CoresPerNode: 1, Clock: clock})
 	defer cluster.Shutdown()
 	s := NewHPCService(cluster, clock)
@@ -145,10 +147,13 @@ func TestHPCServiceWalltimeBecomesFailed(t *testing.T) {
 	if state != Failed {
 		t.Fatalf("state = %v (err=%v), want Failed", state, err)
 	}
+	if ran := j.EndTime().Sub(j.StartTime()); ran != 2*time.Second {
+		t.Fatalf("job ran %v, want exactly its 2s walltime", ran)
+	}
 }
 
 func TestHTCServiceCoalescesSlots(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	pool := htc.New(htc.Config{Name: "osg", Slots: 8, MatchDelay: dist.Constant(0.5), Clock: clock})
 	defer pool.Shutdown()
 	s := NewHTCService(pool, clock)
@@ -175,7 +180,7 @@ func TestHTCServiceCoalescesSlots(t *testing.T) {
 }
 
 func TestCloudServiceProvisionsEnoughVMs(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	p := cloud.New(cloud.Config{
 		Name:      "ec2",
 		Types:     []cloud.VMType{{Name: "std", Cores: 4, PricePerHour: 0.1}},
@@ -208,7 +213,7 @@ func TestCloudServiceProvisionsEnoughVMs(t *testing.T) {
 }
 
 func TestYarnServiceNegotiatesContainers(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	c := yarn.New(yarn.Config{Name: "y", TotalCores: 32, AllocDelay: dist.Constant(0.01), Clock: clock})
 	defer c.Shutdown()
 	s := NewYarnService(c, 4, clock)
@@ -236,7 +241,7 @@ func TestYarnServiceNegotiatesContainers(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	r := NewRegistry()
 	local := NewLocalService("a", 4, clock)
 	r.Register(local)
@@ -254,7 +259,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestNilPayloadRejectedEverywhere(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	cluster := hpc.New(hpc.Config{Name: "x", Clock: clock})
 	defer cluster.Shutdown()
 	pool := htc.New(htc.Config{Name: "x", Clock: clock})

@@ -10,18 +10,19 @@ import (
 	"gopilot/internal/data"
 	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 // env wires a manager with two local "sites" so placement is observable.
 type env struct {
-	clock *vclock.Scaled
+	clock *vclock.Virtual
 	mgr   *core.Manager
 	data  *data.Service
 }
 
 func newEnv(t *testing.T, sched core.Scheduler) *env {
 	t.Helper()
-	clock := vclock.NewScaled(2000)
+	clock := vclocktest.Adopted(t)
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 32, clock))
 	reg.Register(saga.NewLocalService("siteB", 32, clock))
@@ -40,12 +41,8 @@ func (e *env) pilotAt(t *testing.T, site string, cores int) *core.Pilot {
 		t.Fatal(err)
 	}
 	// Wait for the agent to register.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.State() != core.PilotRunning {
-		if time.Now().After(deadline) {
-			t.Fatalf("pilot at %s never started", site)
-		}
-		time.Sleep(time.Millisecond)
+	if err := p.WaitRunning(context.Background()); err != nil {
+		t.Fatalf("pilot at %s never started: %v", site, err)
 	}
 	return p
 }
@@ -168,7 +165,7 @@ func TestDataAwareStrictDefersUntilSiteAvailable(t *testing.T) {
 		Run:       func(ctx context.Context, tc core.TaskContext) error { return nil },
 	})
 	// No pilot at siteB yet: unit must stay pending.
-	time.Sleep(50 * time.Millisecond)
+	e.clock.Sleep(context.Background(), time.Hour)
 	if s := u.State(); s != core.UnitPending {
 		t.Fatalf("state = %v, want Pending under strict data affinity", s)
 	}

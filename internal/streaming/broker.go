@@ -77,7 +77,7 @@ type BrokerConfig struct {
 	// into the broker. The chaos invariant checker uses this to prove
 	// consumer cursors never rewind.
 	OnCommit func(topic string, partition int, from, through int64)
-	// Clock supplies virtual time; defaults to vclock.Real.
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
 }
 
@@ -98,12 +98,10 @@ type topic struct {
 	// rr is the round-robin cursor for key-less publishes. It is shared
 	// mutable state across all producers of the topic, advanced under the
 	// broker lock while a batch's partitions are being assigned — so
-	// placement is a pure function of the topic-wide publish order. On
-	// vclock.Virtual that order is seed-determined, which makes key-less
-	// placement bit-identical across same-seed runs
-	// (TestKeylessPlacementDeterministicAcrossProducers); on real clocks
-	// concurrent producers race for the cursor and placement is only
-	// guaranteed to stay balanced, not reproducible.
+	// placement is a pure function of the topic-wide publish order. That
+	// order is seed-determined (producers are serialized by the executor's
+	// token), which makes key-less placement bit-identical across
+	// same-seed runs (TestKeylessPlacementDeterministicAcrossProducers).
 	rr int
 }
 
@@ -188,7 +186,7 @@ func NewBroker(cfg BrokerConfig) *Broker {
 		cfg.SegmentSize = 4096
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
+		cfg.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	return &Broker{cfg: cfg, topics: make(map[string]*topic)}
 }

@@ -142,7 +142,7 @@ func runBusScript(t *testing.T, d busDeployment) []string {
 	must(err)
 	cctx, cancel := context.WithCancel(ctx)
 	t0 := clock.Now()
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		clock.Sleep(ctx, time.Second)
 		cancel()
 	})
@@ -161,11 +161,12 @@ func runBusScript(t *testing.T, d busDeployment) []string {
 	// Close wakes a parked fetch and a back-pressured publish alike.
 	var fetchErr, pubErr error
 	fetchDone, pubDone := vclock.NewEvent(clock), vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer fetchDone.Fire()
 		_, fetchErr = bus.Fetch(ctx, "bp", 0, 2, 8)
 	})
-	vclock.Go(clock, func() {
+
+	clock.Go(func() {
 		defer pubDone.Fire()
 		_, pubErr = bus.Publish(ctx, "bp", k1, []byte{'e'})
 	})

@@ -186,7 +186,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		cfg.CatchupBytesPerSec = 64 << 20
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = vclock.NewReal()
+		cfg.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	if cfg.Offsets == nil {
 		cfg.Offsets = NewOffsetStore()
@@ -377,7 +377,7 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 	for q := 0; q < partitions; q++ {
 		for s := 0; s < c.cfg.Replication-1; s++ {
 			q, s := q, s
-			vclock.Go(c.clock, func() { c.replicate(name, q, s) })
+			c.clock.Go(func() { c.replicate(name, q, s) })
 		}
 	}
 	return nil
@@ -658,7 +658,7 @@ func (c *Cluster) FailShard(id int) error {
 				if nl < 0 {
 					nl = p.replicas[0]
 					p.syncing = removeShard(p.syncing, nl)
-					vclock.Mark(c.clock, fmt.Sprintf("unclean promotion %s[%d] shard %d epoch %d",
+					c.clock.Mark(fmt.Sprintf("unclean promotion %s[%d] shard %d epoch %d",
 						t.name, p.idx, nl, p.epoch), uint64(p.epoch))
 				}
 				p.replicas = removeShard(p.replicas, nl)
@@ -687,7 +687,7 @@ func (c *Cluster) FailShard(id int) error {
 				p.availableAt = avail
 				// The handoff decision lands in the schedule recorder: a
 				// bisected failing seed names this exact instant.
-				vclock.Mark(c.clock, fmt.Sprintf("federation handoff %s[%d] shard %d -> %d epoch %d",
+				c.clock.Mark(fmt.Sprintf("federation handoff %s[%d] shard %d -> %d epoch %d",
 					t.name, p.idx, id, nl, p.epoch), uint64(p.epoch))
 				fenced = append(fenced, pending{t: t, p: p, epoch: p.epoch, at: avail})
 			}
@@ -725,7 +725,7 @@ func (c *Cluster) FailShard(id int) error {
 		// in instant order and reopens each partition whose epoch is still
 		// the one this failure installed.
 		sort.SliceStable(fenced, func(a, b int) bool { return fenced[a].at.Before(fenced[b].at) })
-		vclock.Go(c.clock, func() {
+		c.clock.Go(func() {
 			for _, f := range fenced {
 				if d := f.at.Sub(c.clock.Now()); d > 0 {
 					if !c.clock.Sleep(c.runCtx, d) {
@@ -918,7 +918,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 			fp.mu.Lock()
 			fp.TruncateTo(at)
 			fp.mu.Unlock()
-			vclock.Mark(c.clock, fmt.Sprintf("replica repair %s[%d] shard %d truncated to %d (%d dropped)",
+			c.clock.Mark(fmt.Sprintf("replica repair %s[%d] shard %d truncated to %d (%d dropped)",
 				topicName, q, follower, at, fEnd-at), uint64(at))
 			c.mu.Lock()
 			c.repairs++
@@ -942,7 +942,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 					p2.epoch == epoch && containsInt(p2.syncing, follower) &&
 					1+slot < len(p2.replicas) && p2.replicas[1+slot] == follower {
 					p2.syncing = removeShard(p2.syncing, follower)
-					vclock.Mark(c.clock, fmt.Sprintf("replica synced %s[%d] shard %d at %d",
+					c.clock.Mark(fmt.Sprintf("replica synced %s[%d] shard %d at %d",
 						topicName, q, follower, fEnd), uint64(fEnd))
 					c.recomputeAckedLocked(t, p2)
 					c.fireCtrlLocked()

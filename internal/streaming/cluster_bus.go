@@ -361,10 +361,12 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 			registerEvent(&c.ctrl, w)
 			c.mu.Unlock()
 		}
-		// Close the register-vs-watermark race on real clocks: if any
-		// partition's watermark moved past what this round's view check
-		// used, the advance may have fired the waiter lists before we
-		// registered — re-scan instead of parking.
+		// Close the register-vs-watermark window: the view check and the
+		// registration run under different locks, so if any partition's
+		// watermark moved past what this round's view check used, the
+		// advance may have fired the waiter lists before we registered —
+		// re-scan instead of parking. The executor's token already orders
+		// participants; this keeps the guarantee at the lock level.
 		if !retry {
 			c.mu.Lock()
 			for i := 0; i < len(parts); i++ {

@@ -181,7 +181,7 @@ func TestClusterShardLossHandoff(t *testing.T) {
 	var fetchedAt time.Time
 	var fetchErr error
 	fetched := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer fetched.Fire()
 		_, fetchErr = c.Fetch(ctx, "t", part, 0, 10)
 		fetchedAt = clock.Now()
@@ -262,7 +262,7 @@ func TestClusterSeverLinkFencesPublish(t *testing.T) {
 	var pubAt time.Time
 	var pubErr error
 	published := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer published.Fire()
 		_, pubErr = c.Publish(ctx, "t", nil, []byte("fenced"))
 		pubAt = clock.Now()

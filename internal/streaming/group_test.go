@@ -68,7 +68,7 @@ func TestGroupRebalanceExactlyOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	done := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer done.Fire()
 		values := make([][]byte, 32)
 		for i := range values {
@@ -174,7 +174,7 @@ func groupJitterRun(t *testing.T, jitterSeed uint64) string {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	done := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer done.Fire()
 		values := make([][]byte, 50)
 		for i := range values {
@@ -288,7 +288,7 @@ func TestPublishBackpressureBlocksAndResumes(t *testing.T) {
 	var published Message
 	var resumedAt time.Time
 	done := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer done.Fire()
 		m, err := b.Publish(ctx, "t", nil, payload)
 		if err != nil {

@@ -182,7 +182,7 @@ func chargeAndRun(ctx context.Context, clock vclock.Clock, batch []Message,
 	}
 	if pure {
 		var herr error
-		if !vclock.Compute(clock, ctx, func() {
+		if !clock.Compute(ctx, func() {
 			for i := range batch {
 				if err := handler(ctx, &batch[i]); err != nil {
 					m := &batch[i]

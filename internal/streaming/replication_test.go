@@ -53,7 +53,7 @@ func TestDivergenceRepairAfterHandoff(t *testing.T) {
 	}
 	var pubErr error
 	pubDone := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer pubDone.Fire()
 		pubErr = c.PublishValues(ctx, "t", [][]byte{{10}, {11}, {12}, {13}})
 	})
@@ -156,7 +156,7 @@ func TestStaleHandoffBugLeavesDivergedReplica(t *testing.T) {
 	}
 	pubDone := vclock.NewEvent(clock)
 	var pubErr error
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer pubDone.Fire()
 		pubErr = c.PublishValues(ctx, "t", [][]byte{{10}, {11}, {12}, {13}})
 	})
@@ -365,7 +365,7 @@ func TestReplicationFaultProperty(t *testing.T) {
 
 			var pubErr error
 			pubDone := vclock.NewEvent(clock)
-			vclock.Go(clock, func() {
+			clock.Go(func() {
 				defer pubDone.Fire()
 				payload := []byte("replicated-payload")
 				sent := 0
@@ -486,7 +486,7 @@ func TestReplicationSegmentReuseUnderFaults(t *testing.T) {
 			}
 			var pubErr error
 			pubDone := vclock.NewEvent(clock)
-			vclock.Go(clock, func() {
+			clock.Go(func() {
 				defer pubDone.Fire()
 				for sent := 0; sent < total; {
 					k := 1 + next(48)
@@ -519,7 +519,7 @@ func TestReplicationSegmentReuseUnderFaults(t *testing.T) {
 			var views [][]Message
 			var conErr error
 			conDone := vclock.NewEvent(clock)
-			vclock.Go(clock, func() {
+			clock.Go(func() {
 				defer conDone.Fire()
 				cursor := make([]int64, parts)
 				for n := 0; n < total; {
@@ -657,7 +657,7 @@ func TestClusterCloseMidHandoffUnwindsCleanly(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	var cancelErr error
 	cancelDone := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer cancelDone.Fire()
 		_, cancelErr = c.Fetch(cctx, "t", 0, 3, 10) // nothing at 3: parks
 	})
@@ -678,7 +678,7 @@ func TestClusterCloseMidHandoffUnwindsCleanly(t *testing.T) {
 	}
 	var quorumErr error
 	quorumDone := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer quorumDone.Fire()
 		quorumErr = c.PublishValues(ctx, "t", [][]byte{{9}, {9}})
 	})
@@ -697,11 +697,12 @@ func TestClusterCloseMidHandoffUnwindsCleanly(t *testing.T) {
 	var fencePubErr, fenceFetchErr error
 	fencePubDone := vclock.NewEvent(clock)
 	fenceFetchDone := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer fencePubDone.Fire()
 		_, fencePubErr = c.Publish(ctx, "t", nil, []byte("fenced"))
 	})
-	vclock.Go(clock, func() {
+
+	clock.Go(func() {
 		defer fenceFetchDone.Fire()
 		_, fenceFetchErr = c.Fetch(ctx, "t", 0, 0, 10)
 	})

@@ -10,6 +10,7 @@ import (
 
 	"gopilot/internal/plan"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 // The segment lifecycle (DESIGN.md "Segment lifecycle") under test: the
@@ -592,31 +593,47 @@ func TestColdPartitionFootprint(t *testing.T) {
 }
 
 // TestViewsSurviveGrowthConcurrently is the born-small proof under the race
-// detector, on a real-clock Broker: a consumer keeps every view it is
-// handed and re-reads all of them after every fetch while a producer
-// appends one message at a time through the partition's growth steps
-// (16 → 32 → 64 → 128 → 256 slots).
+// detector: a consumer keeps every view it is handed and re-reads all of
+// them after every fetch while a producer appends one message at a time
+// through the partition's growth steps (16 → 32 → 64 → 128 → 256 slots).
+// The re-read runs in a Compute body — the consumer's goroutine, off the
+// token — and each round's producer is made runnable just before it, so
+// Compute's token release hands the producer the token and its append
+// (slot write, growth copy) executes while the re-read is in flight.
 func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 	const total = 200
-	b := NewBroker(BrokerConfig{AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: fastClock()})
+	clock := vclocktest.Adopted(t)
+	b := NewBroker(BrokerConfig{AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: clock})
 	defer b.Close()
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var held [][]Message
-		for next := int64(0); next < total; {
-			v, err := b.Fetch(ctx, "t", 0, next, 8)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			held = append(held, v)
-			next += int64(len(v))
+	ctx := context.Background()
+	publish := func(i int) {
+		if _, err := b.Publish(ctx, "t", nil, []byte(fmt.Sprint("v", i))); err != nil {
+			t.Error(err)
+		}
+	}
+	publish(0)
+	producers := vclock.NewGroup(clock)
+	var held [][]Message
+	for next, sent := int64(0), 1; next < total; {
+		v, err := b.Fetch(ctx, "t", 0, next, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, v)
+		next += int64(len(v))
+		if sent < total {
+			i := sent
+			sent++
+			producers.Add(1)
+			clock.Go(func() {
+				defer producers.Done()
+				publish(i)
+			})
+		}
+		clock.Compute(ctx, func() {
 			at := int64(0)
 			for _, h := range held {
 				for i := range h {
@@ -627,16 +644,9 @@ func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 					at++
 				}
 			}
-		}
-	}()
-	for i := 0; i < total; i++ {
-		if _, err := b.Publish(ctx, "t", nil, []byte(fmt.Sprint("v", i))); err != nil {
-			t.Error(err)
-			cancel() // releases the consumer's long poll
-			break
-		}
+		})
 	}
-	<-done
+	producers.Wait()
 	part := b.topics["t"].partitions[0]
 	part.mu.Lock()
 	defer part.mu.Unlock()

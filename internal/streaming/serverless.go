@@ -93,7 +93,7 @@ func StartServerless(ctx context.Context, platform *serverless.Platform, broker 
 			jitter = dist.LogNormalFrom(partRoot.SplitLabel(uint64(part)), 1, cfg.CostCV)
 		}
 		p.wg.Add(1)
-		vclock.Go(broker.Clock(), func() {
+		broker.Clock().Go(func() {
 			defer p.wg.Done()
 			p.dispatch(runCtx, part, jitter)
 		})

@@ -9,6 +9,7 @@ import (
 	"gopilot/internal/dist"
 	"gopilot/internal/infra/serverless"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 func newPlatform(clock vclock.Clock) *serverless.Platform {
@@ -23,7 +24,7 @@ func newPlatform(clock vclock.Clock) *serverless.Platform {
 }
 
 func TestServerlessProcessorConsumesAll(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 4)
@@ -75,7 +76,7 @@ func TestServerlessProcessorConsumesAll(t *testing.T) {
 }
 
 func TestServerlessValidation(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -93,7 +94,7 @@ func TestServerlessValidation(t *testing.T) {
 }
 
 func TestServerlessColdStartShowsInLatency(t *testing.T) {
-	clock := vclock.NewScaled(500)
+	clock := vclocktest.Adopted(t)
 	b := NewBroker(BrokerConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -137,7 +138,7 @@ func TestServerlessColdStartShowsInLatency(t *testing.T) {
 }
 
 func TestServerlessStopTerminates(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 2)
@@ -150,14 +151,5 @@ func TestServerlessStopTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		proc.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop hung")
-	}
+	proc.Stop() // a hang here is the failure (go test -timeout)
 }

@@ -12,11 +12,10 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
-func fastClock() *vclock.Scaled { return vclock.NewScaled(2000) }
-
-func newBroker(clock *vclock.Scaled) *Broker {
+func newBroker(clock vclock.Clock) *Broker {
 	return NewBroker(BrokerConfig{
 		Name:         "b",
 		AppendCost:   time.Millisecond, // 1000 msg/s per partition
@@ -26,7 +25,7 @@ func newBroker(clock *vclock.Scaled) *Broker {
 }
 
 func TestCreateTopicAndPartitions(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(vclocktest.Adopted(t))
 	defer b.Close()
 	if err := b.CreateTopic("t", 4); err != nil {
 		t.Fatal(err)
@@ -48,7 +47,7 @@ func TestCreateTopicAndPartitions(t *testing.T) {
 }
 
 func TestPublishFetchRoundTrip(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(vclocktest.Adopted(t))
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	m, err := b.Publish(context.Background(), "t", []byte("k"), []byte("v"))
@@ -68,7 +67,7 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 }
 
 func TestPerPartitionOrdering(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(vclocktest.Adopted(t))
 	defer b.Close()
 	b.CreateTopic("t", 2)
 	key := []byte("same-key")
@@ -91,7 +90,7 @@ func TestPerPartitionOrdering(t *testing.T) {
 }
 
 func TestKeylessPublishesSpreadRoundRobin(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(vclocktest.Adopted(t))
 	defer b.Close()
 	b.CreateTopic("t", 4)
 	counts := make(map[int]int)
@@ -109,52 +108,54 @@ func TestKeylessPublishesSpreadRoundRobin(t *testing.T) {
 	}
 }
 
+// parkedFetch starts a long-poll Fetch of partition 0 as a participant and
+// lets a modeled minute pass, so the fetcher is parked on the empty log
+// when the caller acts. The returned event fires once Fetch has returned.
+func parkedFetch(t *testing.T, clock vclock.Clock, b *Broker, msgs *[]Message, err *error) *vclock.Event {
+	t.Helper()
+	done := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer done.Fire()
+		*msgs, *err = b.Fetch(context.Background(), "t", 0, 0, 10)
+	})
+	clock.Sleep(context.Background(), time.Minute)
+	if done.Fired() {
+		t.Fatalf("Fetch on an empty log returned (%v, %v) instead of parking", *msgs, *err)
+	}
+	return done
+}
+
 func TestFetchLongPollWakesOnPublish(t *testing.T) {
-	b := newBroker(fastClock())
+	clock := vclocktest.Adopted(t)
+	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
-	got := make(chan []Message, 1)
-	go func() {
-		msgs, err := b.Fetch(context.Background(), "t", 0, 0, 10)
-		if err != nil {
-			t.Error(err)
-		}
-		got <- msgs
-	}()
-	time.Sleep(20 * time.Millisecond)
+	var msgs []Message
+	var err error
+	done := parkedFetch(t, clock, b, &msgs, &err)
 	b.Publish(context.Background(), "t", nil, []byte("wake"))
-	select {
-	case msgs := <-got:
-		if len(msgs) != 1 || string(msgs[0].Value) != "wake" {
-			t.Fatalf("msgs = %+v", msgs)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("long poll never woke")
+	done.Wait(context.Background())
+	if err != nil || len(msgs) != 1 || string(msgs[0].Value) != "wake" {
+		t.Fatalf("msgs = %+v, err = %v", msgs, err)
 	}
 }
 
 func TestFetchAfterCloseReturnsError(t *testing.T) {
-	b := newBroker(fastClock())
+	clock := vclocktest.Adopted(t)
+	b := newBroker(clock)
 	b.CreateTopic("t", 1)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := b.Fetch(context.Background(), "t", 0, 0, 10)
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
+	var msgs []Message
+	var err error
+	done := parkedFetch(t, clock, b, &msgs, &err)
 	b.Close()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrBrokerClosed) {
-			t.Fatalf("err = %v, want ErrBrokerClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("fetch never returned after close")
+	done.Wait(context.Background())
+	if !errors.Is(err, ErrBrokerClosed) {
+		t.Fatalf("err = %v, want ErrBrokerClosed", err)
 	}
 }
 
 func TestUnknownTopicErrors(t *testing.T) {
-	b := newBroker(fastClock())
+	b := newBroker(vclocktest.Adopted(t))
 	defer b.Close()
 	if _, err := b.Publish(context.Background(), "ghost", nil, nil); !errors.Is(err, ErrUnknownTopic) {
 		t.Fatalf("err = %v", err)
@@ -212,7 +213,7 @@ func TestMorePartitionsRaiseCapacity(t *testing.T) {
 	}
 }
 
-func newStreamEnv(t *testing.T, clock *vclock.Scaled, cores int) *core.Manager {
+func newStreamEnv(t *testing.T, clock vclock.Clock, cores int) *core.Manager {
 	t.Helper()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("sp", cores, clock))
@@ -222,18 +223,14 @@ func newStreamEnv(t *testing.T, clock *vclock.Scaled, cores int) *core.Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.State() != core.PilotRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("pilot never started")
-		}
-		time.Sleep(time.Millisecond)
+	if err := p.WaitRunning(context.Background()); err != nil {
+		t.Fatalf("pilot never started: %v", err)
 	}
 	return mgr
 }
 
 func TestProcessorConsumesAll(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 4)
@@ -279,7 +276,7 @@ func TestProcessorConsumesAll(t *testing.T) {
 }
 
 func TestProcessorLatencyGrowsWithSlowHandler(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -312,7 +309,7 @@ func TestProcessorLatencyGrowsWithSlowHandler(t *testing.T) {
 }
 
 func TestProcessorValidation(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	b := newBroker(clock)
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -360,7 +357,7 @@ func TestWindowPanicsOnBadWidth(t *testing.T) {
 }
 
 func TestProduceAtRate(t *testing.T) {
-	clock := fastClock()
+	clock := vclocktest.Adopted(t)
 	b := NewBroker(BrokerConfig{AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 4)
@@ -379,7 +376,7 @@ func TestProduceAtRate(t *testing.T) {
 func TestFetchSegmentBoundaries(t *testing.T) {
 	b := NewBroker(BrokerConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
-		SegmentSize: 4, Clock: fastClock(),
+		SegmentSize: 4, Clock: vclocktest.Adopted(t),
 	})
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -420,7 +417,7 @@ func TestFetchSegmentBoundaries(t *testing.T) {
 func TestFetchViewStableWhileAppending(t *testing.T) {
 	b := NewBroker(BrokerConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
-		SegmentSize: 8, Clock: fastClock(),
+		SegmentSize: 8, Clock: vclocktest.Adopted(t),
 	})
 	defer b.Close()
 	b.CreateTopic("t", 1)
@@ -494,7 +491,7 @@ func TestFetchOrWaitChargesLatencyOnce(t *testing.T) {
 	// zero extra charge.
 	var gotPublished, gotDelivered time.Time
 	done := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer done.Fire()
 		_, batch, err := b.FetchOrWait(ctx, "t", []int{0}, []int64{1}, 0, 10)
 		if err != nil || len(batch) != 1 {
@@ -540,7 +537,7 @@ func TestKeylessPlacementDeterministicAcrossProducers(t *testing.T) {
 		for pr := 0; pr < 2; pr++ {
 			pr := pr
 			wg.Add(1)
-			vclock.Go(clock, func() {
+			clock.Go(func() {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
 					m, err := b.Publish(context.Background(), "t", nil, []byte{byte(pr), byte(i)})
@@ -718,7 +715,7 @@ func TestSkewedCommitLostWithClosedBroker(t *testing.T) {
 	b.SetCommitDelay(time.Second)
 	var err error
 	done := vclock.NewEvent(clock)
-	vclock.Go(clock, func() {
+	clock.Go(func() {
 		defer done.Fire()
 		err = b.Commit("t", 0, 3)
 	})

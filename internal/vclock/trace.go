@@ -187,15 +187,6 @@ func (c *Virtual) Mark(note string, seq uint64) {
 	c.mu.Unlock()
 }
 
-// Mark forwards to Virtual.Mark when c is a Virtual clock and is a no-op
-// otherwise, mirroring the Go/Compute package-helper pattern so callers
-// need not switch on clock mode.
-func Mark(c Clock, note string, seq uint64) {
-	if v, ok := c.(*Virtual); ok {
-		v.Mark(note, seq)
-	}
-}
-
 // recordLocked appends one decision to the recorder. Caller holds c.mu.
 func (c *Virtual) recordLocked(kind TraceKind, seq uint64, note string) {
 	r := c.rec

@@ -99,15 +99,14 @@ func TestRecorderWindowCapture(t *testing.T) {
 }
 
 // Marks enter the decision stream: note and seq are preserved, they
-// perturb the hash, and the package-level helper is a no-op on
-// non-virtual clocks and when recording is off.
+// perturb the hash, and Mark is a no-op when recording is off.
 func TestRecorderMark(t *testing.T) {
 	c := NewVirtual(Epoch)
 	c.Adopt()
 	defer c.Leave()
-	Mark(c, "before start", 1) // off: must not panic or count
+	c.Mark("before start", 1) // off: must not panic or count
 	c.StartRecorder(RecorderConfig{})
-	Mark(c, "bind", 42)
+	c.Mark("bind", 42)
 	s := c.RecorderState()
 	if s.Decisions != 1 || len(s.Ring) != 1 {
 		t.Fatalf("mark not recorded: %+v", s)
@@ -116,11 +115,10 @@ func TestRecorderMark(t *testing.T) {
 		t.Fatalf("mark entry mangled: %+v", e)
 	}
 	noMark := c.RecorderState().Hash
-	Mark(c, "bind2", 43)
+	c.Mark("bind2", 43)
 	if c.RecorderState().Hash == noMark {
 		t.Fatal("mark did not perturb the hash chain")
 	}
-	Mark(NewManual(Epoch), "ignored", 0) // non-virtual: no-op
 }
 
 // Recording is off by default and StopRecorder discards state; RecorderState

@@ -5,218 +5,25 @@
 //
 // All *modeled* latencies in the simulated infrastructures (batch queue
 // waits, VM boot times, data transfers, task service times) are expressed in
-// modeled time and slept through a Clock. Four implementations exist:
-//
-//   - Real: modeled time == wall time (for demos running live).
-//   - Scaled: modeled time divided by a factor before sleeping. A factor of
-//     1000 makes one modeled second cost one wall millisecond.
-//   - Manual: a deterministic test clock advanced explicitly.
-//   - Virtual: a conservative virtual-time executor (virtual.go) that
-//     advances to the earliest sleeper deadline whenever all registered
-//     goroutines are quiescent — modeled sleeps cost zero wall time and
-//     same-seed runs are bit-reproducible. Pure CPU kernels escape its
-//     single-runner serialization through the deterministic parallel
-//     compute phase (compute.go): real cores, same schedule.
+// modeled time and slept through the one clock there is: Virtual, a
+// conservative virtual-time executor (virtual.go) that advances to the
+// earliest sleeper deadline whenever all registered goroutines are
+// quiescent — modeled sleeps cost zero wall time and same-seed runs are
+// bit-reproducible. Pure CPU kernels escape its single-runner
+// serialization through the deterministic parallel compute phase
+// (compute.go): real cores, same schedule. Every exhibit, benchmark, test
+// and example runs on it; there is no wall-time mode to select.
 //
 // Experiment reports always quote modeled durations, so results read like
 // the paper's (seconds and minutes, not microseconds).
 package vclock
 
-import (
-	"context"
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
-// Clock abstracts the passage of modeled time.
-type Clock interface {
-	// Now returns the current modeled time.
-	Now() time.Time
-	// Sleep blocks for the given modeled duration (or until the context is
-	// done, whichever comes first) and reports whether the full duration
-	// elapsed (false means the context was canceled).
-	Sleep(ctx context.Context, d time.Duration) bool
-	// Since returns the modeled time elapsed since t.
-	Since(t time.Time) time.Duration
-}
+// Clock is the type components declare their clock as. It names the one
+// implementation, so a nil Clock is a nil *Virtual.
+type Clock = *Virtual
 
-// Real is a Clock backed directly by wall time.
-type Real struct{}
-
-// NewReal returns a wall-time clock.
-func NewReal() Real { return Real{} }
-
-// Now implements Clock.
-func (Real) Now() time.Time { return time.Now() }
-
-// Since implements Clock.
-func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Sleep implements Clock.
-func (Real) Sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// Scaled is a Clock in which modeled time passes `Factor` times faster than
-// wall time: Sleep(d) sleeps d/Factor of wall time, and Now advances by
-// Factor modeled units per wall unit. It is the workhorse for experiments.
-type Scaled struct {
-	factor float64
-	epoch  time.Time // modeled epoch
-	start  time.Time // wall time at construction
-}
-
-// Epoch is the fixed modeled epoch shared by Scaled and (by convention)
-// Virtual clocks, so timestamps agree across clock modes and runs. It is
-// the arXiv v2 date of the paper.
+// Epoch is the fixed modeled epoch every clock starts at by convention, so
+// timestamps agree across runs. It is the arXiv v2 date of the paper.
 var Epoch = time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
-
-// NewScaled creates a scaled clock. factor must be >= 1; the modeled epoch
-// is fixed for reproducible timestamps across runs.
-func NewScaled(factor float64) *Scaled {
-	if factor < 1 {
-		factor = 1
-	}
-	return &Scaled{
-		factor: factor,
-		epoch:  Epoch,
-		start:  time.Now(),
-	}
-}
-
-// Factor returns the speed-up factor.
-func (c *Scaled) Factor() float64 { return c.factor }
-
-// Now implements Clock.
-func (c *Scaled) Now() time.Time {
-	wall := time.Since(c.start)
-	return c.epoch.Add(time.Duration(float64(wall) * c.factor))
-}
-
-// Since implements Clock.
-func (c *Scaled) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// Sleep implements Clock. The wall duration is the modeled duration
-// divided by the factor, not floored: a 1µs floor here used to inflate
-// dense sub-resolution modeled sleeps by up to 1000× at high factors,
-// skewing short-task exhibits. Sub-nanosecond remainders round to a 1ns
-// timer, which still yields the scheduler so ordering remains plausible.
-func (c *Scaled) Sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	wall := time.Duration(float64(d) / c.factor)
-	if wall <= 0 {
-		wall = time.Nanosecond
-	}
-	t := time.NewTimer(wall)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// Manual is a deterministic Clock for unit tests: time only moves when
-// Advance is called. Goroutines blocked in Sleep are released in timestamp
-// order as the clock passes their deadlines.
-type Manual struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*manualWaiter
-}
-
-type manualWaiter struct {
-	deadline time.Time
-	ch       chan struct{}
-}
-
-// NewManual creates a manual clock starting at the given time.
-func NewManual(start time.Time) *Manual { return &Manual{now: start} }
-
-// Now implements Clock.
-func (c *Manual) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Since implements Clock.
-func (c *Manual) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// Sleep implements Clock.
-func (c *Manual) Sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	c.mu.Lock()
-	w := &manualWaiter{deadline: c.now.Add(d), ch: make(chan struct{})}
-	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-	select {
-	case <-w.ch:
-		return true
-	case <-ctx.Done():
-		c.remove(w)
-		return false
-	}
-}
-
-func (c *Manual) remove(w *manualWaiter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// Advance moves the clock forward by d, waking every sleeper whose deadline
-// has passed (in deadline order).
-func (c *Manual) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	var due []*manualWaiter
-	var rest []*manualWaiter
-	for _, w := range c.waiters {
-		if !w.deadline.After(c.now) {
-			due = append(due, w)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	c.waiters = rest
-	c.mu.Unlock()
-	sort.Slice(due, func(i, j int) bool { return due[i].deadline.Before(due[j].deadline) })
-	for _, w := range due {
-		close(w.ch)
-	}
-}
-
-// PendingSleepers reports how many goroutines are currently blocked in Sleep.
-func (c *Manual) PendingSleepers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
-
-var (
-	_ Clock = Real{}
-	_ Clock = (*Scaled)(nil)
-	_ Clock = (*Manual)(nil)
-)

@@ -2,134 +2,45 @@ package vclock
 
 import (
 	"context"
-	"sync"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-func TestRealSleepRespectsContext(t *testing.T) {
-	c := NewReal()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if c.Sleep(ctx, time.Hour) {
-		t.Fatal("Sleep returned true with canceled context")
+// TestUnregisteredWaitPanics pins the contract that replaced the silent
+// plain-channel fallback: a wait that would park, issued by a goroutine
+// that is not a participant of an idle world, panics and names the fix.
+func TestUnregisteredWaitPanics(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		wait func(v *Virtual)
+	}{
+		{"Sleep", func(v *Virtual) { v.Sleep(ctx, time.Second) }},
+		{"Notifier.Wait", func(v *Virtual) { NewNotifier(v).Wait(ctx) }},
+		{"Event.Wait", func(v *Virtual) { NewEvent(v).Wait(ctx) }},
+		{"Group.Wait", func(v *Virtual) {
+			g := NewGroup(v)
+			g.Add(1)
+			g.Wait()
+		}},
+		{"Sem.Acquire contended", func(v *Virtual) {
+			s := NewSem(v, 1)
+			if !s.Acquire(ctx) { // free slot: no park, no participant needed
+				t.Error("uncontended Acquire failed")
+			}
+			s.Acquire(ctx)
+		}},
 	}
-}
-
-func TestRealSleepZero(t *testing.T) {
-	c := NewReal()
-	if !c.Sleep(context.Background(), 0) {
-		t.Fatal("zero sleep should complete")
-	}
-}
-
-func TestScaledSleepIsFaster(t *testing.T) {
-	c := NewScaled(1000)
-	start := time.Now()
-	if !c.Sleep(context.Background(), 2*time.Second) {
-		t.Fatal("Sleep failed")
-	}
-	wall := time.Since(start)
-	if wall > 500*time.Millisecond {
-		t.Fatalf("2s modeled sleep took %v wall time at factor 1000", wall)
-	}
-}
-
-func TestScaledNowAdvancesByFactor(t *testing.T) {
-	c := NewScaled(1000)
-	t0 := c.Now()
-	time.Sleep(10 * time.Millisecond)
-	elapsed := c.Since(t0)
-	// 10ms wall at factor 1000 ≈ 10 modeled seconds; allow generous slack.
-	if elapsed < 5*time.Second || elapsed > 60*time.Second {
-		t.Fatalf("modeled elapsed = %v, want ≈10s", elapsed)
-	}
-}
-
-func TestScaledFactorClamped(t *testing.T) {
-	c := NewScaled(0.5)
-	if c.Factor() != 1 {
-		t.Fatalf("Factor = %g, want clamp to 1", c.Factor())
-	}
-}
-
-func TestManualSleepWakesInOrder(t *testing.T) {
-	c := NewManual(time.Unix(0, 0))
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	sleep := func(id int, d time.Duration) {
-		defer wg.Done()
-		c.Sleep(context.Background(), d)
-		mu.Lock()
-		order = append(order, id)
-		mu.Unlock()
-	}
-	wg.Add(2)
-	go sleep(1, 10*time.Second)
-	go sleep(2, 5*time.Second)
-	// Wait until both goroutines are blocked.
-	for c.PendingSleepers() != 2 {
-		time.Sleep(time.Millisecond)
-	}
-	c.Advance(20 * time.Second)
-	wg.Wait()
-	if len(order) != 2 {
-		t.Fatalf("order = %v", order)
-	}
-	if c.PendingSleepers() != 0 {
-		t.Fatalf("PendingSleepers = %d, want 0", c.PendingSleepers())
-	}
-}
-
-func TestManualPartialAdvance(t *testing.T) {
-	c := NewManual(time.Unix(0, 0))
-	done := make(chan bool, 1)
-	go func() {
-		done <- c.Sleep(context.Background(), 10*time.Second)
-	}()
-	for c.PendingSleepers() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	c.Advance(5 * time.Second)
-	select {
-	case <-done:
-		t.Fatal("sleeper woke before deadline")
-	case <-time.After(10 * time.Millisecond):
-	}
-	c.Advance(5 * time.Second)
-	if !<-done {
-		t.Fatal("sleeper should complete")
-	}
-}
-
-func TestManualSleepCancel(t *testing.T) {
-	c := NewManual(time.Unix(0, 0))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan bool, 1)
-	go func() {
-		done <- c.Sleep(ctx, time.Hour)
-	}()
-	for c.PendingSleepers() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if <-done {
-		t.Fatal("canceled sleep returned true")
-	}
-	if c.PendingSleepers() != 0 {
-		t.Fatalf("canceled waiter not removed: %d", c.PendingSleepers())
-	}
-}
-
-func TestManualNowAndSince(t *testing.T) {
-	start := time.Unix(100, 0)
-	c := NewManual(start)
-	if !c.Now().Equal(start) {
-		t.Fatal("Now != start")
-	}
-	c.Advance(30 * time.Second)
-	if got := c.Since(start); got != 30*time.Second {
-		t.Fatalf("Since = %v, want 30s", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "use Go or Adopt") {
+					t.Errorf("recovered %q, want a panic naming \"use Go or Adopt\"", msg)
+				}
+			}()
+			tc.wait(NewVirtual(Epoch))
+		})
 	}
 }

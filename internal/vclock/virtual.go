@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Virtual is a conservative virtual-time executor: a Clock whose modeled
+// Virtual is a conservative virtual-time executor: a clock whose modeled
 // time advances to the earliest sleeper deadline whenever every registered
 // goroutine is quiescent (blocked in Sleep or parked in a clock-aware
 // primitive), so modeled sleeps cost zero wall time.
@@ -14,10 +14,9 @@ import (
 // The executor is cooperative and single-runner: at most one registered
 // participant executes at a time, holding an implicit execution token.
 // The token is released when the holder sleeps, parks (Notifier, Event,
-// Group, Sem — see primitives.go), blocks (Block/Unblock) or exits, and is
-// handed to the next runnable participant in FIFO order; when no
-// participant is runnable, time jumps to the earliest sleeper's deadline
-// and that sleeper runs. Ties on deadline wake in Sleep-call order. This
+// Group, Sem — see primitives.go) or exits, and is handed to the next
+// runnable participant in FIFO order; when no participant is runnable,
+// time jumps to the earliest sleeper's deadline and that sleeper runs. Ties on deadline wake in Sleep-call order. This
 // serialization makes a same-seed run bit-reproducible: every Now() reads
 // the same modeled instant in every run, and every scheduling decision
 // happens in the same order.
@@ -42,10 +41,6 @@ import (
 //     other participants; they park through Sleep or the clock-aware
 //     primitives instead. A bare block holds the token and stalls the
 //     world (a real deadlock, surfaced by the caller's context timeout).
-//   - Block/Unblock is the escape hatch for waiting on *external*
-//     (non-participant) work; between the two calls the goroutine is
-//     invisible to the scheduler, so signals from fellow participants must
-//     not be awaited this way (the world may advance past the signal).
 type Virtual struct {
 	mu         sync.Mutex
 	now        time.Time
@@ -73,7 +68,6 @@ type Virtual struct {
 	parkedHead, parkedTail *parker
 	parkedLen              int
 
-	blocked      int
 	participants int
 	stalls       uint64
 
@@ -220,19 +214,19 @@ func NewVirtual(start time.Time) *Virtual {
 	return &Virtual{now: start}
 }
 
-// Now implements Clock.
+// Now returns the current modeled time.
 func (c *Virtual) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
 }
 
-// Since implements Clock.
+// Since returns the modeled time elapsed since t.
 func (c *Virtual) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 
-// Sleep implements Clock: the calling participant parks until modeled time
-// reaches now+d, which costs no wall time. Returns false if ctx was
-// canceled first.
+// Sleep parks the calling participant until modeled time reaches now+d,
+// which costs no wall time. It reports whether the full duration elapsed
+// (false means ctx was canceled first).
 func (c *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
@@ -305,48 +299,6 @@ func (c *Virtual) Adopt() {
 // Leave deregisters the calling participant (the inverse of Adopt) and
 // releases the execution token.
 func (c *Virtual) Leave() { c.exit() }
-
-// Block marks the calling participant as waiting on something external to
-// the scheduled world and releases the execution token. It must be paired
-// with Unblock. See the participation contract above for when this is
-// (and is not) safe.
-func (c *Virtual) Block() {
-	c.mu.Lock()
-	if !c.hasCurrent {
-		c.mu.Unlock()
-		panic("vclock: Block on Virtual clock from an unregistered goroutine")
-	}
-	c.blocked++
-	c.hasCurrent = false
-	c.scheduleLocked()
-	c.mu.Unlock()
-}
-
-// Unblock re-enters the scheduled world after Block, waiting for the
-// execution token.
-func (c *Virtual) Unblock() {
-	r := &parker{g: make(grant, 1)}
-	c.mu.Lock()
-	c.blocked--
-	c.runq = append(c.runq, r)
-	c.scheduleLocked()
-	c.mu.Unlock()
-	<-r.g
-}
-
-// Participants returns the number of registered participant goroutines.
-func (c *Virtual) Participants() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.participants
-}
-
-// PendingSleepers reports how many participants are blocked in Sleep.
-func (c *Virtual) PendingSleepers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sleepers)
-}
 
 // Stalls counts the times the scheduler found participants registered but
 // nothing runnable and nothing sleeping — i.e. everyone parked waiting for
@@ -568,8 +520,8 @@ func (c *Virtual) scheduleLocked() {
 	}
 	if c.participants > 0 {
 		// Everyone is parked and no modeled work is pending: the world can
-		// only resume on an external signal (Adopt, Unblock, a primitive
-		// fired from outside, or a context cancellation).
+		// only resume on an external signal (Adopt, a primitive fired from
+		// outside, or a context cancellation).
 		c.stalls++
 	}
 }
@@ -633,5 +585,3 @@ func removeParker(ws *[]*parker, r *parker) bool {
 	}
 	return false
 }
-
-var _ Clock = (*Virtual)(nil)

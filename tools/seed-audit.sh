@@ -49,6 +49,14 @@
 #      depend on which real core ran it. Like rule 4 this would not
 #      crash; it would silently leak pooled buffers across the purity
 #      boundary — so the grep-gate lives here.
+#   9. Nothing under internal/ or examples/ touches wall time (DESIGN.md
+#      "The virtual-time executor"): there is one clock, vclock.Virtual,
+#      and a time.Now/Since/Sleep/After/NewTimer/AfterFunc/Tick beside it
+#      is a second, non-deterministic one — the bug examples/
+#      dynamic_scaling carried while a scaled clock hid it. The only
+#      allowed lines are E11's two host-milliseconds reads in
+#      internal/experiments/exp_loop.go (the one exhibit column that
+#      reports host CPU time, filtered out of `make exhibit-digest`).
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -188,6 +196,21 @@ for f in $files; do
     internal/chaos/*)
       if grep -nE 'time\.(Sleep|After|AfterFunc|NewTimer|NewTicker|Tick|Now|Since)\(' "$f" >&2; then
         echo "seed-audit: $f sleeps on or reads the wall clock — chaos schedules faults in modeled time only" >&2
+        fail=1
+      fi
+      ;;
+  esac
+  # Rule 9: no wall time beside the virtual clock. The allow-list is the
+  # exact text of E11's two host-milliseconds lines.
+  case "$f" in
+    internal/*|examples/*)
+      wall=$(grep -nE 'time\.(Now|Since|Sleep|After|NewTimer|AfterFunc|Tick)\(' "$f" || true)
+      if [ "$f" = internal/experiments/exp_loop.go ]; then
+        wall=$(echo "$wall" | grep -vE 'wallStart := time\.Now\(\)$|time\.Since\(wallStart\)\.Microsecond' || true)
+      fi
+      if [ -n "$wall" ]; then
+        echo "$wall" | sed "s|^|seed-audit:   $f:|" >&2
+        echo "seed-audit: $f reads or sleeps on wall time — use the component's vclock.Clock" >&2
         fail=1
       fi
       ;;
