@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation fuzz-smoke loc exhibit-digest exhibit-stable examples-stable ci
+.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation test-reuse fuzz-smoke loc exhibit-digest exhibit-stable examples-stable ci
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,16 @@ test-federation:
 		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug|TestChaosSkewedCommitOnDeadLeader|TestChaosPlantedAndClean|TestBusConformance' \
 		./internal/plan/ ./internal/streaming/ ./internal/experiments/
 
+# Record-reuse hazards under the race detector, repeated: a participant
+# re-arms one parker for every wait and streaming's runners and calls
+# re-arm one wait object, so a stale reference would reach a *live* wait
+# (DESIGN.md "Participant record", "Hot path → Park/wake"). The
+# outside-world signal cases need real threads and repetition to show.
+test-reuse:
+	GOMAXPROCS=4 $(GO) test -race -count=20 \
+		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData' \
+		./internal/vclock/ ./internal/streaming/
+
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a
 # target (and its committed corpus under testdata/fuzz) cannot rot between
 # the longer runs someone starts by hand. `go test -fuzz` takes one target
@@ -139,4 +149,4 @@ examples-stable:
 		esac; \
 	done
 
-ci: build vet seed-audit doc-audit test fuzz-smoke race exhibit-stable examples-stable bench-compare
+ci: build vet seed-audit doc-audit test fuzz-smoke race test-reuse exhibit-stable examples-stable bench-compare

@@ -121,17 +121,18 @@ func BenchmarkStreaming_Million(b *testing.B) {
 
 // BenchmarkStreaming_TenMillion is the 10⁷-message E13 variant: ten times
 // BenchmarkStreaming_Million's traffic through the same topology, gated on
-// the per-message allocation budget (≤0.08 allocs/msg, measured via
+// the per-message allocation budget (≤0.02 allocs/msg, measured via
 // runtime.MemStats across the whole run, GC included). The point is
 // asymptotic: fixed-cost allocations (brokers, worker stacks, series
 // growth) amortize to noise at 10⁷ messages, so what remains is the true
 // per-message cost of the data plane — a change that reintroduces even a
 // fractional per-message allocation fails here long before it trips the
 // per-op gate on the 10⁶ exhibit. The budget covers the replicated plane
-// (replication 3: every publish batch crosses two paced catch-up links,
-// whose park/wake registrations are the dominant per-batch cost — 0.053
-// measured vs 0.0093 for the single-copy plane); a per-message copy
-// (~5 allocs/msg) still fails by two orders of magnitude. Opt-in because
+// (replication 3: every publish batch crosses two paced catch-up links)
+// now that a park allocates nothing — 0.0036 measured; a return to
+// per-park allocation (0.053 when every park minted a parker, a channel,
+// an event and two one-slot lists) fails it, and a per-message copy
+// (~5 allocs/msg) fails it by two orders of magnitude. Opt-in because
 // one op takes ~10× the Million exhibit's wall time:
 //
 //	GOPILOT_BENCH_10M=1 go test -bench 'TenMillion' -benchtime 1x -run '^$' .
@@ -150,8 +151,8 @@ func BenchmarkStreaming_TenMillion(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
 		b.ReportMetric(perMsg, "allocs/msg")
-		if perMsg > 0.08 {
-			b.Fatalf("allocation budget blown: %.4f allocs/msg > 0.08 (%d allocations for %d messages)",
+		if perMsg > 0.02 {
+			b.Fatalf("allocation budget blown: %.4f allocs/msg > 0.02 (%d allocations for %d messages)",
 				perMsg, after.Mallocs-before.Mallocs, int64(msgs))
 		}
 	}

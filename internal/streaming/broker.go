@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gopilot/internal/vclock"
@@ -118,8 +119,8 @@ type partition struct {
 	// empty. Producers are unaffected — the blackout is on the fetch side.
 	down bool
 
-	waiters []*vclock.Event // consumers parked until data arrives
-	space   []*vclock.Event // producers parked until in-flight bytes drop
+	waiters []waitReg // consumers parked until data arrives
+	space   []waitReg // producers parked until in-flight bytes drop
 }
 
 // wakeFetchers fires the parked data waiters: the blackout lifted, or —
@@ -127,16 +128,8 @@ type partition struct {
 // watermark rather than the log end — the watermark advanced.
 func (p *partition) wakeFetchers() {
 	p.mu.Lock()
-	ws := p.waiters
-	p.waiters = nil
+	fireList(&p.waiters)
 	p.mu.Unlock()
-	fireAll(ws)
-}
-
-func fireAll(ws []*vclock.Event) {
-	for _, w := range ws {
-		w.Fire()
-	}
 }
 
 // ErrUnknownTopic is returned for operations on absent topics.
@@ -389,13 +382,14 @@ func (b *Broker) publish(ctx context.Context, topicName string, n int, kv func(i
 	}
 	sc := groupBatch(&b.mu, &t.rr, len(t.partitions), n, kv)
 	defer pubScratchPool.Put(sc)
+	var ws waitSlot
 	var latest time.Time
 	for p, part := range t.partitions {
 		lo, idxs, slot := sc.group(p, out)
 		if len(idxs) == 0 {
 			continue
 		}
-		_, _, finish, err := b.appendBatch(ctx, part, t.name, p, idxs, kv, sc.bytes[p], slot)
+		_, _, finish, err := b.appendBatch(ctx, &ws, part, t.name, p, idxs, kv, sc.bytes[p], slot)
 		if err != nil {
 			return int(lo), err
 		}
@@ -420,14 +414,14 @@ func (b *Broker) publish(ctx context.Context, topicName string, n int, kv func(i
 // and receives the appended messages. Returns the appended offset range
 // [start, end) and the modeled finish time (the caller sleeps once, to
 // the slowest partition, after all sub-batches land).
-func (b *Broker) appendBatch(ctx context.Context, part *partition, topicName string, pi int, idxs []int32, kv func(int) ([]byte, []byte), add int64, out []Message) (start, end int64, finish time.Time, err error) {
+func (b *Broker) appendBatch(ctx context.Context, ws *waitSlot, part *partition, topicName string, pi int, idxs []int32, kv func(int) ([]byte, []byte), add int64, out []Message) (start, end int64, finish time.Time, err error) {
 	clock := b.cfg.Clock
 	// Backpressure: park (in modeled time) until the partition has room.
 	// An idle partition always admits at least one batch, so a batch
 	// larger than the whole bound cannot deadlock.
 	part.mu.Lock()
 	for limit := b.cfg.MaxInflightBytes; limit > 0 && part.Inflight() > 0 && part.Inflight()+add > limit; {
-		w := vclock.NewEvent(clock)
+		w := ws.arm(clock)
 		registerEvent(&part.space, w)
 		part.mu.Unlock()
 		// Re-check closed *after* registering: Close sets the flag before
@@ -468,30 +462,79 @@ func (b *Broker) appendBatch(ctx context.Context, part *partition, topicName str
 		}
 	}
 	end = part.end
-	waiters := part.waiters
-	part.waiters = nil
+	fireList(&part.waiters)
 	part.mu.Unlock()
-	fireAll(waiters)
 	return start, end, finish, nil
 }
 
-// registerEvent parks w on a waiter list (a partition's data waiters or
-// backpressure space waiters, the cluster's control list), pruning entries
-// already fired. Every exit path of a parked call fires its event —
-// including the abandoning ones (context canceled, broker closed, poll
-// satisfied by another partition) — so stale registrations are
-// recognizably dead and swept on the next registration. Without that,
-// skewed traffic or repeatedly canceled publishes would grow a list by one
-// event per wake-up until a publish, Commit or Close cleared it. Caller
-// holds the lock guarding the list.
-func registerEvent(list *[]*vclock.Event, w *vclock.Event) {
+// waiter is a re-armable wait object: one vclock.Event that its owner — a
+// replicate runner, a publish call, a FetchOrWait call — parks on again and
+// again instead of minting an event per park; gen numbers its armings.
+type waiter struct {
+	*vclock.Event
+	gen atomic.Uint64
+}
+
+// waitSlot holds a caller's waiter, made at its first park so that a call
+// which never parks allocates nothing.
+type waitSlot struct{ w *waiter }
+
+// arm readies the slot's waiter for one more park — a new arming, unfired.
+// Owner-only, between parks.
+func (s *waitSlot) arm(clock vclock.Clock) *waiter {
+	if s.w == nil {
+		s.w = &waiter{Event: vclock.NewEvent(clock)}
+	} else {
+		s.w.gen.Add(1)
+		s.w.Reset()
+	}
+	return s.w
+}
+
+// waitReg is one registration of a waiter on a waiter list, stamped with
+// the arming it was made under. A park may register on several lists and
+// is woken by one; its registrations on the others must die with it, or
+// re-arming would revive them and their list's next fire would wake a
+// later, unrelated park — an extra grant, a different schedule. So: dead
+// iff the stamp is not the waiter's current arming or that arming has fired.
+type waitReg struct {
+	w   *waiter
+	gen uint64
+}
+
+func (r waitReg) current() bool { return r.w.gen.Load() == r.gen }
+func (r waitReg) live() bool    { return r.current() && !r.w.Fired() }
+
+// registerEvent parks w's current arming on a waiter list (a partition's
+// data or backpressure-space waiters, its ackWait, the cluster's control
+// list), pruning dead registrations. Every exit path of a parked call fires
+// its waiter — the abandoning ones too (context canceled, broker closed,
+// poll satisfied by another partition) — and its next park re-arms it, so
+// stale registrations are recognizably dead and swept here; otherwise skewed
+// traffic or repeatedly canceled publishes would grow a list by one entry per
+// wake-up until a fire cleared it. Caller holds the lock guarding the list.
+func registerEvent(list *[]waitReg, w *waiter) {
 	live := (*list)[:0]
 	for _, old := range *list {
-		if !old.Fired() {
+		if old.live() {
 			live = append(live, old)
 		}
 	}
-	*list = append(live, w)
+	*list = append(live, waitReg{w, w.gen.Load()})
+}
+
+// fireList fires every live registration in order and empties the list,
+// keeping its array. Caller holds the lock guarding the list: the lock
+// order is list lock (part.mu, c.mu) → Event.mu → Virtual.mu, with no
+// reverse edge — Fire never calls back into streaming.
+func fireList(list *[]waitReg) {
+	for _, r := range *list {
+		if r.current() {
+			r.w.Fire()
+		}
+	}
+	clear(*list)
+	*list = (*list)[:0]
 }
 
 // checkPoll validates one FetchOrWait call against a topic of nparts
@@ -552,8 +595,9 @@ func (b *Broker) FetchOrWait(ctx context.Context, topicName string, parts []int,
 	if !b.cfg.Clock.Sleep(ctx, b.cfg.FetchLatency) {
 		return 0, nil, ctx.Err()
 	}
+	var ws waitSlot
 	for {
-		var w *vclock.Event
+		var w *waiter // this round's arming of ws, once a partition needs it
 		for i := 0; i < len(parts); i++ {
 			j := (start + i) % len(parts)
 			part := t.partitions[parts[j]]
@@ -580,7 +624,7 @@ func (b *Broker) FetchOrWait(ctx context.Context, topicName string, parts []int,
 				}
 			}
 			if w == nil {
-				w = vclock.NewEvent(b.cfg.Clock)
+				w = ws.arm(b.cfg.Clock)
 			}
 			registerEvent(&part.waiters, w)
 			part.mu.Unlock()
@@ -642,13 +686,10 @@ func (b *Broker) Commit(topicName string, partitionIdx int, through int64) error
 	// re-check, re-register and park again, one scheduler round trip per
 	// waiter per commit. Leave them parked until a commit makes progress
 	// possible; they re-evaluate their own batch size on wake.
-	var ws []*vclock.Event
 	if in := part.Inflight(); in == 0 || in < b.cfg.MaxInflightBytes {
-		ws = part.space
-		part.space = nil
+		fireList(&part.space)
 	}
 	part.mu.Unlock()
-	fireAll(ws)
 	return nil
 }
 
@@ -746,13 +787,9 @@ func (b *Broker) Close() {
 	for _, t := range b.order {
 		for _, p := range t.partitions {
 			p.mu.Lock()
-			ws := p.waiters
-			p.waiters = nil
-			sp := p.space
-			p.space = nil
+			fireList(&p.waiters)
+			fireList(&p.space)
 			p.mu.Unlock()
-			fireAll(ws)
-			fireAll(sp)
 		}
 	}
 }

@@ -63,7 +63,7 @@ type Cluster struct {
 	// ctrl holds waiters parked on control-plane state (fences, epochs,
 	// links, stalls): fired and swept on every control change and on
 	// Close, so nothing outlives the state it waits on.
-	ctrl []*vclock.Event
+	ctrl []waitReg
 }
 
 // fedTopic is the control-plane view of one topic.
@@ -103,7 +103,7 @@ type fedPart struct {
 	ackedAtEpoch []int64
 	// ackWait holds producers parked until acked reaches their batch end
 	// or the epoch moves; fired on watermark advance and on handoff.
-	ackWait []*vclock.Event
+	ackWait []waitReg
 }
 
 // ClusterConfig configures a Cluster. The broker-shaped fields
@@ -284,22 +284,6 @@ func (c *Cluster) Repairs() int {
 	return c.repairs
 }
 
-// fireCtrlLocked wakes everything parked on control-plane state. Caller
-// holds c.mu.
-func (c *Cluster) fireCtrlLocked() {
-	ws := c.ctrl
-	c.ctrl = nil
-	fireAll(ws)
-}
-
-// fireAckWaitLocked wakes the producers parked on one partition's
-// watermark. Caller holds c.mu.
-func (c *Cluster) fireAckWaitLocked(p *fedPart) {
-	ws := p.ackWait
-	p.ackWait = nil
-	fireAll(ws)
-}
-
 // recomputeAckedLocked advances a partition's acknowledged watermark to
 // the minimum log end across full members (recruits excluded), firing
 // OnAcked, parked producers and the leader's fetch waiters on progress.
@@ -327,7 +311,7 @@ func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 		if c.cfg.OnAcked != nil {
 			c.cfg.OnAcked(t.name, p.idx, from, lo)
 		}
-		c.fireAckWaitLocked(p)
+		fireList(&p.ackWait)
 		// Wake parked fetchers *after* the watermark is in place: a waiter
 		// that re-checks immediately sees the new fetchable range.
 		if lp, err := c.shards[p.replicas[0]].partRef(t.name, p.idx); err == nil {
@@ -709,10 +693,10 @@ func (c *Cluster) FailShard(id int) error {
 			// Membership and leadership moved: wake parked producers (their
 			// batch may need re-appending) and control waiters (runners must
 			// re-resolve their follower slots).
-			c.fireAckWaitLocked(p)
+			fireList(&p.ackWait)
 		}
 	}
-	c.fireCtrlLocked()
+	fireList(&c.ctrl)
 	c.mu.Unlock()
 
 	// Close the dead shard's broker: anything parked inside it (leader
@@ -735,7 +719,7 @@ func (c *Cluster) FailShard(id int) error {
 				c.mu.Lock()
 				if f.p.epoch == f.epoch {
 					f.p.availableAt = time.Time{}
-					c.fireCtrlLocked()
+					fireList(&c.ctrl)
 				}
 				c.mu.Unlock()
 			}
@@ -763,7 +747,7 @@ func (c *Cluster) setLink(a, b int, sever bool) error {
 	}
 	c.severed[a][b] = sever
 	c.severed[b][a] = sever
-	c.fireCtrlLocked()
+	fireList(&c.ctrl)
 	return nil
 }
 
@@ -782,7 +766,7 @@ func (c *Cluster) SetLinkLag(a, b int, factor float64) error {
 	}
 	c.lagFac[a][b] = factor
 	c.lagFac[b][a] = factor
-	c.fireCtrlLocked()
+	fireList(&c.ctrl)
 	return nil
 }
 
@@ -801,7 +785,7 @@ func (c *Cluster) FreezeReplica(topic string, partition, slot int, frozen bool) 
 		return fmt.Errorf("streaming: %s[%d] has no replica slot %d", topic, partition, slot)
 	}
 	p.frozen[slot] = frozen
-	c.fireCtrlLocked()
+	fireList(&c.ctrl)
 	return nil
 }
 
@@ -817,7 +801,7 @@ func (c *Cluster) SetPartitionDown(topic string, partition int, down bool) error
 		return err
 	}
 	p.stalled = down
-	c.fireCtrlLocked()
+	fireList(&c.ctrl)
 	return nil
 }
 
@@ -850,6 +834,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 	// Scratch buffers for the per-round epoch-chain snapshots: chains are
 	// a handful of spans, so after the first rounds these never allocate.
 	var lSpans, fSpans []plan.EpochSpan
+	var ws waitSlot // the runner's one wait object, re-armed per park
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -875,7 +860,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 		c.mu.Unlock()
 
 		if follower < 0 || frozen {
-			if !c.parkCtrl() {
+			if !c.parkCtrl(&ws) {
 				return
 			}
 			continue
@@ -885,7 +870,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 		fp, ferr := c.shards[follower].partRef(topicName, q)
 		if lerr != nil || ferr != nil {
 			// A shard died between snapshot and use; membership is changing.
-			if !c.parkCtrl() {
+			if !c.parkCtrl(&ws) {
 				return
 			}
 			continue
@@ -945,13 +930,13 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 					c.clock.Mark(fmt.Sprintf("replica synced %s[%d] shard %d at %d",
 						topicName, q, follower, fEnd), uint64(fEnd))
 					c.recomputeAckedLocked(t, p2)
-					c.fireCtrlLocked()
+					fireList(&c.ctrl)
 					c.mu.Unlock()
 					continue
 				}
 			}
 			c.mu.Unlock()
-			if !c.parkData(lb, lp, fEnd) {
+			if !c.parkData(&ws, lb, lp, fEnd) {
 				return
 			}
 			continue
@@ -1002,8 +987,8 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 
 // parkCtrl parks the calling runner until the control plane changes or
 // the cluster closes. Returns false when the runner should exit.
-func (c *Cluster) parkCtrl() bool {
-	w := vclock.NewEvent(c.clock)
+func (c *Cluster) parkCtrl(ws *waitSlot) bool {
+	w := ws.arm(c.clock)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -1022,8 +1007,8 @@ func (c *Cluster) parkCtrl() bool {
 // parkData parks the calling runner until the leader's log grows past
 // end, the control plane changes, or the cluster closes. Returns false
 // when the runner should exit.
-func (c *Cluster) parkData(lb *Broker, lp *partition, end int64) bool {
-	w := vclock.NewEvent(c.clock)
+func (c *Cluster) parkData(ws *waitSlot, lb *Broker, lp *partition, end int64) bool {
+	w := ws.arm(c.clock)
 	lp.mu.Lock()
 	registerEvent(&lp.waiters, w)
 	grown := lp.end > end
@@ -1147,19 +1132,17 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	ctrl := c.ctrl
+	wake := c.ctrl // control waiters first, then each partition's producers
 	c.ctrl = nil
-	var acks []*vclock.Event
 	for _, t := range c.order {
 		for _, p := range t.parts {
-			acks = append(acks, p.ackWait...)
+			wake = append(wake, p.ackWait...)
 			p.ackWait = nil
 		}
 	}
 	c.mu.Unlock()
 	c.stopFn()
-	fireAll(ctrl)
-	fireAll(acks)
+	fireList(&wake)
 	for _, b := range c.shards {
 		b.Close()
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"gopilot/internal/vclock"
 )
 
 // The Cluster's Bus surface: the replicated-log data plane. Publishes
@@ -101,6 +99,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 
 	// Phase 1: append every sub-batch on its partition's current leader.
 	recs := make([]pubRec, 0, 4)
+	var ws waitSlot // the call's one wait object, re-armed per park
 	var latest time.Time
 	for p := range t.parts {
 		lo, idxs, slot := sc.group(p, out)
@@ -108,7 +107,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 			continue
 		}
 		r := pubRec{p: p, idxs: idxs, res: slot, add: sc.bytes[p]}
-		if err := c.appendToLeader(ctx, t, &r, kv, &latest); err != nil {
+		if err := c.appendToLeader(ctx, &ws, t, &r, kv, &latest); err != nil {
 			return int(lo), err
 		}
 		recs = append(recs, r)
@@ -117,7 +116,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	// Phase 2: wait for quorum acknowledgement, re-appending across
 	// handoffs.
 	for ri := range recs {
-		if err := c.awaitAcked(ctx, t, &recs[ri], kv, &latest); err != nil {
+		if err := c.awaitAcked(ctx, &ws, t, &recs[ri], kv, &latest); err != nil {
 			return n, err
 		}
 	}
@@ -134,7 +133,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 // leader, parking while the partition is fenced mid-handoff and
 // re-routing if the leader dies underneath the call. Fills r.s, r.e and
 // r.epoch; res slots (when present) receive the appended messages.
-func (c *Cluster) appendToLeader(ctx context.Context, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
+func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -143,7 +142,7 @@ func (c *Cluster) appendToLeader(ctx context.Context, t *fedTopic, r *pubRec, kv
 		}
 		p := t.parts[r.p]
 		if !p.availableAt.IsZero() {
-			w := vclock.NewEvent(c.clock)
+			w := ws.arm(c.clock)
 			registerEvent(&c.ctrl, w)
 			c.mu.Unlock()
 			if !w.Wait(ctx) {
@@ -154,7 +153,7 @@ func (c *Cluster) appendToLeader(ctx context.Context, t *fedTopic, r *pubRec, kv
 		}
 		leader, epoch := p.replicas[0], p.epoch
 		c.mu.Unlock()
-		if retry, err := c.appendOn(ctx, leader, epoch, t, r, kv, latest); !retry {
+		if retry, err := c.appendOn(ctx, ws, leader, epoch, t, r, kv, latest); !retry {
 			return err
 		}
 	}
@@ -163,13 +162,13 @@ func (c *Cluster) appendToLeader(ctx context.Context, t *fedTopic, r *pubRec, kv
 // appendOn appends r's sub-batch on shard `leader`, resolved under epoch
 // `epoch`, and records where it landed. retry reports that the shard died
 // under the call: the caller re-resolves and tries its successor.
-func (c *Cluster) appendOn(ctx context.Context, leader, epoch int, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) (retry bool, err error) {
+func (c *Cluster) appendOn(ctx context.Context, ws *waitSlot, leader, epoch int, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) (retry bool, err error) {
 	b := c.shards[leader]
 	var s, e int64
 	var finish time.Time
 	part, err := b.partRef(t.name, r.p)
 	if err == nil {
-		s, e, finish, err = b.appendBatch(ctx, part, t.name, r.p, r.idxs, kv, r.add, r.res)
+		s, e, finish, err = b.appendBatch(ctx, ws, part, t.name, r.p, r.idxs, kv, r.add, r.res)
 	}
 	if err != nil {
 		return errors.Is(err, ErrBrokerClosed) && !c.isClosed(), err
@@ -193,7 +192,7 @@ func (c *Cluster) appendOn(ctx context.Context, leader, epoch int, t *fedTopic, 
 // suffix above that handoff's truncation point was discarded with the
 // deposed leader's log: re-append it to the new leader (the acknowledged
 // prefix stays where it is) and keep waiting.
-func (c *Cluster) awaitAcked(ctx context.Context, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
+func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -224,7 +223,7 @@ func (c *Cluster) awaitAcked(ctx context.Context, t *fedTopic, r *pubRec, kv fun
 				continue
 			}
 			if !p.availableAt.IsZero() {
-				w := vclock.NewEvent(c.clock)
+				w := ws.arm(c.clock)
 				registerEvent(&c.ctrl, w)
 				c.mu.Unlock()
 				if !w.Wait(ctx) {
@@ -245,14 +244,14 @@ func (c *Cluster) awaitAcked(ctx context.Context, t *fedTopic, r *pubRec, kv fun
 				k, v := kv(int(i))
 				r.add += int64(len(k) + len(v))
 			}
-			if retry, err := c.appendOn(ctx, leader, newEpoch, t, r, kv, latest); err != nil && !retry {
+			if retry, err := c.appendOn(ctx, ws, leader, newEpoch, t, r, kv, latest); err != nil && !retry {
 				return err
 			}
 			continue
 		}
 		// Park until the watermark advances or the epoch moves; both fire
 		// the partition's ackWait list.
-		w := vclock.NewEvent(c.clock)
+		w := ws.arm(c.clock)
 		registerEvent(&p.ackWait, w)
 		c.mu.Unlock()
 		if !w.Wait(ctx) {
@@ -289,8 +288,9 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 		return 0, nil, ctx.Err()
 	}
 	ackedSeen := make([]int64, len(parts))
+	var ws waitSlot
 	for {
-		var w *vclock.Event
+		var w *waiter // this round's arming of ws, once a partition needs it
 		retry := false
 		for i := 0; i < len(parts) && !retry; i++ {
 			j := (start + i) % len(parts)
@@ -309,7 +309,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 			ackedSeen[j] = acked
 			if blocked {
 				if w == nil {
-					w = vclock.NewEvent(c.clock)
+					w = ws.arm(c.clock)
 				}
 				registerEvent(&c.ctrl, w)
 				c.mu.Unlock()
@@ -321,7 +321,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				// The leader died between snapshot and use: treat as a
 				// control change and re-resolve next round.
 				if w == nil {
-					w = vclock.NewEvent(c.clock)
+					w = ws.arm(c.clock)
 				}
 				c.mu.Lock()
 				registerEvent(&c.ctrl, w)
@@ -353,7 +353,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				}
 			}
 			if w == nil {
-				w = vclock.NewEvent(c.clock)
+				w = ws.arm(c.clock)
 			}
 			registerEvent(&lp.waiters, w)
 			lp.mu.Unlock()

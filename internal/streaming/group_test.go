@@ -573,8 +573,8 @@ func TestCanceledBackpressurePublishLeavesNoWaiters(t *testing.T) {
 	// registration sweeps it too.
 	part.mu.Lock()
 	for _, w := range part.space {
-		if !w.Fired() {
-			t.Error("abandoned space waiter left unfired")
+		if w.live() {
+			t.Error("abandoned space waiter left live")
 		}
 	}
 	part.mu.Unlock()

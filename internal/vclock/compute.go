@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"time"
 )
 
 // This file implements the deterministic parallel compute phase: a way to
@@ -61,24 +62,24 @@ func (c *Virtual) Compute(ctx context.Context, fn func()) bool {
 		return false
 	}
 	c.mu.Lock()
-	if !c.hasCurrent {
+	r := c.current // captured now: fn returns off-token, under someone else's current
+	if r == nil {
 		c.mu.Unlock()
 		panic("vclock: Compute on Virtual clock from an unregistered goroutine (use Go or Adopt)")
 	}
 	c.computeSeq++
-	ord := c.computeSeq
+	r.arm(nil, time.Time{}, c.computeSeq) // the rejoin is ordered and recorded by spawn ordinal
 	c.computing++
-	c.hasCurrent = false
+	c.current = nil
 	c.scheduleLocked()
 	c.mu.Unlock()
 
 	fn()
 
-	r := &parker{g: make(grant, 1), seq: ord}
 	c.mu.Lock()
 	c.computing--
 	c.computeDone = append(c.computeDone, r)
-	if !c.hasCurrent {
+	if c.current == nil {
 		// The token is free, so the run queue is empty: this was the last
 		// (or only) straggler the scheduler was holding the world for.
 		c.scheduleLocked()

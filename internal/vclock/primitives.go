@@ -13,6 +13,81 @@ import (
 // Signals (Set, Fire, Done, Release) may come from any goroutine; waits
 // that park must come from a participant and panic otherwise.
 
+// waitq is a primitive's FIFO of parked records, linked through
+// parker.wnext and guarded by the primitive's mutex; wake order is
+// registration order — wake order is the schedule. A link inside a record
+// that its goroutine re-arms is safe under two obligations (DESIGN.md
+// "Participant record"): a record is on at most one waitq and on none once
+// its wait has returned, and pop clears the link *before* the caller wakes
+// the record — a signal from outside the scheduled world grants at once, and
+// the woken goroutine may re-link the record while the signaller walks on.
+type waitq struct{ head, tail *parker }
+
+func (q *waitq) push(r *parker) {
+	if q.tail != nil {
+		q.tail.wnext = r
+	} else {
+		q.head = r
+	}
+	q.tail = r
+}
+
+// pop unlinks and returns the longest-parked record, nil when empty.
+func (q *waitq) pop() *parker {
+	r := q.head
+	if r != nil {
+		if q.head = r.wnext; q.head == nil {
+			q.tail = nil
+		}
+		r.wnext = nil
+	}
+	return r
+}
+
+// remove unlinks r wherever it sits; a no-op when a signal already popped it.
+func (q *waitq) remove(r *parker) {
+	var prev *parker
+	for p := &q.head; *p != nil; prev, p = *p, &(*p).wnext {
+		if *p == r {
+			if *p = r.wnext; q.tail == r {
+				q.tail = prev
+			}
+			r.wnext = nil
+			return
+		}
+	}
+}
+
+// wakeAll pops and wakes every record on q in order; true if any was claimed.
+// Like every signaller it holds the primitive's mutex from pop through wake:
+// a canceled waiter needs it to unlink, so cannot re-arm under its hands.
+func (c *Virtual) wakeAll(q *waitq) (woke bool) {
+	for r := q.pop(); r != nil; r = q.pop() {
+		if c.wake(r) {
+			woke = true
+		}
+	}
+	return woke
+}
+
+// waitOn parks the calling participant on q, the waiter queue of a
+// primitive whose mutex mu the caller holds (released here), until a signal
+// pops and wakes its record (true) or ctx is done (false; the canceled
+// waiter unlinks itself, so a wait never returns with its record enrolled).
+func (c *Virtual) waitOn(ctx context.Context, mu *sync.Mutex, q *waitq) bool {
+	r := c.newParker(ctx, mu)
+	q.push(r)
+	mu.Unlock()
+	c.park(r)
+	if c.await(r) {
+		return true
+	}
+	mu.Lock()
+	q.remove(r)
+	mu.Unlock()
+	return false
+}
+
 // Notifier is a level-triggered wake-up signal, the clock-aware
 // replacement for the `make(chan struct{}, 1)` kick-channel idiom. Set
 // never blocks; Wait returns true when signaled (waking every current
@@ -22,7 +97,7 @@ type Notifier struct {
 
 	mu      sync.Mutex
 	set     bool
-	waiters []*parker
+	waiters waitq
 }
 
 // NewNotifier creates a Notifier for the given clock.
@@ -32,15 +107,7 @@ func NewNotifier(c Clock) *Notifier { return &Notifier{v: c} }
 // runnable; with no (live) waiter the signal is latched for the next Wait.
 func (n *Notifier) Set() {
 	n.mu.Lock()
-	ws := n.waiters
-	n.waiters = nil
-	woke := false
-	for _, w := range ws {
-		if n.v.wake(w) {
-			woke = true
-		}
-	}
-	if !woke {
+	if !n.v.wakeAll(&n.waiters) {
 		n.set = true
 	}
 	n.mu.Unlock()
@@ -58,27 +125,18 @@ func (n *Notifier) Wait(ctx context.Context) bool {
 		n.mu.Unlock()
 		return true
 	}
-	r := n.v.newParker(ctx)
-	n.waiters = append(n.waiters, r)
-	n.mu.Unlock()
-	n.v.park(r)
-	if n.v.await(r) {
-		return true
-	}
-	n.mu.Lock()
-	removeParker(&n.waiters, r)
-	n.mu.Unlock()
-	return false
+	return n.v.waitOn(ctx, &n.mu, &n.waiters)
 }
 
-// Event is a one-shot broadcast, the clock-aware replacement for the
-// `close(done)` idiom. Fire is idempotent.
+// Event is a broadcast latch, the clock-aware replacement for the
+// `close(done)` idiom: fired, it stays fired (Fire is idempotent) until its
+// single waiting owner, if it has one, re-arms it between waits (Reset).
 type Event struct {
 	v *Virtual
 
 	mu      sync.Mutex
 	fired   bool
-	waiters []*parker
+	waiters waitq
 }
 
 // NewEvent creates an Event for the given clock.
@@ -92,11 +150,17 @@ func (e *Event) Fire() {
 		return
 	}
 	e.fired = true
-	ws := e.waiters
-	e.waiters = nil
-	for _, w := range ws {
-		e.v.wake(w)
-	}
+	e.v.wakeAll(&e.waiters)
+	e.mu.Unlock()
+}
+
+// Reset re-arms the event for another wait. Owner-only: the caller is the
+// one goroutine that ever waits on e, so nothing is parked on it here. A
+// holder from before the Reset can still Fire e; an owner that hands e out
+// tracks which arming each holder belongs to (streaming's waiter does).
+func (e *Event) Reset() {
+	e.mu.Lock()
+	e.fired = false
 	e.mu.Unlock()
 }
 
@@ -114,17 +178,7 @@ func (e *Event) Wait(ctx context.Context) bool {
 		e.mu.Unlock()
 		return ctx.Err() == nil
 	}
-	r := e.v.newParker(ctx)
-	e.waiters = append(e.waiters, r)
-	e.mu.Unlock()
-	e.v.park(r)
-	if e.v.await(r) {
-		return true
-	}
-	e.mu.Lock()
-	removeParker(&e.waiters, r)
-	e.mu.Unlock()
-	return false
+	return e.v.waitOn(ctx, &e.mu, &e.waiters)
 }
 
 // Group is a clock-aware sync.WaitGroup replacement for waiting out
@@ -134,7 +188,7 @@ type Group struct {
 
 	mu      sync.Mutex
 	n       int
-	waiters []*parker
+	waiters waitq
 }
 
 // NewGroup creates a Group for the given clock.
@@ -148,15 +202,10 @@ func (g *Group) Add(delta int) {
 		g.mu.Unlock()
 		panic("vclock: negative Group counter")
 	}
-	var ws []*parker
 	if g.n == 0 {
-		ws = g.waiters
-		g.waiters = nil
+		g.v.wakeAll(&g.waiters)
 	}
 	g.mu.Unlock()
-	for _, w := range ws {
-		g.v.wake(w)
-	}
 }
 
 // Done decrements the group counter.
@@ -169,11 +218,7 @@ func (g *Group) Wait() {
 		g.mu.Unlock()
 		return
 	}
-	r := g.v.newParker(nil)
-	g.waiters = append(g.waiters, r)
-	g.mu.Unlock()
-	g.v.park(r)
-	g.v.await(r)
+	g.v.waitOn(context.Background(), &g.mu, &g.waiters)
 }
 
 // Sem is a clock-aware counting semaphore (FIFO), the replacement for the
@@ -184,7 +229,7 @@ type Sem struct {
 
 	mu      sync.Mutex
 	held    int
-	waiters []*parker
+	waiters waitq
 }
 
 // NewSem creates a semaphore with n slots.
@@ -205,26 +250,14 @@ func (s *Sem) Acquire(ctx context.Context) bool {
 		s.mu.Unlock()
 		return true
 	}
-	r := s.v.newParker(ctx)
-	s.waiters = append(s.waiters, r)
-	s.mu.Unlock()
-	s.v.park(r)
-	if s.v.await(r) {
-		// The releaser handed its slot directly to us.
-		return true
-	}
-	s.mu.Lock()
-	removeParker(&s.waiters, r)
-	s.mu.Unlock()
-	return false
+	// True: the releaser handed its slot directly to us.
+	return s.v.waitOn(ctx, &s.mu, &s.waiters)
 }
 
 // Release returns a slot, handing it to the longest-parked live waiter.
 func (s *Sem) Release() {
 	s.mu.Lock()
-	for len(s.waiters) > 0 {
-		r := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	for r := s.waiters.pop(); r != nil; r = s.waiters.pop() {
 		if s.v.wake(r) {
 			// Slot handed over; held stays constant.
 			s.mu.Unlock()

@@ -42,10 +42,12 @@ import (
 //     primitives instead. A bare block holds the token and stalls the
 //     world (a real deadlock, surfaced by the caller's context timeout).
 type Virtual struct {
-	mu         sync.Mutex
-	now        time.Time
-	seq        uint64
-	hasCurrent bool
+	mu  sync.Mutex
+	now time.Time
+	seq uint64
+	// current is the token holder's record, nil while the token is free: set
+	// by the two grant sites, cleared by Sleep, park, Compute and exit.
+	current *parker
 
 	// runq is a head-indexed FIFO deque: pops advance runqHead instead of
 	// re-slicing, so the backing array's capacity is reused across
@@ -83,17 +85,22 @@ type Virtual struct {
 	rec *recorder
 }
 
-// grant is a one-shot execution-token handoff channel (buffered so the
-// granter never blocks).
+// grant is a participant's execution-token handoff channel, made once with
+// its record. One buffered slot, so the granter never blocks: a record is
+// granted once per arming and its goroutine takes that grant before it can
+// arm again.
 type grant chan struct{}
 
-// parker is one goroutine's registration in a wait list: the run queue, the
-// sleeper heap (deadline set) or the parked list (waiting on a primitive).
-// A parker is claimed exactly once — by its primitive's signal, by the
+// parker is a participant's record, born in join and re-armed for every
+// Sleep, primitive wait and Compute rejoin of that goroutine, so a park
+// allocates nothing (DESIGN.md "Participant record"). Armed, it is the
+// goroutine's registration in one wait list — the run queue, the sleeper
+// heap (deadline set) or the parked list (waiting on a primitive) — and is
+// claimed exactly once per arming: by its primitive's signal, by the
 // scheduler's deadline wake, or by the cancellation sweep.
 type parker struct {
 	g        grant
-	done     <-chan struct{} // the waiter's ctx.Done(), read once at registration; nil: not cancelable
+	done     <-chan struct{} // the waiter's ctx.Done(), read once per arming; nil: not cancelable
 	deadline time.Time       // zero: not sleeping
 	seq      uint64
 	claimed  bool
@@ -108,6 +115,17 @@ type parker struct {
 	// distinguishes "not on the list" from "first/last element".
 	prev, next *parker
 	onParked   bool
+
+	// wnext links the waiter queue of the primitive this record is parked
+	// on (waitq, primitives.go); guarded by that primitive's mutex.
+	wnext *parker
+}
+
+// arm readies the token holder's record for its next wait; its previous
+// wait has returned, so it is on no list. Caller holds c.mu.
+func (r *parker) arm(done <-chan struct{}, deadline time.Time, seq uint64) {
+	r.done, r.deadline, r.seq = done, deadline, seq
+	r.claimed, r.canceled = false, false
 }
 
 // ---------------------------------------------------------------------------
@@ -233,14 +251,15 @@ func (c *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 	}
 	done := ctx.Done()
 	c.mu.Lock()
-	if !c.hasCurrent {
+	r := c.current
+	if r == nil {
 		c.mu.Unlock()
 		panic("vclock: Sleep on Virtual clock from an unregistered goroutine (use Go or Adopt)")
 	}
 	c.seq++
-	r := &parker{g: make(grant, 1), done: done, deadline: c.now.Add(d), seq: c.seq, heapIdx: -1}
+	r.arm(done, c.now.Add(d), c.seq)
 	c.sleepers.push(r)
-	c.hasCurrent = false
+	c.current = nil
 	c.scheduleLocked()
 	c.mu.Unlock()
 	return c.await(r)
@@ -270,12 +289,7 @@ func (c *Virtual) await(r *parker) bool {
 // or outside the scheduled world; fn starts once the scheduler hands it
 // the execution token.
 func (c *Virtual) Go(fn func()) {
-	r := &parker{g: make(grant, 1)}
-	c.mu.Lock()
-	c.participants++
-	c.runq = append(c.runq, r)
-	c.scheduleLocked()
-	c.mu.Unlock()
+	r := c.join()
 	go func() {
 		<-r.g
 		defer c.exit()
@@ -286,14 +300,18 @@ func (c *Virtual) Go(fn func()) {
 // Adopt registers the calling goroutine as a participant and blocks until
 // it holds the execution token. Experiment drivers call this once, before
 // interacting with any component on the clock, and pair it with Leave.
-func (c *Virtual) Adopt() {
-	r := &parker{g: make(grant, 1)}
+func (c *Virtual) Adopt() { <-c.join().g }
+
+// join registers a new participant and queues it for the token. Its record
+// and grant channel are made here, once, and serve every wait it makes.
+func (c *Virtual) join() *parker {
+	r := &parker{g: make(grant, 1), heapIdx: -1}
 	c.mu.Lock()
 	c.participants++
 	c.runq = append(c.runq, r)
 	c.scheduleLocked()
 	c.mu.Unlock()
-	<-r.g
+	return r
 }
 
 // Leave deregisters the calling participant (the inverse of Adopt) and
@@ -313,12 +331,12 @@ func (c *Virtual) Stalls() uint64 {
 // exit removes the current participant from the world.
 func (c *Virtual) exit() {
 	c.mu.Lock()
-	if !c.hasCurrent {
+	if c.current == nil {
 		c.mu.Unlock()
 		panic("vclock: participant exit without holding the execution token")
 	}
 	c.participants--
-	c.hasCurrent = false
+	c.current = nil
 	c.scheduleLocked()
 	c.mu.Unlock()
 }
@@ -327,16 +345,22 @@ func (c *Virtual) exit() {
 // Primitive support (used by primitives.go)
 // ---------------------------------------------------------------------------
 
-// newParker allocates a wait registration for the current goroutine; the
-// caller stores it in a primitive's waiter list, then calls park.
-func (c *Virtual) newParker(ctx context.Context) *parker {
-	r := &parker{g: make(grant, 1), heapIdx: -1}
-	if ctx != nil {
-		r.done = ctx.Done()
-	}
+// newParker re-arms the token holder's record for a primitive wait; the
+// caller links it into the primitive's waiter queue, then calls park. A
+// wait from a goroutine that is not a participant of an idle world panics
+// here — before anything is registered and with held, the primitive's mutex
+// the caller holds, released — so the primitive and the world stay usable.
+func (c *Virtual) newParker(ctx context.Context, held *sync.Mutex) *parker {
+	done := ctx.Done()
 	c.mu.Lock()
+	r := c.current
+	if r == nil {
+		c.mu.Unlock()
+		held.Unlock()
+		panic("vclock: wait on Virtual-clock primitive from an unregistered goroutine (use Go or Adopt)")
+	}
 	c.seq++
-	r.seq = c.seq
+	r.arm(done, time.Time{}, c.seq)
 	c.mu.Unlock()
 	return r
 }
@@ -392,21 +416,17 @@ func (c *Virtual) parkedRemove(r *parker) {
 	c.parkedLen--
 }
 
-// park releases the token on behalf of the current participant whose
-// registration r is held by a primitive. The caller then awaits r.
+// park releases the token on behalf of the current participant, whose
+// record r (from newParker) is held by a primitive. The caller then awaits r.
 func (c *Virtual) park(r *parker) {
 	c.mu.Lock()
-	if !c.hasCurrent {
-		c.mu.Unlock()
-		panic("vclock: wait on Virtual-clock primitive from an unregistered goroutine (use Go or Adopt)")
-	}
 	if !r.claimed {
 		// A signal from outside the scheduled world may land between the
 		// primitive registering r and this park; r is then already claimed
 		// and queued runnable, and must not enter the parked list.
 		c.parkedPush(r)
 	}
-	c.hasCurrent = false
+	c.current = nil
 	c.scheduleLocked()
 	c.mu.Unlock()
 }
@@ -434,7 +454,7 @@ func (c *Virtual) wake(r *parker) bool {
 // this recovers liveness.
 func (c *Virtual) nudge() {
 	c.mu.Lock()
-	if !c.hasCurrent {
+	if c.current == nil {
 		c.scheduleLocked()
 	}
 	c.mu.Unlock()
@@ -454,7 +474,7 @@ func (c *Virtual) grantNextLocked() {
 		c.runq = c.runq[:0]
 		c.runqHead = 0
 	}
-	c.hasCurrent = true
+	c.current = r
 	c.recordLocked(TraceGrant, r.seq, "")
 	r.g <- struct{}{}
 }
@@ -464,7 +484,7 @@ func (c *Virtual) grantNextLocked() {
 // sweeps canceled waiters, then advances modeled time to the earliest
 // sleeper. Caller holds c.mu.
 func (c *Virtual) scheduleLocked() {
-	if c.hasCurrent {
+	if c.current != nil {
 		return
 	}
 	if c.runqHead < len(c.runq) {
@@ -496,7 +516,8 @@ func (c *Virtual) scheduleLocked() {
 			c.recordLocked(TraceCompute, r.seq, "")
 		}
 		c.runq = append(c.runq, c.computeDone...)
-		c.computeDone = nil
+		clear(c.computeDone)
+		c.computeDone = c.computeDone[:0]
 		c.grantNextLocked()
 		return
 	}
@@ -513,7 +534,7 @@ func (c *Virtual) scheduleLocked() {
 			c.now = s.deadline
 		}
 		s.claimed = true
-		c.hasCurrent = true
+		c.current = s
 		c.recordLocked(TraceAdvance, s.seq, "")
 		s.g <- struct{}{}
 		return
@@ -529,32 +550,27 @@ func (c *Virtual) scheduleLocked() {
 // sweepCanceledLocked claims every sleeper and parked waiter whose context
 // is already canceled, making them runnable (in seq order) at the current
 // modeled time. The common no-cancellation case only reads: one channel
-// poll per cancelable waiter, no restructuring. Caller holds c.mu.
+// poll per cancelable waiter, no restructuring. An enrolled record is never
+// already claimed — every claim (popMin, wake's parkedRemove, this sweep)
+// unlinks under the same lock and park never enrolls a claimed record — so
+// the sweep tests the context alone. Caller holds c.mu.
 func (c *Virtual) sweepCanceledLocked() {
 	var due []*parker
 	// Scan the heap's backing array directly — collection order is
 	// irrelevant because due is sorted by seq below, and removal by heap
 	// index keeps the heap invariant without a rebuild.
 	for i := 0; i < len(c.sleepers); {
-		r := c.sleepers[i]
-		switch {
-		case r.claimed:
-			// Already woken through another path; never grant twice.
-			c.sleepers.removeIdx(i)
-			// The entry swapped into i is unexamined: do not advance.
-		case r.ctxDone():
+		if r := c.sleepers[i]; r.ctxDone() {
 			due = append(due, r)
 			c.sleepers.removeIdx(i)
-		default:
+			// The entry swapped into i is unexamined: do not advance.
+		} else {
 			i++
 		}
 	}
 	for r := c.parkedHead; r != nil; {
 		next := r.next
-		switch {
-		case r.claimed:
-			c.parkedRemove(r)
-		case r.ctxDone():
+		if r.ctxDone() {
 			due = append(due, r)
 			c.parkedRemove(r)
 		}
@@ -574,14 +590,4 @@ func (c *Virtual) sweepCanceledLocked() {
 		c.recordLocked(TraceCancel, r.seq, "")
 		c.runq = append(c.runq, r)
 	}
-}
-
-func removeParker(ws *[]*parker, r *parker) bool {
-	for i, x := range *ws {
-		if x == r {
-			*ws = append((*ws)[:i], (*ws)[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
