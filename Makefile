@@ -53,7 +53,9 @@ profile:
 # internal/dist; stream roots only where experiments are born; no clock
 # reads, stream draws or data-service calls inside Compute closures; no
 # sleeps, timers or clocks inside the internal/plan control plane; no wall
-# time anywhere under internal/ or examples/ (E11's host-ms column aside).
+# time anywhere under internal/ or examples/ (E11's host-ms column aside);
+# no mention of the Broker alias outside internal/streaming/broker.go and
+# the frozen cmd/bench, and no Bus implementation asserted but *Cluster.
 seed-audit:
 	bash tools/seed-audit.sh
 
@@ -114,8 +116,9 @@ fuzz-smoke:
 	done
 
 # The ROADMAP aim-2 yardsticks as commands. `loc` prints the non-test Go
-# line count per package and in total (`.bench_build` holds a build cache,
-# not source). `exhibit-digest` prints the sha256 of everything
+# line count per package, in total, and — last, the figure the ROADMAP
+# quotes — outside the frozen cmd/bench (`.bench_build` holds a build
+# cache, not source). `exhibit-digest` prints the sha256 of everything
 # cmd/experiments prints that is modeled: the `[N ms wall]` lines and the
 # E11 ablation rows (host wall-clock milliseconds) are filtered out — two
 # runs on one host differ in exactly those lines and nowhere else. A
@@ -125,7 +128,7 @@ fuzz-smoke:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; all += $$1 } \
-		END { for (d in loc) print loc[d], d; print all, "total" }' | sort -k2
+		END { for (d in loc) print loc[d], d; print all, "total"; print all - loc["./cmd/bench"], "total outside cmd/bench" }' | sort -k2
 
 exhibit-digest:
 	@$(GO) run ./cmd/experiments | grep -v -E '^ *\[[0-9]+ms wall\]$$|^(naive O|early-break)' | sha256sum | cut -d' ' -f1

@@ -63,7 +63,7 @@ func TestChaosDefaultFaultsInvariantsHold(t *testing.T) {
 // at 192, last mark was 208"): a commit held in flight by the commit-skew
 // fault landed on a leader FailShard had closed during the skew, so the
 // deposed log applied it and fired OnCommit below the coordinator's
-// mark. Broker.Commit now re-checks closed after the skew sleep.
+// mark. shard.Commit now re-checks closed after the skew sleep.
 func TestChaosSkewedCommitOnDeadLeader(t *testing.T) {
 	for _, seed := range []int64{72, 97, 105, 112, 143, 185} {
 		r, err := Chaos(ChaosOptions{Seed: seed})

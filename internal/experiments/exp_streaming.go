@@ -19,7 +19,8 @@ import (
 func StreamTrial(tb *Testbed, partitions, workers, frames int, handlerCost time.Duration) (throughput float64, lat metrics.Summary, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	broker := streaming.NewBroker(streaming.BrokerConfig{
+	broker := streaming.NewCluster(streaming.ClusterConfig{
+		Shards: 1, Replication: 1,
 		AppendCost: 2 * time.Millisecond, FetchLatency: time.Millisecond, Clock: tb.Clock,
 	})
 	defer broker.Close()

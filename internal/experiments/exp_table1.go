@@ -148,7 +148,8 @@ func Table1() (*metrics.Table, error) {
 		fmt.Sprintf("%d iterations, cache hit rate %.0f%%", kres.Iters, kcfg.Cache.HitRate()*100))
 
 	// --- Streaming: light-source reconstruction ----------------------------
-	broker := streaming.NewBroker(streaming.BrokerConfig{
+	broker := streaming.NewCluster(streaming.ClusterConfig{
+		Shards: 1, Replication: 1,
 		AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: tb.Clock,
 	})
 	defer broker.Close()

@@ -11,17 +11,16 @@ import (
 	"gopilot/internal/vclock"
 )
 
-// The Bus contract, run against every deployment: one script, three
-// transports, identical observable results. What may differ between a
-// Broker and a Cluster is when things happen (the quorum wait, the
-// handoff fence) — never what a producer or consumer is handed.
+// The Bus contract, run against both ends of the deployment range: one
+// script, one shard at replication 1 and three at replication 3, identical
+// observable results. What may differ between them is when things happen
+// (the quorum wait, the handoff fence) — never what a producer or consumer
+// is handed.
 
-// busDeployment opens one transport and says how its retention floor is
-// moved (retention is deployment policy, not part of Bus: a Broker is
-// trimmed directly, a Cluster trims when a group's cursor is persisted).
+// busDeployment is one cluster shape the script runs on.
 type busDeployment struct {
-	name string
-	open func(clock vclock.Clock) (bus Bus, trim func(topic string, part int, below int64))
+	name       string
+	shards, rf int
 }
 
 const (
@@ -30,21 +29,8 @@ const (
 )
 
 var busDeployments = []busDeployment{
-	{"broker", func(clock vclock.Clock) (Bus, func(string, int, int64)) {
-		b := NewBroker(BrokerConfig{SegmentSize: busSegSize, MaxInflightBytes: busInflight,
-			AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
-		return b, func(topic string, part int, below int64) { b.Trim(topic, part, below) }
-	}},
-	{"cluster-1x1", openBusCluster(1, 1)},
-	{"cluster-3x3", openBusCluster(3, 3)},
-}
-
-func openBusCluster(shards, rf int) func(vclock.Clock) (Bus, func(string, int, int64)) {
-	return func(clock vclock.Clock) (Bus, func(string, int, int64)) {
-		c := NewCluster(ClusterConfig{Shards: shards, Replication: rf, SegmentSize: busSegSize,
-			MaxInflightBytes: busInflight, AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
-		return c, func(topic string, part int, below int64) { c.Offsets().Save("conformance", topic, part, below) }
-	}
+	{"cluster-1x1", 1, 1},
+	{"cluster-3x3", 3, 3},
 }
 
 // keyFor returns a key that hashes to partition p of n.
@@ -72,8 +58,10 @@ func runBusScript(t *testing.T, d busDeployment) []string {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	bus, trim := d.open(clock)
-	defer bus.Close()
+	c := NewCluster(ClusterConfig{Shards: d.shards, Replication: d.rf, SegmentSize: busSegSize,
+		MaxInflightBytes: busInflight, AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	defer c.Close()
+	var bus Bus = c
 	ctx := context.Background()
 	var log []string
 	note := func(format string, a ...any) { log = append(log, fmt.Sprintf(format, a...)) }
@@ -125,13 +113,64 @@ func runBusScript(t *testing.T, d busDeployment) []string {
 	committed, err := bus.Committed("seg", 0)
 	must(err)
 	note("seg committed %d after Commit(1000)", committed)
-	trim("seg", 0, 10)
+	c.Offsets().Save("conformance", "seg", 0, 10) // retention trims when a group's cursor is persisted
 	_, err = bus.Fetch(ctx, "seg", 0, 3, 8)
 	var oor *OffsetOutOfRangeError
 	if !errors.As(err, &oor) || !errors.Is(err, ErrOffsetOutOfRange) {
 		t.Fatalf("%s: fetch below the floor returned %v, want *OffsetOutOfRangeError", d.name, err)
 	}
 	note("seg fetch(3) below the floor: %v (oldest %d)", err, oor.Oldest)
+
+	// An injected blackout parks a fetch of data that is there and leaves
+	// producers alone; lifting it delivers at the lifting instant.
+	must(bus.CreateTopic("dark", 1))
+	must(bus.PublishValues(ctx, "dark", [][]byte{{'x'}, {'y'}}))
+	must(c.SetPartitionDown("dark", 0, true))
+	var dark []Message
+	var darkErr error
+	var darkAt time.Time
+	darkDone := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer darkDone.Fire()
+		dark, darkErr = bus.Fetch(ctx, "dark", 0, 0, 8)
+		darkAt = clock.Now()
+	})
+	clock.Sleep(ctx, time.Second)
+	if darkDone.Fired() {
+		t.Fatalf("%s: fetch of a blacked-out partition returned (%v, %v) instead of parking", d.name, dark, darkErr)
+	}
+	must(bus.PublishValues(ctx, "dark", [][]byte{{'z'}}))
+	lifted := clock.Now()
+	must(c.SetPartitionDown("dark", 0, false))
+	darkDone.Wait(ctx)
+	must(darkErr)
+	note("blackout lifted, fetch delivered %v later:%s", darkAt.Sub(lifted), describe(dark))
+	if !darkAt.Equal(lifted) || len(dark) != 3 {
+		t.Fatalf("%s: fetch delivered %d messages %v after the blackout lifted, want all 3 at that instant", d.name, len(dark), darkAt.Sub(lifted))
+	}
+
+	// A skewed commit is in flight for the delay and lands late: the mark
+	// has not moved halfway through, and has when Commit returns.
+	c.SetCommitDelay(500 * time.Millisecond)
+	var skewErr error
+	skewDone := vclock.NewEvent(clock)
+	t0 := clock.Now()
+	clock.Go(func() {
+		defer skewDone.Fire()
+		skewErr = bus.Commit("dark", 0, 2)
+	})
+	clock.Sleep(ctx, 250*time.Millisecond)
+	midway, err := bus.Committed("dark", 0)
+	must(err)
+	skewDone.Wait(ctx)
+	must(skewErr)
+	committed, err = bus.Committed("dark", 0)
+	must(err)
+	note("skewed commit: mark %d midway, %d after %v", midway, committed, clock.Now().Sub(t0))
+	if midway != 0 || committed != 2 || clock.Now().Sub(t0) != 500*time.Millisecond {
+		t.Fatalf("%s: skewed commit read mark %d midway and %d after %v, want 0, then 2 after exactly 500ms", d.name, midway, committed, clock.Now().Sub(t0))
+	}
+	c.SetCommitDelay(0)
 
 	// A publish cancelled mid-batch returns exactly the messages appended:
 	// partition 1 is full, so the batch's partition-0 half lands and the
@@ -141,7 +180,7 @@ func runBusScript(t *testing.T, d busDeployment) []string {
 	_, err = bus.Publish(ctx, "bp", k1, make([]byte, busInflight))
 	must(err)
 	cctx, cancel := context.WithCancel(ctx)
-	t0 := clock.Now()
+	t0 = clock.Now()
 	clock.Go(func() {
 		clock.Sleep(ctx, time.Second)
 		cancel()

@@ -14,8 +14,9 @@ import (
 
 // Cluster federates N broker shards behind the single client-facing Bus
 // API (DESIGN.md "Federation"): producers and consumer groups talk to
-// the cluster exactly as to one Broker, while every shard runs its own
-// physical Broker and every partition's log is *replicated* — the leader
+// the cluster as to one broker — which is what one shard at replication 1
+// is — while every shard hosts its own physical copy of the logs placed
+// on it and every partition's log is *replicated* — the leader
 // appends locally, per-link catch-up runners stream acknowledged batches
 // to the followers in virtual time, and a per-partition acknowledged
 // high watermark (the minimum log end across full members) gates what
@@ -42,11 +43,9 @@ import (
 // functions, so same-seed runs place, re-place and repair identically.
 type Cluster struct {
 	cfg     ClusterConfig
-	shards  []*Broker
+	shards  []*shard
 	offsets *OffsetStore
 	clock   vclock.Clock
-
-	fetchLatency time.Duration
 
 	runCtx context.Context
 	stopFn context.CancelFunc
@@ -70,7 +69,14 @@ type Cluster struct {
 type fedTopic struct {
 	name  string
 	parts []*fedPart
-	rr    int // round-robin cursor for key-less publishes (see topic.rr)
+	// rr is the round-robin cursor for key-less publishes. It is shared
+	// mutable state across all producers of the topic, advanced under the
+	// cluster lock while a batch's partitions are being assigned — so
+	// placement is a pure function of the topic-wide publish order. That
+	// order is seed-determined (producers are serialized by the executor's
+	// token), which makes key-less placement bit-identical across
+	// same-seed runs (TestKeylessPlacementDeterministicAcrossProducers).
+	rr int
 }
 
 // fedPart is the control-plane state of one partition.
@@ -106,11 +112,10 @@ type fedPart struct {
 	ackWait []waitReg
 }
 
-// ClusterConfig configures a Cluster. The broker-shaped fields
-// (AppendCost, FetchLatency, SegmentSize, MaxInflightBytes, OnCommit,
-// Clock) carry the same semantics as BrokerConfig and apply to every
-// shard's broker — SegmentSize included: it sets every replica log's
-// segment arithmetic, not what an untouched or lightly used copy costs.
+// ClusterConfig configures a Cluster. AppendCost, SegmentSize,
+// MaxInflightBytes and OnCommit apply to every shard's copy of a log —
+// SegmentSize included: it sets every replica log's segment arithmetic,
+// not what an untouched or lightly used copy costs.
 type ClusterConfig struct {
 	// Name labels the cluster (default "cluster").
 	Name string
@@ -153,12 +158,37 @@ type ClusterConfig struct {
 	// exists to catch.
 	PlantStaleHandoff bool
 
-	AppendCost       time.Duration
-	FetchLatency     time.Duration
-	SegmentSize      int
+	// AppendCost is the modeled broker-side cost per message appended to a
+	// partition; it bounds per-partition throughput at 1/AppendCost msg/s.
+	// Default 100µs (≈10k msg/s per partition).
+	AppendCost time.Duration
+	// FetchLatency is the modeled cost per consumer long-poll round trip
+	// (charged once per Fetch/FetchOrWait call, however many messages the
+	// poll returns and however long it parks). Default 1ms.
+	FetchLatency time.Duration
+	// SegmentSize is the number of messages per log segment (default
+	// 4096): the unit of offset→segment arithmetic, of a fetched view's
+	// upper bound and of retention trimming. It is not a memory commitment
+	// — a partition that has never filled a segment holds an array sized
+	// to its contents (see Log). Fetched views are stable because a
+	// published slot is never rewritten while a view can reach it.
+	SegmentSize int
+	// MaxInflightBytes bounds, per partition, the bytes published but not
+	// yet committed (see Commit). When the bound is hit, publishes to that
+	// partition block in modeled time until consumers commit — the
+	// backpressure that keeps a lagging consumer group from being buried.
+	// Zero disables backpressure (consumers that never commit, like plain
+	// Processors, then run unthrottled).
 	MaxInflightBytes int64
-	OnCommit         func(topic string, partition int, from, through int64)
-	Clock            vclock.Clock
+	// OnCommit, if set, observes every *applied* commit: the partition's
+	// mark moved from `from` to `through`. Clamped and no-op commits are
+	// not reported. Invoked under the partition lock, so callbacks see
+	// per-partition commits in application order and must not call back
+	// into the cluster. The chaos invariant checker uses this to prove
+	// consumer cursors never rewind.
+	OnCommit func(topic string, partition int, from, through int64)
+	// Clock supplies virtual time; defaults to a private vclock.Virtual.
+	Clock vclock.Clock
 }
 
 // replBatchMax bounds one replication batch (messages per runner round).
@@ -185,42 +215,36 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.CatchupBytesPerSec <= 0 {
 		cfg.CatchupBytesPerSec = 64 << 20
 	}
+	if cfg.AppendCost <= 0 {
+		cfg.AppendCost = 100 * time.Microsecond
+	}
+	if cfg.FetchLatency <= 0 {
+		cfg.FetchLatency = time.Millisecond
+	}
+	if cfg.SegmentSize <= 0 {
+		cfg.SegmentSize = 4096
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
 	if cfg.Offsets == nil {
 		cfg.Offsets = NewOffsetStore()
 	}
-	fetchLatency := cfg.FetchLatency
-	if fetchLatency <= 0 {
-		fetchLatency = time.Millisecond
-	}
 	runCtx, stop := context.WithCancel(context.Background())
 	c := &Cluster{
-		cfg:          cfg,
-		offsets:      cfg.Offsets,
-		clock:        cfg.Clock,
-		fetchLatency: fetchLatency,
-		runCtx:       runCtx,
-		stopFn:       stop,
-		up:           make([]bool, cfg.Shards),
-		severed:      make([][]bool, cfg.Shards),
-		lagFac:       make([][]float64, cfg.Shards),
-		topics:       make(map[string]*fedTopic),
-	}
-	c.shards = make([]*Broker, cfg.Shards)
-	for i := range c.shards {
-		c.shards[i] = NewBroker(BrokerConfig{
-			Name:             fmt.Sprintf("%s-shard%d", cfg.Name, i),
-			AppendCost:       cfg.AppendCost,
-			FetchLatency:     cfg.FetchLatency,
-			SegmentSize:      cfg.SegmentSize,
-			MaxInflightBytes: cfg.MaxInflightBytes,
-			OnCommit:         cfg.OnCommit,
-			Clock:            cfg.Clock,
-		})
+		cfg:     cfg,
+		offsets: cfg.Offsets,
+		clock:   cfg.Clock,
+		runCtx:  runCtx,
+		stopFn:  stop,
+		shards:  make([]*shard, cfg.Shards),
+		up:      make([]bool, cfg.Shards),
+		severed: make([][]bool, cfg.Shards),
+		lagFac:  make([][]float64, cfg.Shards),
+		topics:  make(map[string]*fedTopic),
 	}
 	for i := range c.up {
+		c.shards[i] = &shard{cfg: &c.cfg, topics: make(map[string]*topic)}
 		c.up[i] = true
 		c.severed[i] = make([]bool, cfg.Shards)
 		c.lagFac[i] = make([]float64, cfg.Shards)
@@ -231,16 +255,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 // Clock returns the cluster's clock.
 func (c *Cluster) Clock() vclock.Clock { return c.clock }
-
-// Shard exposes one shard's physical broker — for tests and accounting
-// reads that address a specific log copy. Client traffic goes through
-// the Cluster's Bus surface.
-func (c *Cluster) Shard(id int) *Broker {
-	if id < 0 || id >= len(c.shards) {
-		return nil
-	}
-	return c.shards[id]
-}
 
 // Offsets returns the cluster's consumer-offset KV; wire it into
 // GroupConfig.Offsets so group commits drive retention.
@@ -320,8 +334,8 @@ func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 	}
 }
 
-// CreateTopic creates a topic on every live shard (a dead shard's broker
-// is closed, and placement never recruits it), places each partition's
+// CreateTopic creates a topic on every live shard (a dead shard is
+// closed, and placement never recruits it), places each partition's
 // replica set on the live shard ring via plan.ShardReplicas, and starts
 // the partition's catch-up runners (one per follower slot).
 func (c *Cluster) CreateTopic(name string, partitions int) error {
@@ -699,7 +713,7 @@ func (c *Cluster) FailShard(id int) error {
 	fireList(&c.ctrl)
 	c.mu.Unlock()
 
-	// Close the dead shard's broker: anything parked inside it (leader
+	// Close the dead shard: anything parked inside it (leader
 	// appends under backpressure, stray accounting reads) unblocks with
 	// ErrBrokerClosed and re-routes through the new placement.
 	c.shards[id].Close()
@@ -806,10 +820,10 @@ func (c *Cluster) SetPartitionDown(topic string, partition int, down bool) error
 }
 
 // SetCommitDelay injects commit skew on every shard (see
-// Broker.SetCommitDelay).
+// shard.SetCommitDelay).
 func (c *Cluster) SetCommitDelay(d time.Duration) {
-	for _, b := range c.shards {
-		b.SetCommitDelay(d)
+	for _, sh := range c.shards {
+		sh.SetCommitDelay(d)
 	}
 }
 
@@ -1007,7 +1021,7 @@ func (c *Cluster) parkCtrl(ws *waitSlot) bool {
 // parkData parks the calling runner until the leader's log grows past
 // end, the control plane changes, or the cluster closes. Returns false
 // when the runner should exit.
-func (c *Cluster) parkData(ws *waitSlot, lb *Broker, lp *partition, end int64) bool {
+func (c *Cluster) parkData(ws *waitSlot, lb *shard, lp *partition, end int64) bool {
 	w := ws.arm(c.clock)
 	lp.mu.Lock()
 	registerEvent(&lp.waiters, w)
@@ -1123,8 +1137,8 @@ func (c *Cluster) OldestOffset(topic string, partition int) (int64, error) {
 // Close stops the replication plane and control walkers, wakes
 // everything parked on cluster state (producers in acknowledgement
 // waits, fetchers behind fences, catch-up runners), and closes every
-// shard broker — so a Close mid-handoff unwinds cleanly with no leaked
-// waiters or goroutines.
+// shard — so a Close mid-handoff unwinds cleanly with no leaked waiters
+// or goroutines.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -1143,8 +1157,8 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	c.stopFn()
 	fireList(&wake)
-	for _, b := range c.shards {
-		b.Close()
+	for _, sh := range c.shards {
+		sh.Close()
 	}
 }
 

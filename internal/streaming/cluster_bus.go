@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"sync"
 	"time"
 )
 
@@ -65,7 +67,7 @@ func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) 
 // PublishBatch appends a batch of (key, value) pairs, returning once
 // every sub-batch is acknowledged on quorum. On an error mid-batch exactly
 // the messages already appended are returned along with it (see
-// Broker.PublishBatch).
+// Bus.PublishBatch).
 func (c *Cluster) PublishBatch(ctx context.Context, topic string, kvs [][2][]byte) ([]Message, error) {
 	out := make([]Message, len(kvs))
 	n, err := c.publish(ctx, topic, len(kvs), func(i int) ([]byte, []byte) { return kvs[i][0], kvs[i][1] }, out)
@@ -76,6 +78,93 @@ func (c *Cluster) PublishBatch(ctx context.Context, topic string, kvs [][2][]byt
 func (c *Cluster) PublishValues(ctx context.Context, topic string, values [][]byte) error {
 	_, err := c.publish(ctx, topic, len(values), func(i int) ([]byte, []byte) { return nil, values[i] }, nil)
 	return err
+}
+
+// pubScratch is the reusable workspace of one publish call: per-message
+// partition assignment, per-partition byte totals, and the counting-sorted
+// index order. Pooled so a steady-state publish allocates nothing beyond
+// the log segments themselves.
+type pubScratch struct {
+	assign []int32 // partition per message
+	order  []int32 // message indices grouped by partition, publish order kept
+	fill   []int32 // per-partition counts, then cursors, then group ends
+	bytes  []int64 // payload bytes per partition
+}
+
+var pubScratchPool = sync.Pool{New: func() any { return new(pubScratch) }}
+
+// groupBatch assigns the n messages of one publish to nparts partitions
+// — by key hash, or off the topic's round-robin cursor rr for empty keys,
+// under mu, the lock that guards the cursor — and groups them: the batch
+// is traversed once under the lock (assignment, counts and byte totals in
+// the same pass), then a counting sort over pooled scratch yields each
+// partition's indices in publish order without growing per-partition
+// slices, so grouping costs one kv() call per message and zero
+// steady-state allocations. The caller returns the scratch to the pool.
+func groupBatch(mu *sync.Mutex, rr *int, nparts, n int, kv func(int) ([]byte, []byte)) *pubScratch {
+	sc := pubScratchPool.Get().(*pubScratch)
+	if cap(sc.assign) < n {
+		sc.assign = make([]int32, n)
+		sc.order = make([]int32, n)
+	}
+	if cap(sc.fill) < nparts {
+		sc.fill = make([]int32, nparts)
+		sc.bytes = make([]int64, nparts)
+	}
+	sc.assign, sc.order = sc.assign[:n], sc.order[:n]
+	sc.fill, sc.bytes = sc.fill[:nparts], sc.bytes[:nparts]
+	clear(sc.fill)
+	clear(sc.bytes)
+	// In index order: consumer wake-up order downstream must not depend
+	// on randomized iteration.
+	mu.Lock()
+	for i := 0; i < n; i++ {
+		k, v := kv(i)
+		var p int
+		if len(k) > 0 {
+			p = partitionOf(k, nparts)
+		} else {
+			p = *rr % nparts
+			*rr++
+		}
+		sc.assign[i] = int32(p)
+		sc.fill[p]++
+		sc.bytes[p] += int64(len(k) + len(v))
+	}
+	mu.Unlock()
+	// Counting sort: scatter message indices into order, grouped by
+	// partition with publish order preserved inside each group. After the
+	// scatter, fill[p] is the end of partition p's group.
+	var sum int32
+	for p, c := range sc.fill {
+		sc.fill[p] = sum
+		sum += c
+	}
+	for i, p := range sc.assign {
+		sc.order[sc.fill[p]] = int32(i)
+		sc.fill[p]++
+	}
+	return sc
+}
+
+// group returns partition p's share of the batch: where it begins in the
+// grouped order (the count of messages destined for lower partitions),
+// its batch indices, and its result slots when the publish materializes
+// results.
+func (sc *pubScratch) group(p int, out []Message) (lo int32, idxs []int32, slot []Message) {
+	if p > 0 {
+		lo = sc.fill[p-1]
+	}
+	if out != nil {
+		slot = out[lo:sc.fill[p]]
+	}
+	return lo, sc.order[lo:sc.fill[p]], slot
+}
+
+func partitionOf(key []byte, n int) int {
+	h := fnv.New32a()
+	h.Write(key)
+	return int(h.Sum32() % uint32(n))
 }
 
 // publish is the shared producer path: group the batch per partition
@@ -270,7 +359,31 @@ func (c *Cluster) Fetch(ctx context.Context, topic string, partition int, offset
 	return msgs, err
 }
 
-// FetchOrWait is the consumer hot path (see Broker.FetchOrWait): one
+// checkPoll validates one FetchOrWait call against a topic of nparts
+// partitions and applies the defaults: max 512 when unset, start 0 when
+// negative.
+func checkPoll(topicName string, nparts int, parts []int, offsets []int64, start, max int) (int, int, error) {
+	if len(parts) == 0 {
+		return 0, 0, errors.New("streaming: FetchOrWait needs at least one partition")
+	}
+	if len(offsets) != len(parts) {
+		return 0, 0, fmt.Errorf("streaming: FetchOrWait got %d offsets for %d partitions", len(offsets), len(parts))
+	}
+	for _, pi := range parts {
+		if pi < 0 || pi >= nparts {
+			return 0, 0, fmt.Errorf("streaming: partition %d out of range for %q", pi, topicName)
+		}
+	}
+	if max <= 0 {
+		max = 512
+	}
+	if start < 0 {
+		start = 0
+	}
+	return start, max, nil
+}
+
+// FetchOrWait is the consumer hot path (see Bus.FetchOrWait): one
 // modeled long-poll over a set of partitions, served from each
 // partition's leader log and capped at the acknowledged watermark —
 // consumers never see offsets that could be truncated by a handoff. A
@@ -284,7 +397,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 	if start, max, err = checkPoll(topicName, nparts, parts, offsets, start, max); err != nil {
 		return 0, nil, err
 	}
-	if !c.clock.Sleep(ctx, c.fetchLatency) {
+	if !c.clock.Sleep(ctx, c.cfg.FetchLatency) {
 		return 0, nil, ctx.Err()
 	}
 	ackedSeen := make([]int64, len(parts))
@@ -331,6 +444,9 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 			}
 			lp.mu.Lock()
 			if offsets[j] < lp.first {
+				// Retention trimmed past the requested position: a typed
+				// error, not a silent snap — the caller decides whether
+				// skipping to Oldest is acceptable for its semantics.
 				oor := &OffsetOutOfRangeError{Topic: topicName, Partition: parts[j],
 					Offset: offsets[j], Oldest: lp.first}
 				lp.mu.Unlock()

@@ -40,7 +40,7 @@ import (
 
 // GroupConfig describes a consumer group: a coordinator plus a pool of
 // worker units consuming one topic with dynamic membership, commit-based
-// progress, and (with Broker.MaxInflightBytes) backpressure.
+// progress, and (with ClusterConfig.MaxInflightBytes) backpressure.
 type GroupConfig struct {
 	// Name labels the group's compute units.
 	Name string
@@ -123,8 +123,8 @@ type Group struct {
 }
 
 // StartGroup deploys the initial workers onto mgr's pilots and starts
-// consuming from the given transport (one Broker or a federated
-// Cluster). Stop (or ctx cancellation) terminates the group.
+// consuming from the given transport. Stop (or ctx cancellation)
+// terminates the group.
 func StartGroup(ctx context.Context, mgr *core.Manager, broker Bus, cfg GroupConfig) (*Group, error) {
 	if cfg.Handler == nil {
 		return nil, errors.New("streaming: group needs a handler")
@@ -466,7 +466,7 @@ func (g *Group) consume(gen *generation, tc core.TaskContext, parts []int, jitte
 		}
 		g.mu.Unlock()
 		if err := g.broker.Commit(g.cfg.Topic, parts[i], offsets[i]); err != nil {
-			// Broker closed (or topic torn down) between the fetch and the
+			// Transport closed (or topic torn down) between the fetch and the
 			// commit: exit so run() evicts this worker now instead of
 			// discovering the closure on the next poll.
 			return err

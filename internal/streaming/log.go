@@ -40,9 +40,9 @@ type Log struct {
 	// BytesThrough stays a two-lookup subtraction across trims.
 	totalBytes, trimmedCum int64
 
-	// Epoch is the leadership epoch stamped onto Appends; the federated
-	// Cluster sets it on the promoted leader at every handoff (standalone
-	// brokers stay at 0), which is what makes divergence detectable: a
+	// Epoch is the leadership epoch stamped onto Appends; the Cluster sets
+	// it on the promoted leader at every handoff (a log that never changes
+	// leader stays at 0), which is what makes divergence detectable: a
 	// deposed leader's locally-acked suffix carries the old epoch. epochs
 	// is the compact span chain of the log: epochs[i] says offsets from
 	// epochs[i].Start up to the next span's Start were appended under that

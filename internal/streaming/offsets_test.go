@@ -156,7 +156,7 @@ func TestGroupRestartResumesFromPersistedOffsets(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := oneBroker(ClusterConfig{
 		AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock,
 	})
 	defer b.Close()
@@ -240,7 +240,7 @@ func TestRestartRedeliversExactlyTheUncommittedBatch(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: 10 * time.Microsecond, Clock: clock})
+	b := oneBroker(ClusterConfig{AppendCost: 10 * time.Microsecond, Clock: clock})
 	defer b.Close()
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)

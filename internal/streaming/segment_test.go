@@ -616,7 +616,7 @@ func TestColdPartitionFootprint(t *testing.T) {
 func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 	const total = 200
 	clock := vclocktest.Adopted(t)
-	b := NewBroker(BrokerConfig{AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: clock})
+	b := oneBroker(ClusterConfig{AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: clock})
 	defer b.Close()
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
@@ -660,7 +660,10 @@ func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 		})
 	}
 	producers.Wait()
-	part := b.topics["t"].partitions[0]
+	part, err := b.shards[0].partRef("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	part.mu.Lock()
 	defer part.mu.Unlock()
 	if c := cap(part.segs[0].msgs); c != 256 {

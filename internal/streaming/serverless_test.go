@@ -95,7 +95,7 @@ func TestServerlessValidation(t *testing.T) {
 
 func TestServerlessColdStartShowsInLatency(t *testing.T) {
 	clock := vclocktest.Adopted(t)
-	b := NewBroker(BrokerConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := oneBroker(ClusterConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	// Expensive cold start, no warm expiry within the test.

@@ -15,8 +15,15 @@ import (
 	"gopilot/internal/vclock/vclocktest"
 )
 
-func newBroker(clock vclock.Clock) *Broker {
-	return NewBroker(BrokerConfig{
+// oneBroker is the single-broker deployment every test below the
+// federation suite runs on: one shard, replication 1.
+func oneBroker(cfg ClusterConfig) *Cluster {
+	cfg.Shards, cfg.Replication = 1, 1
+	return NewCluster(cfg)
+}
+
+func newBroker(clock vclock.Clock) *Cluster {
+	return oneBroker(ClusterConfig{
 		Name:         "b",
 		AppendCost:   time.Millisecond, // 1000 msg/s per partition
 		FetchLatency: time.Millisecond,
@@ -111,7 +118,7 @@ func TestKeylessPublishesSpreadRoundRobin(t *testing.T) {
 // parkedFetch starts a long-poll Fetch of partition 0 as a participant and
 // lets a modeled minute pass, so the fetcher is parked on the empty log
 // when the caller acts. The returned event fires once Fetch has returned.
-func parkedFetch(t *testing.T, clock vclock.Clock, b *Broker, msgs *[]Message, err *error) *vclock.Event {
+func parkedFetch(t *testing.T, clock vclock.Clock, b *Cluster, msgs *[]Message, err *error) *vclock.Event {
 	t.Helper()
 	done := vclock.NewEvent(clock)
 	clock.Go(func() {
@@ -175,7 +182,7 @@ func TestAppendCostThrottlesProducer(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := oneBroker(ClusterConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	start := clock.Now()
@@ -196,7 +203,7 @@ func TestMorePartitionsRaiseCapacity(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := oneBroker(ClusterConfig{AppendCost: 10 * time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("one", 1)
 	b.CreateTopic("four", 4)
@@ -358,7 +365,7 @@ func TestWindowPanicsOnBadWidth(t *testing.T) {
 
 func TestProduceAtRate(t *testing.T) {
 	clock := vclocktest.Adopted(t)
-	b := NewBroker(BrokerConfig{AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
+	b := oneBroker(ClusterConfig{AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 4)
 	rate, err := Produce(context.Background(), b, "t", 200, 100, []byte("x")) // 100 msg/s target
@@ -374,7 +381,7 @@ func TestProduceAtRate(t *testing.T) {
 // crosses a segment, so consumers see at most SegmentSize messages per
 // view and loop across boundaries without losing order.
 func TestFetchSegmentBoundaries(t *testing.T) {
-	b := NewBroker(BrokerConfig{
+	b := oneBroker(ClusterConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
 		SegmentSize: 4, Clock: vclocktest.Adopted(t),
 	})
@@ -415,7 +422,7 @@ func TestFetchSegmentBoundaries(t *testing.T) {
 // appending into the same segment, and appending to the view cannot
 // clobber the log.
 func TestFetchViewStableWhileAppending(t *testing.T) {
-	b := NewBroker(BrokerConfig{
+	b := oneBroker(ClusterConfig{
 		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
 		SegmentSize: 8, Clock: vclocktest.Adopted(t),
 	})
@@ -467,7 +474,7 @@ func TestFetchOrWaitChargesLatencyOnce(t *testing.T) {
 		appendCost = 2 * time.Millisecond
 		fetchRTT   = 3 * time.Millisecond
 	)
-	b := NewBroker(BrokerConfig{AppendCost: appendCost, FetchLatency: fetchRTT, Clock: clock})
+	b := oneBroker(ClusterConfig{AppendCost: appendCost, FetchLatency: fetchRTT, Clock: clock})
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	ctx := context.Background()
@@ -529,7 +536,7 @@ func TestKeylessPlacementDeterministicAcrossProducers(t *testing.T) {
 		clock := vclock.NewVirtual(vclock.Epoch)
 		clock.Adopt()
 		defer clock.Leave()
-		b := NewBroker(BrokerConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
+		b := oneBroker(ClusterConfig{AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock})
 		defer b.Close()
 		b.CreateTopic("t", 4)
 		placements := make([][]string, 2)
@@ -568,7 +575,7 @@ func benchDataPlane(b *testing.B, naive bool) {
 	for i := 0; i < b.N; i++ {
 		clock := vclock.NewVirtual(vclock.Epoch)
 		clock.Adopt()
-		br := NewBroker(BrokerConfig{AppendCost: 10 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
+		br := oneBroker(ClusterConfig{AppendCost: 10 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock})
 		br.CreateTopic("t", 4)
 		const n = 100_000
 		payload := make([]byte, 64)
@@ -634,7 +641,7 @@ func pureHandlerRun(t *testing.T) string {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
 	defer clock.Leave()
-	b := NewBroker(BrokerConfig{
+	b := oneBroker(ClusterConfig{
 		Name: "b", AppendCost: time.Millisecond, FetchLatency: time.Millisecond, Clock: clock,
 	})
 	defer b.Close()
@@ -704,7 +711,7 @@ func TestSkewedCommitLostWithClosedBroker(t *testing.T) {
 	clock.Adopt()
 	defer clock.Leave()
 	applied := 0
-	b := NewBroker(BrokerConfig{Clock: clock, OnCommit: func(string, int, int64, int64) { applied++ }})
+	b := oneBroker(ClusterConfig{Clock: clock, OnCommit: func(string, int, int64, int64) { applied++ }})
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}

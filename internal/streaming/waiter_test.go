@@ -82,7 +82,7 @@ func TestRunnerParkDataThenParkCtrlIgnoresLeaderAppend(t *testing.T) {
 	if err := c.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	lb := c.Shard(0)
+	lb := c.shards[0]
 	lp, err := lb.partRef("t", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@
 # seed-audit — the seeding-spine lint (DESIGN.md "Seeding spine").
 #
 # Every stochastic draw in this repository must flow from one experiment
-# root through labeled dist.Stream children. Three rules keep it that way:
+# root through labeled dist.Stream children. These rules keep it that way:
 #
 #   1. Only internal/dist may import math/rand (it wraps the stdlib Zipf
 #      sampler over its own Source). Everything else draws from streams.
@@ -57,6 +57,14 @@
 #      allowed lines are E11's two host-milliseconds reads in
 #      internal/experiments/exp_loop.go (the one exhibit column that
 #      reports host CPU time, filtered out of `make exhibit-digest`).
+#  10. One Bus implementation (DESIGN.md "Federation"): the single-broker
+#      deployment is Cluster{Shards: 1, Replication: 1}. NewBroker,
+#      BrokerConfig and the Broker type survive only as the alias the
+#      frozen benchmark harness names — internal/streaming/broker.go,
+#      deleted with ROADMAP item 1 — so outside that file and cmd/bench
+#      nothing may name them, and nothing but *Cluster may be asserted
+#      to implement Bus: the alias cannot regain callers, or a second
+#      implementation a foothold, before the harness lets go of it.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -215,6 +223,21 @@ for f in $files; do
       fi
       ;;
   esac
+  # Rule 10: the Broker alias has no caller but the frozen harness, and
+  # Bus has one implementation.
+  case "$f" in
+    cmd/bench/*|internal/streaming/broker.go) ;;
+    *)
+      if grep -nE '\b(NewBroker|BrokerConfig|Broker)\b' "$f" >&2; then
+        echo "seed-audit: $f names the Broker alias — construct streaming.NewCluster(ClusterConfig{Shards: 1, Replication: 1})" >&2
+        fail=1
+      fi
+      ;;
+  esac
+  if grep -nE '\bBus += +\(\*[A-Za-z_.]+\)\(nil\)' "$f" | grep -vF '(*Cluster)(nil)' >&2; then
+    echo "seed-audit: $f asserts a second Bus implementation — Cluster is the one; a deployment is its configuration" >&2
+    fail=1
+  fi
   case "$f" in
     internal/experiments/*|cmd/*|examples/*) continue ;;
   esac
