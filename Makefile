@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare profile seed-audit doc-audit chaos test-federation test-reuse fuzz-smoke loc exhibit-digest exhibit-stable examples-stable ci
+.PHONY: build test race vet bench bench-compare bench-10m profile seed-audit doc-audit chaos test-federation test-reuse fuzz-smoke loc exhibit-digest exhibit-stable examples-stable ci
 
 build:
 	$(GO) build ./...
@@ -22,9 +22,17 @@ bench:
 
 # Gate against BENCH_baseline.json: three iterations per exhibit, fail on
 # >10% sustained regression (25ms absolute floor for time; for the
-# streaming exhibits listed in allocs_per_op, also on allocs/op growth).
+# exhibits listed in allocs_per_op and bytes_per_op, also on allocs/op
+# and B/op growth).
 bench-compare:
 	bash -o pipefail -c "$(GO) test -bench=. -benchtime=3x -benchmem -run '^$$' . | $(GO) run ./cmd/benchcompare"
+
+# The opt-in 10⁷-message E13 run and its two asymptotic budgets
+# (≤0.02 allocs/msg, ≤128 B/msg; see BenchmarkStreaming_TenMillion). Not
+# in `ci` — one op is ~10× the Million exhibit — the nightly workflow job
+# runs it.
+bench-10m:
+	GOPILOT_BENCH_10M=1 $(GO) test -bench '^BenchmarkStreaming_TenMillion$$' -benchtime 1x -run '^$$' .
 
 # Profile harness for the two long-pole exhibits and the chaos scenario
 # (the small-batch, fault-path end): cpu+mem profile pairs under profiles/

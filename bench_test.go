@@ -121,19 +121,24 @@ func BenchmarkStreaming_Million(b *testing.B) {
 
 // BenchmarkStreaming_TenMillion is the 10⁷-message E13 variant: ten times
 // BenchmarkStreaming_Million's traffic through the same topology, gated on
-// the per-message allocation budget (≤0.02 allocs/msg, measured via
-// runtime.MemStats across the whole run, GC included). The point is
-// asymptotic: fixed-cost allocations (brokers, worker stacks, series
-// growth) amortize to noise at 10⁷ messages, so what remains is the true
-// per-message cost of the data plane — a change that reintroduces even a
-// fractional per-message allocation fails here long before it trips the
-// per-op gate on the 10⁶ exhibit. The budget covers the replicated plane
+// two per-message budgets measured via runtime.MemStats across the whole
+// run, GC included: ≤0.02 allocs/msg and ≤128 B/msg. The point is
+// asymptotic: fixed-cost allocations (brokers, worker stacks) amortize to
+// noise at 10⁷ messages, and the latency series no longer grows with the
+// message count at all (it holds one 16-byte run per publish stamp × batch
+// instant, ~500 messages each), so what remains is the true per-message
+// cost of the data plane — a change that reintroduces even a fractional
+// per-message allocation fails here long before it trips the per-op gate
+// on the 10⁶ exhibit. The allocation budget covers the replicated plane
 // (replication 3: every publish batch crosses two paced catch-up links)
 // now that a park allocates nothing — 0.0036 measured; a return to
 // per-park allocation (0.053 when every park minted a parker, a channel,
 // an event and two one-slot lists) fails it, and a per-message copy
-// (~5 allocs/msg) fails it by two orders of magnitude. Opt-in because
-// one op takes ~10× the Million exhibit's wall time:
+// (~5 allocs/msg) fails it by two orders of magnitude. The byte budget is
+// the payloads plus three replicas' segment slots — 115 measured; a
+// float64 per message with doubling growth and Summary's sorted copy read
+// 150. Opt-in because one op takes ~10× the Million exhibit's wall time
+// (make bench-10m; the nightly CI job runs it):
 //
 //	GOPILOT_BENCH_10M=1 go test -bench 'TenMillion' -benchtime 1x -run '^$' .
 func BenchmarkStreaming_TenMillion(b *testing.B) {
@@ -154,6 +159,12 @@ func BenchmarkStreaming_TenMillion(b *testing.B) {
 		if perMsg > 0.02 {
 			b.Fatalf("allocation budget blown: %.4f allocs/msg > 0.02 (%d allocations for %d messages)",
 				perMsg, after.Mallocs-before.Mallocs, int64(msgs))
+		}
+		bytesPerMsg := float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
+		b.ReportMetric(bytesPerMsg, "B/msg")
+		if bytesPerMsg > 128 {
+			b.Fatalf("byte budget blown: %.1f B/msg > 128 (%d bytes for %d messages)",
+				bytesPerMsg, after.TotalAlloc-before.TotalAlloc, int64(msgs))
 		}
 	}
 }

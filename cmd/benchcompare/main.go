@@ -32,6 +32,9 @@
 // fails CI even if it is fast enough to slip past the time gate. Allocs
 // are near-deterministic, so the relative threshold is shared with ns/op
 // but the absolute floor is its own flag (-alloc-floor, default 512/op).
+// B/op is gated the same way, by the same function, for the benchmarks in
+// "bytes_per_op" (floor 1 MiB/op): a per-message sample slice adds 25 bytes
+// a message and no allocation worth counting.
 // For the message-count exhibits (BenchmarkStreaming_Million and the
 // opt-in TenMillion variant) every report line also derives ns/msg and
 // allocs/msg — the units the ROADMAP's raw-speed targets are stated in —
@@ -67,7 +70,12 @@ type baseline struct {
 	// (the streaming data-plane exhibits). Benchmarks absent from this
 	// map are timed but not alloc-checked.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	// BytesPerOp does the same for B/op.
+	BytesPerOp map[string]float64 `json:"bytes_per_op,omitempty"`
 }
+
+// bytesFloor is the absolute B/op growth a byte regression must also exceed.
+const bytesFloor = 1 << 20
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+)\s+ns/op(?:\s+([0-9.]+)\s+B/op\s+([0-9.]+)\s+allocs/op)?`)
 
@@ -90,6 +98,30 @@ func perMsg(name string, perOp float64, unit string) string {
 	return fmt.Sprintf(" = %.4g %s/msg", perOp/msgs, unit)
 }
 
+// gateColumn checks one -benchmem column (unit "allocs" or "B") for every
+// benchmark the baseline lists under it — a regression must exceed both the
+// relative threshold and the column's floor — and describes each failure.
+func gateColumn(unit string, ref, got map[string]float64, maxRegress, floor float64) []string {
+	var fails []string
+	for name, r := range ref {
+		cur, ok := got[name]
+		if !ok {
+			fmt.Printf("benchcompare: FAIL %s has a gated %s/op but the run reported none (missing -benchmem?)\n", name, unit)
+			fails = append(fails, fmt.Sprintf("%s (no %s/op in run)", name, unit))
+			continue
+		}
+		deltaPct := (cur - r) / r * 100
+		verdict := "ok  "
+		if cur > r*(1+maxRegress/100) && cur-r > floor {
+			verdict = "FAIL"
+			fails = append(fails, fmt.Sprintf("%s %s %+.1f%%", name, unit, deltaPct))
+		}
+		fmt.Printf("benchcompare: %s %s %s/op %+.1f%% (%.0f -> %.0f)%s\n",
+			verdict, name, unit, deltaPct, r, cur, perMsg(name, cur, unit))
+	}
+	return fails
+}
+
 func main() {
 	basePath := flag.String("baseline", "BENCH_baseline.json", "baseline timings file")
 	maxRegress := flag.Float64("max-regress", 10, "max allowed regression in percent")
@@ -110,7 +142,7 @@ func main() {
 	}
 
 	got := map[string]float64{}
-	gotAllocs := map[string]float64{}
+	gotAllocs, gotBytes := map[string]float64{}, map[string]float64{}
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -120,6 +152,9 @@ func main() {
 				got[m[1]] = v
 			}
 			if m[4] != "" {
+				if v, err := strconv.ParseFloat(m[3], 64); err == nil {
+					gotBytes[m[1]] = v
+				}
 				if a, err := strconv.ParseFloat(m[4], 64); err == nil {
 					gotAllocs[m[1]] = a
 				}
@@ -157,16 +192,10 @@ func main() {
 			Clock:      base.Clock,
 			Note:       "fresh run recorded by benchcompare -write (per-PR artifact); compare against the committed baseline at matching GOMAXPROCS",
 			NsPerOp:    got,
-		}
-		// The artifact records allocs only where the committed baseline
-		// gates them, so the two files stay directly diffable.
-		if len(base.AllocsPerOp) > 0 {
-			fresh.AllocsPerOp = map[string]float64{}
-			for name := range base.AllocsPerOp {
-				if a, ok := gotAllocs[name]; ok {
-					fresh.AllocsPerOp[name] = a
-				}
-			}
+			// Every -benchmem column the run reported, gated or not: the
+			// artifact is the trajectory, the committed file picks the gates.
+			AllocsPerOp: gotAllocs,
+			BytesPerOp:  gotBytes,
 		}
 		out, err := json.MarshalIndent(fresh, "", "  ")
 		if err == nil {
@@ -180,7 +209,6 @@ func main() {
 	}
 
 	failures := 0
-	var allocFails []string
 	for name, ref := range base.NsPerOp {
 		cur, ok := got[name]
 		if !ok {
@@ -207,36 +235,20 @@ func main() {
 			fmt.Printf("benchcompare: WARN %s not in baseline (regenerate %s)\n", name, *basePath)
 		}
 	}
-	// Allocation gate: only benchmarks the baseline lists are checked.
-	for name, ref := range base.AllocsPerOp {
-		cur, ok := gotAllocs[name]
-		if !ok {
-			fmt.Printf("benchcompare: FAIL %s has a gated allocs/op but the run reported none (missing -benchmem?)\n", name)
-			failures++
-			allocFails = append(allocFails, fmt.Sprintf("%s (no allocs/op in run)", name))
-			continue
-		}
-		deltaPct := (cur - ref) / ref * 100
-		if cur > ref*(1+*maxRegress/100) && cur-ref > *allocFloor {
-			fmt.Printf("benchcompare: FAIL %s allocs regressed %+.1f%% (%.0f -> %.0f allocs/op)%s\n",
-				name, deltaPct, ref, cur, perMsg(name, cur, "allocs"))
-			failures++
-			allocFails = append(allocFails, fmt.Sprintf("%s %+.1f%%", name, deltaPct))
-		} else {
-			fmt.Printf("benchcompare: ok   %s allocs %+.1f%% (%.0f -> %.0f allocs/op)%s\n",
-				name, deltaPct, ref, cur, perMsg(name, cur, "allocs"))
-		}
-	}
+	// Memory gates: only benchmarks the baseline lists are checked.
+	memFails := append(gateColumn("allocs", base.AllocsPerOp, gotAllocs, *maxRegress, *allocFloor),
+		gateColumn("B", base.BytesPerOp, gotBytes, *maxRegress, bytesFloor)...)
+	failures += len(memFails)
 	if failures > 0 {
 		// Not every failure is a timing regression (missing benchmarks and
-		// absent allocs/op also count) — point the log reader at the FAIL
-		// lines, and name the allocation failures with their deltas here so
-		// the summary alone says which exhibits broke the zero-copy budget
-		// and by how much.
-		fmt.Fprintf(os.Stderr, "benchcompare: %d check(s) failed (time or allocs, see FAIL lines) vs %s (recorded %s at GOMAXPROCS=%d)\n",
+		// absent -benchmem columns also count) — point the log reader at the
+		// FAIL lines, and name the memory-gate failures with their deltas
+		// here so the summary alone says which exhibits broke the zero-copy
+		// budget and by how much.
+		fmt.Fprintf(os.Stderr, "benchcompare: %d check(s) failed (time, allocs or bytes, see FAIL lines) vs %s (recorded %s at GOMAXPROCS=%d)\n",
 			failures, *basePath, base.Recorded, base.GoMaxProcs)
-		if len(allocFails) > 0 {
-			fmt.Fprintf(os.Stderr, "benchcompare: allocs gate failures: %s\n", strings.Join(allocFails, ", "))
+		if len(memFails) > 0 {
+			fmt.Fprintf(os.Stderr, "benchcompare: allocs/bytes gate failures: %s\n", strings.Join(memFails, ", "))
 		}
 		os.Exit(1)
 	}

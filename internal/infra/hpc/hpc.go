@@ -210,7 +210,6 @@ type Cluster struct {
 	opened      time.Time
 
 	queueWaits *metrics.Series
-	runtimes   *metrics.Series
 
 	wake *vclock.Notifier
 	ctx  context.Context
@@ -231,7 +230,6 @@ func New(cfg Config) *Cluster {
 		cfg:        cfg.withDefaults(),
 		running:    make(map[*Job]time.Time),
 		queueWaits: metrics.NewSeries("queue_wait_s"),
-		runtimes:   metrics.NewSeries("runtime_s"),
 	}
 	c.wake = vclock.NewNotifier(c.cfg.Clock)
 	c.wg = vclock.NewGroup(c.cfg.Clock)
@@ -587,7 +585,6 @@ func (c *Cluster) runJob(ctx context.Context, cancel context.CancelFunc, j *Job,
 	c.freeNodes += j.spec.Nodes
 	c.busyNodeSec += now.Sub(started).Seconds() * float64(j.spec.Nodes)
 	c.mu.Unlock()
-	c.runtimes.Add(now.Sub(started).Seconds())
 	j.done.Fire()
 	c.kick()
 }

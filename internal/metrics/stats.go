@@ -33,10 +33,10 @@ func Summarize(xs []float64) Summary {
 	return summarizeSorted(sorted)
 }
 
-// summarizeSorted computes the summary from an already-sorted sample it
-// is allowed to read in place — the million-sample path through
-// Series.Summary sorts its private copy and lands here without a second
-// materialization.
+// summarizeSorted computes the summary from an already-sorted sample. It
+// is the reference Series.Summary is held bit-identical to: that method
+// performs this function's floating-point operations, in this order, over
+// its runs.
 func summarizeSorted(sorted []float64) Summary {
 	if len(sorted) == 0 {
 		return Summary{}

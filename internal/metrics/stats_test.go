@@ -190,28 +190,6 @@ func TestHistogramPanicsOnBadRange(t *testing.T) {
 	NewHistogram(5, 5, 10)
 }
 
-func TestSeriesConcurrent(t *testing.T) {
-	s := NewSeries("x")
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 100; i++ {
-				s.Add(1)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if s.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", s.Len())
-	}
-	if s.Summary().Mean != 1 {
-		t.Fatalf("Mean = %g, want 1", s.Summary().Mean)
-	}
-}
-
 func TestTableRenderAndCSV(t *testing.T) {
 	tb := NewTable("Demo", "config", "runtime_s", "speedup")
 	tb.AddRow("base", 10.0, 1.0)

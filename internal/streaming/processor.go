@@ -97,15 +97,19 @@ func (c *counters) record(lat time.Duration) {
 }
 
 // recordBatch accounts a whole batch completing at one instant: one
-// series lock, one counter lock, one progress wake — the amortization
-// that keeps million-message runs off the scheduler's hot path.
-// Latencies are computed straight into the series' tail (no per-message
-// Add, no staging copy), so a batch costs two lock acquisitions total
-// instead of one per message.
+// counter lock, one progress wake, and one series entry per publish stamp
+// rather than per message — a publish call stamps everything it lands on
+// a partition with one clock read, so a fetch batch is a handful of
+// stretches of equal Published, each one latency value.
 func (c *counters) recordBatch(now time.Time, batch []Message) {
-	c.latencies.AddFunc(len(batch), func(i int) float64 {
-		return now.Sub(batch[i].Published).Seconds()
-	})
+	for i := 0; i < len(batch); {
+		j := i + 1
+		for j < len(batch) && batch[j].Published.Equal(batch[i].Published) {
+			j++
+		}
+		c.latencies.AddN(now.Sub(batch[i].Published).Seconds(), j-i)
+		i = j
+	}
 	c.mu.Lock()
 	c.processed += int64(len(batch))
 	c.mu.Unlock()

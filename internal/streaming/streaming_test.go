@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -326,6 +327,51 @@ func TestProcessorValidation(t *testing.T) {
 	}
 	if _, err := StartProcessor(context.Background(), mgr, b, ProcessorConfig{Topic: "ghost", Handler: func(context.Context, core.TaskContext, Message) error { return nil }}); err == nil {
 		t.Error("unknown topic accepted")
+	}
+}
+
+// TestRecordBatchGroupsByStamp pins recordBatch's accounting: one series
+// entry per stretch of equal Published stamps, summarizing to exactly what
+// per-message record would, and a warm counters whose batches each carry
+// one stamp grows by a run per batch, not a float per message (2 048 000
+// messages were 16 MiB of samples).
+func TestRecordBatchGroupsByStamp(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	a := clock.Now()
+	b := a.Add(3 * time.Millisecond)
+	now := a.Add(10 * time.Millisecond)
+	batch := []Message{{Published: a}, {Published: a}, {Published: b}, {Published: a}}
+
+	batched, single := newCounters(clock, "batched"), newCounters(clock, "single")
+	batched.recordBatch(now, batch)
+	for i := range batch {
+		single.record(now.Sub(batch[i].Published))
+	}
+	if got, want := batched.LatencyStats(), single.LatencyStats(); got != want {
+		t.Fatalf("recordBatch summarizes to %+v, per-message record to %+v", got, want)
+	}
+	if got := batched.Processed(); got != 4 {
+		t.Fatalf("Processed = %d, want 4", got)
+	}
+
+	big := make([]Message, 2048)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		stamp := a.Add(time.Duration(i) * time.Microsecond)
+		for m := range big {
+			big[m].Published = stamp
+		}
+		batched.recordBatch(now.Add(time.Duration(i)*time.Millisecond), big)
+	}
+	runtime.ReadMemStats(&after)
+	if got := batched.LatencyStats().N; got != 4+1000*2048 {
+		t.Fatalf("N = %d, want %d", got, 4+1000*2048)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("1000 single-stamp batches of 2048 allocated %d B", got)
+	if got >= 64<<10 {
+		t.Fatalf("allocated %d B, want < 64 KiB", got)
 	}
 }
 
