@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare bench-10m profile seed-audit doc-audit chaos test-federation test-reuse fuzz-smoke loc exhibit-digest exhibit-stable examples-stable ci
+.PHONY: build test race vet bench bench-compare bench-10m profile seed-audit doc-audit chaos test-federation test-reuse fuzz-smoke loc exhibit-digest exhibit-stable examples-stable digest-print digest-record digest-check ci
 
 build:
 	$(GO) build ./...
@@ -160,4 +160,38 @@ examples-stable:
 		esac; \
 	done
 
-ci: build vet seed-audit doc-audit test fuzz-smoke race test-reuse exhibit-stable examples-stable bench-compare
+# "Same bytes" as a gate instead of a sentence. $(DIGESTS) records what a
+# behaviour-preserving refactor must not move: the exhibit digest, the
+# decision count, schedule hash and state hash of every CHAOS_REGRESS seed,
+# and each example's stdout hash (as examples-stable prints it). Its first
+# line is the GOARCH it was recorded on — floating-point contraction differs
+# across architectures, so digest-check compares only on the same one and
+# says so when it skips. A PR that legitimately moves a decision runs
+# `make digest-record` and commits the file in the same diff, where the
+# reviewer sees exactly which lines moved.
+DIGESTS ?= tools/digests.golden
+digest-print:
+	@$(GO) env GOARCH
+	@echo "exhibit $$($(MAKE) -s exhibit-digest)"
+	@for s in $(CHAOS_REGRESS); do \
+		out=$$($(GO) run ./cmd/chaosreplay -seed $$s) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | sed -n "s/^state hash \([0-9a-f]*\), schedule: \([0-9]*\) decisions, hash \([0-9a-f]*\).*/chaos $$s \2 \3 \1/p"; \
+	done
+	@for e in examples/*/; do \
+		out=$$($(GO) run ./$$e) || exit 1; \
+		echo "example $${e%/} $$(echo "$$out" | sha256sum | cut -d' ' -f1)"; \
+	done
+
+digest-record:
+	@out=$$($(MAKE) -s digest-print) && echo "$$out" > $(DIGESTS) && echo "digest-record: wrote $(DIGESTS)"
+
+digest-check:
+	@want=$$(head -n 1 $(DIGESTS)); have=$$($(GO) env GOARCH); \
+	if [ "$$want" != "$$have" ]; then \
+		echo "digest-check: $(DIGESTS) was recorded on $$want and this is $$have — not comparable, skipped"; exit 0; \
+	fi; \
+	$(MAKE) -s digest-print | diff $(DIGESTS) - || \
+		{ echo "digest-check: modeled output moved (< recorded, > this tree); if the move is intended, make digest-record and commit $(DIGESTS)"; exit 1; }; \
+	echo "digest-check: $$(($$(wc -l < $(DIGESTS)) - 1)) digests match $(DIGESTS)"
+
+ci: build vet seed-audit doc-audit test fuzz-smoke race test-reuse exhibit-stable examples-stable digest-check bench-compare

@@ -31,7 +31,17 @@ func NewBroker(cfg BrokerConfig) *Broker {
 	})}
 }
 
-// Trim trims the one shard's log directly (see shard.Trim).
+// Trim trims the one shard's copy directly (see Log.Trim) and returns the
+// oldest retained offset after the trim.
 func (b *Broker) Trim(topic string, partition int, below int64) (int64, error) {
-	return b.shards[0].Trim(topic, partition, below)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	p, err := b.fedPartition(topic, partition)
+	if err != nil {
+		return 0, err
+	}
+	lp := p.logs[0]
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	return lp.Trim(below), nil
 }

@@ -2,7 +2,6 @@ package streaming
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,9 +14,9 @@ import (
 // Cluster federates N broker shards behind the single client-facing Bus
 // API (DESIGN.md "Federation"): producers and consumer groups talk to
 // the cluster as to one broker — which is what one shard at replication 1
-// is — while every shard hosts its own physical copy of the logs placed
-// on it and every partition's log is *replicated* — the leader
-// appends locally, per-link catch-up runners stream acknowledged batches
+// is — while every member shard of a partition holds its own physical copy
+// of the log (fedPart.logs) and every partition's log is *replicated* — the
+// leader appends locally, per-link catch-up runners stream acknowledged batches
 // to the followers in virtual time, and a per-partition acknowledged
 // high watermark (the minimum log end across full members) gates what
 // consumers may fetch and commit. Only quorum-acknowledged offsets are
@@ -43,7 +42,6 @@ import (
 // functions, so same-seed runs place, re-place and repair identically.
 type Cluster struct {
 	cfg     ClusterConfig
-	shards  []*shard
 	offsets *OffsetStore
 	clock   vclock.Clock
 
@@ -59,6 +57,8 @@ type Cluster struct {
 	order    []*fedTopic // creation order: deterministic control sweeps
 	handoffs int
 	repairs  int
+	// commitDelay is the injected commit skew (chaos), zero normally.
+	commitDelay time.Duration
 	// ctrl holds waiters parked on control-plane state (fences, epochs,
 	// links, stalls): fired and swept on every control change and on
 	// Close, so nothing outlives the state it waits on.
@@ -79,11 +79,18 @@ type fedTopic struct {
 	rr int
 }
 
-// fedPart is the control-plane state of one partition.
+// fedPart is everything the cluster knows about one partition: the
+// control-plane state and, hanging off it, every replica's log. Topics are
+// never deleted, so a *fedPart is stable for the cluster's life.
 type fedPart struct {
 	idx      int
 	epoch    int   // leader epoch, bumped per handoff
 	replicas []int // shard ids, leader first, live by invariant
+	// logs[s] is shard s's copy of the log, non-nil exactly while s is a
+	// member (in replicas, full or syncing): made at placement and at
+	// recruitment, closed and dropped when s dies — a dead copy is garbage,
+	// not state. The only path from a partition to a log.
+	logs []*partition
 	// syncing lists the recruits still catching up: members whose log end
 	// has not yet reached the leader's. They replicate like any follower
 	// but do not count toward the acknowledged watermark.
@@ -237,14 +244,12 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		clock:   cfg.Clock,
 		runCtx:  runCtx,
 		stopFn:  stop,
-		shards:  make([]*shard, cfg.Shards),
 		up:      make([]bool, cfg.Shards),
 		severed: make([][]bool, cfg.Shards),
 		lagFac:  make([][]float64, cfg.Shards),
 		topics:  make(map[string]*fedTopic),
 	}
 	for i := range c.up {
-		c.shards[i] = &shard{cfg: &c.cfg, topics: make(map[string]*topic)}
 		c.up[i] = true
 		c.severed[i] = make([]bool, cfg.Shards)
 		c.lagFac[i] = make([]float64, cfg.Shards)
@@ -311,11 +316,7 @@ func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 		if containsInt(p.syncing, s) {
 			continue
 		}
-		e, err := c.shards[s].EndOffset(t.name, p.idx)
-		if err != nil {
-			continue
-		}
-		if lo < 0 || e < lo {
+		if e := p.logs[s].endOffset(); lo < 0 || e < lo {
 			lo = e
 		}
 	}
@@ -328,30 +329,30 @@ func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 		fireList(&p.ackWait)
 		// Wake parked fetchers *after* the watermark is in place: a waiter
 		// that re-checks immediately sees the new fetchable range.
-		if lp, err := c.shards[p.replicas[0]].partRef(t.name, p.idx); err == nil {
-			lp.wakeFetchers()
-		}
+		p.logs[p.replicas[0]].wakeFetchers()
 	}
 }
 
-// CreateTopic creates a topic on every live shard (a dead shard is
-// closed, and placement never recruits it), places each partition's
-// replica set on the live shard ring via plan.ShardReplicas, and starts
-// the partition's catch-up runners (one per follower slot).
+// CreateTopic creates a topic: it places each partition's
+// replica set on the live shard ring via plan.ShardReplicas (placement
+// never picks a dead shard), gives every member an empty copy of the log,
+// and starts the partition's catch-up runners (one per follower slot).
+// Creating an existing topic with the same partition count is a no-op.
 func (c *Cluster) CreateTopic(name string, partitions int) error {
-	for _, s := range c.LiveShards() {
-		if err := c.shards[s].CreateTopic(name, partitions); err != nil && !errors.Is(err, ErrBrokerClosed) {
-			return err
-		}
+	if partitions <= 0 {
+		return fmt.Errorf("streaming: topic %q needs at least one partition", name)
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrBrokerClosed
 	}
-	if _, ok := c.topics[name]; ok {
+	if t, ok := c.topics[name]; ok {
 		c.mu.Unlock()
-		return nil // shards validated the partition count
+		if len(t.parts) != partitions {
+			return fmt.Errorf("streaming: topic %q exists with %d partitions", name, len(t.parts))
+		}
+		return nil
 	}
 	live := c.liveLocked()
 	if len(live) == 0 {
@@ -360,43 +361,56 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 	}
 	t := &fedTopic{name: name, parts: make([]*fedPart, partitions)}
 	for q := range t.parts {
-		t.parts[q] = &fedPart{
+		p := &fedPart{
 			idx:          q,
 			replicas:     plan.ShardReplicas(name, q, live, c.cfg.Replication),
+			logs:         make([]*partition, c.cfg.Shards),
 			frozen:       make([]bool, c.cfg.Replication-1),
 			ackedAtEpoch: []int64{0},
 		}
+		for _, s := range p.replicas {
+			p.logs[s] = c.newLog()
+		}
+		t.parts[q] = p
 	}
 	c.topics[name] = t
 	c.order = append(c.order, t)
 	c.mu.Unlock()
 	// One catch-up runner per (partition, follower slot), spawned in
 	// deterministic order so runner identity is stable across runs.
-	for q := 0; q < partitions; q++ {
+	for _, p := range t.parts {
 		for s := 0; s < c.cfg.Replication-1; s++ {
-			q, s := q, s
-			c.clock.Go(func() { c.replicate(name, q, s) })
+			p, s := p, s
+			c.clock.Go(func() { c.replicate(t, p, s) })
 		}
 	}
 	return nil
 }
 
-func (c *Cluster) fedPartition(topic string, partition int) (*fedTopic, *fedPart, error) {
+// newLog makes one member's empty copy of a partition log.
+func (c *Cluster) newLog() *partition {
+	return &partition{Log: Log{segSize: c.cfg.SegmentSize}}
+}
+
+// fedPartition resolves one partition by name, for the accessors that are
+// handed names; everything that already holds a *fedTopic indexes t.parts.
+// Caller holds c.mu.
+func (c *Cluster) fedPartition(topic string, partition int) (*fedPart, error) {
 	t, ok := c.topics[topic]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
 	}
 	if partition < 0 || partition >= len(t.parts) {
-		return nil, nil, fmt.Errorf("streaming: partition %d out of range for %q", partition, topic)
+		return nil, fmt.Errorf("streaming: partition %d out of range for %q", partition, topic)
 	}
-	return t, t.parts[partition], nil
+	return t.parts[partition], nil
 }
 
 // LeaderOf returns the shard currently leading a partition.
 func (c *Cluster) LeaderOf(topic string, partition int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		return 0, err
 	}
@@ -407,7 +421,7 @@ func (c *Cluster) LeaderOf(topic string, partition int) (int, error) {
 func (c *Cluster) ReplicasOf(topic string, partition int) ([]int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +432,7 @@ func (c *Cluster) ReplicasOf(topic string, partition int) ([]int, error) {
 func (c *Cluster) Epoch(topic string, partition int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		return 0, err
 	}
@@ -431,7 +445,7 @@ func (c *Cluster) Epoch(topic string, partition int) (int, error) {
 func (c *Cluster) AckedOffset(topic string, partition int) (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		return 0, err
 	}
@@ -441,21 +455,14 @@ func (c *Cluster) AckedOffset(topic string, partition int) (int64, error) {
 // replicaLagLocked returns the maximum replication lag (leader log end −
 // follower log end, in messages) across a partition's full members.
 // Caller holds c.mu.
-func (c *Cluster) replicaLagLocked(t *fedTopic, p *fedPart) int64 {
-	lEnd, err := c.shards[p.replicas[0]].EndOffset(t.name, p.idx)
-	if err != nil {
-		return 0
-	}
+func (c *Cluster) replicaLagLocked(p *fedPart) int64 {
+	lEnd := p.logs[p.replicas[0]].endOffset()
 	var max int64
 	for _, s := range p.replicas[1:] {
 		if containsInt(p.syncing, s) {
 			continue
 		}
-		fEnd, err := c.shards[s].EndOffset(t.name, p.idx)
-		if err != nil {
-			continue
-		}
-		if lag := lEnd - fEnd; lag > max {
+		if lag := lEnd - p.logs[s].endOffset(); lag > max {
 			max = lag
 		}
 	}
@@ -476,7 +483,7 @@ func (c *Cluster) UnderReplicated() int {
 	n := 0
 	for _, t := range c.order {
 		for _, p := range t.parts {
-			if len(p.replicas) < want || len(p.syncing) > 0 || c.replicaLagLocked(t, p) > 0 {
+			if len(p.replicas) < want || len(p.syncing) > 0 || c.replicaLagLocked(p) > 0 {
 				n++
 			}
 		}
@@ -515,7 +522,7 @@ func (c *Cluster) Placement() []ShardPlacement {
 				Leader:   p.replicas[0],
 				Replicas: append([]int(nil), p.replicas...),
 				Syncing:  len(p.syncing) > 0,
-				Lag:      c.replicaLagLocked(t, p),
+				Lag:      c.replicaLagLocked(p),
 				AckedHW:  p.acked,
 			})
 		}
@@ -562,15 +569,9 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	var out []string
 	for _, p := range t.parts {
 		leader := p.replicas[0]
-		lFirst, lEnd, lSpans, ok := c.logSnapshot(leader, t.name, p.idx)
-		if !ok {
-			continue
-		}
+		lFirst, lEnd, _, lSpans := p.logs[leader].snapshot(nil)
 		for _, f := range p.replicas[1:] {
-			fFirst, fEnd, fSpans, ok := c.logSnapshot(f, t.name, p.idx)
-			if !ok {
-				continue
-			}
+			fFirst, fEnd, _, fSpans := p.logs[f].snapshot(nil)
 			r := plan.ClassifyReplica(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd)
 			if r.State == plan.ReplicaDiverged {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d diverged from leader %d at offset %d (leader end %d, replica end %d)",
@@ -581,19 +582,6 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	return out
 }
 
-// logSnapshot reads one shard's copy of a partition log at one instant;
-// ok is false when the shard is gone.
-func (c *Cluster) logSnapshot(shard int, topic string, partition int) (first, end int64, spans []plan.EpochSpan, ok bool) {
-	part, err := c.shards[shard].partRef(topic, partition)
-	if err != nil {
-		return 0, 0, nil, false
-	}
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	first, end, _, spans = part.Snapshot(nil)
-	return first, end, spans, true
-}
-
 // FailShard permanently fails one shard: every partition it led fences
 // (fetches and publishes park) for the modeled election delay, then
 // promotion runs the recovery protocol — the first fully-replicated
@@ -601,9 +589,9 @@ func (c *Cluster) logSnapshot(shard int, topic string, partition int) (first, en
 // the acknowledged watermark (the un-acked suffix may be stale), and the
 // coordinator's commit mark is restored onto it; every partition the
 // dead shard followed recruits a replacement that re-replicates the log
-// over its catch-up link in virtual time. Failing the last live shard is
-// refused (this model has no cold storage to recover a leaderless
-// partition from).
+// over its catch-up link in virtual time. Failing the last live shard, or
+// the only holder of any partition, is refused with nothing changed (this
+// model has no cold storage to recover a leaderless partition from).
 func (c *Cluster) FailShard(id int) error {
 	c.mu.Lock()
 	if id < 0 || id >= len(c.up) {
@@ -618,6 +606,14 @@ func (c *Cluster) FailShard(id int) error {
 	if len(live) <= 1 {
 		c.mu.Unlock()
 		return fmt.Errorf("streaming: cannot fail shard %d: last live shard of %q", id, c.cfg.Name)
+	}
+	for _, t := range c.order {
+		for _, p := range t.parts {
+			if len(p.replicas) == 1 && p.replicas[0] == id {
+				c.mu.Unlock()
+				return fmt.Errorf("streaming: cannot fail shard %d: only holder of %s[%d]", id, t.name, p.idx)
+			}
+		}
 	}
 	c.up[id] = false
 	live = c.liveLocked()
@@ -661,26 +657,25 @@ func (c *Cluster) FailShard(id int) error {
 				}
 				p.replicas = removeShard(p.replicas, nl)
 				p.replicas = append([]int{nl}, p.replicas...)
-				if np, err := c.shards[nl].partRef(t.name, p.idx); err == nil {
-					// Recovery: the promoted log's un-acked suffix was never on
-					// quorum — truncate to the watermark; re-streaming under the
-					// new epoch replaces it with the authoritative history. The
-					// coordinator's commit mark is re-applied (no OnCommit: it
-					// was observed on the deposed leader) because the promoted
-					// follower's lazily-replicated local mark may trail it.
-					np.mu.Lock()
-					np.TruncateTo(p.acked)
-					np.Epoch = p.epoch
-					if c.cfg.PlantStaleHandoff {
-						// Planted defect: restore the coordinator mark from the
-						// stale local one, so the next applied commit rewinds the
-						// cursor.
-						p.commit = np.committed
-					} else {
-						np.SetCommitted(p.commit)
-					}
-					np.mu.Unlock()
+				// Recovery: the promoted log's un-acked suffix was never on
+				// quorum — truncate to the watermark; re-streaming under the
+				// new epoch replaces it with the authoritative history. The
+				// coordinator's commit mark is re-applied (no OnCommit: it
+				// was observed on the deposed leader) because the promoted
+				// follower's lazily-replicated local mark may trail it.
+				np := p.logs[nl]
+				np.mu.Lock()
+				np.TruncateTo(p.acked)
+				np.Epoch = p.epoch
+				if c.cfg.PlantStaleHandoff {
+					// Planted defect: restore the coordinator mark from the
+					// stale local one, so the next applied commit rewinds the
+					// cursor.
+					p.commit = np.committed
+				} else {
+					np.SetCommitted(p.commit)
 				}
+				np.mu.Unlock()
 				avail := now.Add(c.cfg.HandoffDelay)
 				p.availableAt = avail
 				// The handoff decision lands in the schedule recorder: a
@@ -698,6 +693,7 @@ func (c *Cluster) FailShard(id int) error {
 				}
 				p.replicas = append(p.replicas, d.Shard)
 				p.syncing = append(p.syncing, d.Shard)
+				p.logs[d.Shard] = c.newLog()
 			}
 			// The dead member may have been the watermark's minimum (e.g. a
 			// follower starved behind a severed link): with it gone, quorum
@@ -711,12 +707,19 @@ func (c *Cluster) FailShard(id int) error {
 		}
 	}
 	fireList(&c.ctrl)
+	// Close and drop the dead shard's copies, in topic-creation × partition
+	// order: anything parked on one (a leader append under backpressure, a
+	// runner waiting for data) wakes, sees it closed and re-routes through
+	// the new placement.
+	for _, t := range c.order {
+		for _, p := range t.parts {
+			if lp := p.logs[id]; lp != nil {
+				lp.close()
+				p.logs[id] = nil
+			}
+		}
+	}
 	c.mu.Unlock()
-
-	// Close the dead shard: anything parked inside it (leader
-	// appends under backpressure, stray accounting reads) unblocks with
-	// ErrBrokerClosed and re-routes through the new placement.
-	c.shards[id].Close()
 
 	if len(fenced) > 0 {
 		// One clock participant per failure walks the handoff completions
@@ -791,7 +794,7 @@ func (c *Cluster) SetLinkLag(a, b int, factor float64) error {
 func (c *Cluster) FreezeReplica(topic string, partition, slot int, frozen bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		return err
 	}
@@ -810,7 +813,7 @@ func (c *Cluster) FreezeReplica(topic string, partition, slot int, frozen bool) 
 func (c *Cluster) SetPartitionDown(topic string, partition int, down bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		return err
 	}
@@ -819,12 +822,15 @@ func (c *Cluster) SetPartitionDown(topic string, partition int, down bool) error
 	return nil
 }
 
-// SetCommitDelay injects commit skew on every shard (see
-// shard.SetCommitDelay).
+// SetCommitDelay injects commit skew: every subsequent Commit holds the
+// acknowledgement in flight for d of modeled time before applying it.
+// Zero restores immediate commits. The chaos engine toggles this to
+// stretch the window in which backpressure and rebalance decisions act on
+// stale commit marks.
 func (c *Cluster) SetCommitDelay(d time.Duration) {
-	for _, sh := range c.shards {
-		sh.SetCommitDelay(d)
-	}
+	c.mu.Lock()
+	c.commitDelay = d
+	c.mu.Unlock()
 }
 
 // linkLagLocked returns the pacing multiplier of link a<->b (≥1).
@@ -844,7 +850,7 @@ func (c *Cluster) linkLagLocked(a, b int) float64 {
 // leader's log batch by batch, paced in virtual time by the link's
 // bandwidth. After each pacing sleep the control state is re-validated
 // and stale batches are discarded — a torn stream never half-applies.
-func (c *Cluster) replicate(topicName string, q, slot int) {
+func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 	// Scratch buffers for the per-round epoch-chain snapshots: chains are
 	// a handful of spans, so after the first rounds these never allocate.
 	var lSpans, fSpans []plan.EpochSpan
@@ -852,11 +858,6 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 	for {
 		c.mu.Lock()
 		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		t, p, err := c.fedPartition(topicName, q)
-		if err != nil {
 			c.mu.Unlock()
 			return
 		}
@@ -868,22 +869,14 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 		epoch := p.epoch
 		frozen := follower >= 0 && (c.severed[leader][follower] || p.frozen[slot])
 		var lag float64
+		var lp, fp *partition
 		if follower >= 0 {
 			lag = c.linkLagLocked(leader, follower)
+			lp, fp = p.logs[leader], p.logs[follower]
 		}
 		c.mu.Unlock()
 
 		if follower < 0 || frozen {
-			if !c.parkCtrl(&ws) {
-				return
-			}
-			continue
-		}
-		lb := c.shards[leader]
-		lp, lerr := lb.partRef(topicName, q)
-		fp, ferr := c.shards[follower].partRef(topicName, q)
-		if lerr != nil || ferr != nil {
-			// A shard died between snapshot and use; membership is changing.
 			if !c.parkCtrl(&ws) {
 				return
 			}
@@ -897,9 +890,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 		// one-segment view from the follower's end, plus its payload total
 		// read off the leader's cum (what the link is paced by).
 		var fFirst, fEnd, lFirst, lEnd, lCommitted, bytes int64
-		fp.mu.Lock()
-		fFirst, fEnd, _, fSpans = fp.Snapshot(fSpans)
-		fp.mu.Unlock()
+		fFirst, fEnd, _, fSpans = fp.snapshot(fSpans)
 		lp.mu.Lock()
 		lFirst, lEnd, lCommitted, lSpans = lp.Snapshot(lSpans)
 		at, diverged := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd)
@@ -918,7 +909,7 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 			fp.TruncateTo(at)
 			fp.mu.Unlock()
 			c.clock.Mark(fmt.Sprintf("replica repair %s[%d] shard %d truncated to %d (%d dropped)",
-				topicName, q, follower, at, fEnd-at), uint64(at))
+				t.name, p.idx, follower, at, fEnd-at), uint64(at))
 			c.mu.Lock()
 			c.repairs++
 			c.mu.Unlock()
@@ -936,21 +927,18 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 			// Caught up. Promote a recruit to full member, then park until
 			// the leader appends or the control plane changes.
 			c.mu.Lock()
-			if !c.closed {
-				if _, p2, err := c.fedPartition(topicName, q); err == nil &&
-					p2.epoch == epoch && containsInt(p2.syncing, follower) &&
-					1+slot < len(p2.replicas) && p2.replicas[1+slot] == follower {
-					p2.syncing = removeShard(p2.syncing, follower)
-					c.clock.Mark(fmt.Sprintf("replica synced %s[%d] shard %d at %d",
-						topicName, q, follower, fEnd), uint64(fEnd))
-					c.recomputeAckedLocked(t, p2)
-					fireList(&c.ctrl)
-					c.mu.Unlock()
-					continue
-				}
+			if !c.closed && p.epoch == epoch && containsInt(p.syncing, follower) &&
+				1+slot < len(p.replicas) && p.replicas[1+slot] == follower {
+				p.syncing = removeShard(p.syncing, follower)
+				c.clock.Mark(fmt.Sprintf("replica synced %s[%d] shard %d at %d",
+					t.name, p.idx, follower, fEnd), uint64(fEnd))
+				c.recomputeAckedLocked(t, p)
+				fireList(&c.ctrl)
+				c.mu.Unlock()
+				continue
 			}
 			c.mu.Unlock()
-			if !c.parkData(&ws, lb, lp, fEnd) {
+			if !c.parkData(&ws, lp, fEnd) {
 				return
 			}
 			continue
@@ -970,10 +958,9 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 			c.mu.Unlock()
 			return
 		}
-		_, p2, err := c.fedPartition(topicName, q)
-		intact := err == nil && p2.epoch == epoch && p2.replicas[0] == leader &&
-			1+slot < len(p2.replicas) && p2.replicas[1+slot] == follower &&
-			!c.severed[leader][follower] && !p2.frozen[slot]
+		intact := p.epoch == epoch && p.replicas[0] == leader &&
+			1+slot < len(p.replicas) && p.replicas[1+slot] == follower &&
+			!c.severed[leader][follower] && !p.frozen[slot]
 		c.mu.Unlock()
 		if !intact {
 			continue
@@ -984,16 +971,14 @@ func (c *Cluster) replicate(topicName string, q, slot int) {
 		// lazily advanced mark: the commit was observed, exactly once, on
 		// the leader.
 		fp.mu.Lock()
-		err = fp.AppendReplicated(msgs, lSpans, lCommitted)
+		err := fp.AppendReplicated(msgs, lSpans, lCommitted)
 		fp.mu.Unlock()
 		if err != nil {
 			continue // follower log moved (repair/reset raced); re-resolve
 		}
 		c.mu.Lock()
 		if !c.closed {
-			if _, p2, err := c.fedPartition(topicName, q); err == nil {
-				c.recomputeAckedLocked(t, p2)
-			}
+			c.recomputeAckedLocked(t, p)
 		}
 		c.mu.Unlock()
 	}
@@ -1021,11 +1006,11 @@ func (c *Cluster) parkCtrl(ws *waitSlot) bool {
 // parkData parks the calling runner until the leader's log grows past
 // end, the control plane changes, or the cluster closes. Returns false
 // when the runner should exit.
-func (c *Cluster) parkData(ws *waitSlot, lb *shard, lp *partition, end int64) bool {
+func (c *Cluster) parkData(ws *waitSlot, lp *partition, end int64) bool {
 	w := ws.arm(c.clock)
 	lp.mu.Lock()
 	registerEvent(&lp.waiters, w)
-	grown := lp.end > end
+	stale := lp.end > end || lp.closed
 	lp.mu.Unlock()
 	c.mu.Lock()
 	if c.closed {
@@ -1035,10 +1020,11 @@ func (c *Cluster) parkData(ws *waitSlot, lb *shard, lp *partition, end int64) bo
 	}
 	registerEvent(&c.ctrl, w)
 	c.mu.Unlock()
-	// The end was read under the lock that registered w, so no append
-	// slips between the two; a leader closed since it was resolved fires
-	// nothing ever again, so re-resolve instead of parking on it.
-	if grown || lb.isClosed() {
+	// The end and the closed flag were read under the lock that registered
+	// w, so no append and no close slips between the two; a leader closed
+	// since it was resolved fires nothing ever again, so re-resolve instead
+	// of parking on it.
+	if stale {
 		w.Fire()
 		return true
 	}
@@ -1068,29 +1054,25 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 		return
 	}
 	c.mu.Lock()
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		c.mu.Unlock()
 		return
 	}
-	members := append([]int(nil), p.replicas...)
-	c.mu.Unlock()
-	leader := members[0]
-	oldest := int64(0)
-	if !c.cfg.DisableRetention {
-		for _, s := range members {
-			if o, err := c.shards[s].Trim(topic, partition, lw); err == nil && s == leader {
-				oldest = o
-			}
+	var resident, oldest int64
+	for i, s := range p.replicas {
+		lp := p.logs[s]
+		lp.mu.Lock()
+		if !c.cfg.DisableRetention {
+			lp.Trim(lw)
 		}
-	} else if o, err := c.shards[leader].OldestOffset(topic, partition); err == nil {
-		oldest = o
+		if i == 0 {
+			resident, oldest = lp.Resident(), lp.first
+		}
+		lp.mu.Unlock()
 	}
+	c.mu.Unlock()
 	if c.cfg.OnRetention != nil {
-		resident, err := c.shards[leader].ResidentBytes(topic, partition)
-		if err != nil {
-			return
-		}
 		c.cfg.OnRetention(topic, partition, resident, oldest)
 	}
 }
@@ -1099,23 +1081,17 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 // partitions on their current leaders — the quantity retention bounds.
 func (c *Cluster) ResidentBytes(topic string) (int64, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	t, ok := c.topics[topic]
 	if !ok {
-		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
 	}
-	leaders := make([]int, len(t.parts))
-	for q, p := range t.parts {
-		leaders[q] = p.replicas[0]
-	}
-	c.mu.Unlock()
 	var total int64
-	for q, l := range leaders {
-		r, err := c.shards[l].ResidentBytes(topic, q)
-		if err != nil {
-			return 0, err
-		}
-		total += r
+	for _, p := range t.parts {
+		lp := p.logs[p.replicas[0]]
+		lp.mu.Lock()
+		total += lp.Resident()
+		lp.mu.Unlock()
 	}
 	return total, nil
 }
@@ -1124,21 +1100,22 @@ func (c *Cluster) ResidentBytes(topic string) (int64, error) {
 // leader: the oldest offset a fetch can still serve.
 func (c *Cluster) OldestOffset(topic string, partition int) (int64, error) {
 	c.mu.Lock()
-	_, p, err := c.fedPartition(topic, partition)
+	defer c.mu.Unlock()
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
-		c.mu.Unlock()
 		return 0, err
 	}
-	leader := p.replicas[0]
-	c.mu.Unlock()
-	return c.shards[leader].OldestOffset(topic, partition)
+	lp := p.logs[p.replicas[0]]
+	lp.mu.Lock()
+	defer lp.mu.Unlock()
+	return lp.first, nil
 }
 
 // Close stops the replication plane and control walkers, wakes
 // everything parked on cluster state (producers in acknowledgement
 // waits, fetchers behind fences, catch-up runners), and closes every
-// shard — so a Close mid-handoff unwinds cleanly with no leaked waiters
-// or goroutines.
+// copy of every log — so a Close mid-handoff unwinds cleanly with no
+// leaked waiters or goroutines.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -1157,9 +1134,19 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	c.stopFn()
 	fireList(&wake)
-	for _, sh := range c.shards {
-		sh.Close()
+	// Shard-major — shard 0's copies over all topics, then shard 1's — the
+	// order waiters wake in.
+	c.mu.Lock()
+	for s := range c.up {
+		for _, t := range c.order {
+			for _, p := range t.parts {
+				if lp := p.logs[s]; lp != nil {
+					lp.close()
+				}
+			}
+		}
 	}
+	c.mu.Unlock()
 }
 
 func containsInt(xs []int, x int) bool {

@@ -240,25 +240,20 @@ func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic,
 			}
 			continue
 		}
-		leader, epoch := p.replicas[0], p.epoch
+		lp, epoch := p.logs[p.replicas[0]], p.epoch
 		c.mu.Unlock()
-		if retry, err := c.appendOn(ctx, ws, leader, epoch, t, r, kv, latest); !retry {
+		if retry, err := c.appendOn(ctx, ws, lp, epoch, t, r, kv, latest); !retry {
 			return err
 		}
 	}
 }
 
-// appendOn appends r's sub-batch on shard `leader`, resolved under epoch
-// `epoch`, and records where it landed. retry reports that the shard died
-// under the call: the caller re-resolves and tries its successor.
-func (c *Cluster) appendOn(ctx context.Context, ws *waitSlot, leader, epoch int, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) (retry bool, err error) {
-	b := c.shards[leader]
-	var s, e int64
-	var finish time.Time
-	part, err := b.partRef(t.name, r.p)
-	if err == nil {
-		s, e, finish, err = b.appendBatch(ctx, ws, part, t.name, r.p, r.idxs, kv, r.add, r.res)
-	}
+// appendOn appends r's sub-batch on the leader's copy lp, resolved under
+// epoch `epoch`, and records where it landed. retry reports that the
+// leader died under the call: the caller re-resolves and tries its
+// successor.
+func (c *Cluster) appendOn(ctx context.Context, ws *waitSlot, lp *partition, epoch int, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) (retry bool, err error) {
+	s, e, finish, err := c.appendBatch(ctx, ws, lp, t.name, r.p, r.idxs, kv, r.add, r.res)
 	if err != nil {
 		return errors.Is(err, ErrBrokerClosed) && !c.isClosed(), err
 	}
@@ -280,7 +275,8 @@ func (c *Cluster) appendOn(ctx context.Context, ws *waitSlot, leader, epoch int,
 // partition's acknowledged watermark. If a handoff intervened, the
 // suffix above that handoff's truncation point was discarded with the
 // deposed leader's log: re-append it to the new leader (the acknowledged
-// prefix stays where it is) and keep waiting.
+// prefix stays where it is) and keep waiting. Throughout, r.idxs[k] sits —
+// or sat, until a handoff dropped it — at offset r.s+k under r.epoch.
 func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
 	for {
 		c.mu.Lock()
@@ -289,66 +285,61 @@ func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *
 			return ErrBrokerClosed
 		}
 		p := t.parts[r.p]
-		if p.acked >= r.e {
-			c.mu.Unlock()
-			return nil
-		}
-		if p.epoch != r.epoch {
-			// The truncation point of the *first* handoff after our append
-			// bounds what survived; later handoffs only truncate at or
-			// above it (the watermark is monotone).
-			durable := p.ackedAtEpoch[r.epoch+1]
-			if durable > r.e {
-				durable = r.e
-			}
-			skip := durable - r.s
-			if skip < 0 {
-				skip = 0
-			}
-			if skip >= int64(len(r.idxs)) {
-				// The whole sub-batch survived; wait out the new epoch.
-				r.epoch = p.epoch
+		if p.epoch == r.epoch {
+			if p.acked >= r.e {
 				c.mu.Unlock()
-				continue
+				return nil
 			}
-			if !p.availableAt.IsZero() {
-				w := ws.arm(c.clock)
-				registerEvent(&c.ctrl, w)
-				c.mu.Unlock()
-				if !w.Wait(ctx) {
-					w.Fire()
-					return ctx.Err()
-				}
-				continue
-			}
-			leader := p.replicas[0]
-			newEpoch := p.epoch
+			// Park until the watermark advances or the epoch moves; both fire
+			// the partition's ackWait list.
+			w := ws.arm(c.clock)
+			registerEvent(&p.ackWait, w)
 			c.mu.Unlock()
-			r.idxs = r.idxs[skip:]
-			if r.res != nil {
-				r.res = r.res[skip:]
+			if !w.Wait(ctx) {
+				w.Fire()
+				return ctx.Err()
 			}
-			r.add = 0
-			for _, i := range r.idxs {
-				k, v := kv(int(i))
-				r.add += int64(len(k) + len(v))
-			}
-			if retry, err := c.appendOn(ctx, ws, leader, newEpoch, t, r, kv, latest); err != nil && !retry {
-				return err
+			if c.isClosed() {
+				return ErrBrokerClosed
 			}
 			continue
 		}
-		// Park until the watermark advances or the epoch moves; both fire
-		// the partition's ackWait list.
-		w := ws.arm(c.clock)
-		registerEvent(&p.ackWait, w)
-		c.mu.Unlock()
-		if !w.Wait(ctx) {
-			w.Fire()
-			return ctx.Err()
+		// The truncation point of the *first* handoff after our append
+		// bounds what survived; later handoffs only truncate at or above it
+		// (the watermark is monotone). The watermark itself says nothing
+		// here: above that point it counts whatever was appended since,
+		// ours or not. Drop the surviving prefix and advance r.s with it, so
+		// a re-append that dies under the call (appendOn reports retry and
+		// leaves r alone) retries the same suffix instead of skipping again.
+		if skip := min(p.ackedAtEpoch[r.epoch+1], r.e) - r.s; skip > 0 {
+			r.idxs, r.s = r.idxs[skip:], r.s+skip
+			if r.res != nil {
+				r.res = r.res[skip:]
+			}
 		}
-		if c.isClosed() {
-			return ErrBrokerClosed
+		if len(r.idxs) == 0 {
+			c.mu.Unlock()
+			return nil // the whole sub-batch survived
+		}
+		if !p.availableAt.IsZero() {
+			w := ws.arm(c.clock)
+			registerEvent(&c.ctrl, w)
+			c.mu.Unlock()
+			if !w.Wait(ctx) {
+				w.Fire()
+				return ctx.Err()
+			}
+			continue
+		}
+		lp, newEpoch := p.logs[p.replicas[0]], p.epoch
+		c.mu.Unlock()
+		r.add = 0
+		for _, i := range r.idxs {
+			k, v := kv(int(i))
+			r.add += int64(len(k) + len(v))
+		}
+		if retry, err := c.appendOn(ctx, ws, lp, newEpoch, t, r, kv, latest); err != nil && !retry {
+			return err
 		}
 	}
 }
@@ -390,11 +381,11 @@ func checkPoll(topicName string, nparts int, parts []int, offsets []int64, start
 // partition mid-handoff or under an injected stall parks its fetchers on
 // the control plane; leadership changes re-resolve transparently.
 func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int, offsets []int64, start, max int) (int, []Message, error) {
-	nparts, err := c.Partitions(topicName)
+	t, err := c.topic(topicName)
 	if err != nil {
 		return 0, nil, err
 	}
-	if start, max, err = checkPoll(topicName, nparts, parts, offsets, start, max); err != nil {
+	if start, max, err = checkPoll(topicName, len(t.parts), parts, offsets, start, max); err != nil {
 		return 0, nil, err
 	}
 	if !c.clock.Sleep(ctx, c.cfg.FetchLatency) {
@@ -415,9 +406,9 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				}
 				return 0, nil, ErrBrokerClosed
 			}
-			_, p, _ := c.fedPartition(topicName, parts[j])
+			p := t.parts[parts[j]]
 			blocked := p.stalled || !p.availableAt.IsZero()
-			leader := p.replicas[0]
+			lp := p.logs[p.replicas[0]]
 			acked := p.acked
 			ackedSeen[j] = acked
 			if blocked {
@@ -429,20 +420,14 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				continue
 			}
 			c.mu.Unlock()
-			lp, err := c.shards[leader].partRef(topicName, parts[j])
-			if err != nil {
-				// The leader died between snapshot and use: treat as a
-				// control change and re-resolve next round.
-				if w == nil {
-					w = ws.arm(c.clock)
-				}
-				c.mu.Lock()
-				registerEvent(&c.ctrl, w)
-				c.mu.Unlock()
+			lp.mu.Lock()
+			if lp.closed {
+				// The leader died between resolve and use: nothing fires its
+				// lists again, so re-resolve instead of registering on them.
+				lp.mu.Unlock()
 				retry = true
 				continue
 			}
-			lp.mu.Lock()
 			if offsets[j] < lp.first {
 				// Retention trimmed past the requested position: a typed
 				// error, not a silent snap — the caller decides whether
@@ -487,7 +472,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 			c.mu.Lock()
 			for i := 0; i < len(parts); i++ {
 				j := (start + i) % len(parts)
-				if _, p, err := c.fedPartition(topicName, parts[j]); err == nil && p.acked > ackedSeen[j] {
+				if t.parts[parts[j]].acked > ackedSeen[j] {
 					retry = true
 					break
 				}
@@ -519,13 +504,17 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 // on the leader's log (whose OnCommit is the one observable commit
 // stream), then recorded as the coordinator's cluster-truth mark — the
 // mark a promoted leader is restored to, so cursors survive handoffs.
+// Applying it releases the committed bytes from the partition's in-flight
+// account and wakes producers parked on backpressure — what lets
+// MaxInflightBytes throttle producers to consumer speed. Commits are
+// monotone: at or below the current mark nothing moves.
 func (c *Cluster) Commit(topic string, partition int, through int64) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrBrokerClosed
 	}
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		c.mu.Unlock()
 		return err
@@ -533,20 +522,44 @@ func (c *Cluster) Commit(topic string, partition int, through int64) error {
 	if through > p.acked {
 		through = p.acked
 	}
-	leader := p.replicas[0]
+	lp, delay := p.logs[p.replicas[0]], c.commitDelay
 	c.mu.Unlock()
-	if err := c.shards[leader].Commit(topic, partition, through); err != nil {
-		if errors.Is(err, ErrBrokerClosed) && !c.isClosed() {
-			// The leader died mid-commit; the commit is lost with it — the
-			// consumer re-delivers from its last durable cursor, which is
-			// the at-least-once contract. Report closed only when the
-			// cluster itself is gone.
-			return nil
-		}
-		return err
+	if delay > 0 {
+		// Injected commit skew (chaos): the acknowledgement is in flight for
+		// `delay` of modeled time before it lands. Uncancellable — a skewed
+		// commit still arrives, just late.
+		c.clock.Sleep(context.Background(), delay)
 	}
+	lp.mu.Lock()
+	if lp.closed {
+		// The leader died mid-commit (FailShard closes the deposed leader's
+		// copy; a commit must not land on a log nobody serves): the commit is
+		// lost with it — the consumer re-delivers from its last durable
+		// cursor, which is the at-least-once contract. Report closed only
+		// when the cluster itself is gone.
+		lp.mu.Unlock()
+		if c.isClosed() {
+			return ErrBrokerClosed
+		}
+		return nil
+	}
+	if from, to, ok := lp.Log.Commit(through); ok {
+		if c.cfg.OnCommit != nil {
+			c.cfg.OnCommit(topic, partition, from, to)
+		}
+		// Coalesced space wakes: a parked producer needs inflight+add ≤ the
+		// bound (or an idle partition), so while inflight still sits at or
+		// above the bound every wake would be spurious — the producer would
+		// re-check, re-register and park again, one scheduler round trip per
+		// waiter per commit. Leave them parked until a commit makes progress
+		// possible; they re-evaluate their own batch size on wake.
+		if in := lp.Inflight(); in == 0 || in < c.cfg.MaxInflightBytes {
+			fireList(&lp.space)
+		}
+	}
+	lp.mu.Unlock()
 	c.mu.Lock()
-	if _, p, err := c.fedPartition(topic, partition); err == nil && through > p.commit {
+	if through > p.commit {
 		p.commit = through
 	}
 	c.mu.Unlock()
@@ -561,7 +574,7 @@ func (c *Cluster) Committed(topic string, partition int) (int64, error) {
 	if c.closed {
 		return 0, ErrBrokerClosed
 	}
-	_, p, err := c.fedPartition(topic, partition)
+	p, err := c.fedPartition(topic, partition)
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 // TestClusterPlacementDeterministic pins that placement is a pure
@@ -67,6 +68,83 @@ func TestClusterRefusesLastLiveShard(t *testing.T) {
 	}
 	if got := c.LiveShards(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("live shards = %v, want [1]", got)
+	}
+}
+
+// TestClusterRefusesSoleHolder: at replication 1 a partition's one replica
+// is all of it, so failing its shard would leave the partition leaderless
+// with nothing to recover from — the failure is refused with nothing
+// changed, exactly as the last-live-shard case is.
+func TestClusterRefusesSoleHolder(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	c := NewCluster(ClusterConfig{Shards: 3, Replication: 1, Clock: clock})
+	defer c.Close()
+	if err := c.CreateTopic("t", 3); err != nil {
+		t.Fatal(err)
+	}
+	leader, _ := c.LeaderOf("t", 0)
+	if err := c.FailShard(leader); err == nil {
+		t.Fatalf("failing shard %d, the only holder of t[0], succeeded", leader)
+	}
+	if got := c.LiveShards(); len(got) != 3 {
+		t.Fatalf("live shards = %v after the refused failure, want all three", got)
+	}
+	if nl, _ := c.LeaderOf("t", 0); nl != leader || c.Handoffs() != 0 {
+		t.Fatalf("t[0] led by %d after %d handoffs, want %d and none", nl, c.Handoffs(), leader)
+	}
+	m, err := c.Publish(context.Background(), "t", nil, []byte("x")) // key-less: round-robin starts at t[0]
+	if err != nil || m.Partition != 0 {
+		t.Fatalf("publish after the refused failure: t[%d], %v", m.Partition, err)
+	}
+}
+
+// TestClusterCopiesLiveExactlyOnMembers: a partition's log has a copy on a
+// shard exactly while that shard is a member — made at placement and at
+// recruitment, closed and dropped at death — so a non-member pre-creates
+// nothing and a dead shard pins nothing.
+func TestClusterCopiesLiveExactlyOnMembers(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	c := NewCluster(ClusterConfig{Shards: 4, Replication: 3, Clock: clock})
+	defer c.Close()
+	const parts = 6
+	if err := c.CreateTopic("t", parts); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for q := 0; q < parts; q++ {
+			reps, _ := c.ReplicasOf("t", q)
+			if len(reps) != 3 {
+				t.Fatalf("%s: t[%d] has replicas %v, want three", when, q, reps)
+			}
+			for s := 0; s < 4; s++ {
+				lp := replicaLog(c, "t", q, s)
+				if member := containsInt(reps, s); (lp != nil) != member {
+					t.Fatalf("%s: shard %d member of t[%d] = %v (replicas %v), holds a copy = %v",
+						when, s, q, member, reps, lp != nil)
+				}
+			}
+		}
+	}
+	check("at placement")
+	victim, _ := c.LeaderOf("t", 0)
+	var held []*partition
+	for q := 0; q < parts; q++ {
+		if lp := replicaLog(c, "t", q, victim); lp != nil {
+			held = append(held, lp)
+		}
+	}
+	if err := c.FailShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	check("after the recruit")
+	for _, lp := range held {
+		lp.mu.Lock()
+		closed := lp.closed
+		lp.mu.Unlock()
+		if !closed {
+			t.Fatal("a dead shard's copy was dropped without being closed")
+		}
 	}
 }
 

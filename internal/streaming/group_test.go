@@ -280,8 +280,14 @@ func TestPublishBackpressureBlocksAndResumes(t *testing.T) {
 	if now := clock.Now(); !now.Equal(t10) {
 		t.Fatalf("after fill clock = %v, want %v", now, t10)
 	}
-	if inflight, _ := b.shards[0].withLog("t", 0, (*Log).Inflight); inflight != 100 {
-		t.Fatalf("inflight = %d, want 100", inflight)
+	inflight := func() int64 {
+		part := replicaLog(b, "t", 0, 0)
+		part.mu.Lock()
+		defer part.mu.Unlock()
+		return part.Inflight()
+	}
+	if n := inflight(); n != 100 {
+		t.Fatalf("inflight = %d, want 100", n)
 	}
 
 	// An 11th message must block: the partition is at its bound.
@@ -321,8 +327,8 @@ func TestPublishBackpressureBlocksAndResumes(t *testing.T) {
 		t.Errorf("committed = %d, want 5", committed)
 	}
 	// 100 - 5×10 freed + 10 published while blocked.
-	if inflight, _ := b.shards[0].withLog("t", 0, (*Log).Inflight); inflight != 60 {
-		t.Errorf("inflight = %d, want 60", inflight)
+	if n := inflight(); n != 60 {
+		t.Errorf("inflight = %d, want 60", n)
 	}
 }
 
@@ -558,10 +564,7 @@ func TestCanceledBackpressurePublishLeavesNoWaiters(t *testing.T) {
 			t.Fatalf("publish %d: err = %v, want context.Canceled", i, err)
 		}
 	}
-	part, err := b.shards[0].partRef("t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := replicaLog(b, "t", 0, 0)
 	part.mu.Lock()
 	waiters := len(part.space)
 	part.mu.Unlock()

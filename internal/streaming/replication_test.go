@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gopilot/internal/vclock"
+	"gopilot/internal/vclock/vclocktest"
 )
 
 // TestDivergenceRepairAfterHandoff drives the recovery protocol's repair
@@ -63,13 +64,13 @@ func TestDivergenceRepairAfterHandoff(t *testing.T) {
 	if pubDone.Fired() {
 		t.Fatal("publish acknowledged without a full-quorum watermark")
 	}
-	if e, _ := c.shards[leader].EndOffset("t", 0); e != 9 {
+	if e := replicaLog(c, "t", 0, leader).endOffset(); e != 9 {
 		t.Fatalf("leader end = %d, want 9", e)
 	}
-	if e, _ := c.shards[f2].EndOffset("t", 0); e != 9 {
+	if e := replicaLog(c, "t", 0, f2).endOffset(); e != 9 {
 		t.Fatalf("follower f2 end = %d, want 9 (should keep pace)", e)
 	}
-	if e, _ := c.shards[f1].EndOffset("t", 0); e != 5 {
+	if e := replicaLog(c, "t", 0, f1).endOffset(); e != 5 {
 		t.Fatalf("frozen follower f1 end = %d, want 5", e)
 	}
 	if hw, _ := c.AckedOffset("t", 0); hw != 5 {
@@ -190,6 +191,198 @@ func TestStaleHandoffBugLeavesDivergedReplica(t *testing.T) {
 	}
 }
 
+// TestPublishSurvivesDoubleLeaderDeath pins the awaitAcked re-append across
+// two leader deaths: the first handoff truncates the batch's un-acknowledged
+// suffix [4,8), the re-append parks on the promoted leader's backpressure,
+// and that leader dies under it. The retry must re-append the same suffix —
+// not skip it a second time as if the prefix it already dropped were still
+// in front — so the publish returns and every value lands exactly once.
+func TestPublishSurvivesDoubleLeaderDeath(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	ctx := context.Background()
+	c := NewCluster(ClusterConfig{
+		Shards: 4, Replication: 3, HandoffDelay: 100 * time.Millisecond, SegmentSize: 4,
+		CatchupBytesPerSec: 400, MaxInflightBytes: 600, Clock: clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	at := func(d time.Duration) { // sleep to the absolute modeled instant d
+		t.Helper()
+		if !clock.Sleep(ctx, d-clock.Since(vclock.Epoch)) {
+			t.Fatal("driver sleep interrupted")
+		}
+	}
+	values := make([][]byte, 8)
+	for i := range values {
+		values[i] = make([]byte, 100)
+		values[i][0] = byte(i)
+	}
+	var pubErr error
+	pubDone := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer pubDone.Fire()
+		pubErr = c.PublishValues(ctx, "t", values)
+	})
+
+	// 1.5s: one 400-byte segment per second per link, so the followers hold
+	// [0,4) and the second batch is in flight.
+	at(1500 * time.Millisecond)
+	if hw, _ := c.AckedOffset("t", 0); hw != 4 {
+		t.Fatalf("acked = %d at 1.5s, want 4", hw)
+	}
+	first, _ := c.LeaderOf("t", 0)
+	if err := c.FailShard(first); err != nil {
+		t.Fatal(err)
+	}
+	// 3s: the re-append of [4,8) is parked on the promoted leader's
+	// backpressure (400 bytes in flight + 400 > 600), and the surviving
+	// follower's runner is caught up and parked for data on it (the
+	// recruit's is mid-stream).
+	at(3 * time.Second)
+	second, _ := c.LeaderOf("t", 0)
+	lp := replicaLog(c, "t", 0, second)
+	lp.mu.Lock()
+	space, waiting := len(lp.space), len(lp.waiters)
+	lp.mu.Unlock()
+	if space != 1 || waiting != 1 {
+		t.Fatalf("promoted leader holds %d space and %d data waiters at 3s, want 1 and 1", space, waiting)
+	}
+	if err := c.FailShard(second); err != nil {
+		t.Fatal(err)
+	}
+	// Everything parked on the dead copy woke, saw it closed and re-routed:
+	// the producer sits on the third leader's backpressure instead.
+	lp.mu.Lock()
+	closed, space, waiting := lp.closed, len(lp.space), len(lp.waiters)
+	lp.mu.Unlock()
+	if !closed || space != 0 || waiting != 0 {
+		t.Fatalf("dead leader's copy: closed=%v with %d space and %d data waiters left, want closed and swept", closed, space, waiting)
+	}
+	for _, dead := range []int{first, second} {
+		if replicaLog(c, "t", 0, dead) != nil {
+			t.Fatalf("shard %d is dead but still holds a copy", dead)
+		}
+	}
+	// A runner that reaches parkData still holding the dead copy must not
+	// park on lists nothing will fire again.
+	var ws waitSlot
+	if before := clock.Now(); !c.parkData(&ws, lp, 4) || !clock.Now().Equal(before) {
+		t.Fatal("parkData on a closed copy parked, or told the runner to exit")
+	}
+	at(4 * time.Second)
+	if pubDone.Fired() {
+		t.Fatal("publish returned with its suffix un-appended")
+	}
+	if err := c.Commit("t", 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	at(20 * time.Second)
+	if !pubDone.Fired() {
+		hw, _ := c.AckedOffset("t", 0)
+		t.Fatalf("publish still parked at 20s (acked = %d): the suffix was skipped twice", hw)
+	}
+	if pubErr != nil {
+		t.Fatal(pubErr)
+	}
+	var got []byte
+	for off := int64(0); off < 8; {
+		msgs, err := c.Fetch(ctx, "t", 0, off, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			got = append(got, m.Value[0])
+		}
+		off += int64(len(msgs))
+	}
+	if end, _ := c.EndOffset("t", 0); end != 8 || string(got) != "\x00\x01\x02\x03\x04\x05\x06\x07" {
+		t.Fatalf("log holds values %v up to offset %d, want 0..7 exactly once", got, end)
+	}
+	if n := c.UnderReplicated(); n != 0 {
+		t.Fatalf("%d partitions under-replicated at 20s: a runner never re-routed", n)
+	}
+	assertReplicaLogsIdentical(t, c, "t", 0)
+}
+
+// TestPublishReappendsWhenAnotherProducerFillsItsRange pins the other half
+// of the same hazard: after a handoff the watermark above the truncation
+// point counts whatever was appended since, so it must not be read as "my
+// batch is durable". Producer A's suffix [5,9) dies with the leader; the
+// driver publishes B from the instant of the failure, so B sits ahead of A
+// behind the fence and lands on the promoted leader at [5,9) first — where,
+// the recruit still syncing, it is acknowledged at once. A must re-append
+// behind it, not return on B's acknowledgement.
+func TestPublishReappendsWhenAnotherProducerFillsItsRange(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	ctx := context.Background()
+	c := NewCluster(ClusterConfig{
+		Shards: 3, Replication: 2, HandoffDelay: 50 * time.Millisecond,
+		AppendCost: 10 * time.Microsecond, Clock: clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Publish(ctx, "t", nil, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Freeze the one follower slot: the watermark pins at 5, and after the
+	// handoff the recruit that takes the slot stays syncing.
+	if err := c.FreezeReplica("t", 0, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	var errA error
+	doneA := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer doneA.Fire()
+		errA = c.PublishValues(ctx, "t", [][]byte{{10}, {11}, {12}, {13}})
+	})
+	if !clock.Sleep(ctx, time.Second) {
+		t.Fatal("sleep interrupted")
+	}
+	leader, _ := c.LeaderOf("t", 0)
+	if err := c.FailShard(leader); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PublishValues(ctx, "t", [][]byte{{20}, {21}, {22}, {23}}); err != nil {
+		t.Fatal(err)
+	}
+	if !doneA.Wait(ctx) {
+		t.Fatal("publish A never completed")
+	}
+	if errA != nil {
+		t.Fatal(errA)
+	}
+	msgs, err := c.Fetch(ctx, "t", 0, 5, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, m := range msgs {
+		got = append(got, m.Value[0])
+	}
+	if want := []byte{20, 21, 22, 23, 10, 11, 12, 13}; string(got) != string(want) {
+		t.Fatalf("offsets 5.. hold %v, want %v: A returned on B's acknowledgement", got, want)
+	}
+}
+
+// replicaLog is the tests' one way into a replica's log: shard's copy of
+// topic[q], nil when the shard is not a member (or the partition does not
+// exist). The product has no accessor for it.
+func replicaLog(c *Cluster, topic string, q, shard int) *partition {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, err := c.fedPartition(topic, q)
+	if err != nil {
+		return nil
+	}
+	return p.logs[shard]
+}
+
 // assertReplicaLogsIdentical compares every follower's retained log
 // against its leader's, message for message (offset, key, value, epoch
 // chain), over the overlap of their retained ranges.
@@ -199,18 +392,12 @@ func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, err := c.shards[reps[0]].partRef(topic, part)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lp := replicaLog(c, topic, part, reps[0])
 	lp.mu.Lock()
 	defer lp.mu.Unlock()
 	lFirst, lEnd, _, lSpans := lp.Snapshot(nil)
 	for _, f := range reps[1:] {
-		fp, err := c.shards[f].partRef(topic, part)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := replicaLog(c, topic, part, f)
 		fp.mu.Lock()
 		defer fp.mu.Unlock()
 		fFirst, fEnd, _, fSpans := fp.Snapshot(nil)
@@ -546,10 +733,10 @@ func TestReplicationSegmentReuseUnderFaults(t *testing.T) {
 			// retired by Trim and born again in nextSegment.
 			firstOf := make(map[*segment]int64)
 			sample := func() {
-				for _, b := range c.shards {
+				for s := 0; s < c.ShardCount(); s++ {
 					for p := 0; p < parts; p++ {
-						part, err := b.partRef("t", p)
-						if err != nil {
+						part := replicaLog(c, "t", p, s)
+						if part == nil {
 							continue // failed shard
 						}
 						part.mu.Lock()

@@ -660,10 +660,7 @@ func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 		})
 	}
 	producers.Wait()
-	part, err := b.shards[0].partRef("t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := replicaLog(b, "t", 0, 0)
 	part.mu.Lock()
 	defer part.mu.Unlock()
 	if c := cap(part.segs[0].msgs); c != 256 {

@@ -82,11 +82,7 @@ func TestRunnerParkDataThenParkCtrlIgnoresLeaderAppend(t *testing.T) {
 	if err := c.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	lb := c.shards[0]
-	lp, err := lb.partRef("t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lp := replicaLog(c, "t", 0, 0)
 	at := func(d time.Duration) { // sleep to the absolute modeled instant d
 		t.Helper()
 		if !clock.Sleep(ctx, d-clock.Since(vclock.Epoch)) {
@@ -99,7 +95,7 @@ func TestRunnerParkDataThenParkCtrlIgnoresLeaderAppend(t *testing.T) {
 	clock.Go(func() { // a stand-in runner with the runner's one wait object
 		defer runner.Done()
 		var ws waitSlot
-		if !c.parkData(&ws, lb, lp, 0) {
+		if !c.parkData(&ws, lp, 0) {
 			t.Error("parkData told the runner to exit")
 		}
 		dataWoke = clock.Since(vclock.Epoch)
