@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"gopilot/internal/dist"
 	"gopilot/internal/mapreduce"
@@ -20,13 +22,15 @@ import (
 func GenerateCorpus(nSplits, wordsPerSplit, vocab int, s *dist.Stream) []string {
 	z := dist.ZipfFrom(s, 1.3, 1, uint64(vocab-1))
 	out := make([]string, nSplits)
-	var sb strings.Builder
+	var buf []byte
 	for i := range out {
-		sb.Reset()
+		buf = buf[:0]
 		for w := 0; w < wordsPerSplit; w++ {
-			fmt.Fprintf(&sb, "w%d ", z.Uint64())
+			buf = append(buf, 'w')
+			buf = strconv.AppendUint(buf, z.Uint64(), 10)
+			buf = append(buf, ' ')
 		}
-		out[i] = sb.String()
+		out[i] = string(buf)
 	}
 	return out
 }
@@ -36,10 +40,33 @@ func GenerateCorpus(nSplits, wordsPerSplit, vocab int, s *dist.Stream) []string 
 // engine runs it inside a parallel compute phase (vclock.Compute) and
 // map tasks use real cores under the virtual-time executor.
 func Map(_ context.Context, _ string, value string, emit func(k, v string)) error {
-	for _, w := range strings.Fields(value) {
-		emit(w, "1")
-	}
+	eachField(value, func(w string) { emit(w, "1") })
 	return nil
+}
+
+// eachField calls fn with every element of strings.Fields(s), in order,
+// without building the slice: a split is hundreds of thousands of words
+// and Map needs them one at a time.
+func eachField(s string, fn func(field string)) {
+	start := -1 // start of the field being read, or -1 between fields
+	for i := 0; i < len(s); {
+		r, width := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, width = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				fn(s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += width
+	}
+	if start >= 0 {
+		fn(s[start:])
+	}
 }
 
 // Reduce sums counts per word. It doubles as the combiner. Like Map it is

@@ -2,6 +2,9 @@ package wordcount
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,4 +95,71 @@ func TestConfigAssembly(t *testing.T) {
 	if n, _ := strconv.Atoi(final); n != 5 {
 		t.Fatalf("combine+reduce = %s, want 5", final)
 	}
+}
+
+// TestGenerateCorpusBytesPinned: the corpus is an input of every
+// wordcount exhibit and of the repository benchmark's digest; its bytes
+// (sha256 recorded while words were still formatted with fmt.Fprintf)
+// must survive any change to how they are produced.
+func TestGenerateCorpusBytesPinned(t *testing.T) {
+	h := sha256.New()
+	for _, s := range GenerateCorpus(5, 3000, 700, dist.NewStream(9).Named("corpus")) {
+		h.Write([]byte(s))
+		h.Write([]byte{0})
+	}
+	const want = "679c3b02896baa9c613c8bc548fd7439803d8bbf6f59271fc8f971800aee5e89"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("corpus sha256 = %s, want %s", got, want)
+	}
+}
+
+// FuzzEachFieldMatchesFields holds Map's tokenizer to strings.Fields —
+// which Sequential, the independent reference, keeps using. The seeds are
+// the table: ASCII and Unicode spaces (NEL, NBSP, ogham, en quad, line and
+// paragraph separators, ideographic space), leading, trailing and doubled
+// separators, multi-byte words, bytes that are not UTF-8, and U+200B,
+// which looks like a space and is not one.
+func FuzzEachFieldMatchesFields(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "a", "a b a", "  lead", "trail \n", "a \t\n\v\f\r b", "w1 w22 w333 ",
+		"é ü ñ", "\xff \xc3 \xe2\x80", "a\xa0b", "a\x85b",
+	} {
+		f.Add(s)
+	}
+	for _, r := range []rune{0x85, 0xa0, 0x1680, 0x2000, 0x2028, 0x2029, 0x3000, 0x200b} {
+		f.Add(string(r) + "a" + string(r) + string(r) + "é" + string(r))
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var got []string
+		eachField(s, func(w string) { got = append(got, w) })
+		if want := strings.Fields(s); !slices.Equal(got, want) {
+			t.Fatalf("eachField(%q) = %q, strings.Fields = %q", s, got, want)
+		}
+	})
+}
+
+// BenchmarkMap: the tokenizer over one harness-sized split (200 000 words
+// of a 50 000-word Zipf vocabulary), per word.
+func BenchmarkMap(b *testing.B) {
+	split := GenerateCorpus(1, 200_000, 50_000, dist.NewStream(1).Named("corpus"))[0]
+	words := 0
+	emit := func(_, _ string) { words++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Map(context.Background(), "", split, emit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
+}
+
+// BenchmarkGenerateCorpus: one harness-sized split, per word.
+func BenchmarkGenerateCorpus(b *testing.B) {
+	s := dist.NewStream(1).Named("corpus")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GenerateCorpus(1, 200_000, 50_000, s)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*200_000), "ns/word")
 }

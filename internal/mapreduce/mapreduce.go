@@ -11,7 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -171,8 +171,8 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 }
 
 // kernelScratch is the reusable workspace of one map or reduce kernel:
-// per-reducer emit buffers, the concatenated shuffle input, and the
-// grouping value column. Pooling it makes steady-state kernels allocate
+// per-reducer emit buffers, the concatenated shuffle input, and
+// groupSorted's columns. Pooling it makes steady-state kernels allocate
 // only their encoded outputs.
 //
 // The pooling contract (seed-audit rule 8, DESIGN.md "Hot path"): Get
@@ -183,16 +183,29 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 type kernelScratch struct {
 	parts [][]KeyValue // map side: per-reducer emit buffers
 	all   []KeyValue   // reduce side: concatenated shuffle input
-	vals  []string     // grouping: value column scratch
+
+	// groupSorted's workspace, reset at its entry. index is only ever
+	// looked up, never ranged over: map iteration order must not reach
+	// the output.
+	index map[string]int32 // key → group id, dense in first-seen order
+	keys  []string         // group id → key
+	cnt   []int32          // group id → number of values
+	gid   []int32          // pair → group id
+	order []int32          // group ids in ascending key order
+	next  []int32          // group id → next free slot of its run in vals
+	vals  []string         // the groups' values, run after run in key order
 }
 
-var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
+func newScratch() *kernelScratch { return &kernelScratch{index: make(map[string]int32)} }
+
+var kernelScratchPool = sync.Pool{New: func() any { return newScratch() }}
 
 func getScratch() *kernelScratch { return kernelScratchPool.Get().(*kernelScratch) }
 
 // release drops every string reference the scratch accumulated (pooled
-// buffers must not pin split contents in memory between jobs) and
-// returns it to the pool, keeping the slice capacities.
+// buffers must not pin split contents in memory between jobs: keys and
+// values are substrings of the split) and returns it to the pool,
+// keeping the slice capacities.
 func (s *kernelScratch) release() {
 	ps := s.parts[:cap(s.parts)]
 	for i := range ps {
@@ -201,46 +214,91 @@ func (s *kernelScratch) release() {
 		ps[i] = p[:0]
 	}
 	s.parts = ps[:len(s.parts)]
-	a := s.all[:cap(s.all)]
-	clear(a)
-	s.all = a[:0]
-	v := s.vals[:cap(s.vals)]
-	clear(v)
-	s.vals = v[:0]
+	clear(s.all[:cap(s.all)])
+	s.all = s.all[:0]
+	clear(s.index)
+	clear(s.keys[:cap(s.keys)])
+	s.keys = s.keys[:0]
+	clear(s.vals[:cap(s.vals)])
+	s.vals = s.vals[:0]
 	kernelScratchPool.Put(s)
 }
 
-// groupSorted stable-sorts kvs by key in place and invokes fn once per
-// distinct key, in ascending key order, with the key's values in
-// emission order (stability guarantees it) — the same key order and
-// value order the map+sorted-keys grouping produced, without building a
-// map or per-key value slices. vals is scratch with capacity for
-// len(kvs) entries; each fn call receives a capped sub-slice of it.
-func groupSorted(kvs []KeyValue, vals []string, fn func(key string, values []string) error) error {
-	slices.SortStableFunc(kvs, func(a, b KeyValue) int { return strings.Compare(a.Key, b.Key) })
-	vals = vals[:len(kvs)]
-	for i := range kvs {
-		vals[i] = kvs[i].Value
+// groupSorted invokes fn once per distinct key of kvs, in ascending key
+// order, with the key's values in emission order, each call receiving a
+// capped sub-slice of sc.vals. It groups by hashing and orders only the
+// distinct keys: one pass gives every pair a dense group id through
+// sc.index and counts the groups, the group ids are sorted by key, a
+// prefix sum in that order lays the groups' runs out in sc.vals, and a
+// second pass scatters the values into their runs. kvs is left as it was.
+func groupSorted(kvs []KeyValue, sc *kernelScratch, fn func(key string, values []string) error) error {
+	if len(kvs) > math.MaxInt32 {
+		return fmt.Errorf("mapreduce: %d pairs in one partition exceed the grouping limit of %d", len(kvs), math.MaxInt32)
 	}
-	for lo := 0; lo < len(kvs); {
-		hi := lo + 1
-		for hi < len(kvs) && kvs[hi].Key == kvs[lo].Key {
-			hi++
+	clear(sc.index)
+	keys, cnt := sc.keys[:0], sc.cnt[:0]
+	gid := grow(sc.gid, len(kvs))
+	for i := range kvs {
+		id, ok := sc.index[kvs[i].Key]
+		if !ok {
+			id = int32(len(keys))
+			sc.index[kvs[i].Key] = id
+			keys = append(keys, kvs[i].Key)
+			cnt = append(cnt, 0)
 		}
-		if err := fn(kvs[lo].Key, vals[lo:hi:hi]); err != nil {
+		cnt[id]++
+		gid[i] = id
+	}
+	order := grow(sc.order, len(keys))
+	for id := range order {
+		order[id] = int32(id)
+	}
+	// Keys are distinct, so an unstable sort has one possible result.
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	next := grow(sc.next, len(keys))
+	run := int32(0)
+	for _, id := range order {
+		next[id] = run
+		run += cnt[id]
+	}
+	vals := grow(sc.vals, len(kvs))
+	for i := range kvs {
+		id := gid[i]
+		vals[next[id]] = kvs[i].Value
+		next[id]++
+	}
+	sc.keys, sc.cnt, sc.gid, sc.order, sc.next, sc.vals = keys, cnt, gid, order, next, vals
+	// The scatter left next[id] one past the end of group id's run.
+	for _, id := range order {
+		hi := next[id]
+		lo := hi - cnt[id]
+		if err := fn(keys[id], vals[lo:hi:hi]); err != nil {
 			return err
 		}
-		lo = hi
 	}
 	return nil
 }
 
-// growVals ensures the scratch value column can hold n entries.
-func (s *kernelScratch) growVals(n int) []string {
-	if cap(s.vals) < n {
-		s.vals = make([]string, n)
+// emitInto returns an emit function that appends to *out, allocated at
+// the first pair with room for one pair per group of the grouping then in
+// progress — what a combiner or reducer usually emits; one that emits
+// more grows it as append does.
+func (s *kernelScratch) emitInto(out *[]KeyValue) func(k, v string) {
+	return func(k, v string) {
+		if *out == nil {
+			*out = make([]KeyValue, 0, len(s.keys))
+		}
+		*out = append(*out, KeyValue{k, v})
 	}
-	return s.vals[:n]
+}
+
+// grow returns col resized to n entries, reallocating only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](col []T, n int) []T {
+	if cap(col) < n {
+		return make([]T, n)
+	}
+	return col[:n]
 }
 
 // runMapTask reads a split, applies the mapper, optionally combines, and
@@ -253,39 +311,14 @@ func runMapTask(ctx context.Context, tc core.TaskContext, cfg Config, mapIdx int
 	if err != nil {
 		return fmt.Errorf("read split: %w", err)
 	}
-	encoded := make([][]byte, cfg.Reducers)
-	sc := getScratch()
-	if cap(sc.parts) < cfg.Reducers {
-		sc.parts = make([][]KeyValue, cfg.Reducers)
-	}
-	parts := sc.parts[:cfg.Reducers]
+	var encoded [][]byte
 	var kernelErr error
-	if !tc.Compute(ctx, func() {
-		emit := func(k, v string) {
-			r := partitionOf(k, cfg.Reducers)
-			parts[r] = append(parts[r], KeyValue{k, v})
-		}
-		if err := cfg.Map(ctx, inputID, string(content), emit); err != nil {
-			kernelErr = fmt.Errorf("map: %w", err)
-			return
-		}
-		for r := range parts {
-			kvs := parts[r]
-			if cfg.Combine != nil {
-				if kvs, err = combine(ctx, cfg.Combine, kvs, sc); err != nil {
-					kernelErr = fmt.Errorf("combine: %w", err)
-					return
-				}
-			}
-			encoded[r] = Encode(kvs)
-		}
-	}) {
-		sc.parts = parts
-		sc.release() // Compute returned without running the kernel
+	sc := getScratch()
+	ran := tc.Compute(ctx, func() { encoded, kernelErr = mapKernel(ctx, cfg, inputID, content, sc) })
+	sc.release()
+	if !ran {
 		return ctx.Err()
 	}
-	sc.parts = parts
-	sc.release()
 	if kernelErr != nil {
 		return kernelErr
 	}
@@ -300,54 +333,57 @@ func runMapTask(ctx context.Context, tc core.TaskContext, cfg Config, mapIdx int
 	return nil
 }
 
+// mapKernel is the map task's compute phase: map the split, partition
+// the emitted pairs by key hash, combine and encode each partition. It is
+// handed the split and the scratch and nothing of the task context, so it
+// cannot reach the clock, the data service or a stream.
+func mapKernel(ctx context.Context, cfg Config, inputID string, content []byte, sc *kernelScratch) ([][]byte, error) {
+	if cap(sc.parts) < cfg.Reducers {
+		sc.parts = make([][]KeyValue, cfg.Reducers)
+	}
+	sc.parts = sc.parts[:cfg.Reducers]
+	parts := sc.parts
+	emit := func(k, v string) {
+		r := partitionOf(k, cfg.Reducers)
+		parts[r] = append(parts[r], KeyValue{k, v})
+	}
+	if err := cfg.Map(ctx, inputID, string(content), emit); err != nil {
+		return nil, fmt.Errorf("map: %w", err)
+	}
+	encoded := make([][]byte, cfg.Reducers)
+	for r, kvs := range parts {
+		if cfg.Combine != nil {
+			var err error
+			if kvs, err = combine(ctx, cfg.Combine, kvs, sc); err != nil {
+				return nil, fmt.Errorf("combine: %w", err)
+			}
+		}
+		encoded[r] = Encode(kvs)
+	}
+	return encoded, nil
+}
+
 // runReduceTask fetches its partition from every map output (the shuffle),
 // groups by key, reduces, and writes one output data-unit. The shuffle
 // reads stay on the executor token (they pay modeled transfer costs); the
-// decode/group/sort/reduce/encode kernel runs as a parallel compute phase.
+// decode/group/reduce/encode kernel runs as a parallel compute phase.
 func runReduceTask(ctx context.Context, tc core.TaskContext, cfg Config, r int, inputs []string, outID string) error {
 	contents := make([][]byte, len(inputs))
-	lines := 0
 	for i, id := range inputs {
 		content, err := tc.Data.Read(ctx, id, tc.Site)
 		if err != nil {
 			return fmt.Errorf("shuffle read %s: %w", id, err)
 		}
 		contents[i] = content
-		lines += bytes.Count(content, lineSep) + 1
-	}
-	sc := getScratch()
-	if cap(sc.all) < lines {
-		sc.all = make([]KeyValue, 0, lines)
 	}
 	var encoded []byte
 	var kernelErr error
-	if !tc.Compute(ctx, func() {
-		all := sc.all[:0]
-		for i, content := range contents {
-			var err error
-			if all, err = DecodeAppend(all, content); err != nil {
-				kernelErr = fmt.Errorf("decode %s: %w", inputs[i], err)
-				return
-			}
-		}
-		sc.all = all
-		var out []KeyValue
-		emit := func(k, v string) { out = append(out, KeyValue{k, v}) }
-		if err := groupSorted(all, sc.growVals(len(all)), func(k string, vs []string) error {
-			if err := cfg.Reduce(ctx, k, vs, emit); err != nil {
-				return fmt.Errorf("reduce key %q: %w", k, err)
-			}
-			return nil
-		}); err != nil {
-			kernelErr = err
-			return
-		}
-		encoded = Encode(out)
-	}) {
-		sc.release() // Compute returned without running the kernel
+	sc := getScratch()
+	ran := tc.Compute(ctx, func() { encoded, kernelErr = reduceKernel(ctx, cfg, inputs, contents, sc) })
+	sc.release()
+	if !ran {
 		return ctx.Err()
 	}
-	sc.release()
 	if kernelErr != nil {
 		return kernelErr
 	}
@@ -357,12 +393,42 @@ func runReduceTask(ctx context.Context, tc core.TaskContext, cfg Config, r int, 
 	return tc.Data.Write(ctx, outID, encoded, tc.Site)
 }
 
+// reduceKernel is the reduce task's compute phase: decode the shuffled
+// partitions into one slab, group by key, reduce each group, encode.
+// Like mapKernel it sees nothing of the task context.
+func reduceKernel(ctx context.Context, cfg Config, inputs []string, contents [][]byte, sc *kernelScratch) ([]byte, error) {
+	lines := 0
+	for _, content := range contents {
+		lines += bytes.Count(content, lineSep) + 1
+	}
+	if cap(sc.all) < lines {
+		sc.all = make([]KeyValue, 0, lines)
+	}
+	for i, content := range contents {
+		var err error
+		if sc.all, err = DecodeAppend(sc.all, content); err != nil {
+			return nil, fmt.Errorf("decode %s: %w", inputs[i], err)
+		}
+	}
+	var out []KeyValue
+	emit := sc.emitInto(&out)
+	if err := groupSorted(sc.all, sc, func(k string, vs []string) error {
+		if err := cfg.Reduce(ctx, k, vs, emit); err != nil {
+			return fmt.Errorf("reduce key %q: %w", k, err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return Encode(out), nil
+}
+
 // combine groups and pre-reduces a map task's local output, reusing the
-// scratch value column (the caller owns sc for the whole kernel).
+// scratch grouping columns (the caller owns sc for the whole kernel).
 func combine(ctx context.Context, c Reducer, kvs []KeyValue, sc *kernelScratch) ([]KeyValue, error) {
 	var out []KeyValue
-	emit := func(k, v string) { out = append(out, KeyValue{k, v}) }
-	if err := groupSorted(kvs, sc.growVals(len(kvs)), func(k string, vs []string) error {
+	emit := sc.emitInto(&out)
+	if err := groupSorted(kvs, sc, func(k string, vs []string) error {
 		return c(ctx, k, vs, emit)
 	}); err != nil {
 		return nil, err
@@ -381,9 +447,11 @@ func Group(kvs []KeyValue) map[string][]string {
 
 // partitionOf hashes a key onto one of r partitions.
 func partitionOf(key string, r int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(r))
+	h := uint32(2166136261) // FNV-1a, 32 bit, as hash/fnv.New32a
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(r))
 }
 
 func partitionID(job string, m, r int) string {

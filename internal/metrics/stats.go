@@ -1,8 +1,9 @@
 // Package metrics provides the measurement substrate used throughout gopilot:
-// summary statistics, online accumulators, duration samples, histograms and
-// simple table/CSV emitters. The paper's evaluation methodology (Section V,
-// "Performance Characterization") relies on runtime, throughput and latency
-// distributions; this package is the common vocabulary for all experiments.
+// summary statistics, online accumulators, duration samples, run-length
+// series and simple table/CSV emitters. The paper's evaluation methodology
+// (Section V, "Performance Characterization") relies on runtime, throughput
+// and latency distributions; this package is the common vocabulary for all
+// experiments.
 package metrics
 
 import (

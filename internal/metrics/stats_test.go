@@ -162,34 +162,6 @@ func TestFormatDuration(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%10) + 0.5)
-	}
-	h.Observe(-1)
-	h.Observe(11)
-	if h.Count() != 102 {
-		t.Fatalf("Count = %d, want 102", h.Count())
-	}
-	if h.Bucket(0) != 10 {
-		t.Errorf("Bucket(0) = %d, want 10", h.Bucket(0))
-	}
-	out := h.String()
-	if !strings.Contains(out, "underflow 1") || !strings.Contains(out, "overflow 1") {
-		t.Errorf("String() missing under/overflow:\n%s", out)
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestTableRenderAndCSV(t *testing.T) {
 	tb := NewTable("Demo", "config", "runtime_s", "speedup")
 	tb.AddRow("base", 10.0, 1.0)

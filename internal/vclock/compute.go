@@ -2,8 +2,6 @@ package vclock
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -89,69 +87,6 @@ func (c *Virtual) Compute(ctx context.Context, fn func()) bool {
 	return true
 }
 
-// Computing reports how many Compute bodies are currently in flight
-// (diagnostics; a world whose Stalls() is flat but whose Computing() is
-// stuck non-zero has a hung — impure or non-terminating — compute body).
-func (c *Virtual) Computing() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.computing
-}
-
 // Compute is c.Compute(ctx, fn), kept only because the frozen cmd/bench
 // calls it in this form; delete with ROADMAP item 1.
 func Compute(c Clock, ctx context.Context, fn func()) bool { return c.Compute(ctx, fn) }
-
-// computeSlots bounds the number of ComputePool bodies executing at once
-// to the real parallelism available, so a wide fan-out (one closure per
-// map split, per trajectory pair, per record batch) degrades to a work
-// queue instead of thousands of runnable goroutines. Virtual.Compute
-// deliberately does not draw from this pool: its callers are scheduler
-// participants (bounded by the workload's own concurrency), and a join
-// closure like ComputePool.Wait must never hold a slot its own workers
-// still need.
-var computeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// ComputePool fans pure CPU closures out across up to GOMAXPROCS workers
-// and joins them deterministically: Go starts a body immediately on a
-// pool worker (off-token, so it overlaps both the caller's on-token work
-// and other bodies), and Wait parks the caller — through Compute — until
-// every body has finished, re-entering the schedule at the same virtual
-// instant. Bodies obey the Compute purity contract;
-// their results must only be observed after Wait returns.
-//
-// The zero value is not usable; create with NewComputePool. A pool is for
-// one wave of work owned by one participant: Go must not be called
-// concurrently with Wait.
-type ComputePool struct {
-	clock Clock
-	wg    sync.WaitGroup
-}
-
-// NewComputePool creates a pool for the given clock.
-func NewComputePool(c Clock) *ComputePool {
-	return &ComputePool{clock: c}
-}
-
-// Go starts fn on a pool worker immediately. fn must be side-effect-free
-// CPU work (the Compute purity contract); nothing may observe its results
-// until Wait returns.
-func (p *ComputePool) Go(fn func()) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		computeSlots <- struct{}{}
-		defer func() { <-computeSlots }()
-		fn()
-	}()
-}
-
-// Wait joins the pool: it blocks until every body started with Go has
-// finished, releasing the execution token while it waits and rejoining at
-// the same virtual instant. Reports false,
-// without waiting, when ctx is already canceled — the bodies still run to
-// completion in the background, so a canceled caller must not reuse or
-// observe the pool afterwards.
-func (p *ComputePool) Wait(ctx context.Context) bool {
-	return p.clock.Compute(ctx, p.wg.Wait)
-}

@@ -155,50 +155,6 @@ func TestComputeCanceledContext(t *testing.T) {
 	}
 }
 
-// TestComputePoolDeterministicJoin runs a fan-out wave through ComputePool
-// with run-varying wall jitter in each body: results must be observable
-// after Wait, the join must happen at the departure instant, and the
-// post-join draw must be identical across repetitions.
-func TestComputePoolDeterministicJoin(t *testing.T) {
-	run := func(jitterSeed int64) string {
-		rng := rand.New(rand.NewSource(jitterSeed))
-		jit := make([]time.Duration, 16)
-		for i := range jit {
-			jit[i] = time.Duration(rng.Intn(200)) * time.Microsecond
-		}
-		v := NewVirtual(Epoch)
-		v.Adopt()
-		defer v.Leave()
-		before := v.Now()
-		pool := NewComputePool(v)
-		results := make([]uint64, len(jit))
-		for i := range jit {
-			i := i
-			pool.Go(func() {
-				time.Sleep(jit[i])
-				results[i] = hash64(uint64(i))
-			})
-		}
-		if !pool.Wait(context.Background()) {
-			t.Fatal("pool Wait returned false")
-		}
-		if got := v.Now(); !got.Equal(before) {
-			t.Fatalf("time advanced across pool join: %v -> %v", before, got)
-		}
-		var sb strings.Builder
-		for i, r := range results {
-			fmt.Fprintf(&sb, "%d:%d ", i, r)
-		}
-		return sb.String()
-	}
-	ref := run(0)
-	for seed := int64(1); seed <= 9; seed++ {
-		if got := run(seed); got != ref {
-			t.Fatalf("pool results varied with completion jitter:\nref %s\ngot %s", ref, got)
-		}
-	}
-}
-
 // TestComputeUnregisteredPanics pins the registration contract, matching
 // Sleep and the primitives.
 func TestComputeUnregisteredPanics(t *testing.T) {
