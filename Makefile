@@ -67,7 +67,10 @@ profile:
 seed-audit:
 	bash tools/seed-audit.sh
 
-# Documentation lint: every package carries a real package comment.
+# Documentation and surface lint: every package carries a real package
+# comment; every exported name under internal/ has a caller outside its own
+# tests, and every exported field of a config-shaped struct a caller that
+# sets it (cmd/doclint's package comment has the rules and the allow-list).
 doc-audit:
 	$(GO) run ./cmd/doclint .
 

@@ -33,8 +33,6 @@ type Config struct {
 	ForecastTime dist.Dist
 	// ObsNoise is the observation error standard deviation.
 	ObsNoise float64
-	// ModelNoise is the forecast process noise standard deviation.
-	ModelNoise float64
 	// SpreadTarget drives adaptation: spread above target grows the
 	// ensemble (more members to localize), spread far below shrinks it.
 	SpreadTarget float64
@@ -48,6 +46,9 @@ type Config struct {
 	// "app/enkf" child.
 	Stream *dist.Stream
 }
+
+// modelNoise is the forecast process noise standard deviation.
+const modelNoise = 0.2
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -71,9 +72,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.ObsNoise <= 0 {
 		out.ObsNoise = 0.5
-	}
-	if out.ModelNoise <= 0 {
-		out.ModelNoise = 0.2
 	}
 	if out.SpreadTarget <= 0 {
 		out.SpreadTarget = 1.0
@@ -159,7 +157,7 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	for cycle := 0; cycle < cfg.Cycles; cycle++ {
 		cycleStart := clock.Now()
 		// Truth advances (no assimilation noise on truth's own draw).
-		truth = model(truth, cfg.ModelNoise, master)
+		truth = model(truth, modelNoise, master)
 		// Synthetic observation of the full state.
 		obs := make([]float64, d)
 		for i := range obs {
@@ -182,7 +180,7 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 					mu.Lock()
 					x := members[m]
 					mu.Unlock()
-					nx := model(x, cfg.ModelNoise, rng)
+					nx := model(x, modelNoise, rng)
 					mu.Lock()
 					members[m] = nx
 					mu.Unlock()

@@ -121,14 +121,11 @@ func AlignRead(read, ref string) (best int, offset int) {
 type Config struct {
 	// ReferenceID is the data-unit holding the reference genome.
 	ReferenceID string
-	// ChunkIDs are the read-chunk data-units, one compute-unit each.
+	// ChunkIDs are the read-chunk data-units, one one-core compute-unit
+	// each.
 	ChunkIDs []string
 	// MinScore is the alignment acceptance threshold.
 	MinScore int
-	// CoresPerTask sizes each alignment unit.
-	CoresPerTask int
-	// MaxRetries is the per-unit retry budget.
-	MaxRetries int
 }
 
 // Result reports a completed alignment run.
@@ -171,9 +168,6 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	if cfg.ReferenceID == "" || len(cfg.ChunkIDs) == 0 {
 		return nil, errors.New("genomics: reference and chunks required")
 	}
-	if cfg.CoresPerTask <= 0 {
-		cfg.CoresPerTask = 1
-	}
 	clock := mgr.Clock()
 	start := clock.Now()
 
@@ -183,10 +177,9 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	for _, chunkID := range cfg.ChunkIDs {
 		chunkID := chunkID
 		u, err := mgr.SubmitUnit(core.UnitDescription{
-			Name:       "align-" + chunkID,
-			Cores:      cfg.CoresPerTask,
-			InputData:  []string{cfg.ReferenceID, chunkID},
-			MaxRetries: cfg.MaxRetries,
+			Name:      "align-" + chunkID,
+			Cores:     1,
+			InputData: []string{cfg.ReferenceID, chunkID},
 			Run: func(ctx context.Context, tc core.TaskContext) error {
 				t0 := clock.Now()
 				refBytes, err := tc.Data.Read(ctx, cfg.ReferenceID, tc.Site)

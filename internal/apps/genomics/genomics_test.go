@@ -112,7 +112,6 @@ func TestDistributedAlignment(t *testing.T) {
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 8, clock))
 	ds := data.NewService(data.Config{Clock: clock})
-	ds.AddSite("siteA")
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds})
 	defer mgr.Close()
 	mgr.SubmitPilot(core.PilotDescription{Resource: "local://siteA", Cores: 4})

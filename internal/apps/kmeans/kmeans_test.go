@@ -154,7 +154,6 @@ func newEnv(t *testing.T) *testEnv {
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("siteA", 16, clock))
 	ds := data.NewService(data.Config{Clock: clock, LocalBandwidth: 200e6})
-	ds.AddSite("siteA")
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds})
 	t.Cleanup(mgr.Close)
 	mgr.SubmitPilot(core.PilotDescription{Resource: "local://siteA", Cores: 8})

@@ -1,10 +1,8 @@
 // Package mdanalysis implements the task-parallel molecular-dynamics
 // trajectory analysis of Paraskevakos et al. [53]: Hausdorff distance
-// between trajectory pairs, RMSD time series, and a leaflet finder
-// (connected components over an atom proximity graph). The paper's §VI
-// lesson "Optimize Application Algorithms" comes from exactly this study —
-// the early-break Hausdorff variant (ablation E11) beats scaling out the
-// naive O(n·m) one.
+// between trajectory pairs. The paper's §VI lesson "Optimize Application
+// Algorithms" comes from exactly this study — the early-break Hausdorff
+// variant (ablation E11) beats scaling out the naive O(n·m) one.
 package mdanalysis
 
 import (
@@ -122,99 +120,4 @@ func DistanceOps(a, b Frame, earlyBreak bool) int {
 	}
 	_ = math.Max(directed(a, b), directed(b, a))
 	return count
-}
-
-// RMSD computes the root-mean-square deviation between two frames of the
-// same atom count (no superposition — trajectories are pre-aligned here).
-func RMSD(a, b Frame) float64 {
-	if len(a) == 0 || len(a) != len(b) {
-		return math.NaN()
-	}
-	var s float64
-	for i := range a {
-		s += dist2(a[i], b[i])
-	}
-	return math.Sqrt(s / float64(len(a)))
-}
-
-// RMSDSeries computes RMSD of every frame against the first — the classic
-// per-trajectory analysis task (one compute-unit per trajectory in [53]).
-func RMSDSeries(t Trajectory) []float64 {
-	if len(t) == 0 {
-		return nil
-	}
-	out := make([]float64, len(t))
-	for i, f := range t {
-		out[i] = RMSD(t[0], f)
-	}
-	return out
-}
-
-// LeafletFinder partitions atoms into spatially connected components
-// ("leaflets"): atoms closer than cutoff are connected; components are
-// found with union-find over the proximity graph — the graph-based
-// algorithm of the MDAnalysis leaflet finder.
-func LeafletFinder(f Frame, cutoff float64) [][]int {
-	n := len(f)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	c2 := cutoff * cutoff
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if dist2(f[i], f[j]) <= c2 {
-				union(i, j)
-			}
-		}
-	}
-	groups := map[int][]int{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
-	// Deterministic order: largest first, then by first atom index.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if len(out[j]) > len(out[i]) || (len(out[j]) == len(out[i]) && out[j][0] < out[i][0]) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
-}
-
-// GenerateBilayer builds a synthetic membrane: two parallel sheets of
-// atoms separated in z, with jitter — the structure LeafletFinder should
-// split into exactly two components.
-func GenerateBilayer(perLeaflet int, gap float64, rng *dist.Stream) Frame {
-	out := make(Frame, 0, perLeaflet*2)
-	side := int(math.Ceil(math.Sqrt(float64(perLeaflet))))
-	for leaflet := 0; leaflet < 2; leaflet++ {
-		z := float64(leaflet) * gap
-		for i := 0; i < perLeaflet; i++ {
-			x := float64(i%side) + rng.Float64()*0.2
-			y := float64(i/side) + rng.Float64()*0.2
-			out = append(out, Point3{x, y, z + rng.Float64()*0.1})
-		}
-	}
-	return out
 }

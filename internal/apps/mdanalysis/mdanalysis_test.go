@@ -75,70 +75,3 @@ func TestEarlyBreakDoesFewerOps(t *testing.T) {
 		t.Errorf("early break saved only %d of %d ops", naiveOps-ebOps, naiveOps)
 	}
 }
-
-func TestRMSD(t *testing.T) {
-	a := Frame{{0, 0, 0}, {0, 0, 0}}
-	b := Frame{{3, 4, 0}, {0, 0, 0}}
-	// mean squared = (25+0)/2 → rmsd = √12.5
-	if got := RMSD(a, b); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Fatalf("RMSD = %g", got)
-	}
-	if !math.IsNaN(RMSD(a, Frame{{0, 0, 0}})) {
-		t.Fatal("mismatched frames should be NaN")
-	}
-}
-
-func TestRMSDSeriesStartsAtZeroAndGrows(t *testing.T) {
-	tr := GenerateTrajectory(60, 20, 0.8, dist.NewStream(9))
-	series := RMSDSeries(tr)
-	if len(series) != 20 {
-		t.Fatalf("series length %d", len(series))
-	}
-	if series[0] != 0 {
-		t.Fatalf("RMSD to self = %g", series[0])
-	}
-	// Random walk drifts: late RMSD should exceed early RMSD.
-	if series[19] <= series[1] {
-		t.Errorf("RMSD did not grow: %g → %g", series[1], series[19])
-	}
-	if RMSDSeries(nil) != nil {
-		t.Error("empty trajectory should yield nil")
-	}
-}
-
-func TestLeafletFinderSplitsBilayer(t *testing.T) {
-	f := GenerateBilayer(100, 10, dist.NewStream(3)) // two sheets 10 apart
-	groups := LeafletFinder(f, 2.0)
-	if len(groups) != 2 {
-		t.Fatalf("leaflets = %d, want 2", len(groups))
-	}
-	if len(groups[0])+len(groups[1]) != 200 {
-		t.Fatalf("atoms covered = %d", len(groups[0])+len(groups[1]))
-	}
-	// No atom may appear in both leaflets.
-	seen := map[int]bool{}
-	for _, g := range groups {
-		for _, idx := range g {
-			if seen[idx] {
-				t.Fatalf("atom %d in two leaflets", idx)
-			}
-			seen[idx] = true
-		}
-	}
-}
-
-func TestLeafletFinderOneBlobOneGroup(t *testing.T) {
-	f := GenerateBilayer(50, 0.5, dist.NewStream(4)) // sheets nearly touching → one component
-	groups := LeafletFinder(f, 2.0)
-	if len(groups) != 1 {
-		t.Fatalf("groups = %d, want 1 for merged bilayer", len(groups))
-	}
-}
-
-func TestLeafletFinderSingletons(t *testing.T) {
-	f := Frame{{0, 0, 0}, {100, 0, 0}, {200, 0, 0}}
-	groups := LeafletFinder(f, 1.0)
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d, want 3 singletons", len(groups))
-	}
-}

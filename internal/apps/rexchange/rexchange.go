@@ -36,18 +36,15 @@ type Replica struct {
 
 // Config describes a replica-exchange run.
 type Config struct {
-	// Replicas is the ensemble size.
+	// Replicas is the ensemble size; each replica's MD phase is a
+	// one-core unit.
 	Replicas int
 	// Cycles is the number of MD+exchange generations.
 	Cycles int
-	// CoresPerReplica sizes each MD unit.
-	CoresPerReplica int
 	// MDTime samples the modeled MD phase duration (seconds).
 	MDTime dist.Dist
 	// ExchangeTime is the modeled synchronous exchange cost per cycle.
 	ExchangeTime time.Duration
-	// StepsPerCycle is the number of real Metropolis steps per MD phase.
-	StepsPerCycle int
 	// TMin and TMax bound the temperature ladder.
 	TMin, TMax float64
 	// Adaptive retunes the ladder when acceptance leaves
@@ -63,6 +60,9 @@ type Config struct {
 	Stream *dist.Stream
 }
 
+// stepsPerCycle is the number of real Metropolis steps per MD phase.
+const stepsPerCycle = 200
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Replicas <= 0 {
@@ -71,14 +71,8 @@ func (c *Config) withDefaults() Config {
 	if out.Cycles <= 0 {
 		out.Cycles = 4
 	}
-	if out.CoresPerReplica <= 0 {
-		out.CoresPerReplica = 1
-	}
 	if out.MDTime == nil {
 		out.MDTime = dist.Constant(10)
-	}
-	if out.StepsPerCycle <= 0 {
-		out.StepsPerCycle = 200
 	}
 	if out.TMin <= 0 {
 		out.TMin = 1
@@ -191,7 +185,7 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 			rng := walks[i]
 			u, err := mgr.SubmitUnit(core.UnitDescription{
 				Name:  fmt.Sprintf("rex-c%d-r%d", cycle, i),
-				Cores: cfg.CoresPerReplica,
+				Cores: 1,
 				Run: func(ctx context.Context, tc core.TaskContext) error {
 					if !tc.Sleep(ctx, mdDur) {
 						return ctx.Err()
@@ -199,7 +193,7 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 					mu.Lock()
 					r := replicas[i]
 					mu.Unlock()
-					mdPhase(&r, cfg.StepsPerCycle, rng)
+					mdPhase(&r, stepsPerCycle, rng)
 					mu.Lock()
 					replicas[i] = r
 					mu.Unlock()

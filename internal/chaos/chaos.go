@@ -149,8 +149,7 @@ func (f Fault) String() string {
 	return s
 }
 
-// Config bounds a plan: how many faults of each kind, over what horizon,
-// with what window lengths.
+// Config bounds a plan: how many faults of each kind, over what horizon.
 type Config struct {
 	// Horizon is the injection window: every fault's At falls in
 	// [0, Horizon). Default 10 minutes.
@@ -158,38 +157,14 @@ type Config struct {
 	// Counts is the number of faults per kind; kinds absent from the map
 	// inject nothing.
 	Counts map[Kind]int
-	// WindowMin/WindowMax bound the drawn outage/stall/skew window length
-	// (defaults 15s / 90s).
-	WindowMin, WindowMax time.Duration
-	// SkewMin/SkewMax bound the drawn commit lag of CommitSkew faults
-	// (defaults 500ms / 3s).
-	SkewMin, SkewMax time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.Horizon <= 0 {
-		c.Horizon = 10 * time.Minute
-	}
-	if c.WindowMin <= 0 {
-		c.WindowMin = 15 * time.Second
-	}
-	if c.WindowMax < c.WindowMin {
-		c.WindowMax = 90 * time.Second
-		if c.WindowMax < c.WindowMin {
-			c.WindowMax = c.WindowMin
-		}
-	}
-	if c.SkewMin <= 0 {
-		c.SkewMin = 500 * time.Millisecond
-	}
-	if c.SkewMax < c.SkewMin {
-		c.SkewMax = 3 * time.Second
-		if c.SkewMax < c.SkewMin {
-			c.SkewMax = c.SkewMin
-		}
-	}
-	return c
-}
+// The bounds every plan draws its lengths between: outage/stall/skew
+// windows, and the commit lag of CommitSkew faults.
+const (
+	windowMin, windowMax = 15 * time.Second, 90 * time.Second
+	skewMin, skewMax     = 500 * time.Millisecond, 3 * time.Second
+)
 
 // Plan is a compiled fault schedule: faults sorted by (At, Kind,
 // Ordinal), ready for the Engine.
@@ -208,7 +183,9 @@ type Plan struct {
 // length, skew lag — with the unused draws discarded, so the schema can
 // grow without re-dealing earlier faults.
 func Compile(stream *dist.Stream, cfg Config) Plan {
-	cfg = cfg.withDefaults()
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = 10 * time.Minute
+	}
 	root := stream.Named("chaos")
 	var faults []Fault
 	for k := Kind(0); k < numKinds; k++ {
@@ -218,8 +195,8 @@ func Compile(stream *dist.Stream, cfg Config) Plan {
 			f := Fault{Kind: k, Ordinal: i}
 			f.At = time.Duration(st.Float64() * float64(cfg.Horizon)).Truncate(time.Millisecond)
 			f.Target = st.Uint64()
-			window := cfg.WindowMin + time.Duration(st.Float64()*float64(cfg.WindowMax-cfg.WindowMin))
-			skew := cfg.SkewMin + time.Duration(st.Float64()*float64(cfg.SkewMax-cfg.SkewMin))
+			window := windowMin + time.Duration(st.Float64()*float64(windowMax-windowMin))
+			skew := skewMin + time.Duration(st.Float64()*float64(skewMax-skewMin))
 			if k.windowed() {
 				f.Until = (f.At + window).Truncate(time.Millisecond)
 			}

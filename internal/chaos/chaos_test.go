@@ -170,22 +170,22 @@ func TestCheckerStreamingInvariants(t *testing.T) {
 	c.Handled(0, 0)
 	c.Handled(0, 1)
 	c.Handled(1, 0)
-	if !c.Ok() {
+	if len(c.Violations()) != 0 {
 		t.Fatalf("clean handles flagged: %v", c.Violations())
 	}
 	c.Handled(0, 1) // duplicate
-	if c.Ok() {
+	if len(c.Violations()) == 0 {
 		t.Fatal("duplicate handle not flagged")
 	}
 
 	c2 := NewChecker(clk)
 	c2.OnCommit("t", 0, 0, 10)
 	c2.OnCommit("t", 0, 10, 25)
-	if !c2.Ok() {
+	if len(c2.Violations()) != 0 {
 		t.Fatalf("monotone commits flagged: %v", c2.Violations())
 	}
 	c2.OnCommit("t", 0, 5, 30) // gap/rewind: starts before the last mark
-	if c2.Ok() {
+	if len(c2.Violations()) == 0 {
 		t.Fatal("commit rewind not flagged")
 	}
 	c2.CheckCompleteness(3)

@@ -80,13 +80,6 @@ func (c *Checker) Violations() []Violation {
 	return append([]Violation(nil), c.violations...)
 }
 
-// Ok reports whether no invariant has been breached.
-func (c *Checker) Ok() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.violations) == 0
-}
-
 // Handled asserts exactly-once processing: the group handler calls it
 // per message, and a (partition, offset) seen twice is a duplicate —
 // under the generation barrier no partition ever has two simultaneous

@@ -188,36 +188,6 @@ func TestFailedUnit(t *testing.T) {
 	}
 }
 
-func TestCancelPendingUnit(t *testing.T) {
-	env := newEnv(t, Config{}, hpc.Config{})
-	u, _ := env.mgr.SubmitUnit(quickUnit("c", time.Second)) // no pilot yet
-	env.mgr.CancelUnit(u)
-	state, _ := u.Wait(context.Background())
-	if state != UnitCanceled {
-		t.Fatalf("state = %v, want Canceled", state)
-	}
-	if env.mgr.QueueDepth() != 0 {
-		t.Fatalf("queue depth = %d, want 0", env.mgr.QueueDepth())
-	}
-}
-
-func TestCancelRunningUnit(t *testing.T) {
-	env := newEnv(t, Config{}, hpc.Config{})
-	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 2})
-	started := vclock.NewEvent(env.clock)
-	u, _ := env.mgr.SubmitUnit(UnitDescription{Run: func(ctx context.Context, tc TaskContext) error {
-		started.Fire()
-		tc.Sleep(ctx, time.Hour)
-		return ctx.Err()
-	}})
-	started.Wait(context.Background())
-	env.mgr.CancelUnit(u)
-	state, _ := u.Wait(context.Background())
-	if state != UnitCanceled {
-		t.Fatalf("state = %v, want Canceled", state)
-	}
-}
-
 func TestPilotWalltimeRequeuesUnits(t *testing.T) {
 	env := newEnv(t, Config{}, hpc.Config{Nodes: 4, CoresPerNode: 4})
 	// Short-walltime pilot dies mid-unit; a second healthy pilot picks the

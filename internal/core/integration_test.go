@@ -138,7 +138,6 @@ func TestStageInFailureFailsUnit(t *testing.T) {
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("lh", 4, clock))
 	ds := data.NewService(data.Config{Clock: clock})
-	ds.AddSite("lh")
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds})
 	defer mgr.Close()
 	mgr.SubmitPilot(core.PilotDescription{Resource: "local://lh", Cores: 2})
@@ -150,35 +149,6 @@ func TestStageInFailureFailsUnit(t *testing.T) {
 	state, err := u.Wait(context.Background())
 	if state != core.UnitFailed || err == nil {
 		t.Fatalf("state=%v err=%v, want Failed on stage-in", state, err)
-	}
-}
-
-func TestCancelDuringStaging(t *testing.T) {
-	clock := vclocktest.Adopted(t)
-	reg := saga.NewRegistry()
-	reg.Register(saga.NewLocalService("siteX", 4, clock))
-	// Glacial WAN so staging takes long enough to cancel into.
-	ds := data.NewService(data.Config{Clock: clock, DefaultLink: data.Link{Bandwidth: 1e3, Latency: 0}})
-	ds.AddSite("siteX")
-	ds.Put(context.Background(), data.Unit{ID: "big", LogicalSize: 1e9, Site: "elsewhere"})
-	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds})
-	defer mgr.Close()
-	mgr.SubmitPilot(core.PilotDescription{Resource: "local://siteX", Cores: 2})
-
-	u, _ := mgr.SubmitUnit(core.UnitDescription{
-		InputData: []string{"big"},
-		Run:       func(context.Context, core.TaskContext) error { return nil },
-	})
-	clock.Sleep(context.Background(), time.Minute) // 1 GB at 1 kB/s: staging lasts ~11 days
-	if s := u.State(); s != core.UnitStaging {
-		t.Fatalf("state = %v a minute in, want Staging", s)
-	}
-	mgr.CancelUnit(u)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	state, _ := u.Wait(ctx)
-	if state != core.UnitCanceled {
-		t.Fatalf("state = %v, want Canceled during staging", state)
 	}
 }
 

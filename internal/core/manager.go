@@ -60,13 +60,10 @@ type Config struct {
 	// dist.Unseeded("manager"); experiments should pass a named child of
 	// their own root instead.
 	Stream *dist.Stream
-	// OnUnitChange, if set, observes every unit state transition
-	// (instrumentation hook used by the Mini-App framework).
+	// OnUnitChange, if set, observes every unit state transition. Only
+	// tests set it today; ROADMAP item 3(i) folds it into the telemetry
+	// registry.
 	OnUnitChange func(cu *ComputeUnit, state UnitState)
-	// Backoff shapes the retry delay applied by the planner when a pilot
-	// is lost under (or before) a unit; zero fields take the defaults
-	// documented on plan.Backoff.
-	Backoff plan.Backoff
 	// ReconcileEvery is the drift-reconciliation period in virtual time:
 	// desired unit/pilot state is compared against agent state and
 	// divergences are corrected. Zero means the 30s default; negative
@@ -148,8 +145,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m.exec.m = m
 	m.planner = plan.New(plan.Config{
-		Stream:  cfg.Stream,
-		Backoff: cfg.Backoff,
+		Stream: cfg.Stream,
 		// The policy adapter hands the pluggable Scheduler the live objects
 		// behind the candidates plannerExec just offered. It runs inside
 		// Plan, under m.mu, straight after that Candidates call.
@@ -181,12 +177,6 @@ func (m *Manager) Clock() vclock.Clock { return m.cfg.Clock }
 
 // Data returns the configured data service (may be nil).
 func (m *Manager) Data() DataService { return m.cfg.Data }
-
-// Registry returns the saga registry.
-func (m *Manager) Registry() *saga.Registry { return m.cfg.Registry }
-
-// SchedulerName returns the active scheduling policy's name.
-func (m *Manager) SchedulerName() string { return m.cfg.Scheduler.Name() }
 
 // Stream returns the manager's randomness root on the seeding spine.
 // Frameworks running on the manager (apps, processors) derive their own
@@ -326,26 +316,6 @@ func (m *Manager) SubmitUnits(ds []UnitDescription) ([]*ComputeUnit, error) {
 	return out, nil
 }
 
-// CancelUnit cancels a unit: pending units terminate immediately, running
-// units have their task context canceled.
-func (m *Manager) CancelUnit(u *ComputeUnit) {
-	u.mu.Lock()
-	u.cancelled = true
-	cancel := u.cancelRun
-	state := u.state
-	u.mu.Unlock()
-	if state == UnitPending {
-		m.mu.Lock()
-		m.planner.Forget(u.id)
-		m.mu.Unlock()
-		m.finishUnit(nil, u, UnitCanceled, context.Canceled)
-		return
-	}
-	if cancel != nil {
-		cancel()
-	}
-}
-
 // Pilots returns a snapshot of all pilots.
 func (m *Manager) Pilots() []*Pilot {
 	m.mu.Lock()
@@ -403,9 +373,6 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 
 	for _, u := range pend {
-		u.mu.Lock()
-		u.cancelled = true
-		u.mu.Unlock()
 		m.finishUnit(nil, u, UnitCanceled, ErrManagerClosed)
 	}
 	for _, p := range pilots {
@@ -608,17 +575,10 @@ func (m *Manager) pilotEnded(p *Pilot, job saga.Job) {
 	m.wake()
 }
 
-func (m *Manager) cancelPilot(p *Pilot) {
-	// Cancel the placeholder job through the agent context: closing stopCh
-	// makes agentRun return nil, which ends the saga job as Done; to force
-	// cancellation semantics we mark the state first.
-	p.Shutdown()
-}
-
 // executeUnit stages, runs and finalizes one unit on pilot p. It runs on
 // the agent's goroutine pool; ctx is the pilot's payload context.
 func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
-	if cu.State() == UnitCanceled || cu.isCancelled() {
+	if cu.State() == UnitCanceled {
 		m.returnSlots(p, cu)
 		m.finishUnit(p, cu, UnitCanceled, context.Canceled)
 		return
@@ -626,7 +586,6 @@ func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	cu.mu.Lock()
-	cu.cancelRun = cancel
 	cu.attempts++
 	cu.mu.Unlock()
 
@@ -638,10 +597,8 @@ func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
 		for _, id := range cu.desc.InputData {
 			if err := m.cfg.Data.StageIn(runCtx, id, site); err != nil {
 				m.returnSlots(p, cu)
-				if runCtx.Err() != nil && !cu.isCancelled() {
+				if runCtx.Err() != nil {
 					m.requeueOrFail(cu, plan.FailureExecution, fmt.Errorf("core: staging interrupted: %w", err))
-				} else if cu.isCancelled() {
-					m.finishUnit(p, cu, UnitCanceled, err)
 				} else {
 					m.finishUnit(p, cu, UnitFailed, fmt.Errorf("core: stage-in of %s failed: %w", id, err))
 				}
@@ -673,9 +630,7 @@ func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
 
 	m.returnSlots(p, cu)
 	switch {
-	case cu.isCancelled():
-		m.finishUnit(p, cu, UnitCanceled, context.Canceled)
-	case runCtx.Err() != nil && ctx.Err() != nil:
+	case ctx.Err() != nil:
 		// The pilot died under the unit (walltime/eviction): retry budget
 		// decides between requeue and failure.
 		m.requeueOrFail(cu, plan.FailureExecution,
@@ -711,17 +666,11 @@ func (m *Manager) requeueOrFail(cu *ComputeUnit, class plan.FailureClass, cause 
 		m.finishUnit(nil, cu, UnitCanceled, ErrManagerClosed)
 		return
 	}
-	var v plan.Verdict
-	if cu.isCancelled() {
-		m.planner.Forget(cu.id)
-	} else {
-		v = m.planner.NoteFailure(cu.id, class, now)
-	}
+	v := m.planner.NoteFailure(cu.id, class, now)
 	if v.Retry {
 		cu.mu.Lock()
 		cu.state = UnitPending
 		cu.pilot = nil
-		cu.cancelRun = nil
 		cu.mu.Unlock()
 	}
 	m.mu.Unlock()
@@ -978,12 +927,6 @@ func dedupSorted(s []string) []string {
 		}
 	}
 	return out
-}
-
-func (u *ComputeUnit) isCancelled() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.cancelled
 }
 
 func (u *ComputeUnit) setState(s UnitState) {

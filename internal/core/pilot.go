@@ -103,9 +103,6 @@ type Pilot struct {
 // ID returns the manager-assigned pilot id.
 func (p *Pilot) ID() string { return p.id }
 
-// Description returns the pilot description.
-func (p *Pilot) Description() PilotDescription { return p.desc }
-
 // Stream returns the pilot's randomness identity on the seeding spine:
 // the "pilot"/<ordinal> child of the manager's stream, fixed at
 // submission. Agent-side draws (placement jitter, sampling inside
@@ -204,12 +201,7 @@ func (p *Pilot) StartupTime() time.Duration {
 	return p.startedAt.Sub(p.submitted)
 }
 
-// Cancel asks the manager to cancel the pilot; running units are requeued
-// or failed according to their retry budget.
-func (p *Pilot) Cancel() { p.manager.cancelPilot(p) }
-
-// Shutdown stops the agent; like Cancel, but intended for normal teardown
-// (pilot ends in Done).
+// Shutdown stops the agent: normal teardown, the pilot ends in Done.
 func (p *Pilot) Shutdown() {
 	p.stop.Fire()
 	p.workN.Set()

@@ -112,9 +112,6 @@ type UnitDescription struct {
 	// InputData lists data-unit IDs staged to the execution site before the
 	// unit starts.
 	InputData []string
-	// OutputData lists data-unit IDs the unit promises to produce; used by
-	// data-aware schedulers for placement of downstream consumers.
-	OutputData []string
 	// AffinitySite is an optional placement preference.
 	AffinitySite infra.Site
 	// MaxRetries is the unit's shared failure budget: the number of times
@@ -144,8 +141,6 @@ type ComputeUnit struct {
 	scheduled time.Time
 	started   time.Time
 	ended     time.Time
-	cancelled bool
-	cancelRun context.CancelFunc
 
 	done *vclock.Event
 }
@@ -155,11 +150,6 @@ func (u *ComputeUnit) ID() string { return u.id }
 
 // Description returns the unit description.
 func (u *ComputeUnit) Description() UnitDescription { return u.desc }
-
-// Stream returns the unit's randomness identity on the seeding spine,
-// fixed at submission (also available to task bodies as
-// TaskContext.Stream).
-func (u *ComputeUnit) Stream() *dist.Stream { return u.stream }
 
 // State returns the current state.
 func (u *ComputeUnit) State() UnitState {
@@ -195,20 +185,6 @@ func (u *ComputeUnit) Wait(ctx context.Context) (UnitState, error) {
 		return u.State(), u.Err()
 	}
 	return u.State(), ctx.Err()
-}
-
-// SubmitTime returns the modeled submission time.
-func (u *ComputeUnit) SubmitTime() time.Time {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.submitted
-}
-
-// StartTime returns the modeled execution start time (zero until Running).
-func (u *ComputeUnit) StartTime() time.Time {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.started
 }
 
 // EndTime returns the modeled termination time.

@@ -54,8 +54,8 @@ type Config struct {
 	// LocalBandwidth is the within-site read/write bandwidth (default
 	// 500 MB/s — parallel filesystem class).
 	LocalBandwidth float64
-	// DefaultLink is used for site pairs with no explicit link (default
-	// 12.5 MB/s / 50 ms — a 100 Mbit WAN).
+	// DefaultLink models every cross-site transfer (default 12.5 MB/s /
+	// 50 ms — a 100 Mbit WAN).
 	DefaultLink Link
 }
 
@@ -86,17 +86,12 @@ type Service struct {
 	cfg Config
 
 	mu      sync.Mutex
-	sites   map[infra.Site]struct{}
 	objects map[string]*object
-	links   map[[2]infra.Site]Link
 	stats   Stats
 }
 
 // ErrUnknownUnit is returned for operations on unregistered data-units.
 var ErrUnknownUnit = errors.New("data: unknown data-unit")
-
-// ErrUnknownSite is returned when a site has no registered store.
-var ErrUnknownSite = errors.New("data: unknown site")
 
 // NewService creates a Pilot-Data service.
 func NewService(cfg Config) *Service {
@@ -111,37 +106,12 @@ func NewService(cfg Config) *Service {
 	}
 	return &Service{
 		cfg:     cfg,
-		sites:   make(map[infra.Site]struct{}),
 		objects: make(map[string]*object),
-		links:   make(map[[2]infra.Site]Link),
 	}
 }
 
-// AddSite registers a site store.
-func (s *Service) AddSite(site infra.Site) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sites[site] = struct{}{}
-}
-
-// SetLink installs a directed link model between two sites (set both
-// directions for symmetric links).
-func (s *Service) SetLink(from, to infra.Site, l Link) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.links[[2]infra.Site{from, to}] = l
-}
-
-// link returns the transfer model from → to.
-func (s *Service) link(from, to infra.Site) Link {
-	if l, ok := s.links[[2]infra.Site{from, to}]; ok {
-		return l
-	}
-	return s.cfg.DefaultLink
-}
-
-// Put registers a data-unit at its initial site (creating the site store
-// on demand). It pays the local write cost.
+// Put registers a data-unit at its initial site. It pays the local write
+// cost.
 func (s *Service) Put(ctx context.Context, u Unit) error {
 	if u.ID == "" {
 		return errors.New("data: unit needs an ID")
@@ -159,7 +129,6 @@ func (s *Service) Put(ctx context.Context, u Unit) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sites[u.Site] = struct{}{}
 	s.objects[u.ID] = &object{
 		content:  u.Content,
 		logical:  logical,
@@ -219,12 +188,11 @@ func (s *Service) StageIn(ctx context.Context, id string, to infra.Site) error {
 		s.mu.Unlock()
 		return nil
 	}
-	src, ok := nearestReplica(o, to)
-	if !ok {
+	if len(o.replicas) == 0 {
 		s.mu.Unlock()
 		return fmt.Errorf("data: unit %q has no replicas", id)
 	}
-	cost := s.transferCost(s.link(src, to), o.logical)
+	cost := s.transferCost(s.cfg.DefaultLink, o.logical)
 	s.mu.Unlock()
 
 	if !s.cfg.Clock.Sleep(ctx, cost) {
@@ -233,7 +201,6 @@ func (s *Service) StageIn(ctx context.Context, id string, to infra.Site) error {
 
 	s.mu.Lock()
 	o.replicas[to] = struct{}{}
-	s.sites[to] = struct{}{}
 	s.stats.Replications++
 	s.stats.BytesMoved += o.logical
 	s.stats.TransferTime += cost
@@ -256,12 +223,11 @@ func (s *Service) Read(ctx context.Context, id string, at infra.Site) ([]byte, e
 	if _, have := o.replicas[at]; have {
 		cost = s.localCost(o.logical)
 	} else {
-		src, okSrc := nearestReplica(o, at)
-		if !okSrc {
+		if len(o.replicas) == 0 {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("data: unit %q has no replicas", id)
 		}
-		cost = s.transferCost(s.link(src, at), o.logical)
+		cost = s.transferCost(s.cfg.DefaultLink, o.logical)
 		remote = true
 	}
 	content := o.content
@@ -289,24 +255,6 @@ func (s *Service) Write(ctx context.Context, id string, content []byte, at infra
 	return s.Put(ctx, Unit{ID: id, Content: content, Site: at})
 }
 
-// Remove deletes a data-unit from the namespace.
-func (s *Service) Remove(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.objects, id)
-}
-
-// Replicas returns the replica count of a unit (0 if unknown).
-func (s *Service) Replicas(id string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	if !ok {
-		return 0
-	}
-	return len(o.replicas)
-}
-
 // Stats returns a snapshot of the observed traffic.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
@@ -319,21 +267,6 @@ func (s *Service) ResetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats = Stats{}
-}
-
-// nearestReplica picks the source replica for a transfer to `to`. Sites
-// are ordered deterministically; a same-site replica would have been found
-// by the caller already.
-func nearestReplica(o *object, to infra.Site) (infra.Site, bool) {
-	if len(o.replicas) == 0 {
-		return "", false
-	}
-	sites := make([]infra.Site, 0, len(o.replicas))
-	for s := range o.replicas {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	return sites[0], true
 }
 
 var _ core.DataService = (*Service)(nil)

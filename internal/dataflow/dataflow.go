@@ -28,13 +28,8 @@ type Stage struct {
 	Name string
 	// Deps lists stage names that must complete first.
 	Deps []string
-	// Parallelism is the task fan-out (default 1).
+	// Parallelism is the fan-out into one-core tasks (default 1).
 	Parallelism int
-	// CoresPerTask sizes each task (default 1).
-	CoresPerTask int
-	// InputData is attached to every task of the stage (for data-aware
-	// placement and staging).
-	InputData []string
 	// Run is the task body.
 	Run TaskFunc
 	// Pure marks Run as a side-effect-free CPU kernel: the engine then
@@ -45,8 +40,6 @@ type Stage struct {
 	// compute phase"); stages that model time or stage data leave this
 	// false and call tc.Compute themselves around their CPU sections.
 	Pure bool
-	// MaxRetries is the per-task retry budget.
-	MaxRetries int
 }
 
 // StageResult reports one executed stage.
@@ -56,9 +49,6 @@ type StageResult struct {
 	Started time.Time
 	Ended   time.Time
 }
-
-// Elapsed is the stage's modeled span.
-func (r StageResult) Elapsed() time.Duration { return r.Ended.Sub(r.Started) }
 
 // Graph is a DAG of stages. The zero value is not usable; create with New.
 type Graph struct {
@@ -83,9 +73,6 @@ func (g *Graph) Add(s Stage) error {
 	}
 	if s.Parallelism <= 0 {
 		s.Parallelism = 1
-	}
-	if s.CoresPerTask <= 0 {
-		s.CoresPerTask = 1
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -231,10 +218,8 @@ func runStage(ctx context.Context, mgr *core.Manager, s *Stage) (StageResult, er
 	for i := 0; i < s.Parallelism; i++ {
 		i := i
 		u, err := mgr.SubmitUnit(core.UnitDescription{
-			Name:       fmt.Sprintf("%s[%d]", s.Name, i),
-			Cores:      s.CoresPerTask,
-			InputData:  s.InputData,
-			MaxRetries: s.MaxRetries,
+			Name:  fmt.Sprintf("%s[%d]", s.Name, i),
+			Cores: 1,
 			Run: func(ctx context.Context, tc core.TaskContext) error {
 				if !s.Pure {
 					return s.Run(ctx, tc, i)

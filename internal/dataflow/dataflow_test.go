@@ -215,8 +215,8 @@ func TestStageResultTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res["s"].Elapsed() != time.Second {
-		t.Fatalf("elapsed = %v, want 1s modeled", res["s"].Elapsed())
+	if d := res["s"].Ended.Sub(res["s"].Started); d != time.Second {
+		t.Fatalf("elapsed = %v, want 1s modeled", d)
 	}
 }
 
@@ -246,8 +246,8 @@ func TestPureStageRunsOffToken(t *testing.T) {
 	if got := clock.Now(); !got.Equal(start) {
 		t.Errorf("pure stage advanced modeled time: %v -> %v", start, got)
 	}
-	if res["kernel"].Elapsed() != 0 {
-		t.Errorf("pure stage modeled elapsed = %v, want 0", res["kernel"].Elapsed())
+	if d := res["kernel"].Ended.Sub(res["kernel"].Started); d != 0 {
+		t.Errorf("pure stage modeled elapsed = %v, want 0", d)
 	}
 	for i, r := range results {
 		if r == 0 {

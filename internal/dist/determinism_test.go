@@ -15,7 +15,7 @@ func TestSameSeedSameSequence(t *testing.T) {
 	}{
 		{"normal", func() Dist { return NewNormal(60, 5, 42) }},
 		{"lognormal", func() Dist { return NewLogNormal(600, 1.0, 42) }},
-		{"bernoulli", func() Dist { return NewBernoulli(0.3, 42) }},
+		{"bernoulli", func() Dist { return BernoulliFrom(NewStream(42), 0.3) }},
 	}
 	for _, tc := range builders {
 		t.Run(tc.name, func(t *testing.T) {

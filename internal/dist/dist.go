@@ -114,12 +114,6 @@ type BernoulliDist struct {
 	s *Stream
 }
 
-// NewBernoulli returns a seeded Bernoulli(p) distribution; Sample yields
-// 1 with probability p and 0 otherwise.
-func NewBernoulli(p float64, seed int64) *BernoulliDist {
-	return BernoulliFrom(NewStream(seed), p)
-}
-
 // BernoulliFrom builds a Bernoulli on an existing (sub-)stream.
 func BernoulliFrom(s *Stream, p float64) *BernoulliDist {
 	return &BernoulliDist{p: clamp01(p), s: s}

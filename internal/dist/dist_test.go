@@ -120,7 +120,7 @@ func TestLogNormalDegeneratesToConstant(t *testing.T) {
 
 func TestBernoulliHitRate(t *testing.T) {
 	for _, p := range []float64{0, 0.05, 0.3, 0.5, 0.9, 1} {
-		d := NewBernoulli(p, 11)
+		d := BernoulliFrom(NewStream(11), p)
 		hits := 0
 		for i := 0; i < draws; i++ {
 			switch d.Sample() {
@@ -171,7 +171,7 @@ func TestQuantileMonotone(t *testing.T) {
 	}{
 		{"normal", NewNormal(10, 3, 21)},
 		{"lognormal", NewLogNormal(100, 0.8, 22)},
-		{"bernoulli", NewBernoulli(0.4, 23)},
+		{"bernoulli", BernoulliFrom(NewStream(23), 0.4)},
 		{"constant", Constant(7)},
 	}
 	for _, tc := range dists {

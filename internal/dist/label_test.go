@@ -92,10 +92,10 @@ func TestNamedChildrenDistinct(t *testing.T) {
 // Named children are bit-identical to a freshly constructed stream's.
 func TestSeedResetsSplitLabelChildren(t *testing.T) {
 	used := NewStream(1)
-	// Scramble every piece of internal state reachable before reseeding:
-	// position (state), and gamma via Split's child-derivation draws.
+	// Scramble the internal state reachable before reseeding: position
+	// (state) by draws; SplitLabel reads but must not disturb it.
 	used.Uint64()
-	used.Split()
+	used.Uint64()
 	used.SplitLabel(9)
 	used.Seed(99)
 

@@ -69,23 +69,12 @@ func (s *Stream) Uint64() uint64 {
 	return v
 }
 
-// Split returns a new stream statistically independent of the receiver.
-// The child's identity depends on how many values the parent has already
-// produced; for order-independent children use SplitLabel.
-func (s *Stream) Split() *Stream {
-	s.mu.Lock()
-	seed := mix64(s.nextState())
-	gamma := mixGamma(s.nextState())
-	s.mu.Unlock()
-	return &Stream{state: seed, gamma: gamma, seed0: seed}
-}
-
 // SplitLabel returns the sub-stream for a label (a pilot index, unit
-// ordinal, component id…). Unlike Split it neither advances nor reads
-// the parent's position: children are derived from the parent's birth
-// state, so the same (stream, label) pair always yields the same child,
-// regardless of when or from which goroutine it is requested — this is
-// what makes goroutine-partitioned experiments bit-reproducible.
+// ordinal, component id…). It neither advances nor reads the parent's
+// position: children are derived from the parent's birth state, so the
+// same (stream, label) pair always yields the same child, regardless of
+// when or from which goroutine it is requested — this is what makes
+// goroutine-partitioned experiments bit-reproducible.
 func (s *Stream) SplitLabel(label uint64) *Stream {
 	s.mu.Lock()
 	base, g := s.seed0, s.gamma

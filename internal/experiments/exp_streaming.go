@@ -35,9 +35,9 @@ func StreamTrial(tb *Testbed, partitions, workers, frames int, handlerCost time.
 		return 0, lat, err
 	}
 	det := lightsource.NewDetector(16, 16, 0.5, 25, 2, tb.Root.Named("detector"))
-	proc, err := streaming.StartProcessor(ctx, mgr, broker, streaming.ProcessorConfig{
+	proc, err := streaming.StartGroup(ctx, mgr, broker, streaming.GroupConfig{
 		Name: "ls", Topic: topic, Workers: workers,
-		Stream:         tb.Root.Named("streaming/processor/ls"),
+		Stream:         tb.Root.Named("streaming/group/ls"),
 		CostPerMessage: handlerCost,
 		// Decode + Reconstruct is pure CPU per frame: run each batch as a
 		// parallel compute phase so workers overlap on real cores.

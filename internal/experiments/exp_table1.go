@@ -158,7 +158,7 @@ func Table1() (*metrics.Table, error) {
 	}
 	det := lightsource.NewDetector(24, 24, 0.5, 25, 2, tb.Root.Named("detector"))
 	var recovered, frames atomic.Int64
-	proc, err := streaming.StartProcessor(ctx, mgr, broker, streaming.ProcessorConfig{
+	proc, err := streaming.StartGroup(ctx, mgr, broker, streaming.GroupConfig{
 		Name: "t1-ls", Topic: "frames", Workers: 2,
 		CostPerMessage: 5 * time.Millisecond,
 		Handler: func(ctx context.Context, tc core.TaskContext, m streaming.Message) error {

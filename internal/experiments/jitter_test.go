@@ -35,11 +35,11 @@ func runJitterTrial(t *testing.T, costCV float64) metrics.Summary {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	proc, err := streaming.StartProcessor(ctx, mgr, broker, streaming.ProcessorConfig{
+	proc, err := streaming.StartGroup(ctx, mgr, broker, streaming.GroupConfig{
 		Name: "jit", Topic: "t", Workers: 2, BatchSize: 8,
 		CostPerMessage: 10 * time.Millisecond,
 		CostCV:         costCV,
-		Stream:         tb.Root.Named("streaming/processor/jit"),
+		Stream:         tb.Root.Named("streaming/group/jit"),
 		Handler: func(_ context.Context, _ core.TaskContext, _ streaming.Message) error {
 			return nil
 		},

@@ -13,7 +13,6 @@ import (
 	"gopilot/internal/core"
 	"gopilot/internal/data"
 	"gopilot/internal/dist"
-	"gopilot/internal/infra"
 	"gopilot/internal/infra/cloud"
 	"gopilot/internal/infra/hpc"
 	"gopilot/internal/infra/htc"
@@ -145,9 +144,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		LocalBandwidth: 500e6,
 		DefaultLink:    data.Link{Bandwidth: 50e6, Latency: 100 * time.Millisecond},
 	})
-	for _, s := range []string{"localhost", "stampede", "comet", "osg", "ec2", "yarn"} {
-		tb.Data.AddSite(infra.Site(s))
-	}
 	return tb
 }
 

@@ -63,19 +63,6 @@ type VM struct {
 	ended   time.Time
 }
 
-// ID returns the instance id.
-func (vm *VM) ID() string { return vm.id }
-
-// Type returns the instance type.
-func (vm *VM) Type() VMType { return vm.vtype }
-
-// State returns the lifecycle state.
-func (vm *VM) State() VMState {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	return vm.state
-}
-
 // Config describes a simulated cloud region.
 type Config struct {
 	// Name is the region/site name.

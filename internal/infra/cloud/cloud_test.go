@@ -23,6 +23,13 @@ func testConfig(clock vclock.Clock) Config {
 	}
 }
 
+// stateOf reads a VM's lifecycle state under its lock.
+func stateOf(vm *VM) VMState {
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	return vm.state
+}
+
 func TestProvisionBootsVMs(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(testConfig(clock))
@@ -36,11 +43,11 @@ func TestProvisionBootsVMs(t *testing.T) {
 		t.Fatalf("got %d VMs, want 3", len(vms))
 	}
 	for _, vm := range vms {
-		if vm.State() != Ready {
-			t.Errorf("vm %s state = %v, want Ready", vm.ID(), vm.State())
+		if stateOf(vm) != Ready {
+			t.Errorf("vm %s state = %v, want Ready", vm.id, stateOf(vm))
 		}
-		if vm.Type().Name != "small" {
-			t.Errorf("vm type = %q, want small", vm.Type().Name)
+		if vm.vtype.Name != "small" {
+			t.Errorf("vm type = %q, want small", vm.vtype.Name)
 		}
 	}
 	if boot := clock.Since(start); boot != 5*time.Second {
@@ -82,8 +89,8 @@ func TestTerminateAccumulatesCost(t *testing.T) {
 	if cost, want := p.Cost(), (30*time.Second).Hours()*0.4; cost != want {
 		t.Errorf("cost = %g, want %g", cost, want)
 	}
-	if vms[0].State() != Terminated {
-		t.Errorf("state = %v, want Terminated", vms[0].State())
+	if stateOf(vms[0]) != Terminated {
+		t.Errorf("state = %v, want Terminated", stateOf(vms[0]))
 	}
 }
 
@@ -155,7 +162,7 @@ func TestDefaultTypeUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vms[0].Type().Name != "small" {
-		t.Errorf("default type = %q, want small", vms[0].Type().Name)
+	if vms[0].vtype.Name != "small" {
+		t.Errorf("default type = %q, want small", vms[0].vtype.Name)
 	}
 }

@@ -21,9 +21,8 @@ var ErrBackendDown = errors.New("backend unavailable (injected outage)")
 // chaos engine's own scheduled participant, which keeps this type free of
 // time arithmetic and therefore trivially deterministic.
 type Faults struct {
-	mu      sync.Mutex
-	down    bool
-	outages int
+	mu   sync.Mutex
+	down bool
 }
 
 // SetDown opens (true) or closes (false) an outage window.
@@ -32,9 +31,6 @@ func (f *Faults) SetDown(down bool) {
 		return
 	}
 	f.mu.Lock()
-	if down && !f.down {
-		f.outages++
-	}
 	f.down = down
 	f.mu.Unlock()
 }
@@ -47,16 +43,6 @@ func (f *Faults) Down() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.down
-}
-
-// Outages returns how many outage windows have been opened. Nil-safe.
-func (f *Faults) Outages() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.outages
 }
 
 // Check returns ErrBackendDown while an outage window is open, nil

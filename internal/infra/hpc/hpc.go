@@ -172,27 +172,6 @@ func (j *Job) Wait(ctx context.Context) (State, error) {
 	return j.State(), ctx.Err()
 }
 
-// QueueWait returns the modeled time the job spent queued; valid once the
-// job started.
-func (j *Job) QueueWait() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started.IsZero() {
-		return 0
-	}
-	return j.started.Sub(j.submitted)
-}
-
-// Runtime returns the modeled run duration; valid after termination.
-func (j *Job) Runtime() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started.IsZero() || j.ended.IsZero() {
-		return 0
-	}
-	return j.ended.Sub(j.started)
-}
-
 // Cluster is a simulated HPC machine. Create with New; all methods are safe
 // for concurrent use.
 type Cluster struct {
@@ -205,9 +184,6 @@ type Cluster struct {
 	running   map[*Job]time.Time // expected end (start + walltime)
 	nextID    int
 	closed    bool
-
-	busyNodeSec float64
-	opened      time.Time
 
 	queueWaits *metrics.Series
 
@@ -229,12 +205,11 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:        cfg.withDefaults(),
 		running:    make(map[*Job]time.Time),
-		queueWaits: metrics.NewSeries("queue_wait_s"),
+		queueWaits: metrics.NewSeries(),
 	}
 	c.wake = vclock.NewNotifier(c.cfg.Clock)
 	c.wg = vclock.NewGroup(c.cfg.Clock)
 	c.freeNodes = c.cfg.Nodes
-	c.opened = c.cfg.Clock.Now()
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	c.wg.Add(1)
 	c.cfg.Clock.Go(c.schedulerLoop)
@@ -246,9 +221,6 @@ func (c *Cluster) Name() string { return c.cfg.Name }
 
 // Site returns the cluster's site identity.
 func (c *Cluster) Site() infra.Site { return infra.Site(c.cfg.Name) }
-
-// Nodes returns the machine size in nodes.
-func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
 // CoresPerNode returns the per-node core count.
 func (c *Cluster) CoresPerNode() int { return c.cfg.CoresPerNode }
@@ -329,47 +301,6 @@ func (c *Cluster) Cancel(j *Job) {
 	default:
 		c.mu.Unlock()
 	}
-}
-
-// QueueDepth returns the number of pending jobs.
-func (c *Cluster) QueueDepth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
-// RunningJobs returns the number of running jobs.
-func (c *Cluster) RunningJobs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.running)
-}
-
-// FreeNodes returns the number of currently idle nodes.
-func (c *Cluster) FreeNodes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.freeNodes
-}
-
-// Utilization returns busy node-time divided by total node-time since the
-// cluster opened.
-func (c *Cluster) Utilization() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elapsed := c.cfg.Clock.Since(c.opened).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	// Include node-time of still-running jobs up to "now".
-	busy := c.busyNodeSec
-	now := c.cfg.Clock.Now()
-	for j := range c.running {
-		j.mu.Lock()
-		busy += now.Sub(j.started).Seconds() * float64(j.spec.Nodes)
-		j.mu.Unlock()
-	}
-	return busy / (elapsed * float64(c.cfg.Nodes))
 }
 
 // QueueWaitStats returns the observed queue-wait sample (seconds).
@@ -577,13 +508,11 @@ func (c *Cluster) runJob(ctx context.Context, cancel context.CancelFunc, j *Job,
 	default:
 		j.state = Completed
 	}
-	started := j.started
 	j.mu.Unlock()
 
 	c.mu.Lock()
 	delete(c.running, j)
 	c.freeNodes += j.spec.Nodes
-	c.busyNodeSec += now.Sub(started).Seconds() * float64(j.spec.Nodes)
 	c.mu.Unlock()
 	j.done.Fire()
 	c.kick()

@@ -21,6 +21,19 @@ func okPayload(d time.Duration, clock vclock.Clock) infra.Payload {
 	}
 }
 
+// queueWait and runtime read a terminated job's modeled timeline.
+func queueWait(j *Job) time.Duration {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.started.Sub(j.submitted)
+}
+
+func runtime(j *Job) time.Duration {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.ended.Sub(j.started)
+}
+
 func TestJobCompletes(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "test", Nodes: 4, CoresPerNode: 8, Clock: clock})
@@ -33,8 +46,8 @@ func TestJobCompletes(t *testing.T) {
 	if state != Completed || err != nil {
 		t.Fatalf("state=%v err=%v", state, err)
 	}
-	if j.Runtime() != 10*time.Second {
-		t.Errorf("Runtime = %v, want 10s modeled", j.Runtime())
+	if runtime(j) != 10*time.Second {
+		t.Errorf("Runtime = %v, want 10s modeled", runtime(j))
 	}
 }
 
@@ -67,7 +80,7 @@ func TestCapacityWaitEmerges(t *testing.T) {
 	j2, _ := c.Submit(JobSpec{Nodes: 1, Walltime: time.Hour, Payload: okPayload(time.Second, clock)})
 	j1.Wait(context.Background())
 	j2.Wait(context.Background())
-	if w := j2.QueueWait(); w != 20*time.Second {
+	if w := queueWait(j2); w != 20*time.Second {
 		t.Errorf("j2 queue wait = %v, want 20s (capacity wait behind j1)", w)
 	}
 }
@@ -78,7 +91,7 @@ func TestExogenousQueueWaitApplied(t *testing.T) {
 	defer c.Shutdown()
 	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
 	j.Wait(context.Background())
-	if w := j.QueueWait(); w != 30*time.Second {
+	if w := queueWait(j); w != 30*time.Second {
 		t.Errorf("queue wait = %v, want 30s", w)
 	}
 }
@@ -95,8 +108,8 @@ func TestWalltimeEnforced(t *testing.T) {
 	if !errors.Is(j.Err(), context.DeadlineExceeded) {
 		t.Errorf("Err = %v, want DeadlineExceeded", j.Err())
 	}
-	if j.Runtime() != 5*time.Second {
-		t.Errorf("Runtime = %v, want the 5s walltime", j.Runtime())
+	if runtime(j) != 5*time.Second {
+		t.Errorf("Runtime = %v, want the 5s walltime", runtime(j))
 	}
 }
 
@@ -180,13 +193,13 @@ func TestBackfillLetsSmallJobJumpQueue(t *testing.T) {
 	if state != Completed {
 		t.Fatalf("small job state=%v err=%v", state, err)
 	}
-	if small.QueueWait() != 0 {
-		t.Errorf("small job waited %v; backfill should start it at once", small.QueueWait())
+	if queueWait(small) != 0 {
+		t.Errorf("small job waited %v; backfill should start it at once", queueWait(small))
 	}
 	blocker.Wait(context.Background())
 	head.Wait(context.Background())
-	if head.QueueWait() != 100*time.Second {
-		t.Errorf("head job waited %v, want the blocker's 100s", head.QueueWait())
+	if queueWait(head) != 100*time.Second {
+		t.Errorf("head job waited %v, want the blocker's 100s", queueWait(head))
 	}
 }
 
@@ -200,8 +213,8 @@ func TestNoBackfillStrictFCFS(t *testing.T) {
 	small.Wait(context.Background())
 	// Under strict FCFS the small job cannot start before the head job:
 	// blocker 50s, then head 1s.
-	if small.QueueWait() != 51*time.Second {
-		t.Errorf("small job waited %v; FCFS should hold it 51s behind blocker and head", small.QueueWait())
+	if queueWait(small) != 51*time.Second {
+		t.Errorf("small job waited %v; FCFS should hold it 51s behind blocker and head", queueWait(small))
 	}
 	blocker.Wait(context.Background())
 	head.Wait(context.Background())
@@ -224,16 +237,14 @@ func TestManyJobsDrainAndUtilization(t *testing.T) {
 			t.Fatalf("job %s: state=%v err=%v, want Completed", j.ID(), s, err)
 		}
 	}
-	// 32 one-node 2s jobs on 4 nodes: eight full waves, no idle node-time.
-	if u := c.Utilization(); u != 1 {
-		t.Errorf("utilization = %g, want 1", u)
+	c.mu.Lock()
+	if len(c.pending) != 0 || len(c.running) != 0 {
+		t.Errorf("cluster not drained: depth=%d running=%d", len(c.pending), len(c.running))
 	}
-	if c.QueueDepth() != 0 || c.RunningJobs() != 0 {
-		t.Errorf("cluster not drained: depth=%d running=%d", c.QueueDepth(), c.RunningJobs())
+	if c.freeNodes != 4 {
+		t.Errorf("free nodes = %d, want 4", c.freeNodes)
 	}
-	if c.FreeNodes() != 4 {
-		t.Errorf("FreeNodes = %d, want 4", c.FreeNodes())
-	}
+	c.mu.Unlock()
 	if s := c.QueueWaitStats(); s.N != 32 {
 		t.Errorf("queue wait samples = %d, want 32", s.N)
 	}

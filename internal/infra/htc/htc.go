@@ -57,10 +57,8 @@ func (s State) String() string {
 type Config struct {
 	// Name is the site name.
 	Name string
-	// Slots is the number of concurrently usable execution slots.
+	// Slots is the number of concurrently usable one-core execution slots.
 	Slots int
-	// CoresPerSlot is the core count of each slot (usually 1).
-	CoresPerSlot int
 	// MatchDelay samples per-job matchmaking/negotiation overhead in seconds.
 	MatchDelay dist.Dist
 	// EvictionRate is the per-job probability that a run attempt is evicted
@@ -88,9 +86,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Slots <= 0 {
 		out.Slots = 64
-	}
-	if out.CoresPerSlot <= 0 {
-		out.CoresPerSlot = 1
 	}
 	hasStream := out.Stream != nil
 	if !hasStream {
@@ -148,48 +143,6 @@ type Job struct {
 	done *vclock.Event
 }
 
-// ID returns the job identifier.
-func (j *Job) ID() string { return j.id }
-
-// State returns the current state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Attempts returns how many run attempts were made (1 + evict-retries).
-func (j *Job) Attempts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
-}
-
-// Err returns the terminal error, if any.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Wait blocks for terminal state or ctx cancellation.
-func (j *Job) Wait(ctx context.Context) (State, error) {
-	if j.done.Wait(ctx) {
-		return j.State(), j.Err()
-	}
-	return j.State(), ctx.Err()
-}
-
-// TurnaroundTime is submission-to-termination in modeled time.
-func (j *Job) TurnaroundTime() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.ended.IsZero() {
-		return 0
-	}
-	return j.ended.Sub(j.submitted)
-}
-
 // Pool is a simulated HTC pool.
 type Pool struct {
 	cfg    Config
@@ -219,7 +172,7 @@ var ErrPoolClosed = fmt.Errorf("htc: pool closed: %w", infra.ErrBackendClosed)
 func New(cfg Config) *Pool {
 	p := &Pool{
 		cfg:         cfg.withDefaults(),
-		matchDelays: metrics.NewSeries("match_delay_s"),
+		matchDelays: metrics.NewSeries(),
 	}
 	p.slots = vclock.NewSem(p.cfg.Clock, p.cfg.Slots)
 	p.wg = vclock.NewGroup(p.cfg.Clock)
@@ -259,13 +212,6 @@ func (p *Pool) Storm() int {
 		h.cancel()
 	}
 	return len(hs)
-}
-
-// Evictions returns the total evictions observed.
-func (p *Pool) Evictions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.evictions
 }
 
 // MatchDelayStats summarizes observed matchmaking delays (seconds).
@@ -413,7 +359,7 @@ func (p *Pool) attempt(j *Job) (State, error) {
 	alloc := infra.Allocation{
 		ID:      fmt.Sprintf("%s.a%d", j.id, attempt),
 		Site:    p.Site(),
-		Cores:   p.cfg.CoresPerSlot,
+		Cores:   1,
 		Nodes:   []string{fmt.Sprintf("%s-slot", p.cfg.Name)},
 		Granted: now,
 	}

@@ -22,6 +22,31 @@ func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 	}
 }
 
+// wait, attempts and evictions are the tests' way into a job's outcome and
+// the pool's eviction count; the product reads neither (saga only submits
+// and cancels glideins).
+func wait(ctx context.Context, j *Job) (State, error) {
+	ok := j.done.Wait(ctx)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !ok {
+		return j.state, ctx.Err()
+	}
+	return j.state, j.err
+}
+
+func attempts(j *Job) int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.attempts
+}
+
+func evictions(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.evictions
+}
+
 func TestJobCompletes(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "osg", Slots: 4, Clock: clock})
@@ -30,12 +55,12 @@ func TestJobCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := j.Wait(context.Background())
+	state, err := wait(context.Background(), j)
 	if state != Completed || err != nil {
 		t.Fatalf("state=%v err=%v", state, err)
 	}
-	if j.Attempts() != 1 {
-		t.Errorf("Attempts = %d, want 1", j.Attempts())
+	if attempts(j) != 1 {
+		t.Errorf("Attempts = %d, want 1", attempts(j))
 	}
 }
 
@@ -44,8 +69,8 @@ func TestMatchDelayApplied(t *testing.T) {
 	p := New(Config{Name: "slow", Slots: 4, MatchDelay: dist.Constant(10), Clock: clock})
 	defer p.Shutdown()
 	j, _ := p.Submit(JobSpec{Payload: sleeper(0, clock)})
-	j.Wait(context.Background())
-	if tt := j.TurnaroundTime(); tt != 10*time.Second {
+	wait(context.Background(), j)
+	if tt := j.ended.Sub(j.submitted); tt != 10*time.Second {
 		t.Errorf("turnaround = %v, want the 10s match delay", tt)
 	}
 	if s := p.MatchDelayStats(); s.N < 1 {
@@ -77,7 +102,7 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 		jobs[i], _ = p.Submit(JobSpec{Runtime: 2 * time.Second, Payload: payload})
 	}
 	for _, j := range jobs {
-		j.Wait(context.Background())
+		wait(context.Background(), j)
 	}
 	if peak != 2 {
 		t.Fatalf("peak concurrency = %d, want 2 (both slots busy, never more)", peak)
@@ -92,7 +117,7 @@ func TestEvictionWithRetrySucceeds(t *testing.T) {
 	// eventually... never succeed at rate 1.0. Use a payload that finishes
 	// instantly so eviction cannot land (Runtime=0 disables eviction timer).
 	j, _ := p.Submit(JobSpec{Runtime: 0, Payload: sleeper(0, clock)})
-	state, _ := j.Wait(context.Background())
+	state, _ := wait(context.Background(), j)
 	if state != Completed {
 		t.Fatalf("state = %v, want Completed", state)
 	}
@@ -105,15 +130,15 @@ func TestEvictionExhaustsRetries(t *testing.T) {
 	// The payload runs far past the runtime estimate the eviction point is
 	// sampled from, so the eviction always lands first.
 	j, _ := p.Submit(JobSpec{Runtime: 5 * time.Second, Payload: sleeper(120*time.Second, clock)})
-	state, err := j.Wait(context.Background())
+	state, err := wait(context.Background(), j)
 	if state != Evicted {
 		t.Fatalf("state = %v err=%v, want Evicted", state, err)
 	}
-	if j.Attempts() != 3 { // initial + 2 retries
-		t.Errorf("Attempts = %d, want 3", j.Attempts())
+	if attempts(j) != 3 { // initial + 2 retries
+		t.Errorf("Attempts = %d, want 3", attempts(j))
 	}
-	if p.Evictions() != 3 {
-		t.Errorf("pool evictions = %d, want 3", p.Evictions())
+	if evictions(p) != 3 {
+		t.Errorf("pool evictions = %d, want 3", evictions(p))
 	}
 }
 
@@ -126,12 +151,12 @@ func TestNoEvictionAtRateZero(t *testing.T) {
 		jobs[i], _ = p.Submit(JobSpec{Runtime: time.Second, Payload: sleeper(time.Second, clock)})
 	}
 	for _, j := range jobs {
-		if s, _ := j.Wait(context.Background()); s != Completed {
+		if s, _ := wait(context.Background(), j); s != Completed {
 			t.Fatalf("state = %v, want Completed", s)
 		}
 	}
-	if p.Evictions() != 0 {
-		t.Errorf("evictions = %d, want 0", p.Evictions())
+	if evictions(p) != 0 {
+		t.Errorf("evictions = %d, want 0", evictions(p))
 	}
 }
 
@@ -141,7 +166,7 @@ func TestFailedPayload(t *testing.T) {
 	defer p.Shutdown()
 	boom := errors.New("boom")
 	j, _ := p.Submit(JobSpec{Payload: func(context.Context, infra.Allocation) error { return boom }})
-	state, err := j.Wait(context.Background())
+	state, err := wait(context.Background(), j)
 	if state != Failed || !errors.Is(err, boom) {
 		t.Fatalf("state=%v err=%v", state, err)
 	}

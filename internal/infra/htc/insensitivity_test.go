@@ -53,10 +53,10 @@ func TestEvictionDrawsJobInsensitive(t *testing.T) {
 		defer cancel()
 		out := make(map[string]int, len(base))
 		for _, j := range base {
-			if s, err := j.Wait(ctx); s != Completed {
-				t.Fatalf("job %s: %v (%v)", j.ID(), s, err)
+			if s, err := wait(ctx, j); s != Completed {
+				t.Fatalf("job %s: %v (%v)", j.id, s, err)
 			}
-			out[j.ID()] = j.Attempts()
+			out[j.id] = attempts(j)
 		}
 		return out
 	}

@@ -41,11 +41,11 @@ func TestVirtualClockEvictionWatchdog(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for _, j := range jobs {
-		if s, err := j.Wait(ctx); s != Completed {
-			t.Fatalf("job %s: %v (%v), attempts=%d", j.ID(), s, err, j.Attempts())
+		if s, err := wait(ctx, j); s != Completed {
+			t.Fatalf("job %s: %v (%v), attempts=%d", j.id, s, err, attempts(j))
 		}
 	}
-	if p.Evictions() == 0 {
+	if evictions(p) == 0 {
 		t.Fatal("expected evictions at rate 0.5")
 	}
 	clock.Leave()

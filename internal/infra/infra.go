@@ -97,7 +97,3 @@ func NodeNames(prefix string, count int) []string {
 	}
 	return names
 }
-
-// CoresOf sums a per-node core count over node names — a convenience for
-// backends that grant whole nodes.
-func CoresOf(nodes []string, coresPerNode int) int { return len(nodes) * coresPerNode }

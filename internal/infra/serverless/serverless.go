@@ -14,7 +14,6 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
-	"gopilot/internal/metrics"
 	"gopilot/internal/vclock"
 )
 
@@ -92,7 +91,6 @@ type Platform struct {
 
 	coldStarts int
 	warmStarts int
-	latencies  *metrics.Series
 }
 
 // ErrClosed is returned after Shutdown; it wraps infra.ErrBackendClosed
@@ -102,16 +100,12 @@ var ErrClosed = fmt.Errorf("serverless: platform closed: %w", infra.ErrBackendCl
 // New creates a platform.
 func New(cfg Config) *Platform {
 	p := &Platform{
-		cfg:       cfg.withDefaults(),
-		warm:      make(map[string][]time.Time),
-		latencies: metrics.NewSeries("invoke_latency_s"),
+		cfg:  cfg.withDefaults(),
+		warm: make(map[string][]time.Time),
 	}
 	p.sem = vclock.NewSem(p.cfg.Clock, p.cfg.ConcurrencyLimit)
 	return p
 }
-
-// Name returns the platform name.
-func (p *Platform) Name() string { return p.cfg.Name }
 
 // Site returns the platform's site identity.
 func (p *Platform) Site() infra.Site { return infra.Site(p.cfg.Name) }
@@ -133,9 +127,6 @@ func (p *Platform) WarmStarts() int {
 	return p.warmStarts
 }
 
-// LatencyStats summarizes invocation latencies (startup only, seconds).
-func (p *Platform) LatencyStats() metrics.Summary { return p.latencies.Summary() }
-
 // Invoke runs fn under the platform's execution model: it acquires a
 // concurrency token, pays a cold or warm start, executes the payload on a
 // single-core allocation, and returns the container to the warm pool.
@@ -155,7 +146,6 @@ func (p *Platform) Invoke(ctx context.Context, function string, fn infra.Payload
 	}
 	defer p.sem.Release()
 
-	start := p.cfg.Clock.Now()
 	cold := !p.takeWarm(function)
 	var startup time.Duration
 	if cold {
@@ -175,7 +165,6 @@ func (p *Platform) Invoke(ctx context.Context, function string, fn infra.Payload
 	p.nextID++
 	id := fmt.Sprintf("%s.%s.%d", p.cfg.Name, function, p.nextID)
 	p.mu.Unlock()
-	p.latencies.Add(p.cfg.Clock.Since(start).Seconds())
 
 	alloc := infra.Allocation{
 		ID:      id,

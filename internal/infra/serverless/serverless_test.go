@@ -133,13 +133,3 @@ func TestAllocationIsSingleCore(t *testing.T) {
 		t.Fatalf("Site = %q, want l", got.Site)
 	}
 }
-
-func TestLatencyStatsRecorded(t *testing.T) {
-	p := New(Config{Name: "l", ColdStart: dist.Constant(0.1), Clock: vclocktest.Adopted(t)})
-	for i := 0; i < 5; i++ {
-		p.Invoke(context.Background(), "f", noop)
-	}
-	if s := p.LatencyStats(); s.N != 5 {
-		t.Fatalf("latency samples = %d, want 5", s.N)
-	}
-}

@@ -71,12 +71,6 @@ type Container struct {
 	released bool
 }
 
-// ID returns the container id.
-func (c *Container) ID() string { return c.id }
-
-// Cores returns the container's core count.
-func (c *Container) Cores() int { return c.cores }
-
 // Cluster is a simulated YARN resource manager.
 type Cluster struct {
 	cfg    Config

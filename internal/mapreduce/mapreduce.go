@@ -55,10 +55,6 @@ type Config struct {
 	Map     Mapper
 	Reduce  Reducer
 	Combine Reducer
-	// CoresPerTask sizes each map/reduce unit (default 1).
-	CoresPerTask int
-	// MaxRetries is the per-unit retry budget.
-	MaxRetries int
 	// MapCost and ReduceCost add modeled compute per task, letting
 	// benchmarks represent production-sized inputs whose processing time
 	// dwarfs the (small) in-process sample data.
@@ -94,9 +90,6 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	if cfg.Reducers <= 0 {
 		cfg.Reducers = 1
 	}
-	if cfg.CoresPerTask <= 0 {
-		cfg.CoresPerTask = 1
-	}
 	if cfg.Name == "" {
 		cfg.Name = "mrjob"
 	}
@@ -108,10 +101,9 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	for i, in := range cfg.InputIDs {
 		i, in := i, in
 		u, err := mgr.SubmitUnit(core.UnitDescription{
-			Name:       fmt.Sprintf("%s.map%d", cfg.Name, i),
-			Cores:      cfg.CoresPerTask,
-			InputData:  []string{in},
-			MaxRetries: cfg.MaxRetries,
+			Name:      fmt.Sprintf("%s.map%d", cfg.Name, i),
+			Cores:     1,
+			InputData: []string{in},
 			Run: func(ctx context.Context, tc core.TaskContext) error {
 				return runMapTask(ctx, tc, cfg, i, in)
 			},
@@ -140,10 +132,9 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 		}
 		outputIDs[r] = fmt.Sprintf("%s.out%d", cfg.Name, r)
 		u, err := mgr.SubmitUnit(core.UnitDescription{
-			Name:       fmt.Sprintf("%s.reduce%d", cfg.Name, r),
-			Cores:      cfg.CoresPerTask,
-			InputData:  inputs,
-			MaxRetries: cfg.MaxRetries,
+			Name:      fmt.Sprintf("%s.reduce%d", cfg.Name, r),
+			Cores:     1,
+			InputData: inputs,
 			Run: func(ctx context.Context, tc core.TaskContext) error {
 				return runReduceTask(ctx, tc, cfg, r, inputs, outputIDs[r])
 			},

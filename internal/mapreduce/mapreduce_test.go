@@ -36,7 +36,6 @@ func newEnv(t *testing.T, sites ...string) *env {
 	ds := data.NewService(data.Config{Clock: clock, DefaultLink: data.Link{Bandwidth: 100e6, Latency: 10 * time.Millisecond}})
 	for _, s := range sites {
 		reg.Register(saga.NewLocalService(s, 32, clock))
-		ds.AddSite(infra.Site(s))
 	}
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Data: ds, Scheduler: scheduler.DataAware{}})
 	t.Cleanup(mgr.Close)

@@ -82,12 +82,6 @@ func NewCache(cfg Config) *Cache {
 	}
 }
 
-// Name returns the cache label.
-func (c *Cache) Name() string { return c.cfg.Name }
-
-// Capacity returns the configured capacity in bytes.
-func (c *Cache) Capacity() int64 { return c.cfg.CapacityBytes }
-
 func (c *Cache) cost(size int64) time.Duration {
 	return time.Duration(float64(size) / c.cfg.Bandwidth * float64(time.Second))
 }
@@ -183,18 +177,6 @@ func (c *Cache) GetOrLoad(ctx context.Context, key string, size int64, load func
 		return nil, err
 	}
 	return v, nil
-}
-
-// Delete removes a key (no-op when absent).
-func (c *Cache) Delete(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		c.order.Remove(el)
-		delete(c.items, key)
-		c.resident -= e.size
-	}
 }
 
 // Len returns the number of resident entries.

@@ -140,16 +140,6 @@ func TestGetOrLoadValueTooLargeStillServed(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	c := newCache(t, 1000)
-	c.Put(context.Background(), "k", "v", 100)
-	c.Delete("k")
-	if c.Len() != 0 || c.Resident() != 0 {
-		t.Fatalf("len=%d resident=%d after delete", c.Len(), c.Resident())
-	}
-	c.Delete("absent") // no-op
-}
-
 func TestHitRate(t *testing.T) {
 	c := newCache(t, 1000)
 	ctx := context.Background()
@@ -164,7 +154,7 @@ func TestHitRate(t *testing.T) {
 
 // TestConcurrentAccess keeps real-thread overlap for -race: eight
 // participants fill and read the cache on the executor's token while the
-// others' deletes and accounting reads run in Compute bodies — off-token,
+// others' accounting reads run in Compute bodies — off-token,
 // on their own goroutines — ordered against them by the cache's lock alone.
 func TestConcurrentAccess(t *testing.T) {
 	c := newCache(t, 1<<20)
@@ -188,20 +178,19 @@ func TestConcurrentAccess(t *testing.T) {
 						c.Stats()
 						c.HitRate()
 					}
-					c.Delete(key)
 				})
 			}
 		})
 	}
 	wg.Wait()
-	if c.Resident() > c.Capacity() {
-		t.Fatalf("resident %d exceeds capacity %d", c.Resident(), c.Capacity())
+	if c.Resident() > c.cfg.CapacityBytes {
+		t.Fatalf("resident %d exceeds capacity %d", c.Resident(), c.cfg.CapacityBytes)
 	}
 }
 
 func TestDefaults(t *testing.T) {
 	c := NewCache(Config{})
-	if c.Capacity() != 4<<30 {
-		t.Fatalf("default capacity = %d", c.Capacity())
+	if c.cfg.CapacityBytes != 4<<30 {
+		t.Fatalf("default capacity = %d", c.cfg.CapacityBytes)
 	}
 }

@@ -25,7 +25,6 @@ import (
 // of the Adds (only the run count — the memory — does).
 type Series struct {
 	mu   sync.Mutex
-	name string
 	runs []run
 	n    int
 }
@@ -36,11 +35,8 @@ type run struct {
 	n int
 }
 
-// NewSeries creates a named sample series.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
+// NewSeries creates an empty sample series.
+func NewSeries() *Series { return &Series{} }
 
 // Add appends a sample.
 func (s *Series) Add(x float64) { s.AddN(x, 1) }
@@ -59,13 +55,6 @@ func (s *Series) AddN(x float64, n int) {
 	}
 	s.n += n
 	s.mu.Unlock()
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 // Summary summarizes the samples collected so far: summarizeSorted over

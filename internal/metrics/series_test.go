@@ -23,7 +23,7 @@ func sameBits(a, b Summary) bool {
 }
 
 func TestSeriesConcurrent(t *testing.T) {
-	s := NewSeries("x")
+	s := NewSeries()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -35,8 +35,8 @@ func TestSeriesConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", s.Len())
+	if s.Summary().N != 800 {
+		t.Fatalf("N = %d, want 800", s.Summary().N)
 	}
 	if s.Summary().Mean != 1 {
 		t.Fatalf("Mean = %g, want 1", s.Summary().Mean)
@@ -45,7 +45,7 @@ func TestSeriesConcurrent(t *testing.T) {
 	// Different values in racing order: the interleaving decides how many
 	// runs the series holds, never what it summarizes to.
 	sample := func(g, i int) float64 { return float64(g)*0.1 + float64(i%7)*1e-3 }
-	raced, sequential := NewSeries("raced"), NewSeries("sequential")
+	raced, sequential := NewSeries(), NewSeries()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -68,7 +68,7 @@ func TestSeriesConcurrent(t *testing.T) {
 // what its runs cost, not what its samples would. 10⁶ samples in 10³ runs
 // is 16 KB of runs plus append's growth; one float64 per sample was 16 MiB.
 func TestSeriesFootprintFollowsRuns(t *testing.T) {
-	s := NewSeries("x")
+	s := NewSeries()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r := 0; r < 1000; r++ {
@@ -77,8 +77,8 @@ func TestSeriesFootprintFollowsRuns(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if s.Len() != 1_000_000 {
-		t.Fatalf("Len = %d, want 1000000", s.Len())
+	if s.Summary().N != 1_000_000 {
+		t.Fatalf("N = %d, want 1000000", s.Summary().N)
 	}
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("10⁶ samples in 10³ runs allocated %d B", got)
@@ -100,7 +100,7 @@ const fuzzSeriesMaxSamples = 1 << 20
 // h>>1&3 picks the count: Add, AddN of one byte, AddN of twelve bits, or
 // AddN of a non-positive n (which must add nothing).
 func driveSeries(script []byte) (*Series, []float64) {
-	s := NewSeries("fuzz")
+	s := NewSeries()
 	var xs []float64
 	take := func(n int) []byte {
 		if len(script) < n {
@@ -160,8 +160,8 @@ func FuzzSeriesSummaryMatchesSamples(f *testing.F) {
 	f.Add([]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0x27, 0x10, 1, 0, 0, 0, 0, 0, 0, 0, 0}) // -0, grid 0, +0
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s, xs := driveSeries(script)
-		if s.Len() != len(xs) {
-			t.Fatalf("Len = %d, want %d", s.Len(), len(xs))
+		if s.Summary().N != len(xs) {
+			t.Fatalf("N = %d, want %d", s.Summary().N, len(xs))
 		}
 		if got, want := s.Summary(), Summarize(xs); !sameBits(got, want) {
 			t.Fatalf("Summary = %+v\nSummarize(expanded) = %+v", got, want)

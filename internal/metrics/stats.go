@@ -98,31 +98,15 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the sample standard deviation of xs (Bessel-corrected),
-// or 0 when fewer than two values are present.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sq float64
-	for _, x := range xs {
-		d := x - m
-		sq += d * d
-	}
-	return math.Sqrt(sq / float64(len(xs)-1))
-}
-
 // Accumulator is an online (single-pass, Welford) mean/variance accumulator.
 // The zero value is ready to use. It is not safe for concurrent use; wrap it
-// in a mutex or use one per goroutine and merge.
+// in a mutex.
 type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
 	min  float64
 	max  float64
-	sum  float64
 }
 
 // Add incorporates x into the accumulator.
@@ -138,33 +122,9 @@ func (a *Accumulator) Add(x float64) {
 			a.max = x
 		}
 	}
-	a.sum += x
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-}
-
-// Merge folds the state of b into a, as if every observation added to b had
-// been added to a (Chan et al. parallel variance combination).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2, a.sum = n, mean, m2, a.sum+b.sum
 }
 
 // N returns the number of observations.
@@ -172,9 +132,6 @@ func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean, or 0 before any observation.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Sum returns the running sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
 
 // Min returns the smallest observation, or 0 before any observation.
 func (a *Accumulator) Min() float64 { return a.min }
@@ -210,14 +167,6 @@ func Speedup(t1, tN time.Duration) float64 {
 		return 0
 	}
 	return t1.Seconds() / tN.Seconds()
-}
-
-// Efficiency returns speedup divided by the worker count.
-func Efficiency(t1, tN time.Duration, workers int) float64 {
-	if workers <= 0 {
-		return 0
-	}
-	return Speedup(t1, tN) / float64(workers)
 }
 
 // FormatDuration renders a modeled duration compactly for result tables

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"gopilot/internal/core"
@@ -35,10 +34,6 @@ type TaskWorkload struct {
 	Duration dist.Dist
 	// Cores per task (default 1).
 	Cores int
-	// InputData optionally attaches the same data-units to every task.
-	InputData []string
-	// MaxRetries is the per-unit retry budget.
-	MaxRetries int
 }
 
 // Units materializes the workload as unit descriptions. Service times are
@@ -60,10 +55,8 @@ func (w TaskWorkload) Units() []core.UnitDescription {
 	for i := range out {
 		service := time.Duration(d.Sample() * float64(time.Second))
 		out[i] = core.UnitDescription{
-			Name:       fmt.Sprintf("%s-%04d", w.Name, i),
-			Cores:      cores,
-			InputData:  w.InputData,
-			MaxRetries: w.MaxRetries,
+			Name:  fmt.Sprintf("%s-%04d", w.Name, i),
+			Cores: cores,
 			Run: func(ctx context.Context, tc core.TaskContext) error {
 				if !tc.Sleep(ctx, service) {
 					return ctx.Err()
@@ -123,15 +116,6 @@ func (d Design) Points() []map[string]float64 {
 		points = next
 	}
 	return points
-}
-
-// Size returns the number of design points.
-func (d Design) Size() int {
-	n := 1
-	for _, f := range d.Factors {
-		n *= len(f.Levels)
-	}
-	return n
 }
 
 // RunFunc executes one configuration and returns named metrics.
@@ -239,37 +223,6 @@ func (rs *ResultSet) Table() *metrics.Table {
 
 // WriteCSV writes the result set in CSV form.
 func (rs *ResultSet) WriteCSV(w io.Writer) error { return rs.Table().WriteCSV(w) }
-
-// Aggregate summarizes one metric per configuration (across reps),
-// returning rows keyed by a stable "name=value,..." config string.
-func (rs *ResultSet) Aggregate(metric string) map[string]metrics.Summary {
-	groups := map[string][]float64{}
-	for _, row := range rs.Rows {
-		if row.Err != nil {
-			continue
-		}
-		v, ok := row.Metrics[metric]
-		if !ok {
-			continue
-		}
-		key := ConfigKey(row.Config, rs.Factors)
-		groups[key] = append(groups[key], v)
-	}
-	out := make(map[string]metrics.Summary, len(groups))
-	for k, xs := range groups {
-		out[k] = metrics.Summarize(xs)
-	}
-	return out
-}
-
-// ConfigKey renders a configuration deterministically.
-func ConfigKey(cfg map[string]float64, order []string) string {
-	parts := make([]string, 0, len(order))
-	for _, f := range order {
-		parts = append(parts, fmt.Sprintf("%s=%g", f, cfg[f]))
-	}
-	return strings.Join(parts, ",")
-}
 
 // Matrix extracts (X, y) regression inputs from the result set: features
 // are the named factors, the target is a metric. Failed rows are skipped.

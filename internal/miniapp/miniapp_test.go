@@ -62,7 +62,7 @@ func TestDesignPoints(t *testing.T) {
 		{Name: "b", Levels: []float64{10, 20, 30}},
 	}}
 	pts := d.Points()
-	if len(pts) != 6 || d.Size() != 6 {
+	if len(pts) != 6 {
 		t.Fatalf("points = %d, want 6", len(pts))
 	}
 	// First factor varies slowest.
@@ -83,13 +83,11 @@ func TestDesignEmpty(t *testing.T) {
 }
 
 func TestRunnerExecutesGridWithReps(t *testing.T) {
-	var calls []string
 	r := Runner{
 		Name:        "exp",
 		Design:      Design{Factors: []Factor{{Name: "x", Levels: []float64{1, 2}}}},
 		Repetitions: 3,
 		Run: func(_ context.Context, cfg map[string]float64, rep int) (map[string]float64, error) {
-			calls = append(calls, ConfigKey(cfg, []string{"x"}))
 			return map[string]float64{"y": cfg["x"] * 10}, nil
 		},
 	}
@@ -100,12 +98,10 @@ func TestRunnerExecutesGridWithReps(t *testing.T) {
 	if len(rs.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rs.Rows))
 	}
-	agg := rs.Aggregate("y")
-	if s := agg["x=1"]; s.N != 3 || s.Mean != 10 {
-		t.Fatalf("agg[x=1] = %+v", s)
-	}
-	if s := agg["x=2"]; s.Mean != 20 {
-		t.Fatalf("agg[x=2] = %+v", s)
+	for i, row := range rs.Rows { // x varies slowest: three reps of x=1, then of x=2
+		if want := float64(10 * (1 + i/3)); row.Metrics["y"] != want || row.Rep != i%3 {
+			t.Fatalf("row %d = %+v, want y=%g rep=%d", i, row, want, i%3)
+		}
 	}
 }
 
@@ -150,8 +146,8 @@ func TestRunnerContinueOnError(t *testing.T) {
 	if len(rs.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rs.Rows))
 	}
-	if agg := rs.Aggregate("y"); len(agg) != 2 {
-		t.Fatalf("aggregate over failed rows: %v", agg)
+	if rs.Rows[0].Err != nil || !errors.Is(rs.Rows[1].Err, boom) || rs.Rows[2].Err != nil {
+		t.Fatalf("row errors = %v, %v, %v; want only the middle one failed", rs.Rows[0].Err, rs.Rows[1].Err, rs.Rows[2].Err)
 	}
 }
 
@@ -206,12 +202,5 @@ func TestMatrixExtraction(t *testing.T) {
 	}
 	if x[1][0] != 3 || x[1][1] != 4 || y[1] != 6 {
 		t.Fatalf("row 1 = %v %g", x[1], y[1])
-	}
-}
-
-func TestConfigKeyStable(t *testing.T) {
-	cfg := map[string]float64{"b": 2, "a": 1}
-	if got := ConfigKey(cfg, []string{"a", "b"}); got != "a=1,b=2" {
-		t.Fatalf("key = %q", got)
 	}
 }

@@ -1,9 +1,9 @@
 // Package perfmodel provides the two modeling families the paper's
 // evaluation uses (§V.C, Fig. 4): white-box *analytical* models — pilot
-// makespan, the replica-exchange runtime model of Thota et al. [72],
-// Amdahl's law — and black-box *statistical* models (ordinary least
-// squares) used for streaming-throughput prediction [73]. Experiments
-// compare these predictions against the concurrent runtime's measurements.
+// makespan, the replica-exchange runtime model of Thota et al. [72] — and
+// black-box *statistical* models (ordinary least squares) used for
+// streaming-throughput prediction [73]. Experiments compare these
+// predictions against the concurrent runtime's measurements.
 package perfmodel
 
 import (
@@ -28,37 +28,6 @@ func PilotMakespan(n, cores int, t, startup, perTaskOverhead time.Duration) time
 	}
 	waves := (n + cores - 1) / cores
 	return startup + time.Duration(waves)*t + time.Duration(n)*perTaskOverhead
-}
-
-// SpeedupCurve evaluates strong scaling of PilotMakespan over core counts.
-func SpeedupCurve(n int, t, startup, overhead time.Duration, coreCounts []int) map[int]float64 {
-	if len(coreCounts) == 0 {
-		return nil
-	}
-	base := PilotMakespan(n, coreCounts[0], t, startup, overhead)
-	out := make(map[int]float64, len(coreCounts))
-	for _, c := range coreCounts {
-		m := PilotMakespan(n, c, t, startup, overhead)
-		if m > 0 {
-			out[c] = base.Seconds() / m.Seconds()
-		}
-	}
-	return out
-}
-
-// Amdahl returns the classic bound on speedup for a workload with the
-// given serial fraction on p workers.
-func Amdahl(serialFraction float64, p int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if serialFraction < 0 {
-		serialFraction = 0
-	}
-	if serialFraction > 1 {
-		serialFraction = 1
-	}
-	return 1 / (serialFraction + (1-serialFraction)/float64(p))
 }
 
 // RexModel is the analytical replica-exchange runtime model (after Thota

@@ -36,36 +36,6 @@ func TestPilotMakespanMonotonicity(t *testing.T) {
 	}
 }
 
-func TestSpeedupCurve(t *testing.T) {
-	curve := SpeedupCurve(64, time.Minute, 0, 0, []int{1, 2, 4, 8})
-	if curve[1] != 1 {
-		t.Errorf("speedup at base = %g", curve[1])
-	}
-	if math.Abs(curve[8]-8) > 1e-9 {
-		t.Errorf("ideal speedup at 8 cores = %g, want 8", curve[8])
-	}
-	// With overhead, speedup degrades below ideal.
-	withOv := SpeedupCurve(64, time.Minute, 0, 5*time.Second, []int{1, 8})
-	if withOv[8] >= 8 {
-		t.Errorf("overheads should reduce speedup, got %g", withOv[8])
-	}
-}
-
-func TestAmdahl(t *testing.T) {
-	if s := Amdahl(0, 16); s != 16 {
-		t.Errorf("fully parallel = %g, want 16", s)
-	}
-	if s := Amdahl(1, 16); s != 1 {
-		t.Errorf("fully serial = %g, want 1", s)
-	}
-	if s := Amdahl(0.1, 1e9); s > 10.0001 {
-		t.Errorf("asymptote = %g, want ≤10", s)
-	}
-	if Amdahl(0.5, 0) != 0 {
-		t.Error("p=0 should be 0")
-	}
-}
-
 func TestRexModel(t *testing.T) {
 	m := RexModel{
 		Replicas: 16, CoresPerReplica: 4, PilotCores: 32,
@@ -248,9 +218,6 @@ func TestFitOLSRecoversPlantedModel(t *testing.T) {
 	if r2 := r.R2(x, y); math.Abs(r2-1) > 1e-9 {
 		t.Errorf("R2 = %g, want 1", r2)
 	}
-	if rmse := r.RMSE(x, y); rmse > 1e-8 {
-		t.Errorf("RMSE = %g, want ~0", rmse)
-	}
 	if got := r.Predict([]float64{10, 2}); math.Abs(got-22) > 1e-8 {
 		t.Errorf("Predict = %g, want 22", got)
 	}
@@ -305,18 +272,6 @@ func TestRegressionString(t *testing.T) {
 	r := &Regression{Names: []string{"p"}, Coef: []float64{1.5, -2}}
 	if got := r.String(); got != "y = 1.5 + -2·p" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestMAPE(t *testing.T) {
-	r := &Regression{Names: []string{"x"}, Coef: []float64{0, 1}} // y = x
-	x := [][]float64{{10}, {20}}
-	y := []float64{11, 18} // 10% and 10% error
-	if m := r.MAPE(x, y); math.Abs(m-0.0954) > 0.02 {
-		t.Fatalf("MAPE = %g, want ≈0.095", m)
-	}
-	if m := r.MAPE([][]float64{{1}}, []float64{0}); m != 0 {
-		t.Fatalf("MAPE with zero target = %g", m)
 	}
 }
 

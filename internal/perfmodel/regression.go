@@ -147,36 +147,6 @@ func (r *Regression) R2(x [][]float64, y []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// RMSE returns the root-mean-square prediction error on a dataset.
-func (r *Regression) RMSE(x [][]float64, y []float64) float64 {
-	if len(y) == 0 {
-		return 0
-	}
-	var sum float64
-	for i, row := range x {
-		d := y[i] - r.Predict(row)
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(y)))
-}
-
-// MAPE returns the mean absolute percentage error (skipping zero targets).
-func (r *Regression) MAPE(x [][]float64, y []float64) float64 {
-	var sum float64
-	var n int
-	for i, row := range x {
-		if y[i] == 0 {
-			continue
-		}
-		sum += math.Abs((y[i] - r.Predict(row)) / y[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // String renders the fitted equation.
 func (r *Regression) String() string {
 	var b strings.Builder

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"time"
 
 	"gopilot/internal/dist"
@@ -35,7 +36,7 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max <= 0 {
 		b.Max = 5 * time.Minute
 	}
-	if b.Factor < 1 {
+	if !(b.Factor >= 1) { // NaN included
 		b.Factor = 2
 	}
 	if b.Jitter == 0 || b.Jitter >= 1 {
@@ -64,6 +65,9 @@ func (b Backoff) Delay(attempt int, stream *dist.Stream) time.Duration {
 	}
 	if d < 1 {
 		d = 1 // never zero: eligibility must move strictly forward
+	}
+	if d >= math.MaxInt64 {
+		return math.MaxInt64 // float64(MaxInt64) is 2⁶³: converting it would wrap negative
 	}
 	return time.Duration(d)
 }

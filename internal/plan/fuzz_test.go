@@ -1,8 +1,12 @@
 package plan
 
 import (
+	"math"
 	"slices"
 	"testing"
+	"time"
+
+	"gopilot/internal/dist"
 )
 
 // fuzzOffsets bounds the offset space the divergence fuzzer works in: small
@@ -198,6 +202,55 @@ func FuzzShardPlacement(f *testing.F) {
 			!slices.Equal(after[:len(survivors)], survivors) {
 			t.Fatalf("losing shard %d of %v (live %v): %v gives %v, want survivors %v in order plus at most one recruit",
 				victim, placed, live, drifts, after, survivors)
+		}
+	})
+}
+
+// FuzzBackoffDelay checks Delay over arbitrary (also absurd) shapes, after
+// withDefaults: a delay is at least 1ns — eligibility moves strictly
+// forward; without jitter the sequence over attempt never decreases and
+// stays put once it has reached Max; with jitter every delay lies within
+// [1−J, 1+J] of the un-jittered one; and the same (label, attempt sequence)
+// gives the same delays.
+func FuzzBackoffDelay(f *testing.F) {
+	f.Add(int64(0), int64(0), 0.0, 0.0, uint8(12), uint64(7))                                    // all defaults
+	f.Add(int64(time.Hour), int64(time.Minute), 1.0, 0.99, uint8(3), uint64(1))                  // Initial above Max
+	f.Add(int64(1), int64(math.MaxInt64-1), math.Inf(1), 0.5, uint8(2), uint64(2))               // jitter pushes past 2⁶³
+	f.Add(int64(3), int64(1)<<62+513, math.NaN(), math.NaN(), uint8(79), uint64(math.MaxUint64)) // Max no float64 holds
+	f.Fuzz(func(t *testing.T, initial, max int64, factor, jitter float64, attempts uint8, label uint64) {
+		b := Backoff{Initial: time.Duration(initial), Max: time.Duration(max), Factor: factor, Jitter: jitter}.withDefaults()
+		plain := b
+		plain.Jitter = 0
+		n := int(attempts % 80)
+		run := func() []time.Duration {
+			st := dist.NewStream(1).SplitLabel(label)
+			out := make([]time.Duration, n)
+			for k := range out {
+				out[k] = b.Delay(k, st)
+			}
+			return out
+		}
+		got, again := run(), run()
+		if !slices.Equal(got, again) {
+			t.Fatalf("%+v label %d: two runs differ:\n%v\n%v", b, label, got, again)
+		}
+		for k, d := range got {
+			if d < 1 {
+				t.Fatalf("%+v: Delay(%d) = %v, want >= 1ns", b, k, d)
+			}
+			if !(b.Jitter > 0) {
+				if k > 0 && (d < got[k-1] || got[k-1] >= b.Max && d != got[k-1]) {
+					t.Fatalf("%+v: Delay(%d) = %v after %v", b, k, d, got[k-1])
+				}
+				continue
+			}
+			u := float64(plain.Delay(k, nil))
+			// The un-jittered value is truncated to a whole nanosecond and the
+			// jittered one clamped into [1, MaxInt64]: allow for both.
+			lo, hi := (1-b.Jitter)*u-2, (1+b.Jitter)*(u+2)
+			if x := float64(d); x < lo && d != 1 || x > hi {
+				t.Fatalf("%+v: Delay(%d) = %v outside [%g, %g] around %v", b, k, d, lo, hi, time.Duration(u))
+			}
 		}
 	})
 }

@@ -145,9 +145,6 @@ func (s *HPCService) Site() infra.Site { return s.cluster.Site() }
 // TotalCores implements Service.
 func (s *HPCService) TotalCores() int { return s.cluster.TotalCores() }
 
-// Cluster exposes the underlying simulator for experiment inspection.
-func (s *HPCService) Cluster() *hpc.Cluster { return s.cluster }
-
 // Faults returns the backend's fault switchboard (chaos engineering).
 func (s *HPCService) Faults() *infra.Faults { return s.cluster.Faults() }
 
@@ -232,9 +229,6 @@ func (s *HTCService) Site() infra.Site { return s.pool.Site() }
 
 // TotalCores implements Service.
 func (s *HTCService) TotalCores() int { return s.pool.Slots() }
-
-// Pool exposes the underlying simulator.
-func (s *HTCService) Pool() *htc.Pool { return s.pool }
 
 // Faults returns the backend's fault switchboard (chaos engineering).
 func (s *HTCService) Faults() *infra.Faults { return s.pool.Faults() }
@@ -407,9 +401,6 @@ func (s *CloudService) Site() infra.Site { return s.provider.Site() }
 // TotalCores implements Service (0: clouds are elastically unbounded).
 func (s *CloudService) TotalCores() int { return 0 }
 
-// Provider exposes the underlying simulator.
-func (s *CloudService) Provider() *cloud.Provider { return s.provider }
-
 // Faults returns the backend's fault switchboard (chaos engineering).
 func (s *CloudService) Faults() *infra.Faults { return s.provider.Faults() }
 
@@ -499,9 +490,6 @@ func (s *YarnService) Site() infra.Site { return s.cluster.Site() }
 
 // TotalCores implements Service.
 func (s *YarnService) TotalCores() int { return s.cluster.TotalCores() }
-
-// Cluster exposes the underlying simulator.
-func (s *YarnService) Cluster() *yarn.Cluster { return s.cluster }
 
 // Faults returns the backend's fault switchboard (chaos engineering).
 func (s *YarnService) Faults() *infra.Faults { return s.cluster.Faults() }

@@ -1,50 +1,16 @@
 // Package scheduler provides the pluggable late-binding policies used by
 // the pilot manager. The paper's R4 (performance/efficiency for diverse
 // task workloads) and Pilot-Data's data-aware placement [66] are realized
-// here: the same application code can run under FIFO first-fit, round-
-// robin, least-loaded or data-aware scheduling, which is exactly the
-// trade-off surface the abstraction is meant to expose (§VI "Abstraction
-// Design").
+// here: the same application code can run under the manager's built-in
+// FIFO first-fit, or under the least-loaded and data-aware policies of
+// this package, which is exactly the trade-off surface the abstraction is
+// meant to expose (§VI "Abstraction Design").
 package scheduler
 
 import (
-	"sync"
-
 	"gopilot/internal/core"
 	"gopilot/internal/infra"
 )
-
-// FirstFit binds each unit to the first pilot that can host it (FIFO with
-// opportunistic backfill). It equals the manager's built-in default and
-// exists here so experiments can name it explicitly.
-type FirstFit struct{}
-
-// Name implements core.Scheduler.
-func (FirstFit) Name() string { return "first-fit" }
-
-// SelectPilot implements core.Scheduler.
-func (FirstFit) SelectPilot(_ *core.ComputeUnit, candidates []*core.Pilot, _ core.DataService) *core.Pilot {
-	return candidates[0]
-}
-
-// RoundRobin spreads units across pilots in rotation, which balances task
-// counts when tasks are uniform.
-type RoundRobin struct {
-	mu   sync.Mutex
-	next int
-}
-
-// Name implements core.Scheduler.
-func (r *RoundRobin) Name() string { return "round-robin" }
-
-// SelectPilot implements core.Scheduler.
-func (r *RoundRobin) SelectPilot(_ *core.ComputeUnit, candidates []*core.Pilot, _ core.DataService) *core.Pilot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := candidates[r.next%len(candidates)]
-	r.next++
-	return p
-}
 
 // LeastLoaded binds each unit to the candidate with the most free cores,
 // balancing load when tasks are heterogeneous.
@@ -152,8 +118,6 @@ func anyReplicaExists(ids []string, data core.DataService) bool {
 }
 
 var (
-	_ core.Scheduler = FirstFit{}
-	_ core.Scheduler = (*RoundRobin)(nil)
 	_ core.Scheduler = LeastLoaded{}
 	_ core.Scheduler = DataAware{}
 )

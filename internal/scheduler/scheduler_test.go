@@ -27,8 +27,6 @@ func newEnv(t *testing.T, sched core.Scheduler) *env {
 	reg.Register(saga.NewLocalService("siteA", 32, clock))
 	reg.Register(saga.NewLocalService("siteB", 32, clock))
 	ds := data.NewService(data.Config{Clock: clock, DefaultLink: data.Link{Bandwidth: 12.5e6, Latency: 50 * time.Millisecond}})
-	ds.AddSite("siteA")
-	ds.AddSite("siteB")
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Scheduler: sched, Data: ds})
 	t.Cleanup(mgr.Close)
 	return &env{clock: clock, mgr: mgr, data: ds}
@@ -64,30 +62,13 @@ func waitAll(t *testing.T, mgr *core.Manager) {
 }
 
 func TestFirstFitPicksFirstCandidate(t *testing.T) {
-	e := newEnv(t, FirstFit{})
+	e := newEnv(t, nil) // the manager's built-in default
 	p1 := e.pilotAt(t, "siteA", 4)
 	e.pilotAt(t, "siteB", 4)
 	u, _ := e.mgr.SubmitUnit(sleepUnit(10 * time.Millisecond))
 	u.Wait(context.Background())
 	if u.Pilot() != p1 {
 		t.Fatalf("unit ran on %v, want first pilot", u.Pilot().ID())
-	}
-}
-
-func TestRoundRobinAlternates(t *testing.T) {
-	e := newEnv(t, &RoundRobin{})
-	p1 := e.pilotAt(t, "siteA", 16)
-	p2 := e.pilotAt(t, "siteB", 16)
-	for i := 0; i < 16; i++ {
-		e.mgr.SubmitUnit(sleepUnit(50 * time.Millisecond))
-	}
-	waitAll(t, e.mgr)
-	c1, c2 := p1.UnitsCompleted(), p2.UnitsCompleted()
-	if c1 == 0 || c2 == 0 {
-		t.Fatalf("round-robin did not alternate: %d vs %d", c1, c2)
-	}
-	if diff := c1 - c2; diff < -4 || diff > 4 {
-		t.Fatalf("round-robin imbalance: %d vs %d", c1, c2)
 	}
 }
 
@@ -178,8 +159,6 @@ func TestDataAwareStrictDefersUntilSiteAvailable(t *testing.T) {
 
 func TestSchedulerNames(t *testing.T) {
 	cases := map[string]core.Scheduler{
-		"first-fit":         FirstFit{},
-		"round-robin":       &RoundRobin{},
 		"least-loaded":      LeastLoaded{},
 		"data-aware":        DataAware{},
 		"data-aware-strict": DataAware{Strict: true},

@@ -43,14 +43,14 @@ type Message struct {
 }
 
 // Bus is the client-facing surface of a message transport: everything
-// producers and consumer deployments (Group, Processor,
-// ServerlessProcessor, Produce) need from the log, and nothing about how
-// it is hosted. Cluster is the one implementation, and the deployment is
-// its configuration: one shard at replication 1 is the single in-process
-// broker, N shards at replication R the federated one — a deployment
-// moves between them by changing two numbers, which is the resource
-// decoupling of the pilot abstraction applied to the broker layer itself
-// (DESIGN.md "Federation").
+// producers and the two consumer deployments (Group on pilot workers,
+// ServerlessProcessor on function invocations) need from the log, and
+// nothing about how it is hosted. Cluster is the one implementation, and
+// the deployment is its configuration: one shard at replication 1 is the
+// single in-process broker, N shards at replication R the federated one —
+// a deployment moves between them by changing two numbers, which is the
+// resource decoupling of the pilot abstraction applied to the broker layer
+// itself (DESIGN.md "Federation").
 type Bus interface {
 	// Clock returns the transport's clock.
 	Clock() vclock.Clock

@@ -139,12 +139,6 @@ type ClusterConfig struct {
 	// streams batches at this modeled rate (default 64 MiB/s). Chaos
 	// replica-lag faults multiply a link's pace via SetLinkLag.
 	CatchupBytesPerSec int64
-	// Offsets is the shared consumer-offset KV; groups wired to the same
-	// store drive retention. Minted fresh when nil.
-	Offsets *OffsetStore
-	// DisableRetention keeps every segment resident (no trimming) while
-	// leaving offset persistence on.
-	DisableRetention bool
 	// OnRetention, if set, observes every retention evaluation (each
 	// offset persist): the leader's resident bytes and oldest retained
 	// offset after any trim. Property tests assert the resident bound
@@ -184,8 +178,7 @@ type ClusterConfig struct {
 	// yet committed (see Commit). When the bound is hit, publishes to that
 	// partition block in modeled time until consumers commit — the
 	// backpressure that keeps a lagging consumer group from being buried.
-	// Zero disables backpressure (consumers that never commit, like plain
-	// Processors, then run unthrottled).
+	// Zero disables backpressure.
 	MaxInflightBytes int64
 	// OnCommit, if set, observes every *applied* commit: the partition's
 	// mark moved from `from` to `through`. Clamped and no-op commits are
@@ -234,13 +227,10 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.NewVirtual(vclock.Epoch)
 	}
-	if cfg.Offsets == nil {
-		cfg.Offsets = NewOffsetStore()
-	}
 	runCtx, stop := context.WithCancel(context.Background())
 	c := &Cluster{
 		cfg:     cfg,
-		offsets: cfg.Offsets,
+		offsets: NewOffsetStore(),
 		clock:   cfg.Clock,
 		runCtx:  runCtx,
 		stopFn:  stop,
@@ -415,28 +405,6 @@ func (c *Cluster) LeaderOf(topic string, partition int) (int, error) {
 		return 0, err
 	}
 	return p.replicas[0], nil
-}
-
-// ReplicasOf returns a partition's replica set, leader first.
-func (c *Cluster) ReplicasOf(topic string, partition int) ([]int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.fedPartition(topic, partition)
-	if err != nil {
-		return nil, err
-	}
-	return append([]int(nil), p.replicas...), nil
-}
-
-// Epoch returns a partition's leader epoch (bumped once per handoff).
-func (c *Cluster) Epoch(topic string, partition int) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.fedPartition(topic, partition)
-	if err != nil {
-		return 0, err
-	}
-	return p.epoch, nil
 }
 
 // AckedOffset returns a partition's acknowledged high watermark — the
@@ -1063,9 +1031,7 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 	for i, s := range p.replicas {
 		lp := p.logs[s]
 		lp.mu.Lock()
-		if !c.cfg.DisableRetention {
-			lp.Trim(lw)
-		}
+		lp.Trim(lw)
 		if i == 0 {
 			resident, oldest = lp.Resident(), lp.first
 		}
@@ -1075,25 +1041,6 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 	if c.cfg.OnRetention != nil {
 		c.cfg.OnRetention(topic, partition, resident, oldest)
 	}
-}
-
-// ResidentBytes sums the resident payload bytes across a topic's
-// partitions on their current leaders — the quantity retention bounds.
-func (c *Cluster) ResidentBytes(topic string) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.topics[topic]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
-	}
-	var total int64
-	for _, p := range t.parts {
-		lp := p.logs[p.replicas[0]]
-		lp.mu.Lock()
-		total += lp.Resident()
-		lp.mu.Unlock()
-	}
-	return total, nil
 }
 
 // OldestOffset returns a partition's retention floor on its current

@@ -113,7 +113,7 @@ func TestClusterCopiesLiveExactlyOnMembers(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for q := 0; q < parts; q++ {
-			reps, _ := c.ReplicasOf("t", q)
+			reps := placementOf(c, "t", q).Replicas
 			if len(reps) != 3 {
 				t.Fatalf("%s: t[%d] has replicas %v, want three", when, q, reps)
 			}
@@ -170,9 +170,9 @@ func TestClusterCreateTopicAfterShardLoss(t *testing.T) {
 	}
 	ctx := context.Background()
 	for q := 0; q < 2; q++ {
-		reps, err := c.ReplicasOf("b", q)
-		if err != nil || len(reps) != 2 || reps[0] == 0 || reps[1] == 0 {
-			t.Fatalf("b[%d] placed on %v (%v), want two live shards", q, reps, err)
+		reps := placementOf(c, "b", q).Replicas
+		if len(reps) != 2 || reps[0] == 0 || reps[1] == 0 {
+			t.Fatalf("b[%d] placed on %v, want two live shards", q, reps)
 		}
 	}
 	if err := c.PublishValues(ctx, "b", [][]byte{[]byte("x"), []byte("y"), []byte("z")}); err != nil {
@@ -235,10 +235,7 @@ func TestClusterShardLossHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := c.ReplicasOf("t", part)
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := placementOf(c, "t", part).Replicas
 
 	failedAt := clock.Now()
 	if err := c.FailShard(lead); err != nil {
@@ -247,7 +244,7 @@ func TestClusterShardLossHandoff(t *testing.T) {
 	if got := c.Handoffs(); got < 1 {
 		t.Fatalf("handoffs = %d, want >= 1", got)
 	}
-	if ep, _ := c.Epoch("t", part); ep != 1 {
+	if ep := placementOf(c, "t", part).Epoch; ep != 1 {
 		t.Fatalf("epoch = %d, want 1", ep)
 	}
 	if nl, _ := c.LeaderOf("t", part); nl != old[1] {
@@ -309,10 +306,7 @@ func TestClusterSeverLinkFencesPublish(t *testing.T) {
 	if err := c.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	reps, err := c.ReplicasOf("t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := placementOf(c, "t", 0).Replicas
 	leader, follower := reps[0], reps[1]
 	bystander := 0
 	for s := 0; s < 3; s++ {
@@ -458,13 +452,14 @@ func TestRetentionBoundProperty(t *testing.T) {
 
 			var cl *Cluster
 			trims, evals := 0, 0
-			lastOldest := int64(0)
+			lastOldest, lastResident := int64(0), int64(0)
 			cl = NewCluster(ClusterConfig{
 				Shards: 3, Replication: 2, SegmentSize: segSize,
 				AppendCost: 10 * time.Microsecond, FetchLatency: 100 * time.Microsecond,
 				Clock: clock,
 				OnRetention: func(topic string, q int, resident, oldest int64) {
 					evals++
+					lastResident = resident
 					end, err := cl.EndOffset(topic, q)
 					if err != nil {
 						t.Error(err)
@@ -547,12 +542,8 @@ func TestRetentionBoundProperty(t *testing.T) {
 			if evals == 0 || trims == 0 {
 				t.Fatalf("property not exercised: %d evaluations, %d trims", evals, trims)
 			}
-			resident, err := cl.ResidentBytes("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resident > segSize*payloadLen {
-				t.Fatalf("drained cluster retains %d bytes, want <= one segment (%d)", resident, segSize*payloadLen)
+			if lastResident > segSize*payloadLen {
+				t.Fatalf("drained cluster retains %d bytes, want <= one segment (%d)", lastResident, segSize*payloadLen)
 			}
 			if oldest, _ := cl.OldestOffset("t", 0); oldest < total-segSize {
 				t.Fatalf("final floor %d never approached the head (%d published)", oldest, total)

@@ -38,26 +38,37 @@ import (
 // and its slot in any pending barrier is released, so one crashed worker
 // can neither strand its shard nor wedge later rebalances.
 
-// GroupConfig describes a consumer group: a coordinator plus a pool of
-// worker units consuming one topic with dynamic membership, commit-based
-// progress, and (with ClusterConfig.MaxInflightBytes) backpressure.
+// GroupConfig describes a consumer group — Pilot-Streaming's core
+// operation of coupling a broker to processing resources managed via the
+// pilot-abstraction: a coordinator plus a pool of one-core worker units
+// consuming one topic with dynamic membership, commit-based progress, and
+// (with ClusterConfig.MaxInflightBytes) backpressure. A pool that is never
+// resized is the static deployment: worker w of W owns partitions w, w+W, …
+// for the group's lifetime and Rebalances stays 0.
 type GroupConfig struct {
 	// Name labels the group's compute units.
 	Name string
 	// Topic to consume.
 	Topic string
 	// Workers is the initial pool size (default 1); AddWorker/RemoveWorker
-	// change it at runtime.
+	// change it at runtime. Workers beyond the partition count idle, as in
+	// Kafka consumer groups.
 	Workers int
 	// BatchSize bounds messages per poll (default 256).
 	BatchSize int
 	// Handler processes each message.
 	Handler HandlerFunc
-	// PureHandler marks Handler as a side-effect-free CPU kernel; batches
-	// then run as parallel compute phases (see ProcessorConfig.PureHandler).
+	// PureHandler marks Handler as a side-effect-free CPU kernel (no
+	// tc.Sleep, no clock reads, no stream draws, no shared mutation): the
+	// group then runs each fetch batch's handler calls as one parallel
+	// compute phase, so workers reconstruct/decode on real cores under the
+	// virtual-time executor while latency accounting stays on the token
+	// and bit-reproducible. Handlers that model per-message time with
+	// tc.Sleep must leave this false.
 	PureHandler bool
 	// CostPerMessage is the modeled processing cost per message, charged
-	// once per poll batch.
+	// once per poll batch (as real consumers amortize per-record overhead
+	// across poll batches).
 	CostPerMessage time.Duration
 	// CostCV makes per-batch cost stochastic (lognormal multiplier, mean
 	// 1). Zero keeps costs deterministic.
@@ -67,8 +78,6 @@ type GroupConfig struct {
 	// leaves never shift an existing worker's draws. Only consumed when
 	// CostCV > 0. Defaults to dist.Unseeded("streaming/group/<name>").
 	Stream *dist.Stream
-	// CoresPerWorker sizes each worker unit (default 1).
-	CoresPerWorker int
 	// Offsets, when set, makes the group's progress durable: every
 	// partition cursor is saved to the store after its broker commit, and
 	// StartGroup loads persisted cursors back — a restarted group resumes
@@ -135,9 +144,6 @@ func StartGroup(ctx context.Context, mgr *core.Manager, broker Bus, cfg GroupCon
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
 	}
-	if cfg.CoresPerWorker <= 0 {
-		cfg.CoresPerWorker = 1
-	}
 	if cfg.Name == "" {
 		cfg.Name = "stream-group"
 	}
@@ -150,7 +156,7 @@ func StartGroup(ctx context.Context, mgr *core.Manager, broker Bus, cfg GroupCon
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	g := &Group{
-		counters:   newCounters(broker.Clock(), "group_e2e_latency_s"),
+		counters:   newCounters(broker.Clock()),
 		cfg:        cfg,
 		broker:     broker,
 		mgr:        mgr,
@@ -268,7 +274,7 @@ func (g *Group) AddWorker() (int, error) {
 	}
 	u, err := g.mgr.SubmitUnit(core.UnitDescription{
 		Name:  fmt.Sprintf("%s[%d]", g.cfg.Name, ord),
-		Cores: g.cfg.CoresPerWorker,
+		Cores: 1,
 		Run: func(_ context.Context, tc core.TaskContext) error {
 			return g.run(tc, ord, jitter)
 		},

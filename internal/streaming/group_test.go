@@ -584,6 +584,79 @@ func TestCanceledBackpressurePublishLeavesNoWaiters(t *testing.T) {
 	part.mu.Unlock()
 }
 
+// TestGroupStaticPoolNeverRebalances pins the deployment a fixed worker
+// pool is: a group started with W workers and never resized keeps worker
+// w on partitions w, w+W, … for its whole life (Rebalances stays 0),
+// drains every partition, and — because it commits — lets a producer
+// throttled by MaxInflightBytes finish against a handler slower than the
+// arrival rate instead of parking forever.
+func TestGroupStaticPoolNeverRebalances(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	b := oneBroker(ClusterConfig{
+		AppendCost: 100 * time.Microsecond, FetchLatency: time.Millisecond,
+		MaxInflightBytes: 64, Clock: clock,
+	})
+	defer b.Close()
+	const parts, workers, n = 5, 2, 400
+	if err := b.CreateTopic("t", parts); err != nil {
+		t.Fatal(err)
+	}
+	mgr := newVirtualStreamEnv(t, clock, workers)
+	defer mgr.Close()
+
+	var mu sync.Mutex
+	handled := make([]int64, parts)
+	owner := make([]map[string]bool, parts)
+	g, err := StartGroup(context.Background(), mgr, b, GroupConfig{
+		Name: "static", Topic: "t", Workers: workers, BatchSize: 4,
+		Handler: func(ctx context.Context, tc core.TaskContext, m Message) error {
+			tc.Sleep(ctx, 5*time.Millisecond)
+			mu.Lock()
+			defer mu.Unlock()
+			handled[m.Partition]++
+			if owner[m.Partition] == nil {
+				owner[m.Partition] = map[string]bool{}
+			}
+			owner[m.Partition][tc.Unit.Description().Name] = true
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 400 × 8 bytes against a 64-byte bound per partition: the producer
+	// parks again and again and only the workers' commits let it on.
+	rate, err := Produce(context.Background(), b, "t", n, 0, []byte("12345678"))
+	if err != nil {
+		t.Fatalf("producer did not finish under backpressure: %v", err)
+	}
+	if rate > 1000 { // unthrottled it is ≈ 10⁴ msg/s; two 5 ms workers drain 400/s
+		t.Errorf("producer ran at %.0f msg/s: backpressure never engaged", rate)
+	}
+	if err := g.WaitProcessed(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+	g.Stop()
+	if r := g.Rebalances(); r != 0 {
+		t.Errorf("Rebalances = %d, want 0 for a pool that was never resized", r)
+	}
+	for q := 0; q < parts; q++ {
+		end, err := b.EndOffset("t", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end == 0 || handled[q] != end {
+			t.Errorf("partition %d: handled %d of %d", q, handled[q], end)
+		}
+		want := fmt.Sprintf("static[%d]", q%workers)
+		if len(owner[q]) != 1 || !owner[q][want] {
+			t.Errorf("partition %d served by %v, want only %s", q, owner[q], want)
+		}
+	}
+}
+
 // TestGroupValidation covers the constructor error paths.
 func TestGroupValidation(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)

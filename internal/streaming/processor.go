@@ -2,7 +2,6 @@ package streaming
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -17,53 +16,8 @@ import (
 // sleeping through tc.Sleep inside the handler (or by real computation).
 type HandlerFunc func(ctx context.Context, tc core.TaskContext, msg Message) error
 
-// ProcessorConfig describes a pilot-managed stream processing deployment:
-// Pilot-Streaming's core operation of coupling a broker to processing
-// resources managed via the pilot-abstraction.
-type ProcessorConfig struct {
-	// Name labels the processor's compute units.
-	Name string
-	// Topic to consume.
-	Topic string
-	// Workers is the number of parallel consumer units; partitions are
-	// assigned round-robin across workers (Workers > partitions leaves the
-	// excess idle, as in Kafka consumer groups). The assignment is static
-	// for the processor's lifetime — use a Group for dynamic membership.
-	Workers int
-	// BatchSize bounds messages per fetch (default 256).
-	BatchSize int
-	// Handler processes each message.
-	Handler HandlerFunc
-	// PureHandler marks Handler as a side-effect-free CPU kernel (no
-	// tc.Sleep, no clock reads, no stream draws, no shared mutation): the
-	// processor then runs each fetch batch's handler calls as one parallel
-	// compute phase, so workers reconstruct/decode on real cores under the
-	// virtual-time executor while latency accounting stays on the token
-	// and bit-reproducible. Handlers that model per-message time with
-	// tc.Sleep must leave this false.
-	PureHandler bool
-	// CostPerMessage is the modeled processing cost per message, charged
-	// once per fetch batch (sleeping per message would be distorted by OS
-	// timer granularity under aggressive virtual-time compression, exactly
-	// as real consumers amortize per-record overhead across poll batches).
-	CostPerMessage time.Duration
-	// CostCV makes the per-batch processing cost stochastic: each batch's
-	// cost is CostPerMessage·len(batch) scaled by a lognormal multiplier
-	// with mean 1 and this coefficient of variation. Zero (the default)
-	// keeps costs deterministic.
-	CostCV float64
-	// Stream is the processor's slot on the experiment's seeding spine;
-	// worker w draws its cost jitter from Stream's "worker"/<w> child, so
-	// resizing the worker pool never shifts an existing worker's draws.
-	// Only consumed when CostCV > 0. Defaults to
-	// dist.Unseeded("streaming/processor/<name>").
-	Stream *dist.Stream
-	// CoresPerWorker sizes each worker unit (default 1).
-	CoresPerWorker int
-}
-
 // counters is the shared measurement core of the consumer deployments
-// (Processor, ServerlessProcessor, Group): processed count, end-to-end
+// (Group, ServerlessProcessor): processed count, end-to-end
 // latency series, throughput window, and the progress notifier behind
 // WaitProcessed.
 type counters struct {
@@ -77,12 +31,12 @@ type counters struct {
 	latencies *metrics.Series
 }
 
-func newCounters(clock vclock.Clock, series string) *counters {
+func newCounters(clock vclock.Clock) *counters {
 	return &counters{
 		clock:     clock,
 		progress:  vclock.NewNotifier(clock),
 		started:   clock.Now(),
-		latencies: metrics.NewSeries(series),
+		latencies: metrics.NewSeries(),
 	}
 }
 
@@ -211,10 +165,10 @@ func chargeAndRun(ctx context.Context, clock vclock.Clock, batch []Message,
 	return nil
 }
 
-// runBatch executes a batch for a pilot-worker deployment (Processor,
-// Group), recording end-to-end latencies into c — per message on the
-// serial path (handlers may sleep mid-batch), at the pinned post-join
-// instant on the pure path.
+// runBatch executes a batch for the pilot-worker deployment (Group),
+// recording end-to-end latencies into c — per message on the serial path
+// (handlers may sleep mid-batch), at the pinned post-join instant on the
+// pure path.
 func runBatch(ctx context.Context, tc core.TaskContext, c *counters, batch []Message,
 	cost time.Duration, jitter dist.Dist, pure bool, handler HandlerFunc) error {
 	clock := c.clock
@@ -230,125 +184,6 @@ func runBatch(ctx context.Context, tc core.TaskContext, c *counters, batch []Mes
 		c.recordBatch(clock.Now(), batch)
 	}
 	return nil
-}
-
-// Processor is a running set of consumer units with latency/throughput
-// accounting.
-type Processor struct {
-	*counters
-	cfg    ProcessorConfig
-	broker Bus
-	mgr    *core.Manager
-
-	units []*core.ComputeUnit
-	stop  context.CancelFunc
-}
-
-// StartProcessor deploys the processing units onto mgr's pilots and starts
-// consuming. Stop (or ctx cancellation) terminates the workers.
-func StartProcessor(ctx context.Context, mgr *core.Manager, broker Bus, cfg ProcessorConfig) (*Processor, error) {
-	if cfg.Handler == nil {
-		return nil, errors.New("streaming: processor needs a handler")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
-	if cfg.CoresPerWorker <= 0 {
-		cfg.CoresPerWorker = 1
-	}
-	if cfg.Name == "" {
-		cfg.Name = "stream-proc"
-	}
-	if cfg.Stream == nil {
-		cfg.Stream = dist.Unseeded("streaming/processor/" + cfg.Name)
-	}
-	nparts, err := broker.Partitions(cfg.Topic)
-	if err != nil {
-		return nil, err
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	p := &Processor{
-		counters: newCounters(broker.Clock(), "e2e_latency_s"),
-		cfg:      cfg,
-		broker:   broker,
-		mgr:      mgr,
-		stop:     cancel,
-	}
-
-	// Static partition assignment: worker w owns partitions w, w+W, ...
-	workerRoot := cfg.Stream.Named("worker")
-	for w := 0; w < cfg.Workers; w++ {
-		var parts []int
-		for q := w; q < nparts; q += cfg.Workers {
-			parts = append(parts, q)
-		}
-		var jitter dist.Dist
-		if cfg.CostCV > 0 {
-			jitter = dist.LogNormalFrom(workerRoot.SplitLabel(uint64(w)), 1, cfg.CostCV)
-		}
-		u, err := mgr.SubmitUnit(core.UnitDescription{
-			Name:  fmt.Sprintf("%s[%d]", cfg.Name, w),
-			Cores: cfg.CoresPerWorker,
-			Run: func(_ context.Context, tc core.TaskContext) error {
-				return p.consume(runCtx, tc, parts, jitter)
-			},
-		})
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		p.units = append(p.units, u)
-	}
-	return p, nil
-}
-
-// consume is one worker's loop over its partition set: one FetchOrWait
-// long-poll per batch (one modeled RTT, parking clock-aware when all
-// owned partitions are drained), rotating the scan start across polls so
-// every partition gets served under sustained load.
-func (p *Processor) consume(ctx context.Context, tc core.TaskContext, parts []int, jitter dist.Dist) error {
-	if len(parts) == 0 {
-		// No partitions assigned: idle until stopped, without holding the
-		// virtual-time executor's token.
-		idle := vclock.NewNotifier(p.broker.Clock())
-		idle.Wait(ctx)
-		return nil
-	}
-	offsets := make([]int64, len(parts))
-	start := 0
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		i, batch, err := p.broker.FetchOrWait(ctx, p.cfg.Topic, parts, offsets, start, p.cfg.BatchSize)
-		if err != nil {
-			if errors.Is(err, ErrBrokerClosed) || ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		if err := runBatch(ctx, tc, p.counters, batch, p.cfg.CostPerMessage, jitter, p.cfg.PureHandler, p.cfg.Handler); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		offsets[i] += int64(len(batch))
-		start = i + 1
-	}
-}
-
-// Stop terminates the workers and waits for their units to finish.
-func (p *Processor) Stop() {
-	p.stop()
-	for _, u := range p.units {
-		u.Wait(context.Background())
-	}
-	p.markStopped()
 }
 
 // Produce publishes n messages at a target rate (messages per modeled

@@ -42,10 +42,7 @@ func TestDivergenceRepairAfterHandoff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps, err := c.ReplicasOf("t", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := placementOf(c, "t", 0).Replicas
 	leader, f1, f2 := reps[0], reps[1], reps[2]
 
 	// Freeze slot 0 (follower f1): the watermark pins at its log end.
@@ -151,7 +148,7 @@ func TestStaleHandoffBugLeavesDivergedReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps, _ := c.ReplicasOf("t", 0)
+	reps := placementOf(c, "t", 0).Replicas
 	if err := c.FreezeReplica("t", 0, 0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -383,15 +380,24 @@ func replicaLog(c *Cluster, topic string, q, shard int) *partition {
 	return p.logs[shard]
 }
 
+// placementOf picks one partition's entry (replica set leader first,
+// epoch) out of the Placement snapshot; the zero value when it does not
+// exist.
+func placementOf(c *Cluster, topic string, q int) ShardPlacement {
+	for _, pl := range c.Placement() {
+		if pl.Topic == topic && pl.Partition == q {
+			return pl
+		}
+	}
+	return ShardPlacement{}
+}
+
 // assertReplicaLogsIdentical compares every follower's retained log
 // against its leader's, message for message (offset, key, value, epoch
 // chain), over the overlap of their retained ranges.
 func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int) {
 	t.Helper()
-	reps, err := c.ReplicasOf(topic, part)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := placementOf(c, topic, part).Replicas
 	lp := replicaLog(c, topic, part, reps[0])
 	lp.mu.Lock()
 	defer lp.mu.Unlock()

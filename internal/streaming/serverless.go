@@ -40,7 +40,7 @@ type ServerlessConfig struct {
 	Handler func(ctx context.Context, msg Message) error
 	// PureHandler marks Handler as a side-effect-free CPU kernel: each
 	// invocation's handler loop then runs as one parallel compute phase
-	// (see ProcessorConfig.PureHandler), overlapping invocations on real
+	// (see GroupConfig.PureHandler), overlapping invocations on real
 	// cores without disturbing the virtual-time schedule.
 	PureHandler bool
 }
@@ -78,7 +78,7 @@ func StartServerless(ctx context.Context, platform *serverless.Platform, broker 
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	p := &ServerlessProcessor{
-		counters: newCounters(broker.Clock(), "faas_e2e_latency_s"),
+		counters: newCounters(broker.Clock()),
 		cfg:      cfg,
 		broker:   broker,
 		platform: platform,

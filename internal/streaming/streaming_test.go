@@ -246,7 +246,7 @@ func TestProcessorConsumesAll(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[string]bool{}
-	proc, err := StartProcessor(context.Background(), mgr, b, ProcessorConfig{
+	proc, err := StartGroup(context.Background(), mgr, b, GroupConfig{
 		Name: "p", Topic: "t", Workers: 2,
 		Handler: func(_ context.Context, _ core.TaskContext, m Message) error {
 			mu.Lock()
@@ -290,7 +290,7 @@ func TestProcessorLatencyGrowsWithSlowHandler(t *testing.T) {
 	b.CreateTopic("t", 1)
 	mgr := newStreamEnv(t, clock, 2)
 
-	proc, err := StartProcessor(context.Background(), mgr, b, ProcessorConfig{
+	proc, err := StartGroup(context.Background(), mgr, b, GroupConfig{
 		Topic: "t", Workers: 1,
 		Handler: func(ctx context.Context, tc core.TaskContext, _ Message) error {
 			tc.Sleep(ctx, 50*time.Millisecond) // slower than arrival
@@ -322,10 +322,10 @@ func TestProcessorValidation(t *testing.T) {
 	defer b.Close()
 	b.CreateTopic("t", 1)
 	mgr := newStreamEnv(t, clock, 2)
-	if _, err := StartProcessor(context.Background(), mgr, b, ProcessorConfig{Topic: "t"}); err == nil {
+	if _, err := StartGroup(context.Background(), mgr, b, GroupConfig{Topic: "t"}); err == nil {
 		t.Error("nil handler accepted")
 	}
-	if _, err := StartProcessor(context.Background(), mgr, b, ProcessorConfig{Topic: "ghost", Handler: func(context.Context, core.TaskContext, Message) error { return nil }}); err == nil {
+	if _, err := StartGroup(context.Background(), mgr, b, GroupConfig{Topic: "ghost", Handler: func(context.Context, core.TaskContext, Message) error { return nil }}); err == nil {
 		t.Error("unknown topic accepted")
 	}
 }
@@ -342,7 +342,7 @@ func TestRecordBatchGroupsByStamp(t *testing.T) {
 	now := a.Add(10 * time.Millisecond)
 	batch := []Message{{Published: a}, {Published: a}, {Published: b}, {Published: a}}
 
-	batched, single := newCounters(clock, "batched"), newCounters(clock, "single")
+	batched, single := newCounters(clock), newCounters(clock)
 	batched.recordBatch(now, batch)
 	for i := range batch {
 		single.record(now.Sub(batch[i].Published))
@@ -701,7 +701,7 @@ func pureHandlerRun(t *testing.T) string {
 	if _, err := mgr.SubmitPilot(core.PilotDescription{Resource: "local://lh", Cores: 8}); err != nil {
 		t.Fatal(err)
 	}
-	proc, err := StartProcessor(context.Background(), mgr, b, ProcessorConfig{
+	proc, err := StartGroup(context.Background(), mgr, b, GroupConfig{
 		Name: "p", Topic: "t", Workers: 4, BatchSize: 8,
 		CostPerMessage: 2 * time.Millisecond,
 		PureHandler:    true,

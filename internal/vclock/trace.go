@@ -149,13 +149,6 @@ func (c *Virtual) StartRecorder(cfg RecorderConfig) {
 	c.mu.Unlock()
 }
 
-// StopRecorder disables recording (existing state is discarded).
-func (c *Virtual) StopRecorder() {
-	c.mu.Lock()
-	c.rec = nil
-	c.mu.Unlock()
-}
-
 // RecorderState snapshots the recorder; zero-valued when recording is off.
 func (c *Virtual) RecorderState() RecorderState {
 	c.mu.Lock()

@@ -121,19 +121,14 @@ func TestRecorderMark(t *testing.T) {
 	}
 }
 
-// Recording is off by default and StopRecorder discards state; RecorderState
-// is zero-valued in both cases.
+// Recording is off by default: RecorderState is zero-valued and a Mark
+// leaves nothing behind.
 func TestRecorderOffByDefault(t *testing.T) {
 	c := NewVirtual(Epoch)
 	c.Adopt()
 	defer c.Leave()
+	c.Mark("x", 1)
 	if s := c.RecorderState(); !reflect.DeepEqual(s, RecorderState{}) {
 		t.Fatalf("recorder on by default: %+v", s)
-	}
-	c.StartRecorder(RecorderConfig{})
-	c.Mark("x", 1)
-	c.StopRecorder()
-	if s := c.RecorderState(); !reflect.DeepEqual(s, RecorderState{}) {
-		t.Fatalf("StopRecorder left state behind: %+v", s)
 	}
 }
