@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare bench-10m profile seed-audit doc-audit chaos test-federation test-reuse fuzz-smoke loc exhibit-digest exhibit-stable examples-stable digest-print digest-record digest-check ci
+.PHONY: build test race vet bench bench-layers bench-compare bench-10m profile seed-audit doc-audit chaos test-federation test-reuse fuzz-smoke loc exhibit-digest exhibit-stable examples-stable digest-print digest-record digest-check ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ vet:
 # BENCH_baseline.json).
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' .
+
+# The in-package rungs: every Benchmark* under ./internal/..., one
+# iteration each, so a rung that no longer builds, sets up or runs fails
+# here and not on the day someone needs its number. For a number, run the
+# one rung: go test -run '^$$' -bench PlanTick/starved -cpu 1 ./internal/plan/
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/...
 
 # Gate against BENCH_baseline.json: three iterations per exhibit, fail on
 # >10% sustained regression (25ms absolute floor for time; for the
@@ -197,4 +204,4 @@ digest-check:
 		{ echo "digest-check: modeled output moved (< recorded, > this tree); if the move is intended, make digest-record and commit $(DIGESTS)"; exit 1; }; \
 	echo "digest-check: $$(($$(wc -l < $(DIGESTS)) - 1)) digests match $(DIGESTS)"
 
-ci: build vet seed-audit doc-audit test fuzz-smoke race test-reuse exhibit-stable examples-stable digest-check bench-compare
+ci: build vet seed-audit doc-audit test fuzz-smoke race test-reuse exhibit-stable examples-stable digest-check bench-layers bench-compare

@@ -133,7 +133,9 @@ func (e *Engine) record(f Fault, now time.Duration, hit bool, format string, arg
 	e.mu.Unlock()
 	// Marks land in the schedule recorder, so a recorded trace shows the
 	// exact decision at which each fault entered the timeline.
-	e.t.Clock.Mark("chaos "+f.Kind.String()+" "+a.Note, uint64(f.Ordinal))
+	if e.t.Clock.Recording() {
+		e.t.Clock.Mark("chaos "+f.Kind.String()+" "+a.Note, uint64(f.Ordinal))
+	}
 }
 
 // timeline expands the plan into sorted events. Recovery closures are

@@ -457,3 +457,32 @@ func TestSchedulerChoiceOutsideCandidatesDefersUnit(t *testing.T) {
 		t.Fatalf("unit ended %v on %v (%v), want Done on pB", s, u.Pilot(), err)
 	}
 }
+
+// TestWorkQueueKeepsItsArray: the agent's work queue is popped from the
+// front and pushed at the back for the pilot's whole life, so a pop must
+// give the slot back to the next push (not strand it behind a re-sliced
+// head) and must not leave the popped unit reachable from it.
+func TestWorkQueueKeepsItsArray(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	p := &Pilot{workN: vclock.NewNotifier(clock)}
+	a, b, c := &ComputeUnit{id: "a"}, &ComputeUnit{id: "b"}, &ComputeUnit{id: "c"}
+	p.pushWork(a)
+	p.pushWork(b)
+	array := &p.workQ[0]
+	for i := 0; i < 100; i++ {
+		if got := p.popWork(); got != a {
+			t.Fatalf("round %d: popped %v, want the queue's head", i, got.id)
+		}
+		if tail := p.workQ[:2][1]; tail != nil {
+			t.Fatalf("round %d: the vacated slot still holds %s", i, tail.id)
+		}
+		p.pushWork(c)
+		if &p.workQ[0] != array {
+			t.Fatalf("round %d: push after pop moved the queue to a new array", i)
+		}
+		a, b, c = b, c, a
+	}
+	if p.QueuedUnits() != 2 || p.popWork() != a || p.popWork() != b || p.popWork() != nil {
+		t.Fatal("queue order lost")
+	}
+}

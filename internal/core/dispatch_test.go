@@ -80,3 +80,76 @@ func TestBacklogSchedulePinned(t *testing.T) {
 			st.Decisions, st.Hash, uint64(wantDecisions), uint64(wantHash))
 	}
 }
+
+// TestOutageLeavesAndRejoinsTheSnapshot pins what a tick's capacity
+// snapshot holds when a backend's outage window opens and closes between
+// two ticks: the pilot on it is out of the very next tick — the unit goes
+// to the later-submitted pilot on the healthy backend, and one that fits
+// only the unreachable pilot stays queued — and it is back, first in
+// submission order again, in the tick that Kick asks for. Recovery itself
+// wakes nobody, which is why the chaos engine's OnRecover is Kick.
+func TestOutageLeavesAndRejoinsTheSnapshot(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	flaky, steady := saga.NewLocalService("flaky", 64, clock), saga.NewLocalService("steady", 64, clock)
+	reg := saga.NewRegistry()
+	reg.Register(flaky)
+	reg.Register(steady)
+	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Stream: dist.NewStream(3)})
+	defer mgr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	big, err := mgr.SubmitPilot(core.PilotDescription{Resource: "local://flaky", Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := mgr.SubmitPilot(core.PilotDescription{Resource: "local://steady", Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*core.Pilot{big, small} {
+		if err := p.WaitRunning(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit := func(cores int) *core.ComputeUnit {
+		t.Helper()
+		u, err := mgr.SubmitUnit(core.UnitDescription{Cores: cores, Run: func(ctx context.Context, tc core.TaskContext) error {
+			tc.Sleep(ctx, time.Second)
+			return ctx.Err()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	ranOn := func(u *core.ComputeUnit, want *core.Pilot) {
+		t.Helper()
+		if s, err := u.Wait(ctx); s != core.UnitDone {
+			t.Fatalf("unit %s ended %v: %v", u.ID(), s, err)
+		}
+		if u.Pilot() != want {
+			t.Fatalf("unit %s ran on %s, want %s", u.ID(), u.Pilot().ID(), want.ID())
+		}
+	}
+
+	ranOn(submit(1), big) // healthy: first fit is the first pilot submitted
+
+	flaky.Faults().SetDown(true)
+	one, four := submit(1), submit(4)
+	ranOn(one, small)
+	if s := four.State(); s != core.UnitPending {
+		t.Fatalf("the 4-core unit is %v while the only pilot it fits is unreachable, want Pending", s)
+	}
+
+	flaky.Faults().SetDown(false)
+	clock.Sleep(ctx, 10*time.Second)
+	if s := four.State(); s != core.UnitPending {
+		t.Fatalf("the 4-core unit is %v after a recovery nobody announced, want Pending", s)
+	}
+	mgr.Kick()
+	ranOn(four, big)
+	ranOn(submit(1), big)
+}

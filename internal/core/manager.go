@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -103,6 +104,15 @@ type Manager struct {
 	nextWake    time.Time // earliest scheduled dispatch self-wake
 	closed      bool
 
+	// ReconcileOnce's snapshots, reused from one scan to the next (under mu).
+	reconUnits  []plan.UnitStatus
+	reconPilots []plan.PilotStatus
+
+	// What every TaskContext hands its task, made once: a method value
+	// allocates where it is taken.
+	sleep   func(ctx context.Context, d time.Duration) bool
+	compute func(ctx context.Context, fn func()) bool
+
 	kick      *vclock.Notifier
 	reconKick *vclock.Notifier
 	ctx       context.Context
@@ -142,6 +152,8 @@ func NewManager(cfg Config) *Manager {
 		kick:      vclock.NewNotifier(cfg.Clock),
 		reconKick: vclock.NewNotifier(cfg.Clock),
 		wg:        vclock.NewGroup(cfg.Clock),
+		sleep:     cfg.Clock.Sleep,
+		compute:   cfg.Clock.Compute,
 	}
 	m.exec.m = m
 	m.planner = plan.New(plan.Config{
@@ -276,7 +288,7 @@ func (m *Manager) SubmitUnit(d UnitDescription) (*ComputeUnit, error) {
 	}
 	m.nextUnitID++
 	u := &ComputeUnit{
-		id:        fmt.Sprintf("unit-%d", m.nextUnitID),
+		id:        "unit-" + strconv.Itoa(m.nextUnitID),
 		desc:      d,
 		stream:    m.unitRoot.SplitLabel(uint64(m.nextUnitID)),
 		state:     UnitPending,
@@ -425,17 +437,19 @@ func (m *Manager) dispatchLoop() {
 	}
 }
 
-// dispatchOnce performs one late-binding pass: it asks the planner for
-// this instant's decisions and executes them through the plannerExec
-// callbacks. If the planner is holding units in retry backoff, a
-// self-wake is scheduled for the earliest eligibility instant.
+// dispatchOnce performs one late-binding pass: it takes the tick's capacity
+// snapshot, asks the planner for this instant's decisions and executes them
+// through the plannerExec callbacks. If the planner is holding units in
+// retry backoff, a self-wake is scheduled for the earliest eligibility
+// instant.
 func (m *Manager) dispatchOnce() {
 	now := m.cfg.Clock.Now()
 	m.mu.Lock()
-	m.exec.now = now
-	next := m.planner.Plan(now, &m.exec)
-	if !next.IsZero() {
-		m.wakeAtLocked(next)
+	if m.planner.PendingLen() > 0 {
+		m.exec.snapshot(now)
+		if next := m.planner.Plan(now, &m.exec); !next.IsZero() {
+			m.wakeAtLocked(next)
+		}
 	}
 	m.mu.Unlock()
 }
@@ -447,34 +461,67 @@ func (m *Manager) dispatchOnce() {
 type plannerExec struct {
 	m   *Manager
 	now time.Time
+	// The tick's capacity snapshot: the running, reachable pilots with free
+	// cores, in submission order, and the most any one of them has free.
+	// snapshot takes it, Bind debits it, Candidates reads nothing else.
+	caps    []pilotCap
+	maxFree int
 	// The last Candidates answer and the pilots behind it, index for
 	// index; both are scratch reused by the next call.
 	cands  []plan.Candidate
 	pilots []*Pilot
 }
 
-// Candidates implements plan.Executor: the running pilots with at least
-// u.Cores free, in submission order. A pilot whose backend is inside an
-// injected outage window is unreachable and therefore not a candidate.
-// Nothing else about the unit filters (plan.Executor's monotonicity
-// contract).
-func (e *plannerExec) Candidates(u plan.UnitSpec) []plan.Candidate {
-	e.cands, e.pilots = e.cands[:0], e.pilots[:0]
+// pilotCap is one pilot's free capacity as the running tick sees it.
+type pilotCap struct {
+	p    *Pilot
+	free int
+}
+
+// snapshot opens a tick at now: one pass over the pilots' locks, and their
+// backends' fault switchboards, for the whole tick. It holds for the tick
+// because nothing but the tick's own binds moves capacity inside it (the
+// monotonicity contract on plan.Executor.Candidates): a pilot that starts,
+// ends, gets slots back or whose backend goes down or comes back does so
+// between ticks, and each of those is followed by a wake. A pilot with no
+// free core can host nothing (a unit needs at least one) and is left out.
+func (e *plannerExec) snapshot(now time.Time) {
+	e.now, e.caps, e.maxFree = now, e.caps[:0], 0
 	for _, p := range e.m.pilots {
 		p.mu.Lock()
 		free := p.freeCores
-		ok := p.state == PilotRunning && free >= u.Cores
+		ok := p.state == PilotRunning && free > 0
 		p.mu.Unlock()
 		if ok && !p.faults.Down() {
-			e.cands = append(e.cands, plan.Candidate{ID: p.id, Backend: p.desc.Resource, FreeCores: free})
-			e.pilots = append(e.pilots, p)
+			e.caps = append(e.caps, pilotCap{p, free})
+			e.maxFree = max(e.maxFree, free)
+		}
+	}
+}
+
+// Candidates implements plan.Executor: the running pilots with at least
+// u.Cores free, in submission order, read off the tick's snapshot without
+// taking a lock; a unit larger than every pilot's free capacity is refused
+// without a look at the pilots. A pilot whose backend is inside an injected
+// outage window is unreachable and therefore not a candidate. Nothing else
+// about the unit filters (plan.Executor's monotonicity contract).
+func (e *plannerExec) Candidates(u plan.UnitSpec) []plan.Candidate {
+	e.cands, e.pilots = e.cands[:0], e.pilots[:0]
+	if u.Cores > e.maxFree {
+		return e.cands
+	}
+	for _, c := range e.caps {
+		if c.free >= u.Cores {
+			e.cands = append(e.cands, plan.Candidate{ID: c.p.id, Backend: c.p.desc.Resource, FreeCores: c.free})
+			e.pilots = append(e.pilots, c.p)
 		}
 	}
 	return e.cands
 }
 
-// Bind implements plan.Executor: reserve cores, mark the unit Scheduled
-// and hand it to the pilot's agent.
+// Bind implements plan.Executor: reserve cores — on the pilot and in the
+// tick's snapshot — mark the unit Scheduled and hand it to the pilot's
+// agent.
 func (e *plannerExec) Bind(u plan.UnitSpec, pilotID string) {
 	m := e.m
 	cu := m.unitByID[u.ID]
@@ -486,14 +533,30 @@ func (e *plannerExec) Bind(u plan.UnitSpec, pilotID string) {
 	p.freeCores -= cu.desc.Cores
 	p.running[cu] = struct{}{}
 	p.mu.Unlock()
+	e.debit(p, cu.desc.Cores)
 	cu.mu.Lock()
 	cu.state = UnitScheduled
 	cu.pilot = p
 	cu.scheduled = e.now
 	cu.mu.Unlock()
-	m.cfg.Clock.Mark("bind "+u.ID+" -> "+pilotID, u.Ordinal)
+	if m.cfg.Clock.Recording() {
+		m.cfg.Clock.Mark("bind "+u.ID+" -> "+pilotID, u.Ordinal)
+	}
 	m.notify(cu, UnitScheduled)
 	p.pushWork(cu)
+}
+
+// debit takes cores off p's entry in the snapshot and finds the maximum
+// again.
+func (e *plannerExec) debit(p *Pilot, cores int) {
+	e.maxFree = 0
+	for i := range e.caps {
+		c := &e.caps[i]
+		if c.p == p {
+			c.free -= cores
+		}
+		e.maxFree = max(e.maxFree, c.free)
+	}
 }
 
 // wakeAtLocked schedules a dispatch self-wake at t (m.mu must be held).
@@ -615,16 +678,14 @@ func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
 	m.notify(cu, UnitRunning)
 
 	tc := TaskContext{
-		Unit:  cu,
-		Cores: cu.desc.Cores,
-		Site:  site,
-		Alloc: p.allocation(),
-		Data:  m.cfg.Data,
-		Sleep: m.cfg.Clock.Sleep,
-		Compute: func(ctx context.Context, fn func()) bool {
-			return m.cfg.Clock.Compute(ctx, fn)
-		},
-		Stream: cu.stream,
+		Unit:    cu,
+		Cores:   cu.desc.Cores,
+		Site:    site,
+		Alloc:   p.allocation(),
+		Data:    m.cfg.Data,
+		Sleep:   m.sleep,
+		Compute: m.compute,
+		Stream:  cu.stream,
 	}
 	err := cu.desc.Run(runCtx, tc)
 
@@ -745,13 +806,17 @@ func (m *Manager) reconcileLoop() {
 // ReconcileOnce runs one desired-vs-actual scan and corrects every drift
 // confirmed by two consecutive scans (plan.Reconciler's anti-flap rule).
 // It returns the corrections applied, in deterministic order.
+//
+// The desired-state snapshot holds the bound units only, in submission
+// order: plan.DetectDrift treats a unit that is unbound, terminal or absent
+// alike, so a deep backlog adds nothing to what a scan copies, indexes and
+// compares. Units that finished since the last scan are dropped from the
+// live list here instead of being locked on every scan for the rest of the
+// manager's life. Both snapshots are built in scratch the next scan reuses
+// (the reconciler keeps the drifts it saw, never the snapshots).
 func (m *Manager) ReconcileOnce() []plan.Drift {
 	m.mu.Lock()
-	// Only live units are snapshotted: plan.DetectDrift treats a unit that
-	// is absent exactly as a terminal one, so units that finished since the
-	// last scan are dropped from the live list here instead of being locked
-	// and copied on every scan for the rest of the manager's life.
-	units := make([]plan.UnitStatus, 0, len(m.live))
+	units := m.reconUnits[:0]
 	live := m.live[:0]
 	for _, u := range m.live {
 		u.mu.Lock()
@@ -759,35 +824,36 @@ func (m *Manager) ReconcileOnce() []plan.Drift {
 			u.mu.Unlock()
 			continue
 		}
-		st := plan.UnitStatus{ID: u.id}
 		if u.pilot != nil && (u.state == UnitScheduled || u.state == UnitStaging || u.state == UnitRunning) {
-			st.Bound = true
-			st.Started = u.state != UnitScheduled
-			st.Pilot = u.pilot.id
+			units = append(units, plan.UnitStatus{
+				ID: u.id, Bound: true, Started: u.state != UnitScheduled, Pilot: u.pilot.id,
+			})
 		}
 		u.mu.Unlock()
-		units = append(units, st)
 		live = append(live, u)
 	}
-	m.live = live
-	pilots := make([]plan.PilotStatus, 0, len(m.pilots))
-	for _, p := range m.pilots {
+	m.live, m.reconUnits = live, units
+	if n := len(m.pilots) - len(m.reconPilots); n > 0 {
+		m.reconPilots = append(m.reconPilots, make([]plan.PilotStatus, n)...)
+	}
+	pilots := m.reconPilots[:len(m.pilots)]
+	for i, p := range m.pilots {
+		held := pilots[i].Units[:0]
 		p.mu.Lock()
-		st := plan.PilotStatus{
+		for _, cu := range p.workQ {
+			held = append(held, cu.id)
+		}
+		for cu := range p.running {
+			held = append(held, cu.id)
+		}
+		pilots[i] = plan.PilotStatus{
 			ID:       p.id,
 			Running:  p.state == PilotRunning,
 			Terminal: p.state.Terminal(),
 		}
-		for _, cu := range p.workQ {
-			st.Units = append(st.Units, cu.id)
-		}
-		for cu := range p.running {
-			st.Units = append(st.Units, cu.id)
-		}
 		p.mu.Unlock()
-		sort.Strings(st.Units)
-		st.Units = dedupSorted(st.Units)
-		pilots = append(pilots, st)
+		slices.Sort(held)
+		pilots[i].Units = slices.Compact(held)
 	}
 	confirmed := m.recon.Observe(units, pilots)
 	m.mu.Unlock()
@@ -916,17 +982,6 @@ func (m *Manager) applyDrift(d plan.Drift, cu *ComputeUnit, p *Pilot) bool {
 		}
 		return true
 	}
-}
-
-// dedupSorted removes adjacent duplicates from a sorted slice in place.
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func (u *ComputeUnit) setState(s UnitState) {

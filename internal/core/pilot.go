@@ -238,7 +238,10 @@ func (p *Pilot) hasWork() bool {
 	return len(p.workQ) > 0
 }
 
-// popWork dequeues the next unit, or nil.
+// popWork dequeues the next unit, or nil. The rest of the queue — a handful
+// of units at most, the pilot's cores bound it — moves down over it, so the
+// backing array keeps its capacity for the next pushWork and the vacated
+// slot no longer holds a unit reachable.
 func (p *Pilot) popWork() *ComputeUnit {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -246,7 +249,9 @@ func (p *Pilot) popWork() *ComputeUnit {
 		return nil
 	}
 	cu := p.workQ[0]
-	p.workQ = p.workQ[1:]
+	last := copy(p.workQ, p.workQ[1:])
+	p.workQ[last] = nil
+	p.workQ = p.workQ[:last]
 	return cu
 }
 

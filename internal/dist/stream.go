@@ -79,8 +79,15 @@ func (s *Stream) SplitLabel(label uint64) *Stream {
 	s.mu.Lock()
 	base, g := s.seed0, s.gamma
 	s.mu.Unlock()
-	seed := mix64(base ^ mix64(label*goldenGamma+1))
-	return &Stream{state: seed, gamma: mixGamma(seed ^ g), seed0: seed}
+	seed, gamma := splitLabel(base, g, label)
+	return &Stream{state: seed, gamma: gamma, seed0: seed}
+}
+
+// splitLabel is the child derivation itself: the birth state and gamma of
+// the label's child of a stream born with (base, g).
+func splitLabel(base, g, label uint64) (seed, gamma uint64) {
+	seed = mix64(base ^ mix64(label*goldenGamma+1))
+	return seed, mixGamma(seed ^ g)
 }
 
 // labelKey hashes a string label onto SplitLabel's numeric namespace:
@@ -117,17 +124,29 @@ func labelKey(label string) uint64 {
 // String labels (component names) and numeric SplitLabel ordinals
 // (pilot 3, unit 17) compose freely: root.Named("pilot").SplitLabel(3)
 // is the canonical address of the third pilot.
+//
+// The chain of SplitLabel steps is folded numerically: only the stream
+// returned is allocated, whatever the depth of the path (a path with no
+// segment at all names the receiver, which is returned as it is).
 func (s *Stream) Named(path ...string) *Stream {
-	out := s
+	s.mu.Lock()
+	seed, gamma := s.seed0, s.gamma
+	s.mu.Unlock()
+	depth := 0
 	for _, p := range path {
-		for _, seg := range strings.Split(p, "/") {
-			if seg == "" {
-				continue
+		for p != "" {
+			var seg string
+			seg, p, _ = strings.Cut(p, "/")
+			if seg != "" {
+				seed, gamma = splitLabel(seed, gamma, labelKey(seg))
+				depth++
 			}
-			out = out.SplitLabel(labelKey(seg))
 		}
 	}
-	return out
+	if depth == 0 {
+		return s
+	}
+	return &Stream{state: seed, gamma: gamma, seed0: seed}
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -16,15 +16,21 @@
 // called under the manager's lock. That purity is what keeps same-seed
 // runs bit-identical (and is enforced by seed-audit rule 6).
 //
-// A planning tick is indexed, not a rescan: the pending queue is an
-// intrusive list of unit records in arrival (re-)order, and Plan keeps a
-// per-tick capacity floor — the smallest core count the executor refused
-// this tick — so a unit needing at least that much is kept without asking
-// again, and the walk stops once every unit behind it is such a unit and
-// none is parked in backoff. That rests on the monotonicity contract
-// stated on Executor.Candidates; under it the index changes what a tick
-// costs (units bound + distinct core sizes queued, not queue depth ×
-// pilots), never what it decides.
+// A planning tick is indexed, not a rescan. Every queued record carries a
+// queue position, stamped when it (re-)enters the queue, and hangs on the
+// FIFO of its core size; a record gated by a retryAt hangs on the parked
+// list as well. Plan keeps a per-tick capacity floor — the smallest core
+// count the executor refused this tick — and a cursor per list, and its
+// next record is the smallest position under the parked cursor and the
+// cursors of the sizes still below the floor. Those are exactly the records
+// a walk of the whole queue would act on (ask about, bind, gate or
+// un-gate), in the same order; a record at or above the floor that is not
+// parked would be kept unasked, so it is never touched. That rests on the
+// monotonicity contract stated on Executor.Candidates; under it a tick
+// visits the units it binds plus one refusal per distinct core size plus
+// the parked records — whatever the depth, and wherever in the queue the
+// small units sit — and the index changes what a tick costs, never what it
+// decides.
 package plan
 
 import (
@@ -88,7 +94,10 @@ type Executor interface {
 	// other participant — and with it every slot return — out of it; and
 	// every capacity rise (returnSlots, pilotStarted, an outage clearing
 	// via Kick) is followed by a wake, so a skipped unit is reconsidered
-	// on the very next tick.
+	// on the very next tick. An implementation may therefore serve a whole
+	// tick from one snapshot of capacity taken before Plan is called and
+	// debited by its own Bind — the manager's does; nothing else can move
+	// what a snapshot holds while the tick runs.
 	Candidates(u UnitSpec) []Candidate
 	// Bind reserves u onto the chosen pilot and hands it to the agent.
 	Bind(u UnitSpec, pilotID string)
@@ -159,22 +168,81 @@ type Config struct {
 
 // unitRec is the planner's per-unit bookkeeping.
 type unitRec struct {
-	spec       UnitSpec
-	retry      *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry
-	class      *sizeClass   // queue census entry for spec.Cores
-	prev, next *unitRec     // pending-queue links while queued
-	queued     bool         // linked into the pending queue
-	bound      bool         // dispatched and not yet returned
-	backend    string       // watermark key while bound
-	charges    int          // failures charged against MaxRetries
-	retryAt    time.Time    // eligibility gate while queued after a failure
+	spec    UnitSpec
+	retry   *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry; derived at the first failure
+	class   *sizeClass   // FIFO of spec.Cores
+	pos     uint64       // queue position while queued: orders records across lists
+	links   [2]link      // bySize and byRetry list links while queued
+	queued  bool         // in the pending queue
+	bound   bool         // dispatched and not yet returned
+	backend string       // watermark key while bound
+	charges int          // failures charged against MaxRetries
+	retryAt time.Time    // eligibility gate while queued after a failure
 }
 
-// sizeClass is the pending queue's census of one core size.
+// The two lists a queued record can hang on, as indexes into unitRec.links:
+// its size class's FIFO (always) and the planner's parked list (while it
+// carries a retryAt).
+const (
+	bySize = iota
+	byRetry
+)
+
+// link is one list's pair of neighbours.
+type link struct{ prev, next *unitRec }
+
+// fifo is an intrusive list of queued records in ascending queue position,
+// threaded through their links[k]. cur is the running tick's cursor: the
+// first record of the list the tick has not visited.
+type fifo struct {
+	k               int
+	head, tail, cur *unitRec
+}
+
+// insert links r where its position belongs. A record entering the queue
+// holds the largest position there is, so this is an append; only a record
+// that fails while it is still queued joins the parked list in mid-order.
+func (l *fifo) insert(r *unitRec) {
+	k, after := l.k, l.tail
+	for after != nil && after.pos > r.pos {
+		after = after.links[k].prev
+	}
+	before := l.head
+	if after != nil {
+		before = after.links[k].next
+		after.links[k].next = r
+	} else {
+		l.head = r
+	}
+	if before != nil {
+		before.links[k].prev = r
+	} else {
+		l.tail = r
+	}
+	r.links[k] = link{prev: after, next: before}
+}
+
+// remove unlinks r from the list.
+func (l *fifo) remove(r *unitRec) {
+	k := l.k
+	prev, next := r.links[k].prev, r.links[k].next
+	if prev != nil {
+		prev.links[k].next = next
+	} else {
+		l.head = next
+	}
+	if next != nil {
+		next.links[k].prev = prev
+	} else {
+		l.tail = prev
+	}
+	r.links[k] = link{}
+}
+
+// sizeClass is the pending queue's FIFO of one core size.
 type sizeClass struct {
-	cores  int
-	queued int // units of this size in the pending queue
-	left   int // of those, not yet visited by the running tick
+	cores int
+	fifo
 }
 
 // Planner is the TickPlanner. It is not self-synchronizing: the owning
@@ -186,10 +254,11 @@ type Planner struct {
 	backoff    Backoff
 	retryRoot  *dist.Stream
 	units      map[string]*unitRec
-	head, tail *unitRec     // pending queue in arrival (re-)order
+	sizes      []*sizeClass // the pending queue: one FIFO per core size ever queued
+	parked     fifo         // queued records carrying a retryAt
 	pending    int          // queued units
-	parked     int          // queued units carrying a retryAt
-	sizes      []*sizeClass // one per core size ever queued
+	lastPos    uint64       // the newest queue position handed out
+	visited    uint64       // records Plan has taken off a cursor, over the planner's life
 	watermarks map[string]*Watermark
 	backends   []string // watermark keys in first-dispatch order
 }
@@ -207,6 +276,7 @@ func New(cfg Config) *Planner {
 		backoff:    cfg.Backoff.withDefaults(),
 		retryRoot:  cfg.Stream.Named("retry"),
 		units:      make(map[string]*unitRec),
+		parked:     fifo{k: byRetry},
 		watermarks: make(map[string]*Watermark),
 	}
 }
@@ -216,64 +286,75 @@ func (p *Planner) Admit(spec UnitSpec) {
 	if _, ok := p.units[spec.ID]; ok {
 		return
 	}
-	r := &unitRec{
-		spec:  spec,
-		retry: p.retryRoot.SplitLabel(spec.Ordinal),
-		class: p.classOf(spec.Cores),
-	}
+	r := &unitRec{spec: spec, class: p.classOf(spec.Cores)}
 	p.units[spec.ID] = r
 	p.enqueue(r)
 }
 
-// classOf returns the census entry for a core size, creating it on first
-// use. Entries are never dropped: a workload has a handful of sizes.
+// classOf returns the FIFO for a core size, creating it on first use.
+// Entries are never dropped: a workload has a handful of sizes.
 func (p *Planner) classOf(cores int) *sizeClass {
 	for _, c := range p.sizes {
 		if c.cores == cores {
 			return c
 		}
 	}
-	c := &sizeClass{cores: cores}
+	c := &sizeClass{cores: cores, fifo: fifo{k: bySize}}
 	p.sizes = append(p.sizes, c)
 	return c
 }
 
-// enqueue links r at the tail of the pending queue.
+// enqueue puts r at the tail of the pending queue.
 func (p *Planner) enqueue(r *unitRec) {
+	p.lastPos++
+	r.pos = p.lastPos
 	r.queued = true
-	r.prev, r.next = p.tail, nil
-	if p.tail != nil {
-		p.tail.next = r
-	} else {
-		p.head = r
-	}
-	p.tail = r
 	p.pending++
-	r.class.queued++
+	r.class.insert(r)
 	if !r.retryAt.IsZero() {
-		p.parked++
+		p.parked.insert(r)
 	}
 }
 
-// dequeue unlinks r from the pending queue.
+// dequeue takes r out of the pending queue.
 func (p *Planner) dequeue(r *unitRec) {
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		p.head = r.next
+	r.class.remove(r)
+	if !r.retryAt.IsZero() {
+		p.parked.remove(r)
 	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		p.tail = r.prev
-	}
-	r.prev, r.next = nil, nil
 	r.queued = false
 	p.pending--
-	r.class.queued--
-	if !r.retryAt.IsZero() {
-		p.parked--
+}
+
+// rewind puts every cursor back at the front of its list.
+func (p *Planner) rewind() {
+	p.parked.cur = p.parked.head
+	for _, c := range p.sizes {
+		c.cur = c.head
 	}
+}
+
+// next takes the unvisited record with the smallest queue position off the
+// parked cursor and the cursors of the sizes below floor, or returns nil
+// when they have all run out. A parked record of such a size is under both
+// cursors at once — each list is in position order — and both move past it.
+func (p *Planner) next(floor int) *unitRec {
+	r := p.parked.cur
+	for _, c := range p.sizes {
+		if c.cores < floor && c.cur != nil && (r == nil || c.cur.pos < r.pos) {
+			r = c.cur
+		}
+	}
+	if r == nil {
+		return nil
+	}
+	if r == p.parked.cur {
+		p.parked.cur = r.links[byRetry].next
+	}
+	if r == r.class.cur {
+		r.class.cur = r.links[bySize].next
+	}
+	return r
 }
 
 // Forget removes a unit from the planner (terminal or canceled).
@@ -300,47 +381,31 @@ func (p *Planner) Forget(id string) {
 // schedules its next self-wake from it. now must not decrease from one
 // tick to the next.
 //
-// The walk asks the executor only about units below the tick's capacity
-// floor and ends as soon as no unvisited unit is below it or carries a
-// retryAt: everything behind that point would be kept unasked and cannot
-// move nextWake.
+// The tick visits, in queue order, the records that are parked or below
+// its capacity floor, and no others: a record at or above the floor that
+// carries no retryAt would be kept unasked and cannot move nextWake.
 func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
 	floor := math.MaxInt // smallest core count refused this tick
-	small, parked := p.pending, p.parked
-	for _, c := range p.sizes {
-		c.left = c.queued
-	}
-	for r, next := p.head, (*unitRec)(nil); r != nil && (small > 0 || parked > 0); r = next {
-		next = r.next
-		r.class.left--
-		if r.spec.Cores < floor {
-			small--
-		}
+	p.rewind()
+	for r := p.next(floor); r != nil; r = p.next(floor) {
+		p.visited++
 		if !r.retryAt.IsZero() {
-			parked--
 			if r.retryAt.After(now) {
 				if nextWake.IsZero() || r.retryAt.Before(nextWake) {
 					nextWake = r.retryAt
 				}
 				continue
 			}
-			// Eligible from here on (now never decreases): stop counting
-			// it as a reason for later ticks to walk this far.
+			// Eligible from here on (now never decreases): it stops being a
+			// reason for later ticks to visit it.
+			p.parked.remove(r)
 			r.retryAt = time.Time{}
-			p.parked--
 		}
 		if r.spec.Cores >= floor {
 			continue
 		}
 		cands := ex.Candidates(r.spec)
 		if len(cands) == 0 {
-			// Lower the floor; the unvisited units it now covers stop
-			// counting as reasons to walk on.
-			for _, c := range p.sizes {
-				if c.cores >= r.spec.Cores && c.cores < floor {
-					small -= c.left
-				}
-			}
 			floor = r.spec.Cores
 			continue
 		}
@@ -384,13 +449,19 @@ func (p *Planner) NoteFailure(id string, class FailureClass, now time.Time) Verd
 		p.Forget(id)
 		return Verdict{Retry: false, Charges: r.charges}
 	}
-	d := p.backoff.Delay(r.charges-1, r.retry)
-	if r.queued && r.retryAt.IsZero() {
-		p.parked++ // failed while still queued: it keeps its place in line
+	if r.retry == nil {
+		// SplitLabel does not depend on what the parent has handed out, so
+		// deriving the stream now gives the one Admit would have.
+		r.retry = p.retryRoot.SplitLabel(r.spec.Ordinal)
 	}
+	d := p.backoff.Delay(r.charges-1, r.retry)
+	gated := !r.retryAt.IsZero()
 	r.retryAt = now.Add(d)
-	if !r.queued {
+	switch {
+	case !r.queued:
 		p.enqueue(r)
+	case !gated:
+		p.parked.insert(r) // failed while still queued: it keeps its place in line
 	}
 	return Verdict{Retry: true, Charges: r.charges, Delay: d, RetryAt: r.retryAt}
 }
@@ -411,9 +482,10 @@ func (p *Planner) PendingLen() int { return p.pending }
 // the manager's shutdown path, which finalizes them as canceled.
 func (p *Planner) DrainPending() []string {
 	var out []string
-	for p.head != nil {
-		out = append(out, p.head.spec.ID)
-		p.Forget(p.head.spec.ID)
+	p.rewind()
+	for r := p.next(math.MaxInt); r != nil; r = p.next(math.MaxInt) {
+		out = append(out, r.spec.ID)
+		p.Forget(r.spec.ID)
 	}
 	return out
 }

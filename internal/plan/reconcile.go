@@ -1,5 +1,7 @@
 package plan
 
+import "slices"
+
 // Drift reconciliation: the control plane's desired state (which pilot
 // each unit is bound to) is compared against the agents' actual state
 // (which units each pilot's work queue and running set hold), and every
@@ -82,20 +84,21 @@ type Drift struct {
 // divergence, in deterministic order: unit-keyed classes follow the
 // units slice, orphans follow the pilots slice. It is a pure function of
 // its arguments.
+//
+// Only a bound, non-terminal unit can produce a unit-keyed drift or keep an
+// id an agent holds from being an orphan; a unit that is unbound, terminal
+// or absent from units is the same to both loops. A caller may therefore
+// leave every such unit out of the snapshot and get the identical slice
+// (TestDetectDriftNeedsOnlyBoundUnits) — the manager snapshots the bound
+// units only, so a scan costs what is dispatched, not what is waiting.
 func DetectDrift(units []UnitStatus, pilots []PilotStatus) []Drift {
-	byUnit := make(map[string]UnitStatus, len(units))
-	for _, u := range units {
-		byUnit[u.ID] = u
+	byUnit := make(map[string]*UnitStatus, len(units))
+	for i := range units {
+		byUnit[units[i].ID] = &units[i]
 	}
-	held := make(map[string]map[string]bool, len(pilots))
-	byPilot := make(map[string]PilotStatus, len(pilots))
-	for _, p := range pilots {
-		byPilot[p.ID] = p
-		set := make(map[string]bool, len(p.Units))
-		for _, id := range p.Units {
-			set[id] = true
-		}
-		held[p.ID] = set
+	byPilot := make(map[string]*PilotStatus, len(pilots))
+	for i := range pilots {
+		byPilot[pilots[i].ID] = &pilots[i]
 	}
 
 	var out []Drift
@@ -108,7 +111,9 @@ func DetectDrift(units []UnitStatus, pilots []PilotStatus) []Drift {
 			out = append(out, Drift{Class: DriftStateMismatch, Unit: u.ID, Pilot: u.Pilot})
 			continue
 		}
-		if p.Running && !held[u.Pilot][u.ID] {
+		// An agent holds at most its core count in units: a search of its
+		// list is cheaper than a set built to be asked once per unit.
+		if p.Running && !slices.Contains(p.Units, u.ID) {
 			out = append(out, Drift{Class: DriftMissingOnAgent, Unit: u.ID, Pilot: u.Pilot})
 		}
 	}

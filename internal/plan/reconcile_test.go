@@ -93,41 +93,65 @@ func TestReconcilerForgetsHealedTransients(t *testing.T) {
 	}
 }
 
-// TestDetectDriftIgnoresTerminalUnits is the property that lets the manager
-// snapshot live units only: a terminal unit and an absent unit are the same
-// to DetectDrift (no unit-keyed drift; an agent still holding it is an
-// orphan either way), so dropping every terminal unit from the snapshot
-// yields the identical drift slice, in the identical order.
-func TestDetectDriftIgnoresTerminalUnits(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
-		s := dist.NewStream(seed)
-		pilots := make([]PilotStatus, 1+s.Intn(5))
-		for i := range pilots {
-			pilots[i] = PilotStatus{ID: fmt.Sprintf("p%d", i), Running: s.Intn(3) > 0}
-			pilots[i].Terminal = !pilots[i].Running && s.Intn(2) == 0
+// randomWorld draws a small desired/actual snapshot pair in which anything
+// goes: a terminal unit may still carry a stale binding, a unit may be bound
+// to a pilot nobody knows, and any unit may sit on any agent — bound there,
+// bound elsewhere or not bound at all — so every drift class turns up.
+func randomWorld(s *dist.Stream) ([]UnitStatus, []PilotStatus) {
+	pilots := make([]PilotStatus, 1+s.Intn(5))
+	for i := range pilots {
+		pilots[i] = PilotStatus{ID: fmt.Sprintf("p%d", i), Running: s.Intn(3) > 0}
+		pilots[i].Terminal = !pilots[i].Running && s.Intn(2) == 0
+	}
+	units := make([]UnitStatus, s.Intn(40))
+	for i := range units {
+		u := UnitStatus{ID: fmt.Sprintf("u%d", i), Terminal: s.Intn(3) == 0}
+		if s.Intn(3) > 0 {
+			u.Bound, u.Started = true, s.Intn(2) == 0
+			u.Pilot = fmt.Sprintf("p%d", s.Intn(len(pilots)+1)) // sometimes unknown
 		}
-		units := make([]UnitStatus, s.Intn(40))
-		var live []UnitStatus
-		for i := range units {
-			u := UnitStatus{ID: fmt.Sprintf("u%d", i), Terminal: s.Intn(3) == 0}
-			// A terminal unit may still carry a stale binding in the
-			// snapshot, and any unit may sit on any agent, bound there or not.
-			if s.Intn(3) > 0 {
-				u.Bound, u.Started = true, s.Intn(2) == 0
-				u.Pilot = fmt.Sprintf("p%d", s.Intn(len(pilots)+1)) // sometimes unknown
-			}
-			for n := s.Intn(3); n > 0; n-- {
-				p := &pilots[s.Intn(len(pilots))]
-				p.Units = append(p.Units, u.ID)
-			}
-			units[i] = u
+		for n := s.Intn(3); n > 0; n-- {
+			p := &pilots[s.Intn(len(pilots))]
+			p.Units = append(p.Units, u.ID)
+		}
+		units[i] = u
+	}
+	return units, pilots
+}
+
+// TestDetectDriftNeedsOnlyBoundUnits is the property that lets the manager
+// snapshot bound units only: a unit that is terminal, unbound or absent is
+// the same to DetectDrift (no unit-keyed drift; an agent holding it is an
+// orphan in every case), so dropping every terminal unit from the snapshot,
+// or every unit that is not both live and bound, yields the identical drift
+// slice, in the identical order.
+func TestDetectDriftNeedsOnlyBoundUnits(t *testing.T) {
+	planted := map[DriftClass]int{}
+	for seed := int64(1); seed <= 300; seed++ {
+		units, pilots := randomWorld(dist.NewStream(seed))
+		var live, bound []UnitStatus
+		for _, u := range units {
 			if !u.Terminal {
 				live = append(live, u)
+				if u.Bound {
+					bound = append(bound, u)
+				}
 			}
 		}
-		all, onlyLive := DetectDrift(units, pilots), DetectDrift(live, pilots)
-		if !reflect.DeepEqual(all, onlyLive) {
+		all := DetectDrift(units, pilots)
+		if onlyLive := DetectDrift(live, pilots); !reflect.DeepEqual(all, onlyLive) {
 			t.Fatalf("seed %d: drift over all units %v, over live units only %v", seed, all, onlyLive)
+		}
+		if onlyBound := DetectDrift(bound, pilots); !reflect.DeepEqual(all, onlyBound) {
+			t.Fatalf("seed %d: drift over all units %v, over bound units only %v", seed, all, onlyBound)
+		}
+		for _, d := range all {
+			planted[d.Class]++
+		}
+	}
+	for _, c := range []DriftClass{DriftOrphan, DriftStateMismatch, DriftMissingOnAgent} {
+		if planted[c] == 0 {
+			t.Errorf("no world held a %v drift: the property was not tested on it", c)
 		}
 	}
 }

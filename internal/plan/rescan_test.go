@@ -287,30 +287,64 @@ func drivePlanners(script []byte) error {
 	return nil
 }
 
-// checkCensus recounts the pending queue and compares it with the counters
-// Plan's early exit trusts. A counter that only over-counts would never
-// change a decision — just make every tick walk the whole queue again — so
-// the comparison against the rescan model cannot see it.
+// checkCensus walks every list of the pending queue and compares it with
+// what Plan's cursors trust: each list's links are sound and in ascending
+// queue position, no position repeats, every size FIFO holds queued records
+// of its size and between them exactly PendingLen of them, and the parked
+// list holds exactly the queued records that carry a retryAt. A record
+// missing from a list would be skipped by every tick — a bind the rescan
+// comparison sees only if capacity happens to be there — and a record left
+// on one after it was dequeued would be bound twice.
 func checkCensus(p *Planner) error {
-	pending, parked := 0, 0
-	bySize := map[int]int{}
-	for r, prev := p.head, (*unitRec)(nil); r != nil; prev, r = r, r.next {
-		if r.prev != prev || !r.queued || r.bound {
-			return fmt.Errorf("queue entry %s: broken link or state (queued %v, bound %v)", r.spec.ID, r.queued, r.bound)
+	walk := func(l *fifo, what string, each func(r *unitRec) error) error {
+		var prev *unitRec
+		for r := l.head; r != nil; prev, r = r, r.links[l.k].next {
+			if r.links[l.k].prev != prev || !r.queued || r.bound || p.units[r.spec.ID] != r {
+				return fmt.Errorf("%s entry %s: broken link or state (queued %v, bound %v)", what, r.spec.ID, r.queued, r.bound)
+			}
+			if prev != nil && prev.pos >= r.pos {
+				return fmt.Errorf("%s: %s at position %d follows %s at %d", what, r.spec.ID, r.pos, prev.spec.ID, prev.pos)
+			}
+			if err := each(r); err != nil {
+				return err
+			}
 		}
-		pending++
-		bySize[r.spec.Cores]++
-		if !r.retryAt.IsZero() {
-			parked++
+		if l.tail != prev {
+			return fmt.Errorf("%s: tail is not its last entry", what)
 		}
+		return nil
 	}
-	if pending != p.pending || parked != p.parked {
-		return fmt.Errorf("census: pending %d parked %d, queue holds %d and %d", p.pending, p.parked, pending, parked)
-	}
+	pending, gated := 0, 0
+	seen := map[uint64]bool{}
 	for _, c := range p.sizes {
-		if c.queued != bySize[c.cores] {
-			return fmt.Errorf("census: %d units of %d cores, queue holds %d", c.queued, c.cores, bySize[c.cores])
+		err := walk(&c.fifo, fmt.Sprintf("%d-core FIFO", c.cores), func(r *unitRec) error {
+			if r.spec.Cores != c.cores || r.class != c || seen[r.pos] {
+				return fmt.Errorf("%d-core FIFO holds %s (%d cores, position %d)", c.cores, r.spec.ID, r.spec.Cores, r.pos)
+			}
+			seen[r.pos] = true
+			pending++
+			if !r.retryAt.IsZero() {
+				gated++
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
+	}
+	parked := 0
+	err := walk(&p.parked, "parked list", func(r *unitRec) error {
+		if r.retryAt.IsZero() {
+			return fmt.Errorf("parked list holds %s, which carries no retryAt", r.spec.ID)
+		}
+		parked++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if pending != p.pending || parked != gated {
+		return fmt.Errorf("census: pending %d, FIFOs hold %d; %d of them gated, parked list holds %d", p.pending, pending, gated, parked)
 	}
 	return nil
 }
@@ -325,16 +359,61 @@ func planScript(seed int64, n int) []byte {
 	return out
 }
 
+// Two queue shapes a uniform script all but never draws, and the ones the
+// per-size cursors exist for. Both end in a uniform tail, so capacity keeps
+// moving under them.
+
+// starvedFrontScript opens with front units of the largest size — one binds,
+// the rest fit nowhere — and only then admits the small ones, so every tick
+// that binds anything has the whole front between it and the unit it binds.
+func starvedFrontScript(seed int64, front int) []byte {
+	var out []byte
+	for i := 0; i < front; i++ {
+		out = append(out, 0, 11) // admit: 4 cores, 2 retries
+	}
+	for i := 0; i < 12; i++ {
+		out = append(out, 0, byte(8+i%3)) // admit: 1, 2, 3 cores
+	}
+	out = append(out, 2, 0) // tick
+	return append(out, planScript(seed, 120)...)
+}
+
+// parkedBetweenHeadsScript parks a record of the refused size between the
+// heads of two size FIFOs: u1 binds, fails and re-enters behind u2 and u3
+// carrying a retryAt; u3 is refused, which puts u1 at the floor; the small
+// units behind it must still see it gated, then un-gated, in queue order.
+func parkedBetweenHeadsScript(seed int64) []byte {
+	out := []byte{
+		0, 11, // admit u1: 4 cores
+		2, 0, // tick: u1 -> pA
+		0, 11, 0, 11, // admit u2, u3: 4 cores
+		4, 0, // u1 fails: pA's cores come back, u1 re-enters parked
+		0, 8, 0, 9, // admit u4 (1 core), u5 (2 cores)
+		2, 0, // tick: u2 -> pA, u3 refused, u1 gated, u4 -> pB, u5 refused
+		2, 7, // tick 7 s on: u1 un-gated at the floor
+		4, 3, // u4 fails and parks behind everything
+		2, 0, 2, 7,
+	}
+	return append(out, planScript(seed, 120)...)
+}
+
 // TestPlanMatchesRescan is the equivalence property: over randomized
 // operation sequences — mixed core sizes, backoff-gated units in mid-queue,
 // policy deferrals, failures of queued units, capacity rising between
-// ticks — the indexed planner and the full-rescan model agree on bind
-// order, nextWake, verdicts, PendingLen, Charges and Watermarks after
-// every step.
+// ticks, small units starved behind a front of large ones, a parked record
+// at the floor between two FIFO heads — the indexed planner and the
+// full-rescan model agree on bind order, nextWake, verdicts, PendingLen,
+// Charges and Watermarks after every step.
 func TestPlanMatchesRescan(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		if err := drivePlanners(planScript(seed, 400)); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		for name, script := range map[string][]byte{
+			"uniform":              planScript(seed, 400),
+			"starved front":        starvedFrontScript(seed, 1+int(seed)%60),
+			"parked between heads": parkedBetweenHeadsScript(seed),
+		} {
+			if err := drivePlanners(script); err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, name, err)
+			}
 		}
 	}
 }
@@ -344,6 +423,8 @@ func TestPlanMatchesRescan(t *testing.T) {
 func FuzzPlanMatchesRescan(f *testing.F) {
 	f.Add(planScript(7, 64))
 	f.Add(bytes.Repeat([]byte{0, 3, 0, 2, 2, 1, 4, 0, 6, 17}, 12))
+	f.Add(starvedFrontScript(3, 40))
+	f.Add(parkedBetweenHeadsScript(5))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
@@ -363,22 +444,103 @@ func (e *countingExec) Bind(UnitSpec, string)           {}
 // TestPlanTickCostIndependentOfDepth is the complexity property: over a
 // backlog of 10⁴ units that fit nowhere — largest sizes at the front, so
 // the floor comes down one size at a time across the whole queue — a tick
-// asks the executor once per distinct core size and allocates nothing.
+// asks the executor once per distinct core size, takes that many records
+// off its cursors (not the 10⁴ between them) and allocates nothing. With
+// units parked in mid-queue it takes those as well, gated or not, and
+// nothing else.
 func TestPlanTickCostIndependentOfDepth(t *testing.T) {
 	p := newPlanner(Backoff{})
 	const sizes, depth = 4, 10_000
 	for i := 0; i < depth; i++ {
-		p.Admit(UnitSpec{ID: fmt.Sprintf("u%d", i), Ordinal: uint64(i), Cores: sizes - i*sizes/depth})
+		p.Admit(UnitSpec{ID: fmt.Sprintf("u%d", i), Ordinal: uint64(i), Cores: sizes - i*sizes/depth, MaxRetries: 1})
 	}
 	ex := &countingExec{}
-	p.Plan(t0, ex)
-	if ex.calls != sizes {
-		t.Fatalf("one tick made %d Candidates calls, want %d (one per core size)", ex.calls, sizes)
+	tick := func(now time.Time, wantVisited int, what string) {
+		t.Helper()
+		calls, visited := ex.calls, p.visited
+		p.Plan(now, ex)
+		if got := ex.calls - calls; got != sizes {
+			t.Fatalf("%s: one tick made %d Candidates calls, want %d (one per core size)", what, got, sizes)
+		}
+		if got := int(p.visited - visited); got != wantVisited {
+			t.Fatalf("%s: one tick visited %d records, want %d", what, got, wantVisited)
+		}
 	}
+	tick(t0, sizes, "full backlog")
 	if allocs := testing.AllocsPerRun(100, func() { p.Plan(t0, ex) }); allocs != 0 {
 		t.Fatalf("a tick over a full backlog allocates %.1f times, want 0", allocs)
 	}
+
+	// Park one record in the middle of each size's run, and two more of the
+	// largest: none is the head of its FIFO.
+	parked := []int{1250, 3750, 6250, 8750, 100, 2000}
+	for _, i := range parked {
+		if v := p.NoteFailure(fmt.Sprintf("u%d", i), FailureExecution, t0); !v.Retry {
+			t.Fatalf("u%d was not requeued", i)
+		}
+	}
+	tick(t0, sizes+len(parked), "parked and gated")
+	tick(t0.Add(time.Hour), sizes+len(parked), "parked, un-gated this tick")
+	tick(t0.Add(time.Hour), sizes, "nothing parked any more")
 	if n := p.PendingLen(); n != depth {
 		t.Fatalf("PendingLen = %d, want %d", n, depth)
 	}
+}
+
+// TestPlanVisitsWhatItActsOn drains a 4000-unit backlog of mixed 1–4-core
+// units through 20 pilots of 32 cores, a few completions and now and then a
+// failure between ticks, and holds every tick to the bound the index
+// promises: records visited ≤ units bound + distinct sizes + records parked
+// when the tick began. The queue's front fills up with the large units
+// backfill passed over, which is where a walk of the queue itself spends
+// its time.
+func TestPlanVisitsWhatItActsOn(t *testing.T) {
+	const units, sizes = 4000, 4
+	p := newPlanner(Backoff{})
+	s := dist.NewStream(11)
+	cores := make(map[string]int, units)
+	for i := 0; i < units; i++ {
+		id := fmt.Sprint("u", i)
+		cores[id] = 1 + s.Intn(sizes)
+		p.Admit(UnitSpec{ID: id, Ordinal: uint64(i), Cores: cores[id], MaxRetries: 1 << 20})
+	}
+	ex := &fakeExec{pilots: make([]Candidate, 20)}
+	for i := range ex.pilots {
+		ex.pilots[i] = Candidate{ID: fmt.Sprint("p", i), Backend: "hpc://test", FreeCores: 32}
+	}
+	var running []string
+	now, ticks, maxVisited := t0, 0, 0
+	for p.PendingLen() > 0 || len(running) > 0 {
+		parked := 0
+		for r := p.parked.head; r != nil; r = r.links[byRetry].next {
+			parked++
+		}
+		visited, bound := p.visited, len(ex.binds)
+		p.Plan(now, ex)
+		got, binds := int(p.visited-visited), ex.binds[bound:]
+		if got > len(binds)+sizes+parked {
+			t.Fatalf("tick %d (%d pending): visited %d records for %d binds, %d sizes, %d parked",
+				ticks, p.PendingLen(), got, len(binds), sizes, parked)
+		}
+		maxVisited = max(maxVisited, got)
+		for _, b := range binds {
+			running = append(running, b[0])
+		}
+		ticks++
+		now = now.Add(time.Second)
+		// One to three running units come back; every seventh fails instead.
+		for n := 1 + s.Intn(3); n > 0 && len(running) > 0; n-- {
+			i := s.Intn(len(running))
+			id := running[i]
+			running[i] = running[len(running)-1]
+			running = running[:len(running)-1]
+			ex.release(id, cores[id])
+			if s.Intn(7) == 0 {
+				p.NoteFailure(id, FailureExecution, now)
+			} else {
+				p.Forget(id)
+			}
+		}
+	}
+	t.Logf("%d ticks, at most %d records visited in one", ticks, maxVisited)
 }

@@ -171,6 +171,14 @@ func (c *Virtual) RecorderState() RecorderState {
 	return out
 }
 
+// Recording reports whether a recorder is on. A caller whose Mark note
+// costs something to build — a concatenation per bind, say — asks first.
+func (c *Virtual) Recording() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rec != nil
+}
+
 // Mark records an application-level annotation as a scheduling decision.
 // No-op when recording is off. The seq argument is free-form (chaos uses
 // it for fault/bind ordinals).

@@ -289,12 +289,15 @@ func (c *Virtual) await(r *parker) bool {
 // or outside the scheduled world; fn starts once the scheduler hands it
 // the execution token.
 func (c *Virtual) Go(fn func()) {
-	r := c.join()
-	go func() {
-		<-r.g
-		defer c.exit()
-		fn()
-	}()
+	go c.run(c.join(), fn)
+}
+
+// run is a spawned participant's goroutine: fn between taking the token and
+// leaving the world.
+func (c *Virtual) run(r *parker, fn func()) {
+	<-r.g
+	defer c.exit()
+	fn()
 }
 
 // Adopt registers the calling goroutine as a participant and blocks until
