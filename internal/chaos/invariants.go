@@ -44,7 +44,7 @@ type Checker struct {
 }
 
 // partKey names one partition. A struct, not a formatted string: OnCommit
-// builds one on every applied commit, under the partition lock.
+// builds one on every applied commit, under the cluster lock.
 type partKey struct {
 	topic     string
 	partition int

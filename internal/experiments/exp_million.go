@@ -57,7 +57,7 @@ func MillionMessages(n int) (*metrics.Table, error) {
 	// Inline invariant state. All of it is deterministic per seed: message
 	// delivery order per partition is fixed by the virtual-time schedule,
 	// and each slot is touched only under per-partition ownership (the
-	// group barrier for the handler, the partition lock for commits), so
+	// group barrier for the handler, the cluster lock for commits), so
 	// the atomics are -race hygiene, not contended synchronization.
 	var violations atomic.Int64
 	var residentMax atomic.Int64

@@ -273,10 +273,13 @@ func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// Cancel removes a pending job or kills a running one.
+// Cancel removes a pending job or kills a running one. The state is read
+// through j.mu — runJob writes the terminal state under it alone — while the
+// Pending/Running decision stays under c.mu, where startLocked makes that
+// transition.
 func (c *Cluster) Cancel(j *Job) {
 	c.mu.Lock()
-	switch j.state {
+	switch j.State() {
 	case Pending:
 		for i, p := range c.pending {
 			if p == j {

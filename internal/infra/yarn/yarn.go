@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -160,6 +161,13 @@ func (c *Cluster) RequestContainers(ctx context.Context, n, coresEach int) ([]*C
 		c.waiters = append(c.waiters, ev)
 		c.mu.Unlock()
 		if !ev.Wait(ctx) {
+			// Unlink on the cancel exit: the next Release may be far off, and
+			// until then every canceled request would sit in the list.
+			c.mu.Lock()
+			if i := slices.Index(c.waiters, ev); i >= 0 {
+				c.waiters = slices.Delete(c.waiters, i, i+1)
+			}
+			c.mu.Unlock()
 			return nil, ctx.Err()
 		}
 	}

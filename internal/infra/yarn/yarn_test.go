@@ -111,6 +111,51 @@ func TestContextCancelWhileWaiting(t *testing.T) {
 	}
 }
 
+// TestCanceledRequestLeavesNoWaiter: a request canceled while parked used to
+// leave its event in c.waiters until the next Release or Shutdown — against
+// a cluster that stays full, one entry per canceled request, without bound.
+func TestCanceledRequestLeavesNoWaiter(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	c := New(Config{Name: "y", TotalCores: 4, AllocDelay: dist.Constant(0.001), Clock: clock})
+	defer c.Shutdown()
+	held, err := c.RequestContainers(bg, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithCancel(bg)
+		clock.Go(func() {
+			clock.Sleep(bg, time.Second)
+			cancel()
+		})
+		if _, err := c.RequestContainers(ctx, 1, 4); !errors.Is(err, context.Canceled) {
+			t.Fatalf("request %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	c.mu.Lock()
+	n := len(c.waiters)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d waiters left after 50 canceled requests, want 0", n)
+	}
+	// A live request still parks and is admitted by the next Release.
+	var got []*Container
+	done := vclock.NewEvent(clock)
+	clock.Go(func() {
+		defer done.Fire()
+		got, err = c.RequestContainers(bg, 1, 4)
+	})
+	clock.Sleep(bg, time.Minute)
+	if done.Fired() {
+		t.Fatal("request admitted on a full cluster")
+	}
+	c.Release(held)
+	if !done.Wait(bg) || err != nil || len(got) != 1 {
+		t.Fatalf("after Release: containers = %d, err = %v, want 1 and nil", len(got), err)
+	}
+	c.Release(got)
+}
+
 func TestConcurrentRequestsNeverOversubscribe(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "y", TotalCores: 16, AllocDelay: dist.Constant(0.001), Clock: clock})

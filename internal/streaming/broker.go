@@ -40,8 +40,5 @@ func (b *Broker) Trim(topic string, partition int, below int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lp := p.logs[0]
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	return lp.Trim(below), nil
+	return p.logs[0].Trim(below), nil
 }

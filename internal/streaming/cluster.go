@@ -48,6 +48,10 @@ type Cluster struct {
 	runCtx context.Context
 	stopFn context.CancelFunc
 
+	// mu is the broker side's one lock: it guards the control plane below
+	// and every replica log with its waiter lists (fedPart.logs), so a copy
+	// is resolved and used in one critical section. Order: mu → Event.mu →
+	// Virtual.mu (DESIGN.md "One lock level").
 	mu       sync.Mutex
 	closed   bool
 	up       []bool      // shard liveness, indexed by shard id
@@ -182,10 +186,10 @@ type ClusterConfig struct {
 	MaxInflightBytes int64
 	// OnCommit, if set, observes every *applied* commit: the partition's
 	// mark moved from `from` to `through`. Clamped and no-op commits are
-	// not reported. Invoked under the partition lock, so callbacks see
-	// per-partition commits in application order and must not call back
-	// into the cluster. The chaos invariant checker uses this to prove
-	// consumer cursors never rewind.
+	// not reported. Invoked under the cluster lock, so callbacks see
+	// per-partition commits in application order and — as with OnAcked —
+	// must not call back into the cluster. The chaos invariant checker uses
+	// this to prove consumer cursors never rewind.
 	OnCommit func(topic string, partition int, from, through int64)
 	// Clock supplies virtual time; defaults to a private vclock.Virtual.
 	Clock vclock.Clock
@@ -306,7 +310,7 @@ func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 		if containsInt(p.syncing, s) {
 			continue
 		}
-		if e := p.logs[s].endOffset(); lo < 0 || e < lo {
+		if e := p.logs[s].end; lo < 0 || e < lo {
 			lo = e
 		}
 	}
@@ -319,7 +323,7 @@ func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 		fireList(&p.ackWait)
 		// Wake parked fetchers *after* the watermark is in place: a waiter
 		// that re-checks immediately sees the new fetchable range.
-		p.logs[p.replicas[0]].wakeFetchers()
+		fireList(&p.logs[p.replicas[0]].waiters)
 	}
 }
 
@@ -424,13 +428,13 @@ func (c *Cluster) AckedOffset(topic string, partition int) (int64, error) {
 // follower log end, in messages) across a partition's full members.
 // Caller holds c.mu.
 func (c *Cluster) replicaLagLocked(p *fedPart) int64 {
-	lEnd := p.logs[p.replicas[0]].endOffset()
+	lEnd := p.logs[p.replicas[0]].end
 	var max int64
 	for _, s := range p.replicas[1:] {
 		if containsInt(p.syncing, s) {
 			continue
 		}
-		if lag := lEnd - p.logs[s].endOffset(); lag > max {
+		if lag := lEnd - p.logs[s].end; lag > max {
 			max = lag
 		}
 	}
@@ -537,9 +541,9 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	var out []string
 	for _, p := range t.parts {
 		leader := p.replicas[0]
-		lFirst, lEnd, _, lSpans := p.logs[leader].snapshot(nil)
+		lFirst, lEnd, _, lSpans := p.logs[leader].Snapshot(nil)
 		for _, f := range p.replicas[1:] {
-			fFirst, fEnd, _, fSpans := p.logs[f].snapshot(nil)
+			fFirst, fEnd, _, fSpans := p.logs[f].Snapshot(nil)
 			r := plan.ClassifyReplica(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd)
 			if r.State == plan.ReplicaDiverged {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d diverged from leader %d at offset %d (leader end %d, replica end %d)",
@@ -632,7 +636,6 @@ func (c *Cluster) FailShard(id int) error {
 				// was observed on the deposed leader) because the promoted
 				// follower's lazily-replicated local mark may trail it.
 				np := p.logs[nl]
-				np.mu.Lock()
 				np.TruncateTo(p.acked)
 				np.Epoch = p.epoch
 				if c.cfg.PlantStaleHandoff {
@@ -643,7 +646,6 @@ func (c *Cluster) FailShard(id int) error {
 				} else {
 					np.SetCommitted(p.commit)
 				}
-				np.mu.Unlock()
 				avail := now.Add(c.cfg.HandoffDelay)
 				p.availableAt = avail
 				// The handoff decision lands in the schedule recorder: a
@@ -824,6 +826,8 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 	var lSpans, fSpans []plan.EpochSpan
 	var ws waitSlot // the runner's one wait object, re-armed per park
 	for {
+		// First section: resolve the slot, snapshot both copies and decide the
+		// round — park, repair, bootstrap, promote, or take a batch.
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
@@ -834,51 +838,25 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		if 1+slot < len(p.replicas) {
 			follower = p.replicas[1+slot]
 		}
-		epoch := p.epoch
-		frozen := follower >= 0 && (c.severed[leader][follower] || p.frozen[slot])
-		var lag float64
-		var lp, fp *partition
-		if follower >= 0 {
-			lag = c.linkLagLocked(leader, follower)
-			lp, fp = p.logs[leader], p.logs[follower]
-		}
-		c.mu.Unlock()
-
-		if follower < 0 || frozen {
-			if !c.parkCtrl(&ws) {
+		if follower < 0 || c.severed[leader][follower] || p.frozen[slot] {
+			if !c.park(c.runCtx, ws.arm(c.clock), &c.ctrl) {
 				return
 			}
 			continue
 		}
-		// One follower snapshot, then one leader snapshot that also decides
-		// the round: compare epoch chains over the shared range (the planted
-		// defect skips the compare, streaming blindly past a stale suffix —
-		// the diverged-replica-after-repair invariant catches it) and, when
-		// there is something to stream, take the batch — a zero-copy
-		// one-segment view from the follower's end, plus its payload total
-		// read off the leader's cum (what the link is paced by).
-		var fFirst, fEnd, lFirst, lEnd, lCommitted, bytes int64
-		fFirst, fEnd, _, fSpans = fp.snapshot(fSpans)
-		lp.mu.Lock()
+		epoch, lag := p.epoch, c.linkLagLocked(leader, follower)
+		lp, fp := p.logs[leader], p.logs[follower]
+		// Compare epoch chains over the shared range (the planted defect skips
+		// the compare, streaming blindly past a stale suffix — the
+		// diverged-replica-after-repair invariant catches it).
+		var fFirst, fEnd, lFirst, lEnd, lCommitted int64
+		fFirst, fEnd, _, fSpans = fp.Snapshot(fSpans)
 		lFirst, lEnd, lCommitted, lSpans = lp.Snapshot(lSpans)
-		at, diverged := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd)
-		diverged = diverged && !c.cfg.PlantStaleHandoff
-		var msgs []Message
-		if !diverged {
-			if msgs = lp.View(fEnd, replBatchMax); len(msgs) > 0 {
-				bytes = lp.BytesThrough(fEnd+int64(len(msgs))) - lp.BytesThrough(fEnd)
-			}
-		}
-		lp.mu.Unlock()
-
-		if diverged {
+		if at, diverged := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd); diverged && !c.cfg.PlantStaleHandoff {
 			// Repair: truncate to the divergence point, re-stream from there.
-			fp.mu.Lock()
 			fp.TruncateTo(at)
-			fp.mu.Unlock()
 			c.clock.Mark(fmt.Sprintf("replica repair %s[%d] shard %d truncated to %d (%d dropped)",
 				t.name, p.idx, follower, at, fEnd-at), uint64(at))
-			c.mu.Lock()
 			c.repairs++
 			c.mu.Unlock()
 			continue
@@ -886,17 +864,18 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		if fEnd < lFirst {
 			// Recruit starting behind the leader's retention floor: no
 			// history to stream — bootstrap an empty log at the floor.
-			fp.mu.Lock()
 			fp.ResetTo(lFirst)
-			fp.mu.Unlock()
+			c.mu.Unlock()
 			continue
 		}
+		// The batch: a zero-copy one-segment view from the follower's end,
+		// plus its payload total read off the leader's cum (what the link is
+		// paced by).
+		msgs := lp.View(fEnd, replBatchMax)
 		if len(msgs) == 0 {
-			// Caught up. Promote a recruit to full member, then park until
+			// Caught up. Promote a recruit to full member, else park until
 			// the leader appends or the control plane changes.
-			c.mu.Lock()
-			if !c.closed && p.epoch == epoch && containsInt(p.syncing, follower) &&
-				1+slot < len(p.replicas) && p.replicas[1+slot] == follower {
+			if containsInt(p.syncing, follower) {
 				p.syncing = removeShard(p.syncing, follower)
 				c.clock.Mark(fmt.Sprintf("replica synced %s[%d] shard %d at %d",
 					t.name, p.idx, follower, fEnd), uint64(fEnd))
@@ -905,12 +884,13 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 				c.mu.Unlock()
 				continue
 			}
-			c.mu.Unlock()
-			if !c.parkData(&ws, lp, fEnd) {
+			if !c.park(c.runCtx, ws.arm(c.clock), &lp.waiters, &c.ctrl) {
 				return
 			}
 			continue
 		}
+		bytes := lp.BytesThrough(fEnd+int64(len(msgs))) - lp.BytesThrough(fEnd)
+		c.mu.Unlock()
 
 		// Pace the batch over the link in virtual time.
 		d := time.Duration(float64(bytes) / float64(c.cfg.CatchupBytesPerSec) * float64(time.Second) * lag)
@@ -918,95 +898,27 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			return
 		}
 
-		// Re-validate after the sleep: if leadership, membership, the
-		// epoch or the link moved while the batch was in flight, the
-		// stream is torn — discard the batch and re-resolve.
+		// Second section: re-validate after the sleep — if leadership,
+		// membership, the epoch or the link moved while the batch was in
+		// flight, the stream is torn: discard the batch and re-resolve.
+		// Otherwise the pre-pacing chain still describes the batch: an intact
+		// stream means the leader appended under one epoch throughout, and
+		// spans only ever grow at or above the batch's end. No OnCommit for
+		// the lazily advanced mark: the commit was observed, exactly once, on
+		// the leader.
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return
 		}
-		intact := p.epoch == epoch && p.replicas[0] == leader &&
+		if p.epoch == epoch && p.replicas[0] == leader &&
 			1+slot < len(p.replicas) && p.replicas[1+slot] == follower &&
-			!c.severed[leader][follower] && !p.frozen[slot]
-		c.mu.Unlock()
-		if !intact {
-			continue
-		}
-		// The pre-pacing chain still describes the batch: an intact stream
-		// means the leader appended under one epoch throughout, and spans
-		// only ever grow at or above the batch's end. No OnCommit for the
-		// lazily advanced mark: the commit was observed, exactly once, on
-		// the leader.
-		fp.mu.Lock()
-		err := fp.AppendReplicated(msgs, lSpans, lCommitted)
-		fp.mu.Unlock()
-		if err != nil {
-			continue // follower log moved (repair/reset raced); re-resolve
-		}
-		c.mu.Lock()
-		if !c.closed {
+			!c.severed[leader][follower] && !p.frozen[slot] &&
+			p.logs[follower].AppendReplicated(msgs, lSpans, lCommitted) == nil {
 			c.recomputeAckedLocked(t, p)
 		}
 		c.mu.Unlock()
 	}
-}
-
-// parkCtrl parks the calling runner until the control plane changes or
-// the cluster closes. Returns false when the runner should exit.
-func (c *Cluster) parkCtrl(ws *waitSlot) bool {
-	w := ws.arm(c.clock)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		w.Fire()
-		return false
-	}
-	registerEvent(&c.ctrl, w)
-	c.mu.Unlock()
-	if !w.Wait(c.runCtx) {
-		w.Fire()
-		return false
-	}
-	return !c.isClosed()
-}
-
-// parkData parks the calling runner until the leader's log grows past
-// end, the control plane changes, or the cluster closes. Returns false
-// when the runner should exit.
-func (c *Cluster) parkData(ws *waitSlot, lp *partition, end int64) bool {
-	w := ws.arm(c.clock)
-	lp.mu.Lock()
-	registerEvent(&lp.waiters, w)
-	stale := lp.end > end || lp.closed
-	lp.mu.Unlock()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		w.Fire()
-		return false
-	}
-	registerEvent(&c.ctrl, w)
-	c.mu.Unlock()
-	// The end and the closed flag were read under the lock that registered
-	// w, so no append and no close slips between the two; a leader closed
-	// since it was resolved fires nothing ever again, so re-resolve instead
-	// of parking on it.
-	if stale {
-		w.Fire()
-		return true
-	}
-	if !w.Wait(c.runCtx) {
-		w.Fire()
-		return false
-	}
-	return !c.isClosed()
-}
-
-func (c *Cluster) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
 }
 
 // onSave runs at every consumer-offset persist: trim every replica's log
@@ -1030,12 +942,10 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 	var resident, oldest int64
 	for i, s := range p.replicas {
 		lp := p.logs[s]
-		lp.mu.Lock()
 		lp.Trim(lw)
 		if i == 0 {
 			resident, oldest = lp.Resident(), lp.first
 		}
-		lp.mu.Unlock()
 	}
 	c.mu.Unlock()
 	if c.cfg.OnRetention != nil {
@@ -1052,10 +962,7 @@ func (c *Cluster) OldestOffset(topic string, partition int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lp := p.logs[p.replicas[0]]
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	return lp.first, nil
+	return p.logs[p.replicas[0]].first, nil
 }
 
 // Close stops the replication plane and control walkers, wakes

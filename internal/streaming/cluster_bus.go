@@ -93,15 +93,16 @@ type pubScratch struct {
 
 var pubScratchPool = sync.Pool{New: func() any { return new(pubScratch) }}
 
-// groupBatch assigns the n messages of one publish to nparts partitions
-// — by key hash, or off the topic's round-robin cursor rr for empty keys,
-// under mu, the lock that guards the cursor — and groups them: the batch
-// is traversed once under the lock (assignment, counts and byte totals in
+// groupBatch assigns the n messages of one publish to t's partitions — by
+// key hash, or off the topic's round-robin cursor for empty keys, under the
+// cluster lock, which guards the cursor — and groups them: the batch is
+// traversed once under the lock (assignment, counts and byte totals in
 // the same pass), then a counting sort over pooled scratch yields each
 // partition's indices in publish order without growing per-partition
 // slices, so grouping costs one kv() call per message and zero
 // steady-state allocations. The caller returns the scratch to the pool.
-func groupBatch(mu *sync.Mutex, rr *int, nparts, n int, kv func(int) ([]byte, []byte)) *pubScratch {
+func (c *Cluster) groupBatch(t *fedTopic, n int, kv func(int) ([]byte, []byte)) *pubScratch {
+	nparts := len(t.parts)
 	sc := pubScratchPool.Get().(*pubScratch)
 	if cap(sc.assign) < n {
 		sc.assign = make([]int32, n)
@@ -117,21 +118,21 @@ func groupBatch(mu *sync.Mutex, rr *int, nparts, n int, kv func(int) ([]byte, []
 	clear(sc.bytes)
 	// In index order: consumer wake-up order downstream must not depend
 	// on randomized iteration.
-	mu.Lock()
+	c.mu.Lock()
 	for i := 0; i < n; i++ {
 		k, v := kv(i)
 		var p int
 		if len(k) > 0 {
 			p = partitionOf(k, nparts)
 		} else {
-			p = *rr % nparts
-			*rr++
+			p = t.rr % nparts
+			t.rr++
 		}
 		sc.assign[i] = int32(p)
 		sc.fill[p]++
 		sc.bytes[p] += int64(len(k) + len(v))
 	}
-	mu.Unlock()
+	c.mu.Unlock()
 	// Counting sort: scatter message indices into order, grouped by
 	// partition with publish order preserved inside each group. After the
 	// scatter, fill[p] is the end of partition p's group.
@@ -183,7 +184,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	if err != nil {
 		return 0, err
 	}
-	sc := groupBatch(&c.mu, &t.rr, len(t.parts), n, kv)
+	sc := c.groupBatch(t, n, kv)
 	defer pubScratchPool.Put(sc)
 
 	// Phase 1: append every sub-batch on its partition's current leader.
@@ -218,57 +219,64 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	return n, nil
 }
 
-// appendToLeader appends one sub-batch on its partition's current
-// leader, parking while the partition is fenced mid-handoff and
-// re-routing if the leader dies underneath the call. Fills r.s, r.e and
-// r.epoch; res slots (when present) receive the appended messages.
+// appendToLeader appends one sub-batch on its partition's current leader
+// and records where it landed (r.s, r.e, r.epoch; res slots, when present,
+// receive the appended messages). One critical section resolves the leader
+// and uses it, released only to park: on the control plane while the
+// partition is fenced mid-handoff, on the leader's space list while the
+// batch would overrun MaxInflightBytes — an idle partition always admits at
+// least one batch, so a batch larger than the whole bound cannot deadlock.
+// Every wake re-resolves, so a leader that died under a parked call is
+// simply not the one the next pass finds.
 func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
+	p := t.parts[r.p]
+	var lp *partition
 	for {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return ErrBrokerClosed
 		}
-		p := t.parts[r.p]
-		if !p.availableAt.IsZero() {
-			w := ws.arm(c.clock)
-			registerEvent(&c.ctrl, w)
-			c.mu.Unlock()
-			if !w.Wait(ctx) {
-				w.Fire()
-				return ctx.Err()
+		lp = p.logs[p.replicas[0]]
+		wait := &c.ctrl
+		if p.availableAt.IsZero() {
+			if limit := c.cfg.MaxInflightBytes; limit <= 0 || lp.Inflight() <= 0 || lp.Inflight()+r.add <= limit {
+				break
 			}
-			continue
+			wait = &lp.space
 		}
-		lp, epoch := p.logs[p.replicas[0]], p.epoch
-		c.mu.Unlock()
-		if retry, err := c.appendOn(ctx, ws, lp, epoch, t, r, kv, latest); !retry {
-			return err
+		if !c.park(ctx, ws.arm(c.clock), wait) {
+			return ctx.Err()
 		}
 	}
-}
-
-// appendOn appends r's sub-batch on the leader's copy lp, resolved under
-// epoch `epoch`, and records where it landed. retry reports that the
-// leader died under the call: the caller re-resolves and tries its
-// successor.
-func (c *Cluster) appendOn(ctx context.Context, ws *waitSlot, lp *partition, epoch int, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) (retry bool, err error) {
-	s, e, finish, err := c.appendBatch(ctx, ws, lp, t.name, r.p, r.idxs, kv, r.add, r.res)
-	if err != nil {
-		return errors.Is(err, ErrBrokerClosed) && !c.isClosed(), err
+	// Read the clock after any backpressure wait: Published stamps the
+	// instant the broker accepted the message. The caller sleeps once, to
+	// the slowest partition's modeled finish, after all sub-batches land.
+	now := c.clock.Now()
+	finish := lp.nextFree
+	if finish.Before(now) {
+		finish = now
 	}
-	r.s, r.e, r.epoch = s, e, epoch
+	finish = finish.Add(time.Duration(len(r.idxs)) * c.cfg.AppendCost)
+	lp.nextFree = finish
 	if finish.After(*latest) {
 		*latest = finish
 	}
+	r.s, r.epoch = lp.end, p.epoch
+	for k, i := range r.idxs {
+		key, value := kv(int(i))
+		m := lp.Append(t.name, r.p, key, value, now)
+		if r.res != nil {
+			r.res[k] = *m
+		}
+	}
+	r.e = lp.end
+	fireList(&lp.waiters)
 	// Under RF=1 the append itself is the quorum: advance the watermark
 	// now (with followers, the catch-up runners advance it).
-	c.mu.Lock()
-	if !c.closed {
-		c.recomputeAckedLocked(t, t.parts[r.p])
-	}
+	c.recomputeAckedLocked(t, p)
 	c.mu.Unlock()
-	return false, nil
+	return nil
 }
 
 // awaitAcked parks until a sub-batch's offset range is below the
@@ -278,13 +286,13 @@ func (c *Cluster) appendOn(ctx context.Context, ws *waitSlot, lp *partition, epo
 // prefix stays where it is) and keep waiting. Throughout, r.idxs[k] sits —
 // or sat, until a handoff dropped it — at offset r.s+k under r.epoch.
 func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
+	p := t.parts[r.p]
 	for {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return ErrBrokerClosed
 		}
-		p := t.parts[r.p]
 		if p.epoch == r.epoch {
 			if p.acked >= r.e {
 				c.mu.Unlock()
@@ -292,15 +300,8 @@ func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *
 			}
 			// Park until the watermark advances or the epoch moves; both fire
 			// the partition's ackWait list.
-			w := ws.arm(c.clock)
-			registerEvent(&p.ackWait, w)
-			c.mu.Unlock()
-			if !w.Wait(ctx) {
-				w.Fire()
+			if !c.park(ctx, ws.arm(c.clock), &p.ackWait) {
 				return ctx.Err()
-			}
-			if c.isClosed() {
-				return ErrBrokerClosed
 			}
 			continue
 		}
@@ -308,37 +309,24 @@ func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *
 		// bounds what survived; later handoffs only truncate at or above it
 		// (the watermark is monotone). The watermark itself says nothing
 		// here: above that point it counts whatever was appended since,
-		// ours or not. Drop the surviving prefix and advance r.s with it, so
-		// a re-append that dies under the call (appendOn reports retry and
-		// leaves r alone) retries the same suffix instead of skipping again.
-		if skip := min(p.ackedAtEpoch[r.epoch+1], r.e) - r.s; skip > 0 {
-			r.idxs, r.s = r.idxs[skip:], r.s+skip
+		// ours or not. Drop the surviving prefix and re-append the rest.
+		skip := min(p.ackedAtEpoch[r.epoch+1], r.e) - r.s
+		c.mu.Unlock()
+		if skip > 0 {
+			r.idxs = r.idxs[skip:]
 			if r.res != nil {
 				r.res = r.res[skip:]
 			}
 		}
 		if len(r.idxs) == 0 {
-			c.mu.Unlock()
 			return nil // the whole sub-batch survived
 		}
-		if !p.availableAt.IsZero() {
-			w := ws.arm(c.clock)
-			registerEvent(&c.ctrl, w)
-			c.mu.Unlock()
-			if !w.Wait(ctx) {
-				w.Fire()
-				return ctx.Err()
-			}
-			continue
-		}
-		lp, newEpoch := p.logs[p.replicas[0]], p.epoch
-		c.mu.Unlock()
 		r.add = 0
 		for _, i := range r.idxs {
 			k, v := kv(int(i))
 			r.add += int64(len(k) + len(v))
 		}
-		if retry, err := c.appendOn(ctx, ws, lp, newEpoch, t, r, kv, latest); err != nil && !retry {
+		if err := c.appendToLeader(ctx, ws, t, r, kv, latest); err != nil {
 			return err
 		}
 	}
@@ -391,110 +379,52 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 	if !c.clock.Sleep(ctx, c.cfg.FetchLatency) {
 		return 0, nil, ctx.Err()
 	}
-	ackedSeen := make([]int64, len(parts))
 	var ws waitSlot
 	for {
-		var w *waiter // this round's arming of ws, once a partition needs it
-		retry := false
-		for i := 0; i < len(parts) && !retry; i++ {
-			j := (start + i) % len(parts)
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
-				if w != nil {
-					w.Fire()
-				}
-				return 0, nil, ErrBrokerClosed
-			}
-			p := t.parts[parts[j]]
-			blocked := p.stalled || !p.availableAt.IsZero()
-			lp := p.logs[p.replicas[0]]
-			acked := p.acked
-			ackedSeen[j] = acked
-			if blocked {
-				if w == nil {
-					w = ws.arm(c.clock)
-				}
-				registerEvent(&c.ctrl, w)
-				c.mu.Unlock()
-				continue
-			}
+		// One critical section per scan: each partition's leader is resolved,
+		// checked against the watermark and registered on together, so no
+		// advance can fall between a view check and its registration.
+		c.mu.Lock()
+		if c.closed {
 			c.mu.Unlock()
-			lp.mu.Lock()
-			if lp.closed {
-				// The leader died between resolve and use: nothing fires its
-				// lists again, so re-resolve instead of registering on them.
-				lp.mu.Unlock()
-				retry = true
-				continue
+			return 0, nil, ErrBrokerClosed
+		}
+		var w *waiter // this scan's arming of ws, once a partition needs it
+		for i := range parts {
+			j := (start + i) % len(parts)
+			p := t.parts[parts[j]]
+			if p.stalled || !p.availableAt.IsZero() {
+				continue // parks on the control plane, below
 			}
+			lp := p.logs[p.replicas[0]]
+			var batch []Message
+			var oor error
 			if offsets[j] < lp.first {
 				// Retention trimmed past the requested position: a typed
 				// error, not a silent snap — the caller decides whether
 				// skipping to Oldest is acceptable for its semantics.
-				oor := &OffsetOutOfRangeError{Topic: topicName, Partition: parts[j],
+				oor = &OffsetOutOfRangeError{Topic: topicName, Partition: parts[j],
 					Offset: offsets[j], Oldest: lp.first}
-				lp.mu.Unlock()
-				if w != nil {
-					w.Fire()
-				}
-				return j, nil, oor
+			} else if limit := p.acked - offsets[j]; limit > 0 {
+				batch = lp.View(offsets[j], int(min(int64(max), limit)))
 			}
-			if limit := acked - offsets[j]; limit > 0 {
-				m := max
-				if int64(m) > limit {
-					m = int(limit)
+			if oor != nil || len(batch) > 0 {
+				c.mu.Unlock()
+				if w != nil {
+					w.Fire() // mark registrations on earlier partitions dead
 				}
-				if batch := lp.View(offsets[j], m); len(batch) > 0 {
-					lp.mu.Unlock()
-					if w != nil {
-						w.Fire() // mark registrations on earlier partitions dead
-					}
-					return j, batch, nil
-				}
+				return j, batch, oor
 			}
 			if w == nil {
 				w = ws.arm(c.clock)
 			}
 			registerEvent(&lp.waiters, w)
-			lp.mu.Unlock()
-			c.mu.Lock()
-			registerEvent(&c.ctrl, w)
-			c.mu.Unlock()
 		}
-		// Close the register-vs-watermark window: the view check and the
-		// registration run under different locks, so if any partition's
-		// watermark moved past what this round's view check used, the
-		// advance may have fired the waiter lists before we registered —
-		// re-scan instead of parking. The executor's token already orders
-		// participants; this keeps the guarantee at the lock level.
-		if !retry {
-			c.mu.Lock()
-			for i := 0; i < len(parts); i++ {
-				j := (start + i) % len(parts)
-				if t.parts[parts[j]].acked > ackedSeen[j] {
-					retry = true
-					break
-				}
-			}
-			c.mu.Unlock()
+		if w == nil {
+			w = ws.arm(c.clock)
 		}
-		if retry {
-			if w != nil {
-				w.Fire()
-			}
-			continue
-		}
-		if c.isClosed() {
-			w.Fire()
-			return 0, nil, ErrBrokerClosed
-		}
-		if !w.Wait(ctx) {
-			w.Fire()
+		if !c.park(ctx, w, &c.ctrl) {
 			return 0, nil, ctx.Err()
-		}
-		if c.isClosed() {
-			return 0, nil, ErrBrokerClosed
 		}
 	}
 }
@@ -510,38 +440,34 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 // monotone: at or below the current mark nothing moves.
 func (c *Cluster) Commit(topic string, partition int, through int64) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrBrokerClosed
 	}
 	p, err := c.fedPartition(topic, partition)
 	if err != nil {
-		c.mu.Unlock()
 		return err
 	}
-	if through > p.acked {
-		through = p.acked
-	}
-	lp, delay := p.logs[p.replicas[0]], c.commitDelay
-	c.mu.Unlock()
-	if delay > 0 {
+	through = min(through, p.acked)
+	lp := p.logs[p.replicas[0]]
+	if delay := c.commitDelay; delay > 0 {
 		// Injected commit skew (chaos): the acknowledgement is in flight for
 		// `delay` of modeled time before it lands. Uncancellable — a skewed
 		// commit still arrives, just late.
+		c.mu.Unlock()
 		c.clock.Sleep(context.Background(), delay)
-	}
-	lp.mu.Lock()
-	if lp.closed {
-		// The leader died mid-commit (FailShard closes the deposed leader's
-		// copy; a commit must not land on a log nobody serves): the commit is
-		// lost with it — the consumer re-delivers from its last durable
-		// cursor, which is the at-least-once contract. Report closed only
-		// when the cluster itself is gone.
-		lp.mu.Unlock()
-		if c.isClosed() {
-			return ErrBrokerClosed
+		c.mu.Lock()
+		if lp.closed {
+			// The leader died mid-commit (FailShard closes the deposed leader's
+			// copy; a commit must not land on a log nobody serves): the commit is
+			// lost with it — the consumer re-delivers from its last durable
+			// cursor, which is the at-least-once contract. Report closed only
+			// when the cluster itself is gone.
+			if c.closed {
+				return ErrBrokerClosed
+			}
+			return nil
 		}
-		return nil
 	}
 	if from, to, ok := lp.Log.Commit(through); ok {
 		if c.cfg.OnCommit != nil {
@@ -557,12 +483,9 @@ func (c *Cluster) Commit(topic string, partition int, through int64) error {
 			fireList(&lp.space)
 		}
 	}
-	lp.mu.Unlock()
-	c.mu.Lock()
 	if through > p.commit {
 		p.commit = through
 	}
-	c.mu.Unlock()
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,12 +140,97 @@ func TestClusterCopiesLiveExactlyOnMembers(t *testing.T) {
 	}
 	check("after the recruit")
 	for _, lp := range held {
-		lp.mu.Lock()
+		c.mu.Lock()
 		closed := lp.closed
-		lp.mu.Unlock()
+		c.mu.Unlock()
 		if !closed {
 			t.Fatal("a dead shard's copy was dropped without being closed")
 		}
+	}
+}
+
+// TestClusterAccessorsRaceCleanFromOutside checks the one-lock claim with a
+// real thread: a bare goroutine — no Adopt, no clock, so only the accessors'
+// own locking orders it against the run — polls every read accessor that
+// reaches into a replica log while a replication-3 run publishes, fetches,
+// commits, trims and loses a shard mid-run. Under -race (make race) any log
+// field read or written outside c.mu is a report.
+func TestClusterAccessorsRaceCleanFromOutside(t *testing.T) {
+	const parts = 4
+	clock := vclocktest.Adopted(t)
+	ctx := context.Background()
+	c := NewCluster(ClusterConfig{Shards: 4, Replication: 3, SegmentSize: 16, Clock: clock})
+	defer c.Close()
+	if err := c.CreateTopic("t", parts); err != nil {
+		t.Fatal(err)
+	}
+	var polls atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.Placement()
+			c.UnderReplicated()
+			c.CheckReplicaConsistency("t")
+			for q := 0; q < parts; q++ {
+				c.AckedOffset("t", q)
+				c.Committed("t", q)
+				c.LeaderOf("t", q)
+				c.OldestOffset("t", q)
+			}
+			polls.Add(1)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-stopped
+	}()
+
+	// The run: rounds of publish → drain → commit → persist (which trims),
+	// losing partition 0's leader once the poller is demonstrably alongside,
+	// until it has polled through a good stretch of the aftermath too.
+	values := make([][]byte, 64)
+	for i := range values {
+		values[i] = []byte{byte(i)}
+	}
+	var cursor [parts]int64
+	failedAt := int64(-1)
+	for round := 0; failedAt < 0 || polls.Load() < failedAt+200; round++ {
+		if round == 200_000 {
+			t.Fatalf("poller made %d polls in %d rounds: it never ran alongside", polls.Load(), round)
+		}
+		if failedAt < 0 && polls.Load() >= 50 {
+			victim, _ := c.LeaderOf("t", 0)
+			if err := c.FailShard(victim); err != nil {
+				t.Fatal(err)
+			}
+			failedAt = polls.Load()
+		}
+		if err := c.PublishValues(ctx, "t", values); err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < parts; q++ {
+			end, _ := c.EndOffset("t", q)
+			for cursor[q] < end {
+				msgs, err := c.Fetch(ctx, "t", q, cursor[q], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cursor[q] += int64(len(msgs))
+			}
+			if err := c.Commit("t", q, cursor[q]); err != nil {
+				t.Fatal(err)
+			}
+			c.Offsets().Save("g", "t", q, cursor[q])
+		}
+	}
+	if c.Handoffs() == 0 {
+		t.Fatal("the shard loss moved no leader")
 	}
 }
 

@@ -282,8 +282,8 @@ func TestPublishBackpressureBlocksAndResumes(t *testing.T) {
 	}
 	inflight := func() int64 {
 		part := replicaLog(b, "t", 0, 0)
-		part.mu.Lock()
-		defer part.mu.Unlock()
+		b.mu.Lock()
+		defer b.mu.Unlock()
 		return part.Inflight()
 	}
 	if n := inflight(); n != 100 {
@@ -565,9 +565,9 @@ func TestCanceledBackpressurePublishLeavesNoWaiters(t *testing.T) {
 		}
 	}
 	part := replicaLog(b, "t", 0, 0)
-	part.mu.Lock()
+	b.mu.Lock()
 	waiters := len(part.space)
-	part.mu.Unlock()
+	b.mu.Unlock()
 	// At most the last abandoned (already-fired) entry may linger; every
 	// earlier one must have been pruned at registration time.
 	if waiters > 1 {
@@ -575,13 +575,13 @@ func TestCanceledBackpressurePublishLeavesNoWaiters(t *testing.T) {
 	}
 	// The surviving entry must be recognizably dead so a live producer's
 	// registration sweeps it too.
-	part.mu.Lock()
+	b.mu.Lock()
 	for _, w := range part.space {
 		if w.live() {
 			t.Error("abandoned space waiter left live")
 		}
 	}
-	part.mu.Unlock()
+	b.mu.Unlock()
 }
 
 // TestGroupStaticPoolNeverRebalances pins the deployment a fixed worker

@@ -10,12 +10,12 @@ import (
 // Log is one partition's segmented append-only log, and everything that
 // is the log: the segments and the spare, the retained range, the epoch
 // chain, the byte sums and the commit mark. It has no clock and takes no
-// lock — the caller holds the lock that guards it (partition.mu) across
-// every call — so a leader's append path, a follower's replicated append
-// and the handoff's truncate are the same few methods on the same type,
-// and the proof obligation behind zero-copy fetch (DESIGN.md "The Log")
-// sits beside one type: a slot that has left the lock in a View is never
-// rewritten. Three mutators could break it and each discharges it here:
+// lock — the caller holds the lock that guards it (Cluster.mu, which guards
+// every copy of every log) across every call — so a leader's append path, a
+// follower's replicated append and the handoff's truncate are the same few
+// methods on the same type, and the proof obligation behind zero-copy fetch
+// (DESIGN.md "The Log") sits beside one type: a slot that has left the lock
+// in a View is never rewritten. Three mutators could break it and each discharges it here:
 // growth (tail) writes only to a new array, refill (Trim, nextSegment)
 // takes only never-viewed segments, and truncation (TruncateTo) stays at
 // or above every view handed out.

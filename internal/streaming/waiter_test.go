@@ -95,12 +95,14 @@ func TestRunnerParkDataThenParkCtrlIgnoresLeaderAppend(t *testing.T) {
 	clock.Go(func() { // a stand-in runner with the runner's one wait object
 		defer runner.Done()
 		var ws waitSlot
-		if !c.parkData(&ws, lp, 0) {
-			t.Error("parkData told the runner to exit")
+		c.mu.Lock()
+		if !c.park(ctx, ws.arm(clock), &lp.waiters, &c.ctrl) {
+			t.Error("the data park was canceled")
 		}
 		dataWoke = clock.Since(vclock.Epoch)
-		if !c.parkCtrl(&ws) {
-			t.Error("parkCtrl told the runner to exit")
+		c.mu.Lock()
+		if !c.park(ctx, ws.arm(clock), &c.ctrl) {
+			t.Error("the control park was canceled")
 		}
 		ctrlWoke = clock.Since(vclock.Epoch)
 	})
@@ -118,9 +120,9 @@ func TestRunnerParkDataThenParkCtrlIgnoresLeaderAppend(t *testing.T) {
 	}
 	runner.Wait()
 	if dataWoke != 1*time.Second {
-		t.Errorf("parkData woke at %v, want 1s (the control change)", dataWoke)
+		t.Errorf("the data park woke at %v, want 1s (the control change)", dataWoke)
 	}
 	if ctrlWoke != 5*time.Second {
-		t.Errorf("parkCtrl woke at %v, want 5s (the next control change): the leader append at 2s reached the first park's registration", ctrlWoke)
+		t.Errorf("the control park woke at %v, want 5s (the next control change): the leader append at 2s reached the first park's registration", ctrlWoke)
 	}
 }

@@ -65,6 +65,14 @@
 #      nothing may name them, and nothing but *Cluster may be asserted
 #      to implement Bus: the alias cannot regain callers, or a second
 #      implementation a foothold, before the harness lets go of it.
+#  11. One lock level on the broker side (DESIGN.md "One lock level"):
+#      Cluster.mu guards the control plane and every replica log, so a
+#      copy is resolved and used in one critical section and no code
+#      exists to bridge two. internal/streaming/{partition,log}.go name no
+#      sync.Mutex/RWMutex and cluster.go, cluster_bus.go and broker.go
+#      together name exactly one (the field Cluster.mu): a second lock
+#      level — and with it the re-scans, closed-flag branches and retry
+#      results that close its windows — cannot come back unnoticed.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -246,6 +254,18 @@ for f in $files; do
     fail=1
   fi
 done
+
+# Rule 11: the broker side declares one mutex, and it is not on a log.
+st=internal/streaming
+if grep -nE 'sync\.(RW)?Mutex' $st/partition.go $st/log.go >&2; then
+  echo "seed-audit: a replica log has its own lock — Cluster.mu guards every copy" >&2
+  fail=1
+fi
+if [ "$(cat $st/cluster.go $st/cluster_bus.go $st/broker.go | grep -cE 'sync\.(RW)?Mutex')" -ne 1 ]; then
+  grep -nE 'sync\.(RW)?Mutex' $st/cluster.go $st/cluster_bus.go $st/broker.go >&2
+  echo "seed-audit: the broker side must name exactly one mutex, Cluster.mu — a second lock level needs code to bridge the two" >&2
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "seed-audit: FAILED — the seeding spine has a leak (see DESIGN.md 'Seeding spine')" >&2
