@@ -115,17 +115,17 @@ func TestReconcileAntiFlapWithMidScanFault(t *testing.T) {
 		// the shape a chaos crash leaves behind: the agent holds a slot
 		// for a unit the control plane knows is terminal (orphan drift).
 		sleepUntil(ctx, clock, 35*time.Second)
-		pilot.mu.Lock()
+		mgr.mu.Lock()
 		pilot.running[uDone] = struct{}{}
-		pilot.freeCores -= uDone.desc.Cores
-		pilot.mu.Unlock()
+		pilot.freeCores.Add(-int64(uDone.desc.Cores))
+		mgr.mu.Unlock()
 		if transient {
 			// The fault clears on its own before the 60s scan can sight it.
 			sleepUntil(ctx, clock, 50*time.Second)
-			pilot.mu.Lock()
+			mgr.mu.Lock()
 			delete(pilot.running, uDone)
-			pilot.freeCores += uDone.desc.Cores
-			pilot.mu.Unlock()
+			pilot.freeCores.Add(int64(uDone.desc.Cores))
+			mgr.mu.Unlock()
 		}
 
 		for off := 35*time.Second + 500*time.Millisecond; off <= 100*time.Second; off += time.Second {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -464,7 +467,7 @@ func TestSchedulerChoiceOutsideCandidatesDefersUnit(t *testing.T) {
 // head) and must not leave the popped unit reachable from it.
 func TestWorkQueueKeepsItsArray(t *testing.T) {
 	clock := vclocktest.Adopted(t)
-	p := &Pilot{workN: vclock.NewNotifier(clock)}
+	p := &Pilot{manager: &Manager{}, workN: vclock.NewNotifier(clock)}
 	a, b, c := &ComputeUnit{id: "a"}, &ComputeUnit{id: "b"}, &ComputeUnit{id: "c"}
 	p.pushWork(a)
 	p.pushWork(b)
@@ -484,5 +487,143 @@ func TestWorkQueueKeepsItsArray(t *testing.T) {
 	}
 	if p.QueuedUnits() != 2 || p.popWork() != a || p.popWork() != b || p.popWork() != nil {
 		t.Fatal("queue order lost")
+	}
+}
+
+// TestManagerAccessorsRaceCleanFromOutside checks the one-lock claim with a
+// real thread: a bare goroutine — no Adopt, no clock, so only the
+// accessors' own locking orders it against the run — polls every exported
+// read accessor of the manager, its pilots and its units while a 200-unit
+// backlog drains onto three pilots, one pilot is killed mid-run and the
+// reconciler scans. Under -race any pilot or unit field read or written
+// outside m.mu is a report.
+func TestManagerAccessorsRaceCleanFromOutside(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	reg := saga.NewRegistry()
+	reg.Register(saga.NewLocalService("box", 64, clock))
+	mgr := NewManager(Config{Registry: reg, Clock: clock, Stream: dist.NewStream(9)})
+	defer mgr.Close()
+	ctx := context.Background()
+	var pilots []*Pilot
+	for i := 0; i < 3; i++ {
+		p, err := mgr.SubmitPilot(PilotDescription{Resource: "local://box", Cores: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pilots = append(pilots, p)
+	}
+	descs := make([]UnitDescription, 200)
+	for i := range descs {
+		descs[i] = UnitDescription{MaxRetries: 3, Run: func(ctx context.Context, tc TaskContext) error {
+			if !tc.Sleep(ctx, time.Duration(1+i%3)*time.Second) {
+				return ctx.Err()
+			}
+			return nil
+		}}
+	}
+	units, err := mgr.SubmitUnits(descs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A bare poller. Each accessor is read in a run of its own — over every
+	// unit, over the pilots 64 times — so one that skipped m.mu would leave
+	// a lock-free stretch long enough for the run's writes to land in.
+	reads := []func(){
+		func() { mgr.QueueDepth() },
+		func() { mgr.Watermarks() },
+		func() { mgr.UnitMetrics() },
+	}
+	for _, read := range []func(*Pilot) any{
+		func(p *Pilot) any { return p.State() },
+		func(p *Pilot) any { return p.Err() },
+		func(p *Pilot) any { return p.Site() },
+		func(p *Pilot) any { return p.FreeCores() },
+		func(p *Pilot) any { return p.RunningUnits() },
+		func(p *Pilot) any { return p.QueuedUnits() },
+		func(p *Pilot) any { return p.UnitsCompleted() },
+		func(p *Pilot) any { return p.StartupTime() },
+	} {
+		reads = append(reads, func() {
+			for range 64 {
+				for _, p := range mgr.Pilots() {
+					read(p)
+				}
+			}
+		})
+	}
+	for _, read := range []func(*ComputeUnit) any{
+		func(u *ComputeUnit) any { return u.State() },
+		func(u *ComputeUnit) any { return u.Err() },
+		func(u *ComputeUnit) any { return u.Pilot() },
+		func(u *ComputeUnit) any { return u.Attempts() },
+		func(u *ComputeUnit) any { return u.EndTime() },
+		func(u *ComputeUnit) any { return u.WaitingTime() },
+		func(u *ComputeUnit) any { return u.Runtime() },
+		func(u *ComputeUnit) any { return u.TurnaroundTime() },
+	} {
+		reads = append(reads, func() {
+			for _, u := range mgr.Units() {
+				read(u)
+			}
+		})
+	}
+	var polls atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			for _, read := range reads {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				read()
+				polls.Add(1)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-stopped
+	}()
+
+	// Step the world a quarter second at a time, each step only once the
+	// poller has finished another run, so its reads interleave with the
+	// binds, finishes, the kill's requeues and the scans rather than all
+	// landing before or after them.
+	for step := 0; ; step++ {
+		if step == 400 {
+			t.Fatalf("backlog not drained after %d steps", step)
+		}
+		for target := polls.Load() + 1; polls.Load() < target; {
+			runtime.Gosched()
+		}
+		if step == 8 {
+			pilots[2].Kill()
+		}
+		if step%8 == 4 {
+			mgr.ReconcileOnce()
+		}
+		if slices.IndexFunc(units, func(u *ComputeUnit) bool { return !u.State().Terminal() }) < 0 {
+			break
+		}
+		clock.Sleep(ctx, 250*time.Millisecond)
+	}
+	if s := pilots[2].State(); s != PilotCanceled {
+		t.Fatalf("killed pilot is %v, want Canceled", s)
+	}
+	retried := 0
+	for _, u := range units {
+		if s := u.State(); s != UnitDone {
+			t.Fatalf("unit %s ended %v after %d attempts: %v", u.ID(), s, u.Attempts(), u.Err())
+		}
+		if u.Attempts() > 1 {
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no unit was retried: the kill missed the backlog")
 	}
 }

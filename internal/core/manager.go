@@ -21,6 +21,9 @@ import (
 // running pilots with enough free cores; returning nil — or a pilot that
 // is not one of the candidates — defers the unit. The candidates slice is
 // the manager's scratch, valid only for the duration of the call.
+// SelectPilot runs under the manager lock, so it may call only the
+// lock-free accessors — Pilot.{ID, TotalCores, Site, FreeCores, Stream}
+// and ComputeUnit.{ID, Description}; any other accessor deadlocks.
 // Implementations live in package scheduler; the manager defaults to
 // first-fit FIFO. The manager wires the policy into the control plane's
 // TickPlanner (package plan), which owns the queue and retry state around
@@ -61,7 +64,10 @@ type Config struct {
 	// dist.Unseeded("manager"); experiments should pass a named child of
 	// their own root instead.
 	Stream *dist.Stream
-	// OnUnitChange, if set, observes every unit state transition. Only
+	// OnUnitChange, if set, observes every unit state transition. It runs
+	// under the manager lock, so it may call only the lock-free accessors —
+	// Pilot.{ID, TotalCores, Site, FreeCores, Stream} and
+	// ComputeUnit.{ID, Description}; any other accessor deadlocks. Only
 	// tests set it today; ROADMAP item 3(i) folds it into the telemetry
 	// registry.
 	OnUnitChange func(cu *ComputeUnit, state UnitState)
@@ -88,6 +94,8 @@ type Manager struct {
 	pilotRoot *dist.Stream // parent of per-pilot streams ("pilot"/<ordinal>)
 	unitRoot  *dist.Stream // parent of per-unit streams ("unit"/<ordinal>)
 
+	// mu guards the manager's own state and every mutable Pilot and
+	// ComputeUnit field (Pilot.freeCores is written under it, read without).
 	mu          sync.Mutex
 	planner     *plan.Planner
 	exec        plannerExec // the planner's executor, reused across ticks
@@ -223,6 +231,7 @@ func (m *Manager) SubmitPilot(d PilotDescription) (*Pilot, error) {
 		desc:      d,
 		manager:   m,
 		stream:    m.pilotRoot.SplitLabel(uint64(m.nextPilotID)),
+		site:      svc.Site(),
 		state:     PilotPending,
 		running:   make(map[*ComputeUnit]struct{}),
 		submitted: m.cfg.Clock.Now(),
@@ -248,8 +257,8 @@ func (m *Manager) SubmitPilot(d PilotDescription) (*Pilot, error) {
 		Payload:    p.agentRun,
 		Attributes: d.Attributes,
 	})
+	m.mu.Lock()
 	if err != nil {
-		m.mu.Lock()
 		for i, q := range m.pilots {
 			if q == p {
 				m.pilots = append(m.pilots[:i], m.pilots[i+1:]...)
@@ -260,9 +269,8 @@ func (m *Manager) SubmitPilot(d PilotDescription) (*Pilot, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("core: pilot submission to %s failed: %w", d.Resource, err)
 	}
-	p.mu.Lock()
 	p.job = job
-	p.mu.Unlock()
+	m.mu.Unlock()
 	m.reconKick.Set()
 	m.wg.Add(1)
 	m.cfg.Clock.Go(func() {
@@ -282,14 +290,15 @@ func (m *Manager) SubmitUnit(d UnitDescription) (*ComputeUnit, error) {
 		d.Cores = 1
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil, ErrManagerClosed
 	}
 	m.nextUnitID++
 	u := &ComputeUnit{
 		id:        "unit-" + strconv.Itoa(m.nextUnitID),
 		desc:      d,
+		manager:   m,
 		stream:    m.unitRoot.SplitLabel(uint64(m.nextUnitID)),
 		state:     UnitPending,
 		submitted: m.cfg.Clock.Now(),
@@ -308,7 +317,6 @@ func (m *Manager) SubmitUnit(d UnitDescription) (*ComputeUnit, error) {
 		m.idle = vclock.NewEvent(m.cfg.Clock)
 	}
 	m.activeUnits++
-	m.mu.Unlock()
 	m.notify(u, UnitPending)
 	m.reconKick.Set()
 	m.wake()
@@ -375,18 +383,11 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	var pend []*ComputeUnit
 	for _, id := range m.planner.DrainPending() {
-		if u := m.unitByID[id]; u != nil {
-			pend = append(pend, u)
-		}
+		m.finishUnit(m.unitByID[id], UnitCanceled, ErrManagerClosed)
 	}
 	pilots := append([]*Pilot(nil), m.pilots...)
 	m.mu.Unlock()
-
-	for _, u := range pend {
-		m.finishUnit(nil, u, UnitCanceled, ErrManagerClosed)
-	}
 	for _, p := range pilots {
 		p.Shutdown()
 	}
@@ -478,7 +479,7 @@ type pilotCap struct {
 	free int
 }
 
-// snapshot opens a tick at now: one pass over the pilots' locks, and their
+// snapshot opens a tick at now: one pass over the pilots, and their
 // backends' fault switchboards, for the whole tick. It holds for the tick
 // because nothing but the tick's own binds moves capacity inside it (the
 // monotonicity contract on plan.Executor.Candidates): a pilot that starts,
@@ -488,11 +489,8 @@ type pilotCap struct {
 func (e *plannerExec) snapshot(now time.Time) {
 	e.now, e.caps, e.maxFree = now, e.caps[:0], 0
 	for _, p := range e.m.pilots {
-		p.mu.Lock()
-		free := p.freeCores
-		ok := p.state == PilotRunning && free > 0
-		p.mu.Unlock()
-		if ok && !p.faults.Down() {
+		free := p.FreeCores()
+		if p.state == PilotRunning && free > 0 && !p.faults.Down() {
 			e.caps = append(e.caps, pilotCap{p, free})
 			e.maxFree = max(e.maxFree, free)
 		}
@@ -529,16 +527,12 @@ func (e *plannerExec) Bind(u plan.UnitSpec, pilotID string) {
 	if cu == nil || p == nil {
 		return
 	}
-	p.mu.Lock()
-	p.freeCores -= cu.desc.Cores
+	p.freeCores.Add(-int64(cu.desc.Cores))
 	p.running[cu] = struct{}{}
-	p.mu.Unlock()
 	e.debit(p, cu.desc.Cores)
-	cu.mu.Lock()
 	cu.state = UnitScheduled
 	cu.pilot = p
 	cu.scheduled = e.now
-	cu.mu.Unlock()
 	if m.cfg.Clock.Recording() {
 		m.cfg.Clock.Mark("bind "+u.ID+" -> "+pilotID, u.Ordinal)
 	}
@@ -593,13 +587,10 @@ func (m *Manager) wakeAtLocked(t time.Time) {
 func (m *Manager) pilotStarted(p *Pilot, alloc infra.Allocation) {
 	now := m.cfg.Clock.Now()
 	m.mu.Lock()
-	p.mu.Lock()
 	p.state = PilotRunning
-	p.site = alloc.Site
 	p.alloc = alloc
-	p.freeCores = p.desc.Cores
+	p.freeCores.Store(int64(p.desc.Cores))
 	p.startedAt = now
-	p.mu.Unlock()
 	m.mu.Unlock()
 	p.started.Fire()
 	m.wake()
@@ -611,7 +602,6 @@ func (m *Manager) pilotStarted(p *Pilot, alloc infra.Allocation) {
 func (m *Manager) pilotEnded(p *Pilot, job saga.Job) {
 	now := m.cfg.Clock.Now()
 	m.mu.Lock()
-	p.mu.Lock()
 	switch job.State() {
 	case saga.Done:
 		p.state = PilotDone
@@ -623,149 +613,127 @@ func (m *Manager) pilotEnded(p *Pilot, job saga.Job) {
 		p.err = job.Err()
 	}
 	p.ended = now
-	p.mu.Unlock()
-
 	// Units stuck in the work queue (agent gone) go back to the planner.
-	stranded := p.drainWork()
-	m.mu.Unlock()
+	stranded := p.workQ
+	p.workQ = nil
 	for _, cu := range stranded {
 		m.returnSlots(p, cu)
 		m.requeueOrFail(cu, plan.FailurePreStart,
 			fmt.Errorf("core: pilot %s terminated before unit start", p.id))
 	}
+	m.mu.Unlock()
 	p.started.Fire() // unblock WaitRunning callers on failed pilots
 	p.done.Fire()
 	m.wake()
 }
 
 // executeUnit stages, runs and finalizes one unit on pilot p. It runs on
-// the agent's goroutine pool; ctx is the pilot's payload context.
+// the agent's goroutine pool; ctx is the pilot's payload context, which
+// the unit's staging and Run share: it ends only when the pilot is lost.
 func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
-	if cu.State() == UnitCanceled {
-		m.returnSlots(p, cu)
-		m.finishUnit(p, cu, UnitCanceled, context.Canceled)
-		return
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	cu.mu.Lock()
+	m.mu.Lock()
 	cu.attempts++
-	cu.mu.Unlock()
-
-	site := p.Site()
 	// Stage inputs to the pilot's site (Pilot-Data integration).
-	if len(cu.desc.InputData) > 0 && m.cfg.Data != nil {
-		cu.setState(UnitStaging)
+	stage := len(cu.desc.InputData) > 0 && m.cfg.Data != nil
+	if stage {
+		cu.state = UnitStaging
 		m.notify(cu, UnitStaging)
+	}
+	m.mu.Unlock()
+	if stage {
 		for _, id := range cu.desc.InputData {
-			if err := m.cfg.Data.StageIn(runCtx, id, site); err != nil {
+			if err := m.cfg.Data.StageIn(ctx, id, p.site); err != nil {
+				m.mu.Lock()
 				m.returnSlots(p, cu)
-				if runCtx.Err() != nil {
+				if ctx.Err() != nil {
 					m.requeueOrFail(cu, plan.FailureExecution, fmt.Errorf("core: staging interrupted: %w", err))
 				} else {
-					m.finishUnit(p, cu, UnitFailed, fmt.Errorf("core: stage-in of %s failed: %w", id, err))
+					m.finishUnit(cu, UnitFailed, fmt.Errorf("core: stage-in of %s failed: %w", id, err))
 				}
+				m.mu.Unlock()
 				return
 			}
 		}
 	}
 
-	now := m.cfg.Clock.Now()
-	cu.mu.Lock()
+	m.mu.Lock()
 	cu.state = UnitRunning
-	cu.started = now
-	cu.mu.Unlock()
+	cu.started = m.cfg.Clock.Now()
 	m.notify(cu, UnitRunning)
+	alloc := p.alloc
+	m.mu.Unlock()
 
 	tc := TaskContext{
 		Unit:    cu,
 		Cores:   cu.desc.Cores,
-		Site:    site,
-		Alloc:   p.allocation(),
+		Site:    p.site,
+		Alloc:   alloc,
 		Data:    m.cfg.Data,
 		Sleep:   m.sleep,
 		Compute: m.compute,
 		Stream:  cu.stream,
 	}
-	err := cu.desc.Run(runCtx, tc)
+	err := cu.desc.Run(ctx, tc)
 
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.returnSlots(p, cu)
 	switch {
 	case ctx.Err() != nil:
 		// The pilot died under the unit (walltime/eviction): retry budget
 		// decides between requeue and failure.
 		m.requeueOrFail(cu, plan.FailureExecution,
-			fmt.Errorf("core: pilot %s lost during execution: %w", p.id, runCtx.Err()))
+			fmt.Errorf("core: pilot %s lost during execution: %w", p.id, ctx.Err()))
 	case err != nil:
-		m.finishUnit(p, cu, UnitFailed, err)
+		m.finishUnit(cu, UnitFailed, err)
 	default:
-		m.finishUnit(p, cu, UnitDone, nil)
+		m.finishUnit(cu, UnitDone, nil)
 	}
 }
 
-// returnSlots releases the unit's reservation on p.
+// returnSlots releases the unit's reservation on p (m.mu must be held).
 func (m *Manager) returnSlots(p *Pilot, cu *ComputeUnit) {
-	p.mu.Lock()
 	if _, ok := p.running[cu]; ok {
 		delete(p.running, cu)
-		p.freeCores += cu.desc.Cores
+		p.freeCores.Add(int64(cu.desc.Cores))
 		p.unitsDone++
 	}
-	p.mu.Unlock()
 	m.wake()
 }
 
 // requeueOrFail routes a failed dispatch through the planner: one charge
 // against the unit's shared MaxRetries budget, then either a backoff-
-// delayed requeue or terminal failure.
+// delayed requeue or terminal failure (m.mu must be held).
 func (m *Manager) requeueOrFail(cu *ComputeUnit, class plan.FailureClass, cause error) {
-	now := m.cfg.Clock.Now()
-	m.mu.Lock()
 	if m.closed {
-		m.planner.Forget(cu.id)
-		m.mu.Unlock()
-		m.finishUnit(nil, cu, UnitCanceled, ErrManagerClosed)
+		m.finishUnit(cu, UnitCanceled, ErrManagerClosed)
 		return
 	}
-	v := m.planner.NoteFailure(cu.id, class, now)
-	if v.Retry {
-		cu.mu.Lock()
-		cu.state = UnitPending
-		cu.pilot = nil
-		cu.mu.Unlock()
-	}
-	m.mu.Unlock()
-	if !v.Retry {
-		m.finishUnit(nil, cu, UnitFailed, cause)
+	if !m.planner.NoteFailure(cu.id, class, m.cfg.Clock.Now()).Retry {
+		m.finishUnit(cu, UnitFailed, cause)
 		return
 	}
+	cu.state = UnitPending
+	cu.pilot = nil
 	m.notify(cu, UnitPending)
 	m.wake()
 }
 
-// finishUnit moves a unit to a terminal state exactly once.
-func (m *Manager) finishUnit(p *Pilot, cu *ComputeUnit, s UnitState, err error) {
-	now := m.cfg.Clock.Now()
-	cu.mu.Lock()
+// finishUnit moves a unit to a terminal state exactly once (m.mu must be
+// held).
+func (m *Manager) finishUnit(cu *ComputeUnit, s UnitState, err error) {
 	if cu.state.Terminal() {
-		cu.mu.Unlock()
 		return
 	}
 	cu.state = s
 	cu.err = err
-	cu.ended = now
-	cu.mu.Unlock()
+	cu.ended = m.cfg.Clock.Now()
 	cu.done.Fire()
 	m.notify(cu, s)
-
-	m.mu.Lock()
 	m.planner.Forget(cu.id)
 	m.activeUnits--
-	idle := m.idle
-	fire := m.activeUnits == 0
-	m.mu.Unlock()
-	if fire {
-		idle.Fire()
+	if m.activeUnits == 0 {
+		m.idle.Fire()
 	}
 }
 
@@ -783,7 +751,7 @@ func (m *Manager) reconcileLoop() {
 		busy := m.activeUnits > 0
 		if !busy {
 			for _, p := range m.pilots {
-				if !p.State().Terminal() {
+				if !p.state.Terminal() {
 					busy = true
 					break
 				}
@@ -811,17 +779,18 @@ func (m *Manager) reconcileLoop() {
 // order: plan.DetectDrift treats a unit that is unbound, terminal or absent
 // alike, so a deep backlog adds nothing to what a scan copies, indexes and
 // compares. Units that finished since the last scan are dropped from the
-// live list here instead of being locked on every scan for the rest of the
-// manager's life. Both snapshots are built in scratch the next scan reuses
-// (the reconciler keeps the drifts it saw, never the snapshots).
+// live list here instead of being looked at on every scan for the rest of
+// the manager's life. Both snapshots are built in scratch the next scan
+// reuses (the reconciler keeps the drifts it saw, never the snapshots).
+// The scan and its corrections share one critical section, so every
+// confirmed drift still holds when it is corrected.
 func (m *Manager) ReconcileOnce() []plan.Drift {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	units := m.reconUnits[:0]
 	live := m.live[:0]
 	for _, u := range m.live {
-		u.mu.Lock()
 		if u.state.Terminal() {
-			u.mu.Unlock()
 			continue
 		}
 		if u.pilot != nil && (u.state == UnitScheduled || u.state == UnitStaging || u.state == UnitRunning) {
@@ -829,7 +798,6 @@ func (m *Manager) ReconcileOnce() []plan.Drift {
 				ID: u.id, Bound: true, Started: u.state != UnitScheduled, Pilot: u.pilot.id,
 			})
 		}
-		u.mu.Unlock()
 		live = append(live, u)
 	}
 	m.live, m.reconUnits = live, units
@@ -839,159 +807,54 @@ func (m *Manager) ReconcileOnce() []plan.Drift {
 	pilots := m.reconPilots[:len(m.pilots)]
 	for i, p := range m.pilots {
 		held := pilots[i].Units[:0]
-		p.mu.Lock()
 		for _, cu := range p.workQ {
 			held = append(held, cu.id)
 		}
 		for cu := range p.running {
 			held = append(held, cu.id)
 		}
+		slices.Sort(held)
 		pilots[i] = plan.PilotStatus{
 			ID:       p.id,
 			Running:  p.state == PilotRunning,
 			Terminal: p.state.Terminal(),
+			Units:    slices.Compact(held),
 		}
-		p.mu.Unlock()
-		slices.Sort(held)
-		pilots[i].Units = slices.Compact(held)
 	}
 	confirmed := m.recon.Observe(units, pilots)
-	m.mu.Unlock()
-
-	var applied []plan.Drift
 	for _, d := range confirmed {
-		m.mu.Lock()
-		cu := m.unitByID[d.Unit]
-		p := m.pilotByID[d.Pilot]
-		m.mu.Unlock()
-		if p == nil {
-			continue
-		}
-		if m.applyDrift(d, cu, p) {
-			applied = append(applied, d)
-		}
+		m.applyDrift(d, m.unitByID[d.Unit], m.pilotByID[d.Pilot])
 	}
-	return applied
+	return confirmed
 }
 
-// applyDrift corrects one confirmed drift, rechecking that it still holds
-// under the object locks. Reports whether a correction was applied.
-func (m *Manager) applyDrift(d plan.Drift, cu *ComputeUnit, p *Pilot) bool {
+// applyDrift corrects one confirmed drift (m.mu must be held).
+func (m *Manager) applyDrift(d plan.Drift, cu *ComputeUnit, p *Pilot) {
 	switch d.Class {
 	case plan.DriftOrphan:
 		// The agent holds a unit the control plane no longer binds there:
 		// release the reservation and drop it from the work queue.
-		if cu == nil {
-			return false
-		}
-		cu.mu.Lock()
-		stillBound := !cu.state.Terminal() && cu.pilot == p
-		cu.mu.Unlock()
-		if stillBound {
-			return false
-		}
-		p.mu.Lock()
-		freed := false
-		if _, ok := p.running[cu]; ok {
-			delete(p.running, cu)
-			p.freeCores += cu.desc.Cores
-			freed = true
-		}
-		for i, q := range p.workQ {
-			if q == cu {
-				p.workQ = append(p.workQ[:i], p.workQ[i+1:]...)
-				freed = true
-				break
-			}
-		}
-		p.mu.Unlock()
-		if freed {
-			m.wake()
-		}
-		return freed
+		p.drop(cu)
+		m.wake()
 
 	case plan.DriftStateMismatch:
 		// A live unit is bound to a terminal pilot: release its slot there
 		// and route it through the planner's failure path.
-		if cu == nil || !p.State().Terminal() {
-			return false
-		}
-		cu.mu.Lock()
-		mismatched := !cu.state.Terminal() && cu.pilot == p
-		started := cu.state == UnitStaging || cu.state == UnitRunning
-		cu.mu.Unlock()
-		if !mismatched {
-			return false
-		}
-		p.mu.Lock()
-		if _, ok := p.running[cu]; ok {
-			delete(p.running, cu)
-			p.freeCores += cu.desc.Cores
-		}
-		for i, q := range p.workQ {
-			if q == cu {
-				p.workQ = append(p.workQ[:i], p.workQ[i+1:]...)
-				break
-			}
-		}
-		p.mu.Unlock()
 		class := plan.FailurePreStart
-		if started {
+		if cu.state == UnitStaging || cu.state == UnitRunning {
 			class = plan.FailureExecution
 		}
+		p.drop(cu)
 		m.requeueOrFail(cu, class, fmt.Errorf("core: reconcile: unit bound to terminated pilot %s", p.id))
-		return true
 
 	default: // plan.DriftMissingOnAgent
 		// A bound unit vanished from the agent's bookkeeping: restore the
 		// reservation, and re-queue it with the agent if it had not
 		// started executing.
-		if cu == nil {
-			return false
-		}
-		cu.mu.Lock()
-		bound := !cu.state.Terminal() && cu.pilot == p
-		scheduled := cu.state == UnitScheduled
-		cu.mu.Unlock()
-		if !bound {
-			return false
-		}
-		p.mu.Lock()
-		if p.state != PilotRunning {
-			p.mu.Unlock()
-			return false
-		}
-		if _, ok := p.running[cu]; ok {
-			p.mu.Unlock()
-			return false
-		}
-		for _, q := range p.workQ {
-			if q == cu {
-				p.mu.Unlock()
-				return false
-			}
-		}
 		p.running[cu] = struct{}{}
-		p.freeCores -= cu.desc.Cores
-		if scheduled {
-			p.workQ = append(p.workQ, cu)
+		p.freeCores.Add(-int64(cu.desc.Cores))
+		if cu.state == UnitScheduled {
+			p.pushWork(cu)
 		}
-		p.mu.Unlock()
-		if scheduled {
-			p.workN.Set()
-		}
-		return true
 	}
-}
-
-func (u *ComputeUnit) setState(s UnitState) {
-	u.mu.Lock()
-	u.state = s
-	u.mu.Unlock()
-}
-
-func (p *Pilot) allocation() infra.Allocation {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.alloc
 }

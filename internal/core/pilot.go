@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"gopilot/internal/dist"
@@ -74,22 +75,25 @@ type PilotDescription struct {
 
 // Pilot is a handle to a submitted pilot.
 type Pilot struct {
-	id      string
-	desc    PilotDescription
-	manager *Manager
-	stream  *dist.Stream  // "pilot"/<ordinal> child of the manager's stream
-	faults  *infra.Faults // backend fault switchboard (immutable after submit; may be nil)
+	id        string
+	desc      PilotDescription
+	manager   *Manager
+	stream    *dist.Stream  // "pilot"/<ordinal> child of the manager's stream
+	faults    *infra.Faults // backend fault switchboard (immutable after submit; may be nil)
+	site      infra.Site    // the target resource's site
+	submitted time.Time
 
-	mu        sync.Mutex
+	// freeCores is written only under manager.mu and read without it, so a
+	// Scheduler, which runs under manager.mu, can call FreeCores.
+	freeCores atomic.Int64
+
+	// Guarded by manager.mu.
 	state     PilotState
 	job       saga.Job // the placeholder job handle (set after submission)
-	site      infra.Site
 	alloc     infra.Allocation
-	freeCores int
 	running   map[*ComputeUnit]struct{}
 	unitsDone int
 	err       error
-	submitted time.Time
 	startedAt time.Time
 	ended     time.Time
 	workQ     []*ComputeUnit
@@ -112,54 +116,46 @@ func (p *Pilot) Stream() *dist.Stream { return p.stream }
 
 // State returns the current state.
 func (p *Pilot) State() PilotState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.manager.mu.Lock()
+	defer p.manager.mu.Unlock()
 	return p.state
 }
 
 // Err returns the terminal error, if any.
 func (p *Pilot) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.manager.mu.Lock()
+	defer p.manager.mu.Unlock()
 	return p.err
 }
 
-// Site returns the site of the granted allocation (set once Running).
-func (p *Pilot) Site() infra.Site {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.site
-}
+// Site returns the target resource's site, set at submission.
+func (p *Pilot) Site() infra.Site { return p.site }
 
 // TotalCores returns the pilot's configured capacity.
 func (p *Pilot) TotalCores() int { return p.desc.Cores }
 
 // FreeCores returns the currently unreserved capacity.
-func (p *Pilot) FreeCores() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.freeCores
-}
+func (p *Pilot) FreeCores() int { return int(p.freeCores.Load()) }
 
 // RunningUnits returns the number of units currently executing.
 func (p *Pilot) RunningUnits() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.manager.mu.Lock()
+	defer p.manager.mu.Unlock()
 	return len(p.running)
 }
 
 // QueuedUnits returns the number of units sitting in the agent's work
 // queue, dispatched but not yet picked up.
 func (p *Pilot) QueuedUnits() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.manager.mu.Lock()
+	defer p.manager.mu.Unlock()
 	return len(p.workQ)
 }
 
 // UnitsCompleted returns the number of units this pilot has finished.
 func (p *Pilot) UnitsCompleted() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.manager.mu.Lock()
+	defer p.manager.mu.Unlock()
 	return p.unitsDone
 }
 
@@ -177,10 +173,10 @@ func (p *Pilot) WaitRunning(ctx context.Context) error {
 	if !p.started.Wait(ctx) {
 		return ctx.Err()
 	}
-	p.mu.Lock()
+	p.manager.mu.Lock()
 	ran := !p.startedAt.IsZero()
 	state, err := p.state, p.err
-	p.mu.Unlock()
+	p.manager.mu.Unlock()
 	if ran {
 		return nil
 	}
@@ -193,8 +189,8 @@ func (p *Pilot) WaitRunning(ctx context.Context) error {
 // StartupTime returns submission → agent start (the pilot startup overhead
 // measured by experiment E2); zero until Running.
 func (p *Pilot) StartupTime() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.manager.mu.Lock()
+	defer p.manager.mu.Unlock()
 	if p.startedAt.IsZero() {
 		return 0
 	}
@@ -210,41 +206,31 @@ func (p *Pilot) Shutdown() {
 // Kill hard-crashes the pilot by canceling its placeholder job at the
 // backend. Unlike Shutdown's graceful drain, the agent loses its context
 // mid-flight: running units fail with FailureExecution and units still in
-// the work queue are stranded until drainWork routes them through
+// the work queue are stranded until pilotEnded routes them through
 // FailurePreStart — both charged against their retry budgets. This is the
 // chaos engine's pilot-crash fault.
 func (p *Pilot) Kill() {
-	p.mu.Lock()
+	p.manager.mu.Lock()
 	job := p.job
-	p.mu.Unlock()
+	p.manager.mu.Unlock()
 	if job != nil {
 		job.Cancel()
 	}
 }
 
-// pushWork queues a unit for the agent (called by the dispatcher; the
-// unit's cores are already reserved, so the queue never overfills).
+// pushWork queues a unit for the agent (called by the dispatcher under
+// manager.mu; the unit's cores are already reserved, so the queue never
+// overfills).
 func (p *Pilot) pushWork(cu *ComputeUnit) {
-	p.mu.Lock()
 	p.workQ = append(p.workQ, cu)
-	p.mu.Unlock()
 	p.workN.Set()
 }
 
-// hasWork reports whether the work queue is non-empty.
-func (p *Pilot) hasWork() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.workQ) > 0
-}
-
-// popWork dequeues the next unit, or nil. The rest of the queue — a handful
-// of units at most, the pilot's cores bound it — moves down over it, so the
-// backing array keeps its capacity for the next pushWork and the vacated
-// slot no longer holds a unit reachable.
+// popWork dequeues the next unit, or nil (caller holds manager.mu). The rest
+// of the queue — a handful of units at most, the pilot's cores bound it —
+// moves down over it, so the backing array keeps its capacity for the next
+// pushWork and the vacated slot no longer holds a unit reachable.
 func (p *Pilot) popWork() *ComputeUnit {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.workQ) == 0 {
 		return nil
 	}
@@ -255,21 +241,25 @@ func (p *Pilot) popWork() *ComputeUnit {
 	return cu
 }
 
-// drainWork empties the work queue (agent gone; the manager requeues).
-func (p *Pilot) drainWork() []*ComputeUnit {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := p.workQ
-	p.workQ = nil
-	return out
+// drop removes cu from p's running set, restoring its cores, and from p's
+// work queue (caller holds manager.mu).
+func (p *Pilot) drop(cu *ComputeUnit) {
+	if _, ok := p.running[cu]; ok {
+		delete(p.running, cu)
+		p.freeCores.Add(int64(cu.desc.Cores))
+	}
+	if i := slices.Index(p.workQ, cu); i >= 0 {
+		p.workQ = slices.Delete(p.workQ, i, i+1)
+	}
 }
 
 // agentRun is the pilot agent: the payload of the placeholder job. It
 // registers the allocation with the manager, then executes dispatched
 // units until the pilot is stopped, canceled or hits walltime.
 func (p *Pilot) agentRun(ctx context.Context, alloc infra.Allocation) error {
-	p.manager.pilotStarted(p, alloc)
-	clock := p.manager.cfg.Clock
+	m := p.manager
+	m.pilotStarted(p, alloc)
+	clock := m.cfg.Clock
 	wg := vclock.NewGroup(clock)
 	defer wg.Wait()
 	for {
@@ -279,7 +269,7 @@ func (p *Pilot) agentRun(ctx context.Context, alloc infra.Allocation) error {
 		if p.stop.Fired() {
 			return nil
 		}
-		if p.hasWork() {
+		if p.QueuedUnits() > 0 {
 			// The pickup delay runs while the unit still sits in the work
 			// queue, so an agent death during it strands the unit on the
 			// FailurePreStart path rather than the mid-execution one.
@@ -291,12 +281,14 @@ func (p *Pilot) agentRun(ctx context.Context, alloc infra.Allocation) error {
 					return nil
 				}
 			}
-			if cu := p.popWork(); cu != nil {
-				cu := cu
+			m.mu.Lock()
+			cu := p.popWork()
+			m.mu.Unlock()
+			if cu != nil {
 				wg.Add(1)
 				clock.Go(func() {
 					defer wg.Done()
-					p.manager.executeUnit(ctx, p, cu)
+					m.executeUnit(ctx, p, cu)
 				})
 			}
 			continue

@@ -127,20 +127,20 @@ func runReconcileDriftWorkload(t *testing.T) reconObservation {
 
 	// Inject the three drifts at t=10s, under the documented lock order.
 	// Orphan: the agent re-acquired a terminal unit's slot.
-	pilotO.mu.Lock()
+	mgr.mu.Lock()
 	pilotO.running[uDone] = struct{}{}
-	pilotO.freeCores -= uDone.desc.Cores
-	pilotO.mu.Unlock()
+	pilotO.freeCores.Add(-int64(uDone.desc.Cores))
+	mgr.mu.Unlock()
 	// State mismatch: a live unit bound to an already-terminal pilot.
-	uPend.mu.Lock()
+	mgr.mu.Lock()
 	uPend.state = UnitScheduled
 	uPend.pilot = pilotD
-	uPend.mu.Unlock()
+	mgr.mu.Unlock()
 	// Missing on agent: a running pilot lost a bound unit's bookkeeping.
-	pilotM.mu.Lock()
+	mgr.mu.Lock()
 	delete(pilotM.running, uRun)
-	pilotM.freeCores += uRun.desc.Cores
-	pilotM.mu.Unlock()
+	pilotM.freeCores.Add(int64(uRun.desc.Cores))
+	mgr.mu.Unlock()
 
 	// Poll every virtual second, offset half a second past the reconcile
 	// ticks so each sample sees a fully settled instant. Scans run at

@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"gopilot/internal/dist"
@@ -97,7 +96,10 @@ type TaskContext struct {
 	Stream *dist.Stream
 }
 
-// TaskFunc is the body of a compute unit.
+// TaskFunc is the body of a compute unit. ctx is the hosting pilot's
+// payload context: it ends when the pilot is lost (walltime, eviction,
+// Kill), not when Run returns — work a body starts that must stop with
+// the body needs a context of its own.
 type TaskFunc func(ctx context.Context, tc TaskContext) error
 
 // UnitDescription describes a compute unit (the P* compute-unit
@@ -128,16 +130,17 @@ type UnitDescription struct {
 
 // ComputeUnit is a handle to a submitted unit.
 type ComputeUnit struct {
-	id     string
-	desc   UnitDescription
-	stream *dist.Stream // "unit"/<ordinal> child of the manager's stream
+	id        string
+	desc      UnitDescription
+	manager   *Manager
+	stream    *dist.Stream // "unit"/<ordinal> child of the manager's stream
+	submitted time.Time
 
-	mu        sync.Mutex
+	// Guarded by manager.mu.
 	state     UnitState
 	pilot     *Pilot
 	attempts  int
 	err       error
-	submitted time.Time
 	scheduled time.Time
 	started   time.Time
 	ended     time.Time
@@ -153,29 +156,29 @@ func (u *ComputeUnit) Description() UnitDescription { return u.desc }
 
 // State returns the current state.
 func (u *ComputeUnit) State() UnitState {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	return u.state
 }
 
 // Err returns the terminal error, if any.
 func (u *ComputeUnit) Err() error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	return u.err
 }
 
 // Pilot returns the pilot the unit is (or was last) bound to, or nil.
 func (u *ComputeUnit) Pilot() *Pilot {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	return u.pilot
 }
 
 // Attempts returns the number of execution attempts.
 func (u *ComputeUnit) Attempts() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	return u.attempts
 }
 
@@ -189,15 +192,15 @@ func (u *ComputeUnit) Wait(ctx context.Context) (UnitState, error) {
 
 // EndTime returns the modeled termination time.
 func (u *ComputeUnit) EndTime() time.Time {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	return u.ended
 }
 
 // WaitingTime is submission → binding: the late-binding queue delay.
 func (u *ComputeUnit) WaitingTime() time.Duration {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	if u.scheduled.IsZero() {
 		return 0
 	}
@@ -206,8 +209,8 @@ func (u *ComputeUnit) WaitingTime() time.Duration {
 
 // Runtime is execution start → end.
 func (u *ComputeUnit) Runtime() time.Duration {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	if u.started.IsZero() || u.ended.IsZero() {
 		return 0
 	}
@@ -216,8 +219,8 @@ func (u *ComputeUnit) Runtime() time.Duration {
 
 // TurnaroundTime is submission → end.
 func (u *ComputeUnit) TurnaroundTime() time.Duration {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+	u.manager.mu.Lock()
+	defer u.manager.mu.Unlock()
 	if u.ended.IsZero() {
 		return 0
 	}

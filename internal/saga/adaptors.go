@@ -551,15 +551,20 @@ var (
 type Registry struct {
 	mu       sync.Mutex
 	services map[string]Service
+	urls     []string // registration order: a map's would be random
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{services: make(map[string]Service)} }
 
-// Register adds a service under its URL.
+// Register adds a service under its URL; a second service under the same
+// URL replaces the first and keeps its place in the order.
 func (r *Registry) Register(s Service) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, ok := r.services[s.URL()]; !ok {
+		r.urls = append(r.urls, s.URL())
+	}
 	r.services[s.URL()] = s
 }
 
@@ -574,22 +579,19 @@ func (r *Registry) Lookup(url string) (Service, error) {
 	return s, nil
 }
 
-// URLs lists registered service URLs.
+// URLs lists registered service URLs in registration order.
 func (r *Registry) URLs() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.services))
-	for u := range r.services {
-		out = append(out, u)
-	}
-	return out
+	return append([]string(nil), r.urls...)
 }
 
-// CloseAll closes every registered service.
+// CloseAll closes every registered service, in registration order: a
+// Close that parks until its jobs end makes the order part of the schedule.
 func (r *Registry) CloseAll() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range r.services {
-		s.Close()
+	for _, u := range r.urls {
+		r.services[u].Close()
 	}
 }

@@ -3,6 +3,7 @@ package saga
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -256,6 +257,51 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("URLs = %v", r.URLs())
 	}
 	r.CloseAll()
+}
+
+// TestRegistryKeepsRegistrationOrder: URLs and CloseAll walk the services
+// in the order they were registered, never in a map's. CloseAll's order is
+// part of the schedule — LocalService.Close parks until its jobs end — so
+// two services whose jobs end at 10s and 5s must close in the same order,
+// and record the same decisions, on every run.
+func TestRegistryKeepsRegistrationOrder(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	r := NewRegistry()
+	var want []string
+	for _, name := range []string{"f", "c", "a", "e", "b", "d", "h", "g"} {
+		s := NewLocalService(name, 1, clock)
+		r.Register(s)
+		want = append(want, s.URL())
+	}
+	for i := 0; i < 20; i++ {
+		if got := r.URLs(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: URLs = %v, want registration order %v", i, got, want)
+		}
+	}
+	r.CloseAll()
+
+	closeAllHash := func() uint64 {
+		clock := vclock.NewVirtual(vclock.Epoch)
+		clock.Adopt()
+		defer clock.Leave()
+		clock.StartRecorder(vclock.RecorderConfig{})
+		r := NewRegistry()
+		for _, d := range []time.Duration{10 * time.Second, 5 * time.Second} {
+			s := NewLocalService(d.String(), 1, clock)
+			r.Register(s)
+			if _, err := s.Submit(Description{Payload: sleeper(d, clock)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.CloseAll()
+		return clock.RecorderState().Hash
+	}
+	base := closeAllHash()
+	for run := 1; run < 20; run++ {
+		if got := closeAllHash(); got != base {
+			t.Fatalf("run %d: CloseAll recorded hash %#x, run 0 %#x", run, got, base)
+		}
+	}
 }
 
 func TestNilPayloadRejectedEverywhere(t *testing.T) {

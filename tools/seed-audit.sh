@@ -73,6 +73,12 @@
 #      together name exactly one (the field Cluster.mu): a second lock
 #      level — and with it the re-scans, closed-flag branches and retry
 #      results that close its windows — cannot come back unnoticed.
+#  12. One lock level in the pilot manager (DESIGN.md "Control plane",
+#      "One lock level"): Manager.mu guards every mutable pilot and unit
+#      field, so each flow acts on what it read in one critical section
+#      and nothing re-checks a drift or a state "under the object locks".
+#      Non-test internal/core names exactly one sync.Mutex/RWMutex (the
+#      field Manager.mu), and pilot.go and unit.go name none.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -264,6 +270,19 @@ fi
 if [ "$(cat $st/cluster.go $st/cluster_bus.go $st/broker.go | grep -cE 'sync\.(RW)?Mutex')" -ne 1 ]; then
   grep -nE 'sync\.(RW)?Mutex' $st/cluster.go $st/cluster_bus.go $st/broker.go >&2
   echo "seed-audit: the broker side must name exactly one mutex, Cluster.mu — a second lock level needs code to bridge the two" >&2
+  fail=1
+fi
+
+# Rule 12: the pilot manager declares one mutex, and it is not on a pilot
+# or a unit.
+co=internal/core
+if grep -nE 'sync\.(RW)?Mutex' $co/pilot.go $co/unit.go >&2; then
+  echo "seed-audit: a pilot or unit has its own lock — Manager.mu guards every pilot and unit field" >&2
+  fail=1
+fi
+if [ "$(find $co -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE 'sync\.(RW)?Mutex')" -ne 1 ]; then
+  find $co -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec grep -nE 'sync\.(RW)?Mutex' {} + >&2
+  echo "seed-audit: internal/core must name exactly one mutex, Manager.mu — a second lock level needs code to bridge the two" >&2
   fail=1
 fi
 
