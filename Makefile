@@ -70,7 +70,11 @@ profile:
 # sleeps, timers or clocks inside the internal/plan control plane; no wall
 # time anywhere under internal/ or examples/ (E11's host-ms column aside);
 # no mention of the Broker alias outside internal/streaming/broker.go and
-# the frozen cmd/bench, and no Bus implementation asserted but *Cluster.
+# the frozen cmd/bench, and no Bus implementation asserted but *Cluster;
+# one mutex in the broker side and one in the pilot manager; and the
+# backends are the SAGA services — saga imports none of them, and
+# internal/infra/** + internal/saga declare at most seven mutexes, none on
+# a job, VM, container or glidein (rule 13).
 seed-audit:
 	bash tools/seed-audit.sh
 

@@ -1,8 +1,8 @@
 // Package gopilot is a Go reproduction of the pilot-abstraction ecosystem
 // from "Methods and Experiences for Developing Abstractions for
 // Data-intensive, Scientific Applications" (Luckow & Jha, 2020,
-// arXiv:2002.09009): the P* pilot model, SAGA-style adaptors over
-// simulated heterogeneous infrastructure (HPC/HTC/cloud/serverless/YARN),
+// arXiv:2002.09009): the P* pilot model, one SAGA-style service interface
+// over simulated heterogeneous infrastructure (HPC/HTC/cloud/serverless/YARN),
 // Pilot-Data, Pilot-Memory, Pilot-MapReduce, Pilot-Streaming, the Mini-App
 // experiment framework and the analytical/statistical performance models
 // the paper's evaluation rests on.

@@ -1,7 +1,7 @@
 // Quickstart: the smallest complete gopilot program.
 //
-// It builds a simulated HPC machine, registers it behind the SAGA adaptor
-// layer, starts a pilot (placeholder job), submits compute units into the
+// It builds a simulated HPC machine, registers it as a SAGA service,
+// starts a pilot (placeholder job), submits compute units into the
 // shared queue *before and after* the pilot comes up — late binding — and
 // prints per-unit statistics.
 //
@@ -41,10 +41,10 @@ func main() {
 		Clock:     clock,
 		Stream:    hpcStream,
 	})
-	defer cluster.Shutdown()
+	defer cluster.Close()
 
 	registry := saga.NewRegistry()
-	registry.Register(saga.NewHPCService(cluster, clock))
+	registry.Register(cluster)
 
 	mgr := core.NewManager(core.Config{Registry: registry, Clock: clock})
 	defer mgr.Close()

@@ -36,13 +36,13 @@ func newEnv(t *testing.T, cfg Config, hpcCfg hpc.Config) *testEnv {
 		hpcCfg.Name = "hpcA"
 	}
 	cluster := hpc.New(hpcCfg)
-	reg.Register(saga.NewHPCService(cluster, clock))
+	reg.Register(cluster)
 	cfg.Registry = reg
 	cfg.Clock = clock
 	mgr := NewManager(cfg)
 	t.Cleanup(func() {
 		mgr.Close()
-		cluster.Shutdown()
+		cluster.Close()
 	})
 	return &testEnv{clock: clock, reg: reg, cluster: cluster, mgr: mgr}
 }

@@ -28,8 +28,8 @@ func TestPilotOnEvictingHTCPoolFailsButUnitsRetryElsewhere(t *testing.T) {
 		MatchDelay: dist.Constant(0.1),
 		Clock:      clock, Stream: dist.NewStream(3),
 	})
-	defer pool.Shutdown()
-	reg.Register(saga.NewHTCService(pool, clock))
+	defer pool.Close()
+	reg.Register(pool)
 	reg.Register(saga.NewLocalService("safe", 8, clock))
 
 	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock})

@@ -242,7 +242,7 @@ func (m *Manager) SubmitPilot(d PilotDescription) (*Pilot, error) {
 	}
 	// A backend outage must empty the candidate set for pilots already
 	// running there, so the pilot caches its service's fault switchboard
-	// when the adaptor exposes one.
+	// when the service exposes one.
 	if fp, ok := svc.(interface{ Faults() *infra.Faults }); ok {
 		p.faults = fp.Faults()
 	}

@@ -12,7 +12,6 @@ import (
 	"gopilot/internal/dist"
 	"gopilot/internal/infra/hpc"
 	"gopilot/internal/metrics"
-	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 )
 
@@ -115,8 +114,7 @@ func runSpineWorkload(t *testing.T, v spineVariant) spineObservation {
 			Clock:     tb.Clock,
 			Stream:    tb.Root.Named("infra/hpc/frontera"),
 		})
-		defer frontera.Shutdown()
-		tb.Registry.Register(saga.NewHPCService(frontera, tb.Clock))
+		tb.Registry.Register(frontera) // closed with the testbed
 		if _, err := mgr.SubmitPilot(core.PilotDescription{
 			Name: "extra", Resource: "hpc://frontera", Cores: 16, Walltime: 4 * time.Hour,
 		}); err != nil {

@@ -132,12 +132,15 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		Clock:      clock, Stream: yarnStream,
 	})
 
+	// Each backend is its own saga.Service. Registration order is Close
+	// order (Registry.CloseAll): the simulators first, then the local
+	// service, whose Close waits out its jobs.
+	tb.Registry.Register(tb.HPCA)
+	tb.Registry.Register(tb.HPCB)
+	tb.Registry.Register(tb.HTC)
+	tb.Registry.Register(tb.Cloud)
+	tb.Registry.Register(tb.Yarn)
 	tb.Registry.Register(saga.NewLocalService("localhost", 64, clock))
-	tb.Registry.Register(saga.NewHPCService(tb.HPCA, clock))
-	tb.Registry.Register(saga.NewHPCService(tb.HPCB, clock))
-	tb.Registry.Register(saga.NewHTCService(tb.HTC, clock))
-	tb.Registry.Register(saga.NewCloudService(tb.Cloud, clock))
-	tb.Registry.Register(saga.NewYarnService(tb.Yarn, 8, clock))
 
 	tb.Data = data.NewService(data.Config{
 		Clock:          clock,
@@ -169,11 +172,6 @@ func (tb *Testbed) Close() {
 	for _, m := range tb.managers {
 		m.Close()
 	}
-	tb.HPCA.Shutdown()
-	tb.HPCB.Shutdown()
-	tb.HTC.Shutdown()
-	tb.Cloud.Shutdown()
-	tb.Yarn.Shutdown()
 	tb.Registry.CloseAll()
 	tb.Clock.Leave()
 }

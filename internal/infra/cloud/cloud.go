@@ -10,11 +10,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 )
 
@@ -28,39 +30,12 @@ type VMType struct {
 	PricePerHour float64
 }
 
-// VMState is a virtual machine lifecycle state.
-type VMState int
-
-// VM states.
-const (
-	Booting VMState = iota
-	Ready
-	Terminated
-)
-
-// String implements fmt.Stringer.
-func (s VMState) String() string {
-	switch s {
-	case Booting:
-		return "Booting"
-	case Ready:
-		return "Ready"
-	case Terminated:
-		return "Terminated"
-	default:
-		return fmt.Sprintf("VMState(%d)", int(s))
-	}
-}
-
-// VM is a provisioned instance.
-type VM struct {
-	id    string
-	vtype VMType
-
-	mu      sync.Mutex
-	state   VMState
-	started time.Time // when Ready
-	ended   time.Time
+// instance is a provisioned VM; it bills from the instant it is ready.
+// started is guarded by Provider.mu and zero while the VM boots.
+type instance struct {
+	id      string
+	vtype   VMType
+	started time.Time
 }
 
 // Config describes a simulated cloud region.
@@ -74,7 +49,7 @@ type Config struct {
 	// CapacityVMs bounds the total simultaneously running instances
 	// (a quota); zero means unlimited.
 	CapacityVMs int
-	// Clock supplies virtual time; defaults to a private vclock.Virtual.
+	// Clock supplies virtual time; New panics without one.
 	Clock vclock.Clock
 	// Stream is the region's slot on the experiment's seeding spine. When
 	// BootDelay is nil and Stream is set, the canonical stochastic boot
@@ -103,31 +78,29 @@ func (c *Config) withDefaults() Config {
 			out.BootDelay = dist.Constant(0)
 		}
 	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewVirtual(vclock.Epoch)
-	}
 	return out
 }
 
-// Provider is a simulated IaaS region.
+// Provider is a simulated IaaS region and the saga.Service for it: a job
+// provisions enough VMs to cover TotalCores, runs, and terminates them.
 type Provider struct {
 	cfg    Config
 	faults infra.Faults
 
-	mu     sync.Mutex
-	nextID int
-	active map[*VM]struct{}
-	cost   float64
-	closed bool
-	ctx    context.Context
-	stop   context.CancelFunc
-	wg     *vclock.Group
+	mu      sync.Mutex
+	nextJob int
+	nextVM  int
+	active  []*instance // booting or ready, in provision order
+	cost    float64
+	closed  bool
 }
+
+var _ saga.Service = (*Provider)(nil)
 
 // ErrQuota is returned when the VM quota would be exceeded.
 var ErrQuota = errors.New("cloud: VM quota exceeded")
 
-// ErrClosed is returned after Shutdown; it wraps infra.ErrBackendClosed
+// ErrClosed is returned after Close; it wraps infra.ErrBackendClosed
 // so heterogeneous dispatchers need only one test.
 var ErrClosed = fmt.Errorf("cloud: provider closed: %w", infra.ErrBackendClosed)
 
@@ -136,33 +109,23 @@ var ErrUnknownType = errors.New("cloud: unknown instance type")
 
 // New creates a provider.
 func New(cfg Config) *Provider {
-	p := &Provider{cfg: cfg.withDefaults(), active: make(map[*VM]struct{})}
-	p.wg = vclock.NewGroup(p.cfg.Clock)
-	p.ctx, p.stop = context.WithCancel(context.Background())
-	return p
+	if cfg.Clock == nil {
+		panic("cloud: Config.Clock is nil")
+	}
+	return &Provider{cfg: cfg.withDefaults()}
 }
 
-// Name returns the region name.
-func (p *Provider) Name() string { return p.cfg.Name }
+// URL implements saga.Service.
+func (p *Provider) URL() string { return "cloud://" + p.cfg.Name }
 
-// Site returns the region's site identity.
+// Site implements saga.Service.
 func (p *Provider) Site() infra.Site { return infra.Site(p.cfg.Name) }
 
-// DefaultType returns the default instance type.
-func (p *Provider) DefaultType() VMType { return p.cfg.Types[0] }
+// TotalCores implements saga.Service (0: clouds are elastically unbounded).
+func (p *Provider) TotalCores() int { return 0 }
 
 // Faults returns the provider's fault switchboard (chaos engineering).
 func (p *Provider) Faults() *infra.Faults { return &p.faults }
-
-// TypeByName looks up an instance type.
-func (p *Provider) TypeByName(name string) (VMType, error) {
-	for _, t := range p.cfg.Types {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return VMType{}, fmt.Errorf("%w: %q", ErrUnknownType, name)
-}
 
 // ActiveVMs returns the number of live (booting or ready) instances.
 func (p *Provider) ActiveVMs() int {
@@ -172,36 +135,83 @@ func (p *Provider) ActiveVMs() int {
 }
 
 // Cost returns accumulated cost including charges accrued by still-running
-// instances up to now.
+// instances up to now. Charges are summed in provision order, so the same
+// ledger always yields the same bits.
 func (p *Provider) Cost() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := p.cost
 	now := p.cfg.Clock.Now()
-	for vm := range p.active {
-		vm.mu.Lock()
-		if vm.state == Ready {
+	for _, vm := range p.active {
+		if !vm.started.IsZero() {
 			total += now.Sub(vm.started).Hours() * vm.vtype.PricePerHour
 		}
-		vm.mu.Unlock()
 	}
 	return total
 }
 
-// Provision boots n instances of the named type (empty name selects the
-// default) and blocks until they are Ready or ctx is canceled. Successfully
-// booted instances are returned even on partial failure.
-func (p *Provider) Provision(ctx context.Context, n int, typeName string) ([]*VM, error) {
-	if n <= 0 {
-		return nil, errors.New("cloud: must provision at least one VM")
+// Submit implements saga.Service. The attribute "vm_type" selects the
+// instance type (the first configured type by default). The job provisions
+// its VMs, runs the payload on them until it returns or Walltime cancels
+// it, and terminates them; provisioning that fails ends the job Failed, or
+// Canceled if the job was.
+func (p *Provider) Submit(d saga.Description) (saga.Job, error) {
+	if d.Payload == nil {
+		return nil, errors.New("cloud: description has nil payload")
 	}
-	vt := p.DefaultType()
-	if typeName != "" {
+	vt := p.cfg.Types[0]
+	if name := d.Attributes["vm_type"]; name != "" {
 		var err error
-		if vt, err = p.TypeByName(typeName); err != nil {
+		if vt, err = p.typeByName(name); err != nil {
 			return nil, err
 		}
 	}
+	n := (max(d.TotalCores, 1) + vt.Cores - 1) / vt.Cores
+	ctx, cancel := context.WithCancel(context.Background())
+	p.mu.Lock()
+	p.nextJob++
+	j := saga.NewJobRecord(fmt.Sprintf("cloud.%s.%d", p.cfg.Name, p.nextJob), &p.mu, p.cfg.Clock, cancel)
+	p.mu.Unlock()
+
+	p.cfg.Clock.Go(func() {
+		defer cancel()
+		vms, err := p.provision(ctx, n, vt)
+		if err != nil {
+			j.FinishPayload(ctx.Err(), fmt.Errorf("cloud: provisioning failed: %w", err))
+			return
+		}
+		defer p.terminate(vms)
+		j.Start()
+		if d.Walltime > 0 {
+			// The walltime watchdog: cancels the run once it elapses, and is
+			// disarmed when the payload returns first.
+			wctx, disarm := context.WithCancel(ctx)
+			defer disarm()
+			p.cfg.Clock.Go(func() {
+				if p.cfg.Clock.Sleep(wctx, d.Walltime) {
+					cancel()
+				}
+			})
+		}
+		err = d.Payload(ctx, p.allocation(j.ID(), vms))
+		j.FinishPayload(ctx.Err(), err)
+	})
+	return j, nil
+}
+
+// typeByName looks up an instance type.
+func (p *Provider) typeByName(name string) (VMType, error) {
+	for _, t := range p.cfg.Types {
+		if t.Name == name {
+			return t, nil
+		}
+	}
+	return VMType{}, fmt.Errorf("%w: %q", ErrUnknownType, name)
+}
+
+// provision boots n instances of type vt and blocks until they are ready or
+// ctx is canceled, in which case it terminates them.
+func (p *Provider) provision(ctx context.Context, n int, vt VMType) ([]*instance, error) {
 	if err := p.faults.Check(); err != nil {
 		return nil, fmt.Errorf("cloud: %s: %w", p.cfg.Name, err)
 	}
@@ -214,58 +224,55 @@ func (p *Provider) Provision(ctx context.Context, n int, typeName string) ([]*VM
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: want %d active %d cap %d", ErrQuota, n, len(p.active), p.cfg.CapacityVMs)
 	}
-	vms := make([]*VM, n)
+	vms := make([]*instance, n)
 	for i := range vms {
-		p.nextID++
-		vms[i] = &VM{id: fmt.Sprintf("%s.vm%d", p.cfg.Name, p.nextID), vtype: vt, state: Booting}
-		p.active[vms[i]] = struct{}{}
+		p.nextVM++
+		vms[i] = &instance{id: fmt.Sprintf("%s.vm%d", p.cfg.Name, p.nextVM), vtype: vt}
 	}
+	p.active = append(p.active, vms...)
 	p.mu.Unlock()
 
 	// Boot instances concurrently; each samples its own latency.
 	wg := vclock.NewGroup(p.cfg.Clock)
 	for _, vm := range vms {
-		vm := vm
 		boot := time.Duration(p.cfg.BootDelay.Sample() * float64(time.Second))
 		wg.Add(1)
 		p.cfg.Clock.Go(func() {
 			defer wg.Done()
 			p.cfg.Clock.Sleep(ctx, boot)
-			vm.mu.Lock()
-			vm.state = Ready
-			vm.started = p.cfg.Clock.Now()
-			vm.mu.Unlock()
+			now := p.cfg.Clock.Now()
+			p.mu.Lock()
+			vm.started = now
+			p.mu.Unlock()
 		})
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		p.Terminate(vms)
+		p.terminate(vms)
 		return nil, err
 	}
 	return vms, nil
 }
 
-// Terminate stops instances and finalizes their charges.
-func (p *Provider) Terminate(vms []*VM) {
+// terminate stops live instances and finalizes their charges.
+func (p *Provider) terminate(vms []*instance) {
 	now := p.cfg.Clock.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, vm := range vms {
-		vm.mu.Lock()
-		if vm.state == Ready {
+		i := slices.Index(p.active, vm)
+		if i < 0 {
+			continue
+		}
+		p.active = slices.Delete(p.active, i, i+1)
+		if !vm.started.IsZero() {
 			p.cost += now.Sub(vm.started).Hours() * vm.vtype.PricePerHour
 		}
-		if vm.state != Terminated {
-			vm.state = Terminated
-			vm.ended = now
-		}
-		vm.mu.Unlock()
-		delete(p.active, vm)
 	}
 }
 
-// Allocation builds an infra.Allocation spanning a set of ready VMs.
-func (p *Provider) Allocation(id string, vms []*VM) infra.Allocation {
+// allocation builds an infra.Allocation spanning a set of ready VMs.
+func (p *Provider) allocation(id string, vms []*instance) infra.Allocation {
 	cores := 0
 	nodes := make([]string, len(vms))
 	for i, vm := range vms {
@@ -281,16 +288,13 @@ func (p *Provider) Allocation(id string, vms []*VM) infra.Allocation {
 	}
 }
 
-// Shutdown terminates all instances.
-func (p *Provider) Shutdown() {
+// Close implements saga.Service: it terminates every instance, in
+// provision order, and refuses further provisioning.
+func (p *Provider) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	var vms []*VM
-	for vm := range p.active {
-		vms = append(vms, vm)
-	}
+	vms := slices.Clone(p.active)
 	p.mu.Unlock()
-	p.Terminate(vms)
-	p.stop()
-	p.wg.Wait()
+	p.terminate(vms)
+	return nil
 }

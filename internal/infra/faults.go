@@ -2,7 +2,7 @@ package infra
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 )
 
 // ErrBackendDown is the sentinel wrapped by backend entry points while an
@@ -21,29 +21,18 @@ var ErrBackendDown = errors.New("backend unavailable (injected outage)")
 // chaos engine's own scheduled participant, which keeps this type free of
 // time arithmetic and therefore trivially deterministic.
 type Faults struct {
-	mu   sync.Mutex
-	down bool
+	down atomic.Bool
 }
 
 // SetDown opens (true) or closes (false) an outage window.
 func (f *Faults) SetDown(down bool) {
-	if f == nil {
-		return
+	if f != nil {
+		f.down.Store(down)
 	}
-	f.mu.Lock()
-	f.down = down
-	f.mu.Unlock()
 }
 
 // Down reports whether an outage window is open. Nil-safe.
-func (f *Faults) Down() bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down
-}
+func (f *Faults) Down() bool { return f != nil && f.down.Load() }
 
 // Check returns ErrBackendDown while an outage window is open, nil
 // otherwise. Nil-safe.

@@ -18,48 +18,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
 	"gopilot/internal/metrics"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 )
-
-// State is the lifecycle state of a batch job.
-type State int
-
-// Batch job states, following the usual LRMS lifecycle.
-const (
-	Pending State = iota
-	Running
-	Completed
-	Failed
-	TimedOut
-	Canceled
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case Pending:
-		return "Pending"
-	case Running:
-		return "Running"
-	case Completed:
-		return "Completed"
-	case Failed:
-		return "Failed"
-	case TimedOut:
-		return "TimedOut"
-	case Canceled:
-		return "Canceled"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
 
 // Config describes a simulated HPC machine.
 type Config struct {
@@ -77,7 +47,7 @@ type Config struct {
 	DispatchOverhead time.Duration
 	// Backfill enables EASY backfill; without it the queue is strict FCFS.
 	Backfill bool
-	// Clock supplies virtual time; defaults to a private vclock.Virtual.
+	// Clock supplies virtual time; New panics without one.
 	Clock vclock.Clock
 	// Stream is the cluster's slot on the experiment's seeding spine.
 	// When QueueWait is nil and Stream is set, the canonical stochastic
@@ -109,79 +79,31 @@ func (c *Config) withDefaults() Config {
 			out.QueueWait = dist.Constant(0)
 		}
 	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewVirtual(vclock.Epoch)
-	}
 	return out
 }
 
-// JobSpec describes a batch job submission.
-type JobSpec struct {
-	// Name labels the job in logs and stats.
-	Name string
-	// Nodes is the number of whole nodes requested.
-	Nodes int
-	// Walltime is the requested maximum runtime; the payload context is
-	// canceled when it expires. Zero means unlimited.
-	Walltime time.Duration
-	// Payload is executed once the allocation is granted.
-	Payload infra.Payload
+// job is a batch job: the saga job record plus what the batch system needs
+// to queue, run and kill it. stop is guarded by Cluster.mu; the rest is
+// fixed at submission.
+type job struct {
+	*saga.JobRecord
+	nodes    int
+	walltime time.Duration
+	payload  infra.Payload
+	eligible time.Time
+	stop     context.CancelFunc // kills the run; nil while pending
 }
 
-// Job is a handle to a submitted batch job.
-type Job struct {
-	id   string
-	spec JobSpec
-
-	mu        sync.Mutex
-	state     State
-	submitted time.Time
-	eligible  time.Time
-	started   time.Time
-	ended     time.Time
-	err       error
-
-	done    *vclock.Event
-	timeout bool
-	cancel  context.CancelFunc
-}
-
-// ID returns the backend-assigned job identifier.
-func (j *Job) ID() string { return j.id }
-
-// State returns the current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Err returns the payload error after the job finished.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Wait blocks until the job terminates or ctx is canceled, returning the
-// terminal state.
-func (j *Job) Wait(ctx context.Context) (State, error) {
-	if j.done.Wait(ctx) {
-		return j.State(), j.Err()
-	}
-	return j.State(), ctx.Err()
-}
-
-// Cluster is a simulated HPC machine. Create with New; all methods are safe
-// for concurrent use.
+// Cluster is a simulated HPC machine and the saga.Service for it. Create
+// with New; all methods are safe for concurrent use.
 type Cluster struct {
 	cfg    Config
 	faults infra.Faults
 
 	mu        sync.Mutex
 	freeNodes int
-	pending   []*Job
-	running   map[*Job]time.Time // expected end (start + walltime)
+	pending   []*job
+	running   map[*job]time.Time // expected end (start + walltime)
 	nextID    int
 	closed    bool
 
@@ -193,7 +115,9 @@ type Cluster struct {
 	wg   *vclock.Group
 }
 
-// ErrClusterClosed is returned by Submit after Shutdown; it wraps
+var _ saga.Service = (*Cluster)(nil)
+
+// ErrClusterClosed is returned by Submit after Close; it wraps
 // infra.ErrBackendClosed so heterogeneous dispatchers need only one test.
 var ErrClusterClosed = fmt.Errorf("hpc: cluster closed: %w", infra.ErrBackendClosed)
 
@@ -202,9 +126,12 @@ var ErrTooLarge = errors.New("hpc: job requests more nodes than cluster has")
 
 // New creates a cluster and starts its scheduler.
 func New(cfg Config) *Cluster {
+	if cfg.Clock == nil {
+		panic("hpc: Config.Clock is nil")
+	}
 	c := &Cluster{
 		cfg:        cfg.withDefaults(),
-		running:    make(map[*Job]time.Time),
+		running:    make(map[*job]time.Time),
 		queueWaits: metrics.NewSeries(),
 	}
 	c.wake = vclock.NewNotifier(c.cfg.Clock)
@@ -216,54 +143,44 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Name returns the site name.
-func (c *Cluster) Name() string { return c.cfg.Name }
+// URL implements saga.Service.
+func (c *Cluster) URL() string { return "hpc://" + c.cfg.Name }
 
-// Site returns the cluster's site identity.
+// Site implements saga.Service.
 func (c *Cluster) Site() infra.Site { return infra.Site(c.cfg.Name) }
 
-// CoresPerNode returns the per-node core count.
-func (c *Cluster) CoresPerNode() int { return c.cfg.CoresPerNode }
-
-// TotalCores returns the machine size in cores.
+// TotalCores implements saga.Service: the machine size in cores.
 func (c *Cluster) TotalCores() int { return c.cfg.Nodes * c.cfg.CoresPerNode }
 
 // Faults returns the cluster's fault switchboard (chaos engineering).
 func (c *Cluster) Faults() *infra.Faults { return &c.faults }
 
-// Submit enqueues a batch job. The job becomes eligible to run after its
-// sampled exogenous queue delay and runs when FCFS/backfill order and
-// capacity allow.
-func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
-	if spec.Nodes <= 0 {
-		spec.Nodes = 1
-	}
-	if spec.Payload == nil {
-		return nil, errors.New("hpc: job spec has nil payload")
+// Submit implements saga.Service. The job asks for TotalCores rounded up to
+// whole nodes, as real batch systems do, becomes eligible to run after its
+// sampled exogenous queue delay, and runs when FCFS/backfill order and
+// capacity allow; its payload is killed when Walltime expires.
+func (c *Cluster) Submit(d saga.Description) (saga.Job, error) {
+	if d.Payload == nil {
+		return nil, errors.New("hpc: description has nil payload")
 	}
 	if err := c.faults.Check(); err != nil {
 		return nil, fmt.Errorf("hpc: %s: %w", c.cfg.Name, err)
 	}
+	nodes := (max(d.TotalCores, 1) + c.cfg.CoresPerNode - 1) / c.cfg.CoresPerNode
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrClusterClosed
 	}
-	if spec.Nodes > c.cfg.Nodes {
+	if nodes > c.cfg.Nodes {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: want %d have %d", ErrTooLarge, spec.Nodes, c.cfg.Nodes)
+		return nil, fmt.Errorf("%w: want %d have %d", ErrTooLarge, nodes, c.cfg.Nodes)
 	}
 	c.nextID++
-	now := c.cfg.Clock.Now()
 	delay := time.Duration(c.cfg.QueueWait.Sample() * float64(time.Second))
-	j := &Job{
-		id:        fmt.Sprintf("%s.%d", c.cfg.Name, c.nextID),
-		spec:      spec,
-		state:     Pending,
-		submitted: now,
-		eligible:  now.Add(delay),
-		done:      vclock.NewEvent(c.cfg.Clock),
-	}
+	j := &job{nodes: nodes, walltime: d.Walltime, payload: d.Payload}
+	j.JobRecord = saga.NewJobRecord(fmt.Sprintf("%s.%d", c.cfg.Name, c.nextID), &c.mu, c.cfg.Clock, func() { c.cancel(j) })
+	j.eligible = j.SubmitTime().Add(delay)
 	c.pending = append(c.pending, j)
 	c.mu.Unlock()
 	if delay > 0 {
@@ -273,67 +190,48 @@ func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// Cancel removes a pending job or kills a running one. The state is read
-// through j.mu — runJob writes the terminal state under it alone — while the
-// Pending/Running decision stays under c.mu, where startLocked makes that
-// transition.
-func (c *Cluster) Cancel(j *Job) {
+// cancel removes a pending job, which ends Canceled, or kills a running
+// one. Whether the job is still pending is decided under c.mu, where
+// startLocked takes it off the queue.
+func (c *Cluster) cancel(j *job) {
 	c.mu.Lock()
-	switch j.State() {
-	case Pending:
-		for i, p := range c.pending {
-			if p == j {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				break
-			}
-		}
-		j.mu.Lock()
-		j.state = Canceled
-		j.ended = c.cfg.Clock.Now()
-		j.mu.Unlock()
-		j.done.Fire()
-		c.mu.Unlock()
-		return
-	case Running:
-		cancel := j.cancel
-		c.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return
-	default:
-		c.mu.Unlock()
+	i := slices.Index(c.pending, j)
+	if i >= 0 {
+		c.pending = slices.Delete(c.pending, i, i+1)
+	}
+	stop := j.stop
+	c.mu.Unlock()
+	if i >= 0 {
+		j.Finish(saga.Canceled, nil)
+	} else if stop != nil {
+		stop()
 	}
 }
 
 // QueueWaitStats returns the observed queue-wait sample (seconds).
 func (c *Cluster) QueueWaitStats() metrics.Summary { return c.queueWaits.Summary() }
 
-// Shutdown cancels all jobs and stops the scheduler.
-func (c *Cluster) Shutdown() {
+// Close implements saga.Service: it cancels every job and stops the
+// scheduler.
+func (c *Cluster) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	pend := append([]*Job(nil), c.pending...)
+	pend := c.pending
 	c.pending = nil
-	var cancels []context.CancelFunc
+	var stops []context.CancelFunc
 	for j := range c.running {
-		if j.cancel != nil {
-			cancels = append(cancels, j.cancel)
-		}
+		stops = append(stops, j.stop)
 	}
 	c.mu.Unlock()
 	for _, j := range pend {
-		j.mu.Lock()
-		j.state = Canceled
-		j.ended = c.cfg.Clock.Now()
-		j.mu.Unlock()
-		j.done.Fire()
+		j.Finish(saga.Canceled, nil)
 	}
-	for _, cancel := range cancels {
-		cancel()
+	for _, stop := range stops {
+		stop()
 	}
 	c.stop()
 	c.wg.Wait()
+	return nil
 }
 
 // kick nudges the scheduler loop.
@@ -365,7 +263,7 @@ func (c *Cluster) schedule() {
 
 	for {
 		startedAny := false
-		var head *Job
+		var head *job
 		for _, j := range c.pending {
 			if j.eligible.After(now) {
 				continue
@@ -374,7 +272,7 @@ func (c *Cluster) schedule() {
 				head = j
 			}
 			if j == head {
-				if j.spec.Nodes <= c.freeNodes {
+				if j.nodes <= c.freeNodes {
 					c.startLocked(j, now)
 					startedAny = true
 					break // pending mutated; rescan
@@ -385,12 +283,12 @@ func (c *Cluster) schedule() {
 				continue
 			}
 			// Backfill candidates beyond the head.
-			if j.spec.Nodes > c.freeNodes {
+			if j.nodes > c.freeNodes {
 				continue
 			}
 			shadow, extra := c.shadowLocked(head, now)
-			fitsExtra := j.spec.Nodes <= extra
-			finishesBeforeShadow := j.spec.Walltime > 0 && !now.Add(j.spec.Walltime).After(shadow)
+			fitsExtra := j.nodes <= extra
+			finishesBeforeShadow := j.walltime > 0 && !now.Add(j.walltime).After(shadow)
 			if fitsExtra || finishesBeforeShadow {
 				c.startLocked(j, now)
 				startedAny = true
@@ -407,7 +305,7 @@ func (c *Cluster) schedule() {
 // head job could start, assuming running jobs end at their walltime) and
 // the number of nodes that will still be free at that time beyond the
 // head's requirement.
-func (c *Cluster) shadowLocked(head *Job, now time.Time) (time.Time, int) {
+func (c *Cluster) shadowLocked(head *job, now time.Time) (time.Time, int) {
 	type rel struct {
 		at    time.Time
 		nodes int
@@ -415,7 +313,7 @@ func (c *Cluster) shadowLocked(head *Job, now time.Time) (time.Time, int) {
 	}
 	rels := make([]rel, 0, len(c.running))
 	for j, end := range c.running {
-		rels = append(rels, rel{at: end, nodes: j.spec.Nodes, id: j.id})
+		rels = append(rels, rel{at: end, nodes: j.nodes, id: j.ID()})
 	}
 	// Tie-break equal release times by job id: c.running is a map, and an
 	// order-dependent shadow would make backfill (and thus makespans)
@@ -429,94 +327,76 @@ func (c *Cluster) shadowLocked(head *Job, now time.Time) (time.Time, int) {
 	free := c.freeNodes
 	for _, r := range rels {
 		free += r.nodes
-		if free >= head.spec.Nodes {
-			return r.at, free - head.spec.Nodes
+		if free >= head.nodes {
+			return r.at, free - head.nodes
 		}
 	}
 	// Head can start right away capacity-wise (or never; treat as now).
-	return now, c.freeNodes - head.spec.Nodes
+	return now, c.freeNodes - head.nodes
 }
 
-// startLocked transitions a pending job to running. Caller holds c.mu.
-func (c *Cluster) startLocked(j *Job, now time.Time) {
-	for i, p := range c.pending {
-		if p == j {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
-		}
-	}
-	c.freeNodes -= j.spec.Nodes
-	expectedEnd := now.Add(j.spec.Walltime)
-	if j.spec.Walltime == 0 {
+// startLocked moves a pending job onto its nodes and spawns its run.
+// Caller holds c.mu.
+func (c *Cluster) startLocked(j *job, now time.Time) {
+	i := slices.Index(c.pending, j)
+	c.pending = slices.Delete(c.pending, i, i+1)
+	c.freeNodes -= j.nodes
+	expectedEnd := now.Add(j.walltime)
+	if j.walltime == 0 {
 		expectedEnd = now.Add(365 * 24 * time.Hour)
 	}
 	c.running[j] = expectedEnd
 
-	ctx, cancel := context.WithCancel(c.ctx)
-	j.mu.Lock()
-	j.state = Running
-	j.started = now
-	j.cancel = cancel
-	j.mu.Unlock()
-	c.queueWaits.Add(now.Sub(j.submitted).Seconds())
+	ctx, stop := context.WithCancel(c.ctx)
+	j.stop = stop
+	c.queueWaits.Add(now.Sub(j.SubmitTime()).Seconds())
 
 	alloc := infra.Allocation{
-		ID:      j.id,
+		ID:      j.ID(),
 		Site:    c.Site(),
-		Cores:   j.spec.Nodes * c.cfg.CoresPerNode,
-		Nodes:   infra.NodeNames(c.cfg.Name, j.spec.Nodes),
+		Cores:   j.nodes * c.cfg.CoresPerNode,
+		Nodes:   infra.NodeNames(c.cfg.Name, j.nodes),
 		Granted: now,
 	}
 
 	c.wg.Add(1)
 	c.cfg.Clock.Go(func() {
 		defer c.wg.Done()
-		c.runJob(ctx, cancel, j, alloc)
+		c.runJob(ctx, stop, j, alloc)
 	})
 }
 
-func (c *Cluster) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, alloc infra.Allocation) {
-	defer cancel()
-	// Walltime watchdog.
-	if j.spec.Walltime > 0 {
+// runJob runs a started job's payload under its walltime watchdog. The job
+// finishes through the one completion rule, except a walltime kill, which
+// is Failed. The scheduler is kicked before the job's waiters wake, so at
+// the job's end instant it runs first and hands the freed nodes on.
+func (c *Cluster) runJob(ctx context.Context, stop context.CancelFunc, j *job, alloc infra.Allocation) {
+	defer stop()
+	j.Start()
+	var timedOut atomic.Bool
+	if j.walltime > 0 {
 		c.wg.Add(1)
 		c.cfg.Clock.Go(func() {
 			defer c.wg.Done()
-			if c.cfg.Clock.Sleep(ctx, j.spec.Walltime) {
-				j.mu.Lock()
-				j.timeout = true
-				j.mu.Unlock()
-				cancel()
+			if c.cfg.Clock.Sleep(ctx, j.walltime) {
+				timedOut.Store(true)
+				stop()
 			}
 		})
 	}
 	if c.cfg.DispatchOverhead > 0 {
 		c.cfg.Clock.Sleep(ctx, c.cfg.DispatchOverhead)
 	}
-	err := j.spec.Payload(ctx, alloc)
-	now := c.cfg.Clock.Now()
-
-	j.mu.Lock()
-	j.ended = now
-	switch {
-	case j.timeout:
-		j.state = TimedOut
-		j.err = context.DeadlineExceeded
-	case ctx.Err() != nil && err != nil:
-		j.state = Canceled
-		j.err = err
-	case err != nil:
-		j.state = Failed
-		j.err = err
-	default:
-		j.state = Completed
-	}
-	j.mu.Unlock()
+	err := j.payload(ctx, alloc)
 
 	c.mu.Lock()
 	delete(c.running, j)
-	c.freeNodes += j.spec.Nodes
+	c.freeNodes += j.nodes
 	c.mu.Unlock()
-	j.done.Fire()
 	c.kick()
+	if timedOut.Load() {
+		j.Finish(saga.Failed, fmt.Errorf("hpc: job %s hit walltime: %w", j.ID(), context.DeadlineExceeded))
+		return
+	}
+	j.FinishPayload(ctx.Err(), err)
 }

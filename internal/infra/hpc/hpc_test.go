@@ -8,6 +8,7 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 	"gopilot/internal/vclock/vclocktest"
 )
@@ -21,29 +22,29 @@ func okPayload(d time.Duration, clock vclock.Clock) infra.Payload {
 	}
 }
 
-// queueWait and runtime read a terminated job's modeled timeline.
-func queueWait(j *Job) time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.started.Sub(j.submitted)
+// submit asks c for whole nodes: the description's cores are nodes ×
+// CoresPerNode, so the rounding in Submit is exact.
+func submit(t *testing.T, c *Cluster, nodes int, walltime time.Duration, payload infra.Payload) saga.Job {
+	t.Helper()
+	j, err := c.Submit(saga.Description{TotalCores: nodes * c.cfg.CoresPerNode, Walltime: walltime, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
-func runtime(j *Job) time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ended.Sub(j.started)
-}
+// queueWait and runtime read a terminated job's modeled timeline.
+func queueWait(j saga.Job) time.Duration { return j.StartTime().Sub(j.SubmitTime()) }
+
+func runtime(j saga.Job) time.Duration { return j.EndTime().Sub(j.StartTime()) }
 
 func TestJobCompletes(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "test", Nodes: 4, CoresPerNode: 8, Clock: clock})
-	defer c.Shutdown()
-	j, err := c.Submit(JobSpec{Name: "j1", Nodes: 2, Walltime: time.Hour, Payload: okPayload(10*time.Second, clock)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer c.Close()
+	j := submit(t, c, 2, time.Hour, okPayload(10*time.Second, clock))
 	state, err := j.Wait(context.Background())
-	if state != Completed || err != nil {
+	if state != saga.Done || err != nil {
 		t.Fatalf("state=%v err=%v", state, err)
 	}
 	if runtime(j) != 10*time.Second {
@@ -54,12 +55,12 @@ func TestJobCompletes(t *testing.T) {
 func TestAllocationShape(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "alpha", Nodes: 4, CoresPerNode: 16, Clock: clock})
-	defer c.Shutdown()
+	defer c.Close()
 	var got infra.Allocation
-	j, _ := c.Submit(JobSpec{Nodes: 3, Payload: func(_ context.Context, a infra.Allocation) error {
+	j := submit(t, c, 3, 0, func(_ context.Context, a infra.Allocation) error {
 		got = a
 		return nil
-	}})
+	})
 	j.Wait(context.Background())
 	if got.Cores != 48 {
 		t.Errorf("Cores = %d, want 48", got.Cores)
@@ -75,9 +76,9 @@ func TestAllocationShape(t *testing.T) {
 func TestCapacityWaitEmerges(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "cap", Nodes: 1, CoresPerNode: 8, Clock: clock})
-	defer c.Shutdown()
-	j1, _ := c.Submit(JobSpec{Nodes: 1, Walltime: time.Hour, Payload: okPayload(20*time.Second, clock)})
-	j2, _ := c.Submit(JobSpec{Nodes: 1, Walltime: time.Hour, Payload: okPayload(time.Second, clock)})
+	defer c.Close()
+	j1 := submit(t, c, 1, time.Hour, okPayload(20*time.Second, clock))
+	j2 := submit(t, c, 1, time.Hour, okPayload(time.Second, clock))
 	j1.Wait(context.Background())
 	j2.Wait(context.Background())
 	if w := queueWait(j2); w != 20*time.Second {
@@ -88,8 +89,8 @@ func TestCapacityWaitEmerges(t *testing.T) {
 func TestExogenousQueueWaitApplied(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "qw", Nodes: 8, CoresPerNode: 8, QueueWait: dist.Constant(30), Clock: clock})
-	defer c.Shutdown()
-	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
+	defer c.Close()
+	j := submit(t, c, 1, 0, okPayload(0, clock))
 	j.Wait(context.Background())
 	if w := queueWait(j); w != 30*time.Second {
 		t.Errorf("queue wait = %v, want 30s", w)
@@ -99,11 +100,11 @@ func TestExogenousQueueWaitApplied(t *testing.T) {
 func TestWalltimeEnforced(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "wt", Nodes: 1, CoresPerNode: 1, Clock: clock})
-	defer c.Shutdown()
-	j, _ := c.Submit(JobSpec{Nodes: 1, Walltime: 5 * time.Second, Payload: okPayload(time.Hour, clock)})
+	defer c.Close()
+	j := submit(t, c, 1, 5*time.Second, okPayload(time.Hour, clock))
 	state, _ := j.Wait(context.Background())
-	if state != TimedOut {
-		t.Fatalf("state = %v, want TimedOut", state)
+	if state != saga.Failed {
+		t.Fatalf("state = %v, want Failed (killed at walltime)", state)
 	}
 	if !errors.Is(j.Err(), context.DeadlineExceeded) {
 		t.Errorf("Err = %v, want DeadlineExceeded", j.Err())
@@ -116,11 +117,11 @@ func TestWalltimeEnforced(t *testing.T) {
 func TestFailedPayload(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "fail", Nodes: 1, CoresPerNode: 1, Clock: clock})
-	defer c.Shutdown()
+	defer c.Close()
 	boom := errors.New("boom")
-	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: func(context.Context, infra.Allocation) error { return boom }})
+	j := submit(t, c, 1, 0, func(context.Context, infra.Allocation) error { return boom })
 	state, err := j.Wait(context.Background())
-	if state != Failed || !errors.Is(err, boom) {
+	if state != saga.Failed || !errors.Is(err, boom) {
 		t.Fatalf("state=%v err=%v, want Failed/boom", state, err)
 	}
 }
@@ -129,11 +130,11 @@ func TestCancelPending(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	// Long exogenous delay keeps the job pending.
 	c := New(Config{Name: "cp", Nodes: 1, CoresPerNode: 1, QueueWait: dist.Constant(3600), Clock: clock})
-	defer c.Shutdown()
-	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
-	c.Cancel(j)
+	defer c.Close()
+	j := submit(t, c, 1, 0, okPayload(0, clock))
+	j.Cancel()
 	state, _ := j.Wait(context.Background())
-	if state != Canceled {
+	if state != saga.Canceled {
 		t.Fatalf("state = %v, want Canceled", state)
 	}
 }
@@ -141,17 +142,17 @@ func TestCancelPending(t *testing.T) {
 func TestCancelRunning(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "cr", Nodes: 1, CoresPerNode: 1, Clock: clock})
-	defer c.Shutdown()
+	defer c.Close()
 	started := vclock.NewEvent(clock)
-	j, _ := c.Submit(JobSpec{Nodes: 1, Payload: func(ctx context.Context, _ infra.Allocation) error {
+	j := submit(t, c, 1, 0, func(ctx context.Context, _ infra.Allocation) error {
 		started.Fire()
 		clock.Sleep(ctx, time.Hour)
 		return ctx.Err()
-	}})
+	})
 	started.Wait(context.Background())
-	c.Cancel(j)
+	j.Cancel()
 	state, _ := j.Wait(context.Background())
-	if state != Canceled {
+	if state != saga.Canceled {
 		t.Fatalf("state = %v, want Canceled", state)
 	}
 }
@@ -159,8 +160,8 @@ func TestCancelRunning(t *testing.T) {
 func TestTooLargeRejected(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "big", Nodes: 2, CoresPerNode: 8, Clock: clock})
-	defer c.Shutdown()
-	_, err := c.Submit(JobSpec{Nodes: 3, Payload: okPayload(0, clock)})
+	defer c.Close()
+	_, err := c.Submit(saga.Description{TotalCores: 3 * 8, Payload: okPayload(0, clock)})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -169,8 +170,8 @@ func TestTooLargeRejected(t *testing.T) {
 func TestSubmitAfterShutdown(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "closed", Nodes: 1, CoresPerNode: 1, Clock: clock})
-	c.Shutdown()
-	_, err := c.Submit(JobSpec{Nodes: 1, Payload: okPayload(0, clock)})
+	c.Close()
+	_, err := c.Submit(saga.Description{TotalCores: 1, Payload: okPayload(0, clock)})
 	if !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("err = %v, want ErrClusterClosed", err)
 	}
@@ -179,18 +180,18 @@ func TestSubmitAfterShutdown(t *testing.T) {
 func TestBackfillLetsSmallJobJumpQueue(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "bf", Nodes: 4, CoresPerNode: 1, Backfill: true, Clock: clock})
-	defer c.Shutdown()
+	defer c.Close()
 
 	// Occupy 3 of 4 nodes for a long time.
-	blocker, _ := c.Submit(JobSpec{Name: "blocker", Nodes: 3, Walltime: 200 * time.Second, Payload: okPayload(100*time.Second, clock)})
+	blocker := submit(t, c, 3, 200*time.Second, okPayload(100*time.Second, clock))
 	// Head job needs all 4 nodes — must wait for the blocker.
-	head, _ := c.Submit(JobSpec{Name: "head", Nodes: 4, Walltime: 100 * time.Second, Payload: okPayload(time.Second, clock)})
+	head := submit(t, c, 4, 100*time.Second, okPayload(time.Second, clock))
 	// Small short job fits in the idle node and finishes before the
 	// blocker's walltime: EASY backfill should run it immediately.
-	small, _ := c.Submit(JobSpec{Name: "small", Nodes: 1, Walltime: 10 * time.Second, Payload: okPayload(time.Second, clock)})
+	small := submit(t, c, 1, 10*time.Second, okPayload(time.Second, clock))
 
 	state, err := small.Wait(context.Background())
-	if state != Completed {
+	if state != saga.Done {
 		t.Fatalf("small job state=%v err=%v", state, err)
 	}
 	if queueWait(small) != 0 {
@@ -206,10 +207,10 @@ func TestBackfillLetsSmallJobJumpQueue(t *testing.T) {
 func TestNoBackfillStrictFCFS(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "fcfs", Nodes: 4, CoresPerNode: 1, Backfill: false, Clock: clock})
-	defer c.Shutdown()
-	blocker, _ := c.Submit(JobSpec{Nodes: 3, Walltime: 100 * time.Second, Payload: okPayload(50*time.Second, clock)})
-	head, _ := c.Submit(JobSpec{Nodes: 4, Walltime: 100 * time.Second, Payload: okPayload(time.Second, clock)})
-	small, _ := c.Submit(JobSpec{Nodes: 1, Walltime: 10 * time.Second, Payload: okPayload(time.Second, clock)})
+	defer c.Close()
+	blocker := submit(t, c, 3, 100*time.Second, okPayload(50*time.Second, clock))
+	head := submit(t, c, 4, 100*time.Second, okPayload(time.Second, clock))
+	small := submit(t, c, 1, 10*time.Second, okPayload(time.Second, clock))
 	small.Wait(context.Background())
 	// Under strict FCFS the small job cannot start before the head job:
 	// blocker 50s, then head 1s.
@@ -223,18 +224,14 @@ func TestNoBackfillStrictFCFS(t *testing.T) {
 func TestManyJobsDrainAndUtilization(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	c := New(Config{Name: "many", Nodes: 4, CoresPerNode: 2, Clock: clock})
-	defer c.Shutdown()
-	var jobs []*Job
+	defer c.Close()
+	var jobs []saga.Job
 	for i := 0; i < 32; i++ {
-		j, err := c.Submit(JobSpec{Nodes: 1, Walltime: time.Minute, Payload: okPayload(2*time.Second, clock)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, submit(t, c, 1, time.Minute, okPayload(2*time.Second, clock)))
 	}
 	for _, j := range jobs {
-		if s, err := j.Wait(context.Background()); s != Completed {
-			t.Fatalf("job %s: state=%v err=%v, want Completed", j.ID(), s, err)
+		if s, err := j.Wait(context.Background()); s != saga.Done {
+			t.Fatalf("job %s: state=%v err=%v, want Done", j.ID(), s, err)
 		}
 	}
 	c.mu.Lock()
@@ -252,8 +249,8 @@ func TestManyJobsDrainAndUtilization(t *testing.T) {
 
 func TestNilPayloadRejected(t *testing.T) {
 	c := New(Config{Name: "nil", Clock: vclocktest.Adopted(t)})
-	defer c.Shutdown()
-	if _, err := c.Submit(JobSpec{Nodes: 1}); err == nil {
+	defer c.Close()
+	if _, err := c.Submit(saga.Description{TotalCores: 1}); err == nil {
 		t.Fatal("nil payload accepted")
 	}
 }

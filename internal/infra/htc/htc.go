@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,41 +18,9 @@ import (
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
 	"gopilot/internal/metrics"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 )
-
-// State is the lifecycle state of an HTC job.
-type State int
-
-// HTC job states.
-const (
-	Idle State = iota // matchmaking
-	Running
-	Completed
-	Evicted // terminal only if retries exhausted
-	Failed
-	Canceled
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case Idle:
-		return "Idle"
-	case Running:
-		return "Running"
-	case Completed:
-		return "Completed"
-	case Evicted:
-		return "Evicted"
-	case Failed:
-		return "Failed"
-	case Canceled:
-		return "Canceled"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
 
 // Config describes a simulated HTC pool.
 type Config struct {
@@ -66,11 +35,11 @@ type Config struct {
 	EvictionRate float64
 	// MaxRetries bounds automatic re-matching after eviction.
 	MaxRetries int
-	// Clock supplies virtual time; defaults to a private vclock.Virtual.
+	// Clock supplies virtual time; New panics without one.
 	Clock vclock.Clock
 	// Stream is the pool's slot on the experiment's seeding spine. Every
-	// submitted job draws its eviction sequence from the "evict"/<job
-	// ordinal> child, so concurrent jobs never share a generator and
+	// glidein draws its eviction sequence from the "evict"/<glidein
+	// ordinal> child, so concurrent glideins never share a generator and
 	// submitting an additional job cannot shift an existing job's draws.
 	// When MatchDelay is nil and Stream is set, the canonical stochastic
 	// matchmaking model (lognormal, mean 15 s, cv 0.5) is derived from the
@@ -98,63 +67,51 @@ func (c *Config) withDefaults() Config {
 			out.MatchDelay = dist.Constant(0)
 		}
 	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewVirtual(vclock.Epoch)
-	}
 	if out.MaxRetries < 0 {
 		out.MaxRetries = 0
 	}
 	return out
 }
 
-// JobSpec describes an HTC job: a payload that will be granted one slot.
-type JobSpec struct {
-	// Name labels the job.
-	Name string
-	// Runtime is the modeled service time of the payload if the payload
-	// itself only computes (used for eviction-point sampling). Zero is fine;
-	// evictions then trigger immediately after start.
-	Runtime time.Duration
-	// Payload runs on the granted slot.
-	Payload infra.Payload
+// job is an HTC job of k cores: k single-slot glideins whose payload
+// starts once all k have matched (condor-glidein coalescence) and is
+// canceled if a member slot is lost. The fields below the record are
+// guarded by Pool.mu, except the fixed payload context and its cancel.
+type job struct {
+	*saga.JobRecord
+	changed *vclock.Notifier // a glidein arrived or was lost
+	release *vclock.Event    // the payload is over: glideins give their slots back
+	pctx    context.Context  // the payload's context
+	pcancel context.CancelFunc
+	nodes   []string // one entry per slot tenure, in arrival order
+	lost    error    // the first glidein loss
 }
 
-// Job is a handle to a submitted HTC job.
-type Job struct {
-	id   string
-	spec JobSpec
-
-	// rng is the job's own "evict"/<ordinal> stream; evict draws one
-	// success/failure per run attempt from it. Per-job streams make the
-	// eviction sequence a property of the job's identity, not of how pool
-	// load interleaves.
-	rng   *dist.Stream
-	evict *dist.BernoulliDist
-
-	mu        sync.Mutex
-	state     State
-	attempts  int
-	submitted time.Time
-	started   time.Time
-	ended     time.Time
-	err       error
-	cancelled bool
-
-	done *vclock.Event
+// glidein is one single-slot placeholder of a job. Its rng is its own
+// "evict"/<ordinal> stream; evict draws one success/failure per run attempt
+// from it. Per-glidein streams make the eviction sequence a property of the
+// glidein's identity, not of how pool load interleaves.
+type glidein struct {
+	job      *job
+	runtime  time.Duration // the job's walltime, over which eviction points are sampled
+	rng      *dist.Stream
+	evict    *dist.BernoulliDist
+	attempts int // guarded by Pool.mu
 }
 
-// Pool is a simulated HTC pool.
+// Pool is a simulated HTC pool and the saga.Service for it.
 type Pool struct {
 	cfg    Config
 	faults infra.Faults
 
 	slots     *vclock.Sem  // counting semaphore of execution slots
-	evictRoot *dist.Stream // parent of per-job eviction streams
+	evictRoot *dist.Stream // parent of per-glidein eviction streams
 
-	mu     sync.Mutex
-	nextID int
-	closed bool
-	active []*stormHandle // running attempts, in start order (for Storm)
+	mu          sync.Mutex
+	nextJob     int
+	nextGlidein int
+	closed      bool
+	active      []*stormHandle // running attempts, in start order (for Storm)
 
 	matchDelays *metrics.Series
 	evictions   int
@@ -164,12 +121,17 @@ type Pool struct {
 	wg   *vclock.Group
 }
 
-// ErrPoolClosed is returned by Submit after Shutdown; it wraps
+var _ saga.Service = (*Pool)(nil)
+
+// ErrPoolClosed is returned by Submit after Close; it wraps
 // infra.ErrBackendClosed so heterogeneous dispatchers need only one test.
 var ErrPoolClosed = fmt.Errorf("htc: pool closed: %w", infra.ErrBackendClosed)
 
 // New creates an HTC pool.
 func New(cfg Config) *Pool {
+	if cfg.Clock == nil {
+		panic("htc: Config.Clock is nil")
+	}
 	p := &Pool{
 		cfg:         cfg.withDefaults(),
 		matchDelays: metrics.NewSeries(),
@@ -181,14 +143,14 @@ func New(cfg Config) *Pool {
 	return p
 }
 
-// Name returns the pool's site name.
-func (p *Pool) Name() string { return p.cfg.Name }
+// URL implements saga.Service.
+func (p *Pool) URL() string { return "htc://" + p.cfg.Name }
 
-// Site returns the pool's site identity.
+// Site implements saga.Service.
 func (p *Pool) Site() infra.Site { return infra.Site(p.cfg.Name) }
 
-// Slots returns the pool capacity in slots.
-func (p *Pool) Slots() int { return p.cfg.Slots }
+// TotalCores implements saga.Service: the pool capacity in slots.
+func (p *Pool) TotalCores() int { return p.cfg.Slots }
 
 // Faults returns the pool's fault switchboard (chaos engineering).
 func (p *Pool) Faults() *infra.Faults { return &p.faults }
@@ -201,8 +163,8 @@ type stormHandle struct {
 
 // Storm evicts every attempt currently running on the pool, in attempt
 // start order — the chaos engine's "opportunistic owners reclaim the whole
-// pool at once" fault. Evicted attempts retry through the job's normal
-// budget. Returns the number of attempts evicted.
+// pool at once" fault. Evicted glideins retry through their normal budget.
+// Returns the number of attempts evicted.
 func (p *Pool) Storm() int {
 	p.mu.Lock()
 	hs := append([]*stormHandle(nil), p.active...)
@@ -217,135 +179,147 @@ func (p *Pool) Storm() int {
 // MatchDelayStats summarizes observed matchmaking delays (seconds).
 func (p *Pool) MatchDelayStats() metrics.Summary { return p.matchDelays.Summary() }
 
-// Submit enqueues a job for matchmaking.
-func (p *Pool) Submit(spec JobSpec) (*Job, error) {
-	if spec.Payload == nil {
-		return nil, errors.New("htc: job spec has nil payload")
+// Submit implements saga.Service: a job of TotalCores cores becomes as many
+// single-slot glideins, each matched and run on its own. The job ordinal is
+// taken even when the submission is refused.
+func (p *Pool) Submit(d saga.Description) (saga.Job, error) {
+	if d.Payload == nil {
+		return nil, errors.New("htc: description has nil payload")
 	}
+	slots := max(d.TotalCores, 1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.nextJob++
 	if err := p.faults.Check(); err != nil {
 		return nil, fmt.Errorf("htc: %s: %w", p.cfg.Name, err)
 	}
-	p.mu.Lock()
 	if p.closed {
-		p.mu.Unlock()
 		return nil, ErrPoolClosed
 	}
-	p.nextID++
-	rng := p.evictRoot.SplitLabel(uint64(p.nextID))
-	j := &Job{
-		id:        fmt.Sprintf("%s.%d", p.cfg.Name, p.nextID),
-		spec:      spec,
-		rng:       rng,
-		evict:     dist.BernoulliFrom(rng, p.cfg.EvictionRate),
-		state:     Idle,
-		submitted: p.cfg.Clock.Now(),
-		done:      vclock.NewEvent(p.cfg.Clock),
+	ctx, cancel := context.WithCancel(context.Background())
+	j := &job{
+		JobRecord: saga.NewJobRecord(fmt.Sprintf("htc.%s.%d", p.cfg.Name, p.nextJob), &p.mu, p.cfg.Clock, cancel),
+		changed:   vclock.NewNotifier(p.cfg.Clock),
+		release:   vclock.NewEvent(p.cfg.Clock),
 	}
-	p.mu.Unlock()
-	p.wg.Add(1)
+	j.pctx, j.pcancel = context.WithCancel(ctx)
+	for i := 0; i < slots; i++ {
+		p.nextGlidein++
+		rng := p.evictRoot.SplitLabel(uint64(p.nextGlidein))
+		g := &glidein{job: j, runtime: d.Walltime, rng: rng, evict: dist.BernoulliFrom(rng, p.cfg.EvictionRate)}
+		p.wg.Add(1)
+		p.cfg.Clock.Go(func() {
+			defer p.wg.Done()
+			p.runGlidein(g)
+		})
+	}
 	p.cfg.Clock.Go(func() {
-		defer p.wg.Done()
-		p.run(j)
+		defer cancel()
+		p.coalesce(ctx, j, d.Payload, slots)
 	})
 	return j, nil
 }
 
-// Cancel requests job cancellation.
-func (p *Pool) Cancel(j *Job) {
-	j.mu.Lock()
-	j.cancelled = true
-	j.mu.Unlock()
-}
-
-// Shutdown stops the pool; running payload contexts are canceled.
-func (p *Pool) Shutdown() {
+// Close implements saga.Service: running glideins lose their slots, which
+// fails their jobs.
+func (p *Pool) Close() error {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
 	p.stop()
 	p.wg.Wait()
+	return nil
 }
 
-func (p *Pool) run(j *Job) {
+// coalesce waits until every glidein of j holds a slot, then runs the
+// payload on all of them. A glidein lost before that fails the job; one
+// lost mid-run cancels the payload, and the job fails with it.
+func (p *Pool) coalesce(ctx context.Context, j *job, payload infra.Payload, slots int) {
+	var nodes []string
+	for nodes == nil {
+		p.mu.Lock()
+		lost := j.lost
+		if len(j.nodes) >= slots {
+			nodes = slices.Clone(j.nodes[:slots])
+		}
+		p.mu.Unlock()
+		if lost != nil {
+			j.release.Fire()
+			j.Finish(saga.Failed, fmt.Errorf("htc: glidein lost before start: %w", lost))
+			return
+		}
+		if nodes == nil && !j.changed.Wait(ctx) {
+			j.release.Fire()
+			j.FinishPayload(ctx.Err(), nil)
+			return
+		}
+	}
+	j.Start()
+	err := payload(j.pctx, infra.Allocation{ID: j.ID(), Site: p.Site(), Cores: slots, Nodes: nodes, Granted: j.StartTime()})
+	j.pcancel()
+	j.release.Fire()
+	p.mu.Lock()
+	lost := j.lost
+	p.mu.Unlock()
+	if lost != nil {
+		j.Finish(saga.Failed, fmt.Errorf("htc: slot evicted mid-run: %w", lost))
+		return
+	}
+	j.FinishPayload(ctx.Err(), err)
+}
+
+// runGlidein matches g and holds a slot for its job, re-matching after an
+// eviction while its retry budget lasts.
+func (p *Pool) runGlidein(g *glidein) {
 	for {
 		// Matchmaking delay before a slot is even negotiated.
 		delay := time.Duration(p.cfg.MatchDelay.Sample() * float64(time.Second))
 		p.matchDelays.Add(delay.Seconds())
-		if !p.cfg.Clock.Sleep(p.ctx, delay) {
-			p.finish(j, Canceled, p.ctx.Err())
+		if !p.cfg.Clock.Sleep(p.ctx, delay) || !p.slots.Acquire(p.ctx) {
 			return
 		}
-		if j.isCancelled() {
-			p.finish(j, Canceled, context.Canceled)
-			return
-		}
-		// Acquire a slot.
-		if !p.slots.Acquire(p.ctx) {
-			p.finish(j, Canceled, p.ctx.Err())
-			return
-		}
-		state, err := p.attempt(j)
+		evicted := p.attempt(g)
 		p.slots.Release()
-		switch state {
-		case Evicted:
-			j.mu.Lock()
-			retry := j.attempts <= p.cfg.MaxRetries && !j.cancelled
-			j.mu.Unlock()
-			p.mu.Lock()
-			p.evictions++
-			p.mu.Unlock()
-			if retry {
-				continue // rematch
-			}
-			p.finish(j, Evicted, errors.New("htc: evicted, retries exhausted"))
+		if !evicted {
 			return
-		default:
-			p.finish(j, state, err)
+		}
+		p.mu.Lock()
+		p.evictions++
+		retry := g.attempts <= p.cfg.MaxRetries
+		p.mu.Unlock()
+		if !retry {
 			return
 		}
 	}
 }
 
-// attempt runs the payload once; it may be interrupted by a sampled
-// eviction event.
-func (p *Pool) attempt(j *Job) (State, error) {
-	now := p.cfg.Clock.Now()
-	j.mu.Lock()
-	j.attempts++
-	j.state = Running
-	if j.started.IsZero() {
-		j.started = now
-	}
-	attempt := j.attempts
-	j.mu.Unlock()
-
+// attempt is one slot tenure of g; it may be interrupted by a sampled
+// eviction event, and reports whether it was.
+func (p *Pool) attempt(g *glidein) bool {
 	ctx, cancel := context.WithCancel(p.ctx)
 	defer cancel()
 
 	// Eviction lands in the first half of the estimated runtime so that an
 	// accurate runtime estimate guarantees interruption; a payload that
 	// finishes early simply escapes the eviction, as on a real pool. Both
-	// draws come from the job's own labeled stream — two per attempt, so a
-	// retry continues the job's sequence.
+	// draws come from the glidein's own labeled stream — two per attempt, so
+	// a retry continues the glidein's sequence.
 	var evicted atomic.Bool
 	h := &stormHandle{evicted: &evicted, cancel: cancel}
 	p.mu.Lock()
+	g.attempts++
 	p.active = append(p.active, h)
 	p.mu.Unlock()
 	defer func() {
 		p.mu.Lock()
-		for i, x := range p.active {
-			if x == h {
-				p.active = append(p.active[:i], p.active[i+1:]...)
-				break
-			}
-		}
+		i := slices.Index(p.active, h)
+		p.active = slices.Delete(p.active, i, i+1)
 		p.mu.Unlock()
 	}()
-	willEvict := j.evict.Sample() == 1
-	evictFrac := 0.1 + 0.4*j.rng.Float64()
-	if willEvict && j.spec.Runtime > 0 {
-		evictAfter := time.Duration(float64(j.spec.Runtime) * evictFrac)
+	willEvict := g.evict.Sample() == 1
+	evictFrac := 0.1 + 0.4*g.rng.Float64()
+	if willEvict && g.runtime > 0 {
+		evictAfter := time.Duration(float64(g.runtime) * evictFrac)
 		p.wg.Add(1)
 		p.cfg.Clock.Go(func() {
 			defer p.wg.Done()
@@ -355,39 +329,25 @@ func (p *Pool) attempt(j *Job) (State, error) {
 			}
 		})
 	}
-
-	alloc := infra.Allocation{
-		ID:      fmt.Sprintf("%s.a%d", j.id, attempt),
-		Site:    p.Site(),
-		Cores:   1,
-		Nodes:   []string{fmt.Sprintf("%s-slot", p.cfg.Name)},
-		Granted: now,
-	}
-	err := j.spec.Payload(ctx, alloc)
-	if evicted.Load() {
-		return Evicted, nil
-	}
-	switch infra.ClassifyOutcome(p.ctx.Err(), err) {
-	case infra.OutcomeCanceled:
-		return Canceled, p.ctx.Err()
-	case infra.OutcomeFailed:
-		return Failed, err
-	default:
-		return Completed, nil
-	}
+	p.hold(ctx, g.job)
+	return evicted.Load()
 }
 
-func (p *Pool) finish(j *Job, s State, err error) {
-	j.mu.Lock()
-	j.state = s
-	j.err = err
-	j.ended = p.cfg.Clock.Now()
-	j.mu.Unlock()
-	j.done.Fire()
-}
-
-func (j *Job) isCancelled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelled
+// hold puts one slot at j's disposal until j's payload is over or ctx ends
+// the tenure; a tenure ended first is j's loss.
+func (p *Pool) hold(ctx context.Context, j *job) {
+	p.mu.Lock()
+	j.nodes = append(j.nodes, p.cfg.Name+"-slot")
+	p.mu.Unlock()
+	j.changed.Set()
+	if j.release.Wait(ctx) {
+		return
+	}
+	p.mu.Lock()
+	if j.lost == nil {
+		j.lost = ctx.Err()
+	}
+	p.mu.Unlock()
+	j.changed.Set()
+	j.pcancel()
 }

@@ -9,6 +9,7 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 	"gopilot/internal/vclock/vclocktest"
 )
@@ -22,25 +23,19 @@ func sleeper(d time.Duration, clock vclock.Clock) infra.Payload {
 	}
 }
 
-// wait, attempts and evictions are the tests' way into a job's outcome and
-// the pool's eviction count; the product reads neither (saga only submits
-// and cancels glideins).
-func wait(ctx context.Context, j *Job) (State, error) {
-	ok := j.done.Wait(ctx)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !ok {
-		return j.state, ctx.Err()
+// submit asks p for a one-slot job whose glidein samples evictions over
+// runtime.
+func submit(t *testing.T, p *Pool, runtime time.Duration, payload infra.Payload) saga.Job {
+	t.Helper()
+	j, err := p.Submit(saga.Description{TotalCores: 1, Walltime: runtime, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return j.state, j.err
+	return j
 }
 
-func attempts(j *Job) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
-}
-
+// evictions is the tests' way into the pool's eviction count; the product
+// never reads it.
 func evictions(p *Pool) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -50,27 +45,24 @@ func evictions(p *Pool) int {
 func TestJobCompletes(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "osg", Slots: 4, Clock: clock})
-	defer p.Shutdown()
-	j, err := p.Submit(JobSpec{Name: "t", Runtime: time.Second, Payload: sleeper(time.Second, clock)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := wait(context.Background(), j)
-	if state != Completed || err != nil {
+	defer p.Close()
+	j := submit(t, p, time.Second, sleeper(time.Second, clock))
+	state, err := j.Wait(context.Background())
+	if state != saga.Done || err != nil {
 		t.Fatalf("state=%v err=%v", state, err)
 	}
-	if attempts(j) != 1 {
-		t.Errorf("Attempts = %d, want 1", attempts(j))
+	if ran := j.EndTime().Sub(j.StartTime()); ran != time.Second {
+		t.Errorf("ran %v, want the payload's 1s", ran)
 	}
 }
 
 func TestMatchDelayApplied(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "slow", Slots: 4, MatchDelay: dist.Constant(10), Clock: clock})
-	defer p.Shutdown()
-	j, _ := p.Submit(JobSpec{Payload: sleeper(0, clock)})
-	wait(context.Background(), j)
-	if tt := j.ended.Sub(j.submitted); tt != 10*time.Second {
+	defer p.Close()
+	j := submit(t, p, 0, sleeper(0, clock))
+	j.Wait(context.Background())
+	if tt := j.EndTime().Sub(j.SubmitTime()); tt != 10*time.Second {
 		t.Errorf("turnaround = %v, want the 10s match delay", tt)
 	}
 	if s := p.MatchDelayStats(); s.N < 1 {
@@ -81,7 +73,7 @@ func TestMatchDelayApplied(t *testing.T) {
 func TestSlotsLimitConcurrency(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "lim", Slots: 2, Clock: clock})
-	defer p.Shutdown()
+	defer p.Close()
 	var mu sync.Mutex
 	running, peak := 0, 0
 	payload := func(ctx context.Context, _ infra.Allocation) error {
@@ -97,12 +89,12 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	jobs := make([]*Job, 8)
+	jobs := make([]saga.Job, 8)
 	for i := range jobs {
-		jobs[i], _ = p.Submit(JobSpec{Runtime: 2 * time.Second, Payload: payload})
+		jobs[i] = submit(t, p, 2*time.Second, payload)
 	}
 	for _, j := range jobs {
-		wait(context.Background(), j)
+		j.Wait(context.Background())
 	}
 	if peak != 2 {
 		t.Fatalf("peak concurrency = %d, want 2 (both slots busy, never more)", peak)
@@ -112,47 +104,51 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 func TestEvictionWithRetrySucceeds(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "ev", Slots: 2, EvictionRate: 1.0, MaxRetries: 50, Clock: clock, MatchDelay: dist.Constant(0)})
-	defer p.Shutdown()
-	// Payload that succeeds only if not interrupted; with retries it should
-	// eventually... never succeed at rate 1.0. Use a payload that finishes
-	// instantly so eviction cannot land (Runtime=0 disables eviction timer).
-	j, _ := p.Submit(JobSpec{Runtime: 0, Payload: sleeper(0, clock)})
-	state, _ := wait(context.Background(), j)
-	if state != Completed {
-		t.Fatalf("state = %v, want Completed", state)
+	defer p.Close()
+	// At rate 1.0 every attempt draws an eviction, but without a runtime
+	// estimate (no walltime) there is no eviction point to land on.
+	j := submit(t, p, 0, sleeper(0, clock))
+	if state, err := j.Wait(context.Background()); state != saga.Done {
+		t.Fatalf("state = %v (%v), want Done", state, err)
 	}
 }
 
 func TestEvictionExhaustsRetries(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "ev2", Slots: 1, EvictionRate: 1.0, MaxRetries: 2, Clock: clock, MatchDelay: dist.Constant(0)})
-	defer p.Shutdown()
-	// The payload runs far past the runtime estimate the eviction point is
-	// sampled from, so the eviction always lands first.
-	j, _ := p.Submit(JobSpec{Runtime: 5 * time.Second, Payload: sleeper(120*time.Second, clock)})
-	state, err := wait(context.Background(), j)
-	if state != Evicted {
-		t.Fatalf("state = %v err=%v, want Evicted", state, err)
+	defer p.Close()
+	// The job's first eviction fails it (slot evicted mid-run)...
+	j := submit(t, p, 5*time.Second, sleeper(120*time.Second, clock))
+	if state, err := j.Wait(context.Background()); state != saga.Failed || !errors.Is(err, context.Canceled) {
+		t.Fatalf("state = %v err=%v, want Failed by an eviction", state, err)
 	}
-	if attempts(j) != 3 { // initial + 2 retries
-		t.Errorf("Attempts = %d, want 3", attempts(j))
+	// ...while a glidein whose job never releases it is re-matched and
+	// evicted again until its budget is spent: initial + 2 retries.
+	stuck := &job{changed: vclock.NewNotifier(clock), release: vclock.NewEvent(clock)}
+	stuck.pctx, stuck.pcancel = context.WithCancel(context.Background())
+	rng := p.evictRoot.SplitLabel(1000)
+	g := &glidein{job: stuck, runtime: 5 * time.Second, rng: rng, evict: dist.BernoulliFrom(rng, 1)}
+	before := evictions(p)
+	p.runGlidein(g)
+	if g.attempts != 3 {
+		t.Errorf("attempts = %d, want 3", g.attempts)
 	}
-	if evictions(p) != 3 {
-		t.Errorf("pool evictions = %d, want 3", evictions(p))
+	if got := evictions(p) - before; got != 3 {
+		t.Errorf("pool evictions = %d, want 3", got)
 	}
 }
 
 func TestNoEvictionAtRateZero(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "ev0", Slots: 4, EvictionRate: 0, Clock: clock})
-	defer p.Shutdown()
-	jobs := make([]*Job, 16)
+	defer p.Close()
+	jobs := make([]saga.Job, 16)
 	for i := range jobs {
-		jobs[i], _ = p.Submit(JobSpec{Runtime: time.Second, Payload: sleeper(time.Second, clock)})
+		jobs[i] = submit(t, p, time.Second, sleeper(time.Second, clock))
 	}
 	for _, j := range jobs {
-		if s, _ := wait(context.Background(), j); s != Completed {
-			t.Fatalf("state = %v, want Completed", s)
+		if s, _ := j.Wait(context.Background()); s != saga.Done {
+			t.Fatalf("state = %v, want Done", s)
 		}
 	}
 	if evictions(p) != 0 {
@@ -163,11 +159,11 @@ func TestNoEvictionAtRateZero(t *testing.T) {
 func TestFailedPayload(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "f", Slots: 1, Clock: clock})
-	defer p.Shutdown()
+	defer p.Close()
 	boom := errors.New("boom")
-	j, _ := p.Submit(JobSpec{Payload: func(context.Context, infra.Allocation) error { return boom }})
-	state, err := wait(context.Background(), j)
-	if state != Failed || !errors.Is(err, boom) {
+	j := submit(t, p, 0, func(context.Context, infra.Allocation) error { return boom })
+	state, err := j.Wait(context.Background())
+	if state != saga.Failed || !errors.Is(err, boom) {
 		t.Fatalf("state=%v err=%v", state, err)
 	}
 }
@@ -175,16 +171,16 @@ func TestFailedPayload(t *testing.T) {
 func TestSubmitAfterShutdown(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	p := New(Config{Name: "c", Slots: 1, Clock: clock})
-	p.Shutdown()
-	if _, err := p.Submit(JobSpec{Payload: sleeper(0, clock)}); !errors.Is(err, ErrPoolClosed) {
+	p.Close()
+	if _, err := p.Submit(saga.Description{Payload: sleeper(0, clock)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }
 
 func TestNilPayloadRejected(t *testing.T) {
 	p := New(Config{Name: "n", Clock: vclocktest.Adopted(t)})
-	defer p.Shutdown()
-	if _, err := p.Submit(JobSpec{}); err == nil {
+	defer p.Close()
+	if _, err := p.Submit(saga.Description{}); err == nil {
 		t.Fatal("nil payload accepted")
 	}
 }

@@ -7,16 +7,21 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 )
 
-// TestEvictionDrawsJobInsensitive pins the per-job eviction streams:
+// TestEvictionDrawsJobInsensitive pins the per-glidein eviction streams:
 // submitting an additional concurrent job must not shift any existing
 // job's eviction draws. Under the old pool-wide rand.Rand the draws
-// interleaved by execution order, so extra load changed every job's
-// retry count.
+// interleaved by execution order, so extra load changed which jobs were
+// evicted, and when. A job's outcome and ending instant are its draws.
 func TestEvictionDrawsJobInsensitive(t *testing.T) {
-	run := func(extra bool) map[string]int {
+	type outcome struct {
+		state saga.JobState
+		took  time.Duration
+	}
+	run := func(extra bool) map[string]outcome {
 		clock := vclock.NewVirtual(vclock.Epoch)
 		p := New(Config{
 			Name: "osg", Slots: 8,
@@ -26,8 +31,8 @@ func TestEvictionDrawsJobInsensitive(t *testing.T) {
 		})
 		clock.Adopt()
 		defer func() {
+			p.Close()
 			clock.Leave()
-			p.Shutdown()
 		}()
 		payload := func(ctx context.Context, _ infra.Allocation) error {
 			if !clock.Sleep(ctx, 30*time.Second) {
@@ -35,9 +40,9 @@ func TestEvictionDrawsJobInsensitive(t *testing.T) {
 			}
 			return nil
 		}
-		base := make([]*Job, 0, 3)
+		base := make([]saga.Job, 0, 3)
 		for i := 0; i < 3; i++ {
-			j, err := p.Submit(JobSpec{Name: "base", Runtime: 30 * time.Second, Payload: payload})
+			j, err := p.Submit(saga.Description{Name: "base", Walltime: 30 * time.Second, Payload: payload})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,35 +50,32 @@ func TestEvictionDrawsJobInsensitive(t *testing.T) {
 		}
 		if extra {
 			// Concurrent extra load, submitted before anything completes.
-			if _, err := p.Submit(JobSpec{Name: "extra", Runtime: 30 * time.Second, Payload: payload}); err != nil {
+			if _, err := p.Submit(saga.Description{Name: "extra", Walltime: 30 * time.Second, Payload: payload}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		out := make(map[string]int, len(base))
+		out := make(map[string]outcome, len(base))
 		for _, j := range base {
-			if s, err := wait(ctx, j); s != Completed {
-				t.Fatalf("job %s: %v (%v)", j.id, s, err)
-			}
-			out[j.id] = attempts(j)
+			s, _ := j.Wait(ctx)
+			out[j.ID()] = outcome{s, j.EndTime().Sub(j.SubmitTime())}
 		}
 		return out
 	}
 
 	alone := run(false)
 	loaded := run(true)
-	shifted := false
-	for id, attempts := range alone {
-		if attempts < 1 {
-			t.Fatalf("job %s reports %d attempts", id, attempts)
+	evicted := 0
+	for id, o := range alone {
+		if o.state == saga.Failed {
+			evicted++
 		}
-		if loaded[id] != attempts {
-			shifted = true
-			t.Errorf("job %s: %d attempts alone, %d under extra load", id, attempts, loaded[id])
+		if loaded[id] != o {
+			t.Errorf("job %s: %v alone, %v under extra load", id, o, loaded[id])
 		}
 	}
-	if !shifted && len(alone) != 3 {
-		t.Fatalf("expected 3 base jobs, got %d", len(alone))
+	if len(alone) != 3 || evicted == 0 {
+		t.Fatalf("want 3 base jobs and at least one eviction drawn: %v", alone)
 	}
 }

@@ -7,12 +7,13 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 )
 
 // Eviction watchdogs must be executor participants: with a Virtual clock
-// and a high eviction rate, jobs retry through eviction without panicking
-// and in zero wall time.
+// and a high eviction rate, evicted glideins fail their jobs and re-match
+// without panicking and in zero wall time, and the pool drains.
 func TestVirtualClockEvictionWatchdog(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	p := New(Config{
@@ -22,10 +23,10 @@ func TestVirtualClockEvictionWatchdog(t *testing.T) {
 		Clock: clock, Stream: dist.NewStream(3),
 	})
 	clock.Adopt()
-	jobs := make([]*Job, 0, 8)
+	jobs := make([]saga.Job, 0, 8)
 	for i := 0; i < 8; i++ {
-		j, err := p.Submit(JobSpec{
-			Name: "e", Runtime: 30 * time.Second,
+		j, err := p.Submit(saga.Description{
+			Name: "e", Walltime: 30 * time.Second,
 			Payload: func(ctx context.Context, _ infra.Allocation) error {
 				if !clock.Sleep(ctx, 30*time.Second) {
 					return ctx.Err()
@@ -41,13 +42,13 @@ func TestVirtualClockEvictionWatchdog(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for _, j := range jobs {
-		if s, err := wait(ctx, j); s != Completed {
-			t.Fatalf("job %s: %v (%v), attempts=%d", j.id, s, err, attempts(j))
+		if s, err := j.Wait(ctx); s != saga.Done && s != saga.Failed {
+			t.Fatalf("job %s: %v (%v), want Done or evicted", j.ID(), s, err)
 		}
 	}
 	if evictions(p) == 0 {
 		t.Fatal("expected evictions at rate 0.5")
 	}
+	p.Close()
 	clock.Leave()
-	p.Shutdown()
 }

@@ -7,8 +7,10 @@
 // lives in a subpackage (hpc, htc, cloud, serverless, yarn) as a faithful
 // behavioural simulator: queue waits, matchmaking delays, boot latencies,
 // container negotiation and cold starts are all modeled in virtual time.
-// The SAGA adaptor layer (package saga) gives them one face; the pilot
-// layer (package core) builds late binding on top.
+// hpc, htc, cloud and yarn each implement saga.Service themselves: a
+// submitted job embeds saga.JobRecord, the one job state machine, guarded
+// by its backend's one mutex. The pilot layer (package core) builds late
+// binding on top.
 package infra
 
 import (
@@ -26,7 +28,7 @@ import (
 var ErrBackendClosed = errors.New("infra: backend closed")
 
 // Outcome classifies how a payload run ended, the unified terminal
-// taxonomy shared by the backends and the saga adaptor layer.
+// taxonomy every backend's jobs share.
 type Outcome int
 
 // Payload outcomes.
@@ -42,8 +44,11 @@ const (
 
 // ClassifyOutcome maps a payload run's (context error, payload error)
 // pair onto the unified outcome: a canceled context wins, then a payload
-// error, else completion. Every adaptor finalizes jobs through this one
-// rule, so no backend can drift its completion semantics independently.
+// error, else completion. Every backend finishes its jobs through this one
+// rule (saga.JobRecord.FinishPayload) — a job canceled while it waits for
+// its resources included — so no backend can drift its completion
+// semantics independently. The one terminal state decided elsewhere is
+// HPC's walltime kill: Failed, wrapping context.DeadlineExceeded.
 func ClassifyOutcome(ctxErr, payloadErr error) Outcome {
 	switch {
 	case ctxErr != nil:

@@ -29,7 +29,7 @@ type Config struct {
 	WarmTTL time.Duration
 	// ConcurrencyLimit bounds simultaneous executions; zero means 1000.
 	ConcurrencyLimit int
-	// Clock supplies virtual time; defaults to a private vclock.Virtual.
+	// Clock supplies virtual time; New panics without one.
 	Clock vclock.Clock
 	// Stream is the platform's slot on the experiment's seeding spine.
 	// When ColdStart/WarmStart are nil and Stream is set, canonical
@@ -69,9 +69,6 @@ func (c *Config) withDefaults() Config {
 	if out.ConcurrencyLimit <= 0 {
 		out.ConcurrencyLimit = 1000
 	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewVirtual(vclock.Epoch)
-	}
 	return out
 }
 
@@ -99,6 +96,9 @@ var ErrClosed = fmt.Errorf("serverless: platform closed: %w", infra.ErrBackendCl
 
 // New creates a platform.
 func New(cfg Config) *Platform {
+	if cfg.Clock == nil {
+		panic("serverless: Config.Clock is nil")
+	}
 	p := &Platform{
 		cfg:  cfg.withDefaults(),
 		warm: make(map[string][]time.Time),

@@ -16,6 +16,7 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra"
+	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 )
 
@@ -27,7 +28,7 @@ type Config struct {
 	TotalCores int
 	// AllocDelay samples container negotiation latency in seconds.
 	AllocDelay dist.Dist
-	// Clock supplies virtual time; defaults to a private vclock.Virtual.
+	// Clock supplies virtual time; New panics without one.
 	Clock vclock.Clock
 	// Stream is the cluster's slot on the experiment's seeding spine.
 	// When AllocDelay is nil and Stream is set, the canonical stochastic
@@ -56,35 +57,39 @@ func (c *Config) withDefaults() Config {
 			out.AllocDelay = dist.Constant(0.1)
 		}
 	}
-	if out.Clock == nil {
-		out.Clock = vclock.NewVirtual(vclock.Epoch)
-	}
 	return out
 }
 
-// Container is a granted resource bundle.
-type Container struct {
-	id      string
-	cores   int
-	granted time.Time
+// containerCores is the size of the containers a job is granted; a job
+// of fewer cores gets one container of its size.
+const containerCores = 8
 
-	mu       sync.Mutex
+// container is a granted resource bundle; released is guarded by
+// Cluster.mu.
+type container struct {
+	id       string
+	cores    int
 	released bool
 }
 
-// Cluster is a simulated YARN resource manager.
+// Cluster is a simulated YARN resource manager and the saga.Service for
+// it: a job negotiates containers covering TotalCores, runs, and releases
+// them.
 type Cluster struct {
 	cfg    Config
 	faults infra.Faults
 
 	mu        sync.Mutex
 	freeCores int
-	nextID    int
+	nextJob   int
+	nextCtr   int
 	closed    bool
 	waiters   []*vclock.Event
 }
 
-// ErrClosed is returned after Shutdown; it wraps infra.ErrBackendClosed
+var _ saga.Service = (*Cluster)(nil)
+
+// ErrClosed is returned after Close; it wraps infra.ErrBackendClosed
 // so heterogeneous dispatchers need only one test.
 var ErrClosed = fmt.Errorf("yarn: cluster closed: %w", infra.ErrBackendClosed)
 
@@ -93,18 +98,21 @@ var ErrTooLarge = errors.New("yarn: request exceeds cluster capacity")
 
 // New creates a cluster.
 func New(cfg Config) *Cluster {
+	if cfg.Clock == nil {
+		panic("yarn: Config.Clock is nil")
+	}
 	c := &Cluster{cfg: cfg.withDefaults()}
 	c.freeCores = c.cfg.TotalCores
 	return c
 }
 
-// Name returns the cluster name.
-func (c *Cluster) Name() string { return c.cfg.Name }
+// URL implements saga.Service.
+func (c *Cluster) URL() string { return "yarn://" + c.cfg.Name }
 
-// Site returns the cluster's site identity.
+// Site implements saga.Service.
 func (c *Cluster) Site() infra.Site { return infra.Site(c.cfg.Name) }
 
-// TotalCores returns the cluster capacity.
+// TotalCores implements saga.Service: the cluster capacity.
 func (c *Cluster) TotalCores() int { return c.cfg.TotalCores }
 
 // Faults returns the cluster's fault switchboard (chaos engineering).
@@ -117,13 +125,42 @@ func (c *Cluster) FreeCores() int {
 	return c.freeCores
 }
 
-// RequestContainers negotiates n containers of coresEach cores, blocking
+// Submit implements saga.Service. The job negotiates containers covering
+// TotalCores, runs the payload on them and releases them; a negotiation
+// that fails ends the job Failed, or Canceled if the job was. YARN enforces
+// no walltime.
+func (c *Cluster) Submit(d saga.Description) (saga.Job, error) {
+	if d.Payload == nil {
+		return nil, errors.New("yarn: description has nil payload")
+	}
+	cores := max(d.TotalCores, 1)
+	per := min(cores, containerCores)
+	n := (cores + per - 1) / per
+	ctx, cancel := context.WithCancel(context.Background())
+	c.mu.Lock()
+	c.nextJob++
+	j := saga.NewJobRecord(fmt.Sprintf("yarn.%s.%d", c.cfg.Name, c.nextJob), &c.mu, c.cfg.Clock, cancel)
+	c.mu.Unlock()
+
+	c.cfg.Clock.Go(func() {
+		defer cancel()
+		containers, err := c.requestContainers(ctx, n, per)
+		if err != nil {
+			j.FinishPayload(ctx.Err(), fmt.Errorf("yarn: container negotiation failed: %w", err))
+			return
+		}
+		defer c.release(containers)
+		j.Start()
+		err = d.Payload(ctx, c.allocation(j.ID(), containers))
+		j.FinishPayload(ctx.Err(), err)
+	})
+	return j, nil
+}
+
+// requestContainers negotiates n containers of coresEach cores, blocking
 // until capacity is available (containers released by other applications)
 // or ctx is canceled. Containers are granted all-or-nothing.
-func (c *Cluster) RequestContainers(ctx context.Context, n, coresEach int) ([]*Container, error) {
-	if n <= 0 || coresEach <= 0 {
-		return nil, errors.New("yarn: container request must be positive")
-	}
+func (c *Cluster) requestContainers(ctx context.Context, n, coresEach int) ([]*container, error) {
 	if err := c.faults.Check(); err != nil {
 		return nil, fmt.Errorf("yarn: %s: %w", c.cfg.Name, err)
 	}
@@ -144,15 +181,10 @@ func (c *Cluster) RequestContainers(ctx context.Context, n, coresEach int) ([]*C
 		}
 		if c.freeCores >= want {
 			c.freeCores -= want
-			out := make([]*Container, n)
-			now := c.cfg.Clock.Now()
+			out := make([]*container, n)
 			for i := range out {
-				c.nextID++
-				out[i] = &Container{
-					id:      fmt.Sprintf("%s.c%d", c.cfg.Name, c.nextID),
-					cores:   coresEach,
-					granted: now,
-				}
+				c.nextCtr++
+				out[i] = &container{id: fmt.Sprintf("%s.c%d", c.cfg.Name, c.nextCtr), cores: coresEach}
 			}
 			c.mu.Unlock()
 			return out, nil
@@ -161,7 +193,7 @@ func (c *Cluster) RequestContainers(ctx context.Context, n, coresEach int) ([]*C
 		c.waiters = append(c.waiters, ev)
 		c.mu.Unlock()
 		if !ev.Wait(ctx) {
-			// Unlink on the cancel exit: the next Release may be far off, and
+			// Unlink on the cancel exit: the next release may be far off, and
 			// until then every canceled request would sit in the list.
 			c.mu.Lock()
 			if i := slices.Index(c.waiters, ev); i >= 0 {
@@ -173,17 +205,15 @@ func (c *Cluster) RequestContainers(ctx context.Context, n, coresEach int) ([]*C
 	}
 }
 
-// Release returns containers to the cluster.
-func (c *Cluster) Release(containers []*Container) {
+// release returns containers to the cluster.
+func (c *Cluster) release(containers []*container) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, ct := range containers {
-		ct.mu.Lock()
 		if !ct.released {
 			ct.released = true
 			c.freeCores += ct.cores
 		}
-		ct.mu.Unlock()
 	}
 	for _, ev := range c.waiters {
 		ev.Fire()
@@ -191,8 +221,8 @@ func (c *Cluster) Release(containers []*Container) {
 	c.waiters = nil
 }
 
-// Allocation builds an infra.Allocation spanning a container set.
-func (c *Cluster) Allocation(id string, containers []*Container) infra.Allocation {
+// allocation builds an infra.Allocation spanning a container set.
+func (c *Cluster) allocation(id string, containers []*container) infra.Allocation {
 	cores := 0
 	nodes := make([]string, len(containers))
 	for i, ct := range containers {
@@ -208,8 +238,8 @@ func (c *Cluster) Allocation(id string, containers []*Container) infra.Allocatio
 	}
 }
 
-// Shutdown closes the cluster; outstanding waiters fail.
-func (c *Cluster) Shutdown() {
+// Close implements saga.Service: outstanding requests fail.
+func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
@@ -217,4 +247,5 @@ func (c *Cluster) Shutdown() {
 		ev.Fire()
 	}
 	c.waiters = nil
+	return nil
 }

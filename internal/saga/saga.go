@@ -1,10 +1,12 @@
 // Package saga is gopilot's standardized access layer to heterogeneous
 // infrastructure, modeled on SAGA [70]: one Service interface, one job
-// description, one job state model — and an adaptor per backend (local
-// fork, HPC batch, HTC pool, IaaS cloud, YARN). The pilot layer (package
-// core) submits *pilots* as SAGA jobs; applications may also submit tasks
-// directly, which is the "no pilot" baseline in the late-binding
-// experiments (E9).
+// description and one job state machine, JobRecord, which every backend's
+// jobs embed. The backends implement Service themselves — hpc.Cluster,
+// htc.Pool, cloud.Provider and yarn.Cluster — so this package imports none
+// of them; it holds only the in-process fork backend (LocalService) and
+// the URL Registry. The pilot layer (package core) submits *pilots* as SAGA
+// jobs; applications may also submit tasks directly, which is the "no
+// pilot" baseline in the late-binding experiments (E9).
 package saga
 
 import (
@@ -89,8 +91,8 @@ type Job interface {
 	EndTime() time.Time
 }
 
-// Service submits jobs to one backend at one site (the adaptor pattern,
-// paper §IV.B).
+// Service submits jobs to one backend at one site (paper §IV.B). Each
+// backend implements it itself.
 type Service interface {
 	// URL identifies the service, e.g. "hpc://stampede".
 	URL() string
@@ -100,139 +102,116 @@ type Service interface {
 	TotalCores() int
 	// Submit submits a job.
 	Submit(d Description) (Job, error)
-	// Close releases the service.
+	// Close shuts the service down: it refuses new jobs, and ends or
+	// waits out the ones it holds.
 	Close() error
 }
 
-// baseJob provides the shared state machine for adaptor jobs.
-type baseJob struct {
-	id string
-
-	mu        sync.Mutex
-	state     JobState
-	err       error
+// JobRecord is the one job state machine. Every backend's job embeds it
+// (or is it), so what Submit returns is the saga.Job itself, not a mirror
+// of a native job. The mutable fields — state, error, start and end — are
+// guarded by the owning backend's one mutex, which the record locks itself:
+// a backend never calls a record method while holding that mutex. The id,
+// submission instant, cancel hook and done event are fixed at construction.
+type JobRecord struct {
+	id        string
 	submitted time.Time
-	started   time.Time
-	ended     time.Time
-	cancelFn  func()
+	cancel    func()
+	clock     vclock.Clock
+	done      *vclock.Event
+	mu        *sync.Mutex
 
-	done *vclock.Event
+	state          JobState
+	err            error
+	started, ended time.Time
 }
 
-func newBaseJob(id string, submitted time.Time, clock vclock.Clock) *baseJob {
-	return &baseJob{id: id, state: Pending, submitted: submitted, done: vclock.NewEvent(clock)}
+// NewJobRecord returns a job submitted now, Pending, whose mutable fields
+// mu guards; Cancel calls cancel.
+func NewJobRecord(id string, mu *sync.Mutex, clock vclock.Clock, cancel func()) *JobRecord {
+	return &JobRecord{id: id, submitted: clock.Now(), cancel: cancel, clock: clock,
+		done: vclock.NewEvent(clock), mu: mu, state: Pending}
 }
 
-func (j *baseJob) ID() string { return j.id }
+// ID implements Job.
+func (j *JobRecord) ID() string { return j.id }
 
-func (j *baseJob) State() JobState {
+// State implements Job.
+func (j *JobRecord) State() JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
 }
 
-func (j *baseJob) Err() error {
+// Err implements Job.
+func (j *JobRecord) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
 }
 
-func (j *baseJob) Wait(ctx context.Context) (JobState, error) {
+// Wait implements Job.
+func (j *JobRecord) Wait(ctx context.Context) (JobState, error) {
 	if j.done.Wait(ctx) {
 		return j.State(), j.Err()
 	}
 	return j.State(), ctx.Err()
 }
 
-func (j *baseJob) Cancel() {
-	j.mu.Lock()
-	fn := j.cancelFn
-	j.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-}
+// Cancel implements Job.
+func (j *JobRecord) Cancel() { j.cancel() }
 
-func (j *baseJob) SubmitTime() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.submitted
-}
+// SubmitTime implements Job.
+func (j *JobRecord) SubmitTime() time.Time { return j.submitted }
 
-func (j *baseJob) StartTime() time.Time {
+// StartTime implements Job.
+func (j *JobRecord) StartTime() time.Time {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.started
 }
 
-func (j *baseJob) EndTime() time.Time {
+// EndTime implements Job.
+func (j *JobRecord) EndTime() time.Time {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.ended
 }
 
-// markRunning transitions to Running at modeled time t (idempotent).
-func (j *baseJob) markRunning(t time.Time) {
+// Start moves a pending job to Running now.
+func (j *JobRecord) Start() {
+	now := j.clock.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == Pending || j.state == New {
-		j.state = Running
-		j.started = t
+	if j.state == Pending {
+		j.state, j.started = Running, now
 	}
 }
 
-// finish transitions to a terminal state at modeled time t (idempotent).
-func (j *baseJob) finish(s JobState, err error, t time.Time) {
+// Finish moves the job to terminal state s now and wakes its waiters; a job
+// already terminal keeps its first ending.
+func (j *JobRecord) Finish(s JobState, err error) {
+	now := j.clock.Now()
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.state = s
-	j.err = err
-	j.ended = t
+	j.state, j.err, j.ended = s, err, now
 	j.mu.Unlock()
 	j.done.Fire()
 }
 
-// setCancel installs the cancellation hook.
-func (j *baseJob) setCancel(fn func()) {
-	j.mu.Lock()
-	j.cancelFn = fn
-	j.mu.Unlock()
-}
-
-// finishPayload finalizes the job from a payload run's (context error,
-// payload error) pair through infra.ClassifyOutcome — the one completion
-// rule every adaptor shares, so no backend carries its own dispatch
-// special-casing for how runs terminate.
-func (j *baseJob) finishPayload(ctxErr, payloadErr error, t time.Time) {
+// FinishPayload finishes the job from a run's (context error, payload
+// error) pair through infra.ClassifyOutcome — the one completion rule every
+// backend shares, for a payload that ran and for resources that never came.
+func (j *JobRecord) FinishPayload(ctxErr, payloadErr error) {
 	switch infra.ClassifyOutcome(ctxErr, payloadErr) {
 	case infra.OutcomeCanceled:
-		j.finish(Canceled, ctxErr, t)
+		j.Finish(Canceled, ctxErr)
 	case infra.OutcomeFailed:
-		j.finish(Failed, payloadErr, t)
+		j.Finish(Failed, payloadErr)
 	default:
-		j.finish(Done, nil, t)
+		j.Finish(Done, nil)
 	}
-}
-
-// armWalltime starts a clock-aware watchdog that calls expire once
-// walltime elapses; the returned disarm func stops it early. wg, when
-// non-nil, tracks the watchdog for Close-time draining. Shared by the
-// adaptors whose backends don't enforce walltime themselves.
-func armWalltime(clock vclock.Clock, parent context.Context, walltime time.Duration, expire func(), wg *vclock.Group) (disarm func()) {
-	wctx, wcancel := context.WithCancel(parent)
-	if wg != nil {
-		wg.Add(1)
-	}
-	clock.Go(func() {
-		if wg != nil {
-			defer wg.Done()
-		}
-		if clock.Sleep(wctx, walltime) {
-			expire()
-		}
-	})
-	return wcancel
 }

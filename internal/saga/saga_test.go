@@ -7,12 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"gopilot/internal/dist"
 	"gopilot/internal/infra"
-	"gopilot/internal/infra/cloud"
-	"gopilot/internal/infra/hpc"
-	"gopilot/internal/infra/htc"
-	"gopilot/internal/infra/yarn"
 	"gopilot/internal/vclock"
 	"gopilot/internal/vclock/vclocktest"
 )
@@ -112,135 +107,6 @@ func TestLocalServiceWalltime(t *testing.T) {
 	}
 }
 
-func TestHPCServiceRoundsUpNodes(t *testing.T) {
-	clock := vclocktest.Adopted(t)
-	cluster := hpc.New(hpc.Config{Name: "hp", Nodes: 8, CoresPerNode: 16, Clock: clock})
-	defer cluster.Shutdown()
-	s := NewHPCService(cluster, clock)
-	var got infra.Allocation
-	j, err := s.Submit(Description{
-		TotalCores: 20, // needs 2 nodes of 16
-		Walltime:   time.Hour,
-		Payload: func(_ context.Context, a infra.Allocation) error {
-			got = a
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := j.Wait(context.Background())
-	if state != Done || err != nil {
-		t.Fatalf("state=%v err=%v", state, err)
-	}
-	if got.Cores != 32 || len(got.Nodes) != 2 {
-		t.Errorf("alloc = %+v, want 32 cores on 2 nodes", got)
-	}
-}
-
-func TestHPCServiceWalltimeBecomesFailed(t *testing.T) {
-	clock := vclocktest.Adopted(t)
-	cluster := hpc.New(hpc.Config{Name: "hp", Nodes: 1, CoresPerNode: 1, Clock: clock})
-	defer cluster.Shutdown()
-	s := NewHPCService(cluster, clock)
-	j, _ := s.Submit(Description{TotalCores: 1, Walltime: 2 * time.Second, Payload: sleeper(time.Hour, clock)})
-	state, err := j.Wait(context.Background())
-	if state != Failed {
-		t.Fatalf("state = %v (err=%v), want Failed", state, err)
-	}
-	if ran := j.EndTime().Sub(j.StartTime()); ran != 2*time.Second {
-		t.Fatalf("job ran %v, want exactly its 2s walltime", ran)
-	}
-}
-
-func TestHTCServiceCoalescesSlots(t *testing.T) {
-	clock := vclocktest.Adopted(t)
-	pool := htc.New(htc.Config{Name: "osg", Slots: 8, MatchDelay: dist.Constant(0.5), Clock: clock})
-	defer pool.Shutdown()
-	s := NewHTCService(pool, clock)
-	var got infra.Allocation
-	j, err := s.Submit(Description{
-		Name:       "glide",
-		TotalCores: 4,
-		Walltime:   time.Minute,
-		Payload: func(_ context.Context, a infra.Allocation) error {
-			got = a
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := j.Wait(context.Background())
-	if state != Done || err != nil {
-		t.Fatalf("state=%v err=%v", state, err)
-	}
-	if got.Cores != 4 || len(got.Nodes) != 4 {
-		t.Errorf("alloc = %+v, want 4 cores on 4 slots", got)
-	}
-}
-
-func TestCloudServiceProvisionsEnoughVMs(t *testing.T) {
-	clock := vclocktest.Adopted(t)
-	p := cloud.New(cloud.Config{
-		Name:      "ec2",
-		Types:     []cloud.VMType{{Name: "std", Cores: 4, PricePerHour: 0.1}},
-		BootDelay: dist.Constant(1),
-		Clock:     clock,
-	})
-	defer p.Shutdown()
-	s := NewCloudService(p, clock)
-	var got infra.Allocation
-	j, err := s.Submit(Description{
-		TotalCores: 10, // ceil(10/4) = 3 VMs = 12 cores
-		Payload: func(_ context.Context, a infra.Allocation) error {
-			got = a
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := j.Wait(context.Background())
-	if state != Done || err != nil {
-		t.Fatalf("state=%v err=%v", state, err)
-	}
-	if got.Cores != 12 || len(got.Nodes) != 3 {
-		t.Errorf("alloc = %+v, want 12 cores on 3 VMs", got)
-	}
-	if p.ActiveVMs() != 0 {
-		t.Errorf("VMs leaked: %d", p.ActiveVMs())
-	}
-}
-
-func TestYarnServiceNegotiatesContainers(t *testing.T) {
-	clock := vclocktest.Adopted(t)
-	c := yarn.New(yarn.Config{Name: "y", TotalCores: 32, AllocDelay: dist.Constant(0.01), Clock: clock})
-	defer c.Shutdown()
-	s := NewYarnService(c, 4, clock)
-	var got infra.Allocation
-	j, err := s.Submit(Description{
-		TotalCores: 8,
-		Payload: func(_ context.Context, a infra.Allocation) error {
-			got = a
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := j.Wait(context.Background())
-	if state != Done || err != nil {
-		t.Fatalf("state=%v err=%v", state, err)
-	}
-	if got.Cores != 8 || len(got.Nodes) != 2 {
-		t.Errorf("alloc = %+v, want 8 cores in 2 containers", got)
-	}
-	if c.FreeCores() != 32 {
-		t.Errorf("containers leaked: free = %d", c.FreeCores())
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	clock := vclocktest.Adopted(t)
 	r := NewRegistry()
@@ -300,24 +166,6 @@ func TestRegistryKeepsRegistrationOrder(t *testing.T) {
 	for run := 1; run < 20; run++ {
 		if got := closeAllHash(); got != base {
 			t.Fatalf("run %d: CloseAll recorded hash %#x, run 0 %#x", run, got, base)
-		}
-	}
-}
-
-func TestNilPayloadRejectedEverywhere(t *testing.T) {
-	clock := vclocktest.Adopted(t)
-	cluster := hpc.New(hpc.Config{Name: "x", Clock: clock})
-	defer cluster.Shutdown()
-	pool := htc.New(htc.Config{Name: "x", Clock: clock})
-	defer pool.Shutdown()
-	services := []Service{
-		NewLocalService("x", 1, clock),
-		NewHPCService(cluster, clock),
-		NewHTCService(pool, clock),
-	}
-	for _, s := range services {
-		if _, err := s.Submit(Description{}); err == nil {
-			t.Errorf("%s accepted nil payload", s.URL())
 		}
 	}
 }

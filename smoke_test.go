@@ -1,7 +1,7 @@
 // Repo-wide smoke test: every experiment exhibit of the paper's
 // evaluation (DESIGN.md index E1–E13) executes end to end (frame counts
 // trimmed for the streaming exhibits to bound real CPU work), so a plain
-// `go test ./...` exercises the full pipeline — SAGA adaptors over all
+// `go test ./...` exercises the full pipeline — SAGA services over all
 // five simulated infrastructures, the pilot manager, Pilot-Data/-Memory/
 // -MapReduce/-Streaming, the Mini-App runner, and both performance-model
 // families — not just the per-package units.

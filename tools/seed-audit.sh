@@ -79,6 +79,17 @@
 #      and nothing re-checks a drift or a state "under the object locks".
 #      Non-test internal/core names exactly one sync.Mutex/RWMutex (the
 #      field Manager.mu), and pilot.go and unit.go name none.
+#  13. One lock per backend, one job state machine (DESIGN.md "One job
+#      state machine"): hpc, htc, cloud and yarn each implement
+#      saga.Service, and their jobs embed saga.JobRecord, guarded by the
+#      backend's mutex. Non-test internal/saga imports no
+#      internal/infra/<backend> package (an adaptor over a backend is a
+#      second state machine and the code to bridge it); non-test
+#      internal/infra/** and internal/saga declare at most seven
+#      sync.Mutex/RWMutex — one each for hpc, htc, cloud, yarn, serverless
+#      and saga.LocalService, plus saga.Registry — and no job, VM,
+#      container or glidein type declares one (a *sync.Mutex pointing at
+#      the backend's is a reference, not a declaration).
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -283,6 +294,30 @@ fi
 if [ "$(find $co -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE 'sync\.(RW)?Mutex')" -ne 1 ]; then
   find $co -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec grep -nE 'sync\.(RW)?Mutex' {} + >&2
   echo "seed-audit: internal/core must name exactly one mutex, Manager.mu — a second lock level needs code to bridge the two" >&2
+  fail=1
+fi
+
+# Rule 13: the backends are the SAGA services, with one lock each.
+sg=$(find internal/saga -name '*.go' ! -name '*_test.go')
+if grep -nE '"gopilot/internal/infra/[a-z]+"' $sg >&2; then
+  echo "seed-audit: internal/saga imports a backend — each backend implements saga.Service itself; saga holds the job record, LocalService and Registry" >&2
+  fail=1
+fi
+backend=$(find internal/infra internal/saga -name '*.go' ! -name '*_test.go')
+decl='(^|[^*])sync\.(RW)?Mutex\b'
+if [ "$(cat $backend | grep -cE "$decl")" -gt 7 ]; then
+  grep -nE "$decl" $backend >&2
+  echo "seed-audit: internal/infra/** and internal/saga declare more than 7 mutexes — one per backend (hpc, htc, cloud, yarn, serverless), LocalService and Registry" >&2
+  fail=1
+fi
+locked=$(awk '
+  /^type [A-Za-z_]+ struct \{/ { name = $2; inside = (tolower(name) ~ /job|vm|instance|container|glidein/); next }
+  inside && /^\}/ { inside = 0; next }
+  inside && /(^|[^*])sync\.(RW)?Mutex/ { printf "%s:%d: %s\n", FILENAME, FNR, name }
+' $backend)
+if [ -n "$locked" ]; then
+  echo "$locked" | sed 's|^|seed-audit:   |' >&2
+  echo "seed-audit: a job, VM, container or glidein has its own lock — its backend's mutex guards it" >&2
   fail=1
 fi
 
