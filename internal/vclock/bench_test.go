@@ -24,6 +24,42 @@ func BenchmarkSleepAdvance(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepSharedContexts: one advance by a lone runnable participant
+// past 256 sleepers whose contexts are 16 live ones — the juncture's
+// cancellation sweep reads each of the 16 Done channels once, where a
+// per-record sweep polled all 256.
+func BenchmarkSweepSharedContexts(b *testing.B) {
+	const sleepers, contexts = 256, 16
+	c := NewVirtual(Epoch)
+	c.Adopt()
+	defer c.Leave()
+	bg := context.Background()
+	ctxs := make([]context.Context, contexts)
+	cancels := make([]context.CancelFunc, contexts)
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(bg)
+	}
+	asleep := NewGroup(c)
+	for i := 0; i < sleepers; i++ {
+		asleep.Add(1)
+		c.Go(func() {
+			defer asleep.Done()
+			c.Sleep(ctxs[i%contexts], 24*365*time.Hour)
+		})
+	}
+	c.Sleep(bg, time.Microsecond) // every sleeper is on the heap
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Sleep(bg, time.Microsecond)
+	}
+	b.StopTimer()
+	for _, cancel := range cancels {
+		cancel()
+	}
+	asleep.Wait()
+}
+
 // benchPingPong times b.N round trips between the adopted driver (kick,
 // then wait) and a Go-spawned peer: two park/wake pairs per round trip.
 func benchPingPong(b *testing.B, c *Virtual, kick, wait, peer func(i int)) {

@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -23,14 +24,16 @@ func ownRecord(c *Virtual) *parker {
 	return c.current
 }
 
-// waitParked blocks, from outside the scheduled world, until n records sit
-// on the scheduler's parked list and nobody holds the token.
+// waitParked blocks, from outside the scheduled world, until the world's n
+// participants are all parked on primitives: nobody holds the token and
+// none is runnable, asleep or computing.
 func waitParked(t *testing.T, c *Virtual, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		c.mu.Lock()
-		ok := c.parkedLen == n && c.current == nil && c.runqHead == len(c.runq)
+		ok := c.participants == n && c.current == nil && c.runqHead == len(c.runq) &&
+			len(c.sleepers) == 0 && c.computing == 0
 		c.mu.Unlock()
 		if ok {
 			return
@@ -93,8 +96,8 @@ func TestCanceledWaitThenSleepNotWokenByStaleSignal(t *testing.T) {
 
 // TestOutsideFireBetweenRegisterAndPark walks Event.Wait's own steps with
 // an outside-world Fire landed in the window between linking the record
-// and parking it: the record must be claimed once, never enter the parked
-// list, be granted once (no token left in its channel to cut the next
+// and parking it: the record must be claimed once, never enroll in a cancel
+// group, be granted once (no token left in its channel to cut the next
 // sleep short) and leave the event's list empty.
 func TestOutsideFireBetweenRegisterAndPark(t *testing.T) {
 	c := NewVirtual(Epoch)
@@ -122,9 +125,9 @@ func TestOutsideFireBetweenRegisterAndPark(t *testing.T) {
 		if !c.await(r) {
 			t.Fatal("wait reported a cancellation")
 		}
-		if r != ownRecord(c) || r.onParked || r.wnext != nil || e.waiters != (waitq{}) || len(r.g) != 0 {
-			t.Fatalf("after the wake: own=%v onParked=%v wnext=%v list=%+v pending grants=%d",
-				r == ownRecord(c), r.onParked, r.wnext, e.waiters, len(r.g))
+		if r != ownRecord(c) || r.cg != nil || r.wnext != nil || e.waiters != (waitq{}) || len(r.g) != 0 {
+			t.Fatalf("after the wake: own=%v cg=%v wnext=%v list=%+v pending grants=%d",
+				r == ownRecord(c), r.cg, r.wnext, e.waiters, len(r.g))
 		}
 		start := c.Now()
 		if !c.Sleep(bg, time.Second) || c.Since(start) != time.Second {
@@ -193,7 +196,7 @@ func TestOutsideSetWithWaitersThatRepark(t *testing.T) {
 // TestRecordRoundTripStaysClean sends one record through every kind of
 // wait — Sleep, Event.Wait, Compute, a contended Sem.Acquire, a canceled
 // Notifier.Wait — and checks after each that it is the same record, with
-// the same grant channel, enrolled nowhere: heap index, parked-list links
+// the same grant channel, enrolled nowhere: heap index, cancel-group links
 // and waiter link all clear.
 func TestRecordRoundTripStaysClean(t *testing.T) {
 	c := NewVirtual(Epoch)
@@ -209,9 +212,9 @@ func TestRecordRoundTripStaysClean(t *testing.T) {
 		if c.current != r || r.g != g {
 			t.Fatalf("after %s: the participant changed records", step)
 		}
-		if r.heapIdx != -1 || r.onParked || r.prev != nil || r.next != nil || r.wnext != nil || len(r.g) != 0 {
-			t.Fatalf("after %s: heapIdx=%d onParked=%v prev=%v next=%v wnext=%v pending grants=%d",
-				step, r.heapIdx, r.onParked, r.prev, r.next, r.wnext, len(r.g))
+		if r.heapIdx != -1 || r.cg != nil || r.cprev != nil || r.cnext != nil || r.wnext != nil || len(r.g) != 0 {
+			t.Fatalf("after %s: heapIdx=%d cg=%v cprev=%v cnext=%v wnext=%v pending grants=%d",
+				step, r.heapIdx, r.cg, r.cprev, r.cnext, r.wnext, len(r.g))
 		}
 	}
 	e, s, n := NewEvent(c), NewSem(c, 1), NewNotifier(c)
@@ -255,6 +258,110 @@ func TestRecordRoundTripStaysClean(t *testing.T) {
 		t.Fatalf("round trip ended at %v, want 4s", got)
 	}
 	done.Wait()
+}
+
+// TestSharedContextCancelDeliversBySeq: one context shared by two sleepers
+// and an Event waiter, a second one held by a Notifier waiter that parked
+// between them, both canceled in one juncture. The sweep reads each context
+// once, yet delivers the four records in seq order, and the schedule is
+// decision for decision the one the per-record sweep recorded.
+func TestSharedContextCancelDeliversBySeq(t *testing.T) {
+	c := NewVirtual(Epoch)
+	c.StartRecorder(RecorderConfig{WindowFrom: 1, WindowTo: 1 << 20})
+	c.Adopt()
+	defer c.Leave()
+	bg := context.Background()
+	a, cancelA := context.WithCancel(bg)
+	b, cancelB := context.WithCancel(bg)
+	e, n := NewEvent(c), NewNotifier(c)
+	var woke []string
+	done := NewGroup(c)
+	for _, w := range []struct {
+		name string
+		wait func() bool
+	}{
+		{"sleeper1", func() bool { return c.Sleep(a, time.Hour) }},
+		{"notifier", func() bool { return n.Wait(b) }},
+		{"event", func() bool { return e.Wait(a) }},
+		{"sleeper2", func() bool { return c.Sleep(a, 2*time.Hour) }},
+	} {
+		done.Add(1)
+		c.Go(func() {
+			defer done.Done()
+			if w.wait() {
+				t.Errorf("%s: wait reported a signal", w.name)
+			}
+			woke = append(woke, fmt.Sprintf("%s@%v", w.name, c.Since(Epoch)))
+		})
+	}
+	c.Sleep(bg, time.Minute) // the four park in the order above
+	cancelA()
+	cancelB()
+	c.Sleep(bg, time.Minute)
+	var trace []modelEntry
+	for _, d := range c.RecorderState().Window {
+		trace = append(trace, modelEntry{d.Kind, d.Seq, d.At.Sub(Epoch)})
+	}
+	done.Wait()
+	if got, want := fmt.Sprint(woke), "[sleeper1@1m0s notifier@1m0s event@1m0s sleeper2@1m0s]"; got != want {
+		t.Errorf("woke %s, want %s", got, want)
+	}
+	const want = "[grant/0@0s grant/0@0s grant/0@0s grant/0@0s grant/0@0s advance/1@1m0s " +
+		"cancel/2@1m0s cancel/3@1m0s cancel/4@1m0s cancel/5@1m0s grant/2@1m0s grant/3@1m0s grant/4@1m0s grant/5@1m0s advance/6@2m0s]"
+	if got := fmt.Sprint(trace); got != want {
+		t.Errorf("schedule\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCancelOnFreshContextAllocatesNothing: a Sleep and an Event.Wait, each
+// on a context never seen before and canceled by a peer, allocate nothing
+// once warm — the cancel group a new Done channel needs comes off the free
+// list its predecessor was retired to. The contexts are made, Done channel
+// included, before the count starts.
+func TestCancelOnFreshContextAllocatesNothing(t *testing.T) {
+	c := NewVirtual(Epoch)
+	c.Adopt()
+	defer c.Leave()
+	bg := context.Background()
+	const runs = 200
+	ctxs := make([]context.Context, 2*(runs+1))
+	cancels := make([]context.CancelFunc, len(ctxs))
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(bg)
+		ctxs[i].Done()
+	}
+	stop, stopPeer := context.WithCancel(bg)
+	kick, e := NewNotifier(c), NewEvent(c)
+	next := 0
+	peer := NewGroup(c)
+	peer.Add(1)
+	c.Go(func() {
+		defer peer.Done()
+		for kick.Wait(stop) {
+			cancels[next]()
+		}
+	})
+	c.Sleep(bg, time.Second) // the peer is parked
+	allocs := testing.AllocsPerRun(runs, func() {
+		kick.Set()
+		if c.Sleep(ctxs[next], time.Hour) {
+			t.Fatal("Sleep outlived its canceled context")
+		}
+		next++
+		kick.Set()
+		if e.Wait(ctxs[next]) {
+			t.Fatal("Event.Wait outlived its canceled context")
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per park/cancel cycle, want 0", allocs)
+	}
+	if got := c.Since(Epoch); got != time.Second {
+		t.Errorf("cycles moved modeled time to %v, want 1s", got)
+	}
+	stopPeer()
+	peer.Wait()
 }
 
 // TestParkAllocatesNothing pins the zero: in steady state no way of giving

@@ -16,21 +16,23 @@ import (
 // The token is released when the holder sleeps, parks (Notifier, Event,
 // Group, Sem — see primitives.go) or exits, and is handed to the next
 // runnable participant in FIFO order; when no participant is runnable,
-// time jumps to the earliest sleeper's deadline and that sleeper runs. Ties on deadline wake in Sleep-call order. This
-// serialization makes a same-seed run bit-reproducible: every Now() reads
-// the same modeled instant in every run, and every scheduling decision
-// happens in the same order.
+// time jumps to the earliest sleeper's deadline and that sleeper runs.
+// Ties on deadline wake in Sleep-call order. This serialization makes a
+// same-seed run bit-reproducible: every Now() reads the same modeled
+// instant in every run, and every scheduling decision happens in the same
+// order.
 //
 // Context cancellation is delivered through the scheduler: every Sleep and
-// primitive Wait registers its context, and before the executor advances
-// modeled time (or declares the world stalled) it sweeps the wait lists
-// and makes every waiter with a canceled context runnable at the *current*
-// instant. A cancellation issued by a participant therefore takes effect
-// at the modeled time it was issued — never after a spurious time jump —
-// which keeps teardown paths (walltime kills, evictions, processor stops)
-// deterministic. Cancellations arriving from outside the scheduled world
-// (a wall-clock context timeout on a hung run) are picked up by the same
-// sweep, raced only by their nature.
+// primitive Wait on a cancelable context enrolls in the cancel group of
+// its ctx.Done() channel, and before the executor advances modeled time
+// (or declares the world stalled) it polls each group's channel once and
+// makes every member of a closed one runnable at the *current* instant,
+// in seq order. A cancellation issued by a participant therefore takes
+// effect at the modeled time it was issued — never after a spurious time
+// jump — which keeps teardown paths (walltime kills, evictions, processor
+// stops) deterministic. Cancellations arriving from outside the scheduled
+// world (a wall-clock context timeout on a hung run) are picked up by the
+// same sweep, raced only by their nature.
 //
 // Participation contract:
 //
@@ -63,12 +65,15 @@ type Virtual struct {
 	// both keys together are unique, so the order is total).
 	sleepers sleepHeap
 
-	// parked is an intrusive doubly-linked list of primitive waiters:
-	// wake unlinks in O(1) where a slice would be scanned linearly. List
-	// order is insertion order, but nothing depends on it — the
-	// cancellation sweep re-sorts due waiters by seq.
-	parkedHead, parkedTail *parker
-	parkedLen              int
+	// groups holds one cancelGroup per distinct Done channel among the
+	// armed cancelable records, so the cancellation sweep polls each
+	// context once however many sleepers and waiters share it; groupOf
+	// finds a record's group. Retired groups are recycled through free and
+	// due is the sweep's scratch: a sweep allocates nothing in steady state.
+	groups  []*cancelGroup
+	groupOf map[<-chan struct{}]*cancelGroup
+	free    []*cancelGroup
+	due     []*parker
 
 	participants int
 	stalls       uint64
@@ -94,10 +99,11 @@ type grant chan struct{}
 // parker is a participant's record, born in join and re-armed for every
 // Sleep, primitive wait and Compute rejoin of that goroutine, so a park
 // allocates nothing (DESIGN.md "Participant record"). Armed, it is the
-// goroutine's registration in one wait list — the run queue, the sleeper
-// heap (deadline set) or the parked list (waiting on a primitive) — and is
-// claimed exactly once per arming: by its primitive's signal, by the
-// scheduler's deadline wake, or by the cancellation sweep.
+// goroutine's registration in the run queue, the sleeper heap (deadline
+// set) or a primitive's waiter queue, plus — if its context can be
+// canceled — its cancel group; it is claimed exactly once per arming: by
+// its primitive's signal, by the scheduler's deadline wake, or by the
+// cancellation sweep.
 type parker struct {
 	g        grant
 	done     <-chan struct{} // the waiter's ctx.Done(), read once per arming; nil: not cancelable
@@ -111,10 +117,10 @@ type parker struct {
 	// remove an arbitrary sleeper in O(log n).
 	heapIdx int
 
-	// prev/next link the scheduler's intrusive parked list; onParked
-	// distinguishes "not on the list" from "first/last element".
-	prev, next *parker
-	onParked   bool
+	// cg is the cancel group this record is enrolled in (nil: none);
+	// cprev/cnext link the group's members.
+	cg           *cancelGroup
+	cprev, cnext *parker
 
 	// wnext links the waiter queue of the primitive this record is parked
 	// on (waitq, primitives.go); guarded by that primitive's mutex.
@@ -126,6 +132,57 @@ type parker struct {
 func (r *parker) arm(done <-chan struct{}, deadline time.Time, seq uint64) {
 	r.done, r.deadline, r.seq = done, deadline, seq
 	r.claimed, r.canceled = false, false
+}
+
+// cancelGroup is the set of enrolled records whose contexts share one Done
+// channel, linked through parker.cprev/cnext. Member order is irrelevant:
+// the sweep delivers by seq.
+type cancelGroup struct {
+	done    <-chan struct{}
+	members *parker
+}
+
+// enroll links a sleeping or parked record into the cancel group of its
+// Done channel; a record that cannot be canceled goes on no list. Caller
+// holds c.mu.
+func (c *Virtual) enroll(r *parker) {
+	if r.done == nil {
+		return
+	}
+	g := c.groupOf[r.done]
+	if g == nil {
+		if n := len(c.free); n > 0 {
+			g, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			g = new(cancelGroup)
+		}
+		g.done = r.done
+		c.groups = append(c.groups, g)
+		c.groupOf[r.done] = g
+	}
+	if r.cnext = g.members; r.cnext != nil {
+		r.cnext.cprev = r
+	}
+	g.members, r.cg = r, g
+}
+
+// unenroll unlinks r from its cancel group in O(1); a no-op when it is in
+// none. An emptied group stays listed until the next sweep retires it.
+// Caller holds c.mu.
+func (r *parker) unenroll() {
+	g := r.cg
+	if g == nil {
+		return
+	}
+	if r.cprev != nil {
+		r.cprev.cnext = r.cnext
+	} else {
+		g.members = r.cnext
+	}
+	if r.cnext != nil {
+		r.cnext.cprev = r.cprev
+	}
+	r.cg, r.cprev, r.cnext = nil, nil, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +286,7 @@ func (h *sleepHeap) removeIdx(i int) {
 // time. The calling goroutine is NOT registered; call Adopt (or spawn all
 // work via Go) before touching the clock.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
+	return &Virtual{now: start, groupOf: make(map[<-chan struct{}]*cancelGroup)}
 }
 
 // Now returns the current modeled time.
@@ -259,6 +316,7 @@ func (c *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 	c.seq++
 	r.arm(done, c.now.Add(d), c.seq)
 	c.sleepers.push(r)
+	c.enroll(r)
 	c.current = nil
 	c.scheduleLocked()
 	c.mu.Unlock()
@@ -368,57 +426,6 @@ func (c *Virtual) newParker(ctx context.Context, held *sync.Mutex) *parker {
 	return r
 }
 
-// ctxDone reports whether the waiter's context has been canceled. The sweep
-// polls the cached Done channel — a lock-free read while it is open — where
-// ctx.Err() would take the context's mutex once per waiter per time advance.
-func (r *parker) ctxDone() bool {
-	if r.done == nil {
-		return false
-	}
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// parkedPush appends r to the tail of the intrusive parked list. Caller
-// holds c.mu.
-func (c *Virtual) parkedPush(r *parker) {
-	r.onParked = true
-	r.prev = c.parkedTail
-	r.next = nil
-	if c.parkedTail != nil {
-		c.parkedTail.next = r
-	} else {
-		c.parkedHead = r
-	}
-	c.parkedTail = r
-	c.parkedLen++
-}
-
-// parkedRemove unlinks r from the parked list in O(1); a no-op when r is
-// not on it. Caller holds c.mu.
-func (c *Virtual) parkedRemove(r *parker) {
-	if !r.onParked {
-		return
-	}
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		c.parkedHead = r.next
-	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		c.parkedTail = r.prev
-	}
-	r.prev, r.next = nil, nil
-	r.onParked = false
-	c.parkedLen--
-}
-
 // park releases the token on behalf of the current participant, whose
 // record r (from newParker) is held by a primitive. The caller then awaits r.
 func (c *Virtual) park(r *parker) {
@@ -426,8 +433,8 @@ func (c *Virtual) park(r *parker) {
 	if !r.claimed {
 		// A signal from outside the scheduled world may land between the
 		// primitive registering r and this park; r is then already claimed
-		// and queued runnable, and must not enter the parked list.
-		c.parkedPush(r)
+		// and queued runnable, and must not enroll for cancellation.
+		c.enroll(r)
 	}
 	c.current = nil
 	c.scheduleLocked()
@@ -444,7 +451,7 @@ func (c *Virtual) wake(r *parker) bool {
 		return false
 	}
 	r.claimed = true
-	c.parkedRemove(r)
+	r.unenroll()
 	c.runq = append(c.runq, r)
 	c.scheduleLocked()
 	return true
@@ -492,7 +499,7 @@ func (c *Virtual) scheduleLocked() {
 	}
 	if c.runqHead < len(c.runq) {
 		// Fast path: a runnable successor takes the token without the
-		// scheduler touching the sleeper heap or the parked list at all —
+		// scheduler touching the sleeper heap or the cancel groups at all —
 		// the compute-readmit juncture and the cancellation sweep only
 		// ever happen on an empty run queue, exactly as before the heap
 		// refactor, so hoisting the grant changes no decision.
@@ -533,6 +540,7 @@ func (c *Virtual) scheduleLocked() {
 	}
 	if len(c.sleepers) > 0 {
 		s := c.sleepers.popMin()
+		s.unenroll()
 		if s.deadline.After(c.now) {
 			c.now = s.deadline
 		}
@@ -550,37 +558,43 @@ func (c *Virtual) scheduleLocked() {
 	}
 }
 
-// sweepCanceledLocked claims every sleeper and parked waiter whose context
-// is already canceled, making them runnable (in seq order) at the current
-// modeled time. The common no-cancellation case only reads: one channel
-// poll per cancelable waiter, no restructuring. An enrolled record is never
-// already claimed — every claim (popMin, wake's parkedRemove, this sweep)
-// unlinks under the same lock and park never enrolls a claimed record — so
-// the sweep tests the context alone. Caller holds c.mu.
+// sweepCanceledLocked claims every enrolled record — sleeper or parked
+// waiter — whose context is already canceled, making them runnable (in seq
+// order) at the current modeled time. It polls each cancel group's Done
+// channel once, so every member of a group is judged by the same read; the
+// common no-cancellation case reads one channel per distinct context and
+// restructures nothing but the groups emptied since the last sweep. An
+// enrolled record is never already claimed — every claim (popMin, wake,
+// this sweep) unenrolls under the same lock and park never enrolls a
+// claimed record — so the sweep tests the context alone. Caller holds c.mu.
 func (c *Virtual) sweepCanceledLocked() {
-	var due []*parker
-	// Scan the heap's backing array directly — collection order is
-	// irrelevant because due is sorted by seq below, and removal by heap
-	// index keeps the heap invariant without a rebuild.
-	for i := 0; i < len(c.sleepers); {
-		if r := c.sleepers[i]; r.ctxDone() {
-			due = append(due, r)
-			c.sleepers.removeIdx(i)
-			// The entry swapped into i is unexamined: do not advance.
-		} else {
-			i++
+	due := c.due
+	for i := 0; i < len(c.groups); {
+		g := c.groups[i]
+		if g.members != nil {
+			select {
+			case <-g.done:
+			default:
+				i++
+				continue
+			}
 		}
-	}
-	for r := c.parkedHead; r != nil; {
-		next := r.next
-		if r.ctxDone() {
+		for r := g.members; r != nil; {
+			next := r.cnext
+			if r.heapIdx >= 0 {
+				c.sleepers.removeIdx(r.heapIdx)
+			}
+			r.cg, r.cprev, r.cnext = nil, nil, nil
 			due = append(due, r)
-			c.parkedRemove(r)
+			r = next
 		}
-		r = next
-	}
-	if len(due) == 0 {
-		return
+		// Retire the group, empty or closed; the last one takes slot i.
+		delete(c.groupOf, g.done)
+		g.done, g.members = nil, nil
+		c.free = append(c.free, g)
+		last := len(c.groups) - 1
+		c.groups[i], c.groups[last] = c.groups[last], nil
+		c.groups = c.groups[:last]
 	}
 	for i := 1; i < len(due); i++ {
 		for j := i; j > 0 && due[j].seq < due[j-1].seq; j-- {
@@ -593,4 +607,6 @@ func (c *Virtual) sweepCanceledLocked() {
 		c.recordLocked(TraceCancel, r.seq, "")
 		c.runq = append(c.runq, r)
 	}
+	clear(due)
+	c.due = due[:0]
 }
