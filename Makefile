@@ -122,7 +122,7 @@ test-federation:
 # outside-world signal cases need real threads and repetition to show.
 test-reuse:
 	GOMAXPROCS=4 $(GO) test -race -count=20 \
-		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData' \
+		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers' \
 		./internal/vclock/ ./internal/streaming/
 
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a

@@ -17,13 +17,18 @@ import (
 // letting the virtual clock jump to the end of the period (or leaking
 // the goroutine past Close on real clocks).
 func TestCloseInterruptsParkedReconcileScan(t *testing.T) {
+	before := runtime.NumGoroutine()
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
-	defer clock.Leave()
+	left := false
+	defer func() {
+		if !left {
+			clock.Leave()
+		}
+	}()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("box", 8, clock))
 
-	before := runtime.NumGoroutine()
 	mgr := NewManager(Config{
 		Registry: reg, Clock: clock, Stream: dist.NewStream(3),
 		ReconcileEvery: 6 * time.Hour,
@@ -55,14 +60,18 @@ func TestCloseInterruptsParkedReconcileScan(t *testing.T) {
 	if at := clock.Since(vclock.Epoch); at > 2*time.Minute {
 		t.Fatalf("Close returned at virtual %v: the parked reconcile scan ran out its 6h period", at)
 	}
-	// The loop goroutine must be gone, not merely unblocked: poll briefly
-	// (wall time) for the count to settle back to the pre-manager level.
+	// The loop goroutine must be gone, not merely unblocked. Count after
+	// the driver's Leave, a scheduling juncture that releases the world's
+	// idle workers, and poll briefly (wall time) for the count to settle
+	// back to the pre-world level.
+	clock.Leave()
+	left = true
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines after Close, %d before the manager existed: reconcile loop leaked", got, before)
+		t.Fatalf("%d goroutines after Close, %d before the world existed: reconcile loop leaked", got, before)
 	}
 }
 

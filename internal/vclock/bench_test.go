@@ -125,3 +125,36 @@ func BenchmarkNotifierRoundtrip(b *testing.B) {
 		func(int) { pong.Wait(bg) },
 		func(int) { ping.Wait(bg); pong.Set() })
 }
+
+// BenchmarkGoChurn: the driver spawns one participant at a time and waits
+// for it; the participant allocates below a 4 KB frame and exits — a unit
+// attempt's shape. A fresh goroutine grows its 2 KB starting stack on every
+// spawn; an idle worker reuses a stack that has already grown.
+func BenchmarkGoChurn(b *testing.B) {
+	c := NewVirtual(Epoch)
+	c.Adopt()
+	defer c.Leave()
+	done := NewGroup(c)
+	body := func() {
+		churnSink = deepFrame(len(churnSink))
+		done.Done()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done.Add(1)
+		c.Go(body)
+		done.Wait()
+	}
+}
+
+var churnSink []byte
+
+// deepFrame allocates from under a 4 KB stack frame.
+//
+//go:noinline
+func deepFrame(n int) []byte {
+	var frame [4096]byte
+	frame[n%len(frame)] = byte(n)
+	return make([]byte, 16+int(frame[n%len(frame)]%16))
+}

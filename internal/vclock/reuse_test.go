@@ -3,6 +3,7 @@ package vclock
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -15,6 +16,8 @@ import (
 // would wake it. The two obligations (DESIGN.md "Participant record"):
 // a record is on at most one waiter list and on none once its wait has
 // returned; a signaller reads and clears a record's link before waking it.
+// A record also outlives its participant: Go hands a finished participant's
+// record, with its goroutine, to the next participant it spawns.
 // CI runs these under -race at GOMAXPROCS=4, -count=20.
 
 // ownRecord returns the calling participant's record (it holds the token).
@@ -426,4 +429,96 @@ func TestParkAllocatesNothing(t *testing.T) {
 	}
 	cancel()
 	peers.Wait()
+}
+
+// TestReusedRecordNotWokenByPriorParticipantsEvent: participant A waits on
+// an Event and finishes while others are runnable, so participant B,
+// spawned next, runs on A's record and parks it on a Notifier. Re-firing
+// A's event — by a participant, or from outside the world while it is
+// pinned — must find no registration and leave B parked.
+func TestReusedRecordNotWokenByPriorParticipantsEvent(t *testing.T) {
+	for _, outside := range []bool{false, true} {
+		name := "fired by participant"
+		if outside {
+			name = "fired from outside"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := NewVirtual(Epoch)
+			c.Adopt()
+			defer c.Leave()
+			bg := context.Background()
+			e, n := NewEvent(c), NewNotifier(c)
+			var recA, recB *parker
+			var wokeAt time.Duration
+			done := NewGroup(c)
+			done.Add(1)
+			c.Go(func() { // A
+				recA = ownRecord(c)
+				e.Wait(bg)
+				c.Go(func() { // queued, so A's record is kept when A returns
+					c.Go(func() { // B
+						defer done.Done()
+						recB = ownRecord(c)
+						n.Wait(bg)
+						wokeAt = c.Since(Epoch)
+					})
+				})
+			})
+			c.Sleep(bg, time.Minute) // A is parked on e
+			e.Fire()
+			c.Sleep(bg, time.Minute) // A has finished; B is parked on n
+			if recB != recA {
+				t.Fatal("B did not run on A's record: the test exercises no reuse")
+			}
+			e.Reset()
+			if outside {
+				c.Compute(bg, e.Fire)
+			} else {
+				e.Fire()
+			}
+			c.Sleep(bg, time.Minute)
+			n.mu.Lock()
+			parked := n.waiters.head == recB
+			n.mu.Unlock()
+			if !parked || wokeAt != 0 {
+				t.Fatalf("re-firing A's event reached B (still parked: %v, woke at %v)", parked, wokeAt)
+			}
+			n.Set()
+			done.Wait()
+			if want := 3 * time.Minute; wokeAt != want {
+				t.Errorf("B woke at %v, want %v", wokeAt, want)
+			}
+		})
+	}
+}
+
+// TestIdleWorkersReleasedOnLeave: short participants spawned by an adopted
+// driver finish back to back and stay as idle workers while the driver
+// holds the token; the driver's Leave releases them, so the goroutine count
+// settles back to where it stood before the world existed.
+func TestIdleWorkersReleasedOnLeave(t *testing.T) {
+	const n = 16
+	before := runtime.NumGoroutine()
+	c := NewVirtual(Epoch)
+	c.Adopt()
+	g := NewGroup(c)
+	g.Add(n)
+	for i := 0; i < n; i++ {
+		c.Go(g.Done)
+	}
+	g.Wait()
+	c.mu.Lock()
+	idle := len(c.idle)
+	c.mu.Unlock()
+	if idle != n {
+		t.Fatalf("%d idle workers while the driver holds the token, want %d", idle, n)
+	}
+	c.Leave()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after Leave, %d before the world existed: idle workers leaked", got, before)
+	}
 }

@@ -78,6 +78,12 @@ type Virtual struct {
 	participants int
 	stalls       uint64
 
+	// idle holds the records of participants whose fn returned while others
+	// were runnable; each one's goroutine waits on its grant channel for the
+	// next Go. They are released at the first empty-run-queue juncture
+	// (DESIGN.md "Participant record").
+	idle []*parker
+
 	// Parallel compute phase (compute.go). computing counts Compute bodies
 	// currently executing off-token; computeDone holds finished bodies
 	// awaiting deterministic readmission; computeSeq numbers Compute calls
@@ -96,7 +102,7 @@ type Virtual struct {
 // arm again.
 type grant chan struct{}
 
-// parker is a participant's record, born in join and re-armed for every
+// parker is a participant's record, made by newRecord and re-armed for every
 // Sleep, primitive wait and Compute rejoin of that goroutine, so a park
 // allocates nothing (DESIGN.md "Participant record"). Armed, it is the
 // goroutine's registration in the run queue, the sleeper heap (deadline
@@ -125,6 +131,10 @@ type parker struct {
 	// wnext links the waiter queue of the primitive this record is parked
 	// on (waitq, primitives.go); guarded by that primitive's mutex.
 	wnext *parker
+
+	// fn is the next body an idle worker runs, set by Go before it queues
+	// the record; nil in the grant that releases the worker.
+	fn func()
 }
 
 // arm readies the token holder's record for its next wait; its previous
@@ -345,34 +355,74 @@ func (c *Virtual) await(r *parker) bool {
 
 // Go spawns fn as a registered participant. It may be called from inside
 // or outside the scheduled world; fn starts once the scheduler hands it
-// the execution token.
+// the execution token. An idle worker — a goroutine whose participant has
+// just finished — runs fn if there is one, so a steady stream of short
+// participants does not start, and grow the stack of, a goroutine apiece.
 func (c *Virtual) Go(fn func()) {
-	go c.run(c.join(), fn)
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		r := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		// Its last wait has returned, so the record is on no list (heapIdx
+		// −1, no links); re-armed with seq 0 it is what newRecord makes, and
+		// the run-queue entry and its grant read exactly as a fresh one's.
+		r.arm(nil, time.Time{}, 0)
+		r.fn = fn
+		c.joinLocked(r)
+		c.mu.Unlock()
+		return
+	}
+	r := newRecord()
+	c.joinLocked(r)
+	c.mu.Unlock()
+	go c.run(r, fn)
 }
 
 // run is a spawned participant's goroutine: fn between taking the token and
-// leaving the world.
+// leaving the world, then, while it is kept as an idle worker, each body Go
+// hands it, until it is released. A Goexit or panic in a body leaves the
+// world as before and ends the goroutine, so it is never reused.
 func (c *Virtual) run(r *parker, fn func()) {
+	done := false
+	defer func() {
+		if !done {
+			c.exit()
+		}
+	}()
 	<-r.g
-	defer c.exit()
-	fn()
+	for fn != nil {
+		fn()
+		if !c.retire(r) {
+			break
+		}
+		<-r.g
+		fn, r.fn = r.fn, nil
+	}
+	done = true
 }
 
 // Adopt registers the calling goroutine as a participant and blocks until
 // it holds the execution token. Experiment drivers call this once, before
 // interacting with any component on the clock, and pair it with Leave.
-func (c *Virtual) Adopt() { <-c.join().g }
-
-// join registers a new participant and queues it for the token. Its record
-// and grant channel are made here, once, and serve every wait it makes.
-func (c *Virtual) join() *parker {
-	r := &parker{g: make(grant, 1), heapIdx: -1}
+func (c *Virtual) Adopt() {
+	r := newRecord()
 	c.mu.Lock()
+	c.joinLocked(r)
+	c.mu.Unlock()
+	<-r.g
+}
+
+// newRecord makes a participant's record and grant channel; they serve
+// every wait it makes, and every participant an idle worker runs after it.
+func newRecord() *parker { return &parker{g: make(grant, 1), heapIdx: -1} }
+
+// joinLocked registers a new participant and queues its record for the
+// token. Caller holds c.mu.
+func (c *Virtual) joinLocked(r *parker) {
 	c.participants++
 	c.runq = append(c.runq, r)
 	c.scheduleLocked()
-	c.mu.Unlock()
-	return r
 }
 
 // Leave deregisters the calling participant (the inverse of Adopt) and
@@ -392,6 +442,29 @@ func (c *Virtual) Stalls() uint64 {
 // exit removes the current participant from the world.
 func (c *Virtual) exit() {
 	c.mu.Lock()
+	c.exitLocked()
+	c.mu.Unlock()
+}
+
+// retire is exit for a Go-spawned participant whose fn returned: if the run
+// queue is non-empty, its record r joins the idle workers and retire
+// reports true. With nobody runnable the goroutine ends as before — an
+// idle worker would only be released again at this very juncture.
+func (c *Virtual) retire(r *parker) bool {
+	c.mu.Lock()
+	keep := c.runqHead < len(c.runq)
+	c.exitLocked()
+	if keep {
+		c.idle = append(c.idle, r)
+	}
+	c.mu.Unlock()
+	return keep
+}
+
+// exitLocked removes the current participant from the world. When the
+// last one leaves, the run queue is empty, so the scheduler releases every
+// idle worker. Caller holds c.mu.
+func (c *Virtual) exitLocked() {
 	if c.current == nil {
 		c.mu.Unlock()
 		panic("vclock: participant exit without holding the execution token")
@@ -399,7 +472,6 @@ func (c *Virtual) exit() {
 	c.participants--
 	c.current = nil
 	c.scheduleLocked()
-	c.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -506,6 +578,9 @@ func (c *Virtual) scheduleLocked() {
 		c.grantNextLocked()
 		return
 	}
+	if len(c.idle) > 0 {
+		c.releaseIdleLocked()
+	}
 	if c.computing > 0 || len(c.computeDone) > 0 {
 		// An off-token compute phase is pending. Readmission may only
 		// happen here — the run queue is empty, so this juncture is reached
@@ -556,6 +631,20 @@ func (c *Virtual) scheduleLocked() {
 		// outside, or a context cancellation).
 		c.stalls++
 	}
+}
+
+// releaseIdleLocked wakes every idle worker with no body, so its goroutine
+// returns. It runs at the first empty-run-queue juncture after the workers
+// were kept: a parked idle goroutine holds a shallow stack, and enough of
+// them pull down the starting stack size the runtime picks for every new
+// goroutine, so workers are kept only across a run of back-to-back grants.
+// Caller holds c.mu.
+func (c *Virtual) releaseIdleLocked() {
+	for i, r := range c.idle {
+		r.g <- struct{}{}
+		c.idle[i] = nil
+	}
+	c.idle = c.idle[:0]
 }
 
 // sweepCanceledLocked claims every enrolled record — sleeper or parked
