@@ -74,7 +74,8 @@ profile:
 # one mutex in the broker side and one in the pilot manager; and the
 # backends are the SAGA services — saga imports none of them, and
 # internal/infra/** + internal/saga declare at most seven mutexes, none on
-# a job, VM, container or glidein (rule 13).
+# a job, VM, container or glidein (rule 13), and mint every per-job context
+# as a clock cancel scope (rule 14).
 seed-audit:
 	bash tools/seed-audit.sh
 
@@ -118,11 +119,13 @@ test-federation:
 # Record-reuse hazards under the race detector, repeated: a participant
 # re-arms one parker for every wait and streaming's runners and calls
 # re-arm one wait object, so a stale reference would reach a *live* wait
-# (DESIGN.md "Participant record", "Hot path → Park/wake"). The
-# outside-world signal cases need real threads and repetition to show.
+# (DESIGN.md "Participant record", "Hot path → Park/wake"); a cancel scope's
+# group is recycled too, so a stale cancel would list a live scope's
+# (TestScope*, DESIGN.md "Cancellation"). The outside-world signal cases
+# need real threads and repetition to show.
 test-reuse:
 	GOMAXPROCS=4 $(GO) test -race -count=20 \
-		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers' \
+		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers|TestScope' \
 		./internal/vclock/ ./internal/streaming/
 
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a

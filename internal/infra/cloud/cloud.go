@@ -167,7 +167,7 @@ func (p *Provider) Submit(d saga.Description) (saga.Job, error) {
 		}
 	}
 	n := (max(d.TotalCores, 1) + vt.Cores - 1) / vt.Cores
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := p.cfg.Clock.WithCancel(context.Background())
 	p.mu.Lock()
 	p.nextJob++
 	j := saga.NewJobRecord(fmt.Sprintf("cloud.%s.%d", p.cfg.Name, p.nextJob), &p.mu, p.cfg.Clock, cancel)
@@ -185,7 +185,7 @@ func (p *Provider) Submit(d saga.Description) (saga.Job, error) {
 		if d.Walltime > 0 {
 			// The walltime watchdog: cancels the run once it elapses, and is
 			// disarmed when the payload returns first.
-			wctx, disarm := context.WithCancel(ctx)
+			wctx, disarm := p.cfg.Clock.WithCancel(ctx)
 			defer disarm()
 			p.cfg.Clock.Go(func() {
 				if p.cfg.Clock.Sleep(wctx, d.Walltime) {

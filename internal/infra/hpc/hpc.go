@@ -347,7 +347,7 @@ func (c *Cluster) startLocked(j *job, now time.Time) {
 	}
 	c.running[j] = expectedEnd
 
-	ctx, stop := context.WithCancel(c.ctx)
+	ctx, stop := c.cfg.Clock.WithCancel(c.ctx)
 	j.stop = stop
 	c.queueWaits.Add(now.Sub(j.SubmitTime()).Seconds())
 

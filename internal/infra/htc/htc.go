@@ -196,13 +196,13 @@ func (p *Pool) Submit(d saga.Description) (saga.Job, error) {
 	if p.closed {
 		return nil, ErrPoolClosed
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := p.cfg.Clock.WithCancel(context.Background())
 	j := &job{
 		JobRecord: saga.NewJobRecord(fmt.Sprintf("htc.%s.%d", p.cfg.Name, p.nextJob), &p.mu, p.cfg.Clock, cancel),
 		changed:   vclock.NewNotifier(p.cfg.Clock),
 		release:   vclock.NewEvent(p.cfg.Clock),
 	}
-	j.pctx, j.pcancel = context.WithCancel(ctx)
+	j.pctx, j.pcancel = p.cfg.Clock.WithCancel(ctx)
 	for i := 0; i < slots; i++ {
 		p.nextGlidein++
 		rng := p.evictRoot.SplitLabel(uint64(p.nextGlidein))
@@ -296,7 +296,7 @@ func (p *Pool) runGlidein(g *glidein) {
 // attempt is one slot tenure of g; it may be interrupted by a sampled
 // eviction event, and reports whether it was.
 func (p *Pool) attempt(g *glidein) bool {
-	ctx, cancel := context.WithCancel(p.ctx)
+	ctx, cancel := p.cfg.Clock.WithCancel(p.ctx)
 	defer cancel()
 
 	// Eviction lands in the first half of the estimated runtime so that an

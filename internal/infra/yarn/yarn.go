@@ -136,7 +136,7 @@ func (c *Cluster) Submit(d saga.Description) (saga.Job, error) {
 	cores := max(d.TotalCores, 1)
 	per := min(cores, containerCores)
 	n := (cores + per - 1) / per
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := c.cfg.Clock.WithCancel(context.Background())
 	c.mu.Lock()
 	c.nextJob++
 	j := saga.NewJobRecord(fmt.Sprintf("yarn.%s.%d", c.cfg.Name, c.nextJob), &c.mu, c.cfg.Clock, cancel)

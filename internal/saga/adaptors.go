@@ -70,7 +70,7 @@ func (s *LocalService) Submit(d Description) (Job, error) {
 	id := fmt.Sprintf("local.%s.%d", s.name, s.nextID)
 	s.mu.Unlock()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := s.clock.WithCancel(context.Background())
 	j := NewJobRecord(id, &s.mu, s.clock, cancel)
 	cores := d.TotalCores
 	if cores <= 0 {
@@ -91,7 +91,7 @@ func (s *LocalService) Submit(d Description) (Job, error) {
 		if d.Walltime > 0 {
 			// The walltime watchdog: cancels the run once it elapses, and is
 			// disarmed when the payload returns first.
-			wctx, disarm := context.WithCancel(ctx)
+			wctx, disarm := s.clock.WithCancel(ctx)
 			defer disarm()
 			s.wg.Add(1)
 			s.clock.Go(func() {

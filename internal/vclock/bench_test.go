@@ -60,6 +60,52 @@ func BenchmarkSweepSharedContexts(b *testing.B) {
 	asleep.Wait()
 }
 
+// BenchmarkSweepScopedContexts: one advance by a lone runnable participant
+// past 128 waiters parked each on its own context under one parent — the
+// HTC glidein shape. "scope" mints them with Virtual.WithCancel, so the
+// sweep reads the parent's Done alone; "standard" mints them with
+// context.WithCancel, and the sweep reads all 128.
+func BenchmarkSweepScopedContexts(b *testing.B) {
+	const waiters = 128
+	for _, scoped := range []bool{true, false} {
+		name := "standard"
+		if scoped {
+			name = "scope"
+		}
+		b.Run(name, func(b *testing.B) {
+			c := NewVirtual(Epoch)
+			c.Adopt()
+			defer c.Leave()
+			bg := context.Background()
+			parent, cancelParent := context.WithCancel(bg)
+			e := NewEvent(c)
+			parked := NewGroup(c)
+			for i := 0; i < waiters; i++ {
+				mint := context.WithCancel
+				if scoped {
+					mint = c.WithCancel
+				}
+				ctx, cancel := mint(parent)
+				parked.Add(1)
+				c.Go(func() {
+					defer parked.Done()
+					defer cancel()
+					e.Wait(ctx)
+				})
+			}
+			c.Sleep(bg, time.Microsecond) // every waiter is parked
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Sleep(bg, time.Microsecond)
+			}
+			b.StopTimer()
+			cancelParent()
+			parked.Wait()
+		})
+	}
+}
+
 // benchPingPong times b.N round trips between the adopted driver (kick,
 // then wait) and a Go-spawned peer: two park/wake pairs per round trip.
 func benchPingPong(b *testing.B, c *Virtual, kick, wait, peer func(i int)) {

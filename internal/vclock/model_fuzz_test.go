@@ -15,14 +15,27 @@ const (
 	modelOps   = 64 // ops decoded at most, over all programs
 )
 
-// decodeModelProgram turns fuzz bytes into programs: byte 0 picks how many,
-// then each (op, arg) pair appends op kind op&7 to program (op>>3)%n.
-func decodeModelProgram(data []byte) [][]modelOp {
+// decodeModelProgram turns fuzz bytes into a program: header byte 0 picks
+// how many programs (its low bits) and, when its high bit is set, says a
+// topology byte follows; then each (op, arg) pair appends op kind op&7 to
+// program (op>>3)%n. Without a topology byte the contexts are standard
+// roots, so corpus entries written for flat contexts keep their meaning.
+func decodeModelProgram(data []byte) modelProgram {
+	var p modelProgram
+	for k := range p.ctxs {
+		p.ctxs[k].parent = modelCtxs
+	}
 	if len(data) == 0 {
-		return [][]modelOp{nil}
+		p.progs = [][]modelOp{nil}
+		return p
 	}
 	progs := make([][]modelOp, 1+int(data[0])%modelProgs)
-	for i := 1; i+1 < len(data) && i < 2*modelOps; i += 2 {
+	i := 1
+	if data[0]&0x80 != 0 && len(data) > 1 {
+		p.ctxs = decodeModelTree(data[1])
+		i = 2
+	}
+	for end := i + 2*modelOps; i+1 < len(data) && i < end; i += 2 {
 		op, arg := int(data[i]), int(data[i+1])
 		o := modelOp{kind: op & 7}
 		switch o.kind {
@@ -37,10 +50,28 @@ func decodeModelProgram(data []byte) [][]modelOp {
 		case opCancel:
 			o.a = arg % modelCtxs
 		}
-		p := (op >> 3) % len(progs)
-		progs[p] = append(progs[p], o)
+		to := (op >> 3) % len(progs)
+		progs[to] = append(progs[to], o)
 	}
-	return progs
+	p.progs = progs
+	return p
+}
+
+// decodeModelTree reads a topology byte: bit k makes context k a scope;
+// bit 3 hangs context 1 under context 0; bits 4–5 hang context 2 under
+// Background, context 0 or context 1 (value mod 3).
+func decodeModelTree(t byte) (ctxs [modelCtxs]modelCtx) {
+	parents := [modelCtxs]int{modelCtxs, modelCtxs, modelCtxs}
+	if t>>3&1 == 1 {
+		parents[1] = 0
+	}
+	if v := int(t>>4&3) % 3; v > 0 {
+		parents[2] = v - 1
+	}
+	for k := range ctxs {
+		ctxs[k] = modelCtx{parent: parents[k], scope: t>>k&1 == 1}
+	}
+	return ctxs
 }
 
 // realRun interprets a model program on a real Virtual: one goroutine per
@@ -90,15 +121,20 @@ func (r *realRun) spawn(prog int) {
 	})
 }
 
-// runReal runs progs to the end or to a stall, snapshots the recorder's
-// full trace, Now and Stalls, then tears the world down from outside.
-func runReal(t *testing.T, progs [][]modelOp) (trace []modelEntry, now time.Duration, stalls uint64) {
-	r := &realRun{c: NewVirtual(Epoch), progs: progs}
+// runReal runs p to the end or to a stall, snapshots the recorder's full
+// trace, Now and Stalls, then tears the world down from outside. Each
+// context is minted under its parent, as a scope or a standard one.
+func runReal(t *testing.T, p modelProgram) (trace []modelEntry, now time.Duration, stalls uint64) {
+	r := &realRun{c: NewVirtual(Epoch), progs: p.progs}
 	r.c.StartRecorder(RecorderConfig{WindowFrom: 1, WindowTo: 1 << 62})
-	for i := range r.cancels {
-		r.ctxs[i], r.cancels[i] = context.WithCancel(context.Background())
-	}
 	r.ctxs[modelCtxs] = context.Background()
+	for i, x := range p.ctxs {
+		if x.scope {
+			r.ctxs[i], r.cancels[i] = r.c.WithCancel(r.ctxs[x.parent])
+		} else {
+			r.ctxs[i], r.cancels[i] = context.WithCancel(r.ctxs[x.parent])
+		}
+	}
 	for i := range r.evs {
 		r.evs[i], r.ns[i] = NewEvent(r.c), NewNotifier(r.c)
 	}
@@ -143,8 +179,10 @@ func runReal(t *testing.T, progs [][]modelOp) (trace []modelEntry, now time.Dura
 // FuzzVirtualMatchesModel runs each decoded program on the reference model
 // and on a real Virtual at GOMAXPROCS 1 and 2, and requires the same
 // decisions (kind, seq, instant), the same final Now and the same Stalls.
-// Its corpus (testdata/fuzz) holds contexts shared by sleepers and waiters
-// and several contexts canceled in one juncture.
+// Its corpus (testdata/fuzz) holds contexts shared by sleepers and waiters,
+// several contexts canceled in one juncture, and the context trees a scope
+// sits in: under a standard parent, under a scope, and with a standard
+// child.
 func FuzzVirtualMatchesModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		progs := decodeModelProgram(data)

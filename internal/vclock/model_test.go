@@ -15,7 +15,10 @@ import (
 // order, before time may advance to the earliest (deadline, seq) sleeper;
 // a stall is counted only when nothing is runnable and nothing sleeps.
 // FuzzVirtualMatchesModel (model_fuzz_test.go) holds the real executor to
-// it. Sem, Group and Compute are not modeled yet.
+// it. Sem, Group and Compute are not modeled yet. The cancelable contexts
+// form a tree; canceling one cancels its subtree. Whether the real one is
+// a cancel scope (Virtual.WithCancel) or a standard context is not the
+// model's business: the rule is the same for both.
 
 // Op kinds of a model program.
 const (
@@ -36,6 +39,20 @@ const (
 )
 
 type modelOp struct{ kind, a, b int }
+
+// modelCtx is one cancelable context: its parent, a lower index or
+// modelCtxs for Background, and whether the real run mints it as a scope.
+type modelCtx struct {
+	parent int
+	scope  bool
+}
+
+// modelProgram is a run's context tree and its participants' programs;
+// program 0 is the root participant's.
+type modelProgram struct {
+	ctxs  [modelCtxs]modelCtx
+	progs [][]modelOp
+}
 
 // modelEntry is one decision as the recorder sees it.
 type modelEntry struct {
@@ -58,7 +75,7 @@ type modelPart struct {
 }
 
 type model struct {
-	progs    [][]modelOp
+	modelProgram
 	now      time.Duration
 	seq      uint64
 	cur      *modelPart
@@ -75,10 +92,10 @@ type model struct {
 	trace    []modelEntry
 }
 
-// runModel interprets progs from a root participant running program 0,
+// runModel interprets p from a root participant running program 0,
 // spawned from outside the world, until the world finishes or stalls.
-func runModel(progs [][]modelOp) *model {
-	m := &model{progs: progs}
+func runModel(p modelProgram) *model {
+	m := &model{modelProgram: p}
 	m.join(0)
 	m.schedule()
 	for m.cur != nil {
@@ -147,7 +164,12 @@ func (m *model) exec(p *modelPart) {
 				m.set[op.a] = true
 			}
 		case opCancel:
-			m.canceled[op.a] = true
+			var sub [modelCtxs]bool
+			for k := op.a; k < modelCtxs; k++ {
+				if par := m.ctxs[k].parent; k == op.a || par < modelCtxs && sub[par] {
+					sub[k], m.canceled[k] = true, true
+				}
+			}
 		}
 	}
 	m.live--

@@ -25,7 +25,8 @@ import (
 // Context cancellation is delivered through the scheduler: every Sleep and
 // primitive Wait on a cancelable context enrolls in the cancel group of
 // its ctx.Done() channel, and before the executor advances modeled time
-// (or declares the world stalled) it polls each group's channel once and
+// (or declares the world stalled) it polls each group's channel once (a
+// cancel scope's, from WithCancel, only once it can have closed) and
 // makes every member of a closed one runnable at the *current* instant,
 // in seq order. A cancellation issued by a participant therefore takes
 // effect at the modeled time it was issued — never after a spurious time
@@ -65,11 +66,13 @@ type Virtual struct {
 	// both keys together are unique, so the order is total).
 	sleepers sleepHeap
 
-	// groups holds one cancelGroup per distinct Done channel among the
-	// armed cancelable records, so the cancellation sweep polls each
+	// groups holds one listed cancelGroup per distinct Done channel among
+	// the armed cancelable records, so the cancellation sweep polls each
 	// context once however many sleepers and waiters share it; groupOf
-	// finds a record's group. Retired groups are recycled through free and
-	// due is the sweep's scratch: a sweep allocates nothing in steady state.
+	// finds a record's group, listed or not (a scope's group is unlisted
+	// until its context can close, see WithCancel). Retired groups are
+	// recycled through free and due is the sweep's scratch: a sweep
+	// allocates nothing in steady state.
 	groups  []*cancelGroup
 	groupOf map[<-chan struct{}]*cancelGroup
 	free    []*cancelGroup
@@ -147,9 +150,98 @@ func (r *parker) arm(done <-chan struct{}, deadline time.Time, seq uint64) {
 // cancelGroup is the set of enrolled records whose contexts share one Done
 // channel, linked through parker.cprev/cnext. Member order is irrelevant:
 // the sweep delivers by seq.
+//
+// A listed group is on c.groups and the sweep polls it. A scope's group
+// (WithCancel) is unlisted until its Done can close: it hangs under up,
+// the group of its parent's Done, linked with its siblings through
+// kprev/knext from up.kids, and is listed by its own cancel or when the
+// sweep finds up closed.
 type cancelGroup struct {
 	done    <-chan struct{}
 	members *parker
+	listed  bool
+
+	up, kids, kprev, knext *cancelGroup
+}
+
+// newGroupLocked registers an unlisted group for done, recycled from the
+// free list when one is there. Caller holds c.mu.
+func (c *Virtual) newGroupLocked(done <-chan struct{}) *cancelGroup {
+	var g *cancelGroup
+	if n := len(c.free); n > 0 {
+		g, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		g = new(cancelGroup)
+	}
+	g.done = done
+	c.groupOf[done] = g
+	return g
+}
+
+// listLocked puts g on the sweep's list, unhooking it from the group it
+// hung under. Caller holds c.mu.
+func (c *Virtual) listLocked(g *cancelGroup) {
+	if u := g.up; u != nil {
+		if g.kprev != nil {
+			g.kprev.knext = g.knext
+		} else {
+			u.kids = g.knext
+		}
+		if g.knext != nil {
+			g.knext.kprev = g.kprev
+		}
+		g.up, g.kprev, g.knext = nil, nil, nil
+	}
+	g.listed = true
+	c.groups = append(c.groups, g)
+}
+
+// WithCancel is context.WithCancel for a context the cancellation sweep
+// does not poll until it can be closed — a cancel scope. Its Done closes
+// only by its own cancel or by its parent's closing: the returned cancel
+// lists the scope's group before it cancels, and the sweep lists a closed
+// group's scopes before it polls them. A sweep therefore finds the due set
+// a poll of every group finds, while a scope nobody has canceled costs it
+// nothing; the scopes of one parent cost it one poll, of the parent. A
+// standard context derived from a scope has a Done of its own and is
+// polled as any other (DESIGN.md "Cancellation").
+func (c *Virtual) WithCancel(parent context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(parent)
+	done := ctx.Done()
+	select {
+	case <-done:
+		// Minted under a done parent (Done may be the runtime's shared
+		// closed channel): a standard context, enrolled as any other.
+		return ctx, cancel
+	default:
+	}
+	pdone := parent.Done()
+	c.mu.Lock()
+	g := c.newGroupLocked(done)
+	if pdone != nil {
+		u := c.groupOf[pdone]
+		if u == nil {
+			u = c.newGroupLocked(pdone)
+			c.listLocked(u)
+		}
+		g.up = u
+		if g.knext = u.kids; g.knext != nil {
+			g.knext.kprev = g
+		}
+		u.kids = g
+	}
+	c.mu.Unlock()
+	return ctx, func() {
+		// List first: an outside cancel's waiters nudge a sweep that must
+		// find the group listed. A group retired (and maybe recycled)
+		// since is no longer this scope's.
+		c.mu.Lock()
+		if c.groupOf[done] == g && !g.listed {
+			c.listLocked(g)
+		}
+		c.mu.Unlock()
+		cancel()
+	}
 }
 
 // enroll links a sleeping or parked record into the cancel group of its
@@ -161,14 +253,8 @@ func (c *Virtual) enroll(r *parker) {
 	}
 	g := c.groupOf[r.done]
 	if g == nil {
-		if n := len(c.free); n > 0 {
-			g, c.free = c.free[n-1], c.free[:n-1]
-		} else {
-			g = new(cancelGroup)
-		}
-		g.done = r.done
-		c.groups = append(c.groups, g)
-		c.groupOf[r.done] = g
+		g = c.newGroupLocked(r.done)
+		c.listLocked(g)
 	}
 	if r.cnext = g.members; r.cnext != nil {
 		r.cnext.cprev = r
@@ -177,7 +263,7 @@ func (c *Virtual) enroll(r *parker) {
 }
 
 // unenroll unlinks r from its cancel group in O(1); a no-op when it is in
-// none. An emptied group stays listed until the next sweep retires it.
+// none. An emptied group stays registered until a sweep retires it.
 // Caller holds c.mu.
 func (r *parker) unenroll() {
 	g := r.cg
@@ -649,10 +735,12 @@ func (c *Virtual) releaseIdleLocked() {
 
 // sweepCanceledLocked claims every enrolled record — sleeper or parked
 // waiter — whose context is already canceled, making them runnable (in seq
-// order) at the current modeled time. It polls each cancel group's Done
-// channel once, so every member of a group is judged by the same read; the
-// common no-cancellation case reads one channel per distinct context and
-// restructures nothing but the groups emptied since the last sweep. An
+// order) at the current modeled time. It polls each listed cancel group's
+// Done channel once, so every member of a group is judged by the same read;
+// the common no-cancellation case reads one channel per distinct context
+// that is not an uncanceled scope, and restructures nothing but the groups
+// emptied since the last sweep. A closed group lists the scopes hanging
+// under it, and this same loop reaches and polls each by its own Done. An
 // enrolled record is never already claimed — every claim (popMin, wake,
 // this sweep) unenrolls under the same lock and park never enrolls a
 // claimed record — so the sweep tests the context alone. Caller holds c.mu.
@@ -660,7 +748,7 @@ func (c *Virtual) sweepCanceledLocked() {
 	due := c.due
 	for i := 0; i < len(c.groups); {
 		g := c.groups[i]
-		if g.members != nil {
+		if g.members != nil || g.kids != nil {
 			select {
 			case <-g.done:
 			default:
@@ -677,9 +765,12 @@ func (c *Virtual) sweepCanceledLocked() {
 			due = append(due, r)
 			r = next
 		}
+		for g.kids != nil {
+			c.listLocked(g.kids)
+		}
 		// Retire the group, empty or closed; the last one takes slot i.
 		delete(c.groupOf, g.done)
-		g.done, g.members = nil, nil
+		g.done, g.members, g.listed = nil, nil, false
 		c.free = append(c.free, g)
 		last := len(c.groups) - 1
 		c.groups[i], c.groups[last] = c.groups[last], nil

@@ -90,6 +90,14 @@
 #      and saga.LocalService, plus saga.Registry — and no job, VM,
 #      container or glidein type declares one (a *sync.Mutex pointing at
 #      the backend's is a reference, not a declaration).
+#  14. A backend's per-job contexts are the clock's cancel scopes
+#      (DESIGN.md "Cancellation"): non-test internal/infra/** and
+#      internal/saga call no context.WithCancel/WithTimeout/WithDeadline
+#      outside a `func New(` — the service-lifetime context a backend's
+#      constructor makes, one poll that its jobs' scopes hang under. A
+#      standard context per job or per attempt is one more channel every
+#      cancellation sweep reads until the job ends; vclock.Virtual's
+#      WithCancel costs the sweep nothing until it can close.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -318,6 +326,18 @@ locked=$(awk '
 if [ -n "$locked" ]; then
   echo "$locked" | sed 's|^|seed-audit:   |' >&2
   echo "seed-audit: a job, VM, container or glidein has its own lock — its backend's mutex guards it" >&2
+  fail=1
+fi
+
+# Rule 14: no standard cancelable context in a backend outside its New.
+polled=$(awk '
+  FNR == 1 { fn = "" }
+  /^func / { fn = $0 }
+  /context\.With(Cancel|Timeout|Deadline)\(/ && fn !~ /^func New\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' $backend)
+if [ -n "$polled" ]; then
+  echo "$polled" | sed 's|^|seed-audit:   |' >&2
+  echo "seed-audit: a backend mints a standard cancelable context per job — use its clock's WithCancel (only New may make the service-lifetime context)" >&2
   fail=1
 fi
 
