@@ -13,6 +13,7 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/infra/hpc"
+	"gopilot/internal/plan"
 	"gopilot/internal/saga"
 	"gopilot/internal/vclock"
 	"gopilot/internal/vclock/vclocktest"
@@ -189,6 +190,104 @@ func TestFailedUnit(t *testing.T) {
 	if state != UnitFailed || !errors.Is(err, boom) {
 		t.Fatalf("state=%v err=%v", state, err)
 	}
+}
+
+// TestWaitersParkedBeforeTheFinishWakeInParkOrder: a unit has no done event
+// until a Wait parks on it; the first such Wait makes it and the later ones
+// park on the same event, and the finish wakes them all at its own instant
+// in the order they parked — here the reverse of the order they were
+// spawned in.
+func TestWaitersParkedBeforeTheFinishWakeInParkOrder(t *testing.T) {
+	env := newEnv(t, Config{}, hpc.Config{})
+	ctx := context.Background()
+	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 1})
+	u, err := env.mgr.SubmitUnit(quickUnit("x", 10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.mgr.mu.Lock()
+	made := u.done != nil
+	env.mgr.mu.Unlock()
+	if made {
+		t.Fatal("a unit nobody waits on has a done event")
+	}
+	var woke []int // appended on the executor's token
+	var at []time.Duration
+	waiters := vclock.NewGroup(env.clock)
+	for i := 0; i < 4; i++ {
+		waiters.Add(1)
+		env.clock.Go(func() {
+			defer waiters.Done()
+			env.clock.Sleep(ctx, time.Duration(4-i)*time.Second)
+			if s, err := u.Wait(ctx); s != UnitDone || err != nil {
+				t.Errorf("waiter %d: %v, %v", i, s, err)
+			}
+			woke = append(woke, i)
+			at = append(at, env.clock.Since(vclock.Epoch))
+		})
+	}
+	waiters.Wait()
+	end := u.EndTime().Sub(vclock.Epoch)
+	if !slices.Equal(woke, []int{3, 2, 1, 0}) {
+		t.Fatalf("waiters woke in order %v, want the park order [3 2 1 0]", woke)
+	}
+	if slices.ContainsFunc(at, func(a time.Duration) bool { return a != end }) || end < 10*time.Second {
+		t.Fatalf("waiters woke at %v, want all at the finish instant %v", at, end)
+	}
+}
+
+// TestWaitOnATerminalUnitParksNobody: a Wait after the finish answers at
+// once — the state and the unit's error, or ctx.Err() if ctx is done —
+// without making an event, taking a scheduling decision or moving time.
+func TestWaitOnATerminalUnitParksNobody(t *testing.T) {
+	env := newEnv(t, Config{}, hpc.Config{})
+	env.clock.StartRecorder(vclock.RecorderConfig{})
+	env.mgr.SubmitPilot(PilotDescription{Resource: "local://lh", Cores: 1})
+	boom := errors.New("boom")
+	u, err := env.mgr.SubmitUnit(UnitDescription{Run: func(context.Context, TaskContext) error { return boom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.mgr.WaitAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before, now := env.clock.RecorderState().Decisions, env.clock.Now()
+	if s, err := u.Wait(context.Background()); s != UnitFailed || !errors.Is(err, boom) {
+		t.Fatalf("Wait after the finish: %v, %v; want Failed, boom", s, err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if s, err := u.Wait(canceled); s != UnitFailed || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait after the finish with a canceled context: %v, %v; want Failed, Canceled", s, err)
+	}
+	if d := env.clock.RecorderState().Decisions; d != before || !env.clock.Now().Equal(now) {
+		t.Fatalf("Waits on a terminal unit took %d decisions and moved time to %v", d-before, env.clock.Now())
+	}
+	env.mgr.mu.Lock()
+	made := u.done != nil
+	env.mgr.mu.Unlock()
+	if made {
+		t.Fatal("a Wait on a terminal unit made a done event")
+	}
+}
+
+// TestBindOutsideTheOfferPanics: the planner has dequeued a unit by the
+// time it calls Bind, so a Bind to a pilot the tick did not offer would
+// lose the unit and hang WaitAll; it panics instead of returning quietly.
+func TestBindOutsideTheOfferPanics(t *testing.T) {
+	env := newEnv(t, Config{}, hpc.Config{})
+	u, err := env.mgr.SubmitUnit(quickUnit("x", time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bind to a pilot the tick did not offer returned")
+		}
+	}()
+	env.mgr.mu.Lock()
+	defer env.mgr.mu.Unlock()
+	env.mgr.exec.Bind(plan.UnitSpec{ID: u.id, Ordinal: 1, Cores: 1}, "pilot-404")
 }
 
 func TestPilotWalltimeRequeuesUnits(t *testing.T) {
@@ -525,6 +624,24 @@ func TestManagerAccessorsRaceCleanFromOutside(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Participants wait on every tenth unit, so its done event is made and
+	// fired while the poller runs. Only the terminal path of Wait is under
+	// test here: the poller waits on terminal units alone, which answer
+	// from state and err under m.mu without touching done. The live path —
+	// making done, parking on it, finishUnit firing it — runs on
+	// participants only, and the executor's token handoff orders every
+	// participant step, so an unlocked access to done there is ordered as
+	// well and no -race test can report it.
+	waiters := vclock.NewGroup(clock)
+	for i := 0; i < len(units); i += 10 {
+		waiters.Add(1)
+		clock.Go(func() {
+			defer waiters.Done()
+			units[i].Wait(ctx)
+		})
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
 
 	// A bare poller. Each accessor is read in a run of its own — over every
 	// unit, over the pilots 64 times — so one that skipped m.mu would leave
@@ -561,6 +678,15 @@ func TestManagerAccessorsRaceCleanFromOutside(t *testing.T) {
 		func(u *ComputeUnit) any { return u.WaitingTime() },
 		func(u *ComputeUnit) any { return u.Runtime() },
 		func(u *ComputeUnit) any { return u.TurnaroundTime() },
+		func(u *ComputeUnit) any {
+			// Only a terminal unit: Wait on a live one parks, and a bare
+			// goroutine cannot.
+			if !u.State().Terminal() {
+				return nil
+			}
+			_, err := u.Wait(canceled)
+			return err
+		},
 	} {
 		reads = append(reads, func() {
 			for _, u := range mgr.Units() {
@@ -611,6 +737,7 @@ func TestManagerAccessorsRaceCleanFromOutside(t *testing.T) {
 		}
 		clock.Sleep(ctx, 250*time.Millisecond)
 	}
+	waiters.Wait()
 	if s := pilots[2].State(); s != PilotCanceled {
 		t.Fatalf("killed pilot is %v, want Canceled", s)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -101,10 +102,9 @@ type Manager struct {
 	exec        plannerExec // the planner's executor, reused across ticks
 	recon       *plan.Reconciler
 	pilots      []*Pilot
-	units       []*ComputeUnit
+	units       []*ComputeUnit // every unit, in ordinal order: a plan.UnitSpec's is units[Ordinal-1]
 	live        []*ComputeUnit // non-terminal units, compacted by ReconcileOnce
 	pilotByID   map[string]*Pilot
-	unitByID    map[string]*ComputeUnit
 	nextPilotID int
 	nextUnitID  int
 	activeUnits int
@@ -154,7 +154,6 @@ func NewManager(cfg Config) *Manager {
 		pilotRoot: cfg.Stream.Named("pilot"),
 		unitRoot:  cfg.Stream.Named("unit"),
 		pilotByID: make(map[string]*Pilot),
-		unitByID:  make(map[string]*ComputeUnit),
 		recon:     plan.NewReconciler(),
 		idle:      vclock.NewEvent(cfg.Clock),
 		kick:      vclock.NewNotifier(cfg.Clock),
@@ -170,11 +169,7 @@ func NewManager(cfg Config) *Manager {
 		// behind the candidates plannerExec just offered. It runs inside
 		// Plan, under m.mu, straight after that Candidates call.
 		Policy: func(u plan.UnitSpec, _ []plan.Candidate) string {
-			cu := m.unitByID[u.ID]
-			if cu == nil {
-				return ""
-			}
-			p := m.cfg.Scheduler.SelectPilot(cu, m.exec.pilots, m.cfg.Data)
+			p := m.cfg.Scheduler.SelectPilot(m.units[u.Ordinal-1], m.exec.pilots, m.cfg.Data)
 			if p == nil {
 				return ""
 			}
@@ -281,32 +276,83 @@ func (m *Manager) SubmitPilot(d PilotDescription) (*Pilot, error) {
 	return p, nil
 }
 
+var errNilRun = errors.New("core: unit description has nil Run")
+
 // SubmitUnit adds a unit to the planner's queue for late binding.
 func (m *Manager) SubmitUnit(d UnitDescription) (*ComputeUnit, error) {
 	if d.Run == nil {
-		return nil, errors.New("core: unit description has nil Run")
+		return nil, errNilRun
 	}
+	u := new(ComputeUnit)
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil, ErrManagerClosed
+	}
+	m.admitLocked(u, d, m.cfg.Clock.Now())
+	m.mu.Unlock()
+	m.reconKick.Set()
+	m.wake()
+	return u, nil
+}
+
+// SubmitUnits submits a batch of units in order, in one critical section:
+// the batch's units are one allocation, the unit table and the planner grow
+// once for all of them, and the dispatcher is woken once. If a description
+// has a nil Run, the units before it are admitted and returned with the
+// error; it and those after it are not, and take no ordinal.
+func (m *Manager) SubmitUnits(ds []UnitDescription) ([]*ComputeUnit, error) {
+	var err error
+	n := slices.IndexFunc(ds, func(d UnitDescription) bool { return d.Run == nil })
+	if n < 0 {
+		n = len(ds)
+	} else {
+		err = errNilRun
+	}
+	out := make([]*ComputeUnit, n)
+	if n == 0 {
+		return out, err
+	}
+	slab := make([]ComputeUnit, n)
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return out[:0], ErrManagerClosed
+	}
+	now := m.cfg.Clock.Now()
+	m.units = slices.Grow(m.units, n)
+	m.live = slices.Grow(m.live, n)
+	m.planner.Grow(n)
+	for i := range out {
+		out[i] = &slab[i]
+		m.admitLocked(out[i], ds[i], now)
+	}
+	m.mu.Unlock()
+	m.reconKick.Set()
+	m.wake()
+	return out, err
+}
+
+// admitLocked makes u the next unit and queues it for late binding (m.mu
+// must be held). u is a zero ComputeUnit, fresh from new or a batch's
+// slice, so admission writes only the fields it sets: a composite literal
+// copied over u would zero a temporary and move it under the GC's bulk
+// write barrier. Its done event is made by the first Wait that parks, if
+// any does.
+func (m *Manager) admitLocked(u *ComputeUnit, d UnitDescription, now time.Time) {
 	if d.Cores <= 0 {
 		d.Cores = 1
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrManagerClosed
-	}
 	m.nextUnitID++
-	u := &ComputeUnit{
-		id:        "unit-" + strconv.Itoa(m.nextUnitID),
-		desc:      d,
-		manager:   m,
-		stream:    m.unitRoot.SplitLabel(uint64(m.nextUnitID)),
-		state:     UnitPending,
-		submitted: m.cfg.Clock.Now(),
-		done:      vclock.NewEvent(m.cfg.Clock),
-	}
+	var id [24]byte // "unit-" and the digits, built on the stack: one allocation, not two
+	u.id = string(strconv.AppendInt(append(id[:0], "unit-"...), int64(m.nextUnitID), 10))
+	u.desc = d
+	u.manager = m
+	u.stream = m.unitRoot.SplitLabel(uint64(m.nextUnitID))
+	u.state = UnitPending
+	u.submitted = now
 	m.units = append(m.units, u)
 	m.live = append(m.live, u)
-	m.unitByID[u.id] = u
 	m.planner.Admit(plan.UnitSpec{
 		ID:         u.id,
 		Ordinal:    uint64(m.nextUnitID),
@@ -318,22 +364,16 @@ func (m *Manager) SubmitUnit(d UnitDescription) (*ComputeUnit, error) {
 	}
 	m.activeUnits++
 	m.notify(u, UnitPending)
-	m.reconKick.Set()
-	m.wake()
-	return u, nil
 }
 
-// SubmitUnits submits a batch of units in order.
-func (m *Manager) SubmitUnits(ds []UnitDescription) ([]*ComputeUnit, error) {
-	out := make([]*ComputeUnit, 0, len(ds))
-	for _, d := range ds {
-		u, err := m.SubmitUnit(d)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, u)
+// unitNamed returns the unit whose ID is id (m.mu must be held): admitLocked
+// names a unit "unit-<ordinal>", and the ordinal indexes m.units.
+func (m *Manager) unitNamed(id string) *ComputeUnit {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "unit-"))
+	if err != nil || n < 1 || n > len(m.units) {
+		panic("core: no unit " + id)
 	}
-	return out, nil
+	return m.units[n-1]
 }
 
 // Pilots returns a snapshot of all pilots.
@@ -383,8 +423,8 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	for _, id := range m.planner.DrainPending() {
-		m.finishUnit(m.unitByID[id], UnitCanceled, ErrManagerClosed)
+	for _, u := range m.planner.DrainPending() {
+		m.finishUnit(m.units[u.Ordinal-1], UnitCanceled, ErrManagerClosed)
 	}
 	pilots := append([]*Pilot(nil), m.pilots...)
 	m.mu.Unlock()
@@ -519,13 +559,21 @@ func (e *plannerExec) Candidates(u plan.UnitSpec) []plan.Candidate {
 
 // Bind implements plan.Executor: reserve cores — on the pilot and in the
 // tick's snapshot — mark the unit Scheduled and hand it to the pilot's
-// agent.
+// agent. The planner binds only to a pilot the last Candidates call
+// offered, and has already dequeued the unit, so a pilot outside that
+// answer would lose the unit: it is a broken contract, and panics.
 func (e *plannerExec) Bind(u plan.UnitSpec, pilotID string) {
 	m := e.m
-	cu := m.unitByID[u.ID]
-	p := m.pilotByID[pilotID]
-	if cu == nil || p == nil {
-		return
+	cu := m.units[u.Ordinal-1]
+	var p *Pilot
+	for i, c := range e.cands {
+		if c.ID == pilotID {
+			p = e.pilots[i]
+			break
+		}
+	}
+	if p == nil {
+		panic("core: the planner bound " + u.ID + " to " + pilotID + ", which the tick did not offer")
 	}
 	p.freeCores.Add(-int64(cu.desc.Cores))
 	p.running[cu] = struct{}{}
@@ -728,7 +776,9 @@ func (m *Manager) finishUnit(cu *ComputeUnit, s UnitState, err error) {
 	cu.state = s
 	cu.err = err
 	cu.ended = m.cfg.Clock.Now()
-	cu.done.Fire()
+	if cu.done != nil {
+		cu.done.Fire()
+	}
 	m.notify(cu, s)
 	m.planner.Forget(cu.id)
 	m.activeUnits--
@@ -823,7 +873,7 @@ func (m *Manager) ReconcileOnce() []plan.Drift {
 	}
 	confirmed := m.recon.Observe(units, pilots)
 	for _, d := range confirmed {
-		m.applyDrift(d, m.unitByID[d.Unit], m.pilotByID[d.Pilot])
+		m.applyDrift(d, m.unitNamed(d.Unit), m.pilotByID[d.Pilot])
 	}
 	return confirmed
 }

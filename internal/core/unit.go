@@ -144,8 +144,7 @@ type ComputeUnit struct {
 	scheduled time.Time
 	started   time.Time
 	ended     time.Time
-
-	done *vclock.Event
+	done      *vclock.Event // made by the first Wait that parks; fired by finishUnit
 }
 
 // ID returns the manager-assigned unit id.
@@ -182,9 +181,25 @@ func (u *ComputeUnit) Attempts() int {
 	return u.attempts
 }
 
-// Wait blocks until the unit terminates or ctx is canceled.
+// Wait blocks until the unit terminates or ctx is canceled. A terminal
+// unit answers at once — with ctx.Err() if ctx is done — and parks nobody.
 func (u *ComputeUnit) Wait(ctx context.Context) (UnitState, error) {
-	if u.done.Wait(ctx) {
+	m := u.manager
+	m.mu.Lock()
+	if u.state.Terminal() {
+		state, err := u.state, u.err
+		m.mu.Unlock()
+		if ctx.Err() != nil {
+			return state, ctx.Err()
+		}
+		return state, err
+	}
+	if u.done == nil {
+		u.done = vclock.NewEvent(m.cfg.Clock)
+	}
+	done := u.done
+	m.mu.Unlock()
+	if done.Wait(ctx) {
 		return u.State(), u.Err()
 	}
 	return u.State(), ctx.Err()

@@ -46,7 +46,9 @@ type UnitSpec struct {
 	// ID is the manager-assigned unit id, unique over the planner's life.
 	ID string
 	// Ordinal is the unit's submission ordinal; it labels the unit's slot
-	// in the planner's "retry" stream subtree ("retry"/<ordinal>).
+	// in the planner's "retry" stream subtree ("retry"/<ordinal>). The
+	// manager numbers its units from 1 without gaps and finds the unit
+	// behind a spec by it.
 	Ordinal uint64
 	// Cores is the unit's core requirement.
 	Cores int
@@ -254,6 +256,7 @@ type Planner struct {
 	backoff    Backoff
 	retryRoot  *dist.Stream
 	units      map[string]*unitRec
+	spare      []unitRec    // records carved by Grow, taken by Admit before it allocates
 	sizes      []*sizeClass // the pending queue: one FIFO per core size ever queued
 	parked     fifo         // queued records carrying a retryAt
 	pending    int          // queued units
@@ -281,12 +284,35 @@ func New(cfg Config) *Planner {
 	}
 }
 
+// Grow makes room for n more admissions: n records are carved from one
+// slice, and an empty unit index — a fresh manager's first batch — is made
+// again at size n, so the batch's Admits neither allocate a record of
+// their own nor grow the index. Nothing ranges over the index, so making
+// it again cannot reorder a decision.
+func (p *Planner) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	if len(p.units) == 0 {
+		p.units = make(map[string]*unitRec, n)
+	}
+	if len(p.spare) < n {
+		p.spare = make([]unitRec, n)
+	}
+}
+
 // Admit registers a new unit and appends it to the pending queue.
 func (p *Planner) Admit(spec UnitSpec) {
 	if _, ok := p.units[spec.ID]; ok {
 		return
 	}
-	r := &unitRec{spec: spec, class: p.classOf(spec.Cores)}
+	var r *unitRec
+	if len(p.spare) > 0 {
+		r, p.spare = &p.spare[0], p.spare[1:]
+	} else {
+		r = new(unitRec)
+	}
+	r.spec, r.class = spec, p.classOf(spec.Cores) // r is zero: no literal copied over it
 	p.units[spec.ID] = r
 	p.enqueue(r)
 }
@@ -478,13 +504,13 @@ func (p *Planner) Charges(id string) int {
 // units parked in backoff).
 func (p *Planner) PendingLen() int { return p.pending }
 
-// DrainPending removes and returns every queued unit ID in queue order —
-// the manager's shutdown path, which finalizes them as canceled.
-func (p *Planner) DrainPending() []string {
-	var out []string
+// DrainPending removes and returns every queued unit in queue order — the
+// manager's shutdown path, which finalizes them as canceled.
+func (p *Planner) DrainPending() []UnitSpec {
+	var out []UnitSpec
 	p.rewind()
 	for r := p.next(math.MaxInt); r != nil; r = p.next(math.MaxInt) {
-		out = append(out, r.spec.ID)
+		out = append(out, r.spec)
 		p.Forget(r.spec.ID)
 	}
 	return out

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -221,11 +222,39 @@ func TestDrainPendingReturnsQueueOrder(t *testing.T) {
 	ex := &fakeExec{pilots: []Candidate{{ID: "pA", Backend: "local://a", FreeCores: 1}}}
 	p.Plan(t0, ex) // binds u3 only
 	got := p.DrainPending()
-	if len(got) != 2 || got[0] != "u1" || got[1] != "u2" {
-		t.Fatalf("DrainPending = %v, want [u1 u2]", got)
+	if len(got) != 2 || got[0].ID != "u1" || got[1].ID != "u2" || got[1].Ordinal != 2 {
+		t.Fatalf("DrainPending = %v, want u1 and u2 with their specs", got)
 	}
 	if p.PendingLen() != 0 {
 		t.Fatalf("queue not empty after drain")
+	}
+}
+
+// TestGrowAdmitsABatchWithoutAllocatingPerUnit: after Grow(n), n admissions
+// take their records from one slab and land in an index made big enough
+// for them, so the batch allocates a handful of times, not once or more per
+// unit. (That Grow moves no decision is FuzzPlanMatchesRescan's business:
+// drivePlanners grows the indexed planner before some admissions.)
+func TestGrowAdmitsABatchWithoutAllocatingPerUnit(t *testing.T) {
+	const n = 1000
+	specs := make([]UnitSpec, n)
+	for i := range specs {
+		specs[i] = UnitSpec{ID: fmt.Sprint("u", i+1), Ordinal: uint64(i + 1), Cores: 1 + i%4}
+	}
+	admit := func(grow bool) float64 {
+		return testing.AllocsPerRun(3, func() {
+			p := newPlanner(Backoff{})
+			if grow {
+				p.Grow(n)
+			}
+			for _, s := range specs {
+				p.Admit(s)
+			}
+		})
+	}
+	if grown, plain := admit(true), admit(false); grown > n/50 || plain < n {
+		t.Fatalf("%d admissions allocate %.0f times after Grow and %.0f without, want at most %d and at least %d",
+			n, grown, plain, n/50, n)
 	}
 }
 

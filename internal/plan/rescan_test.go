@@ -138,12 +138,12 @@ func (p *rescanPlanner) PendingLen() int {
 	return n
 }
 
-func (p *rescanPlanner) DrainPending() []string {
-	var out []string
+func (p *rescanPlanner) DrainPending() []UnitSpec {
+	var out []UnitSpec
 	for _, id := range p.queue {
 		if r, ok := p.units[id]; ok && r.queued && !r.bound {
 			delete(p.units, id)
-			out = append(out, id)
+			out = append(out, r.spec)
 		}
 	}
 	p.queue = nil
@@ -166,7 +166,7 @@ type tickPlanner interface {
 	NoteFailure(string, FailureClass, time.Time) Verdict
 	Charges(string) int
 	PendingLen() int
-	DrainPending() []string
+	DrainPending() []UnitSpec
 	Watermarks() map[string]Watermark
 }
 
@@ -178,7 +178,8 @@ type planWorld struct {
 
 // drivePlanners decodes script two bytes at a time into Admit / Plan /
 // NoteFailure / Forget / DrainPending calls, pilot capacity changes and
-// policy switches, applies every step to the indexed Planner and to the
+// policy switches (the indexed Planner runs a Grow before some of its
+// Admits), applies every step to the indexed Planner and to the
 // rescan model — each over its own executor — and reports the first point
 // at which anything observable differs.
 func drivePlanners(script []byte) error {
@@ -233,6 +234,9 @@ func drivePlanners(script []byte) error {
 					}
 				}
 				id := ids[len(ids)-1]
+				if p, ok := w.p.(*Planner); ok && arg&0x40 != 0 {
+					p.Grow(int(arg >> 5)) // invisible: the rescan model has no Grow
+				}
 				w.p.Admit(UnitSpec{ID: id, Ordinal: uint64(len(ids)), Cores: cores[id], MaxRetries: int(arg>>2) % 3})
 			case 2, 3: // tick, after 0–7 modeled seconds
 				if i == 0 {

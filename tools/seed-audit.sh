@@ -98,6 +98,12 @@
 #      standard context per job or per attempt is one more channel every
 #      cancellation sweep reads until the job ends; vclock.Virtual's
 #      WithCancel costs the sweep nothing until it can close.
+#  15. The pilot manager finds a unit by its ordinal (DESIGN.md "Control
+#      plane" → Admission): Manager.units holds every unit in ordinal
+#      order, so the unit behind a plan.UnitSpec is units[Ordinal-1].
+#      Non-test internal/core declares no map keyed by unit ID
+#      (map[string]*ComputeUnit) — one more insert per admission, and a
+#      map that cannot be presized for a batch.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -338,6 +344,12 @@ polled=$(awk '
 if [ -n "$polled" ]; then
   echo "$polled" | sed 's|^|seed-audit:   |' >&2
   echo "seed-audit: a backend mints a standard cancelable context per job — use its clock's WithCancel (only New may make the service-lifetime context)" >&2
+  fail=1
+fi
+
+# Rule 15: no map keyed by unit ID in the pilot manager.
+if grep -nE 'map\[string\]\*?ComputeUnit\b' $(find $co -maxdepth 1 -name '*.go' ! -name '*_test.go') >&2; then
+  echo "seed-audit: internal/core keys a map by unit ID — the ordinal indexes Manager.units" >&2
   fail=1
 fi
 
