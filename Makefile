@@ -75,8 +75,8 @@ profile:
 # backends are the SAGA services — saga imports none of them, and
 # internal/infra/** + internal/saga declare at most seven mutexes, none on
 # a job, VM, container or glidein (rule 13), and mint every per-job context
-# as a clock cancel scope (rule 14); and the pilot manager finds a unit by
-# its ordinal, through no map keyed by unit ID (rule 15).
+# as a clock cancel scope (rule 14); and the pilot manager and its planner
+# find a unit by its ordinal, through no map keyed by unit ID (rule 15).
 seed-audit:
 	bash tools/seed-audit.sh
 

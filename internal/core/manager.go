@@ -106,7 +106,6 @@ type Manager struct {
 	live        []*ComputeUnit // non-terminal units, compacted by ReconcileOnce
 	pilotByID   map[string]*Pilot
 	nextPilotID int
-	nextUnitID  int
 	activeUnits int
 	idle        *vclock.Event
 	nextWake    time.Time // earliest scheduled dispatch self-wake
@@ -343,19 +342,19 @@ func (m *Manager) admitLocked(u *ComputeUnit, d UnitDescription, now time.Time) 
 	if d.Cores <= 0 {
 		d.Cores = 1
 	}
-	m.nextUnitID++
+	u.ord = uint64(len(m.units)) + 1
 	var id [24]byte // "unit-" and the digits, built on the stack: one allocation, not two
-	u.id = string(strconv.AppendInt(append(id[:0], "unit-"...), int64(m.nextUnitID), 10))
+	u.id = string(strconv.AppendUint(append(id[:0], "unit-"...), u.ord, 10))
 	u.desc = d
 	u.manager = m
-	u.stream = m.unitRoot.SplitLabel(uint64(m.nextUnitID))
+	u.stream = m.unitRoot.SplitLabel(u.ord)
 	u.state = UnitPending
 	u.submitted = now
 	m.units = append(m.units, u)
 	m.live = append(m.live, u)
 	m.planner.Admit(plan.UnitSpec{
 		ID:         u.id,
-		Ordinal:    uint64(m.nextUnitID),
+		Ordinal:    u.ord,
 		Cores:      d.Cores,
 		MaxRetries: d.MaxRetries,
 	})
@@ -757,7 +756,7 @@ func (m *Manager) requeueOrFail(cu *ComputeUnit, class plan.FailureClass, cause 
 		m.finishUnit(cu, UnitCanceled, ErrManagerClosed)
 		return
 	}
-	if !m.planner.NoteFailure(cu.id, class, m.cfg.Clock.Now()).Retry {
+	if !m.planner.Fail(cu.ord, class, m.cfg.Clock.Now()).Retry {
 		m.finishUnit(cu, UnitFailed, cause)
 		return
 	}
@@ -780,7 +779,7 @@ func (m *Manager) finishUnit(cu *ComputeUnit, s UnitState, err error) {
 		cu.done.Fire()
 	}
 	m.notify(cu, s)
-	m.planner.Forget(cu.id)
+	m.planner.Forget(cu.ord)
 	m.activeUnits--
 	if m.activeUnits == 0 {
 		m.idle.Fire()

@@ -166,7 +166,7 @@ func runReconcileDriftWorkload(t *testing.T) reconObservation {
 		t.Fatalf("uPend is %v after correction, want Pending (requeued)", uPend.State())
 	}
 	mgr.mu.Lock()
-	obs.PendCharges = mgr.planner.Charges(uPend.id)
+	obs.PendCharges = mgr.planner.Charges(uPend.ord)
 	mgr.mu.Unlock()
 	mu.Lock()
 	obs.PendEvents = append([]time.Duration(nil), pendEvents...)

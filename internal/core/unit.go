@@ -131,6 +131,7 @@ type UnitDescription struct {
 // ComputeUnit is a handle to a submitted unit.
 type ComputeUnit struct {
 	id        string
+	ord       uint64 // submission ordinal: the unit is Manager.units[ord-1] and planner ordinal ord
 	desc      UnitDescription
 	manager   *Manager
 	stream    *dist.Stream // "unit"/<ordinal> child of the manager's stream

@@ -12,7 +12,7 @@ import (
 type tickExec struct {
 	pilots  []Candidate
 	scratch []Candidate
-	bound   []string // units bound since the benchmark last took them
+	bound   []uint64 // ordinals of the units bound since the benchmark last took them
 }
 
 func (e *tickExec) Candidates(u UnitSpec) []Candidate {
@@ -31,7 +31,7 @@ func (e *tickExec) Bind(u UnitSpec, pilotID string) {
 			e.pilots[i].FreeCores -= u.Cores
 		}
 	}
-	e.bound = append(e.bound, u.ID)
+	e.bound = append(e.bound, u.Ordinal)
 }
 
 // BenchmarkPlanTick prices the tick the manager actually pays at a given
@@ -87,8 +87,8 @@ func BenchmarkPlanTick(b *testing.B) {
 					p.Plan(t0, ex)
 					inPlan += time.Since(start)
 					binds += len(ex.bound)
-					for _, id := range ex.bound {
-						p.Forget(id)
+					for _, o := range ex.bound {
+						p.Forget(o)
 						admit()
 					}
 					ex.bound = ex.bound[:0]

@@ -35,6 +35,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"gopilot/internal/dist"
@@ -43,12 +44,12 @@ import (
 // UnitSpec is the planner's view of a compute unit: just what placement
 // and retry accounting need, so the package stays independent of core.
 type UnitSpec struct {
-	// ID is the manager-assigned unit id, unique over the planner's life.
+	// ID is the unit's id, unique over the planner's life; only NoteFailure reads it.
 	ID string
-	// Ordinal is the unit's submission ordinal; it labels the unit's slot
-	// in the planner's "retry" stream subtree ("retry"/<ordinal>). The
-	// manager numbers its units from 1 without gaps and finds the unit
-	// behind a spec by it.
+	// Ordinal is the unit's submission ordinal: the key of its planner
+	// record and of its slot in the "retry" stream subtree ("retry"/
+	// <ordinal>). The manager numbers its units from 1 without gaps and
+	// finds the unit behind a spec by it.
 	Ordinal uint64
 	// Cores is the unit's core requirement.
 	Cores int
@@ -177,7 +178,7 @@ type unitRec struct {
 	links   [2]link      // bySize and byRetry list links while queued
 	queued  bool         // in the pending queue
 	bound   bool         // dispatched and not yet returned
-	backend string       // watermark key while bound
+	wm      *Watermark   // the bound backend's watermark while bound
 	charges int          // failures charged against MaxRetries
 	retryAt time.Time    // eligibility gate while queued after a failure
 }
@@ -255,7 +256,7 @@ type Planner struct {
 	policy     PolicyFunc
 	backoff    Backoff
 	retryRoot  *dist.Stream
-	units      map[string]*unitRec
+	recs       []*unitRec   // by UnitSpec.Ordinal; nil: never admitted, or forgotten
 	spare      []unitRec    // records carved by Grow, taken by Admit before it allocates
 	sizes      []*sizeClass // the pending queue: one FIFO per core size ever queued
 	parked     fifo         // queued records carrying a retryAt
@@ -278,33 +279,34 @@ func New(cfg Config) *Planner {
 		policy:     cfg.Policy,
 		backoff:    cfg.Backoff.withDefaults(),
 		retryRoot:  cfg.Stream.Named("retry"),
-		units:      make(map[string]*unitRec),
 		parked:     fifo{k: byRetry},
 		watermarks: make(map[string]*Watermark),
 	}
 }
 
 // Grow makes room for n more admissions: n records are carved from one
-// slice, and an empty unit index — a fresh manager's first batch — is made
-// again at size n, so the batch's Admits neither allocate a record of
-// their own nor grow the index. Nothing ranges over the index, so making
-// it again cannot reorder a decision.
+// slice and the record index reserves n+1 more slots (ordinals may start
+// at 0 or 1), so the batch's Admits neither allocate a record of their own
+// nor grow the index.
 func (p *Planner) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	if len(p.units) == 0 {
-		p.units = make(map[string]*unitRec, n)
-	}
+	p.recs = slices.Grow(p.recs, n+1)
 	if len(p.spare) < n {
 		p.spare = make([]unitRec, n)
 	}
 }
 
-// Admit registers a new unit and appends it to the pending queue.
+// Admit registers a new unit and appends it to the pending queue. A unit
+// whose ordinal is already admitted is ignored.
 func (p *Planner) Admit(spec UnitSpec) {
-	if _, ok := p.units[spec.ID]; ok {
+	o := spec.Ordinal
+	if p.rec(o) != nil {
 		return
+	}
+	if o >= uint64(len(p.recs)) {
+		p.recs = slices.Grow(p.recs, int(o)+1-len(p.recs))[:o+1]
 	}
 	var r *unitRec
 	if len(p.spare) > 0 {
@@ -313,8 +315,16 @@ func (p *Planner) Admit(spec UnitSpec) {
 		r = new(unitRec)
 	}
 	r.spec, r.class = spec, p.classOf(spec.Cores) // r is zero: no literal copied over it
-	p.units[spec.ID] = r
+	p.recs[o] = r
 	p.enqueue(r)
+}
+
+// rec returns the record of the unit with the given ordinal, or nil.
+func (p *Planner) rec(ordinal uint64) *unitRec {
+	if ordinal < uint64(len(p.recs)) {
+		return p.recs[ordinal]
+	}
+	return nil
 }
 
 // classOf returns the FIFO for a core size, creating it on first use.
@@ -384,18 +394,18 @@ func (p *Planner) next(floor int) *unitRec {
 }
 
 // Forget removes a unit from the planner (terminal or canceled).
-func (p *Planner) Forget(id string) {
-	r, ok := p.units[id]
-	if !ok {
+func (p *Planner) Forget(ordinal uint64) {
+	r := p.rec(ordinal)
+	if r == nil {
 		return
 	}
 	if r.queued {
 		p.dequeue(r)
 	}
 	if r.bound {
-		p.watermarks[r.backend].InFlight--
+		r.wm.InFlight--
 	}
-	delete(p.units, id)
+	p.recs[ordinal] = nil
 }
 
 // Plan runs one planning tick at the given virtual instant: pending
@@ -448,31 +458,40 @@ func (p *Planner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
 		}
 		p.dequeue(r)
 		r.bound = true
-		r.backend = backend
-		p.noteDispatch(backend, now)
+		r.wm = p.noteDispatch(backend, now)
 		ex.Bind(r.spec, pilot)
 	}
 	return nextWake
 }
 
-// NoteFailure charges one failure of the given class against the unit's
-// budget and rules on a retry. With budget left the unit re-enters the
-// queue, eligible again after an exponential-backoff delay with
-// deterministic jitter from its own retry stream; otherwise the planner
-// forgets it and the caller finalizes it as failed.
+// NoteFailure is Fail for the unit whose ID is id, found by a walk of the
+// records. Only frozen cmd/bench calls it: delete with ROADMAP item 1.
 func (p *Planner) NoteFailure(id string, class FailureClass, now time.Time) Verdict {
-	r, ok := p.units[id]
-	if !ok {
+	for o, r := range p.recs {
+		if r != nil && r.spec.ID == id {
+			return p.Fail(uint64(o), class, now)
+		}
+	}
+	return Verdict{}
+}
+
+// Fail charges one failure of the given class against the unit's budget
+// and rules on a retry. With budget left the unit re-enters the queue,
+// eligible again after an exponential-backoff delay with deterministic
+// jitter from its own retry stream; otherwise the planner forgets it and
+// the caller finalizes it as failed.
+func (p *Planner) Fail(ordinal uint64, class FailureClass, now time.Time) Verdict {
+	r := p.rec(ordinal)
+	if r == nil {
 		return Verdict{}
 	}
 	if r.bound {
-		p.watermarks[r.backend].InFlight--
+		r.wm.InFlight--
 		r.bound = false
-		r.backend = ""
 	}
 	r.charges++
 	if r.charges > r.spec.MaxRetries {
-		p.Forget(id)
+		p.Forget(ordinal)
 		return Verdict{Retry: false, Charges: r.charges}
 	}
 	if r.retry == nil {
@@ -493,8 +512,8 @@ func (p *Planner) NoteFailure(id string, class FailureClass, now time.Time) Verd
 }
 
 // Charges returns the failures charged against a unit's budget so far.
-func (p *Planner) Charges(id string) int {
-	if r, ok := p.units[id]; ok {
+func (p *Planner) Charges(ordinal uint64) int {
+	if r := p.rec(ordinal); r != nil {
 		return r.charges
 	}
 	return 0
@@ -511,7 +530,7 @@ func (p *Planner) DrainPending() []UnitSpec {
 	p.rewind()
 	for r := p.next(math.MaxInt); r != nil; r = p.next(math.MaxInt) {
 		out = append(out, r.spec)
-		p.Forget(r.spec.ID)
+		p.Forget(r.spec.Ordinal)
 	}
 	return out
 }
@@ -526,7 +545,8 @@ func (p *Planner) Watermarks() map[string]Watermark {
 	return out
 }
 
-func (p *Planner) noteDispatch(backend string, now time.Time) {
+// noteDispatch records a bind and returns the backend's (never replaced) watermark.
+func (p *Planner) noteDispatch(backend string, now time.Time) *Watermark {
 	w, ok := p.watermarks[backend]
 	if !ok {
 		w = &Watermark{}
@@ -536,4 +556,5 @@ func (p *Planner) noteDispatch(backend string, now time.Time) {
 	w.LastDispatch = now
 	w.Dispatched++
 	w.InFlight++
+	return w
 }

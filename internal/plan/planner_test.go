@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -107,7 +108,7 @@ func TestNoteFailureBudgetExactlyMaxRetriesPlusOne(t *testing.T) {
 	if v.Retry || v.Charges != 3 {
 		t.Fatalf("third failure: verdict %+v, want terminal with charges 3", v)
 	}
-	if c := p.Charges("u1"); c != 0 {
+	if c := p.Charges(1); c != 0 {
 		t.Fatalf("unit not forgotten after exhausted budget: charges %d", c)
 	}
 }
@@ -117,7 +118,7 @@ func TestNoteFailurePreStartChargesBudget(t *testing.T) {
 	// lost mid-execution: with MaxRetries=0 the first strand is terminal.
 	p := newPlanner(Backoff{})
 	p.Admit(UnitSpec{ID: "u1", Ordinal: 1, Cores: 1, MaxRetries: 0})
-	if v := p.NoteFailure("u1", FailurePreStart, t0); v.Retry || v.Charges != 1 {
+	if v := p.Fail(1, FailurePreStart, t0); v.Retry || v.Charges != 1 {
 		t.Fatalf("verdict %+v, want terminal with charges 1", v)
 	}
 }
@@ -127,7 +128,7 @@ func TestRetryGateHoldsUntilRetryAt(t *testing.T) {
 	p.Admit(UnitSpec{ID: "u1", Ordinal: 1, Cores: 1, MaxRetries: 3})
 	ex := &fakeExec{pilots: []Candidate{{ID: "pA", Backend: "local://a", FreeCores: 8}}}
 	p.Plan(t0, ex)
-	v := p.NoteFailure("u1", FailureExecution, t0)
+	v := p.Fail(1, FailureExecution, t0)
 	if !v.Retry {
 		t.Fatal("expected retry")
 	}
@@ -203,8 +204,8 @@ func TestWatermarksTrackDispatchAndReturns(t *testing.T) {
 	if a := w["local://a"]; a.Dispatched != 1 || a.InFlight != 1 || !a.LastDispatch.Equal(t0) {
 		t.Fatalf("local://a watermark %+v", a)
 	}
-	p.NoteFailure("u1", FailureExecution, t0.Add(time.Second))
-	p.Forget("u2")
+	p.Fail(1, FailureExecution, t0.Add(time.Second))
+	p.Forget(2)
 	w = p.Watermarks()
 	if w["local://a"].InFlight != 0 || w["htc://b"].InFlight != 0 {
 		t.Fatalf("in-flight not released: %+v", w)
@@ -282,5 +283,60 @@ func TestPolicyChoiceOutsideCandidatesIsDeferral(t *testing.T) {
 		if len(ex.binds) != 1 || ex.binds[0] != [2]string{"u1", "pA"} || p.PendingLen() != 0 {
 			t.Fatalf("deferred unit not bound by a conforming answer: binds %v", ex.binds)
 		}
+	}
+}
+
+// TestOrdinalsNameUnits: the planner's records are indexed by ordinal. An
+// ordinal nobody admitted — a hole below the highest, one past the end of
+// the index, one far beyond it — and an ordinal already forgotten are
+// no-ops for Fail, Forget and Charges; re-admitting a live ordinal is
+// ignored; and ordinal 0, where the frozen ladder starts, is a unit like
+// any other.
+func TestOrdinalsNameUnits(t *testing.T) {
+	p := newPlanner(Backoff{})
+	p.Admit(UnitSpec{ID: "u0", Ordinal: 0, Cores: 1, MaxRetries: 2})
+	p.Admit(UnitSpec{ID: "u2", Ordinal: 2, Cores: 1, MaxRetries: 2})
+	p.Admit(UnitSpec{ID: "again", Ordinal: 2, Cores: 4})
+	if n := p.PendingLen(); n != 2 {
+		t.Fatalf("PendingLen = %d after re-admitting ordinal 2, want 2", n)
+	}
+	ex := &fakeExec{pilots: []Candidate{{ID: "pA", Backend: "local://a", FreeCores: 2}}}
+	p.Plan(t0, ex)
+	if want := [][2]string{{"u0", "pA"}, {"u2", "pA"}}; !reflect.DeepEqual(ex.binds, want) {
+		t.Fatalf("binds = %v, want %v (the re-admission must not replace u2's spec)", ex.binds, want)
+	}
+	untouched := func(what string, inFlight int) {
+		t.Helper()
+		if w := p.Watermarks()["local://a"]; w.InFlight != inFlight || w.Dispatched != 2 {
+			t.Fatalf("%s: watermark %+v, want %d in flight of 2 dispatched", what, w, inFlight)
+		}
+		if err := checkCensus(p); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	noop := func(what string, o uint64, inFlight int) {
+		t.Helper()
+		if v := p.Fail(o, FailureExecution, t0); v != (Verdict{}) {
+			t.Fatalf("%s ordinal %d: Fail ruled %+v, want the zero verdict", what, o, v)
+		}
+		p.Forget(o)
+		if c := p.Charges(o); c != 0 {
+			t.Fatalf("%s ordinal %d: Charges = %d, want 0", what, o, c)
+		}
+		untouched(fmt.Sprint(what, " ordinal ", o), inFlight)
+	}
+	for _, o := range []uint64{1, 3, 1 << 40} {
+		noop("never admitted", o, 2)
+	}
+	if v := p.Fail(0, FailureExecution, t0); !v.Retry || v.Charges != 1 || p.Charges(0) != 1 {
+		t.Fatalf("ordinal 0: Fail ruled %+v, Charges %d; want a retry and one charge", v, p.Charges(0))
+	}
+	p.Forget(0) // queued again, in backoff
+	p.Forget(2) // bound
+	if n := p.PendingLen(); n != 0 {
+		t.Fatalf("PendingLen = %d after forgetting both, want 0", n)
+	}
+	for _, o := range []uint64{0, 2} {
+		noop("forgotten", o, 0)
 	}
 }

@@ -92,16 +92,18 @@ type Drift struct {
 // (TestDetectDriftNeedsOnlyBoundUnits) — the manager snapshots the bound
 // units only, so a scan costs what is dispatched, not what is waiting.
 func DetectDrift(units []UnitStatus, pilots []PilotStatus) []Drift {
-	byUnit := make(map[string]*UnitStatus, len(units))
+	return detect(units, pilots, make(map[string]*UnitStatus, len(units)), make(map[string]*PilotStatus, len(pilots)))
+}
+
+// detect is DetectDrift over lookup maps the caller hands in empty.
+func detect(units []UnitStatus, pilots []PilotStatus, byUnit map[string]*UnitStatus, byPilot map[string]*PilotStatus) (out []Drift) {
 	for i := range units {
 		byUnit[units[i].ID] = &units[i]
 	}
-	byPilot := make(map[string]*PilotStatus, len(pilots))
 	for i := range pilots {
 		byPilot[pilots[i].ID] = &pilots[i]
 	}
 
-	var out []Drift
 	for _, u := range units {
 		if u.Terminal || !u.Bound {
 			continue
@@ -134,8 +136,14 @@ func DetectDrift(units []UnitStatus, pilots []PilotStatus) []Drift {
 // its terminal state looks drifted but heals itself; requiring a second
 // sighting one reconcile interval later filters such transients while
 // leaving the emission instant fully deterministic.
+//
+// It keeps DetectDrift's lookup maps from scan to scan, cleared first so
+// every lookup answers as a fresh map would, and swaps its two sighting
+// sets: a scan of a clean world allocates nothing.
 type Reconciler struct {
-	seen map[Drift]bool
+	byUnit     map[string]*UnitStatus
+	byPilot    map[string]*PilotStatus
+	seen, next map[Drift]bool // the lookup maps and next are made by the first scan
 }
 
 // NewReconciler creates a Reconciler.
@@ -144,15 +152,19 @@ func NewReconciler() *Reconciler { return &Reconciler{seen: make(map[Drift]bool)
 // Observe runs one scan and returns the drifts confirmed by this and the
 // previous scan, in detection order.
 func (r *Reconciler) Observe(units []UnitStatus, pilots []PilotStatus) []Drift {
-	detected := DetectDrift(units, pilots)
-	next := make(map[Drift]bool, len(detected))
+	if r.next == nil {
+		r.byUnit, r.byPilot, r.next = map[string]*UnitStatus{}, map[string]*PilotStatus{}, map[Drift]bool{}
+	}
+	clear(r.byUnit)
+	clear(r.byPilot)
+	clear(r.next)
 	var confirmed []Drift
-	for _, d := range detected {
+	for _, d := range detect(units, pilots, r.byUnit, r.byPilot) {
 		if r.seen[d] {
 			confirmed = append(confirmed, d)
 		}
-		next[d] = true
+		r.next[d] = true
 	}
-	r.seen = next
+	r.seen, r.next = r.next, r.seen
 	return confirmed
 }

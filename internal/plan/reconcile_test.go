@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gopilot/internal/dist"
@@ -153,5 +154,72 @@ func TestDetectDriftNeedsOnlyBoundUnits(t *testing.T) {
 		if planted[c] == 0 {
 			t.Errorf("no world held a %v drift: the property was not tested on it", c)
 		}
+	}
+}
+
+// TestReconcilerKeptIndexAnswersAsFresh: a Reconciler keeps DetectDrift's
+// lookup maps from one scan to the next. Unit u is bound on pilot p in the
+// first scan; from the second on, u is gone from the unit snapshot while p
+// still lists it — an orphan. Observe must see it exactly as a fresh
+// DetectDrift does and confirm it on the third scan; an index still holding
+// the first scan's u would take p's entry for a binding and miss it.
+func TestReconcilerKeptIndexAnswersAsFresh(t *testing.T) {
+	r := NewReconciler()
+	pilots := []PilotStatus{{ID: "p", Running: true, Units: []string{"u"}}}
+	if got := r.Observe([]UnitStatus{{ID: "u", Bound: true, Started: true, Pilot: "p"}}, pilots); len(got) != 0 {
+		t.Fatalf("a clean scan confirmed %v", got)
+	}
+	want := DetectDrift(nil, pilots)
+	if len(want) != 1 || want[0] != (Drift{Class: DriftOrphan, Unit: "u", Pilot: "p"}) {
+		t.Fatalf("DetectDrift = %v, want u an orphan on p", want)
+	}
+	if got := r.Observe(nil, pilots); len(got) != 0 {
+		t.Fatalf("first sighting already confirmed: %v", got)
+	}
+	if got := r.Observe(nil, pilots); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second sighting: Observe confirmed %v, a fresh DetectDrift finds %v", got, want)
+	}
+}
+
+// TestObserveConfirmsWhatTwoFreshScansFind: over sequences of snapshots —
+// a fresh world, the last one with units dropped (the agents still holding
+// them), or the same one again — Observe confirms exactly the drifts a
+// fresh DetectDrift finds in both this snapshot and the last, in this
+// snapshot's detection order.
+func TestObserveConfirmsWhatTwoFreshScansFind(t *testing.T) {
+	confirmed := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		s := dist.NewStream(seed)
+		r := NewReconciler()
+		var last []Drift
+		units, pilots := randomWorld(s)
+		for scan := 0; scan < 12; scan++ {
+			switch s.Intn(3) {
+			case 0:
+				units, pilots = randomWorld(s)
+			case 1:
+				var kept []UnitStatus
+				for _, u := range units {
+					if s.Intn(3) > 0 {
+						kept = append(kept, u)
+					}
+				}
+				units = kept
+			}
+			fresh := DetectDrift(units, pilots)
+			var want []Drift
+			for _, d := range fresh {
+				if slices.Contains(last, d) {
+					want = append(want, d)
+				}
+			}
+			if got := r.Observe(units, pilots); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, scan %d: Observe confirmed %v, fresh scans agree on %v", seed, scan, got, want)
+			}
+			last, confirmed = fresh, confirmed+len(want)
+		}
+	}
+	if confirmed == 0 {
+		t.Fatal("no scan confirmed a drift: the property was not tested")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -11,18 +12,29 @@ import (
 )
 
 // rescanPlanner is the full-rescan TickPlanner this package shipped before
-// the pending queue was indexed, kept verbatim as the reference model: a
-// queue of IDs re-resolved through the unit map on every tick, every live
-// entry offered to the executor, stale entries dropped lazily. The indexed
-// Planner must make the same decisions from the same inputs; only the cost
-// of a tick may differ.
+// the pending queue was indexed, kept as the reference model: a queue of
+// ordinals re-resolved through the unit map on every tick, every live
+// entry offered to the executor, stale entries dropped lazily. It keeps
+// records of its own type, so a change to the indexed Planner's records
+// cannot reach it. The indexed Planner must make the same decisions from
+// the same inputs; only the cost of a tick may differ.
 type rescanPlanner struct {
 	policy     PolicyFunc
 	backoff    Backoff
 	retryRoot  *dist.Stream
-	units      map[string]*unitRec
-	queue      []string
+	units      map[uint64]*rescanRec
+	queue      []uint64
 	watermarks map[string]*Watermark
+}
+
+// rescanRec is the model's per-unit bookkeeping.
+type rescanRec struct {
+	spec          UnitSpec
+	retry         *dist.Stream
+	queued, bound bool
+	backend       string
+	charges       int
+	retryAt       time.Time
 }
 
 func newRescanPlanner(cfg Config) *rescanPlanner {
@@ -30,25 +42,25 @@ func newRescanPlanner(cfg Config) *rescanPlanner {
 		policy:     cfg.Policy,
 		backoff:    cfg.Backoff.withDefaults(),
 		retryRoot:  cfg.Stream.Named("retry"),
-		units:      make(map[string]*unitRec),
+		units:      make(map[uint64]*rescanRec),
 		watermarks: make(map[string]*Watermark),
 	}
 }
 
 func (p *rescanPlanner) Admit(spec UnitSpec) {
-	if _, ok := p.units[spec.ID]; ok {
+	if _, ok := p.units[spec.Ordinal]; ok {
 		return
 	}
-	p.units[spec.ID] = &unitRec{spec: spec, retry: p.retryRoot.SplitLabel(spec.Ordinal), queued: true}
-	p.queue = append(p.queue, spec.ID)
+	p.units[spec.Ordinal] = &rescanRec{spec: spec, retry: p.retryRoot.SplitLabel(spec.Ordinal), queued: true}
+	p.queue = append(p.queue, spec.Ordinal)
 }
 
-func (p *rescanPlanner) Forget(id string) {
-	if r, ok := p.units[id]; ok {
+func (p *rescanPlanner) Forget(o uint64) {
+	if r, ok := p.units[o]; ok {
 		if r.bound {
 			p.watermarks[r.backend].InFlight--
 		}
-		delete(p.units, id)
+		delete(p.units, o)
 	}
 }
 
@@ -98,7 +110,7 @@ func (p *rescanPlanner) Plan(now time.Time, ex Executor) (nextWake time.Time) {
 	return nextWake
 }
 
-func (p *rescanPlanner) NoteFailure(id string, class FailureClass, now time.Time) Verdict {
+func (p *rescanPlanner) Fail(id uint64, class FailureClass, now time.Time) Verdict {
 	r, ok := p.units[id]
 	if !ok {
 		return Verdict{}
@@ -121,7 +133,7 @@ func (p *rescanPlanner) NoteFailure(id string, class FailureClass, now time.Time
 	return Verdict{Retry: true, Charges: r.charges, Delay: d, RetryAt: r.retryAt}
 }
 
-func (p *rescanPlanner) Charges(id string) int {
+func (p *rescanPlanner) Charges(id uint64) int {
 	if r, ok := p.units[id]; ok {
 		return r.charges
 	}
@@ -161,10 +173,10 @@ func (p *rescanPlanner) Watermarks() map[string]Watermark {
 // tickPlanner is the surface the equivalence driver exercises on both.
 type tickPlanner interface {
 	Admit(UnitSpec)
-	Forget(string)
+	Forget(uint64)
 	Plan(time.Time, Executor) time.Time
-	NoteFailure(string, FailureClass, time.Time) Verdict
-	Charges(string) int
+	Fail(uint64, FailureClass, time.Time) Verdict
+	Charges(uint64) int
 	PendingLen() int
 	DrainPending() []UnitSpec
 	Watermarks() map[string]Watermark
@@ -177,11 +189,12 @@ type planWorld struct {
 }
 
 // drivePlanners decodes script two bytes at a time into Admit / Plan /
-// NoteFailure / Forget / DrainPending calls, pilot capacity changes and
-// policy switches (the indexed Planner runs a Grow before some of its
-// Admits), applies every step to the indexed Planner and to the
-// rescan model — each over its own executor — and reports the first point
-// at which anything observable differs.
+// Fail / Forget / DrainPending calls, pilot capacity changes and policy
+// switches (the indexed Planner runs a Grow before some of its Admits, and
+// takes some failures by ID through the NoteFailure forward), applies every
+// step to the indexed Planner and to the rescan model — each over its own
+// executor — and reports the first point at which anything observable
+// differs. Units are named by ordinal from 1, as the manager names them.
 func drivePlanners(script []byte) error {
 	mode := byte(0) // policy: 0 first-fit, 1 last-fit, 2 defer every third ordinal
 	policy := func(u UnitSpec, cands []Candidate) string {
@@ -212,42 +225,44 @@ func drivePlanners(script []byte) error {
 	}
 
 	now := t0
-	var ids []string
-	cores := map[string]int{}
+	var cores []int // by ordinal - 1
 	nbinds := 0
 	for step := 0; step+1 < len(script); step += 2 {
 		op, arg := script[step], script[step+1]
-		pick := ""
-		if len(ids) > 0 {
-			pick = ids[int(arg)%len(ids)]
+		pick := uint64(0) // never admitted
+		if len(cores) > 0 {
+			pick = 1 + uint64(int(arg)%len(cores))
 		}
+		id := fmt.Sprintf("u%d", pick)
 		var got [2]any
 		for i, w := range worlds {
 			switch op % 8 {
 			case 0, 1: // admit: mostly 1–4 cores, now and then one that fits nowhere
 				if i == 0 {
-					id := fmt.Sprintf("u%d", len(ids)+1)
-					ids = append(ids, id)
-					cores[id] = 1 + int(arg%4)
+					cores = append(cores, 1+int(arg%4))
 					if arg%32 == 31 {
-						cores[id] = 9
+						cores[len(cores)-1] = 9
 					}
 				}
-				id := ids[len(ids)-1]
+				o := uint64(len(cores))
 				if p, ok := w.p.(*Planner); ok && arg&0x40 != 0 {
 					p.Grow(int(arg >> 5)) // invisible: the rescan model has no Grow
 				}
-				w.p.Admit(UnitSpec{ID: id, Ordinal: uint64(len(ids)), Cores: cores[id], MaxRetries: int(arg>>2) % 3})
+				w.p.Admit(UnitSpec{ID: fmt.Sprintf("u%d", o), Ordinal: o, Cores: cores[o-1], MaxRetries: int(arg>>2) % 3})
 			case 2, 3: // tick, after 0–7 modeled seconds
 				if i == 0 {
 					now = now.Add(time.Duration(arg%8) * time.Second)
 				}
 				got[i] = w.p.Plan(now, w.ex)
 			case 4: // a dispatched (or still queued, or unknown) unit fails
-				w.ex.release(pick, cores[pick])
-				got[i] = w.p.NoteFailure(pick, FailureClass(arg%2), now)
+				w.ex.release(id, coresOf(cores, pick))
+				if p, ok := w.p.(*Planner); ok && op&0x80 != 0 {
+					got[i] = p.NoteFailure(id, FailureClass(arg%2), now) // the forward the frozen ladder calls
+				} else {
+					got[i] = w.p.Fail(pick, FailureClass(arg%2), now)
+				}
 			case 5: // a unit finishes or is canceled
-				w.ex.release(pick, cores[pick])
+				w.ex.release(id, coresOf(cores, pick))
 				w.p.Forget(pick)
 			case 6: // capacity rises between ticks (or the manager shuts down)
 				if arg == 255 {
@@ -279,16 +294,24 @@ func drivePlanners(script []byte) error {
 			return fmt.Errorf("step %d: %w", step, err)
 		}
 		// Only the picked unit's charges can have moved this step.
-		if err := same(step, "Charges "+pick, worlds[0].p.Charges(pick), worlds[1].p.Charges(pick)); err != nil {
+		if err := same(step, "Charges "+id, worlds[0].p.Charges(pick), worlds[1].p.Charges(pick)); err != nil {
 			return err
 		}
 	}
-	for _, id := range ids {
-		if err := same(len(script), "Charges "+id, worlds[0].p.Charges(id), worlds[1].p.Charges(id)); err != nil {
+	for o := range uint64(len(cores)) + 1 {
+		if err := same(len(script), fmt.Sprint("Charges ", o), worlds[0].p.Charges(o), worlds[1].p.Charges(o)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// coresOf returns the core count of the unit with ordinal o, 0 for none.
+func coresOf(cores []int, o uint64) int {
+	if o == 0 {
+		return 0
+	}
+	return cores[o-1]
 }
 
 // checkCensus walks every list of the pending queue and compares it with
@@ -303,7 +326,7 @@ func checkCensus(p *Planner) error {
 	walk := func(l *fifo, what string, each func(r *unitRec) error) error {
 		var prev *unitRec
 		for r := l.head; r != nil; prev, r = r, r.links[l.k].next {
-			if r.links[l.k].prev != prev || !r.queued || r.bound || p.units[r.spec.ID] != r {
+			if r.links[l.k].prev != prev || !r.queued || r.bound || p.rec(r.spec.Ordinal) != r {
 				return fmt.Errorf("%s entry %s: broken link or state (queued %v, bound %v)", what, r.spec.ID, r.queued, r.bound)
 			}
 			if prev != nil && prev.pos >= r.pos {
@@ -479,7 +502,7 @@ func TestPlanTickCostIndependentOfDepth(t *testing.T) {
 	// largest: none is the head of its FIFO.
 	parked := []int{1250, 3750, 6250, 8750, 100, 2000}
 	for _, i := range parked {
-		if v := p.NoteFailure(fmt.Sprintf("u%d", i), FailureExecution, t0); !v.Retry {
+		if v := p.Fail(uint64(i), FailureExecution, t0); !v.Retry {
 			t.Fatalf("u%d was not requeued", i)
 		}
 	}
@@ -502,11 +525,10 @@ func TestPlanVisitsWhatItActsOn(t *testing.T) {
 	const units, sizes = 4000, 4
 	p := newPlanner(Backoff{})
 	s := dist.NewStream(11)
-	cores := make(map[string]int, units)
-	for i := 0; i < units; i++ {
-		id := fmt.Sprint("u", i)
-		cores[id] = 1 + s.Intn(sizes)
-		p.Admit(UnitSpec{ID: id, Ordinal: uint64(i), Cores: cores[id], MaxRetries: 1 << 20})
+	cores := make([]int, units)
+	for i := range cores {
+		cores[i] = 1 + s.Intn(sizes)
+		p.Admit(UnitSpec{ID: fmt.Sprint("u", i), Ordinal: uint64(i), Cores: cores[i], MaxRetries: 1 << 20})
 	}
 	ex := &fakeExec{pilots: make([]Candidate, 20)}
 	for i := range ex.pilots {
@@ -538,11 +560,12 @@ func TestPlanVisitsWhatItActsOn(t *testing.T) {
 			id := running[i]
 			running[i] = running[len(running)-1]
 			running = running[:len(running)-1]
-			ex.release(id, cores[id])
+			o, _ := strconv.Atoi(id[1:]) // "u<ordinal>"
+			ex.release(id, cores[o])
 			if s.Intn(7) == 0 {
-				p.NoteFailure(id, FailureExecution, now)
+				p.Fail(uint64(o), FailureExecution, now)
 			} else {
-				p.Forget(id)
+				p.Forget(uint64(o))
 			}
 		}
 	}

@@ -103,7 +103,9 @@
 #      order, so the unit behind a plan.UnitSpec is units[Ordinal-1].
 #      Non-test internal/core declares no map keyed by unit ID
 #      (map[string]*ComputeUnit) — one more insert per admission, and a
-#      map that cannot be presized for a batch.
+#      map that cannot be presized for a batch. The planner below it
+#      indexes its records by the same ordinal, so non-test internal/plan
+#      declares no map[string]*unitRec either.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -347,9 +349,13 @@ if [ -n "$polled" ]; then
   fail=1
 fi
 
-# Rule 15: no map keyed by unit ID in the pilot manager.
+# Rule 15: no map keyed by unit ID in the pilot manager or its planner.
 if grep -nE 'map\[string\]\*?ComputeUnit\b' $(find $co -maxdepth 1 -name '*.go' ! -name '*_test.go') >&2; then
   echo "seed-audit: internal/core keys a map by unit ID — the ordinal indexes Manager.units" >&2
+  fail=1
+fi
+if grep -nE 'map\[string\]\*?unitRec\b' $(find internal/plan -maxdepth 1 -name '*.go' ! -name '*_test.go') >&2; then
+  echo "seed-audit: internal/plan keys a map by unit ID — the ordinal indexes Planner.recs" >&2
   fail=1
 fi
 
