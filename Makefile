@@ -76,7 +76,8 @@ profile:
 # internal/infra/** + internal/saga declare at most seven mutexes, none on
 # a job, VM, container or glidein (rule 13), and mint every per-job context
 # as a clock cancel scope (rule 14); and the pilot manager and its planner
-# find a unit by its ordinal, through no map keyed by unit ID (rule 15).
+# find a unit by its ordinal, through no map keyed by unit ID (rule 15);
+# and a park in internal/vclock is one receive on its grant (rule 16).
 seed-audit:
 	bash tools/seed-audit.sh
 
@@ -122,11 +123,14 @@ test-federation:
 # re-arm one wait object, so a stale reference would reach a *live* wait
 # (DESIGN.md "Participant record", "Hot path → Park/wake"); a cancel scope's
 # group is recycled too, so a stale cancel would list a live scope's
-# (TestScope*, DESIGN.md "Cancellation"). The outside-world signal cases
-# need real threads and repetition to show.
+# (TestScope*, DESIGN.md "Cancellation"); an outside cancellation reaches a
+# stalled world through its watchers, which the next grant must stop
+# (TestOutsideCancelReachesStalledWorld, TestStallWatchersStopOnResume,
+# TestReStallWatchesScopesTheSweepListed).
+# The outside-world signal cases need real threads and repetition to show.
 test-reuse:
 	GOMAXPROCS=4 $(GO) test -race -count=20 \
-		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers|TestScope' \
+		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers|TestScope|TestOutsideCancelReachesStalledWorld|TestStallWatchersStopOnResume|TestReStallWatches' \
 		./internal/vclock/ ./internal/streaming/
 
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a

@@ -84,6 +84,53 @@ func TestBacklogSchedulePinned(t *testing.T) {
 	}
 }
 
+// TestBacklogDrainNeverStalls drains a 400-unit mixed-core backlog onto
+// four local pilots and requires that the world never stalled: a stall
+// starts one watcher goroutine per cancel context the sweep polls, so
+// pilot-backlog's hot path pays that cost only if it stalls, and it must
+// not. The count is the executor's own, read before Close tears the
+// manager down.
+func TestBacklogDrainNeverStalls(t *testing.T) {
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	reg := saga.NewRegistry()
+	reg.Register(saga.NewLocalService("box", 32, clock))
+	root := dist.NewStream(1)
+	mgr := core.NewManager(core.Config{Registry: reg, Clock: clock, Stream: root.Named("manager")})
+	defer mgr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := 0; i < 4; i++ {
+		if _, err := mgr.SubmitPilot(core.PilotDescription{Resource: "local://box", Cores: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes := root.Named("cores")
+	descs := make([]core.UnitDescription, 400)
+	for i := range descs {
+		descs[i] = core.UnitDescription{
+			Cores:      1 + shapes.SplitLabel(uint64(i)).Intn(4),
+			MaxRetries: 3,
+			Run: func(ctx context.Context, tc core.TaskContext) error {
+				if !tc.Sleep(ctx, time.Duration(10+tc.Stream.Named("runtime").Intn(50))*time.Second) {
+					return ctx.Err()
+				}
+				return nil
+			},
+		}
+	}
+	if _, err := mgr.SubmitUnits(descs); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.WaitAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := clock.Stalls(); n != 0 {
+		t.Fatalf("the backlog drain stalled the world %d times", n)
+	}
+}
+
 // backlogOutcome is everything a backlog run decides: the schedule
 // recorder's decision count and hash, and each unit's ID, end instant and
 // attempt count, in submission order.

@@ -159,17 +159,33 @@ func BenchmarkEventParkWake(b *testing.B) {
 }
 
 // BenchmarkNotifierRoundtrip: Set → Wait → Set → Wait between two
-// participants.
+// participants, both parked on context.Background() ("background") or on
+// one live context.WithCancel ("cancelable"). A park is one receive on the
+// record's grant channel whatever its context, so the two read alike; a
+// gap means a cancelable park pays for watching its Done again.
 func BenchmarkNotifierRoundtrip(b *testing.B) {
-	c := NewVirtual(Epoch)
-	c.Adopt()
-	defer c.Leave()
-	bg := context.Background()
-	ping, pong := NewNotifier(c), NewNotifier(c)
-	benchPingPong(b, c,
-		func(int) { ping.Set() },
-		func(int) { pong.Wait(bg) },
-		func(int) { ping.Wait(bg); pong.Set() })
+	for _, cancelable := range []bool{false, true} {
+		name := "background"
+		if cancelable {
+			name = "cancelable"
+		}
+		b.Run(name, func(b *testing.B) {
+			c := NewVirtual(Epoch)
+			c.Adopt()
+			defer c.Leave()
+			ctx := context.Background()
+			if cancelable {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				defer cancel()
+			}
+			ping, pong := NewNotifier(c), NewNotifier(c)
+			benchPingPong(b, c,
+				func(int) { ping.Set() },
+				func(int) { pong.Wait(ctx) },
+				func(int) { ping.Wait(ctx); pong.Set() })
+		})
+	}
 }
 
 // BenchmarkGoChurn: the driver spawns one participant at a time and waits

@@ -31,9 +31,10 @@ import (
 // in seq order. A cancellation issued by a participant therefore takes
 // effect at the modeled time it was issued — never after a spurious time
 // jump — which keeps teardown paths (walltime kills, evictions, processor
-// stops) deterministic. Cancellations arriving from outside the scheduled
-// world (a wall-clock context timeout on a hung run) are picked up by the
-// same sweep, raced only by their nature.
+// stops) deterministic. A park is one receive on the record's grant: a
+// cancellation from outside the scheduled world (a wall-clock timeout on a
+// hung run) reaches a stalled world through the watchers the stall starts
+// (watchLocked) or, for a scope, through its cancel's nudge.
 //
 // Participation contract:
 //
@@ -80,6 +81,7 @@ type Virtual struct {
 
 	participants int
 	stalls       uint64
+	resume       chan struct{} // a stall's watchers stop when the next grant closes it
 
 	// idle holds the records of participants whose fn returned while others
 	// were runnable; each one's goroutine waits on its grant channel for the
@@ -232,15 +234,16 @@ func (c *Virtual) WithCancel(parent context.Context) (context.Context, context.C
 	}
 	c.mu.Unlock()
 	return ctx, func() {
-		// List first: an outside cancel's waiters nudge a sweep that must
-		// find the group listed. A group retired (and maybe recycled)
-		// since is no longer this scope's.
+		// List first, so the sweep the nudge runs (a stall watches no
+		// unlisted scope) finds the group listed. A group retired (and
+		// maybe recycled) since is no longer this scope's.
 		c.mu.Lock()
 		if c.groupOf[done] == g && !g.listed {
 			c.listLocked(g)
 		}
 		c.mu.Unlock()
 		cancel()
+		c.nudge()
 	}
 }
 
@@ -419,23 +422,13 @@ func (c *Virtual) Sleep(ctx context.Context, d time.Duration) bool {
 	return c.await(r)
 }
 
-// await blocks until r's grant arrives, nudging the scheduler if r's
-// context fires first (external cancellations reach a stalled world this
-// way; participant-issued ones are claimed by the scheduler's own sweep).
-// It reports whether the wake-up was a signal (true) or a cancellation.
+// await blocks until r's grant arrives, whatever its context: only the
+// sweep claims a cancellation, and a stalled world's watchers nudge it. It
+// reports whether the wake-up was a signal (true) or a cancellation.
 func (c *Virtual) await(r *parker) bool {
-	if r.done == nil {
-		<-r.g
-	} else {
-		select {
-		case <-r.g:
-		case <-r.done:
-			c.nudge()
-			<-r.g
-		}
-	}
-	// r.claimed was set before the grant was sent; the channel receive
-	// orders the read of r.canceled after it.
+	<-r.g
+	// r.canceled was set before the grant was sent; the channel receive
+	// orders the read after it.
 	return !r.canceled
 }
 
@@ -615,11 +608,9 @@ func (c *Virtual) wake(r *parker) bool {
 	return true
 }
 
-// nudge asks the scheduler to re-run its cancellation sweep if the world
-// is currently idle. Called from await when a context fires while its
-// goroutine is parked: if a participant holds the token the next natural
-// schedule pass will sweep (deterministically); if the world is stalled
-// this recovers liveness.
+// nudge runs the scheduler, for a stall's watcher or a scope's cancel, if
+// the token is free: at a stall its sweep recovers liveness; with the token
+// held the next schedule pass sweeps, deterministically.
 func (c *Virtual) nudge() {
 	c.mu.Lock()
 	if c.current == nil {
@@ -642,8 +633,17 @@ func (c *Virtual) grantNextLocked() {
 		c.runq = c.runq[:0]
 		c.runqHead = 0
 	}
+	c.handLocked(r, TraceGrant)
+}
+
+// handLocked grants r the token as a kind decision; it ends a stall's watchers.
+func (c *Virtual) handLocked(r *parker, kind TraceKind) {
+	if c.resume != nil {
+		close(c.resume)
+		c.resume = nil
+	}
 	c.current = r
-	c.recordLocked(TraceGrant, r.seq, "")
+	c.recordLocked(kind, r.seq, "")
 	r.g <- struct{}{}
 }
 
@@ -706,9 +706,7 @@ func (c *Virtual) scheduleLocked() {
 			c.now = s.deadline
 		}
 		s.claimed = true
-		c.current = s
-		c.recordLocked(TraceAdvance, s.seq, "")
-		s.g <- struct{}{}
+		c.handLocked(s, TraceAdvance)
 		return
 	}
 	if c.participants > 0 {
@@ -716,6 +714,27 @@ func (c *Virtual) scheduleLocked() {
 		// only resume on an external signal (Adopt, a primitive fired from
 		// outside, or a context cancellation).
 		c.stalls++
+		c.watchLocked()
+	}
+}
+
+// watchLocked starts one watcher per listed group, each of which, at the
+// sweep just run, has members or kids; the first Done to close nudges the
+// sweep. A re-stall restarts the set: the sweep may have listed a scope
+// whose Done is yet to close (a parent's cancel closes its own Done first).
+func (c *Virtual) watchLocked() {
+	if c.resume != nil {
+		close(c.resume)
+	}
+	c.resume = make(chan struct{})
+	for _, g := range c.groups {
+		go func(done, resume <-chan struct{}) {
+			select {
+			case <-done:
+				c.nudge()
+			case <-resume:
+			}
+		}(g.done, c.resume)
 	}
 }
 

@@ -106,6 +106,12 @@
 #      map that cannot be presized for a batch. The planner below it
 #      indexes its records by the same ordinal, so non-test internal/plan
 #      declares no map[string]*unitRec either.
+#  16. A park is one receive (DESIGN.md "Cancellation"): non-test
+#      internal/vclock never receives from a record's done channel
+#      (`<-r.done`). A parked record waits on its grant channel alone; a
+#      select that also watches its context is one more sudog per park on
+#      every task, and an outside cancellation reaches a stalled world
+#      through the stall's watchers and a scope's cancel instead.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -356,6 +362,12 @@ if grep -nE 'map\[string\]\*?ComputeUnit\b' $(find $co -maxdepth 1 -name '*.go' 
 fi
 if grep -nE 'map\[string\]\*?unitRec\b' $(find internal/plan -maxdepth 1 -name '*.go' ! -name '*_test.go') >&2; then
   echo "seed-audit: internal/plan keys a map by unit ID — the ordinal indexes Planner.recs" >&2
+  fail=1
+fi
+
+# Rule 16: a park is one receive on the record's grant channel.
+if grep -nE '<-\s*r\.done' $(find internal/vclock -maxdepth 1 -name '*.go' ! -name '*_test.go') >&2; then
+  echo "seed-audit: internal/vclock receives from a record's done — a park waits on its grant alone; a stall's watchers carry outside cancellations" >&2
   fail=1
 fi
 
