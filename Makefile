@@ -77,7 +77,9 @@ profile:
 # a job, VM, container or glidein (rule 13), and mint every per-job context
 # as a clock cancel scope (rule 14); and the pilot manager and its planner
 # find a unit by its ordinal, through no map keyed by unit ID (rule 15);
-# and a park in internal/vclock is one receive on its grant (rule 16).
+# a park in internal/vclock is one receive on its grant (rule 16); and an
+# exhibit's seed is written only in the experiments.Exhibits table, never
+# as a literal in an exhibit body (rule 17).
 seed-audit:
 	bash tools/seed-audit.sh
 
@@ -149,19 +151,22 @@ fuzz-smoke:
 # line count per package, in total, and — last, the figure the ROADMAP
 # quotes — outside the frozen cmd/bench (`.bench_build` holds a build
 # cache, not source). `exhibit-digest` prints the sha256 of everything
-# cmd/experiments prints that is modeled: the `[N ms wall]` lines and the
-# E11 ablation rows (host wall-clock milliseconds) are filtered out — two
-# runs on one host differ in exactly those lines and nowhere else. A
-# refactor quotes the digest before and after; `exhibit-stable` (in ci
-# and .github/workflows/ci.yml) fails when two runs of the same tree
-# disagree.
+# cmd/experiments prints that is modeled: $(EXHIBIT_FILTER) drops the
+# `[N ms wall]` lines and blanks the makespan_wall_ms cell (host wall-clock
+# milliseconds, the next-to-last field) of E11's four ablation rows to
+# "-" — two runs on one host differ in exactly those and nowhere else, and
+# E11's cores and distance_ops stay in the digest. A refactor quotes the
+# digest before and after; `exhibit-stable` (in ci and
+# .github/workflows/ci.yml) fails when two runs of the same tree disagree.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; all += $$1 } \
 		END { for (d in loc) print loc[d], d; print all, "total"; print all - loc["./cmd/bench"], "total outside cmd/bench" }' | sort -k2
 
+EXHIBIT_FILTER = grep -v -E '^ *\[[0-9]+ms wall\]$$' | awk '/^(naive O|early-break)/ { $$(NF-1) = "-" } 1'
+
 exhibit-digest:
-	@$(GO) run ./cmd/experiments | grep -v -E '^ *\[[0-9]+ms wall\]$$|^(naive O|early-break)' | sha256sum | cut -d' ' -f1
+	@$(GO) run ./cmd/experiments | $(EXHIBIT_FILTER) | sha256sum | cut -d' ' -f1
 
 exhibit-stable:
 	@a=$$($(MAKE) -s exhibit-digest) && b=$$($(MAKE) -s exhibit-digest) && echo "exhibit-digest $$a" && \
@@ -183,9 +188,10 @@ examples-stable:
 	done
 
 # "Same bytes" as a gate instead of a sentence. $(DIGESTS) records what a
-# behaviour-preserving refactor must not move: the exhibit digest, the
-# decision count, schedule hash and state hash of every CHAOS_REGRESS seed,
-# and each example's stdout hash (as examples-stable prints it). Its first
+# behaviour-preserving refactor must not move: one digest per exhibit of
+# `cmd/experiments -list` (its `-run` output through $(EXHIBIT_FILTER)),
+# the decision count, schedule hash and state hash of every CHAOS_REGRESS
+# seed, and each example's stdout hash (as examples-stable prints it). Its first
 # line is the GOARCH it was recorded on — floating-point contraction differs
 # across architectures, so digest-check compares only on the same one and
 # says so when it skips. A PR that legitimately moves a decision runs
@@ -194,7 +200,10 @@ examples-stable:
 DIGESTS ?= tools/digests.golden
 digest-print:
 	@$(GO) env GOARCH
-	@echo "exhibit $$($(MAKE) -s exhibit-digest)"
+	@for n in $$($(GO) run ./cmd/experiments -list | cut -d' ' -f1); do \
+		out=$$($(GO) run ./cmd/experiments -run $$n) || exit 1; \
+		echo "exhibit $$n $$(echo "$$out" | $(EXHIBIT_FILTER) | sha256sum | cut -d' ' -f1)"; \
+	done
 	@for s in $(CHAOS_REGRESS); do \
 		out=$$($(GO) run ./cmd/chaosreplay -seed $$s) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | sed -n "s/^state hash \([0-9a-f]*\), schedule: \([0-9]*\) decisions, hash \([0-9a-f]*\).*/chaos $$s \2 \3 \1/p"; \

@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table- and figure-shaped exhibit of the
-// paper (DESIGN.md index E1–E13). Each benchmark executes the same
-// experiment code as `cmd/experiments`; reported ns/op is wall time of one
-// full experiment. Run with:
+// paper: one benchmark per entry of experiments.Exhibits, run at its seed
+// and experiments.Bench size. Each executes the same experiment code as
+// `cmd/experiments`; reported ns/op is wall time of one experiment. Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
@@ -16,108 +17,62 @@ import (
 	"gopilot/internal/experiments"
 )
 
-// BenchmarkTable1_Scenarios regenerates Table I (E1): all five application
-// scenarios through one Pilot-API.
-func BenchmarkTable1_Scenarios(b *testing.B) {
+// benchExhibit runs the named exhibit at its seed and Bench size, once per
+// iteration.
+func benchExhibit(b *testing.B, name string) {
+	e := experiments.Find(name)
+	if e == nil {
+		b.Fatalf("no exhibit named %q", name)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(); err != nil {
+		if _, err := e.Run(e.Seed, experiments.Bench); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkTable1_Scenarios regenerates Table I (E1): all five application
+// scenarios through one Pilot-API.
+func BenchmarkTable1_Scenarios(b *testing.B) { benchExhibit(b, "table1") }
 
 // BenchmarkTable2_PilotOverhead regenerates the pilot startup/overhead
 // characterization (E2).
-func BenchmarkTable2_PilotOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PilotOverhead(64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_PilotOverhead(b *testing.B) { benchExhibit(b, "overhead") }
 
 // BenchmarkTable2_RexScaling regenerates replica-exchange strong scaling
 // with the analytical model (E3).
-func BenchmarkTable2_RexScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RexScaling(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_RexScaling(b *testing.B) { benchExhibit(b, "rex") }
 
 // BenchmarkTable2_PilotData regenerates the data-aware vs data-oblivious
 // comparison (E4).
-func BenchmarkTable2_PilotData(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PilotData(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_PilotData(b *testing.B) { benchExhibit(b, "pilotdata") }
 
 // BenchmarkTable2_MapReduce regenerates Pilot-Hadoop wordcount strong
 // scaling (E5).
-func BenchmarkTable2_MapReduce(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MapReduceScaling(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_MapReduce(b *testing.B) { benchExhibit(b, "mapreduce") }
 
 // BenchmarkTable2_PilotMemory regenerates the iterative K-Means
 // memory-vs-disk comparison (E6).
-func BenchmarkTable2_PilotMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PilotMemory(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_PilotMemory(b *testing.B) { benchExhibit(b, "memory") }
 
 // BenchmarkTable2_Streaming regenerates the throughput/latency scaling of
 // Pilot-Streaming (E7).
-func BenchmarkTable2_Streaming(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Streaming(600); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_Streaming(b *testing.B) { benchExhibit(b, "streaming") }
 
 // BenchmarkTable2_Serverless regenerates the cluster-vs-serverless stream
 // processing comparison (E7b, [73]).
-func BenchmarkTable2_Serverless(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ServerlessStreaming(400); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_Serverless(b *testing.B) { benchExhibit(b, "serverless") }
 
 // BenchmarkTable2_ThroughputModel regenerates the statistical throughput
 // model fit + holdout validation (E8).
-func BenchmarkTable2_ThroughputModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.ThroughputModel(400); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTable2_ThroughputModel(b *testing.B) { benchExhibit(b, "model") }
 
 // BenchmarkStreaming_Million regenerates the million-message data-plane
 // exhibit (E13): 10⁶ messages through 8 partitions and a 4→5→4-worker
 // consumer group with backpressure. Its ns/op and allocs/op pin the
 // segmented zero-copy log's budget — run with -benchmem (make bench), and
 // see BENCH_baseline.json's allocs_per_op gate.
-func BenchmarkStreaming_Million(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MillionMessages(1_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkStreaming_Million(b *testing.B) { benchExhibit(b, "million") }
 
 // BenchmarkStreaming_TenMillion is the 10⁷-message E13 variant: ten times
 // BenchmarkStreaming_Million's traffic through the same topology, gated on
@@ -146,11 +101,12 @@ func BenchmarkStreaming_TenMillion(b *testing.B) {
 		b.Skip("opt-in: set GOPILOT_BENCH_10M=1 (one op ≈ 10× BenchmarkStreaming_Million)")
 	}
 	const msgs = 10_000_000
+	seed := experiments.Find("million").Seed
 	for i := 0; i < b.N; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, err := experiments.MillionMessages(msgs); err != nil {
+		if _, err := experiments.MillionMessages(seed, msgs); err != nil {
 			b.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -190,49 +146,19 @@ func BenchmarkChaos_Seeds(b *testing.B) {
 }
 
 // BenchmarkLateBinding regenerates the direct-vs-pilot comparison (E9).
-func BenchmarkLateBinding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.LateBinding(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkLateBinding(b *testing.B) { benchExhibit(b, "latebinding") }
 
 // BenchmarkDynamicScaling regenerates the runtime cloud-bursting study
 // (E9b, R3 dynamism).
-func BenchmarkDynamicScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DynamicScaling(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkDynamicScaling(b *testing.B) { benchExhibit(b, "dynamic") }
 
 // BenchmarkFig5_Loop regenerates the automated build-assess-refine loop
 // (E10, Figure 5).
-func BenchmarkFig5_Loop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Fig5Loop(300); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig5_Loop(b *testing.B) { benchExhibit(b, "fig5") }
 
 // BenchmarkAblation_Algorithm regenerates the algorithm-vs-scale-out
 // ablation (E11).
-func BenchmarkAblation_Algorithm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationAlgorithm(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkAblation_Algorithm(b *testing.B) { benchExhibit(b, "ablation") }
 
 // BenchmarkEnKF_Adaptive regenerates the adaptive EnKF study (E12).
-func BenchmarkEnKF_Adaptive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.EnKFAdaptive(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEnKF_Adaptive(b *testing.B) { benchExhibit(b, "enkf") }

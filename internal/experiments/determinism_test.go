@@ -8,23 +8,15 @@ import (
 	"gopilot/internal/metrics"
 )
 
-// renderScrubbed renders a table, dropping the named columns (used for
+// renderScrubbed renders a table, dropping the named column (used for
 // E11's makespan_wall_ms, the one deliberately wall-clock-measured cell).
-func renderScrubbed(t *metrics.Table, drop ...string) string {
-	skip := map[int]bool{}
-	for i, c := range t.Columns {
-		for _, d := range drop {
-			if c == d {
-				skip[i] = true
-			}
-		}
-	}
+func renderScrubbed(t *metrics.Table, drop string) string {
 	var b bytes.Buffer
 	b.WriteString(t.Title)
 	for _, row := range t.Rows {
 		b.WriteString("\n")
 		for i, cell := range row {
-			if skip[i] {
+			if i < len(t.Columns) && t.Columns[i] == drop {
 				continue
 			}
 			b.WriteString(cell)
@@ -34,52 +26,57 @@ func renderScrubbed(t *metrics.Table, drop ...string) string {
 	return b.String()
 }
 
-// TestSameSeedExhibitsBitIdentical runs every exhibit E1–E13 twice on the
-// virtual clock and requires bit-identical output — the ISSUE's acceptance
-// criterion that the conservative time-warp extends PR 1's determinism
-// from the perfmodel sims to the full concurrent runtime. Measured
-// makespans, throughputs, latency quantiles, costs: all must match to the
-// last digit.
+// subtestName names each exhibit's subtest, keyed by its -run name. The
+// names predate the Exhibits table and stay fixed, so a subtest keeps its
+// identity in test history when exhibits are refactored.
+var subtestName = map[string]string{
+	"table1":      "E1_Table1",
+	"overhead":    "E2_PilotOverhead",
+	"rex":         "E3_RexScaling",
+	"pilotdata":   "E4_PilotData",
+	"mapreduce":   "E5_MapReduceScaling",
+	"memory":      "E6_PilotMemory",
+	"streaming":   "E7_Streaming",
+	"serverless":  "E7b_Serverless",
+	"model":       "E8_ThroughputModel",
+	"latebinding": "E9_LateBinding",
+	"dynamic":     "E9b_DynamicScaling",
+	"fig5":        "E10_Fig5Loop",
+	"ablation":    "E11_Ablation",
+	"enkf":        "E12_EnKF",
+	"million":     "E13_MillionMessages",
+}
+
+// TestSameSeedExhibitsBitIdentical runs every exhibit of Exhibits twice
+// at small size on the virtual clock and requires bit-identical output —
+// the acceptance criterion that the conservative time-warp extends the
+// determinism of the perfmodel sims to the full concurrent runtime.
+// Measured makespans, throughputs, latency quantiles, costs, notes: all
+// must match to the last digit. Each run must also succeed with at least
+// one row and one column, so a plain `go test ./...` drives every exhibit
+// end to end.
 func TestSameSeedExhibitsBitIdentical(t *testing.T) {
-	type exhibit struct {
-		id   string
-		run  func() (*metrics.Table, []string, error)
-		drop []string
+	if len(subtestName) != len(Exhibits) {
+		t.Errorf("subtestName has %d entries for %d exhibits", len(subtestName), len(Exhibits))
 	}
-	tbl := func(f func() (*metrics.Table, error)) func() (*metrics.Table, []string, error) {
-		return func() (*metrics.Table, []string, error) {
-			tb, err := f()
-			return tb, nil, err
+	for _, e := range Exhibits {
+		name, ok := subtestName[e.Name]
+		if !ok {
+			t.Errorf("exhibit %q has no subtest name", e.Name)
+			name = e.Name
 		}
-	}
-	exhibits := []exhibit{
-		{id: "E1_Table1", run: tbl(Table1)},
-		{id: "E2_PilotOverhead", run: tbl(func() (*metrics.Table, error) { return PilotOverhead(32) })},
-		{id: "E3_RexScaling", run: tbl(RexScaling)},
-		{id: "E4_PilotData", run: tbl(PilotData)},
-		{id: "E5_MapReduceScaling", run: tbl(MapReduceScaling)},
-		{id: "E6_PilotMemory", run: tbl(PilotMemory)},
-		{id: "E7_Streaming", run: tbl(func() (*metrics.Table, error) { return Streaming(200) })},
-		{id: "E7b_Serverless", run: tbl(func() (*metrics.Table, error) { return ServerlessStreaming(200) })},
-		{id: "E8_ThroughputModel", run: func() (*metrics.Table, []string, error) { return ThroughputModel(200) }},
-		{id: "E9_LateBinding", run: tbl(LateBinding)},
-		{id: "E9b_DynamicScaling", run: tbl(DynamicScaling)},
-		{id: "E10_Fig5Loop", run: func() (*metrics.Table, []string, error) { return Fig5Loop(120) }},
-		// E11 compares real CPU algorithms; its wall-ms column is the one
-		// legitimately nondeterministic cell in the whole evaluation.
-		{id: "E11_Ablation", run: tbl(AblationAlgorithm), drop: []string{"makespan_wall_ms"}},
-		{id: "E12_EnKF", run: tbl(EnKFAdaptive)},
-		{id: "E13_MillionMessages", run: tbl(func() (*metrics.Table, error) { return MillionMessages(40_000) })},
-	}
-	for _, ex := range exhibits {
-		ex := ex
-		t.Run(ex.id, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			render := func() string {
-				tb, notes, err := ex.run()
+				tb, err := e.Run(e.Seed, small)
 				if err != nil {
-					t.Fatalf("%s: %v", ex.id, err)
+					t.Fatalf("%s: %v", e.Name, err)
 				}
-				return renderScrubbed(tb, ex.drop...) + "\n" + strings.Join(notes, "\n")
+				if len(tb.Rows) == 0 || len(tb.Columns) == 0 {
+					t.Fatalf("%s: empty table (%d rows, %d columns)", e.Name, len(tb.Rows), len(tb.Columns))
+				}
+				// E11's makespan_wall_ms is the one legitimately
+				// nondeterministic cell in the whole evaluation.
+				return renderScrubbed(tb, "makespan_wall_ms") + "\n" + strings.Join(tb.Notes, "\n")
 			}
 			a, b := render(), render()
 			if a != b {
@@ -87,4 +84,18 @@ func TestSameSeedExhibitsBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runSmall runs the named exhibit at its seed and small size.
+func runSmall(t *testing.T, name string) *metrics.Table {
+	t.Helper()
+	e := Find(name)
+	if e == nil {
+		t.Fatalf("no exhibit named %q", name)
+	}
+	tb, err := e.Run(e.Seed, small)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return tb
 }

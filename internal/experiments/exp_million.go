@@ -13,7 +13,7 @@ import (
 )
 
 // MillionMessages is E13, the scale exhibit for the streaming data
-// plane: n messages (default 10⁶) through an 8-partition topic on a
+// plane: n messages (10⁶ in the driver) through an 8-partition topic on a
 // 3-shard federated cluster (replication 3 — every shard holds every
 // partition's log), consumed by a consumer group that starts at 4
 // workers, grows to 5 mid-run, and shrinks back — two live rebalances —
@@ -36,11 +36,8 @@ import (
 // logs are checked for divergence after the drain. Each is
 // bit-identical per seed (BenchmarkStreaming_Million pins the wall-time
 // and allocation budget).
-func MillionMessages(n int) (*metrics.Table, error) {
-	if n <= 0 {
-		n = 1_000_000
-	}
-	tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 23})
+func MillionMessages(seed int64, n int) (*metrics.Table, error) {
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: seed})
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()

@@ -9,16 +9,14 @@ import (
 	"gopilot/internal/metrics"
 )
 
-// PilotOverhead reproduces Table II's "pilot overhead" characterization
+// pilotOverhead reproduces Table II's "pilot overhead" characterization
 // (Eval 3) for Pilot-Job across infrastructures: pilot startup time
 // (submission → agent running) and the manager's per-task overhead
 // measured with zero-length tasks — on HPC, HTC, cloud and the local
 // reference backend.
-func PilotOverhead(tasks int) (*metrics.Table, error) {
-	if tasks <= 0 {
-		tasks = 128
-	}
-	tb := NewTestbed(TestbedConfig{QueueWaitMean: 60, Seed: 2})
+func pilotOverhead(seed int64, s Size) (*metrics.Table, error) {
+	tasks := s.pick(32, 64, 128)
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 60, Seed: seed})
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()

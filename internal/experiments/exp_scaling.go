@@ -14,20 +14,20 @@ import (
 	"gopilot/internal/scheduler"
 )
 
-// RexScaling reproduces Table II's Pilot-Job strong-scaling study with the
+// rexScaling reproduces Table II's Pilot-Job strong-scaling study with the
 // analytical-model comparison of Thota et al. [72] (E3): replica-exchange
 // at fixed ensemble size on growing pilots; measured makespan next to the
 // RexModel prediction. The shape to reproduce: near-linear speedup while
 // waves shrink, flattening once concurrency == ensemble size, with the
 // model tracking measurements.
-func RexScaling() (*metrics.Table, error) {
+func rexScaling(seed int64, _ Size) (*metrics.Table, error) {
 	const (
 		replicas  = 32
 		cycles    = 3
 		mdSeconds = 60
 		exchange  = 5 * time.Second
 	)
-	tb := NewTestbed(TestbedConfig{QueueWaitMean: 30, Seed: 3})
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 30, Seed: seed})
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -73,12 +73,12 @@ func RexScaling() (*metrics.Table, error) {
 	return t, nil
 }
 
-// PilotData reproduces Table II's Pilot-Data evaluation (E4): the same
+// pilotData reproduces Table II's Pilot-Data evaluation (E4): the same
 // data-intensive bag of tasks under a data-oblivious and a data-aware
 // scheduler across two sites. The shape: data-aware placement avoids
 // nearly all cross-site transfers and wins on makespan; the gap widens
 // with data size (data gravity).
-func PilotData() (*metrics.Table, error) {
+func pilotData(seed int64, _ Size) (*metrics.Table, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 
@@ -88,7 +88,7 @@ func PilotData() (*metrics.Table, error) {
 
 	for _, chunkMB := range []float64{100, 1000} {
 		for _, sched := range []core.Scheduler{scheduler.LeastLoaded{}, scheduler.DataAware{}} {
-			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 4})
+			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: seed})
 			mgr := tb.NewManager(sched)
 			// One pilot per site; data lives at stampede.
 			if _, err := mgr.SubmitPilot(core.PilotDescription{

@@ -12,23 +12,21 @@ import (
 	"gopilot/internal/streaming"
 )
 
-// ServerlessStreaming reproduces the serverless-vs-cluster streaming
+// serverlessStreaming reproduces the serverless-vs-cluster streaming
 // comparison of [73] (E7b): the same light-source stream processed by
 // pilot-managed cluster workers and by FaaS invocations. Shapes: the
 // cluster path has flat, low latency once warm; the serverless path pays
 // cold starts (visible in max latency) but matches steady-state
 // throughput, trading standing resources for per-invocation elasticity.
-func ServerlessStreaming(frames int) (*metrics.Table, error) {
-	if frames <= 0 {
-		frames = 1000
-	}
+func serverlessStreaming(seed int64, s Size) (*metrics.Table, error) {
+	frames := s.pick(200, 400, 1000)
 	t := metrics.NewTable(
 		fmt.Sprintf("Table II (Eval 3/4) — cluster vs serverless stream processing (%d frames, 10ms/msg)", frames),
 		"mode", "partitions", "throughput_msg_s", "latency_p50_s", "latency_max_s", "cold_starts")
 
 	for _, parts := range []int{1, 4} {
 		// ---------------- cluster (pilot workers) --------------------------
-		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 19})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: seed})
 		tput, lat, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)
 		tb.Close()
 		if err != nil {
@@ -41,7 +39,7 @@ func ServerlessStreaming(frames int) (*metrics.Table, error) {
 			"-")
 
 		// ---------------- serverless (FaaS invocations) --------------------
-		tb2 := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 20})
+		tb2 := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: seed + 1})
 		sTput, sLat, cold, err := serverlessTrial(tb2, parts, frames, 10*time.Millisecond)
 		tb2.Close()
 		if err != nil {

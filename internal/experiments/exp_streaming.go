@@ -65,21 +65,19 @@ func StreamTrial(tb *Testbed, partitions, workers, frames int, handlerCost time.
 	return proc.Throughput(), proc.LatencyStats(), nil
 }
 
-// Streaming reproduces Table II's Pilot-Streaming evaluation (E7):
+// streamingScaling reproduces Table II's Pilot-Streaming evaluation (E7):
 // throughput and latency of light-source frame reconstruction as broker
 // partitions (and matching processing workers) grow. Shape: throughput
 // scales with partitions until the producer or handler saturates; latency
 // collapses once consumers keep up.
-func Streaming(frames int) (*metrics.Table, error) {
-	if frames <= 0 {
-		frames = 1500
-	}
+func streamingScaling(seed int64, s Size) (*metrics.Table, error) {
+	frames := s.pick(200, 600, 1500)
 	t := metrics.NewTable(
 		fmt.Sprintf("Table II (Eval 3/4) — Pilot-Streaming throughput/latency (%d frames, 10ms handler)", frames),
 		"partitions", "workers", "throughput_msg_s", "latency_p50_s", "latency_p95_s")
 
 	for _, parts := range []int{1, 2, 4, 8} {
-		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 8})
+		tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: seed})
 		tput, lat, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)
 		tb.Close()
 		if err != nil {
@@ -93,15 +91,13 @@ func Streaming(frames int) (*metrics.Table, error) {
 	return t, nil
 }
 
-// ThroughputModel reproduces the statistical performance model of [73]
+// throughputModel reproduces the statistical performance model of [73]
 // (E8): a Mini-App sweep over partition/worker configurations generates
 // training data; an OLS model predicts throughput from the configuration;
 // a holdout configuration validates it. The table reports the fit and the
 // holdout error, mirroring the paper's model-quality reporting.
-func ThroughputModel(frames int) (*metrics.Table, []string, error) {
-	if frames <= 0 {
-		frames = 800
-	}
+func throughputModel(seed int64, s Size) (*metrics.Table, error) {
+	frames := s.pick(200, 400, 800)
 	design := miniapp.Design{Factors: []miniapp.Factor{
 		{Name: "partitions", Levels: []float64{1, 2, 3, 4, 6}},
 	}}
@@ -109,7 +105,7 @@ func ThroughputModel(frames int) (*metrics.Table, []string, error) {
 		Name:   "throughput-sweep",
 		Design: design,
 		Run: func(ctx context.Context, cfg map[string]float64, _ int) (map[string]float64, error) {
-			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: 9})
+			tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: seed})
 			defer tb.Close()
 			parts := int(cfg["partitions"])
 			tput, lat, err := StreamTrial(tb, parts, parts, frames, 10*time.Millisecond)
@@ -121,17 +117,17 @@ func ThroughputModel(frames int) (*metrics.Table, []string, error) {
 	}
 	rs, err := runner.Execute(context.Background())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	x, y := rs.Matrix([]string{"partitions"}, "throughput")
 	if len(x) < 4 {
-		return nil, nil, fmt.Errorf("sweep produced only %d points", len(x))
+		return nil, fmt.Errorf("sweep produced only %d points", len(x))
 	}
 	// Hold out the largest configuration, fit on the rest.
 	holdX, holdY := x[len(x)-1], y[len(y)-1]
 	model, err := perfmodel.FitOLS(x[:len(x)-1], y[:len(y)-1], []string{"partitions"})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	t := metrics.NewTable("Table II (Eval 4) — statistical throughput model [73]",
@@ -144,11 +140,11 @@ func ThroughputModel(frames int) (*metrics.Table, []string, error) {
 			fmt.Sprintf("%+.1f", (pred-y[i])/y[i]*100))
 	}
 	holdErr := (model.Predict(holdX) - holdY) / holdY * 100
-	notes := []string{
+	t.Notes = []string{
 		fmt.Sprintf("model: %s", model),
 		fmt.Sprintf("R² (train) = %.3f", model.R2(x[:len(x)-1], y[:len(y)-1])),
 		fmt.Sprintf("holdout (partitions=%g): measured %.0f, predicted %.0f (%+.1f%%)",
 			holdX[0], holdY, model.Predict(holdX), holdErr),
 	}
-	return t, notes, nil
+	return t, nil
 }

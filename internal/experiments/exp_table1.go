@@ -20,13 +20,13 @@ import (
 	"gopilot/internal/streaming"
 )
 
-// Table1 reproduces Table I: the same Pilot-API expresses all five
+// table1 reproduces Table I: the same Pilot-API expresses all five
 // application scenarios (task-parallel, data-parallel, dataflow,
 // iterative, streaming). Each scenario runs a real workload end-to-end;
 // the table reports tasks executed and modeled makespan — the
 // "generality/applicability" evidence of Eval 2.
-func Table1() (*metrics.Table, error) {
-	tb := NewTestbed(TestbedConfig{QueueWaitMean: 10, Seed: 1})
+func table1(seed int64, _ Size) (*metrics.Table, error) {
+	tb := NewTestbed(TestbedConfig{QueueWaitMean: 10, Seed: seed})
 	defer tb.Close()
 	mgr := tb.NewManager(nil)
 	if _, err := mgr.SubmitPilot(core.PilotDescription{

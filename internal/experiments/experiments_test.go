@@ -25,10 +25,7 @@ func TestTestbedLifecycle(t *testing.T) {
 }
 
 func TestTable1AllScenariosComplete(t *testing.T) {
-	tbl, err := Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "table1")
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 scenarios", len(tbl.Rows))
 	}
@@ -41,10 +38,7 @@ func TestTable1AllScenariosComplete(t *testing.T) {
 }
 
 func TestPilotOverheadCoversBackends(t *testing.T) {
-	tbl, err := PilotOverhead(32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "overhead")
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 backends", len(tbl.Rows))
 	}
@@ -56,10 +50,7 @@ func TestPilotOverheadCoversBackends(t *testing.T) {
 }
 
 func TestRexScalingShape(t *testing.T) {
-	tbl, err := RexScaling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "rex")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -92,10 +83,7 @@ func TestRexScalingShape(t *testing.T) {
 }
 
 func TestPilotDataShape(t *testing.T) {
-	tbl, err := PilotData()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "pilotdata")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -111,10 +99,7 @@ func TestPilotDataShape(t *testing.T) {
 }
 
 func TestMapReduceScalingShape(t *testing.T) {
-	tbl, err := MapReduceScaling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "mapreduce")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -129,10 +114,7 @@ func TestMapReduceScalingShape(t *testing.T) {
 }
 
 func TestPilotMemoryShape(t *testing.T) {
-	tbl, err := PilotMemory()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "memory")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -146,10 +128,7 @@ func TestPilotMemoryShape(t *testing.T) {
 }
 
 func TestStreamingShape(t *testing.T) {
-	tbl, err := Streaming(400)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "streaming")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -161,10 +140,7 @@ func TestStreamingShape(t *testing.T) {
 }
 
 func TestServerlessStreamingShape(t *testing.T) {
-	tbl, err := ServerlessStreaming(400)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "serverless")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -186,21 +162,14 @@ func TestServerlessStreamingShape(t *testing.T) {
 }
 
 func TestThroughputModelQuality(t *testing.T) {
-	_, notes, err := ThroughputModel(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(notes, "\n")
+	joined := strings.Join(runSmall(t, "model").Notes, "\n")
 	if !strings.Contains(joined, "R²") || !strings.Contains(joined, "holdout") {
 		t.Fatalf("notes missing model diagnostics:\n%s", joined)
 	}
 }
 
 func TestLateBindingPilotWins(t *testing.T) {
-	tbl, err := LateBinding()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "latebinding")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -213,10 +182,7 @@ func TestLateBindingPilotWins(t *testing.T) {
 }
 
 func TestDynamicScalingBurstWins(t *testing.T) {
-	tbl, err := DynamicScaling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "dynamic")
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -226,23 +192,17 @@ func TestDynamicScalingBurstWins(t *testing.T) {
 }
 
 func TestFig5LoopConverges(t *testing.T) {
-	tbl, notes, err := Fig5Loop(300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "fig5")
 	if len(tbl.Rows) < 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
-	if !strings.Contains(strings.Join(notes, " "), "refined choice") {
-		t.Fatalf("notes = %v", notes)
+	if !strings.Contains(strings.Join(tbl.Notes, " "), "refined choice") {
+		t.Fatalf("notes = %v", tbl.Notes)
 	}
 }
 
 func TestAblationAlgorithmWins(t *testing.T) {
-	tbl, err := AblationAlgorithm()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "ablation")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -254,10 +214,7 @@ func TestAblationAlgorithmWins(t *testing.T) {
 }
 
 func TestEnKFAdaptiveRows(t *testing.T) {
-	tbl, err := EnKFAdaptive()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runSmall(t, "enkf")
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8 cycles", len(tbl.Rows))
 	}

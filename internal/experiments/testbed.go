@@ -1,5 +1,5 @@
 // Package experiments regenerates every table- and figure-shaped result in
-// the paper's evaluation (see DESIGN.md's per-experiment index E1–E13).
+// the paper's evaluation, each listed once in Exhibits (DESIGN.md index).
 // Each experiment builds a fresh simulated testbed — HPC machines with
 // batch queues, an HTC pool, a cloud region, a YARN cluster, Pilot-Data
 // sites — runs the workload through the pilot stack in virtual time, and

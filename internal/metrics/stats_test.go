@@ -141,6 +141,28 @@ func TestTableRenderAndCSV(t *testing.T) {
 	}
 }
 
+func TestTableNotesRenderAfterRowsNotInCSV(t *testing.T) {
+	tb := NewTable("Demo", "config", "speedup")
+	tb.AddRow("base", 1.0)
+	tb.Notes = []string{"model: y = 2x", "R² = 0.99"}
+	want := "== Demo ==\n" +
+		"config  speedup\n" +
+		"------  -------\n" +
+		"base    1\n" +
+		"  model: y = 2x\n" +
+		"  R² = 0.99\n"
+	if got := tb.String(); got != want {
+		t.Errorf("Render with notes:\n%s\nwant:\n%s", got, want)
+	}
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != "config,speedup\nbase,1\n" {
+		t.Errorf("CSV carries more than header and rows:\n%s", got)
+	}
+}
+
 func TestMeanStdEdgeCases(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")

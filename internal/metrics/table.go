@@ -9,10 +9,13 @@ import (
 // Table accumulates rows of experiment results and renders them as an
 // aligned text table (for terminal output, mirroring the rows the paper
 // reports) or as CSV (for the Mini-App framework's data collection).
+// Notes are free-text lines (a model's fit, a loop's verdict) that Render
+// prints after the rows and WriteCSV leaves out.
 type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
+	Notes   []string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -44,7 +47,7 @@ func formatFloat(x float64) string {
 	return fmt.Sprintf("%.4g", x)
 }
 
-// Render writes an aligned text rendering of the table to w.
+// Render writes an aligned text rendering of the table to w, notes last.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
@@ -80,6 +83,9 @@ func (t *Table) Render(w io.Writer) {
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
+	for _, n := range t.Notes {
+		fmt.Fprintln(w, "  "+n)
+	}
 }
 
 func pad(s string, w int) string {
@@ -97,7 +103,7 @@ func (t *Table) String() string {
 }
 
 // WriteCSV writes the table in RFC 4180-ish CSV form (quotes only where
-// needed) including the header row.
+// needed) including the header row; the notes are not part of it.
 func (t *Table) WriteCSV(w io.Writer) error {
 	writeLine := func(cells []string) error {
 		parts := make([]string, len(cells))

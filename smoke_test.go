@@ -1,7 +1,7 @@
-// Repo-wide smoke test: every experiment exhibit of the paper's
-// evaluation (DESIGN.md index E1–E13) executes end to end (frame counts
-// trimmed for the streaming exhibits to bound real CPU work), so a plain
-// `go test ./...` exercises the full pipeline — SAGA services over all
+// Repo-wide smoke test: every exhibit of experiments.Exhibits executes end
+// to end at experiments.Bench size, the size the root benchmarks time (the
+// determinism test in internal/experiments runs each at the tests' small
+// size), so a plain `go test ./...` exercises the full pipeline — SAGA services over all
 // five simulated infrastructures, the pilot manager, Pilot-Data/-Memory/
 // -MapReduce/-Streaming, the Mini-App runner, and both performance-model
 // families — not just the per-package units.
@@ -14,46 +14,54 @@ import (
 
 	"gopilot/internal/dist"
 	"gopilot/internal/experiments"
-	"gopilot/internal/metrics"
 	"gopilot/internal/perfmodel"
 )
 
-func tableOnly(tbl *metrics.Table, _ []string, err error) (*metrics.Table, error) {
-	return tbl, err
+// smokeName names each exhibit's subtest, keyed by its -run name. The
+// names predate the Exhibits table and stay fixed, so a subtest keeps its
+// identity in test history when exhibits are refactored.
+var smokeName = map[string]string{
+	"table1":      "E1_Table1_Scenarios",
+	"overhead":    "E2_PilotOverhead",
+	"rex":         "E3_RexScaling",
+	"pilotdata":   "E4_PilotData",
+	"mapreduce":   "E5_MapReduceScaling",
+	"memory":      "E6_PilotMemory",
+	"streaming":   "E7_Streaming",
+	"serverless":  "E7b_ServerlessStreaming",
+	"model":       "E8_ThroughputModel",
+	"latebinding": "E9_LateBinding",
+	"dynamic":     "E9b_DynamicScaling",
+	"fig5":        "E10_Fig5Loop",
+	"ablation":    "E11_AblationAlgorithm",
+	"enkf":        "E12_EnKFAdaptive",
+	"million":     "E13_MillionMessages",
 }
 
+// TestSmokeAllExhibits runs every exhibit once at its seed and Bench size
+// and requires a table with at least one row and one column. The root
+// benchmarks run the same calls, but only under -bench; this keeps the
+// Bench sizes under plain `go test`.
 func TestSmokeAllExhibits(t *testing.T) {
-	exhibits := []struct {
-		id, name string
-		run      func() (*metrics.Table, error)
-	}{
-		{"E1", "Table1_Scenarios", experiments.Table1},
-		{"E2", "PilotOverhead", func() (*metrics.Table, error) { return experiments.PilotOverhead(16) }},
-		{"E3", "RexScaling", experiments.RexScaling},
-		{"E4", "PilotData", experiments.PilotData},
-		{"E5", "MapReduceScaling", experiments.MapReduceScaling},
-		{"E6", "PilotMemory", experiments.PilotMemory},
-		{"E7", "Streaming", func() (*metrics.Table, error) { return experiments.Streaming(120) }},
-		{"E7b", "ServerlessStreaming", func() (*metrics.Table, error) { return experiments.ServerlessStreaming(80) }},
-		{"E8", "ThroughputModel", func() (*metrics.Table, error) { return tableOnly(experiments.ThroughputModel(80)) }},
-		{"E9", "LateBinding", experiments.LateBinding},
-		{"E9b", "DynamicScaling", experiments.DynamicScaling},
-		{"E10", "Fig5Loop", func() (*metrics.Table, error) { return tableOnly(experiments.Fig5Loop(60)) }},
-		{"E11", "AblationAlgorithm", experiments.AblationAlgorithm},
-		{"E12", "EnKFAdaptive", experiments.EnKFAdaptive},
-		{"E13", "MillionMessages", func() (*metrics.Table, error) { return experiments.MillionMessages(40_000) }},
+	if len(smokeName) != len(experiments.Exhibits) {
+		t.Errorf("smokeName has %d entries for %d exhibits", len(smokeName), len(experiments.Exhibits))
 	}
-	for _, ex := range exhibits {
-		t.Run(ex.id+"_"+ex.name, func(t *testing.T) {
-			tbl, err := ex.run()
+	for _, e := range experiments.Exhibits {
+		name, ok := smokeName[e.Name]
+		if !ok {
+			t.Errorf("exhibit %q has no subtest name", e.Name)
+			name = e.Name
+		}
+		t.Run(name, func(t *testing.T) {
+			tbl, err := e.Run(e.Seed, experiments.Bench)
 			if err != nil {
-				t.Fatalf("%s failed: %v", ex.name, err)
+				t.Fatalf("%s failed: %v", e.Name, err)
 			}
 			if tbl == nil || len(tbl.Rows) == 0 {
-				t.Fatalf("%s produced an empty table", ex.name)
+				t.Fatalf("%s produced an empty table", e.Name)
 			}
 			if len(tbl.Columns) == 0 {
-				t.Fatalf("%s produced a table with no columns", ex.name)
+				t.Fatalf("%s produced a table with no columns", e.Name)
 			}
 		})
 	}

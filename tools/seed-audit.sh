@@ -112,6 +112,15 @@
 #      select that also watches its context is one more sudog per park on
 #      every task, and an outside cancellation reaches a stalled world
 #      through the stall's watchers and a scope's cancel instead.
+#  17. An exhibit's seed is written once (DESIGN.md "Experiment index"):
+#      the table experiments.Exhibits in internal/experiments/exhibits.go
+#      holds every exhibit's seed, and each exhibit body takes it as an
+#      argument. No other non-test internal/experiments file writes an
+#      integer-literal seed — no `Seed: 5` in a TestbedConfig{...} and no
+#      dist.NewStream(16). A body that builds a second testbed derives its
+#      seed from its own (seed+1, seed+100+n): arithmetic on seed is fine.
+#      A literal in a body is a second place the seed lives, and the next
+#      seed sweep would silently leave that testbed behind.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -285,6 +294,16 @@ for f in $files; do
     echo "seed-audit: $f asserts a second Bus implementation — Cluster is the one; a deployment is its configuration" >&2
     fail=1
   fi
+  # Rule 17: exhibit seeds are written in the exhibit table only.
+  case "$f" in
+    internal/experiments/exhibits.go) ;;
+    internal/experiments/*)
+      if grep -nE '\bSeed: *(int64\()?[0-9]|dist\.NewStream\( *(int64\()?[0-9]' "$f" >&2; then
+        echo "seed-audit: $f writes an integer-literal seed — an exhibit's seed lives in its experiments.Exhibits entry; derive later testbeds from it (seed+1, ...)" >&2
+        fail=1
+      fi
+      ;;
+  esac
   case "$f" in
     internal/experiments/*|cmd/*|examples/*) continue ;;
   esac
