@@ -86,31 +86,6 @@ func TestNamedChildrenDistinct(t *testing.T) {
 	}
 }
 
-// TestSeedResetsSplitLabelChildren is the regression test for the
-// math/rand Source compat method: reseeding a stream in place must also
-// reset its birth state (seed0), so a reseeded stream's SplitLabel and
-// Named children are bit-identical to a freshly constructed stream's.
-func TestSeedResetsSplitLabelChildren(t *testing.T) {
-	used := NewStream(1)
-	// Scramble the internal state reachable before reseeding: position
-	// (state) by draws; SplitLabel reads but must not disturb it.
-	used.Uint64()
-	used.Uint64()
-	used.SplitLabel(9)
-	used.Seed(99)
-
-	fresh := NewStream(99)
-	if !equalSeq(first(used, 8), first(fresh, 8)) {
-		t.Fatal("reseeded stream's direct draws diverge from a fresh stream's")
-	}
-	if !equalSeq(first(used.SplitLabel(17), 8), first(fresh.SplitLabel(17), 8)) {
-		t.Fatal("reseeded stream's SplitLabel children diverge from a fresh stream's")
-	}
-	if !equalSeq(first(used.Named("pilot", "3"), 8), first(fresh.Named("pilot", "3"), 8)) {
-		t.Fatal("reseeded stream's Named children diverge from a fresh stream's")
-	}
-}
-
 func TestIntn(t *testing.T) {
 	s := NewStream(5)
 	const n = 7

@@ -191,15 +191,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// Int63 makes Stream a math/rand Source, so legacy call sites can wrap a
-// sub-stream in rand.New.
+// Int63 returns the next 63 uniformly distributed bits (math/rand's
+// Source method: Zipf's uniform is math/rand's Float64 over it).
 func (s *Stream) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// Seed reseeds the stream in place (math/rand Source contract).
-func (s *Stream) Seed(seed int64) {
-	s.mu.Lock()
-	s.state = mix64(uint64(seed))
-	s.gamma = goldenGamma
-	s.seed0 = s.state
-	s.mu.Unlock()
-}
