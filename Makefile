@@ -77,9 +77,11 @@ profile:
 # a job, VM, container or glidein (rule 13), and mint every per-job context
 # as a clock cancel scope (rule 14); and the pilot manager and its planner
 # find a unit by its ordinal, through no map keyed by unit ID (rule 15);
-# a park in internal/vclock is one receive on its grant (rule 16); and an
+# a park in internal/vclock is one receive on its grant (rule 16); an
 # exhibit's seed is written only in the experiments.Exhibits table, never
-# as a literal in an exhibit body (rule 17).
+# as a literal in an exhibit body (rule 17); and internal/streaming never
+# edits a partition's plan.Replicas fields itself — only the value's
+# methods decide replication (rule 18).
 seed-audit:
 	bash tools/seed-audit.sh
 
@@ -108,16 +110,18 @@ chaos:
 	done
 	$(GO) run ./cmd/chaosreplay -fuzz $(CHAOS_SEEDS) -seed0 $(CHAOS_SEED0) -v
 
-# Federation suite under the race detector: shard placement planning,
-# epoch-chain divergence math, cluster handoff/link-fence/retention
-# behavior, replication catch-up and divergence repair (plus the
-# 10-seed replication-fault property test), offset-persistence
-# restarts, the retention property test, the rehomed E13 exhibit, the
-# stale-handoff chaos acceptance test, the six skewed-commit seeds, the
-# planted-beside-clean chaos runs, and the Bus conformance script.
+# Federation suite under the race detector: shard placement planning, the
+# plan.Replicas decisions (the exhaustive four-shard failover enumeration
+# among them), epoch-chain divergence math, link pacing, cluster
+# handoff/link-fence/retention behavior, replication catch-up and
+# divergence repair (plus the 10-seed replication-fault property test),
+# offset-persistence restarts, the retention property test, the rehomed
+# E13 exhibit, the stale-handoff chaos acceptance test, the six
+# skewed-commit seeds, the planted-beside-clean chaos runs, and the Bus
+# conformance script.
 test-federation:
 	$(GO) test -race -count=1 \
-		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug|TestChaosSkewedCommitOnDeadLeader|TestChaosPlantedAndClean|TestBusConformance' \
+		-run 'TestShardReplicas|TestRecruitShard|TestDetectShardDrift|TestDivergence|TestClassifyReplica|TestReplicasFailExhaustive|TestReplicasAckLagKept|TestSlowLink|TestCluster|TestFetchTrimmed|TestRetentionBound|TestReplication|TestStaleHandoffBug|TestOffsetStore|TestGroupRestart|TestRestartRedelivers|TestMillionMessages|TestChaosCatchesStaleHandoffBug|TestChaosSkewedCommitOnDeadLeader|TestChaosPlantedAndClean|TestBusConformance' \
 		./internal/plan/ ./internal/streaming/ ./internal/experiments/
 
 # Record-reuse hazards under the race detector, repeated: a participant

@@ -53,8 +53,9 @@ func naiveEpochs(chain []EpochSpan) [fuzzOffsets]int {
 // FuzzDivergencePointMatchesNaive checks the boundary-walking chain compare
 // against the definition it abbreviates: walk the shared range offset by
 // offset and report the first offset whose two known epochs differ, else the
-// leader's end when the replica runs past it. ClassifyReplica is compared in
-// full (state, lag, DivergedAt).
+// leader's end when the replica runs past it. Replicas.Round is compared in
+// full against the same walk (move, offset, and a recruit's promotion, with
+// repair on and off), and Replicas.Lag against the ends.
 func FuzzDivergencePointMatchesNaive(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 7, 1, 1, 0, 0, 0, 20, 15})             // stale suffix under the old epoch
 	f.Add([]byte{1, 0, 0, 1, 0, 0, 0, 10, 12})                   // replica longer than the leader
@@ -86,16 +87,39 @@ func FuzzDivergencePointMatchesNaive(f *testing.F) {
 			t.Fatalf("DivergencePoint(%v, %v, from %d, ends %d/%d) = (%d, %v), offset walk says (%d, %v)",
 				leader, replica, from, leaderEnd, replicaEnd, at, ok, wantAt, wantOK)
 		}
-		want := ReplicaReport{Lag: max(leaderEnd-replicaEnd, 0), DivergedAt: wantAt}
-		switch {
-		case wantOK:
-			want.State = ReplicaDiverged
-		case want.Lag > 0:
-			want.State = ReplicaLagging
-		}
-		if got := ClassifyReplica(leader, replica, from, leaderEnd, replicaEnd); got != want {
-			t.Fatalf("ClassifyReplica(%v, %v, from %d, ends %d/%d) = %+v, want %+v",
-				leader, replica, from, leaderEnd, replicaEnd, got, want)
+		ls := LogState{First: from, End: leaderEnd, Spans: leader}
+		fs := LogState{First: min(from, replicaEnd), End: replicaEnd, Spans: replica}
+		for _, repair := range []bool{true, false} {
+			for _, syncing := range []bool{false, true} {
+				move, arg := Idle, replicaEnd
+				switch {
+				case repair && wantOK:
+					move, arg = Repair, wantAt
+				case replicaEnd < from:
+					move, arg = Bootstrap, from
+				case replicaEnd < leaderEnd:
+					move, arg = Stream, replicaEnd
+				case syncing:
+					move = Synced
+				}
+				r := Replicas{Members: []int{0, 1}}
+				if syncing {
+					r.Syncing = []int{1}
+				}
+				ends := [2]int64{leaderEnd, replicaEnd}
+				wantLag := max(leaderEnd-replicaEnd, 0)
+				if syncing {
+					wantLag = 0 // a recruit's lag is not the partition's
+				}
+				if lag := r.Lag(func(s int) int64 { return ends[s] }); lag != wantLag {
+					t.Fatalf("Lag of ends %d/%d (syncing %v) = %d, want %d", leaderEnd, replicaEnd, syncing, lag, wantLag)
+				}
+				stillSyncing := syncing && move != Synced
+				if got, at := r.Round(1, ls, fs, repair); got != move || at != arg || (len(r.Syncing) == 1) != stillSyncing {
+					t.Fatalf("Round(%v, %v, from %d, ends %d/%d, repair %v, syncing %v) = (%d, %d) leaving Syncing %v, offset walk says (%d, %d)",
+						leader, replica, from, leaderEnd, replicaEnd, repair, syncing, got, at, r.Syncing, move, arg)
+				}
+			}
 		}
 	})
 }
@@ -124,34 +148,13 @@ func distinctWithin(xs, set []int) bool {
 	return true
 }
 
-// applyShardDrift applies corrections in order, as Cluster.FailShard does:
-// dead replicas leave, recruits join at the tail.
-func applyShardDrift(replicas []int, drifts []ShardDrift) []int {
-	out := append([]int(nil), replicas...)
-	for _, d := range drifts {
-		switch d.Kind {
-		case ShardDriftDeadReplica:
-			kept := out[:0]
-			for _, s := range out {
-				if s != d.Shard {
-					kept = append(kept, s)
-				}
-			}
-			out = kept
-		case ShardDriftUnderReplicated:
-			out = append(out, d.Shard)
-		}
-	}
-	return out
-}
-
 // FuzzShardPlacement checks the placement properties the cluster leans on,
-// over shard ids 0..15: ShardReplicas places distinct live shards of the
-// clamped length; DetectShardDrift's corrections, applied in order,
-// reconverge any replica set so that a second look finds nothing (anti-flap);
-// and losing one live shard disturbs only the replica sets that held it —
-// the survivors keep their order, the leader included, and at most one
-// recruit joins behind them.
+// over shard ids 0..15: PlaceReplicas places distinct live shards of the
+// clamped length; Replicas.Fail, applied to each dead member of any held
+// set, reconverges it so that failing those shards again changes nothing
+// (anti-flap); and losing one live shard disturbs only the replica sets
+// that held it — the survivors keep their order, the leader included, and
+// at most one recruit joins behind them.
 func FuzzShardPlacement(f *testing.F) {
 	f.Add("events", uint16(3), uint16(0b0111), uint16(0b1010), int8(2), uint8(1))
 	f.Add("t", uint16(0), uint16(0b1111), uint16(0b0001), int8(3), uint8(0))
@@ -159,21 +162,33 @@ func FuzzShardPlacement(f *testing.F) {
 	f.Add("blocks", uint16(9), uint16(0xffff), uint16(0xf0f0), int8(16), uint8(200))
 	f.Fuzz(func(t *testing.T, topic string, partition, liveMask, heldMask uint16, replication int8, pick uint8) {
 		live, r := maskShards(liveMask), int(replication)
-		placed := ShardReplicas(topic, int(partition), live, r)
-		if want := min(max(r, 1), len(live)); len(placed) != want || !distinctWithin(placed, live) {
-			t.Fatalf("ShardReplicas(%q, %d, %v, %d) = %v, want %d distinct live shards", topic, partition, live, r, placed, want)
+		placed := PlaceReplicas(topic, int(partition), live, r)
+		if want := min(max(r, 1), len(live)); len(placed.Members) != want || !distinctWithin(placed.Members, live) {
+			t.Fatalf("PlaceReplicas(%q, %d, %v, %d) = %v, want %d distinct live shards", topic, partition, live, r, placed.Members, want)
 		}
 
 		// Anti-flap, from an arbitrary held set (dead members and all).
-		held := maskShards(heldMask)
-		drifts := DetectShardDrift(held, live, r)
-		fixed := applyShardDrift(held, drifts)
-		if len(fixed) == 0 {
-			if n := len(drifts); n == 0 || drifts[n-1].Kind != ShardDriftNoLeader {
-				t.Fatalf("DetectShardDrift(%v, %v, %d) = %v leaves no replica without saying no-leader", held, live, r, drifts)
+		held := Replicas{Members: maskShards(heldMask), AckedAt: []int64{0}}
+		var dead []int
+		for _, s := range held.Members {
+			if !slices.Contains(live, s) {
+				dead = append(dead, s)
 			}
-		} else if again := DetectShardDrift(fixed, live, r); len(again) != 0 || !distinctWithin(fixed, live) {
-			t.Fatalf("DetectShardDrift(%v, %v, %d) = %v reconverges to %v, where a second look still finds %v", held, live, r, drifts, fixed, again)
+		}
+		liveHeld := len(held.Members) - len(dead)
+		for _, s := range dead {
+			held.Fail(s, live, r)
+		}
+		if n := len(held.Members); !distinctWithin(held.Members, live) ||
+			len(dead) > 0 && n > 0 && n != max(liveHeld, min(r, len(live))) {
+			t.Fatalf("failing %v of %v (live %v, rf %d) leaves %v", dead, maskShards(heldMask), live, r, held.Members)
+		}
+		fixed := held.clone()
+		for _, s := range dead {
+			if led, unclean, again := held.Fail(s, live, r); led || unclean || again != nil || !held.equal(fixed) {
+				t.Fatalf("failing %v of %v (live %v, rf %d) reconverges to %+v, where failing %d again gives %+v",
+					dead, maskShards(heldMask), live, r, fixed, s, held)
+			}
 		}
 
 		// One live shard lost, seen from a set placed while it was up.
@@ -181,27 +196,28 @@ func FuzzShardPlacement(f *testing.F) {
 			return
 		}
 		victim := live[int(pick)%len(live)]
-		rest := applyShardDrift(live, []ShardDrift{{Kind: ShardDriftDeadReplica, Shard: victim}})
-		drifts = DetectShardDrift(placed, rest, r)
-		if !slices.Contains(placed, victim) {
-			if len(drifts) != 0 {
-				t.Fatalf("losing shard %d moved %v, which never held it: %v", victim, placed, drifts)
+		rest := slices.DeleteFunc(slices.Clone(live), func(s int) bool { return s == victim })
+		before := placed.clone()
+		led, unclean, recruits := placed.Fail(victim, rest, r)
+		if !slices.Contains(before.Members, victim) {
+			if led || unclean || recruits != nil || !placed.equal(before) {
+				t.Fatalf("losing shard %d moved %+v, which never held it, to %+v", victim, before, placed)
 			}
 			return
 		}
-		after := applyShardDrift(placed, drifts)
-		survivors := applyShardDrift(placed, []ShardDrift{{Kind: ShardDriftDeadReplica, Shard: victim}})
+		survivors := slices.DeleteFunc(slices.Clone(before.Members), func(s int) bool { return s == victim })
 		if len(survivors) == 0 {
 			// The sole holder: Cluster.FailShard refuses this loss.
-			if n := len(drifts); drifts[n-1].Kind != ShardDriftNoLeader {
-				t.Fatalf("losing shard %d, the only holder in %v: %v does not end in no-leader", victim, placed, drifts)
+			if len(placed.Members) != 0 || recruits != nil {
+				t.Fatalf("losing shard %d, the only holder in %v, left %v and recruited %v", victim, before.Members, placed.Members, recruits)
 			}
 			return
 		}
-		if len(after) != min(len(placed), len(rest)) || !distinctWithin(after, rest) ||
-			!slices.Equal(after[:len(survivors)], survivors) {
-			t.Fatalf("losing shard %d of %v (live %v): %v gives %v, want survivors %v in order plus at most one recruit",
-				victim, placed, live, drifts, after, survivors)
+		if unclean || led != (before.Members[0] == victim) || len(recruits) > 1 ||
+			len(placed.Members) != min(len(before.Members), len(rest)) || !distinctWithin(placed.Members, rest) ||
+			!slices.Equal(placed.Members[:len(survivors)], survivors) {
+			t.Fatalf("losing shard %d of %v (live %v): (%v, %v, %v) gives %v, want survivors %v in order plus at most one recruit",
+				victim, before.Members, live, led, unclean, recruits, placed.Members, survivors)
 		}
 	})
 }

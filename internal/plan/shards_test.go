@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -43,75 +44,71 @@ func TestShardReplicasSpreadsPartitions(t *testing.T) {
 	}
 }
 
+// TestRecruitShard pins Fail's recruitment walk: from just past the
+// leader in live-ring order, skipping members, wrapping at the ring's end,
+// and stopping when every live shard already holds a copy.
 func TestRecruitShard(t *testing.T) {
 	live := []int{0, 1, 2, 3}
-	// Recruit walks the ring from past the leader and skips current members.
-	got, ok := RecruitShard([]int{1, 2}, live)
-	if !ok || got != 3 {
-		t.Fatalf("want recruit 3, got %d ok=%v", got, ok)
-	}
-	// Wraps around the ring end.
-	got, ok = RecruitShard([]int{3, 0}, live)
-	if !ok || got != 1 {
-		t.Fatalf("want recruit 1, got %d ok=%v", got, ok)
-	}
-	// Saturated: every live shard already holds a replica.
-	if _, ok := RecruitShard([]int{0, 1}, []int{0, 1}); ok {
-		t.Fatal("recruited into a saturated ring")
-	}
-}
-
-func TestDetectShardDriftOrdersCorrections(t *testing.T) {
-	// Shard 1 died out of {1,2}: drop the dead replica, then recruit one.
-	drifts := DetectShardDrift([]int{1, 2}, []int{0, 2, 3}, 2)
-	want := []ShardDrift{
-		{Kind: ShardDriftDeadReplica, Shard: 1},
-		{Kind: ShardDriftUnderReplicated, Shard: 3},
-	}
-	if !reflect.DeepEqual(drifts, want) {
-		t.Fatalf("drifts = %v, want %v", drifts, want)
-	}
-	// No live replica left: unavailable.
-	drifts = DetectShardDrift([]int{1}, []int{0, 2}, 2)
-	if len(drifts) != 2 || drifts[1].Kind != ShardDriftNoLeader {
-		t.Fatalf("want dead-replica then no-leader, got %v", drifts)
-	}
-}
-
-func TestDetectShardDriftAntiFlap(t *testing.T) {
-	// Applying the detected corrections and re-running detection yields
-	// nothing — across a sweep of replica sets and live sets.
-	cases := []struct {
-		replicas, live []int
-		replication    int
+	for _, c := range []struct {
+		name    string
+		members []int
+		dead    int
+		live    []int
+		want    []int
 	}{
-		{[]int{0, 1}, []int{0, 1, 2}, 2},
-		{[]int{0, 1}, []int{1, 2}, 2},
-		{[]int{2}, []int{0, 1, 2, 3}, 3},
-		{[]int{0, 1, 2}, []int{2}, 2},
-		{[]int{3, 1}, []int{0, 1, 2, 3, 4}, 4},
+		{"past the leader", []int{1, 2, 4}, 4, live, []int{3}},
+		{"wraps the ring end", []int{3, 0, 4}, 4, live, []int{1}},
+		{"saturated ring", []int{0, 1, 2}, 2, []int{0, 1}, nil},
+	} {
+		r := Replicas{Members: c.members, AckedAt: []int64{0}}
+		if _, _, got := r.Fail(c.dead, c.live, 3); !slices.Equal(got, c.want) {
+			t.Fatalf("%s: Fail(%d) of %v over %v recruits %v, want %v", c.name, c.dead, c.members, c.live, got, c.want)
+		}
+	}
+	r := Replicas{Members: []int{2, 5}, AckedAt: []int64{0}}
+	if _, _, got := r.Fail(5, live, 4); !slices.Equal(got, []int{3, 0, 1}) || !slices.Equal(r.Syncing, got) {
+		t.Fatalf("Fail(5) of {2,5} at rf 4 recruits %v (syncing %v), want [3 0 1] syncing", got, r.Syncing)
+	}
+}
+
+// TestDetectShardDriftOrdersCorrections pins the order of Fail's
+// corrections: the dead shard leaves (and, if it led, the first full
+// survivor is promoted), then recruits join at the tail; a sole holder's
+// loss leaves nothing to reconverge.
+func TestDetectShardDriftOrdersCorrections(t *testing.T) {
+	r := Replicas{Members: []int{1, 2}, Acked: 7, AckedAt: []int64{0}}
+	led, unclean, recruits := r.Fail(1, []int{0, 2, 3}, 2)
+	want := Replicas{Members: []int{2, 3}, Syncing: []int{3}, Epoch: 1, Acked: 7, AckedAt: []int64{0, 7}}
+	if !led || unclean || !slices.Equal(recruits, []int{3}) || !r.equal(want) {
+		t.Fatalf("Fail(1) = (%v, %v, %v) leaving %+v, want (true, false, [3]) leaving %+v", led, unclean, recruits, r, want)
+	}
+	// No live copy left: nothing to promote, nothing to recruit.
+	r = Replicas{Members: []int{1}, AckedAt: []int64{0}}
+	if _, _, recruits := r.Fail(1, []int{0, 2}, 2); len(r.Members) != 0 || recruits != nil {
+		t.Fatalf("sole holder lost: members %v, recruits %v, want none", r.Members, recruits)
+	}
+}
+
+// TestDetectShardDriftAntiFlap pins that Fail converges in one step:
+// failing the same shard again — no longer a member — changes nothing and
+// recruits nothing, across a sweep of replica sets and live sets.
+func TestDetectShardDriftAntiFlap(t *testing.T) {
+	cases := []struct {
+		members, live []int
+		dead, rf      int
+	}{
+		{[]int{0, 1}, []int{0, 2}, 1, 2},
+		{[]int{0, 1}, []int{1, 2}, 0, 2},
+		{[]int{2, 4}, []int{0, 1, 2, 3}, 4, 3},
+		{[]int{1, 2}, []int{2}, 1, 2},
+		{[]int{3, 1, 5}, []int{0, 1, 2, 3, 4}, 5, 4},
 	}
 	for _, c := range cases {
-		set := append([]int(nil), c.replicas...)
-		for _, d := range DetectShardDrift(set, c.live, c.replication) {
-			switch d.Kind {
-			case ShardDriftDeadReplica:
-				out := set[:0]
-				for _, s := range set {
-					if s != d.Shard {
-						out = append(out, s)
-					}
-				}
-				set = out
-			case ShardDriftUnderReplicated:
-				set = append(set, d.Shard)
-			}
-		}
-		if len(set) == 0 {
-			continue // no-leader: nothing to reconverge
-		}
-		if again := DetectShardDrift(set, c.live, c.replication); len(again) != 0 {
-			t.Fatalf("corrections flapped for %+v: second pass found %v (set %v)", c, again, set)
+		r := Replicas{Members: slices.Clone(c.members), AckedAt: []int64{0}}
+		r.Fail(c.dead, c.live, c.rf)
+		before := r.clone()
+		if led, unclean, again := r.Fail(c.dead, c.live, c.rf); led || unclean || again != nil || !r.equal(before) {
+			t.Fatalf("%+v: a second Fail moved %+v to %+v (recruits %v)", c, before, r, again)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package streaming
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,10 +38,12 @@ import (
 // (plan.DivergencePoint), repair it by truncate-to-watermark, and
 // re-stream the authoritative suffix.
 //
-// Placement stays planner state: replica sets come from
-// plan.ShardReplicas, failures reconverge through plan.DetectShardDrift,
-// and divergence/lag classification is plan.ClassifyReplica — pure
-// functions, so same-seed runs place, re-place and repair identically.
+// Every replica decision is planner state: each partition embeds a
+// plan.Replicas, whose methods place it, advance its watermark, promote
+// and recruit when a shard dies, and pick each catch-up runner's next move.
+// The cluster keeps the logs, the waiters and the clock, hands the value
+// log summaries and applies what comes back — pure decisions, so same-seed
+// runs place, re-place and repair identically.
 type Cluster struct {
 	cfg     ClusterConfig
 	offsets *OffsetStore
@@ -87,18 +91,16 @@ type fedTopic struct {
 // control-plane state and, hanging off it, every replica's log. Topics are
 // never deleted, so a *fedPart is stable for the cluster's life.
 type fedPart struct {
-	idx      int
-	epoch    int   // leader epoch, bumped per handoff
-	replicas []int // shard ids, leader first, live by invariant
+	idx int
+	// Replicas holds the members (leader first, live by invariant), the
+	// syncing recruits, the epoch and the acknowledged watermark; only its
+	// methods change them (seed-audit rule 18).
+	plan.Replicas
 	// logs[s] is shard s's copy of the log, non-nil exactly while s is a
-	// member (in replicas, full or syncing): made at placement and at
-	// recruitment, closed and dropped when s dies — a dead copy is garbage,
-	// not state. The only path from a partition to a log.
+	// member (full or syncing): made at placement and at recruitment,
+	// closed and dropped when s dies — a dead copy is garbage, not state.
+	// The only path from a partition to a log.
 	logs []*partition
-	// syncing lists the recruits still catching up: members whose log end
-	// has not yet reached the leader's. They replicate like any follower
-	// but do not count toward the acknowledged watermark.
-	syncing []int
 	// availableAt fences the partition (fetches and publishes park on
 	// ctrl) until the handoff completes; zero means available.
 	availableAt time.Time
@@ -106,22 +108,18 @@ type fedPart struct {
 	// if no data were acknowledged. Producers are unaffected.
 	stalled bool
 	// frozen[slot] freezes replication into follower slot `slot`
-	// (replicas[1+slot]) — the torn-replication chaos fault.
+	// (Members[1+slot]) — the torn-replication chaos fault.
 	frozen []bool
-	// acked is the acknowledged high watermark: offsets below it are on
-	// every full member. Monotone. commit is the coordinator's commit
-	// mark — the cluster-truth cursor that survives leader handoffs.
-	acked  int64
+	// commit is the coordinator's commit mark — the cluster-truth cursor
+	// that survives leader handoffs.
 	commit int64
-	// ackedAtEpoch[e] is the watermark at the instant epoch e was
-	// installed — the truncation point of that handoff, which tells a
-	// mid-publish producer exactly how much of its batch survived. One
-	// entry per epoch; epochs are bounded by shard deaths.
-	ackedAtEpoch []int64
-	// ackWait holds producers parked until acked reaches their batch end
+	// ackWait holds producers parked until Acked reaches their batch end
 	// or the epoch moves; fired on watermark advance and on handoff.
 	ackWait []waitReg
 }
+
+// end is member s's log end, what plan.Replicas reads the logs through.
+func (p *fedPart) end(s int) int64 { return p.logs[s].end }
 
 // ClusterConfig configures a Cluster. AppendCost, SegmentSize,
 // MaxInflightBytes and OnCommit apply to every shard's copy of a log —
@@ -297,38 +295,23 @@ func (c *Cluster) Repairs() int {
 	return c.repairs
 }
 
-// recomputeAckedLocked advances a partition's acknowledged watermark to
-// the minimum log end across full members (recruits excluded), firing
-// OnAcked, parked producers and the leader's fetch waiters on progress.
-// The watermark is monotone: an unclean promotion (no full member
-// survived) can leave it above the new leader's end, and the gap
-// surfaces as data loss through the completeness invariants rather than
-// as a silent rewind. Caller holds c.mu.
+// recomputeAckedLocked advances a partition's acknowledged watermark
+// (plan.Replicas.Ack), firing OnAcked, parked producers and the leader's
+// fetch waiters on progress. Caller holds c.mu.
 func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
-	lo := int64(-1)
-	for _, s := range p.replicas {
-		if containsInt(p.syncing, s) {
-			continue
-		}
-		if e := p.logs[s].end; lo < 0 || e < lo {
-			lo = e
-		}
-	}
-	if lo > p.acked {
-		from := p.acked
-		p.acked = lo
+	if from, moved := p.Ack(p.end); moved {
 		if c.cfg.OnAcked != nil {
-			c.cfg.OnAcked(t.name, p.idx, from, lo)
+			c.cfg.OnAcked(t.name, p.idx, from, p.Acked)
 		}
 		fireList(&p.ackWait)
 		// Wake parked fetchers *after* the watermark is in place: a waiter
 		// that re-checks immediately sees the new fetchable range.
-		fireList(&p.logs[p.replicas[0]].waiters)
+		fireList(&p.logs[p.Members[0]].waiters)
 	}
 }
 
 // CreateTopic creates a topic: it places each partition's
-// replica set on the live shard ring via plan.ShardReplicas (placement
+// replica set on the live shard ring via plan.PlaceReplicas (placement
 // never picks a dead shard), gives every member an empty copy of the log,
 // and starts the partition's catch-up runners (one per follower slot).
 // Creating an existing topic with the same partition count is a no-op.
@@ -356,13 +339,12 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 	t := &fedTopic{name: name, parts: make([]*fedPart, partitions)}
 	for q := range t.parts {
 		p := &fedPart{
-			idx:          q,
-			replicas:     plan.ShardReplicas(name, q, live, c.cfg.Replication),
-			logs:         make([]*partition, c.cfg.Shards),
-			frozen:       make([]bool, c.cfg.Replication-1),
-			ackedAtEpoch: []int64{0},
+			idx:      q,
+			Replicas: plan.PlaceReplicas(name, q, live, c.cfg.Replication),
+			logs:     make([]*partition, c.cfg.Shards),
+			frozen:   make([]bool, c.cfg.Replication-1),
 		}
-		for _, s := range p.replicas {
+		for _, s := range p.Members {
 			p.logs[s] = c.newLog()
 		}
 		t.parts[q] = p
@@ -408,7 +390,7 @@ func (c *Cluster) LeaderOf(topic string, partition int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.replicas[0], nil
+	return p.Members[0], nil
 }
 
 // AckedOffset returns a partition's acknowledged high watermark — the
@@ -421,24 +403,7 @@ func (c *Cluster) AckedOffset(topic string, partition int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.acked, nil
-}
-
-// replicaLagLocked returns the maximum replication lag (leader log end −
-// follower log end, in messages) across a partition's full members.
-// Caller holds c.mu.
-func (c *Cluster) replicaLagLocked(p *fedPart) int64 {
-	lEnd := p.logs[p.replicas[0]].end
-	var max int64
-	for _, s := range p.replicas[1:] {
-		if containsInt(p.syncing, s) {
-			continue
-		}
-		if lag := lEnd - p.logs[s].end; lag > max {
-			max = lag
-		}
-	}
-	return max
+	return p.Acked, nil
 }
 
 // UnderReplicated counts partitions below their replication target,
@@ -455,7 +420,7 @@ func (c *Cluster) UnderReplicated() int {
 	n := 0
 	for _, t := range c.order {
 		for _, p := range t.parts {
-			if len(p.replicas) < want || len(p.syncing) > 0 || c.replicaLagLocked(p) > 0 {
+			if len(p.Members) < want || len(p.Syncing) > 0 || p.Lag(p.end) > 0 {
 				n++
 			}
 		}
@@ -490,12 +455,12 @@ func (c *Cluster) Placement() []ShardPlacement {
 	for _, t := range c.order {
 		for _, p := range t.parts {
 			out = append(out, ShardPlacement{
-				Topic: t.name, Partition: p.idx, Epoch: p.epoch,
-				Leader:   p.replicas[0],
-				Replicas: append([]int(nil), p.replicas...),
-				Syncing:  len(p.syncing) > 0,
-				Lag:      c.replicaLagLocked(p),
-				AckedHW:  p.acked,
+				Topic: t.name, Partition: p.idx, Epoch: p.Epoch,
+				Leader:   p.Members[0],
+				Replicas: append([]int(nil), p.Members...),
+				Syncing:  len(p.Syncing) > 0,
+				Lag:      p.Lag(p.end),
+				AckedHW:  p.Acked,
 			})
 		}
 	}
@@ -511,7 +476,7 @@ func (c *Cluster) SyncingShards() []int {
 	seen := make([]bool, len(c.up))
 	for _, t := range c.order {
 		for _, p := range t.parts {
-			for _, s := range p.syncing {
+			for _, s := range p.Syncing {
 				seen[s] = true
 			}
 		}
@@ -525,8 +490,9 @@ func (c *Cluster) SyncingShards() []int {
 	return out
 }
 
-// CheckReplicaConsistency classifies every replica of a topic against
-// its leader's epoch-span chain and reports the diverged ones — replicas
+// CheckReplicaConsistency compares every replica of a topic against its
+// leader's epoch-span chain (plan.DivergencePoint) and reports the
+// diverged ones — replicas
 // holding offsets whose epoch disagrees with the leader's, or offsets
 // past the leader's end. After quiescence (no faults in flight, lag
 // drained) every report is an invariant violation: repair should have
@@ -540,14 +506,13 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	}
 	var out []string
 	for _, p := range t.parts {
-		leader := p.replicas[0]
+		leader := p.Members[0]
 		lFirst, lEnd, _, lSpans := p.logs[leader].Snapshot(nil)
-		for _, f := range p.replicas[1:] {
+		for _, f := range p.Members[1:] {
 			fFirst, fEnd, _, fSpans := p.logs[f].Snapshot(nil)
-			r := plan.ClassifyReplica(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd)
-			if r.State == plan.ReplicaDiverged {
+			if at, ok := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd); ok {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d diverged from leader %d at offset %d (leader end %d, replica end %d)",
-					t.name, p.idx, f, leader, r.DivergedAt, lEnd, fEnd))
+					t.name, p.idx, f, leader, at, lEnd, fEnd))
 			}
 		}
 	}
@@ -581,7 +546,7 @@ func (c *Cluster) FailShard(id int) error {
 	}
 	for _, t := range c.order {
 		for _, p := range t.parts {
-			if len(p.replicas) == 1 && p.replicas[0] == id {
+			if len(p.Members) == 1 && p.Members[0] == id {
 				c.mu.Unlock()
 				return fmt.Errorf("streaming: cannot fail shard %d: only holder of %s[%d]", id, t.name, p.idx)
 			}
@@ -600,35 +565,20 @@ func (c *Cluster) FailShard(id int) error {
 	var fenced []pending
 	for _, t := range c.order {
 		for _, p := range t.parts {
-			if !containsInt(p.replicas, id) {
+			if !slices.Contains(p.Members, id) {
 				continue
 			}
-			wasLeader := p.replicas[0] == id
-			p.replicas = removeShard(p.replicas, id)
-			p.syncing = removeShard(p.syncing, id)
-			if wasLeader {
+			// The planner promotes (an unclean promotion's missing suffix is
+			// data loss the completeness invariants surface) and recruits;
+			// a recruit's catch-up runner bootstraps and streams the log.
+			led, unclean, recruits := p.Fail(id, live, c.cfg.Replication)
+			if led {
 				c.handoffs++
-				p.epoch++
-				p.ackedAtEpoch = append(p.ackedAtEpoch, p.acked)
-				// Promote the first fully-replicated survivor; only when no
-				// full member is left does a mid-catchup recruit take over —
-				// an *unclean* promotion whose missing suffix is genuine data
-				// loss, surfaced by the completeness invariants.
-				nl := -1
-				for _, s := range p.replicas {
-					if !containsInt(p.syncing, s) {
-						nl = s
-						break
-					}
-				}
-				if nl < 0 {
-					nl = p.replicas[0]
-					p.syncing = removeShard(p.syncing, nl)
+				nl := p.Members[0]
+				if unclean {
 					c.clock.Mark(fmt.Sprintf("unclean promotion %s[%d] shard %d epoch %d",
-						t.name, p.idx, nl, p.epoch), uint64(p.epoch))
+						t.name, p.idx, nl, p.Epoch), uint64(p.Epoch))
 				}
-				p.replicas = removeShard(p.replicas, nl)
-				p.replicas = append([]int{nl}, p.replicas...)
 				// Recovery: the promoted log's un-acked suffix was never on
 				// quorum — truncate to the watermark; re-streaming under the
 				// new epoch replaces it with the authoritative history. The
@@ -636,8 +586,8 @@ func (c *Cluster) FailShard(id int) error {
 				// was observed on the deposed leader) because the promoted
 				// follower's lazily-replicated local mark may trail it.
 				np := p.logs[nl]
-				np.TruncateTo(p.acked)
-				np.Epoch = p.epoch
+				np.TruncateTo(p.Acked)
+				np.Epoch = p.Epoch
 				if c.cfg.PlantStaleHandoff {
 					// Planted defect: restore the coordinator mark from the
 					// stale local one, so the next applied commit rewinds the
@@ -651,19 +601,11 @@ func (c *Cluster) FailShard(id int) error {
 				// The handoff decision lands in the schedule recorder: a
 				// bisected failing seed names this exact instant.
 				c.clock.Mark(fmt.Sprintf("federation handoff %s[%d] shard %d -> %d epoch %d",
-					t.name, p.idx, id, nl, p.epoch), uint64(p.epoch))
-				fenced = append(fenced, pending{t: t, p: p, epoch: p.epoch, at: avail})
+					t.name, p.idx, id, nl, p.Epoch), uint64(p.Epoch))
+				fenced = append(fenced, pending{t: t, p: p, epoch: p.Epoch, at: avail})
 			}
-			// Re-replication: reconverge the replica set through the
-			// planner's drift classifier. Recruits join as syncing members;
-			// their catch-up runner bootstraps and streams the real log.
-			for _, d := range plan.DetectShardDrift(p.replicas, live, c.cfg.Replication) {
-				if d.Kind != plan.ShardDriftUnderReplicated {
-					continue
-				}
-				p.replicas = append(p.replicas, d.Shard)
-				p.syncing = append(p.syncing, d.Shard)
-				p.logs[d.Shard] = c.newLog()
+			for _, s := range recruits {
+				p.logs[s] = c.newLog()
 			}
 			// The dead member may have been the watermark's minimum (e.g. a
 			// follower starved behind a severed link): with it gone, quorum
@@ -704,7 +646,7 @@ func (c *Cluster) FailShard(id int) error {
 					}
 				}
 				c.mu.Lock()
-				if f.p.epoch == f.epoch {
+				if f.p.Epoch == f.epoch {
 					f.p.availableAt = time.Time{}
 					fireList(&c.ctrl)
 				}
@@ -740,13 +682,16 @@ func (c *Cluster) setLink(a, b int, sever bool) error {
 
 // SetLinkLag multiplies the catch-up pacing of the replication link
 // between shards a and b: factor 2 halves the link's modeled bandwidth,
-// 1 (or 0) restores nominal pace. The chaos replica-lag fault drives
-// this to stretch follower lag windows.
+// 1 (or 0) restores nominal pace; a NaN or infinite factor is refused. The
+// chaos replica-lag fault drives this to stretch follower lag windows.
 func (c *Cluster) SetLinkLag(a, b int, factor float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if a < 0 || a >= len(c.up) || b < 0 || b >= len(c.up) || a == b {
 		return fmt.Errorf("streaming: cluster %q has no shard link %d<->%d", c.cfg.Name, a, b)
+	}
+	if math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return fmt.Errorf("streaming: link %d<->%d lag factor %v is not finite", a, b, factor)
 	}
 	if factor < 1 {
 		factor = 1
@@ -821,22 +766,24 @@ func (c *Cluster) linkLagLocked(a, b int) float64 {
 // bandwidth. After each pacing sleep the control state is re-validated
 // and stale batches are discarded — a torn stream never half-applies.
 func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
-	// Scratch buffers for the per-round epoch-chain snapshots: chains are
-	// a handful of spans, so after the first rounds these never allocate.
-	var lSpans, fSpans []plan.EpochSpan
+	// The per-round log summaries; their epoch-chain buffers are reused:
+	// chains are a handful of spans, so after the first rounds these never
+	// allocate.
+	var ls, fs plan.LogState
 	var ws waitSlot // the runner's one wait object, re-armed per park
 	for {
 		// First section: resolve the slot, snapshot both copies and decide the
-		// round — park, repair, bootstrap, promote, or take a batch.
+		// round (plan.Replicas.Round) — park, repair, bootstrap, promote, or
+		// take a batch.
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return
 		}
-		leader := p.replicas[0]
+		leader := p.Members[0]
 		follower := -1
-		if 1+slot < len(p.replicas) {
-			follower = p.replicas[1+slot]
+		if 1+slot < len(p.Members) {
+			follower = p.Members[1+slot]
 		}
 		if follower < 0 || c.severed[leader][follower] || p.frozen[slot] {
 			if !c.park(c.runCtx, ws.arm(c.clock), &c.ctrl) {
@@ -844,56 +791,54 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			}
 			continue
 		}
-		epoch, lag := p.epoch, c.linkLagLocked(leader, follower)
+		epoch, lag := p.Epoch, c.linkLagLocked(leader, follower)
 		lp, fp := p.logs[leader], p.logs[follower]
-		// Compare epoch chains over the shared range (the planted defect skips
-		// the compare, streaming blindly past a stale suffix — the
-		// diverged-replica-after-repair invariant catches it).
-		var fFirst, fEnd, lFirst, lEnd, lCommitted int64
-		fFirst, fEnd, _, fSpans = fp.Snapshot(fSpans)
-		lFirst, lEnd, lCommitted, lSpans = lp.Snapshot(lSpans)
-		if at, diverged := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd); diverged && !c.cfg.PlantStaleHandoff {
-			// Repair: truncate to the divergence point, re-stream from there.
+		var lCommitted int64
+		fs.First, fs.End, _, fs.Spans = fp.Snapshot(fs.Spans)
+		ls.First, ls.End, lCommitted, ls.Spans = lp.Snapshot(ls.Spans)
+		// The planted defect skips the chain compare, streaming blindly past a
+		// stale suffix — the diverged-replica-after-repair invariant catches it.
+		move, at := p.Round(follower, ls, fs, !c.cfg.PlantStaleHandoff)
+		switch move {
+		case plan.Repair:
 			fp.TruncateTo(at)
 			c.clock.Mark(fmt.Sprintf("replica repair %s[%d] shard %d truncated to %d (%d dropped)",
-				t.name, p.idx, follower, at, fEnd-at), uint64(at))
+				t.name, p.idx, follower, at, fs.End-at), uint64(at))
 			c.repairs++
 			c.mu.Unlock()
 			continue
-		}
-		if fEnd < lFirst {
-			// Recruit starting behind the leader's retention floor: no
-			// history to stream — bootstrap an empty log at the floor.
-			fp.ResetTo(lFirst)
+		case plan.Bootstrap:
+			fp.ResetTo(at)
 			c.mu.Unlock()
 			continue
-		}
-		// The batch: a zero-copy one-segment view from the follower's end,
-		// plus its payload total read off the leader's cum (what the link is
-		// paced by).
-		msgs := lp.View(fEnd, replBatchMax)
-		if len(msgs) == 0 {
-			// Caught up. Promote a recruit to full member, else park until
-			// the leader appends or the control plane changes.
-			if containsInt(p.syncing, follower) {
-				p.syncing = removeShard(p.syncing, follower)
-				c.clock.Mark(fmt.Sprintf("replica synced %s[%d] shard %d at %d",
-					t.name, p.idx, follower, fEnd), uint64(fEnd))
-				c.recomputeAckedLocked(t, p)
-				fireList(&c.ctrl)
-				c.mu.Unlock()
-				continue
-			}
+		case plan.Synced:
+			c.clock.Mark(fmt.Sprintf("replica synced %s[%d] shard %d at %d",
+				t.name, p.idx, follower, at), uint64(at))
+			c.recomputeAckedLocked(t, p)
+			fireList(&c.ctrl)
+			c.mu.Unlock()
+			continue
+		case plan.Idle:
+			// Park until the leader appends or the control plane changes.
 			if !c.park(c.runCtx, ws.arm(c.clock), &lp.waiters, &c.ctrl) {
 				return
 			}
 			continue
 		}
-		bytes := lp.BytesThrough(fEnd+int64(len(msgs))) - lp.BytesThrough(fEnd)
+		// plan.Stream: a zero-copy one-segment view from the follower's end,
+		// plus its payload total read off the leader's cum (what the link is
+		// paced by).
+		msgs := lp.View(at, replBatchMax)
+		bytes := lp.BytesThrough(at+int64(len(msgs))) - lp.BytesThrough(at)
 		c.mu.Unlock()
 
-		// Pace the batch over the link in virtual time.
-		d := time.Duration(float64(bytes) / float64(c.cfg.CatchupBytesPerSec) * float64(time.Second) * lag)
+		// Pace the batch over the link in virtual time, saturating: a lag
+		// factor large enough to carry the product past the int64 range
+		// would otherwise wrap negative and skip the sleep altogether.
+		d := time.Duration(math.MaxInt64)
+		if f := float64(bytes) / float64(c.cfg.CatchupBytesPerSec) * float64(time.Second) * lag; f < math.MaxInt64 {
+			d = time.Duration(f)
+		}
 		if d > 0 && !c.clock.Sleep(c.runCtx, d) {
 			return
 		}
@@ -911,10 +856,10 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			c.mu.Unlock()
 			return
 		}
-		if p.epoch == epoch && p.replicas[0] == leader &&
-			1+slot < len(p.replicas) && p.replicas[1+slot] == follower &&
+		if p.Epoch == epoch && p.Members[0] == leader &&
+			1+slot < len(p.Members) && p.Members[1+slot] == follower &&
 			!c.severed[leader][follower] && !p.frozen[slot] &&
-			p.logs[follower].AppendReplicated(msgs, lSpans, lCommitted) == nil {
+			p.logs[follower].AppendReplicated(msgs, ls.Spans, lCommitted) == nil {
 			c.recomputeAckedLocked(t, p)
 		}
 		c.mu.Unlock()
@@ -940,7 +885,7 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 		return
 	}
 	var resident, oldest int64
-	for i, s := range p.replicas {
+	for i, s := range p.Members {
 		lp := p.logs[s]
 		lp.Trim(lw)
 		if i == 0 {
@@ -962,7 +907,7 @@ func (c *Cluster) OldestOffset(topic string, partition int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.logs[p.replicas[0]].first, nil
+	return p.logs[p.Members[0]].first, nil
 }
 
 // Close stops the replication plane and control walkers, wakes
@@ -1001,23 +946,4 @@ func (c *Cluster) Close() {
 		}
 	}
 	c.mu.Unlock()
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func removeShard(xs []int, x int) []int {
-	out := xs[:0]
-	for _, v := range xs {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
 }

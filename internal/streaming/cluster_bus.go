@@ -237,7 +237,7 @@ func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic,
 			c.mu.Unlock()
 			return ErrBrokerClosed
 		}
-		lp = p.logs[p.replicas[0]]
+		lp = p.logs[p.Members[0]]
 		wait := &c.ctrl
 		if p.availableAt.IsZero() {
 			if limit := c.cfg.MaxInflightBytes; limit <= 0 || lp.Inflight() <= 0 || lp.Inflight()+r.add <= limit {
@@ -262,7 +262,7 @@ func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic,
 	if finish.After(*latest) {
 		*latest = finish
 	}
-	r.s, r.epoch = lp.end, p.epoch
+	r.s, r.epoch = lp.end, p.Epoch
 	for k, i := range r.idxs {
 		key, value := kv(int(i))
 		m := lp.Append(t.name, r.p, key, value, now)
@@ -293,8 +293,8 @@ func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *
 			c.mu.Unlock()
 			return ErrBrokerClosed
 		}
-		if p.epoch == r.epoch {
-			if p.acked >= r.e {
+		if p.Epoch == r.epoch {
+			if p.Acked >= r.e {
 				c.mu.Unlock()
 				return nil
 			}
@@ -305,12 +305,11 @@ func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *
 			}
 			continue
 		}
-		// The truncation point of the *first* handoff after our append
-		// bounds what survived; later handoffs only truncate at or above it
-		// (the watermark is monotone). The watermark itself says nothing
-		// here: above that point it counts whatever was appended since,
-		// ours or not. Drop the surviving prefix and re-append the rest.
-		skip := min(p.ackedAtEpoch[r.epoch+1], r.e) - r.s
+		// The first handoff after our append decides what survived
+		// (plan.Replicas.Kept). The watermark itself says nothing here: above
+		// that handoff's truncation point it counts whatever was appended
+		// since, ours or not. Drop the surviving prefix and re-append the rest.
+		skip := p.Kept(r.epoch, r.s, r.e)
 		c.mu.Unlock()
 		if skip > 0 {
 			r.idxs = r.idxs[skip:]
@@ -396,7 +395,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 			if p.stalled || !p.availableAt.IsZero() {
 				continue // parks on the control plane, below
 			}
-			lp := p.logs[p.replicas[0]]
+			lp := p.logs[p.Members[0]]
 			var batch []Message
 			var oor error
 			if offsets[j] < lp.first {
@@ -405,7 +404,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				// skipping to Oldest is acceptable for its semantics.
 				oor = &OffsetOutOfRangeError{Topic: topicName, Partition: parts[j],
 					Offset: offsets[j], Oldest: lp.first}
-			} else if limit := p.acked - offsets[j]; limit > 0 {
+			} else if limit := p.Acked - offsets[j]; limit > 0 {
 				batch = lp.View(offsets[j], int(min(int64(max), limit)))
 			}
 			if oor != nil || len(batch) > 0 {
@@ -448,8 +447,8 @@ func (c *Cluster) Commit(topic string, partition int, through int64) error {
 	if err != nil {
 		return err
 	}
-	through = min(through, p.acked)
-	lp := p.logs[p.replicas[0]]
+	through = min(through, p.Acked)
+	lp := p.logs[p.Members[0]]
 	if delay := c.commitDelay; delay > 0 {
 		// Injected commit skew (chaos): the acknowledgement is in flight for
 		// `delay` of modeled time before it lands. Uncancellable — a skewed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,7 +121,7 @@ func TestClusterCopiesLiveExactlyOnMembers(t *testing.T) {
 			}
 			for s := 0; s < 4; s++ {
 				lp := replicaLog(c, "t", q, s)
-				if member := containsInt(reps, s); (lp != nil) != member {
+				if member := slices.Contains(reps, s); (lp != nil) != member {
 					t.Fatalf("%s: shard %d member of t[%d] = %v (replicas %v), holds a copy = %v",
 						when, s, q, member, reps, lp != nil)
 				}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -358,6 +359,42 @@ func TestPublishReappendsWhenAnotherProducerFillsItsRange(t *testing.T) {
 	}
 	if want := []byte{20, 21, 22, 23, 10, 11, 12, 13}; string(got) != string(want) {
 		t.Fatalf("offsets 5.. hold %v, want %v: A returned on B's acknowledgement", got, want)
+	}
+}
+
+// TestSlowLinkPacesNoFasterThanNominal pins SetLinkLag's range: a lag
+// factor so large that a batch's pacing passes the int64 nanosecond range
+// saturates the sleep instead of wrapping it negative (which skipped the
+// sleep, so the slowest link replicated instantly), and a NaN or infinite
+// factor is refused.
+func TestSlowLinkPacesNoFasterThanNominal(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	ctx := context.Background()
+	took := func(factor float64) time.Duration {
+		t.Helper()
+		c := NewCluster(ClusterConfig{Shards: 2, Replication: 2, Clock: clock})
+		defer c.Close()
+		if err := c.CreateTopic("t", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetLinkLag(0, 1, factor); err != nil {
+			t.Fatal(err)
+		}
+		start := clock.Now()
+		if _, err := c.Publish(ctx, "t", nil, make([]byte, 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+		return clock.Now().Sub(start)
+	}
+	if nominal, slow := took(1), took(1e12); slow < nominal {
+		t.Fatalf("a 1 MiB publish took %v over a link lagged 1e12×, faster than %v at 1×", slow, nominal)
+	}
+	c := NewCluster(ClusterConfig{Shards: 2, Clock: clock})
+	defer c.Close()
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := c.SetLinkLag(0, 1, f); err == nil {
+			t.Fatalf("SetLinkLag(0, 1, %v) accepted", f)
+		}
 	}
 }
 

@@ -122,6 +122,16 @@
 #      seed from its own (seed+1, seed+100+n): arithmetic on seed is fine.
 #      A literal in a body is a second place the seed lives, and the next
 #      seed sweep would silently leave that testbed behind.
+#  18. Replica decisions live in plan (DESIGN.md "Federation" → Handoff as
+#      recovery protocol): a partition's plan.Replicas — Members, Syncing,
+#      Epoch, Acked, AckedAt — changes only through its methods (Ack, Fail,
+#      Round, PlaceReplicas). No non-test internal/streaming file assigns
+#      to, increments or index-assigns one of those fields (or the embedded
+#      Replicas value itself); a log's own Epoch (np.Epoch, lp.Epoch,
+#      fp.Epoch, l.Epoch) is the log's stamp and stays legal. A cluster that
+#      edits the set itself is a second replication policy, and the model
+#      checker that drives the methods would no longer cover the one that
+#      runs.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -385,6 +395,15 @@ fi
 # Rule 16: a park is one receive on the record's grant channel.
 if grep -nE '<-\s*r\.done' $(find internal/vclock -maxdepth 1 -name '*.go' ! -name '*_test.go') >&2; then
   echo "seed-audit: internal/vclock receives from a record's done — a park waits on its grant alone; a stall's watchers carry outside cancellations" >&2
+  fail=1
+fi
+
+# Rule 18: the cluster applies replica decisions; plan.Replicas makes them.
+edited=$(grep -nE '\.(Members|Syncing|Epoch|Acked|AckedAt|Replicas)(\[[^]]*\])?[[:space:]]*(=[^=]|\+\+|--|[-+*/|&^]=)' \
+  $(find internal/streaming -maxdepth 1 -name '*.go' ! -name '*_test.go') | grep -vE '\b(np|lp|fp|l)\.Epoch\b' || true)
+if [ -n "$edited" ]; then
+  echo "$edited" | sed 's|^|seed-audit:   |' >&2
+  echo "seed-audit: internal/streaming edits a partition's replica state — call a plan.Replicas method (Ack, Fail, Round) instead" >&2
   fail=1
 fi
 
