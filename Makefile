@@ -79,9 +79,11 @@ profile:
 # find a unit by its ordinal, through no map keyed by unit ID (rule 15);
 # a park in internal/vclock is one receive on its grant (rule 16); an
 # exhibit's seed is written only in the experiments.Exhibits table, never
-# as a literal in an exhibit body (rule 17); and internal/streaming never
+# as a literal in an exhibit body (rule 17); internal/streaming never
 # edits a partition's plan.Replicas fields itself — only the value's
-# methods decide replication (rule 18).
+# methods decide replication (rule 18); and outside cmd/bench no
+# OnCommit/OnAcked hook is a func literal — chaos.Checker is the one
+# implementation of the cursor and watermark contracts (rule 19).
 seed-audit:
 	bash tools/seed-audit.sh
 

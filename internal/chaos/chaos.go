@@ -31,8 +31,8 @@ import (
 type Kind int
 
 // Fault kinds. Windowed kinds (BackendOutage, PartitionStall,
-// CommitSkew, ShardLink) have a recovery instant; the rest are point
-// faults.
+// CommitSkew, ShardLink, ReplicaLag, TornReplication) have a recovery
+// instant; the rest are point faults.
 const (
 	// BackendOutage marks an infrastructure backend down for a window:
 	// submissions fail with infra.ErrBackendDown and the dispatcher's

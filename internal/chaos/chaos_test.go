@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,38 +165,110 @@ func TestFirstDivergence(t *testing.T) {
 	}
 }
 
+// TestCheckerStreamingInvariants feeds the streaming hooks clean and
+// broken sequences: each break is reported once, under its invariant, and
+// a redelivery leaves the completeness numerator where it was.
 func TestCheckerStreamingInvariants(t *testing.T) {
-	clk := vclock.NewVirtual(vclock.Epoch)
-	c := NewChecker(clk)
-	c.Handled(0, 0)
-	c.Handled(0, 1)
-	c.Handled(1, 0)
-	if len(c.Violations()) != 0 {
-		t.Fatalf("clean handles flagged: %v", c.Violations())
-	}
-	c.Handled(0, 1) // duplicate
-	if len(c.Violations()) == 0 {
-		t.Fatal("duplicate handle not flagged")
-	}
-
-	c2 := NewChecker(clk)
-	c2.OnCommit("t", 0, 0, 10)
-	c2.OnCommit("t", 0, 10, 25)
-	if len(c2.Violations()) != 0 {
-		t.Fatalf("monotone commits flagged: %v", c2.Violations())
-	}
-	c2.OnCommit("t", 0, 5, 30) // gap/rewind: starts before the last mark
-	if len(c2.Violations()) == 0 {
-		t.Fatal("commit rewind not flagged")
-	}
-	c2.CheckCompleteness(3)
-	found := false
-	for _, v := range c2.Violations() {
-		if v.Invariant == "completeness" {
-			found = true
+	handle := func(c *Checker, offsets ...int64) { // partition 0
+		for _, o := range offsets {
+			c.Handled(0, o)
 		}
 	}
-	if !found {
-		t.Fatal("completeness shortfall not flagged")
+	cases := []struct {
+		name    string
+		feed    func(c *Checker)
+		want    []string // invariants violated, in order
+		handled int
+	}{
+		{"in-order-two-partitions", func(c *Checker) {
+			handle(c, 0, 1)
+			c.Handled(1, 0)
+			c.Handled(1, 1)
+			handle(c, 2)
+		}, nil, 5},
+		{"redelivery", func(c *Checker) { handle(c, 0, 1, 2, 1) }, []string{"exactly-once"}, 3},
+		{"redelivery-then-resume", func(c *Checker) { handle(c, 0, 1, 2, 1, 3) }, []string{"exactly-once"}, 4},
+		{"skipped-offset", func(c *Checker) { handle(c, 0, 2, 3) }, []string{"exactly-once"}, 4},
+		{"commits-clean", func(c *Checker) {
+			c.OnCommit("t", 0, 0, 10)
+			c.OnCommit("t", 0, 10, 25)
+			c.OnCommit("t", 1, 0, 5)
+			c.OnCommit("u", 0, 0, 3)
+		}, nil, 0},
+		{"commit-rewind", func(c *Checker) {
+			c.OnCommit("t", 0, 0, 10)
+			c.OnCommit("t", 0, 10, 25)
+			c.OnCommit("t", 0, 5, 30)
+		}, []string{"cursor-rewind"}, 0},
+		{"commit-stalls", func(c *Checker) {
+			c.OnCommit("t", 0, 0, 10)
+			c.OnCommit("t", 0, 10, 10)
+		}, []string{"cursor-rewind"}, 0},
+		{"first-commit-not-at-0", func(c *Checker) { c.OnCommit("t", 0, 4, 10) }, []string{"cursor-rewind"}, 0},
+		{"acked-clean", func(c *Checker) {
+			c.OnAcked("t", 0, 0, 5)
+			c.OnAcked("t", 0, 5, 9)
+			c.OnAcked("t", 1, 0, 3)
+		}, nil, 0},
+		{"acked-rewound", func(c *Checker) {
+			c.OnAcked("t", 0, 0, 5)
+			c.OnAcked("t", 0, 5, 9)
+			c.OnAcked("t", 0, 3, 12)
+		}, []string{"watermark-monotone"}, 0},
+		{"acked-gapped", func(c *Checker) {
+			c.OnAcked("t", 0, 0, 5)
+			c.OnAcked("t", 0, 7, 9)
+		}, []string{"watermark-monotone"}, 0},
+		{"acked-first-not-from-0", func(c *Checker) { c.OnAcked("t", 0, 2, 5) }, []string{"watermark-monotone"}, 0},
+		{"completeness-shortfall", func(c *Checker) {
+			handle(c, 0)
+			c.CheckCompleteness(3)
+		}, []string{"completeness"}, 1},
+	}
+	clk := vclock.NewVirtual(vclock.Epoch)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewChecker(clk, 2)
+			tc.feed(c)
+			var got []string
+			for _, v := range c.Violations() {
+				got = append(got, v.Invariant)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("violations %v, want %v", c.Violations(), tc.want)
+			}
+			if n := c.HandledCount(); n != tc.handled {
+				t.Fatalf("HandledCount = %d, want %d", n, tc.handled)
+			}
+		})
+	}
+}
+
+// TestCheckerConcurrentHooks drives the streaming hooks from one goroutine
+// per partition at once (run it under -race): per-partition ownership
+// keeps every check exact, so a clean stream reports nothing and every
+// delivery counts.
+func TestCheckerConcurrentHooks(t *testing.T) {
+	const parts, n = 4, 1000
+	c := NewChecker(vclock.NewVirtual(vclock.Epoch), parts)
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for o := int64(0); o < n; o++ {
+				c.Handled(p, o)
+				c.OnCommit("t", p, o, o+1)
+				c.OnAcked("t", p, o, o+1)
+				_ = c.HandledCount()
+			}
+		}()
+	}
+	wg.Wait()
+	if v := c.Violations(); len(v) != 0 {
+		t.Fatalf("clean concurrent streams flagged: %v", v[:min(len(v), 3)])
+	}
+	if got := c.HandledCount(); got != parts*n {
+		t.Fatalf("HandledCount = %d, want %d", got, parts*n)
 	}
 }

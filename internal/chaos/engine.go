@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -361,7 +362,12 @@ func (e *Engine) timeline() ([]event, map[int]func(now time.Duration)) {
 					e.record(f, now, false, "no cluster")
 					return
 				}
-				syncing := e.t.Cluster.SyncingShards()
+				var syncing []int // shards recruited on any partition, ascending
+				for _, pl := range e.t.Cluster.Placement() {
+					syncing = append(syncing, pl.Syncing...)
+				}
+				slices.Sort(syncing)
+				syncing = slices.Compact(syncing)
 				if len(syncing) == 0 {
 					e.record(f, now, false, "no shard mid-catchup")
 					return

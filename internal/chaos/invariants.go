@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gopilot/internal/core"
@@ -13,10 +14,11 @@ import (
 // Violation is one invariant breach, timestamped in virtual time.
 type Violation struct {
 	// Invariant names the broken invariant (stable identifiers:
-	// "exactly-once", "cursor-rewind", "stranded-barrier",
-	// "retry-budget", "leaked-reservation", "completeness",
-	// "shard-placement", "diverged-replica-after-repair", plus whatever
-	// a scenario reports through Violate).
+	// "exactly-once", "cursor-rewind", "watermark-monotone",
+	// "stranded-barrier", "retry-budget", "leaked-reservation",
+	// "completeness", "shard-placement", "diverged-replica-after-repair",
+	// plus whatever a scenario reports through Violate, e.g. "liveness"
+	// or E13's "resident-bound").
 	Invariant string
 	// At is the virtual instant of detection (offset from vclock.Epoch).
 	At time.Duration
@@ -30,33 +32,35 @@ func (v Violation) String() string {
 }
 
 // Checker is the invariant suite that runs continuously during a chaos
-// scenario. The streaming-side checks are fed by hooks (the group
-// handler calls Handled, ClusterConfig.OnCommit calls OnCommit); the
-// batch-side checks run once the workload quiesces (CheckUnits,
-// CheckPilots after reconcile). All methods are safe for concurrent use.
+// scenario and under E13. The streaming-side checks are fed by hooks (the
+// group handler calls Handled, ClusterConfig.OnCommit and OnAcked call
+// OnCommit and OnAcked); the batch-side checks run once the workload
+// quiesces (CheckUnits, CheckPilots after reconcile). All methods are
+// safe for concurrent use.
 type Checker struct {
 	clock vclock.Clock
+	next  []atomic.Int64 // per partition: the offset Handled expects next
 
 	mu         sync.Mutex
-	handled    map[uint64]int    // partition<<48|offset -> times processed
-	commits    map[partKey]int64 // last commit mark seen
+	marks      map[markKey]int64 // last commit mark / acked watermark seen
 	violations []Violation
 }
 
-// partKey names one partition. A struct, not a formatted string: OnCommit
-// builds one on every applied commit, under the cluster lock.
-type partKey struct {
-	topic     string
-	partition int
+// markKey names one partition's mark under one invariant. A struct, not a
+// formatted string: the hooks build one on every applied commit and
+// watermark advance, under the cluster lock.
+type markKey struct {
+	invariant, topic string
+	partition        int
 }
 
-// NewChecker builds a checker; clock timestamps violations (virtual
-// offsets from vclock.Epoch).
-func NewChecker(clock vclock.Clock) *Checker {
+// NewChecker builds a checker for a topic of the given partition count;
+// clock timestamps violations (virtual offsets from vclock.Epoch).
+func NewChecker(clock vclock.Clock, partitions int) *Checker {
 	return &Checker{
-		clock:   clock,
-		handled: make(map[uint64]int),
-		commits: make(map[partKey]int64),
+		clock: clock,
+		next:  make([]atomic.Int64, partitions),
+		marks: make(map[markKey]int64, 2*partitions), // a commit mark and a watermark per partition
 	}
 }
 
@@ -80,49 +84,60 @@ func (c *Checker) Violations() []Violation {
 	return append([]Violation(nil), c.violations...)
 }
 
-// Handled asserts exactly-once processing: the group handler calls it
-// per message, and a (partition, offset) seen twice is a duplicate —
-// under the generation barrier no partition ever has two simultaneous
-// owners, so a second delivery means an ownership overlap (e.g. the
-// barrier-carry defect) let a retiree and its successor process the same
-// offsets.
+// Handled asserts exactly-once in-order processing: the group handler
+// calls it per message, and each delivery must carry its partition's
+// expected next offset. The generation barrier gives a partition one
+// owner at a time, so the compare-and-swap never contends; a redelivery
+// means an ownership overlap (e.g. the barrier-carry defect). After a
+// mismatch the slot resumes past the delivered offset: one break, one
+// violation.
 func (c *Checker) Handled(partition int, offset int64) {
-	key := uint64(partition)<<48 | uint64(offset)
-	c.mu.Lock()
-	n := c.handled[key] + 1
-	c.handled[key] = n
-	c.mu.Unlock()
-	if n > 1 {
-		c.Violate("exactly-once", "partition %d offset %d processed %d times", partition, offset, n)
+	slot := &c.next[partition]
+	if slot.CompareAndSwap(offset, offset+1) {
+		return
+	}
+	want := slot.Load()
+	c.Violate("exactly-once", "partition %d: delivered offset %d, expected %d", partition, offset, want)
+	for cur := want; cur <= offset && !slot.CompareAndSwap(cur, offset+1); cur = slot.Load() {
 	}
 }
 
-// HandledCount returns how many distinct (partition, offset) pairs were
-// processed — the completeness numerator.
+// HandledCount returns the sum of the partitions' expected next offsets:
+// how many messages were processed, the completeness numerator.
 func (c *Checker) HandledCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.handled)
+	n := int64(0)
+	for i := range c.next {
+		n += c.next[i].Load()
+	}
+	return int(n)
 }
 
 // OnCommit asserts the consumer cursor never rewinds; wire it to
 // streaming.ClusterConfig.OnCommit. The broker reports applied commits
-// only, so each must strictly advance the last mark this checker saw and
-// start where the previous one ended.
+// only, so each must start where the previous one ended (at 0 the first
+// time) and strictly advance.
 func (c *Checker) OnCommit(topic string, partition int, from, through int64) {
-	key := partKey{topic, partition}
+	c.advance("cursor-rewind", topic, partition, from, through)
+}
+
+// OnAcked asserts the quorum watermark advances the same way, across
+// handoffs too; wire it to streaming.ClusterConfig.OnAcked.
+func (c *Checker) OnAcked(topic string, partition int, from, to int64) {
+	c.advance("watermark-monotone", topic, partition, from, to)
+}
+
+// advance checks one step [from, to) of a per-partition mark that must
+// move forward gaplessly from 0.
+func (c *Checker) advance(invariant, topic string, partition int, from, to int64) {
+	key := markKey{invariant, topic, partition}
 	c.mu.Lock()
-	prev, seen := c.commits[key]
-	if !seen || through > prev {
-		c.commits[key] = through
-	}
+	prev := c.marks[key]
+	c.marks[key] = max(prev, to)
 	c.mu.Unlock()
-	if through <= from {
-		c.Violate("cursor-rewind", "%s/%d: commit through %d does not advance from %d", topic, partition, through, from)
-		return
-	}
-	if seen && from != prev {
-		c.Violate("cursor-rewind", "%s/%d: commit starts at %d, last mark was %d", topic, partition, from, prev)
+	if to <= from {
+		c.Violate(invariant, "%s/%d: mark through %d does not advance from %d", topic, partition, to, from)
+	} else if from != prev {
+		c.Violate(invariant, "%s/%d: mark starts at %d, last mark was %d", topic, partition, from, prev)
 	}
 }
 
@@ -143,23 +158,12 @@ func (c *Checker) CheckBarrier(g *streaming.Group) {
 }
 
 // CheckPlacement asserts a federated cluster reconverged after shard
-// losses: once the workload quiesces, every partition must have a live
-// leader and a full replica set — full meaning min(replication target,
-// live shards), since fewer live shards than the target leaves nothing
-// to recruit — with no recruit still syncing.
+// losses: once the workload quiesces, no partition may be
+// under-replicated (Cluster.UnderReplicated: a short replica set, a
+// recruit still syncing, or a lagging follower).
 func (c *Checker) CheckPlacement(cl *streaming.Cluster) {
-	want := cl.Replication()
-	if live := len(cl.LiveShards()); want > live {
-		want = live
-	}
-	for _, p := range cl.Placement() {
-		if len(p.Replicas) < want {
-			c.Violate("shard-placement", "%s[%d] has %d of %d replicas after quiesce",
-				p.Topic, p.Partition, len(p.Replicas), want)
-		}
-		if p.Syncing {
-			c.Violate("shard-placement", "%s[%d] still re-replicating after quiesce", p.Topic, p.Partition)
-		}
+	if n := cl.UnderReplicated(); n > 0 {
+		c.Violate("shard-placement", "%d partitions under-replicated after quiesce", n)
 	}
 }
 

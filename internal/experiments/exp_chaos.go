@@ -132,7 +132,9 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	checker := chaos.NewChecker(tb.Clock)
+	const topic = "chaos-events"
+	const parts = 4
+	checker := chaos.NewChecker(tb.Clock, parts)
 	plan := chaos.Compile(tb.Root, opts.Faults)
 	if opts.MaxFaults != 0 {
 		plan = plan.Truncate(max(opts.MaxFaults, 0))
@@ -141,12 +143,10 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 	// --- Streaming side: a 3-shard federated cluster + consumer group
 	// on a local pilot. Offsets persist to the cluster's KV, so group
 	// commits drive retention and shard handoffs find durable cursors.
-	const topic = "chaos-events"
-	const parts = 4
 	cluster := streaming.NewCluster(streaming.ClusterConfig{
 		Name: "chaos", Shards: 3, Replication: 3, HandoffDelay: 2 * time.Second,
 		AppendCost: time.Millisecond, FetchLatency: time.Millisecond,
-		OnCommit: checker.OnCommit, Clock: tb.Clock,
+		OnCommit: checker.OnCommit, OnAcked: checker.OnAcked, Clock: tb.Clock,
 		PlantStaleHandoff: opts.HandoffBug,
 	})
 	defer cluster.Close()
@@ -333,7 +333,7 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 			report.UnitsFail++
 		}
 	}
-	report.StateHash = chaosStateHash(report, mgrB, cluster, topic, parts)
+	report.StateHash = chaosStateHash(report, mgrB, cluster)
 	// Snapshot the schedule at this fixed pre-teardown point so two runs
 	// compare traces of identical extent.
 	report.Schedule = tb.Clock.RecorderState()
@@ -341,7 +341,7 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 }
 
 // chaosStateHash folds the terminal state into one comparable word.
-func chaosStateHash(r *ChaosReport, mgr *core.Manager, c *streaming.Cluster, topic string, parts int) uint64 {
+func chaosStateHash(r *ChaosReport, mgr *core.Manager, c *streaming.Cluster) uint64 {
 	h := r.Plan.Hash()
 	mix := func(v uint64) {
 		h ^= v
@@ -357,19 +357,16 @@ func chaosStateHash(r *ChaosReport, mgr *core.Manager, c *streaming.Cluster, top
 	for _, u := range mgr.Units() {
 		mix(uint64(u.State())<<32 | uint64(uint32(u.Attempts())))
 	}
-	for p := 0; p < parts; p++ {
-		if mark, err := c.Committed(topic, p); err == nil {
+	placement := c.Placement()
+	for _, pl := range placement {
+		if mark, err := c.Committed(pl.Topic, pl.Partition); err == nil {
 			mix(uint64(mark))
 		}
-		if oldest, err := c.OldestOffset(topic, p); err == nil {
-			mix(uint64(oldest)) // retention floor: trims must land identically
-		}
-		if hw, err := c.AckedOffset(topic, p); err == nil {
-			mix(uint64(hw)) // quorum watermark: replication must land identically
-		}
+		mix(uint64(pl.Oldest))  // retention floor: trims must land identically
+		mix(uint64(pl.AckedHW)) // quorum watermark: replication must land identically
 	}
 	mix(uint64(c.Handoffs()))
-	for _, pl := range c.Placement() {
+	for _, pl := range placement {
 		mix(uint64(pl.Epoch)<<32 | uint64(uint32(pl.Leader)))
 	}
 	mix(uint64(len(r.Violations)))

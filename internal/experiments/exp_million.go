@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gopilot/internal/chaos"
 	"gopilot/internal/core"
 	"gopilot/internal/metrics"
 	"gopilot/internal/streaming"
@@ -27,15 +28,17 @@ import (
 // continuously trims the log below the committed low-watermark —
 // resident bytes stay bounded however long the stream runs.
 //
-// Four invariants are checked inline and reported in the table, cheap
+// The chaos invariant suite (chaos.Checker) watches the run, cheap
 // enough to leave on under the benchmark gate: exactly-once in-order
-// delivery (per-partition expected-offset CAS in the handler), commit
-// marks that only advance and stay gapless (OnCommit), the acknowledged
-// watermark advancing monotonically without gaps (OnAcked), and the
-// resident-byte bound at every retention instant (OnRetention); replica
-// logs are checked for divergence after the drain. Each is
-// bit-identical per seed (BenchmarkStreaming_Million pins the wall-time
-// and allocation budget).
+// delivery (Handled in the handler), commit marks that only advance and
+// stay gapless (OnCommit), the acknowledged watermark advancing
+// monotonically without gaps (OnAcked), and replica logs free of
+// divergence after the drain (CheckReplicas). E13 adds its own
+// "resident-bound": resident bytes stay under the retention contract's
+// bound at every retention instant (OnRetention). The table's
+// invariants cell counts the violations; it is bit-identical per seed
+// (BenchmarkStreaming_Million pins the wall-time and allocation
+// budget).
 func MillionMessages(seed int64, n int) (*metrics.Table, error) {
 	tb := NewTestbed(TestbedConfig{QueueWaitMean: 5, Seed: seed})
 	defer tb.Close()
@@ -51,16 +54,8 @@ func MillionMessages(seed int64, n int) (*metrics.Table, error) {
 		inflight   = 256 << 10 // ≈4k in-flight messages per partition
 		pubBatch   = 4096
 	)
-	// Inline invariant state. All of it is deterministic per seed: message
-	// delivery order per partition is fixed by the virtual-time schedule,
-	// and each slot is touched only under per-partition ownership (the
-	// group barrier for the handler, the cluster lock for commits), so
-	// the atomics are -race hygiene, not contended synchronization.
-	var violations atomic.Int64
+	checker := chaos.NewChecker(tb.Clock, partitions)
 	var residentMax atomic.Int64
-	var nextOffset [partitions]int64 // expected next delivery per partition
-	var commitMark [partitions]int64 // last commit-through per partition
-	var ackedMark [partitions]int64  // last acknowledged watermark per partition
 	// The retention contract's bound: uncommitted in-flight bytes (capped
 	// by backpressure, or one full publish batch admitted into an idle
 	// partition), plus at most one unsealed segment of committed-but-not-
@@ -78,24 +73,8 @@ func MillionMessages(seed int64, n int) (*metrics.Table, error) {
 		SegmentSize:      segSize,
 		MaxInflightBytes: inflight,
 		Clock:            tb.Clock,
-		OnCommit: func(_ string, p int, from, through int64) {
-			// Commit marks advance gaplessly: each applied commit starts
-			// exactly where the previous one ended. A rewound or skipped
-			// mark here is the cursor-rewind failure class.
-			if from != atomic.LoadInt64(&commitMark[p]) || through <= from {
-				violations.Add(1)
-			}
-			atomic.StoreInt64(&commitMark[p], through)
-		},
-		OnAcked: func(_ string, p int, from, to int64) {
-			// The quorum watermark advances monotonically and gaplessly:
-			// each advance starts exactly where the last one ended, even
-			// across the mid-run handoff. The CAS mirrors the delivery
-			// check — uncontended, kept sound across leadership changes.
-			if !atomic.CompareAndSwapInt64(&ackedMark[p], from, to) || to <= from {
-				violations.Add(1)
-			}
-		},
+		OnCommit:         checker.OnCommit,
+		OnAcked:          checker.OnAcked,
 		OnRetention: func(_ string, _ int, resident, _ int64) {
 			for {
 				cur := residentMax.Load()
@@ -104,7 +83,7 @@ func MillionMessages(seed int64, n int) (*metrics.Table, error) {
 				}
 			}
 			if resident > residentBound {
-				violations.Add(1)
+				checker.Violate("resident-bound", "%d resident bytes exceed %d", resident, residentBound)
 			}
 		},
 	})
@@ -137,13 +116,7 @@ func MillionMessages(seed int64, n int) (*metrics.Table, error) {
 			if acc == 0xFF {
 				return fmt.Errorf("poisoned payload at offset %d", m.Offset)
 			}
-			// Exactly-once in order: this delivery must be the partition's
-			// expected next offset. The CAS never contends — the generation
-			// barrier gives each partition one owner — it exists so the
-			// check stays sound (and -race-clean) across handoffs.
-			if !atomic.CompareAndSwapInt64(&nextOffset[m.Partition], m.Offset, m.Offset+1) {
-				violations.Add(1)
-			}
+			checker.Handled(m.Partition, m.Offset)
 			return nil
 		},
 	})
@@ -205,12 +178,9 @@ func MillionMessages(seed int64, n int) (*metrics.Table, error) {
 	}
 	group.Stop()
 
-	// Replica-log convergence: after the drain every follower's epoch
-	// chain must agree with its leader's — a surviving diverged suffix
-	// means the handoff's truncate-and-re-stream repair failed.
-	violations.Add(int64(len(cluster.CheckReplicaConsistency(topic))))
+	checker.CheckReplicas(cluster, topic)
 	invariants := "ok"
-	if v := violations.Load(); v > 0 {
+	if v := len(checker.Violations()); v > 0 {
 		invariants = fmt.Sprintf("VIOLATED(%d)", v)
 	}
 	lat := group.LatencyStats()

@@ -393,19 +393,6 @@ func (c *Cluster) LeaderOf(topic string, partition int) (int, error) {
 	return p.Members[0], nil
 }
 
-// AckedOffset returns a partition's acknowledged high watermark — the
-// next offset awaiting quorum acknowledgement. Only offsets below it are
-// fetchable or committable.
-func (c *Cluster) AckedOffset(topic string, partition int) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.fedPartition(topic, partition)
-	if err != nil {
-		return 0, err
-	}
-	return p.Acked, nil
-}
-
 // UnderReplicated counts partitions below their replication target,
 // still syncing a recruit, or carrying nonzero replication lag (a full
 // follower whose log end trails the leader's) — so drift detection sees
@@ -436,14 +423,17 @@ type ShardPlacement struct {
 	Epoch     int
 	Leader    int
 	Replicas  []int
-	// Syncing is true while a recruited follower is still replaying the
-	// log (re-replication in progress).
-	Syncing bool
+	// Syncing lists the recruited followers still replaying the log
+	// (re-replication in progress); empty once every member is full.
+	Syncing []int
 	// Lag is the partition's maximum replication lag in messages (leader
 	// log end − follower log end, over full members).
 	Lag int64
 	// AckedHW is the acknowledged high watermark at snapshot time.
 	AckedHW int64
+	// Oldest is the retention floor on the leader: the oldest offset a
+	// fetch can still serve.
+	Oldest int64
 }
 
 // Placement snapshots every partition's placement in topic-creation and
@@ -458,33 +448,11 @@ func (c *Cluster) Placement() []ShardPlacement {
 				Topic: t.name, Partition: p.idx, Epoch: p.Epoch,
 				Leader:   p.Members[0],
 				Replicas: append([]int(nil), p.Members...),
-				Syncing:  len(p.Syncing) > 0,
+				Syncing:  append([]int(nil), p.Syncing...),
 				Lag:      p.Lag(p.end),
 				AckedHW:  p.Acked,
+				Oldest:   p.logs[p.Members[0]].first,
 			})
-		}
-	}
-	return out
-}
-
-// SyncingShards returns the ids of shards currently catching up as
-// recruits on any partition, ascending — the crash-mid-catchup chaos
-// fault targets these.
-func (c *Cluster) SyncingShards() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := make([]bool, len(c.up))
-	for _, t := range c.order {
-		for _, p := range t.parts {
-			for _, s := range p.Syncing {
-				seen[s] = true
-			}
-		}
-	}
-	var out []int
-	for i, ok := range seen {
-		if ok {
-			out = append(out, i)
 		}
 	}
 	return out
@@ -896,18 +864,6 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 	if c.cfg.OnRetention != nil {
 		c.cfg.OnRetention(topic, partition, resident, oldest)
 	}
-}
-
-// OldestOffset returns a partition's retention floor on its current
-// leader: the oldest offset a fetch can still serve.
-func (c *Cluster) OldestOffset(topic string, partition int) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.fedPartition(topic, partition)
-	if err != nil {
-		return 0, err
-	}
-	return p.logs[p.Members[0]].first, nil
 }
 
 // Close stops the replication plane and control walkers, wakes

@@ -507,5 +507,11 @@ func (c *Cluster) Committed(topic string, partition int) (int64, error) {
 // partition — the end of what a consumer can ever fetch, which is the
 // end of the log as the Bus contract sees it.
 func (c *Cluster) EndOffset(topic string, partition int) (int64, error) {
-	return c.AckedOffset(topic, partition)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, err := c.fedPartition(topic, partition)
+	if err != nil {
+		return 0, err
+	}
+	return p.Acked, nil
 }

@@ -179,10 +179,9 @@ func TestClusterAccessorsRaceCleanFromOutside(t *testing.T) {
 			c.UnderReplicated()
 			c.CheckReplicaConsistency("t")
 			for q := 0; q < parts; q++ {
-				c.AckedOffset("t", q)
+				c.EndOffset("t", q)
 				c.Committed("t", q)
 				c.LeaderOf("t", q)
-				c.OldestOffset("t", q)
 			}
 			polls.Add(1)
 		}
@@ -328,6 +327,12 @@ func TestClusterShardLossHandoff(t *testing.T) {
 	if err := c.FailShard(lead); err != nil {
 		t.Fatal(err)
 	}
+	// The shard outside the old replica set is recruited, and the snapshot
+	// lists it as syncing until it has replayed the log.
+	recruit := 3 - old[0] - old[1]
+	if s := placementOf(c, "t", part).Syncing; !slices.Equal(s, []int{recruit}) {
+		t.Fatalf("syncing = %v right after FailShard, want the recruit [%d]", s, recruit)
+	}
 	if got := c.Handoffs(); got < 1 {
 		t.Fatalf("handoffs = %d, want >= 1", got)
 	}
@@ -367,8 +372,8 @@ func TestClusterShardLossHandoff(t *testing.T) {
 		t.Fatalf("%d partitions still under-replicated after handoff", n)
 	}
 	for _, p := range c.Placement() {
-		if len(p.Replicas) != 2 {
-			t.Fatalf("%s[%d] has %d replicas", p.Topic, p.Partition, len(p.Replicas))
+		if len(p.Replicas) != 2 || len(p.Syncing) != 0 {
+			t.Fatalf("%s[%d] has %d replicas, %v syncing", p.Topic, p.Partition, len(p.Replicas), p.Syncing)
 		}
 		for _, r := range p.Replicas {
 			if r == lead {
@@ -477,8 +482,8 @@ func TestFetchTrimmedOffsetTypedError(t *testing.T) {
 	// Persisting the cursor drives retention: segments wholly below offset
 	// 9 trim (two full segments of 4), leaving the floor at 8.
 	c.Offsets().Save("g", "t", 0, 9)
-	if oldest, err := c.OldestOffset("t", 0); err != nil || oldest != 8 {
-		t.Fatalf("oldest = %d, %v; want 8", oldest, err)
+	if oldest := placementOf(c, "t", 0).Oldest; oldest != 8 {
+		t.Fatalf("oldest = %d; want 8", oldest)
 	}
 
 	_, err := c.Fetch(ctx, "t", 0, 0, 10)
@@ -632,7 +637,7 @@ func TestRetentionBoundProperty(t *testing.T) {
 			if lastResident > segSize*payloadLen {
 				t.Fatalf("drained cluster retains %d bytes, want <= one segment (%d)", lastResident, segSize*payloadLen)
 			}
-			if oldest, _ := cl.OldestOffset("t", 0); oldest < total-segSize {
+			if oldest := placementOf(cl, "t", 0).Oldest; oldest < total-segSize {
 				t.Fatalf("final floor %d never approached the head (%d published)", oldest, total)
 			}
 		})

@@ -71,7 +71,7 @@ func TestDivergenceRepairAfterHandoff(t *testing.T) {
 	if e := logEnd(c, "t", 0, f1); e != 5 {
 		t.Fatalf("frozen follower f1 end = %d, want 5", e)
 	}
-	if hw, _ := c.AckedOffset("t", 0); hw != 5 {
+	if hw, _ := c.EndOffset("t", 0); hw != 5 {
 		t.Fatalf("acked = %d, want 5 (pinned by the frozen follower)", hw)
 	}
 
@@ -227,7 +227,7 @@ func TestPublishSurvivesDoubleLeaderDeath(t *testing.T) {
 	// 1.5s: one 400-byte segment per second per link, so the followers hold
 	// [0,4) and the second batch is in flight.
 	at(1500 * time.Millisecond)
-	if hw, _ := c.AckedOffset("t", 0); hw != 4 {
+	if hw, _ := c.EndOffset("t", 0); hw != 4 {
 		t.Fatalf("acked = %d at 1.5s, want 4", hw)
 	}
 	first, _ := c.LeaderOf("t", 0)
@@ -272,7 +272,7 @@ func TestPublishSurvivesDoubleLeaderDeath(t *testing.T) {
 	}
 	at(20 * time.Second)
 	if !pubDone.Fired() {
-		hw, _ := c.AckedOffset("t", 0)
+		hw, _ := c.EndOffset("t", 0)
 		t.Fatalf("publish still parked at 20s (acked = %d): the suffix was skipped twice", hw)
 	}
 	if pubErr != nil {

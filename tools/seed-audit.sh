@@ -132,6 +132,11 @@
 #      edits the set itself is a second replication policy, and the model
 #      checker that drives the methods would no longer cover the one that
 #      runs.
+#  19. The streaming contracts have one implementation (DESIGN.md
+#      "Invariant suite"): outside the frozen cmd/bench, no non-test file
+#      sets a ClusterConfig's OnCommit or OnAcked to a func literal — wire
+#      chaos.Checker's OnCommit and OnAcked instead. A hand-written hook is
+#      a second copy of the cursor and watermark rules, and copies drift.
 #
 # Test files (_test.go) are exempt: tests construct fixture roots freely.
 set -u
@@ -404,6 +409,14 @@ edited=$(grep -nE '\.(Members|Syncing|Epoch|Acked|AckedAt|Replicas)(\[[^]]*\])?[
 if [ -n "$edited" ]; then
   echo "$edited" | sed 's|^|seed-audit:   |' >&2
   echo "seed-audit: internal/streaming edits a partition's replica state — call a plan.Replicas method (Ack, Fail, Round) instead" >&2
+  fail=1
+fi
+
+# Rule 19: commit and watermark hooks are chaos.Checker's, never a literal.
+hooked=$(grep -nE '\bOn(Commit|Acked):[[:space:]]*func\b' $(echo "$files" | grep -vE '^(cmd/bench|\.bench_build)/') || true)
+if [ -n "$hooked" ]; then
+  echo "$hooked" | sed 's|^|seed-audit:   |' >&2
+  echo "seed-audit: an OnCommit/OnAcked hook is a func literal — wire chaos.Checker's OnCommit/OnAcked, the one implementation of the cursor and watermark contracts" >&2
   fail=1
 fi
 
