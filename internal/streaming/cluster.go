@@ -459,12 +459,15 @@ func (c *Cluster) Placement() []ShardPlacement {
 }
 
 // CheckReplicaConsistency compares every replica of a topic against its
-// leader's epoch-span chain (plan.DivergencePoint) and reports the
-// diverged ones — replicas
-// holding offsets whose epoch disagrees with the leader's, or offsets
-// past the leader's end. After quiescence (no faults in flight, lag
-// drained) every report is an invariant violation: repair should have
-// truncated and re-streamed them.
+// leader and reports the diverged ones: a replica whose epoch-span chain
+// disagrees with the leader's (plan.DivergencePoint) — it holds offsets
+// whose epoch differs, or offsets past the leader's end — or, with the
+// chains in agreement, a retained message that is not the leader's (Offset,
+// Key, Value and Published over every offset both hold; a slot both reach
+// in one array is the same message and is skipped), or that does not sit
+// at its own offset. After quiescence (no faults in flight, lag drained)
+// every report is an invariant violation: repair should have truncated
+// and re-streamed them.
 func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -475,12 +478,17 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	var out []string
 	for _, p := range t.parts {
 		leader := p.Members[0]
-		lFirst, lEnd, _, lSpans := p.logs[leader].Snapshot(nil)
+		lp := p.logs[leader]
+		lFirst, lEnd, _, lSpans := lp.Snapshot(nil)
 		for _, f := range p.Members[1:] {
-			fFirst, fEnd, _, fSpans := p.logs[f].Snapshot(nil)
+			fp := p.logs[f]
+			fFirst, fEnd, _, fSpans := fp.Snapshot(nil)
 			if at, ok := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd); ok {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d diverged from leader %d at offset %d (leader end %d, replica end %d)",
 					t.name, p.idx, f, leader, at, lEnd, fEnd))
+			} else if at, ok := fp.differsAt(&lp.Log); ok {
+				out = append(out, fmt.Sprintf("%s[%d] shard %d holds a message unlike leader %d's at offset %d",
+					t.name, p.idx, f, leader, at))
 			}
 		}
 	}

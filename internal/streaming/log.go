@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -222,6 +223,34 @@ func (l *Log) View(offset int64, max int) []Message {
 		hi = lo + max
 	}
 	return seg.msgs[lo:hi:hi]
+}
+
+// differsAt returns the first retained offset at which l holds a message
+// that is not leader's — a different Offset, Key, Value or Published — or
+// one whose Offset is not its position; slots both logs reach in one array
+// are the same message and are skipped. The replica-consistency oracle;
+// it reads without viewing.
+func (l *Log) differsAt(leader *Log) (int64, bool) {
+	for o := l.first; o < l.end; o++ {
+		m := l.at(o)
+		if m.Offset != o {
+			return o, true
+		}
+		if o < leader.first || o >= leader.end {
+			continue
+		}
+		if lm := leader.at(o); lm != m && (lm.Offset != m.Offset || !bytes.Equal(lm.Key, m.Key) ||
+			!bytes.Equal(lm.Value, m.Value) || !lm.Published.Equal(m.Published)) {
+			return o, true
+		}
+	}
+	return 0, false
+}
+
+// at returns the retained message at offset o in place.
+func (l *Log) at(o int64) *Message {
+	rel := o - l.first
+	return &l.segs[rel/int64(l.segSize)].msgs[rel%int64(l.segSize)]
 }
 
 // BytesThrough returns the cumulative payload bytes of offsets [0, o), o

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -122,6 +123,63 @@ func TestDivergenceRepairAfterHandoff(t *testing.T) {
 		if m.Offset != int64(5+i) || len(m.Value) != 1 || m.Value[0] != byte(10+i) {
 			t.Fatalf("msg %d = offset %d value %v, want offset %d value [%d]",
 				i, m.Offset, m.Value, 5+i, 10+i)
+		}
+	}
+}
+
+// TestReplicaConsistencyComparesMessages gives the replica oracle its
+// teeth over content, not just epoch chains: a follower whose chain agrees
+// with the leader's but which holds a different message at one offset — a
+// value, a key, a Published stamp, an Offset — is reported at that offset,
+// and is clean again once the message is restored. The edit goes to a
+// private copy of the follower's segment, so the leader's slots are never
+// touched whether the follower copied or aliased them.
+func TestReplicaConsistencyComparesMessages(t *testing.T) {
+	clock := vclocktest.Adopted(t)
+	c := NewCluster(ClusterConfig{
+		Shards: 3, Replication: 3, AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		if _, err := c.Publish(ctx, "t", []byte{'k', byte(i)}, []byte{'v', byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c.UnderReplicated() != 0 {
+		clock.Sleep(ctx, time.Millisecond)
+	}
+	if d := c.CheckReplicaConsistency("t"); len(d) != 0 {
+		t.Fatalf("freshly replicated logs reported: %v", d)
+	}
+	fp := replicaLog(c, "t", 0, placementOf(c, "t", 0).Replicas[2])
+	for _, edit := range []struct {
+		name string
+		do   func(m *Message)
+	}{
+		{"value", func(m *Message) { m.Value = []byte{'v', 9} }},
+		{"key", func(m *Message) { m.Key = nil }},
+		{"published", func(m *Message) { m.Published = m.Published.Add(time.Nanosecond) }},
+		{"offset", func(m *Message) { m.Offset++ }},
+	} {
+		c.mu.Lock()
+		seg := fp.segs[0]
+		orig := seg.msgs
+		seg.msgs = append([]Message(nil), orig...)
+		edit.do(&seg.msgs[3])
+		c.mu.Unlock()
+		d := c.CheckReplicaConsistency("t")
+		if len(d) != 1 || !strings.Contains(d[0], "at offset 3") {
+			t.Fatalf("%s edited at offset 3: oracle reports %v", edit.name, d)
+		}
+		c.mu.Lock()
+		seg.msgs = orig
+		c.mu.Unlock()
+		if d := c.CheckReplicaConsistency("t"); len(d) != 0 {
+			t.Fatalf("%s restored: oracle still reports %v", edit.name, d)
 		}
 	}
 }
