@@ -41,6 +41,12 @@
 // and the failure summary names each allocs-gate failure with its delta
 // percentage so the last lines of a red log identify the regression
 // without scrolling back to the FAIL lines.
+//
+// With -ab it is instead the A/B pair command (ab.go): it exports a parent
+// and a revision, runs the unmodified cmd/bench/run.sh on each in
+// alternating pairs, prints every end-to-end metric's median (q1–q3), the
+// pairs won and a verdict — ahead, within noise, behind or unresolved —
+// and appends one JSON line per run to BENCH_history.jsonl.
 package main
 
 import (
@@ -129,6 +135,9 @@ func main() {
 	allocFloor := flag.Float64("alloc-floor", 512, "absolute allocs/op growth an alloc regression must also exceed")
 	writePath := flag.String("write", "", "also record this run as a baseline-format JSON at the given path")
 	flag.Parse()
+	if *abMode {
+		os.Exit(runAB())
+	}
 
 	raw, err := os.ReadFile(*basePath)
 	if err != nil {

@@ -95,6 +95,8 @@ type ChaosReport struct {
 	UnitsDone  int
 	UnitsFail  int
 	Rebalances int
+	// Replication is the cluster's replicated-log counters at quiescence.
+	Replication streaming.Stats
 	// StateHash fingerprints the terminal state (unit states and
 	// attempts, commit marks, processed count, rebalances, plan hash):
 	// two same-seed runs must agree bit-for-bit.
@@ -317,13 +319,14 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 	checker.CheckReplicas(cluster, topic)
 
 	report := &ChaosReport{
-		Seed:       opts.Seed,
-		Plan:       plan,
-		Injected:   injected,
-		Violations: checker.Violations(),
-		Produced:   opts.Messages,
-		Processed:  checker.HandledCount(),
-		Rebalances: group.Rebalances(),
+		Seed:        opts.Seed,
+		Plan:        plan,
+		Injected:    injected,
+		Violations:  checker.Violations(),
+		Produced:    opts.Messages,
+		Processed:   checker.HandledCount(),
+		Rebalances:  group.Rebalances(),
+		Replication: cluster.Stats(),
 	}
 	for _, u := range mgrB.Units() {
 		switch u.State() {

@@ -65,6 +65,7 @@ type Cluster struct {
 	order    []*fedTopic // creation order: deterministic control sweeps
 	handoffs int
 	repairs  int
+	stats    Stats
 	// commitDelay is the injected commit skew (chaos), zero normally.
 	commitDelay time.Duration
 	// ctrl holds waiters parked on control-plane state (fences, epochs,
@@ -295,11 +296,33 @@ func (c *Cluster) Repairs() int {
 	return c.repairs
 }
 
+// Stats counts the replicated log's work, cluster-wide, from creation:
+// op counts that the per-message costs multiply (ROADMAP item 14's
+// streaming slice). Every count is bumped under the cluster lock.
+type Stats struct {
+	Appends       uint64 // messages appended by leaders
+	Aliased       uint64 // messages replicated by reference to the leader's slot
+	Copied        uint64 // messages replicated by copy
+	Born          uint64 // segments allocated (an aliasing one allocates only cum)
+	Refilled      uint64 // segments reborn from a spare
+	CopyOnWrite   uint64 // borrowed tails copied before a write
+	Rounds        uint64 // catch-up batches applied
+	AckedAdvances uint64 // acknowledged-watermark advances
+}
+
+// Stats returns a snapshot of the cluster's counters.
+func (c *Cluster) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
+
 // recomputeAckedLocked advances a partition's acknowledged watermark
 // (plan.Replicas.Ack), firing OnAcked, parked producers and the leader's
 // fetch waiters on progress. Caller holds c.mu.
 func (c *Cluster) recomputeAckedLocked(t *fedTopic, p *fedPart) {
 	if from, moved := p.Ack(p.end); moved {
+		c.stats.AckedAdvances++
 		if c.cfg.OnAcked != nil {
 			c.cfg.OnAcked(t.name, p.idx, from, p.Acked)
 		}
@@ -365,7 +388,7 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 
 // newLog makes one member's empty copy of a partition log.
 func (c *Cluster) newLog() *partition {
-	return &partition{Log: Log{segSize: c.cfg.SegmentSize}}
+	return &partition{Log: Log{segSize: c.cfg.SegmentSize, stats: &c.stats}}
 }
 
 // fedPartition resolves one partition by name, for the accessors that are
@@ -802,9 +825,10 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			continue
 		}
 		// plan.Stream: a zero-copy one-segment view from the follower's end,
-		// plus its payload total read off the leader's cum (what the link is
-		// paced by).
-		msgs := lp.View(at, replBatchMax)
+		// which the follower aliases where it lands on the leader's array
+		// (AppendReplicated), plus its payload total read off the leader's
+		// cum (what the link is paced by).
+		msgs, lo := lp.view(at, replBatchMax)
 		bytes := lp.BytesThrough(at+int64(len(msgs))) - lp.BytesThrough(at)
 		c.mu.Unlock()
 
@@ -835,7 +859,8 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		if p.Epoch == epoch && p.Members[0] == leader &&
 			1+slot < len(p.Members) && p.Members[1+slot] == follower &&
 			!c.severed[leader][follower] && !p.frozen[slot] &&
-			p.logs[follower].AppendReplicated(msgs, ls.Spans, lCommitted) == nil {
+			p.logs[follower].AppendReplicated(msgs, lo, ls.Spans, lCommitted) == nil {
+			c.stats.Rounds++
 			c.recomputeAckedLocked(t, p)
 		}
 		c.mu.Unlock()

@@ -263,6 +263,7 @@ func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic,
 		*latest = finish
 	}
 	r.s, r.epoch = lp.end, p.Epoch
+	c.stats.Appends += uint64(len(r.idxs))
 	for k, i := range r.idxs {
 		key, value := kv(int(i))
 		m := lp.Append(t.name, r.p, key, value, now)

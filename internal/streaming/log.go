@@ -15,11 +15,16 @@ import (
 // every copy of every log) across every call — so a leader's append path, a
 // follower's replicated append and the handoff's truncate are the same few
 // methods on the same type, and the proof obligation behind zero-copy fetch
-// (DESIGN.md "The Log") sits beside one type: a slot that has left the lock
-// in a View is never rewritten. Three mutators could break it and each discharges it here:
-// growth (tail) writes only to a new array, refill (Trim, nextSegment)
-// takes only never-viewed segments, and truncation (TruncateTo) stays at
-// or above every view handed out.
+// and replication by reference (DESIGN.md "The Log") sits beside one type:
+// a slot that has left the lock, in a View or an alias, is never rewritten.
+// A log writes only into arrays it owns. Four mutators could break that and
+// each discharges it here: growth (tail) writes only to a new array;
+// aliasing (AppendReplicated) makes a follower's segment a borrowed slice
+// of the leader's published array, extended only by reslice, and a write to
+// a borrowed tail copies its prefix first (tail); refill (Trim,
+// nextSegment) takes only never-viewed segments and never a borrowed
+// array; truncation (TruncateTo) into a viewed segment marks it borrowed,
+// so the next write copies.
 type Log struct {
 	segSize int
 	segs    []*segment
@@ -51,6 +56,8 @@ type Log struct {
 	// (divergence detection needs history below the current end).
 	Epoch  int
 	epochs []plan.EpochSpan
+
+	stats *Stats // the owning cluster's counters, bumped under its lock
 }
 
 // segment is a run of at most segSize messages of the log. Appends write
@@ -63,39 +70,47 @@ type Log struct {
 // two-lookup subtraction instead of a per-message walk. viewed records
 // that a slice of msgs has left the lock (set only by View): a viewed
 // segment dies by GC, an unviewed one may be refilled (DESIGN.md "Segment
-// lifecycle").
+// lifecycle"). borrowed: msgs's array is not this log's to write — it is
+// another log's published segment, aliased by a replicated append, or a
+// viewed array that a truncation cut into — so the next write past
+// len(msgs) first copies the prefix to an owned array (tail). cum is
+// always owned and pointer-free.
 type segment struct {
-	msgs   []Message
-	cum    []int64
-	viewed bool
+	msgs     []Message
+	cum      []int64
+	viewed   bool
+	borrowed bool
 }
 
 // minSegCap is the smallest capacity a segment is born with.
 const minSegCap = 16
-
-// newSegment allocates both arrays at the same capacity; cum is only ever
-// resliced in step with msgs.
-func newSegment(size int) *segment {
-	return &segment{msgs: make([]Message, 0, size), cum: make([]int64, 0, size)}
-}
 
 // nextSegment is where every segment of the log is born: it appends an
 // empty tail segment — the spare Trim handed back if there is one, a
 // fresh allocation otherwise — and returns it. A hot log's segments are
 // born at full segSize; a log that has never sealed one pays for what the
 // append creating the segment holds (want messages, floor minSegCap).
-func (l *Log) nextSegment(want int) *segment {
+// alias, when non-nil, is the empty head of a full-size leader array the
+// segment borrows instead of an array of its own; only cum is refilled.
+func (l *Log) nextSegment(want int, alias []Message) *segment {
 	seg := l.spare
 	if seg == nil {
 		size := l.segSize
 		if !l.hot {
 			size = min(size, max(minSegCap, want))
 		}
-		seg = newSegment(size)
+		seg = &segment{cum: make([]int64, 0, size)}
+		l.stats.Born++
 	} else {
 		l.spare = nil
-		seg.msgs, seg.cum = seg.msgs[:0], seg.cum[:0]
+		l.stats.Refilled++
 	}
+	if alias != nil {
+		seg.msgs = alias
+	} else if cap(seg.msgs) == 0 {
+		seg.msgs = make([]Message, 0, cap(seg.cum))
+	}
+	seg.msgs, seg.cum, seg.borrowed = seg.msgs[:0], seg.cum[:0], alias != nil
 	l.segs = append(l.segs, seg)
 	return seg
 }
@@ -104,26 +119,33 @@ func (l *Log) nextSegment(want int) *segment {
 // of want messages — the one step Append and AppendReplicated both take
 // before writing. A tail that is missing or sealed (segSize messages: the
 // log is hot from here on) means the next segment is born. A tail born
-// small whose array is full grows ×2 (at least to fit want) by
+// small whose array is full grows ×2 (at least to fit want), and a
+// borrowed tail is copied at its cum's capacity (copy on write), both by
 // allocate-and-copy of the published prefix: nothing is ever written to
-// the old array again, so views of it stay valid and immutable until the
-// collector takes it.
+// the old array again, so views and aliases of it stay valid and
+// immutable until the collector takes it.
 func (l *Log) tail(want int) *segment {
 	if n := len(l.segs); n > 0 {
 		seg := l.segs[n-1]
 		used := len(seg.msgs)
-		if used < cap(seg.msgs) {
+		if used < cap(seg.msgs) && !seg.borrowed {
 			return seg
 		}
 		if used < l.segSize {
-			size := min(l.segSize, max(2*used, used+want))
+			size := max(cap(seg.cum), min(l.segSize, max(2*used, used+want)))
 			seg.msgs = append(make([]Message, 0, size), seg.msgs...)
-			seg.cum = append(make([]int64, 0, size), seg.cum...)
+			if cap(seg.cum) < size {
+				seg.cum = append(make([]int64, 0, size), seg.cum...)
+			}
+			if seg.borrowed {
+				seg.borrowed = false
+				l.stats.CopyOnWrite++
+			}
 			return seg
 		}
 		l.hot = true
 	}
-	return l.nextSegment(want)
+	return l.nextSegment(want, nil)
 }
 
 // Append claims the next tail slot and builds the message directly in it
@@ -155,8 +177,11 @@ func (l *Log) Append(topic string, pi int, key, value []byte, published time.Tim
 // with the end — the catch-up runner re-validates membership and epoch
 // after its pacing sleep and discards torn batches, so a gap here is a
 // protocol bug, not a runtime condition. The commit mark advances lazily
-// toward the leader's, never past the log's own end.
-func (l *Log) AppendReplicated(msgs []Message, spans []plan.EpochSpan, leaderCommitted int64) error {
+// toward the leader's, never past the log's own end. lo ≥ 0 says msgs is
+// the runner's view (Log.view) at slot lo of a leader segment's array,
+// capacity kept: a batch the log can alias (borrow) is stored by
+// reference; lo < 0, or a batch that lands elsewhere, is copied.
+func (l *Log) AppendReplicated(msgs []Message, lo int, spans []plan.EpochSpan, leaderCommitted int64) error {
 	if len(msgs) == 0 {
 		return nil
 	}
@@ -165,14 +190,21 @@ func (l *Log) AppendReplicated(msgs []Message, spans []plan.EpochSpan, leaderCom
 			msgs[0].Topic, msgs[0].Partition, msgs[0].Offset, l.end)
 	}
 	s := l.end
-	// One bulk copy (one write barrier) per one-segment run, then cum in
-	// a tight loop over the run.
-	for rest := msgs; len(rest) > 0; {
-		seg := l.tail(len(rest))
-		lo := len(seg.msgs)
-		n := copy(seg.msgs[lo:cap(seg.msgs)], rest)
-		seg.msgs, seg.cum = seg.msgs[:lo+n], seg.cum[:lo+n]
-		for i, cum := 0, seg.cum[lo:]; i < n; i++ {
+	// An aliased batch is one reslice; a copied one is one bulk copy (one
+	// write barrier) per one-segment run. Then cum in a tight loop.
+	seg := l.borrow(msgs, lo)
+	for rest := msgs; len(rest) > 0; seg = nil {
+		n := len(rest)
+		if seg != nil {
+			l.stats.Aliased += uint64(n)
+		} else {
+			seg = l.tail(n)
+			n = copy(seg.msgs[len(seg.msgs):cap(seg.msgs)], rest)
+			l.stats.Copied += uint64(n)
+		}
+		k := len(seg.msgs)
+		seg.msgs, seg.cum = seg.msgs[:k+n], seg.cum[:k+n]
+		for i, cum := 0, seg.cum[k:]; i < n; i++ {
 			l.totalBytes += int64(len(rest[i].Key) + len(rest[i].Value))
 			cum[i] = l.totalBytes
 		}
@@ -202,6 +234,29 @@ func (l *Log) AppendReplicated(msgs []Message, spans []plan.EpochSpan, leaderCom
 	return nil
 }
 
+// borrow returns the segment a replicated batch (msgs at slot lo of its
+// array, as AppendReplicated takes it) extends by reslice instead of being
+// copied: the borrowed tail ending exactly where msgs starts in the same
+// array, or — the log at a segment boundary and msgs the head of a
+// full-size array — a new segment borrowing that array. Nil: copy.
+func (l *Log) borrow(msgs []Message, lo int) *segment {
+	if lo < 0 {
+		return nil
+	}
+	if n := len(l.segs); n > 0 {
+		seg := l.segs[n-1]
+		if k := len(seg.msgs); seg.borrowed && k < cap(seg.msgs) && &seg.msgs[:k+1][k] == &msgs[0] {
+			return seg
+		} else if k < l.segSize {
+			return nil
+		}
+	}
+	if lo != 0 || cap(msgs) != l.segSize {
+		return nil
+	}
+	return l.nextSegment(l.segSize, msgs[:0])
+}
+
 // View returns up to max messages starting at offset as a read-only
 // sub-slice of one segment (callers may see fewer than max at a segment
 // boundary and loop); nil when offset is outside the retained range. The
@@ -211,18 +266,22 @@ func (l *Log) AppendReplicated(msgs []Message, spans []plan.EpochSpan, leaderCom
 // of a segment leaves the lock, it marks the segment viewed so Trim never
 // hands it back for refill.
 func (l *Log) View(offset int64, max int) []Message {
+	v, _ := l.view(offset, max)
+	return v[:len(v):len(v)]
+}
+
+// view is View for the catch-up runner: the slice keeps its array's
+// capacity and comes with its slot in the array (-1: nothing to view),
+// which is what lets a follower alias it (AppendReplicated).
+func (l *Log) view(offset int64, max int) ([]Message, int) {
 	if offset >= l.end || offset < l.first {
-		return nil
+		return nil, -1
 	}
 	rel := offset - l.first
 	seg := l.segs[rel/int64(l.segSize)]
 	seg.viewed = true
 	lo := int(rel % int64(l.segSize))
-	hi := len(seg.msgs)
-	if hi-lo > max {
-		hi = lo + max
-	}
-	return seg.msgs[lo:hi:hi]
+	return seg.msgs[lo:min(len(seg.msgs), lo+max)], lo
 }
 
 // differsAt returns the first retained offset at which l holds a message
@@ -317,10 +376,14 @@ func (l *Log) Trim(below int64) int64 {
 	// Nil out the dropped heads before reslicing: the backing array
 	// survives in segs, and a live pointer there would pin every trimmed
 	// segment — exactly the memory the trim exists to release. One dropped
-	// segment no view ever reached is kept as the spare for nextSegment.
+	// segment no view ever reached is kept as the spare for nextSegment; a
+	// borrowed array goes back to its owner, only its cum is kept.
 	for i := 0; i < k; i++ {
-		if l.spare == nil && !l.segs[i].viewed {
-			l.spare = l.segs[i]
+		if seg := l.segs[i]; l.spare == nil && !seg.viewed {
+			if seg.borrowed {
+				seg.msgs, seg.borrowed = nil, false
+			}
+			l.spare = seg
 		}
 		l.segs[i] = nil
 	}
@@ -331,11 +394,11 @@ func (l *Log) Trim(below int64) int64 {
 
 // TruncateTo discards the suffix at and above `to` — the repair half of
 // divergence handling (truncate-to-watermark, then re-stream from the
-// leader). Safe for zero-copy consumers: the cluster only ever hands out
-// views below the acknowledged watermark, and every truncation point is
-// at or above it, so no live view reaches the dropped (and later
-// overwritten) slots. The commit mark clamps down with the log; epoch
-// spans starting at or above `to` are dropped.
+// leader). Safe for zero-copy consumers and for aliases whatever the
+// protocol: a cut into a viewed segment marks it borrowed, so the dropped
+// slots are never overwritten — the next write copies the kept prefix.
+// The commit mark clamps down with the log; epoch spans starting at or
+// above `to` are dropped.
 func (l *Log) TruncateTo(to int64) {
 	if to >= l.end {
 		return
@@ -352,6 +415,7 @@ func (l *Log) TruncateTo(to int64) {
 		within := int(rel % int64(l.segSize))
 		seg := l.segs[idx]
 		seg.msgs, seg.cum = seg.msgs[:within], seg.cum[:within]
+		seg.borrowed = seg.borrowed || seg.viewed
 		l.segs = l.segs[:idx+1]
 	}
 	l.end = to
@@ -369,7 +433,7 @@ func (l *Log) TruncateTo(to int64) {
 // ResetTo empties the log and repositions it at first — the bootstrap
 // for a recruit whose log starts behind the leader's retention floor.
 func (l *Log) ResetTo(first int64) {
-	*l = Log{segSize: l.segSize, spare: l.spare, hot: l.hot, Epoch: l.Epoch, first: first, end: first, committed: first}
+	*l = Log{segSize: l.segSize, spare: l.spare, hot: l.hot, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
 }
 
 // Snapshot reads the log's coordinates at one instant: the retained

@@ -184,6 +184,78 @@ func TestReplicaConsistencyComparesMessages(t *testing.T) {
 	}
 }
 
+// TestReplicationStatsPinned pins Cluster.Stats over a small replicated
+// run — 3 shards, replication 3, 64-message segments, one partition: 160
+// messages in 8-message publishes, the leader failed, 96 more, each phase
+// consumed and persisted so retention trims behind it — and holds
+// the claim the counters exist to explain: once the log is hot, a
+// follower stores the leader's messages by reference. The leader's first
+// segment is born small and grows, so its followers copy it; from the
+// second segment on every replicated message is aliased. The failure
+// costs at most one more segment per follower: the promoted leader
+// copies its borrowed tail before its first append, and the surviving
+// follower copies the rest of that segment from the new leader's array.
+func TestReplicationStatsPinned(t *testing.T) {
+	const segSize = 64
+	clock := vclocktest.Adopted(t)
+	c := NewCluster(ClusterConfig{
+		Shards: 3, Replication: 3, SegmentSize: segSize, HandoffDelay: time.Millisecond,
+		AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	publish := func(n int) {
+		t.Helper()
+		batch := make([][]byte, 8)
+		for i := range batch {
+			batch[i] = []byte{byte(i)}
+		}
+		for ; n > 0; n -= len(batch) {
+			if err := c.PublishValues(ctx, "t", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c.UnderReplicated() != 0 {
+			clock.Sleep(ctx, time.Millisecond)
+		}
+		// Consume everything: the persist trims every replica's sealed
+		// segments, and a follower keeps an aliased one's cum as its spare.
+		end, _ := c.EndOffset("t", 0)
+		if err := c.Commit("t", 0, end); err != nil {
+			t.Fatal(err)
+		}
+		c.Offsets().Save("g", "t", 0, end)
+	}
+	publish(segSize)
+	cold := c.Stats()
+	publish(160 - segSize)
+	hot := c.Stats()
+	if err := c.FailShard(placementOf(c, "t", 0).Leader); err != nil {
+		t.Fatal(err)
+	}
+	publish(96)
+	end := c.Stats()
+	if d := c.CheckReplicaConsistency("t"); len(d) != 0 {
+		t.Fatalf("replicas diverged: %v", d)
+	}
+	if got := hot.Copied - cold.Copied; got != 0 {
+		t.Fatalf("a hot log copied %d replicated messages, want 0 (every follower aliases)", got)
+	}
+	if got := end.Copied - cold.Copied; got > 2*segSize {
+		t.Fatalf("the failure cost %d copied messages, over one segment per follower", got)
+	}
+	// Born: three first segments, then the leader's two sealed successors
+	// and each follower's two aliasing ones; after the failure the two
+	// survivors' next segments refill a trimmed follower segment's spare.
+	want := Stats{Appends: 256, Aliased: 256, Copied: 160, Born: 9, Refilled: 2, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
+	if end != want {
+		t.Fatalf("stats %+v, want %+v", end, want)
+	}
+}
+
 // TestStaleHandoffBugLeavesDivergedReplica proves the planted defect is
 // observable at this layer: with the stale-handoff bug enabled, the same
 // choreography as TestDivergenceRepairAfterHandoff must leave the

@@ -74,7 +74,7 @@ func payloadBytes(msgs []Message) int64 {
 // refilled and how many growth steps were taken.
 func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, err error) {
 	full := int(segSize) // a sealed segment's length, and a hot one's capacity
-	l := &Log{segSize: full}
+	l := &Log{segSize: full, stats: new(Stats)}
 	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 	var (
 		m       logModel
@@ -203,7 +203,7 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 				batch[i] = mint(m.end() + int64(i))
 			}
 			lc := m.committed + arg/9%8
-			if err := l.AppendReplicated(batch, spans, lc); err != nil {
+			if err := l.AppendReplicated(batch, -1, spans, lc); err != nil {
 				return refills, growths, err
 			}
 			m.msgs = append(m.msgs, batch...)
@@ -480,7 +480,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			name = "cold"
 		}
 		b.Run(name, func(b *testing.B) {
-			l := &Log{segSize: segSize}
+			l := &Log{segSize: segSize, stats: new(Stats)}
 			payload := make([]byte, 64)
 			batch := make([]Message, segSize)
 			for i := range batch {
@@ -495,7 +495,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				end := int64(i+1) * segSize
 				batch[0].Offset = end - segSize
-				if err := l.AppendReplicated(batch, spans, end); err != nil {
+				if err := l.AppendReplicated(batch, -1, spans, end); err != nil {
 					b.Fatal(err)
 				}
 				if cold {
@@ -519,7 +519,7 @@ func BenchmarkLogAppendCold(b *testing.B) {
 	payload := make([]byte, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l := &Log{segSize: 4096}
+		l := &Log{segSize: 4096, stats: new(Stats)}
 		for j := 0; j < 375; j++ {
 			l.Append("t", 0, nil, payload, vclock.Epoch)
 		}
@@ -532,7 +532,7 @@ func BenchmarkLogAppendCold(b *testing.B) {
 // full-size segment — the bypass for the born-small path.
 func BenchmarkLogAppendHot(b *testing.B) {
 	const segSize = 4096
-	l := &Log{segSize: segSize}
+	l := &Log{segSize: segSize, stats: new(Stats)}
 	payload := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
