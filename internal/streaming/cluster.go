@@ -66,6 +66,9 @@ type Cluster struct {
 	handoffs int
 	repairs  int
 	stats    Stats
+	// scratch is the free list of publish workspaces (groupBatch): unlike
+	// a sync.Pool, no collection empties it.
+	scratch []*pubScratch
 	// commitDelay is the injected commit skew (chaos), zero normally.
 	commitDelay time.Duration
 	// ctrl holds waiters parked on control-plane state (fences, epochs,
@@ -296,9 +299,8 @@ func (c *Cluster) Repairs() int {
 	return c.repairs
 }
 
-// Stats counts the replicated log's work, cluster-wide, from creation:
-// op counts that the per-message costs multiply (ROADMAP item 14's
-// streaming slice). Every count is bumped under the cluster lock.
+// Stats counts the replicated log's work since the cluster was made — the
+// op counts per-message costs multiply — bumped under the cluster lock.
 type Stats struct {
 	Appends       uint64 // messages appended by leaders
 	Aliased       uint64 // messages replicated by reference to the leader's slot
@@ -482,15 +484,12 @@ func (c *Cluster) Placement() []ShardPlacement {
 }
 
 // CheckReplicaConsistency compares every replica of a topic against its
-// leader and reports the diverged ones: a replica whose epoch-span chain
-// disagrees with the leader's (plan.DivergencePoint) — it holds offsets
-// whose epoch differs, or offsets past the leader's end — or, with the
-// chains in agreement, a retained message that is not the leader's (Offset,
-// Key, Value and Published over every offset both hold; a slot both reach
-// in one array is the same message and is skipped), or that does not sit
-// at its own offset. After quiescence (no faults in flight, lag drained)
-// every report is an invariant violation: repair should have truncated
-// and re-streamed them.
+// leader and reports the diverged ones: an epoch-span chain that disagrees
+// with the leader's (plan.DivergencePoint: offsets whose epoch differs, or
+// past the leader's end), or else a retained message that is not the
+// leader's (Log.differsAt). After quiescence (no faults in flight, lag
+// drained) every report is an invariant violation: repair should have
+// truncated and re-streamed them.
 func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -501,15 +500,13 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	var out []string
 	for _, p := range t.parts {
 		leader := p.Members[0]
-		lp := p.logs[leader]
-		lFirst, lEnd, _, lSpans := lp.Snapshot(nil)
+		lFirst, lEnd, _, lSpans := p.logs[leader].Snapshot(nil)
 		for _, f := range p.Members[1:] {
-			fp := p.logs[f]
-			fFirst, fEnd, _, fSpans := fp.Snapshot(nil)
+			fFirst, fEnd, _, fSpans := p.logs[f].Snapshot(nil)
 			if at, ok := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd); ok {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d diverged from leader %d at offset %d (leader end %d, replica end %d)",
 					t.name, p.idx, f, leader, at, lEnd, fEnd))
-			} else if at, ok := fp.differsAt(&lp.Log); ok {
+			} else if at, ok := p.logs[f].differsAt(&p.logs[leader].Log); ok {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d holds a message unlike leader %d's at offset %d",
 					t.name, p.idx, f, leader, at))
 			}
@@ -747,16 +744,6 @@ func (c *Cluster) SetCommitDelay(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// linkLagLocked returns the pacing multiplier of link a<->b (≥1).
-// Caller holds c.mu.
-func (c *Cluster) linkLagLocked(a, b int) float64 {
-	f := c.lagFac[a][b]
-	if f < 1 {
-		return 1
-	}
-	return f
-}
-
 // replicate is one partition's catch-up runner for one follower slot:
 // it resolves the slot's current follower, detects and repairs diverged
 // suffixes (epoch chain compare, truncate-to-watermark, re-stream),
@@ -790,7 +777,7 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			}
 			continue
 		}
-		epoch, lag := p.Epoch, c.linkLagLocked(leader, follower)
+		epoch, lag := p.Epoch, max(c.lagFac[leader][follower], 1)
 		lp, fp := p.logs[leader], p.logs[follower]
 		var lCommitted int64
 		fs.First, fs.End, _, fs.Spans = fp.Snapshot(fs.Spans)
@@ -824,10 +811,9 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			}
 			continue
 		}
-		// plan.Stream: a zero-copy one-segment view from the follower's end,
-		// which the follower aliases where it lands on the leader's array
-		// (AppendReplicated), plus its payload total read off the leader's
-		// cum (what the link is paced by).
+		// plan.Stream: a zero-copy one-segment view from the follower's end
+		// (which the follower may alias), plus its payload total read off the
+		// leader's cum (what the link is paced by).
 		msgs, lo := lp.view(at, replBatchMax)
 		bytes := lp.BytesThrough(at+int64(len(msgs))) - lp.BytesThrough(at)
 		c.mu.Unlock()

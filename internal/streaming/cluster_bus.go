@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 )
 
@@ -82,16 +81,14 @@ func (c *Cluster) PublishValues(ctx context.Context, topic string, values [][]by
 
 // pubScratch is the reusable workspace of one publish call: per-message
 // partition assignment, per-partition byte totals, and the counting-sorted
-// index order. Pooled so a steady-state publish allocates nothing beyond
-// the log segments themselves.
+// index order. Reused (Cluster.scratch) so a steady-state publish
+// allocates nothing beyond the log segments themselves.
 type pubScratch struct {
 	assign []int32 // partition per message
 	order  []int32 // message indices grouped by partition, publish order kept
 	fill   []int32 // per-partition counts, then cursors, then group ends
 	bytes  []int64 // payload bytes per partition
 }
-
-var pubScratchPool = sync.Pool{New: func() any { return new(pubScratch) }}
 
 // groupBatch assigns the n messages of one publish to t's partitions — by
 // key hash, or off the topic's round-robin cursor for empty keys, under the
@@ -100,10 +97,16 @@ var pubScratchPool = sync.Pool{New: func() any { return new(pubScratch) }}
 // the same pass), then a counting sort over pooled scratch yields each
 // partition's indices in publish order without growing per-partition
 // slices, so grouping costs one kv() call per message and zero
-// steady-state allocations. The caller returns the scratch to the pool.
+// steady-state allocations. The caller returns the scratch to c.scratch.
 func (c *Cluster) groupBatch(t *fedTopic, n int, kv func(int) ([]byte, []byte)) *pubScratch {
 	nparts := len(t.parts)
-	sc := pubScratchPool.Get().(*pubScratch)
+	c.mu.Lock()
+	var sc *pubScratch
+	if k := len(c.scratch); k > 0 {
+		sc, c.scratch = c.scratch[k-1], c.scratch[:k-1]
+	} else {
+		sc = new(pubScratch)
+	}
 	if cap(sc.assign) < n {
 		sc.assign = make([]int32, n)
 		sc.order = make([]int32, n)
@@ -118,7 +121,6 @@ func (c *Cluster) groupBatch(t *fedTopic, n int, kv func(int) ([]byte, []byte)) 
 	clear(sc.bytes)
 	// In index order: consumer wake-up order downstream must not depend
 	// on randomized iteration.
-	c.mu.Lock()
 	for i := 0; i < n; i++ {
 		k, v := kv(i)
 		var p int
@@ -185,7 +187,11 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 		return 0, err
 	}
 	sc := c.groupBatch(t, n, kv)
-	defer pubScratchPool.Put(sc)
+	defer func() {
+		c.mu.Lock()
+		c.scratch = append(c.scratch, sc)
+		c.mu.Unlock()
+	}()
 
 	// Phase 1: append every sub-batch on its partition's current leader.
 	recs := make([]pubRec, 0, 4)

@@ -16,15 +16,13 @@ import (
 // follower's replicated append and the handoff's truncate are the same few
 // methods on the same type, and the proof obligation behind zero-copy fetch
 // and replication by reference (DESIGN.md "The Log") sits beside one type:
-// a slot that has left the lock, in a View or an alias, is never rewritten.
-// A log writes only into arrays it owns. Four mutators could break that and
-// each discharges it here: growth (tail) writes only to a new array;
-// aliasing (AppendReplicated) makes a follower's segment a borrowed slice
-// of the leader's published array, extended only by reslice, and a write to
-// a borrowed tail copies its prefix first (tail); refill (Trim,
-// nextSegment) takes only never-viewed segments and never a borrowed
-// array; truncation (TruncateTo) into a viewed segment marks it borrowed,
-// so the next write copies.
+// a slot that has left the lock, in a View or an alias, is never rewritten,
+// because a log writes only into arrays it owns. Growth (tail) writes only
+// to a new array; aliasing (AppendReplicated) extends a borrowed slice of
+// the leader's array only by reslice, and tail copies a borrowed tail
+// before writing; refill (Trim) takes only never-viewed segments, never a
+// borrowed array; truncation (TruncateTo) into a viewed segment marks it
+// borrowed.
 type Log struct {
 	segSize int
 	segs    []*segment
@@ -70,16 +68,12 @@ type Log struct {
 // two-lookup subtraction instead of a per-message walk. viewed records
 // that a slice of msgs has left the lock (set only by View): a viewed
 // segment dies by GC, an unviewed one may be refilled (DESIGN.md "Segment
-// lifecycle"). borrowed: msgs's array is not this log's to write — it is
-// another log's published segment, aliased by a replicated append, or a
-// viewed array that a truncation cut into — so the next write past
-// len(msgs) first copies the prefix to an owned array (tail). cum is
-// always owned and pointer-free.
+// lifecycle"). borrowed: msgs's array is not this log's to write (another
+// log's, aliased, or viewed and truncated into); cum is always owned.
 type segment struct {
-	msgs     []Message
-	cum      []int64
-	viewed   bool
-	borrowed bool
+	msgs             []Message
+	cum              []int64
+	viewed, borrowed bool
 }
 
 // minSegCap is the smallest capacity a segment is born with.
@@ -89,9 +83,8 @@ const minSegCap = 16
 // empty tail segment — the spare Trim handed back if there is one, a
 // fresh allocation otherwise — and returns it. A hot log's segments are
 // born at full segSize; a log that has never sealed one pays for what the
-// append creating the segment holds (want messages, floor minSegCap).
-// alias, when non-nil, is the empty head of a full-size leader array the
-// segment borrows instead of an array of its own; only cum is refilled.
+// append creating the segment holds (want messages, floor minSegCap). A
+// non-nil alias is the full-size leader array the segment borrows.
 func (l *Log) nextSegment(want int, alias []Message) *segment {
 	seg := l.spare
 	if seg == nil {
@@ -134,13 +127,11 @@ func (l *Log) tail(want int) *segment {
 		if used < l.segSize {
 			size := max(cap(seg.cum), min(l.segSize, max(2*used, used+want)))
 			seg.msgs = append(make([]Message, 0, size), seg.msgs...)
-			if cap(seg.cum) < size {
-				seg.cum = append(make([]int64, 0, size), seg.cum...)
-			}
+			seg.cum = append(make([]int64, 0, size), seg.cum...)
 			if seg.borrowed {
-				seg.borrowed = false
 				l.stats.CopyOnWrite++
 			}
+			seg.borrowed = false
 			return seg
 		}
 		l.hot = true
@@ -178,9 +169,8 @@ func (l *Log) Append(topic string, pi int, key, value []byte, published time.Tim
 // after its pacing sleep and discards torn batches, so a gap here is a
 // protocol bug, not a runtime condition. The commit mark advances lazily
 // toward the leader's, never past the log's own end. lo ≥ 0 says msgs is
-// the runner's view (Log.view) at slot lo of a leader segment's array,
-// capacity kept: a batch the log can alias (borrow) is stored by
-// reference; lo < 0, or a batch that lands elsewhere, is copied.
+// the runner's view (Log.view) at slot lo of its array: a batch that
+// borrow can alias is stored by reference, anything else is copied.
 func (l *Log) AppendReplicated(msgs []Message, lo int, spans []plan.EpochSpan, leaderCommitted int64) error {
 	if len(msgs) == 0 {
 		return nil
@@ -220,12 +210,8 @@ func (l *Log) AppendReplicated(msgs []Message, lo int, spans []plan.EpochSpan, l
 		if spEnd <= s || sp.Start >= e {
 			continue
 		}
-		start := sp.Start
-		if start < s {
-			start = s
-		}
 		if n := len(l.epochs); n == 0 || l.epochs[n-1].Epoch != sp.Epoch {
-			l.epochs = append(l.epochs, plan.EpochSpan{Start: start, Epoch: sp.Epoch})
+			l.epochs = append(l.epochs, plan.EpochSpan{Start: max(sp.Start, s), Epoch: sp.Epoch})
 		}
 	}
 	if leaderCommitted > l.committed {
@@ -234,22 +220,18 @@ func (l *Log) AppendReplicated(msgs []Message, lo int, spans []plan.EpochSpan, l
 	return nil
 }
 
-// borrow returns the segment a replicated batch (msgs at slot lo of its
-// array, as AppendReplicated takes it) extends by reslice instead of being
-// copied: the borrowed tail ending exactly where msgs starts in the same
-// array, or — the log at a segment boundary and msgs the head of a
-// full-size array — a new segment borrowing that array. Nil: copy.
+// borrow returns the segment a replicated batch extends by reslice: the
+// borrowed tail ending where msgs starts in the same array, or, at a
+// segment boundary, a new segment borrowing the full-size array msgs heads.
 func (l *Log) borrow(msgs []Message, lo int) *segment {
-	if lo < 0 {
-		return nil
-	}
-	if n := len(l.segs); n > 0 {
+	if n := len(l.segs); lo >= 0 && n > 0 {
 		seg := l.segs[n-1]
 		if k := len(seg.msgs); seg.borrowed && k < cap(seg.msgs) && &seg.msgs[:k+1][k] == &msgs[0] {
 			return seg
 		} else if k < l.segSize {
 			return nil
 		}
+		l.hot = true // as in tail: the log has sealed a segment
 	}
 	if lo != 0 || cap(msgs) != l.segSize {
 		return nil
@@ -264,15 +246,14 @@ func (l *Log) borrow(msgs []Message, lo int) *segment {
 // slots are never rewritten while a view can reach them (growth copies to
 // a new array and leaves this one alone) — and, being the only way a slice
 // of a segment leaves the lock, it marks the segment viewed so Trim never
-// hands it back for refill.
+// hands it back for refill. Its capacity is its length.
 func (l *Log) View(offset int64, max int) []Message {
 	v, _ := l.view(offset, max)
 	return v[:len(v):len(v)]
 }
 
-// view is View for the catch-up runner: the slice keeps its array's
-// capacity and comes with its slot in the array (-1: nothing to view),
-// which is what lets a follower alias it (AppendReplicated).
+// view is View keeping its array's capacity, with its slot in the array
+// (-1: none): the catch-up runner's batch, which a follower may alias.
 func (l *Log) view(offset int64, max int) ([]Message, int) {
 	if offset >= l.end || offset < l.first {
 		return nil, -1
@@ -284,21 +265,13 @@ func (l *Log) view(offset int64, max int) ([]Message, int) {
 	return seg.msgs[lo:min(len(seg.msgs), lo+max)], lo
 }
 
-// differsAt returns the first retained offset at which l holds a message
-// that is not leader's — a different Offset, Key, Value or Published — or
-// one whose Offset is not its position; slots both logs reach in one array
-// are the same message and are skipped. The replica-consistency oracle;
-// it reads without viewing.
+// differsAt returns the first offset at which l's message is not at its
+// offset or not leader's (Offset, Key, Value, Published; a slot both reach
+// is skipped): the replica-consistency oracle. It views nothing.
 func (l *Log) differsAt(leader *Log) (int64, bool) {
 	for o := l.first; o < l.end; o++ {
-		m := l.at(o)
-		if m.Offset != o {
-			return o, true
-		}
-		if o < leader.first || o >= leader.end {
-			continue
-		}
-		if lm := leader.at(o); lm != m && (lm.Offset != m.Offset || !bytes.Equal(lm.Key, m.Key) ||
+		m, lm := l.at(o), leader.at(o)
+		if m.Offset != o || lm != nil && lm != m && (lm.Offset != o || !bytes.Equal(lm.Key, m.Key) ||
 			!bytes.Equal(lm.Value, m.Value) || !lm.Published.Equal(m.Published)) {
 			return o, true
 		}
@@ -306,8 +279,11 @@ func (l *Log) differsAt(leader *Log) (int64, bool) {
 	return 0, false
 }
 
-// at returns the retained message at offset o in place.
+// at returns the retained message at offset o in place, or nil.
 func (l *Log) at(o int64) *Message {
+	if o < l.first || o >= l.end {
+		return nil
+	}
 	rel := o - l.first
 	return &l.segs[rel/int64(l.segSize)].msgs[rel%int64(l.segSize)]
 }
@@ -338,9 +314,7 @@ func (l *Log) Resident() int64 { return l.totalBytes - l.trimmedCum }
 // end. Commits are monotone: ok is false, and nothing moves, at or below
 // the current mark.
 func (l *Log) Commit(through int64) (from, to int64, ok bool) {
-	if through > l.end {
-		through = l.end
-	}
+	through = min(through, l.end)
 	if through <= l.committed {
 		return l.committed, l.committed, false
 	}
@@ -360,9 +334,7 @@ func (l *Log) SetCommitted(mark int64) {
 // go, so the floor stays segment-aligned and the unsealed tail is never
 // touched. Returns the oldest retained offset after the trim.
 func (l *Log) Trim(below int64) int64 {
-	if below > l.committed {
-		below = l.committed
-	}
+	below = min(below, l.committed)
 	segSize := int64(l.segSize)
 	k := 0
 	for k < len(l.segs) && l.first+int64(k+1)*segSize <= below && len(l.segs[k].msgs) == l.segSize {
@@ -376,8 +348,8 @@ func (l *Log) Trim(below int64) int64 {
 	// Nil out the dropped heads before reslicing: the backing array
 	// survives in segs, and a live pointer there would pin every trimmed
 	// segment — exactly the memory the trim exists to release. One dropped
-	// segment no view ever reached is kept as the spare for nextSegment; a
-	// borrowed array goes back to its owner, only its cum is kept.
+	// segment no view ever reached is kept as the spare (a borrowed one
+	// without its array) for nextSegment.
 	for i := 0; i < k; i++ {
 		if seg := l.segs[i]; l.spare == nil && !seg.viewed {
 			if seg.borrowed {
@@ -403,9 +375,7 @@ func (l *Log) TruncateTo(to int64) {
 	if to >= l.end {
 		return
 	}
-	if to < l.first {
-		to = l.first
-	}
+	to = max(to, l.first)
 	rel := to - l.first
 	idx := int(rel / int64(l.segSize))
 	for i := idx + 1; i < len(l.segs); i++ {
@@ -420,9 +390,7 @@ func (l *Log) TruncateTo(to int64) {
 	}
 	l.end = to
 	l.totalBytes = l.BytesThrough(to)
-	if l.committed > to {
-		l.committed = to
-	}
+	l.committed = min(l.committed, to)
 	k := len(l.epochs)
 	for k > 0 && l.epochs[k-1].Start >= to {
 		k--

@@ -57,35 +57,68 @@ func payloadBytes(msgs []Message) int64 {
 	return n
 }
 
-// driveLogAgainstModel interprets script as (op, arg) byte pairs over one
-// bare Log with segSize-message segments — no broker, no topic map, no
-// clock — leader appends (Append), follower appends (AppendReplicated),
-// views, commits, commit-mark placements, trims, suffix truncations and
-// resets, in any order: a log plays both roles over its life — and checks
-// the log against the model after every step. Every message carries a
-// payload unique to its offset and write, and every view ever returned is
-// kept to the end of the run and re-read after every later step, which is
-// what proves views survive growth, refill and truncation. Truncations
-// stay at or above the highest offset ever viewed, which is the cluster's
-// protocol (views only below the acknowledged watermark, truncation only
-// at or above it). At 4-message segments scripts seal, trim and refill
-// constantly and never grow (the floor is above segSize); at 64 the first
-// segment of every log grows 16 → 32 → 64. Returns how many segments were
-// refilled and how many growth steps were taken.
-func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, err error) {
+// replica is one log under the driver: its reference model and the
+// bookkeeping the lifecycle checks need.
+type replica struct {
+	l       *Log
+	m       logModel
+	sealed  bool                // the log has appended past a full segment or trimmed one
+	live    map[*segment]bool   // in l.segs after the previous step
+	retired map[*segment]bool   // left l.segs, not (yet) refilled
+	births  map[*segment]*birth // this life of each segment in l.segs
+}
+
+func newReplica(segSize int, st *Stats) *replica {
+	return &replica{l: &Log{segSize: segSize, stats: st}, live: map[*segment]bool{},
+		retired: map[*segment]bool{}, births: map[*segment]*birth{}}
+}
+
+// trim applies Trim(below) to the model: whole sealed segments below the
+// commit mark go.
+func (r *replica) trim(below, segSize int64) {
+	below = min(below, r.m.committed)
+	for r.m.first+segSize <= below && int64(len(r.m.msgs)) >= segSize {
+		r.m.base += payloadBytes(r.m.msgs[:segSize])
+		r.m.msgs = r.m.msgs[segSize:]
+		r.m.first += segSize
+		r.sealed = true
+	}
+}
+
+// driveLogAgainstModel interprets script as (op, arg) byte pairs over two
+// bare Logs with segSize-message segments — no broker, no topic map, no
+// clock — and checks both against their models after every step. The
+// first log takes leader appends (Append), copied follower appends
+// (AppendReplicated of a fresh batch), views, commits, commit-mark
+// placements, trims, suffix truncations and resets, in any order: a log
+// plays both roles over its life. The op byte's bits above the low three
+// drive the second log, a follower of the first: a catch-up round (the
+// cluster's runner, by alias where the batch lands on the first log's
+// array; a repair truncation where it holds a suffix the first does not; a
+// bootstrap where it fell behind the first's floor), a trim of its own, or
+// an append of its own — the write that must never land in a borrowed
+// array. Every message carries a payload unique to its offset and write,
+// and every view ever returned is kept to the end of the run and re-read
+// after every later step, as is every message of both logs, which is what
+// proves views and aliases survive growth, refill and truncation.
+// Truncations of the first log stay at or above the highest offset ever
+// viewed, which is the cluster's protocol (views only below the
+// acknowledged watermark, truncation only at or above it); the runner's
+// batches are not so bounded. At 4-message segments scripts seal, trim and
+// refill constantly and never grow (the floor is above segSize); at 64 the
+// first segment of every log grows 16 → 32 → 64. Returns how many segments
+// were refilled and how many growth steps were taken (the first log's),
+// and both logs' counters.
+func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, st Stats, err error) {
 	full := int(segSize) // a sealed segment's length, and a hot one's capacity
-	l := &Log{segSize: full, stats: new(Stats)}
+	lead, fol := newReplica(full, &st), newReplica(full, &st)
+	l := lead.l
 	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 	var (
-		m       logModel
-		held    []heldView
-		viewHi  int64 // highest offset any view has reached (exclusive)
-		writes  int
-		sealed  bool                    // the log has appended past a full segment or trimmed one
-		live    = map[*segment]bool{}   // in l.segs after the previous step
-		retired = map[*segment]bool{}   // left l.segs, not (yet) refilled
-		viewed  = map[*segment]bool{}   // a view of it has left the log
-		births  = map[*segment]*birth{} // this life of each segment in l.segs
+		held   []heldView
+		viewHi int64 // highest offset any view has reached (exclusive)
+		writes int
+		viewed = map[*segment]bool{} // a view of it has left its log
 	)
 	mint := func(offset int64) Message {
 		writes++
@@ -93,7 +126,8 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 			Value:     []byte(fmt.Sprintf("o%d.w%d.%s", offset, writes, "xxxx"[:offset%5])),
 			Published: vclock.Epoch.Add(time.Duration(writes) * time.Millisecond)}
 	}
-	check := func(step int, op string) error {
+	check := func(r *replica, step int, op string) error {
+		l, m := r.l, &r.m
 		fail := func(format string, a ...any) error {
 			return fmt.Errorf("step %d (%s): %s", step, op, fmt.Sprintf(format, a...))
 		}
@@ -116,23 +150,26 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 			}
 			flat = append(flat, seg.msgs...)
 			now[seg] = true
-			if !live[seg] { // born in nextSegment during this step
+			if !r.live[seg] { // born in nextSegment during this step
 				if viewed[seg] {
 					return fail("nextSegment returned a viewed segment")
 				}
-				if retired[seg] {
-					refills++
-					delete(retired, seg)
+				if r.retired[seg] {
+					if r == lead {
+						refills++
+					}
+					delete(r.retired, seg)
 				}
 				// Everything behind the tail is full, so only segs[0] can
-				// have been born before the log's first seal.
-				births[seg] = &birth{small: !sealed && i == 0}
-			} else if cap(seg.msgs) != births[seg].cap {
+				// have been born before the log's first seal; a segment born
+				// borrowing a leader's array borrows a full-size one.
+				r.births[seg] = &birth{small: !r.sealed && i == 0 && !seg.borrowed}
+			} else if cap(seg.msgs) != r.births[seg].cap && r == lead {
 				growths++
 			}
 			// The capacity rule: a log pays for what it holds until it seals
 			// a segment, and for whole segments after.
-			b := births[seg]
+			b := r.births[seg]
 			b.peak, b.cap = max(b.peak, len(seg.msgs)), cap(seg.msgs)
 			if cap(seg.cum) != b.cap || b.cap > full ||
 				(b.small && b.cap > max(minSegCap, 2*b.peak)) || (!b.small && b.cap != full) {
@@ -140,13 +177,13 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 					i, b.small, b.cap, cap(seg.cum), b.peak, segSize)
 			}
 		}
-		sealed = sealed || len(l.segs) > 1
-		for seg := range live {
+		r.sealed = r.sealed || len(l.segs) > 1
+		for seg := range r.live {
 			if !now[seg] {
-				retired[seg] = true
+				r.retired[seg] = true
 			}
 		}
-		live = now
+		r.live = now
 		if len(flat) != len(m.msgs) {
 			return fail("log holds %d messages, model %d", len(flat), len(m.msgs))
 		}
@@ -171,14 +208,17 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 		if got, want := l.Inflight(), payloadBytes(m.msgs[m.committed-m.first:]); got != want {
 			return fail("in-flight bytes %d, model %d", got, want)
 		}
+		return nil
+	}
+	checkHeld := func(step int, op string) error {
 		for _, h := range held {
 			if len(h.got) != len(h.want) {
-				return fail("held view at %d changed length %d -> %d", h.want[0].offset, len(h.want), len(h.got))
+				return fmt.Errorf("step %d (%s): held view at %d changed length %d -> %d", step, op, h.want[0].offset, len(h.want), len(h.got))
 			}
 			for i, w := range h.want {
 				if g := h.got[i]; g.Offset != w.offset || string(g.Value) != w.value || !g.Published.Equal(w.published) {
-					return fail("held view of offset %d now reads (%d, %q, %v), was (%d, %q, %v)",
-						w.offset, g.Offset, g.Value, g.Published, w.offset, w.value, w.published)
+					return fmt.Errorf("step %d (%s): held view of offset %d now reads (%d, %q, %v), was (%d, %q, %v)",
+						step, op, w.offset, g.Offset, g.Value, g.Published, w.offset, w.value, w.published)
 				}
 			}
 		}
@@ -187,6 +227,7 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 
 	for step := 0; 2*step+1 < len(script); step++ {
 		op, arg := script[2*step]%8, int64(script[2*step+1])
+		m := &lead.m
 		name := ""
 		switch op {
 		case 0, 1:
@@ -204,26 +245,26 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 			}
 			lc := m.committed + arg/9%8
 			if err := l.AppendReplicated(batch, -1, spans, lc); err != nil {
-				return refills, growths, err
+				return refills, growths, st, err
 			}
 			m.msgs = append(m.msgs, batch...)
 			m.committed = max(m.committed, min(lc, m.end()))
 		case 4:
 			name = "View"
 			if len(m.msgs) == 0 {
-				continue
+				break
 			}
 			off := m.first + arg%int64(len(m.msgs))
 			seg := l.segs[(off-l.first)/segSize]
 			v := l.View(off, int(1+arg/32))
 			if len(v) == 0 || !seg.viewed {
-				return refills, growths, fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
+				return refills, growths, st, fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
 			}
 			viewed[seg] = true
 			h := heldView{got: v}
 			for i := range v {
 				if w := m.msgs[off-m.first+int64(i)]; v[i].Offset != w.Offset || !bytes.Equal(v[i].Value, w.Value) {
-					return refills, growths, fmt.Errorf("step %d: View(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
+					return refills, growths, st, fmt.Errorf("step %d: View(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
 				}
 				h.want = append(h.want, wantMsg{v[i].Offset, string(v[i].Value), v[i].Published})
 			}
@@ -235,7 +276,7 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 			from, to, ok := l.Commit(through)
 			through = min(through, m.end())
 			if from != m.committed || to != through || ok != (through > m.committed) {
-				return refills, growths, fmt.Errorf("step %d: Commit(%d) = %d, %d, %v with mark %d, end %d",
+				return refills, growths, st, fmt.Errorf("step %d: Commit(%d) = %d, %d, %v with mark %d, end %d",
 					step, through, from, to, ok, m.committed, m.end())
 			}
 			m.committed = through
@@ -243,21 +284,15 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 			name = "Trim"
 			below := m.first + arg%(int64(len(m.msgs))+2*segSize)
 			got := l.Trim(below)
-			below = min(below, m.committed)
-			for m.first+segSize <= below && int64(len(m.msgs)) >= segSize {
-				m.base += payloadBytes(m.msgs[:segSize])
-				m.msgs = m.msgs[segSize:]
-				m.first += segSize
-				sealed = true
-			}
+			lead.trim(below, segSize)
 			if got != m.first {
-				return refills, growths, fmt.Errorf("step %d: Trim returned floor %d, model %d", step, got, m.first)
+				return refills, growths, st, fmt.Errorf("step %d: Trim returned floor %d, model %d", step, got, m.first)
 			}
 		case 7:
 			switch arg % 4 {
 			case 0:
 				name = "ResetTo"
-				m = logModel{first: m.end() + arg/4%7}
+				*m = logModel{first: m.end() + arg/4%7}
 				m.committed = m.first
 				l.ResetTo(m.first)
 			case 1:
@@ -271,7 +306,7 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 				name = "TruncateTo"
 				lo := max(viewHi, m.first)
 				if lo >= m.end() {
-					continue
+					break
 				}
 				to := lo + arg%(m.end()-lo)
 				l.TruncateTo(to)
@@ -279,11 +314,90 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, e
 				m.committed = min(m.committed, to)
 			}
 		}
-		if err := check(step, name); err != nil {
-			return refills, growths, err
+		// The leader is checked before the follower's move (a catch-up round
+		// views a segment the step may have just born) and again after it
+		// (a follower write must not have reached the leader's arrays).
+		if err := check(lead, step, name); err != nil {
+			return refills, growths, st, err
+		}
+		if name, err = driveFollower(script[2*step]/8%4, arg, lead, fol, viewed, spans, mint, name); err != nil {
+			return refills, growths, st, fmt.Errorf("step %d: %w", step, err)
+		}
+		for _, r := range []*replica{fol, lead} {
+			if err := check(r, step, name); err != nil {
+				return refills, growths, st, err
+			}
+		}
+		if err := checkHeld(step, name); err != nil {
+			return refills, growths, st, err
+		}
+		// The replica oracle reads what the models say: the first offset
+		// both logs hold where the follower's message is not the leader's.
+		d, hi := firstDiff(&fol.m, &lead.m)
+		if got, ok := fol.l.differsAt(lead.l); ok != (d < hi) || (ok && got != d) {
+			return refills, growths, st, fmt.Errorf("step %d (%s): differsAt = %d, %v; models first differ at %d of [.., %d)",
+				step, name, got, ok, d, hi)
 		}
 	}
-	return refills, growths, nil
+	return refills, growths, st, nil
+}
+
+// firstDiff returns the first offset both models hold at which the
+// follower's message is not the leader's (payloads are unique per write),
+// and the end of what both hold; d == hi when they agree.
+func firstDiff(fm, lm *logModel) (d, hi int64) {
+	d, hi = max(fm.first, lm.first), min(fm.end(), lm.end())
+	for d < hi && bytes.Equal(fm.msgs[d-fm.first].Value, lm.msgs[d-lm.first].Value) {
+		d++
+	}
+	return d, hi
+}
+
+// driveFollower takes the follower's move of one driver step — act 1 a
+// catch-up round against lead, 2 a trim, 3 an append of its own, 0
+// nothing — and returns the step's name with the move's appended.
+func driveFollower(act byte, arg int64, lead, fol *replica, viewed map[*segment]bool, spans []plan.EpochSpan,
+	mint func(int64) Message, name string) (string, error) {
+	l, f, lm, fm := lead.l, fol.l, &lead.m, &fol.m
+	segSize := int64(l.segSize)
+	switch act {
+	case 1:
+		d, _ := firstDiff(fm, lm)
+		switch {
+		case fm.first > lm.end() || fm.end() < lm.first:
+			*fm = logModel{first: lm.first, committed: lm.first}
+			f.ResetTo(lm.first)
+			return name + "+follower ResetTo", nil
+		case fm.end() > d:
+			f.TruncateTo(d)
+			fm.msgs = fm.msgs[:d-fm.first]
+			fm.committed = min(fm.committed, d)
+			return name + "+follower TruncateTo", nil
+		case fm.end() < lm.end():
+			at := fm.end()
+			viewed[l.segs[(at-l.first)/segSize]] = true
+			batch, lo := l.view(at, int(1+arg%(2*segSize)))
+			if err := f.AppendReplicated(batch, lo, spans, lm.committed); err != nil {
+				return name, err
+			}
+			fm.msgs = append(fm.msgs, lm.msgs[at-lm.first:at-lm.first+int64(len(batch))]...)
+			fm.committed = max(fm.committed, min(lm.committed, fm.end()))
+			return name + "+follower catch-up", nil
+		}
+	case 2:
+		below := fm.first + arg%(int64(len(fm.msgs))+2*segSize)
+		got := f.Trim(below)
+		if fol.trim(below, segSize); got != fm.first {
+			return name, fmt.Errorf("follower Trim returned floor %d, model %d", got, fm.first)
+		}
+		return name + "+follower Trim", nil
+	case 3:
+		msg := mint(fm.end())
+		f.Append("t", 0, nil, msg.Value, msg.Published)
+		fm.msgs = append(fm.msgs, msg)
+		return name + "+follower Append", nil
+	}
+	return name, nil
 }
 
 // logScript draws a script of n steps from a seed.
@@ -330,26 +444,34 @@ var sealTrimScript = []byte{2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 0, 0, 4, 0
 func TestPartitionLogMatchesModel(t *testing.T) {
 	for _, segSize := range []int64{4, 64} {
 		refills, growths := 0, 0
+		var all Stats
 		for seed := int64(1); seed <= 300; seed++ {
-			r, g, err := driveLogAgainstModel(logScript(seed, 400), segSize)
+			r, g, st, err := driveLogAgainstModel(logScript(seed, 400), segSize)
 			if err != nil {
 				t.Fatalf("segSize %d seed %d: %v", segSize, seed, err)
 			}
 			refills += r
 			growths += g
+			all.Aliased += st.Aliased
+			all.CopyOnWrite += st.CopyOnWrite
 		}
-		t.Logf("segSize %d: %d refills, %d growth steps", segSize, refills, growths)
+		t.Logf("segSize %d: %d refills, %d growth steps, %d messages aliased, %d copies on write",
+			segSize, refills, growths, all.Aliased, all.CopyOnWrite)
 		if refills == 0 {
 			t.Fatalf("segSize %d: no script ever refilled a spare segment: the property is not exercised", segSize)
 		}
 		if (growths > 0) != (segSize > minSegCap) {
 			t.Fatalf("segSize %d: %d growth steps", segSize, growths)
 		}
+		if all.Aliased == 0 || all.CopyOnWrite == 0 {
+			t.Fatalf("segSize %d: %d messages aliased, %d copies on write: the borrowed-array rules are not exercised",
+				segSize, all.Aliased, all.CopyOnWrite)
+		}
 	}
-	if _, g, err := driveLogAgainstModel(growthScript, 64); err != nil || g != 4 {
+	if _, g, _, err := driveLogAgainstModel(growthScript, 64); err != nil || g != 4 {
 		t.Fatalf("growth script: %d growth steps (want 4), err %v", g, err)
 	}
-	if _, g, err := driveLogAgainstModel(sealTrimScript, 64); err != nil || g != 2 {
+	if _, g, _, err := driveLogAgainstModel(sealTrimScript, 64); err != nil || g != 2 {
 		t.Fatalf("seal-trim script: %d growth steps (want 2: 16 → 32 → 64 before the seal), err %v", g, err)
 	}
 }
@@ -367,7 +489,7 @@ func FuzzPartitionLogMatchesModel(f *testing.F) {
 			script = script[:4096]
 		}
 		for _, segSize := range []int64{4, 64} {
-			if _, _, err := driveLogAgainstModel(script, segSize); err != nil {
+			if _, _, _, err := driveLogAgainstModel(script, segSize); err != nil {
 				t.Fatalf("segSize %d: %v", segSize, err)
 			}
 		}
@@ -469,22 +591,25 @@ func TestReplicationAllocBudget(t *testing.T) {
 
 // BenchmarkAppendReplicated prices the follower append per message with
 // a full-segment batch at a segment boundary, the runner's steady state:
-// "spare" trims behind itself so every append refills the spare (the
-// caught-up follower), "cold" has each segment viewed first, so it dies by
-// GC and every append allocates (what every follower append cost before).
+// "spare" trims behind itself so every append refills the spare (a
+// caught-up follower copying), "cold" has each segment viewed first, so it
+// dies by GC and every append allocates (what every follower append cost
+// before the spare), and "alias" hands the batch over as the runner does
+// on a hot leader — the head of a full-size leader array — so the follower
+// stores it by reference and refills only its cum.
 func BenchmarkAppendReplicated(b *testing.B) {
 	const segSize = 4096
-	for _, cold := range []bool{false, true} {
-		name := "spare"
-		if cold {
-			name = "cold"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range []string{"spare", "cold", "alias"} {
+		b.Run(mode, func(b *testing.B) {
 			l := &Log{segSize: segSize, stats: new(Stats)}
 			payload := make([]byte, 64)
 			batch := make([]Message, segSize)
 			for i := range batch {
 				batch[i] = Message{Topic: "t", Value: payload, Published: vclock.Epoch}
+			}
+			lo := -1
+			if mode == "alias" {
+				lo = 0
 			}
 			spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 			var ms runtime.MemStats
@@ -494,11 +619,11 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				end := int64(i+1) * segSize
-				batch[0].Offset = end - segSize
-				if err := l.AppendReplicated(batch, -1, spans, end); err != nil {
+				batch[0].Offset = end - segSize // the previous segment was trimmed: nothing aliases it
+				if err := l.AppendReplicated(batch, lo, spans, end); err != nil {
 					b.Fatal(err)
 				}
-				if cold {
+				if mode == "cold" {
 					l.View(end-segSize, 1)
 				}
 				l.Trim(end)
