@@ -77,13 +77,14 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 // pair i) by the choosing-metrics rule. gain is how much better rev's
 // median is than parent's, in the metric's direction.
 //   - ahead: rev wins at least nine tenths of the pairs (ties count for
-//     neither side) and gain exceeds the parent's interquartile range;
-//   - behind: the mirror image, or rev's median worse than parent's by
-//     more than bound (a fraction of parent's median);
+//     neither side) and gain exceeds the parent's interquartile range, or
+//     every run of rev beats every run of parent;
+//   - behind: the mirror image of ahead;
 //   - unresolved: otherwise, when either side's interquartile range
 //     exceeds bound × parent's median — the runs spread too widely to call
-//     the metric unchanged — unless every run of rev beats every run of
-//     parent, which is ahead;
+//     the metric unchanged or worse;
+//   - behind: otherwise, when rev's median is worse than parent's by more
+//     than bound (a fraction of parent's median);
 //   - within noise: otherwise.
 func verdict(parent, rev []float64, lowerIsBetter bool, bound float64) (v string, wins, losses int) {
 	better := func(a, b float64) bool { return (lowerIsBetter && a < b) || (!lowerIsBetter && a > b) }
@@ -102,14 +103,18 @@ func verdict(parent, rev []float64, lowerIsBetter bool, bound float64) (v string
 		gain = -gain
 	}
 	n, iqr := len(parent), pq3-pq1
-	dominates := n > 0 && better(edge(rev, lowerIsBetter, false), edge(parent, lowerIsBetter, true))
+	beats := func(a, b []float64) bool {
+		return n > 0 && better(edge(a, lowerIsBetter, false), edge(b, lowerIsBetter, true))
+	}
 	switch {
-	case n > 0 && 10*wins >= 9*n && gain > iqr, dominates:
+	case n > 0 && 10*wins >= 9*n && gain > iqr, beats(rev, parent):
 		return ahead, wins, losses
-	case n > 0 && 10*losses >= 9*n && -gain > iqr, -gain > bound*math.Abs(pm):
+	case n > 0 && 10*losses >= 9*n && -gain > iqr, beats(parent, rev):
 		return behind, wins, losses
 	case math.Max(pq3-pq1, rq3-rq1) > bound*math.Abs(pm):
 		return unresolved, wins, losses
+	case -gain > bound*math.Abs(pm):
+		return behind, wins, losses
 	}
 	return noise, wins, losses
 }

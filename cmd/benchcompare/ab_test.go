@@ -21,7 +21,8 @@ func TestVerdict(t *testing.T) {
 		{"spread wider than the bound", ten(1, 2, 1, 2, 1, 2, 1, 2, 1, 2), ten(2, 1, 2, 1, 1, 2, 2, 1, 1, 2), true, 0.25, unresolved, 3, 3},
 		{"wide spread, every rev run beats every parent run", ten(3, 4, 3, 4, 3, 4), ten(1, 2, 1, 2, 1, 2), true, 0.25, ahead, 6, 0},
 		{"the mirror of a gain", ten(34, 33, 34, 33, 34, 34, 33, 34, 34, 33), ten(52, 55, 58, 53, 56, 57, 54, 55, 59, 52), true, 0.25, behind, 0, 10},
-		{"median worse than the bound, pairs split", ten(10, 10, 10, 10, 10, 30, 30, 30, 30, 30), ten(13, 13, 13, 13, 13, 12, 12, 12, 12, 12), false, 0.12, behind, 5, 5},
+		{"median worse than the bound, two pairs won", ten(10, 10, 10, 10, 10, 10, 10, 10, 10, 10), ten(8, 8, 8, 8, 8, 8, 11, 8, 11, 8), false, 0.12, behind, 2, 8},
+		{"median worse than the bound, spread wider", ten(1, 2, 1, 2, 1, 2, 1, 2, 1, 2), ten(2, 2, 2, 2, 1, 2, 2, 1, 2, 2), true, 0.25, unresolved, 1, 4},
 	} {
 		got, wins, losses := verdict(tc.parent, tc.rev, tc.lowerIsBetter, tc.bound)
 		if got != tc.want || wins != tc.wins || losses != tc.losses {

@@ -94,7 +94,7 @@ type pubScratch struct {
 // key hash, or off the topic's round-robin cursor for empty keys, under the
 // cluster lock, which guards the cursor — and groups them: the batch is
 // traversed once under the lock (assignment, counts and byte totals in
-// the same pass), then a counting sort over pooled scratch yields each
+// the same pass), then a counting sort over reused scratch yields each
 // partition's indices in publish order without growing per-partition
 // slices, so grouping costs one kv() call per message and zero
 // steady-state allocations. The caller returns the scratch to c.scratch.
