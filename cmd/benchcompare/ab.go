@@ -49,7 +49,6 @@ const (
 // metricSpec is one end_to_end entry of BENCHMARK.json.
 type metricSpec struct {
 	Name   string  `json:"name"`
-	Unit   string  `json:"unit"`
 	Better string  `json:"better"`
 	Bound  float64 `json:"bound"`
 }
@@ -76,6 +75,7 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 // verdict judges one metric from paired runs (parent[i] and rev[i] ran as
 // pair i) by the choosing-metrics rule. gain is how much better rev's
 // median is than parent's, in the metric's direction.
+//   - unresolved: fewer than ten pairs, unless every pair tied;
 //   - ahead: rev wins at least nine tenths of the pairs (ties count for
 //     neither side) and gain exceeds the parent's interquartile range, or
 //     every run of rev beats every run of parent;
@@ -107,6 +107,8 @@ func verdict(parent, rev []float64, lowerIsBetter bool, bound float64) (v string
 		return n > 0 && better(edge(a, lowerIsBetter, false), edge(b, lowerIsBetter, true))
 	}
 	switch {
+	case n < 10 && wins+losses > 0:
+		return unresolved, wins, losses
 	case n > 0 && 10*wins >= 9*n && gain > iqr, beats(rev, parent):
 		return ahead, wins, losses
 	case n > 0 && 10*losses >= 9*n && -gain > iqr, beats(parent, rev):

@@ -19,7 +19,8 @@ func TestVerdict(t *testing.T) {
 		{"every pair, gap inside the parent's IQR", ten(10, 12, 14, 10, 12, 14, 10, 12, 14, 12), ten(9.5, 11.5, 13.5, 9.5, 11.5, 13.5, 9.5, 11.5, 13.5, 11.5), true, 0.25, noise, 10, 0},
 		{"identical, a modeled metric", ten(150.4, 150.4, 150.4, 150.4), ten(150.4, 150.4, 150.4, 150.4), true, 0.12, noise, 0, 0},
 		{"spread wider than the bound", ten(1, 2, 1, 2, 1, 2, 1, 2, 1, 2), ten(2, 1, 2, 1, 1, 2, 2, 1, 1, 2), true, 0.25, unresolved, 3, 3},
-		{"wide spread, every rev run beats every parent run", ten(3, 4, 3, 4, 3, 4), ten(1, 2, 1, 2, 1, 2), true, 0.25, ahead, 6, 0},
+		{"wide spread, every rev run beats every parent run", ten(3, 4, 3, 4, 3, 4, 3, 4, 3, 4), ten(1, 2, 1, 2, 1, 2, 1, 2, 1, 2), true, 0.25, ahead, 10, 0},
+		{"one pair", ten(10), ten(5), true, 0.25, unresolved, 1, 0},
 		{"the mirror of a gain", ten(34, 33, 34, 33, 34, 34, 33, 34, 34, 33), ten(52, 55, 58, 53, 56, 57, 54, 55, 59, 52), true, 0.25, behind, 0, 10},
 		{"median worse than the bound, two pairs won", ten(10, 10, 10, 10, 10, 10, 10, 10, 10, 10), ten(8, 8, 8, 8, 8, 8, 11, 8, 11, 8), false, 0.12, behind, 2, 8},
 		{"median worse than the bound, spread wider", ten(1, 2, 1, 2, 1, 2, 1, 2, 1, 2), ten(2, 2, 2, 2, 1, 2, 2, 1, 2, 2), true, 0.25, unresolved, 1, 4},
