@@ -224,7 +224,7 @@ func (m *Manager) SubmitPilot(d PilotDescription) (*Pilot, error) {
 		id:        fmt.Sprintf("pilot-%d", m.nextPilotID),
 		desc:      d,
 		manager:   m,
-		stream:    m.pilotRoot.SplitLabel(uint64(m.nextPilotID)),
+		stream:    *m.pilotRoot.SplitLabel(uint64(m.nextPilotID)),
 		site:      svc.Site(),
 		state:     PilotPending,
 		running:   make(map[*ComputeUnit]struct{}),
@@ -347,7 +347,7 @@ func (m *Manager) admitLocked(u *ComputeUnit, d UnitDescription, now time.Time) 
 	u.id = string(strconv.AppendUint(append(id[:0], "unit-"...), u.ord, 10))
 	u.desc = d
 	u.manager = m
-	u.stream = m.unitRoot.SplitLabel(u.ord)
+	u.stream = *m.unitRoot.SplitLabel(u.ord)
 	u.state = UnitPending
 	u.submitted = now
 	m.units = append(m.units, u)
@@ -718,7 +718,7 @@ func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
 		Data:    m.cfg.Data,
 		Sleep:   m.sleep,
 		Compute: m.compute,
-		Stream:  cu.stream,
+		Stream:  &cu.stream,
 	}
 	err := cu.desc.Run(ctx, tc)
 

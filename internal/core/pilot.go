@@ -78,7 +78,7 @@ type Pilot struct {
 	id        string
 	desc      PilotDescription
 	manager   *Manager
-	stream    *dist.Stream  // "pilot"/<ordinal> child of the manager's stream
+	stream    dist.Stream   // "pilot"/<ordinal> child of the manager's stream
 	faults    *infra.Faults // backend fault switchboard (immutable after submit; may be nil)
 	site      infra.Site    // the target resource's site
 	submitted time.Time
@@ -112,7 +112,7 @@ func (p *Pilot) ID() string { return p.id }
 // submission. Agent-side draws (placement jitter, sampling inside
 // pilot-level services) must come from here so that submitting an
 // additional pilot never shifts an existing pilot's sequence.
-func (p *Pilot) Stream() *dist.Stream { return p.stream }
+func (p *Pilot) Stream() *dist.Stream { return &p.stream }
 
 // State returns the current state.
 func (p *Pilot) State() PilotState {

@@ -134,7 +134,7 @@ type ComputeUnit struct {
 	ord       uint64 // submission ordinal: the unit is Manager.units[ord-1] and planner ordinal ord
 	desc      UnitDescription
 	manager   *Manager
-	stream    *dist.Stream // "unit"/<ordinal> child of the manager's stream
+	stream    dist.Stream // "unit"/<ordinal> child of the manager's stream
 	submitted time.Time
 
 	// Guarded by manager.mu.

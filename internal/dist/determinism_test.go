@@ -87,7 +87,7 @@ func TestSplitLabelChildrenIndependent(t *testing.T) {
 // worker i (a pilot, a unit generator…) owns sub-stream SplitLabel(i)
 // and samples from it concurrently with every other worker. The result
 // matrix must depend only on the seed — not on goroutine interleaving.
-// Run under -race this also proves the plumbing is concurrency-safe.
+// Run under -race this also proves that deriving from a shared root is.
 func goroutinePartitionedRun(seed int64, workers, samples int) [][]float64 {
 	root := NewStream(seed)
 	out := make([][]float64, workers)
@@ -134,32 +134,41 @@ func TestGoroutinePartitionedDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentSampleShared exercises many goroutines hammering one
-// shared distribution. Interleaving decides which goroutine sees which
-// draw, so no sequence assertion — the point is that -race stays quiet
-// and every draw is well formed.
+// TestConcurrentSampleShared pins the ownership contract: a stream is not
+// locked, so goroutines share randomness by deriving their own children
+// from one shared root — derivation reads only the root's birth fields —
+// and each draws only from its own. Every child's sequence must be
+// bit-identical to the same derivation run sequentially, and -race must
+// stay quiet. (It once pinned a locked stream that goroutines sampled
+// directly; that contract was dropped on purpose.)
 func TestConcurrentSampleShared(t *testing.T) {
-	d := NewLogNormal(100, 0.8, 5)
+	const workers, samples = 8, 2000
+	root := NewStream(5)
+	root.Uint64() // the owner has drawn from it: derivation must not care
+	draw := func(w int) []float64 {
+		d := LogNormalFrom(root.Named("worker").SplitLabel(uint64(w)), 100, 0.8)
+		row := make([]float64, samples)
+		for i := range row {
+			row[i] = d.Sample()
+		}
+		return row
+	}
+	got := make([][]float64, workers)
 	var wg sync.WaitGroup
-	errs := make(chan float64, 8)
-	for g := 0; g < 8; g++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				if x := d.Sample(); x <= 0 {
-					select {
-					case errs <- x:
-					default:
-					}
-					return
-				}
-			}
+			got[w] = draw(w)
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	if x, bad := <-errs; bad {
-		t.Fatalf("concurrent draw produced %g", x)
+	for w := 0; w < workers; w++ {
+		want := draw(w)
+		for i := range want {
+			if got[w][i] != want[i] {
+				t.Fatalf("worker %d draw %d: concurrent %v, sequential %v", w, i, got[w][i], want[i])
+			}
+		}
 	}
 }

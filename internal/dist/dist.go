@@ -7,9 +7,13 @@
 // every distribution guarantees it, and as no sampler delegates to
 // math/rand, the draws are fixed by this repository, not by the Go release.
 //
-// All distributions are concurrency-safe: many goroutines may call
-// Sample on the same value, and the sequence of draws each *component*
-// sees is fixed by its own sub-stream, not by goroutine interleaving.
+// A stream, and any distribution built on one, belongs to one participant
+// at a time: nothing here is locked, so two goroutines that Sample the
+// same value race. Code shares randomness by deriving a child stream
+// (SplitLabel, Named) per consumer, never by passing a pointer between
+// goroutines; the sequence of draws each *component* sees is then fixed
+// by its own sub-stream, not by goroutine interleaving. DESIGN.md
+// "Seeding spine" lists every stored stream and its owner.
 package dist
 
 import (
@@ -146,8 +150,8 @@ func (b *BernoulliDist) Quantile(p float64) float64 {
 // loop's x strictly inside (k−s, k+½), where its first iteration returns k.
 // Every other ur runs the loop: ≈ 1.8 % of draws at imax 99, 499 and 49 999.
 // The differential tests pin the equality on the build host (amd64, where
-// Go fuses no x*y+z at GOAMD64=v1). The table is immutable after ZipfFrom
-// and draws go through the locked Stream, so they are concurrency-safe.
+// Go fuses no x*y+z at GOAMD64=v1). The table is immutable after ZipfFrom;
+// the draws are its stream's, so a Zipf has that stream's one owner.
 type Zipf struct {
 	st    *Stream
 	cut   []float64 // -Inf, h(−s), h(½), h(1−s), …, h(K−½), +Inf

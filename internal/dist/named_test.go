@@ -53,20 +53,49 @@ func FuzzNamedMatchesSplitLabelChain(f *testing.F) {
 	})
 }
 
+// TestDerivedChildDoesNotAllocate pins that Named and SplitLabel inline:
+// a child drawn from and dropped, as a unit's "runtime" stream is once per
+// attempt, lives on the caller's stack.
+func TestDerivedChildDoesNotAllocate(t *testing.T) {
+	s := NewStream(1)
+	for name, f := range map[string]func(){
+		"Named":      func() { drawSink += s.Named("runtime").Intn(50) },
+		"SplitLabel": func() { drawSink += s.SplitLabel(7).Intn(4) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s child: %v allocs per derivation and draw, want 0", name, n)
+		}
+	}
+}
+
 // BenchmarkNamed prices the two shapes the tree derives by name: a
 // one-segment child (a unit's "runtime" stream, once per attempt) and a
-// three-segment path (a component's slot, once per component).
+// three-segment path (a component's slot, once per component). The sink
+// case stores the child in a package variable, so it escapes and costs
+// one allocation; the draw case uses it and drops it, as a task body
+// does, and costs none.
 func BenchmarkNamed(b *testing.B) {
 	root := NewStream(1)
 	for _, path := range []string{"runtime", "bench/pilot-backlog/cores"} {
 		b.Run(fmt.Sprint("segments", 1+strings.Count(path, "/")), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				namedSink = root.Named(path)
-			}
+			b.Run("sink", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					namedSink = root.Named(path)
+				}
+			})
+			b.Run("draw", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					drawSink += root.Named(path).Intn(50)
+				}
+			})
 		})
 	}
 }
 
-// namedSink keeps BenchmarkNamed's result alive.
-var namedSink *Stream
+// namedSink and drawSink keep BenchmarkNamed's results alive.
+var (
+	namedSink *Stream
+	drawSink  int
+)

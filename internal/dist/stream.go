@@ -4,16 +4,23 @@ import (
 	"math"
 	"math/bits"
 	"strings"
-	"sync"
 )
 
-// Stream is a deterministic, splittable, concurrency-safe random stream.
+// Stream is a deterministic, splittable random stream with one owner.
 // It is the single source of randomness for every distribution in this
-// package: one experiment seed fans out — via Split/SplitLabel — into
+// package: one experiment seed fans out — via SplitLabel/Named — into
 // independent sub-streams per infrastructure component, pilot, or unit,
 // so a whole run is bit-reproducible from one int64 no matter how the
 // consuming goroutines interleave (each sub-stream is consumed by its
 // own component; the split tree, not scheduling, fixes the draws).
+//
+// A stream is not locked: it belongs to one participant at a time, and
+// code shares randomness by deriving a child, never by handing a pointer
+// to another goroutine. Derivation reads only the birth fields, which no
+// draw writes, so concurrent SplitLabel/Named on a shared root is safe.
+// A Stream value may be copied, and a copy forks the sequence: both
+// copies draw the same values from there on. Copy only at birth
+// (`u.stream = *root.SplitLabel(ord)`), never a stream already drawn from.
 //
 // The generator is SplitMix64 with per-stream gamma, following Steele,
 // Lea & Flood, "Fast Splittable Pseudorandom Number Generators"
@@ -21,7 +28,6 @@ import (
 // implemented here rather than delegated to math/rand so the sequence
 // is fixed by this repo, not by the Go release.
 type Stream struct {
-	mu    sync.Mutex
 	state uint64
 	gamma uint64 // per-stream increment; always odd
 	seed0 uint64 // birth state, so SplitLabel is consumption-independent
@@ -62,24 +68,17 @@ func (s *Stream) nextState() uint64 {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-func (s *Stream) Uint64() uint64 {
-	s.mu.Lock()
-	v := mix64(s.nextState())
-	s.mu.Unlock()
-	return v
-}
+func (s *Stream) Uint64() uint64 { return mix64(s.nextState()) }
 
 // SplitLabel returns the sub-stream for a label (a pilot index, unit
 // ordinal, component id…). It neither advances nor reads the parent's
 // position: children are derived from the parent's birth state, so the
 // same (stream, label) pair always yields the same child, regardless of
 // when or from which goroutine it is requested — this is what makes
-// goroutine-partitioned experiments bit-reproducible.
+// goroutine-partitioned experiments bit-reproducible. It inlines, so a
+// child that does not escape lives on the caller's stack.
 func (s *Stream) SplitLabel(label uint64) *Stream {
-	s.mu.Lock()
-	base, g := s.seed0, s.gamma
-	s.mu.Unlock()
-	seed, gamma := splitLabel(base, g, label)
+	seed, gamma := splitLabel(s.seed0, s.gamma, label)
 	return &Stream{state: seed, gamma: gamma, seed0: seed}
 }
 
@@ -125,28 +124,33 @@ func labelKey(label string) uint64 {
 // (pilot 3, unit 17) compose freely: root.Named("pilot").SplitLabel(3)
 // is the canonical address of the third pilot.
 //
-// The chain of SplitLabel steps is folded numerically: only the stream
-// returned is allocated, whatever the depth of the path (a path with no
-// segment at all names the receiver, which is returned as it is).
+// The chain of SplitLabel steps is folded numerically by fold, and Named
+// itself inlines: a child that does not escape, as in
+// tc.Stream.Named("runtime").Intn(50), is not allocated at all (a path
+// with no segment at all names the receiver, which is returned as it is).
 func (s *Stream) Named(path ...string) *Stream {
-	s.mu.Lock()
-	seed, gamma := s.seed0, s.gamma
-	s.mu.Unlock()
-	depth := 0
+	c, ok := s.fold(path)
+	if !ok {
+		return s
+	}
+	return &c
+}
+
+// fold is Named's path walk: the stream the path names, and false when
+// the path has no segment.
+func (s *Stream) fold(path []string) (Stream, bool) {
+	seed, gamma, ok := s.seed0, s.gamma, false
 	for _, p := range path {
 		for p != "" {
 			var seg string
 			seg, p, _ = strings.Cut(p, "/")
 			if seg != "" {
 				seed, gamma = splitLabel(seed, gamma, labelKey(seg))
-				depth++
+				ok = true
 			}
 		}
 	}
-	if depth == 0 {
-		return s
-	}
-	return &Stream{state: seed, gamma: gamma, seed0: seed}
+	return Stream{state: seed, gamma: gamma, seed0: seed}, ok
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -172,15 +172,15 @@ type Config struct {
 // unitRec is the planner's per-unit bookkeeping.
 type unitRec struct {
 	spec    UnitSpec
-	retry   *dist.Stream // "retry"/<ordinal>: jitter draws, one per retry; derived at the first failure
-	class   *sizeClass   // FIFO of spec.Cores
-	pos     uint64       // queue position while queued: orders records across lists
-	links   [2]link      // bySize and byRetry list links while queued
-	queued  bool         // in the pending queue
-	bound   bool         // dispatched and not yet returned
-	wm      *Watermark   // the bound backend's watermark while bound
-	charges int          // failures charged against MaxRetries
-	retryAt time.Time    // eligibility gate while queued after a failure
+	retry   dist.Stream // "retry"/<ordinal>: jitter draws, one per retry; derived at the first failure
+	class   *sizeClass  // FIFO of spec.Cores
+	pos     uint64      // queue position while queued: orders records across lists
+	links   [2]link     // bySize and byRetry list links while queued
+	queued  bool        // in the pending queue
+	bound   bool        // dispatched and not yet returned
+	wm      *Watermark  // the bound backend's watermark while bound
+	charges int         // failures charged against MaxRetries
+	retryAt time.Time   // eligibility gate while queued after a failure
 }
 
 // The two lists a queued record can hang on, as indexes into unitRec.links:
@@ -494,12 +494,12 @@ func (p *Planner) Fail(ordinal uint64, class FailureClass, now time.Time) Verdic
 		p.Forget(ordinal)
 		return Verdict{Retry: false, Charges: r.charges}
 	}
-	if r.retry == nil {
+	if r.charges == 1 {
 		// SplitLabel does not depend on what the parent has handed out, so
 		// deriving the stream now gives the one Admit would have.
-		r.retry = p.retryRoot.SplitLabel(r.spec.Ordinal)
+		r.retry = *p.retryRoot.SplitLabel(r.spec.Ordinal)
 	}
-	d := p.backoff.Delay(r.charges-1, r.retry)
+	d := p.backoff.Delay(r.charges-1, &r.retry)
 	gated := !r.retryAt.IsZero()
 	r.retryAt = now.Add(d)
 	switch {
