@@ -8,6 +8,13 @@ package main
 // alternating pairs. The verdict rule is written once, in verdict.
 //
 //	go run ./cmd/benchcompare -ab -parent 7d76961 -workloads stream-repl3 -seeds 1,7 -pairs 10 -seconds 10
+//
+// A `go test` benchmark is a workload too: -gobench <pkg>:<regexp> runs
+// `go test -run '^$' -bench <regexp> -benchmem -cpu 1 -count 1 <pkg>` in
+// each exported tree, in the same alternation, and judges ns/op, allocs/op
+// and B/op of every benchmark it matched as workload "go:<pkg>:<name>".
+//
+//	go run ./cmd/benchcompare -ab -parent HEAD^ -workloads '' -gobench './internal/dist:^BenchmarkStreamUint64$'
 
 import (
 	"bufio"
@@ -22,6 +29,7 @@ import (
 	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -36,6 +44,7 @@ var (
 	abSeconds   = flag.Int("seconds", 10, "A/B: run.sh --seconds for every run")
 	abDir       = flag.String("dir", "", "A/B: directory the two revisions are exported into (default: a temporary one, removed afterwards)")
 	abHistory   = flag.String("history", "BENCH_history.jsonl", "A/B: file each run appends one JSON line to (empty: none)")
+	abGobench   = flag.String("gobench", "", "A/B: comma-separated go test benchmarks, each <pkg>:<regexp> (e.g. ./internal/dist:^BenchmarkStreamUint64$), run besides -workloads (pass -workloads '' for these alone)")
 )
 
 // Verdicts of one metric over a set of pairs.
@@ -195,6 +204,59 @@ func runBench(dir, workload, seed string) (*abRun, error) {
 	return r, nil
 }
 
+// goMetrics are the go test units an A/B judges, each with the end-to-end
+// metric whose bound it borrows from BENCHMARK.json.
+var goMetrics = []struct{ unit, borrow string }{
+	{"ns/op", "throughput_ops_s"}, {"allocs/op", "allocs_per_op"}, {"B/op", "alloc_bytes_per_op"},
+}
+
+// runGoBench runs the go test benchmarks matching re in pkg once, in dir,
+// and returns one run per benchmark, as workload "go:<pkg>:<name>".
+func runGoBench(dir, pkg, re string) ([]*abRun, error) {
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", re, "-benchmem", "-cpu", "1", "-count", "1", pkg)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOCACHE="+filepath.Join(dir, ".bench_build", "gocache"), "GOTOOLCHAIN=local")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go test -bench %s %s in %s: %w\n%s", re, pkg, dir, err, out)
+	}
+	var runs []*abRun
+	for sc := bufio.NewScanner(bytes.NewReader(out)); sc.Scan(); {
+		if name, metrics, ok := parseGoBench(sc.Text()); ok {
+			runs = append(runs, &abRun{Workload: "go:" + pkg + ":" + name, GoMaxProcs: "1", Correct: true, Metrics: metrics})
+		}
+	}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("go test -bench %s %s in %s matched no benchmark", re, pkg, dir)
+	}
+	return runs, nil
+}
+
+// parseGoBench parses one result line of `go test -bench` output: the
+// benchmark's name without its -GOMAXPROCS suffix, and each value by its
+// unit (ns/op, B/op, allocs/op and any b.ReportMetric unit).
+func parseGoBench(line string) (name string, metrics map[string]float64, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return "", nil, false
+	}
+	if _, err := strconv.Atoi(f[1]); err != nil {
+		return "", nil, false
+	}
+	metrics = make(map[string]float64, len(f)/2-1)
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", nil, false
+		}
+		metrics[f[i+1]] = v
+	}
+	return gomaxprocsSuffix.ReplaceAllString(f[0], ""), metrics, true
+}
+
+var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+
 // export writes rev's committed tree into dir (once) and returns its full
 // hash.
 func export(rev, dir string) (string, error) {
@@ -259,34 +321,75 @@ func runAB() int {
 		}
 		defer history.Close()
 	}
+	bound := map[string]float64{}
+	for _, m := range bench.EndToEnd {
+		bound[m.Name] = m.Bound
+	}
+	var goSpecs []metricSpec
+	for _, g := range goMetrics {
+		goSpecs = append(goSpecs, metricSpec{Name: g.unit, Better: "lower", Bound: bound[g.borrow]})
+	}
+	// A job is what one side runs once per pair: a harness workload at a
+	// seed, or a go test invocation, which may measure several benchmarks.
+	type job struct {
+		seed string
+		run  func(dir string) ([]*abRun, error)
+	}
+	var jobs []job
+	for _, w := range fields(*abWorkloads) {
+		for _, seed := range fields(*abSeeds) {
+			jobs = append(jobs, job{seed, func(dir string) ([]*abRun, error) {
+				r, err := runBench(dir, w, seed)
+				return []*abRun{r}, err
+			}})
+		}
+	}
+	for _, g := range fields(*abGobench) {
+		pkg, re, ok := strings.Cut(g, ":")
+		if !ok {
+			return fail(fmt.Errorf("-gobench %q: want <pkg>:<regexp>", g))
+		}
+		jobs = append(jobs, job{"", func(dir string) ([]*abRun, error) { return runGoBench(dir, pkg, re) }})
+	}
 	host, _ := os.Hostname() // only labels the history lines
 	status := 0
-	for _, w := range strings.Split(*abWorkloads, ",") {
-		for _, seed := range strings.Split(*abSeeds, ",") {
-			runs := map[string][]*abRun{}
-			for i := 0; i < *abPairs; i++ {
-				order := []string{"parent", "rev"}
-				if i%2 == 1 {
-					order[0], order[1] = order[1], order[0]
+	for _, j := range jobs {
+		runs := map[string]map[string][]*abRun{} // workload → side → runs
+		var workloads []string
+		for i := 0; i < *abPairs; i++ {
+			order := []string{"parent", "rev"}
+			if i%2 == 1 {
+				order[0], order[1] = order[1], order[0]
+			}
+			for _, side := range order {
+				rs, err := j.run(sides[side])
+				if err != nil {
+					return fail(err)
 				}
-				for _, side := range order {
-					r, err := runBench(sides[side], w, seed)
-					if err != nil {
-						return fail(err)
-					}
+				for _, r := range rs {
 					r.Date, r.Rev, r.Parent, r.Side, r.Pair = time.Now().UTC().Format(time.RFC3339), rev, parent, side, i
 					r.Host, r.NumCPU = host, runtime.NumCPU()
-					runs[side] = append(runs[side], r)
+					if runs[r.Workload] == nil {
+						runs[r.Workload] = map[string][]*abRun{}
+						workloads = append(workloads, r.Workload)
+					}
+					runs[r.Workload][side] = append(runs[r.Workload][side], r)
 					if history != nil {
 						line, _ := json.Marshal(r) // a struct of strings, numbers and a map: cannot fail
 						if _, err := history.Write(append(line, '\n')); err != nil {
 							return fail(err)
 						}
 					}
-					fmt.Fprintf(os.Stderr, "%s seed %s pair %d/%d %s: digest %s correct %v\n", w, seed, i+1, *abPairs, side, r.Digest, r.Correct)
+					fmt.Fprintf(os.Stderr, "%s seed %s pair %d/%d %s: digest %s correct %v\n", r.Workload, r.Seed, i+1, *abPairs, side, r.Digest, r.Correct)
 				}
 			}
-			if !report(w, seed, parent, rev, bench.EndToEnd, runs["parent"], runs["rev"]) {
+		}
+		for _, w := range workloads {
+			specs := bench.EndToEnd
+			if strings.HasPrefix(w, "go:") {
+				specs = goSpecs
+			}
+			if !report(w, j.seed, parent, rev, specs, runs[w]["parent"], runs[w]["rev"]) {
 				status = 1
 			}
 		}
@@ -302,7 +405,15 @@ func runAB() int {
 // report prints one workload's pair table; false when a run was incorrect
 // or the two sides' repetition digests differ.
 func report(w, seed, parent, rev string, specs []metricSpec, p, r []*abRun) bool {
-	fmt.Printf("\n%s seed %s: %s (parent) vs %s, %d pairs, --seconds %d\n", w, seed, parent[:9], rev[:9], len(p), *abSeconds)
+	if len(p) != len(r) {
+		fmt.Printf("\n%s: measured on one side only (%d parent runs, %d rev runs)\n", w, len(p), len(r))
+		return false
+	}
+	if seed == "" {
+		fmt.Printf("\n%s: %s (parent) vs %s, %d pairs, -cpu 1\n", w, parent[:9], rev[:9], len(p))
+	} else {
+		fmt.Printf("\n%s seed %s: %s (parent) vs %s, %d pairs, --seconds %d\n", w, seed, parent[:9], rev[:9], len(p), *abSeconds)
+	}
 	ok := true
 	digests := map[string]map[string]bool{"parent": {}, "rev": {}}
 	for i := range p {
@@ -311,8 +422,10 @@ func report(w, seed, parent, rev string, specs []metricSpec, p, r []*abRun) bool
 		ok = ok && p[i].Correct && r[i].Correct
 	}
 	same := len(digests["parent"]) == 1 && len(digests["rev"]) == 1 && p[0].Digest == r[0].Digest
-	fmt.Printf("  digests: parent %v, rev %v, identical: %v; every run correct: %v\n",
-		keys(digests["parent"]), keys(digests["rev"]), same, ok)
+	if seed != "" { // a go test benchmark prints no digest
+		fmt.Printf("  digests: parent %v, rev %v, identical: %v; every run correct: %v\n",
+			keys(digests["parent"]), keys(digests["rev"]), same, ok)
+	}
 	fmt.Printf("  %-20s %-34s %-34s %8s %6s  %s\n", "metric", "parent median (q1–q3)", "rev median (q1–q3)", "rev/par", "wins", "verdict")
 	for _, m := range specs {
 		pv, rv := make([]float64, len(p)), make([]float64, len(r))
@@ -327,6 +440,17 @@ func report(w, seed, parent, rev string, specs []metricSpec, p, r []*abRun) bool
 			rm/pm, wins, len(p), v)
 	}
 	return ok && same
+}
+
+// fields splits a comma-separated flag value, dropping empty entries.
+func fields(list string) []string {
+	var out []string
+	for _, f := range strings.Split(list, ",") {
+		if f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 func keys(m map[string]bool) []string {

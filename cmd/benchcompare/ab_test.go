@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"maps"
+	"testing"
+)
 
 // TestVerdict pins the pair rule, one row per way a metric can come out.
 func TestVerdict(t *testing.T) {
@@ -39,5 +42,34 @@ func TestQuartiles(t *testing.T) {
 	}
 	if q1, m, q3 := quartiles([]float64{5, 1, 3, 2, 4}); q1 != 2 || m != 3 || q3 != 4 {
 		t.Fatalf("quartiles(1..5) = %v %v %v", q1, m, q3)
+	}
+}
+
+// TestParseGoBench pins the go test result-line parser, one row per shape
+// the A/B's go test workloads and the gate read.
+func TestParseGoBench(t *testing.T) {
+	for _, tc := range []struct {
+		line    string
+		name    string
+		metrics map[string]float64
+	}{
+		{"BenchmarkStreamUint64   \t363331740\t         3.259 ns/op", "BenchmarkStreamUint64", map[string]float64{"ns/op": 3.259}},
+		{"BenchmarkSubmitUnits  \t    1747\t    645411 ns/op\t       161.4 ns/unit\t 1957080 B/op\t    4016 allocs/op",
+			"BenchmarkSubmitUnits", map[string]float64{"ns/op": 645411, "ns/unit": 161.4, "B/op": 1957080, "allocs/op": 4016}},
+		{"BenchmarkNamed/segments1/draw-2 \t44718453\t 33.71 ns/op\t 0 B/op\t 0 allocs/op",
+			"BenchmarkNamed/segments1/draw", map[string]float64{"ns/op": 33.71, "B/op": 0, "allocs/op": 0}},
+		{"BenchmarkTable2_MapReduce-4   3   31022455 ns/op", "BenchmarkTable2_MapReduce", map[string]float64{"ns/op": 31022455}},
+		{"BenchmarkBacklogDrain", "", nil}, // the name line a benchmark with sub-benchmarks or log output prints
+		{"BenchmarkX \t 12 \t 3.1 ns/op \t 7", "", nil},
+		{"BenchmarkX \t many \t 3.1 ns/op", "", nil},
+		{"goos: linux", "", nil},
+		{"pkg: gopilot/internal/dist", "", nil},
+		{"--- FAIL: BenchmarkX", "", nil},
+		{"ok  \tgopilot/internal/dist\t7.010s", "", nil},
+	} {
+		name, metrics, ok := parseGoBench(tc.line)
+		if ok != (tc.metrics != nil) || name != tc.name || !maps.Equal(metrics, tc.metrics) {
+			t.Errorf("parseGoBench(%q) = %q %v %v; want %q %v", tc.line, name, metrics, ok, tc.name, tc.metrics)
+		}
 	}
 }

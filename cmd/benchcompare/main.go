@@ -43,8 +43,8 @@
 // without scrolling back to the FAIL lines.
 //
 // With -ab it is instead the A/B pair command (ab.go): it exports a parent
-// and a revision, runs the unmodified cmd/bench/run.sh on each in
-// alternating pairs, prints every end-to-end metric's median (q1–q3), the
+// and a revision, runs the unmodified cmd/bench/run.sh (or, with -gobench,
+// a go test benchmark) on each in alternating pairs, prints every end-to-end metric's median (q1–q3), the
 // pairs won and a verdict — ahead, within noise, behind or unresolved —
 // and appends one JSON line per run to BENCH_history.jsonl.
 package main
@@ -55,9 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -82,8 +80,6 @@ type baseline struct {
 
 // bytesFloor is the absolute B/op growth a byte regression must also exceed.
 const bytesFloor = 1 << 20
-
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+)\s+ns/op(?:\s+([0-9.]+)\s+B/op\s+([0-9.]+)\s+allocs/op)?`)
 
 // msgsPerOp maps the message-count exhibits to the number of messages one
 // benchmark op pushes through the data plane, so the report can derive
@@ -156,17 +152,15 @@ func main() {
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // pass the bench output through
-		if m := benchLine.FindStringSubmatch(line); m != nil {
-			if v, err := strconv.ParseFloat(m[2], 64); err == nil {
-				got[m[1]] = v
+		if name, m, ok := parseGoBench(line); ok {
+			if v, has := m["ns/op"]; has {
+				got[name] = v
 			}
-			if m[4] != "" {
-				if v, err := strconv.ParseFloat(m[3], 64); err == nil {
-					gotBytes[m[1]] = v
-				}
-				if a, err := strconv.ParseFloat(m[4], 64); err == nil {
-					gotAllocs[m[1]] = a
-				}
+			if v, has := m["B/op"]; has {
+				gotBytes[name] = v
+			}
+			if v, has := m["allocs/op"]; has {
+				gotAllocs[name] = v
 			}
 		}
 	}

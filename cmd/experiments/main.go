@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run name] [-csv dir] [-list]
+//	experiments [-run name] [-csv dir] [-list] [-cpuprofile file]
 //
 // With no -run flag every experiment executes in order. Everything runs on
 // the virtual-time executor: zero wall time per modeled sleep,
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"time"
 
 	"gopilot/internal/experiments"
@@ -27,6 +28,7 @@ func main() {
 	runName := flag.String("run", "", "run only the named experiment (see -list)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the exhibits run to this file")
 	flag.Parse()
 
 	if *list {
@@ -46,6 +48,16 @@ func main() {
 		exhibits = []experiments.Exhibit{*e}
 	}
 
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	failures := 0
 	for _, e := range exhibits {
 		fmt.Printf("### %s: %s\n", e.Name, e.Title)
@@ -65,6 +77,7 @@ func main() {
 			}
 		}
 	}
+	pprof.StopCPUProfile() // a no-op without -cpuprofile
 	if failures > 0 {
 		os.Exit(1)
 	}
