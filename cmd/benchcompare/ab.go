@@ -380,7 +380,7 @@ func runAB() int {
 							return fail(err)
 						}
 					}
-					fmt.Fprintf(os.Stderr, "%s seed %s pair %d/%d %s: digest %s correct %v\n", r.Workload, r.Seed, i+1, *abPairs, side, r.Digest, r.Correct)
+					fmt.Fprintf(os.Stderr, "%s seed %q pair %d/%d %s: digest %q correct %v\n", r.Workload, r.Seed, i+1, *abPairs, side, r.Digest, r.Correct)
 				}
 			}
 		}

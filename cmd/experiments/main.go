@@ -48,10 +48,11 @@ func main() {
 		exhibits = []experiments.Exhibit{*e}
 	}
 
+	var prof *os.File
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err == nil {
-			err = pprof.StartCPUProfile(f)
+		var err error
+		if prof, err = os.Create(*cpuProfile); err == nil {
+			err = pprof.StartCPUProfile(prof)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
@@ -78,6 +79,10 @@ func main() {
 		}
 	}
 	pprof.StopCPUProfile() // a no-op without -cpuprofile
+	if prof != nil && prof.Close() != nil {
+		fmt.Fprintf(os.Stderr, "cpuprofile: closing %s failed\n", *cpuProfile)
+		failures++
+	}
 	if failures > 0 {
 		os.Exit(1)
 	}

@@ -87,7 +87,8 @@ func TestSplitLabelChildrenIndependent(t *testing.T) {
 // worker i (a pilot, a unit generator…) owns sub-stream SplitLabel(i)
 // and samples from it concurrently with every other worker. The result
 // matrix must depend only on the seed — not on goroutine interleaving.
-// Run under -race this also proves that deriving from a shared root is.
+// Run under -race this also proves that deriving from a shared root is
+// race-free.
 func goroutinePartitionedRun(seed int64, workers, samples int) [][]float64 {
 	root := NewStream(seed)
 	out := make([][]float64, workers)
@@ -139,8 +140,7 @@ func TestGoroutinePartitionedDeterminism(t *testing.T) {
 // from one shared root — derivation reads only the root's birth fields —
 // and each draws only from its own. Every child's sequence must be
 // bit-identical to the same derivation run sequentially, and -race must
-// stay quiet. (It once pinned a locked stream that goroutines sampled
-// directly; that contract was dropped on purpose.)
+// stay quiet.
 func TestConcurrentSampleShared(t *testing.T) {
 	const workers, samples = 8, 2000
 	root := NewStream(5)

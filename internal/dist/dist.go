@@ -8,12 +8,10 @@
 // math/rand, the draws are fixed by this repository, not by the Go release.
 //
 // A stream, and any distribution built on one, belongs to one participant
-// at a time: nothing here is locked, so two goroutines that Sample the
-// same value race. Code shares randomness by deriving a child stream
-// (SplitLabel, Named) per consumer, never by passing a pointer between
-// goroutines; the sequence of draws each *component* sees is then fixed
-// by its own sub-stream, not by goroutine interleaving. DESIGN.md
-// "Seeding spine" lists every stored stream and its owner.
+// at a time: nothing here is locked. Code shares randomness by deriving a
+// child with SplitLabel or Named, which read only the parent's birth
+// fields, never by passing a pointer between goroutines; the draws each
+// component sees are fixed by its own sub-stream, not by interleaving.
 package dist
 
 import (

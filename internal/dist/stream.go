@@ -14,13 +14,8 @@ import (
 // consuming goroutines interleave (each sub-stream is consumed by its
 // own component; the split tree, not scheduling, fixes the draws).
 //
-// A stream is not locked: it belongs to one participant at a time, and
-// code shares randomness by deriving a child, never by handing a pointer
-// to another goroutine. Derivation reads only the birth fields, which no
-// draw writes, so concurrent SplitLabel/Named on a shared root is safe.
-// A Stream value may be copied, and a copy forks the sequence: both
-// copies draw the same values from there on. Copy only at birth
-// (`u.stream = *root.SplitLabel(ord)`), never a stream already drawn from.
+// It has no lock (see the package doc). A copy of a Stream value forks
+// its sequence, so a stream is copied only at birth, before any draw.
 //
 // The generator is SplitMix64 with per-stream gamma, following Steele,
 // Lea & Flood, "Fast Splittable Pseudorandom Number Generators"
@@ -62,13 +57,11 @@ func NewStream(seed int64) *Stream {
 	return &Stream{state: s, gamma: goldenGamma, seed0: s}
 }
 
-func (s *Stream) nextState() uint64 {
-	s.state += s.gamma
-	return s.state
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
-func (s *Stream) Uint64() uint64 { return mix64(s.nextState()) }
+func (s *Stream) Uint64() uint64 {
+	s.state += s.gamma
+	return mix64(s.state)
+}
 
 // SplitLabel returns the sub-stream for a label (a pilot index, unit
 // ordinal, component id…). It neither advances nor reads the parent's
@@ -124,10 +117,8 @@ func labelKey(label string) uint64 {
 // (pilot 3, unit 17) compose freely: root.Named("pilot").SplitLabel(3)
 // is the canonical address of the third pilot.
 //
-// The chain of SplitLabel steps is folded numerically by fold, and Named
-// itself inlines: a child that does not escape, as in
-// tc.Stream.Named("runtime").Intn(50), is not allocated at all (a path
-// with no segment at all names the receiver, which is returned as it is).
+// Named inlines around fold, so a child that does not escape is not
+// allocated; a path with no segment names the receiver itself.
 func (s *Stream) Named(path ...string) *Stream {
 	c, ok := s.fold(path)
 	if !ok {
