@@ -21,7 +21,7 @@ func chainNamed(s *Stream, path ...string) *Stream {
 }
 
 // FuzzNamedMatchesSplitLabelChain holds Named, which folds the chain's
-// (seed, gamma) pairs numerically and allocates only the stream it returns,
+// (seed, gamma) pairs numerically and allocates at most the stream it returns,
 // to that definition: over arbitrary paths — empty segments, leading,
 // trailing and doubled slashes, several arguments, no segment at all — the
 // stream it names draws what the chain's draws, and so does a grandchild

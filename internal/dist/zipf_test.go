@@ -156,8 +156,8 @@ func BenchmarkZipf(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamUint64 is a table draw's floor: the one locked
-// Stream.Uint64 behind its Int63.
+// BenchmarkStreamUint64 is a table draw's floor: the one Stream.Uint64
+// behind its Int63.
 func BenchmarkStreamUint64(b *testing.B) {
 	st := NewStream(1)
 	for i := 0; i < b.N; i++ {
