@@ -51,6 +51,7 @@ var (
 const (
 	ahead      = "ahead"
 	noise      = "within noise"
+	inBound    = "worse within bound"
 	behind     = "behind"
 	unresolved = "unresolved"
 )
@@ -88,7 +89,10 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 //   - ahead: rev wins at least nine tenths of the pairs (ties count for
 //     neither side) and gain exceeds the parent's interquartile range, or
 //     every run of rev beats every run of parent;
-//   - behind: the mirror image of ahead;
+//   - behind: the mirror image of ahead, when rev's median is worse than
+//     parent's by more than bound (a fraction of parent's median);
+//     worse within bound when it is worse by less: a consistent shift the
+//     bound allows;
 //   - unresolved: otherwise, when either side's interquartile range
 //     exceeds bound × parent's median — the runs spread too widely to call
 //     the metric unchanged or worse;
@@ -121,7 +125,10 @@ func verdict(parent, rev []float64, lowerIsBetter bool, bound float64) (v string
 	case n > 0 && 10*wins >= 9*n && gain > iqr, beats(rev, parent):
 		return ahead, wins, losses
 	case n > 0 && 10*losses >= 9*n && -gain > iqr, beats(parent, rev):
-		return behind, wins, losses
+		if -gain > bound*math.Abs(pm) {
+			return behind, wins, losses
+		}
+		return inBound, wins, losses
 	case math.Max(pq3-pq1, rq3-rq1) > bound*math.Abs(pm):
 		return unresolved, wins, losses
 	case -gain > bound*math.Abs(pm):
@@ -437,9 +444,18 @@ func report(w, seed, parent, rev string, specs []metricSpec, p, r []*abRun) bool
 		rq1, rm, rq3 := quartiles(rv)
 		fmt.Printf("  %-20s %-34s %-34s %8.3f %3d/%-2d  %s\n", m.Name,
 			fmt.Sprintf("%.4g (%.4g–%.4g)", pm, pq1, pq3), fmt.Sprintf("%.4g (%.4g–%.4g)", rm, rq1, rq3),
-			rm/pm, wins, len(p), v)
+			ratio(rm, pm), wins, len(p), v)
 	}
 	return ok && same
+}
+
+// ratio is rev's median over parent's: 1 when they are equal, a parent
+// median of 0 included (a count both sides read as 0).
+func ratio(rm, pm float64) float64 {
+	if rm == pm {
+		return 1
+	}
+	return rm / pm
 }
 
 // fields splits a comma-separated flag value, dropping empty entries.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"maps"
+	"math"
 	"testing"
 )
 
@@ -27,10 +28,27 @@ func TestVerdict(t *testing.T) {
 		{"the mirror of a gain", ten(34, 33, 34, 33, 34, 34, 33, 34, 34, 33), ten(52, 55, 58, 53, 56, 57, 54, 55, 59, 52), true, 0.25, behind, 0, 10},
 		{"median worse than the bound, two pairs won", ten(10, 10, 10, 10, 10, 10, 10, 10, 10, 10), ten(8, 8, 8, 8, 8, 8, 11, 8, 11, 8), false, 0.12, behind, 2, 8},
 		{"median worse than the bound, spread wider", ten(1, 2, 1, 2, 1, 2, 1, 2, 1, 2), ten(2, 2, 2, 2, 1, 2, 2, 1, 2, 2), true, 0.25, unresolved, 1, 4},
+		// A deterministic count: every pair worse by 0.2 %, no spread at all.
+		{"consistent shift inside the bound", ten(1954, 1954, 1954, 1954, 1954, 1954, 1954, 1954, 1954, 1954), ten(1957, 1957, 1957, 1957, 1957, 1957, 1957, 1957, 1957, 1957), true, 0.12, inBound, 0, 10},
+		{"consistent shift inside the bound, higher is better", ten(10, 10.2, 10.1, 10, 10.2, 10.1, 10, 10.2, 10.1, 10), ten(9, 9.1, 9, 9.1, 9, 9.1, 9, 9.1, 9, 9.1), false, 0.25, inBound, 0, 10},
+		{"consistent shift just past the bound", ten(100, 100, 100, 100, 100, 100, 100, 100, 100, 100), ten(113, 113, 113, 113, 113, 113, 113, 113, 113, 113), true, 0.12, behind, 0, 10},
+		{"consistent rise from a parent median of 0", ten(0, 0, 0, 0, 0, 0, 0, 0, 0, 0), ten(1, 1, 1, 1, 1, 1, 1, 1, 1, 1), true, 0.25, behind, 0, 10},
 	} {
 		got, wins, losses := verdict(tc.parent, tc.rev, tc.lowerIsBetter, tc.bound)
 		if got != tc.want || wins != tc.wins || losses != tc.losses {
 			t.Errorf("%s: %q with %d wins, %d losses; want %q with %d, %d", tc.name, got, wins, losses, tc.want, tc.wins, tc.losses)
+		}
+	}
+}
+
+// TestRatio pins the rev/par cell: a defined value when the parent's
+// median is 0, as a count both sides read as 0 has.
+func TestRatio(t *testing.T) {
+	for _, tc := range []struct{ rm, pm, want float64 }{
+		{0, 0, 1}, {5, 5, 1}, {3, 2, 1.5}, {0, 4, 0}, {2, 0, math.Inf(1)},
+	} {
+		if got := ratio(tc.rm, tc.pm); got != tc.want {
+			t.Errorf("ratio(%v, %v) = %v, want %v", tc.rm, tc.pm, got, tc.want)
 		}
 	}
 }

@@ -45,7 +45,8 @@
 // With -ab it is instead the A/B pair command (ab.go): it exports a parent
 // and a revision, runs the unmodified cmd/bench/run.sh (or, with -gobench,
 // a go test benchmark) on each in alternating pairs, prints every end-to-end metric's median (q1–q3), the
-// pairs won and a verdict — ahead, within noise, behind or unresolved —
+// pairs won and a verdict — ahead, within noise, worse within bound,
+// behind or unresolved —
 // and appends one JSON line per run to BENCH_history.jsonl.
 package main
 

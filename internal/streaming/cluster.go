@@ -813,8 +813,11 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		}
 		// plan.Stream: a zero-copy one-segment view from the follower's end
 		// (which the follower may alias), plus its payload total read off the
-		// leader's cum (what the link is paced by).
-		msgs, lo := lp.view(at, replBatchMax)
+		// leader's cum (what the link is paced by). The view is pinned until
+		// the second section: a trim while it is in flight must not refill
+		// its array.
+		msgs, src := lp.view(at, replBatchMax)
+		src.refs++
 		bytes := lp.BytesThrough(at+int64(len(msgs))) - lp.BytesThrough(at)
 		c.mu.Unlock()
 
@@ -825,9 +828,7 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		if f := float64(bytes) / float64(c.cfg.CatchupBytesPerSec) * float64(time.Second) * lag; f < math.MaxInt64 {
 			d = time.Duration(f)
 		}
-		if d > 0 && !c.clock.Sleep(c.runCtx, d) {
-			return
-		}
+		slept := d <= 0 || c.clock.Sleep(c.runCtx, d)
 
 		// Second section: re-validate after the sleep — if leadership,
 		// membership, the epoch or the link moved while the batch was in
@@ -836,19 +837,22 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		// stream means the leader appended under one epoch throughout, and
 		// spans only ever grow at or above the batch's end. No OnCommit for
 		// the lazily advanced mark: the commit was observed, exactly once, on
-		// the leader.
+		// the leader. The batch is unpinned on every exit, after any alias of
+		// it is in place.
 		c.mu.Lock()
-		if c.closed {
+		if !slept || c.closed {
+			src.release()
 			c.mu.Unlock()
 			return
 		}
 		if p.Epoch == epoch && p.Members[0] == leader &&
 			1+slot < len(p.Members) && p.Members[1+slot] == follower &&
 			!c.severed[leader][follower] && !p.frozen[slot] &&
-			p.logs[follower].AppendReplicated(msgs, lo, ls.Spans, lCommitted) == nil {
+			p.logs[follower].AppendReplicated(msgs, src, ls.Spans, lCommitted) == nil {
 			c.stats.Rounds++
 			c.recomputeAckedLocked(t, p)
 		}
+		src.release()
 		c.mu.Unlock()
 	}
 }
@@ -859,7 +863,9 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 // self-clamp to their lazily-replicated commit marks), then report the
 // leader's retention state. This is the bounded-memory contract:
 // trimming happens at exactly the instants the durable state advances,
-// and never above what every registered group has durably consumed.
+// and never above what every registered group has durably consumed. The
+// followers trim first, so those that have caught up let go of their
+// aliases before the leader's trim decides whether a segment is refilled.
 func (c *Cluster) onSave(_ string, topic string, partition int) {
 	lw, ok := c.offsets.LowWatermark(topic, partition)
 	if !ok {
@@ -871,14 +877,12 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 		c.mu.Unlock()
 		return
 	}
-	var resident, oldest int64
-	for i, s := range p.Members {
-		lp := p.logs[s]
-		lp.Trim(lw)
-		if i == 0 {
-			resident, oldest = lp.Resident(), lp.first
-		}
+	for _, s := range p.Members[1:] {
+		p.logs[s].Trim(lw)
 	}
+	lp := p.logs[p.Members[0]]
+	lp.Trim(lw)
+	resident, oldest := lp.Resident(), lp.first
 	c.mu.Unlock()
 	if c.cfg.OnRetention != nil {
 		c.cfg.OnRetention(topic, partition, resident, oldest)

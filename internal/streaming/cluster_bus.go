@@ -373,8 +373,12 @@ func checkPoll(topicName string, nparts int, parts []int, offsets []int64, start
 // partition's leader log and capped at the acknowledged watermark —
 // consumers never see offsets that could be truncated by a handoff. A
 // partition mid-handoff or under an injected stall parks its fetchers on
-// the control plane; leadership changes re-resolve transparently.
+// the control plane; leadership changes re-resolve transparently. A
+// context carrying this cluster's OffsetStore under leaseKey (a Group's,
+// whose persisted cursors set the trim floor) is served leased views;
+// every other caller gets kept ones (Log.View).
 func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int, offsets []int64, start, max int) (int, []Message, error) {
+	leased := ctx.Value(leaseKey{}) == c.offsets
 	t, err := c.topic(topicName)
 	if err != nil {
 		return 0, nil, err
@@ -412,7 +416,7 @@ func (c *Cluster) FetchOrWait(ctx context.Context, topicName string, parts []int
 				oor = &OffsetOutOfRangeError{Topic: topicName, Partition: parts[j],
 					Offset: offsets[j], Oldest: lp.first}
 			} else if limit := p.Acked - offsets[j]; limit > 0 {
-				batch = lp.View(offsets[j], int(min(int64(max), limit)))
+				batch = lp.View(offsets[j], int(min(int64(max), limit)), leased)
 			}
 			if oor != nil || len(batch) > 0 {
 				c.mu.Unlock()

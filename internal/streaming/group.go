@@ -110,6 +110,10 @@ type generation struct {
 	waitFor []int         // ordinals whose ack still gates ready
 }
 
+// leaseKey is the run-context key under which a Group names the
+// OffsetStore its cursors are persisted to.
+type leaseKey struct{}
+
 // Group is a running consumer group.
 type Group struct {
 	*counters
@@ -155,6 +159,12 @@ func StartGroup(ctx context.Context, mgr *core.Manager, broker Bus, cfg GroupCon
 		return nil, err
 	}
 	runCtx, cancel := context.WithCancel(ctx)
+	if cfg.Offsets != nil {
+		// The group's persisted cursors floor the store's retention, and a
+		// worker is done with a batch once its cursor is saved past it: its
+		// fetches may lease their views (Cluster.FetchOrWait).
+		runCtx = context.WithValue(runCtx, leaseKey{}, cfg.Offsets)
+	}
 	g := &Group{
 		counters:   newCounters(broker.Clock()),
 		cfg:        cfg,

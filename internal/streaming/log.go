@@ -16,17 +16,18 @@ import (
 // follower's replicated append and the handoff's truncate are the same few
 // methods on the same type, and the proof obligation behind zero-copy fetch
 // and replication by reference (DESIGN.md "The Log") sits beside one type:
-// a slot that has left the lock, in a View or an alias, is never rewritten,
-// because a log writes only into arrays it owns. Growth (tail) writes only
-// to a new array; aliasing (AppendReplicated) extends a borrowed slice of
-// the leader's array only by reslice, and tail copies a borrowed tail
-// before writing; refill (Trim) takes only never-viewed segments, never a
-// borrowed array; truncation (TruncateTo) into a viewed segment marks it
-// borrowed.
+// a slot that has left the lock — in a kept view, an alias, a pinned
+// runner batch, or a leased view until Trim passes it — is never
+// rewritten, because a log writes only into arrays it owns. Growth (tail)
+// writes only to a new array; aliasing (AppendReplicated) extends a
+// borrowed slice of the leader's array only by reslice, and tail copies a
+// borrowed tail before writing; refill (Trim) takes only a root array no
+// kept view, alias or pin reaches, never a borrowed one; truncation
+// (TruncateTo) into a viewed segment marks it borrowed.
 type Log struct {
 	segSize int
 	segs    []*segment
-	spare   *segment // at most one trimmed, never-viewed segment awaiting refill
+	spare   *segment // at most one trimmed segment awaiting refill (see Trim)
 	// hot: the log has sealed a segment, so every later one is born at full
 	// segSize; until then the tail segment is born small and grows (see tail).
 	hot bool
@@ -66,14 +67,43 @@ type Log struct {
 // next. cum[i] is the log-cumulative payload byte total through msgs[i]
 // (inclusive), which makes the bytes of any committed offset range a
 // two-lookup subtraction instead of a per-message walk. viewed records
-// that a slice of msgs has left the lock (set only by View): a viewed
-// segment dies by GC, an unviewed one may be refilled (DESIGN.md "Segment
-// lifecycle"). borrowed: msgs's array is not this log's to write (another
-// log's, aliased, or viewed and truncated into); cum is always owned.
+// that a slice of msgs has left the lock (set by view), kept that a kept
+// view reached the array: a kept array dies by GC, any other may be
+// refilled once Trim passes it and no alias or pin reaches it (DESIGN.md
+// "Segment lifecycle"). borrowed: msgs's array is not this log's to write
+// (another log's, aliased, or viewed and truncated into); cum is always
+// owned. An alias's owner is the root segment that owns its array; a
+// root's refs counts its aliases and pins, and retired is the log whose
+// spare a trimmed root joins when the last of them goes.
 type segment struct {
-	msgs             []Message
-	cum              []int64
-	viewed, borrowed bool
+	msgs                   []Message
+	cum                    []int64
+	viewed, kept, borrowed bool
+	owner                  *segment
+	refs                   int
+	retired                *Log
+}
+
+// root returns the segment that owns seg's array.
+func (seg *segment) root() *segment {
+	if seg.owner != nil {
+		return seg.owner
+	}
+	return seg
+}
+
+// release lets go of one alias or pin on a root's array.
+func (seg *segment) release() {
+	seg.refs--
+	seg.recycle()
+}
+
+// recycle hands a root that Trim retired to its log's spare, once no kept
+// view, alias or pin reaches its array and the spare is free.
+func (seg *segment) recycle() {
+	if l := seg.retired; l != nil && seg.refs == 0 && !seg.kept && l.spare == nil {
+		l.spare, seg.retired = seg, nil
+	}
 }
 
 // minSegCap is the smallest capacity a segment is born with.
@@ -84,8 +114,9 @@ const minSegCap = 16
 // fresh allocation otherwise — and returns it. A hot log's segments are
 // born at full segSize; a log that has never sealed one pays for what the
 // append creating the segment holds (want messages, floor minSegCap). A
-// non-nil alias is the full-size leader array the segment borrows.
-func (l *Log) nextSegment(want int, alias []Message) *segment {
+// non-nil alias is the full-size leader array, owned by src, that the
+// segment borrows.
+func (l *Log) nextSegment(want int, src *segment, alias []Message) *segment {
 	seg := l.spare
 	if seg == nil {
 		size := l.segSize
@@ -103,7 +134,10 @@ func (l *Log) nextSegment(want int, alias []Message) *segment {
 	} else if cap(seg.msgs) == 0 {
 		seg.msgs = make([]Message, 0, cap(seg.cum))
 	}
-	seg.msgs, seg.cum, seg.borrowed = seg.msgs[:0], seg.cum[:0], alias != nil
+	if seg.owner = src; src != nil {
+		src.refs++
+	}
+	seg.msgs, seg.cum, seg.borrowed, seg.viewed = seg.msgs[:0], seg.cum[:0], alias != nil, false
 	l.segs = append(l.segs, seg)
 	return seg
 }
@@ -130,13 +164,16 @@ func (l *Log) tail(want int) *segment {
 			seg.cum = append(make([]int64, 0, size), seg.cum...)
 			if seg.borrowed {
 				l.stats.CopyOnWrite++
+				if seg.owner != nil {
+					seg.owner.release()
+				}
 			}
-			seg.borrowed = false
+			seg.borrowed, seg.owner = false, nil
 			return seg
 		}
 		l.hot = true
 	}
-	return l.nextSegment(want, nil)
+	return l.nextSegment(want, nil, nil)
 }
 
 // Append claims the next tail slot and builds the message directly in it
@@ -168,10 +205,10 @@ func (l *Log) Append(topic string, pi int, key, value []byte, published time.Tim
 // with the end — the catch-up runner re-validates membership and epoch
 // after its pacing sleep and discards torn batches, so a gap here is a
 // protocol bug, not a runtime condition. The commit mark advances lazily
-// toward the leader's, never past the log's own end. lo ≥ 0 says msgs is
-// the runner's view (Log.view) at slot lo of its array: a batch that
+// toward the leader's, never past the log's own end. A non-nil src says
+// msgs is the runner's view (Log.view) of the array src owns: a batch that
 // borrow can alias is stored by reference, anything else is copied.
-func (l *Log) AppendReplicated(msgs []Message, lo int, spans []plan.EpochSpan, leaderCommitted int64) error {
+func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochSpan, leaderCommitted int64) error {
 	if len(msgs) == 0 {
 		return nil
 	}
@@ -182,7 +219,7 @@ func (l *Log) AppendReplicated(msgs []Message, lo int, spans []plan.EpochSpan, l
 	s := l.end
 	// An aliased batch is one reslice; a copied one is one bulk copy (one
 	// write barrier) per one-segment run. Then cum in a tight loop.
-	seg := l.borrow(msgs, lo)
+	seg := l.borrow(msgs, src)
 	for rest := msgs; len(rest) > 0; seg = nil {
 		n := len(rest)
 		if seg != nil {
@@ -222,9 +259,11 @@ func (l *Log) AppendReplicated(msgs []Message, lo int, spans []plan.EpochSpan, l
 
 // borrow returns the segment a replicated batch extends by reslice: the
 // borrowed tail ending where msgs starts in the same array, or, at a
-// segment boundary, a new segment borrowing the full-size array msgs heads.
-func (l *Log) borrow(msgs []Message, lo int) *segment {
-	if n := len(l.segs); lo >= 0 && n > 0 {
+// segment boundary, a new segment borrowing the full-size array msgs heads
+// (a view's capacity runs to its array's end, so cap(msgs) == segSize says
+// it starts the array).
+func (l *Log) borrow(msgs []Message, src *segment) *segment {
+	if n := len(l.segs); src != nil && n > 0 {
 		seg := l.segs[n-1]
 		if k := len(seg.msgs); seg.borrowed && k < cap(seg.msgs) && &seg.msgs[:k+1][k] == &msgs[0] {
 			return seg
@@ -233,36 +272,42 @@ func (l *Log) borrow(msgs []Message, lo int) *segment {
 		}
 		l.hot = true // as in tail: the log has sealed a segment
 	}
-	if lo != 0 || cap(msgs) != l.segSize {
+	if src == nil || cap(msgs) != l.segSize {
 		return nil
 	}
-	return l.nextSegment(l.segSize, msgs[:0])
+	return l.nextSegment(l.segSize, src, msgs[:0])
 }
 
 // View returns up to max messages starting at offset as a read-only
 // sub-slice of one segment (callers may see fewer than max at a segment
-// boundary and loop); nil when offset is outside the retained range. The
-// view stays valid after the caller releases the lock because published
-// slots are never rewritten while a view can reach them (growth copies to
-// a new array and leaves this one alone) — and, being the only way a slice
-// of a segment leaves the lock, it marks the segment viewed so Trim never
-// hands it back for refill. Its capacity is its length.
-func (l *Log) View(offset int64, max int) []Message {
-	v, _ := l.view(offset, max)
+// boundary and loop); nil when offset is outside the retained range. Its
+// capacity is its length. The view stays valid after the caller releases
+// the lock because published slots are never rewritten while a view can
+// reach them (growth copies to a new array and leaves this one alone). A
+// kept view (leased false) stays valid forever: it marks the array kept, so
+// Trim never hands it back for refill. A leased view stays valid until Trim
+// passes it, and leaves the array refillable after that: only a caller
+// whose progress sets the trim floor may ask for one.
+func (l *Log) View(offset int64, max int, leased bool) []Message {
+	v, src := l.view(offset, max)
+	if src != nil && !leased {
+		src.kept = true
+	}
 	return v[:len(v):len(v)]
 }
 
-// view is View keeping its array's capacity, with its slot in the array
-// (-1: none): the catch-up runner's batch, which a follower may alias.
-func (l *Log) view(offset int64, max int) ([]Message, int) {
+// view is View keeping its array's capacity, with the root segment that
+// owns the array (nil: none): the catch-up runner's batch, which a
+// follower may alias and which the runner pins (refs) while it holds it.
+func (l *Log) view(offset int64, max int) ([]Message, *segment) {
 	if offset >= l.end || offset < l.first {
-		return nil, -1
+		return nil, nil
 	}
 	rel := offset - l.first
 	seg := l.segs[rel/int64(l.segSize)]
 	seg.viewed = true
 	lo := int(rel % int64(l.segSize))
-	return seg.msgs[lo:min(len(seg.msgs), lo+max)], lo
+	return seg.msgs[lo:min(len(seg.msgs), lo+max)], seg.root()
 }
 
 // differsAt returns the first offset at which l's message is not at its
@@ -347,16 +392,16 @@ func (l *Log) Trim(below int64) int64 {
 	l.trimmedCum = l.segs[k-1].cum[segSize-1]
 	// Nil out the dropped heads before reslicing: the backing array
 	// survives in segs, and a live pointer there would pin every trimmed
-	// segment — exactly the memory the trim exists to release. One dropped
-	// segment no view ever reached is kept as the spare (a borrowed one
-	// without its array) for nextSegment.
-	for i := 0; i < k; i++ {
-		if seg := l.segs[i]; l.spare == nil && !seg.viewed {
-			if seg.borrowed {
-				seg.msgs, seg.borrowed = nil, false
-			}
-			l.spare = seg
+	// segment — exactly the memory the trim exists to release. An alias
+	// lets go of its owner's array and keeps its cum; a root is retired,
+	// and becomes the spare for nextSegment once nothing reaches its array.
+	for i, seg := range l.segs[:k] {
+		if seg.owner != nil {
+			seg.owner.release()
+			seg.msgs, seg.owner, seg.borrowed = nil, nil, false
 		}
+		seg.retired = l
+		seg.recycle()
 		l.segs[i] = nil
 	}
 	l.segs = l.segs[k:]
@@ -378,15 +423,12 @@ func (l *Log) TruncateTo(to int64) {
 	to = max(to, l.first)
 	rel := to - l.first
 	idx := int(rel / int64(l.segSize))
-	for i := idx + 1; i < len(l.segs); i++ {
-		l.segs[i] = nil
-	}
+	l.drop(idx + 1)
 	if idx < len(l.segs) {
 		within := int(rel % int64(l.segSize))
 		seg := l.segs[idx]
 		seg.msgs, seg.cum = seg.msgs[:within], seg.cum[:within]
 		seg.borrowed = seg.borrowed || seg.viewed
-		l.segs = l.segs[:idx+1]
 	}
 	l.end = to
 	l.totalBytes = l.BytesThrough(to)
@@ -401,7 +443,19 @@ func (l *Log) TruncateTo(to int64) {
 // ResetTo empties the log and repositions it at first — the bootstrap
 // for a recruit whose log starts behind the leader's retention floor.
 func (l *Log) ResetTo(first int64) {
+	l.drop(0)
 	*l = Log{segSize: l.segSize, spare: l.spare, hot: l.hot, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
+}
+
+// drop discards segs[i:], letting go of the arrays its aliases borrow.
+func (l *Log) drop(i int) {
+	for j := i; j < len(l.segs); j++ {
+		if o := l.segs[j].owner; o != nil {
+			o.release()
+		}
+		l.segs[j] = nil
+	}
+	l.segs = l.segs[:min(i, len(l.segs))]
 }
 
 // Snapshot reads the log's coordinates at one instant: the retained

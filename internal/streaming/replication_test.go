@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gopilot/internal/core"
 	"gopilot/internal/vclock"
 	"gopilot/internal/vclock/vclocktest"
 )
@@ -247,10 +248,12 @@ func TestReplicationStatsPinned(t *testing.T) {
 	if got := end.Copied - cold.Copied; got > 2*segSize {
 		t.Fatalf("the failure cost %d copied messages, over one segment per follower", got)
 	}
-	// Born: three first segments, then the leader's two sealed successors
-	// and each follower's two aliasing ones; after the failure the two
-	// survivors' next segments refill a trimmed follower segment's spare.
-	want := Stats{Appends: 256, Aliased: 256, Copied: 160, Born: 9, Refilled: 2, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
+	// Born: three first segments, then the leader's third and each
+	// follower's two aliasing ones. The leader's second refills its first:
+	// no view kept it and only the runners' pinned batches reached it. After
+	// the failure the two survivors' next segments refill a trimmed
+	// follower segment's spare.
+	want := Stats{Appends: 256, Aliased: 256, Copied: 160, Born: 8, Refilled: 3, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
 	if end != want {
 		t.Fatalf("stats %+v, want %+v", end, want)
 	}
@@ -583,7 +586,7 @@ func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int
 		}
 		for o := max(lFirst, fFirst); o < lEnd; {
 			// View serves one-segment views: walk both logs in steps.
-			lMsgs, fMsgs := lp.View(o, 1024), fp.View(o, 1024)
+			lMsgs, fMsgs := lp.View(o, 1024, false), fp.View(o, 1024, false)
 			n := len(lMsgs)
 			if len(fMsgs) < n {
 				n = len(fMsgs)
@@ -986,6 +989,365 @@ func TestReplicationSegmentReuseUnderFaults(t *testing.T) {
 	}
 	if !t.Failed() && refills == 0 {
 		t.Fatal("no follower ever refilled a trimmed segment: the seam is not exercised")
+	}
+}
+
+// checkOffsetsInPlace fails the test if any retained message of any
+// replica of topic "t" is not at its own offset — what a log reads when an
+// array it still reaches (its own, an alias, a pinned batch it appended)
+// was refilled under it. Unlike CheckReplicaConsistency it holds mid-run,
+// between a handoff and its repair too.
+func checkOffsetsInPlace(t *testing.T, c *Cluster, parts int) {
+	t.Helper()
+	for s := 0; s < c.ShardCount(); s++ {
+		for p := 0; p < parts; p++ {
+			part := replicaLog(c, "t", p, s)
+			if part == nil {
+				continue
+			}
+			c.mu.Lock()
+			for o := part.first; o < part.end; o++ {
+				if m := part.at(o); m.Offset != o {
+					c.mu.Unlock()
+					t.Fatalf("shard %d partition %d holds offset %d at %d: an array it reaches was refilled", s, p, m.Offset, o)
+				}
+			}
+			c.mu.Unlock()
+		}
+	}
+}
+
+// TestReplicationLeasedViewsRecycleUnderFaults is the leased-view twin of
+// TestReplicationSegmentReuseUnderFaults: the consumer is a Group
+// persisting its cursors to cluster.Offsets(), so its fetches are leased
+// and the leader's trimmed segments are refilled once no alias or pinned
+// runner batch reaches them. Four shards at replication 3 lose partition
+// 0's leader mid-run, and the recruit that replaces it syncs over a slow
+// link, so its batches are in flight across the trims the group's
+// persists drive; the seed-driven storm of TestReplicationFaultProperty
+// runs throughout. Every message must be delivered exactly once, in
+// order, with the payload the producer placed at its offset; every
+// replica must hold each retained message at its own offset at every
+// sample; the replicas must agree after the drain; and leader arrays must
+// have been refilled.
+func TestReplicationLeasedViewsRecycleUnderFaults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const (
+		shards = 4
+		rf     = 3
+		parts  = 2
+		total  = 4000
+	)
+	type delivery struct {
+		offset int64
+		seq    uint64
+	}
+	leaderRefills := 0
+	for seed := int64(0); seed < 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			clock := vclock.NewVirtual(vclock.Epoch)
+			clock.Adopt()
+			defer clock.Leave()
+			next := xorshift(seed)
+			c := NewCluster(ClusterConfig{
+				Shards: shards, Replication: rf, SegmentSize: 64,
+				HandoffDelay: 20 * time.Millisecond,
+				AppendCost:   10 * time.Microsecond,
+				// Slow enough that a 64-message batch over a lagged link
+				// outlasts several of the group's persists.
+				CatchupBytesPerSec: 64 << 10,
+				Clock:              clock,
+			})
+			defer c.Close()
+			if err := c.CreateTopic("t", parts); err != nil {
+				t.Fatal(err)
+			}
+			mgr := newVirtualStreamEnv(t, clock, 4)
+			defer mgr.Close()
+			ctx := context.Background()
+
+			var mu sync.Mutex
+			placed := make([]map[int64]uint64, parts) // offset -> seq, per partition
+			for p := range placed {
+				placed[p] = make(map[int64]uint64)
+			}
+			got := make([][]delivery, parts)
+			g, err := StartGroup(ctx, mgr, c, GroupConfig{
+				Name: "g", Topic: "t", Workers: 2, BatchSize: 48,
+				CostPerMessage: 20 * time.Microsecond,
+				Offsets:        c.Offsets(),
+				Handler: func(_ context.Context, _ core.TaskContext, m Message) error {
+					mu.Lock()
+					got[m.Partition] = append(got[m.Partition], delivery{m.Offset, binary.BigEndian.Uint64(m.Value)})
+					mu.Unlock()
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Stop() // before mgr.Close: the workers must exit on every path
+
+			var pubErr error
+			pubDone := vclock.NewEvent(clock)
+			clock.Go(func() {
+				defer pubDone.Fire()
+				for sent := 0; sent < total; {
+					k := min(1+next(48), total-sent)
+					kvs := make([][2][]byte, k)
+					for i := range kvs {
+						kvs[i][1] = binary.BigEndian.AppendUint64(nil, uint64(sent+i))
+					}
+					msgs, err := c.PublishBatch(ctx, "t", kvs)
+					if err != nil {
+						pubErr = err
+						return
+					}
+					mu.Lock()
+					for _, m := range msgs {
+						placed[m.Partition][m.Offset] = binary.BigEndian.Uint64(m.Value)
+					}
+					mu.Unlock()
+					sent += k
+					if !clock.Sleep(ctx, time.Millisecond) {
+						return
+					}
+				}
+			})
+
+			// A leader segment seen holding two different first offsets was
+			// retired by Trim and born again in nextSegment.
+			firstOf := make(map[*segment]int64)
+			sampleLeaders := func() {
+				for p := 0; p < parts; p++ {
+					part := replicaLog(c, "t", p, placementOf(c, "t", p).Leader)
+					c.mu.Lock()
+					for _, seg := range part.segs {
+						if len(seg.msgs) == 0 || seg.owner != nil {
+							continue
+						}
+						if o, ok := firstOf[seg]; ok && o != seg.msgs[0].Offset {
+							leaderRefills++
+						}
+						firstOf[seg] = seg.msgs[0].Offset
+					}
+					c.mu.Unlock()
+				}
+			}
+
+			failed := false
+			for op := 0; !pubDone.Fired(); op++ {
+				replicationFaultStep(t, c, next, shards, parts, rf)
+				if op == 60 && !failed {
+					failed = true
+					lead, err := c.LeaderOf("t", 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := c.FailShard(lead); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if failed {
+					// Keep the recruit's link slow: its batches stay in flight
+					// while the group trims past them.
+					pl := placementOf(c, "t", 0)
+					for _, s := range pl.Syncing {
+						if err := c.SetLinkLag(pl.Leader, s, 8); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				sampleLeaders()
+				checkOffsetsInPlace(t, c, parts)
+				if !clock.Sleep(ctx, 5*time.Millisecond) {
+					t.Fatal("sleep interrupted")
+				}
+			}
+			if pubErr != nil {
+				t.Fatal(pubErr)
+			}
+			healAndDrainReplication(t, c, clock, shards, parts, rf)
+			deadline := clock.Now().Add(5 * time.Minute)
+			for g.Processed() < total {
+				if clock.Now().After(deadline) {
+					t.Fatalf("group stuck at %d/%d processed", g.Processed(), total)
+				}
+				sampleLeaders()
+				checkOffsetsInPlace(t, c, parts)
+				clock.Sleep(ctx, 5*time.Millisecond)
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			for p := range got {
+				if len(got[p]) != len(placed[p]) {
+					t.Fatalf("partition %d: %d deliveries, %d placed", p, len(got[p]), len(placed[p]))
+				}
+				for i, d := range got[p] {
+					if d.offset != int64(i) {
+						t.Fatalf("partition %d: delivery %d carries offset %d (not exactly-once in order)", p, i, d.offset)
+					}
+					if want := placed[p][d.offset]; d.seq != want {
+						t.Fatalf("partition %d offset %d delivered payload %d, producer placed %d", p, d.offset, d.seq, want)
+					}
+				}
+			}
+			checkOffsetsInPlace(t, c, parts)
+			if d := c.CheckReplicaConsistency("t"); len(d) != 0 {
+				t.Fatalf("diverged replicas after drain: %v", d)
+			}
+			if st := c.Stats(); st.Refilled == 0 {
+				t.Fatalf("stats %+v: nothing refilled", st)
+			}
+		})
+	}
+	if !t.Failed() && leaderRefills == 0 {
+		t.Fatal("no leader segment was ever refilled: leased views are not exercised")
+	}
+}
+
+// TestReplicationPinnedBatchSurvivesTrim is the pin's scenario, step by
+// step: a recruit's catch-up batch — the head of the leader's first
+// segment — is in flight over a slow link when the consumer's persist
+// trims that segment away on the leader. The batch lands by alias, the
+// recruit streams on from the new floor, and the leader's next segment is
+// born. The pinned array must not have been refilled under the recruit:
+// had the trim handed it back, that next segment would overwrite what the
+// recruit's alias reads.
+func TestReplicationPinnedBatchSurvivesTrim(t *testing.T) {
+	const segSize = 64
+	clock := vclocktest.Adopted(t)
+	c := NewCluster(ClusterConfig{
+		Shards: 3, Replication: 2, SegmentSize: segSize, HandoffDelay: time.Millisecond,
+		AppendCost: time.Microsecond, FetchLatency: time.Microsecond,
+		CatchupBytesPerSec: 1 << 10, // a 64-message batch of 1-byte payloads is 62.5ms in flight
+		Clock:              clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	publish := func(n int) {
+		t.Helper()
+		for ; n > 0; n -= 8 {
+			if err := c.PublishValues(ctx, "t", [][]byte{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitEnd := func(shard int, end int64) {
+		t.Helper()
+		for deadline := clock.Now().Add(time.Minute); logEnd(c, "t", 0, shard) < end; {
+			if clock.Now().After(deadline) {
+				t.Fatalf("shard %d never reached offset %d", shard, end)
+			}
+			clock.Sleep(ctx, time.Millisecond)
+		}
+	}
+	publish(2 * segSize) // two sealed leader segments, the second born at full size
+	pl := placementOf(c, "t", 0)
+	if err := c.FailShard(pl.Replicas[1]); err != nil {
+		t.Fatal(err)
+	}
+	recruit := placementOf(c, "t", 0).Syncing[0]
+	// The recruit's first batch, [0, 64), is now in flight. Consume it and
+	// persist: the leader trims its first segment under the batch.
+	clock.Sleep(ctx, 10*time.Millisecond)
+	if logEnd(c, "t", 0, recruit) != 0 {
+		t.Fatal("the recruit's first batch landed before the trim")
+	}
+	if err := c.Commit("t", 0, segSize); err != nil {
+		t.Fatal(err)
+	}
+	c.Offsets().Save("g", "t", 0, segSize)
+	if oldest := placementOf(c, "t", 0).Oldest; oldest != segSize {
+		t.Fatalf("leader floor %d after the persist, want %d", oldest, segSize)
+	}
+	aliased := c.Stats().Aliased
+	waitEnd(recruit, segSize)
+	if got := c.Stats().Aliased - aliased; got != segSize {
+		t.Fatalf("the recruit aliased %d of the trimmed segment's messages, want %d", got, segSize)
+	}
+	// The recruit now streams [64, 128) and still holds its alias of
+	// [0, 64): the leader's next append births its third segment.
+	publish(8)
+	checkOffsetsInPlace(t, c, 1)
+	for c.UnderReplicated() != 0 {
+		clock.Sleep(ctx, time.Millisecond)
+	}
+	checkOffsetsInPlace(t, c, 1)
+	if d := c.CheckReplicaConsistency("t"); len(d) != 0 {
+		t.Fatalf("replicas diverged: %v", d)
+	}
+}
+
+// e13Births runs an E13-shaped stream of n messages — eight partitions on
+// four shards at replication 3, four Group workers persisting their
+// cursors to the cluster's store, publishes of one eighth of a segment per
+// partition, an in-flight bound of one segment's bytes, and the shard
+// leading partition 0 lost halfway — at 256-message segments, and returns
+// how many segments were born.
+func e13Births(t *testing.T, n int) uint64 {
+	const segSize, partitions, payload = 256, 8, 64
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	defer clock.Leave()
+	c := NewCluster(ClusterConfig{
+		Shards: 4, Replication: 3, SegmentSize: segSize, HandoffDelay: 100 * time.Millisecond,
+		AppendCost: 20 * time.Microsecond, FetchLatency: time.Millisecond,
+		MaxInflightBytes: segSize * payload, Clock: clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", partitions); err != nil {
+		t.Fatal(err)
+	}
+	mgr := newVirtualStreamEnv(t, clock, 6)
+	defer mgr.Close()
+	ctx := context.Background()
+	g, err := StartGroup(ctx, mgr, c, GroupConfig{
+		Name: "g", Topic: "t", Workers: 4, BatchSize: segSize / 2,
+		CostPerMessage: 100 * time.Microsecond, Offsets: c.Offsets(),
+		Handler: func(context.Context, core.TaskContext, Message) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	value := make([]byte, payload)
+	produce := func(k int) {
+		t.Helper()
+		if _, err := ProduceBatched(ctx, c, "t", k, 0, value, segSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	produce(n / 2)
+	lead, err := c.LeaderOf("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FailShard(lead); err != nil {
+		t.Fatal(err)
+	}
+	produce(n - n/2)
+	if err := g.WaitProcessed(ctx, int64(n)); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats().Born
+}
+
+// TestReplicationBirthsFlatInMessageCount pins what recycling leader
+// segments buys: in an E13-shaped run a segment is born per log, not per
+// segment's worth of messages, so four times the messages cost no more
+// births. When every leader segment a group fetched died by GC, births
+// grew with the message count: one per 256 messages per partition.
+func TestReplicationBirthsFlatInMessageCount(t *testing.T) {
+	const n = 8 * 256 * 8 // eight segments per partition
+	small, big := e13Births(t, n), e13Births(t, 4*n)
+	t.Logf("segments born: %d for %d messages, %d for %d", small, n, big, 4*n)
+	if big > small+small/4 {
+		t.Fatalf("segments born grew from %d to %d with 4× the messages", small, big)
 	}
 }
 

@@ -94,13 +94,15 @@ func (r *replica) trim(below, segSize int64) {
 // plays both roles over its life. The op byte's bits above the low three
 // drive the second log, a follower of the first: a catch-up round (the
 // cluster's runner, by alias where the batch lands on the first log's
-// array; a repair truncation where it holds a suffix the first does not; a
+// array, its batch pinned across the steps between its two sections; a
+// repair truncation where it holds a suffix the first does not; a
 // bootstrap where it fell behind the first's floor), a trim of its own, or
 // an append of its own — the write that must never land in a borrowed
 // array. Every message carries a payload unique to its offset and write,
-// and every view ever returned is kept to the end of the run and re-read
-// after every later step, as is every message of both logs, which is what
-// proves views and aliases survive growth, refill and truncation.
+// and every kept view ever returned is kept to the end of the run and
+// re-read after every later step, as is every message of both logs, which
+// is what proves kept views, aliases and pinned batches survive growth,
+// refill and truncation.
 // Truncations of the first log stay at or above the highest offset ever
 // viewed, which is the cluster's protocol (views only below the
 // acknowledged watermark, truncation only at or above it); the runner's
@@ -115,10 +117,11 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, s
 	l := lead.l
 	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 	var (
-		held   []heldView
-		viewHi int64 // highest offset any view has reached (exclusive)
-		writes int
-		viewed = map[*segment]bool{} // a view of it has left its log
+		held     []heldView
+		viewHi   int64 // highest offset any view has reached (exclusive)
+		writes   int
+		viewed   = map[*segment]bool{} // a kept view of it has left its log
+		inflight runnerBatch           // the catch-up round between its two sections
 	)
 	mint := func(offset int64) Message {
 		writes++
@@ -244,7 +247,7 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, s
 				batch[i] = mint(m.end() + int64(i))
 			}
 			lc := m.committed + arg/9%8
-			if err := l.AppendReplicated(batch, -1, spans, lc); err != nil {
+			if err := l.AppendReplicated(batch, nil, spans, lc); err != nil {
 				return refills, growths, st, err
 			}
 			m.msgs = append(m.msgs, batch...)
@@ -256,7 +259,7 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, s
 			}
 			off := m.first + arg%int64(len(m.msgs))
 			seg := l.segs[(off-l.first)/segSize]
-			v := l.View(off, int(1+arg/32))
+			v := l.View(off, int(1+arg/32), false)
 			if len(v) == 0 || !seg.viewed {
 				return refills, growths, st, fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
 			}
@@ -320,7 +323,7 @@ func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, s
 		if err := check(lead, step, name); err != nil {
 			return refills, growths, st, err
 		}
-		if name, err = driveFollower(script[2*step]/8%4, arg, lead, fol, viewed, spans, mint, name); err != nil {
+		if name, err = driveFollower(script[2*step]/8%4, arg, lead, fol, &inflight, spans, mint, name); err != nil {
 			return refills, growths, st, fmt.Errorf("step %d: %w", step, err)
 		}
 		for _, r := range []*replica{fol, lead} {
@@ -353,15 +356,40 @@ func firstDiff(fm, lm *logModel) (d, hi int64) {
 	return d, hi
 }
 
+// runnerBatch is a catch-up round's batch between the runner's two
+// sections: the leader's view, the root it pinned, and what it read.
+type runnerBatch struct {
+	msgs []Message
+	src  *segment
+	want []Message
+}
+
 // driveFollower takes the follower's move of one driver step — act 1 a
 // catch-up round against lead, 2 a trim, 3 an append of its own, 0
-// nothing — and returns the step's name with the move's appended.
-func driveFollower(act byte, arg int64, lead, fol *replica, viewed map[*segment]bool, spans []plan.EpochSpan,
+// nothing — and returns the step's name with the move's appended. A
+// catch-up round takes two acts, as the runner's two sections straddle
+// its pacing sleep: the first views and pins a batch, and any step may
+// trim, truncate or refill the leader before the second appends it
+// (discarded as torn if the follower's end moved) and unpins it.
+func driveFollower(act byte, arg int64, lead, fol *replica, b *runnerBatch, spans []plan.EpochSpan,
 	mint func(int64) Message, name string) (string, error) {
 	l, f, lm, fm := lead.l, fol.l, &lead.m, &fol.m
 	segSize := int64(l.segSize)
 	switch act {
 	case 1:
+		if held := *b; held.src != nil {
+			*b = runnerBatch{}
+			defer held.src.release()
+			if held.want[0].Offset != fm.end() {
+				return name + "+follower torn batch", nil
+			}
+			if err := f.AppendReplicated(held.msgs, held.src, spans, lm.committed); err != nil {
+				return name, err
+			}
+			fm.msgs = append(fm.msgs, held.want...)
+			fm.committed = max(fm.committed, min(lm.committed, fm.end()))
+			return name + "+follower catch-up", nil
+		}
 		d, _ := firstDiff(fm, lm)
 		switch {
 		case fm.first > lm.end() || fm.end() < lm.first:
@@ -375,14 +403,10 @@ func driveFollower(act byte, arg int64, lead, fol *replica, viewed map[*segment]
 			return name + "+follower TruncateTo", nil
 		case fm.end() < lm.end():
 			at := fm.end()
-			viewed[l.segs[(at-l.first)/segSize]] = true
-			batch, lo := l.view(at, int(1+arg%(2*segSize)))
-			if err := f.AppendReplicated(batch, lo, spans, lm.committed); err != nil {
-				return name, err
-			}
-			fm.msgs = append(fm.msgs, lm.msgs[at-lm.first:at-lm.first+int64(len(batch))]...)
-			fm.committed = max(fm.committed, min(lm.committed, fm.end()))
-			return name + "+follower catch-up", nil
+			b.msgs, b.src = l.view(at, int(1+arg%(2*segSize)))
+			b.src.refs++
+			b.want = append([]Message(nil), lm.msgs[at-lm.first:at-lm.first+int64(len(b.msgs))]...)
+			return name + "+follower batch", nil
 		}
 	case 2:
 		below := fm.first + arg%(int64(len(fm.msgs))+2*segSize)
@@ -607,9 +631,9 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			for i := range batch {
 				batch[i] = Message{Topic: "t", Value: payload, Published: vclock.Epoch}
 			}
-			lo := -1
+			var src *segment // the runner's view of a leader array heads batch
 			if mode == "alias" {
-				lo = 0
+				src = &segment{msgs: batch}
 			}
 			spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 			var ms runtime.MemStats
@@ -620,11 +644,11 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				end := int64(i+1) * segSize
 				batch[0].Offset = end - segSize // the previous segment was trimmed: nothing aliases it
-				if err := l.AppendReplicated(batch, lo, spans, end); err != nil {
+				if err := l.AppendReplicated(batch, src, spans, end); err != nil {
 					b.Fatal(err)
 				}
 				if mode == "cold" {
-					l.View(end-segSize, 1)
+					l.View(end-segSize, 1, false)
 				}
 				l.Trim(end)
 			}
@@ -664,7 +688,7 @@ func BenchmarkLogAppendHot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.Append("t", 0, nil, payload, vclock.Epoch)
 		if end := int64(i + 1); end%segSize == 0 {
-			l.View(end-segSize, 1)
+			l.View(end-segSize, 1, false)
 			l.Commit(end)
 			l.Trim(end)
 		}
