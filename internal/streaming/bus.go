@@ -29,7 +29,10 @@ import (
 // broker's log segments, and Key/Value alias the byte slices the producer
 // published: neither consumers nor producers may mutate them after the
 // publish call returns (the zero-copy aliasing contract, DESIGN.md
-// "Streaming data plane").
+// "Streaming data plane"). A view is kept — valid forever — unless its
+// caller drives retention: a Group persisting to the cluster's
+// OffsetStore is served leased views, valid until its saved cursors let
+// retention trim past them, and hands its handler each Message by value.
 type Message struct {
 	Topic     string
 	Partition int
@@ -92,7 +95,9 @@ type Bus interface {
 	// so callers rotate a cursor for deterministic fairness across their
 	// partitions. The returned index points into parts; the batch is a
 	// read-only view into the log (see Message) and may be shorter than
-	// max at a segment boundary.
+	// max at a segment boundary. It stays valid forever (kept), except on
+	// a Group's run context: there it is leased, valid until retention
+	// trims past it, which the group's own saved cursors hold off.
 	//
 	// Combining the poll and the park in one call is what eliminates the
 	// fetch-then-wait double charge: a message that arrives while the

@@ -84,14 +84,6 @@ type segment struct {
 	retired                *Log
 }
 
-// root returns the segment that owns seg's array.
-func (seg *segment) root() *segment {
-	if seg.owner != nil {
-		return seg.owner
-	}
-	return seg
-}
-
 // release lets go of one alias or pin on a root's array.
 func (seg *segment) release() {
 	seg.refs--
@@ -306,8 +298,11 @@ func (l *Log) view(offset int64, max int) ([]Message, *segment) {
 	rel := offset - l.first
 	seg := l.segs[rel/int64(l.segSize)]
 	seg.viewed = true
-	lo := int(rel % int64(l.segSize))
-	return seg.msgs[lo:min(len(seg.msgs), lo+max)], seg.root()
+	lo, src := int(rel%int64(l.segSize)), seg
+	if seg.owner != nil {
+		src = seg.owner
+	}
+	return seg.msgs[lo:min(len(seg.msgs), lo+max)], src
 }
 
 // differsAt returns the first offset at which l's message is not at its
