@@ -1340,8 +1340,8 @@ func e13Births(t *testing.T, n int) uint64 {
 // TestReplicationBirthsFlatInMessageCount pins what recycling leader
 // segments buys: in an E13-shaped run a segment is born per log, not per
 // segment's worth of messages, so four times the messages cost no more
-// births. When every leader segment a group fetched died by GC, births
-// grew with the message count: one per 256 messages per partition.
+// births. Were a leader segment a group fetched left to die by GC, births
+// would grow with the message count: one per 256 messages per partition.
 func TestReplicationBirthsFlatInMessageCount(t *testing.T) {
 	const n = 8 * 256 * 8 // eight segments per partition
 	small, big := e13Births(t, n), e13Births(t, 4*n)
