@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -64,12 +65,13 @@ type replica struct {
 	m       logModel
 	sealed  bool                // the log has appended past a full segment or trimmed one
 	live    map[*segment]bool   // in l.segs after the previous step
+	next    map[*segment]bool   // check's scratch for the next live
 	retired map[*segment]bool   // left l.segs, not (yet) refilled
 	births  map[*segment]*birth // this life of each segment in l.segs
 }
 
 func newReplica(segSize int, st *Stats) *replica {
-	return &replica{l: &Log{segSize: segSize, stats: st}, live: map[*segment]bool{},
+	return &replica{l: &Log{segSize: segSize, stats: st}, live: map[*segment]bool{}, next: map[*segment]bool{},
 		retired: map[*segment]bool{}, births: map[*segment]*birth{}}
 }
 
@@ -87,262 +89,305 @@ func (r *replica) trim(below, segSize int64) {
 
 // driveLogAgainstModel interprets script as (op, arg) byte pairs over two
 // bare Logs with segSize-message segments — no broker, no topic map, no
-// clock — and checks both against their models after every step. The
-// first log takes leader appends (Append), copied follower appends
-// (AppendReplicated of a fresh batch), views, commits, commit-mark
-// placements, trims, suffix truncations and resets, in any order: a log
-// plays both roles over its life. The op byte's bits above the low three
-// drive the second log, a follower of the first: a catch-up round (the
-// cluster's runner, by alias where the batch lands on the first log's
-// array, its batch pinned across the steps between its two sections; a
-// repair truncation where it holds a suffix the first does not; a
-// bootstrap where it fell behind the first's floor), a trim of its own, or
-// an append of its own — the write that must never land in a borrowed
-// array. Every message carries a payload unique to its offset and write,
-// and every kept view ever returned is kept to the end of the run and
-// re-read after every later step, as is every message of both logs, which
-// is what proves kept views, aliases and pinned batches survive growth,
-// refill and truncation.
+// clock — and checks both against their models after every step (see
+// logDriver.step for the decoder). Returns how many segments were
+// refilled and how many growth steps were taken (the first log's), and
+// both logs' counters.
+func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, st Stats, err error) {
+	d := newLogDriver(segSize)
+	err = d.run(script)
+	return d.refills, d.growths, d.st, err
+}
+
+// logDriver is driveLogAgainstModel's state between steps: two logs and
+// their models, every kept view ever returned, and the catch-up round in
+// flight. A script's steps are applied one at a time (step), so the
+// enumerator (logenum_test.go) can read the state a step starts from.
+type logDriver struct {
+	segSize   int64
+	lead, fol *replica
+	spans     []plan.EpochSpan
+	held      []heldView
+	viewHi    int64 // highest offset any view has reached (exclusive)
+	writes    int
+	viewed    map[*segment]bool // a kept view of it has left its log
+	inflight  runnerBatch       // the catch-up round between its two sections
+	steps     int
+	flat      []Message // check's scratch
+
+	refills, growths int
+	st               Stats
+}
+
+func newLogDriver(segSize int64) *logDriver {
+	d := &logDriver{segSize: segSize, spans: []plan.EpochSpan{{Start: 0, Epoch: 0}}, viewed: map[*segment]bool{}}
+	d.lead, d.fol = newReplica(int(segSize), &d.st), newReplica(int(segSize), &d.st)
+	return d
+}
+
+// run applies script's (op, arg) pairs in order; a trailing odd byte is
+// ignored.
+func (d *logDriver) run(script []byte) error {
+	for i := 0; i+1 < len(script); i += 2 {
+		if err := d.step(script[i], script[i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mint makes the message written at offset: its payload is unique to the
+// offset and the write.
+func (d *logDriver) mint(offset int64) Message {
+	d.writes++
+	v := strconv.AppendInt(append(make([]byte, 0, 16), 'o'), offset, 10)
+	v = strconv.AppendInt(append(v, ".w"...), int64(d.writes), 10)
+	return Message{Topic: "t", Offset: offset,
+		Value:     append(append(v, '.'), "xxxx"[:offset%5]...),
+		Published: vclock.Epoch.Add(time.Duration(d.writes) * time.Millisecond)}
+}
+
+// check compares one log with its model: coordinates, epoch chain,
+// segment shapes and the capacity rule, every message, and the byte sums.
+func (d *logDriver) check(r *replica, step int, op string) error {
+	l, m, full := r.l, &r.m, int(d.segSize)
+	fail := func(format string, a ...any) error {
+		return fmt.Errorf("step %d (%s): %s", step, op, fmt.Sprintf(format, a...))
+	}
+	first, end, committed, epochs := l.Snapshot(nil)
+	if first != m.first || end != m.end() || committed != m.committed {
+		return fail("Snapshot first/end/committed %d/%d/%d, model %d/%d/%d",
+			first, end, committed, m.first, m.end(), m.committed)
+	}
+	// Every write here is under epoch 0: the chain is one span from the
+	// oldest offset this incarnation of the log ever held, or empty.
+	if len(epochs) > 1 || (len(epochs) == 1 && (epochs[0].Epoch != 0 || epochs[0].Start > first)) ||
+		(len(epochs) == 0 && end > first) {
+		return fail("Snapshot epochs %v over [%d, %d)", epochs, first, end)
+	}
+	flat, now := d.flat[:0], r.next
+	clear(now)
+	for i, seg := range l.segs {
+		if len(seg.cum) != len(seg.msgs) || (i < len(l.segs)-1 && len(seg.msgs) != full) {
+			return fail("segment %d holds %d msgs, %d cum", i, len(seg.msgs), len(seg.cum))
+		}
+		flat = append(flat, seg.msgs...)
+		now[seg] = true
+		if !r.live[seg] { // born in nextSegment during this step
+			if d.viewed[seg] {
+				return fail("nextSegment returned a viewed segment")
+			}
+			if r.retired[seg] {
+				if r == d.lead {
+					d.refills++
+				}
+				delete(r.retired, seg)
+			}
+			// Everything behind the tail is full, so only segs[0] can
+			// have been born before the log's first seal; a segment born
+			// borrowing a leader's array borrows a full-size one.
+			r.births[seg] = &birth{small: !r.sealed && i == 0 && !seg.borrowed}
+		} else if cap(seg.msgs) != r.births[seg].cap && r == d.lead {
+			d.growths++
+		}
+		// The capacity rule: a log pays for what it holds until it seals
+		// a segment, and for whole segments after.
+		b := r.births[seg]
+		b.peak, b.cap = max(b.peak, len(seg.msgs)), cap(seg.msgs)
+		if cap(seg.cum) != b.cap || b.cap > full ||
+			(b.small && b.cap > max(minSegCap, 2*b.peak)) || (!b.small && b.cap != full) {
+			return fail("segment %d (born small: %v) has cap %d/%d, has held %d, segSize %d",
+				i, b.small, b.cap, cap(seg.cum), b.peak, d.segSize)
+		}
+	}
+	r.sealed = r.sealed || len(l.segs) > 1
+	for seg := range r.live {
+		if !now[seg] {
+			r.retired[seg] = true
+		}
+	}
+	r.live, r.next, d.flat = now, r.live, flat
+	if len(flat) != len(m.msgs) {
+		return fail("log holds %d messages, model %d", len(flat), len(m.msgs))
+	}
+	cum := m.base
+	for i := range flat {
+		g, w := flat[i], m.msgs[i]
+		if g.Offset != w.Offset || g.Topic != w.Topic || g.Partition != w.Partition ||
+			!bytes.Equal(g.Value, w.Value) || !g.Published.Equal(w.Published) {
+			return fail("offset %d reads %+v, model %+v", w.Offset, g, w)
+		}
+		if got := l.BytesThrough(w.Offset); got != cum {
+			return fail("BytesThrough(%d) = %d, model %d", w.Offset, got, cum)
+		}
+		cum += int64(len(w.Value))
+	}
+	if got := l.BytesThrough(end); got != cum {
+		return fail("BytesThrough(end) = %d, model %d", got, cum)
+	}
+	if got, want := l.Resident(), payloadBytes(m.msgs); got != want {
+		return fail("resident bytes %d, model %d", got, want)
+	}
+	if got, want := l.Inflight(), payloadBytes(m.msgs[m.committed-m.first:]); got != want {
+		return fail("in-flight bytes %d, model %d", got, want)
+	}
+	return nil
+}
+
+// checkHeld re-reads every kept view the driver holds.
+func (d *logDriver) checkHeld(step int, op string) error {
+	for _, h := range d.held {
+		if len(h.got) != len(h.want) {
+			return fmt.Errorf("step %d (%s): held view at %d changed length %d -> %d", step, op, h.want[0].offset, len(h.want), len(h.got))
+		}
+		for i, w := range h.want {
+			if g := h.got[i]; g.Offset != w.offset || string(g.Value) != w.value || !g.Published.Equal(w.published) {
+				return fmt.Errorf("step %d (%s): held view of offset %d now reads (%d, %q, %v), was (%d, %q, %v)",
+					step, op, w.offset, g.Offset, g.Value, g.Published, w.offset, w.value, w.published)
+			}
+		}
+	}
+	return nil
+}
+
+// step applies one (op, arg) pair. The first log takes leader appends
+// (Append), copied follower appends (AppendReplicated of a fresh batch),
+// views, commits, commit-mark placements, trims, suffix truncations and
+// resets, in any order: a log plays both roles over its life. The op
+// byte's bits above the low three drive the second log, a follower of the
+// first: a catch-up round (the cluster's runner, by alias where the batch
+// lands on the first log's array, its batch pinned across the steps
+// between its two sections; a repair truncation where it holds a suffix
+// the first does not; a bootstrap where it fell behind the first's
+// floor), a trim of its own, or an append of its own — the write that
+// must never land in a borrowed array. Every message carries a payload
+// unique to its offset and write, and every kept view ever returned is
+// kept to the end of the run and re-read after every later step, as is
+// every message of both logs, which is what proves kept views, aliases and
+// pinned batches survive growth, refill and truncation.
 // Truncations of the first log stay at or above the highest offset ever
 // viewed, which is the cluster's protocol (views only below the
 // acknowledged watermark, truncation only at or above it); the runner's
 // batches are not so bounded. At 4-message segments scripts seal, trim and
 // refill constantly and never grow (the floor is above segSize); at 64 the
-// first segment of every log grows 16 → 32 → 64. Returns how many segments
-// were refilled and how many growth steps were taken (the first log's),
-// and both logs' counters.
-func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, st Stats, err error) {
-	full := int(segSize) // a sealed segment's length, and a hot one's capacity
-	lead, fol := newReplica(full, &st), newReplica(full, &st)
-	l := lead.l
-	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
-	var (
-		held     []heldView
-		viewHi   int64 // highest offset any view has reached (exclusive)
-		writes   int
-		viewed   = map[*segment]bool{} // a kept view of it has left its log
-		inflight runnerBatch           // the catch-up round between its two sections
-	)
-	mint := func(offset int64) Message {
-		writes++
-		return Message{Topic: "t", Offset: offset,
-			Value:     []byte(fmt.Sprintf("o%d.w%d.%s", offset, writes, "xxxx"[:offset%5])),
-			Published: vclock.Epoch.Add(time.Duration(writes) * time.Millisecond)}
-	}
-	check := func(r *replica, step int, op string) error {
-		l, m := r.l, &r.m
-		fail := func(format string, a ...any) error {
-			return fmt.Errorf("step %d (%s): %s", step, op, fmt.Sprintf(format, a...))
+// first segment of every log grows 16 → 32 → 64.
+func (d *logDriver) step(opByte, argByte byte) error {
+	step := d.steps
+	d.steps++
+	op, arg, segSize := opByte%8, int64(argByte), d.segSize
+	l, m := d.lead.l, &d.lead.m
+	name := ""
+	switch op {
+	case 0, 1:
+		name = "Append"
+		for n := 1 + arg%6; n > 0; n-- {
+			msg := d.mint(m.end())
+			l.Append("t", 0, nil, msg.Value, msg.Published)
+			m.msgs = append(m.msgs, msg)
 		}
-		first, end, committed, epochs := l.Snapshot(nil)
-		if first != m.first || end != m.end() || committed != m.committed {
-			return fail("Snapshot first/end/committed %d/%d/%d, model %d/%d/%d",
-				first, end, committed, m.first, m.end(), m.committed)
+	case 2, 3:
+		name = "AppendReplicated"
+		batch := make([]Message, 1+arg%9) // up to three segments in one call
+		for i := range batch {
+			batch[i] = d.mint(m.end() + int64(i))
 		}
-		// Every write here is under epoch 0: the chain is one span from the
-		// oldest offset this incarnation of the log ever held, or empty.
-		if len(epochs) > 1 || (len(epochs) == 1 && (epochs[0].Epoch != 0 || epochs[0].Start > first)) ||
-			(len(epochs) == 0 && end > first) {
-			return fail("Snapshot epochs %v over [%d, %d)", epochs, first, end)
+		lc := m.committed + arg/9%8
+		if err := l.AppendReplicated(batch, nil, d.spans, lc); err != nil {
+			return err
 		}
-		var flat []Message
-		now := map[*segment]bool{}
-		for i, seg := range l.segs {
-			if len(seg.cum) != len(seg.msgs) || (i < len(l.segs)-1 && len(seg.msgs) != full) {
-				return fail("segment %d holds %d msgs, %d cum", i, len(seg.msgs), len(seg.cum))
-			}
-			flat = append(flat, seg.msgs...)
-			now[seg] = true
-			if !r.live[seg] { // born in nextSegment during this step
-				if viewed[seg] {
-					return fail("nextSegment returned a viewed segment")
-				}
-				if r.retired[seg] {
-					if r == lead {
-						refills++
-					}
-					delete(r.retired, seg)
-				}
-				// Everything behind the tail is full, so only segs[0] can
-				// have been born before the log's first seal; a segment born
-				// borrowing a leader's array borrows a full-size one.
-				r.births[seg] = &birth{small: !r.sealed && i == 0 && !seg.borrowed}
-			} else if cap(seg.msgs) != r.births[seg].cap && r == lead {
-				growths++
-			}
-			// The capacity rule: a log pays for what it holds until it seals
-			// a segment, and for whole segments after.
-			b := r.births[seg]
-			b.peak, b.cap = max(b.peak, len(seg.msgs)), cap(seg.msgs)
-			if cap(seg.cum) != b.cap || b.cap > full ||
-				(b.small && b.cap > max(minSegCap, 2*b.peak)) || (!b.small && b.cap != full) {
-				return fail("segment %d (born small: %v) has cap %d/%d, has held %d, segSize %d",
-					i, b.small, b.cap, cap(seg.cum), b.peak, segSize)
-			}
+		m.msgs = append(m.msgs, batch...)
+		m.committed = max(m.committed, min(lc, m.end()))
+	case 4:
+		name = "View"
+		if len(m.msgs) == 0 {
+			break
 		}
-		r.sealed = r.sealed || len(l.segs) > 1
-		for seg := range r.live {
-			if !now[seg] {
-				r.retired[seg] = true
-			}
+		off := m.first + arg%int64(len(m.msgs))
+		seg := l.segs[(off-l.first)/segSize]
+		v := l.View(off, int(1+arg/32), false)
+		if len(v) == 0 || !seg.viewed {
+			return fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
 		}
-		r.live = now
-		if len(flat) != len(m.msgs) {
-			return fail("log holds %d messages, model %d", len(flat), len(m.msgs))
+		d.viewed[seg] = true
+		h := heldView{got: v}
+		for i := range v {
+			if w := m.msgs[off-m.first+int64(i)]; v[i].Offset != w.Offset || !bytes.Equal(v[i].Value, w.Value) {
+				return fmt.Errorf("step %d: View(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
+			}
+			h.want = append(h.want, wantMsg{v[i].Offset, string(v[i].Value), v[i].Published})
 		}
-		cum := m.base
-		for i := range flat {
-			g, w := flat[i], m.msgs[i]
-			if g.Offset != w.Offset || g.Topic != w.Topic || g.Partition != w.Partition ||
-				!bytes.Equal(g.Value, w.Value) || !g.Published.Equal(w.Published) {
-				return fail("offset %d reads %+v, model %+v", w.Offset, g, w)
-			}
-			if got := l.BytesThrough(w.Offset); got != cum {
-				return fail("BytesThrough(%d) = %d, model %d", w.Offset, got, cum)
-			}
-			cum += int64(len(w.Value))
+		d.held = append(d.held, h)
+		d.viewHi = max(d.viewHi, off+int64(len(v)))
+	case 5:
+		name = "Commit"
+		through := m.committed + arg%(m.end()-m.committed+2) // one past the end: clamped
+		from, to, ok := l.Commit(through)
+		through = min(through, m.end())
+		if from != m.committed || to != through || ok != (through > m.committed) {
+			return fmt.Errorf("step %d: Commit(%d) = %d, %d, %v with mark %d, end %d",
+				step, through, from, to, ok, m.committed, m.end())
 		}
-		if got := l.BytesThrough(end); got != cum {
-			return fail("BytesThrough(end) = %d, model %d", got, cum)
+		m.committed = through
+	case 6:
+		name = "Trim"
+		below := m.first + arg%(int64(len(m.msgs))+2*segSize)
+		got := l.Trim(below)
+		d.lead.trim(below, segSize)
+		if got != m.first {
+			return fmt.Errorf("step %d: Trim returned floor %d, model %d", step, got, m.first)
 		}
-		if got, want := l.Resident(), payloadBytes(m.msgs); got != want {
-			return fail("resident bytes %d, model %d", got, want)
-		}
-		if got, want := l.Inflight(), payloadBytes(m.msgs[m.committed-m.first:]); got != want {
-			return fail("in-flight bytes %d, model %d", got, want)
-		}
-		return nil
-	}
-	checkHeld := func(step int, op string) error {
-		for _, h := range held {
-			if len(h.got) != len(h.want) {
-				return fmt.Errorf("step %d (%s): held view at %d changed length %d -> %d", step, op, h.want[0].offset, len(h.want), len(h.got))
-			}
-			for i, w := range h.want {
-				if g := h.got[i]; g.Offset != w.offset || string(g.Value) != w.value || !g.Published.Equal(w.published) {
-					return fmt.Errorf("step %d (%s): held view of offset %d now reads (%d, %q, %v), was (%d, %q, %v)",
-						step, op, w.offset, g.Offset, g.Value, g.Published, w.offset, w.value, w.published)
-				}
-			}
-		}
-		return nil
-	}
-
-	for step := 0; 2*step+1 < len(script); step++ {
-		op, arg := script[2*step]%8, int64(script[2*step+1])
-		m := &lead.m
-		name := ""
-		switch op {
-		case 0, 1:
-			name = "Append"
-			for n := 1 + arg%6; n > 0; n-- {
-				msg := mint(m.end())
-				l.Append("t", 0, nil, msg.Value, msg.Published)
-				m.msgs = append(m.msgs, msg)
-			}
-		case 2, 3:
-			name = "AppendReplicated"
-			batch := make([]Message, 1+arg%9) // up to three segments in one call
-			for i := range batch {
-				batch[i] = mint(m.end() + int64(i))
-			}
-			lc := m.committed + arg/9%8
-			if err := l.AppendReplicated(batch, nil, spans, lc); err != nil {
-				return refills, growths, st, err
-			}
-			m.msgs = append(m.msgs, batch...)
-			m.committed = max(m.committed, min(lc, m.end()))
-		case 4:
-			name = "View"
-			if len(m.msgs) == 0 {
+	case 7:
+		switch arg % 4 {
+		case 0:
+			name = "ResetTo"
+			*m = logModel{first: m.end() + arg/4%7}
+			m.committed = m.first
+			l.ResetTo(m.first)
+		case 1:
+			// Either direction, and past both ends: the mark clamps to the
+			// retained range.
+			name = "SetCommitted"
+			mark := m.first - 2 + arg/4%(int64(len(m.msgs))+5)
+			l.SetCommitted(mark)
+			m.committed = min(max(mark, m.first), m.end())
+		default:
+			name = "TruncateTo"
+			lo := max(d.viewHi, m.first)
+			if lo >= m.end() {
 				break
 			}
-			off := m.first + arg%int64(len(m.msgs))
-			seg := l.segs[(off-l.first)/segSize]
-			v := l.View(off, int(1+arg/32), false)
-			if len(v) == 0 || !seg.viewed {
-				return refills, growths, st, fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
-			}
-			viewed[seg] = true
-			h := heldView{got: v}
-			for i := range v {
-				if w := m.msgs[off-m.first+int64(i)]; v[i].Offset != w.Offset || !bytes.Equal(v[i].Value, w.Value) {
-					return refills, growths, st, fmt.Errorf("step %d: View(%d)[%d] reads %+v, model %+v", step, off, i, v[i], w)
-				}
-				h.want = append(h.want, wantMsg{v[i].Offset, string(v[i].Value), v[i].Published})
-			}
-			held = append(held, h)
-			viewHi = max(viewHi, off+int64(len(v)))
-		case 5:
-			name = "Commit"
-			through := m.committed + arg%(m.end()-m.committed+2) // one past the end: clamped
-			from, to, ok := l.Commit(through)
-			through = min(through, m.end())
-			if from != m.committed || to != through || ok != (through > m.committed) {
-				return refills, growths, st, fmt.Errorf("step %d: Commit(%d) = %d, %d, %v with mark %d, end %d",
-					step, through, from, to, ok, m.committed, m.end())
-			}
-			m.committed = through
-		case 6:
-			name = "Trim"
-			below := m.first + arg%(int64(len(m.msgs))+2*segSize)
-			got := l.Trim(below)
-			lead.trim(below, segSize)
-			if got != m.first {
-				return refills, growths, st, fmt.Errorf("step %d: Trim returned floor %d, model %d", step, got, m.first)
-			}
-		case 7:
-			switch arg % 4 {
-			case 0:
-				name = "ResetTo"
-				*m = logModel{first: m.end() + arg/4%7}
-				m.committed = m.first
-				l.ResetTo(m.first)
-			case 1:
-				// Either direction, and past both ends: the mark clamps to the
-				// retained range.
-				name = "SetCommitted"
-				mark := m.first - 2 + arg/4%(int64(len(m.msgs))+5)
-				l.SetCommitted(mark)
-				m.committed = min(max(mark, m.first), m.end())
-			default:
-				name = "TruncateTo"
-				lo := max(viewHi, m.first)
-				if lo >= m.end() {
-					break
-				}
-				to := lo + arg%(m.end()-lo)
-				l.TruncateTo(to)
-				m.msgs = m.msgs[:to-m.first]
-				m.committed = min(m.committed, to)
-			}
-		}
-		// The leader is checked before the follower's move (a catch-up round
-		// views a segment the step may have just born) and again after it
-		// (a follower write must not have reached the leader's arrays).
-		if err := check(lead, step, name); err != nil {
-			return refills, growths, st, err
-		}
-		if name, err = driveFollower(script[2*step]/8%4, arg, lead, fol, &inflight, spans, mint, name); err != nil {
-			return refills, growths, st, fmt.Errorf("step %d: %w", step, err)
-		}
-		for _, r := range []*replica{fol, lead} {
-			if err := check(r, step, name); err != nil {
-				return refills, growths, st, err
-			}
-		}
-		if err := checkHeld(step, name); err != nil {
-			return refills, growths, st, err
-		}
-		// The replica oracle reads what the models say: the first offset
-		// both logs hold where the follower's message is not the leader's.
-		d, hi := firstDiff(&fol.m, &lead.m)
-		if got, ok := fol.l.differsAt(lead.l); ok != (d < hi) || (ok && got != d) {
-			return refills, growths, st, fmt.Errorf("step %d (%s): differsAt = %d, %v; models first differ at %d of [.., %d)",
-				step, name, got, ok, d, hi)
+			to := lo + arg%(m.end()-lo)
+			l.TruncateTo(to)
+			m.msgs = m.msgs[:to-m.first]
+			m.committed = min(m.committed, to)
 		}
 	}
-	return refills, growths, st, nil
+	// The leader is checked before the follower's move (a catch-up round
+	// views a segment the step may have just born) and again after it
+	// (a follower write must not have reached the leader's arrays).
+	if err := d.check(d.lead, step, name); err != nil {
+		return err
+	}
+	name, err := d.follow(opByte/8%4, arg, name)
+	if err != nil {
+		return fmt.Errorf("step %d: %w", step, err)
+	}
+	for _, r := range []*replica{d.fol, d.lead} {
+		if err := d.check(r, step, name); err != nil {
+			return err
+		}
+	}
+	if err := d.checkHeld(step, name); err != nil {
+		return err
+	}
+	// The replica oracle reads what the models say: the first offset
+	// both logs hold where the follower's message is not the leader's.
+	fd, hi := firstDiff(&d.fol.m, &d.lead.m)
+	if got, ok := d.fol.l.differsAt(d.lead.l); ok != (fd < hi) || (ok && got != fd) {
+		return fmt.Errorf("step %d (%s): differsAt = %d, %v; models first differ at %d of [.., %d)",
+			step, name, got, ok, fd, hi)
+	}
+	return nil
 }
 
 // firstDiff returns the first offset both models hold at which the
@@ -364,17 +409,16 @@ type runnerBatch struct {
 	want []Message
 }
 
-// driveFollower takes the follower's move of one driver step — act 1 a
-// catch-up round against lead, 2 a trim, 3 an append of its own, 0
-// nothing — and returns the step's name with the move's appended. A
-// catch-up round takes two acts, as the runner's two sections straddle
-// its pacing sleep: the first views and pins a batch, and any step may
-// trim, truncate or refill the leader before the second appends it
-// (discarded as torn if the follower's end moved) and unpins it.
-func driveFollower(act byte, arg int64, lead, fol *replica, b *runnerBatch, spans []plan.EpochSpan,
-	mint func(int64) Message, name string) (string, error) {
-	l, f, lm, fm := lead.l, fol.l, &lead.m, &fol.m
-	segSize := int64(l.segSize)
+// follow takes the follower's move of one step — act 1 a catch-up round
+// against the leader, 2 a trim, 3 an append of its own, 0 nothing — and
+// returns the step's name with the move's appended. A catch-up round
+// takes two acts, as the runner's two sections straddle its pacing sleep:
+// the first views and pins a batch, and any step may trim, truncate or
+// refill the leader before the second appends it (discarded as torn if the
+// follower's end moved) and unpins it.
+func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
+	l, f, lm, fm, b := d.lead.l, d.fol.l, &d.lead.m, &d.fol.m, &d.inflight
+	segSize := d.segSize
 	switch act {
 	case 1:
 		if held := *b; held.src != nil {
@@ -383,23 +427,23 @@ func driveFollower(act byte, arg int64, lead, fol *replica, b *runnerBatch, span
 			if held.want[0].Offset != fm.end() {
 				return name + "+follower torn batch", nil
 			}
-			if err := f.AppendReplicated(held.msgs, held.src, spans, lm.committed); err != nil {
+			if err := f.AppendReplicated(held.msgs, held.src, d.spans, lm.committed); err != nil {
 				return name, err
 			}
 			fm.msgs = append(fm.msgs, held.want...)
 			fm.committed = max(fm.committed, min(lm.committed, fm.end()))
 			return name + "+follower catch-up", nil
 		}
-		d, _ := firstDiff(fm, lm)
+		fd, _ := firstDiff(fm, lm)
 		switch {
 		case fm.first > lm.end() || fm.end() < lm.first:
 			*fm = logModel{first: lm.first, committed: lm.first}
 			f.ResetTo(lm.first)
 			return name + "+follower ResetTo", nil
-		case fm.end() > d:
-			f.TruncateTo(d)
-			fm.msgs = fm.msgs[:d-fm.first]
-			fm.committed = min(fm.committed, d)
+		case fm.end() > fd:
+			f.TruncateTo(fd)
+			fm.msgs = fm.msgs[:fd-fm.first]
+			fm.committed = min(fm.committed, fd)
 			return name + "+follower TruncateTo", nil
 		case fm.end() < lm.end():
 			at := fm.end()
@@ -411,12 +455,12 @@ func driveFollower(act byte, arg int64, lead, fol *replica, b *runnerBatch, span
 	case 2:
 		below := fm.first + arg%(int64(len(fm.msgs))+2*segSize)
 		got := f.Trim(below)
-		if fol.trim(below, segSize); got != fm.first {
+		if d.fol.trim(below, segSize); got != fm.first {
 			return name, fmt.Errorf("follower Trim returned floor %d, model %d", got, fm.first)
 		}
 		return name + "+follower Trim", nil
 	case 3:
-		msg := mint(fm.end())
+		msg := d.mint(fm.end())
 		f.Append("t", 0, nil, msg.Value, msg.Published)
 		fm.msgs = append(fm.msgs, msg)
 		return name + "+follower Append", nil
