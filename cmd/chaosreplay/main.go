@@ -119,8 +119,8 @@ func main() {
 	fmt.Printf("state hash %016x, schedule: %d decisions, hash %016x (replay verified)\n",
 		r.StateHash, r.Schedule.Decisions, r.Schedule.Hash)
 	st := r.Replication
-	fmt.Printf("replication: %d appended, %d aliased, %d copied, %d segments born, %d refilled, %d copied on write, %d rounds, %d acked advances\n",
-		st.Appends, st.Aliased, st.Copied, st.Born, st.Refilled, st.CopyOnWrite, st.Rounds, st.AckedAdvances)
+	fmt.Printf("replication: %d appended, %d aliased, %d copied, %d segments born, %d refilled, %d copied on write, %d views copied across links, %d rounds, %d acked advances\n",
+		st.Appends, st.Aliased, st.Copied, st.Born, st.Refilled, st.CopyOnWrite, st.Spanned, st.Rounds, st.AckedAdvances)
 	if *verbose {
 		for _, a := range r.Injected {
 			fmt.Printf("  %s\n", a.Note)

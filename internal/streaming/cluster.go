@@ -174,11 +174,10 @@ type ClusterConfig struct {
 	// poll returns and however long it parks). Default 1ms.
 	FetchLatency time.Duration
 	// SegmentSize is the number of messages per log segment (default
-	// 4096): the unit of offset→segment arithmetic, of a fetched view's
-	// upper bound and of retention trimming. It is not a memory commitment
-	// — a partition that has never filled a segment holds an array sized
-	// to its contents (see Log). Fetched views are stable because a
-	// published slot is never rewritten while a view can reach it.
+	// 4096): the unit of offset arithmetic, of a fetched view's upper bound
+	// and of retention trimming. It is not a memory commitment — a log that
+	// has never trimmed holds its first segment in a chain of arrays sized
+	// to its contents (see Log.nextCap).
 	SegmentSize int
 	// MaxInflightBytes bounds, per partition, the bytes published but not
 	// yet committed (see Commit). When the bound is hit, publishes to that
@@ -212,9 +211,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 2
 	}
-	if cfg.Replication > cfg.Shards {
-		cfg.Replication = cfg.Shards
-	}
+	cfg.Replication = min(cfg.Replication, cfg.Shards)
 	if cfg.HandoffDelay <= 0 {
 		cfg.HandoffDelay = 500 * time.Millisecond
 	}
@@ -308,6 +305,7 @@ type Stats struct {
 	Born          uint64 // segments allocated (an aliasing one allocates only cum)
 	Refilled      uint64 // segments reborn from a spare
 	CopyOnWrite   uint64 // borrowed tails copied before a write
+	Spanned       uint64 // views served as a copy: they crossed links of a cold chain
 	Rounds        uint64 // catch-up batches applied
 	AckedAdvances uint64 // acknowledged-watermark advances
 }
@@ -425,11 +423,7 @@ func (c *Cluster) LeaderOf(topic string, partition int) (int, error) {
 func (c *Cluster) UnderReplicated() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	want := c.cfg.Replication
-	if live := len(c.liveLocked()); want > live {
-		want = live
-	}
-	n := 0
+	want, n := min(c.cfg.Replication, len(c.liveLocked())), 0
 	for _, t := range c.order {
 		for _, p := range t.parts {
 			if len(p.Members) < want || len(p.Syncing) > 0 || p.Lag(p.end) > 0 {
@@ -636,10 +630,8 @@ func (c *Cluster) FailShard(id int) error {
 		sort.SliceStable(fenced, func(a, b int) bool { return fenced[a].at.Before(fenced[b].at) })
 		c.clock.Go(func() {
 			for _, f := range fenced {
-				if d := f.at.Sub(c.clock.Now()); d > 0 {
-					if !c.clock.Sleep(c.runCtx, d) {
-						return
-					}
+				if d := f.at.Sub(c.clock.Now()); d > 0 && !c.clock.Sleep(c.runCtx, d) {
+					return
 				}
 				c.mu.Lock()
 				if f.p.Epoch == f.epoch {
@@ -658,22 +650,14 @@ func (c *Cluster) FailShard(id int) error {
 // reach a full follower stop advancing their watermark and publishes
 // park in the acknowledgement wait until HealLink. Fetches of already
 // acknowledged data are unaffected.
-func (c *Cluster) SeverLink(a, b int) error { return c.setLink(a, b, true) }
+func (c *Cluster) SeverLink(a, b int) error {
+	return c.setLink(a, b, func() { c.severed[a][b], c.severed[b][a] = true, true })
+}
 
 // HealLink restores the replication link between shards a and b; frozen
 // catch-up streams resume and the backlog drains at the link's pace.
-func (c *Cluster) HealLink(a, b int) error { return c.setLink(a, b, false) }
-
-func (c *Cluster) setLink(a, b int, sever bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if a < 0 || a >= len(c.up) || b < 0 || b >= len(c.up) || a == b {
-		return fmt.Errorf("streaming: cluster %q has no shard link %d<->%d", c.cfg.Name, a, b)
-	}
-	c.severed[a][b] = sever
-	c.severed[b][a] = sever
-	fireList(&c.ctrl)
-	return nil
+func (c *Cluster) HealLink(a, b int) error {
+	return c.setLink(a, b, func() { c.severed[a][b], c.severed[b][a] = false, false })
 }
 
 // SetLinkLag multiplies the catch-up pacing of the replication link
@@ -681,19 +665,21 @@ func (c *Cluster) setLink(a, b int, sever bool) error {
 // 1 (or 0) restores nominal pace; a NaN or infinite factor is refused. The
 // chaos replica-lag fault drives this to stretch follower lag windows.
 func (c *Cluster) SetLinkLag(a, b int, factor float64) error {
+	if math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return fmt.Errorf("streaming: link %d<->%d lag factor %v is not finite", a, b, factor)
+	}
+	return c.setLink(a, b, func() { c.lagFac[a][b], c.lagFac[b][a] = max(factor, 1), max(factor, 1) })
+}
+
+// setLink applies set to the link a<->b under the lock and wakes the
+// control plane.
+func (c *Cluster) setLink(a, b int, set func()) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if a < 0 || a >= len(c.up) || b < 0 || b >= len(c.up) || a == b {
 		return fmt.Errorf("streaming: cluster %q has no shard link %d<->%d", c.cfg.Name, a, b)
 	}
-	if math.IsNaN(factor) || math.IsInf(factor, 0) {
-		return fmt.Errorf("streaming: link %d<->%d lag factor %v is not finite", a, b, factor)
-	}
-	if factor < 1 {
-		factor = 1
-	}
-	c.lagFac[a][b] = factor
-	c.lagFac[b][a] = factor
+	set()
 	fireList(&c.ctrl)
 	return nil
 }
@@ -756,7 +742,8 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 	// chains are a handful of spans, so after the first rounds these never
 	// allocate.
 	var ls, fs plan.LogState
-	var ws waitSlot // the runner's one wait object, re-armed per park
+	var ws waitSlot    // the runner's one wait object, re-armed per park
+	var batch []pinned // the round's parts, reused
 	for {
 		// First section: resolve the slot, snapshot both copies and decide the
 		// round (plan.Replicas.Round) — park, repair, bootstrap, promote, or
@@ -811,14 +798,13 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			}
 			continue
 		}
-		// plan.Stream: a zero-copy one-segment view from the follower's end
-		// (which the follower may alias), plus its payload total read off the
-		// leader's cum (what the link is paced by). The view is pinned until
-		// the second section: a trim while it is in flight must not refill
-		// its array.
-		msgs, src := lp.view(at, replBatchMax)
-		src.refs++
-		bytes := lp.BytesThrough(at+int64(len(msgs))) - lp.BytesThrough(at)
+		// plan.Stream: a zero-copy one-segment batch from the follower's end,
+		// one pinned view per array it spans (which the follower may alias,
+		// and a trim in flight must not refill), and its payload total read
+		// off the leader's cum (what the link is paced by).
+		var n int
+		batch, n = lp.pin(at, replBatchMax, batch[:0])
+		bytes := lp.BytesThrough(at+int64(n)) - lp.BytesThrough(at)
 		c.mu.Unlock()
 
 		// Pace the batch over the link in virtual time, saturating: a lag
@@ -837,23 +823,24 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		// stream means the leader appended under one epoch throughout, and
 		// spans only ever grow at or above the batch's end. No OnCommit for
 		// the lazily advanced mark: the commit was observed, exactly once, on
-		// the leader. The batch is unpinned on every exit, after any alias of
-		// it is in place.
+		// the leader. landRound unpins the batch on every exit, after any
+		// alias of it is in place.
 		c.mu.Lock()
-		if !slept || c.closed {
-			src.release()
-			c.mu.Unlock()
-			return
-		}
-		if p.Epoch == epoch && p.Members[0] == leader &&
+		live := slept && !c.closed
+		var to *Log // nil: the round is torn
+		if live && p.Epoch == epoch && p.Members[0] == leader &&
 			1+slot < len(p.Members) && p.Members[1+slot] == follower &&
-			!c.severed[leader][follower] && !p.frozen[slot] &&
-			p.logs[follower].AppendReplicated(msgs, src, ls.Spans, lCommitted) == nil {
+			!c.severed[leader][follower] && !p.frozen[slot] {
+			to = &p.logs[follower].Log
+		}
+		if landRound(to, batch, ls.Spans, lCommitted) {
 			c.stats.Rounds++
 			c.recomputeAckedLocked(t, p)
 		}
-		src.release()
 		c.mu.Unlock()
+		if !live {
+			return
+		}
 	}
 }
 

@@ -318,11 +318,8 @@ func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *
 		// since, ours or not. Drop the surviving prefix and re-append the rest.
 		skip := p.Kept(r.epoch, r.s, r.e)
 		c.mu.Unlock()
-		if skip > 0 {
-			r.idxs = r.idxs[skip:]
-			if r.res != nil {
-				r.res = r.res[skip:]
-			}
+		if r.idxs = r.idxs[skip:]; r.res != nil {
+			r.res = r.res[skip:]
 		}
 		if len(r.idxs) == 0 {
 			return nil // the whole sub-batch survived

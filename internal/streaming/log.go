@@ -3,78 +3,66 @@ package streaming
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"gopilot/internal/plan"
 )
 
-// Log is one partition's segmented append-only log, and everything that
-// is the log: the segments and the spare, the retained range, the epoch
-// chain, the byte sums and the commit mark. It has no clock and takes no
-// lock — the caller holds the lock that guards it (Cluster.mu, which guards
-// every copy of every log) across every call — so a leader's append path, a
-// follower's replicated append and the handoff's truncate are the same few
-// methods on the same type, and the proof obligation behind zero-copy fetch
-// and replication by reference (DESIGN.md "The Log") sits beside one type:
-// a slot that has left the lock — in a kept view, an alias, a pinned
-// runner batch, or a leased view until Trim passes it — is never
-// rewritten, because a log writes only into arrays it owns. Growth (tail)
-// writes only to a new array; aliasing (AppendReplicated) extends a
-// borrowed slice of the leader's array only by reslice, and tail copies a
-// borrowed tail before writing; refill (Trim) takes only a root array no
-// kept view, alias or pin reaches, never a borrowed one; truncation
-// (TruncateTo) into a viewed segment marks it borrowed.
+// Log is one partition's segmented append-only log: the segments and the
+// spare, the retained range, the epoch chain, the byte sums and the commit
+// mark. It has no clock and takes no lock — the caller holds Cluster.mu,
+// which guards every copy of every log, across every call — so a leader's
+// append, a follower's replicated append and a handoff's truncate are the
+// same few methods, and the proof obligation behind zero-copy fetch and
+// replication by reference (DESIGN.md "The Log") sits beside one type: a
+// slot that has left the lock — in a kept view, an alias, a pinned runner
+// batch, or a leased view until Trim passes it — is never rewritten,
+// because a log writes only into arrays it owns and never replaces one by
+// a larger copy. Aliasing extends a borrowed array only by reslice, and
+// tail copies a borrowed tail before writing; refill (Trim) takes only a
+// root no kept view, alias or pin reaches; truncation into a viewed
+// segment marks it borrowed.
 type Log struct {
 	segSize int
 	segs    []*segment
-	spare   *segment // at most one trimmed segment awaiting refill (see Trim)
-	// hot: the log has sealed a segment, so every later one is born at full
-	// segSize; until then the tail segment is born small and grows (see tail).
-	hot bool
+	spare   *segment // at most one trimmed full-size root awaiting refill (see Trim)
+	hot     bool     // the log has trimmed (ResetTo keeps it): no chain (nextCap)
 
 	// first is the oldest retained offset, end the next one to be written.
-	// Trim discards whole sealed segments, so segs[0] begins at first and
-	// the segment holding offset o is segs[(o-first)/segSize]; ResetTo may
-	// place first anywhere, indexing is relative to it.
+	// Segment boundaries, views and trims are segSize arithmetic from first
+	// (ResetTo may place it anywhere); index maps an offset to its array.
 	first, end int64
-	// committed: offsets below it are consumer-acknowledged. The bytes in
+	// committed: offsets below it are consumer-acknowledged; the bytes in
 	// [committed, end) are the in-flight account backpressure bounds.
 	committed int64
-	// totalBytes is the cumulative payload ever appended (it feeds
-	// segment.cum); trimmedCum is the part of it below first, so
-	// BytesThrough stays a two-lookup subtraction across trims.
+	// totalBytes is the cumulative payload ever appended (feeding cum);
+	// trimmedCum is its part below first.
 	totalBytes, trimmedCum int64
 
 	// Epoch is the leadership epoch stamped onto Appends; the Cluster sets
-	// it on the promoted leader at every handoff (a log that never changes
-	// leader stays at 0), which is what makes divergence detectable: a
-	// deposed leader's locally-acked suffix carries the old epoch. epochs
-	// is the compact span chain of the log: epochs[i] says offsets from
-	// epochs[i].Start up to the next span's Start were appended under that
-	// epoch. One entry per leadership change, retained across trims
-	// (divergence detection needs history below the current end).
+	// it on the promoted leader at every handoff, so a deposed leader's
+	// locally-acked suffix carries the old epoch. epochs is the span chain:
+	// epochs[i] covers offsets from its Start to the next span's, one entry
+	// per leadership change, kept across trims (divergence needs history).
 	Epoch  int
 	epochs []plan.EpochSpan
 
 	stats *Stats // the owning cluster's counters, bumped under its lock
 }
 
-// segment is a run of at most segSize messages of the log. Appends write
-// only past len(msgs), and a full backing array is replaced by a larger
-// copy, never extended in place (tail), so published entries are never
-// rewritten: a sub-slice handed to a consumer remains valid and immutable
-// while the writer keeps appending behind it, in the same array or the
-// next. cum[i] is the log-cumulative payload byte total through msgs[i]
-// (inclusive), which makes the bytes of any committed offset range a
-// two-lookup subtraction instead of a per-message walk. viewed records
-// that a slice of msgs has left the lock (set by view), kept that a kept
-// view reached the array: a kept array dies by GC, any other may be
-// refilled once Trim passes it and no alias or pin reaches it (DESIGN.md
-// "Segment lifecycle"). borrowed: msgs's array is not this log's to write
-// (another log's, aliased, or viewed and truncated into); cum is always
-// owned. An alias's owner is the root segment that owns its array; a
-// root's refs counts its aliases and pins, and retired is the log whose
-// spare a trimmed root joins when the last of them goes.
+// segment is one array of the log: a whole segment, or a link of a cold
+// log's chained first segment (nextCap). Appends write only past
+// len(msgs), so a sub-slice handed out stays valid and immutable while the
+// writer appends behind it. cum[i] is the log-cumulative payload byte
+// total through msgs[i], so the bytes of any offset range are two lookups.
+// viewed: a slice of msgs has left the lock (View, pin); kept: a kept view
+// reached the array, which then dies by GC — any other may be refilled
+// once Trim passes it and no alias or pin reaches it (DESIGN.md "Segment
+// lifecycle"). borrowed: msgs's array is not this log's to write (aliased,
+// or viewed and truncated into); cum is always owned. An alias's owner is
+// the root segment that owns its array; a root's refs counts its aliases
+// and pins, and retired is the log whose spare it joins when they go.
 type segment struct {
 	msgs                   []Message
 	cum                    []int64
@@ -98,23 +86,53 @@ func (seg *segment) recycle() {
 	}
 }
 
-// minSegCap is the smallest capacity a segment is born with.
+// root is the segment that owns seg's array: its owner if it is an alias.
+func (seg *segment) root() *segment {
+	if seg.owner != nil {
+		return seg.owner
+	}
+	return seg
+}
+
+// minSegCap is the capacity of a cold chain's first link.
 const minSegCap = 16
 
-// nextSegment is where every segment of the log is born: it appends an
-// empty tail segment — the spare Trim handed back if there is one, a
-// fresh allocation otherwise — and returns it. A hot log's segments are
-// born at full segSize; a log that has never sealed one pays for what the
-// append creating the segment holds (want messages, floor minSegCap). A
-// non-nil alias is the full-size leader array, owned by src, that the
-// segment borrows.
-func (l *Log) nextSegment(want int, src *segment, alias []Message) *segment {
-	seg := l.spare
-	if seg == nil {
-		size := l.segSize
-		if !l.hot {
-			size = min(size, max(minSegCap, want))
-		}
+// nextCap is the capacity of the array born at the log's end. A log that
+// has never trimmed stores its first segment as a chain of links of
+// capacity min(remaining, minSegCap·2^k), 16, 32, 16 at segSize 64: it
+// pays for what it holds and never copies to grow. Any other segment is
+// one array of segSize.
+func (l *Log) nextCap() int {
+	if rel := int(l.end - l.first); rel < l.segSize && (l.chained() || len(l.segs) == 0 && !l.hot) {
+		return min(l.segSize-rel, rel+minSegCap)
+	}
+	return l.segSize
+}
+
+// chained reports whether segs begins with a chain: only links are small.
+func (l *Log) chained() bool { return len(l.segs) > 0 && cap(l.segs[0].cum) < l.segSize }
+
+// index returns where offset o sits, segs[i].msgs[j] (or would, past the
+// end): link k of a chain starts at minSegCap·(2^k-1).
+func (l *Log) index(o int64) (i, j int) {
+	rel := int(o - l.first)
+	switch {
+	case !l.chained():
+		return rel / l.segSize, rel % l.segSize
+	case rel >= l.segSize:
+		return bits.Len(uint((l.segSize-1)/minSegCap+1)) - 1 + rel/l.segSize, rel % l.segSize
+	}
+	i = bits.Len(uint(rel/minSegCap+1)) - 1
+	return i, rel - minSegCap*(1<<i-1)
+}
+
+// nextSegment is where every array of the log is born: it appends an
+// empty tail segment of nextCap — the spare if that is segSize, else a
+// fresh one — and returns it. A non-nil alias is the leader array of that
+// capacity, owned by src, that the segment borrows.
+func (l *Log) nextSegment(src *segment, alias []Message) *segment {
+	size, seg := l.nextCap(), l.spare
+	if seg == nil || size != l.segSize {
 		seg = &segment{cum: make([]int64, 0, size)}
 		l.stats.Born++
 	} else {
@@ -134,46 +152,34 @@ func (l *Log) nextSegment(want int, src *segment, alias []Message) *segment {
 	return seg
 }
 
-// tail returns the tail segment with at least one free slot, for an append
-// of want messages — the one step Append and AppendReplicated both take
-// before writing. A tail that is missing or sealed (segSize messages: the
-// log is hot from here on) means the next segment is born. A tail born
-// small whose array is full grows ×2 (at least to fit want), and a
-// borrowed tail is copied at its cum's capacity (copy on write), both by
-// allocate-and-copy of the published prefix: nothing is ever written to
-// the old array again, so views and aliases of it stay valid and
-// immutable until the collector takes it.
-func (l *Log) tail(want int) *segment {
+// tail returns the tail segment with a free slot, the step Append and a
+// copied AppendReplicated take before writing; a missing or full tail
+// means the next array is born. A borrowed tail is first copied to an owned
+// array of the same capacity (copy on write), the log's only copy: the old
+// array is never written again.
+func (l *Log) tail() *segment {
 	if n := len(l.segs); n > 0 {
 		seg := l.segs[n-1]
-		used := len(seg.msgs)
-		if used < cap(seg.msgs) && !seg.borrowed {
-			return seg
-		}
-		if used < l.segSize {
-			size := max(cap(seg.cum), min(l.segSize, max(2*used, used+want)))
-			seg.msgs = append(make([]Message, 0, size), seg.msgs...)
-			seg.cum = append(make([]int64, 0, size), seg.cum...)
+		if used := len(seg.msgs); used < cap(seg.cum) {
 			if seg.borrowed {
+				seg.msgs = append(make([]Message, 0, cap(seg.cum)), seg.msgs...)
 				l.stats.CopyOnWrite++
 				if seg.owner != nil {
 					seg.owner.release()
 				}
+				seg.borrowed, seg.owner = false, nil
 			}
-			seg.borrowed, seg.owner = false, nil
 			return seg
 		}
-		l.hot = true
 	}
-	return l.nextSegment(want, nil, nil)
+	return l.nextSegment(nil, nil)
 }
 
-// Append claims the next tail slot and builds the message directly in it
-// — no intermediate Message values, so the hot publish loop copies each
-// field exactly once — under the log's current Epoch. The returned pointer
-// is only valid until the caller releases the lock.
+// Append builds the next message directly in the tail slot — each field
+// copied exactly once — under the log's current Epoch. The returned
+// pointer is only valid until the caller releases the lock.
 func (l *Log) Append(topic string, pi int, key, value []byte, published time.Time) *Message {
-	seg := l.tail(1)
+	seg := l.tail()
 	seg.msgs = seg.msgs[:len(seg.msgs)+1]
 	m := &seg.msgs[len(seg.msgs)-1]
 	m.Topic = topic
@@ -193,13 +199,11 @@ func (l *Log) Append(topic string, pi int, key, value []byte, published time.Tim
 
 // AppendReplicated appends a leader-streamed batch verbatim: offsets,
 // payloads, Published stamps and the epoch chain (spans, restricted to the
-// appended range) all come from the leader. The batch must be contiguous
-// with the end — the catch-up runner re-validates membership and epoch
-// after its pacing sleep and discards torn batches, so a gap here is a
-// protocol bug, not a runtime condition. The commit mark advances lazily
-// toward the leader's, never past the log's own end. A non-nil src says
-// msgs is the runner's view (Log.view) of the array src owns: a batch that
-// borrow can alias is stored by reference, anything else is copied.
+// appended range) come from the leader. The batch must start at end: the
+// runner discards torn batches, so a gap is a protocol bug. The commit mark
+// advances lazily toward the leader's. A non-nil src says msgs is a part of
+// the runner's batch (pin) in the array src owns: a part borrow can alias
+// is stored by reference, anything else is copied.
 func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochSpan, leaderCommitted int64) error {
 	if len(msgs) == 0 {
 		return nil
@@ -217,7 +221,7 @@ func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochS
 		if seg != nil {
 			l.stats.Aliased += uint64(n)
 		} else {
-			seg = l.tail(n)
+			seg = l.tail()
 			n = copy(seg.msgs[len(seg.msgs):cap(seg.msgs)], rest)
 			l.stats.Copied += uint64(n)
 		}
@@ -227,19 +231,11 @@ func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochS
 			l.totalBytes += int64(len(rest[i].Key) + len(rest[i].Value))
 			cum[i] = l.totalBytes
 		}
-		rest = rest[n:]
+		rest, l.end = rest[n:], l.end+int64(n) // the next array's capacity reads end
 	}
-	l.end += int64(len(msgs))
-	e := l.end
-	for i, sp := range spans {
-		spEnd := e
-		if i+1 < len(spans) {
-			spEnd = spans[i+1].Start
-		}
-		if spEnd <= s || sp.Start >= e {
-			continue
-		}
-		if n := len(l.epochs); n == 0 || l.epochs[n-1].Epoch != sp.Epoch {
+	for i, sp := range spans { // the spans overlapping [s, end)
+		if n := len(l.epochs); sp.Start < l.end && (i+1 == len(spans) || spans[i+1].Start > s) &&
+			(n == 0 || l.epochs[n-1].Epoch != sp.Epoch) {
 			l.epochs = append(l.epochs, plan.EpochSpan{Start: max(sp.Start, s), Epoch: sp.Epoch})
 		}
 	}
@@ -249,65 +245,97 @@ func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochS
 	return nil
 }
 
-// borrow returns the segment a replicated batch extends by reslice: the
-// borrowed tail ending where msgs starts in the same array, or, at a
-// segment boundary, a new segment borrowing the full-size array msgs heads
-// (a view's capacity runs to its array's end, so cap(msgs) == segSize says
-// it starts the array).
+// borrow returns the segment a replicated part extends by reslice: the
+// borrowed tail ending where msgs starts in the same array, or, past a
+// full tail, a new segment borrowing the leader array msgs heads if it has
+// the capacity the next array would be born with — cold links included.
 func (l *Log) borrow(msgs []Message, src *segment) *segment {
 	if n := len(l.segs); src != nil && n > 0 {
-		seg := l.segs[n-1]
-		if k := len(seg.msgs); seg.borrowed && k < cap(seg.msgs) && &seg.msgs[:k+1][k] == &msgs[0] {
-			return seg
-		} else if k < l.segSize {
+		if seg, k := l.segs[n-1], len(l.segs[n-1].msgs); k < cap(seg.cum) {
+			if seg.borrowed && &seg.msgs[:k+1][k] == &msgs[0] {
+				return seg
+			}
 			return nil
 		}
-		l.hot = true // as in tail: the log has sealed a segment
 	}
-	if src == nil || cap(msgs) != l.segSize {
+	if src == nil || cap(msgs) != l.nextCap() || &msgs[0] != &src.msgs[:1][0] {
 		return nil
 	}
-	return l.nextSegment(l.segSize, src, msgs[:0])
+	return l.nextSegment(src, msgs[:0])
 }
 
-// View returns up to max messages starting at offset as a read-only
-// sub-slice of one segment (callers may see fewer than max at a segment
-// boundary and loop); nil when offset is outside the retained range. Its
-// capacity is its length. The view stays valid after the caller releases
-// the lock because published slots are never rewritten while a view can
-// reach them (growth copies to a new array and leaves this one alone). A
-// kept view (leased false) stays valid forever: it marks the array kept, so
-// Trim never hands it back for refill. A leased view stays valid until Trim
-// passes it, and leaves the array refillable after that: only a caller
-// whose progress sets the trim floor may ask for one.
+// span is how many messages a view of up to max at offset holds: to its
+// segment's end (segSize arithmetic, whatever the arrays), end, or max.
+func (l *Log) span(offset int64, max int) int {
+	return int(min(int64(max), l.end-offset, int64(l.segSize)-(offset-l.first)%int64(l.segSize)))
+}
+
+// View returns up to max messages at offset, read-only, within one
+// segment (callers may see fewer than max at a boundary and loop); nil
+// outside the retained range. Its capacity is its length, and it stays
+// valid after the lock is released: a kept view (leased false) forever —
+// it marks the array kept, never refilled — and a leased one until Trim
+// passes it, which only a caller whose progress sets the trim floor may
+// ask for. A view crossing links of a chain is a copy (Stats.Spanned).
 func (l *Log) View(offset int64, max int, leased bool) []Message {
-	v, src := l.view(offset, max)
-	if src != nil && !leased {
-		src.kept = true
-	}
-	return v[:len(v):len(v)]
-}
-
-// view is View keeping its array's capacity, with the root segment that
-// owns the array (nil: none): the catch-up runner's batch, which a
-// follower may alias and which the runner pins (refs) while it holds it.
-func (l *Log) view(offset int64, max int) ([]Message, *segment) {
 	if offset >= l.end || offset < l.first {
-		return nil, nil
+		return nil
 	}
-	rel := offset - l.first
-	seg := l.segs[rel/int64(l.segSize)]
+	n := l.span(offset, max)
+	i, j := l.index(offset)
+	seg := l.segs[i]
+	if len(seg.msgs)-j < n {
+		l.stats.Spanned++
+		out := make([]Message, n)
+		for k := range out {
+			out[k] = *l.at(offset + int64(k))
+		}
+		return out
+	}
 	seg.viewed = true
-	lo, src := int(rel%int64(l.segSize)), seg
-	if seg.owner != nil {
-		src = seg.owner
+	if !leased {
+		seg.root().kept = true
 	}
-	return seg.msgs[lo:min(len(seg.msgs), lo+max)], src
+	return seg.msgs[j : j+n : j+n]
 }
 
-// differsAt returns the first offset at which l's message is not at its
-// offset or not leader's (Offset, Key, Value, Published; a slot both reach
-// is skipped): the replica-consistency oracle. It views nothing.
+// pinned is a part of a catch-up batch: a view of one array, keeping the
+// array's capacity so a follower may alias it, and the root owning the
+// array, pinned (refs) so Trim cannot refill it while the runner holds it.
+type pinned struct {
+	msgs []Message
+	src  *segment
+}
+
+// pin appends the runner's batch of up to max messages at offset (span,
+// as View) to b, one pinned part per array it spans, and returns b and the
+// batch's length.
+func (l *Log) pin(offset int64, max int, b []pinned) ([]pinned, int) {
+	n := l.span(offset, max)
+	for o, end := offset, offset+int64(n); o < end; o += int64(len(b[len(b)-1].msgs)) {
+		i, j := l.index(o)
+		seg := l.segs[i]
+		seg.viewed = true
+		b = append(b, pinned{seg.msgs[j:min(len(seg.msgs), j+int(end-o))], seg.root()})
+		b[len(b)-1].src.refs++
+	}
+	return b, n
+}
+
+// landRound ends a catch-up round: each part is appended to f in order —
+// none if f is nil (a torn round) or an append failed — and unpinned after
+// any alias of it is in place. Reports whether the whole batch landed.
+func landRound(f *Log, batch []pinned, spans []plan.EpochSpan, leaderCommitted int64) bool {
+	ok := f != nil
+	for _, part := range batch {
+		ok = ok && f.AppendReplicated(part.msgs, part.src, spans, leaderCommitted) == nil
+		part.src.release()
+	}
+	return ok
+}
+
+// differsAt returns the first offset whose message is not at its offset or
+// not leader's (a slot both reach is skipped): the replica oracle.
 func (l *Log) differsAt(leader *Log) (int64, bool) {
 	for o := l.first; o < l.end; o++ {
 		m, lm := l.at(o), leader.at(o)
@@ -324,35 +352,30 @@ func (l *Log) at(o int64) *Message {
 	if o < l.first || o >= l.end {
 		return nil
 	}
-	rel := o - l.first
-	return &l.segs[rel/int64(l.segSize)].msgs[rel%int64(l.segSize)]
+	i, j := l.index(o)
+	return &l.segs[i].msgs[j]
 }
 
 // BytesThrough returns the cumulative payload bytes of offsets [0, o), o
-// at most end: two segment lookups, independent of how many messages the
-// range spans. For o at or below the retention floor the trimmed prefix's
-// total is the answer (commit marks never sit below the floor — Trim
-// clamps to committed — so no caller asks inside the trimmed range).
+// at most end, in one lookup; at or below the floor, the trimmed total
+// (commit marks never sit below it, so no caller asks inside it).
 func (l *Log) BytesThrough(o int64) int64 {
 	if o <= l.first {
 		return l.trimmedCum
 	}
-	i := o - 1 - l.first
-	return l.segs[i/int64(l.segSize)].cum[i%int64(l.segSize)]
+	i, j := l.index(o - 1)
+	return l.segs[i].cum[j]
 }
 
-// Inflight returns the bytes published but not yet committed — the
-// quantity MaxInflightBytes bounds. Derived, not stored: no append,
-// truncate or reset has an account to keep in step.
+// Inflight returns the bytes published but not yet committed (what
+// MaxInflightBytes bounds), derived so no mutator keeps an account.
 func (l *Log) Inflight() int64 { return l.totalBytes - l.BytesThrough(l.committed) }
 
-// Resident returns the payload bytes the log holds in memory: everything
-// appended minus everything trimmed.
+// Resident returns the payload bytes the log holds: appended minus trimmed.
 func (l *Log) Resident() int64 { return l.totalBytes - l.trimmedCum }
 
 // Commit advances the commit mark to through (exclusive), clamped to the
-// end. Commits are monotone: ok is false, and nothing moves, at or below
-// the current mark.
+// end; at or below the current mark nothing moves and ok is false.
 func (l *Log) Commit(through int64) (from, to int64, ok bool) {
 	through = min(through, l.end)
 	if through <= l.committed {
@@ -362,67 +385,59 @@ func (l *Log) Commit(through int64) (from, to int64, ok bool) {
 	return from, through, true
 }
 
-// SetCommitted places the commit mark at mark, clamped to the retained
-// range, in either direction — replication and the handoff restore path,
-// where the mark follows another log's or the coordinator's.
+// SetCommitted places the commit mark, clamped to the retained range, in
+// either direction: it follows another log's or the coordinator's.
 func (l *Log) SetCommitted(mark int64) {
 	l.committed = min(max(mark, l.first), l.end)
 }
 
 // Trim discards the segments wholly below `below`, clamped to the commit
-// mark so uncommitted data is never trimmed. Only sealed (full) segments
-// go, so the floor stays segment-aligned and the unsealed tail is never
-// touched. Returns the oldest retained offset after the trim.
+// mark so uncommitted data is never trimmed. Only whole segments go (a
+// chain with all its links), so the floor stays segment-aligned and the
+// unsealed tail is never touched. Returns the oldest retained offset.
 func (l *Log) Trim(below int64) int64 {
 	below = min(below, l.committed)
-	segSize := int64(l.segSize)
-	k := 0
-	for k < len(l.segs) && l.first+int64(k+1)*segSize <= below && len(l.segs[k].msgs) == l.segSize {
-		k++
-	}
-	if k == 0 {
+	k := (below - l.first) / int64(l.segSize)
+	if k <= 0 {
 		return l.first
 	}
-	l.hot = true // a sealed segment can leave here before tail ever sees it full
-	l.trimmedCum = l.segs[k-1].cum[segSize-1]
-	// Nil out the dropped heads before reslicing: the backing array
-	// survives in segs, and a live pointer there would pin every trimmed
-	// segment — exactly the memory the trim exists to release. An alias
-	// lets go of its owner's array and keeps its cum; a root is retired,
-	// and becomes the spare for nextSegment once nothing reaches its array.
-	for i, seg := range l.segs[:k] {
+	cut := l.first + k*int64(l.segSize)
+	n, _ := l.index(cut)
+	l.trimmedCum = l.BytesThrough(cut)
+	l.hot = true
+	// Nil out the dropped heads: a live pointer in segs's array would pin
+	// them. An alias lets go of its owner's array and keeps its cum; a
+	// full-size one is retired, the spare once nothing reaches its array.
+	for i, seg := range l.segs[:n] {
 		if seg.owner != nil {
 			seg.owner.release()
 			seg.msgs, seg.owner, seg.borrowed = nil, nil, false
 		}
-		seg.retired = l
-		seg.recycle()
+		if cap(seg.cum) == l.segSize {
+			seg.retired = l
+			seg.recycle()
+		}
 		l.segs[i] = nil
 	}
-	l.segs = l.segs[k:]
-	l.first += int64(k) * segSize
+	l.segs = l.segs[n:]
+	l.first = cut
 	return l.first
 }
 
-// TruncateTo discards the suffix at and above `to` — the repair half of
-// divergence handling (truncate-to-watermark, then re-stream from the
-// leader). Safe for zero-copy consumers and for aliases whatever the
-// protocol: a cut into a viewed segment marks it borrowed, so the dropped
-// slots are never overwritten — the next write copies the kept prefix.
-// The commit mark clamps down with the log; epoch spans starting at or
-// above `to` are dropped.
+// TruncateTo discards the suffix at and above `to`, the repair half of
+// divergence handling. A cut into a viewed segment marks it borrowed, so
+// the dropped slots — which views and aliases may reach — are never
+// overwritten. The commit mark and the epoch spans follow the cut.
 func (l *Log) TruncateTo(to int64) {
 	if to >= l.end {
 		return
 	}
 	to = max(to, l.first)
-	rel := to - l.first
-	idx := int(rel / int64(l.segSize))
-	l.drop(idx + 1)
-	if idx < len(l.segs) {
-		within := int(rel % int64(l.segSize))
-		seg := l.segs[idx]
-		seg.msgs, seg.cum = seg.msgs[:within], seg.cum[:within]
+	i, j := l.index(to)
+	l.drop(i + 1)
+	if i < len(l.segs) {
+		seg := l.segs[i]
+		seg.msgs, seg.cum = seg.msgs[:j], seg.cum[:j]
 		seg.borrowed = seg.borrowed || seg.viewed
 	}
 	l.end = to
@@ -453,10 +468,8 @@ func (l *Log) drop(i int) {
 	l.segs = l.segs[:min(i, len(l.segs))]
 }
 
-// Snapshot reads the log's coordinates at one instant: the retained
-// range, the commit mark, and the epoch chain appended to buf[:0] — a hot
-// caller (the catch-up runners compare chains every round) reuses buf so
-// the copy stops allocating once its capacity settles.
+// Snapshot reads the retained range, the commit mark, and the epoch chain
+// appended to buf[:0], which a hot caller (the runners) reuses.
 func (l *Log) Snapshot(buf []plan.EpochSpan) (first, end, committed int64, epochs []plan.EpochSpan) {
 	return l.first, l.end, l.committed, append(buf[:0], l.epochs...)
 }

@@ -183,13 +183,15 @@ func (d *logDriver) stateKey() string {
 		return segIDs[s]
 	}
 	for _, r := range []*replica{d.lead, d.fol} {
-		fmt.Fprintf(&b, "L%d/%d/%d hot%v spare%d sealed%v[", r.l.first, r.l.end, r.l.committed, r.l.hot, id(r.l.spare), r.sealed)
+		fmt.Fprintf(&b, "L%d/%d/%d hot%v spare%d mh%v mc%v[", r.l.first, r.l.end, r.l.committed, r.l.hot, id(r.l.spare), r.hot, r.chain)
 		for _, s := range r.l.segs {
 			fmt.Fprintf(&b, "%d ", id(s))
 		}
 		b.WriteString("]")
 	}
-	fmt.Fprintf(&b, "B%d", id(d.inflight.src))
+	for _, part := range d.inflight.parts {
+		fmt.Fprintf(&b, "B%d", id(part.src))
+	}
 	// The walk closes over owners; arrays are numbered by head address.
 	arrays := map[*Message]int{}
 	for i := 0; i < len(order); i++ {
@@ -202,16 +204,9 @@ func (d *logDriver) stateKey() string {
 			}
 			arr = arrays[head]
 		}
-		bt := d.lead.births[s]
-		if bt == nil {
-			bt = d.fol.births[s]
-		}
-		if bt == nil {
-			bt = &birth{}
-		}
-		fmt.Fprintf(&b, "|s%d a%d %d/%d/%d v%v k%v b%v o%d r%d t%v dv%v bs%v bp%d",
+		fmt.Fprintf(&b, "|s%d a%d %d/%d/%d v%v k%v b%v o%d r%d t%v dv%v",
 			i, arr, len(s.msgs), cap(s.msgs), cap(s.cum), s.viewed, s.kept, s.borrowed,
-			id(s.owner), s.refs, s.retired == d.lead.l, d.viewed[s], bt.small, bt.peak)
+			id(s.owner), s.refs, s.retired == d.lead.l, d.viewed[s])
 		if s.retired != nil && s.retired != d.lead.l {
 			b.WriteString("tf")
 		}
@@ -244,10 +239,13 @@ func (d *logDriver) stateKey() string {
 	for _, k := range keys {
 		b.WriteString(k)
 	}
-	if bt := d.inflight; bt.src != nil {
+	if bt := d.inflight; bt.parts != nil {
 		cur := bt.want[0].Offset >= d.lead.m.first && bt.want[len(bt.want)-1].Offset < d.lead.m.end() &&
 			string(bt.want[0].Value) == string(d.lead.m.msgs[bt.want[0].Offset-d.lead.m.first].Value)
-		fmt.Fprintf(&b, "|b%d+%d:%s cur%v", bt.want[0].Offset, len(bt.want), where(&bt.msgs[0]), cur)
+		fmt.Fprintf(&b, "|b%d+%d cur%v", bt.want[0].Offset, len(bt.want), cur)
+		for _, part := range bt.parts {
+			fmt.Fprintf(&b, ":%s+%d", where(&part.msgs[0]), len(part.msgs))
+		}
 	}
 	fd, hi := firstDiff(&d.fol.m, &d.lead.m)
 	fmt.Fprintf(&b, "|M%d/%d/%d %d/%d/%d vh%d d%d/%d", d.lead.m.first, d.lead.m.end(), d.lead.m.committed,

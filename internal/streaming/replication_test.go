@@ -189,13 +189,14 @@ func TestReplicaConsistencyComparesMessages(t *testing.T) {
 // run — 3 shards, replication 3, 64-message segments, one partition: 160
 // messages in 8-message publishes, the leader failed, 96 more, each phase
 // consumed and persisted so retention trims behind it — and holds
-// the claim the counters exist to explain: once the log is hot, a
-// follower stores the leader's messages by reference. The leader's first
-// segment is born small and grows, so its followers copy it; from the
-// second segment on every replicated message is aliased. The failure
-// costs at most one more segment per follower: the promoted leader
-// copies its borrowed tail before its first append, and the surviving
-// follower copies the rest of that segment from the new leader's array.
+// the claim the counters exist to explain: a follower stores the leader's
+// messages by reference from the first message on. The leader's first
+// segment is a cold chain of 16-, 32- and 16-slot links, and its
+// followers alias each link as they alias every later segment. The
+// failure costs at most one more segment per follower: the promoted
+// leader copies its borrowed tail before its first append, and the
+// surviving follower copies the rest of that segment from the new
+// leader's array.
 func TestReplicationStatsPinned(t *testing.T) {
 	const segSize = 64
 	clock := vclocktest.Adopted(t)
@@ -248,12 +249,12 @@ func TestReplicationStatsPinned(t *testing.T) {
 	if got := end.Copied - cold.Copied; got > 2*segSize {
 		t.Fatalf("the failure cost %d copied messages, over one segment per follower", got)
 	}
-	// Born: three first segments, then the leader's third and each
-	// follower's two aliasing ones. The leader's second refills its first:
-	// no view kept it and only the runners' pinned batches reached it. After
-	// the failure the two survivors' next segments refill a trimmed
-	// follower segment's spare.
-	want := Stats{Appends: 256, Aliased: 256, Copied: 160, Born: 8, Refilled: 3, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
+	// Born: each log's three links (a follower's allocate only cum), then
+	// each log's second and third segments, then the two survivors' fourth.
+	// Nothing is refilled: a chain's links are never a spare, the
+	// followers' lazily replicated commit marks hold their trims back, and
+	// their aliases pin the leader's trimmed second segment.
+	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 17, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
 	if end != want {
 		t.Fatalf("stats %+v, want %+v", end, want)
 	}

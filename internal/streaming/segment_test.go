@@ -32,12 +32,12 @@ type wantMsg struct {
 	published time.Time
 }
 
-// birth is what the driver tracks about one life of a segment, for the
-// capacity rule.
-type birth struct {
-	small bool // born before the log sealed a segment
-	peak  int  // most messages it has held
-	cap   int  // cap(msgs) after the previous step
+// life is what the driver tracks about one life of a segment in a log:
+// its arrays and whether it was borrowed, after the previous step.
+type life struct {
+	msgs     *Message // head of the msgs array
+	cum      *int64   // head of the cum array
+	borrowed bool
 }
 
 // logModel is the naive reference: the retained log as one plain slice.
@@ -63,16 +63,40 @@ func payloadBytes(msgs []Message) int64 {
 type replica struct {
 	l       *Log
 	m       logModel
-	sealed  bool                // the log has appended past a full segment or trimmed one
-	live    map[*segment]bool   // in l.segs after the previous step
-	next    map[*segment]bool   // check's scratch for the next live
-	retired map[*segment]bool   // left l.segs, not (yet) refilled
-	births  map[*segment]*birth // this life of each segment in l.segs
+	hot     bool               // the model has trimmed a segment (ResetTo keeps it)
+	chain   bool               // the retained first segment is a cold log's chain
+	live    map[*segment]bool  // in l.segs after the previous step
+	next    map[*segment]bool  // check's scratch for the next live
+	retired map[*segment]bool  // left l.segs, not (yet) refilled
+	lives   map[*segment]*life // this life of each segment in l.segs
 }
 
 func newReplica(segSize int, st *Stats) *replica {
-	return &replica{l: &Log{segSize: segSize, stats: st}, live: map[*segment]bool{}, next: map[*segment]bool{},
-		retired: map[*segment]bool{}, births: map[*segment]*birth{}}
+	return &replica{l: &Log{segSize: segSize, stats: st}, chain: true, live: map[*segment]bool{}, next: map[*segment]bool{},
+		retired: map[*segment]bool{}, lives: map[*segment]*life{}}
+}
+
+// reset is ResetTo(first) on the model: a log that has never trimmed
+// chains its first segment again.
+func (r *replica) reset(first int64) {
+	r.m = logModel{first: first, committed: first}
+	r.chain = !r.hot
+	r.l.ResetTo(first)
+}
+
+// wantCap is the capacity rule, from the model's history alone: the
+// links of a cold log's chained first segment are min(remaining,
+// minSegCap·2^k); every other array is segSize.
+func (r *replica) wantCap(i, segSize int) int {
+	if r.chain {
+		for start, k := 0, minSegCap; start < segSize; start, k = start+k, 2*k {
+			if i == 0 {
+				return min(segSize-start, k)
+			}
+			i--
+		}
+	}
+	return segSize
 }
 
 // trim applies Trim(below) to the model: whole sealed segments below the
@@ -83,20 +107,19 @@ func (r *replica) trim(below, segSize int64) {
 		r.m.base += payloadBytes(r.m.msgs[:segSize])
 		r.m.msgs = r.m.msgs[segSize:]
 		r.m.first += segSize
-		r.sealed = true
+		r.hot, r.chain = true, false
 	}
 }
 
 // driveLogAgainstModel interprets script as (op, arg) byte pairs over two
 // bare Logs with segSize-message segments — no broker, no topic map, no
 // clock — and checks both against their models after every step (see
-// logDriver.step for the decoder). Returns how many segments were
-// refilled and how many growth steps were taken (the first log's), and
-// both logs' counters.
-func driveLogAgainstModel(script []byte, segSize int64) (refills, growths int, st Stats, err error) {
+// logDriver.step for the decoder). The driver it returns holds what the
+// run counted: refills and births (the first log's) and both logs'
+// counters.
+func driveLogAgainstModel(script []byte, segSize int64) (*logDriver, error) {
 	d := newLogDriver(segSize)
-	err = d.run(script)
-	return d.refills, d.growths, d.st, err
+	return d, d.run(script)
 }
 
 // logDriver is driveLogAgainstModel's state between steps: two logs and
@@ -115,8 +138,10 @@ type logDriver struct {
 	steps     int
 	flat      []Message // check's scratch
 
-	refills, growths int
-	st               Stats
+	refills    int   // the first log's segments reborn from its spare
+	births     []int // the capacity of each array born into the first log
+	chainAlias int   // follower segments born aliasing a link of the first log's chain
+	st         Stats
 }
 
 func newLogDriver(segSize int64) *logDriver {
@@ -168,11 +193,18 @@ func (d *logDriver) check(r *replica, step int, op string) error {
 	flat, now := d.flat[:0], r.next
 	clear(now)
 	for i, seg := range l.segs {
-		if len(seg.cum) != len(seg.msgs) || (i < len(l.segs)-1 && len(seg.msgs) != full) {
+		if len(seg.cum) != len(seg.msgs) || (i < len(l.segs)-1 && len(seg.msgs) != cap(seg.cum)) {
 			return fail("segment %d holds %d msgs, %d cum", i, len(seg.msgs), len(seg.cum))
 		}
 		flat = append(flat, seg.msgs...)
 		now[seg] = true
+		// The capacity rule, exact: every array has the rule's capacity for
+		// its place, and an alias borrows an array of that capacity.
+		if want := r.wantCap(i, full); cap(seg.cum) != want || cap(seg.msgs) != want {
+			return fail("segment %d has cap %d (cum %d), want %d (chained %v, segSize %d)",
+				i, cap(seg.msgs), cap(seg.cum), want, r.chain, d.segSize)
+		}
+		lf := &life{&seg.msgs[:1][0], &seg.cum[:1][0], seg.borrowed}
 		if !r.live[seg] { // born in nextSegment during this step
 			if d.viewed[seg] {
 				return fail("nextSegment returned a viewed segment")
@@ -183,27 +215,22 @@ func (d *logDriver) check(r *replica, step int, op string) error {
 				}
 				delete(r.retired, seg)
 			}
-			// Everything behind the tail is full, so only segs[0] can
-			// have been born before the log's first seal; a segment born
-			// borrowing a leader's array borrows a full-size one.
-			r.births[seg] = &birth{small: !r.sealed && i == 0 && !seg.borrowed}
-		} else if cap(seg.msgs) != r.births[seg].cap && r == d.lead {
-			d.growths++
+			if r == d.lead {
+				d.births = append(d.births, cap(seg.cum))
+			} else if seg.borrowed && cap(seg.cum) < full {
+				d.chainAlias++
+			}
+		} else if was := r.lives[seg]; lf.cum != was.cum || lf.msgs != was.msgs && !was.borrowed {
+			// No array that held a published slot is replaced, except a
+			// borrowed tail's by its copy on write.
+			return fail("segment %d's array was replaced (borrowed %v)", i, was.borrowed)
 		}
-		// The capacity rule: a log pays for what it holds until it seals
-		// a segment, and for whole segments after.
-		b := r.births[seg]
-		b.peak, b.cap = max(b.peak, len(seg.msgs)), cap(seg.msgs)
-		if cap(seg.cum) != b.cap || b.cap > full ||
-			(b.small && b.cap > max(minSegCap, 2*b.peak)) || (!b.small && b.cap != full) {
-			return fail("segment %d (born small: %v) has cap %d/%d, has held %d, segSize %d",
-				i, b.small, b.cap, cap(seg.cum), b.peak, d.segSize)
-		}
+		r.lives[seg] = lf
 	}
-	r.sealed = r.sealed || len(l.segs) > 1
 	for seg := range r.live {
 		if !now[seg] {
 			r.retired[seg] = true
+			delete(r.lives, seg)
 		}
 	}
 	r.live, r.next, d.flat = now, r.live, flat
@@ -302,13 +329,23 @@ func (d *logDriver) step(opByte, argByte byte) error {
 		if len(m.msgs) == 0 {
 			break
 		}
-		off := m.first + arg%int64(len(m.msgs))
-		seg := l.segs[(off-l.first)/segSize]
-		v := l.View(off, int(1+arg/32), false)
-		if len(v) == 0 || !seg.viewed {
-			return fmt.Errorf("step %d: View(%d) returned %d messages, viewed=%v", step, off, len(v), seg.viewed)
+		// The view's length is segSize arithmetic's whatever the arrays: to
+		// the segment's end, the log's, or the ask. It aliases the one array
+		// holding it, which it marks viewed, or it is a copy when it crosses
+		// links of a chain.
+		off, ask := m.first+arg%int64(len(m.msgs)), 1+arg/32
+		n := min(ask, m.end()-off, segSize-(off-m.first)%segSize)
+		spanned := d.st.Spanned
+		v := l.View(off, int(ask), false)
+		i, j := l.index(off)
+		seg := l.segs[i]
+		if aliased := &v[0] == &seg.msgs[j]; int64(len(v)) != n || aliased != (d.st.Spanned == spanned) ||
+			aliased && !seg.viewed || !aliased && j+int(n) <= len(seg.msgs) {
+			return fmt.Errorf("step %d: View(%d, %d) returned %d messages (want %d), aliased %v, viewed %v",
+				step, off, ask, len(v), n, aliased, seg.viewed)
+		} else if aliased {
+			d.viewed[seg] = true
 		}
-		d.viewed[seg] = true
 		h := heldView{got: v}
 		for i := range v {
 			if w := m.msgs[off-m.first+int64(i)]; v[i].Offset != w.Offset || !bytes.Equal(v[i].Value, w.Value) {
@@ -340,9 +377,7 @@ func (d *logDriver) step(opByte, argByte byte) error {
 		switch arg % 4 {
 		case 0:
 			name = "ResetTo"
-			*m = logModel{first: m.end() + arg/4%7}
-			m.committed = m.first
-			l.ResetTo(m.first)
+			d.lead.reset(m.end() + arg/4%7)
 		case 1:
 			// Either direction, and past both ends: the mark clamps to the
 			// retained range.
@@ -402,11 +437,10 @@ func firstDiff(fm, lm *logModel) (d, hi int64) {
 }
 
 // runnerBatch is a catch-up round's batch between the runner's two
-// sections: the leader's view, the root it pinned, and what it read.
+// sections: the parts the leader pinned, and what they read.
 type runnerBatch struct {
-	msgs []Message
-	src  *segment
-	want []Message
+	parts []pinned
+	want  []Message
 }
 
 // follow takes the follower's move of one step — act 1 a catch-up round
@@ -421,14 +455,16 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 	segSize := d.segSize
 	switch act {
 	case 1:
-		if held := *b; held.src != nil {
+		if held := *b; held.parts != nil {
 			*b = runnerBatch{}
-			defer held.src.release()
+			to := f
 			if held.want[0].Offset != fm.end() {
-				return name + "+follower torn batch", nil
+				to = nil // torn: discarded, and unpinned all the same
 			}
-			if err := f.AppendReplicated(held.msgs, held.src, d.spans, lm.committed); err != nil {
-				return name, err
+			if landRound(to, held.parts, d.spans, lm.committed) != (to != nil) {
+				return name, fmt.Errorf("catch-up batch at %d did not land on follower end %d", held.want[0].Offset, fm.end())
+			} else if to == nil {
+				return name + "+follower torn batch", nil
 			}
 			fm.msgs = append(fm.msgs, held.want...)
 			fm.committed = max(fm.committed, min(lm.committed, fm.end()))
@@ -437,8 +473,7 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 		fd, _ := firstDiff(fm, lm)
 		switch {
 		case fm.first > lm.end() || fm.end() < lm.first:
-			*fm = logModel{first: lm.first, committed: lm.first}
-			f.ResetTo(lm.first)
+			d.fol.reset(lm.first)
 			return name + "+follower ResetTo", nil
 		case fm.end() > fd:
 			f.TruncateTo(fd)
@@ -447,9 +482,9 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 			return name + "+follower TruncateTo", nil
 		case fm.end() < lm.end():
 			at := fm.end()
-			b.msgs, b.src = l.view(at, int(1+arg%(2*segSize)))
-			b.src.refs++
-			b.want = append([]Message(nil), lm.msgs[at-lm.first:at-lm.first+int64(len(b.msgs))]...)
+			var n int
+			b.parts, n = l.pin(at, int(1+arg%(2*segSize)), nil)
+			b.want = append([]Message(nil), lm.msgs[at-lm.first:at-lm.first+int64(n)]...)
 			return name + "+follower batch", nil
 		}
 	case 2:
@@ -478,69 +513,85 @@ func logScript(seed int64, n int) []byte {
 	return out
 }
 
-// growthScript walks one log through the born-small lifecycle at
-// 64-message segments: growth with views held across it, TruncateTo into
-// the grown tail, re-append over the truncated slots, ResetTo, growth
-// again. The committed corpus seed "growth-truncate-reset" is this script.
+// growthScript walks one log through its cold chain at 64-message
+// segments (links of 16, 32 and 16): links born with views held across
+// them, TruncateTo back into the second link, re-append over the
+// truncated slots, ResetTo, the chain born again. The committed corpus
+// seed "growth-truncate-reset" is this script.
 var growthScript = []byte{
-	0, 5, 0, 5, // 12 messages in a 16-slot array
+	0, 5, 0, 5, // 12 messages in the 16-slot first link
 	4, 96, // view [0, 4)
-	0, 5, // 18: grows 16 → 32
+	0, 5, // 18: the 32-slot second link is born
 	4, 45, // view [9, 11)
-	2, 8, 0, 5, // 27, then 33: grows 32 → 64
-	7, 6, // TruncateTo(17), inside the grown tail
+	2, 8, 0, 5, // 27, then 33
+	7, 6, // TruncateTo(17), inside the second link
 	0, 5, // re-append 17..22 over the truncated slots
 	4, 20, // view [20, 21)
-	7, 12, // ResetTo(26)
-	0, 5, 0, 5, 0, 5, // 18 messages: born small again, grows 16 → 32
+	7, 12, // ResetTo(26): never trimmed, so the chain starts again
+	0, 5, 0, 5, 0, 5, // 18 messages: links of 16 and 32
 	4, 0, // view [26, 27)
-	2, 8, 2, 8, // 36: grows 32 → 64
+	2, 8, 2, 8, // 36
 }
 
-// sealTrimScript fills a 64-message segment exactly, has it viewed,
-// committed and trimmed away whole — the log is empty and tail never saw
-// the segment full — and appends: the log sealed a segment, so the next is
-// born at full size. Batch-aligned producers with a prompt consumer do this
-// at every boundary.
+// sealTrimScript fills a 64-message segment exactly — its three links —
+// has it viewed, committed and trimmed away whole — the log is empty —
+// and appends: the log has trimmed a segment, so the next is born at full
+// size. Batch-aligned producers with a prompt consumer do this at every
+// boundary.
 var sealTrimScript = []byte{2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 0, 0, 4, 0, 5, 64, 6, 64, 0, 0}
 
 // TestPartitionLogMatchesModel is the segment-lifecycle property: over
 // randomized operation sequences the log agrees with the slice model after
 // every step, no segment that was ever viewed is born again (pointer
-// identity), every segment obeys the capacity rule, and every view ever
-// handed out reads what it read after every later step.
+// identity), every array has the capacity rule's size for its place and
+// is never replaced but by a copy on write, and every view ever handed
+// out reads what it read after every later step.
 func TestPartitionLogMatchesModel(t *testing.T) {
 	for _, segSize := range []int64{4, 64} {
-		refills, growths := 0, 0
+		refills, links, chainAlias := 0, 0, 0
 		var all Stats
 		for seed := int64(1); seed <= 300; seed++ {
-			r, g, st, err := driveLogAgainstModel(logScript(seed, 400), segSize)
+			d, err := driveLogAgainstModel(logScript(seed, 400), segSize)
 			if err != nil {
 				t.Fatalf("segSize %d seed %d: %v", segSize, seed, err)
 			}
-			refills += r
-			growths += g
-			all.Aliased += st.Aliased
-			all.CopyOnWrite += st.CopyOnWrite
+			refills += d.refills
+			chainAlias += d.chainAlias
+			for _, c := range d.births {
+				if int64(c) < segSize {
+					links++
+				}
+			}
+			all.Aliased += d.st.Aliased
+			all.CopyOnWrite += d.st.CopyOnWrite
+			all.Spanned += d.st.Spanned
 		}
-		t.Logf("segSize %d: %d refills, %d growth steps, %d messages aliased, %d copies on write",
-			segSize, refills, growths, all.Aliased, all.CopyOnWrite)
+		t.Logf("segSize %d: %d refills, %d chain links born, %d aliased by a follower, %d views copied across links, %d messages aliased, %d copies on write",
+			segSize, refills, links, chainAlias, all.Spanned, all.Aliased, all.CopyOnWrite)
 		if refills == 0 {
 			t.Fatalf("segSize %d: no script ever refilled a spare segment: the property is not exercised", segSize)
 		}
-		if (growths > 0) != (segSize > minSegCap) {
-			t.Fatalf("segSize %d: %d growth steps", segSize, growths)
+		if chained := segSize > minSegCap; (links > 0) != chained || chained && (chainAlias == 0 || all.Spanned == 0) {
+			t.Fatalf("segSize %d: %d chain links born, %d aliased, %d views across links: the chain is not exercised as it should be",
+				segSize, links, chainAlias, all.Spanned)
 		}
 		if all.Aliased == 0 || all.CopyOnWrite == 0 {
 			t.Fatalf("segSize %d: %d messages aliased, %d copies on write: the borrowed-array rules are not exercised",
 				segSize, all.Aliased, all.CopyOnWrite)
 		}
 	}
-	if _, g, _, err := driveLogAgainstModel(growthScript, 64); err != nil || g != 4 {
-		t.Fatalf("growth script: %d growth steps (want 4), err %v", g, err)
-	}
-	if _, g, _, err := driveLogAgainstModel(sealTrimScript, 64); err != nil || g != 2 {
-		t.Fatalf("seal-trim script: %d growth steps (want 2: 16 → 32 → 64 before the seal), err %v", g, err)
+	for _, c := range []struct {
+		name   string
+		script []byte
+		births []int
+	}{
+		{"growth", growthScript, []int{16, 32, 16, 32}},
+		{"seal-trim", sealTrimScript, []int{16, 32, 16, 64}},
+	} {
+		d, err := driveLogAgainstModel(c.script, 64)
+		if err != nil || fmt.Sprint(d.births) != fmt.Sprint(c.births) {
+			t.Fatalf("%s script: arrays born %v, want %v; err %v", c.name, d.births, c.births, err)
+		}
 	}
 }
 
@@ -557,7 +608,7 @@ func FuzzPartitionLogMatchesModel(f *testing.F) {
 			script = script[:4096]
 		}
 		for _, segSize := range []int64{4, 64} {
-			if _, _, _, err := driveLogAgainstModel(script, segSize); err != nil {
+			if _, err := driveLogAgainstModel(script, segSize); err != nil {
 				t.Fatalf("segSize %d: %v", segSize, err)
 			}
 		}
@@ -664,8 +715,46 @@ func TestReplicationAllocBudget(t *testing.T) {
 // dies by GC and every append allocates (what every follower append cost
 // before the spare), and "alias" hands the batch over as the runner does
 // on a hot leader — the head of a full-size leader array — so the follower
-// stores it by reference and refills only its cum.
+// stores it by reference and refills only its cum. "alias-cold" is the
+// small end: a fresh follower catches up a cold leader holding 375
+// messages — one chaos-scenario replica's load — in runner rounds (pin,
+// landRound), aliasing each link of the leader's chain, so it allocates
+// its links' cum and segment records and no Message.
 func BenchmarkAppendReplicated(b *testing.B) {
+	defer b.Run("alias-cold", func(b *testing.B) {
+		const held = 375
+		lead := &Log{segSize: 4096, stats: new(Stats)}
+		payload := make([]byte, 64)
+		for j := 0; j < held; j++ {
+			lead.Append("t", 0, nil, payload, vclock.Epoch)
+		}
+		spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
+		var parts []pinned
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f := &Log{segSize: 4096, stats: lead.stats}
+			for at := int64(0); at < held; {
+				var n int
+				parts, n = lead.pin(at, replBatchMax, parts[:0])
+				if !landRound(f, parts, spans, held) {
+					b.Fatal("the batch did not land")
+				}
+				at += int64(n)
+			}
+		}
+		b.StopTimer()
+		if lead.stats.Copied != 0 {
+			b.Fatalf("%d messages copied: the follower did not alias the chain", lead.stats.Copied)
+		}
+		msgs := float64(b.N) * held
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+		b.ReportMetric(float64(ms.TotalAlloc-before)/msgs, "B/msg")
+	})
 	const segSize = 4096
 	for _, mode := range []string{"spare", "cold", "alias"} {
 		b.Run(mode, func(b *testing.B) {
@@ -798,14 +887,15 @@ func TestColdPartitionFootprint(t *testing.T) {
 	}
 }
 
-// TestViewsSurviveGrowthConcurrently is the born-small proof under the race
-// detector: a consumer keeps every view it is handed and re-reads all of
-// them after every fetch while a producer appends one message at a time
-// through the partition's growth steps (16 → 32 → 64 → 128 → 256 slots).
-// The re-read runs in a Compute body — the consumer's goroutine, off the
-// token — and each round's producer is made runnable just before it, so
-// Compute's token release hands the producer the token and its append
-// (slot write, growth copy) executes while the re-read is in flight.
+// TestViewsSurviveGrowthConcurrently is the cold chain's proof under the
+// race detector: a consumer keeps every view it is handed and re-reads all
+// of them after every fetch while a producer appends one message at a time
+// through the partition's links (16, 32, 64 and 128 slots), some views
+// aliasing a link and some copied across two. The re-read runs in a
+// Compute body — the consumer's goroutine, off the token — and each
+// round's producer is made runnable just before it, so Compute's token
+// release hands the producer the token and its append (slot write, link
+// birth) executes while the re-read is in flight.
 func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 	const total = 200
 	clock := vclocktest.Adopted(t)
@@ -856,7 +946,11 @@ func TestViewsSurviveGrowthConcurrently(t *testing.T) {
 	part := replicaLog(b, "t", 0, 0)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if c := cap(part.segs[0].msgs); c != 256 {
-		t.Fatalf("tail holds %d messages in %d slots, want 256: the log did not grow", total, c)
+	var caps []int
+	for _, seg := range part.segs {
+		caps = append(caps, cap(seg.msgs))
+	}
+	if fmt.Sprint(caps) != "[16 32 64 128]" {
+		t.Fatalf("%d messages in arrays of %v slots, want [16 32 64 128]: the log did not chain", total, caps)
 	}
 }
