@@ -386,9 +386,10 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 	return nil
 }
 
-// newLog makes one member's empty copy of a partition log.
+// newLog makes one member's empty copy of a partition log, with room for
+// the first links of a chain.
 func (c *Cluster) newLog() *partition {
-	return &partition{Log: Log{segSize: c.cfg.SegmentSize, stats: &c.stats}}
+	return &partition{Log: Log{segSize: c.cfg.SegmentSize, segs: make([]*segment, 0, 8), stats: &c.stats}}
 }
 
 // fedPartition resolves one partition by name, for the accessors that are

@@ -405,10 +405,11 @@ func (l *Log) Trim(below int64) int64 {
 	n, _ := l.index(cut)
 	l.trimmedCum = l.BytesThrough(cut)
 	l.hot = true
-	// Nil out the dropped heads: a live pointer in segs's array would pin
-	// them. An alias lets go of its owner's array and keeps its cum; a
-	// full-size one is retired, the spare once nothing reaches its array.
-	for i, seg := range l.segs[:n] {
+	// An alias lets go of its owner's array and keeps its cum; a full-size
+	// segment is retired, the spare once nothing reaches its array. The rest
+	// move down in segs's array, which keeps its capacity for the next
+	// births, and the vacated slots are cleared so they pin nothing.
+	for _, seg := range l.segs[:n] {
 		if seg.owner != nil {
 			seg.owner.release()
 			seg.msgs, seg.owner, seg.borrowed = nil, nil, false
@@ -417,10 +418,10 @@ func (l *Log) Trim(below int64) int64 {
 			seg.retired = l
 			seg.recycle()
 		}
-		l.segs[i] = nil
 	}
-	l.segs = l.segs[n:]
-	l.first = cut
+	kept := copy(l.segs, l.segs[n:])
+	clear(l.segs[kept:])
+	l.segs, l.first = l.segs[:kept], cut
 	return l.first
 }
 
@@ -454,7 +455,7 @@ func (l *Log) TruncateTo(to int64) {
 // for a recruit whose log starts behind the leader's retention floor.
 func (l *Log) ResetTo(first int64) {
 	l.drop(0)
-	*l = Log{segSize: l.segSize, spare: l.spare, hot: l.hot, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
+	*l = Log{segSize: l.segSize, segs: l.segs, spare: l.spare, hot: l.hot, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
 }
 
 // drop discards segs[i:], letting go of the arrays its aliases borrow.
