@@ -64,6 +64,7 @@ func TestGroupRebalanceExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Stop() // before mgr.Close: the workers must exit on every path
 	const n = 600
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -170,6 +171,7 @@ func groupJitterRun(t *testing.T, jitterSeed uint64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Stop() // before mgr.Close: the workers must exit on every path
 	const n = 2000
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -365,6 +367,7 @@ func TestGroupWorkerFailureEvictsAndRebalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Stop() // before mgr.Close: the workers must exit on every path
 	ctx := context.Background()
 	publish := func(k int) {
 		values := make([][]byte, k)
@@ -469,6 +472,7 @@ func TestGroupBackToBackRebalanceExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Stop() // before mgr.Close: the workers must exit on every path
 	const batch = 48
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -626,6 +630,7 @@ func TestGroupStaticPoolNeverRebalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Stop() // before mgr.Close: the workers must exit on every path
 	// 400 × 8 bytes against a 64-byte bound per partition: the producer
 	// parks again and again and only the workers' commits let it on.
 	rate, err := Produce(context.Background(), b, "t", n, 0, []byte("12345678"))
@@ -678,6 +683,7 @@ func TestGroupValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer g.Stop() // before mgr.Close: the workers must exit on every path
 	if err := g.RemoveWorker(99); err == nil {
 		t.Error("removing an unknown ordinal succeeded")
 	}

@@ -61,17 +61,24 @@ type argClass struct {
 	args argSet
 }
 
-// boundaryDist is how many messages take a log holding n messages past
-// its first offset to its next boundary: the end of the segment it is
-// filling.
-func boundaryDist(n, segSize int64) int64 { return segSize - n%segSize }
+// boundaryDist is how many messages take the first log to its next
+// boundary: the end of the array its next message lands in, a link of its
+// chain or a whole segment.
+func (d *logDriver) boundaryDist() int64 {
+	n, seg := int64(len(d.lead.m.msgs)), d.segSize
+	for end := int64(minSegCap); d.lead.chain && n < seg; end = 2*end + minSegCap {
+		if n < min(end, seg) {
+			return min(end, seg) - n
+		}
+	}
+	return seg - n%seg
+}
 
 // leaderClasses are the first log's argument classes from d's state (the
 // decoder is logDriver.step).
 func (d *logDriver) leaderClasses() []argClass {
 	m, seg := &d.lead.m, d.segSize
-	n := int64(len(m.msgs))
-	dist := boundaryDist(n, seg)
+	n, dist := int64(len(m.msgs)), d.boundaryDist()
 	var out []argClass
 	add := func(op byte, ok func(arg int64) bool) {
 		if s := argsWhere(ok); s.lowest() >= 0 {
@@ -254,12 +261,22 @@ func (d *logDriver) stateKey() string {
 }
 
 // enumerateLogScripts runs every canonical script of at most depth steps
-// from the empty log at segSize, breadth first, and returns how many
+// after each root script at segSize, breadth first, and returns how many
 // scripts ran and how many distinct states they reached, or the first
 // script that fails (the shortest, as breadth first finds it).
-func enumerateLogScripts(segSize int64, depth int) (scripts, states int, failing []byte, err error) {
-	seen := map[string]bool{newLogDriver(segSize).stateKey(): true}
-	frontier := [][]byte{nil}
+func enumerateLogScripts(segSize int64, depth int, roots ...[]byte) (scripts, states int, failing []byte, err error) {
+	seen := map[string]bool{}
+	var frontier [][]byte
+	for _, root := range roots {
+		d := newLogDriver(segSize)
+		if err := d.run(root); err != nil {
+			return 0, 0, root, err
+		}
+		if key := d.stateKey(); !seen[key] {
+			seen[key] = true
+			frontier = append(frontier, root)
+		}
+	}
 	for k := 0; k < depth && len(frontier) > 0; k++ {
 		var next [][]byte
 		for _, prefix := range frontier {
@@ -288,21 +305,48 @@ func enumerateLogScripts(segSize int64, depth int) (scripts, states int, failing
 	return scripts, len(seen), nil, nil
 }
 
+// warmScript appends n messages to the first log as copied batches of up
+// to nine and then has the follower catch up in one round, pinned and
+// landed by alias: the chained scope's roots.
+func warmScript(n int) []byte {
+	var out []byte
+	for ; n > 0; n -= 9 {
+		out = append(out, 2, byte(min(n, 9)-1))
+	}
+	// Trim below the boundary (a no-op) while the follower pins, then lands,
+	// a batch of up to 64.
+	return append(out, 6|1<<3, 63, 6|1<<3, 63)
+}
+
 // TestPartitionLogExhaustive runs every canonical script of at most K
-// steps at 2- and 4-message segments, where scripts seal, trim, alias and
-// refill within a few steps. Each of the five ownership mutations it was
-// written against (a kept array recycled, a pinned or aliased root
-// refilled, a write into a borrowed tail, a truncation into a viewed
-// segment left writable, a pin released before the alias is in place)
-// fails it at segSize 2 with a script of three or four steps.
+// steps at 2- and 4-message segments from the empty log, where scripts
+// seal, trim, alias and refill within a few steps, and at 64 from logs two
+// short of each boundary of the cold chain (16, 48 and 64: links of 16,
+// 32 and 16), both logs holding the same messages, the follower's by
+// alias. Each of the five ownership mutations it was written against (a
+// kept array recycled, a pinned or aliased root refilled, a write into a
+// borrowed tail, a truncation into a viewed segment left writable, a pin
+// released before the alias is in place) fails it at segSize 2 with a
+// script of three or four steps.
 func TestPartitionLogExhaustive(t *testing.T) {
 	for _, scope := range []struct {
 		segSize int64
 		depth   int
-	}{{2, 4}, {4, 4}} {
+		roots   [][]byte
+	}{
+		{2, 4, [][]byte{nil}},
+		{4, 4, [][]byte{nil}},
+		{64, 2, [][]byte{nil, warmScript(14), warmScript(46), warmScript(62)}},
+	} {
 		t.Run(fmt.Sprintf("segSize=%d", scope.segSize), func(t *testing.T) {
 			t.Parallel()
-			scripts, states, failing, err := enumerateLogScripts(scope.segSize, scope.depth)
+			for _, root := range scope.roots[1:] { // each warm root's follower aliases the whole chain
+				if d, err := driveLogAgainstModel(root, scope.segSize); err != nil || d.fol.m.end() != d.lead.m.end() ||
+					d.st.Aliased != uint64(d.lead.m.end()) || d.chainAlias == 0 {
+					t.Fatalf("root %q: %d of %d aliased, %d links, err %v", root, d.st.Aliased, d.lead.m.end(), d.chainAlias, err)
+				}
+			}
+			scripts, states, failing, err := enumerateLogScripts(scope.segSize, scope.depth, scope.roots...)
 			if err != nil {
 				t.Fatalf("script %q fails: %v", failing, err)
 			}

@@ -187,6 +187,7 @@ func TestGroupRestartResumesFromPersistedOffsets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer g.Stop() // before mgr.Close: the workers must exit on every path
 		values := make([][]byte, n)
 		for i := range values {
 			values[i] = []byte("x")

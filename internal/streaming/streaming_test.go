@@ -258,6 +258,7 @@ func TestProcessorConsumesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer proc.Stop() // before mgr.Close: the workers must exit on every path
 	const n = 100
 	for i := 0; i < n; i++ {
 		if _, err := b.Publish(context.Background(), "t", nil, []byte(fmt.Sprintf("m%d", i))); err != nil {
@@ -300,6 +301,7 @@ func TestProcessorLatencyGrowsWithSlowHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer proc.Stop() // before mgr.Close: the workers must exit on every path
 	for i := 0; i < 50; i++ {
 		b.Publish(context.Background(), "t", nil, []byte("x"))
 	}
@@ -719,6 +721,7 @@ func pureHandlerRun(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer proc.Stop() // before mgr.Close: the workers must exit on every path
 	const n = 200
 	if _, err := Produce(context.Background(), b, "t", n, 0, []byte("payload")); err != nil {
 		t.Fatal(err)
