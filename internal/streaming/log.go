@@ -9,29 +9,25 @@ import (
 	"gopilot/internal/plan"
 )
 
-// Log is one partition's segmented append-only log: the segments and the
-// spare, the retained range, the epoch chain, the byte sums and the commit
-// mark. It has no clock and takes no lock — the caller holds Cluster.mu,
-// which guards every copy of every log, across every call — so a leader's
-// append, a follower's replicated append and a handoff's truncate are the
-// same few methods, and the proof obligation behind zero-copy fetch and
-// replication by reference (DESIGN.md "The Log") sits beside one type: a
-// slot that has left the lock — in a kept view, an alias, a pinned runner
-// batch, or a leased view until Trim passes it — is never rewritten,
-// because a log writes only into arrays it owns and never replaces one by
-// a larger copy. Aliasing extends a borrowed array only by reslice, and
-// tail copies a borrowed tail before writing; refill (Trim) takes only a
-// root no kept view, alias or pin reaches; truncation into a viewed
-// segment marks it borrowed.
+// Log is one partition's segmented append-only log: segments and spare,
+// retained range, epoch chain, byte sums and commit mark. It takes no lock
+// — the caller holds Cluster.mu, which guards every copy of every log — so
+// a leader's append, a follower's replicated append and a handoff's
+// truncate are the same few methods, and the proof obligation behind
+// zero-copy fetch and replication by reference (DESIGN.md "The Log") sits
+// beside one type: a slot that has left the lock — in a kept view, an
+// alias, a pinned runner batch, or a leased view until Trim passes it — is
+// never rewritten, because a log writes only into arrays it owns and never
+// replaces one by a larger copy. Aliasing extends a borrowed array only by
+// reslice, tail copies a borrowed tail before writing, Trim refills only a
+// root nothing reaches, and a truncation into a viewed segment borrows it.
 type Log struct {
 	segSize int
 	segs    []*segment
 	spare   *segment // at most one trimmed full-size root awaiting refill (see Trim)
-	hot     bool     // the log has trimmed (ResetTo keeps it): no chain (nextCap)
 
-	// first is the oldest retained offset, end the next one to be written.
-	// Segment boundaries, views and trims are segSize arithmetic from first
-	// (ResetTo may place it anywhere); index maps an offset to its array.
+	// first is the oldest retained offset, end the next to be written;
+	// segments are segSize arithmetic from first, index finds the arrays.
 	first, end int64
 	// committed: offsets below it are consumer-acknowledged; the bytes in
 	// [committed, end) are the in-flight account backpressure bounds.
@@ -51,18 +47,16 @@ type Log struct {
 	stats *Stats // the owning cluster's counters, bumped under its lock
 }
 
-// segment is one array of the log: a whole segment, or a link of a cold
-// log's chained first segment (nextCap). Appends write only past
-// len(msgs), so a sub-slice handed out stays valid and immutable while the
-// writer appends behind it. cum[i] is the log-cumulative payload byte
-// total through msgs[i], so the bytes of any offset range are two lookups.
-// viewed: a slice of msgs has left the lock (View, pin); kept: a kept view
-// reached the array, which then dies by GC — any other may be refilled
-// once Trim passes it and no alias or pin reaches it (DESIGN.md "Segment
-// lifecycle"). borrowed: msgs's array is not this log's to write (aliased,
-// or viewed and truncated into); cum is always owned. An alias's owner is
-// the root segment that owns its array; a root's refs counts its aliases
-// and pins, and retired is the log whose spare it joins when they go.
+// segment is one array of the log: a whole segment or a link of the chain
+// at offset 0 (nextCap). Appends write only past len(msgs), so a sub-slice
+// handed out stays valid and immutable. cum[i] is the log-cumulative
+// payload byte total through msgs[i]. viewed: a slice of msgs has left the
+// lock (View, pin); kept: a kept view reached the array, which then dies by
+// GC — any other may be refilled once Trim passes it and nothing reaches it
+// (DESIGN.md "Segment lifecycle"). borrowed: msgs's array is not this log's
+// to write (aliased, or viewed and truncated into); cum is always owned.
+// An alias's owner is the root that owns its array; a root's refs counts
+// its aliases and pins, and retired is the log whose spare it joins.
 type segment struct {
 	msgs                   []Message
 	cum                    []int64
@@ -94,60 +88,70 @@ func (seg *segment) root() *segment {
 	return seg
 }
 
-// minSegCap is the capacity of a cold chain's first link.
+// minSegCap is the room of a cold chain's first link.
 const minSegCap = 16
 
-// nextCap is the capacity of the array born at the log's end. A log that
-// has never trimmed stores its first segment as a chain of links of
-// capacity min(remaining, minSegCap·2^k), 16, 32, 16 at segSize 64: it
-// pays for what it holds and never copies to grow. Any other segment is
-// one array of segSize.
-func (l *Log) nextCap() int {
-	if rel := int(l.end - l.first); rel < l.segSize && (l.chained() || len(l.segs) == 0 && !l.hot) {
-		return min(l.segSize-rel, rel+minSegCap)
+// nextCap is the capacity of the array born at the log's end and its room,
+// the messages it takes (cum's capacity). The segment at offset 0 is a
+// chain: a first link of minSegCap, links doubling while the chain stays
+// within an eighth of the segment, then a last link holding the rest in an
+// array of segSize, which Trim can hand back as the spare (16, 32, 64,
+// 128, 256, then 3600 in 4096; 16, then 48 in 64). A small log pays for
+// what it holds, a larger one for a segment and an eighth, and neither
+// copies to grow. Any other segment is one full array.
+func (l *Log) nextCap() (array, room int) {
+	if rel := int(l.end - l.first); l.chained() && rel < l.segSize {
+		if room = rel + minSegCap; rel == 0 && room < l.segSize || rel+room <= l.segSize/8 {
+			return room, room
+		}
+		return l.segSize, l.segSize - rel
 	}
-	return l.segSize
+	return l.segSize, l.segSize
 }
 
-// chained reports whether segs begins with a chain: only links are small.
-func (l *Log) chained() bool { return len(l.segs) > 0 && cap(l.segs[0].cum) < l.segSize }
+// chained reports whether segs begins with a chain: a log at offset 0.
+func (l *Log) chained() bool { return l.first == 0 && l.segSize > minSegCap }
 
 // index returns where offset o sits, segs[i].msgs[j] (or would, past the
-// end): link k of a chain starts at minSegCap·(2^k-1).
+// end): link k of a chain starts at minSegCap·(2^k-1), the last included.
 func (l *Log) index(o int64) (i, j int) {
 	rel := int(o - l.first)
-	switch {
-	case !l.chained():
+	if !l.chained() {
 		return rel / l.segSize, rel % l.segSize
-	case rel >= l.segSize:
-		return bits.Len(uint((l.segSize-1)/minSegCap+1)) - 1 + rel/l.segSize, rel % l.segSize
 	}
-	i = bits.Len(uint(rel/minSegCap+1)) - 1
+	last := max(1, bits.Len(uint(l.segSize/8/minSegCap+1))-1)
+	if rel >= l.segSize {
+		return last + rel/l.segSize, rel % l.segSize
+	}
+	i = min(bits.Len(uint(rel/minSegCap+1))-1, last)
 	return i, rel - minSegCap*(1<<i-1)
 }
 
-// nextSegment is where every array of the log is born: it appends an
-// empty tail segment of nextCap — the spare if that is segSize, else a
-// fresh one — and returns it. A non-nil alias is the leader array of that
-// capacity, owned by src, that the segment borrows.
+// nextSegment is where every array is born: an empty tail segment of
+// nextCap — the spare if the array is segSize, else a fresh one. A non-nil
+// alias is the leader array of that capacity, owned by src, it borrows.
 func (l *Log) nextSegment(src *segment, alias []Message) *segment {
-	size, seg := l.nextCap(), l.spare
-	if seg == nil || size != l.segSize {
-		seg = &segment{cum: make([]int64, 0, size)}
+	array, room := l.nextCap()
+	seg := l.spare
+	if seg == nil || array != l.segSize {
+		seg = &segment{}
 		l.stats.Born++
 	} else {
 		l.spare = nil
 		l.stats.Refilled++
 	}
+	if cap(seg.cum) < room {
+		seg.cum = make([]int64, 0, room)
+	}
 	if alias != nil {
 		seg.msgs = alias
 	} else if cap(seg.msgs) == 0 {
-		seg.msgs = make([]Message, 0, cap(seg.cum))
+		seg.msgs = make([]Message, 0, array)
 	}
 	if seg.owner = src; src != nil {
 		src.refs++
 	}
-	seg.msgs, seg.cum, seg.borrowed, seg.viewed = seg.msgs[:0], seg.cum[:0], alias != nil, false
+	seg.msgs, seg.cum, seg.borrowed, seg.viewed = seg.msgs[:0], seg.cum[:0:room], alias != nil, false
 	l.segs = append(l.segs, seg)
 	return seg
 }
@@ -162,7 +166,7 @@ func (l *Log) tail() *segment {
 		seg := l.segs[n-1]
 		if used := len(seg.msgs); used < cap(seg.cum) {
 			if seg.borrowed {
-				seg.msgs = append(make([]Message, 0, cap(seg.cum)), seg.msgs...)
+				seg.msgs = append(make([]Message, 0, cap(seg.msgs)), seg.msgs...)
 				l.stats.CopyOnWrite++
 				if seg.owner != nil {
 					seg.owner.release()
@@ -197,13 +201,12 @@ func (l *Log) Append(topic string, pi int, key, value []byte, published time.Tim
 	return m
 }
 
-// AppendReplicated appends a leader-streamed batch verbatim: offsets,
-// payloads, Published stamps and the epoch chain (spans, restricted to the
-// appended range) come from the leader. The batch must start at end: the
-// runner discards torn batches, so a gap is a protocol bug. The commit mark
-// advances lazily toward the leader's. A non-nil src says msgs is a part of
-// the runner's batch (pin) in the array src owns: a part borrow can alias
-// is stored by reference, anything else is copied.
+// AppendReplicated appends a leader-streamed batch verbatim — offsets,
+// payloads, stamps and the epoch spans it covers — at end (the runner
+// discards torn batches: a gap is a protocol bug), and moves the commit
+// mark lazily toward the leader's. A non-nil src says msgs is a part of the
+// runner's batch (pin) in the array src owns: a part borrow can alias is
+// stored by reference, anything else is copied.
 func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochSpan, leaderCommitted int64) error {
 	if len(msgs) == 0 {
 		return nil
@@ -222,7 +225,7 @@ func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochS
 			l.stats.Aliased += uint64(n)
 		} else {
 			seg = l.tail()
-			n = copy(seg.msgs[len(seg.msgs):cap(seg.msgs)], rest)
+			n = copy(seg.msgs[len(seg.msgs):cap(seg.cum)], rest)
 			l.stats.Copied += uint64(n)
 		}
 		k := len(seg.msgs)
@@ -258,25 +261,23 @@ func (l *Log) borrow(msgs []Message, src *segment) *segment {
 			return nil
 		}
 	}
-	if src == nil || cap(msgs) != l.nextCap() || &msgs[0] != &src.msgs[:1][0] {
+	if array, _ := l.nextCap(); src == nil || cap(msgs) != array || &msgs[0] != &src.msgs[:1][0] {
 		return nil
 	}
 	return l.nextSegment(src, msgs[:0])
 }
 
-// span is how many messages a view of up to max at offset holds: to its
-// segment's end (segSize arithmetic, whatever the arrays), end, or max.
+// span is the length of a view of up to max at offset: to its segment's end.
 func (l *Log) span(offset int64, max int) int {
 	return int(min(int64(max), l.end-offset, int64(l.segSize)-(offset-l.first)%int64(l.segSize)))
 }
 
 // View returns up to max messages at offset, read-only, within one
-// segment (callers may see fewer than max at a boundary and loop); nil
-// outside the retained range. Its capacity is its length, and it stays
-// valid after the lock is released: a kept view (leased false) forever —
-// it marks the array kept, never refilled — and a leased one until Trim
-// passes it, which only a caller whose progress sets the trim floor may
-// ask for. A view crossing links of a chain is a copy (Stats.Spanned).
+// segment (callers may see fewer at a boundary and loop); nil outside the
+// retained range. Its capacity is its length, and it stays valid after the
+// lock is released: a kept view (leased false) forever — its array is never
+// refilled — and a leased one until Trim passes it, for a caller whose
+// progress sets the trim floor. Across links of a chain it is a copy.
 func (l *Log) View(offset int64, max int, leased bool) []Message {
 	if offset >= l.end || offset < l.first {
 		return nil
@@ -299,9 +300,9 @@ func (l *Log) View(offset int64, max int, leased bool) []Message {
 	return seg.msgs[j : j+n : j+n]
 }
 
-// pinned is a part of a catch-up batch: a view of one array, keeping the
-// array's capacity so a follower may alias it, and the root owning the
-// array, pinned (refs) so Trim cannot refill it while the runner holds it.
+// pinned is a part of a catch-up batch: a view of one array, keeping its
+// capacity for a follower to alias, and its root, pinned (refs) so Trim
+// cannot refill it while the runner holds it.
 type pinned struct {
 	msgs []Message
 	src  *segment
@@ -404,17 +405,16 @@ func (l *Log) Trim(below int64) int64 {
 	cut := l.first + k*int64(l.segSize)
 	n, _ := l.index(cut)
 	l.trimmedCum = l.BytesThrough(cut)
-	l.hot = true
-	// An alias lets go of its owner's array and keeps its cum; a full-size
-	// segment is retired, the spare once nothing reaches its array. The rest
-	// move down in segs's array, which keeps its capacity for the next
-	// births, and the vacated slots are cleared so they pin nothing.
+	// An alias lets go of its owner's array and keeps its cum; one with a
+	// segSize array or cum (a chain's last link too) is retired, the spare
+	// once nothing reaches its array. The rest move down in segs's array,
+	// keeping its capacity; the vacated slots are cleared.
 	for _, seg := range l.segs[:n] {
 		if seg.owner != nil {
 			seg.owner.release()
 			seg.msgs, seg.owner, seg.borrowed = nil, nil, false
 		}
-		if cap(seg.cum) == l.segSize {
+		if max(cap(seg.msgs), cap(seg.cum)) == l.segSize {
 			seg.retired = l
 			seg.recycle()
 		}
@@ -455,7 +455,7 @@ func (l *Log) TruncateTo(to int64) {
 // for a recruit whose log starts behind the leader's retention floor.
 func (l *Log) ResetTo(first int64) {
 	l.drop(0)
-	*l = Log{segSize: l.segSize, segs: l.segs, spare: l.spare, hot: l.hot, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
+	*l = Log{segSize: l.segSize, segs: l.segs, spare: l.spare, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
 }
 
 // drop discards segs[i:], letting go of the arrays its aliases borrow.

@@ -66,9 +66,12 @@ type argClass struct {
 // chain or a whole segment.
 func (d *logDriver) boundaryDist() int64 {
 	n, seg := int64(len(d.lead.m.msgs)), d.segSize
-	for end := int64(minSegCap); d.lead.chain && n < seg; end = 2*end + minSegCap {
-		if n < min(end, seg) {
-			return min(end, seg) - n
+	for end := int64(minSegCap); d.lead.m.first == 0 && n < seg; end = 2*end + minSegCap {
+		if end >= seg || end > minSegCap && end > seg/8 { // the last link ends the segment
+			end = seg
+		}
+		if n < end {
+			return end - n
 		}
 	}
 	return seg - n%seg
@@ -190,7 +193,7 @@ func (d *logDriver) stateKey() string {
 		return segIDs[s]
 	}
 	for _, r := range []*replica{d.lead, d.fol} {
-		fmt.Fprintf(&b, "L%d/%d/%d hot%v spare%d mh%v mc%v[", r.l.first, r.l.end, r.l.committed, r.l.hot, id(r.l.spare), r.hot, r.chain)
+		fmt.Fprintf(&b, "L%d/%d/%d spare%d[", r.l.first, r.l.end, r.l.committed, id(r.l.spare))
 		for _, s := range r.l.segs {
 			fmt.Fprintf(&b, "%d ", id(s))
 		}
@@ -335,8 +338,8 @@ func TestPartitionLogExhaustive(t *testing.T) {
 		roots   [][]byte
 	}{
 		{2, 4, [][]byte{nil}},
-		{4, 4, [][]byte{nil}},
-		{64, 2, [][]byte{nil, warmScript(14), warmScript(46), warmScript(62)}},
+		{4, 3, [][]byte{nil}},
+		{64, 2, [][]byte{nil, warmScript(14), warmScript(30), warmScript(62)}},
 	} {
 		t.Run(fmt.Sprintf("segSize=%d", scope.segSize), func(t *testing.T) {
 			t.Parallel()

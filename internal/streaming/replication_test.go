@@ -191,8 +191,9 @@ func TestReplicaConsistencyComparesMessages(t *testing.T) {
 // consumed and persisted so retention trims behind it — and holds
 // the claim the counters exist to explain: a follower stores the leader's
 // messages by reference from the first message on. The leader's first
-// segment is a cold chain of 16-, 32- and 16-slot links, and its
-// followers alias each link as they alias every later segment. The
+// segment is a cold chain — a 16-message link, then the last link's 48
+// in a 64-slot array — and its followers alias each link as they alias
+// every later segment. The
 // failure costs at most one more segment per follower: the promoted
 // leader copies its borrowed tail before its first append, and the
 // surviving follower copies the rest of that segment from the new
@@ -249,12 +250,12 @@ func TestReplicationStatsPinned(t *testing.T) {
 	if got := end.Copied - cold.Copied; got > 2*segSize {
 		t.Fatalf("the failure cost %d copied messages, over one segment per follower", got)
 	}
-	// Born: each log's three links (a follower's allocate only cum), then
+	// Born: each log's two links (a follower's allocate only cum), then
 	// each log's second and third segments, then the two survivors' fourth.
-	// Nothing is refilled: a chain's links are never a spare, the
-	// followers' lazily replicated commit marks hold their trims back, and
-	// their aliases pin the leader's trimmed second segment.
-	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 17, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
+	// Nothing is refilled: the followers' lazily replicated commit marks
+	// hold their trims back, and their aliases pin the leader's trimmed
+	// arrays.
+	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 14, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
 	if end != want {
 		t.Fatalf("stats %+v, want %+v", end, want)
 	}

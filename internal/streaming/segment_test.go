@@ -63,40 +63,42 @@ func payloadBytes(msgs []Message) int64 {
 type replica struct {
 	l       *Log
 	m       logModel
-	hot     bool               // the model has trimmed a segment (ResetTo keeps it)
-	chain   bool               // the retained first segment is a cold log's chain
-	live    map[*segment]bool  // in l.segs after the previous step
-	next    map[*segment]bool  // check's scratch for the next live
-	retired map[*segment]bool  // left l.segs, not (yet) refilled
-	lives   map[*segment]*life // this life of each segment in l.segs
+	live    map[*segment]bool // in l.segs after the previous step
+	next    map[*segment]bool // check's scratch for the next live
+	retired map[*segment]bool // left l.segs, not (yet) refilled
+	lives   map[*segment]life // this life of each segment in l.segs
 }
 
 func newReplica(segSize int, st *Stats) *replica {
-	return &replica{l: &Log{segSize: segSize, stats: st}, chain: true, live: map[*segment]bool{}, next: map[*segment]bool{},
-		retired: map[*segment]bool{}, lives: map[*segment]*life{}}
+	return &replica{l: &Log{segSize: segSize, stats: st}, live: map[*segment]bool{}, next: map[*segment]bool{},
+		retired: map[*segment]bool{}, lives: map[*segment]life{}}
 }
 
-// reset is ResetTo(first) on the model: a log that has never trimmed
-// chains its first segment again.
+// reset is ResetTo(first) on the log and its model.
 func (r *replica) reset(first int64) {
 	r.m = logModel{first: first, committed: first}
-	r.chain = !r.hot
 	r.l.ResetTo(first)
 }
 
-// wantCap is the capacity rule, from the model's history alone: the
-// links of a cold log's chained first segment are min(remaining,
-// minSegCap·2^k); every other array is segSize.
-func (r *replica) wantCap(i, segSize int) int {
-	if r.chain {
-		for start, k := 0, minSegCap; start < segSize; start, k = start+k, 2*k {
+// wantCap is the capacity rule, from the model alone: the array capacity
+// and room of segs[i]. While the model's retained range starts at offset
+// 0, its first segment is a chain — a first link of minSegCap, links
+// doubling while the chain stays within an eighth of the segment, then a
+// last link holding the rest in an array of segSize; every other array is
+// a whole segment.
+func (r *replica) wantCap(i, segSize int) (array, room int) {
+	for start, k := 0, minSegCap; r.m.first == 0 && i >= 0; start, k, i = start+k, 2*k, i-1 {
+		if start == 0 && k >= segSize || start > 0 && start+k > segSize/8 { // the last link
 			if i == 0 {
-				return min(segSize-start, k)
+				return segSize, segSize - start
 			}
-			i--
+			break
+		}
+		if i == 0 {
+			return k, k
 		}
 	}
-	return segSize
+	return segSize, segSize
 }
 
 // trim applies Trim(below) to the model: whole sealed segments below the
@@ -107,7 +109,6 @@ func (r *replica) trim(below, segSize int64) {
 		r.m.base += payloadBytes(r.m.msgs[:segSize])
 		r.m.msgs = r.m.msgs[segSize:]
 		r.m.first += segSize
-		r.hot, r.chain = true, false
 	}
 }
 
@@ -139,7 +140,7 @@ type logDriver struct {
 	flat      []Message // check's scratch
 
 	refills    int   // the first log's segments reborn from its spare
-	births     []int // the capacity of each array born into the first log
+	births     []int // the room of each array born into the first log
 	chainAlias int   // follower segments born aliasing a link of the first log's chain
 	st         Stats
 }
@@ -200,11 +201,11 @@ func (d *logDriver) check(r *replica, step int, op string) error {
 		now[seg] = true
 		// The capacity rule, exact: every array has the rule's capacity for
 		// its place, and an alias borrows an array of that capacity.
-		if want := r.wantCap(i, full); cap(seg.cum) != want || cap(seg.msgs) != want {
-			return fail("segment %d has cap %d (cum %d), want %d (chained %v, segSize %d)",
-				i, cap(seg.msgs), cap(seg.cum), want, r.chain, d.segSize)
+		if array, room := r.wantCap(i, full); cap(seg.cum) != room || cap(seg.msgs) != array {
+			return fail("segment %d has cap %d (cum %d), want %d (room %d; first %d, segSize %d)",
+				i, cap(seg.msgs), cap(seg.cum), array, room, r.m.first, d.segSize)
 		}
-		lf := &life{&seg.msgs[:1][0], &seg.cum[:1][0], seg.borrowed}
+		lf := life{&seg.msgs[:1][0], &seg.cum[:1][0], seg.borrowed}
 		if !r.live[seg] { // born in nextSegment during this step
 			if d.viewed[seg] {
 				return fail("nextSegment returned a viewed segment")
@@ -514,26 +515,27 @@ func logScript(seed int64, n int) []byte {
 }
 
 // growthScript walks one log through its cold chain at 64-message
-// segments (links of 16, 32 and 16): links born with views held across
-// them, TruncateTo back into the second link, re-append over the
-// truncated slots, ResetTo, the chain born again. The committed corpus
-// seed "growth-truncate-reset" is this script.
+// segments (a 16-slot link, then the last link's 48 messages in a 64-slot
+// array): links born with views held across them, TruncateTo back into
+// the second link, re-append over the truncated slots, then ResetTo past
+// offset 0, where segments are whole. The committed corpus seed
+// "growth-truncate-reset" is this script.
 var growthScript = []byte{
 	0, 5, 0, 5, // 12 messages in the 16-slot first link
 	4, 96, // view [0, 4)
-	0, 5, // 18: the 32-slot second link is born
+	0, 5, // 18: the second link is born
 	4, 45, // view [9, 11)
 	2, 8, 0, 5, // 27, then 33
 	7, 6, // TruncateTo(17), inside the second link
 	0, 5, // re-append 17..22 over the truncated slots
 	4, 20, // view [20, 21)
-	7, 12, // ResetTo(26): never trimmed, so the chain starts again
-	0, 5, 0, 5, 0, 5, // 18 messages: links of 16 and 32
+	7, 12, // ResetTo(26)
+	0, 5, 0, 5, 0, 5, // 18 messages in one 64-slot array
 	4, 0, // view [26, 27)
 	2, 8, 2, 8, // 36
 }
 
-// sealTrimScript fills a 64-message segment exactly — its three links —
+// sealTrimScript fills a 64-message segment exactly — both its links —
 // has it viewed, committed and trimmed away whole — the log is empty —
 // and appends: the log has trimmed a segment, so the next is born at full
 // size. Batch-aligned producers with a prompt consumer do this at every
@@ -543,8 +545,8 @@ var sealTrimScript = []byte{2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 0, 0, 4, 0
 // TestPartitionLogMatchesModel is the segment-lifecycle property: over
 // randomized operation sequences the log agrees with the slice model after
 // every step, no segment that was ever viewed is born again (pointer
-// identity), every array has the capacity rule's size for its place and
-// is never replaced but by a copy on write, and every view ever handed
+// identity), every array has the capacity rule's size and room for its
+// place and is never replaced but by a copy on write, and every view ever handed
 // out reads what it read after every later step.
 func TestPartitionLogMatchesModel(t *testing.T) {
 	for _, segSize := range []int64{4, 64} {
@@ -585,8 +587,8 @@ func TestPartitionLogMatchesModel(t *testing.T) {
 		script []byte
 		births []int
 	}{
-		{"growth", growthScript, []int{16, 32, 16, 32}},
-		{"seal-trim", sealTrimScript, []int{16, 32, 16, 64}},
+		{"growth", growthScript, []int{16, 48, 64}},
+		{"seal-trim", sealTrimScript, []int{16, 48, 64}},
 	} {
 		d, err := driveLogAgainstModel(c.script, 64)
 		if err != nil || fmt.Sprint(d.births) != fmt.Sprint(c.births) {
@@ -825,6 +827,41 @@ func BenchmarkLogAppendHot(b *testing.B) {
 			l.Commit(end)
 			l.Trim(end)
 		}
+	}
+}
+
+// TestColdChainAtDefaultSize pins the chain at the default 4096-message
+// segment, where the model tests do not reach: links of 16, 32, 64, 128
+// and 256 messages, then the last 3600 in a 4096-slot array; every offset
+// found in place; and, once the segment is trimmed, the last link is the
+// spare the next segment but one refills.
+func TestColdChainAtDefaultSize(t *testing.T) {
+	const segSize = 4096
+	l := &Log{segSize: segSize, stats: new(Stats)}
+	for i := 0; i < segSize+1; i++ {
+		l.Append("t", 0, nil, []byte{byte(i)}, vclock.Epoch)
+	}
+	var shape []string
+	for _, seg := range l.segs {
+		shape = append(shape, fmt.Sprintf("%d/%d", len(seg.msgs), cap(seg.msgs)))
+	}
+	if got := fmt.Sprint(shape); got != "[16/16 32/32 64/64 128/128 256/256 3600/4096 1/4096]" {
+		t.Fatalf("arrays (held/capacity) %s", got)
+	}
+	for o := int64(0); o < l.end; o++ {
+		if m := l.at(o); m.Offset != o || l.BytesThrough(o+1) != o+1 {
+			t.Fatalf("offset %d reads offset %d, %d bytes through it", o, m.Offset, l.BytesThrough(o+1))
+		}
+	}
+	l.Commit(l.end)
+	if l.Trim(l.end) != segSize || l.spare == nil || cap(l.spare.msgs) != segSize {
+		t.Fatalf("after the trim: first %d, spare %v", l.first, l.spare != nil)
+	}
+	for l.end < 2*segSize+1 {
+		l.Append("t", 0, nil, nil, vclock.Epoch)
+	}
+	if st := *l.stats; st.Born != 7 || st.Refilled != 1 {
+		t.Fatalf("%d arrays born, %d refilled; want 7 and 1", st.Born, st.Refilled)
 	}
 }
 
