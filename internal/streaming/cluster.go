@@ -175,9 +175,9 @@ type ClusterConfig struct {
 	FetchLatency time.Duration
 	// SegmentSize is the number of messages per log segment (default
 	// 4096): the unit of offset arithmetic, of a fetched view's upper bound
-	// and of retention trimming. It is not a memory commitment — a log that
-	// has never trimmed holds its first segment in a chain of arrays sized
-	// to its contents (see Log.nextCap).
+	// and of retention trimming. It is not a memory commitment — the
+	// segment at offset 0 is a chain of arrays sized to what the log holds
+	// (see Log.nextCap).
 	SegmentSize int
 	// MaxInflightBytes bounds, per partition, the bytes published but not
 	// yet committed (see Commit). When the bound is hit, publishes to that

@@ -164,7 +164,7 @@ func (l *Log) nextSegment(src *segment, alias []Message) *segment {
 func (l *Log) tail() *segment {
 	if n := len(l.segs); n > 0 {
 		seg := l.segs[n-1]
-		if used := len(seg.msgs); used < cap(seg.cum) {
+		if len(seg.msgs) < cap(seg.cum) {
 			if seg.borrowed {
 				seg.msgs = append(make([]Message, 0, cap(seg.msgs)), seg.msgs...)
 				l.stats.CopyOnWrite++
