@@ -323,10 +323,11 @@ func warmScript(n int) []byte {
 
 // TestPartitionLogExhaustive runs every canonical script of at most K
 // steps at 2- and 4-message segments from the empty log, where scripts
-// seal, trim, alias and refill within a few steps, and at 64 from logs two
-// short of each boundary of the cold chain (16, 48 and 64: links of 16,
-// 32 and 16), both logs holding the same messages, the follower's by
-// alias. Each of the five ownership mutations it was written against (a
+// seal, trim, alias and refill within a few steps, and at 64, where the
+// first segment is a chain (a 16-message link, then 48 in a 64-slot
+// array), from the empty log and from logs holding 14, 30 or 62 messages,
+// the follower's by alias. Each of the five ownership mutations it was
+// written against (a
 // kept array recycled, a pinned or aliased root refilled, a write into a
 // borrowed tail, a truncation into a viewed segment left writable, a pin
 // released before the alias is in place) fails it at segSize 2 with a

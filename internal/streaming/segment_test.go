@@ -297,8 +297,8 @@ func (d *logDriver) checkHeld(step int, op string) error {
 // viewed, which is the cluster's protocol (views only below the
 // acknowledged watermark, truncation only at or above it); the runner's
 // batches are not so bounded. At 4-message segments scripts seal, trim and
-// refill constantly and never grow (the floor is above segSize); at 64 the
-// first segment of every log grows 16 → 32 → 64.
+// refill constantly and every array is a whole segment; at 64 the segment
+// at offset 0 is a chain, a 16-message link and 48 in a 64-slot array.
 func (d *logDriver) step(opByte, argByte byte) error {
 	step := d.steps
 	d.steps++
@@ -813,7 +813,7 @@ func BenchmarkLogAppendCold(b *testing.B) {
 // BenchmarkLogAppendHot prices the leader append per message in steady
 // state across segment boundaries: each sealed segment is viewed (a
 // consumer fetched it), committed and trimmed, so every boundary births a
-// full-size segment — the bypass for the born-small path.
+// full-size segment — the bypass for the cold chain.
 func BenchmarkLogAppendHot(b *testing.B) {
 	const segSize = 4096
 	l := &Log{segSize: segSize, stats: new(Stats)}
