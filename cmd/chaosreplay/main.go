@@ -37,10 +37,15 @@ func main() {
 	messages := flag.Int("messages", 0, "stream messages to produce (0 = scenario default)")
 	units := flag.Int("units", 0, "batch units to submit (0 = scenario default)")
 	cost := flag.Duration("cost", 0, "modeled per-message handling cost (0 = scenario default)")
-	churn := flag.Int("churn", 0, "override the fault mix with this many worker-churn faults (plus the other override-mix flags, if any)")
-	shardloss := flag.Int("shardloss", 0, "add this many shard-loss faults to the override mix")
-	replicalag := flag.Int("replicalag", 0, "add this many replica-lag windows to the override mix")
-	tornrepl := flag.Int("tornrepl", 0, "add this many torn-replication windows to the override mix")
+	// One override-mix flag per fault kind the fault table gives one; any
+	// of them replaces the default mix with the override mix.
+	mix := map[chaos.Kind]*int{}
+	for k := chaos.Kind(0); k < chaos.NumKinds; k++ {
+		if name := k.Flag(); name != "" {
+			mix[k] = flag.Int(name, 0, fmt.Sprintf("put this many %s faults in the override mix, which replaces the default mix", k))
+			passthrough[name] = true
+		}
+	}
 	horizon := flag.Duration("horizon", 0, "fault-plan horizon (only with an override mix; 0 = 3m)")
 	verbose := flag.Bool("v", false, "print per-seed results in fuzz mode and full injection logs")
 	flag.Parse()
@@ -54,23 +59,16 @@ func main() {
 			Seed: s, BarrierBug: *bug, HandoffBug: *handoffBug, MaxFaults: maxFaults, Recorder: rec,
 			Messages: *messages, Units: *units, CostPerMessage: *cost,
 		}
-		if *churn > 0 || *shardloss > 0 || *replicalag > 0 || *tornrepl > 0 {
+		counts := map[chaos.Kind]int{}
+		for k, n := range mix {
+			if *n > 0 {
+				counts[k] = *n
+			}
+		}
+		if len(counts) > 0 {
 			h := *horizon
 			if h <= 0 {
 				h = 3 * time.Minute
-			}
-			counts := map[chaos.Kind]int{}
-			if *churn > 0 {
-				counts[chaos.WorkerChurn] = *churn
-			}
-			if *shardloss > 0 {
-				counts[chaos.ShardLoss] = *shardloss
-			}
-			if *replicalag > 0 {
-				counts[chaos.ReplicaLag] = *replicalag
-			}
-			if *tornrepl > 0 {
-				counts[chaos.TornReplication] = *tornrepl
 			}
 			o.Faults = chaos.Config{Horizon: h, Counts: counts}
 		}
@@ -198,17 +196,19 @@ func printViolations(r *experiments.ChaosReport) {
 	}
 }
 
-// passthroughFlags reprints the workload flags a reproducing command needs.
+// passthrough names the workload flags a reproducing command repeats
+// with their values; main adds the override-mix flags.
+var passthrough = map[string]bool{"horizon": true, "messages": true, "units": true, "cost": true}
+
+// passthroughFlags reprints the workload flags a reproducing command
+// needs: the planted defects, the sizes and the override mix.
 func passthroughFlags() string {
 	s := ""
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "bug", "handoffbug", "churn", "shardloss", "replicalag", "tornrepl", "horizon", "messages", "units", "cost":
-			if f.Name == "bug" || f.Name == "handoffbug" {
-				s += " -" + f.Name
-			} else {
-				s += fmt.Sprintf(" -%s %v", f.Name, f.Value)
-			}
+		if f.Name == "bug" || f.Name == "handoffbug" {
+			s += " -" + f.Name
+		} else if passthrough[f.Name] {
+			s += fmt.Sprintf(" -%s %v", f.Name, f.Value)
 		}
 	})
 	return s

@@ -1,14 +1,10 @@
 // Package chaos is gopilot's deterministic fault-injection layer. A
 // Plan — compiled from a Config and one labeled slot on the seeding
-// spine — schedules faults at exact virtual instants: backend outages
-// and recoveries, pilot crashes, evict storms, broker partition
-// unavailability windows, delayed commits, consumer-group worker churn,
-// federated shard losses, inter-shard link partitions, replication-lag
-// windows, torn replication streams, and crashes of shards mid-catchup.
-// An Engine
-// replays the plan against live targets as an ordinary
-// clock participant, so the same seed produces the same faults at the
-// same modeled instants, interleaved identically with the workload.
+// spine — schedules faults at exact virtual instants; the kinds are the
+// rows of the fault table (kinds, in kinds.go). An Engine replays the
+// plan against live targets as an ordinary clock participant, so the
+// same seed produces the same faults at the same modeled instants,
+// interleaved identically with the workload.
 //
 // Everything here is seed-driven and clock-driven: the package draws
 // randomness only from labeled dist.Streams ("chaos"/<kind>/<ordinal>)
@@ -30,9 +26,8 @@ import (
 // Kind enumerates the fault taxonomy.
 type Kind int
 
-// Fault kinds. Windowed kinds (BackendOutage, PartitionStall,
-// CommitSkew, ShardLink, ReplicaLag, TornReplication) have a recovery
-// instant; the rest are point faults.
+// Fault kinds. Each has one row in the fault table (kinds), which says
+// whether it is windowed, what it draws and what it does to its victim.
 const (
 	// BackendOutage marks an infrastructure backend down for a window:
 	// submissions fail with infra.ErrBackendDown and the dispatcher's
@@ -76,43 +71,16 @@ const (
 	// would fail the last live shard).
 	CrashMidCatchup
 
-	numKinds
+	// NumKinds counts the kinds; the fault table has one row per kind below it.
+	NumKinds
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the kind's spine label.
 func (k Kind) String() string {
-	switch k {
-	case BackendOutage:
-		return "backend-outage"
-	case PilotCrash:
-		return "pilot-crash"
-	case EvictStorm:
-		return "evict-storm"
-	case PartitionStall:
-		return "partition-stall"
-	case CommitSkew:
-		return "commit-skew"
-	case WorkerChurn:
-		return "worker-churn"
-	case ShardLoss:
-		return "shard-loss"
-	case ShardLink:
-		return "shard-link"
-	case ReplicaLag:
-		return "replica-lag"
-	case TornReplication:
-		return "torn-replication"
-	case CrashMidCatchup:
-		return "crash-mid-catchup"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if r := k.row(); r.name != "" {
+		return r.name
 	}
-}
-
-// windowed reports whether the kind has a recovery instant.
-func (k Kind) windowed() bool {
-	return k == BackendOutage || k == PartitionStall || k == CommitSkew || k == ShardLink ||
-		k == ReplicaLag || k == TornReplication
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Fault is one scheduled fault. All instants are virtual offsets from
@@ -140,10 +108,11 @@ type Fault struct {
 // String implements fmt.Stringer.
 func (f Fault) String() string {
 	s := fmt.Sprintf("%s/%d @%v target=%d", f.Kind, f.Ordinal, f.At, f.Target)
-	if f.Kind.windowed() {
+	r := f.Kind.row()
+	if r.windowed {
 		s += fmt.Sprintf(" until=%v", f.Until)
 	}
-	if f.Kind == CommitSkew || f.Kind == ReplicaLag {
+	if r.delay {
 		s += fmt.Sprintf(" delay=%v", f.Delay)
 	}
 	return s
@@ -188,8 +157,9 @@ func Compile(stream *dist.Stream, cfg Config) Plan {
 	}
 	root := stream.Named("chaos")
 	var faults []Fault
-	for k := Kind(0); k < numKinds; k++ {
-		kindRoot := root.Named(k.String())
+	for k := Kind(0); k < NumKinds; k++ {
+		r := kinds[k]
+		kindRoot := root.Named(r.name)
 		for i := 0; i < cfg.Counts[k]; i++ {
 			st := kindRoot.SplitLabel(uint64(i))
 			f := Fault{Kind: k, Ordinal: i}
@@ -197,10 +167,10 @@ func Compile(stream *dist.Stream, cfg Config) Plan {
 			f.Target = st.Uint64()
 			window := windowMin + time.Duration(st.Float64()*float64(windowMax-windowMin))
 			skew := skewMin + time.Duration(st.Float64()*float64(skewMax-skewMin))
-			if k.windowed() {
+			if r.windowed {
 				f.Until = (f.At + window).Truncate(time.Millisecond)
 			}
-			if k == CommitSkew || k == ReplicaLag {
+			if r.delay {
 				f.Delay = skew.Truncate(time.Millisecond)
 			}
 			faults = append(faults, f)

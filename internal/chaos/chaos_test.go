@@ -75,8 +75,15 @@ func TestCompileKindInsensitive(t *testing.T) {
 	}
 }
 
+// TestCompileSortedAndBounded compiles the default mix (every kind at
+// its table weight): the plan is in injection order, every instant lies
+// in the horizon, and each fault carries exactly what its row says it
+// draws — a recovery window if windowed, a lag if it draws a delay.
 func TestCompileSortedAndBounded(t *testing.T) {
-	cfg := testConfig()
+	cfg := Config{Horizon: 4 * time.Minute, Counts: map[Kind]int{}}
+	for k := Kind(0); k < NumKinds; k++ {
+		cfg.Counts[k] = k.Weight()
+	}
 	p := Compile(dist.NewStream(99), cfg)
 	if !sort.SliceIsSorted(p.Faults, func(a, b int) bool {
 		if p.Faults[a].At != p.Faults[b].At {
@@ -89,16 +96,22 @@ func TestCompileSortedAndBounded(t *testing.T) {
 	}) {
 		t.Fatal("plan not sorted by (At, Kind, Ordinal)")
 	}
+	seen := map[Kind]int{}
 	for _, f := range p.Faults {
+		seen[f.Kind]++
+		r := f.Kind.row()
 		if f.At < 0 || f.At >= cfg.Horizon {
 			t.Fatalf("%v: At outside [0, horizon)", f)
 		}
-		if f.Kind.windowed() && f.Until <= f.At {
-			t.Fatalf("%v: windowed fault without recovery window", f)
+		if r.windowed != (f.Until > f.At) || !r.windowed && f.Until != 0 {
+			t.Fatalf("%v: windowed=%v but until=%v", f, r.windowed, f.Until)
 		}
-		if f.Kind == CommitSkew && f.Delay <= 0 {
-			t.Fatalf("%v: commit skew without delay", f)
+		if r.delay != (f.Delay > 0) || r.delay && (f.Delay < skewMin || f.Delay > skewMax) {
+			t.Fatalf("%v: delay=%v but drew %v", f, r.delay, f.Delay)
 		}
+	}
+	if !reflect.DeepEqual(seen, cfg.Counts) {
+		t.Fatalf("compiled %v faults per kind, want %v", seen, cfg.Counts)
 	}
 }
 

@@ -28,12 +28,12 @@ func TestEngineMissesWithoutTargets(t *testing.T) {
 		CrashMidCatchup: "no cluster",
 	}
 	counts := map[Kind]int{}
-	for k := range want {
+	for k := Kind(0); k < NumKinds; k++ {
 		counts[k] = 1
 	}
 	plan := Compile(dist.NewStream(3), Config{Horizon: time.Minute, Counts: counts})
 	if len(plan.Faults) != len(want) {
-		t.Fatalf("compiled %d faults, want %d", len(plan.Faults), len(want))
+		t.Fatalf("compiled %d faults, one per kind, but %d miss notes listed", len(plan.Faults), len(want))
 	}
 	clk := vclocktest.Adopted(t)
 	log := NewEngine(plan, Targets{Clock: clk}).Run(context.Background())

@@ -60,28 +60,14 @@ type ChaosOptions struct {
 	CostPerMessage time.Duration
 }
 
-// DefaultChaosFaults is the standard fault mix: every kind represented,
-// several windowed outages, over a 4-minute horizon. The single
-// shard-loss is deliberate: the scenario's 3-shard cluster refuses to
-// lose its last live shard, and one loss per run already exercises the
-// whole handoff/re-replication path.
+// DefaultChaosFaults is the standard fault mix: every kind at its
+// weight in the fault table (chaos.Kind.Weight), over a 4-minute horizon.
 func DefaultChaosFaults() chaos.Config {
-	return chaos.Config{
-		Horizon: 4 * time.Minute,
-		Counts: map[chaos.Kind]int{
-			chaos.BackendOutage:   3,
-			chaos.PilotCrash:      3,
-			chaos.EvictStorm:      1,
-			chaos.PartitionStall:  2,
-			chaos.CommitSkew:      1,
-			chaos.WorkerChurn:     3,
-			chaos.ShardLoss:       1,
-			chaos.ShardLink:       1,
-			chaos.ReplicaLag:      2,
-			chaos.TornReplication: 1,
-			chaos.CrashMidCatchup: 1,
-		},
+	counts := map[chaos.Kind]int{}
+	for k := chaos.Kind(0); k < chaos.NumKinds; k++ {
+		counts[k] = k.Weight()
 	}
+	return chaos.Config{Horizon: 4 * time.Minute, Counts: counts}
 }
 
 // ChaosReport is the scenario outcome.
