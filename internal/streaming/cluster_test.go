@@ -584,7 +584,16 @@ func TestRetentionBoundProperty(t *testing.T) {
 			if err := cl.CreateTopic("t", 1); err != nil {
 				t.Fatal(err)
 			}
-			ctx := context.Background()
+			// A fetch that parks for good would stall the world: the
+			// watchdog's sleep is then the only event left, so modeled time
+			// jumps to it and the fetch fails naming its cursor.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			clock.Go(func() {
+				if clock.Sleep(ctx, time.Hour) {
+					cancel()
+				}
+			})
 			groups := [2]string{"fast", "slow"}
 			var cursor [2]int64
 			for i := range groups {
@@ -593,7 +602,14 @@ func TestRetentionBoundProperty(t *testing.T) {
 
 			payload := make([]byte, payloadLen)
 			published := 0
-			for published < total || cursor[0] < total || cursor[1] < total {
+			// Every step publishes, consumes or finds nothing to do; the ten
+			// seeds drain in 314–356 steps, so the budget turns a loop that
+			// stops making progress into a failure instead of a timeout.
+			const budget = 4 * total
+			for step := 0; published < total || cursor[0] < total || cursor[1] < total; step++ {
+				if step == budget {
+					t.Fatalf("no drain after %d steps: published %d, cursors %v of %d", budget, published, cursor, total)
+				}
 				switch next(4) {
 				case 0, 1: // publish a random batch
 					if published == total {
@@ -621,8 +637,8 @@ func TestRetentionBoundProperty(t *testing.T) {
 						continue // nothing to consume; Fetch would park
 					}
 					msgs, err := cl.Fetch(ctx, "t", 0, cursor[i], 1+next(96))
-					if err != nil {
-						t.Fatalf("consumer %s at %d: %v", groups[i], cursor[i], err)
+					if err != nil || len(msgs) == 0 {
+						t.Fatalf("consumer %s: fetch at cursor %d below end %d returned nothing: %v", groups[i], cursor[i], end, err)
 					}
 					cursor[i] += int64(len(msgs))
 					if err := cl.Commit("t", 0, cursor[i]); err != nil {
