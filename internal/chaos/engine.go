@@ -78,8 +78,8 @@ func NewEngine(plan Plan, t Targets) *Engine {
 type event struct {
 	at  time.Duration
 	seq int  // 2·i for fault i's injection, 2·i+1 for its recovery
-	fn  step // nil for a fault that found no victim when armed
-	why string
+	fn  step   // nil for a fault that found no victim when armed,
+	why string // and then the miss note
 }
 
 // Run injects the plan and returns the injection log. It returns when
