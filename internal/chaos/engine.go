@@ -77,7 +77,7 @@ func NewEngine(plan Plan, t Targets) *Engine {
 // event is one timeline entry: a fault's injection or recovery.
 type event struct {
 	at  time.Duration
-	seq int  // 2·i for fault i's injection, 2·i+1 for its recovery
+	seq int    // 2·i for fault i's injection, 2·i+1 for its recovery
 	fn  step   // nil for a fault that found no victim when armed,
 	why string // and then the miss note
 }
