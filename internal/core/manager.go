@@ -630,12 +630,12 @@ func (m *Manager) wakeAtLocked(t time.Time) {
 	})
 }
 
-// pilotStarted registers the agent's allocation (called from agentRun).
-func (m *Manager) pilotStarted(p *Pilot, alloc infra.Allocation) {
+// pilotStarted marks the pilot running once its agent starts (called
+// from agentRun).
+func (m *Manager) pilotStarted(p *Pilot) {
 	now := m.cfg.Clock.Now()
 	m.mu.Lock()
 	p.state = PilotRunning
-	p.alloc = alloc
 	p.freeCores.Store(int64(p.desc.Cores))
 	p.startedAt = now
 	m.mu.Unlock()
@@ -707,14 +707,12 @@ func (m *Manager) executeUnit(ctx context.Context, p *Pilot, cu *ComputeUnit) {
 	cu.state = UnitRunning
 	cu.started = m.cfg.Clock.Now()
 	m.notify(cu, UnitRunning)
-	alloc := p.alloc
 	m.mu.Unlock()
 
 	tc := TaskContext{
 		Unit:    cu,
 		Cores:   cu.desc.Cores,
 		Site:    p.site,
-		Alloc:   alloc,
 		Data:    m.cfg.Data,
 		Sleep:   m.sleep,
 		Compute: m.compute,

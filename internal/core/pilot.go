@@ -90,7 +90,6 @@ type Pilot struct {
 	// Guarded by manager.mu.
 	state     PilotState
 	job       saga.Job // the placeholder job handle (set after submission)
-	alloc     infra.Allocation
 	running   map[*ComputeUnit]struct{}
 	unitsDone int
 	err       error
@@ -254,11 +253,11 @@ func (p *Pilot) drop(cu *ComputeUnit) {
 }
 
 // agentRun is the pilot agent: the payload of the placeholder job. It
-// registers the allocation with the manager, then executes dispatched
-// units until the pilot is stopped, canceled or hits walltime.
-func (p *Pilot) agentRun(ctx context.Context, alloc infra.Allocation) error {
+// tells the manager the pilot is running, then executes dispatched units
+// until the pilot is stopped, canceled or hits walltime.
+func (p *Pilot) agentRun(ctx context.Context, _ infra.Allocation) error {
 	m := p.manager
-	m.pilotStarted(p, alloc)
+	m.pilotStarted(p)
 	clock := m.cfg.Clock
 	wg := vclock.NewGroup(clock)
 	defer wg.Wait()

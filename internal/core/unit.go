@@ -71,8 +71,6 @@ type TaskContext struct {
 	Cores int
 	// Site the unit runs at (for data-locality-aware application code).
 	Site infra.Site
-	// Alloc describes the hosting pilot's allocation.
-	Alloc infra.Allocation
 	// Data is the Pilot-Data service, or nil if the manager has none.
 	Data DataService
 	// Sleep blocks for a modeled duration, honoring cancellation — tasks

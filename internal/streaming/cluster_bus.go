@@ -56,7 +56,8 @@ func (c *Cluster) topic(name string) (*fedTopic, error) {
 // it is acknowledged on quorum.
 func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) (Message, error) {
 	out := make([]Message, 1)
-	_, err := c.publish(ctx, topic, 1, func(int) ([]byte, []byte) { return key, value }, out)
+	kv := [1][2][]byte{{key, value}}
+	_, err := c.publish(ctx, topic, batch{kvs: kv[:]}, out)
 	if err != nil {
 		return Message{}, err
 	}
@@ -69,37 +70,62 @@ func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) 
 // Bus.PublishBatch).
 func (c *Cluster) PublishBatch(ctx context.Context, topic string, kvs [][2][]byte) ([]Message, error) {
 	out := make([]Message, len(kvs))
-	n, err := c.publish(ctx, topic, len(kvs), func(i int) ([]byte, []byte) { return kvs[i][0], kvs[i][1] }, out)
+	n, err := c.publish(ctx, topic, batch{kvs: kvs}, out)
 	return out[:n], err
 }
 
 // PublishValues appends a key-less batch (the bulk-ingest fast path).
 func (c *Cluster) PublishValues(ctx context.Context, topic string, values [][]byte) error {
-	_, err := c.publish(ctx, topic, len(values), func(i int) ([]byte, []byte) { return nil, values[i] }, nil)
+	_, err := c.publish(ctx, topic, batch{values: values}, nil)
 	return err
 }
 
-// pubScratch is the reusable workspace of one publish call: per-message
-// partition assignment, per-partition byte totals, and the counting-sorted
-// index order. Reused (Cluster.scratch) so a steady-state publish
-// allocates nothing beyond the log segments themselves.
-type pubScratch struct {
-	assign []int32 // partition per message
-	order  []int32 // message indices grouped by partition, publish order kept
-	fill   []int32 // per-partition counts, then cursors, then group ends
-	bytes  []int64 // payload bytes per partition
+// batch is one publish's messages as the caller handed them: keyed pairs
+// (Publish, PublishBatch) or, with kvs nil, key-less values
+// (PublishValues). Every stage of the producer path reads it by index.
+type batch struct {
+	kvs    [][2][]byte
+	values [][]byte
 }
 
-// groupBatch assigns the n messages of one publish to t's partitions — by
+func (b batch) len() int {
+	if b.kvs != nil {
+		return len(b.kvs)
+	}
+	return len(b.values)
+}
+
+// at returns message i's key and value.
+func (b batch) at(i int32) (key, value []byte) {
+	if b.kvs != nil {
+		return b.kvs[i][0], b.kvs[i][1]
+	}
+	return nil, b.values[i]
+}
+
+// pubScratch is the reusable workspace of one publish call: per-message
+// partition assignment, per-partition byte totals, the counting-sorted
+// index order and the sub-batches' records. Reused (Cluster.scratch) so a
+// steady-state publish allocates nothing beyond the log segments
+// themselves.
+type pubScratch struct {
+	assign []int32  // partition per message
+	order  []int32  // message indices grouped by partition, publish order kept
+	fill   []int32  // per-partition counts, then cursors, then group ends
+	bytes  []int64  // payload bytes per partition
+	recs   []pubRec // the sub-batches appended, in partition order
+}
+
+// groupBatch assigns the messages of one publish to t's partitions — by
 // key hash, or off the topic's round-robin cursor for empty keys, under the
 // cluster lock, which guards the cursor — and groups them: the batch is
 // traversed once under the lock (assignment, counts and byte totals in
 // the same pass), then a counting sort over reused scratch yields each
 // partition's indices in publish order without growing per-partition
-// slices, so grouping costs one kv() call per message and zero
-// steady-state allocations. The caller returns the scratch to c.scratch.
-func (c *Cluster) groupBatch(t *fedTopic, n int, kv func(int) ([]byte, []byte)) *pubScratch {
-	nparts := len(t.parts)
+// slices, so grouping reads each message once and allocates nothing in
+// steady state. The caller returns the scratch to c.scratch.
+func (c *Cluster) groupBatch(t *fedTopic, b batch) *pubScratch {
+	n, nparts := b.len(), len(t.parts)
 	c.mu.Lock()
 	var sc *pubScratch
 	if k := len(c.scratch); k > 0 {
@@ -121,19 +147,20 @@ func (c *Cluster) groupBatch(t *fedTopic, n int, kv func(int) ([]byte, []byte)) 
 	clear(sc.bytes)
 	// In index order: consumer wake-up order downstream must not depend
 	// on randomized iteration.
-	for i := 0; i < n; i++ {
-		k, v := kv(i)
-		var p int
+	rr := t.rr
+	for i := range sc.assign {
+		k, v := b.at(int32(i))
+		p := rr
 		if len(k) > 0 {
 			p = partitionOf(k, nparts)
-		} else {
-			p = t.rr % nparts
-			t.rr++
+		} else if rr++; rr == nparts {
+			rr = 0
 		}
 		sc.assign[i] = int32(p)
 		sc.fill[p]++
 		sc.bytes[p] += int64(len(k) + len(v))
 	}
+	t.rr = rr
 	c.mu.Unlock()
 	// Counting sort: scatter message indices into order, grouped by
 	// partition with publish order preserved inside each group. After the
@@ -178,7 +205,8 @@ func partitionOf(key []byte, n int) int {
 // point survived on the promoted log — so a publish that returns nil has
 // every message durable on every full member. Returns how many result
 // slots are filled.
-func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(int) ([]byte, []byte), out []Message) (int, error) {
+func (c *Cluster) publish(ctx context.Context, topicName string, b batch, out []Message) (int, error) {
+	n := b.len()
 	if n == 0 {
 		return 0, nil
 	}
@@ -186,15 +214,16 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 	if err != nil {
 		return 0, err
 	}
-	sc := c.groupBatch(t, n, kv)
+	sc := c.groupBatch(t, b)
 	defer func() {
+		clear(sc.recs) // they hold the caller's result slots
+		sc.recs = sc.recs[:0]
 		c.mu.Lock()
 		c.scratch = append(c.scratch, sc)
 		c.mu.Unlock()
 	}()
 
 	// Phase 1: append every sub-batch on its partition's current leader.
-	recs := make([]pubRec, 0, 4)
 	var ws waitSlot // the call's one wait object, re-armed per park
 	var latest time.Time
 	for p := range t.parts {
@@ -203,16 +232,16 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 			continue
 		}
 		r := pubRec{p: p, idxs: idxs, res: slot, add: sc.bytes[p]}
-		if err := c.appendToLeader(ctx, &ws, t, &r, kv, &latest); err != nil {
+		if err := c.appendToLeader(ctx, &ws, t, &r, b, &latest); err != nil {
 			return int(lo), err
 		}
-		recs = append(recs, r)
+		sc.recs = append(sc.recs, r)
 	}
 
 	// Phase 2: wait for quorum acknowledgement, re-appending across
 	// handoffs.
-	for ri := range recs {
-		if err := c.awaitAcked(ctx, &ws, t, &recs[ri], kv, &latest); err != nil {
+	for ri := range sc.recs {
+		if err := c.awaitAcked(ctx, &ws, t, &sc.recs[ri], b, &latest); err != nil {
 			return n, err
 		}
 	}
@@ -234,7 +263,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, n int, kv func(
 // least one batch, so a batch larger than the whole bound cannot deadlock.
 // Every wake re-resolves, so a leader that died under a parked call is
 // simply not the one the next pass finds.
-func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
+func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, b batch, latest *time.Time) error {
 	p := t.parts[r.p]
 	var lp *partition
 	for {
@@ -270,13 +299,7 @@ func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic,
 	}
 	r.s, r.epoch = lp.end, p.Epoch
 	c.stats.Appends += uint64(len(r.idxs))
-	for k, i := range r.idxs {
-		key, value := kv(int(i))
-		m := lp.Append(t.name, r.p, key, value, now)
-		if r.res != nil {
-			r.res[k] = *m
-		}
-	}
+	lp.AppendBatch(t.name, r.p, b, r.idxs, now, r.res)
 	r.e = lp.end
 	fireList(&lp.waiters)
 	// Under RF=1 the append itself is the quorum: advance the watermark
@@ -292,7 +315,7 @@ func (c *Cluster) appendToLeader(ctx context.Context, ws *waitSlot, t *fedTopic,
 // deposed leader's log: re-append it to the new leader (the acknowledged
 // prefix stays where it is) and keep waiting. Throughout, r.idxs[k] sits —
 // or sat, until a handoff dropped it — at offset r.s+k under r.epoch.
-func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, kv func(int) ([]byte, []byte), latest *time.Time) error {
+func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *pubRec, b batch, latest *time.Time) error {
 	p := t.parts[r.p]
 	for {
 		c.mu.Lock()
@@ -326,10 +349,10 @@ func (c *Cluster) awaitAcked(ctx context.Context, ws *waitSlot, t *fedTopic, r *
 		}
 		r.add = 0
 		for _, i := range r.idxs {
-			k, v := kv(int(i))
+			k, v := b.at(i)
 			r.add += int64(len(k) + len(v))
 		}
-		if err := c.appendToLeader(ctx, ws, t, r, kv, latest); err != nil {
+		if err := c.appendToLeader(ctx, ws, t, r, b, latest); err != nil {
 			return err
 		}
 	}

@@ -156,8 +156,8 @@ func (l *Log) nextSegment(src *segment, alias []Message) *segment {
 	return seg
 }
 
-// tail returns the tail segment with a free slot, the step Append and a
-// copied AppendReplicated take before writing; a missing or full tail
+// tail returns the tail segment with a free slot, the step each run of
+// AppendBatch and of a copied AppendReplicated takes before writing; a missing or full tail
 // means the next array is born. A borrowed tail is first copied to an owned
 // array of the same capacity (copy on write), the log's only copy: the old
 // array is never written again.
@@ -179,26 +179,33 @@ func (l *Log) tail() *segment {
 	return l.nextSegment(nil, nil)
 }
 
-// Append builds the next message directly in the tail slot — each field
-// copied exactly once — under the log's current Epoch. The returned
-// pointer is only valid until the caller releases the lock.
-func (l *Log) Append(topic string, pi int, key, value []byte, published time.Time) *Message {
-	seg := l.tail()
-	seg.msgs = seg.msgs[:len(seg.msgs)+1]
-	m := &seg.msgs[len(seg.msgs)-1]
-	m.Topic = topic
-	m.Partition = pi
-	m.Offset = l.end
-	m.Key = key
-	m.Value = value
-	m.Published = published
-	if n := len(l.epochs); n == 0 || l.epochs[n-1].Epoch != l.Epoch {
+// AppendBatch appends the messages b.at(i), i in idxs, in order, each
+// built directly in its slot — every field copied exactly once — stamped
+// published under the log's current Epoch, and copies them into res when
+// it is non-nil (len(idxs) result slots). It lands one run per array:
+// tail, then a tight loop writing the messages and their cum.
+func (l *Log) AppendBatch(topic string, pi int, b batch, idxs []int32, published time.Time, res []Message) {
+	if n := len(l.epochs); len(idxs) > 0 && (n == 0 || l.epochs[n-1].Epoch != l.Epoch) {
 		l.epochs = append(l.epochs, plan.EpochSpan{Start: l.end, Epoch: l.Epoch})
 	}
-	l.end++
-	l.totalBytes += int64(len(key) + len(value))
-	seg.cum = append(seg.cum, l.totalBytes)
-	return m
+	for len(idxs) > 0 {
+		seg := l.tail()
+		k := len(seg.msgs)
+		n := min(len(idxs), cap(seg.cum)-k)
+		seg.msgs, seg.cum = seg.msgs[:k+n], seg.cum[:k+n]
+		msgs, cum := seg.msgs[k:], seg.cum[k:]
+		for j, i := range idxs[:n] {
+			key, value := b.at(i)
+			m := &msgs[j]
+			m.Topic, m.Partition, m.Offset, m.Key, m.Value, m.Published = topic, pi, l.end+int64(j), key, value, published
+			l.totalBytes += int64(len(key) + len(value))
+			cum[j] = l.totalBytes
+		}
+		if res != nil {
+			res = res[copy(res, msgs):]
+		}
+		idxs, l.end = idxs[n:], l.end+int64(n) // the next array's capacity reads end
+	}
 }
 
 // AppendReplicated appends a leader-streamed batch verbatim — offsets,

@@ -54,11 +54,13 @@ func (c *counters) record(lat time.Duration) {
 // counter lock, one progress wake, and one series entry per publish stamp
 // rather than per message — a publish call stamps everything it lands on
 // a partition with one clock read, so a fetch batch is a handful of
-// stretches of equal Published, each one latency value.
+// stretches of equal Published, each one latency value. Stretches split
+// on ==, not Equal: a stamp equal but not identical (another Location)
+// starts a stretch of the same latency, which AddN merges into the last.
 func (c *counters) recordBatch(now time.Time, batch []Message) {
 	for i := 0; i < len(batch); {
 		j := i + 1
-		for j < len(batch) && batch[j].Published.Equal(batch[i].Published) {
+		for j < len(batch) && batch[j].Published == batch[i].Published {
 			j++
 		}
 		c.latencies.AddN(now.Sub(batch[i].Published).Seconds(), j-i)

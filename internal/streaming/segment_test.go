@@ -307,12 +307,15 @@ func (d *logDriver) step(opByte, argByte byte) error {
 	name := ""
 	switch op {
 	case 0, 1:
-		name = "Append"
-		for n := 1 + arg%6; n > 0; n-- {
-			msg := d.mint(m.end())
-			l.Append("t", 0, nil, msg.Value, msg.Published)
-			m.msgs = append(m.msgs, msg)
+		name = "AppendBatch"
+		run := make([]Message, 1+arg%6)
+		for i := range run {
+			run[i] = d.mint(m.end() + int64(i))
 		}
+		if err := appendRun(l, run); err != nil {
+			return fmt.Errorf("step %d: %w", step, err)
+		}
+		m.msgs = append(m.msgs, run...)
 	case 2, 3:
 		name = "AppendReplicated"
 		batch := make([]Message, 1+arg%9) // up to three segments in one call
@@ -496,12 +499,44 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 		}
 		return name + "+follower Trim", nil
 	case 3:
-		msg := d.mint(fm.end())
-		f.Append("t", 0, nil, msg.Value, msg.Published)
-		fm.msgs = append(fm.msgs, msg)
+		run := []Message{d.mint(fm.end())}
+		if err := appendRun(f, run); err != nil {
+			return name, err
+		}
+		fm.msgs = append(fm.msgs, run...)
 		return name + "+follower Append", nil
 	}
 	return name, nil
+}
+
+// appendRun lands run on l in one AppendBatch call, as a publish lands a
+// partition's sub-batch: interleaved with another partition's messages in
+// the batch, under one stamp, run[0]'s, which it gives the whole run. It
+// checks the result slots the call fills against run.
+func appendRun(l *Log, run []Message) error {
+	values := make([][]byte, 2*len(run))
+	idxs := make([]int32, len(run))
+	for i := range run {
+		run[i].Published = run[0].Published
+		values[2*i+1], idxs[i] = run[i].Value, int32(2*i+1)
+	}
+	res := make([]Message, len(run))
+	l.AppendBatch("t", 0, batch{values: values}, idxs, run[0].Published, res)
+	for i, r := range res {
+		if w := run[i]; r.Offset != w.Offset || !bytes.Equal(r.Value, w.Value) || !r.Published.Equal(w.Published) {
+			return fmt.Errorf("AppendBatch result %d reads (%d, %q), want (%d, %q)", i, r.Offset, r.Value, w.Offset, w.Value)
+		}
+	}
+	return nil
+}
+
+// appendValues lands values on l in one AppendBatch call stamped at.
+func appendValues(l *Log, at time.Time, values ...[]byte) {
+	idxs := make([]int32, len(values))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	l.AppendBatch("t", 0, batch{values: values}, idxs, at, nil)
 }
 
 // logScript draws a script of n steps from a seed.
@@ -726,10 +761,11 @@ func BenchmarkAppendReplicated(b *testing.B) {
 	defer b.Run("alias-cold", func(b *testing.B) {
 		const held = 375
 		lead := &Log{segSize: 4096, stats: new(Stats)}
-		payload := make([]byte, 64)
-		for j := 0; j < held; j++ {
-			lead.Append("t", 0, nil, payload, vclock.Epoch)
+		payloads := make([][]byte, held)
+		for j := range payloads {
+			payloads[j] = make([]byte, 64)
 		}
+		appendValues(lead, vclock.Epoch, payloads...)
 		spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 		var parts []pinned
 		var ms runtime.MemStats
@@ -797,37 +833,47 @@ func BenchmarkAppendReplicated(b *testing.B) {
 }
 
 // BenchmarkLogAppendCold prices the small end: a fresh default-size log
-// takes the 375 messages one chaos-scenario replica holds. B/op is the
-// number — what a touched partition costs per copy before it ever seals.
+// takes the 375 messages one chaos-scenario replica holds, in one batch
+// append. B/op is the number — what a touched partition costs per copy
+// before it ever seals.
 func BenchmarkLogAppendCold(b *testing.B) {
-	payload := make([]byte, 64)
+	values, idxs := valueBatch(375)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l := &Log{segSize: 4096, stats: new(Stats)}
-		for j := 0; j < 375; j++ {
-			l.Append("t", 0, nil, payload, vclock.Epoch)
-		}
+		l.AppendBatch("t", 0, batch{values: values}, idxs, vclock.Epoch, nil)
 	}
 }
 
 // BenchmarkLogAppendHot prices the leader append per message in steady
-// state across segment boundaries: each sealed segment is viewed (a
-// consumer fetched it), committed and trimmed, so every boundary births a
-// full-size segment — the bypass for the cold chain.
+// state across segment boundaries: 1000-message batch appends, so one in
+// about four crosses a boundary mid-call, and each sealed segment is viewed
+// (a consumer fetched it), committed and trimmed, so every boundary births
+// a full-size segment — the bypass for the cold chain.
 func BenchmarkLogAppendHot(b *testing.B) {
 	const segSize = 4096
 	l := &Log{segSize: segSize, stats: new(Stats)}
-	payload := make([]byte, 64)
+	values, idxs := valueBatch(1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Append("t", 0, nil, payload, vclock.Epoch)
-		if end := int64(i + 1); end%segSize == 0 {
-			l.View(end-segSize, 1, false)
-			l.Commit(end)
-			l.Trim(end)
+		l.AppendBatch("t", 0, batch{values: values}, idxs, vclock.Epoch, nil)
+		if sealed := l.end / segSize * segSize; sealed > l.first {
+			l.View(sealed-segSize, 1, false)
+			l.Commit(sealed)
+			l.Trim(sealed)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(idxs)), "ns/msg")
+}
+
+// valueBatch is n 64-byte key-less messages and the indices of all of them.
+func valueBatch(n int) ([][]byte, []int32) {
+	values, idxs := make([][]byte, n), make([]int32, n)
+	for i := range values {
+		values[i], idxs[i] = make([]byte, 64), int32(i)
+	}
+	return values, idxs
 }
 
 // TestColdChainAtDefaultSize pins the chain at the default 4096-message
@@ -838,9 +884,11 @@ func BenchmarkLogAppendHot(b *testing.B) {
 func TestColdChainAtDefaultSize(t *testing.T) {
 	const segSize = 4096
 	l := &Log{segSize: segSize, stats: new(Stats)}
-	for i := 0; i < segSize+1; i++ {
-		l.Append("t", 0, nil, []byte{byte(i)}, vclock.Epoch)
+	values := make([][]byte, segSize+1)
+	for i := range values {
+		values[i] = []byte{byte(i)}
 	}
+	appendValues(l, vclock.Epoch, values...) // one call through every link and across the boundary
 	var shape []string
 	for _, seg := range l.segs {
 		shape = append(shape, fmt.Sprintf("%d/%d", len(seg.msgs), cap(seg.msgs)))
@@ -857,9 +905,7 @@ func TestColdChainAtDefaultSize(t *testing.T) {
 	if l.Trim(l.end) != segSize || l.spare == nil || cap(l.spare.msgs) != segSize {
 		t.Fatalf("after the trim: first %d, spare %v", l.first, l.spare != nil)
 	}
-	for l.end < 2*segSize+1 {
-		l.Append("t", 0, nil, nil, vclock.Epoch)
-	}
+	appendValues(l, vclock.Epoch, make([][]byte, segSize)...)
 	if st := *l.stats; st.Born != 7 || st.Refilled != 1 {
 		t.Fatalf("%d arrays born, %d refilled; want 7 and 1", st.Born, st.Refilled)
 	}

@@ -356,6 +356,18 @@ func TestRecordBatchGroupsByStamp(t *testing.T) {
 		t.Fatalf("Processed = %d, want 4", got)
 	}
 
+	// The same instant in another Location is Equal but not ==: it splits
+	// a stretch, and the summary does not move.
+	same := []Message{{Published: a}, {Published: a.In(time.FixedZone("east", 3600))}, {Published: a}, {Published: b}}
+	split := newCounters(clock)
+	split.recordBatch(now, same)
+	if !same[1].Published.Equal(a) || same[1].Published == a {
+		t.Fatal("the relocated stamp is not Equal-but-not-== to the original")
+	}
+	if got, want := split.LatencyStats(), batched.LatencyStats(); got != want {
+		t.Fatalf("a relocated stamp summarizes to %+v, want %+v", got, want)
+	}
+
 	big := make([]Message, 2048)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
