@@ -611,10 +611,7 @@ func (m *Manager) wakeAtLocked(t time.Time) {
 		return
 	}
 	m.nextWake = t
-	d := t.Sub(m.cfg.Clock.Now())
-	if d < 0 {
-		d = 0
-	}
+	d := max(t.Sub(m.cfg.Clock.Now()), 0)
 	m.wg.Add(1)
 	m.cfg.Clock.Go(func() {
 		defer m.wg.Done()

@@ -81,7 +81,8 @@ type Cluster struct {
 type fedTopic struct {
 	name  string
 	parts []*fedPart
-	// rr is the round-robin cursor for key-less publishes. It is shared
+	// rr is the round-robin cursor for key-less publishes, the partition
+	// the next one lands on, held in [0, len(parts)). It is shared
 	// mutable state across all producers of the topic, advanced under the
 	// cluster lock while a batch's partitions are being assigned — so
 	// placement is a pure function of the topic-wide publish order. That

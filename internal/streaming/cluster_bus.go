@@ -55,9 +55,7 @@ func (c *Cluster) topic(name string) (*fedTopic, error) {
 // Publish appends one message through the replicated log, returning once
 // it is acknowledged on quorum.
 func (c *Cluster) Publish(ctx context.Context, topic string, key, value []byte) (Message, error) {
-	out := make([]Message, 1)
-	kv := [1][2][]byte{{key, value}}
-	_, err := c.publish(ctx, topic, batch{kvs: kv[:]}, out)
+	out, err := c.PublishBatch(ctx, topic, [][2][]byte{{key, value}})
 	if err != nil {
 		return Message{}, err
 	}
@@ -81,18 +79,11 @@ func (c *Cluster) PublishValues(ctx context.Context, topic string, values [][]by
 }
 
 // batch is one publish's messages as the caller handed them: keyed pairs
-// (Publish, PublishBatch) or, with kvs nil, key-less values
-// (PublishValues). Every stage of the producer path reads it by index.
+// (PublishBatch) or, with kvs nil, key-less values (PublishValues). Every
+// stage of the producer path reads it by index.
 type batch struct {
 	kvs    [][2][]byte
 	values [][]byte
-}
-
-func (b batch) len() int {
-	if b.kvs != nil {
-		return len(b.kvs)
-	}
-	return len(b.values)
 }
 
 // at returns message i's key and value.
@@ -125,7 +116,7 @@ type pubScratch struct {
 // slices, so grouping reads each message once and allocates nothing in
 // steady state. The caller returns the scratch to c.scratch.
 func (c *Cluster) groupBatch(t *fedTopic, b batch) *pubScratch {
-	n, nparts := b.len(), len(t.parts)
+	n, nparts := len(b.kvs)+len(b.values), len(t.parts)
 	c.mu.Lock()
 	var sc *pubScratch
 	if k := len(c.scratch); k > 0 {
@@ -177,20 +168,6 @@ func (c *Cluster) groupBatch(t *fedTopic, b batch) *pubScratch {
 	return sc
 }
 
-// group returns partition p's share of the batch: where it begins in the
-// grouped order (the count of messages destined for lower partitions),
-// its batch indices, and its result slots when the publish materializes
-// results.
-func (sc *pubScratch) group(p int, out []Message) (lo int32, idxs []int32, slot []Message) {
-	if p > 0 {
-		lo = sc.fill[p-1]
-	}
-	if out != nil {
-		slot = out[lo:sc.fill[p]]
-	}
-	return lo, sc.order[lo:sc.fill[p]], slot
-}
-
 func partitionOf(key []byte, n int) int {
 	h := fnv.New32a()
 	h.Write(key)
@@ -206,7 +183,7 @@ func partitionOf(key []byte, n int) int {
 // every message durable on every full member. Returns how many result
 // slots are filled.
 func (c *Cluster) publish(ctx context.Context, topicName string, b batch, out []Message) (int, error) {
-	n := b.len()
+	n := len(b.kvs) + len(b.values)
 	if n == 0 {
 		return 0, nil
 	}
@@ -226,16 +203,19 @@ func (c *Cluster) publish(ctx context.Context, topicName string, b batch, out []
 	// Phase 1: append every sub-batch on its partition's current leader.
 	var ws waitSlot // the call's one wait object, re-armed per park
 	var latest time.Time
-	for p := range t.parts {
-		lo, idxs, slot := sc.group(p, out)
-		if len(idxs) == 0 {
+	var lo int32 // where partition p's share begins in the grouped order
+	for p, hi := range sc.fill {
+		if lo == hi {
 			continue
 		}
-		r := pubRec{p: p, idxs: idxs, res: slot, add: sc.bytes[p]}
+		r := pubRec{p: p, idxs: sc.order[lo:hi], add: sc.bytes[p]}
+		if out != nil {
+			r.res = out[lo:hi]
+		}
 		if err := c.appendToLeader(ctx, &ws, t, &r, b, &latest); err != nil {
 			return int(lo), err
 		}
-		sc.recs = append(sc.recs, r)
+		sc.recs, lo = append(sc.recs, r), hi
 	}
 
 	// Phase 2: wait for quorum acknowledgement, re-appending across

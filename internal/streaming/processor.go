@@ -213,10 +213,7 @@ func ProduceBatched(ctx context.Context, b Bus, topic string, n int, rate float6
 	}
 	sent := 0
 	for sent < n {
-		k := batch
-		if n-sent < k {
-			k = n - sent
-		}
+		k := min(batch, n-sent)
 		if err := b.PublishValues(ctx, topic, values[:k]); err != nil {
 			return 0, err
 		}
@@ -224,11 +221,8 @@ func ProduceBatched(ctx context.Context, b Bus, topic string, n int, rate float6
 		if rate > 0 {
 			// Pace to the target rate: sleep off any time we are ahead.
 			expected := time.Duration(float64(sent) / rate * float64(time.Second))
-			ahead := expected - clock.Now().Sub(start)
-			if ahead > 0 {
-				if !clock.Sleep(ctx, ahead) {
-					return 0, ctx.Err()
-				}
+			if ahead := expected - clock.Now().Sub(start); ahead > 0 && !clock.Sleep(ctx, ahead) {
+				return 0, ctx.Err()
 			}
 		}
 	}
