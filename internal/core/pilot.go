@@ -272,13 +272,11 @@ func (p *Pilot) agentRun(ctx context.Context, _ infra.Allocation) error {
 			// The pickup delay runs while the unit still sits in the work
 			// queue, so an agent death during it strands the unit on the
 			// FailurePreStart path rather than the mid-execution one.
-			if d := p.desc.UnitPickupDelay; d > 0 {
-				if !clock.Sleep(ctx, d) {
-					return ctx.Err()
-				}
-				if p.stop.Fired() {
-					return nil
-				}
+			if d := p.desc.UnitPickupDelay; d > 0 && !clock.Sleep(ctx, d) {
+				return ctx.Err()
+			}
+			if p.stop.Fired() {
+				return nil
 			}
 			m.mu.Lock()
 			cu := p.popWork()

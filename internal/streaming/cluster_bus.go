@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 )
 
@@ -96,15 +97,15 @@ func (b batch) at(i int32) (key, value []byte) {
 
 // pubScratch is the reusable workspace of one publish call: per-message
 // partition assignment, per-partition byte totals, the counting-sorted
-// index order and the sub-batches' records. Reused (Cluster.scratch) so a
-// steady-state publish allocates nothing beyond the log segments
-// themselves.
+// index order and, for a topic of more partitions than fit on the stack,
+// the sub-batches' records. Reused (Cluster.scratch) so a steady-state
+// publish allocates nothing beyond the log segments themselves.
 type pubScratch struct {
 	assign []int32  // partition per message
 	order  []int32  // message indices grouped by partition, publish order kept
 	fill   []int32  // per-partition counts, then cursors, then group ends
 	bytes  []int64  // payload bytes per partition
-	recs   []pubRec // the sub-batches appended, in partition order
+	recs   []pubRec // the sub-batches' records (publish)
 }
 
 // groupBatch assigns the messages of one publish to t's partitions — by
@@ -193,12 +194,16 @@ func (c *Cluster) publish(ctx context.Context, topicName string, b batch, out []
 	}
 	sc := c.groupBatch(t, b)
 	defer func() {
-		clear(sc.recs) // they hold the caller's result slots
-		sc.recs = sc.recs[:0]
 		c.mu.Lock()
 		c.scratch = append(c.scratch, sc)
 		c.mu.Unlock()
 	}()
+	recs := make([]pubRec, 0, 4) // on the stack: most topics have a few partitions
+	if np := len(t.parts); np > cap(recs) {
+		sc.recs = slices.Grow(sc.recs, np)
+		recs = sc.recs
+		defer clear(sc.recs[:np]) // they hold the caller's result slots
+	}
 
 	// Phase 1: append every sub-batch on its partition's current leader.
 	var ws waitSlot // the call's one wait object, re-armed per park
@@ -215,13 +220,13 @@ func (c *Cluster) publish(ctx context.Context, topicName string, b batch, out []
 		if err := c.appendToLeader(ctx, &ws, t, &r, b, &latest); err != nil {
 			return int(lo), err
 		}
-		sc.recs, lo = append(sc.recs, r), hi
+		recs, lo = append(recs, r), hi
 	}
 
 	// Phase 2: wait for quorum acknowledgement, re-appending across
 	// handoffs.
-	for ri := range sc.recs {
-		if err := c.awaitAcked(ctx, &ws, t, &sc.recs[ri], b, &latest); err != nil {
+	for ri := range recs {
+		if err := c.awaitAcked(ctx, &ws, t, &recs[ri], b, &latest); err != nil {
 			return n, err
 		}
 	}

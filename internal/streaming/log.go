@@ -201,9 +201,7 @@ func (l *Log) AppendBatch(topic string, pi int, b batch, idxs []int32, published
 			l.totalBytes += int64(len(key) + len(value))
 			cum[j] = l.totalBytes
 		}
-		if res != nil {
-			res = res[copy(res, msgs):]
-		}
+		res = res[copy(res, msgs):]            // none when res is nil
 		idxs, l.end = idxs[n:], l.end+int64(n) // the next array's capacity reads end
 	}
 }
