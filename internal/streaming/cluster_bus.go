@@ -105,7 +105,7 @@ type pubScratch struct {
 	order  []int32  // message indices grouped by partition, publish order kept
 	fill   []int32  // per-partition counts, then cursors, then group ends
 	bytes  []int64  // payload bytes per partition
-	recs   []pubRec // the sub-batches' records (publish)
+	recs   []pubRec // sub-batch records, for a topic too wide for the stack
 }
 
 // groupBatch assigns the messages of one publish to t's partitions — by
@@ -198,7 +198,7 @@ func (c *Cluster) publish(ctx context.Context, topicName string, b batch, out []
 		c.scratch = append(c.scratch, sc)
 		c.mu.Unlock()
 	}()
-	recs := make([]pubRec, 0, 4) // on the stack: most topics have a few partitions
+	recs := make([]pubRec, 0, 4) // on the stack; a wider topic uses the scratch's
 	if np := len(t.parts); np > cap(recs) {
 		sc.recs = slices.Grow(sc.recs, np)
 		recs = sc.recs

@@ -157,10 +157,10 @@ func (l *Log) nextSegment(src *segment, alias []Message) *segment {
 }
 
 // tail returns the tail segment with a free slot, the step each run of
-// AppendBatch and of a copied AppendReplicated takes before writing; a missing or full tail
-// means the next array is born. A borrowed tail is first copied to an owned
-// array of the same capacity (copy on write), the log's only copy: the old
-// array is never written again.
+// AppendBatch and of a copied AppendReplicated takes before writing; a
+// missing or full tail means the next array is born. A borrowed tail is
+// first copied to an owned array of the same capacity (copy on write),
+// the log's only copy: the old array is never written again.
 func (l *Log) tail() *segment {
 	if n := len(l.segs); n > 0 {
 		seg := l.segs[n-1]
