@@ -193,16 +193,16 @@ func (l *Log) AppendBatch(topic string, pi int, b batch, idxs []int32, published
 		k := len(seg.msgs)
 		n := min(len(idxs), cap(seg.cum)-k)
 		seg.msgs, seg.cum = seg.msgs[:k+n], seg.cum[:k+n]
-		msgs, cum := seg.msgs[k:], seg.cum[k:]
+		msgs, cum, o, total := seg.msgs[k:], seg.cum[k:], l.end, l.totalBytes
 		for j, i := range idxs[:n] {
 			key, value := b.at(i)
 			m := &msgs[j]
-			m.Topic, m.Partition, m.Offset, m.Key, m.Value, m.Published = topic, pi, l.end+int64(j), key, value, published
-			l.totalBytes += int64(len(key) + len(value))
-			cum[j] = l.totalBytes
+			m.Topic, m.Partition, m.Offset, m.Key, m.Value, m.Published = topic, pi, o+int64(j), key, value, published
+			total += int64(len(key) + len(value))
+			cum[j] = total
 		}
-		res = res[copy(res, msgs):]            // none when res is nil
-		idxs, l.end = idxs[n:], l.end+int64(n) // the next array's capacity reads end
+		res, l.totalBytes = res[copy(res, msgs):], total // a nil res takes no results
+		idxs, l.end = idxs[n:], o+int64(n)               // the next array's capacity reads end
 	}
 }
 

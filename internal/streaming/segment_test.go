@@ -761,11 +761,8 @@ func BenchmarkAppendReplicated(b *testing.B) {
 	defer b.Run("alias-cold", func(b *testing.B) {
 		const held = 375
 		lead := &Log{segSize: 4096, stats: new(Stats)}
-		payloads := make([][]byte, held)
-		for j := range payloads {
-			payloads[j] = make([]byte, 64)
-		}
-		appendValues(lead, vclock.Epoch, payloads...)
+		values, _ := valueBatch(held)
+		appendValues(lead, vclock.Epoch, values...)
 		spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 		var parts []pinned
 		var ms runtime.MemStats
@@ -867,11 +864,12 @@ func BenchmarkLogAppendHot(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(idxs)), "ns/msg")
 }
 
-// valueBatch is n 64-byte key-less messages and the indices of all of them.
+// valueBatch is n key-less messages sharing one 64-byte payload, as a
+// producer's batches do, and the indices of all of them.
 func valueBatch(n int) ([][]byte, []int32) {
-	values, idxs := make([][]byte, n), make([]int32, n)
+	payload, values, idxs := make([]byte, 64), make([][]byte, n), make([]int32, n)
 	for i := range values {
-		values[i], idxs[i] = make([]byte, 64), int32(i)
+		values[i], idxs[i] = payload, int32(i)
 	}
 	return values, idxs
 }
