@@ -210,6 +210,49 @@ func BenchmarkGoChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkGoChurnDeep: one op is one world whose driver spawns 64
+// participants, each parking once on a shared Event from a call chain
+// deeper than the 1 120 B a 2 KB stack allows before morestack, then fires
+// the event and waits for them — the chaos-fuzz shape, where every world
+// starts its participants' goroutines afresh. It reports ns per spawn: a
+// goroutine's start, its stack growth and its park and wake.
+func BenchmarkGoChurnDeep(b *testing.B) {
+	const spawns = 64
+	bg := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewVirtual(Epoch)
+		c.Adopt()
+		e, done := NewEvent(c), NewGroup(c)
+		done.Add(spawns)
+		for j := 0; j < spawns; j++ {
+			c.Go(func() {
+				parkDeep(bg, e, 4)
+				done.Done()
+			})
+		}
+		c.Sleep(bg, time.Microsecond) // every participant is parked
+		e.Fire()
+		done.Wait()
+		c.Leave()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spawns), "ns/spawn")
+}
+
+// parkDeep parks on e from under depth+1 frames of ≈ 300 B each.
+//
+//go:noinline
+func parkDeep(ctx context.Context, e *Event, depth int) {
+	var frame [256]byte
+	keepFrame(frame[:])
+	if depth > 0 {
+		parkDeep(ctx, e, depth-1)
+	} else {
+		e.Wait(ctx)
+	}
+}
+
 var churnSink []byte
 
 // deepFrame allocates from under a 4 KB stack frame.
@@ -220,3 +263,8 @@ func deepFrame(n int) []byte {
 	frame[n%len(frame)] = byte(n)
 	return make([]byte, 16+int(frame[n%len(frame)]%16))
 }
+
+// keepFrame uses a caller's frame, so the compiler keeps it.
+//
+//go:noinline
+func keepFrame([]byte) {}
