@@ -43,26 +43,28 @@ bench-10m:
 
 # Profile harness for the two long-pole exhibits and the chaos scenario
 # (the small-batch, fault-path end): cpu+mem profile pairs under profiles/
-# (gitignored), one pair per benchmark. Inspect with e.g.
+# (gitignored), one pair per benchmark, each at -cpu 1 as cmd/bench runs
+# its workloads and with iterations for ≥ 1.5 s of CPU samples, so a
+# function's share is read over ≈ 150 samples, not ≈ 60. Each profile's
+# sample count is printed; quote a share with it. Inspect with e.g.
 #   go tool pprof -top profiles/streaming_million.cpu.pprof
 #   go tool pprof -sample_index=alloc_space -top profiles/chaos_seeds.mem.pprof
 # The test binary lands next to the profiles so pprof can resolve symbols
 # without rebuilding.
 PROFILE_DIR ?= profiles
+# $(call profile-one,name,benchmark,iterations)
+define profile-one
+	$(GO) test -run '^$$' -bench '^Benchmark$(2)$$' -benchtime $(3)x -benchmem -cpu 1 \
+		-cpuprofile $(PROFILE_DIR)/$(1).cpu.pprof \
+		-memprofile $(PROFILE_DIR)/$(1).mem.pprof \
+		-o $(PROFILE_DIR)/gopilot.test .
+	@echo "profile: $(1): $$($(GO) tool pprof -sample_index=samples -top -nodecount=1 $(PROFILE_DIR)/$(1).cpu.pprof 2>/dev/null | sed -n 's/.* of \([0-9]*\) total.*/\1/p') CPU samples"
+endef
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench '^BenchmarkStreaming_Million$$' -benchtime 3x -benchmem \
-		-cpuprofile $(PROFILE_DIR)/streaming_million.cpu.pprof \
-		-memprofile $(PROFILE_DIR)/streaming_million.mem.pprof \
-		-o $(PROFILE_DIR)/gopilot.test .
-	$(GO) test -run '^$$' -bench '^BenchmarkTable2_MapReduce$$' -benchtime 3x -benchmem \
-		-cpuprofile $(PROFILE_DIR)/mapreduce.cpu.pprof \
-		-memprofile $(PROFILE_DIR)/mapreduce.mem.pprof \
-		-o $(PROFILE_DIR)/gopilot.test .
-	$(GO) test -run '^$$' -bench '^BenchmarkChaos_Seeds$$' -benchtime 10x -benchmem \
-		-cpuprofile $(PROFILE_DIR)/chaos_seeds.cpu.pprof \
-		-memprofile $(PROFILE_DIR)/chaos_seeds.mem.pprof \
-		-o $(PROFILE_DIR)/gopilot.test .
+	$(call profile-one,streaming_million,Streaming_Million,15)
+	$(call profile-one,mapreduce,Table2_MapReduce,60)
+	$(call profile-one,chaos_seeds,Chaos_Seeds,40)
 
 # Seeding-spine lint: no math/rand and no raw integer seeds outside
 # internal/dist; stream roots only where experiments are born; no clock
@@ -134,11 +136,12 @@ test-federation:
 # (TestScope*, DESIGN.md "Cancellation"); an outside cancellation reaches a
 # stalled world through its watchers, which the next grant must stop
 # (TestOutsideCancelReachesStalledWorld, TestStallWatchersStopOnResume,
-# TestReStallWatchesScopesTheSweepListed).
+# TestReStallWatchesScopesTheSweepListed); a fresh participant's goroutine
+# starts on a grown stack (TestSpawnedParticipantStartsOnGrownStack).
 # The outside-world signal cases need real threads and repetition to show.
 test-reuse:
 	GOMAXPROCS=4 $(GO) test -race -count=20 \
-		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers|TestScope|TestOutsideCancelReachesStalledWorld|TestStallWatchersStopOnResume|TestReStallWatches' \
+		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers|TestSpawnedParticipant|TestScope|TestOutsideCancelReachesStalledWorld|TestStallWatchersStopOnResume|TestReStallWatches' \
 		./internal/vclock/ ./internal/streaming/
 
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a

@@ -119,6 +119,7 @@ func main() {
 	st := r.Replication
 	fmt.Printf("replication: %d appended, %d aliased, %d copied, %d segments born, %d refilled, %d copied on write, %d views copied across links, %d rounds, %d acked advances\n",
 		st.Appends, st.Aliased, st.Copied, st.Born, st.Refilled, st.CopyOnWrite, st.Spanned, st.Rounds, st.AckedAdvances)
+	fmt.Printf("executor: %d spawned, %d reused\n", r.Executor.Spawned, r.Executor.Reused)
 	if *verbose {
 		for _, a := range r.Injected {
 			fmt.Printf("  %s\n", a.Note)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gopilot/internal/chaos"
+	"gopilot/internal/vclock"
 )
 
 // A zero-fault run must hold every invariant — the suite's false-positive
@@ -107,6 +108,23 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 			t.Fatalf("run %d: schedule diverged: %d/%x vs %d/%x", run,
 				r.Schedule.Decisions, r.Schedule.Hash, base.Schedule.Decisions, base.Schedule.Hash)
 		}
+		if r.Executor != base.Executor {
+			t.Fatalf("run %d: executor counters diverged: %+v vs %+v", run, r.Executor, base.Executor)
+		}
+	}
+}
+
+// TestChaosExecutorStatsPinned pins one seed's participant counters: a
+// world keeps its finished participants' goroutines as idle workers until
+// its last participant exits, so Go starts a goroutine only when no
+// worker is idle. More spawns mean workers are released early again.
+func TestChaosExecutorStatsPinned(t *testing.T) {
+	r, err := Chaos(ChaosOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (vclock.Stats{Spawned: 57, Reused: 46}); r.Executor != want {
+		t.Fatalf("seed 1 executor counters %+v, want %+v", r.Executor, want)
 	}
 }
 

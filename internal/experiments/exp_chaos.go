@@ -83,6 +83,8 @@ type ChaosReport struct {
 	Rebalances int
 	// Replication is the cluster's replicated-log counters at quiescence.
 	Replication streaming.Stats
+	// Executor is the clock's participant counters at quiescence.
+	Executor vclock.Stats
 	// StateHash fingerprints the terminal state (unit states and
 	// attempts, commit marks, processed count, rebalances, plan hash):
 	// two same-seed runs must agree bit-for-bit.
@@ -313,6 +315,7 @@ func Chaos(opts ChaosOptions) (*ChaosReport, error) {
 		Processed:   checker.HandledCount(),
 		Rebalances:  group.Rebalances(),
 		Replication: cluster.Stats(),
+		Executor:    tb.Clock.Stats(),
 	}
 	for _, u := range mgrB.Units() {
 		switch u.State() {

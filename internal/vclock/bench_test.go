@@ -263,8 +263,3 @@ func deepFrame(n int) []byte {
 	frame[n%len(frame)] = byte(n)
 	return make([]byte, 16+int(frame[n%len(frame)]%16))
 }
-
-// keepFrame uses a caller's frame, so the compiler keeps it.
-//
-//go:noinline
-func keepFrame([]byte) {}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // This file pins what record reuse must not break. A participant keeps one
@@ -520,5 +522,41 @@ func TestIdleWorkersReleasedOnLeave(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("%d goroutines after Leave, %d before the world existed: idle workers leaked", got, before)
+	}
+}
+
+// TestSpawnedParticipantStartsOnGrownStack: 256 Go participants each park
+// on one Event from a call chain deeper than a 2 KB stack allows, and not
+// one stack is copied on the way: run grows a fresh goroutine's stack to
+// 4 KB before the body runs (DESIGN.md "Participant record"). A copy shows
+// as a local's address changing across the call; GC is off, so no stack
+// shrinks meanwhile. Only a build without -race shows the pre-grow: -race
+// doubles the stack guard, so every goroutine's first call grows its stack.
+func TestSpawnedParticipantStartsOnGrownStack(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 256
+	bg := context.Background()
+	c := NewVirtual(Epoch)
+	c.Adopt()
+	defer c.Leave()
+	e, done := NewEvent(c), NewGroup(c)
+	done.Add(n)
+	moved := 0 // participants run one at a time, holding the token
+	for i := 0; i < n; i++ {
+		c.Go(func() {
+			var local byte
+			at := uintptr(unsafe.Pointer(&local))
+			parkDeep(bg, e, 2)
+			if uintptr(unsafe.Pointer(&local)) != at {
+				moved++
+			}
+			done.Done()
+		})
+	}
+	c.Sleep(bg, time.Microsecond) // every participant is parked
+	e.Fire()
+	done.Wait()
+	if moved > 0 {
+		t.Fatalf("%d of %d participants' stacks were copied in a deep call: run no longer grows a fresh goroutine's stack first", moved, n)
 	}
 }

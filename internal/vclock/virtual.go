@@ -82,11 +82,11 @@ type Virtual struct {
 	participants int
 	stalls       uint64
 	resume       chan struct{} // a stall's watchers stop when the next grant closes it
+	stats        Stats
 
-	// idle holds the records of participants whose fn returned while others
-	// were runnable; each one's goroutine waits on its grant channel for the
-	// next Go. They are released at the first empty-run-queue juncture
-	// (DESIGN.md "Participant record").
+	// idle holds finished Go participants' records, each one's goroutine
+	// waiting on its grant for the next Go until the world's last
+	// participant exits (DESIGN.md "Participant record").
 	idle []*parker
 
 	// Parallel compute phase (compute.go). computing counts Compute bodies
@@ -435,8 +435,8 @@ func (c *Virtual) await(r *parker) bool {
 // Go spawns fn as a registered participant. It may be called from inside
 // or outside the scheduled world; fn starts once the scheduler hands it
 // the execution token. An idle worker — a goroutine whose participant has
-// just finished — runs fn if there is one, so a steady stream of short
-// participants does not start, and grow the stack of, a goroutine apiece.
+// finished — runs fn if there is one, so a world starts no more goroutines
+// than it ever has Go participants alive at once.
 func (c *Virtual) Go(fn func()) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
@@ -448,38 +448,64 @@ func (c *Virtual) Go(fn func()) {
 		// the run-queue entry and its grant read exactly as a fresh one's.
 		r.arm(nil, time.Time{}, 0)
 		r.fn = fn
+		c.stats.Reused++
 		c.joinLocked(r)
 		c.mu.Unlock()
 		return
 	}
+	c.stats.Spawned++
 	r := newRecord()
 	c.joinLocked(r)
 	c.mu.Unlock()
 	go c.run(r, fn)
 }
 
+// Stats counts the participants Go started: on a fresh goroutine
+// (Spawned) or on an idle worker's (Reused).
+type Stats struct{ Spawned, Reused uint64 }
+
+// Stats returns the executor's counters.
+func (c *Virtual) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
+
 // run is a spawned participant's goroutine: fn between taking the token and
-// leaving the world, then, while it is kept as an idle worker, each body Go
-// hands it, until it is released. A Goexit or panic in a body leaves the
+// leaving the world, then, as an idle worker, each body Go hands it, until
+// a grant with no body releases it. A Goexit or panic in a body leaves the
 // world as before and ends the goroutine, so it is never reused.
 func (c *Virtual) run(r *parker, fn func()) {
-	done := false
+	growStack()
 	defer func() {
-		if !done {
-			c.exit()
+		if fn != nil { // the body panicked or called Goexit
+			c.Leave()
 		}
 	}()
 	<-r.g
 	for fn != nil {
 		fn()
-		if !c.retire(r) {
-			break
-		}
+		fn = nil
+		c.retire(r)
 		<-r.g
 		fn, r.fn = r.fn, nil
 	}
-	done = true
 }
+
+// growStack's frame passes the 1 120 B a 2 KB stack allows, so a fresh
+// goroutine's stack grows to 4 KB while only run's frame is on it, not in
+// a participant's deep call (DESIGN.md "Participant record").
+//
+//go:noinline
+func growStack() {
+	var frame [1536]byte
+	keepFrame(frame[:])
+}
+
+// keepFrame uses a caller's frame (growStack's), so the compiler keeps it.
+//
+//go:noinline
+func keepFrame([]byte) {}
 
 // Adopt registers the calling goroutine as a participant and blocks until
 // it holds the execution token. Experiment drivers call this once, before
@@ -506,7 +532,11 @@ func (c *Virtual) joinLocked(r *parker) {
 
 // Leave deregisters the calling participant (the inverse of Adopt) and
 // releases the execution token.
-func (c *Virtual) Leave() { c.exit() }
+func (c *Virtual) Leave() {
+	c.mu.Lock()
+	c.exitLocked()
+	c.mu.Unlock()
+}
 
 // Stalls counts the times the scheduler found participants registered but
 // nothing runnable and nothing sleeping — i.e. everyone parked waiting for
@@ -518,31 +548,18 @@ func (c *Virtual) Stalls() uint64 {
 	return c.stalls
 }
 
-// exit removes the current participant from the world.
-func (c *Virtual) exit() {
+// retire is exit for a Go-spawned participant whose fn returned: its
+// record r joins the idle workers, whom the last participant's exit
+// releases — r's own exit, if it is the last.
+func (c *Virtual) retire(r *parker) {
 	c.mu.Lock()
+	c.idle = append(c.idle, r)
 	c.exitLocked()
 	c.mu.Unlock()
 }
 
-// retire is exit for a Go-spawned participant whose fn returned: if the run
-// queue is non-empty, its record r joins the idle workers and retire
-// reports true. With nobody runnable the goroutine ends as before — an
-// idle worker would only be released again at this very juncture.
-func (c *Virtual) retire(r *parker) bool {
-	c.mu.Lock()
-	keep := c.runqHead < len(c.runq)
-	c.exitLocked()
-	if keep {
-		c.idle = append(c.idle, r)
-	}
-	c.mu.Unlock()
-	return keep
-}
-
-// exitLocked removes the current participant from the world. When the
-// last one leaves, the run queue is empty, so the scheduler releases every
-// idle worker. Caller holds c.mu.
+// exitLocked removes the current participant from the world; the last
+// one's exit releases every idle worker. Caller holds c.mu.
 func (c *Virtual) exitLocked() {
 	if c.current == nil {
 		c.mu.Unlock()
@@ -550,6 +567,9 @@ func (c *Virtual) exitLocked() {
 	}
 	c.participants--
 	c.current = nil
+	if c.participants == 0 {
+		c.releaseIdleLocked()
+	}
 	c.scheduleLocked()
 }
 
@@ -664,9 +684,6 @@ func (c *Virtual) scheduleLocked() {
 		c.grantNextLocked()
 		return
 	}
-	if len(c.idle) > 0 {
-		c.releaseIdleLocked()
-	}
 	if c.computing > 0 || len(c.computeDone) > 0 {
 		// An off-token compute phase is pending. Readmission may only
 		// happen here — the run queue is empty, so this juncture is reached
@@ -739,11 +756,7 @@ func (c *Virtual) watchLocked() {
 }
 
 // releaseIdleLocked wakes every idle worker with no body, so its goroutine
-// returns. It runs at the first empty-run-queue juncture after the workers
-// were kept: a parked idle goroutine holds a shallow stack, and enough of
-// them pull down the starting stack size the runtime picks for every new
-// goroutine, so workers are kept only across a run of back-to-back grants.
-// Caller holds c.mu.
+// returns. Caller holds c.mu.
 func (c *Virtual) releaseIdleLocked() {
 	for i, r := range c.idle {
 		r.g <- struct{}{}
