@@ -117,7 +117,8 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 // TestChaosExecutorStatsPinned pins one seed's participant counters: a
 // world keeps its finished participants' goroutines as idle workers until
 // its last participant exits, so Go starts a goroutine only when no
-// worker is idle. More spawns mean workers are released early again.
+// worker is idle. More spawns mean workers are released early again:
+// releasing them at every empty-run-queue juncture read 98 and 5.
 func TestChaosExecutorStatsPinned(t *testing.T) {
 	r, err := Chaos(ChaosOptions{Seed: 1})
 	if err != nil {

@@ -1363,7 +1363,12 @@ func TestClusterCloseMidHandoffUnwindsCleanly(t *testing.T) {
 	base := runtime.NumGoroutine()
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
-	defer clock.Leave()
+	left := false
+	defer func() {
+		if !left {
+			clock.Leave()
+		}
+	}()
 	c := NewCluster(ClusterConfig{
 		Shards: 3, Replication: 3, HandoffDelay: 10 * time.Second,
 		AppendCost: 10 * time.Microsecond, Clock: clock,
@@ -1453,13 +1458,15 @@ func TestClusterCloseMidHandoffUnwindsCleanly(t *testing.T) {
 		}
 	}
 	// No leaked goroutines: catch-up runners, fence walkers and parked
-	// callers all exit. The fence walker parks in a virtual sleep whose
-	// context Close just canceled, and canceled sleepers are reaped by
-	// the scheduler's sweep on its next pass — so keep driving the clock
-	// while polling (the wall-clock sleep lets the reaped goroutines'
-	// exits land; they are asynchronous to the sweep).
+	// callers all exit, and so the driver's Leave ends the world and
+	// releases the idle workers that ran them; a participant still parked
+	// would keep them all. The fence walker parks in a virtual sleep whose
+	// context Close just canceled: the sweep of Leave's schedule pass
+	// reaps it. Poll (wall time) for the exits, which are asynchronous to
+	// the sweep.
+	clock.Leave()
+	left = true
 	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
-		clock.Sleep(ctx, time.Millisecond)
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > base {

@@ -50,7 +50,7 @@ type Virtual struct {
 	now time.Time
 	seq uint64
 	// current is the token holder's record, nil while the token is free: set
-	// by the two grant sites, cleared by Sleep, park, Compute and exit.
+	// by the two grant sites, cleared by Sleep, park, Compute and exitLocked.
 	current *parker
 
 	// runq is a head-indexed FIFO deque: pops advance runqHead instead of
