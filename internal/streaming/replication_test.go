@@ -1424,6 +1424,7 @@ func TestClusterCloseMidHandoffUnwindsCleanly(t *testing.T) {
 	if err := c.FailShard(lead); err != nil {
 		t.Fatal(err)
 	}
+	failAt := clock.Now()
 	var fencePubErr, fenceFetchErr error
 	fencePubDone := vclock.NewEvent(clock)
 	fenceFetchDone := vclock.NewEvent(clock)
@@ -1472,5 +1473,14 @@ func TestClusterCloseMidHandoffUnwindsCleanly(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("goroutines leaked after Close: %d > %d\n%s", n, base, buf[:runtime.Stack(buf, true)])
+	}
+	// Once the driver has left, only sleepers can hold the world, and the
+	// scheduler jumps modeled time to the earliest of them: a fence walker
+	// that Close failed to cancel would sleep out its 10s handoff window,
+	// wake to a closed cluster and exit, and the count above would pass.
+	// Modeled time past the window is that walker's trace.
+	if now := clock.Now(); !now.Before(failAt.Add(10 * time.Second)) {
+		t.Fatalf("modeled time reached %v after the failover, past the 10s handoff window: a participant outlived Close by sleeping out its delay",
+			now.Sub(failAt))
 	}
 }
