@@ -136,12 +136,11 @@ test-federation:
 # (TestScope*, DESIGN.md "Cancellation"); an outside cancellation reaches a
 # stalled world through its watchers, which the next grant must stop
 # (TestOutsideCancelReachesStalledWorld, TestStallWatchersStopOnResume,
-# TestReStallWatchesScopesTheSweepListed); a fresh participant's goroutine
-# starts on a grown stack (TestSpawnedParticipantStartsOnGrownStack).
+# TestReStallWatchesScopesTheSweepListed).
 # The outside-world signal cases need real threads and repetition to show.
 test-reuse:
 	GOMAXPROCS=4 $(GO) test -race -count=20 \
-		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers|TestSpawnedParticipant|TestScope|TestOutsideCancelReachesStalledWorld|TestStallWatchersStopOnResume|TestReStallWatches' \
+		-run 'TestUnregisteredWaitPanics|TestCanceledWaitThenSleep|TestOutsideFire|TestOutsideSet|TestRecordRoundTrip|TestSharedContextCancel|TestCancelOnFreshContext|TestParkAllocatesNothing|TestStaleRegistration|TestRunnerParkData|TestReusedRecord|TestIdleWorkers|TestScope|TestOutsideCancelReachesStalledWorld|TestStallWatchersStopOnResume|TestReStallWatches' \
 		./internal/vclock/ ./internal/streaming/
 
 # Fuzz smoke: every native fuzz target in the tree for FUZZTIME each, so a
