@@ -35,28 +35,23 @@ func GenerateCorpus(nSplits, wordsPerSplit, vocab int, s *dist.Stream) []string 
 	return out
 }
 
-// Map tokenizes a split and emits (word, 1). It is a pure CPU kernel —
-// no clock reads, no stream draws, no shared mutation — so the MapReduce
-// engine runs it inside a parallel compute phase (vclock.Compute) and
-// map tasks use real cores under the virtual-time executor.
+// Map tokenizes a split as strings.Fields does and emits (word, 1). It is
+// a pure CPU kernel — no clock reads, no stream draws, no shared mutation
+// — so the MapReduce engine runs it inside a parallel compute phase
+// (vclock.Compute) and map tasks use real cores under the virtual-time
+// executor. An ASCII byte is classified by table; only a byte ≥ 0x80
+// starts a rune decode.
 func Map(_ context.Context, _ string, value string, emit func(k, v string)) error {
-	eachField(value, func(w string) { emit(w, "1") })
-	return nil
-}
-
-// eachField calls fn with every element of strings.Fields(s), in order,
-// without building the slice: a split is hundreds of thousands of words
-// and Map needs them one at a time.
-func eachField(s string, fn func(field string)) {
-	start := -1 // start of the field being read, or -1 between fields
-	for i := 0; i < len(s); {
-		r, width := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, width = utf8.DecodeRuneInString(s[i:])
+	start := -1 // start of the word being read, or -1 between words
+	for i := 0; i < len(value); {
+		space, width := asciiSpace[value[i]], 1
+		if value[i] >= utf8.RuneSelf {
+			r, w := utf8.DecodeRuneInString(value[i:])
+			space, width = unicode.IsSpace(r), w
 		}
-		if unicode.IsSpace(r) {
+		if space {
 			if start >= 0 {
-				fn(s[start:i])
+				emit(value[start:i], "1")
 				start = -1
 			}
 		} else if start < 0 {
@@ -65,9 +60,13 @@ func eachField(s string, fn func(field string)) {
 		i += width
 	}
 	if start >= 0 {
-		fn(s[start:])
+		emit(value[start:], "1")
 	}
+	return nil
 }
+
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Reduce sums counts per word. It doubles as the combiner. Like Map it is
 // a pure CPU kernel, safe inside a parallel compute phase.

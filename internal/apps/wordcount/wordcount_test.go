@@ -113,8 +113,9 @@ func TestGenerateCorpusBytesPinned(t *testing.T) {
 	}
 }
 
-// FuzzEachFieldMatchesFields holds Map's tokenizer to strings.Fields —
-// which Sequential, the independent reference, keeps using. The seeds are
+// FuzzEachFieldMatchesFields holds Map to strings.Fields — which
+// Sequential, the independent reference, keeps using: Map must emit each
+// field, in order, with the value "1". The seeds are
 // the table: ASCII and Unicode spaces (NEL, NBSP, ogham, en quad, line and
 // paragraph separators, ideographic space), leading, trailing and doubled
 // separators, multi-byte words, bytes that are not UTF-8, and U+200B,
@@ -131,9 +132,14 @@ func FuzzEachFieldMatchesFields(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		var got []string
-		eachField(s, func(w string) { got = append(got, w) })
+		Map(context.Background(), "", s, func(k, v string) {
+			if v != "1" {
+				t.Fatalf("Map(%q) emitted %q with value %q", s, k, v)
+			}
+			got = append(got, k)
+		})
 		if want := strings.Fields(s); !slices.Equal(got, want) {
-			t.Fatalf("eachField(%q) = %q, strings.Fields = %q", s, got, want)
+			t.Fatalf("Map(%q) emitted %q, strings.Fields = %q", s, got, want)
 		}
 	})
 }

@@ -31,31 +31,32 @@ func benchZipfWords() func() string {
 	return func() string { return "w" + strconv.FormatUint(z.Uint64(), 10) }
 }
 
-// reportPerPair adds ns/pair and allocs/pair to a benchmark that handled
-// pairs pairs in each of its b.N iterations; mallocs0 is the allocation
-// count read when the timer started.
-func reportPerPair(b *testing.B, pairs int, mallocs0 uint64) {
+// reportPerPair adds ns/pair, allocs/pair and B/pair to a benchmark that
+// handled pairs pairs in each of its b.N iterations; ms0 is the memory
+// statistics read when the timer started.
+func reportPerPair(b *testing.B, pairs int, ms0 *runtime.MemStats) {
 	b.StopTimer()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	total := float64(b.N) * float64(pairs)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/pair")
-	b.ReportMetric(float64(ms.Mallocs-mallocs0)/total, "allocs/pair")
+	b.ReportMetric(float64(ms.Mallocs-ms0.Mallocs)/total, "allocs/pair")
+	b.ReportMetric(float64(ms.TotalAlloc-ms0.TotalAlloc)/total, "B/pair")
 }
 
-func startCounting(b *testing.B) uint64 {
+func startCounting(b *testing.B) *runtime.MemStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	b.ReportAllocs()
 	b.ResetTimer()
-	return ms.Mallocs
+	return &ms
 }
 
-// BenchmarkGroup: groupSorted over 25 000 pairs through one reused
-// scratch, at three key shapes — zipf25k is what the map side groups, the
-// words of a harness split that hash to one partition; distinct25k has no
-// two keys alike (the sort sees every pair); onekey25k has one group (the
-// sort sees nothing).
+// BenchmarkGroup: 25 000 pairs filed (add) and grouped (each) through
+// one reused scratch, reset after every round, at three key shapes —
+// zipf25k is what the map side groups, the words of a harness split that
+// hash to one partition; distinct25k has no two keys alike (the sort sees
+// every pair); onekey25k has one group (the sort sees nothing).
 func BenchmarkGroup(b *testing.B) {
 	const pairs = 25_000
 	zipf := make([]KeyValue, 0, pairs)
@@ -77,13 +78,18 @@ func BenchmarkGroup(b *testing.B) {
 			sc := newScratch()
 			values := 0
 			fn := func(_ string, vs []string) error { values += len(vs); return nil }
-			mallocs0 := startCounting(b)
+			ms0 := startCounting(b)
 			for i := 0; i < b.N; i++ {
-				if err := groupSorted(bc.kvs, sc, fn); err != nil {
+				sc.parts = grow(sc.parts, 1)
+				for _, kv := range bc.kvs {
+					sc.add(kv.Key, kv.Value)
+				}
+				if err := sc.each(0, fn); err != nil {
 					b.Fatal(err)
 				}
+				sc.reset()
 			}
-			reportPerPair(b, pairs, mallocs0)
+			reportPerPair(b, pairs, ms0)
 			if values != b.N*pairs {
 				b.Fatalf("groups carried %d values, want %d", values, b.N*pairs)
 			}
@@ -119,7 +125,7 @@ func BenchmarkMapKernel_Wordcount(b *testing.B) {
 	}
 	split := []byte(text.String())
 	cfg := Config{Reducers: benchReducers, Map: spaceMapper, Reduce: countReducer, Combine: countReducer}
-	mallocs0 := startCounting(b)
+	ms0 := startCounting(b)
 	for i := 0; i < b.N; i++ {
 		sc := getScratch()
 		encoded, err := mapKernel(ctx, cfg, "split", split, sc)
@@ -128,5 +134,5 @@ func BenchmarkMapKernel_Wordcount(b *testing.B) {
 			b.Fatalf("mapKernel: %d partitions, err %v", len(encoded), err)
 		}
 	}
-	reportPerPair(b, benchWords, mallocs0)
+	reportPerPair(b, benchWords, ms0)
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,10 +160,13 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// kernelScratch is the reusable workspace of one map or reduce kernel:
-// per-reducer emit buffers, the concatenated shuffle input, and
-// groupSorted's columns. Pooling it makes steady-state kernels allocate
-// only their encoded outputs.
+// kernelScratch is the reusable workspace of one map or reduce kernel. A
+// kernel files every pair as it is emitted (or decoded): one key → id
+// index for the whole kernel hands each distinct key a dense id and its
+// partition, and the pair is stored as its key id and value in that
+// partition's columns. each then groups one partition at a time. A
+// kernel starts on a reset scratch (new, or released); pooling it makes
+// steady-state kernels allocate only their encoded outputs.
 //
 // The pooling contract (seed-audit rule 8, DESIGN.md "Hot path"): Get
 // and Put happen on the executor token — before the compute phase opens
@@ -172,115 +174,127 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 // scratch exclusively for its duration; nothing pooled may be referenced
 // after release.
 type kernelScratch struct {
-	parts [][]KeyValue // map side: per-reducer emit buffers
-	all   []KeyValue   // reduce side: concatenated shuffle input
+	// index is only ever looked up, never ranged over: map iteration
+	// order must not reach the output.
+	index map[string]slot // key → its id and partition
+	keys  []string        // id → key, ids dense in first-seen order
+	cnt   []int           // id → number of values
+	parts []column        // partition → its pairs
+	err   error           // the grouping limit, hit by add
 
-	// groupSorted's workspace, reset at its entry. index is only ever
-	// looked up, never ranged over: map iteration order must not reach
-	// the output.
-	index map[string]int32 // key → group id, dense in first-seen order
-	keys  []string         // group id → key
-	cnt   []int32          // group id → number of values
-	gid   []int32          // pair → group id
-	order []int32          // group ids in ascending key order
-	next  []int32          // group id → next free slot of its run in vals
-	vals  []string         // the groups' values, run after run in key order
+	// each's workspace, and the combiner's or reducer's output.
+	next []int      // id → next free slot of its run in vals
+	vals []string   // one partition's values, run after run in key order
+	out  []KeyValue // what the combiner or reducer emitted, for Encode
 }
 
-func newScratch() *kernelScratch { return &kernelScratch{index: make(map[string]int32)} }
+// slot is what the index holds for a key.
+type slot struct{ id, part int32 }
+
+// column holds one partition's pairs in emission order, 20 bytes each.
+type column struct {
+	ids  []int32  // pair → key id
+	vals []string // pair → value
+	keys []int32  // the partition's distinct ids, sorted by key in each
+}
+
+// maxKeys bounds the distinct keys of one kernel, so that an id fits an
+// int32 (a variable so that a test can reach it).
+var maxKeys = math.MaxInt32
+
+func newScratch() *kernelScratch { return &kernelScratch{index: make(map[string]slot)} }
 
 var kernelScratchPool = sync.Pool{New: func() any { return newScratch() }}
 
 func getScratch() *kernelScratch { return kernelScratchPool.Get().(*kernelScratch) }
 
-// release drops every string reference the scratch accumulated (pooled
-// buffers must not pin split contents in memory between jobs: keys and
-// values are substrings of the split) and returns it to the pool,
-// keeping the slice capacities.
+// release resets the scratch and returns it to the pool.
 func (s *kernelScratch) release() {
-	ps := s.parts[:cap(s.parts)]
-	for i := range ps {
-		p := ps[i][:cap(ps[i])]
-		clear(p)
-		ps[i] = p[:0]
-	}
-	s.parts = ps[:len(s.parts)]
-	clear(s.all[:cap(s.all)])
-	s.all = s.all[:0]
-	clear(s.index)
-	clear(s.keys[:cap(s.keys)])
-	s.keys = s.keys[:0]
-	clear(s.vals[:cap(s.vals)])
-	s.vals = s.vals[:0]
+	s.reset()
 	kernelScratchPool.Put(s)
 }
 
-// groupSorted invokes fn once per distinct key of kvs, in ascending key
-// order, with the key's values in emission order, each call receiving a
-// capped sub-slice of sc.vals. It groups by hashing and orders only the
-// distinct keys: one pass gives every pair a dense group id through
-// sc.index and counts the groups, the group ids are sorted by key, a
-// prefix sum in that order lays the groups' runs out in sc.vals, and a
-// second pass scatters the values into their runs. kvs is left as it was.
-func groupSorted(kvs []KeyValue, sc *kernelScratch, fn func(key string, values []string) error) error {
-	if len(kvs) > math.MaxInt32 {
-		return fmt.Errorf("mapreduce: %d pairs in one partition exceed the grouping limit of %d", len(kvs), math.MaxInt32)
+// reset drops every string reference the scratch accumulated (pooled
+// buffers must not pin split contents in memory between jobs: keys and
+// values are substrings of the split), keeping the capacities.
+func (s *kernelScratch) reset() {
+	clear(s.index)
+	clear(s.keys[:cap(s.keys)])
+	ps := s.parts[:cap(s.parts)]
+	for i := range ps {
+		clear(ps[i].vals[:cap(ps[i].vals)])
+		ps[i] = column{ps[i].ids[:0], ps[i].vals[:0], ps[i].keys[:0]}
 	}
-	clear(sc.index)
-	keys, cnt := sc.keys[:0], sc.cnt[:0]
-	gid := grow(sc.gid, len(kvs))
-	for i := range kvs {
-		id, ok := sc.index[kvs[i].Key]
-		if !ok {
-			id = int32(len(keys))
-			sc.index[kvs[i].Key] = id
-			keys = append(keys, kvs[i].Key)
-			cnt = append(cnt, 0)
+	clear(s.vals[:cap(s.vals)])
+	clear(s.out[:cap(s.out)])
+	s.keys, s.cnt, s.parts, s.err, s.vals, s.out = s.keys[:0], s.cnt[:0], ps[:0], nil, s.vals[:0], s.out[:0]
+}
+
+// add files the pair (k, v) in its key's partition. A key seen for the
+// first time gets the next id and its partition, partitionOf over
+// len(s.parts) partitions; past maxKeys ids add records s.err instead.
+func (s *kernelScratch) add(k, v string) {
+	sl, ok := s.index[k]
+	if !ok {
+		if len(s.keys) == maxKeys {
+			s.err = fmt.Errorf("mapreduce: more than %d distinct keys in one task exceed the grouping limit", maxKeys)
+			return
 		}
-		cnt[id]++
-		gid[i] = id
+		sl = slot{int32(len(s.keys)), int32(partitionOf(k, len(s.parts)))}
+		s.index[k] = sl
+		s.keys = append(s.keys, k)
+		s.cnt = append(s.cnt, 0)
+		s.parts[sl.part].keys = append(s.parts[sl.part].keys, sl.id)
 	}
-	order := grow(sc.order, len(keys))
-	for id := range order {
-		order[id] = int32(id)
+	s.cnt[sl.id]++
+	c := &s.parts[sl.part]
+	if len(c.ids) == cap(c.ids) { // double: a fresh scratch allocates ≈ 2×, not 5×, what it keeps
+		c.ids, c.vals = slices.Grow(c.ids, len(c.ids)+64), slices.Grow(c.vals, len(c.vals)+64)
 	}
+	c.ids = append(c.ids, sl.id)
+	c.vals = append(c.vals, v)
+}
+
+// each invokes fn once per distinct key of partition r, in ascending key
+// order, with the key's values in emission order, each call receiving a
+// capped sub-slice of s.vals. Only the partition's distinct ids are
+// sorted; a prefix sum in that order lays the groups' runs out in s.vals,
+// and one pass over the partition's pairs scatters the values into their
+// runs.
+func (s *kernelScratch) each(r int, fn func(key string, values []string) error) error {
+	c, keys, cnt := &s.parts[r], s.keys, s.cnt
 	// Keys are distinct, so an unstable sort has one possible result.
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
-	next := grow(sc.next, len(keys))
-	run := int32(0)
-	for _, id := range order {
+	slices.SortFunc(c.keys, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	next := grow(s.next, len(keys))
+	run := 0
+	for _, id := range c.keys {
 		next[id] = run
 		run += cnt[id]
 	}
-	vals := grow(sc.vals, len(kvs))
-	for i := range kvs {
-		id := gid[i]
-		vals[next[id]] = kvs[i].Value
+	vals := grow(s.vals, len(c.ids))
+	for i, id := range c.ids {
+		vals[next[id]] = c.vals[i]
 		next[id]++
 	}
-	sc.keys, sc.cnt, sc.gid, sc.order, sc.next, sc.vals = keys, cnt, gid, order, next, vals
+	s.next, s.vals = next, vals
 	// The scatter left next[id] one past the end of group id's run.
-	for _, id := range order {
+	for _, id := range c.keys {
 		hi := next[id]
-		lo := hi - cnt[id]
-		if err := fn(keys[id], vals[lo:hi:hi]); err != nil {
+		if err := fn(keys[id], vals[hi-cnt[id]:hi:hi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emitInto returns an emit function that appends to *out, allocated at
-// the first pair with room for one pair per group of the grouping then in
-// progress — what a combiner or reducer usually emits; one that emits
-// more grows it as append does.
-func (s *kernelScratch) emitInto(out *[]KeyValue) func(k, v string) {
-	return func(k, v string) {
-		if *out == nil {
-			*out = make([]KeyValue, 0, len(s.keys))
-		}
-		*out = append(*out, KeyValue{k, v})
-	}
+// emit appends a combiner's or reducer's pair to s.out.
+func (s *kernelScratch) emit(k, v string) { s.out = append(s.out, KeyValue{k, v}) }
+
+// encode encodes s.out and empties it for the next partition.
+func (s *kernelScratch) encode() []byte {
+	b := Encode(s.out)
+	s.out = s.out[:0]
+	return b
 }
 
 // grow returns col resized to n entries, reallocating only when its
@@ -324,32 +338,30 @@ func runMapTask(ctx context.Context, tc core.TaskContext, cfg Config, mapIdx int
 	return nil
 }
 
-// mapKernel is the map task's compute phase: map the split, partition
-// the emitted pairs by key hash, combine and encode each partition. It is
-// handed the split and the scratch and nothing of the task context, so it
-// cannot reach the clock, the data service or a stream.
+// mapKernel is the map task's compute phase: map the split, filing each
+// emitted pair in its key's partition, then combine and encode each
+// partition. It is handed the split and the scratch and nothing of the
+// task context, so it cannot reach the clock, the data service or a
+// stream.
 func mapKernel(ctx context.Context, cfg Config, inputID string, content []byte, sc *kernelScratch) ([][]byte, error) {
-	if cap(sc.parts) < cfg.Reducers {
-		sc.parts = make([][]KeyValue, cfg.Reducers)
-	}
-	sc.parts = sc.parts[:cfg.Reducers]
-	parts := sc.parts
-	emit := func(k, v string) {
-		r := partitionOf(k, cfg.Reducers)
-		parts[r] = append(parts[r], KeyValue{k, v})
-	}
-	if err := cfg.Map(ctx, inputID, string(content), emit); err != nil {
+	sc.parts = grow(sc.parts, cfg.Reducers)
+	if err := cfg.Map(ctx, inputID, string(content), sc.add); err != nil {
 		return nil, fmt.Errorf("map: %w", err)
 	}
+	if sc.err != nil {
+		return nil, sc.err
+	}
+	emit := sc.emit
 	encoded := make([][]byte, cfg.Reducers)
-	for r, kvs := range parts {
-		if cfg.Combine != nil {
-			var err error
-			if kvs, err = combine(ctx, cfg.Combine, kvs, sc); err != nil {
-				return nil, fmt.Errorf("combine: %w", err)
+	for r, c := range sc.parts {
+		if cfg.Combine == nil {
+			for i, id := range c.ids {
+				sc.out = append(sc.out, KeyValue{sc.keys[id], c.vals[i]})
 			}
+		} else if err := sc.each(r, func(k string, vs []string) error { return cfg.Combine(ctx, k, vs, emit) }); err != nil {
+			return nil, fmt.Errorf("combine: %w", err)
 		}
-		encoded[r] = Encode(kvs)
+		encoded[r] = sc.encode()
 	}
 	return encoded, nil
 }
@@ -385,25 +397,20 @@ func runReduceTask(ctx context.Context, tc core.TaskContext, cfg Config, r int, 
 }
 
 // reduceKernel is the reduce task's compute phase: decode the shuffled
-// partitions into one slab, group by key, reduce each group, encode.
-// Like mapKernel it sees nothing of the task context.
+// partitions straight into the scratch's columns, group by key, reduce
+// each group, encode. Like mapKernel it sees nothing of the task context.
 func reduceKernel(ctx context.Context, cfg Config, inputs []string, contents [][]byte, sc *kernelScratch) ([]byte, error) {
-	lines := 0
-	for _, content := range contents {
-		lines += bytes.Count(content, lineSep) + 1
-	}
-	if cap(sc.all) < lines {
-		sc.all = make([]KeyValue, 0, lines)
-	}
+	sc.parts = grow(sc.parts, 1)
 	for i, content := range contents {
-		var err error
-		if sc.all, err = DecodeAppend(sc.all, content); err != nil {
+		if err := decodeLines(content, sc.add); err != nil {
 			return nil, fmt.Errorf("decode %s: %w", inputs[i], err)
 		}
 	}
-	var out []KeyValue
-	emit := sc.emitInto(&out)
-	if err := groupSorted(sc.all, sc, func(k string, vs []string) error {
+	if sc.err != nil {
+		return nil, sc.err
+	}
+	emit := sc.emit
+	if err := sc.each(0, func(k string, vs []string) error {
 		if err := cfg.Reduce(ctx, k, vs, emit); err != nil {
 			return fmt.Errorf("reduce key %q: %w", k, err)
 		}
@@ -411,20 +418,7 @@ func reduceKernel(ctx context.Context, cfg Config, inputs []string, contents [][
 	}); err != nil {
 		return nil, err
 	}
-	return Encode(out), nil
-}
-
-// combine groups and pre-reduces a map task's local output, reusing the
-// scratch grouping columns (the caller owns sc for the whole kernel).
-func combine(ctx context.Context, c Reducer, kvs []KeyValue, sc *kernelScratch) ([]KeyValue, error) {
-	var out []KeyValue
-	emit := sc.emitInto(&out)
-	if err := groupSorted(kvs, sc, func(k string, vs []string) error {
-		return c(ctx, k, vs, emit)
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sc.encode(), nil
 }
 
 // Group collects values per key preserving per-key insertion order.
@@ -473,22 +467,19 @@ func Encode(kvs []KeyValue) []byte {
 
 // Decode parses the Encode format.
 func Decode(content []byte) ([]KeyValue, error) {
-	out, err := DecodeAppend(make([]KeyValue, 0, bytes.Count(content, lineSep)+1), content)
-	if err != nil {
+	out := make([]KeyValue, 0, bytes.Count(content, lineSep)+1)
+	if err := decodeLines(content, func(k, v string) { out = append(out, KeyValue{k, v}) }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeAppend decodes the Encode format, appending every pair onto dst
-// and returning the extended slice (dst's contents so far are kept even
-// on error). The whole payload is converted to a string once; every key
-// and value is then a substring of it — strconv.Unquote returns the
-// interior of an escape-free quoted string without copying — so decoding
-// a shuffle partition costs one allocation for the text plus slice
-// growth, not one per line. This is what removes the decode path from
-// the allocation profile of the mapreduce benchmarks.
-func DecodeAppend(dst []KeyValue, content []byte) ([]KeyValue, error) {
+// decodeLines parses the Encode format, calling fn with every pair in
+// order. The whole payload is converted to a string once; every key and
+// value is then a substring of it — strconv.Unquote returns the interior
+// of an escape-free quoted string without copying — so decoding a
+// shuffle partition costs one allocation for the text, not one per line.
+func decodeLines(content []byte, fn func(k, v string)) error {
 	text := string(content)
 	for len(text) > 0 {
 		line := text
@@ -502,19 +493,19 @@ func DecodeAppend(dst []KeyValue, content []byte) ([]KeyValue, error) {
 		}
 		tab := strings.IndexByte(line, '\t')
 		if tab < 0 {
-			return dst, fmt.Errorf("mapreduce: malformed line %q", line)
+			return fmt.Errorf("mapreduce: malformed line %q", line)
 		}
 		k, err := strconv.Unquote(line[:tab])
 		if err != nil {
-			return dst, fmt.Errorf("mapreduce: bad key in %q: %w", line, err)
+			return fmt.Errorf("mapreduce: bad key in %q: %w", line, err)
 		}
 		v, err := strconv.Unquote(line[tab+1:])
 		if err != nil {
-			return dst, fmt.Errorf("mapreduce: bad value in %q: %w", line, err)
+			return fmt.Errorf("mapreduce: bad value in %q: %w", line, err)
 		}
-		dst = append(dst, KeyValue{k, v})
+		fn(k, v)
 	}
-	return dst, nil
+	return nil
 }
 
 // Collect fetches and decodes all job outputs into one sorted slice.
@@ -560,11 +551,11 @@ func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, e
 			return nil, err
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Key != all[j].Key {
-			return all[i].Key < all[j].Key
+	slices.SortFunc(all, func(a, b KeyValue) int {
+		if c := strings.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return all[i].Value < all[j].Value
+		return strings.Compare(a.Value, b.Value)
 	})
 	return all, nil
 }

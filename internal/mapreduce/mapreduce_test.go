@@ -298,7 +298,7 @@ func TestPartitionOfMatchesFNV(t *testing.T) {
 	}
 }
 
-// groupStableRef is the grouping groupSorted replaced, kept as its
+// groupStableRef is the grouping the kernels replaced, kept as their
 // oracle: stable-sort the pairs by key — stability keeps each key's
 // values in emission order — and call fn once per run of equal keys.
 func groupStableRef(kvs []KeyValue, fn func(key string, values []string) error) error {
@@ -357,41 +357,59 @@ func fuzzPairs(data []byte) []KeyValue {
 	return kvs
 }
 
-// combineRef is combine over the oracle grouping.
-func combineRef(ctx context.Context, c Reducer, kvs []KeyValue) ([]KeyValue, error) {
-	var out []KeyValue
-	emit := func(k, v string) { out = append(out, KeyValue{k, v}) }
-	err := groupStableRef(kvs, func(k string, vs []string) error { return c(ctx, k, vs, emit) })
-	return out, err
-}
-
-// combineCalls runs a combine with a combiner whose output depends on the
-// order of its values, and returns the (key, values…) sequence the
-// combiner was called with and the encoded combine output.
-func combineCalls(t *testing.T, combine func(c Reducer) ([]KeyValue, error)) ([][]string, []byte) {
-	t.Helper()
-	var calls [][]string
-	out, err := combine(func(_ context.Context, key string, values []string, emit func(k, v string)) error {
+// recorder returns a combiner or reducer whose output depends on the
+// order of its values, and which appends the (key, values…) of each call
+// to *calls.
+func recorder(t *testing.T, calls *[][]string) Reducer {
+	return func(_ context.Context, key string, values []string, emit func(k, v string)) error {
 		if cap(values) != len(values) {
 			t.Errorf("key %q: values has len %d, cap %d — an append would overwrite the next group", key, len(values), cap(values))
 		}
-		calls = append(calls, append([]string{key}, values...))
+		*calls = append(*calls, append([]string{key}, values...))
 		emit(key, strings.Join(values, "|"))
 		emit(key, strconv.Itoa(len(values)))
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return calls, Encode(out)
 }
 
-// FuzzGroupMatchesStableSort holds groupSorted, through combine, to the
-// stable sort it replaced: for any pair list, the same calls in the same
-// order with the same values, the same encoded combine output, and the
-// input left alone. Each input goes through one scratch three times — whole, its
-// second half, whole again — so state a run leaves behind (the index, the
-// key column, the counts) reaches the next run if the entry reset misses
+// encodeRef is what a kernel must encode for kvs: kvs itself, in emission
+// order, without a reducer, else red's output over the oracle grouping.
+func encodeRef(ctx context.Context, red Reducer, kvs []KeyValue) []byte {
+	if red == nil {
+		return Encode(kvs)
+	}
+	var out []KeyValue
+	groupStableRef(kvs, func(k string, vs []string) error {
+		return red(ctx, k, vs, func(k, v string) { out = append(out, KeyValue{k, v}) })
+	})
+	return Encode(out)
+}
+
+// emitting is a mapper that emits kvs whatever its input.
+func emitting(kvs []KeyValue) Mapper {
+	return func(_ context.Context, _, _ string, emit func(k, v string)) error {
+		for _, kv := range kvs {
+			emit(kv.Key, kv.Value)
+		}
+		return nil
+	}
+}
+
+func equalCalls(a, b [][]string) bool {
+	return slices.EqualFunc(a, b, func(x, y []string) bool { return slices.Equal(x, y) })
+}
+
+// FuzzGroupMatchesStableSort holds the kernels' grouping to the stable
+// sort it replaced. The map kernel, over one to three partitions, must
+// make the same combiner calls in the same order with the same values —
+// partition after partition, keys ascending in each — and encode the
+// same bytes per partition; without a combiner it must encode each
+// partition in emission order; the reduce kernel, fed the pairs as two
+// encoded shuffle partitions, must make the same reducer calls and
+// encode the same bytes. Each input goes through one scratch three times
+// — whole, its second half, whole again — with a reset after every
+// kernel, so state a kernel leaves behind (the index, the key and count
+// columns, a partition's distinct ids) reaches the next if reset misses
 // it.
 func FuzzGroupMatchesStableSort(f *testing.F) {
 	f.Add([]byte{})
@@ -400,22 +418,81 @@ func FuzzGroupMatchesStableSort(f *testing.F) {
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kvs := fuzzPairs(data)
+		reducers := 1
+		if len(data) > 0 {
+			reducers += int(data[0]/5) % 3
+		}
 		sc := newScratch()
 		for run, in := range [][]KeyValue{kvs, kvs[len(kvs)/2:], kvs} {
-			wantCalls, wantEnc := combineCalls(t, func(c Reducer) ([]KeyValue, error) { return combineRef(ctx, c, in) })
-			before := slices.Clone(in)
-			gotCalls, gotEnc := combineCalls(t, func(c Reducer) ([]KeyValue, error) { return combine(ctx, c, in, sc) })
-			if !slices.EqualFunc(gotCalls, wantCalls, func(a, b []string) bool { return slices.Equal(a, b) }) {
-				t.Fatalf("run %d: calls\n got %q\nwant %q", run, gotCalls, wantCalls)
+			for _, combine := range []bool{true, false} {
+				var wantCalls, gotCalls [][]string
+				cfg := Config{Reducers: reducers, Map: emitting(in)}
+				if combine {
+					cfg.Combine = recorder(t, &gotCalls)
+				}
+				got, err := mapKernel(ctx, cfg, "in", nil, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := range reducers {
+					var part []KeyValue
+					for _, kv := range in {
+						if partitionOf(kv.Key, reducers) == p {
+							part = append(part, kv)
+						}
+					}
+					var red Reducer
+					if combine {
+						red = recorder(t, &wantCalls)
+					}
+					if want := encodeRef(ctx, red, part); !bytes.Equal(got[p], want) {
+						t.Fatalf("run %d, combine %v: partition %d of %d encoded\n got %q\nwant %q", run, combine, p, reducers, got[p], want)
+					}
+				}
+				if !equalCalls(gotCalls, wantCalls) {
+					t.Fatalf("run %d: combiner calls\n got %q\nwant %q", run, gotCalls, wantCalls)
+				}
+				sc.reset()
 			}
-			if !bytes.Equal(gotEnc, wantEnc) {
-				t.Fatalf("run %d: encoded combine output\n got %q\nwant %q", run, gotEnc, wantEnc)
+			var wantCalls, gotCalls [][]string
+			half := len(in) / 2
+			got, err := reduceKernel(ctx, Config{Reduce: recorder(t, &gotCalls)}, []string{"m0", "m1"},
+				[][]byte{Encode(in[:half]), Encode(in[half:])}, sc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !slices.Equal(in, before) {
-				t.Fatalf("run %d: groupSorted reordered its input", run)
+			if want := encodeRef(ctx, recorder(t, &wantCalls), in); !bytes.Equal(got, want) {
+				t.Fatalf("run %d: reduce output\n got %q\nwant %q", run, got, want)
 			}
+			if !equalCalls(gotCalls, wantCalls) {
+				t.Fatalf("run %d: reducer calls\n got %q\nwant %q", run, gotCalls, wantCalls)
+			}
+			sc.reset()
 		}
 	})
+}
+
+// TestGroupingLimit: key ids are int32, so a kernel with more distinct
+// keys than an id can name fails with an error, on either side, rather
+// than wrap an id; at the limit itself it succeeds.
+func TestGroupingLimit(t *testing.T) {
+	defer func(n int) { maxKeys = n }(maxKeys)
+	maxKeys = 3
+	ctx := context.Background()
+	kvs := []KeyValue{{"a", "1"}, {"b", "1"}, {"a", "1"}, {"c", "1"}}
+	sc := newScratch()
+	if _, err := mapKernel(ctx, Config{Reducers: 2, Map: emitting(kvs)}, "in", nil, sc); err != nil {
+		t.Fatalf("3 distinct keys at a limit of 3: %v", err)
+	}
+	sc.reset()
+	kvs = append(kvs, KeyValue{"d", "1"})
+	if _, err := mapKernel(ctx, Config{Reducers: 2, Map: emitting(kvs)}, "in", nil, sc); err == nil || !strings.Contains(err.Error(), "grouping limit") {
+		t.Fatalf("map: 4 distinct keys at a limit of 3: err = %v", err)
+	}
+	sc.reset()
+	if _, err := reduceKernel(ctx, Config{Reduce: countReducer}, []string{"p"}, [][]byte{Encode(kvs)}, sc); err == nil || !strings.Contains(err.Error(), "grouping limit") {
+		t.Fatalf("reduce: 4 distinct keys at a limit of 3: err = %v", err)
+	}
 }
 
 // fakeData is a DataService over a map, for driving a task function
@@ -438,31 +515,36 @@ func (d *fakeData) Write(_ context.Context, id string, content []byte, _ infra.S
 	return nil
 }
 
-// checkClean fails unless sc holds no string reference at all: an empty
-// index and every string slot of every column zero up to capacity.
+// checkClean fails unless sc is as reset leaves it: no grouping error,
+// an empty index, empty key, count and partition columns, and every
+// string slot of every column — each partition's values included, up to
+// the capacity of the partition list — zero up to capacity.
 func checkClean(t *testing.T, sc *kernelScratch) {
 	t.Helper()
-	if len(sc.index) != 0 {
-		t.Errorf("index holds %d keys after release", len(sc.index))
+	if len(sc.index) != 0 || len(sc.keys) != 0 || len(sc.cnt) != 0 || len(sc.parts) != 0 || sc.err != nil {
+		t.Errorf("after release: index %d keys, key column %d, count column %d, %d partitions, err %v",
+			len(sc.index), len(sc.keys), len(sc.cnt), len(sc.parts), sc.err)
 	}
-	zeroKVs := func(name string, kvs []KeyValue) {
-		for i, kv := range kvs[:cap(kvs)] {
-			if kv != (KeyValue{}) {
-				t.Errorf("%s[%d] = %+v after release", name, i, kv)
+	zero := func(name string, col []string) {
+		for i, s := range col[:cap(col)] {
+			if s != "" {
+				t.Errorf("%s[%d] = %q after release", name, i, s)
 				return
 			}
 		}
 	}
-	for r, p := range sc.parts[:cap(sc.parts)] {
-		zeroKVs(fmt.Sprintf("parts[%d]", r), p)
+	zero("keys", sc.keys)
+	zero("vals", sc.vals)
+	for r, c := range sc.parts[:cap(sc.parts)] {
+		if len(c.ids) != 0 || len(c.keys) != 0 {
+			t.Errorf("partition %d holds %d pairs and %d keys after release", r, len(c.ids), len(c.keys))
+		}
+		zero(fmt.Sprintf("parts[%d].vals", r), c.vals)
 	}
-	zeroKVs("all", sc.all)
-	for name, col := range map[string][]string{"keys": sc.keys, "vals": sc.vals} {
-		for i, s := range col[:cap(col)] {
-			if s != "" {
-				t.Errorf("%s[%d] = %q after release", name, i, s)
-				break
-			}
+	for i, kv := range sc.out[:cap(sc.out)] {
+		if kv != (KeyValue{}) {
+			t.Errorf("out[%d] = %+v after release", i, kv)
+			break
 		}
 	}
 }
@@ -470,25 +552,37 @@ func checkClean(t *testing.T, sc *kernelScratch) {
 // TestScratchReleaseDropsEveryReference: keys and values are substrings
 // of the split (and of the shuffled partitions), so whatever a released
 // scratch still points at stays in memory until the pool drops it. After
-// a map kernel and a reduce kernel over a known corpus, release leaves
-// nothing behind; the corpus is sized so that the kernels populate every
-// column (checked, or the zero check below would pass vacuously).
+// a map kernel, and again after a reduce kernel, release leaves nothing
+// behind. The corpus is sized so that the kernels populate every column,
+// and so that the last partition grouped is shorter than an earlier one —
+// the value column then holds values past its length — or the zero
+// checks would pass vacuously (both checked).
 func TestScratchReleaseDropsEveryReference(t *testing.T) {
 	ctx := context.Background()
-	cfg := Config{Name: "rel", Reducers: 3, Map: wordMapper, Reduce: countReducer, Combine: countReducer}
+	cfg := Config{Name: "rel", Reducers: 2, Map: wordMapper, Reduce: countReducer, Combine: countReducer}
 	split := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog ", 20))
+	used := func(side string, sc *kernelScratch) {
+		t.Helper()
+		out := sc.out[:cap(sc.out)]
+		past := slices.ContainsFunc(sc.vals[len(sc.vals):cap(sc.vals)], func(v string) bool { return v != "" })
+		if len(sc.index) == 0 || len(sc.keys) == 0 || len(out) == 0 || out[0].Key == "" ||
+			len(sc.parts[len(sc.parts)-1].ids) == 0 || side == "map" && !past {
+			t.Fatalf("%s kernel left a column unused: index %d, keys %d, out %d, last partition %d pairs, vals %d of %d, values past the length %v",
+				side, len(sc.index), len(sc.keys), len(out), len(sc.parts[len(sc.parts)-1].ids), len(sc.vals), cap(sc.vals), past)
+		}
+	}
 	sc := newScratch()
 	encoded, err := mapKernel(ctx, cfg, "in", split, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	used("map", sc)
+	sc.reset()
+	checkClean(t, sc)
 	if _, err := reduceKernel(ctx, cfg, []string{"p0", "p1"}, [][]byte{encoded[0], encoded[0]}, sc); err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.index) == 0 || len(sc.keys) == 0 || len(sc.vals) == 0 || len(sc.all) == 0 || len(sc.parts[0]) == 0 {
-		t.Fatalf("kernels left a column unused: index %d, keys %d, vals %d, all %d, parts[0] %d",
-			len(sc.index), len(sc.keys), len(sc.vals), len(sc.all), len(sc.parts[0]))
-	}
+	used("reduce", sc)
 	// No test in this package runs in parallel, so nothing takes sc back
 	// out of the pool while it is inspected.
 	sc.release()
@@ -530,7 +624,7 @@ func TestFailedCombineReleasesCleanScratch(t *testing.T) {
 	if _, err := mapKernel(ctx, cfg, "in", split, sc); !errors.Is(err, boom) {
 		t.Fatalf("mapKernel err = %v, want combine boom", err)
 	}
-	if len(sc.index) == 0 || len(sc.parts[1]) == 0 {
+	if len(sc.index) == 0 || len(sc.parts[1].ids) == 0 {
 		t.Fatal("the aborted kernel left nothing to clean")
 	}
 	sc.release()

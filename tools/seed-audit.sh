@@ -144,6 +144,43 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
+# compute_body FILE REGEX prints "line: text" for each line of FILE whose
+# part inside a `Compute(..., func(...) {` literal matches REGEX (rules 4
+# and 8). Brace depth is tracked from the line that opens the literal —
+# whose text from `Compute(` on counts, so a one-line closure is checked
+# too — until the block closes. The close is found by a character scan so
+# that on a `}) {` line (closure ends, if-block begins) only the text up
+# to the closing brace counts as inside: the if-body that handles a false
+# Compute return is on-token code and out of scope.
+compute_body() {
+  RE="$2" awk '
+    function scan(    i, c, cut) {
+      cut = length($0)
+      for (i = 1; i <= length($0); i++) {
+        c = substr($0, i, 1)
+        if (c == "{") depth++
+        else if (c == "}") {
+          depth--
+          if (depth <= 0) { inblock = 0; cut = i; break }
+        }
+      }
+      return substr($0, 1, cut)
+    }
+    inblock {
+      if (scan() ~ ENVIRON["RE"])
+        printf "%d: %s\n", FNR, $0
+      next
+    }
+    /Compute\(/ && /func\(/ {
+      depth = 0
+      body = scan()
+      if (substr(body, index(body, "Compute(")) ~ ENVIRON["RE"])
+        printf "%d: %s\n", FNR, $0
+      if (depth > 0) inblock = 1
+    }
+  ' "$1"
+}
+
 # Enumerate non-test Go files, tracked or not, excluding vendored paths.
 files=$(find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' | sed 's|^\./||')
 
@@ -156,74 +193,24 @@ for f in $files; do
     echo "seed-audit: $f constructs a distribution from a raw integer seed — use dist.*From on a labeled sub-stream" >&2
     fail=1
   fi
-  # Rule 4: purity inside Compute closures. Track brace depth from any
-  # line that opens a `Compute(..., func(...) {` literal; until the block
-  # closes, flag clock reads, modeled sleeps, stream draws and
-  # data-service calls. The close is found by a character scan so that on
-  # a `}) {` line (closure ends, if-block begins) only the text up to the
-  # closing brace counts as inside — the if-body that handles a false
-  # Compute return is on-token code and out of scope.
-  # (vclock itself implements Compute and is skipped.)
+  # Rule 4: purity inside Compute closures. Flag clock reads, modeled
+  # sleeps, stream draws and data-service calls in a Compute body
+  # (compute_body below). (vclock itself implements Compute and is
+  # skipped.)
   case "$f" in
     internal/vclock/*) ;;
     *)
-      impure=$(awk '
-        function scan(    i, c, cut) {
-          cut = length($0)
-          for (i = 1; i <= length($0); i++) {
-            c = substr($0, i, 1)
-            if (c == "{") depth++
-            else if (c == "}") {
-              depth--
-              if (depth <= 0) { inblock = 0; cut = i; break }
-            }
-          }
-          return substr($0, 1, cut)
-        }
-        inblock {
-          if (scan() ~ /tc\.Stream|\.Now\(\)|Clock\(\)|tc\.Sleep\(|clock\.Sleep\(|\.Sample\(|tc\.Data\.|Data\(\)\./)
-            printf "%d: %s\n", FNR, $0
-          next
-        }
-        /Compute\(/ && /func\(/ {
-          depth = 0
-          scan()
-          if (depth > 0) inblock = 1
-        }
-      ' "$f")
+      impure=$(compute_body "$f" 'tc\.Stream|\.Now\(\)|Clock\(\)|tc\.Sleep\(|clock\.Sleep\(|\.Sample\(|tc\.Data\.|Data\(\)\.')
       if [ -n "$impure" ]; then
         echo "seed-audit: $f uses the clock/streams/data inside a Compute closure — Compute bodies must be pure CPU:" >&2
         echo "$impure" | sed "s|^|seed-audit:   $f:|" >&2
         fail=1
       fi
-      # Rule 8: same block tracking, different contraband — pool traffic.
-      # Pooled scratch is acquired before Compute and released after the
-      # rejoin, both on-token; a Get/Put (or a scratch release) inside the
-      # kernel races the on-token release path.
-      pooled=$(awk '
-        function scan(    i, c, cut) {
-          cut = length($0)
-          for (i = 1; i <= length($0); i++) {
-            c = substr($0, i, 1)
-            if (c == "{") depth++
-            else if (c == "}") {
-              depth--
-              if (depth <= 0) { inblock = 0; cut = i; break }
-            }
-          }
-          return substr($0, 1, cut)
-        }
-        inblock {
-          if (scan() ~ /sync\.Pool|[Pp]ool\.(Get|Put)\(|getScratch\(|\.release\(\)/)
-            printf "%d: %s\n", FNR, $0
-          next
-        }
-        /Compute\(/ && /func\(/ {
-          depth = 0
-          scan()
-          if (depth > 0) inblock = 1
-        }
-      ' "$f")
+      # Rule 8: same body, different contraband — pool traffic. Pooled
+      # scratch is acquired before Compute and released after the rejoin,
+      # both on-token; a Get/Put (or a scratch release) inside the kernel
+      # races the on-token release path.
+      pooled=$(compute_body "$f" 'sync\.Pool|[Pp]ool\.(Get|Put)\(|getScratch\(|\.release\(\)')
       if [ -n "$pooled" ]; then
         echo "seed-audit: $f touches a sync.Pool inside a Compute closure — fetch scratch on-token before Compute, release after the rejoin:" >&2
         echo "$pooled" | sed "s|^|seed-audit:   $f:|" >&2
