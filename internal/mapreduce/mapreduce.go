@@ -193,9 +193,9 @@ type slot struct{ id, part int32 }
 
 // column holds one partition's pairs in emission order, 20 bytes each.
 type column struct {
-	ids  []int32  // pair → key id
-	vals []string // pair → value
-	keys []int32  // the partition's distinct ids, sorted by key in each
+	ids      []int32  // pair → key id
+	vals     []string // pair → value
+	distinct []int32  // the partition's distinct ids, sorted by key in each
 }
 
 // maxKeys bounds the distinct keys of one kernel, so that an id fits an
@@ -220,14 +220,14 @@ func (s *kernelScratch) release() {
 func (s *kernelScratch) reset() {
 	clear(s.index)
 	clear(s.keys[:cap(s.keys)])
-	ps := s.parts[:cap(s.parts)]
-	for i := range ps {
-		clear(ps[i].vals[:cap(ps[i].vals)])
-		ps[i] = column{ps[i].ids[:0], ps[i].vals[:0], ps[i].keys[:0]}
+	// A column past len(s.parts) was emptied by an earlier reset.
+	for i, c := range s.parts {
+		clear(c.vals[:cap(c.vals)])
+		s.parts[i] = column{c.ids[:0], c.vals[:0], c.distinct[:0]}
 	}
 	clear(s.vals[:cap(s.vals)])
 	clear(s.out[:cap(s.out)])
-	s.keys, s.cnt, s.parts, s.err, s.vals, s.out = s.keys[:0], s.cnt[:0], ps[:0], nil, s.vals[:0], s.out[:0]
+	s.keys, s.cnt, s.parts, s.err, s.vals, s.out = s.keys[:0], s.cnt[:0], s.parts[:0], nil, s.vals[:0], s.out[:0]
 }
 
 // add files the pair (k, v) in its key's partition. A key seen for the
@@ -244,7 +244,7 @@ func (s *kernelScratch) add(k, v string) {
 		s.index[k] = sl
 		s.keys = append(s.keys, k)
 		s.cnt = append(s.cnt, 0)
-		s.parts[sl.part].keys = append(s.parts[sl.part].keys, sl.id)
+		s.parts[sl.part].distinct = append(s.parts[sl.part].distinct, sl.id)
 	}
 	s.cnt[sl.id]++
 	c := &s.parts[sl.part]
@@ -264,10 +264,10 @@ func (s *kernelScratch) add(k, v string) {
 func (s *kernelScratch) each(r int, fn func(key string, values []string) error) error {
 	c, keys, cnt := &s.parts[r], s.keys, s.cnt
 	// Keys are distinct, so an unstable sort has one possible result.
-	slices.SortFunc(c.keys, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	slices.SortFunc(c.distinct, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
 	next := grow(s.next, len(keys))
 	run := 0
-	for _, id := range c.keys {
+	for _, id := range c.distinct {
 		next[id] = run
 		run += cnt[id]
 	}
@@ -278,7 +278,7 @@ func (s *kernelScratch) each(r int, fn func(key string, values []string) error) 
 	}
 	s.next, s.vals = next, vals
 	// The scatter left next[id] one past the end of group id's run.
-	for _, id := range c.keys {
+	for _, id := range c.distinct {
 		hi := next[id]
 		if err := fn(keys[id], vals[hi-cnt[id]:hi:hi]); err != nil {
 			return err

@@ -163,6 +163,9 @@ func TestWordCountEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !slices.IsSortedFunc(out, func(a, b KeyValue) int { return strings.Compare(a.Key, b.Key) }) {
+		t.Errorf("Collect = %q, not sorted by key", out)
+	}
 	counts := map[string]string{}
 	for _, kv := range out {
 		counts[kv.Key] = kv.Value
@@ -474,24 +477,37 @@ func FuzzGroupMatchesStableSort(f *testing.F) {
 
 // TestGroupingLimit: key ids are int32, so a kernel with more distinct
 // keys than an id can name fails with an error, on either side, rather
-// than wrap an id; at the limit itself it succeeds.
+// than wrap an id; at the limit itself it succeeds — also right after a
+// kernel on the same scratch failed, so the error does not outlive reset.
 func TestGroupingLimit(t *testing.T) {
 	defer func(n int) { maxKeys = n }(maxKeys)
 	maxKeys = 3
 	ctx := context.Background()
-	kvs := []KeyValue{{"a", "1"}, {"b", "1"}, {"a", "1"}, {"c", "1"}}
+	three := []KeyValue{{"a", "1"}, {"b", "1"}, {"a", "1"}, {"c", "1"}}
+	four := append(slices.Clone(three), KeyValue{"d", "1"})
 	sc := newScratch()
-	if _, err := mapKernel(ctx, Config{Reducers: 2, Map: emitting(kvs)}, "in", nil, sc); err != nil {
-		t.Fatalf("3 distinct keys at a limit of 3: %v", err)
-	}
-	sc.reset()
-	kvs = append(kvs, KeyValue{"d", "1"})
-	if _, err := mapKernel(ctx, Config{Reducers: 2, Map: emitting(kvs)}, "in", nil, sc); err == nil || !strings.Contains(err.Error(), "grouping limit") {
-		t.Fatalf("map: 4 distinct keys at a limit of 3: err = %v", err)
-	}
-	sc.reset()
-	if _, err := reduceKernel(ctx, Config{Reduce: countReducer}, []string{"p"}, [][]byte{Encode(kvs)}, sc); err == nil || !strings.Contains(err.Error(), "grouping limit") {
-		t.Fatalf("reduce: 4 distinct keys at a limit of 3: err = %v", err)
+	for _, kernel := range []struct {
+		side string
+		run  func(kvs []KeyValue) error
+	}{
+		{"map", func(kvs []KeyValue) error {
+			_, err := mapKernel(ctx, Config{Reducers: 2, Map: emitting(kvs)}, "in", nil, sc)
+			return err
+		}},
+		{"reduce", func(kvs []KeyValue) error {
+			_, err := reduceKernel(ctx, Config{Reduce: countReducer}, []string{"p"}, [][]byte{Encode(kvs)}, sc)
+			return err
+		}},
+	} {
+		if err := kernel.run(four); err == nil || !strings.Contains(err.Error(), "grouping limit") {
+			t.Fatalf("%s: 4 distinct keys at a limit of 3: err = %v", kernel.side, err)
+		}
+		sc.reset()
+		checkClean(t, sc)
+		if err := kernel.run(three); err != nil {
+			t.Fatalf("%s: 3 distinct keys at a limit of 3, after a failed kernel: %v", kernel.side, err)
+		}
+		sc.reset()
 	}
 }
 
@@ -536,8 +552,8 @@ func checkClean(t *testing.T, sc *kernelScratch) {
 	zero("keys", sc.keys)
 	zero("vals", sc.vals)
 	for r, c := range sc.parts[:cap(sc.parts)] {
-		if len(c.ids) != 0 || len(c.keys) != 0 {
-			t.Errorf("partition %d holds %d pairs and %d keys after release", r, len(c.ids), len(c.keys))
+		if len(c.ids) != 0 || len(c.distinct) != 0 {
+			t.Errorf("partition %d holds %d pairs and %d keys after release", r, len(c.ids), len(c.distinct))
 		}
 		zero(fmt.Sprintf("parts[%d].vals", r), c.vals)
 	}
