@@ -1,4 +1,4 @@
-// Command doclint enforces two floors on the module rooted at its
+// Command doclint enforces three floors on the module rooted at its
 // argument, with nothing but the standard library (go/parser, go/types and
 // the "source" importer — the build host has no network and no x/tools).
 //
@@ -24,13 +24,19 @@
 //     address anywhere but its own package's non-test files, which only
 //     default it. A field nobody sets is a constant.
 //
+// The spine floor — DESIGN.md's determinism contract and the rules that
+// keep one implementation of each decision — is the table rules in
+// spine.go: numbered rules with their scopes and reasons, on go/types
+// objects rather than text. `make seed-audit rule N` cites its row.
+//
 // Usage:
 //
 //	go run ./cmd/doclint [root]
 //
 // With no argument the current directory is linted. Test data, dot
 // directories and vendored code are skipped. One line is printed per
-// finding, naming the identifier; exit status 1 means at least one.
+// finding, naming the identifier or, for a spine rule, the rule and the
+// position; exit status 1 means at least one.
 package main
 
 import (
@@ -59,11 +65,17 @@ const (
 // allowed names survive the surface floor without a caller; a type's entry
 // covers its methods. At most five, each with the reason it is kept.
 var allowed = map[string]string{
-	"streaming.OffsetStore.Snapshot": "ROADMAP item 5 (coordinator recovery) gives it its caller",
-	"streaming.OffsetStore.Restore":  "ROADMAP item 5 (coordinator recovery) gives it its caller",
+	"streaming.OffsetStore.Snapshot": "ROADMAP item 30 (the coordinator fails) gives it its caller",
+	"streaming.OffsetStore.Restore":  "ROADMAP item 30 (the coordinator fails) gives it its caller",
 	"kmeans.Sequential":              "the reference implementation kmeans_test.go compares against",
 	"metrics.Accumulator":            "ROADMAP item 3(i) names it as the telemetry registry's core",
 }
+
+// Every lint call shares them, so the standard library is checked once.
+var (
+	fset = token.NewFileSet()
+	std  = importer.ForCompiler(fset, "source", nil)
+)
 
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
@@ -99,10 +111,10 @@ type unit struct {
 }
 
 type linter struct {
-	fset  *token.FileSet
-	mod   string
-	units map[string]*unit // by import path
-	std   types.Importer
+	root, mod string
+	units     map[string]*unit               // by import path
+	info      *types.Info                    // every package's non-test files
+	bodies    map[*types.Func]*ast.BlockStmt // every function and method they declare
 
 	decls  map[string]types.Object // surface under internal/, by key
 	fields map[string]bool         // config-shaped fields under internal/
@@ -124,11 +136,10 @@ func lint(root string) ([]string, int, error) {
 		return nil, 0, fmt.Errorf("doclint: %s/go.mod names no module", root)
 	}
 	l := &linter{
-		fset: token.NewFileSet(), mod: string(m[1]), units: map[string]*unit{},
+		root: root, mod: string(m[1]), units: map[string]*unit{}, info: newInfo(), bodies: map[*types.Func]*ast.BlockStmt{},
 		decls: map[string]types.Object{}, fields: map[string]bool{}, fkey: map[*types.Var]string{},
 		used: map[string]bool{}, set: map[string]bool{}, ifaces: []*types.Interface{errorType},
 	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
 	if err := l.parse(root); err != nil {
 		return nil, 0, err
 	}
@@ -143,18 +154,15 @@ func lint(root string) ([]string, int, error) {
 		if f := docFinding(l.units[p]); f != "" {
 			findings = append(findings, f)
 		}
-	}
-	for _, p := range paths {
 		if _, err := l.Import(p); err != nil {
 			return nil, 0, err
 		}
-	}
-	for _, p := range paths {
 		if err := l.checkTests(l.units[p]); err != nil {
 			return nil, 0, err
 		}
 	}
 	findings = append(findings, l.surface()...)
+	findings = append(findings, l.spine(paths)...)
 	sort.Strings(findings)
 	return findings, len(paths), nil
 }
@@ -175,7 +183,7 @@ func (l *linter) parse(root string) error {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(l.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return fmt.Errorf("doclint: %w", err)
 		}
@@ -229,33 +237,39 @@ func docFinding(u *unit) string {
 func (l *linter) Import(path string) (*types.Package, error) {
 	u := l.units[path]
 	if u == nil || len(u.src) == 0 {
-		return l.std.Import(path)
+		return std.Import(path)
 	}
 	if u.pkg != nil {
 		return u.pkg, nil
 	}
-	pkg, info, err := l.check(path, u.src)
+	pkg, err := l.check(path, u.src, l.info)
 	if err != nil {
 		return nil, err
 	}
 	u.pkg = pkg
+	for _, f := range u.src {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				l.bodies[l.info.Defs[fd.Name].(*types.Func)] = fd.Body
+			}
+		}
+	}
 	l.declare(pkg)
-	l.walk(info, u.src)
+	l.walk(l.info, u.src)
 	return pkg, nil
 }
 
-func (l *linter) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}
-	pkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, info)
+func newInfo() *types.Info {
+	return &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+}
+
+func (l *linter) check(path string, files []*ast.File, info *types.Info) (*types.Package, error) {
+	pkg, err := (&types.Config{Importer: l}).Check(path, fset, files, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("doclint: %w", err)
+		return nil, fmt.Errorf("doclint: %w", err)
 	}
 	l.keyFields(pkg)
-	return pkg, info, nil
+	return pkg, nil
 }
 
 // checkTests type-checks a directory's two test packages and walks their
@@ -263,15 +277,15 @@ func (l *linter) check(path string, files []*ast.File) (*types.Package, *types.I
 // them, whose references were already counted.
 func (l *linter) checkTests(u *unit) error {
 	if len(u.intest) > 0 {
-		_, info, err := l.check(u.path, append(append([]*ast.File(nil), u.src...), u.intest...))
-		if err != nil {
+		info := newInfo()
+		if _, err := l.check(u.path, append(append([]*ast.File(nil), u.src...), u.intest...), info); err != nil {
 			return err
 		}
 		l.walk(info, u.intest)
 	}
 	if len(u.xtst) > 0 {
-		_, info, err := l.check(u.path+"_test", u.xtst)
-		if err != nil {
+		info := newInfo()
+		if _, err := l.check(u.path+"_test", u.xtst, info); err != nil {
 			return err
 		}
 		l.walk(info, u.xtst)
@@ -391,11 +405,11 @@ func (l *linter) key(obj types.Object) string {
 // walk counts the references and field writes in files.
 func (l *linter) walk(info *types.Info, files []*ast.File) {
 	for _, f := range files {
-		name := l.fset.Position(f.Pos()).Filename
+		name := fset.Position(f.Pos()).Filename
 		isTest, dir := strings.HasSuffix(name, "_test.go"), filepath.Dir(name)
 		// foreign: obj is declared in another directory than this file.
 		foreign := func(obj types.Object) bool {
-			return filepath.Dir(l.fset.Position(obj.Pos()).Filename) != dir
+			return filepath.Dir(fset.Position(obj.Pos()).Filename) != dir
 		}
 		markSet := func(e ast.Expr) {
 			for {

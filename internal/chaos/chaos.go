@@ -9,7 +9,7 @@
 // Everything here is seed-driven and clock-driven: the package draws
 // randomness only from labeled dist.Streams ("chaos"/<kind>/<ordinal>)
 // and waits only on the injected vclock.Clock — never math/rand, never
-// the wall clock (tools/seed-audit.sh rule 7 enforces this). That is
+// the wall clock (make seed-audit rule 9 enforces this). That is
 // what makes a failing chaos seed a complete reproduction recipe: replay
 // it, record the schedule (vclock.RecorderState), and bisect to the
 // first divergent scheduling decision (see replay.go, cmd/chaosreplay).

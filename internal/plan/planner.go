@@ -14,7 +14,7 @@
 // it never reads a clock, never sleeps, and spawns no goroutines — every
 // entry point takes the current virtual instant as an argument and is
 // called under the manager's lock. That purity is what keeps same-seed
-// runs bit-identical (and is enforced by seed-audit rule 6).
+// runs bit-identical (and is enforced by seed-audit rules 6 and 9).
 //
 // A planning tick is indexed, not a rescan. Every queued record carries a
 // queue position, stamped when it (re-)enters the queue, and hangs on the

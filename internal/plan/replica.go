@@ -21,7 +21,7 @@ import (
 // an offset range iff they agree on the epoch chain covering it — so
 // divergence detection reduces to comparing the compact epoch-span chains
 // rather than message payloads. All of this is pure decision logic: no
-// clocks, no locks, no I/O (seed-audit rule 6) — same inputs, same
+// clocks, no locks, no I/O (seed-audit rules 6, 9) — same inputs, same
 // placement and the same recovery, on every run.
 
 // Replicas is one partition's replication state. A member counts toward

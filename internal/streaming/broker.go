@@ -8,7 +8,7 @@ import (
 
 // Residue for the frozen benchmark harness — delete with ROADMAP item 1.
 // cmd/bench's streaming.broker.* ladder rungs name these; nothing else in
-// the tree may (tools/seed-audit.sh rule 10). The single-broker deployment
+// the tree may (make seed-audit rule 10). The single-broker deployment
 // is NewCluster(ClusterConfig{Shards: 1, Replication: 1}).
 
 // BrokerConfig is the slice of ClusterConfig the harness sets.

@@ -37,12 +37,12 @@ import (
 // phase"): no clock reads, no modeled sleeps, no stream draws, no
 // data-service calls, no primitive waits, and no mutation of state shared
 // with other participants. fn gets real parallelism precisely because
-// nobody is watching it. tools/seed-audit.sh lint-checks the inline
-// `Compute(..., func() {...})` form; kernels reaching a compute phase
-// another way — dataflow.Stage.Pure, streaming's PureHandler, a named
-// function — are beyond the lint's sight and must honor the contract
-// themselves (a violating sleep or wait deadlocks the pinned world; a
-// violating draw silently breaks bit-reproducibility).
+// nobody is watching it. make seed-audit rules 4 and 8 check each func
+// handed to a Compute and every function it calls statically; a kernel
+// reached through a func value or an interface — dataflow.Stage.Pure's
+// Run, streaming's PureHandler — is beyond the lint's sight and must
+// honor the contract itself (a violating sleep or wait deadlocks the
+// pinned world; a violating draw silently breaks bit-reproducibility).
 
 // Compute runs fn — a side-effect-free CPU closure — off the execution
 // token, in parallel with other participants and other Compute bodies,
