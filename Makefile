@@ -46,7 +46,11 @@ bench-10m:
 # (gitignored), one pair per benchmark, each at -cpu 1 as cmd/bench runs
 # its workloads and with iterations for ≥ 1.5 s of CPU samples, so a
 # function's share is read over ≈ 150 samples, not ≈ 60. Each profile's
-# sample count is printed; quote a share with it. Inspect with e.g.
+# sample count is printed; quote a share with it. Last, the allocations of
+# mapreduce-wordcount's timed region: a mem profile of the whole-job rung
+# (internal/mapreduce BenchmarkJob_Wordcount, every allocation sampled at
+# 4 KB, as small ones dominate), whose total under mapreduce.Run and
+# Collect is printed — the set-up's corpus is filtered out. Inspect with e.g.
 #   go tool pprof -top profiles/streaming_million.cpu.pprof
 #   go tool pprof -sample_index=alloc_space -top profiles/chaos_seeds.mem.pprof
 # The test binary lands next to the profiles so pprof can resolve symbols
@@ -65,6 +69,9 @@ profile:
 	$(call profile-one,streaming_million,Streaming_Million,15)
 	$(call profile-one,mapreduce,Table2_MapReduce,60)
 	$(call profile-one,chaos_seeds,Chaos_Seeds,40)
+	$(GO) test -run '^$$' -bench '^BenchmarkJob_Wordcount$$' -benchtime 10x -benchmem -cpu 1 -memprofilerate 4096 \
+		-memprofile $(PROFILE_DIR)/mapreduce_job.mem.pprof -o $(PROFILE_DIR)/mapreduce.test ./internal/mapreduce
+	@echo "profile: mapreduce_job: $$($(GO) tool pprof -sample_index=alloc_space -focus 'mapreduce\.(Run|Collect)' -top -nodefraction 0 $(PROFILE_DIR)/mapreduce_job.mem.pprof 2>/dev/null | sed -n 's/^Showing nodes accounting for \([^,]*\),.*/\1/p') alloc_space in mapreduce.Run and Collect over 11 jobs (go test runs 1, then 10)"
 
 # One linter, three floors: every package carries a real package comment;
 # every exported name under internal/ has a caller outside its own tests,
@@ -148,7 +155,7 @@ fuzz-smoke:
 # digest before and after; `exhibit-stable` (in ci and
 # .github/workflows/ci.yml) fails when two runs of the same tree disagree.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' | xargs wc -l | \
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.bench_build/*' -not -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; all += $$1 } \
 		END { for (d in loc) print loc[d], d; print all, "total"; print all - loc["./cmd/bench"], "total outside cmd/bench" }' | sort -k2
 

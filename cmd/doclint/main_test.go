@@ -37,7 +37,7 @@ func TestSpineRules(t *testing.T) {
 	}{
 		{"base", 0, 0},
 		{"r01", 1, 1}, {"r02", 2, 1}, {"r03", 3, 1}, {"r04", 4, 1}, {"r05", 5, 1}, {"r06", 6, 1},
-		{"r08", 8, 1}, {"r09", 9, 2}, {"r10", 10, 3}, {"r11", 11, 2}, {"r12", 12, 2}, {"r13", 13, 3},
+		{"r08", 8, 2}, {"r09", 9, 2}, {"r10", 10, 3}, {"r11", 11, 2}, {"r12", 12, 2}, {"r13", 13, 3},
 		{"r14", 14, 1}, {"r15", 15, 2}, {"r16", 16, 1}, {"r17", 17, 2}, {"r18", 18, 2}, {"r18b", 18, 1},
 		{"r19", 19, 1},
 	} {

@@ -68,12 +68,27 @@ var rules = []rule{
 		}},
 	{n: 6, scope: "internal/plan/...", why: "the planner computes instants from its arguments and the manager waits: a clock here could block under the manager's lock",
 		ban: []string{"import internal/vclock"}},
-	{n: 8, why: "pooled scratch is fetched on-token before Compute and released after the rejoin: pool traffic in a kernel races the release",
+	{n: 8, why: "reused scratch is fetched on-token before Compute and released after the rejoin: a pool or free list in a kernel races the release",
 		check: func(p *pass, n ast.Node) {
 			pool := func(t types.Type) bool { return p.is(named(t), "sync.Pool") }
+			locked := func(t types.Type) bool { // a mutex, or a struct holding one
+				s, _ := t.Underlying().(*types.Struct)
+				for i := 0; s != nil && i < s.NumFields(); i++ {
+					if p.is(named(s.Field(i).Type()), "sync.Mutex") {
+						return true
+					}
+				}
+				return p.is(named(t), "sync.Mutex")
+			}
 			p.compute(n, func(obj types.Object) bool {
-				fn, _ := obj.(*types.Func)
-				return fn == nil && pool(obj.Type()) || fn != nil && fn.Type().(*types.Signature).Recv() != nil && pool(fn.Type().(*types.Signature).Recv().Type())
+				switch o := obj.(type) {
+				case *types.Func: // a pool's method
+					recv := o.Type().(*types.Signature).Recv()
+					return recv != nil && pool(recv.Type())
+				case *types.Var: // a pool, or a lock: a free list's
+					return pool(o.Type()) || locked(o.Type())
+				}
+				return false
 			})
 		}},
 	// Allowed: E11's two host-milliseconds reads, wallStart := time.Now() and

@@ -1,5 +1,5 @@
-// Package mapreduce is the fixture's kernel host: pooled scratch is taken
-// on-token before Compute and released on-token after the rejoin.
+// Package mapreduce is the fixture's kernel host, planted: one Compute body
+// takes a scratch from the free list, another from a sync.Pool.
 package mapreduce
 
 import (
@@ -11,13 +11,28 @@ import (
 
 type scratch struct{ words []string }
 
+var scratchFree struct {
+	sync.Mutex
+	list []*scratch
+}
+
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+func getScratch() *scratch {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if list := scratchFree.list; len(list) > 0 {
+		scratchFree.list = list[:len(list)-1]
+		return list[len(list)-1]
+	}
+	return new(scratch)
+}
 
 func (s *scratch) release() {
 	s.words = s.words[:0]
-	scratchPool.Put(s)
+	scratchFree.Lock()
+	scratchFree.list = append(scratchFree.list, s)
+	scratchFree.Unlock()
 }
 
 // RunMapTask maps words in a parallel compute phase.
@@ -25,6 +40,7 @@ func RunMapTask(ctx context.Context, clock vclock.Clock, words []string) int {
 	sc := getScratch()
 	n := 0
 	clock.Compute(ctx, func() { n = mapKernel(words, getScratch()) })
+	clock.Compute(ctx, func() { n += mapKernel(words, scratchPool.Get().(*scratch)) })
 	sc.release()
 	return n
 }

@@ -2,11 +2,13 @@ package mapreduce
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"gopilot/internal/data"
 	"gopilot/internal/dist"
 )
 
@@ -31,17 +33,17 @@ func benchZipfWords() func() string {
 	return func() string { return "w" + strconv.FormatUint(z.Uint64(), 10) }
 }
 
-// reportPerPair adds ns/pair, allocs/pair and B/pair to a benchmark that
-// handled pairs pairs in each of its b.N iterations; ms0 is the memory
+// reportPer adds ns/unit, allocs/unit and B/unit to a benchmark that
+// handled n units in each of its b.N iterations; ms0 is the memory
 // statistics read when the timer started.
-func reportPerPair(b *testing.B, pairs int, ms0 *runtime.MemStats) {
+func reportPer(b *testing.B, unit string, n int, ms0 *runtime.MemStats) {
 	b.StopTimer()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	total := float64(b.N) * float64(pairs)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/pair")
-	b.ReportMetric(float64(ms.Mallocs-ms0.Mallocs)/total, "allocs/pair")
-	b.ReportMetric(float64(ms.TotalAlloc-ms0.TotalAlloc)/total, "B/pair")
+	total := float64(b.N) * float64(n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/"+unit)
+	b.ReportMetric(float64(ms.Mallocs-ms0.Mallocs)/total, "allocs/"+unit)
+	b.ReportMetric(float64(ms.TotalAlloc-ms0.TotalAlloc)/total, "B/"+unit)
 }
 
 func startCounting(b *testing.B) *runtime.MemStats {
@@ -89,7 +91,7 @@ func BenchmarkGroup(b *testing.B) {
 				}
 				sc.reset()
 			}
-			reportPerPair(b, pairs, ms0)
+			reportPer(b, "pair", pairs, ms0)
 			if values != b.N*pairs {
 				b.Fatalf("groups carried %d values, want %d", values, b.N*pairs)
 			}
@@ -114,7 +116,7 @@ func spaceMapper(_ context.Context, _, value string, emit func(k, v string)) err
 
 // BenchmarkMapKernel_Wordcount: one harness-sized split through one map
 // task's compute phase — map, partition, combine, encode — with the
-// scratch taken from and returned to the pool as the task does, and no
+// scratch taken from and returned to the free list as the task does, and no
 // executor, data service or modeled cost around it.
 func BenchmarkMapKernel_Wordcount(b *testing.B) {
 	ctx := context.Background()
@@ -134,5 +136,65 @@ func BenchmarkMapKernel_Wordcount(b *testing.B) {
 			b.Fatalf("mapKernel: %d partitions, err %v", len(encoded), err)
 		}
 	}
-	reportPerPair(b, benchWords, ms0)
+	reportPer(b, "pair", benchWords, ms0)
+}
+
+// BenchmarkJob_Wordcount: the timed region of cmd/bench's
+// mapreduce-wordcount — Run and Collect over 16 harness-sized splits with
+// a combiner and 8 reducers on one 8-core pilot — with a collection before
+// each job, as the harness runs one before each repetition. The scratch
+// free list carries over from job to job. retained-B is the heap that the
+// free list keeps between jobs: what a collection frees once it is
+// dropped.
+func BenchmarkJob_Wordcount(b *testing.B) {
+	const splits = 16
+	ctx := context.Background()
+	e := newEnv(b)
+	ids := make([]string, splits)
+	next := benchZipfWords()
+	for i := range ids {
+		var text strings.Builder
+		for w := 0; w < benchWords; w++ {
+			text.WriteString(next())
+			text.WriteByte(' ')
+		}
+		ids[i] = fmt.Sprintf("split%d", i)
+		if err := e.data.Put(ctx, data.Unit{ID: ids[i], Content: []byte(text.String()), Site: "siteA"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := Config{Name: "wc", InputIDs: ids, Reducers: benchReducers, Map: spaceMapper, Reduce: countReducer, Combine: countReducer}
+	var got []KeyValue
+	ms0 := startCounting(b)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		res, err := Run(ctx, e.mgr, cfg)
+		if err == nil {
+			got, err = Collect(ctx, e.mgr, res)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPer(b, "word", splits*benchWords, ms0)
+	counted := 0
+	for _, kv := range got {
+		n, _ := strconv.Atoi(kv.Value)
+		counted += n
+	}
+	if counted != splits*benchWords {
+		b.Fatalf("the job counted %d words, want %d", counted, splits*benchWords)
+	}
+	var held, freed runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	scratchFree.Lock()
+	scratchFree.list = nil
+	scratchFree.Unlock()
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	runtime.KeepAlive(got)
+	b.ReportMetric(float64(held.HeapAlloc)-float64(freed.HeapAlloc), "retained-B")
 }

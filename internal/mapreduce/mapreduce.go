@@ -7,7 +7,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"gopilot/internal/core"
 	"gopilot/internal/vclock"
@@ -98,7 +98,6 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	// ------------------------------ map phase ------------------------------
 	mapUnits := make([]*core.ComputeUnit, 0, len(cfg.InputIDs))
 	for i, in := range cfg.InputIDs {
-		i, in := i, in
 		u, err := mgr.SubmitUnit(core.UnitDescription{
 			Name:      fmt.Sprintf("%s.map%d", cfg.Name, i),
 			Cores:     1,
@@ -123,7 +122,6 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 	reduceUnits := make([]*core.ComputeUnit, 0, cfg.Reducers)
 	outputIDs := make([]string, cfg.Reducers)
 	for r := 0; r < cfg.Reducers; r++ {
-		r := r
 		// Every reducer depends on its partition from every map task.
 		inputs := make([]string, len(cfg.InputIDs))
 		for m := range cfg.InputIDs {
@@ -165,14 +163,14 @@ func Run(ctx context.Context, mgr *core.Manager, cfg Config) (*Result, error) {
 // index for the whole kernel hands each distinct key a dense id and its
 // partition, and the pair is stored as its key id and value in that
 // partition's columns. each then groups one partition at a time. A
-// kernel starts on a reset scratch (new, or released); pooling it makes
+// kernel starts on a reset scratch (new, or released); reusing it makes
 // steady-state kernels allocate only their encoded outputs.
 //
-// The pooling contract (seed-audit rule 8, DESIGN.md "Hot path"): Get
-// and Put happen on the executor token — before the compute phase opens
-// and after it rejoins — never inside a Compute body. The phase owns the
-// scratch exclusively for its duration; nothing pooled may be referenced
-// after release.
+// The reuse contract (seed-audit rule 8, DESIGN.md "Hot path"):
+// getScratch and release happen on the executor token — before the
+// compute phase opens and after it rejoins — never inside a Compute body.
+// The phase owns the scratch exclusively for its duration; nothing of a
+// scratch may be referenced after release.
 type kernelScratch struct {
 	// index is only ever looked up, never ranged over: map iteration
 	// order must not reach the output.
@@ -204,18 +202,34 @@ var maxKeys = math.MaxInt32
 
 func newScratch() *kernelScratch { return &kernelScratch{index: make(map[string]slot)} }
 
-var kernelScratchPool = sync.Pool{New: func() any { return newScratch() }}
-
-func getScratch() *kernelScratch { return kernelScratchPool.Get().(*kernelScratch) }
-
-// release resets the scratch and returns it to the pool.
-func (s *kernelScratch) release() {
-	s.reset()
-	kernelScratchPool.Put(s)
+// scratchFree is the free list of released scratches. Unlike a
+// sync.Pool, no collection empties it, so a job starts on the columns the
+// previous job grew. It holds at most as many scratches as were ever out at once.
+var scratchFree struct {
+	sync.Mutex
+	list []*kernelScratch
 }
 
-// reset drops every string reference the scratch accumulated (pooled
-// buffers must not pin split contents in memory between jobs: keys and
+func getScratch() *kernelScratch {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if list := scratchFree.list; len(list) > 0 {
+		scratchFree.list = list[:len(list)-1]
+		return list[len(list)-1]
+	}
+	return newScratch()
+}
+
+// release resets the scratch and returns it to the free list.
+func (s *kernelScratch) release() {
+	s.reset()
+	scratchFree.Lock()
+	scratchFree.list = append(scratchFree.list, s)
+	scratchFree.Unlock()
+}
+
+// reset drops every string reference the scratch accumulated (a kept
+// scratch must not pin split contents in memory between jobs: keys and
 // values are substrings of the split), keeping the capacities.
 func (s *kernelScratch) reset() {
 	clear(s.index)
@@ -317,15 +331,14 @@ func runMapTask(ctx context.Context, tc core.TaskContext, cfg Config, mapIdx int
 		return fmt.Errorf("read split: %w", err)
 	}
 	var encoded [][]byte
-	var kernelErr error
 	sc := getScratch()
-	ran := tc.Compute(ctx, func() { encoded, kernelErr = mapKernel(ctx, cfg, inputID, content, sc) })
+	ran := tc.Compute(ctx, func() { encoded, err = mapKernel(ctx, cfg, inputID, content, sc) })
 	sc.release()
 	if !ran {
 		return ctx.Err()
 	}
-	if kernelErr != nil {
-		return kernelErr
+	if err != nil {
+		return err
 	}
 	if cfg.MapCost > 0 && !tc.Sleep(ctx, cfg.MapCost) {
 		return ctx.Err()
@@ -342,10 +355,10 @@ func runMapTask(ctx context.Context, tc core.TaskContext, cfg Config, mapIdx int
 // emitted pair in its key's partition, then combine and encode each
 // partition. It is handed the split and the scratch and nothing of the
 // task context, so it cannot reach the clock, the data service or a
-// stream.
+// stream. The mapper sees the split in place, through view.
 func mapKernel(ctx context.Context, cfg Config, inputID string, content []byte, sc *kernelScratch) ([][]byte, error) {
 	sc.parts = grow(sc.parts, cfg.Reducers)
-	if err := cfg.Map(ctx, inputID, string(content), sc.add); err != nil {
+	if err := cfg.Map(ctx, inputID, view(content), sc.add); err != nil {
 		return nil, fmt.Errorf("map: %w", err)
 	}
 	if sc.err != nil {
@@ -443,9 +456,6 @@ func partitionID(job string, m, r int) string {
 	return fmt.Sprintf("%s.m%d.p%d", job, m, r)
 }
 
-// lineSep is the record separator of the Encode format.
-var lineSep = []byte{'\n'}
-
 // Encode serializes pairs as quoted tab-separated lines, safe for any byte
 // content. The output buffer is sized up front (quoting adds at least the
 // two quote characters per field), so typical pair sets encode with one
@@ -465,9 +475,10 @@ func Encode(kvs []KeyValue) []byte {
 	return b
 }
 
-// Decode parses the Encode format.
+// Decode parses the Encode format. The pairs alias content, which must
+// not be modified while they are in use.
 func Decode(content []byte) ([]KeyValue, error) {
-	out := make([]KeyValue, 0, bytes.Count(content, lineSep)+1)
+	out := make([]KeyValue, 0, strings.Count(view(content), "\n")+1)
 	if err := decodeLines(content, func(k, v string) { out = append(out, KeyValue{k, v}) }); err != nil {
 		return nil, err
 	}
@@ -475,20 +486,15 @@ func Decode(content []byte) ([]KeyValue, error) {
 }
 
 // decodeLines parses the Encode format, calling fn with every pair in
-// order. The whole payload is converted to a string once; every key and
-// value is then a substring of it — strconv.Unquote returns the interior
-// of an escape-free quoted string without copying — so decoding a
-// shuffle partition costs one allocation for the text, not one per line.
+// order. Every key and value is a substring of the payload's view —
+// strconv.Unquote returns the interior of an escape-free quoted string
+// without copying — so decoding a shuffle partition allocates nothing
+// for escape-free pairs.
 func decodeLines(content []byte, fn func(k, v string)) error {
-	text := string(content)
-	for len(text) > 0 {
-		line := text
-		if nl := strings.IndexByte(text, '\n'); nl >= 0 {
-			line, text = text[:nl], text[nl+1:]
-		} else {
-			text = ""
-		}
-		if line == "" {
+	text := view(content)
+	for text != "" {
+		var line string
+		if line, text, _ = strings.Cut(text, "\n"); line == "" {
 			continue
 		}
 		tab := strings.IndexByte(line, '\t')
@@ -508,14 +514,17 @@ func decodeLines(content []byte, fn func(k, v string)) error {
 	return nil
 }
 
-// Collect fetches and decodes all job outputs into one sorted slice.
+// view is b as a string, without a copy: b must never change afterwards,
+// which core.DataService's Read contract grants a split or a partition.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// Collect fetches and decodes all job outputs into one sorted slice. The
+// pairs alias the outputs' contents.
 func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, error) {
-	var mu sync.Mutex
-	var all []KeyValue
 	wg := vclock.NewGroup(mgr.Clock())
+	outs := make([][]KeyValue, len(res.OutputIDs))
 	errs := make([]error, len(res.OutputIDs))
 	for i, id := range res.OutputIDs {
-		i, id := i, id
 		wg.Add(1)
 		mgr.Clock().Go(func() {
 			defer wg.Done()
@@ -524,33 +533,20 @@ func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, e
 				errs[i] = fmt.Errorf("mapreduce: output %s not found", id)
 				return
 			}
-			content, err := mgr.Data().Read(ctx, id, sites[0])
-			if err != nil {
-				errs[i] = err
-				return
-			}
 			// Decoding is pure CPU over fetched bytes: run it off-token so
 			// concurrent output fetches decode in parallel.
-			var kvs []KeyValue
-			if !mgr.Clock().Compute(ctx, func() { kvs, err = Decode(content) }) {
-				errs[i] = ctx.Err()
-				return
+			content, err := mgr.Data().Read(ctx, id, sites[0])
+			if err == nil && !mgr.Clock().Compute(ctx, func() { outs[i], err = Decode(content) }) {
+				err = ctx.Err()
 			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mu.Lock()
-			all = append(all, kvs...)
-			mu.Unlock()
+			errs[i] = err
 		})
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
+	all := slices.Concat(outs...)
 	slices.SortFunc(all, func(a, b KeyValue) int {
 		if c := strings.Compare(a.Key, b.Key); c != 0 {
 			return c

@@ -2,10 +2,12 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -26,7 +28,7 @@ type env struct {
 	data *data.Service
 }
 
-func newEnv(t *testing.T, sites ...string) *env {
+func newEnv(t testing.TB, sites ...string) *env {
 	t.Helper()
 	if len(sites) == 0 {
 		sites = []string{"siteA"}
@@ -567,7 +569,8 @@ func checkClean(t *testing.T, sc *kernelScratch) {
 
 // TestScratchReleaseDropsEveryReference: keys and values are substrings
 // of the split (and of the shuffled partitions), so whatever a released
-// scratch still points at stays in memory until the pool drops it. After
+// scratch still points at stays in memory for as long as the free list
+// keeps the scratch, which is for good. After
 // a map kernel, and again after a reduce kernel, release leaves nothing
 // behind. The corpus is sized so that the kernels populate every column,
 // and so that the last partition grouped is shorter than an earlier one —
@@ -600,7 +603,7 @@ func TestScratchReleaseDropsEveryReference(t *testing.T) {
 	}
 	used("reduce", sc)
 	// No test in this package runs in parallel, so nothing takes sc back
-	// out of the pool while it is inspected.
+	// off the free list while it is inspected.
 	sc.release()
 	checkClean(t, sc)
 }
@@ -645,4 +648,71 @@ func TestFailedCombineReleasesCleanScratch(t *testing.T) {
 	}
 	sc.release()
 	checkClean(t, sc)
+}
+
+// TestFreeListSurvivesCollection: a released scratch, its columns grown
+// by a map kernel, is the one getScratch hands out next, even after the
+// two collections that empty a sync.Pool, and it comes back clean.
+func TestFreeListSurvivesCollection(t *testing.T) {
+	cfg := Config{Reducers: 2, Map: wordMapper, Reduce: countReducer, Combine: countReducer}
+	sc := getScratch()
+	if _, err := mapKernel(context.Background(), cfg, "in", []byte(strings.Repeat("the quick brown fox ", 50)), sc); err != nil {
+		t.Fatal(err)
+	}
+	grown := cap(sc.parts[0].ids)
+	sc.release()
+	runtime.GC()
+	runtime.GC()
+	got := getScratch()
+	defer got.release()
+	if got != sc {
+		t.Fatal("getScratch after two collections returned a new scratch, not the released one")
+	}
+	checkClean(t, got)
+	if parts := got.parts[:cap(got.parts)]; grown == 0 || cap(parts[0].ids) != grown {
+		t.Errorf("partition 0's capacity is %d after release, want the %d it grew to", cap(parts[0].ids), grown)
+	}
+}
+
+// TestCollectMatchesDecode: Collect over outputs written by hand — one
+// empty, one with a blank line and a last line without its newline, keys
+// and values that need escapes — equals the sorted concatenation of
+// Decode over each output, and holds every pair written.
+func TestCollectMatchesDecode(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	escaped := []KeyValue{{"tab\tkey", "v\n1"}, {`quo"te`, "é"}, {"b", "2"}, {"a", "1"}}
+	last := strings.TrimSuffix(string(Encode([]KeyValue{{"z\x00", "9"}})), "\n")
+	contents := []string{
+		"",
+		string(Encode(escaped)) + "\n" + last,
+		"\n" + string(Encode([]KeyValue{{"a", "1"}, {"b", "3"}})),
+	}
+	res := &Result{}
+	var want []KeyValue
+	for i, c := range contents {
+		id := fmt.Sprintf("out%d", i)
+		if err := e.data.Put(ctx, data.Unit{ID: id, Content: []byte(c), Site: "siteA"}); err != nil {
+			t.Fatal(err)
+		}
+		res.OutputIDs = append(res.OutputIDs, id)
+		kvs, err := Decode([]byte(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, kvs...)
+	}
+	if len(want) != len(escaped)+3 {
+		t.Fatalf("Decode found %d pairs in the outputs, want %d", len(want), len(escaped)+3)
+	}
+	slices.SortFunc(want, func(a, b KeyValue) int {
+		return cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.Value, b.Value))
+	})
+	got, err := Collect(ctx, e.mgr, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Collect = %q\nwant %q", got, want)
+	}
 }
