@@ -70,23 +70,20 @@ var rules = []rule{
 		ban: []string{"import internal/vclock"}},
 	{n: 8, why: "reused scratch is fetched on-token before Compute and released after the rejoin: a pool or free list in a kernel races the release",
 		check: func(p *pass, n ast.Node) {
-			pool := func(t types.Type) bool { return p.is(named(t), "sync.Pool") }
-			locked := func(t types.Type) bool { // a mutex, or a struct holding one
-				s, _ := t.Underlying().(*types.Struct)
-				for i := 0; s != nil && i < s.NumFields(); i++ {
-					if p.is(named(s.Field(i).Type()), "sync.Mutex") {
-						return true
-					}
-				}
-				return p.is(named(t), "sync.Mutex")
-			}
+			reuse := func(t types.Type) bool { return p.is(named(t), "sync.Pool", "sync.Mutex") }
 			p.compute(n, func(obj types.Object) bool {
 				switch o := obj.(type) {
 				case *types.Func: // a pool's method
 					recv := o.Type().(*types.Signature).Recv()
-					return recv != nil && pool(recv.Type())
-				case *types.Var: // a pool, or a lock: a free list's
-					return pool(o.Type()) || locked(o.Type())
+					return recv != nil && p.is(named(recv.Type()), "sync.Pool")
+				case *types.Var: // a pool or a lock (a free list's), or a struct holding one
+					s, _ := o.Type().Underlying().(*types.Struct)
+					for i := 0; s != nil && i < s.NumFields(); i++ {
+						if reuse(s.Field(i).Type()) {
+							return true
+						}
+					}
+					return reuse(o.Type())
 				}
 				return false
 			})

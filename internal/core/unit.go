@@ -245,6 +245,11 @@ func (u *ComputeUnit) TurnaroundTime() time.Duration {
 // (package data implements it). It treats data as a first-class citizen of
 // scheduling: units declare input/output data-units, schedulers query
 // placement, and the runtime stages replicas with modeled transfer costs.
+//
+// Content is never copied on its way through: Write takes ownership of
+// the bytes it is given, and Read returns those same bytes to every
+// reader. Nobody may modify them afterwards — neither the writer nor any
+// reader — so a kernel may view them as a string in place.
 type DataService interface {
 	// Locate returns the sites currently holding a replica of the data unit.
 	Locate(id string) ([]infra.Site, bool)
@@ -254,8 +259,10 @@ type DataService interface {
 	// modeled transfer cost.
 	StageIn(ctx context.Context, id string, to infra.Site) error
 	// Read returns the content of a data unit, reading from the named site
-	// (paying a transfer if the site has no replica).
+	// (paying a transfer if the site has no replica). The bytes are shared:
+	// the caller must not modify them.
 	Read(ctx context.Context, id string, at infra.Site) ([]byte, error)
-	// Write creates or replaces a data unit at the given site.
+	// Write creates or replaces a data unit at the given site, taking
+	// ownership of content: the caller must not modify it afterwards.
 	Write(ctx context.Context, id string, content []byte, at infra.Site) error
 }

@@ -30,7 +30,9 @@ type Unit struct {
 	// ID is the namespace-unique identifier.
 	ID string
 	// Content is the actual payload available to tasks (may be nil for
-	// purely synthetic units).
+	// purely synthetic units). Put takes ownership of it and Read hands
+	// the same bytes to every reader (core.DataService): nobody may
+	// modify them after Put.
 	Content []byte
 	// LogicalSize is the size used by the transfer model; when zero it
 	// defaults to len(Content).

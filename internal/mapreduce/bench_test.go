@@ -33,6 +33,16 @@ func benchZipfWords() func() string {
 	return func() string { return "w" + strconv.FormatUint(z.Uint64(), 10) }
 }
 
+// benchSplit returns a harness-sized split of words drawn from next.
+func benchSplit(next func() string) []byte {
+	var text strings.Builder
+	for i := 0; i < benchWords; i++ {
+		text.WriteString(next())
+		text.WriteByte(' ')
+	}
+	return []byte(text.String())
+}
+
 // reportPer adds ns/unit, allocs/unit and B/unit to a benchmark that
 // handled n units in each of its b.N iterations; ms0 is the memory
 // statistics read when the timer started.
@@ -120,12 +130,7 @@ func spaceMapper(_ context.Context, _, value string, emit func(k, v string)) err
 // executor, data service or modeled cost around it.
 func BenchmarkMapKernel_Wordcount(b *testing.B) {
 	ctx := context.Background()
-	var text strings.Builder
-	for i, next := 0, benchZipfWords(); i < benchWords; i++ {
-		text.WriteString(next())
-		text.WriteByte(' ')
-	}
-	split := []byte(text.String())
+	split := benchSplit(benchZipfWords())
 	cfg := Config{Reducers: benchReducers, Map: spaceMapper, Reduce: countReducer, Combine: countReducer}
 	ms0 := startCounting(b)
 	for i := 0; i < b.N; i++ {
@@ -143,9 +148,9 @@ func BenchmarkMapKernel_Wordcount(b *testing.B) {
 // mapreduce-wordcount — Run and Collect over 16 harness-sized splits with
 // a combiner and 8 reducers on one 8-core pilot — with a collection before
 // each job, as the harness runs one before each repetition. The scratch
-// free list carries over from job to job. retained-B is the heap that the
-// free list keeps between jobs: what a collection frees once it is
-// dropped.
+// free list carries over from job to job. After the last job, scratches
+// counts what the free list keeps between jobs, and retained-B the heap a
+// collection frees once the list is dropped.
 func BenchmarkJob_Wordcount(b *testing.B) {
 	const splits = 16
 	ctx := context.Background()
@@ -153,13 +158,8 @@ func BenchmarkJob_Wordcount(b *testing.B) {
 	ids := make([]string, splits)
 	next := benchZipfWords()
 	for i := range ids {
-		var text strings.Builder
-		for w := 0; w < benchWords; w++ {
-			text.WriteString(next())
-			text.WriteByte(' ')
-		}
 		ids[i] = fmt.Sprintf("split%d", i)
-		if err := e.data.Put(ctx, data.Unit{ID: ids[i], Content: []byte(text.String()), Site: "siteA"}); err != nil {
+		if err := e.data.Put(ctx, data.Unit{ID: ids[i], Content: benchSplit(next), Site: "siteA"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,10 +191,12 @@ func BenchmarkJob_Wordcount(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&held)
 	scratchFree.Lock()
+	kept := len(scratchFree.list)
 	scratchFree.list = nil
 	scratchFree.Unlock()
 	runtime.GC()
 	runtime.ReadMemStats(&freed)
 	runtime.KeepAlive(got)
+	b.ReportMetric(float64(kept), "scratches")
 	b.ReportMetric(float64(held.HeapAlloc)-float64(freed.HeapAlloc), "retained-B")
 }
