@@ -50,7 +50,10 @@ bench-10m:
 # mapreduce-wordcount's timed region: a mem profile of the whole-job rung
 # (internal/mapreduce BenchmarkJob_Wordcount, every allocation sampled at
 # 4 KB, as small ones dominate), whose total under mapreduce.Run and
-# Collect is printed — the set-up's corpus is filtered out. Inspect with e.g.
+# Collect is printed — the set-up's corpus is filtered out. Then the
+# streaming plane's: a mem profile of stream-repl1's shape (internal/streaming
+# BenchmarkGroupDrain), with the share of its alloc_space that
+# Log.nextSegment, where every segment array is born, allocates. Inspect with e.g.
 #   go tool pprof -top profiles/streaming_million.cpu.pprof
 #   go tool pprof -sample_index=alloc_space -top profiles/chaos_seeds.mem.pprof
 # The test binary lands next to the profiles so pprof can resolve symbols
@@ -72,6 +75,9 @@ profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkJob_Wordcount$$' -benchtime 10x -benchmem -cpu 1 -memprofilerate 4096 \
 		-memprofile $(PROFILE_DIR)/mapreduce_job.mem.pprof -o $(PROFILE_DIR)/mapreduce.test ./internal/mapreduce
 	@echo "profile: mapreduce_job: $$($(GO) tool pprof -sample_index=alloc_space -focus 'mapreduce\.(Run|Collect)' -top -nodefraction 0 $(PROFILE_DIR)/mapreduce_job.mem.pprof 2>/dev/null | sed -n 's/^Showing nodes accounting for \([^,]*\),.*/\1/p') alloc_space in mapreduce.Run and Collect over 11 jobs (go test runs 1, then 10)"
+	$(GO) test -run '^$$' -bench '^BenchmarkGroupDrain$$' -benchtime 10x -benchmem -cpu 1 -memprofilerate 4096 \
+		-memprofile $(PROFILE_DIR)/group_drain.mem.pprof -o $(PROFILE_DIR)/streaming.test ./internal/streaming
+	@echo "profile: group_drain: $$($(GO) tool pprof -sample_index=alloc_space -focus 'streaming\.\(\*Log\)\.nextSegment' -top -nodefraction 0 $(PROFILE_DIR)/group_drain.mem.pprof 2>/dev/null | sed -n 's/^Showing nodes accounting for \(.*\) total$$/\1/p') alloc_space in Log.nextSegment over 13 M messages (go test runs 1 iteration, then 10, each after a warm-up million)"
 
 # One linter, three floors: every package carries a real package comment;
 # every exported name under internal/ has a caller outside its own tests,

@@ -7,6 +7,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -518,11 +519,11 @@ func decodeLines(content []byte, fn func(k, v string)) error {
 // which core.DataService's Read contract grants a split or a partition.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Collect fetches and decodes all job outputs into one sorted slice. The
-// pairs alias the outputs' contents.
+// Collect fetches all job outputs, then decodes them into one sorted
+// slice, allocated once. The pairs alias the outputs' contents.
 func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, error) {
 	wg := vclock.NewGroup(mgr.Clock())
-	outs := make([][]KeyValue, len(res.OutputIDs))
+	contents := make([][]byte, len(res.OutputIDs))
 	errs := make([]error, len(res.OutputIDs))
 	for i, id := range res.OutputIDs {
 		wg.Add(1)
@@ -533,20 +534,28 @@ func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, e
 				errs[i] = fmt.Errorf("mapreduce: output %s not found", id)
 				return
 			}
-			// Decoding is pure CPU over fetched bytes: run it off-token so
-			// concurrent output fetches decode in parallel.
-			content, err := mgr.Data().Read(ctx, id, sites[0])
-			if err == nil && !mgr.Clock().Compute(ctx, func() { outs[i], err = Decode(content) }) {
-				err = ctx.Err()
-			}
-			errs[i] = err
+			contents[i], errs[i] = mgr.Data().Read(ctx, id, sites[0])
 		})
 	}
 	wg.Wait()
+	// Decoding is pure CPU over fetched bytes: one off-token phase, into a
+	// result sized by the outputs' line counts, which bound their pairs.
+	var all []KeyValue
+	if !mgr.Clock().Compute(ctx, func() {
+		n := 0
+		for _, c := range contents {
+			n += strings.Count(view(c), "\n") + 1
+		}
+		all = make([]KeyValue, 0, n)
+		for i, c := range contents { // a failed read's content is empty; its error stands
+			errs[i] = cmp.Or(errs[i], decodeLines(c, func(k, v string) { all = append(all, KeyValue{k, v}) }))
+		}
+	}) {
+		return nil, ctx.Err()
+	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	all := slices.Concat(outs...)
 	slices.SortFunc(all, func(a, b KeyValue) int {
 		if c := strings.Compare(a.Key, b.Key); c != 0 {
 			return c

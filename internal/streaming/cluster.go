@@ -69,6 +69,8 @@ type Cluster struct {
 	// scratch is the free list of publish workspaces (groupBatch): unlike
 	// a sync.Pool, no collection empties it.
 	scratch []*pubScratch
+	// free is the free list every replica log refills its segments from.
+	free freeList
 	// commitDelay is the injected commit skew (chaos), zero normally.
 	commitDelay time.Duration
 	// ctrl holds waiters parked on control-plane state (fences, epochs,
@@ -304,7 +306,7 @@ type Stats struct {
 	Aliased       uint64 // messages replicated by reference to the leader's slot
 	Copied        uint64 // messages replicated by copy
 	Born          uint64 // segments allocated (an aliasing one allocates only cum)
-	Refilled      uint64 // segments reborn from a spare
+	Refilled      uint64 // segments reborn from the cluster's free list
 	CopyOnWrite   uint64 // borrowed tails copied before a write
 	Spanned       uint64 // views served as a copy: they crossed links of a cold chain
 	Rounds        uint64 // catch-up batches applied
@@ -390,7 +392,7 @@ func (c *Cluster) CreateTopic(name string, partitions int) error {
 // newLog makes one member's empty copy of a partition log, with room for
 // the first links of a chain.
 func (c *Cluster) newLog() *partition {
-	return &partition{Log: Log{segSize: c.cfg.SegmentSize, segs: make([]*segment, 0, 8), stats: &c.stats}}
+	return &partition{Log: Log{segSize: c.cfg.SegmentSize, segs: make([]*segment, 0, 8), free: &c.free, stats: &c.stats}}
 }
 
 // fedPartition resolves one partition by name, for the accessors that are
@@ -882,7 +884,7 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 // everything parked on cluster state (producers in acknowledgement
 // waits, fetchers behind fences, catch-up runners), and closes every
 // copy of every log — so a Close mid-handoff unwinds cleanly with no
-// leaked waiters or goroutines.
+// leaked waiters or goroutines — and drops the logs' free list.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -913,5 +915,6 @@ func (c *Cluster) Close() {
 			}
 		}
 	}
+	c.free = freeList{}
 	c.mu.Unlock()
 }

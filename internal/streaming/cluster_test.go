@@ -664,7 +664,8 @@ func TestRetentionBoundProperty(t *testing.T) {
 // 4096-message key-less batch of 64-byte values over 8 partitions of a
 // replication-1 cluster (grouping, the batch append on each leader, the
 // modeled sleep), committed and persisted every iteration, so each sealed
-// segment is trimmed and the spare refilled: steady state, 0 allocs/op.
+// segment is trimmed and refilled from the free list: steady state, 0
+// allocs/op.
 func BenchmarkClusterPublishValues(b *testing.B) {
 	const parts, batchLen = 8, 4096
 	clock := vclocktest.Adopted(b)

@@ -20,7 +20,7 @@ import (
 // and must `defer mgr.Close()` *after* its `defer clock.Leave()` (so the
 // manager tears down while the driver is still a clock participant —
 // t.Cleanup would run too late, after Leave).
-func newVirtualStreamEnv(t *testing.T, clock *vclock.Virtual, cores int) *core.Manager {
+func newVirtualStreamEnv(t testing.TB, clock *vclock.Virtual, cores int) *core.Manager {
 	t.Helper()
 	reg := saga.NewRegistry()
 	reg.Register(saga.NewLocalService("gs", cores, clock))
@@ -688,4 +688,102 @@ func TestGroupValidation(t *testing.T) {
 		t.Error("removing an unknown ordinal succeeded")
 	}
 	g.Stop()
+}
+
+// groupDrain is a drain in stream-repl1's shape on a fresh cluster: one
+// shard, eight partitions of segSize-message segments, a 256 KiB in-flight
+// bound, four Group workers whose views are leased (Offsets is the
+// cluster's store), and a producer publishing 64-byte messages 4096 at a
+// time. Each drain(n) publishes n more messages and returns once the group
+// has handled them; stop tears it all down.
+func groupDrain(tb testing.TB, segSize int) (c *Cluster, drain func(n int), stop func()) {
+	tb.Helper()
+	clock := vclock.NewVirtual(vclock.Epoch)
+	clock.Adopt()
+	c = NewCluster(ClusterConfig{
+		Shards: 1, Replication: 1, SegmentSize: segSize, MaxInflightBytes: 256 << 10,
+		AppendCost: 20 * time.Microsecond, FetchLatency: time.Millisecond, Clock: clock,
+	})
+	if err := c.CreateTopic("t", 8); err != nil {
+		tb.Fatal(err)
+	}
+	mgr := newVirtualStreamEnv(tb, clock, 6)
+	ctx := context.Background()
+	g, err := StartGroup(ctx, mgr, c, GroupConfig{
+		Name: "g", Topic: "t", Workers: 4, BatchSize: 2048,
+		CostPerMessage: 100 * time.Microsecond, PureHandler: true, Offsets: c.Offsets(),
+		Handler: func(context.Context, core.TaskContext, Message) error { return nil },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload, sent := make([]byte, 64), 0
+	drain = func(n int) {
+		var perr error
+		done := vclock.NewEvent(clock)
+		clock.Go(func() {
+			defer done.Fire()
+			_, perr = ProduceBatched(ctx, c, "t", n, 0, payload, 4096)
+		})
+		sent += n
+		if err := g.WaitProcessed(ctx, int64(sent)); err != nil {
+			tb.Fatal(err)
+		}
+		if done.Wait(ctx); perr != nil {
+			tb.Fatal(perr)
+		}
+	}
+	return c, drain, func() {
+		g.Stop()
+		mgr.Close()
+		c.Close()
+		clock.Leave()
+	}
+}
+
+// TestGroupDrainRefillsEverySegment is the free list's hot case: a group
+// whose views are leased lets every trimmed segment be refilled, so once
+// each log has grown to its working set no array is born, however many
+// segments one persist trims at once. With one spare per log, each trim
+// that retired more than one segment left the rest to the GC and births
+// grew with the messages.
+func TestGroupDrainRefillsEverySegment(t *testing.T) {
+	c, drain, stop := groupDrain(t, 64)
+	defer stop()
+	drain(64 << 10) // warm-up: every log past its chain and at its working set
+	warm := c.Stats()
+	drain(256 << 10)
+	hot := c.Stats()
+	t.Logf("after warm-up: %d born, %d refilled; then %d born, %d refilled",
+		warm.Born, warm.Refilled, hot.Born-warm.Born, hot.Refilled-warm.Refilled)
+	if hot.Born != warm.Born || hot.Refilled == warm.Refilled {
+		t.Fatalf("a warm drain of %d messages bore %d segments and refilled %d; want none born",
+			256<<10, hot.Born-warm.Born, hot.Refilled-warm.Refilled)
+	}
+}
+
+// BenchmarkGroupDrain prices the streaming plane's memory in
+// stream-repl1's shape (groupDrain at 4096-message segments): one million
+// messages per iteration after a warm-up million, in B/msg, and the
+// segments born and refilled per million messages (Cluster.Stats), which
+// say where those bytes went: a birth is a 458 KB segment.
+func BenchmarkGroupDrain(b *testing.B) {
+	const perOp = 1 << 20
+	c, drain, stop := groupDrain(b, 4096)
+	defer stop()
+	drain(perOp)
+	before := c.Stats()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	bytes := ms.TotalAlloc
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain(perOp)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	after, msgs := c.Stats(), float64(b.N)*perOp
+	b.ReportMetric(float64(ms.TotalAlloc-bytes)/msgs, "B/msg")
+	b.ReportMetric(float64(after.Born-before.Born)/msgs*1e6, "born/M")
+	b.ReportMetric(float64(after.Refilled-before.Refilled)/msgs*1e6, "refilled/M")
 }

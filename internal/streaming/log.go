@@ -9,9 +9,10 @@ import (
 	"gopilot/internal/plan"
 )
 
-// Log is one partition's segmented append-only log: segments and spare,
-// retained range, epoch chain, byte sums and commit mark. It takes no lock
-// — the caller holds Cluster.mu, which guards every copy of every log — so
+// Log is one partition's segmented append-only log: segments, retained
+// range, epoch chain, byte sums and commit mark. It takes no lock — the
+// caller holds Cluster.mu, which guards every copy of every log and the
+// free list they share — so
 // a leader's append, a follower's replicated append and a handoff's
 // truncate are the same few methods, and the proof obligation behind
 // zero-copy fetch and replication by reference (DESIGN.md "The Log") sits
@@ -24,7 +25,7 @@ import (
 type Log struct {
 	segSize int
 	segs    []*segment
-	spare   *segment // at most one trimmed full-size root awaiting refill (see Trim)
+	free    *freeList // the cluster's retired roots, shared by all its logs (see Trim)
 
 	// first is the oldest retained offset, end the next to be written;
 	// segments are segSize arithmetic from first, index finds the arrays.
@@ -56,14 +57,36 @@ type Log struct {
 // (DESIGN.md "Segment lifecycle"). borrowed: msgs's array is not this log's
 // to write (aliased, or viewed and truncated into); cum is always owned.
 // An alias's owner is the root that owns its array; a root's refs counts
-// its aliases and pins, and retired is the log whose spare it joins.
+// its aliases and pins, and retired is the free list it joins.
 type segment struct {
 	msgs                   []Message
 	cum                    []int64
 	viewed, kept, borrowed bool
 	owner                  *segment
 	refs                   int
-	retired                *Log
+	retired                *freeList
+}
+
+// freeList holds a cluster's retired roots of segSize, awaiting refill:
+// owning ones keep their msgs and cum arrays, and cum-only ones are
+// trimmed aliases. A root joins only once nothing reaches its array, and
+// a msgs array of segSize is made only when no owning root is listed, so
+// live plus listed msgs arrays never exceed the cluster's peak of live
+// ones; Close drops the list.
+type freeList struct {
+	owning, cumOnly []*segment
+}
+
+// pop takes the root of the kind asked for listed last, or nil.
+func (f *freeList) pop(owning bool) (seg *segment) {
+	list := &f.cumOnly
+	if owning {
+		list = &f.owning
+	}
+	if k := len(*list) - 1; k >= 0 {
+		seg, (*list)[k], *list = (*list)[k], nil, (*list)[:k]
+	}
+	return seg
 }
 
 // release lets go of one alias or pin on a root's array.
@@ -72,11 +95,15 @@ func (seg *segment) release() {
 	seg.recycle()
 }
 
-// recycle hands a root that Trim retired to its log's spare, once no kept
-// view, alias or pin reaches its array and the spare is free.
+// recycle hands a root that Trim retired to its free list, once no kept
+// view, alias or pin reaches its array.
 func (seg *segment) recycle() {
-	if l := seg.retired; l != nil && seg.refs == 0 && !seg.kept && l.spare == nil {
-		l.spare, seg.retired = seg, nil
+	if f := seg.retired; f != nil && seg.refs == 0 && !seg.kept {
+		if seg.retired = nil; cap(seg.msgs) > 0 {
+			f.owning = append(f.owning, seg)
+		} else {
+			f.cumOnly = append(f.cumOnly, seg)
+		}
 	}
 }
 
@@ -95,7 +122,7 @@ const minSegCap = 16
 // the messages it takes (cum's capacity). The segment at offset 0 is a
 // chain: a first link of minSegCap, links doubling while the chain stays
 // within an eighth of the segment, then a last link holding the rest in an
-// array of segSize, which Trim can hand back as the spare (16, 32, 64,
+// array of segSize, which Trim can hand back to the free list (16, 32, 64,
 // 128, 256, then 3600 in 4096; 16, then 48 in 64). A small log pays for
 // what it holds, a larger one for a segment and an eighth, and neither
 // copies to grow. Any other segment is one full array.
@@ -128,16 +155,20 @@ func (l *Log) index(o int64) (i, j int) {
 }
 
 // nextSegment is where every array is born: an empty tail segment of
-// nextCap — the spare if the array is segSize, else a fresh one. A non-nil
-// alias is the leader array of that capacity, owned by src, it borrows.
+// nextCap — at segSize a listed root of its kind (owning for an owned
+// array, cum-only for an alias, which would drop an owning root's msgs),
+// else a fresh one. A non-nil alias is the leader array of that capacity,
+// owned by src, it borrows.
 func (l *Log) nextSegment(src *segment, alias []Message) *segment {
 	array, room := l.nextCap()
-	seg := l.spare
-	if seg == nil || array != l.segSize {
+	var seg *segment
+	if array == l.segSize {
+		seg = l.free.pop(alias == nil)
+	}
+	if seg == nil {
 		seg = &segment{}
 		l.stats.Born++
 	} else {
-		l.spare = nil
 		l.stats.Refilled++
 	}
 	if cap(seg.cum) < room {
@@ -166,7 +197,7 @@ func (l *Log) tail() *segment {
 		seg := l.segs[n-1]
 		if len(seg.msgs) < cap(seg.cum) {
 			if seg.borrowed {
-				seg.msgs = append(make([]Message, 0, cap(seg.msgs)), seg.msgs...)
+				seg.msgs = append(l.ownArray(cap(seg.msgs)), seg.msgs...)
 				l.stats.CopyOnWrite++
 				if seg.owner != nil {
 					seg.owner.release()
@@ -177,6 +208,20 @@ func (l *Log) tail() *segment {
 		}
 	}
 	return l.nextSegment(nil, nil)
+}
+
+// ownArray returns an empty msgs array of capacity n for a copy on write:
+// at segSize a listed owning root's, whose cum is then listed alone, else a
+// fresh one.
+func (l *Log) ownArray(n int) []Message {
+	if n == l.segSize {
+		if r := l.free.pop(true); r != nil {
+			own := r.msgs[:0]
+			r.msgs, l.free.cumOnly = nil, append(l.free.cumOnly, r)
+			return own
+		}
+	}
+	return make([]Message, 0, n)
 }
 
 // AppendBatch appends the messages b.at(i), i in idxs, in order, each
@@ -411,7 +456,7 @@ func (l *Log) Trim(below int64) int64 {
 	n, _ := l.index(cut)
 	l.trimmedCum = l.BytesThrough(cut)
 	// An alias lets go of its owner's array and keeps its cum; one with a
-	// segSize array or cum (a chain's last link too) is retired, the spare
+	// segSize array or cum (a chain's last link too) is retired, listed
 	// once nothing reaches its array. The rest move down in segs's array,
 	// keeping its capacity; the vacated slots are cleared.
 	for _, seg := range l.segs[:n] {
@@ -420,7 +465,7 @@ func (l *Log) Trim(below int64) int64 {
 			seg.msgs, seg.owner, seg.borrowed = nil, nil, false
 		}
 		if max(cap(seg.msgs), cap(seg.cum)) == l.segSize {
-			seg.retired = l
+			seg.retired = l.free
 			seg.recycle()
 		}
 	}
@@ -460,7 +505,7 @@ func (l *Log) TruncateTo(to int64) {
 // for a recruit whose log starts behind the leader's retention floor.
 func (l *Log) ResetTo(first int64) {
 	l.drop(0)
-	*l = Log{segSize: l.segSize, segs: l.segs, spare: l.spare, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
+	*l = Log{segSize: l.segSize, segs: l.segs, free: l.free, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
 }
 
 // drop discards segs[i:], letting go of the arrays its aliases borrow.

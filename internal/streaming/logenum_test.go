@@ -193,7 +193,7 @@ func (d *logDriver) stateKey() string {
 		return segIDs[s]
 	}
 	for _, r := range []*replica{d.lead, d.fol} {
-		fmt.Fprintf(&b, "L%d/%d/%d spare%d[", r.l.first, r.l.end, r.l.committed, id(r.l.spare))
+		fmt.Fprintf(&b, "L%d/%d/%d [", r.l.first, r.l.end, r.l.committed)
 		for _, s := range r.l.segs {
 			fmt.Fprintf(&b, "%d ", id(s))
 		}
@@ -201,6 +201,14 @@ func (d *logDriver) stateKey() string {
 	}
 	for _, part := range d.inflight.parts {
 		fmt.Fprintf(&b, "B%d", id(part.src))
+	}
+	// The free list is read from its top: the next birth of each kind
+	// pops the last root listed.
+	for _, list := range [][]*segment{d.free.owning, d.free.cumOnly} {
+		b.WriteString("F")
+		for _, s := range list {
+			fmt.Fprintf(&b, "%d ", id(s))
+		}
 	}
 	// The walk closes over owners; arrays are numbered by head address.
 	arrays := map[*Message]int{}
@@ -216,10 +224,7 @@ func (d *logDriver) stateKey() string {
 		}
 		fmt.Fprintf(&b, "|s%d a%d %d/%d/%d v%v k%v b%v o%d r%d t%v dv%v",
 			i, arr, len(s.msgs), cap(s.msgs), cap(s.cum), s.viewed, s.kept, s.borrowed,
-			id(s.owner), s.refs, s.retired == d.lead.l, d.viewed[s])
-		if s.retired != nil && s.retired != d.lead.l {
-			b.WriteString("tf")
-		}
+			id(s.owner), s.refs, s.retired != nil, d.viewed[s])
 	}
 	where := func(p *Message) string {
 		for _, s := range order {
@@ -258,8 +263,9 @@ func (d *logDriver) stateKey() string {
 		}
 	}
 	fd, hi := firstDiff(&d.fol.m, &d.lead.m)
-	fmt.Fprintf(&b, "|M%d/%d/%d %d/%d/%d vh%d d%d/%d", d.lead.m.first, d.lead.m.end(), d.lead.m.committed,
-		d.fol.m.first, d.fol.m.end(), d.fol.m.committed, d.viewHi, fd, hi)
+	// The bound's slack: how far the live arrays sit below their peak.
+	fmt.Fprintf(&b, "|M%d/%d/%d %d/%d/%d vh%d d%d/%d s%d", d.lead.m.first, d.lead.m.end(), d.lead.m.committed,
+		d.fol.m.first, d.fol.m.end(), d.fol.m.committed, d.viewHi, fd, hi, d.peakLive-len(d.live))
 	return b.String()
 }
 

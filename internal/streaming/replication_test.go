@@ -225,7 +225,7 @@ func TestReplicationStatsPinned(t *testing.T) {
 			clock.Sleep(ctx, time.Millisecond)
 		}
 		// Consume everything: the persist trims every replica's sealed
-		// segments, and a follower keeps an aliased one's cum as its spare.
+		// segments, and a follower lists an aliased one's cum.
 		end, _ := c.EndOffset("t", 0)
 		if err := c.Commit("t", 0, end); err != nil {
 			t.Fatal(err)
@@ -251,11 +251,13 @@ func TestReplicationStatsPinned(t *testing.T) {
 		t.Fatalf("the failure cost %d copied messages, over one segment per follower", got)
 	}
 	// Born: each log's two links (a follower's allocate only cum), then
-	// each log's second and third segments, then the two survivors' fourth.
-	// Nothing is refilled: the followers' lazily replicated commit marks
-	// hold their trims back, and their aliases pin the leader's trimmed
-	// arrays.
-	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 14, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
+	// each log's second and third segments, then one of the two survivors'
+	// fourth. The other fourth is refilled: the followers' lazily
+	// replicated commit marks hold their trims back, and their aliases pin
+	// the leader's trimmed arrays, but once a follower's alias lets go, the
+	// leader's trimmed array is listed on the cluster's free list — the
+	// failed leader's log no longer takes it along — and refilled from it.
+	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 13, Refilled: 1, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
 	if end != want {
 		t.Fatalf("stats %+v, want %+v", end, want)
 	}
@@ -799,7 +801,7 @@ func TestReplicationFaultProperty(t *testing.T) {
 // default 4096-message SegmentSize), so this test, not chaos-fuzz, is
 // what exercises nextSegment/Trim under faults. At SegmentSize 64 a
 // consumer commits and persists to cluster.Offsets() — every persist
-// trims every replica — so followers trim, refill their spares, are
+// trims every replica — so followers trim, refill listed segments, are
 // promoted while holding refilled segments and are then read by the
 // consumer, all under the same lag/tear/leader-loss storm as
 // TestReplicationFaultProperty. Every payload is unique to its message:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -61,17 +62,18 @@ func payloadBytes(msgs []Message) int64 {
 // replica is one log under the driver: its reference model and the
 // bookkeeping the lifecycle checks need.
 type replica struct {
-	l       *Log
-	m       logModel
-	live    map[*segment]bool // in l.segs after the previous step
-	next    map[*segment]bool // check's scratch for the next live
-	retired map[*segment]bool // left l.segs, not (yet) refilled
-	lives   map[*segment]life // this life of each segment in l.segs
+	l     *Log
+	m     logModel
+	live  map[*segment]bool // in l.segs after the previous step
+	next  map[*segment]bool // check's scratch for the next live
+	lives map[*segment]life // this life of each segment in l.segs
 }
 
-func newReplica(segSize int, st *Stats) *replica {
-	return &replica{l: &Log{segSize: segSize, stats: st}, live: map[*segment]bool{}, next: map[*segment]bool{},
-		retired: map[*segment]bool{}, lives: map[*segment]life{}}
+// newReplica is a bare log on the driver's counters and free list: the
+// driver's two logs share both, as a cluster's do.
+func newReplica(segSize int, st *Stats, free *freeList) *replica {
+	return &replica{l: &Log{segSize: segSize, stats: st, free: free}, live: map[*segment]bool{},
+		next: map[*segment]bool{}, lives: map[*segment]life{}}
 }
 
 // reset is ResetTo(first) on the log and its model.
@@ -116,8 +118,8 @@ func (r *replica) trim(below, segSize int64) {
 // bare Logs with segSize-message segments — no broker, no topic map, no
 // clock — and checks both against their models after every step (see
 // logDriver.step for the decoder). The driver it returns holds what the
-// run counted: refills and births (the first log's) and both logs'
-// counters.
+// run counted: refills (both logs'), births (the first log's) and both
+// logs' counters.
 func driveLogAgainstModel(script []byte, segSize int64) (*logDriver, error) {
 	d := newLogDriver(segSize)
 	return d, d.run(script)
@@ -139,15 +141,23 @@ type logDriver struct {
 	steps     int
 	flat      []Message // check's scratch
 
-	refills    int   // the first log's segments reborn from its spare
+	free     freeList
+	listed   []*segment        // free.owning after the previous step
+	retired  map[*segment]bool // left a log's segs, not (yet) born again
+	kept     map[*Message]bool // heads of the segSize arrays a held view reaches
+	peakLive int               // the most segSize msgs arrays live at once, as checkBound reads it
+	live     map[*Message]bool // checkBound's scratch
+
+	refills    int   // segments reborn from the free list, in either log
 	births     []int // the room of each array born into the first log
 	chainAlias int   // follower segments born aliasing a link of the first log's chain
 	st         Stats
 }
 
 func newLogDriver(segSize int64) *logDriver {
-	d := &logDriver{segSize: segSize, spans: []plan.EpochSpan{{Start: 0, Epoch: 0}}, viewed: map[*segment]bool{}}
-	d.lead, d.fol = newReplica(int(segSize), &d.st), newReplica(int(segSize), &d.st)
+	d := &logDriver{segSize: segSize, spans: []plan.EpochSpan{{Start: 0, Epoch: 0}}, viewed: map[*segment]bool{},
+		retired: map[*segment]bool{}, kept: map[*Message]bool{}, live: map[*Message]bool{}}
+	d.lead, d.fol = newReplica(int(segSize), &d.st, &d.free), newReplica(int(segSize), &d.st, &d.free)
 	return d
 }
 
@@ -210,11 +220,9 @@ func (d *logDriver) check(r *replica, step int, op string) error {
 			if d.viewed[seg] {
 				return fail("nextSegment returned a viewed segment")
 			}
-			if r.retired[seg] {
-				if r == d.lead {
-					d.refills++
-				}
-				delete(r.retired, seg)
+			if d.retired[seg] {
+				d.refills++
+				delete(d.retired, seg)
 			}
 			if r == d.lead {
 				d.births = append(d.births, cap(seg.cum))
@@ -230,7 +238,7 @@ func (d *logDriver) check(r *replica, step int, op string) error {
 	}
 	for seg := range r.live {
 		if !now[seg] {
-			r.retired[seg] = true
+			d.retired[seg] = true
 			delete(r.lives, seg)
 		}
 	}
@@ -349,6 +357,9 @@ func (d *logDriver) step(opByte, argByte byte) error {
 				step, off, ask, len(v), n, aliased, seg.viewed)
 		} else if aliased {
 			d.viewed[seg] = true
+			if cap(seg.msgs) == int(segSize) {
+				d.kept[&seg.msgs[:1][0]] = true
+			}
 		}
 		h := heldView{got: v}
 		for i := range v {
@@ -419,12 +430,63 @@ func (d *logDriver) step(opByte, argByte byte) error {
 	if err := d.checkHeld(step, name); err != nil {
 		return err
 	}
+	if err := d.checkBound(step, name); err != nil {
+		return err
+	}
 	// The replica oracle reads what the models say: the first offset
 	// both logs hold where the follower's message is not the leader's.
 	fd, hi := firstDiff(&d.fol.m, &d.lead.m)
 	if got, ok := d.fol.l.differsAt(d.lead.l); ok != (fd < hi) || (ok && got != fd) {
 		return fmt.Errorf("step %d (%s): differsAt = %d, %v; models first differ at %d of [.., %d)",
 			step, name, got, ok, fd, hi)
+	}
+	return nil
+}
+
+// checkBound is the free list's bound: the msgs arrays of segSize that are
+// live — held by a segment of either log, a pinned part in flight or a
+// held view — and the listed ones are disjoint, and together never more
+// than the most that were live at once so far. It holds because such an
+// array is made (a birth or a copy on write) only while no owning root is
+// listed. A step may make an array and then list another, so the most
+// live at once is read as the live ones plus the roots listed since the
+// previous step — the list's top above what it shares with the previous
+// step's: no array was made after the first of them was listed, and each
+// was live until then.
+func (d *logDriver) checkBound(step int, op string) error {
+	live := d.live
+	clear(live)
+	add := func(msgs []Message) {
+		if cap(msgs) == int(d.segSize) {
+			live[&msgs[:1][0]] = true
+		}
+	}
+	for _, r := range []*replica{d.lead, d.fol} {
+		for _, seg := range r.l.segs {
+			add(seg.msgs)
+		}
+	}
+	for _, head := range d.inflight.heads {
+		live[head] = true
+	}
+	for head := range d.kept {
+		live[head] = true
+	}
+	shared := 0
+	for shared < min(len(d.listed), len(d.free.owning)) && d.listed[shared] == d.free.owning[shared] {
+		shared++
+	}
+	d.listed = append(d.listed[:0], d.free.owning...)
+	d.peakLive = max(d.peakLive, len(live)+len(d.free.owning)-shared)
+	for _, seg := range d.free.owning {
+		if cap(seg.msgs) != int(d.segSize) || live[&seg.msgs[:1][0]] {
+			return fmt.Errorf("step %d (%s): a listed owning root holds a live array or none of segSize (cap %d)",
+				step, op, cap(seg.msgs))
+		}
+	}
+	if n := len(live) + len(d.free.owning); n > d.peakLive {
+		return fmt.Errorf("step %d (%s): %d live and %d listed segSize arrays, over the peak of %d live",
+			step, op, len(live), len(d.free.owning), d.peakLive)
 	}
 	return nil
 }
@@ -441,10 +503,12 @@ func firstDiff(fm, lm *logModel) (d, hi int64) {
 }
 
 // runnerBatch is a catch-up round's batch between the runner's two
-// sections: the parts the leader pinned, and what they read.
+// sections: the parts the leader pinned, what they read, and the heads of
+// the segSize arrays they pin.
 type runnerBatch struct {
 	parts []pinned
 	want  []Message
+	heads []*Message
 }
 
 // follow takes the follower's move of one step — act 1 a catch-up round
@@ -488,6 +552,11 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 			at := fm.end()
 			var n int
 			b.parts, n = l.pin(at, int(1+arg%(2*segSize)), nil)
+			for _, part := range b.parts {
+				if cap(part.src.msgs) == int(segSize) {
+					b.heads = append(b.heads, &part.src.msgs[:1][0])
+				}
+			}
 			b.want = append([]Message(nil), lm.msgs[at-lm.first:at-lm.first+int64(n)]...)
 			return name + "+follower batch", nil
 		}
@@ -606,7 +675,7 @@ func TestPartitionLogMatchesModel(t *testing.T) {
 		t.Logf("segSize %d: %d refills, %d chain links born, %d aliased by a follower, %d views copied across links, %d messages aliased, %d copies on write",
 			segSize, refills, links, chainAlias, all.Spanned, all.Aliased, all.CopyOnWrite)
 		if refills == 0 {
-			t.Fatalf("segSize %d: no script ever refilled a spare segment: the property is not exercised", segSize)
+			t.Fatalf("segSize %d: no script ever refilled a listed segment: the property is not exercised", segSize)
 		}
 		if chained := segSize > minSegCap; (links > 0) != chained || chained && (chainAlias == 0 || all.Spanned == 0) {
 			t.Fatalf("segSize %d: %d chain links born, %d aliased, %d views across links: the chain is not exercised as it should be",
@@ -745,14 +814,63 @@ func TestReplicationAllocBudget(t *testing.T) {
 	}
 }
 
+// TestAliasingBirthKeepsOwningRoots holds the free list's two kinds
+// apart: with only owning roots listed, a follower's aliasing birth
+// allocates a segment with its cum and leaves them listed — taking one
+// would drop its msgs array — and once the follower trims that alias, the
+// next aliasing birth refills its cum-only root.
+func TestAliasingBirthKeepsOwningRoots(t *testing.T) {
+	const segSize = 4 // past no chain: every array is whole
+	st, free := new(Stats), new(freeList)
+	lead := &Log{segSize: segSize, stats: st, free: free}
+	fol := &Log{segSize: segSize, stats: st, free: free}
+	appendValues(lead, vclock.Epoch, make([][]byte, 4*segSize)...)
+	lead.Commit(2 * segSize)
+	lead.Trim(2 * segSize)
+	fol.ResetTo(2 * segSize)
+	owning := slices.Clone(free.owning)
+	if len(owning) != 2 || len(free.cumOnly) != 0 {
+		t.Fatalf("after the leader's trim: %d owning and %d cum-only roots listed, want 2 and 0", len(owning), len(free.cumOnly))
+	}
+	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
+	catchUp := func() *segment {
+		parts, _ := lead.pin(fol.end, segSize, nil)
+		if !landRound(fol, parts, spans, lead.committed) {
+			t.Fatal("the batch did not land")
+		}
+		return fol.segs[len(fol.segs)-1]
+	}
+	born := st.Born
+	seg := catchUp()
+	if !seg.borrowed || seg.owner != lead.segs[0] || cap(seg.cum) != segSize || st.Born != born+1 {
+		t.Fatalf("aliasing birth: borrowed %v, owner is the leader's array %v, cum cap %d, %d born",
+			seg.borrowed, seg.owner == lead.segs[0], cap(seg.cum), st.Born-born)
+	}
+	if !slices.Equal(free.owning, owning) {
+		t.Fatalf("an aliasing birth took an owning root: %d of 2 left listed", len(free.owning))
+	}
+	fol.Commit(fol.end)
+	fol.Trim(fol.end)
+	if len(free.cumOnly) != 1 || free.cumOnly[0] != seg || cap(seg.msgs) != 0 {
+		t.Fatalf("the follower's trimmed alias is not listed alone: %d cum-only roots", len(free.cumOnly))
+	}
+	refilled := st.Refilled
+	if again := catchUp(); again != seg || st.Refilled != refilled+1 || !slices.Equal(free.owning, owning) {
+		t.Fatalf("the next aliasing birth refilled the cum-only root %v (%d refilled), owning roots kept %v",
+			again == seg, st.Refilled-refilled, slices.Equal(free.owning, owning))
+	}
+}
+
 // BenchmarkAppendReplicated prices the follower append per message with
 // a full-segment batch at a segment boundary, the runner's steady state:
-// "spare" trims behind itself so every append refills the spare (a
-// caught-up follower copying), "cold" has each segment viewed first, so it
-// dies by GC and every append allocates (what every follower append cost
-// before the spare), and "alias" hands the batch over as the runner does
-// on a hot leader — the head of a full-size leader array — so the follower
-// stores it by reference and refills only its cum. "alias-cold" is the
+// "refill" trims behind itself so every append refills the segment it
+// listed (a caught-up follower copying), "cold" has each segment viewed
+// first, so it dies by GC and every append allocates (what every follower
+// append cost before segments were refilled), and "alias" hands the batch
+// over as the runner does on a hot leader — the head of a full-size leader
+// array — so the follower stores it by reference and refills only its cum.
+// Each log has a free list of its own; "alias-cold"'s leader and follower
+// share one, as a cluster's logs do. "alias-cold" is the
 // small end: a fresh follower catches up a cold leader holding 375
 // messages — one chaos-scenario replica's load — in runner rounds (pin,
 // landRound), aliasing each link of the leader's chain, so it allocates
@@ -760,7 +878,7 @@ func TestReplicationAllocBudget(t *testing.T) {
 func BenchmarkAppendReplicated(b *testing.B) {
 	defer b.Run("alias-cold", func(b *testing.B) {
 		const held = 375
-		lead := &Log{segSize: 4096, stats: new(Stats)}
+		lead := &Log{segSize: 4096, stats: new(Stats), free: new(freeList)}
 		values, _ := valueBatch(held)
 		appendValues(lead, vclock.Epoch, values...)
 		spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
@@ -771,7 +889,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f := &Log{segSize: 4096, stats: lead.stats}
+			f := &Log{segSize: 4096, stats: lead.stats, free: lead.free}
 			for at := int64(0); at < held; {
 				var n int
 				parts, n = lead.pin(at, replBatchMax, parts[:0])
@@ -791,9 +909,9 @@ func BenchmarkAppendReplicated(b *testing.B) {
 		b.ReportMetric(float64(ms.TotalAlloc-before)/msgs, "B/msg")
 	})
 	const segSize = 4096
-	for _, mode := range []string{"spare", "cold", "alias"} {
+	for _, mode := range []string{"refill", "cold", "alias"} {
 		b.Run(mode, func(b *testing.B) {
-			l := &Log{segSize: segSize, stats: new(Stats)}
+			l := &Log{segSize: segSize, stats: new(Stats), free: new(freeList)}
 			payload := make([]byte, 64)
 			batch := make([]Message, segSize)
 			for i := range batch {
@@ -837,7 +955,7 @@ func BenchmarkLogAppendCold(b *testing.B) {
 	values, idxs := valueBatch(375)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l := &Log{segSize: 4096, stats: new(Stats)}
+		l := &Log{segSize: 4096, stats: new(Stats), free: new(freeList)}
 		l.AppendBatch("t", 0, batch{values: values}, idxs, vclock.Epoch, nil)
 	}
 }
@@ -849,7 +967,7 @@ func BenchmarkLogAppendCold(b *testing.B) {
 // a full-size segment — the bypass for the cold chain.
 func BenchmarkLogAppendHot(b *testing.B) {
 	const segSize = 4096
-	l := &Log{segSize: segSize, stats: new(Stats)}
+	l := &Log{segSize: segSize, stats: new(Stats), free: new(freeList)}
 	values, idxs := valueBatch(1000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -878,10 +996,10 @@ func valueBatch(n int) ([][]byte, []int32) {
 // segment, where the model tests do not reach: links of 16, 32, 64, 128
 // and 256 messages, then the last 3600 in a 4096-slot array; every offset
 // found in place; and, once the segment is trimmed, the last link is the
-// spare the next segment but one refills.
+// listed root the next segment but one refills.
 func TestColdChainAtDefaultSize(t *testing.T) {
 	const segSize = 4096
-	l := &Log{segSize: segSize, stats: new(Stats)}
+	l := &Log{segSize: segSize, stats: new(Stats), free: new(freeList)}
 	values := make([][]byte, segSize+1)
 	for i := range values {
 		values[i] = []byte{byte(i)}
@@ -900,8 +1018,8 @@ func TestColdChainAtDefaultSize(t *testing.T) {
 		}
 	}
 	l.Commit(l.end)
-	if l.Trim(l.end) != segSize || l.spare == nil || cap(l.spare.msgs) != segSize {
-		t.Fatalf("after the trim: first %d, spare %v", l.first, l.spare != nil)
+	if l.Trim(l.end) != segSize || len(l.free.owning) != 1 || cap(l.free.owning[0].msgs) != segSize {
+		t.Fatalf("after the trim: first %d, %d owning roots listed", l.first, len(l.free.owning))
 	}
 	appendValues(l, vclock.Epoch, make([][]byte, segSize)...)
 	if st := *l.stats; st.Born != 7 || st.Refilled != 1 {
