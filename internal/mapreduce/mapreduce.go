@@ -547,7 +547,7 @@ func Collect(ctx context.Context, mgr *core.Manager, res *Result) ([]KeyValue, e
 			n += strings.Count(view(c), "\n") + 1
 		}
 		all = make([]KeyValue, 0, n)
-		for i, c := range contents { // a failed read's content is empty; its error stands
+		for i, c := range contents { // a failed read keeps its own error
 			errs[i] = cmp.Or(errs[i], decodeLines(c, func(k, v string) { all = append(all, KeyValue{k, v}) }))
 		}
 	}) {

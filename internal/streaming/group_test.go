@@ -744,9 +744,7 @@ func groupDrain(tb testing.TB, segSize int) (c *Cluster, drain func(n int), stop
 // TestGroupDrainRefillsEverySegment is the free list's hot case: a group
 // whose views are leased lets every trimmed segment be refilled, so once
 // each log has grown to its working set no array is born, however many
-// segments one persist trims at once. With one spare per log, each trim
-// that retired more than one segment left the rest to the GC and births
-// grew with the messages.
+// segments one persist trims at once.
 func TestGroupDrainRefillsEverySegment(t *testing.T) {
 	c, drain, stop := groupDrain(t, 64)
 	defer stop()

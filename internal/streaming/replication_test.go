@@ -255,8 +255,8 @@ func TestReplicationStatsPinned(t *testing.T) {
 	// fourth. The other fourth is refilled: the followers' lazily
 	// replicated commit marks hold their trims back, and their aliases pin
 	// the leader's trimmed arrays, but once a follower's alias lets go, the
-	// leader's trimmed array is listed on the cluster's free list — the
-	// failed leader's log no longer takes it along — and refilled from it.
+	// leader's trimmed array joins the cluster's free list and is refilled
+	// from there.
 	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 13, Refilled: 1, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
 	if end != want {
 		t.Fatalf("stats %+v, want %+v", end, want)
