@@ -120,6 +120,10 @@ type fedPart struct {
 	// commit is the coordinator's commit mark — the cluster-truth cursor
 	// that survives leader handoffs.
 	commit int64
+	// staleCommit is the coordinator mark as of the last catch-up round to
+	// land, written only when PlantStaleHandoff is set: the planted
+	// promotion restores the mark from it.
+	staleCommit int64
 	// ackWait holds producers parked until Acked reaches their batch end
 	// or the epoch moves; fired on watermark advance and on handoff.
 	ackWait []waitReg
@@ -160,7 +164,7 @@ type ClusterConfig struct {
 	OnAcked func(topic string, partition int, from, to int64)
 	// PlantStaleHandoff plants the deliberate stale-handoff defect, for
 	// tests and cmd/chaosreplay only: a promoted leader restores the
-	// coordinator commit mark from its own lazily-replicated local mark
+	// coordinator commit mark from the one the last catch-up round carried
 	// (stale by up to one replication round), and the catch-up runners skip
 	// divergence repair, streaming blindly past a follower's stale suffix.
 	// Together those surface as the cursor-rewind and
@@ -584,8 +588,9 @@ func (c *Cluster) FailShard(id int) error {
 				np.Epoch = p.Epoch
 				if c.cfg.PlantStaleHandoff {
 					// Planted defect: restore the coordinator mark from the
-					// stale local one, so the next applied commit rewinds the
-					// cursor.
+					// one a replication round old, so the next applied commit
+					// rewinds the cursor.
+					np.SetCommitted(p.staleCommit)
 					p.commit = np.committed
 				} else {
 					np.SetCommitted(p.commit)
@@ -839,6 +844,9 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		}
 		if landRound(to, batch, ls.Spans, lCommitted) {
 			c.stats.Rounds++
+			if c.cfg.PlantStaleHandoff {
+				p.staleCommit = lCommitted
+			}
 			c.recomputeAckedLocked(t, p)
 		}
 		c.mu.Unlock()
