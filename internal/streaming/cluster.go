@@ -580,9 +580,9 @@ func (c *Cluster) FailShard(id int) error {
 				// Recovery: the promoted log's un-acked suffix was never on
 				// quorum — truncate to the watermark; re-streaming under the
 				// new epoch replaces it with the authoritative history. The
-				// coordinator's commit mark is re-applied (no OnCommit: it
-				// was observed on the deposed leader) because the promoted
-				// follower's lazily-replicated local mark may trail it.
+				// coordinator's commit mark is applied (no OnCommit: it was
+				// observed on the deposed leader), because a follower keeps
+				// no mark of its own.
 				np := p.logs[nl]
 				np.TruncateTo(p.Acked)
 				np.Epoch = p.Epoch
@@ -830,10 +830,8 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		// flight, the stream is torn: discard the batch and re-resolve.
 		// Otherwise the pre-pacing chain still describes the batch: an intact
 		// stream means the leader appended under one epoch throughout, and
-		// spans only ever grow at or above the batch's end. No OnCommit for
-		// the lazily advanced mark: the commit was observed, exactly once, on
-		// the leader. landRound unpins the batch on every exit, after any
-		// alias of it is in place.
+		// spans only ever grow at or above the batch's end. landRound unpins
+		// the batch on every exit, after any alias of it is in place.
 		c.mu.Lock()
 		live := slept && !c.closed
 		var to *Log // nil: the round is torn
@@ -842,7 +840,7 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			!c.severed[leader][follower] && !p.frozen[slot] {
 			to = &p.logs[follower].Log
 		}
-		if landRound(to, batch, ls.Spans, lCommitted) {
+		if landRound(to, batch, ls.Spans) {
 			c.stats.Rounds++
 			if c.cfg.PlantStaleHandoff {
 				p.staleCommit = lCommitted
@@ -857,10 +855,10 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 }
 
 // onSave runs at every consumer-offset persist: trim every replica's log
-// below the low-watermark of all persisted group cursors (whole sealed
-// segments only — each floor stays segment-aligned; follower trims
-// self-clamp to their lazily-replicated commit marks), then report the
-// leader's retention state. This is the bounded-memory contract:
+// below the low-watermark of all persisted group cursors, clamped to the
+// leader's commit mark — the partition's one mark (whole sealed segments
+// only — each floor stays segment-aligned), then report the leader's
+// retention state. This is the bounded-memory contract:
 // trimming happens at exactly the instants the durable state advances,
 // and never above what every registered group has durably consumed. The
 // followers trim first, so those that have caught up let go of their
@@ -876,10 +874,11 @@ func (c *Cluster) onSave(_ string, topic string, partition int) {
 		c.mu.Unlock()
 		return
 	}
+	lp := p.logs[p.Members[0]]
+	lw = min(lw, lp.committed)
 	for _, s := range p.Members[1:] {
 		p.logs[s].Trim(lw)
 	}
-	lp := p.logs[p.Members[0]]
 	lp.Trim(lw)
 	resident, oldest := lp.Resident(), lp.first
 	c.mu.Unlock()

@@ -31,7 +31,9 @@ type Log struct {
 	// segments are segSize arithmetic from first, index finds the arrays.
 	first, end int64
 	// committed: offsets below it are consumer-acknowledged; the bytes in
-	// [committed, end) are the in-flight account backpressure bounds.
+	// [committed, end) are the in-flight account backpressure bounds. It is
+	// the leader's, the partition's one mark: a follower's is placed only
+	// when it is promoted (SetCommitted), and Trim keeps it at first.
 	committed int64
 	// totalBytes is the cumulative payload ever appended (feeding cum);
 	// trimmedCum is its part below first.
@@ -253,11 +255,11 @@ func (l *Log) AppendBatch(topic string, pi int, b batch, idxs []int32, published
 
 // AppendReplicated appends a leader-streamed batch verbatim — offsets,
 // payloads, stamps and the epoch spans it covers — at end (the runner
-// discards torn batches: a gap is a protocol bug), and moves the commit
-// mark lazily toward the leader's. A non-nil src says msgs is a part of the
-// runner's batch (pin) in the array src owns: a part borrow can alias is
-// stored by reference, anything else is copied.
-func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochSpan, leaderCommitted int64) error {
+// discards torn batches: a gap is a protocol bug). A follower keeps no
+// commit mark of its own: the partition's is its leader's. A non-nil src
+// says msgs is a part of the runner's batch (pin) in the array src owns: a
+// part borrow can alias is stored by reference, anything else is copied.
+func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochSpan) error {
 	if len(msgs) == 0 {
 		return nil
 	}
@@ -291,9 +293,6 @@ func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochS
 			(n == 0 || l.epochs[n-1].Epoch != sp.Epoch) {
 			l.epochs = append(l.epochs, plan.EpochSpan{Start: max(sp.Start, s), Epoch: sp.Epoch})
 		}
-	}
-	if leaderCommitted > l.committed {
-		l.SetCommitted(leaderCommitted)
 	}
 	return nil
 }
@@ -376,10 +375,10 @@ func (l *Log) pin(offset int64, max int, b []pinned) ([]pinned, int) {
 // landRound ends a catch-up round: each part is appended to f in order —
 // none if f is nil (a torn round) or an append failed — and unpinned after
 // any alias of it is in place. Reports whether the whole batch landed.
-func landRound(f *Log, batch []pinned, spans []plan.EpochSpan, leaderCommitted int64) bool {
+func landRound(f *Log, batch []pinned, spans []plan.EpochSpan) bool {
 	ok := f != nil
 	for _, part := range batch {
-		ok = ok && f.AppendReplicated(part.msgs, part.src, spans, leaderCommitted) == nil
+		ok = ok && f.AppendReplicated(part.msgs, part.src, spans) == nil
 		part.src.release()
 	}
 	return ok
@@ -442,13 +441,14 @@ func (l *Log) SetCommitted(mark int64) {
 	l.committed = min(max(mark, l.first), l.end)
 }
 
-// Trim discards the segments wholly below `below`, clamped to the commit
-// mark so uncommitted data is never trimmed. Only whole segments go (a
-// chain with all its links), so the floor stays segment-aligned and the
-// unsealed tail is never touched. Returns the oldest retained offset.
+// Trim discards the segments wholly below `below`, clamped to the end;
+// the caller clamps it to the partition's commit mark (onSave), so
+// uncommitted data is never trimmed from any replica. Only whole segments
+// go (a chain with all its links), so the floor stays segment-aligned and
+// the unsealed tail is never touched; the log's own mark is raised to the
+// floor. Returns the oldest retained offset.
 func (l *Log) Trim(below int64) int64 {
-	below = min(below, l.committed)
-	k := (below - l.first) / int64(l.segSize)
+	k := (min(below, l.end) - l.first) / int64(l.segSize)
 	if k <= 0 {
 		return l.first
 	}
@@ -471,7 +471,7 @@ func (l *Log) Trim(below int64) int64 {
 	}
 	kept := copy(l.segs, l.segs[n:])
 	clear(l.segs[kept:])
-	l.segs, l.first = l.segs[:kept], cut
+	l.segs, l.first, l.committed = l.segs[:kept], cut, max(l.committed, cut)
 	return l.first
 }
 

@@ -250,14 +250,26 @@ func TestReplicationStatsPinned(t *testing.T) {
 	if got := end.Copied - cold.Copied; got > 2*segSize {
 		t.Fatalf("the failure cost %d copied messages, over one segment per follower", got)
 	}
-	// Born: each log's two links (a follower's allocate only cum), then
-	// each log's second and third segments, then one of the two survivors'
-	// fourth. The other fourth is refilled: the followers' lazily
-	// replicated commit marks hold their trims back, and their aliases pin
-	// the leader's trimmed arrays, but once a follower's alias lets go, the
-	// leader's trimmed array joins the cluster's free list and is refilled
-	// from there.
-	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 13, Refilled: 1, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
+	// Every replica trims at the partition's one mark, so after the last
+	// round each follower retains what its leader does, and no alias pins a
+	// trimmed leader array.
+	pl := placementOf(c, "t", 0)
+	for _, s := range pl.Replicas[1:] {
+		f := replicaLog(c, "t", 0, s)
+		c.mu.Lock()
+		first := f.first
+		c.mu.Unlock()
+		if first != pl.Oldest {
+			t.Fatalf("follower %d retains from offset %d, its leader from %d", s, first, pl.Oldest)
+		}
+	}
+	// Born: each log's two links (a follower's allocate only cum), then the
+	// followers' second segments and every log's third, then one of the two
+	// survivors' fourth. The leader's second segment and the other fourth
+	// are refilled: a follower lets go of its alias of a trimmed leader
+	// array at the same persist, so the array joins the cluster's free list
+	// at once.
+	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 12, Refilled: 2, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
 	if end != want {
 		t.Fatalf("stats %+v, want %+v", end, want)
 	}

@@ -103,15 +103,15 @@ func (r *replica) wantCap(i, segSize int) (array, room int) {
 	return segSize, segSize
 }
 
-// trim applies Trim(below) to the model: whole sealed segments below the
-// commit mark go.
+// trim applies Trim(below) to the model: whole sealed segments below
+// `below` go, and the mark rises to the floor.
 func (r *replica) trim(below, segSize int64) {
-	below = min(below, r.m.committed)
 	for r.m.first+segSize <= below && int64(len(r.m.msgs)) >= segSize {
 		r.m.base += payloadBytes(r.m.msgs[:segSize])
 		r.m.msgs = r.m.msgs[segSize:]
 		r.m.first += segSize
 	}
+	r.m.committed = max(r.m.committed, r.m.first)
 }
 
 // driveLogAgainstModel interprets script as (op, arg) byte pairs over two
@@ -330,11 +330,14 @@ func (d *logDriver) step(opByte, argByte byte) error {
 		for i := range batch {
 			batch[i] = d.mint(m.end() + int64(i))
 		}
-		lc := m.committed + arg/9%8
-		if err := l.AppendReplicated(batch, nil, d.spans, lc); err != nil {
+		if err := l.AppendReplicated(batch, nil, d.spans); err != nil {
 			return err
 		}
 		m.msgs = append(m.msgs, batch...)
+		// Then, as a promoted follower's first commit would, the mark moves
+		// up by up to seven messages (clamped to the end), or stays.
+		lc := m.committed + arg/9%8
+		l.Commit(lc)
 		m.committed = max(m.committed, min(lc, m.end()))
 	case 4:
 		name = "View"
@@ -381,8 +384,9 @@ func (d *logDriver) step(opByte, argByte byte) error {
 		}
 		m.committed = through
 	case 6:
+		// Clamped to the mark, as onSave clamps every replica's trim.
 		name = "Trim"
-		below := m.first + arg%(int64(len(m.msgs))+2*segSize)
+		below := min(m.first+arg%(int64(len(m.msgs))+2*segSize), m.committed)
 		got := l.Trim(below)
 		d.lead.trim(below, segSize)
 		if got != m.first {
@@ -529,13 +533,12 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 			if held.want[0].Offset != fm.end() {
 				to = nil // torn: discarded, and unpinned all the same
 			}
-			if landRound(to, held.parts, d.spans, lm.committed) != (to != nil) {
+			if landRound(to, held.parts, d.spans) != (to != nil) {
 				return name, fmt.Errorf("catch-up batch at %d did not land on follower end %d", held.want[0].Offset, fm.end())
 			} else if to == nil {
 				return name + "+follower torn batch", nil
 			}
 			fm.msgs = append(fm.msgs, held.want...)
-			fm.committed = max(fm.committed, min(lm.committed, fm.end()))
 			return name + "+follower catch-up", nil
 		}
 		fd, _ := firstDiff(fm, lm)
@@ -561,7 +564,8 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 			return name + "+follower batch", nil
 		}
 	case 2:
-		below := fm.first + arg%(int64(len(fm.msgs))+2*segSize)
+		// Clamped to the partition's mark, the first log's.
+		below := min(fm.first+arg%(int64(len(fm.msgs))+2*segSize), lm.committed)
 		got := f.Trim(below)
 		if d.fol.trim(below, segSize); got != fm.first {
 			return name, fmt.Errorf("follower Trim returned floor %d, model %d", got, fm.first)
@@ -835,7 +839,7 @@ func TestAliasingBirthKeepsOwningRoots(t *testing.T) {
 	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 	catchUp := func() *segment {
 		parts, _ := lead.pin(fol.end, segSize, nil)
-		if !landRound(fol, parts, spans, lead.committed) {
+		if !landRound(fol, parts, spans) {
 			t.Fatal("the batch did not land")
 		}
 		return fol.segs[len(fol.segs)-1]
@@ -893,7 +897,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			for at := int64(0); at < held; {
 				var n int
 				parts, n = lead.pin(at, replBatchMax, parts[:0])
-				if !landRound(f, parts, spans, held) {
+				if !landRound(f, parts, spans) {
 					b.Fatal("the batch did not land")
 				}
 				at += int64(n)
@@ -930,7 +934,7 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				end := int64(i+1) * segSize
 				batch[0].Offset = end - segSize // the previous segment was trimmed: nothing aliases it
-				if err := l.AppendReplicated(batch, src, spans, end); err != nil {
+				if err := l.AppendReplicated(batch, src, spans); err != nil {
 					b.Fatal(err)
 				}
 				if mode == "cold" {
