@@ -120,9 +120,8 @@ type fedPart struct {
 	// commit is the coordinator's commit mark — the cluster-truth cursor
 	// that survives leader handoffs.
 	commit int64
-	// staleCommit is the coordinator mark as of the last catch-up round to
-	// land, written only when PlantStaleHandoff is set: the planted
-	// promotion restores the mark from it.
+	// staleCommit is commit as of the last catch-up round to land, kept only
+	// for the planted stale handoff (PlantStaleHandoff), which restores it.
 	staleCommit int64
 	// ackWait holds producers parked until Acked reaches their batch end
 	// or the epoch moves; fired on watermark advance and on handoff.
@@ -309,8 +308,8 @@ type Stats struct {
 	Appends       uint64 // messages appended by leaders
 	Aliased       uint64 // messages replicated by reference to the leader's slot
 	Copied        uint64 // messages replicated by copy
-	Born          uint64 // segments allocated (an aliasing one allocates only cum)
-	Refilled      uint64 // segments reborn from the cluster's free list
+	Born          uint64 // segments allocated (an aliasing one allocates only its header)
+	Refilled      uint64 // segments reborn from the cluster's free list (a root, or a header for an alias)
 	CopyOnWrite   uint64 // borrowed tails copied before a write
 	Spanned       uint64 // views served as a copy: they crossed links of a cold chain
 	Rounds        uint64 // catch-up batches applied
@@ -502,9 +501,9 @@ func (c *Cluster) CheckReplicaConsistency(topic string) []string {
 	var out []string
 	for _, p := range t.parts {
 		leader := p.Members[0]
-		lFirst, lEnd, _, lSpans := p.logs[leader].Snapshot(nil)
+		lFirst, lEnd, lSpans := p.logs[leader].Snapshot(nil)
 		for _, f := range p.Members[1:] {
-			fFirst, fEnd, _, fSpans := p.logs[f].Snapshot(nil)
+			fFirst, fEnd, fSpans := p.logs[f].Snapshot(nil)
 			if at, ok := plan.DivergencePoint(lSpans, fSpans, max(lFirst, fFirst), lEnd, fEnd); ok {
 				out = append(out, fmt.Sprintf("%s[%d] shard %d diverged from leader %d at offset %d (leader end %d, replica end %d)",
 					t.name, p.idx, f, leader, at, lEnd, fEnd))
@@ -581,20 +580,18 @@ func (c *Cluster) FailShard(id int) error {
 				// quorum — truncate to the watermark; re-streaming under the
 				// new epoch replaces it with the authoritative history. The
 				// coordinator's commit mark is applied (no OnCommit: it was
-				// observed on the deposed leader), because a follower keeps
-				// no mark of its own.
+				// observed on the deposed leader): a follower keeps none.
 				np := p.logs[nl]
 				np.TruncateTo(p.Acked)
 				np.Epoch = p.Epoch
+				mark := p.commit
 				if c.cfg.PlantStaleHandoff {
-					// Planted defect: restore the coordinator mark from the
-					// one a replication round old, so the next applied commit
-					// rewinds the cursor.
-					np.SetCommitted(p.staleCommit)
-					p.commit = np.committed
-				} else {
-					np.SetCommitted(p.commit)
+					// Planted defect: a mark a replication round old, so the
+					// next applied commit rewinds the cursor.
+					mark = p.staleCommit
 				}
+				np.SetCommitted(mark)
+				p.commit = np.committed
 				avail := now.Add(c.cfg.HandoffDelay)
 				p.availableAt = avail
 				// The handoff decision lands in the schedule recorder: a
@@ -773,11 +770,10 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			}
 			continue
 		}
-		epoch, lag := p.Epoch, max(c.lagFac[leader][follower], 1)
+		epoch, lag, mark := p.Epoch, max(c.lagFac[leader][follower], 1), p.commit
 		lp, fp := p.logs[leader], p.logs[follower]
-		var lCommitted int64
-		fs.First, fs.End, _, fs.Spans = fp.Snapshot(fs.Spans)
-		ls.First, ls.End, lCommitted, ls.Spans = lp.Snapshot(ls.Spans)
+		fs.First, fs.End, fs.Spans = fp.Snapshot(fs.Spans)
+		ls.First, ls.End, ls.Spans = lp.Snapshot(ls.Spans)
 		// The planted defect skips the chain compare, streaming blindly past a
 		// stale suffix — the diverged-replica-after-repair invariant catches it.
 		move, at := p.Round(follower, ls, fs, !c.cfg.PlantStaleHandoff)
@@ -790,7 +786,7 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 			c.mu.Unlock()
 			continue
 		case plan.Bootstrap:
-			fp.ResetTo(at)
+			fp.ResetTo(at, lp.BytesThrough(at))
 			c.mu.Unlock()
 			continue
 		case plan.Synced:
@@ -843,7 +839,7 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 		if landRound(to, batch, ls.Spans) {
 			c.stats.Rounds++
 			if c.cfg.PlantStaleHandoff {
-				p.staleCommit = lCommitted
+				p.staleCommit = mark
 			}
 			c.recomputeAckedLocked(t, p)
 		}
@@ -855,10 +851,9 @@ func (c *Cluster) replicate(t *fedTopic, p *fedPart, slot int) {
 }
 
 // onSave runs at every consumer-offset persist: trim every replica's log
-// below the low-watermark of all persisted group cursors, clamped to the
-// leader's commit mark — the partition's one mark (whole sealed segments
-// only — each floor stays segment-aligned), then report the leader's
-// retention state. This is the bounded-memory contract:
+// below the low-watermark of all persisted group cursors and the leader's
+// commit mark, the partition's one mark (whole sealed segments only), then
+// report the leader's retention state. This is the bounded-memory contract:
 // trimming happens at exactly the instants the durable state advances,
 // and never above what every registered group has durably consumed. The
 // followers trim first, so those that have caught up let go of their

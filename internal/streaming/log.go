@@ -12,16 +12,16 @@ import (
 // Log is one partition's segmented append-only log: segments, retained
 // range, epoch chain, byte sums and commit mark. It takes no lock — the
 // caller holds Cluster.mu, which guards every copy of every log and the
-// free list they share — so
-// a leader's append, a follower's replicated append and a handoff's
-// truncate are the same few methods, and the proof obligation behind
-// zero-copy fetch and replication by reference (DESIGN.md "The Log") sits
-// beside one type: a slot that has left the lock — in a kept view, an
-// alias, a pinned runner batch, or a leased view until Trim passes it — is
-// never rewritten, because a log writes only into arrays it owns and never
-// replaces one by a larger copy. Aliasing extends a borrowed array only by
-// reslice, tail copies a borrowed tail before writing, Trim refills only a
-// root nothing reaches, and a truncation into a viewed segment borrows it.
+// free list they share — so a leader's append, a follower's replicated
+// append and a handoff's truncate are the same few methods, and the proof
+// obligation behind zero-copy fetch and replication by reference
+// (DESIGN.md "The Log") sits beside one type: a slot that has left the
+// lock — in a kept view, an alias, a pinned runner batch, or a leased view
+// until Trim passes it — is never rewritten, because a log writes only
+// into arrays it owns and never replaces one by a larger copy. Aliasing
+// extends a borrowed segment only by reslice, tail copies a borrowed tail
+// before writing, Trim refills only a root nothing reaches, and a
+// truncation into a viewed segment borrows it.
 type Log struct {
 	segSize int
 	segs    []*segment
@@ -31,9 +31,8 @@ type Log struct {
 	// segments are segSize arithmetic from first, index finds the arrays.
 	first, end int64
 	// committed: offsets below it are consumer-acknowledged; the bytes in
-	// [committed, end) are the in-flight account backpressure bounds. It is
-	// the leader's, the partition's one mark: a follower's is placed only
-	// when it is promoted (SetCommitted), and Trim keeps it at first.
+	// [committed, end) are the in-flight account backpressure bounds. Only a
+	// leader's is the partition's: a follower's is placed at its promotion.
 	committed int64
 	// totalBytes is the cumulative payload ever appended (feeding cum);
 	// trimmedCum is its part below first.
@@ -50,16 +49,17 @@ type Log struct {
 	stats *Stats // the owning cluster's counters, bumped under its lock
 }
 
-// segment is one array of the log: a whole segment or a link of the chain
-// at offset 0 (nextCap). Appends write only past len(msgs), so a sub-slice
-// handed out stays valid and immutable. cum[i] is the log-cumulative
-// payload byte total through msgs[i]. viewed: a slice of msgs has left the
-// lock (View, pin); kept: a kept view reached the array, which then dies by
-// GC — any other may be refilled once Trim passes it and nothing reaches it
-// (DESIGN.md "Segment lifecycle"). borrowed: msgs's array is not this log's
-// to write (aliased, or viewed and truncated into); cum is always owned.
-// An alias's owner is the root that owns its array; a root's refs counts
-// its aliases and pins, and retired is the free list it joins.
+// segment is one array of the log, a whole segment or a link of the chain
+// at offset 0 (nextCap), with its byte sums: cum[i] is the log-cumulative
+// payload total through msgs[i]. The two arrays are owned, borrowed,
+// copied on write and refilled as one. Appends write only past len(msgs),
+// so a sub-slice handed out stays valid and immutable. viewed: a slice of
+// msgs has left the lock (View, pin); kept: a kept view reached the array,
+// which then dies by GC — any other may be refilled once Trim passes it and
+// nothing reaches it (DESIGN.md "Segment lifecycle"). borrowed: the arrays
+// are not this log's to write (aliased, or viewed and truncated into). An
+// alias's owner is the root that owns them; a root's refs counts its
+// aliases and pins, and retired is the free list it joins.
 type segment struct {
 	msgs                   []Message
 	cum                    []int64
@@ -69,43 +69,31 @@ type segment struct {
 	retired                *freeList
 }
 
-// freeList holds a cluster's retired roots of segSize, awaiting refill:
-// owning ones keep their msgs and cum arrays, and cum-only ones are
-// trimmed aliases. A root joins only once nothing reaches its array, and
-// a msgs array of segSize is made only when no owning root is listed, so
-// live plus listed msgs arrays never exceed the cluster's peak of live
-// ones; Close drops the list.
+// freeList holds a cluster's retired segments awaiting rebirth, of two
+// kinds: roots keep their msgs array of segSize and its cum, and headers
+// hold no array — a trimmed alias, or a root whose arrays a copy on write
+// took. A root joins only once nothing reaches its arrays, and a msgs
+// array of segSize is made only when no root is listed, so live plus
+// listed msgs arrays never exceed the cluster's peak of live ones; Close
+// drops the list.
 type freeList struct {
-	owning, cumOnly []*segment
+	roots, headers []*segment
 }
 
-// pop takes the root of the kind asked for listed last, or nil.
-func (f *freeList) pop(owning bool) (seg *segment) {
-	list := &f.cumOnly
-	if owning {
-		list = &f.owning
-	}
+// pop takes the segment listed last on one of a free list's lists, or nil.
+func pop(list *[]*segment) (seg *segment) {
 	if k := len(*list) - 1; k >= 0 {
 		seg, (*list)[k], *list = (*list)[k], nil, (*list)[:k]
 	}
 	return seg
 }
 
-// release lets go of one alias or pin on a root's array.
-func (seg *segment) release() {
-	seg.refs--
-	seg.recycle()
-}
-
-// recycle hands a root that Trim retired to its free list, once no kept
-// view, alias or pin reaches its array.
-func (seg *segment) recycle() {
+// release lets go of n aliases or pins on a root's arrays (0: Trim retires
+// it) and lists a retired root once no kept view, alias or pin reaches them.
+func (seg *segment) release(n int) {
+	seg.refs -= n
 	if f := seg.retired; f != nil && seg.refs == 0 && !seg.kept {
-		if seg.retired = nil; cap(seg.msgs) > 0 {
-			f.owning = append(f.owning, seg)
-		} else {
-			f.cumOnly = append(f.cumOnly, seg)
-		}
+		seg.retired, f.roots = nil, append(f.roots, seg)
 	}
 }
 
@@ -156,16 +144,16 @@ func (l *Log) index(o int64) (i, j int) {
 	return i, rel - minSegCap*(1<<i-1)
 }
 
-// nextSegment is where every array is born: an empty tail segment of
-// nextCap — at segSize a listed root of its kind (owning for an owned
-// array, cum-only for an alias, which would drop an owning root's msgs),
-// else a fresh one. A non-nil alias is the leader array of that capacity,
-// owned by src, it borrows.
-func (l *Log) nextSegment(src *segment, alias []Message) *segment {
+// nextSegment is where every segment is born: an empty tail segment of
+// nextCap — owned, at segSize a listed root, else a fresh one; or an alias
+// of src, whose arrays it borrows: a listed header, else a fresh one.
+func (l *Log) nextSegment(src *segment) *segment {
 	array, room := l.nextCap()
 	var seg *segment
-	if array == l.segSize {
-		seg = l.free.pop(alias == nil)
+	if src != nil {
+		seg = pop(&l.free.headers)
+	} else if array == l.segSize {
+		seg = pop(&l.free.roots)
 	}
 	if seg == nil {
 		seg = &segment{}
@@ -173,57 +161,58 @@ func (l *Log) nextSegment(src *segment, alias []Message) *segment {
 	} else {
 		l.stats.Refilled++
 	}
-	if cap(seg.cum) < room {
-		seg.cum = make([]int64, 0, room)
-	}
-	if alias != nil {
-		seg.msgs = alias
-	} else if cap(seg.msgs) == 0 {
-		seg.msgs = make([]Message, 0, array)
-	}
 	if seg.owner = src; src != nil {
+		seg.msgs, seg.cum = src.msgs, src.cum
 		src.refs++
 	}
-	seg.msgs, seg.cum, seg.borrowed, seg.viewed = seg.msgs[:0], seg.cum[:0:room], alias != nil, false
+	seg.own(array, room)
+	seg.borrowed, seg.viewed = src != nil, false
 	l.segs = append(l.segs, seg)
 	return seg
 }
 
+// own empties seg's arrays to capacity array and room, making any it lacks
+// (a root's cum is short when it was a chain's last link).
+func (seg *segment) own(array, room int) {
+	if cap(seg.msgs) == 0 {
+		seg.msgs = make([]Message, 0, array)
+	}
+	if cap(seg.cum) < room {
+		seg.cum = make([]int64, 0, room)
+	}
+	seg.msgs, seg.cum = seg.msgs[:0], seg.cum[:0:room]
+}
+
 // tail returns the tail segment with a free slot, the step each run of
 // AppendBatch and of a copied AppendReplicated takes before writing; a
-// missing or full tail means the next array is born. A borrowed tail is
-// first copied to an owned array of the same capacity (copy on write),
-// the log's only copy: the old array is never written again.
+// missing or full tail means the next segment is born. A borrowed tail is
+// first copied to owned arrays, at segSize a listed root's (copy on write),
+// the log's only copy: the old ones are never written again.
 func (l *Log) tail() *segment {
 	if n := len(l.segs); n > 0 {
 		seg := l.segs[n-1]
 		if len(seg.msgs) < cap(seg.cum) {
 			if seg.borrowed {
-				seg.msgs = append(l.ownArray(cap(seg.msgs)), seg.msgs...)
+				msgs, cum := seg.msgs, seg.cum
+				seg.msgs, seg.cum = nil, nil
+				if cap(msgs) == l.segSize {
+					if r := pop(&l.free.roots); r != nil {
+						seg.msgs, seg.cum, r.msgs, r.cum = r.msgs, r.cum, nil, nil
+						l.free.headers = append(l.free.headers, r)
+					}
+				}
+				seg.own(cap(msgs), cap(cum))
+				seg.msgs, seg.cum = append(seg.msgs, msgs...), append(seg.cum, cum...)
 				l.stats.CopyOnWrite++
 				if seg.owner != nil {
-					seg.owner.release()
+					seg.owner.release(1)
 				}
 				seg.borrowed, seg.owner = false, nil
 			}
 			return seg
 		}
 	}
-	return l.nextSegment(nil, nil)
-}
-
-// ownArray returns an empty msgs array of capacity n for a copy on write:
-// at segSize a listed owning root's, whose cum is then listed alone, else a
-// fresh one.
-func (l *Log) ownArray(n int) []Message {
-	if n == l.segSize {
-		if r := l.free.pop(true); r != nil {
-			own := r.msgs[:0]
-			r.msgs, l.free.cumOnly = nil, append(l.free.cumOnly, r)
-			return own
-		}
-	}
-	return make([]Message, 0, n)
+	return l.nextSegment(nil)
 }
 
 // AppendBatch appends the messages b.at(i), i in idxs, in order, each
@@ -255,10 +244,9 @@ func (l *Log) AppendBatch(topic string, pi int, b batch, idxs []int32, published
 
 // AppendReplicated appends a leader-streamed batch verbatim — offsets,
 // payloads, stamps and the epoch spans it covers — at end (the runner
-// discards torn batches: a gap is a protocol bug). A follower keeps no
-// commit mark of its own: the partition's is its leader's. A non-nil src
-// says msgs is a part of the runner's batch (pin) in the array src owns: a
-// part borrow can alias is stored by reference, anything else is copied.
+// discards torn batches: a gap is a protocol bug). A non-nil src says msgs
+// is a part of the runner's batch (pin) in the array src owns: a part
+// borrow can alias is stored by reference, anything else is copied.
 func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochSpan) error {
 	if len(msgs) == 0 {
 		return nil
@@ -268,25 +256,27 @@ func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochS
 			msgs[0].Topic, msgs[0].Partition, msgs[0].Offset, l.end)
 	}
 	s := l.end
-	// An aliased batch is one reslice; a copied one is one bulk copy (one
-	// write barrier) per one-segment run. Then cum in a tight loop.
-	seg := l.borrow(msgs, src)
-	for rest := msgs; len(rest) > 0; seg = nil {
-		n := len(rest)
-		if seg != nil {
-			l.stats.Aliased += uint64(n)
-		} else {
-			seg = l.tail()
-			n = copy(seg.msgs[len(seg.msgs):cap(seg.cum)], rest)
-			l.stats.Copied += uint64(n)
-		}
+	// An aliased part is one reslice, its byte sums the leader's; a copied
+	// one is one bulk copy (one write barrier) per one-segment run, then cum
+	// in a tight loop.
+	rest := msgs
+	if seg := l.borrow(msgs, src); seg != nil {
+		k, n := len(seg.msgs), len(msgs)
+		seg.msgs, seg.cum = seg.msgs[:k+n], seg.cum[:k+n]
+		l.totalBytes, l.end, rest = seg.cum[k+n-1], l.end+int64(n), nil
+		l.stats.Aliased += uint64(n)
+	}
+	for len(rest) > 0 {
+		seg := l.tail()
 		k := len(seg.msgs)
+		n := copy(seg.msgs[k:cap(seg.cum)], rest)
 		seg.msgs, seg.cum = seg.msgs[:k+n], seg.cum[:k+n]
 		for i, cum := 0, seg.cum[k:]; i < n; i++ {
 			l.totalBytes += int64(len(rest[i].Key) + len(rest[i].Value))
 			cum[i] = l.totalBytes
 		}
 		rest, l.end = rest[n:], l.end+int64(n) // the next array's capacity reads end
+		l.stats.Copied += uint64(n)
 	}
 	for i, sp := range spans { // the spans overlapping [s, end)
 		if n := len(l.epochs); sp.Start < l.end && (i+1 == len(spans) || spans[i+1].Start > s) &&
@@ -299,8 +289,13 @@ func (l *Log) AppendReplicated(msgs []Message, src *segment, spans []plan.EpochS
 
 // borrow returns the segment a replicated part extends by reslice: the
 // borrowed tail ending where msgs starts in the same array, or, past a
-// full tail, a new segment borrowing the leader array msgs heads if it has
-// the capacity the next array would be born with — cold links included.
+// full tail, a new alias of src if msgs heads src's arrays, which have the
+// capacity and room the next segment would be born with — cold links
+// included — and the byte counts agree: src's sum through msgs[0] is this
+// log's total plus its payload. A recruit reset to the leader's count
+// agrees (ResetTo); a log whose own history ends where the leader's
+// retained range starts may not, and is copied. An alias's later parts
+// agree because its sums are src's.
 func (l *Log) borrow(msgs []Message, src *segment) *segment {
 	if n := len(l.segs); src != nil && n > 0 {
 		if seg, k := l.segs[n-1], len(l.segs[n-1].msgs); k < cap(seg.cum) {
@@ -310,10 +305,11 @@ func (l *Log) borrow(msgs []Message, src *segment) *segment {
 			return nil
 		}
 	}
-	if array, _ := l.nextCap(); src == nil || cap(msgs) != array || &msgs[0] != &src.msgs[:1][0] {
+	if array, room := l.nextCap(); src == nil || cap(msgs) != array || cap(src.cum) != room || &msgs[0] != &src.msgs[:1][0] ||
+		src.cum[:1][0] != l.totalBytes+int64(len(msgs[0].Key)+len(msgs[0].Value)) {
 		return nil
 	}
-	return l.nextSegment(src, msgs[:0])
+	return l.nextSegment(src)
 }
 
 // span is the length of a view of up to max at offset: to its segment's end.
@@ -379,7 +375,7 @@ func landRound(f *Log, batch []pinned, spans []plan.EpochSpan) bool {
 	ok := f != nil
 	for _, part := range batch {
 		ok = ok && f.AppendReplicated(part.msgs, part.src, spans) == nil
-		part.src.release()
+		part.src.release(1)
 	}
 	return ok
 }
@@ -441,12 +437,11 @@ func (l *Log) SetCommitted(mark int64) {
 	l.committed = min(max(mark, l.first), l.end)
 }
 
-// Trim discards the segments wholly below `below`, clamped to the end;
-// the caller clamps it to the partition's commit mark (onSave), so
-// uncommitted data is never trimmed from any replica. Only whole segments
-// go (a chain with all its links), so the floor stays segment-aligned and
-// the unsealed tail is never touched; the log's own mark is raised to the
-// floor. Returns the oldest retained offset.
+// Trim discards the segments wholly below `below`, which the caller clamps
+// to the partition's commit mark (onSave), and the end. Only whole
+// segments go (a chain with all its links), so the floor stays
+// segment-aligned and the unsealed tail is never touched; the mark rises
+// to the floor. Returns the oldest retained offset.
 func (l *Log) Trim(below int64) int64 {
 	k := (min(below, l.end) - l.first) / int64(l.segSize)
 	if k <= 0 {
@@ -455,18 +450,18 @@ func (l *Log) Trim(below int64) int64 {
 	cut := l.first + k*int64(l.segSize)
 	n, _ := l.index(cut)
 	l.trimmedCum = l.BytesThrough(cut)
-	// An alias lets go of its owner's array and keeps its cum; one with a
-	// segSize array or cum (a chain's last link too) is retired, listed
-	// once nothing reaches its array. The rest move down in segs's array,
+	// An alias lets go of its owner's arrays and is listed as a header; a
+	// root of a segSize array (a chain's last link too) is retired, listed
+	// once nothing reaches its arrays. The rest move down in segs's array,
 	// keeping its capacity; the vacated slots are cleared.
 	for _, seg := range l.segs[:n] {
 		if seg.owner != nil {
-			seg.owner.release()
-			seg.msgs, seg.owner, seg.borrowed = nil, nil, false
-		}
-		if max(cap(seg.msgs), cap(seg.cum)) == l.segSize {
+			seg.owner.release(1)
+			seg.msgs, seg.cum, seg.owner, seg.borrowed = nil, nil, nil, false
+			l.free.headers = append(l.free.headers, seg)
+		} else if cap(seg.msgs) == l.segSize {
 			seg.retired = l.free
-			seg.recycle()
+			seg.release(0)
 		}
 	}
 	kept := copy(l.segs, l.segs[n:])
@@ -501,26 +496,28 @@ func (l *Log) TruncateTo(to int64) {
 	l.epochs = l.epochs[:k]
 }
 
-// ResetTo empties the log and repositions it at first — the bootstrap
-// for a recruit whose log starts behind the leader's retention floor.
-func (l *Log) ResetTo(first int64) {
+// ResetTo empties the log and repositions it at first, bytes the payload
+// below it — a recruit's bootstrap behind the leader's retention floor,
+// with the leader's count there, so that borrow may alias its sums.
+func (l *Log) ResetTo(first, bytes int64) {
 	l.drop(0)
-	*l = Log{segSize: l.segSize, segs: l.segs, free: l.free, Epoch: l.Epoch, first: first, end: first, committed: first, stats: l.stats}
+	*l = Log{segSize: l.segSize, segs: l.segs, free: l.free, Epoch: l.Epoch, first: first, end: first, committed: first,
+		totalBytes: bytes, trimmedCum: bytes, stats: l.stats}
 }
 
 // drop discards segs[i:], letting go of the arrays its aliases borrow.
 func (l *Log) drop(i int) {
 	for j := i; j < len(l.segs); j++ {
 		if o := l.segs[j].owner; o != nil {
-			o.release()
+			o.release(1)
 		}
 		l.segs[j] = nil
 	}
 	l.segs = l.segs[:min(i, len(l.segs))]
 }
 
-// Snapshot reads the retained range, the commit mark, and the epoch chain
-// appended to buf[:0], which a hot caller (the runners) reuses.
-func (l *Log) Snapshot(buf []plan.EpochSpan) (first, end, committed int64, epochs []plan.EpochSpan) {
-	return l.first, l.end, l.committed, append(buf[:0], l.epochs...)
+// Snapshot reads the retained range and the epoch chain appended to
+// buf[:0], which a hot caller (the runners) reuses.
+func (l *Log) Snapshot(buf []plan.EpochSpan) (first, end int64, epochs []plan.EpochSpan) {
+	return l.first, l.end, append(buf[:0], l.epochs...)
 }

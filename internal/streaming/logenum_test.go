@@ -204,7 +204,7 @@ func (d *logDriver) stateKey() string {
 	}
 	// The free list is read from its top: the next birth of each kind
 	// pops the last root listed.
-	for _, list := range [][]*segment{d.free.owning, d.free.cumOnly} {
+	for _, list := range [][]*segment{d.free.roots, d.free.headers} {
 		b.WriteString("F")
 		for _, s := range list {
 			fmt.Fprintf(&b, "%d ", id(s))

@@ -225,7 +225,7 @@ func TestReplicationStatsPinned(t *testing.T) {
 			clock.Sleep(ctx, time.Millisecond)
 		}
 		// Consume everything: the persist trims every replica's sealed
-		// segments, and a follower lists an aliased one's cum.
+		// segments, and a follower lists each trimmed alias's header.
 		end, _ := c.EndOffset("t", 0)
 		if err := c.Commit("t", 0, end); err != nil {
 			t.Fatal(err)
@@ -263,15 +263,77 @@ func TestReplicationStatsPinned(t *testing.T) {
 			t.Fatalf("follower %d retains from offset %d, its leader from %d", s, first, pl.Oldest)
 		}
 	}
-	// Born: each log's two links (a follower's allocate only cum), then the
-	// followers' second segments and every log's third, then one of the two
-	// survivors' fourth. The leader's second segment and the other fourth
-	// are refilled: a follower lets go of its alias of a trimmed leader
-	// array at the same persist, so the array joins the cluster's free list
-	// at once.
-	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 12, Refilled: 2, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
+	// Born: each log's two links (a follower's aliases are headers only),
+	// the leader's third segment and the promoted leader's fourth. The
+	// other six are refilled: the leader's second segment from its trimmed
+	// last link — the followers let go of their aliases of it at the same
+	// persist — and every later follower alias from a header a trimmed
+	// alias listed. The promoted leader's copy on write takes the root the
+	// old leader's second segment listed; the surviving follower's finds
+	// none listed and makes its arrays.
+	want := Stats{Appends: 256, Aliased: 384, Copied: 32, Born: 8, Refilled: 6, CopyOnWrite: 2, Rounds: 52, AckedAdvances: 32}
 	if end != want {
 		t.Fatalf("stats %+v, want %+v", end, want)
+	}
+}
+
+// TestRecruitBootstrapAliases pins a recruit's byte count: a recruit
+// whose log starts behind the leader's retention floor is reset to that
+// floor with the leader's byte count there (ResetTo), so its byte sums are
+// the leader's and its first round aliases the leader's segment. Reset to
+// a count of its own, its sums would disagree with the leader's and borrow
+// would copy every round.
+func TestRecruitBootstrapAliases(t *testing.T) {
+	const segSize = 64
+	clock := vclocktest.Adopted(t)
+	c := NewCluster(ClusterConfig{
+		Shards: 3, Replication: 2, SegmentSize: segSize,
+		AppendCost: time.Microsecond, FetchLatency: time.Microsecond, Clock: clock,
+	})
+	defer c.Close()
+	if err := c.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	settle := func() {
+		t.Helper()
+		for deadline := clock.Now().Add(time.Minute); c.UnderReplicated() != 0; clock.Sleep(ctx, time.Millisecond) {
+			if clock.Now().After(deadline) {
+				t.Fatal("replication never drained")
+			}
+		}
+	}
+	for i := 0; i < 160; i += 8 {
+		batch := make([][]byte, 8)
+		for j := range batch {
+			batch[j] = []byte(fmt.Sprint("v", i+j))
+		}
+		if err := c.PublishValues(ctx, "t", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle()
+	// Consume and persist 160: every replica trims below 128.
+	if err := c.Commit("t", 0, 160); err != nil {
+		t.Fatal(err)
+	}
+	c.Offsets().Save("g", "t", 0, 160)
+	before := c.Stats()
+	if err := c.FailShard(placementOf(c, "t", 0).Replicas[1]); err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	pl, st := placementOf(c, "t", 0), c.Stats()
+	lead, rec := replicaLog(c, "t", 0, pl.Leader), replicaLog(c, "t", 0, pl.Replicas[1])
+	c.mu.Lock()
+	first, end, sum, want := rec.first, rec.end, rec.BytesThrough(rec.end), lead.BytesThrough(rec.end)
+	c.mu.Unlock()
+	if first != 2*segSize || end != 160 || sum != want {
+		t.Fatalf("the recruit holds [%d, %d) and counts %d bytes through its end, the leader %d; want [128, 160) and equal counts",
+			first, end, sum, want)
+	}
+	if aliased, copied := st.Aliased-before.Aliased, st.Copied-before.Copied; aliased != 32 || copied != 0 {
+		t.Fatalf("the recruit's catch-up aliased %d and copied %d messages, want 32 and 0", aliased, copied)
 	}
 }
 
@@ -590,10 +652,10 @@ func assertReplicaLogsIdentical(t *testing.T, c *Cluster, topic string, part int
 	defer c.mu.Unlock()
 	p, _ := c.fedPartition(topic, part)
 	lp := p.logs[reps[0]]
-	lFirst, lEnd, _, lSpans := lp.Snapshot(nil)
+	lFirst, lEnd, lSpans := lp.Snapshot(nil)
 	for _, f := range reps[1:] {
 		fp := p.logs[f]
-		fFirst, fEnd, _, fSpans := fp.Snapshot(nil)
+		fFirst, fEnd, fSpans := fp.Snapshot(nil)
 		if fEnd != lEnd {
 			t.Fatalf("shard %d log end %d != leader end %d", f, fEnd, lEnd)
 		}

@@ -45,7 +45,7 @@ type life struct {
 type logModel struct {
 	first     int64 // oldest retained offset
 	committed int64
-	base      int64     // payload bytes below first since the last reset
+	base      int64     // payload bytes below first: the reset's count, then what trims took
 	msgs      []Message // offsets [first, first+len(msgs))
 }
 
@@ -76,10 +76,10 @@ func newReplica(segSize int, st *Stats, free *freeList) *replica {
 		next: map[*segment]bool{}, lives: map[*segment]life{}}
 }
 
-// reset is ResetTo(first) on the log and its model.
-func (r *replica) reset(first int64) {
-	r.m = logModel{first: first, committed: first}
-	r.l.ResetTo(first)
+// reset is ResetTo(first, bytes) on the log and its model.
+func (r *replica) reset(first, bytes int64) {
+	r.m = logModel{first: first, committed: first, base: bytes}
+	r.l.ResetTo(first, bytes)
 }
 
 // wantCap is the capacity rule, from the model alone: the array capacity
@@ -142,7 +142,7 @@ type logDriver struct {
 	flat      []Message // check's scratch
 
 	free     freeList
-	listed   []*segment        // free.owning after the previous step
+	listed   []*segment        // free.roots after the previous step
 	retired  map[*segment]bool // left a log's segs, not (yet) born again
 	kept     map[*Message]bool // heads of the segSize arrays a held view reaches
 	peakLive int               // the most segSize msgs arrays live at once, as checkBound reads it
@@ -190,7 +190,8 @@ func (d *logDriver) check(r *replica, step int, op string) error {
 	fail := func(format string, a ...any) error {
 		return fmt.Errorf("step %d (%s): %s", step, op, fmt.Sprintf(format, a...))
 	}
-	first, end, committed, epochs := l.Snapshot(nil)
+	first, end, epochs := l.Snapshot(nil)
+	committed := l.committed
 	if first != m.first || end != m.end() || committed != m.committed {
 		return fail("Snapshot first/end/committed %d/%d/%d, model %d/%d/%d",
 			first, end, committed, m.first, m.end(), m.committed)
@@ -229,10 +230,12 @@ func (d *logDriver) check(r *replica, step int, op string) error {
 			} else if seg.borrowed && cap(seg.cum) < full {
 				d.chainAlias++
 			}
-		} else if was := r.lives[seg]; lf.cum != was.cum || lf.msgs != was.msgs && !was.borrowed {
+		} else if was := r.lives[seg]; (lf.msgs != was.msgs || lf.cum != was.cum) && !was.borrowed {
 			// No array that held a published slot is replaced, except a
-			// borrowed tail's by its copy on write.
-			return fail("segment %d's array was replaced (borrowed %v)", i, was.borrowed)
+			// borrowed tail's by its copy on write, which replaces both.
+			return fail("segment %d's arrays were replaced (borrowed %v)", i, was.borrowed)
+		} else if was.borrowed && !lf.borrowed && (lf.msgs == was.msgs || lf.cum == was.cum) {
+			return fail("segment %d's copy on write kept an array (msgs %v, cum %v)", i, lf.msgs == was.msgs, lf.cum == was.cum)
 		}
 		r.lives[seg] = lf
 	}
@@ -396,7 +399,7 @@ func (d *logDriver) step(opByte, argByte byte) error {
 		switch arg % 4 {
 		case 0:
 			name = "ResetTo"
-			d.lead.reset(m.end() + arg/4%7)
+			d.lead.reset(m.end()+arg/4%7, 0)
 		case 1:
 			// Either direction, and past both ends: the mark clamps to the
 			// retained range.
@@ -477,20 +480,20 @@ func (d *logDriver) checkBound(step int, op string) error {
 		live[head] = true
 	}
 	shared := 0
-	for shared < min(len(d.listed), len(d.free.owning)) && d.listed[shared] == d.free.owning[shared] {
+	for shared < min(len(d.listed), len(d.free.roots)) && d.listed[shared] == d.free.roots[shared] {
 		shared++
 	}
-	d.listed = append(d.listed[:0], d.free.owning...)
-	d.peakLive = max(d.peakLive, len(live)+len(d.free.owning)-shared)
-	for _, seg := range d.free.owning {
+	d.listed = append(d.listed[:0], d.free.roots...)
+	d.peakLive = max(d.peakLive, len(live)+len(d.free.roots)-shared)
+	for _, seg := range d.free.roots {
 		if cap(seg.msgs) != int(d.segSize) || live[&seg.msgs[:1][0]] {
-			return fmt.Errorf("step %d (%s): a listed owning root holds a live array or none of segSize (cap %d)",
+			return fmt.Errorf("step %d (%s): a listed root holds a live array or none of segSize (cap %d)",
 				step, op, cap(seg.msgs))
 		}
 	}
-	if n := len(live) + len(d.free.owning); n > d.peakLive {
+	if n := len(live) + len(d.free.roots); n > d.peakLive {
 		return fmt.Errorf("step %d (%s): %d live and %d listed segSize arrays, over the peak of %d live",
-			step, op, len(live), len(d.free.owning), d.peakLive)
+			step, op, len(live), len(d.free.roots), d.peakLive)
 	}
 	return nil
 }
@@ -544,7 +547,7 @@ func (d *logDriver) follow(act byte, arg int64, name string) (string, error) {
 		fd, _ := firstDiff(fm, lm)
 		switch {
 		case fm.first > lm.end() || fm.end() < lm.first:
-			d.fol.reset(lm.first)
+			d.fol.reset(lm.first, lm.base) // the leader's count, as the runner's bootstrap
 			return name + "+follower ResetTo", nil
 		case fm.end() > fd:
 			f.TruncateTo(fd)
@@ -818,50 +821,62 @@ func TestReplicationAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAliasingBirthKeepsOwningRoots holds the free list's two kinds
-// apart: with only owning roots listed, a follower's aliasing birth
-// allocates a segment with its cum and leaves them listed — taking one
-// would drop its msgs array — and once the follower trims that alias, the
-// next aliasing birth refills its cum-only root.
-func TestAliasingBirthKeepsOwningRoots(t *testing.T) {
+// TestAliasingBirthTakesAHeader holds the free list's two kinds apart: a
+// follower's aliasing birth takes a listed header — here one its own
+// trimmed alias listed — and leaves every listed root in place (taking one
+// would drop its arrays), and the alias shares its owner's msgs and cum
+// arrays, so the follower's byte sums are the leader's, never recomputed.
+// A write of the follower's own then copies both arrays into a listed
+// root's, whose header is listed.
+func TestAliasingBirthTakesAHeader(t *testing.T) {
 	const segSize = 4 // past no chain: every array is whole
 	st, free := new(Stats), new(freeList)
 	lead := &Log{segSize: segSize, stats: st, free: free}
 	fol := &Log{segSize: segSize, stats: st, free: free}
-	appendValues(lead, vclock.Epoch, make([][]byte, 4*segSize)...)
-	lead.Commit(2 * segSize)
-	lead.Trim(2 * segSize)
-	fol.ResetTo(2 * segSize)
-	owning := slices.Clone(free.owning)
-	if len(owning) != 2 || len(free.cumOnly) != 0 {
-		t.Fatalf("after the leader's trim: %d owning and %d cum-only roots listed, want 2 and 0", len(owning), len(free.cumOnly))
-	}
+	values, _ := valueBatch(4 * segSize)
+	appendValues(lead, vclock.Epoch, values...)
 	spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
-	catchUp := func() *segment {
-		parts, _ := lead.pin(fol.end, segSize, nil)
+	catchUp := func(n int) *segment {
+		parts, _ := lead.pin(fol.end, n, nil)
 		if !landRound(fol, parts, spans) {
 			t.Fatal("the batch did not land")
 		}
 		return fol.segs[len(fol.segs)-1]
 	}
-	born := st.Born
-	seg := catchUp()
-	if !seg.borrowed || seg.owner != lead.segs[0] || cap(seg.cum) != segSize || st.Born != born+1 {
-		t.Fatalf("aliasing birth: borrowed %v, owner is the leader's array %v, cum cap %d, %d born",
-			seg.borrowed, seg.owner == lead.segs[0], cap(seg.cum), st.Born-born)
+	catchUp(segSize)
+	catchUp(segSize)
+	// The persist: both logs trim at the leader's mark, the follower first.
+	lead.Commit(2 * segSize)
+	fol.Trim(2 * segSize)
+	lead.Trim(2 * segSize)
+	roots := slices.Clone(free.roots)
+	if len(roots) != 2 || len(free.headers) != 2 {
+		t.Fatalf("after the trims: %d roots and %d headers listed, want 2 and 2", len(roots), len(free.headers))
 	}
-	if !slices.Equal(free.owning, owning) {
-		t.Fatalf("an aliasing birth took an owning root: %d of 2 left listed", len(free.owning))
+	header, born, refilled := free.headers[1], st.Born, st.Refilled
+	seg := catchUp(segSize / 2)
+	if seg != header || st.Born != born || st.Refilled != refilled+1 || !slices.Equal(free.roots, roots) {
+		t.Fatalf("aliasing birth: took the last listed header %v, %d born, %d refilled, roots kept %v",
+			seg == header, st.Born-born, st.Refilled-refilled, slices.Equal(free.roots, roots))
 	}
-	fol.Commit(fol.end)
-	fol.Trim(fol.end)
-	if len(free.cumOnly) != 1 || free.cumOnly[0] != seg || cap(seg.msgs) != 0 {
-		t.Fatalf("the follower's trimmed alias is not listed alone: %d cum-only roots", len(free.cumOnly))
+	if own := lead.segs[0]; seg.owner != own || !seg.borrowed || &seg.msgs[:1][0] != &own.msgs[:1][0] || &seg.cum[:1][0] != &own.cum[:1][0] {
+		t.Fatalf("the alias does not share its owner's arrays (owned by it %v, borrowed %v)", seg.owner == own, seg.borrowed)
 	}
-	refilled := st.Refilled
-	if again := catchUp(); again != seg || st.Refilled != refilled+1 || !slices.Equal(free.owning, owning) {
-		t.Fatalf("the next aliasing birth refilled the cum-only root %v (%d refilled), owning roots kept %v",
-			again == seg, st.Refilled-refilled, slices.Equal(free.owning, owning))
+	if got, want := fol.BytesThrough(fol.end), lead.BytesThrough(fol.end); st.Copied != 0 || got != want {
+		t.Fatalf("%d messages copied; the follower counts %d bytes through %d, the leader %d", st.Copied, got, fol.end, want)
+	}
+	root, msgs, cum := roots[1], &roots[1].msgs[:1][0], &roots[1].cum[:1][0]
+	appendValues(fol, vclock.Epoch, values[0])
+	if seg.borrowed || seg.owner != nil || &seg.msgs[:1][0] != msgs || &seg.cum[:1][0] != cum || st.CopyOnWrite != 1 {
+		t.Fatalf("copy on write: borrowed %v, the listed root's msgs %v and cum %v, %d copies",
+			seg.borrowed, &seg.msgs[:1][0] == msgs, &seg.cum[:1][0] == cum, st.CopyOnWrite)
+	}
+	if len(free.roots) != 1 || len(free.headers) != 2 || free.headers[1] != root {
+		t.Fatalf("after the copy on write: %d roots and %d headers listed, the root's header last %v",
+			len(free.roots), len(free.headers), free.headers[len(free.headers)-1] == root)
+	}
+	if got, want := fol.BytesThrough(fol.end), lead.BytesThrough(fol.end-1)+64; got != want {
+		t.Fatalf("the follower counts %d bytes through %d after its write, want %d", got, fol.end, want)
 	}
 }
 
@@ -1022,8 +1037,8 @@ func TestColdChainAtDefaultSize(t *testing.T) {
 		}
 	}
 	l.Commit(l.end)
-	if l.Trim(l.end) != segSize || len(l.free.owning) != 1 || cap(l.free.owning[0].msgs) != segSize {
-		t.Fatalf("after the trim: first %d, %d owning roots listed", l.first, len(l.free.owning))
+	if l.Trim(l.end) != segSize || len(l.free.roots) != 1 || cap(l.free.roots[0].msgs) != segSize {
+		t.Fatalf("after the trim: first %d, %d roots listed", l.first, len(l.free.roots))
 	}
 	appendValues(l, vclock.Epoch, make([][]byte, segSize)...)
 	if st := *l.stats; st.Born != 7 || st.Refilled != 1 {
