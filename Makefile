@@ -46,7 +46,10 @@ bench-10m:
 # (gitignored), one pair per benchmark, each at -cpu 1 as cmd/bench runs
 # its workloads and with iterations for ≥ 1.5 s of CPU samples, so a
 # function's share is read over ≈ 150 samples, not ≈ 60. Each profile's
-# sample count is printed; quote a share with it. Last, the allocations of
+# sample count is printed; quote a share with it. After streaming_million,
+# the alloc_space of the line that makes a segment's byte-sum (cum) array,
+# which Log.nextSegment reaches at every birth that finds none to reuse,
+# out of the profile's total. Last, the allocations of
 # mapreduce-wordcount's timed region: a mem profile of the whole-job rung
 # (internal/mapreduce BenchmarkJob_Wordcount, every allocation sampled at
 # 4 KB, as small ones dominate), whose total under mapreduce.Run and
@@ -70,6 +73,9 @@ endef
 profile:
 	mkdir -p $(PROFILE_DIR)
 	$(call profile-one,streaming_million,Streaming_Million,15)
+	@at=$$(grep -n 'make(\[\]int64' internal/streaming/log.go | cut -d: -f1); \
+	echo "profile: streaming_million: $$($(GO) tool pprof -sample_index=alloc_space -lines -top -nodefraction 0 $(PROFILE_DIR)/streaming_million.mem.pprof 2>/dev/null | \
+		awk -v at="/log.go:$$at" '$$0 ~ at"( [(]inline[)])?$$" && !s { s = $$1 } / total$$/ { t = $$(NF-1) } END { print (s ? s : "0MB") " of " t }') alloc_space on the line making a segment's cum array (log.go:$$at)"
 	$(call profile-one,mapreduce,Table2_MapReduce,60)
 	$(call profile-one,chaos_seeds,Chaos_Seeds,40)
 	$(GO) test -run '^$$' -bench '^BenchmarkJob_Wordcount$$' -benchtime 10x -benchmem -cpu 1 -memprofilerate 4096 \

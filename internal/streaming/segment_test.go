@@ -887,13 +887,14 @@ func TestAliasingBirthTakesAHeader(t *testing.T) {
 // first, so it dies by GC and every append allocates (what every follower
 // append cost before segments were refilled), and "alias" hands the batch
 // over as the runner does on a hot leader — the head of a full-size leader
-// array — so the follower stores it by reference and refills only its cum.
+// array and its byte sums — so the follower stores it by reference and
+// refills only its segment header.
 // Each log has a free list of its own; "alias-cold"'s leader and follower
 // share one, as a cluster's logs do. "alias-cold" is the
 // small end: a fresh follower catches up a cold leader holding 375
 // messages — one chaos-scenario replica's load — in runner rounds (pin,
 // landRound), aliasing each link of the leader's chain, so it allocates
-// its links' cum and segment records and no Message.
+// its links' segment headers and no Message and no byte sum.
 func BenchmarkAppendReplicated(b *testing.B) {
 	defer b.Run("alias-cold", func(b *testing.B) {
 		const held = 375
@@ -938,7 +939,13 @@ func BenchmarkAppendReplicated(b *testing.B) {
 			}
 			var src *segment // the runner's view of a leader array heads batch
 			if mode == "alias" {
-				src = &segment{msgs: batch}
+				// Payload-free messages: the leader's sums are all zero, as is
+				// the follower's count, so borrow's count check holds for
+				// every batch.
+				for i := range batch {
+					batch[i].Value = nil
+				}
+				src = &segment{msgs: batch, cum: make([]int64, segSize)}
 			}
 			spans := []plan.EpochSpan{{Start: 0, Epoch: 0}}
 			var ms runtime.MemStats
@@ -958,6 +965,11 @@ func BenchmarkAppendReplicated(b *testing.B) {
 				l.Trim(end)
 			}
 			b.StopTimer()
+			// The first batch lands on the cold chain at offset 0 and is
+			// copied; every later one is aliased.
+			if mode == "alias" && l.stats.Copied > segSize {
+				b.Fatalf("%d messages copied: the follower did not alias the batches", l.stats.Copied)
+			}
 			msgs := float64(b.N) * segSize
 			runtime.ReadMemStats(&ms)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
