@@ -40,7 +40,6 @@ type deadService struct {
 
 func (s *deadService) URL() string      { return "dead://pool" }
 func (s *deadService) Site() infra.Site { return "dead" }
-func (s *deadService) TotalCores() int  { return 0 }
 func (s *deadService) Close() error     { return nil }
 
 func (s *deadService) Submit(d saga.Description) (saga.Job, error) {

@@ -20,17 +20,9 @@ import (
 )
 
 // Dist is a real-valued probability distribution. Sample draws the next
-// variate from the distribution's own deterministic stream; Mean and
-// Quantile expose the analytical moments the white-box performance
-// models need (perfmodel's makespan bounds reason about means and
-// max-of-n quantiles without burning samples).
+// variate from the distribution's own deterministic stream.
 type Dist interface {
-	// Sample draws the next variate.
 	Sample() float64
-	// Mean returns the distribution mean.
-	Mean() float64
-	// Quantile returns the p-quantile (inverse CDF) for p in [0, 1].
-	Quantile(p float64) float64
 }
 
 // Constant returns the degenerate distribution that always yields v —
@@ -39,9 +31,7 @@ func Constant(v float64) Dist { return constant(v) }
 
 type constant float64
 
-func (c constant) Sample() float64            { return float64(c) }
-func (c constant) Mean() float64              { return float64(c) }
-func (c constant) Quantile(p float64) float64 { return float64(c) }
+func (c constant) Sample() float64 { return float64(c) }
 
 // Normal is a normal distribution drawing from its own stream.
 type Normal struct {
@@ -62,11 +52,6 @@ func NormalFrom(s *Stream, mean, sd float64) *Normal {
 }
 
 func (n *Normal) Sample() float64 { return n.mean + n.sd*n.s.NormFloat64() }
-func (n *Normal) Mean() float64   { return n.mean }
-
-func (n *Normal) Quantile(p float64) float64 {
-	return n.mean + n.sd*math.Sqrt2*math.Erfinv(2*clamp01(p)-1)
-}
 
 // LogNormal is a lognormal distribution parameterized — as the paper's
 // queue-wait models are — by its *actual* mean and coefficient of
@@ -104,12 +89,6 @@ func (l *LogNormal) Sample() float64 {
 	return math.Exp(l.mu + l.sigma*l.s.NormFloat64())
 }
 
-func (l *LogNormal) Mean() float64 { return l.mean }
-
-func (l *LogNormal) Quantile(p float64) float64 {
-	return math.Exp(l.mu + l.sigma*math.Sqrt2*math.Erfinv(2*clamp01(p)-1))
-}
-
 // BernoulliDist is the {0, 1} distribution with success probability P.
 type BernoulliDist struct {
 	p float64
@@ -123,15 +102,6 @@ func BernoulliFrom(s *Stream, p float64) *BernoulliDist {
 
 func (b *BernoulliDist) Sample() float64 {
 	if b.s.Float64() < b.p {
-		return 1
-	}
-	return 0
-}
-
-func (b *BernoulliDist) Mean() float64 { return b.p }
-
-func (b *BernoulliDist) Quantile(p float64) float64 {
-	if clamp01(p) > 1-b.p {
 		return 1
 	}
 	return 0

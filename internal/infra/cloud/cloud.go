@@ -121,9 +121,6 @@ func (p *Provider) URL() string { return "cloud://" + p.cfg.Name }
 // Site implements saga.Service.
 func (p *Provider) Site() infra.Site { return infra.Site(p.cfg.Name) }
 
-// TotalCores implements saga.Service (0: clouds are elastically unbounded).
-func (p *Provider) TotalCores() int { return 0 }
-
 // Faults returns the provider's fault switchboard (chaos engineering).
 func (p *Provider) Faults() *infra.Faults { return &p.faults }
 

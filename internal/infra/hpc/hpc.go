@@ -149,7 +149,7 @@ func (c *Cluster) URL() string { return "hpc://" + c.cfg.Name }
 // Site implements saga.Service.
 func (c *Cluster) Site() infra.Site { return infra.Site(c.cfg.Name) }
 
-// TotalCores implements saga.Service: the machine size in cores.
+// TotalCores returns the machine size in cores.
 func (c *Cluster) TotalCores() int { return c.cfg.Nodes * c.cfg.CoresPerNode }
 
 // Faults returns the cluster's fault switchboard (chaos engineering).

@@ -149,9 +149,6 @@ func (p *Pool) URL() string { return "htc://" + p.cfg.Name }
 // Site implements saga.Service.
 func (p *Pool) Site() infra.Site { return infra.Site(p.cfg.Name) }
 
-// TotalCores implements saga.Service: the pool capacity in slots.
-func (p *Pool) TotalCores() int { return p.cfg.Slots }
-
 // Faults returns the pool's fault switchboard (chaos engineering).
 func (p *Pool) Faults() *infra.Faults { return &p.faults }
 

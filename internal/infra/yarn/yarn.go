@@ -112,9 +112,6 @@ func (c *Cluster) URL() string { return "yarn://" + c.cfg.Name }
 // Site implements saga.Service.
 func (c *Cluster) Site() infra.Site { return infra.Site(c.cfg.Name) }
 
-// TotalCores implements saga.Service: the cluster capacity.
-func (c *Cluster) TotalCores() int { return c.cfg.TotalCores }
-
 // Faults returns the cluster's fault switchboard (chaos engineering).
 func (c *Cluster) Faults() *infra.Faults { return &c.faults }
 

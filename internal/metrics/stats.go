@@ -1,6 +1,6 @@
 // Package metrics provides the measurement substrate used throughout gopilot:
-// summary statistics, online accumulators, duration samples, run-length
-// series and simple table/CSV emitters. The paper's evaluation methodology
+// summary statistics, duration samples, run-length series and simple
+// table/CSV emitters. The paper's evaluation methodology
 // (Section V, "Performance Characterization") relies on runtime, throughput
 // and latency distributions; this package is the common vocabulary for all
 // experiments.
@@ -97,58 +97,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Accumulator is an online (single-pass, Welford) mean/variance accumulator.
-// The zero value is ready to use. It is not safe for concurrent use; wrap it
-// in a mutex.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean, or 0 before any observation.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Min returns the smallest observation, or 0 before any observation.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 before any observation.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the Bessel-corrected sample variance.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (a *Accumulator) Std() float64 { return math.Sqrt(a.Variance()) }
 
 // Durations converts a slice of time.Duration into seconds for use with the
 // float64-based statistics helpers.

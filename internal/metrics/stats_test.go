@@ -60,27 +60,6 @@ func TestQuantilePanicsOnEmpty(t *testing.T) {
 	Quantile(nil, 0.5)
 }
 
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	s := Summarize(xs)
-	if a.N() != s.N {
-		t.Fatalf("N = %d, want %d", a.N(), s.N)
-	}
-	if !almostEqual(a.Mean(), s.Mean, 1e-12) {
-		t.Errorf("Mean = %g, want %g", a.Mean(), s.Mean)
-	}
-	if !almostEqual(a.Std(), s.Std, 1e-12) {
-		t.Errorf("Std = %g, want %g", a.Std(), s.Std)
-	}
-	if a.Min() != s.Min || a.Max() != s.Max {
-		t.Errorf("Min/Max = %g/%g, want %g/%g", a.Min(), a.Max(), s.Min, s.Max)
-	}
-}
-
 func TestSpeedupAndEfficiency(t *testing.T) {
 	t1 := 100 * time.Second
 	t4 := 25 * time.Second

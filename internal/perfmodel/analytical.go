@@ -7,7 +7,6 @@
 package perfmodel
 
 import (
-	"math"
 	"slices"
 	"time"
 
@@ -123,74 +122,4 @@ func DirectSubmissionSim(n, slots int, t time.Duration, qwait dist.Dist) time.Du
 func PilotSubmissionSim(n, cores int, t time.Duration, qwait dist.Dist, perTaskOverhead time.Duration) time.Duration {
 	startup := time.Duration(qwait.Sample() * float64(time.Second))
 	return PilotMakespan(n, cores, t, startup, perTaskOverhead)
-}
-
-// CrossoverTasks estimates the smallest task count at which the pilot
-// approach beats direct submission, by sweeping n (geometrically) through
-// both simulators. It returns 0 if the pilot wins even for a single task,
-// and -1 if direct submission wins throughout the sweep limit.
-func CrossoverTasks(slots, cores int, t time.Duration, mkQwait func() dist.Dist, overhead time.Duration, maxN int) int {
-	prevWinner := 0 // unknown
-	for n := 1; n <= maxN; n *= 2 {
-		direct := DirectSubmissionSim(n, slots, t, mkQwait())
-		pilot := PilotSubmissionSim(n, cores, t, mkQwait(), overhead)
-		if pilot < direct {
-			if n == 1 {
-				return 0
-			}
-			if prevWinner == 1 {
-				return n
-			}
-		}
-		if pilot < direct {
-			prevWinner = 2
-		} else {
-			prevWinner = 1
-		}
-	}
-	if prevWinner == 2 {
-		return 0
-	}
-	return -1
-}
-
-// Percentile of the maximum of n iid samples — a closed-form helper for
-// reasoning about direct submission: the expected makespan is governed by
-// the max queue wait among n jobs. For a distribution with CDF F, the max
-// of n samples has CDF F^n; this estimates its q-quantile empirically.
-func MaxOfNQuantile(d dist.Dist, n int, q float64, draws int) float64 {
-	if draws <= 0 {
-		draws = 200
-	}
-	xs := make([]float64, draws)
-	for i := range xs {
-		m := 0.0
-		for j := 0; j < n; j++ {
-			if s := d.Sample(); s > m {
-				m = s
-			}
-		}
-		xs[i] = m
-	}
-	// Sort-free quantile via counting would be overkill; reuse math.
-	return quantile(xs, q)
-}
-
-func quantile(xs []float64, q float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ { // insertion sort: draws are small
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

@@ -185,16 +185,6 @@ type quantized struct{ dist.Dist }
 
 func (q quantized) Sample() float64 { return math.Floor(q.Dist.Sample()) }
 
-func TestMaxOfNQuantileGrowsWithN(t *testing.T) {
-	d1 := dist.NewLogNormal(100, 1.0, 7)
-	d2 := dist.NewLogNormal(100, 1.0, 7)
-	q1 := MaxOfNQuantile(d1, 1, 0.5, 300)
-	q64 := MaxOfNQuantile(d2, 64, 0.5, 300)
-	if q64 <= q1 {
-		t.Fatalf("max-of-64 median %g not > max-of-1 median %g", q64, q1)
-	}
-}
-
 func TestFitOLSRecoversPlantedModel(t *testing.T) {
 	// y = 3 + 2a - 0.5b, exact (no noise).
 	var x [][]float64
@@ -272,14 +262,5 @@ func TestRegressionString(t *testing.T) {
 	r := &Regression{Names: []string{"p"}, Coef: []float64{1.5, -2}}
 	if got := r.String(); got != "y = 1.5 + -2·p" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestCrossoverTasks(t *testing.T) {
-	// Heavy queue waits: pilot should win from small n (crossover early).
-	mkQ := func() dist.Dist { return dist.NewLogNormal(600, 0.5, 11) }
-	cross := CrossoverTasks(16, 16, time.Minute, mkQ, time.Second, 1024)
-	if cross < 0 {
-		t.Fatal("pilot never won despite heavy queue waits")
 	}
 }

@@ -46,9 +46,6 @@ func (s *LocalService) URL() string { return "local://" + s.name }
 // Site implements Service.
 func (s *LocalService) Site() infra.Site { return infra.Site(s.name) }
 
-// TotalCores implements Service.
-func (s *LocalService) TotalCores() int { return s.cores }
-
 // Faults returns the service's fault switchboard (chaos engineering). The
 // local backend has no simulator underneath, so it owns its own.
 func (s *LocalService) Faults() *infra.Faults { return &s.faults }

@@ -98,8 +98,6 @@ type Service interface {
 	URL() string
 	// Site returns the site identity for data-affinity decisions.
 	Site() infra.Site
-	// TotalCores returns the backend capacity in cores (0 if unbounded).
-	TotalCores() int
 	// Submit submits a job.
 	Submit(d Description) (Job, error)
 	// Close shuts the service down: it refuses new jobs, and ends or

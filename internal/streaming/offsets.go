@@ -13,9 +13,9 @@ import "sync"
 // segments below the low-watermark of all persisted offsets, which is
 // what bounds resident memory under infinite streams.
 //
-// Keys are registered once and then updated in place; iteration
-// (LowWatermark, Snapshot) walks the registration-order slice, never a
-// map, so every read is deterministic (seed-audit rule 5).
+// Keys are registered once and then updated in place; LowWatermark
+// walks the registration-order slice, never a map, so every read is
+// deterministic (seed-audit rule 5).
 type OffsetStore struct {
 	mu      sync.Mutex
 	entries []*offsetEntry // registration order: deterministic iteration
@@ -31,15 +31,6 @@ type offsetKey struct {
 type offsetEntry struct {
 	offsetKey
 	next int64
-}
-
-// OffsetRecord is one persisted cursor, the unit of Snapshot/Restore.
-type OffsetRecord struct {
-	Group, Topic string
-	Partition    int
-	// Next is the next offset the group would consume (all offsets below
-	// it are processed and committed).
-	Next int64
 }
 
 // NewOffsetStore creates an empty store.
@@ -112,24 +103,4 @@ func (s *OffsetStore) LowWatermark(topic string, partition int) (int64, bool) {
 		}
 	}
 	return lw, found
-}
-
-// Snapshot returns every persisted cursor in registration order — the
-// small KV snapshot a restarted deployment Restores from.
-func (s *OffsetStore) Snapshot() []OffsetRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]OffsetRecord, len(s.entries))
-	for i, e := range s.entries {
-		out[i] = OffsetRecord{Group: e.group, Topic: e.topic, Partition: e.partition, Next: e.next}
-	}
-	return out
-}
-
-// Restore applies a snapshot through the same monotonic Save path (so
-// restoring an older snapshot over newer state never rewinds a cursor).
-func (s *OffsetStore) Restore(records []OffsetRecord) {
-	for _, r := range records {
-		s.Save(r.Group, r.Topic, r.Partition, r.Next)
-	}
 }

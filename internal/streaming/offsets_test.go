@@ -124,28 +124,6 @@ func TestOffsetStoreConcurrentSavesStayMonotonic(t *testing.T) {
 	}
 }
 
-func TestOffsetStoreSnapshotRestoreRoundTrip(t *testing.T) {
-	s := NewOffsetStore()
-	s.Save("g1", "t", 0, 7)
-	s.Save("g1", "t", 1, 3)
-	s.Save("g2", "u", 0, 11)
-
-	snap := s.Snapshot()
-	restored := NewOffsetStore()
-	restored.Restore(snap)
-	if got := restored.Snapshot(); !reflect.DeepEqual(got, snap) {
-		t.Fatalf("round trip diverged:\n%v\nvs\n%v", got, snap)
-	}
-
-	// Restoring an older snapshot over newer state never rewinds: Restore
-	// goes through the monotonic Save path.
-	restored.Save("g1", "t", 0, 20)
-	restored.Restore(snap)
-	if got, _ := restored.Load("g1", "t", 0); got != 20 {
-		t.Fatalf("restore rewound cursor to %d, want 20", got)
-	}
-}
-
 // TestGroupRestartResumesFromPersistedOffsets is the offset-persistence
 // acceptance test: a consumer group wired to an OffsetStore is stopped
 // after draining a first wave of messages and restarted (same name, same
@@ -234,9 +212,9 @@ func TestGroupRestartResumesFromPersistedOffsets(t *testing.T) {
 // TestRestartRedeliversExactlyTheUncommittedBatch pins the redelivery
 // contract when a consumer dies after processing a batch but before
 // committing it: the restarted consumer (resuming from the persisted
-// cursor, here via a snapshot/restore of the store as a deployment
-// restart would) receives exactly the uncommitted batch [B, 2B) — every
-// offset of it, and nothing from the committed batch before it.
+// cursor, read back from the store as a deployment restart would)
+// receives exactly the uncommitted batch [B, 2B) — every offset of it,
+// and nothing from the committed batch before it.
 func TestRestartRedeliversExactlyTheUncommittedBatch(t *testing.T) {
 	clock := vclock.NewVirtual(vclock.Epoch)
 	clock.Adopt()
@@ -275,10 +253,8 @@ func TestRestartRedeliversExactlyTheUncommittedBatch(t *testing.T) {
 	}
 	// No commit, no save: the crash point.
 
-	// Restart from the persisted snapshot.
-	recovered := NewOffsetStore()
-	recovered.Restore(store.Snapshot())
-	cursor, ok := recovered.Load("g", "t", 0)
+	// Restart from the persisted cursor.
+	cursor, ok := store.Load("g", "t", 0)
 	if !ok || cursor != B {
 		t.Fatalf("recovered cursor = %d,%v; want %d", cursor, ok, B)
 	}

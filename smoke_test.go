@@ -68,7 +68,7 @@ func TestSmokeAllExhibits(t *testing.T) {
 }
 
 // TestSameSeedIdenticalModelOutput is the determinism check for the
-// discrete-event performance models (sim.Engine). The concurrent-runtime
+// closed-form submission simulators of perfmodel. The concurrent-runtime
 // exhibits have the matching — and stronger — end-to-end check in
 // internal/experiments/determinism_test.go, now that they run on the
 // vclock.Virtual executor.
@@ -76,10 +76,7 @@ func TestSameSeedIdenticalModelOutput(t *testing.T) {
 	run := func() string {
 		direct := perfmodel.DirectSubmissionSim(256, 32, time.Minute, dist.NewLogNormal(600, 1.0, 42))
 		pilot := perfmodel.PilotSubmissionSim(256, 32, time.Minute, dist.NewLogNormal(600, 1.0, 43), 50*time.Millisecond)
-		q := perfmodel.MaxOfNQuantile(dist.NewLogNormal(100, 1.0, 7), 64, 0.9, 500)
-		cross := perfmodel.CrossoverTasks(16, 16, time.Minute,
-			func() dist.Dist { return dist.NewLogNormal(600, 0.5, 11) }, time.Second, 1024)
-		return fmt.Sprintf("%d|%d|%.17g|%d", direct, pilot, q, cross)
+		return fmt.Sprintf("%d|%d", direct, pilot)
 	}
 	a, b := run(), run()
 	if a != b {
